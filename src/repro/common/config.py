@@ -140,6 +140,12 @@ class HardwareProfile:
         """Frequency scale factor for ``node_id`` (1.0 unless overridden)."""
         return self.cpu_frequency_scale.get(node_id, 1.0)
 
+    def cpu_push_cost(self, tuple_size: int) -> float:
+        """CPU cost of pushing one ``tuple_size``-byte tuple into a send
+        buffer. Sources compute it once per channel; simulated time
+        depends on the exact float, so there is one expression for it."""
+        return self.cpu_tuple_overhead + tuple_size * self.cpu_copy_per_byte
+
     def with_straggler(self, node_id: int, scale: float) -> "HardwareProfile":
         """Return a copy of the profile with ``node_id`` slowed to
         ``scale`` times its CPU frequency (paper Fig. 12 setup)."""

@@ -4,6 +4,7 @@ from repro.core.combiner import CombinerSource, CombinerTarget
 from repro.core.flow import DfiRuntime
 from repro.core.flowdef import (
     FLOW_END,
+    NO_FLUSH,
     AggregationSpec,
     FlowDescriptor,
     FlowOptions,
@@ -64,6 +65,7 @@ __all__ = [
     "Ordering",
     "AggregationSpec",
     "FLOW_END",
+    "NO_FLUSH",
     "GapNotification",
     "Schema",
     "Field",

@@ -230,6 +230,12 @@ class _FlowEnd:
 
 FLOW_END = _FlowEnd()
 
+#: What a per-tuple ``push`` returns when the tuple was staged and there
+#: is nothing to wait for: one shared empty iterable, so ``yield from
+#: source.push(values)`` enters no generator frame. A push that has to
+#: flush returns the flush generator instead.
+NO_FLUSH: tuple = ()
+
 
 class GapNotification:
     """Returned by replicate targets in ``gap_notify`` mode when a sequence

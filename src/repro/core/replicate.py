@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from struct import error as _struct_error
 
 from repro.common.errors import (
     FlowAbortedError,
@@ -37,6 +38,7 @@ from repro.common.errors import (
 )
 from repro.core.flowdef import (
     FLOW_END,
+    NO_FLUSH,
     FlowDescriptor,
     FlowType,
     GapNotification,
@@ -181,19 +183,28 @@ class _StagingBuffer:
 
     def __init__(self, descriptor: FlowDescriptor, payload_size: int) -> None:
         self.schema = descriptor.schema
-        # Bound once: ``room``/``full`` run per chunk on the batched push
-        # path and ``pack_many_into`` resolves to the schema's compiled
-        # kernel when codegen is on (see ``core/schema.py``).
+        # Bound once: ``append`` runs per tuple, ``room``/``full`` per
+        # chunk on the batched push path, and ``pack_many_into`` resolves
+        # to the schema's compiled kernel when codegen is on (see
+        # ``core/schema.py``).
         self.tuple_size = descriptor.schema.tuple_size
-        self._pack_into = descriptor.schema.pack_into
+        self._pack_tuple = descriptor.schema.raw_pack_into
         self._pack_many_into = descriptor.schema.pack_many_into
         self.payload_size = payload_size
+        #: The buffer reads as full once ``used`` exceeds this.
+        self._full_above = payload_size - self.tuple_size
         self._buffer = bytearray(payload_size)
         self.used = 0
 
-    def append(self, values: tuple) -> None:
-        self._pack_into(self._buffer, self.used, values)
-        self.used += self.tuple_size
+    def append(self, values: tuple) -> bool:
+        """Pack one tuple; returns :attr:`full`."""
+        used = self.used
+        try:
+            self._pack_tuple(self._buffer, used, *values)
+        except _struct_error as exc:
+            raise self.schema.mismatch(values, exc) from None
+        self.used = used = used + self.tuple_size
+        return used > self._full_above
 
     def append_many(self, tuples) -> None:
         """Pack a batch of tuples with one ``struct`` call; the caller
@@ -208,7 +219,7 @@ class _StagingBuffer:
 
     @property
     def full(self) -> bool:
-        return self.used + self.tuple_size > self.payload_size
+        return self.used > self._full_above
 
     def take(self) -> bytes:
         payload = bytes(self._buffer[:self.used])
@@ -238,6 +249,8 @@ class NaiveReplicateSource:
                           % descriptor.schema.tuple_size == 0)
         self._latency = descriptor.optimization is Optimization.LATENCY
         self._cpu_debt = 0.0
+        self._tuple_debt = self.profile.cpu_push_cost(
+            descriptor.schema.tuple_size)
         self._local_seq = 0
         #: Writer indices declared failed (their targets are gone).
         self._failed: set[int] = set()
@@ -281,18 +294,20 @@ class NaiveReplicateSource:
         return cls(registry, descriptor, source_index, writers, sequencer)
 
     def push(self, values: tuple):
-        """Generator: replicate one tuple to all targets."""
+        """Replicate one tuple to all targets; returns what the caller
+        must ``yield from`` — :data:`NO_FLUSH` while the staged segment
+        has room, the flush generator once it is full (always, in
+        latency mode)."""
         if self.closed:
             raise FlowClosedError("push on a closed replicate source")
-        self._staging.append(values)
+        full = self._staging.append(values)
         self.tuples_sent += 1
         if self._metrics is not None:
             self._metrics.inc("core.tuples_pushed")
-        self._cpu_debt += (self.profile.cpu_tuple_overhead
-                           + self.descriptor.schema.tuple_size
-                           * self.profile.cpu_copy_per_byte)
-        if self._latency or self._staging.full:
-            yield from self._flush(0)
+        self._cpu_debt += self._tuple_debt
+        if full or self._latency:
+            return self._flush(0)
+        return NO_FLUSH
 
     def push_batch(self, tuples):
         """Generator: replicate a batch of tuples to all targets.
@@ -312,9 +327,7 @@ class NaiveReplicateSource:
             return
         if not isinstance(tuples, (list, tuple)):
             tuples = list(tuples)
-        per_tuple = (self.profile.cpu_tuple_overhead
-                     + self.descriptor.schema.tuple_size
-                     * self.profile.cpu_copy_per_byte)
+        per_tuple = self._tuple_debt
         total = len(tuples)
         if total and self._metrics is not None:
             self._metrics.inc("core.tuples_pushed", total)
@@ -611,6 +624,8 @@ class MulticastReplicateSource:
         self._retransmit_order: deque[int] = deque()
         self._waiter = _RingWriteWaiter(self.env, [control_region])
         self._cpu_debt = 0.0
+        self._tuple_debt = self.profile.cpu_push_cost(
+            descriptor.schema.tuple_size)
         self._local_seq = 0
         self._close_slot: "bytes | None" = None
         #: Target indices declared failed (excluded from flow control).
@@ -790,18 +805,20 @@ class MulticastReplicateSource:
 
     # -- push / close --------------------------------------------------------
     def push(self, values: tuple):
-        """Generator: replicate one tuple through the switch."""
+        """Replicate one tuple through the switch; returns what the caller
+        must ``yield from`` — :data:`NO_FLUSH` while the staged segment
+        has room, the flush generator once it is full (always, in
+        latency mode)."""
         if self.closed:
             raise FlowClosedError("push on a closed replicate source")
-        self._staging.append(values)
+        full = self._staging.append(values)
         self.tuples_sent += 1
         if self._metrics is not None:
             self._metrics.inc("core.tuples_pushed")
-        self._cpu_debt += (self.profile.cpu_tuple_overhead
-                           + self.descriptor.schema.tuple_size
-                           * self.profile.cpu_copy_per_byte)
-        if self._latency or self._staging.full:
-            yield from self._flush(0)
+        self._cpu_debt += self._tuple_debt
+        if full or self._latency:
+            return self._flush(0)
+        return NO_FLUSH
 
     def push_batch(self, tuples):
         """Generator: replicate a batch of tuples through the switch.
@@ -817,9 +834,7 @@ class MulticastReplicateSource:
             return
         if not isinstance(tuples, (list, tuple)):
             tuples = list(tuples)
-        per_tuple = (self.profile.cpu_tuple_overhead
-                     + self.descriptor.schema.tuple_size
-                     * self.profile.cpu_copy_per_byte)
+        per_tuple = self._tuple_debt
         total = len(tuples)
         if total and self._metrics is not None:
             self._metrics.inc("core.tuples_pushed", total)

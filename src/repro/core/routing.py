@@ -12,67 +12,70 @@ All of them resolve to a target index in ``[0, target_count)``.
 
 from __future__ import annotations
 
+from operator import index as _as_index
 from typing import Callable
 
 from repro.common.errors import FlowError
-from repro.core.schema import Schema
+from repro.core.schema import _HASH_MASK, _HASH_MULT, Schema
 
 #: A routing function maps (tuple, target_count) -> target index.
 RoutingFunction = Callable[[tuple, int], int]
 
 
-def _fibonacci_hash_u64(value: int) -> int:
-    """Cheap 64-bit mixer (Fibonacci hashing) for key-based shuffling.
-
-    The product's *high* half is returned: the low bits of ``key * odd``
-    depend only on the key's low bits, which would make power-of-two
-    modulo partitioning degenerate for structured keys.
-    """
-    return (((value & (2 ** 64 - 1)) * 0x9E3779B97F4A7C15)
-            & (2 ** 64 - 1)) >> 32
-
-
 def key_hash_router(schema: Schema, key: "str | int") -> RoutingFunction:
-    """The default router: hash the key field, modulo the target count."""
+    """The default router: hash the key field, modulo the target count.
+
+    Integer-like keys — ``int``, ``bool``, numpy integers, anything with
+    ``__index__`` — are Fibonacci-hashed by value; every other key goes
+    through ``hash()``. The Fibonacci hash is a cheap 64-bit mixer of
+    which the product's *high* half is used: the low bits of
+    ``key * odd`` depend only on the key's low bits, which would make
+    power-of-two modulo partitioning degenerate for structured keys.
+    ``route`` runs once per tuple on the per-tuple push path, so the hash
+    is inlined and the plain-``int`` common case makes no call at all.
+    """
     index = schema.field_index(key)
+    mask = _HASH_MASK
+    mult = _HASH_MULT
 
     def route(values: tuple, target_count: int) -> int:
         key_value = values[index]
-        if isinstance(key_value, int):
-            return _fibonacci_hash_u64(key_value) % target_count
-        return hash(key_value) % target_count
+        if key_value.__class__ is not int:
+            try:
+                key_value = _as_index(key_value)
+            except TypeError:
+                return hash(key_value) % target_count
+        return (((key_value & mask) * mult & mask) >> 32) % target_count
 
     def route_many(tuples, target_count: int) -> list[list]:
         """Partition a whole batch at once — the hash is inlined and the
         per-group ``append`` is pre-bound, saving two function calls per
         tuple on the batched push path.
 
-        Produces exactly the same partitions as ``route``: integer keys
-        take the Fibonacci-hash path (the ``TypeError`` fallback replaces
-        the per-tuple ``isinstance`` — free for the all-int common case),
-        and for power-of-two target counts the modulo folds into a bit
-        mask (``x % n == x & (n - 1)`` for the non-negative hash)."""
+        Produces exactly the same partitions as ``route``: plain ``int``
+        keys take the inlined Fibonacci hash, anything else is handed to
+        ``route`` itself, and for power-of-two target counts the modulo
+        folds into a bit mask (``x % n == x & (n - 1)`` for the
+        non-negative hash)."""
         groups: list[list] = [[] for _ in range(target_count)]
         appends = [group.append for group in groups]
-        mask = 2 ** 64 - 1
-        mult = 0x9E3779B97F4A7C15
         if target_count & (target_count - 1) == 0:
             low = target_count - 1
             for values in tuples:
                 key_value = values[index]
-                try:
+                if key_value.__class__ is int:
                     appends[((key_value & mask) * mult & mask) >> 32
                             & low](values)
-                except TypeError:
-                    appends[hash(key_value) % target_count](values)
+                else:
+                    appends[route(values, target_count)](values)
         else:
             for values in tuples:
                 key_value = values[index]
-                try:
+                if key_value.__class__ is int:
                     appends[(((key_value & mask) * mult & mask) >> 32)
                             % target_count](values)
-                except TypeError:
-                    appends[hash(key_value) % target_count](values)
+                else:
+                    appends[route(values, target_count)](values)
         return groups
 
     compiled = schema.compiled_route_many(index, route_many)

@@ -63,9 +63,9 @@ def _numpy():
             _NUMPY = False
     return _NUMPY
 
-#: Fibonacci-hash constants of :func:`repro.core.routing._fibonacci_hash_u64`
-#: (duplicated here for inlining into generated router source; the router
-#: tests pin the two definitions together).
+#: Fibonacci-hash constants of :func:`repro.core.routing.key_hash_router`
+#: (defined here because they are also inlined into generated router
+#: source, and ``routing`` imports this module).
 _HASH_MULT = 0x9E3779B97F4A7C15
 _HASH_MASK = (1 << 64) - 1
 
@@ -128,6 +128,15 @@ class Schema:
         self._struct = struct.Struct("<" + self._codes)
         if self._struct.size != offset:
             raise AssertionError("packed size does not match field offsets")
+        #: Packed size of one tuple in bytes (plain attributes: the push
+        #: hot path reads them per tuple).
+        self.tuple_size = offset
+        self.arity = len(resolved)
+        #: The tuple struct's bound ``pack_into(buffer, offset, *values)``
+        #: for per-tuple push paths that cannot afford the
+        #: :meth:`pack_into` frame; callers turn its ``struct.error``
+        #: into :meth:`mismatch`.
+        self.raw_pack_into = self._struct.pack_into
         #: Bound method cache: ``unpack_rows`` runs once per drained
         #: segment on the target hot path.
         self._iter_unpack = self._struct.iter_unpack
@@ -153,15 +162,6 @@ class Schema:
     @property
     def fields(self) -> tuple[Field, ...]:
         return self._fields
-
-    @property
-    def tuple_size(self) -> int:
-        """Packed size of one tuple in bytes."""
-        return self._struct.size
-
-    @property
-    def arity(self) -> int:
-        return len(self._fields)
 
     def field_index(self, name_or_index: "str | int") -> int:
         """Resolve a field reference (name or positional index)."""
@@ -196,10 +196,14 @@ class Schema:
                   values: tuple) -> None:
         """Pack a tuple directly into ``buffer`` at ``offset``."""
         try:
-            self._struct.pack_into(buffer, offset, *values)
+            self.raw_pack_into(buffer, offset, *values)
         except struct.error as exc:
-            raise SchemaError(
-                f"tuple {values!r} does not match schema: {exc}") from None
+            raise self.mismatch(values, exc) from None
+
+    @staticmethod
+    def mismatch(values: tuple, exc: struct.error) -> SchemaError:
+        """The error a tuple that fails to pack is reported with."""
+        return SchemaError(f"tuple {values!r} does not match schema: {exc}")
 
     def _batch_struct(self, count: int) -> "struct.Struct | None":
         """Batch struct for ``count`` tuples, or ``None`` once the cache

@@ -23,9 +23,14 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.common.errors import FlowError
+from repro.common.errors import FlowClosedError, FlowError
 from repro.core.combiner import _aggregator, _initial
-from repro.core.flowdef import FLOW_END, FlowDescriptor, FlowType
+from repro.core.flowdef import (
+    FLOW_END,
+    NO_FLUSH,
+    FlowDescriptor,
+    FlowType,
+)
 from repro.core.registry import FlowRegistry
 from repro.core.schema import Schema
 from repro.core.segment import (
@@ -169,6 +174,12 @@ class SharpCombinerSource:
         self._staging: list[tuple] = []
         self._staged_bytes = 0
         self._cpu_debt = 0.0
+        # Per-tuple push constants, fixed for the source's lifetime.
+        self._tuple_size = self._schema.tuple_size
+        self._tuple_debt = self.profile.cpu_push_cost(self._tuple_size)
+        #: A push that leaves ``_staged_bytes`` above this has filled
+        #: the segment.
+        self._flush_above = self._payload_size - self._tuple_size
         self.closed = False
         self.tuples_sent = 0
         self.segments_sent = 0
@@ -186,18 +197,19 @@ class SharpCombinerSource:
         return cls(registry, descriptor, source_index, aggregator)
 
     def push(self, values: tuple):
-        """Generator: push one tuple toward the in-network reduction."""
+        """Push one tuple toward the in-network reduction; returns what
+        the caller must ``yield from`` — :data:`NO_FLUSH` while the
+        staged segment has room, the flush generator once it is full."""
         if self.closed:
-            raise FlowError("push on a closed flow source")
+            raise FlowClosedError("push on a closed flow source")
         self._schema.pack(values)  # validates against the schema
         self._staging.append(values)
-        self._staged_bytes += self._schema.tuple_size
-        self._cpu_debt += (self.profile.cpu_tuple_overhead
-                           + self._schema.tuple_size
-                           * self.profile.cpu_copy_per_byte)
+        self._staged_bytes = staged = self._staged_bytes + self._tuple_size
+        self._cpu_debt += self._tuple_debt
         self.tuples_sent += 1
-        if self._staged_bytes + self._schema.tuple_size > self._payload_size:
-            yield from self._flush(False)
+        if staged > self._flush_above:
+            return self._flush(False)
+        return NO_FLUSH
 
     def close(self):
         """Generator: flush remaining tuples with the close marker."""

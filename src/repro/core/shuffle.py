@@ -22,7 +22,7 @@ the common-case push issues exactly one write and nothing else.
 from __future__ import annotations
 
 from collections import deque
-from struct import Struct as _Struct
+from struct import Struct as _Struct, error as _struct_error
 from typing import TYPE_CHECKING
 
 from repro.common.errors import (
@@ -37,6 +37,7 @@ from repro.common import config as _config
 from repro.core.backoff import traced_backoff
 from repro.core.flowdef import (
     FLOW_END,
+    NO_FLUSH,
     FlowDescriptor,
     FlowType,
     Optimization,
@@ -183,6 +184,12 @@ class BandwidthSourceChannel:
         self._used = 0
         self._seq = 0
         self._cpu_debt = 0.0
+        # Per-tuple push constants, fixed for the channel's lifetime.
+        self._tuple_size = self.schema.tuple_size
+        self._pack_tuple = self.schema.raw_pack_into
+        self._tuple_debt = self.profile.cpu_push_cost(self._tuple_size)
+        #: A push that leaves ``_used`` above this has filled the segment.
+        self._flush_above = self.segment_payload - self._tuple_size
         self._pending_footer_read = None
         self._wrap_wr = None
         # Doorbell trains: whole-segment batches ride one doorbell ring
@@ -252,23 +259,28 @@ class BandwidthSourceChannel:
         return self._ring_segments * (self.segment_payload + FOOTER_SIZE)
 
     def push(self, values: tuple):
-        """Generator: append one tuple; flushes when the segment fills.
+        """Append one tuple; returns what the caller must ``yield from``.
 
         Matches the paper's asynchronous push — it returns right after the
-        copy into the send buffer unless the segment is full *and* the
-        remote ring has no writable slot.
+        copy into the send buffer (:data:`NO_FLUSH`, nothing to drive)
+        unless the segment is full, in which case the flush generator is
+        returned (it blocks only while the remote ring has no writable
+        slot).
         """
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
-        self.schema.pack_into(self._staging,
-                              self._staging_base + self._used, values)
-        self._used += self.schema.tuple_size
-        self._cpu_debt += (self.profile.cpu_tuple_overhead
-                           + self.schema.tuple_size
-                           * self.profile.cpu_copy_per_byte)
+        used = self._used
+        try:
+            self._pack_tuple(self._staging, self._staging_base + used,
+                             *values)
+        except _struct_error as exc:
+            raise self.schema.mismatch(values, exc) from None
+        self._used = used = used + self._tuple_size
+        self._cpu_debt += self._tuple_debt
         self.tuples_sent += 1
-        if self._used + self.schema.tuple_size > self.segment_payload:
-            yield from self._flush(0)
+        if used > self._flush_above:
+            return self._flush(0)
+        return NO_FLUSH
 
     def push_batch(self, tuples):
         """Generator: append a batch of tuples, flushing as segments fill.
@@ -287,9 +299,8 @@ class BandwidthSourceChannel:
         total = len(tuples)
         if not total:
             return
-        tuple_size = self.schema.tuple_size
-        per_tuple = (self.profile.cpu_tuple_overhead
-                     + tuple_size * self.profile.cpu_copy_per_byte)
+        tuple_size = self._tuple_size
+        per_tuple = self._tuple_debt
         capacity = self.segment_payload
         # One coalesced CPU charge: leftover debt from earlier pushes, the
         # batch's per-tuple work, and the post cost of every flush this
@@ -369,8 +380,7 @@ class BandwidthSourceChannel:
                 f"{tuple_size}-byte tuple size")
         if not size:
             return
-        per_tuple = (self.profile.cpu_tuple_overhead
-                     + tuple_size * self.profile.cpu_copy_per_byte)
+        per_tuple = self._tuple_debt
         total = size // tuple_size
         capacity = self.segment_payload
         seg_tuples = capacity // tuple_size
@@ -852,6 +862,10 @@ class LatencySourceChannel:
         self._rng = node.backoff_rng
         self._max_retries = descriptor.options.max_backoff_retries
         self._threshold = descriptor.options.credit_threshold
+        self._tuple_size = self.schema.tuple_size
+        #: CPU cost of one push: the tuple copy plus posting its write.
+        self._push_cost = (self.profile.cpu_push_cost(self._tuple_size)
+                           + self.profile.cpu_post_cost)
         self._sent = 0
         self._cached_consumed = 0
         self._pending_credit_read = None
@@ -890,15 +904,12 @@ class LatencySourceChannel:
         """Generator: transfer one tuple immediately (one RDMA write)."""
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
-        cost = (self.profile.cpu_tuple_overhead
-                + self.schema.tuple_size * self.profile.cpu_copy_per_byte
-                + self.profile.cpu_post_cost)
-        yield self.node.compute(cost)
+        yield self.node.compute(self._push_cost)
         yield from self._acquire_credit()
         # Pack straight into the staging slot — no intermediate bytes.
         base = self._slot_base()
         self.schema.pack_into(self._staging, base, values)
-        self._finish_slot(base, self.schema.tuple_size, FLAG_CONSUMABLE)
+        self._finish_slot(base, self._tuple_size, FLAG_CONSUMABLE)
         self.tuples_sent += 1
         if (self._available_credits <= self._threshold
                 and self._pending_credit_read is None):
@@ -908,22 +919,21 @@ class LatencySourceChannel:
         """Generator: push a batch of tuples. Latency mode is inherently
         per-tuple (one segment each, credits acquired per write), so this
         is a loop over :meth:`push` with identical simulated timing."""
+        push = self.push
         for values in tuples:
-            yield from self.push(values)
+            yield from push(values)
 
     def push_bytes(self, data):
         """Generator: push pre-packed tuple bytes, one segment per tuple."""
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
-        tuple_size = self.schema.tuple_size
+        tuple_size = self._tuple_size
         size = len(data)
         if size % tuple_size:
             raise FlowError(
                 f"push_bytes got {size} bytes, not a multiple of the "
                 f"{tuple_size}-byte tuple size")
-        cost = (self.profile.cpu_tuple_overhead
-                + tuple_size * self.profile.cpu_copy_per_byte
-                + self.profile.cpu_post_cost)
+        cost = self._push_cost
         view = memoryview(data)
         for start in range(0, size, tuple_size):
             yield self.node.compute(cost)
@@ -1413,11 +1423,14 @@ class ShuffleSource:
 
     # -- the push primitive ----------------------------------------------
     def push(self, values: tuple, target: "int | None" = None):
-        """Generator: push one tuple into the flow.
+        """Push one tuple into the flow; returns an iterable the caller
+        must drive with ``yield from``.
 
         Routing follows the descriptor (shuffle key or routing function)
         unless ``target`` names a target index directly (the paper's third
-        routing option).
+        routing option). A tuple that merely lands in its channel's send
+        buffer returns :data:`NO_FLUSH`; only a push that flushes returns
+        a generator, which also applies the flow's failure policy.
         """
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
@@ -1432,7 +1445,8 @@ class ShuffleSource:
                     f"target {target} of flow {self.descriptor.name!r} "
                     f"has failed")
         else:
-            if self._router is None:
+            router = self._router
+            if router is None:
                 raise FlowError(
                     "flow has no shuffle key or routing function; pass "
                     "target= explicitly")
@@ -1441,9 +1455,18 @@ class ShuffleSource:
                 raise FlowPeerFailedError(
                     f"every target of flow {self.descriptor.name!r} has "
                     f"failed")
-            target = live[self._router(values, len(live))]
+            target = live[router(values, len(live))]
+        flush = self._channels[target].push(values)
+        if flush is NO_FLUSH:
+            return flush
+        return self._guarded_flush(flush, values, target, explicit)
+
+    def _guarded_flush(self, flush, values: tuple, target: int,
+                       explicit: bool):
+        """Generator: drive the flush that pushing ``values`` into
+        channel ``target`` triggered, under the flow's failure policy."""
         try:
-            yield from self._channels[target].push(values)
+            yield from flush
         except (QpFlushedError, FlowTimeoutError) as exc:
             yield from self._handle_channel_failure(target, exc)
             if explicit:
@@ -1461,8 +1484,9 @@ class ShuffleSource:
         depend on the exact interleaving of per-tuple pushes. New code
         wanting wall-clock throughput should use :meth:`push_batch`.
         """
+        push = self.push
         for values in tuples:
-            yield from self.push(values, target=target)
+            yield from push(values, target)
 
     def push_batch(self, tuples, target: "int | None" = None):
         """Generator: push a batch of tuples through the batched channel
