@@ -2,11 +2,10 @@
 
 Two layers, one JSON:
 
-* **kernel scenarios** — the generated ``pack_many_into`` /
-  ``unpack_rows`` / columnar fold kernels head-to-head against the
-  generic ``struct`` fallback on identical inputs, asserting
-  byte/aggregate equality while timing both legs (no simulator — this is
-  the raw codec speedup);
+* **kernel scenarios** — the generated hash-router and columnar fold
+  kernels head-to-head against the generic fallback on identical
+  inputs, asserting partition/aggregate equality while timing both legs
+  (no simulator — this is the raw kernel speedup);
 * **flow scenarios** — the canonical 64 B batched 1:8 shuffle plus the
   byte-mode shuffle and the columnar combiner fold, end-to-end through
   the simulator, with the simulated-ns determinism guard every perf
@@ -80,37 +79,6 @@ def _time_leg(fn, *args) -> float:
         fn(*args)
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def _kernel_pack(tuple_size: int) -> list:
-    fields = (("key", "uint64"), ("pad", tuple_size - 8))
-    compiled, generic = Schema(*fields), _generic_schema(*fields)
-    count = TOTAL_BYTES // tuple_size
-    pad = b"x" * (tuple_size - 8)
-    tuples = [(i, pad) for i in range(count)]
-    buf_c = bytearray(TOTAL_BYTES)
-    buf_g = bytearray(TOTAL_BYTES)
-
-    def pack(schema, buf):
-        offset = 0
-        for base in range(0, count, 1024):
-            chunk = tuples[base:base + 1024]
-            schema.pack_many_into(buf, offset, chunk)
-            offset += len(chunk) * tuple_size
-
-    wall_c = _time_leg(pack, compiled, buf_c)
-    wall_g = _time_leg(pack, generic, buf_g)
-    assert buf_c == buf_g, "compiled pack diverged from generic"
-    rows_c = unpacked_c = compiled.unpack_rows(memoryview(buf_c))
-    rows_g = generic.unpack_rows(memoryview(buf_g))
-    assert rows_c == rows_g, "compiled unpack diverged from generic"
-    wall_uc = _time_leg(compiled.unpack_rows, memoryview(buf_c))
-    wall_ug = _time_leg(generic.unpack_rows, memoryview(buf_g))
-    del rows_c, rows_g, unpacked_c
-    return [
-        _kernel_entry(f"pack-{tuple_size}B", count, wall_c, wall_g),
-        _kernel_entry(f"unpack-{tuple_size}B", count, wall_uc, wall_ug),
-    ]
 
 
 def _kernel_route(tuple_size: int) -> list:
@@ -328,7 +296,7 @@ def run_all() -> dict:
     # Warm runs: imports, kernel compilation, allocator.
     _run_shuffle("batched")
     _run_combiner()
-    scenarios = _kernel_pack(64) + _kernel_route(64) + _kernel_fold()
+    scenarios = _kernel_route(64) + _kernel_fold()
     scenarios += [_best_of(_run_shuffle, "batched"),
                   _best_of(_run_shuffle, "bytes"),
                   _best_of(_run_combiner)]

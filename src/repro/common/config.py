@@ -61,27 +61,6 @@ def codegen_enabled() -> bool:
     return CODEGEN_ENABLED
 
 
-#: Kill switch for the steady-state event-elision fast path (fused
-#: segment-train macro-events in ``rdma/qp.py`` and the merged wake+poll
-#: in ``core/shuffle.py``). Set ``REPRO_NO_FASTPATH=1`` to force every
-#: flow onto the event-by-event path. Read once at import, like
-#: ``CODEGEN_ENABLED``: endpoints capture the choice at construction and
-#: a mid-run flip would mix scheduling styles within one simulation.
-#: The fast path is a wall-clock accelerator only — it books the exact
-#: same link/NIC reservations and fires every timing-visible action at
-#: the same ``(time, seq)`` instants as the event-by-event path (see
-#: DESIGN.md, "Steady-state event elision").
-FASTPATH_ENABLED: bool = os.environ.get("REPRO_NO_FASTPATH", "") in ("", "0")
-
-
-def fastpath_enabled() -> bool:
-    """True when the steady-state event-elision fast path is active
-    (the default). Flows de-elide dynamically — a fault plan or
-    congestion plane turning active routes every subsequent flush back
-    through the event-by-event train regardless of this flag."""
-    return FASTPATH_ENABLED
-
-
 @dataclass(frozen=True)
 class HardwareProfile:
     """Physical model of one cluster: links, switch, NIC and CPU costs.

@@ -144,22 +144,6 @@ class DfiRuntime:
             f"unknown flow type {descriptor.flow_type}")
 
     # -- introspection -----------------------------------------------------
-    @property
-    def fastpath_enabled(self) -> bool:
-        """True when steady-state event elision is available to this
-        runtime's flows (``REPRO_NO_FASTPATH`` kill switch off).
-
-        Availability, not activity: each endpoint additionally requires
-        telemetry off and a same-shard-lane peer at open time, and every
-        flush re-checks the fault/congestion planes — an active plane
-        de-elides the train instantly. The toggle is wall-clock only;
-        simulated metrics are bit-identical either way (the fingerprint
-        gate in CI).
-        """
-        from repro.common.config import fastpath_enabled
-
-        return fastpath_enabled()
-
     def registered_memory_by_node(self) -> dict[int, int]:
         """Bytes of NIC-registered memory per node — the measurement behind
         the paper's Section 6.1.4 memory-consumption discussion."""

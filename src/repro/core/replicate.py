@@ -183,10 +183,8 @@ class _StagingBuffer:
 
     def __init__(self, descriptor: FlowDescriptor, payload_size: int) -> None:
         self.schema = descriptor.schema
-        # Bound once: ``append`` runs per tuple, ``room``/``full`` per
-        # chunk on the batched push path, and ``pack_many_into`` resolves
-        # to the schema's compiled kernel when codegen is on (see
-        # ``core/schema.py``).
+        # Bound once: ``append`` runs per tuple, ``room``/``full`` and
+        # ``pack_many_into`` per chunk on the batched push path.
         self.tuple_size = descriptor.schema.tuple_size
         self._pack_tuple = descriptor.schema.raw_pack_into
         self._pack_many_into = descriptor.schema.pack_many_into

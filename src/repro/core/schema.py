@@ -12,8 +12,6 @@ set of *specialized kernels* from generated source (``exec``-cached per
 dtype-code string, so two schemas with the same wire layout share one
 kernel set):
 
-* ``pack_many_into`` / ``unpack_rows`` — flat batch (de)serializers with
-  the schema layout baked into the source;
 * hash-partition kernels for the shuffle router (integer keys skip the
   per-tuple ``int`` probe entirely — the dtype proves it);
 * columnar combiner folds that aggregate straight out of packed segment
@@ -151,12 +149,7 @@ class Schema:
         #: Generated kernel set (``None`` under ``REPRO_NO_CODEGEN``).
         self._kernels = None
         if codegen_enabled():
-            kernels = _kernels_for(self._codes)
-            self._kernels = kernels
-            # Shadow the generic bound methods with the flat generated
-            # kernels (same signatures minus ``self``).
-            self.pack_many_into = kernels.pack_many_into
-            self.unpack_rows = kernels.unpack_rows
+            self._kernels = _kernels_for(self._codes)
 
     # -- introspection -----------------------------------------------------
     @property
@@ -231,9 +224,7 @@ class Schema:
         ``struct`` call — the amortization behind the batched push path.
 
         Counts beyond the batch-struct cache pack in power-of-two chunks
-        (identical bytes, no per-call compile). Schemas built with codegen
-        enabled shadow this method with the generated kernel of the same
-        contract.
+        (identical bytes, no per-call compile).
         """
         count = len(tuples)
         if count == 1:
@@ -387,67 +378,6 @@ def _kernels_for(codes: str) -> "_SchemaKernels":
     return kernels
 
 
-_PACK_UNPACK_TEMPLATE = '''\
-_S = _Struct("<" + _CODES)
-_PACK_INTO_1 = _S.pack_into
-_ITER_UNPACK = _S.iter_unpack
-_BATCH = {}
-_POW2 = {}
-
-
-def _batch_struct(count):
-    s = _BATCH.get(count)
-    if s is None and len(_BATCH) < _CACHE_CAP:
-        s = _BATCH[count] = _Struct("<" + _CODES * count)
-    return s
-
-
-def _pow2_struct(count):
-    s = _POW2.get(count)
-    if s is None:
-        s = _POW2[count] = _Struct("<" + _CODES * count)
-    return s
-
-
-def pack_many_into(buffer, offset, tuples):
-    """Generated batch packer for schema layout %(codes)r."""
-    count = len(tuples)
-    if count == 1:
-        try:
-            _PACK_INTO_1(buffer, offset, *tuples[0])
-        except _struct_error as exc:
-            raise _SchemaError(
-                f"tuple {tuples[0]!r} does not match schema: {exc}"
-            ) from None
-        return
-    compiled = _batch_struct(count)
-    try:
-        if compiled is not None:
-            compiled.pack_into(buffer, offset, *_flat(tuples))
-            return
-        index = 0
-        while index < count:
-            chunk = 1 << ((count - index).bit_length() - 1)
-            _pow2_struct(chunk).pack_into(
-                buffer, offset + index * %(size)d,
-                *_flat(tuples[index:index + chunk]))
-            index += chunk
-    except _struct_error as exc:
-        raise _SchemaError(
-            f"batch of {count} tuples does not match schema: {exc}"
-        ) from None
-
-
-def unpack_rows(buffer):
-    """Generated row-block unpacker for schema layout %(codes)r."""
-    try:
-        return list(_ITER_UNPACK(buffer))
-    except _struct_error as exc:
-        raise _SchemaError(
-            f"cannot unpack {len(buffer)} bytes as "
-            f"%(size)d-byte tuples: {exc}") from None
-'''
-
 _ROUTE_TEMPLATE = '''\
 def %(pyname)s(tuples, target_count):
     """Generated hash partitioner (key field %(key_index)d, int dtype)."""
@@ -579,27 +509,12 @@ def _selective_format(fields, indices) -> str:
 class _SchemaKernels:
     """Kernel set generated for one dtype-code string."""
 
-    __slots__ = ("codes", "_namespace", "pack_many_into", "unpack_rows",
-                 "_route_cache", "_fold_cache")
+    __slots__ = ("codes", "_namespace", "_route_cache", "_fold_cache")
 
     def __init__(self, codes: str) -> None:
         self.codes = codes
-        compiled = struct.Struct("<" + codes)
-        namespace = {
-            "_Struct": struct.Struct,
-            "_struct_error": struct.error,
-            "_SchemaError": SchemaError,
-            "_flat": chain.from_iterable,
-            "_CODES": codes,
-            "_CACHE_CAP": _BATCH_CACHE_CAP,
-        }
-        source = _PACK_UNPACK_TEMPLATE % {
-            "codes": codes, "size": compiled.size}
-        exec(compile(source, f"<schema-kernels {codes!r}>", "exec"),
-             namespace)
-        self._namespace = namespace
-        self.pack_many_into = namespace["pack_many_into"]
-        self.unpack_rows = namespace["unpack_rows"]
+        #: Globals the generated route/fold sources are exec'd into.
+        self._namespace: dict = {"_Struct": struct.Struct}
         self._route_cache: dict = {}
         self._fold_cache: dict = {}
 

@@ -33,7 +33,6 @@ from repro.common.errors import (
     FlowTimeoutError,
     QpFlushedError,
 )
-from repro.common import config as _config
 from repro.core.backoff import traced_backoff
 from repro.core.flowdef import (
     FLOW_END,
@@ -77,7 +76,7 @@ from repro.simnet.congestion import stall_is_congestion
 #: (little-endian u32 at the footer head; see repro.core.segment).
 _FOOTER_USED = _Struct("<I").unpack_from
 
-#: Prebound footer encoder for the fused staging hot path, with the
+#: Prebound footer encoder for the train staging hot path, with the
 #: flag word of a plain CONSUMABLE footer (source_index 0) computed
 #: once through :func:`pack_footer_into` itself so any change to the
 #: footer's flag packing stays authoritative.
@@ -227,27 +226,13 @@ class BandwidthSourceChannel:
         self._causal = node.causal
         if self._causal is not None:
             self._causal.open(self._flow, node.node_id)
-        # Steady-state event elision (DESIGN.md, "Steady-state event
-        # elision"): route this channel's doorbell trains through the
-        # fused macro-event path when nothing can observe the machinery
-        # difference — telemetry off and source/target on the same shard
-        # lane. The *dynamic* parts of the steady-state predicate (fault
-        # plan, congestion plane) are re-checked inside
-        # ``post_write_train_fused`` on every flush, so a plane turning
-        # active de-elides the very next train.
-        target_node = node.cluster.node(handle.node_id)
-        self._fused = (_config.FASTPATH_ENABLED
-                       and self._metrics is None
-                       and self._tracer is None
-                       and (node.env.shard_count == 1
-                            or node._shard == target_node._shard))
-        #: Remote ring region, resolved once on the first fused train (the
-        #: rkey registration lives as long as the flow, so the lookup and
-        #: the whole-ring range check are loop-invariant).
+        #: Remote ring region, resolved once on the first train (the rkey
+        #: registration lives as long as the flow, so the lookup and the
+        #: whole-ring range check are loop-invariant).
         self._remote_region = None
-        #: Reused entry list for fused trains (cleared per flush; the
-        #: macro-event copies nothing out of it after posting returns).
-        self._fused_entries = []
+        #: Reused entry list for doorbell trains (cleared per flush;
+        #: ``post_train`` copies nothing out of it after it returns).
+        self._train_entries = []
 
     def _collect_obs(self):
         """Read-time counter harvest (see MetricsRegistry.add_collector)."""
@@ -326,26 +311,16 @@ class BandwidthSourceChannel:
                 else:
                     cap = yield from self._train_begin()
                 cap = min(cap, (total - index) // seg_tuples)
-                if self._fused and self.qp.steady_state():
-                    entries = self._fused_entries
-                    entries.clear()
-                    for _ in range(cap):
-                        self.schema.pack_many_into(
-                            self._staging, self._staging_base,
-                            tuples[index:index + seg_tuples])
-                        index += seg_tuples
-                        self._train_stage_fused(entries)
-                    self.tuples_sent += cap * seg_tuples
-                    self._train_finish_fused(entries)
-                    continue
+                entries = self._train_entries
+                entries.clear()
                 for _ in range(cap):
                     self.schema.pack_many_into(
                         self._staging, self._staging_base,
                         tuples[index:index + seg_tuples])
                     index += seg_tuples
-                    self._train_stage_full_segment()
+                    self._train_stage(entries)
                 self.tuples_sent += cap * seg_tuples
-                self._train_finish()
+                self._train_finish(entries)
                 continue
             room = (capacity - self._used) // tuple_size
             take = min(room, total - index)
@@ -401,26 +376,16 @@ class BandwidthSourceChannel:
                 else:
                     cap = yield from self._train_begin()
                 cap = min(cap, (size - index) // capacity)
-                if self._fused and self.qp.steady_state():
-                    entries = self._fused_entries
-                    entries.clear()
-                    for _ in range(cap):
-                        base = self._staging_base
-                        self._staging[base:base + capacity] = \
-                            view[index:index + capacity]
-                        index += capacity
-                        self._train_stage_fused(entries)
-                    self.tuples_sent += cap * seg_tuples
-                    self._train_finish_fused(entries)
-                    continue
+                entries = self._train_entries
+                entries.clear()
                 for _ in range(cap):
                     base = self._staging_base
                     self._staging[base:base + capacity] = \
                         view[index:index + capacity]
                     index += capacity
-                    self._train_stage_full_segment()
+                    self._train_stage(entries)
                 self.tuples_sent += cap * seg_tuples
-                self._train_finish()
+                self._train_finish(entries)
                 continue
             room = ((capacity - self._used) // tuple_size) * tuple_size
             take = min(room, size - index)
@@ -652,20 +617,26 @@ class BandwidthSourceChannel:
                                 self.node.node_id, self._tid,
                                 {"attempt": attempt})
 
-    def _train_stage_full_segment(self):
-        """Stage one full staging slot as a doorbell-deferred WQE (payload
-        and footer as one contiguous zero-copy write) and advance the ring
-        state. ``ring_doorbell`` submits the whole train later."""
+    def _train_stage(self, entries) -> None:
+        """Stage one full staging slot (payload and footer as one
+        contiguous zero-copy write) as a ``post_train`` entry and advance
+        the ring state. Unsignaled WQEs — which the ring protocol drops
+        without ever observing — get no WorkRequest at all, and the
+        remote region is the cached loop-invariant one."""
         base = self._staging_base
-        pack_footer_into(self._staging, base + self.segment_payload,
-                         self.segment_payload, FLAG_CONSUMABLE, self._seq)
-        signaled = self._local_index == self._ring_segments - 1
-        wr = self.qp.post_write(
-            self._staging_view[base:base + self._slot_size],
-            self.remote.rkey, self._remote_index * self._remote_slot,
-            signaled=signaled, assume_stable=True, doorbell=False)
-        if signaled:
+        _FOOTER_PACK_INTO(self._staging, base + self.segment_payload,
+                          self.segment_payload, _CONSUMABLE_WORD, self._seq)
+        if self._local_index == self._ring_segments - 1:
+            wr = WorkRequest(self.env, None, Opcode.WRITE, True)
             self._wrap_wr = wr
+        else:
+            wr = None
+        region = self._remote_region
+        if region is None:
+            region = self._resolve_remote_region()
+        entries.append((wr, self._slot_size,
+                        ((0, self._staging_view[base:base + self._slot_size]),),
+                        region, self._remote_index * self._remote_slot))
         self.segments_sent += 1
         metrics = self._metrics
         if metrics is not None:
@@ -685,52 +656,21 @@ class BandwidthSourceChannel:
                               ) * self._slot_size
         self._window_left -= 1
 
-    def _train_stage_fused(self, entries) -> None:
-        """Stage one full staging slot directly as a fused train entry,
-        skipping ``post_write``'s staging machinery: the steady-state
-        predicate holds (caller checked ``qp.steady_state()``), so no
-        telemetry block runs, the remote region is the cached
-        loop-invariant one, and unsignaled WQEs — which the ring protocol
-        drops without ever observing — get no WorkRequest at all. Ring
-        state advances exactly as in :meth:`_train_stage_full_segment`."""
-        base = self._staging_base
-        _FOOTER_PACK_INTO(self._staging, base + self.segment_payload,
-                          self.segment_payload, _CONSUMABLE_WORD, self._seq)
-        if self._local_index == self._ring_segments - 1:
-            wr = WorkRequest(self.env, None, Opcode.WRITE, True)
-            self._wrap_wr = wr
-        else:
-            wr = None
-        entries.append((wr, self._slot_size,
-                        ((0, self._staging_view[base:base + self._slot_size]),),
-                        self._remote_index * self._remote_slot))
-        self.segments_sent += 1
-        self._seq += 1
-        self._remote_index = (self._remote_index + 1
-                              ) % self.remote.segment_count
-        self._local_index = (self._local_index + 1) % self._ring_segments
-        self._flushes += 1
-        self._staging_base = (self._flushes % self._staging_slots
-                              ) * self._slot_size
-        self._window_left -= 1
-
-    def _train_finish_fused(self, entries) -> None:
-        """Fused counterpart of :meth:`_train_finish`: post the directly
-        built entries through ``post_ring_train_fused`` (one macro-event
-        arm), then pipeline the next window read as usual."""
-        region = self._remote_region
-        if region is None:
-            region = self._resolve_remote_region()
-        self.qp.post_ring_train_fused(entries, region)
+    def _train_finish(self, entries) -> None:
+        """Ring the doorbell for the staged train. When the train used up
+        the window, pipeline the next window's footer read behind it —
+        the train analogue of the paper's per-segment footer pre-read."""
+        self.qp.post_train(entries)
+        # Any per-segment pre-read refers to a slot the train wrote over.
         self._pending_footer_read = None
         if self._window_left == 0 and self._pipelined_preread:
             self._pending_window_read = self._read_footer_ahead(
                 self._train_window)
 
     def _resolve_remote_region(self):
-        """One-time lookup + whole-ring range check for the fused path
-        (``post_write`` re-checks per WQE; fused trains only ever target
-        ring slots, so one bound proof covers every offset)."""
+        """One-time lookup + whole-ring range check for doorbell trains
+        (``post_write`` re-checks per WQE; trains only ever target ring
+        slots, so one bound proof covers every offset)."""
         region = self.qp._get_remote_nic().region(self.remote.rkey)
         region.check_range(0, self.remote.segment_count * self._remote_slot)
         self._remote_region = region
@@ -749,27 +689,11 @@ class BandwidthSourceChannel:
             self.qp.send_cq.poll(max_entries=64)
         if not self._window_left:
             yield from self._acquire_train_window()
-        if self._fused and self.qp.steady_state():
-            entries = self._fused_entries
-            entries.clear()
-            self._train_stage_fused(entries)
-            self._used = 0
-            self._train_finish_fused(entries)
-            return
-        self._train_stage_full_segment()
+        entries = self._train_entries
+        entries.clear()
+        self._train_stage(entries)
         self._used = 0
-        self._train_finish()
-
-    def _train_finish(self) -> None:
-        """Ring the doorbell for the staged train. When the train used up
-        the window, pipeline the next window's footer read behind it —
-        the train analogue of the paper's per-segment footer pre-read."""
-        self.qp.ring_doorbell(fused=self._fused)
-        # Any per-segment pre-read refers to a slot the train wrote over.
-        self._pending_footer_read = None
-        if self._window_left == 0 and self._pipelined_preread:
-            self._pending_window_read = self._read_footer_ahead(
-                self._train_window)
+        self._train_finish(entries)
 
     def _read_footer_ahead(self, window: int):
         """Unsignaled read of the footer ``window - 1`` slots ahead of the
@@ -1822,10 +1746,9 @@ class ShuffleTarget:
         self._abort_seen = registry.flow_aborted(descriptor.name)
         self._peer_timeout = descriptor.options.peer_timeout
         self._env = self.node.env
-        # Merged wake+poll (the target half of steady-state event
-        # elision): with no peer-timeout bound, the post-wake poll charge
-        # is an unconditional constant, so the doorbell hook can schedule
-        # the armed wake event directly at ``commit + cpu_poll_cost``
+        # Merged wake+poll: with no peer-timeout bound, the post-wake
+        # poll charge is an unconditional constant, so the doorbell hook
+        # can schedule the armed wake event at ``commit + cpu_poll_cost``
         # instead of a zero-delay wake whose resume immediately arms a
         # poll timeout for that same instant. The consuming process
         # resumes at the identical simulated time (a zero-delay wake
@@ -1835,7 +1758,7 @@ class ShuffleTarget:
         # one generator round-trip per wakeup are elided. With a
         # peer-timeout bound the wake outcome feeds a deadline decision,
         # so those flows keep the event-by-event wait verbatim.
-        if _config.FASTPATH_ENABLED and self._peer_timeout is None:
+        if self._peer_timeout is None:
             self._poll_delay = (self.node.cluster.profile.cpu_poll_cost
                                 / self.node._cpu_scale)
         else:
@@ -1855,8 +1778,8 @@ class ShuffleTarget:
                 event = self._wake_event
                 if event is not None:
                     self._wake_event = None
-                    # Fused wake: trigger the armed event at the exact
-                    # instant the event path's post-wake poll timeout
+                    # Merged wake: trigger the armed event at the exact
+                    # instant the bounded wait's post-wake poll timeout
                     # would fire (mirrors Timeout construction).
                     event._value = None
                     env._schedule(event, poll_delay)
@@ -2011,7 +1934,7 @@ class ShuffleTarget:
             yield from self._bounded_wait(wait_event)
             self._disarm()
             if self._poll_delay is None:
-                # Event path: charge the poll separately. (The fused
+                # Bounded wait: charge the poll separately. (The merged
                 # wake above already fired at wake + poll cost.)
                 yield self.node.compute(
                     self.node.cluster.profile.cpu_poll_cost)
@@ -2068,7 +1991,7 @@ class ShuffleTarget:
             yield from self._bounded_wait(wait_event)
             self._disarm()
             if self._poll_delay is None:
-                # Event path: charge the poll separately. (The fused
+                # Bounded wait: charge the poll separately. (The merged
                 # wake above already fired at wake + poll cost.)
                 yield self.node.compute(
                     self.node.cluster.profile.cpu_poll_cost)
@@ -2120,7 +2043,7 @@ class ShuffleTarget:
             yield from self._bounded_wait(wait_event)
             self._disarm()
             if self._poll_delay is None:
-                # Event path: charge the poll separately. (The fused
+                # Bounded wait: charge the poll separately. (The merged
                 # wake above already fired at wake + poll cost.)
                 yield self.node.compute(
                     self.node.cluster.profile.cpu_poll_cost)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.common import config as _config
 from repro.common.errors import FlowTimeoutError
 from repro.core.backoff import traced_backoff
 from repro.core.registry import RingHandle
@@ -82,15 +81,6 @@ class FooterRingWriter:
         # construct writers with a bare (flow,) tag.
         self._tid = (f"r{tag[1]}->t{tag[2]}" if len(tag) >= 3
                      else f"r{tag[0]}")
-        # Steady-state event elision (see BandwidthSourceChannel): fuse
-        # doorbell trains into macro-events when telemetry is off and
-        # both ends share a shard lane; fault/congestion planes are
-        # re-checked per flush inside ``post_write_train_fused``.
-        target_node = node.cluster.node(handle.node_id)
-        self._fused = (_config.FASTPATH_ENABLED
-                       and self._metrics is None
-                       and (node.env.shard_count == 1
-                            or node._shard == target_node._shard))
 
     def write_segment(self, payload: bytes, flags: int, seq: int,
                       source_index: int = 0):
@@ -204,7 +194,7 @@ class FooterRingWriter:
             index += take
             if self._metrics is not None:
                 self._metrics.inc("core.segments_written", take)
-            self.qp.ring_doorbell(fused=self._fused)
+            self.qp.ring_doorbell()
             # Any per-segment pre-read refers to a slot this train wrote.
             self._pending_read = None
             if self._window_left == 0:

@@ -40,7 +40,8 @@ class RNic:
         self.bytes_posted = 0
         #: UD packets dropped because no receive request was posted.
         self.rx_dropped_no_recv = 0
-        #: Doorbell trains admitted through :meth:`engine_delay_train`.
+        #: Doorbell trains rung on this NIC (``QueuePair.post_train``
+        #: counts every train, whichever way it is then walked).
         self.doorbell_trains = 0
         #: Accumulated WQE arbitration wait: time work requests spent
         #: queued behind earlier WQEs before entering the pipeline.
@@ -155,21 +156,18 @@ class RNic:
             offsets.append((start - now) + latency)
         self._engine_busy_until = busy
         self.wqes_processed += len(offsets)
-        self.doorbell_trains += 1
         self._engine_wait += wait
         return offsets
 
     def engine_delay_train_one(self, inline: bool) -> float:
         """Single-WQE shape of :meth:`engine_delay_train` — identical
-        arithmetic and counters (including the train tally) for trains
-        of one, the common case on hash-routed shuffles, without the
-        list machinery."""
+        arithmetic and counters for trains of one, the common case on
+        hash-routed shuffles, without the list machinery."""
         now = self.env.now
         busy = self._engine_busy_until
         start = busy if busy > now else now
         self._engine_busy_until = start + self.profile.nic_wqe_service
         self.wqes_processed += 1
-        self.doorbell_trains += 1
         self._engine_wait += start - now
         return (start - now) + (self.profile.nic_processing_inline
                                 if inline else self.profile.nic_processing)

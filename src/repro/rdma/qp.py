@@ -303,9 +303,10 @@ class QueuePair:
         if not size:
             raise RdmaError("cannot post a zero-length write")
         if not doorbell:
+            region = self._get_remote_nic().region(remote_rkey)
+            region.check_range(remote_offset, size)
             wr = WorkRequest(self.env, wr_id, Opcode.WRITE, signaled)
-            self._staged.append((wr, size, pieces, remote_rkey,
-                                 remote_offset))
+            self._staged.append((wr, size, pieces, region, remote_offset))
             return wr
         if self._metrics is not None:
             self._obs_wqes_posted += 1
@@ -394,64 +395,115 @@ class QueuePair:
         return wr
 
     # -- doorbell trains ----------------------------------------------------
-    def ring_doorbell(self, fused: bool = False) -> list[WorkRequest]:
+    def ring_doorbell(self) -> list[WorkRequest]:
         """Submit every WQE staged with ``post_write(doorbell=False)`` as
         one doorbell train and return their work requests (in posting
-        order). A no-op returning ``[]`` when nothing is staged.
-
-        ``fused=True`` requests the steady-state macro-event path
-        (:meth:`post_write_train_fused`); the request is advisory — the
-        train de-elides back to the event-by-event path the moment a
-        fault plan or congestion plane is active, or telemetry is on.
-        """
+        order). A no-op returning ``[]`` when nothing is staged."""
         staged = self._staged
         if not staged:
             return []
         self._staged = []
-        if fused:
-            return self.post_write_train_fused(staged)
-        return self._post_train(staged)
+        self.post_train(staged)
+        return [entry[0] for entry in staged]
 
-    def steady_state(self) -> bool:
-        """True when no plane could observe per-WQE event machinery:
-        telemetry off, no active fault plan, no active congestion plane.
-        The dynamic half of the steady-state predicate — callers on the
-        fused path re-check it on every flush (de-elision)."""
-        return (self._metrics is None and self._faults() is None
-                and self._congestion() is None)
+    def post_write_batch(self, writes,
+                         assume_stable: bool = False) -> list[WorkRequest]:
+        """Post a train of one-sided WRITEs as one scheduling unit.
 
-    def post_ring_train_fused(self, entries, region) -> None:
-        """Slimmed fused posting for ring channels that pre-resolve their
-        remote region: ``entries`` is a list of ``(wr, size, pieces,
-        offset)`` where ``wr`` is ``None`` for unsignaled fire-and-forget
-        WQEs (the ring protocols drop them unobserved, so no WorkRequest
-        needs to exist) and ``region`` is the channel's pre-validated
-        remote ring region. Callers must hold :meth:`steady_state` —
-        this method performs no de-elision checks of its own.
-
-        Timing-identical to staging each entry through ``post_write``
-        and ringing the doorbell: same ``engine_delay_train`` /
-        ``unicast_train`` bookings, same commit/ack instants, and one
-        ``schedule_macro`` arm exactly like ``_post_train``'s single
-        ``schedule_train`` arm.
+        ``writes`` is a sequence of ``(payload, remote_rkey,
+        remote_offset, signaled)`` tuples (``signaled`` may be omitted and
+        defaults to False; a fifth element is taken as ``wr_id``). The
+        train is equivalent to posting each write back-to-back at the
+        current instant — identical NIC arbitration, wire occupancy,
+        commit and acknowledgment times — but is driven by O(1) in-flight
+        kernel events instead of O(writes): one macro-event walks the
+        commit train and unsignaled acknowledgments expand lazily (see
+        ``WorkRequest._complete_at``).
         """
+        # The batch is its own train: WQEs the caller staged earlier stay
+        # staged, and a write that fails validation posts nothing.
+        held, self._staged = self._staged, []
+        try:
+            for write in writes:
+                self.post_write(
+                    write[0], write[1], write[2],
+                    signaled=write[3] if len(write) > 3 else False,
+                    wr_id=write[4] if len(write) > 4 else None,
+                    assume_stable=assume_stable, doorbell=False)
+            return self.ring_doorbell()
+        finally:
+            self._staged = held
+
+    def post_train(self, entries) -> None:
+        """The one doorbell-train primitive: submit ``entries`` — a list
+        of ``(wr, size, pieces, region, offset)`` — as one train.
+
+        ``wr`` is ``None`` for an unsignaled fire-and-forget WQE nobody
+        observes (the ring protocols drop those, so no WorkRequest needs
+        to exist); ``region`` is the resolved, range-checked remote
+        region (``post_write(doorbell=False)`` resolves it per WQE, ring
+        channels pass their cached whole-ring proof).
+
+        The NIC pipeline and the wire are reserved for the whole train at
+        once and one macro-event commits each write's payload at its
+        exact arrival time. Every timestamp matches the unbatched path
+        bit-for-bit — the only behavioural difference is that a write's
+        *prefix* bytes commit together with its tail at arrival instead
+        of one tail-serialization earlier (the coalescing is
+        protocol-invisible: DFI only ever acts on the footer, which
+        commits at arrival either way). An active fault or congestion
+        plane is checked on every call and hands the train to
+        :meth:`_post_train_sequential`, so a plane installed between two
+        trains governs the very next one.
+        """
+        if not entries:
+            return
         nic = self.nic
-        env = self.env
-        ack_latency = self._ack_delta
+        nic.doorbell_trains += 1
+        metrics = self._metrics
+        if metrics is not None:
+            count = len(entries)
+            self._obs_wqes_posted += count
+            signaled = 0
+            for entry in entries:
+                wr = entry[0]
+                if wr is not None and wr.signaled:
+                    signaled += 1
+            self._obs_wqes_signaled += signaled
+            self._obs_trains += 1
+            hist = self._obs_train_hist
+            if hist is None:
+                hist = self._obs_train_hist = metrics.histogram(
+                    "rdma.train_len")
+            hist.record(count)
+        faults = self._faults()
+        congestion = self._congestion()
+        if faults is not None or congestion is not None:
+            self._post_train_sequential(entries, faults, congestion)
+            return
         inline_max = self._inline_max
+        ack_latency = self._ack_delta
+        causal = self._causal
         if len(entries) == 1:
-            wr, size, pieces, offset = entries[0]
+            # Trains of one are the common shape on hash-routed shuffles
+            # (each channel's share of a batch is about one segment);
+            # skip the multi-entry list/zip machinery. Same arbitration
+            # and wire arithmetic, so timestamps stay bit-identical.
+            wr, size, pieces, region, offset = entries[0]
             delay = nic.engine_delay_train_one(size <= inline_max)
             nic.bytes_posted += size
             arrival = self._fabric().unicast_train_one(
                 self.node, self.remote_node, size, delay)
-            commit = (arrival, _commit_write, (region, offset, pieces))
+            if causal is not None:
+                self._train_edges(causal, (delay,), (arrival,))
+            actions = [(arrival, _commit_write, (region, offset, pieces))]
             if wr is not None:
-                env.schedule_macro(
-                    [commit, (arrival + ack_latency,
-                              self._finish_signaled, (wr, size))])
-            else:
-                env.schedule_macro([commit])
+                if wr.signaled:
+                    actions.append((arrival + ack_latency,
+                                    self._finish_signaled, (wr, size)))
+                else:
+                    wr._complete_at(arrival + ack_latency)
+            self.env.schedule_train(actions)
             return
         sizes = []
         inlines = []
@@ -465,271 +517,52 @@ class QueuePair:
         nic.bytes_posted += total
         arrivals = self._fabric().unicast_train(self.node, self.remote_node,
                                                 sizes, delays)
+        if causal is not None:
+            self._train_edges(causal, delays, arrivals)
         actions = []
         finish_signaled = self._finish_signaled
         last = len(entries) - 1
         needs_sort = False
-        for position, ((wr, size, pieces, offset),
+        for position, ((wr, size, pieces, region, offset),
                        arrival) in enumerate(zip(entries, arrivals)):
             actions.append((arrival, _commit_write,
                             (region, offset, pieces)))
-            if wr is not None:
+            if wr is None:
+                continue
+            if wr.signaled:
                 actions.append((arrival + ack_latency, finish_signaled,
                                 (wr, size)))
-                if position != last:
-                    needs_sort = True
-        if needs_sort:
-            actions.sort(key=_action_when)
-        env.schedule_macro(actions)
-
-    def post_write_train_fused(self, entries) -> list[WorkRequest]:
-        """Steady-state twin of :meth:`_post_train`: book the whole
-        segment-train lifecycle (NIC arbitration → wire reservation →
-        remote commit → acknowledgment) analytically and walk it with a
-        single pooled :class:`~repro.simnet.kernel.MacroEvent` instead
-        of the closure-based timer train.
-
-        Bit-identical to :meth:`_post_train` by construction — same
-        ``engine_delay_train`` / ``unicast_train`` bookings, same commit
-        and ack timestamps, and ``schedule_macro`` advances kernel
-        sequence numbers in lockstep with ``schedule_train`` (one
-        ``_schedule_abs`` per arm and per hop). **De-elides instantly**:
-        any active fault plan or congestion plane, or telemetry being
-        on, routes the train through :meth:`_post_train` unchanged —
-        the fused path never owns a decision those planes could see.
-        """
-        if not entries:
-            return []
-        if (self._metrics is not None or self._faults() is not None
-                or self._congestion() is not None):
-            # De-elision: a plane (or the telemetry counters) is awake —
-            # fall back to the event-by-event machinery verbatim.
-            return self._post_train(entries)
-        nic = self.nic
-        remote_nic = self._get_remote_nic()
-        inline_max = self._inline_max
-        ack_latency = self._ack_delta
-        env = self.env
-        if len(entries) == 1:
-            wr, size, pieces, rkey, offset = entries[0]
-            region = remote_nic.region(rkey)
-            region.check_range(offset, size)
-            delay = nic.engine_delay_train_one(size <= inline_max)
-            nic.bytes_posted += size
-            arrival = self._fabric().unicast_train_one(
-                self.node, self.remote_node, size, delay)
-            ack_at = arrival + ack_latency
-            commit = (arrival, _commit_write, (region, offset, pieces))
-            if wr.signaled:
-                env.schedule_macro(
-                    [commit, (ack_at, self._finish_signaled, (wr, size))])
-            else:
-                wr._complete_at(ack_at)
-                env.schedule_macro([commit])
-            return [wr]
-        sizes = []
-        inlines = []
-        regions = []
-        total = 0
-        for _wr, size, pieces, rkey, offset in entries:
-            region = remote_nic.region(rkey)
-            region.check_range(offset, size)
-            regions.append(region)
-            sizes.append(size)
-            inlines.append(size <= inline_max)
-            total += size
-        delays = nic.engine_delay_train(inlines)
-        nic.bytes_posted += total
-        arrivals = self._fabric().unicast_train(self.node, self.remote_node,
-                                                sizes, delays)
-        actions = []
-        finish_signaled = self._finish_signaled
-        last = len(entries) - 1
-        needs_sort = False
-        for position, ((wr, size, pieces, rkey, offset), region,
-                       arrival) in enumerate(zip(entries, regions,
-                                                 arrivals)):
-            actions.append((arrival, _commit_write,
-                            (region, offset, pieces)))
-            ack_at = arrival + ack_latency
-            if wr.signaled:
-                actions.append((ack_at, finish_signaled, (wr, size)))
-                if position != last:
-                    needs_sort = True
-            else:
-                wr._complete_at(ack_at)
-        if needs_sort:
-            actions.sort(key=_action_when)
-        env.schedule_macro(actions)
-        return [entry[0] for entry in entries]
-
-    def post_write_batch(self, writes,
-                         assume_stable: bool = False) -> list[WorkRequest]:
-        """Post a train of one-sided WRITEs as one scheduling unit.
-
-        ``writes`` is a sequence of ``(payload, remote_rkey,
-        remote_offset, signaled)`` tuples (``signaled`` may be omitted and
-        defaults to False; a fifth element is taken as ``wr_id``). The
-        train is equivalent to posting each write back-to-back at the
-        current instant — identical NIC arbitration, wire occupancy,
-        commit and acknowledgment times — but is driven by O(1) in-flight
-        kernel events instead of O(writes): one chained timer walks the
-        commit train and unsignaled acknowledgments expand lazily (see
-        ``WorkRequest._complete_at``).
-        """
-        entries = []
-        for write in writes:
-            payload, rkey, offset = write[0], write[1], write[2]
-            signaled = write[3] if len(write) > 3 else False
-            wr_id = write[4] if len(write) > 4 else None
-            if isinstance(payload, (list, tuple)):
-                chunks = _gather_chunks(payload, assume_stable)
-                size = 0
-                pieces = []
-                for chunk in chunks:
-                    if len(chunk):
-                        pieces.append((size, chunk))
-                        size += len(chunk)
-            else:
-                chunk = payload
-                if not isinstance(chunk, bytes):
-                    chunk = (memoryview(chunk) if assume_stable
-                             else bytes(chunk))
-                size = len(chunk)
-                pieces = [(0, chunk)]
-            if not size:
-                raise RdmaError("cannot post a zero-length write")
-            entries.append((WorkRequest(self.env, wr_id, Opcode.WRITE,
-                                        signaled),
-                            size, pieces, rkey, offset))
-        return self._post_train(entries)
-
-    def _post_train(self, entries) -> list[WorkRequest]:
-        """Fast path for a doorbell train: reserve the NIC pipeline and the
-        wire for the whole train at once, then schedule one event train
-        that commits each write's payload at its exact arrival time.
-
-        Every timestamp matches the unbatched path bit-for-bit — the only
-        behavioural difference is that a write's *prefix* bytes commit
-        together with its tail at arrival instead of one tail-serialization
-        earlier (the coalescing is protocol-invisible: DFI only ever acts
-        on the footer, which commits at arrival either way).
-        """
-        if not entries:
-            return []
-        metrics = self._metrics
-        if metrics is not None:
-            count = len(entries)
-            self._obs_wqes_posted += count
-            signaled = 0
-            for entry in entries:
-                if entry[0].signaled:
-                    signaled += 1
-            self._obs_wqes_signaled += signaled
-            self._obs_trains += 1
-            hist = self._obs_train_hist
-            if hist is None:
-                hist = self._obs_train_hist = metrics.histogram(
-                    "rdma.train_len")
-            hist.record(count)
-        faults = self._faults()
-        congestion = self._congestion()
-        if faults is not None or congestion is not None:
-            return self._post_train_sequential(entries, faults, congestion)
-        nic = self.nic
-        remote_nic = self._get_remote_nic()
-        inline_max = self._inline_max
-        ack_latency = self._ack_delta
-        if len(entries) == 1:
-            # Trains of one are the common shape on hash-routed shuffles
-            # (each channel's share of a batch is about one segment);
-            # skip the multi-entry list/zip machinery. Same arbitration
-            # and wire calls, so timestamps stay bit-identical.
-            wr, size, pieces, rkey, offset = entries[0]
-            region = remote_nic.region(rkey)
-            region.check_range(offset, size)
-            delays = nic.engine_delay_train([size <= inline_max])
-            nic.bytes_posted += size
-            arrival = self._fabric().unicast_train(
-                self.node, self.remote_node, [size], delays)[0]
-            ack_at = arrival + ack_latency
-            causal = self._causal
-            if causal is not None:
-                now = self.env.now
-                tid = f"qp{self.qpn}"
-                causal.edge(now + delays[0], now, "nic_arb",
-                            self.node.node_id, tid)
-                causal.edge(arrival, now + delays[0], "wire",
-                            self.remote_node.node_id, tid,
-                            src_node_id=self.node.node_id)
-                causal.edge(ack_at, arrival, "wire", self.node.node_id,
-                            tid, src_node_id=self.remote_node.node_id)
-            commit = (arrival, _commit_write, (region, offset, pieces))
-            if wr.signaled:
-                self.env.schedule_train(
-                    [commit, (ack_at, self._finish_signaled, (wr, size))])
-            else:
-                wr._complete_at(ack_at)
-                self.env.schedule_train([commit])
-            return [wr]
-        sizes = []
-        inlines = []
-        regions = []
-        total = 0
-        for _wr, size, pieces, rkey, offset in entries:
-            region = remote_nic.region(rkey)
-            region.check_range(offset, size)
-            regions.append(region)
-            sizes.append(size)
-            inlines.append(size <= inline_max)
-            total += size
-        delays = nic.engine_delay_train(inlines)
-        nic.bytes_posted += total
-        arrivals = self._fabric().unicast_train(self.node, self.remote_node,
-                                                sizes, delays)
-        actions = []
-        finish_signaled = self._finish_signaled
-        last = len(entries) - 1
-        needs_sort = False
-        causal = self._causal
-        if causal is not None:
-            train_now = self.env.now
-            train_tid = f"qp{self.qpn}"
-        for position, ((wr, size, pieces, rkey, offset), region,
-                       arrival) in enumerate(zip(entries, regions,
-                                                 arrivals)):
-            actions.append((arrival, _commit_write,
-                            (region, offset, pieces)))
-            ack_at = arrival + ack_latency
-            if causal is not None:
-                # Chain the train's NIC arbitration: each WQE's engine
-                # slot follows the previous WQE's wire handoff.
-                arb_parent = (train_now if position == 0
-                              else train_now + delays[position - 1])
-                causal.edge(train_now + delays[position], arb_parent,
-                            "nic_arb", self.node.node_id, train_tid)
-                causal.edge(arrival, train_now + delays[position], "wire",
-                            self.remote_node.node_id, train_tid,
-                            src_node_id=self.node.node_id)
-                causal.edge(ack_at, arrival, "wire", self.node.node_id,
-                            train_tid,
-                            src_node_id=self.remote_node.node_id)
-            if wr.signaled:
-                actions.append((ack_at, finish_signaled, (wr, size)))
                 # A mid-train ack interleaves with later arrivals; a
                 # trailing ack (the selective-signaling shape) lands at or
                 # after the last arrival, so order is already correct.
                 if position != last:
                     needs_sort = True
             else:
-                wr._complete_at(ack_at)
+                wr._complete_at(arrival + ack_latency)
         if needs_sort:
             actions.sort(key=_action_when)
         self.env.schedule_train(actions)
-        return [entry[0] for entry in entries]
 
-    def _post_train_sequential(self, entries, faults,
-                               congestion=None) -> list[WorkRequest]:
+    def _train_edges(self, causal, delays, arrivals) -> None:
+        """Record the causal chain of a train: each WQE's NIC arbitration
+        slot follows the previous WQE's wire handoff, then wire out and
+        the acknowledgment back."""
+        now = self.env.now
+        tid = f"qp{self.qpn}"
+        node_id = self.node.node_id
+        remote_id = self.remote_node.node_id
+        ack_latency = self._ack_delta
+        arb_parent = now
+        for delay, arrival in zip(delays, arrivals):
+            issued = now + delay
+            causal.edge(issued, arb_parent, "nic_arb", node_id, tid)
+            causal.edge(arrival, issued, "wire", remote_id, tid,
+                        src_node_id=node_id)
+            causal.edge(arrival + ack_latency, arrival, "wire", node_id,
+                        tid, src_node_id=remote_id)
+            arb_parent = issued
+
+    def _post_train_sequential(self, entries, faults, congestion) -> None:
         """Train posting under an active fault and/or congestion plane.
 
         The NIC drains a doorbell train sequentially, so each WQE is
@@ -741,22 +574,23 @@ class QueuePair:
         the rest of the send queue). Under congestion each WQE is rate-
         paced and marked individually — a train is not exempt from the
         egress queue bound. Admitted WQEs take the eager per-write
-        machinery — chaos/congestion runs trade the O(1)-event fast path
+        machinery — chaos/congestion runs trade the O(1)-event macro path
         for exact per-WQE observability (arrival and ack timestamps stay
-        bit-identical to the fast path when both planes add zero delay:
-        the PR 4 train-equivalence contract).
+        bit-identical to the macro path when both planes add zero delay:
+        the PR 4 train-equivalence contract). The per-write machinery
+        completes a WorkRequest per WQE, so a ``None`` entry gets one
+        here.
         """
         env = self.env
         nic = self.nic
-        inline_max = nic.profile.max_inline_size
-        remote_nic = self._get_remote_nic()
+        inline_max = self._inline_max
         fabric = self._fabric()
         loopback = self.remote_node is self.node
         uplink = None if loopback else self.node.uplink
-        results = []
         flush_rest = False
-        for wr, size, pieces, rkey, offset in entries:
-            results.append(wr)
+        for wr, size, pieces, region, offset in entries:
+            if wr is None:
+                wr = WorkRequest(env, None, Opcode.WRITE, False)
             if flush_rest:
                 self._flush_after(wr, faults.detection_timeout,
                                   WcStatus.RETRY_EXC_ERR)
@@ -777,8 +611,6 @@ class QueuePair:
                     continue
             if congestion is not None:
                 admit += congestion.rc_admit(self, size)
-            region = remote_nic.region(rkey)
-            region.check_range(offset, size)
             nic.bytes_posted += size
             arrival = fabric.unicast(self.node, self.remote_node, size,
                                      delay=offset_delay + admit)
@@ -808,7 +640,6 @@ class QueuePair:
 
             arrival.callbacks.append(commit)
             self._finish(wr, arrival.delay + self._ack_latency(), size)
-        return results
 
     # -- one-sided READ ----------------------------------------------------
     def post_read(self, local_region: MemoryRegion, local_offset: int,

@@ -35,7 +35,7 @@ _PENDING = object()
 _TIMEOUT_POOL_CAP = 256
 
 #: Upper bound on recycled MacroEvent records kept by an Environment.
-#: One record is live per in-flight fused segment train; steady-state
+#: One record is live per in-flight segment train; steady-state
 #: flows recycle through a handful, so a small cap bounds idle memory
 #: while still absorbing bursts (many channels flushing in one instant).
 _MACRO_POOL_CAP = 64
@@ -150,25 +150,17 @@ class Timeout(Event):
 
 class MacroEvent(Event):
     """One reusable queue entry that walks a sorted train of
-    ``(when, fn, arg)`` actions — the macro-event record behind
-    steady-state event elision.
+    ``(when, fn, arg)`` actions — the record behind
+    :meth:`Environment.schedule_train`.
 
-    Semantically identical to :meth:`Environment.schedule_train` (every
-    action fires at its exact absolute timestamp, one live queue entry
-    per train, one ``_schedule_abs`` per hop — so even kernel sequence
-    numbers evolve identically), but the walker state lives in slots on
-    a pooled record instead of a per-train closure, and exhausted
-    records recycle through ``Environment._macro_pool`` so a
-    steady-state flow allocates nothing per flush.
-
-    ``terminal`` is the train's final timestamp; ``replay`` is an
-    optional closure invoked once with the action train after the last
-    action fires (observability collectors can reconstruct per-action
-    timestamps from it without the train having scheduled per-action
-    events).
+    Every action fires at its exact absolute timestamp with one live
+    queue entry per train and one ``_schedule_abs`` per hop. The walker
+    state lives in slots on a pooled record, and exhausted records
+    recycle through ``Environment._macro_pool`` so a steady-state flow
+    allocates nothing per flush.
     """
 
-    __slots__ = ("actions", "index", "terminal", "replay", "_cb")
+    __slots__ = ("actions", "index", "_cb")
 
     def __init__(self, env: "Environment") -> None:
         super().__init__(env)
@@ -176,8 +168,6 @@ class MacroEvent(Event):
         #: the record is idle in the pool).
         self.actions: "list | None" = None
         self.index = 0
-        self.terminal = 0.0
-        self.replay: "Callable | None" = None
         # The permanent one-element callback list. step() reads and
         # clears ``callbacks`` before invoking us; _fire restores this
         # same list on every re-arm, so a whole train costs zero list
@@ -207,10 +197,6 @@ class MacroEvent(Event):
             self.callbacks = self._cb
             env._schedule_abs(self, actions[index][0])
             return
-        replay = self.replay
-        if replay is not None:
-            self.replay = None
-            replay(actions)
         self.actions = None
         pool = env._macro_pool
         if len(pool) < _MACRO_POOL_CAP:
@@ -713,8 +699,8 @@ class Environment:
     def schedule_train(self, actions) -> None:
         """Batch-schedule API: run a train of ``(when, fn, arg)`` actions,
         each ``fn(arg)`` at its exact absolute timestamp, using a *single*
-        in-flight recycled timer that walks the train instead of one
-        queued event per action.
+        in-flight pooled :class:`MacroEvent` that walks the train instead
+        of one queued event per action.
 
         ``actions`` must be sorted by non-decreasing ``when``. This is the
         kernel half of doorbell batching: a train of segment commits costs
@@ -723,39 +709,6 @@ class Environment:
         have used. The ``(when, fn, arg)`` record shape lets callers share
         one function across the train and keep per-action state in a plain
         tuple instead of a closure.
-        """
-        if not actions:
-            return
-        total = len(actions)
-        index = 0
-
-        def fire(_event) -> None:
-            nonlocal index
-            now = self._now
-            while index < total:
-                action = actions[index]
-                if action[0] > now:
-                    break
-                index += 1
-                action[1](action[2])
-            if index < total:
-                self._chain_timer(actions[index][0], fire)
-
-        self._chain_timer(actions[0][0], fire)
-
-    def schedule_macro(self, actions, replay=None) -> None:
-        """Run a train of ``(when, fn, arg)`` actions through one pooled
-        :class:`MacroEvent` record — the steady-state twin of
-        :meth:`schedule_train`.
-
-        Timing-identical by construction: actions fire at the same
-        absolute timestamps, one queue entry is live at any moment, and
-        each hop costs exactly one ``_schedule_abs`` (so kernel sequence
-        numbers advance in lockstep with the closure-based train). The
-        differences are wall-clock only: no per-train closure, no
-        timeout-pool churn per hop, and the record itself recycles
-        through ``_macro_pool``. ``actions`` must be sorted by
-        non-decreasing ``when``.
         """
         if not actions:
             return
@@ -772,29 +725,7 @@ class Environment:
             macro = MacroEvent(self)
         macro.actions = actions
         macro.index = 0
-        macro.terminal = actions[-1][0]
-        macro.replay = replay
         self._schedule_abs(macro, actions[0][0])
-
-    def _chain_timer(self, when: float, fire) -> None:
-        """Arm one pooled timer at absolute time ``when`` with ``fire`` as
-        its callback (helper for :meth:`schedule_train`)."""
-        pool = self._timeout_pool
-        if pool:
-            timer = pool.pop()
-            timer.callbacks = [fire]
-            timer._value = None
-            timer._exception = None
-            timer._defused = False
-            timer._processed = False
-        else:
-            timer = Timeout.__new__(Timeout)
-            Event.__init__(timer, self)
-            timer._poolable = True
-            timer.callbacks.append(fire)
-        timer.delay = when - self._now
-        timer._scheduled = False
-        self._schedule_abs(timer, when)
 
     def process(self, generator: Generator[Event, Any, Any],
                 name: str | None = None) -> Process:

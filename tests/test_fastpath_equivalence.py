@@ -1,25 +1,30 @@
-"""Bit-exact equivalence of the fused fast path and the event path.
+"""Bit-exact equivalence of the macro-event train and the per-WQE path.
 
-Steady-state event elision (``post_write_train_fused``) is a wall-clock
-optimization only: every externally observable timestamp — when each
-``push_batch`` returns (credit/CQ backpressure), when each consumed
-batch arrives, when the flow ends — must be bit-identical with the fast
-path on and off, across seeds, ring geometries, and trains that don't
-divide evenly into segments. The tests here run the same workload twice
-(``config.FASTPATH_ENABLED`` toggled in-process; channels read it at
-endpoint construction) and compare full timelines with ``==``, while
-also asserting the fused run executed strictly fewer kernel events —
-the equivalence is never vacuous.
+``QueuePair.post_train`` walks a doorbell train with one macro-event
+unless a fault or congestion plane is active, in which case every WQE
+takes the eager per-write machinery; ``ShuffleTarget`` merges wake and
+poll into one event unless ``peer_timeout`` bounds the wait. Both
+selections read observable state only, and neither may move simulated
+time: every externally observable timestamp — when each ``push_batch``
+returns (credit/CQ backpressure), when each consumed batch arrives, when
+the flow ends — must be bit-identical either way, across seeds, ring
+geometries, and trains that don't divide evenly into segments.
 
-De-elision: a fault or congestion plane installed *mid-run* (between
-flushes) must flip ``QueuePair.steady_state()`` on the very next flush
-and keep the timeline bit-identical to the event path under the same
-mid-run install. Shard-crossing channels must never fuse at all.
+The reference run is therefore the same workload with an *inert but
+active* plane installed from the start (an unbounded congestion config,
+or a link degrade on an idle node) and a peer timeout far beyond the run.
+Full timelines are compared with ``==``, and the plain run must execute
+strictly fewer kernel events — the equivalence is never vacuous.
+
+A plane installed *mid-run* (between flushes) governs the very next
+train: its timeline must equal that of the plane installed from the
+start. Channels that cross shard lanes take the same path as any other.
 """
+
+from dataclasses import replace
 
 import pytest
 
-from repro.common import config
 from repro.core import (
     FLOW_END,
     DfiRuntime,
@@ -28,38 +33,52 @@ from repro.core import (
     Schema,
 )
 from repro.simnet import Cluster
+from repro.simnet.congestion import CongestionConfig
 from repro.simnet.faults import FaultPlan, link_degrade
 
 _SCHEMA = Schema(("key", "uint64"), ("pad", 24))
 _PAD = b"p" * 24
 _TARGETS = 2
+#: One node beyond the flow's endpoints: the idle node a fault degrades.
+_NODES = 2 + _TARGETS
 
 
-@pytest.fixture(autouse=True)
-def _restore_fastpath_flag():
-    saved = config.FASTPATH_ENABLED
-    yield
-    config.FASTPATH_ENABLED = saved
+def _install_congestion(cluster):
+    cluster.install_congestion(CongestionConfig.unbounded())
 
 
-def _traced_shuffle(fastpath, *, seed=0, options=None, count=4096,
-                    batch=1024, node_count=1 + _TARGETS, mid_run=None):
+def _install_idle_fault(cluster):
+    # Degrade the idle node, far from the flow: the plane is *active*
+    # (every subsequent train goes per-WQE) while the flow's own links
+    # and timing are untouched.
+    cluster.install_faults(FaultPlan(
+        [link_degrade(1 + _TARGETS, at=cluster.now + 1.0,
+                      duration=10.0, factor=2.0)]))
+
+
+_PLANES = {"congestion": _install_congestion, "fault": _install_idle_fault}
+
+
+def _traced_shuffle(*, seed=0, options=FlowOptions(), count=4096,
+                    batch=1024, at_start=None, mid_run=None,
+                    **cluster_kwargs):
     """Run one 1:N shuffle and return ``(timeline, events_executed)``.
 
     The timeline captures every externally observable instant: the
     simulated time each source batch push returned, the close time, and
     each target's per-batch ``(arrival time, batch length)`` sequence.
-    ``mid_run`` (if given) is called as ``mid_run(cluster, source)`` from
-    the source thread after half the batches, between flushes.
+    ``at_start(cluster)`` runs before the flow is initialized;
+    ``mid_run(cluster)`` runs from the source thread after half the
+    batches, between flushes.
     """
-    config.FASTPATH_ENABLED = fastpath
-    cluster = Cluster(node_count=node_count, seed=seed)
+    cluster = Cluster(node_count=_NODES, seed=seed, **cluster_kwargs)
+    if at_start is not None:
+        at_start(cluster)
     dfi = DfiRuntime(cluster)
     dfi.init_shuffle_flow(
         "eq", [Endpoint(0, 0)],
         [Endpoint(1 + n, 0) for n in range(_TARGETS)],
-        _SCHEMA, shuffle_key="key",
-        options=options if options is not None else FlowOptions())
+        _SCHEMA, shuffle_key="key", options=options)
     batches = [[(i * 2654435761 % (1 << 64), _PAD)
                 for i in range(start, min(start + batch, count))]
                for start in range(0, count, batch)]
@@ -72,7 +91,7 @@ def _traced_shuffle(fastpath, *, seed=0, options=None, count=4096,
         half = len(batches) // 2
         for index, chunk in enumerate(batches):
             if mid_run is not None and index == half:
-                mid_run(cluster, source)
+                mid_run(cluster)
             yield from source.push_batch(chunk)
             timeline["push"].append(cluster.now)
         yield from source.close()
@@ -99,17 +118,20 @@ def _traced_shuffle(fastpath, *, seed=0, options=None, count=4096,
     return timeline, events
 
 
-def _assert_equivalent(**kwargs):
-    on, events_on = _traced_shuffle(True, **kwargs)
-    off, events_off = _traced_shuffle(False, **kwargs)
-    assert on == off
-    assert events_on < events_off, \
-        "fast path never engaged: equivalence would be vacuous"
+def _assert_equivalent(plane="congestion", options=FlowOptions(), **kwargs):
+    plain, plain_events = _traced_shuffle(options=options, **kwargs)
+    reference, reference_events = _traced_shuffle(
+        options=replace(options, peer_timeout=1e12),
+        at_start=_PLANES[plane], **kwargs)
+    assert plain == reference
+    assert plain_events < reference_events, \
+        "macro path never engaged: equivalence would be vacuous"
 
 
+@pytest.mark.parametrize("plane", sorted(_PLANES))
 @pytest.mark.parametrize("seed", [0, 1, 7])
-def test_bit_identical_across_seeds(seed):
-    _assert_equivalent(seed=seed)
+def test_bit_identical_across_seeds(seed, plane):
+    _assert_equivalent(plane=plane, seed=seed)
 
 
 @pytest.mark.parametrize("options", [
@@ -130,75 +152,25 @@ def test_bit_identical_non_divisible_trains(count, batch):
     _assert_equivalent(count=count, batch=batch)
 
 
-def _assert_de_elides(install):
-    """``install(cluster)`` mid-run must flip ``steady_state()`` off on
-    every source channel and leave the timeline bit-identical to the
-    event path under the same mid-run install."""
-    flipped = {}
-
-    def mid_run(cluster, source):
-        channels = source._channels
-        assert all(channel.qp.steady_state() for channel in channels)
-        install(cluster)
-        flipped["ok"] = not any(channel.qp.steady_state()
-                                for channel in channels)
-
-    on, _ = _traced_shuffle(True, mid_run=mid_run, node_count=2 + _TARGETS)
-    assert flipped["ok"], "installed plane did not de-elide"
-    off, _ = _traced_shuffle(False, mid_run=mid_run, node_count=2 + _TARGETS)
-    assert on == off
+@pytest.mark.parametrize("plane", sorted(_PLANES))
+def test_mid_run_install_governs_the_next_train(plane):
+    """A plane installed between two flushes sends the very next train
+    per-WQE: same timeline as the plane installed from the start, and
+    more kernel events than the run that never installs it."""
+    install = _PLANES[plane]
+    _, plain_events = _traced_shuffle()
+    at_half, half_events = _traced_shuffle(mid_run=install)
+    from_start, start_events = _traced_shuffle(at_start=install)
+    assert at_half == from_start
+    assert plain_events < half_events < start_events
 
 
-def test_mid_run_fault_install_de_elides():
-    # Degrade an idle node (the extra node 3) far from the flow: the
-    # plane is *active* (so every subsequent flush takes the event path)
-    # while the flow's own links and timing are untouched.
-    def install(cluster):
-        cluster.install_faults(FaultPlan(
-            [link_degrade(1 + _TARGETS, at=cluster.now + 1.0,
-                          duration=10.0, factor=2.0)]))
-
-    _assert_de_elides(install)
-
-
-def test_mid_run_congestion_install_de_elides():
-    from repro.simnet.congestion import CongestionConfig
-
-    def install(cluster):
-        cluster.install_congestion(CongestionConfig.unbounded())
-
-    _assert_de_elides(install)
-
-
-def test_shard_crossing_channels_never_fuse():
-    """Under a sharded kernel, only same-lane channels fuse: the fused
-    commit runs at the source lane's clock, so a cross-shard macro would
-    bypass the inter-lane ordering merge."""
-    config.FASTPATH_ENABLED = True
-    cluster = Cluster(node_count=3, shards=2, shard_map=[0, 0, 1])
-    dfi = DfiRuntime(cluster)
-    dfi.init_shuffle_flow(
-        "sharded", [Endpoint(0, 0)], [Endpoint(1, 0), Endpoint(2, 0)],
-        _SCHEMA, shuffle_key="key", options=FlowOptions())
-    fused = {}
-
-    def source_thread():
-        source = yield from dfi.open_source("sharded", 0)
-        fused.update({channel.qp.remote_node.node_id: channel._fused
-                      for channel in source._channels})
-        for start in range(0, 2048, 1024):
-            yield from source.push_batch(
-                [(i * 2654435761, _PAD) for i in range(start, start + 1024)])
-        yield from source.close()
-
-    def target_thread(index):
-        target = yield from dfi.open_target("sharded", index)
-        while (yield from target.consume_batch()) is not FLOW_END:
-            pass
-
-    cluster.node(0).spawn(source_thread())
-    cluster.node(1).spawn(target_thread(0))
-    cluster.node(2).spawn(target_thread(1))
-    cluster.run()
-    assert fused[1] is True      # source shard 0 -> target shard 0
-    assert fused[2] is False     # source shard 0 -> target shard 1
+def test_shard_crossing_channel_matches_unsharded_run():
+    """Which lane an event sits on is attribution only: a channel whose
+    source and target live on different shards walks its trains with the
+    same macro-event and lands on the unsharded timeline."""
+    unsharded, events = _traced_shuffle()
+    sharded, sharded_events = _traced_shuffle(
+        shards=2, shard_map=[0, 0, 1, 1])
+    assert sharded == unsharded
+    assert sharded_events == events

@@ -5,8 +5,14 @@ import pytest
 
 from repro.common.errors import QpFlushedError
 from repro.rdma import WcStatus, get_nic
+from repro.rdma.completion import Opcode, WorkRequest
 from repro.simnet import Cluster, Environment, FaultPlan
-from repro.simnet.faults import DEFAULT_DETECTION_TIMEOUT, link_down
+from repro.simnet.congestion import CongestionConfig
+from repro.simnet.faults import (
+    DEFAULT_DETECTION_TIMEOUT,
+    link_degrade,
+    link_down,
+)
 
 
 # -- kernel: schedule_at / schedule_train ------------------------------------
@@ -249,3 +255,104 @@ def test_split_train_bit_reproducible_across_chaos_seeds(seed):
     delivered, statuses, _error_at, _cq, _now = first
     assert statuses == (("ok",) * delivered
                         + ("flushed",) * (8 - delivered))
+
+
+# -- post_train: the one doorbell-train primitive -----------------------------
+
+def _train_entries(remote, count, size, wr_for=None):
+    """``post_train`` entries for ``count`` back-to-back ``size``-byte
+    writes; ``wr_for(i)`` supplies a work request (default: ``None``, the
+    unsignaled fire-and-forget shape ring channels use)."""
+    return [(wr_for(i) if wr_for is not None else None, size,
+             ((0, bytes([i + 1]) * size),), remote, i * size)
+            for i in range(count)]
+
+
+def test_post_train_none_entries_split_by_outage():
+    """Entries without a work request still get exact fault semantics:
+    the prefix admitted before the outage lands, and the failing WQE and
+    every later one surface a ``RETRY_EXC_ERR`` completion."""
+    outage_at = 300.0
+    cluster = Cluster(node_count=2)
+    cluster.install_faults(FaultPlan([
+        link_down(0, 1, at=outage_at,
+                  duration=20 * DEFAULT_DETECTION_TIMEOUT)]))
+    remote = get_nic(cluster.node(1)).register_memory(8 * 1024)
+    qp = get_nic(cluster.node(0)).create_qp(cluster.node(1))
+
+    def sender(env):
+        qp.post_train(_train_entries(remote, 8, 1024))
+        yield env.timeout(0)
+
+    cluster.env.process(sender(cluster.env))
+    cluster.run()
+    delivered = [remote.read(i * 1024, 1024) == bytes([i + 1]) * 1024
+                 for i in range(8)]
+    prefix = delivered.index(False)
+    assert 0 < prefix < 8
+    assert not any(delivered[prefix:])
+    # Same split point as the train of real work requests.
+    assert prefix == _run_split_train(outage_at)[0]
+    # Unsignaled successes stay silent; every flushed WQE reports.
+    statuses = [wc.status for wc in qp.send_cq.poll(max_entries=64)]
+    assert statuses == [WcStatus.RETRY_EXC_ERR] * (8 - prefix)
+
+
+def _obs_train_run(none_entries, plane=None):
+    """Ring three trains of four (last WQE signaled) with telemetry on;
+    returns node 0's registry snapshot and the always-on NIC tally."""
+    cluster = Cluster(node_count=3)
+    cluster.enable_observability()
+    if plane is not None:
+        plane(cluster)
+    remote = get_nic(cluster.node(1)).register_memory(4096)
+    qp = get_nic(cluster.node(0)).create_qp(cluster.node(1))
+
+    def sender(env):
+        for _ in range(3):
+            if none_entries:
+                tail = WorkRequest(env, None, Opcode.WRITE, True)
+                qp.post_train(_train_entries(
+                    remote, 4, 256,
+                    wr_for=lambda i, tail=tail: tail if i == 3 else None))
+            else:
+                for i in range(4):
+                    tail = qp.post_write(bytes([i + 1]) * 256, remote.rkey,
+                                         i * 256, signaled=(i == 3),
+                                         doorbell=False)
+                qp.ring_doorbell()
+            yield tail.done
+
+    cluster.env.process(sender(cluster.env))
+    cluster.run()
+    snapshot = cluster.metrics_snapshot()
+    return snapshot["nodes"][0], snapshot["nics"][0]["doorbell_trains"]
+
+
+def test_post_train_telemetry_identical_for_none_entries():
+    staged, _ = _obs_train_run(none_entries=False)
+    bare, _ = _obs_train_run(none_entries=True)
+    for name in ("rdma.wqes_posted", "rdma.wqes_signaled",
+                 "rdma.wqes_unsignaled", "rdma.doorbell_trains"):
+        assert bare["counters"][name] == staged["counters"][name], name
+    assert staged["counters"]["rdma.wqes_unsignaled"] == 9
+    assert (bare["histograms"]["rdma.train_len"]
+            == staged["histograms"]["rdma.train_len"])
+
+
+def _inert_congestion(cluster):
+    cluster.install_congestion(CongestionConfig.unbounded())
+
+
+def _inert_fault(cluster):
+    cluster.install_faults(FaultPlan(
+        [link_degrade(2, at=1.0, duration=10.0, factor=2.0)]))
+
+
+@pytest.mark.parametrize("plane", [None, _inert_congestion, _inert_fault],
+                         ids=["no-plane", "congestion", "fault"])
+def test_nic_doorbell_tally_agrees_with_obs_counter(plane):
+    """The always-on ``nic.doorbell_trains`` counts every train, also the
+    ones an active plane walks per WQE."""
+    registry, nic_trains = _obs_train_run(none_entries=False, plane=plane)
+    assert nic_trains == registry["counters"]["rdma.doorbell_trains"] == 3

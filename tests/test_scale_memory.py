@@ -124,38 +124,32 @@ def _run_batched_cycle(dfi, cluster, name, batches=8, batch=1024):
     cluster.run()
 
 
-def test_fastpath_macro_pool_steady_over_flow_cycles():
-    """Five fast-path flow cycles on one cluster: the registry/NIC
+def test_macro_pool_steady_over_flow_cycles():
+    """Five batched flow cycles on one cluster: the registry/NIC
     footprint is identical after every release and the kernel's recycled
     MacroEvent pool reaches a steady bounded size instead of growing."""
-    from repro.common import config
     from repro.simnet.kernel import _MACRO_POOL_CAP
 
-    saved = config.FASTPATH_ENABLED
-    config.FASTPATH_ENABLED = True
-    try:
-        cluster = Cluster(node_count=3)
-        dfi = DfiRuntime(cluster)
-        registry = dfi.registry
+    cluster = Cluster(node_count=3)
+    dfi = DfiRuntime(cluster)
+    registry = dfi.registry
 
-        _run_batched_cycle(dfi, cluster, "fp0")
-        # The fused path actually ran: macro records were scheduled,
-        # executed, and recycled into the pool.
-        assert cluster.env._macro_pool, "fast path never scheduled a macro"
-        registry.release_flow("fp0")
-        steady = _footprint(cluster, registry)
-        pool_sizes = [len(cluster.env._macro_pool)]
-        for cycle in range(1, 5):
-            _run_batched_cycle(dfi, cluster, f"fp{cycle}")
-            registry.release_flow(f"fp{cycle}")
-            assert _footprint(cluster, registry) == steady, f"cycle {cycle}"
-            pool_sizes.append(len(cluster.env._macro_pool))
-        assert max(pool_sizes) <= _MACRO_POOL_CAP
-        # Identical workloads recycle into an identical pool: the record
-        # count settles after the first cycle rather than creeping up.
-        assert len(set(pool_sizes[1:])) == 1, pool_sizes
-    finally:
-        config.FASTPATH_ENABLED = saved
+    _run_batched_cycle(dfi, cluster, "fp0")
+    # Doorbell trains actually ran: macro records were scheduled,
+    # executed, and recycled into the pool.
+    assert cluster.env._macro_pool, "no train ever scheduled a macro"
+    registry.release_flow("fp0")
+    steady = _footprint(cluster, registry)
+    pool_sizes = [len(cluster.env._macro_pool)]
+    for cycle in range(1, 5):
+        _run_batched_cycle(dfi, cluster, f"fp{cycle}")
+        registry.release_flow(f"fp{cycle}")
+        assert _footprint(cluster, registry) == steady, f"cycle {cycle}"
+        pool_sizes.append(len(cluster.env._macro_pool))
+    assert max(pool_sizes) <= _MACRO_POOL_CAP
+    # Identical workloads recycle into an identical pool: the record
+    # count settles after the first cycle rather than creeping up.
+    assert len(set(pool_sizes[1:])) == 1, pool_sizes
 
 
 def test_release_flow_drops_sequencer_region():
