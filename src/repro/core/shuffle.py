@@ -108,6 +108,17 @@ def segment_payload_size(descriptor: FlowDescriptor) -> int:
     return size
 
 
+def _resolve_remote_region(channel):
+    """One-time lookup + whole-ring range check of a source channel's
+    remote ring (``post_write`` re-checks per WQE; ring channels only
+    ever target ring slots, so one bound proof covers every offset and
+    the rkey registration lives as long as the flow)."""
+    region = channel.qp._get_remote_nic().region(channel.remote.rkey)
+    region.check_range(0, channel.remote.segment_count * channel._remote_slot)
+    channel._remote_region = region
+    return region
+
+
 class _RingWriteWaiter:
     """Wakes a target thread when any of its receive rings is written.
 
@@ -226,9 +237,7 @@ class BandwidthSourceChannel:
         self._causal = node.causal
         if self._causal is not None:
             self._causal.open(self._flow, node.node_id)
-        #: Remote ring region, resolved once on the first train (the rkey
-        #: registration lives as long as the flow, so the lookup and the
-        #: whole-ring range check are loop-invariant).
+        #: Remote ring region, resolved once on the first train.
         self._remote_region = None
         #: Reused entry list for doorbell trains (cleared per flush;
         #: ``post_train`` copies nothing out of it after it returns).
@@ -341,9 +350,10 @@ class BandwidthSourceChannel:
         """Generator: append pre-packed tuple bytes — no per-tuple type
         interpretation at all, just slab copies into the staging segment.
 
-        ``data`` must hold a whole number of tuples packed in this flow's
-        schema. CPU debt is charged exactly as if the tuples had been
-        pushed individually.
+        ``data`` is a byte view (``ShuffleSource.push_bytes`` normalises
+        the caller's buffer) holding a whole number of tuples packed in
+        this flow's schema. CPU debt is charged exactly as if the tuples
+        had been pushed individually.
         """
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
@@ -364,7 +374,6 @@ class BandwidthSourceChannel:
                 + flushes * self.profile.cpu_post_cost)
         self._cpu_debt = 0.0
         yield self.node.compute(debt)
-        view = memoryview(data)
         index = 0
         while index < size:
             if (self._train_ok and self._used == 0
@@ -381,7 +390,7 @@ class BandwidthSourceChannel:
                 for _ in range(cap):
                     base = self._staging_base
                     self._staging[base:base + capacity] = \
-                        view[index:index + capacity]
+                        data[index:index + capacity]
                     index += capacity
                     self._train_stage(entries)
                 self.tuples_sent += cap * seg_tuples
@@ -391,7 +400,7 @@ class BandwidthSourceChannel:
             take = min(room, size - index)
             if take:
                 base = self._staging_base + self._used
-                self._staging[base:base + take] = view[index:index + take]
+                self._staging[base:base + take] = data[index:index + take]
                 self._used += take
                 self.tuples_sent += take // tuple_size
                 index += take
@@ -633,7 +642,7 @@ class BandwidthSourceChannel:
             wr = None
         region = self._remote_region
         if region is None:
-            region = self._resolve_remote_region()
+            region = _resolve_remote_region(self)
         entries.append((wr, self._slot_size,
                         ((0, self._staging_view[base:base + self._slot_size]),),
                         region, self._remote_index * self._remote_slot))
@@ -667,21 +676,11 @@ class BandwidthSourceChannel:
             self._pending_window_read = self._read_footer_ahead(
                 self._train_window)
 
-    def _resolve_remote_region(self):
-        """One-time lookup + whole-ring range check for doorbell trains
-        (``post_write`` re-checks per WQE; trains only ever target ring
-        slots, so one bound proof covers every offset)."""
-        region = self.qp._get_remote_nic().region(self.remote.rkey)
-        region.check_range(0, self.remote.segment_count * self._remote_slot)
-        self._remote_region = region
-        return region
-
     def _flush_train_single(self):
         """Generator: flush the (full) current staging slot as a train of
         one. Even a one-WQE train wins over the eager ``_flush``: the
         windowed proof replaces the per-segment footer pre-read (one READ
-        round-trip per window instead of per segment) and the write
-        expands lazily instead of arming three timers."""
+        round-trip per window instead of per segment)."""
         if self._local_index == 0 and self._wrap_wr is not None:
             if not self._wrap_wr.done.triggered:
                 yield self._wrap_wr.done
@@ -794,6 +793,8 @@ class LatencySourceChannel:
         self._cached_consumed = 0
         self._pending_credit_read = None
         self._credit_read_issued = 0.0
+        #: Remote ring region, resolved once on the first write.
+        self._remote_region = None
         self.closed = False
         self.segments_sent = 0
         self.tuples_sent = 0
@@ -848,7 +849,8 @@ class LatencySourceChannel:
             yield from push(values)
 
     def push_bytes(self, data):
-        """Generator: push pre-packed tuple bytes, one segment per tuple."""
+        """Generator: push pre-packed tuple bytes (a byte view, see
+        ``ShuffleSource.push_bytes``), one segment per tuple."""
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
         tuple_size = self._tuple_size
@@ -858,13 +860,12 @@ class LatencySourceChannel:
                 f"push_bytes got {size} bytes, not a multiple of the "
                 f"{tuple_size}-byte tuple size")
         cost = self._push_cost
-        view = memoryview(data)
         for start in range(0, size, tuple_size):
             yield self.node.compute(cost)
             yield from self._acquire_credit()
             base = self._slot_base()
             self._staging[base:base + tuple_size] = (
-                view[start:start + tuple_size])
+                data[start:start + tuple_size])
             self._finish_slot(base, tuple_size, FLAG_CONSUMABLE)
             self.tuples_sent += 1
             if (self._available_credits <= self._threshold
@@ -927,7 +928,8 @@ class LatencySourceChannel:
 
     def _finish_slot(self, base: int, used: int, flags: int,
                      signaled: bool = False):
-        """Pad + footer the staged slot at ``base`` and post it zero-copy."""
+        """Pad + footer the staged slot at ``base`` and post it zero-copy;
+        returns the work request of a signaled write, else ``None``."""
         if used < self.segment_payload:
             # Close/abort markers: zero the unused payload so the wire
             # bytes match the padded form the protocol defines.
@@ -935,11 +937,17 @@ class LatencySourceChannel:
                 bytes(self.segment_payload - used))
         pack_footer_into(self._staging, base + self.segment_payload,
                          used, flags, self._sent)
-        wr = self.qp.post_write(
-            self._staging_view[base:base + self._slot_size],
-            self.remote.rkey,
-            (self._sent % self.remote.segment_count) * self._remote_slot,
-            signaled=signaled, assume_stable=True)
+        region = self._remote_region
+        if region is None:
+            region = _resolve_remote_region(self)
+        # Only the signaled close/abort marker is ever observed: data
+        # writes are fire-and-forget, so no WorkRequest exists for them.
+        wr = (WorkRequest(self.env, None, Opcode.WRITE, True) if signaled
+              else None)
+        self.qp.post_lone(
+            wr, self._slot_size,
+            ((0, self._staging_view[base:base + self._slot_size]),), region,
+            (self._sent % self.remote.segment_count) * self._remote_slot)
         metrics = self._metrics
         if metrics is not None:
             now = self.env.now
@@ -1489,11 +1497,21 @@ class ShuffleSource:
     def push_bytes(self, data, target: "int | None" = None):
         """Generator: push pre-packed tuple bytes (zero per-tuple packing).
 
-        Raw bytes carry no routable key, so a multi-target flow needs an
+        ``data`` is any C-contiguous buffer (``bytes``, ``bytearray``,
+        ``array.array``, a ``memoryview`` of any item type, a numpy
+        array, ...) whose byte length is a whole number of tuples. Raw
+        bytes carry no routable key, so a multi-target flow needs an
         explicit ``target``.
         """
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
+        try:
+            # The channels count and slice in bytes, whatever the item
+            # type of the caller's buffer.
+            data = memoryview(data).cast("B")
+        except TypeError as exc:
+            raise FlowError(
+                f"push_bytes needs a C-contiguous buffer: {exc}") from None
         if target is None:
             if len(self._channels) != 1:
                 raise FlowError(
@@ -1795,15 +1813,12 @@ class ShuffleTarget:
 
     def _arm(self):
         """Arm the doorbell wake-up: returns a fresh event the next ring
-        write will succeed. Timing-identical to the transient-hook waiter
-        it replaces (one event per arm, fired by the first write that
-        lands while armed)."""
+        write will succeed (the hook disarms as it fires). Called only
+        when about to wait — scans are synchronous, so no write can land
+        between a scan that found nothing and the arm that follows it."""
         event = self._env.event()
         self._wake_event = event
         return event
-
-    def _disarm(self) -> None:
-        self._wake_event = None
 
     def _bounded_wait(self, wait_event):
         """Generator: block on the armed doorbell. With ``peer_timeout``
@@ -1831,7 +1846,7 @@ class ShuffleTarget:
                 if metrics is not None:
                     metrics.inc("core.congestion_grace")
                 continue
-            self._disarm()
+            self._wake_event = None
             self._raise_peer_failure()
 
     def _raise_peer_failure(self):
@@ -1914,25 +1929,19 @@ class ShuffleTarget:
         if buffer:
             return buffer.popleft()
         while True:
-            wait_event = self._arm()
             progressed = self._scan(buffer)
             if buffer:
-                self._disarm()
                 return buffer.popleft()
             if self._abort_seen:
-                self._disarm()
                 raise FlowAbortedError(
                     f"flow {self.descriptor.name!r} was aborted by a "
                     f"source")
             if self._finished():
-                self._disarm()
                 return FLOW_END
             if progressed:
                 # Close markers or empty segments arrived; rescan.
-                self._disarm()
                 continue
-            yield from self._bounded_wait(wait_event)
-            self._disarm()
+            yield from self._bounded_wait(self._arm())
             if self._poll_delay is None:
                 # Bounded wait: charge the poll separately. (The merged
                 # wake above already fired at wake + poll cost.)
@@ -1971,25 +1980,19 @@ class ShuffleTarget:
             if batch:
                 return batch
         while True:
-            wait_event = self._arm()
             batch = []
             progressed = self._scan(batch)
             if batch:
-                self._disarm()
                 return batch
             if self._abort_seen:
-                self._disarm()
                 raise FlowAbortedError(
                     f"flow {self.descriptor.name!r} was aborted by a "
                     f"source")
             if self._finished():
-                self._disarm()
                 return FLOW_END
             if progressed:
-                self._disarm()
                 continue
-            yield from self._bounded_wait(wait_event)
-            self._disarm()
+            yield from self._bounded_wait(self._arm())
             if self._poll_delay is None:
                 # Bounded wait: charge the poll separately. (The merged
                 # wake above already fired at wake + poll cost.)
@@ -2024,24 +2027,18 @@ class ShuffleTarget:
         if chunks:
             return chunks
         while True:
-            wait_event = self._arm()
             progressed = self._scan_bytes(chunks)
             if chunks:
-                self._disarm()
                 return chunks
             if self._abort_seen:
-                self._disarm()
                 raise FlowAbortedError(
                     f"flow {self.descriptor.name!r} was aborted by a "
                     f"source")
             if self._finished():
-                self._disarm()
                 return FLOW_END
             if progressed:
-                self._disarm()
                 continue
-            yield from self._bounded_wait(wait_event)
-            self._disarm()
+            yield from self._bounded_wait(self._arm())
             if self._poll_delay is None:
                 # Bounded wait: charge the poll separately. (The merged
                 # wake above already fired at wake + poll cost.)

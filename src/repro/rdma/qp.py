@@ -60,6 +60,31 @@ def _commit_write(args) -> None:
         write(base + piece_offset, chunk)
 
 
+def _split_ordered_tail(pieces, split: int):
+    """Split a write's ``(offset, chunk)`` pieces at byte ``split`` (its
+    size less the ``_ORDERED_TAIL`` bytes that commit last, positive):
+    ``(prefix_pieces, tail_pieces)``. A piece straddling the boundary is
+    cut zero-copy."""
+    if len(pieces) == 1:
+        # The dominant shape: one buffer holding the whole write.
+        view = memoryview(pieces[0][1])
+        return ((0, view[:split]),), ((split, view[split:]),)
+    prefix_pieces = []
+    tail_pieces = []
+    for offset, chunk in pieces:
+        end = offset + len(chunk)
+        if end <= split:
+            prefix_pieces.append((offset, chunk))
+        elif offset >= split:
+            tail_pieces.append((offset, chunk))
+        else:
+            view = memoryview(chunk)
+            cut = split - offset
+            prefix_pieces.append((offset, view[:cut]))
+            tail_pieces.append((split, view[cut:]))
+    return prefix_pieces, tail_pieces
+
+
 #: A scatter-gather payload: one buffer or a sequence of buffers that are
 #: written contiguously (e.g. ``[payload_view, footer]``).
 Gather = "bytes | bytearray | memoryview | list | tuple"
@@ -302,97 +327,167 @@ class QueuePair:
             pieces = [(0, chunk)]
         if not size:
             raise RdmaError("cannot post a zero-length write")
-        if not doorbell:
-            region = self._get_remote_nic().region(remote_rkey)
-            region.check_range(remote_offset, size)
-            wr = WorkRequest(self.env, wr_id, Opcode.WRITE, signaled)
+        region = self._get_remote_nic().region(remote_rkey)
+        region.check_range(remote_offset, size)
+        wr = WorkRequest(self.env, wr_id, Opcode.WRITE, signaled)
+        if doorbell:
+            self.post_lone(wr, size, pieces, region, remote_offset)
+        else:
             self._staged.append((wr, size, pieces, region, remote_offset))
-            return wr
+        return wr
+
+    def post_lone(self, wr: "WorkRequest | None", size: int, pieces,
+                  region: MemoryRegion, offset: int) -> None:
+        """Post one WQE eagerly — a train of one that rings no doorbell
+        train and keeps the ordered-tail rule. The arguments are one
+        :meth:`post_train` entry (``wr`` is ``None`` for an unsignaled
+        write nobody observes, ``region`` is resolved and range-checked).
+
+        The NIC slot and the wire are reserved with the arithmetic of
+        ``engine_delay`` / ``Fabric.unicast`` and one macro-event walks
+        the write: the prefix bytes commit one tail-serialization before
+        arrival, the trailing ``_ORDERED_TAIL`` bytes at arrival, a
+        signaled completion one ack latency later; an unsignaled
+        acknowledgment expands lazily (``WorkRequest._complete_at``).
+        Unlike a train the lone write may not coalesce its prefix into
+        the arrival commit: a latency-mode target's doorbell hook wakes
+        on the prefix commit (DESIGN.md §9). An active fault or
+        congestion plane, checked on every call, takes the discrete
+        per-WQE events of :meth:`_post_discrete` instead.
+        """
         if self._metrics is not None:
             self._obs_wqes_posted += 1
-            if signaled:
+            if wr is not None and wr.signaled:
                 self._obs_wqes_signaled += 1
-        faults = self._faults()
+        # ``_faults()`` / ``_congestion()`` without their two frames.
+        cluster = self.node.cluster
+        faults = cluster.faults
+        if faults is not None and not faults.active:
+            faults = None
+        congestion = cluster.congestion
+        if congestion is not None and not congestion.active:
+            congestion = None
+        if faults is not None or congestion is not None:
+            self._post_lone_discrete(wr, size, pieces, region, offset,
+                                     faults, congestion)
+            return
+        nic = self.nic
+        env = self.env
+        delay = nic.engine_delay(size <= self._inline_max)
+        nic.bytes_posted += size
+        arrival_delay = cluster.fabric.unicast_delay(
+            self.node, self.remote_node, size, delay)
+        # Every instant is ``now + offset``: the float a Timeout armed
+        # with that offset fires at (an absolute arrival round-tripped
+        # through ``arrival - now`` may differ by one ulp).
+        now = env.now
+        arrival = now + arrival_delay
+        ack_at = now + (arrival_delay + self._ack_delta)
+        causal = self._causal
+        if causal is not None:
+            issued = now + delay
+            self._wqe_edges(causal, now, issued, issued, arrival)
+        split = size - _ORDERED_TAIL
+        if split > 0:
+            prefix_pieces, tail_pieces = _split_ordered_tail(pieces, split)
+            prefix_delay = (arrival_delay
+                            - _ORDERED_TAIL / nic.profile.link_bandwidth)
+            actions = [
+                (now + prefix_delay if prefix_delay > 0.0 else now,
+                 _commit_write, (region, offset, prefix_pieces)),
+                (arrival, _commit_write, (region, offset, tail_pieces))]
+        else:
+            actions = [(arrival, _commit_write, (region, offset, pieces))]
+        if wr is not None:
+            if wr.signaled:
+                actions.append((ack_at, self._finish_signaled, (wr, size)))
+            else:
+                wr._complete_at(ack_at)
+        env.schedule_train(actions)
+
+    def _wqe_edges(self, causal, arb_from: float, arb_to: float,
+                   issued: float, arrival: float) -> None:
+        """Record one WQE's causal chain: NIC arbitration over
+        ``[arb_from, arb_to]``, wire out from the handoff at ``issued``
+        to ``arrival``, and the acknowledgment back. (The admission
+        planes record their own edges for the delay they add before or
+        after arbitration.)"""
+        tid = f"qp{self.qpn}"
+        node_id = self.node.node_id
+        remote_id = self.remote_node.node_id
+        causal.edge(arb_to, arb_from, "nic_arb", node_id, tid)
+        causal.edge(arrival, issued, "wire", remote_id, tid,
+                    src_node_id=node_id)
+        causal.edge(arrival + self._ack_delta, arrival, "wire", node_id,
+                    tid, src_node_id=remote_id)
+
+    def _post_lone_discrete(self, wr, size, pieces, region, offset,
+                            faults, congestion) -> None:
+        """Eager posting under an active fault and/or congestion plane:
+        admit the WQE against the path state now, then arm its discrete
+        events."""
+        if wr is None:
+            wr = WorkRequest(self.env, None, Opcode.WRITE, False)
+        admit = 0.0
         if faults is not None:
             admit = faults.rc_admission(self.node, self.remote_node)
             if admit is None:
-                return self._flush_wr(Opcode.WRITE, wr_id, signaled, faults)
-            fault_delay = admit
-        else:
-            fault_delay = 0.0
-        congestion = self._congestion()
+                self._flush_after(wr, faults.detection_timeout,
+                                  WcStatus.RETRY_EXC_ERR)
+                return
         if congestion is not None:
-            fault_delay += congestion.rc_admit(self, size)
-        remote_region = self._get_remote_nic().region(remote_rkey)
-        remote_region.check_range(remote_offset, size)
-        inline = size <= self._inline_max
-        offset_delay = self.nic.engine_delay(inline) + fault_delay
+            admit += congestion.rc_admit(self, size)
+        # Admission precedes arbitration here: the planes anchor their
+        # edges on [now, now + admit], the NIC edge starts where they end.
+        issue_delay = self.nic.engine_delay(size <= self._inline_max) + admit
+        split = size - _ORDERED_TAIL
+        prefix_pieces, tail_pieces = (
+            _split_ordered_tail(pieces, split) if split > 0 else ((), pieces))
+        self._post_discrete(wr, size, prefix_pieces, tail_pieces, region,
+                            offset, admit, issue_delay, 0.0, congestion)
+
+    def _post_discrete(self, wr: WorkRequest, size: int, prefix_pieces,
+                       tail_pieces, region: MemoryRegion, base: int,
+                       arb_from: float, arb_to: float, held: float,
+                       congestion) -> None:
+        """The discrete per-WQE body every admitted plane-active write
+        takes (:meth:`_post_lone_discrete`, :meth:`_post_train_sequential`):
+        an arrival event, a prefix timer one tail-serialization earlier
+        when ``prefix_pieces`` is non-empty, and a completion timer, each
+        re-checking the peer's liveness when it fires. NIC arbitration
+        spans the offsets ``[arb_from, arb_to]`` from now; the WQE is
+        handed to the wire ``held`` ns after that (admission a train
+        applies per WQE at its wire-start time)."""
+        env = self.env
         self.nic.bytes_posted += size
         arrival = self._fabric().unicast(self.node, self.remote_node, size,
-                                         delay=offset_delay)
+                                         delay=arb_to + held)
         if congestion is not None:
             congestion.rc_sent(self, size, arrival.delay)
         causal = self._causal
         if causal is not None:
-            # Per-WQE chain: post -> [admission edges recorded by the
-            # fault/congestion planes] -> nic_arb -> wire -> ack. The
-            # admission planes anchor their edges on [now, now+fault_delay]
-            # themselves, so the NIC edge starts where admission ended.
-            now = self.env.now
-            tid = f"qp{self.qpn}"
-            causal.edge(now + offset_delay, now + fault_delay, "nic_arb",
-                        self.node.node_id, tid)
-            arrival_at = now + arrival.delay
-            causal.edge(arrival_at, now + offset_delay, "wire",
-                        self.remote_node.node_id, tid,
-                        src_node_id=self.node.node_id)
-            causal.edge(arrival_at + self._ack_delta, arrival_at, "wire",
-                        self.node.node_id, tid,
-                        src_node_id=self.remote_node.node_id)
-        tail_len = min(size, _ORDERED_TAIL)
-        split = size - tail_len
-        prefix_pieces = []
-        tail_pieces = []
-        for offset, chunk in pieces:
-            end = offset + len(chunk)
-            if end <= split:
-                prefix_pieces.append((offset, chunk))
-            elif offset >= split:
-                tail_pieces.append((offset, chunk))
-            else:
-                view = (chunk if isinstance(chunk, memoryview)
-                        else memoryview(chunk))
-                cut = split - offset
-                prefix_pieces.append((offset, view[:cut]))
-                tail_pieces.append((split, view[cut:]))
+            now = env.now
+            self._wqe_edges(causal, now + arb_from, now + arb_to,
+                            now + arb_to + held, now + arrival.delay)
         if prefix_pieces:
-            bandwidth = self.nic.profile.link_bandwidth
-            prefix_delay = max(0.0, arrival.delay - tail_len / bandwidth)
-            prefix_timer = self.env.pooled_timeout(prefix_delay)
+            prefix_timer = env.pooled_timeout(max(
+                0.0, arrival.delay
+                - _ORDERED_TAIL / self.nic.profile.link_bandwidth))
+            prefix_timer.callbacks.append(
+                self._commit_if_alive(region, base, prefix_pieces))
+        arrival.callbacks.append(
+            self._commit_if_alive(region, base, tail_pieces))
+        self._finish(wr, arrival.delay + self._ack_delta, size)
 
-            def commit_prefix(_event, region=remote_region,
-                              base=remote_offset, parts=prefix_pieces):
-                faults = self._faults()
-                if (faults is not None
-                        and not faults.node_alive(self.remote_node)):
-                    return  # crashed memory accepts no more commits
-                for offset, chunk in parts:
-                    region.write(base + offset, chunk)
-
-            prefix_timer.callbacks.append(commit_prefix)
-
-        def commit_tail(_event, region=remote_region,
-                        base=remote_offset, parts=tail_pieces):
+    def _commit_if_alive(self, region: MemoryRegion, base: int, parts):
+        """Event callback committing ``parts`` into ``region`` unless the
+        peer crashed while they were in flight."""
+        def commit(_event):
             faults = self._faults()
             if faults is not None and not faults.node_alive(self.remote_node):
                 return  # crashed memory accepts no more commits
-            for offset, chunk in parts:
-                region.write(base + offset, chunk)
-
-        arrival.callbacks.append(commit_tail)
-        wr = WorkRequest(self.env, wr_id, Opcode.WRITE, signaled)
-        self._finish(wr, arrival.delay + self._ack_latency(), size)
-        return wr
+            _commit_write((region, base, parts))
+        return commit
 
     # -- doorbell trains ----------------------------------------------------
     def ring_doorbell(self) -> list[WorkRequest]:
@@ -548,18 +643,10 @@ class QueuePair:
         slot follows the previous WQE's wire handoff, then wire out and
         the acknowledgment back."""
         now = self.env.now
-        tid = f"qp{self.qpn}"
-        node_id = self.node.node_id
-        remote_id = self.remote_node.node_id
-        ack_latency = self._ack_delta
         arb_parent = now
         for delay, arrival in zip(delays, arrivals):
             issued = now + delay
-            causal.edge(issued, arb_parent, "nic_arb", node_id, tid)
-            causal.edge(arrival, issued, "wire", remote_id, tid,
-                        src_node_id=node_id)
-            causal.edge(arrival + ack_latency, arrival, "wire", node_id,
-                        tid, src_node_id=remote_id)
+            self._wqe_edges(causal, arb_parent, issued, issued, arrival)
             arb_parent = issued
 
     def _post_train_sequential(self, entries, faults, congestion) -> None:
@@ -573,18 +660,17 @@ class QueuePair:
         ``RETRY_EXC_ERR`` (the QP enters the error state; real RC flushes
         the rest of the send queue). Under congestion each WQE is rate-
         paced and marked individually — a train is not exempt from the
-        egress queue bound. Admitted WQEs take the eager per-write
-        machinery — chaos/congestion runs trade the O(1)-event macro path
-        for exact per-WQE observability (arrival and ack timestamps stay
-        bit-identical to the macro path when both planes add zero delay:
-        the PR 4 train-equivalence contract). The per-write machinery
-        completes a WorkRequest per WQE, so a ``None`` entry gets one
-        here.
+        egress queue bound. Admitted WQEs take the discrete per-WQE body
+        (:meth:`_post_discrete`) — chaos/congestion runs trade the
+        O(1)-event macro path for exact per-WQE observability (arrival
+        and ack timestamps stay bit-identical to the macro path when both
+        planes add zero delay: the PR 4 train-equivalence contract). That
+        body completes a WorkRequest per WQE, so a ``None`` entry gets
+        one here.
         """
         env = self.env
         nic = self.nic
         inline_max = self._inline_max
-        fabric = self._fabric()
         loopback = self.remote_node is self.node
         uplink = None if loopback else self.node.uplink
         flush_rest = False
@@ -611,35 +697,9 @@ class QueuePair:
                     continue
             if congestion is not None:
                 admit += congestion.rc_admit(self, size)
-            nic.bytes_posted += size
-            arrival = fabric.unicast(self.node, self.remote_node, size,
-                                     delay=offset_delay + admit)
-            if congestion is not None:
-                congestion.rc_sent(self, size, arrival.delay)
-            causal = self._causal
-            if causal is not None:
-                now = env.now
-                tid = f"qp{self.qpn}"
-                causal.edge(now + offset_delay, now, "nic_arb",
-                            self.node.node_id, tid)
-                arrival_at = now + arrival.delay
-                causal.edge(arrival_at, now + offset_delay + admit, "wire",
-                            self.remote_node.node_id, tid,
-                            src_node_id=self.node.node_id)
-                causal.edge(arrival_at + self._ack_delta, arrival_at,
-                            "wire", self.node.node_id, tid,
-                            src_node_id=self.remote_node.node_id)
-
-            def commit(_event, region=region, base=offset, parts=pieces):
-                plane = self._faults()
-                if (plane is not None
-                        and not plane.node_alive(self.remote_node)):
-                    return  # crashed memory accepts no more commits
-                for piece_offset, chunk in parts:
-                    region.write(base + piece_offset, chunk)
-
-            arrival.callbacks.append(commit)
-            self._finish(wr, arrival.delay + self._ack_latency(), size)
+            # Trains coalesce the prefix into the arrival commit.
+            self._post_discrete(wr, size, (), pieces, region, offset, 0.0,
+                                offset_delay, admit, congestion)
 
     # -- one-sided READ ----------------------------------------------------
     def post_read(self, local_region: MemoryRegion, local_offset: int,

@@ -66,32 +66,45 @@ class Fabric:
         """Transmit ``size`` bytes from ``source`` to ``destination``.
 
         Returns an event that triggers when the last byte has arrived at
-        the destination. ``delay`` postpones the transmission start (used
-        by the RNIC model for work-request processing time). ``control``
-        marks tiny control messages (footer/credit reads, atomics) that
-        interleave with queued bulk traffic instead of waiting behind it
-        (see ``Link.reserve_priority``). Loopback transfers (same node)
-        bypass the switch and are charged the NIC's loopback latency and
+        the destination — :meth:`unicast_delay` plus the arrival timer
+        (filed on the destination's lane when the kernel is sharded).
+        """
+        offset = self.unicast_delay(source, destination, size, delay, control)
+        if self._shard_tag:
+            env = self.env
+            env._post_shard = destination._shard
+            event = env.timeout(offset)
+            env._post_shard = -1
+            return event
+        return self.env.timeout(offset)
+
+    def unicast_delay(self, source: Node, destination: Node, size: int,
+                      delay: float = 0.0, control: bool = False) -> float:
+        """Reserve the path for ``size`` bytes from ``source`` to
+        ``destination`` and return the offset (ns from now) at which the
+        last byte has arrived — the message without an arrival event, for
+        callers that fold the arrival into a macro-event of their own.
+
+        ``delay`` postpones the transmission start (used by the RNIC
+        model for work-request processing time). ``control`` marks tiny
+        control messages (footer/credit reads, atomics) that interleave
+        with queued bulk traffic instead of waiting behind it (see
+        ``Link.reserve_priority``). Loopback transfers (same node) bypass
+        the switch and are charged the NIC's loopback latency and
         memory-bus copy.
         """
         cluster = self.cluster
         if source.cluster is not cluster or destination.cluster is not cluster:
             self._check_nodes(source, destination)
         self.unicast_count += 1
-        env = self.env
-        now = env.now
+        now = self.env.now
         if source is destination:
             arrival = (now + delay + self.profile.loopback_latency
                        + size / self.profile.loopback_bandwidth)
             arrival = max(arrival,
                           self._loopback_last.get(source.node_id, 0.0))
             self._loopback_last[source.node_id] = arrival
-            if self._shard_tag:
-                env._post_shard = source._shard
-                event = env.timeout(arrival - now)
-                env._post_shard = -1
-                return event
-            return env.timeout(arrival - now)
+            return arrival - now
         reserve_up = (source.uplink.reserve_priority if control
                       else source.uplink.reserve)
         reserve_down = (destination.downlink.reserve_priority if control
@@ -103,20 +116,15 @@ class Fabric:
         _down_start, down_end = reserve_down(
             size, send_start + self.profile.wire_latency)
         arrival = max(down_end, up_end + self.profile.wire_latency)
-        if self._shard_tag:
-            shard = destination._shard
-            if shard != source._shard:
-                env.mailbox_crossings += 1
-                recorder = env.crossing_recorder
-                if recorder is not None:
-                    recorder.edge(up_end + self.profile.wire_latency, up_end,
-                                  "shard_crossing", destination.node_id,
-                                  "fabric", src_node_id=source.node_id)
-            env._post_shard = shard
-            event = env.timeout(arrival - now)
-            env._post_shard = -1
-            return event
-        return env.timeout(arrival - now)
+        if self._shard_tag and destination._shard != source._shard:
+            env = self.env
+            env.mailbox_crossings += 1
+            recorder = env.crossing_recorder
+            if recorder is not None:
+                recorder.edge(up_end + self.profile.wire_latency, up_end,
+                              "shard_crossing", destination.node_id,
+                              "fabric", src_node_id=source.node_id)
+        return arrival - now
 
     def unicast_train(self, source: Node, destination: Node, sizes,
                       delays) -> list[float]:

@@ -154,13 +154,17 @@ class MacroEvent(Event):
     :meth:`Environment.schedule_train`.
 
     Every action fires at its exact absolute timestamp with one live
-    queue entry per train and one ``_schedule_abs`` per hop. The walker
-    state lives in slots on a pooled record, and exhausted records
-    recycle through ``Environment._macro_pool`` so a steady-state flow
-    allocates nothing per flush.
+    queue entry per train, re-queued once per hop under the sequence
+    number the train drew when it was scheduled: against every other
+    event a hop orders exactly as a ``Timeout`` armed per action at
+    post time would (two writes clamped to one loopback arrival instant
+    still commit in posting order). The walker state lives in slots on
+    a pooled record, and exhausted records recycle through
+    ``Environment._macro_pool`` so a steady-state flow allocates
+    nothing per flush.
     """
 
-    __slots__ = ("actions", "index", "_cb")
+    __slots__ = ("actions", "index", "seq", "_cb")
 
     def __init__(self, env: "Environment") -> None:
         super().__init__(env)
@@ -168,6 +172,8 @@ class MacroEvent(Event):
         #: the record is idle in the pool).
         self.actions: "list | None" = None
         self.index = 0
+        #: Sequence number of the train's first hop (see class docstring).
+        self.seq = 0
         # The permanent one-element callback list. step() reads and
         # clears ``callbacks`` before invoking us; _fire restores this
         # same list on every re-arm, so a whole train costs zero list
@@ -188,14 +194,13 @@ class MacroEvent(Event):
             index += 1
             action[1](action[2])
         if index < total:
-            # Re-arm for the next hop: reset the processed/scheduled
-            # state step() just consumed and restore the permanent
-            # callback list.
+            # Re-arm for the next hop (strictly later than now): reset
+            # the processed state step() just consumed and restore the
+            # permanent callback list.
             self.index = index
             self._processed = False
-            self._scheduled = False
             self.callbacks = self._cb
-            env._schedule_abs(self, actions[index][0])
+            env._requeue(self, actions[index][0])
             return
         self.actions = None
         pool = env._macro_pool
@@ -726,6 +731,7 @@ class Environment:
         macro.actions = actions
         macro.index = 0
         self._schedule_abs(macro, actions[0][0])
+        macro.seq = self._sequence
 
     def process(self, generator: Generator[Event, Any, Any],
                 name: str | None = None) -> Process:
@@ -773,6 +779,14 @@ class Environment:
             heapq.heappush(self._queue, (when, self._sequence, event))
         else:
             self._far_push((when, self._sequence, event))
+
+    def _requeue(self, macro: MacroEvent, when: float) -> None:
+        """Queue the next hop of a walking ``macro`` at ``when`` (past
+        ``now``) under the sequence number of its first hop."""
+        if when < self._horizon:
+            heapq.heappush(self._queue, (when, macro.seq, macro))
+        else:
+            self._far_push((when, macro.seq, macro))
 
     def _far_push(self, entry: tuple[float, int, Event]) -> None:
         """File a timed entry past the current bucket: unsorted in its

@@ -171,6 +171,11 @@ class ShardedEnvironment(Environment):
                                                     and seq < limit[1]):
                 self._drain_dirty = True
 
+    def _requeue(self, macro, when: float) -> None:
+        # A macro re-arms from its own callback, so its lane is the
+        # active one: no mailbox, no drain-limit bookkeeping.
+        self._lanes[self._active_shard].push_timed(when, macro.seq, macro)
+
     # -- merge ------------------------------------------------------------
     def _argmin(self):
         """``(lane_index, head_entry, runner_up_key)`` of the globally

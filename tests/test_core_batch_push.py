@@ -5,6 +5,8 @@ the same tuples to exactly the same targets as one-by-one pushes, stay
 deterministic across same-seed runs, and reject malformed input.
 """
 
+from array import array
+
 import pytest
 
 from repro.common.errors import FlowError
@@ -145,6 +147,48 @@ def test_push_bytes_rejects_partial_tuples():
         with pytest.raises(FlowError):
             yield from source.push_bytes(b"x" * (SCHEMA.tuple_size + 1))
         yield from source.push_bytes(b"")  # empty is a no-op
+
+    run_flow(cluster, dfi, "f", source_fn)
+
+
+@pytest.mark.parametrize("optimization",
+                         [Optimization.BANDWIDTH, Optimization.LATENCY])
+def test_push_bytes_measures_any_buffer_in_bytes(optimization):
+    """A buffer of 8-byte items is sized and sliced by bytes, not by
+    items: ``array('Q')``, a ``memoryview`` cast to ``'Q'`` and ``bytes``
+    of the same content deliver identical tuples at identical times."""
+    words = array("Q", range(2 * 600))  # 600 tuples: several segments
+
+    def deliver(data):
+        cluster, dfi = build(2)
+        dfi.init_shuffle_flow("f", [Endpoint(0, 0)], [Endpoint(1, 0)],
+                              SCHEMA, shuffle_key="key",
+                              optimization=optimization)
+
+        def source_fn(source, _index):
+            yield from source.push_bytes(data, target=0)
+
+        return run_flow(cluster, dfi, "f", source_fn)[0], cluster.now
+
+    expected = [(2 * i, 2 * i + 1) for i in range(600)]
+    as_bytes = deliver(words.tobytes())
+    assert as_bytes[0] == expected
+    assert deliver(words) == as_bytes
+    assert deliver(memoryview(words.tobytes()).cast("Q")) == as_bytes
+
+
+def test_push_bytes_rejects_odd_byte_counts_and_strided_views():
+    cluster, dfi = build(2)
+    dfi.init_shuffle_flow("f", [Endpoint(0, 0)], [Endpoint(1, 0)], SCHEMA,
+                          shuffle_key="key")
+
+    def source_fn(source, _index):
+        # Three 8-byte items are 24 bytes: the message quotes bytes.
+        with pytest.raises(FlowError, match="got 24 bytes"):
+            yield from source.push_bytes(array("Q", range(3)))
+        with pytest.raises(FlowError, match="C-contiguous"):
+            yield from source.push_bytes(
+                memoryview(bytes(4 * SCHEMA.tuple_size))[::2])
 
     run_flow(cluster, dfi, "f", source_fn)
 

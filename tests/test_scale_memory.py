@@ -152,6 +152,68 @@ def test_macro_pool_steady_over_flow_cycles():
     assert len(set(pool_sizes[1:])) == 1, pool_sizes
 
 
+def test_latency_flow_has_no_per_write_growth():
+    """A latency ping-pong long enough to lap its 4-slot rings hundreds
+    of times: every eager write is still one WQE, one fabric message and
+    zero doorbell trains, and walks a pooled macro-event — neither
+    kernel pool grows with the write count."""
+    from repro.core import Optimization
+    from repro.simnet.kernel import _MACRO_POOL_CAP
+
+    trips = 800
+    cluster = Cluster(node_count=2)
+    dfi = DfiRuntime(cluster)
+    options = FlowOptions(target_segments=4, credit_threshold=1)
+    schema = Schema(("key", "uint64"), ("pad", 112))
+    for name, source, target in (("ping", 0, 1), ("pong", 1, 0)):
+        dfi.init_shuffle_flow(name, [Endpoint(source, 0)],
+                              [Endpoint(target, 0)], schema,
+                              shuffle_key="key",
+                              optimization=Optimization.LATENCY,
+                              options=options)
+    pad = b"p" * 112
+    pool_sizes = []
+    env = cluster.env
+
+    def client():
+        ping = yield from dfi.open_source("ping", 0)
+        pong = yield from dfi.open_target("pong", 0)
+        for i in range(trips):
+            yield from ping.push((i, pad))
+            yield from pong.consume()
+            if i % 100 == 99:
+                pool_sizes.append((len(env._macro_pool),
+                                   len(env._timeout_pool)))
+        yield from ping.close()
+        assert (yield from pong.consume()) is FLOW_END
+
+    def server():
+        ping = yield from dfi.open_target("ping", 0)
+        pong = yield from dfi.open_source("pong", 0)
+        while (request := (yield from ping.consume())) is not FLOW_END:
+            yield from pong.push(request)
+        yield from pong.close()
+
+    cluster.node(0).spawn(client())
+    cluster.node(1).spawn(server())
+    cluster.run()
+
+    # Pools settle within the first hundred round trips and stay put.
+    assert len(set(pool_sizes)) == 1, pool_sizes
+    assert 0 < pool_sizes[0][0] <= _MACRO_POOL_CAP
+    assert pool_sizes[0][1] <= _TIMEOUT_POOL_CAP
+    # One write per hop plus the two close markers; every other WQE is
+    # a credit read (request + response on the fabric).
+    nics = [get_nic(node) for node in cluster.nodes]
+    writes = 2 * (trips + 1)
+    wqes = sum(nic.wqes_processed for nic in nics)
+    assert wqes > writes
+    assert cluster.fabric.unicast_count == writes + 2 * (wqes - writes)
+    assert (wqes, cluster.fabric.unicast_count) == (2400, 3198)
+    assert sum(nic.doorbell_trains for nic in nics) == 0
+    assert cluster.fabric.unicast_trains == 0
+
+
 def test_release_flow_drops_sequencer_region():
     cluster = Cluster(node_count=3)
     dfi = DfiRuntime(cluster)

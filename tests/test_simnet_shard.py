@@ -163,7 +163,9 @@ def test_sharded_order_matches_single_queue_exactly():
         assert log == baseline, f"event order diverged at shards={shards}"
         stats = env.shard_stats()
         assert stats["shards"] == shards
-        assert stats["events_drained"] == env._sequence
+        # Every drained event drew one sequence number, except that the
+        # 16-hop train re-queues all its hops under the one it drew.
+        assert stats["events_drained"] == env._sequence + 15
         assert stats["drain_rounds"] >= 1
         # Foreign tags were applied, so mailboxes saw traffic.
         assert sum(lane["mailbox_in"] for lane in stats["lanes"]) > 0
