@@ -42,10 +42,10 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--nodes", type=int, default=2,
                         help="cluster size; the client runs on node 0 and "
                              "the server on the last node (default 2)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="event-kernel shards (default: REPRO_SHARDS "
-                             "or 1; simulated results are bit-identical "
-                             "at any shard count)")
+    parser.add_argument("--shards", type=int, default=1,
+                        help="event-kernel shards (default 1; simulated "
+                             "results are bit-identical at any shard "
+                             "count)")
     parser.add_argument("--stats", action="store_true",
                         help="enable observability and print the metrics "
                              "report after the run")

@@ -335,11 +335,9 @@ def run_shuffle_mesh(groups: int, group_size: int, tuple_size: int = 64,
     ``group_size`` shuffle flows on one ``groups × group_size``-node
     cluster (rack-aligned shards via :meth:`Cluster.racked`).
 
-    The scale scenario for the sharded kernel: 8×8 is the 64-node kernel
-    bench's flow-shaped event mix; 32×8 is the 256-node, 32-concurrent-
-    flow acceptance scenario of ``bench_sharded.py``. Every flow stays
-    inside its group, so with rack-aligned shards cross-shard mailbox
-    traffic is near zero — the honest best case for batch draining.
+    The scale scenario: 8×8 is the 64-node kernel bench's flow-shaped
+    event mix. Every flow stays inside its group, so with rack-aligned
+    shards cross-shard mailbox traffic is near zero.
     Returns sim/wall measurements plus the cluster (callers read
     ``cluster.metrics_snapshot()``; sim metrics are bit-identical for
     any ``shards``).

@@ -25,7 +25,7 @@ time), then category priority (wire, nic_arb, fault_backoff,
 congestion_holdoff, ecn_pacing, credit_stall), then smaller node id,
 then recording order. Every key is a pure function of the simulated
 run, so the critical path — and the blame JSON — is byte-identical
-across reruns and across ``REPRO_SHARDS`` values.
+across reruns and across shard counts.
 
 Two record kinds are *context*, never walked:
 
@@ -413,8 +413,8 @@ def flow_report(export: dict, flow: "str | None" = None,
 
 def blame_json(report: dict) -> str:
     """Canonical JSON for a flow report — byte-identical across reruns
-    and across ``REPRO_SHARDS`` values for the same seed (the
-    determinism tests compare this string)."""
+    and across shard counts for the same seed (the determinism tests
+    compare this string)."""
     return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 

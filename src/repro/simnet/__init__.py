@@ -25,7 +25,6 @@ from repro.simnet.kernel import (
     AnyOf,
     Environment,
     Event,
-    EventLane,
     Interrupt,
     Process,
     Timeout,
@@ -38,7 +37,6 @@ from repro.simnet.sync import Barrier, Resource, Signal, Store
 
 __all__ = [
     "Environment",
-    "EventLane",
     "ShardedEnvironment",
     "block_shard_map",
     "run_partitioned",

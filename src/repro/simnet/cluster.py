@@ -23,11 +23,12 @@ from repro.simnet.node import Node
 class Cluster:
     """A simulated cluster of ``node_count`` servers behind one switch.
 
-    ``shards`` selects the event kernel: 1 (the default, or whatever
-    ``REPRO_SHARDS`` says) keeps the single-queue :class:`Environment`;
-    >1 builds a :class:`~repro.simnet.shard.ShardedEnvironment` with one
-    event lane per node group. Simulated metrics are bit-identical either
-    way — sharding changes event *storage*, never event *order* (see
+    ``shards`` selects the event kernel: 1 (the default) keeps the plain
+    :class:`Environment`; >1 builds a
+    :class:`~repro.simnet.shard.ShardedEnvironment`, which tags every
+    event with the shard of its node group. Simulated metrics are
+    bit-identical either way — both kernels order one calendar queue by
+    ``(time, sequence)``; the tag only attributes events (see
     ``simnet/shard.py``). ``shard_map`` overrides the default contiguous
     block partition with an explicit node→shard list.
     """
@@ -59,8 +60,7 @@ class Cluster:
             self.shard_map = block_shard_map(node_count, shards)
         if shards > 1:
             from repro.simnet.shard import ShardedEnvironment
-            self.env = ShardedEnvironment(
-                shards, lookahead=profile.wire_latency)
+            self.env = ShardedEnvironment(shards)
         else:
             self.env = Environment()
         self.profile = profile
@@ -161,34 +161,29 @@ class Cluster:
         return self.obs
 
     def _register_kernel_collectors(self) -> None:
-        """Surface the sharded kernel's always-on lane tallies as
+        """Surface the sharded kernel's always-on per-shard tallies as
         read-time counters (``kernel.shard.*``) on each shard's home node
-        — the first node mapped to that lane. Collectors are harvested at
-        snapshot time, so sharding observability costs the hot path
+        — the first node mapped to that shard. Collectors are harvested
+        at snapshot time, so sharding observability costs the hot path
         nothing (the ``repro.obs`` contract)."""
         env = self.env
         if env.shard_count <= 1:
             return
-        lanes = env._lanes
         home: dict[int, int] = {}
         for node_id, shard in enumerate(self.shard_map):
             home.setdefault(shard, node_id)
 
-        def lane_collector(lane):
+        def shard_collector(shard):
             def collect():
-                stats = lane.stats()
                 return (
-                    ("kernel.shard.events_drained", stats["drained"]),
-                    ("kernel.shard.drain_rounds", stats["rounds"]),
-                    ("kernel.shard.horizon_stalls", stats["horizon_stalls"]),
-                    ("kernel.shard.mailbox_in", stats["mailbox_in"]),
-                    ("kernel.shard.pending", stats["pending"]),
+                    ("kernel.shard.events_drained", env._drained[shard]),
+                    ("kernel.shard.drain_rounds", env._rounds[shard]),
+                    ("kernel.shard.mailbox_in", env._mailbox_in[shard]),
                 )
             return collect
 
         for shard, node_id in sorted(home.items()):
-            self.obs.registry(node_id).add_collector(
-                lane_collector(lanes[shard]))
+            self.obs.registry(node_id).add_collector(shard_collector(shard))
         self.obs.registry(home[min(home)]).add_collector(
             lambda: (("kernel.mailbox_crossings", env.mailbox_crossings),))
 
@@ -294,7 +289,7 @@ class Cluster:
         return self.env.shard_count
 
     def shard_of(self, node_id: int) -> int:
-        """Event-kernel shard holding ``node_id``'s delivery lane."""
+        """Event-kernel shard ``node_id``'s deliveries are attributed to."""
         return self.shard_map[node_id]
 
     def node(self, node_id: int) -> Node:

@@ -2,12 +2,11 @@
 
 :func:`run_partitioned` steps *independent* cluster partitions on worker
 processes, advancing every partition in lockstep horizon windows with a
-barrier between windows. This is where sharding buys real wall-clock
-parallelism: the in-process :class:`~repro.simnet.shard.ShardedEnvironment`
-must execute events in exact global order (see ``simnet/shard.py``) and is
-therefore single-threaded by construction, but partitions that share *no*
-traffic have no cross-shard order to preserve — each can run on its own
-core, GIL-free.
+barrier between windows. This is where partitioning buys real wall-clock
+parallelism: one cluster must execute its events in exact global order
+(see ``simnet/shard.py``) and is therefore single-threaded by
+construction, but partitions that share *no* traffic have no common order
+to preserve — each can run on its own core, GIL-free.
 
 Honesty note — where the win is and is not
 ------------------------------------------
@@ -26,12 +25,11 @@ are empty by construction and the barrier only enforces lockstep pacing.
 Use it for what it is: scale-out scenarios made of independent node
 groups (per-rack serving cells, parameter sweeps, chaos matrices — see
 ``repro.bench.parallel`` for the fan-out driver this generalizes). A
-single cluster with cross-rack flows must stay on the in-process sharded
-kernel. Workers are forked, so builders and collectors need not be
-picklable — results must be.
+single cluster with cross-rack flows must stay in one process. Workers
+are forked, so builders and collectors need not be picklable — results
+must be.
 
-Opt-in: nothing in the repo calls this implicitly; ``REPRO_SHARDS``
-selects only the in-process kernel.
+Opt-in: nothing in the repo calls this implicitly.
 """
 
 from __future__ import annotations

@@ -1,13 +1,16 @@
 """Sharded event kernel: order equivalence, shard invariance, executor.
 
-The contract under test (``simnet/shard.py``): sharding changes event
-*storage*, never event *order*. Every simulated observable — clocks,
-byte counts, event sequence numbers, chaos outcomes — must be
-bit-identical between the single-queue ``Environment`` and a
+The contract under test (``simnet/shard.py``): a shard is a tag on the
+one calendar queue — attribution, never order. Every simulated
+observable — clocks, byte counts, event sequence numbers, chaos outcomes
+— must be bit-identical between the plain ``Environment`` and a
 ``ShardedEnvironment`` at any shard count with any node→shard map.
 """
 
+import importlib.util
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -75,10 +78,11 @@ def test_shards_one_keeps_single_queue_kernel():
     assert cluster.shard_count == 1
     sharded = Cluster(node_count=4, shards=2)
     assert isinstance(sharded.env, ShardedEnvironment)
-    assert sharded.env.lookahead == sharded.profile.wire_latency
+    # shards=None means one.
+    assert type(Cluster(node_count=4).env) is Environment
 
 
-def test_repro_shards_default_is_monkeypatchable(monkeypatch):
+def test_default_shards_is_monkeypatchable(monkeypatch):
     import repro.simnet.cluster as cluster_mod
     monkeypatch.setattr(cluster_mod, "DEFAULT_SHARDS", 4)
     cluster = Cluster(node_count=8)
@@ -86,28 +90,14 @@ def test_repro_shards_default_is_monkeypatchable(monkeypatch):
     assert cluster.shard_count == 4
 
 
-def test_repro_shards_env_parsing(monkeypatch):
-    from repro.common.config import _read_default_shards
-    for raw, expect in (("", 1), ("0", 1), ("1", 1), ("4", 4), ("32", 32)):
-        monkeypatch.setenv("REPRO_SHARDS", raw)
-        assert _read_default_shards() == expect
-    monkeypatch.delenv("REPRO_SHARDS")
-    assert _read_default_shards() == 1
-    monkeypatch.setenv("REPRO_SHARDS", "many")
-    with pytest.raises(ConfigurationError):
-        _read_default_shards()
-    monkeypatch.setenv("REPRO_SHARDS", "-2")
-    with pytest.raises(ConfigurationError):
-        _read_default_shards()
-
-
 # -- raw-kernel order equivalence --------------------------------------------
 
 def _chaotic_workload(env, seed, log):
     """A mixed event storm: timeout chains with zero-delay bursts, manual
-    events, direct callbacks and trains — with every scheduling call
-    randomly tagged to a foreign lane when the kernel is sharded (tags
-    are attribution only; draws happen identically on both kernels)."""
+    events, direct callbacks, trains and far timers — with every
+    scheduling call randomly tagged to a foreign shard when the kernel is
+    sharded (tags are attribution only; draws happen identically on both
+    kernels)."""
     rng = random.Random(seed)
     shards = env.shard_count
 
@@ -149,6 +139,13 @@ def _chaotic_workload(env, seed, log):
             when, lambda: log.append((env.now, "cb", j))))
     env.schedule_train([(100.0 + 7.0 * i, log.append, (0.0, "train", i))
                         for i in range(16)])
+    # Timers past the calendar ring (~524 us) and past _CAL_FAR: tagged
+    # entries wait in the spill heap and come back through _refill.
+    far = [600_000.0 + rng.random() * 3_000_000.0 for _ in range(12)]
+    far += [40_000_000.0, float(1 << 62), float(1 << 63)]
+    for j, when in enumerate(far):
+        post(lambda when=when, j=j: env.schedule_at(
+            when, lambda: log.append((env.now, "far", j))))
     env.run()
 
 
@@ -158,9 +155,10 @@ def test_sharded_order_matches_single_queue_exactly():
     assert len(baseline) > 200
     for shards in (2, 3, 8):
         log: list = []
-        env = ShardedEnvironment(shards, lookahead=850.0)
+        env = ShardedEnvironment(shards)
         _chaotic_workload(env, seed=42, log=log)
         assert log == baseline, f"event order diverged at shards={shards}"
+        assert env.now == float(1 << 63)
         stats = env.shard_stats()
         assert stats["shards"] == shards
         # Every drained event drew one sequence number, except that the
@@ -226,6 +224,119 @@ def test_sharded_exception_propagation():
     env.process(boom(env))
     with pytest.raises(ValueError, match="kaboom"):
         env.run()
+
+
+def _assert_tallies_consistent(env):
+    stats = env.shard_stats()
+    assert stats["events_drained"] == env.events_executed
+    assert sum(lane["drained"] for lane in stats["lanes"]) == (
+        env.events_executed)
+    assert stats["drain_rounds"] == sum(
+        lane["rounds"] for lane in stats["lanes"])
+    return stats
+
+
+def test_tallies_count_every_event_however_the_kernel_is_driven():
+    env = ShardedEnvironment(2)
+    for delay in (1.0, 2.0, 3.0):
+        env.timeout(delay)
+    env.step()
+    env.step()
+    assert env.events_executed == 2
+    stats = _assert_tallies_consistent(env)
+    assert stats["events_drained"] == 2 and stats["drain_rounds"] == 1
+
+    env = ShardedEnvironment(3)
+
+    def ticker(env, period, count):
+        for _ in range(count):
+            yield env.timeout(period)
+
+    for shard, period in enumerate((3.0, 5.0, 7.0)):
+        env._post_shard = shard
+        env.process(ticker(env, period, 40))
+        env._post_shard = -1
+    env.run(until=50.0)
+    assert 0 < _assert_tallies_consistent(env)["events_drained"]
+    stop = env.process(ticker(env, 11.0, 4))
+    env.run(until=stop)
+    _assert_tallies_consistent(env)
+    env.step()
+    _assert_tallies_consistent(env)
+    env.run()
+    stats = _assert_tallies_consistent(env)
+    assert all(lane["drained"] > 0 for lane in stats["lanes"])
+
+    def boom(env):
+        yield env.timeout(1.0)
+        raise ValueError("kaboom")
+
+    before = env.events_executed
+    env.process(boom(env))
+    with pytest.raises(ValueError, match="kaboom"):
+        env.run()
+    assert env.events_executed > before
+    _assert_tallies_consistent(env)
+
+
+def test_drain_rounds_are_maximal_same_shard_runs():
+    env = ShardedEnvironment(3)
+    order: list = []
+    # Execution order is by time; the tag sequence is chosen freely.
+    tags = [0, 0, 1, 1, 1, 0, 2, 2, 0, 0, 0, 1]
+    for index, shard in enumerate(tags):
+        env._post_shard = shard
+        env.schedule_at(10.0 * (index + 1),
+                        lambda shard=shard: order.append(shard))
+        env._post_shard = -1
+    env.run()
+    assert order == tags
+    runs = [shard for index, shard in enumerate(tags)
+            if index == 0 or tags[index - 1] != shard]
+    stats = env.shard_stats()
+    assert stats["drain_rounds"] == len(runs) == 6
+    assert [lane["rounds"] for lane in stats["lanes"]] == [
+        runs.count(shard) for shard in range(3)]
+    assert [lane["drained"] for lane in stats["lanes"]] == [
+        tags.count(shard) for shard in range(3)]
+    assert stats["lanes"][1]["mean_window"] == 4 / 2
+
+    # Two shards strictly alternating: one round per event.
+    env = ShardedEnvironment(2)
+    for index in range(10):
+        env._post_shard = index % 2
+        env.timeout(float(index + 1))
+        env._post_shard = -1
+    env.run()
+    stats = env.shard_stats()
+    assert stats["drain_rounds"] == stats["events_drained"] == 10
+    assert [lane["rounds"] for lane in stats["lanes"]] == [5, 5]
+
+
+def test_macro_hops_stay_on_the_arming_shard():
+    env = ShardedEnvironment(2)
+    seen: list = []
+
+    def hop(index):
+        seen.append((index, env._active_shard))
+        # A foreign-shard event between every two hops: the train must
+        # come back to its own shard, not follow the interloper.
+        env.timeout(1.0)
+
+    env.timeout(0.5)  # shard 0 runs first, so shard 1 is foreign below
+    env._post_shard = 1
+    # Hops span the current bucket, the ring and the spill heap.
+    env.schedule_train([(when, hop, index) for index, when in enumerate(
+        (10.0, 20.0, 5_000.0, 700_000.0, 2_000_000.0))])
+    env._post_shard = -1
+    env.run()
+    assert seen == [(index, 1) for index in range(5)]
+    stats = env.shard_stats()
+    # Shard 1 ran the five hops and the timers they armed; the train was
+    # one mailbox post, its re-queued hops none.
+    assert stats["lanes"][1]["drained"] == 10
+    assert stats["lanes"][1]["mailbox_in"] == 1
+    assert stats["lanes"][0]["drained"] == 1
 
 
 # -- flow-level shard invariance ---------------------------------------------
@@ -313,7 +424,8 @@ def test_fabric_counts_mailbox_crossings():
     assert env.mailbox_crossings == 5
     stats = env.shard_stats()
     assert stats["mailbox_crossings"] == 5
-    assert env._lanes[1].mailbox_in >= 5
+    assert stats["lanes"][1]["mailbox_in"] >= 5
+    assert stats["lanes"][1]["drained"] >= 5
 
     # Loopback transfers never cross: same-node delivery, same lane.
     loop = Cluster(node_count=2, shards=2)
@@ -345,17 +457,48 @@ def test_chaos_outcomes_invariant_under_sharding(monkeypatch, seed,
     assert _chaos_once(seed, flow_type, mode) == baseline
 
 
-def test_fault_transitions_land_on_victim_lane():
+def _load_fingerprint():
+    perf = Path(__file__).resolve().parent.parent / "benchmarks" / "perf"
+    spec = importlib.util.spec_from_file_location(
+        "_fingerprint", perf / "fingerprint.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module, json.loads((perf / "FINGERPRINT.json").read_text())
+
+
+def test_fingerprint_bit_identical_at_four_shards(monkeypatch):
+    """The whole committed fingerprint with every cluster rebuilt as a
+    4-shard one, alone and on the observability plane: shard tags must
+    not move a single simulated metric."""
+    from repro import obs
+    import repro.simnet.cluster as cluster_mod
+
+    fingerprint, committed = _load_fingerprint()
+    assert len(committed) == 15
+    monkeypatch.setattr(cluster_mod, "DEFAULT_SHARDS", 4)
+    assert Cluster(node_count=4).shard_count == 4
+    assert json.loads(json.dumps(fingerprint.collect())) == committed
+    obs.set_default_observability(True, trace=True, causal=True)
+    try:
+        with_obs = fingerprint.collect()
+    finally:
+        obs.set_default_observability(False)
+    assert json.loads(json.dumps(with_obs)) == committed
+
+
+def test_fault_transitions_land_on_victim_shard():
     cluster = Cluster(node_count=4, shards=2)
     env = cluster.env
-    lane = env._lanes[cluster.shard_of(3)]
-    before = lane.mailbox_in
-    cluster.install_faults(FaultPlan([node_crash(3, at=1000.0)]))
-    # The crash timer is posted from the build context (shard 0) into the
-    # victim's lane — a mailbox delivery, and the lane holds the event.
     assert cluster.shard_of(3) == 1
-    assert lane.mailbox_in == before + 1
-    assert len(lane) > 0
+    assert env.shard_stats()["lanes"][1]["mailbox_in"] == 0
+    cluster.install_faults(FaultPlan([node_crash(3, at=1000.0)]))
+    # The crash timer is posted from the build context (shard 0) under
+    # the victim's tag — a mailbox delivery — and executes on its shard.
+    assert env.shard_stats()["lanes"][1]["mailbox_in"] == 1
+    cluster.run()
+    assert 3 in cluster.faults.crashed
+    lanes = env.shard_stats()["lanes"]
+    assert lanes[1]["drained"] == 1 and lanes[0]["drained"] == 0
 
 
 # -- observability -----------------------------------------------------------
@@ -376,16 +519,23 @@ def test_kernel_shard_counters_surface_through_obs():
     snapshot = cluster.metrics_snapshot()
     # Kernel section carries the full shard_stats payload.
     kernel = snapshot["kernel"]
+    assert kernel == cluster.env.shard_stats()
     assert kernel["shards"] == 2
     assert kernel["events_drained"] == cluster.env._sequence
-    assert len(kernel["lanes"]) == 2
-    # Each shard's home node (first node of the block) exposes the lane
-    # tallies as read-time counters; node 0 also carries the global one.
-    for home in (0, 2):
+    # Each shard's home node (first node of the block) exposes that
+    # shard's tallies as read-time counters; node 0 also carries the
+    # global one.
+    for shard, home in enumerate((0, 2)):
         counters = snapshot["nodes"][home]["counters"]
-        assert counters["kernel.shard.events_drained"] > 0
-        assert counters["kernel.shard.drain_rounds"] >= 1
-    assert "kernel.mailbox_crossings" in snapshot["nodes"][0]["counters"]
+        lane = kernel["lanes"][shard]
+        assert lane["drained"] > 0
+        # (a snapshot omits counters that read zero)
+        assert counters["kernel.shard.events_drained"] == lane["drained"]
+        assert counters["kernel.shard.drain_rounds"] == lane["rounds"]
+        assert counters.get("kernel.shard.mailbox_in", 0) == (
+            lane["mailbox_in"])
+    assert snapshot["nodes"][0]["counters"]["kernel.mailbox_crossings"] == (
+        kernel["mailbox_crossings"]) == 1
     # Reading is passive: harvesting scheduled nothing.
     events_before = cluster.env._sequence
     cluster.metrics_snapshot()
