@@ -73,9 +73,10 @@ def _run_shuffle(tuple_size: int, total_bytes: int, mode: str,
     """
     target_nodes = 8
     cluster = Cluster(node_count=1 + target_nodes)
-    # Counters stay on for the measured run: the <=5% overhead claim is
-    # bench_obs_overhead.py's job; here the registry IS the tally, so the
-    # bench output and the telemetry plane can never disagree.
+    # Counters stay on for the measured run: the plane's cost is the
+    # ledger's (shuffle_batched_obs) and tests/test_obs_budget.py's job;
+    # here the registry IS the tally, so the bench output and the
+    # telemetry plane can never disagree.
     cluster.enable_observability()
     dfi = DfiRuntime(cluster)
     schema = _schema(tuple_size)

@@ -50,7 +50,6 @@ PERF_SCRIPTS = (
     ("bench_doorbell.py", "BENCH_doorbell.json"),
     ("bench_kernel.py", "BENCH_kernel.json"),
     ("bench_columnar.py", "BENCH_columnar.json"),
-    ("bench_obs_overhead.py", "BENCH_obs.json"),
     ("bench_congestion.py", "BENCH_congestion.json"),
 )
 

@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import random
 
+from repro.obs import log_event
+from repro.common.planelog import EDGE
+
 #: First-round backoff delay (ns) when a remote ring polls full.
 FULL_RING_BACKOFF_BASE = 400.0
 #: Cap the exponential at BASE * 2**_MAX_EXPONENT (25.6 us): beyond that,
@@ -26,15 +29,21 @@ def full_ring_backoff(rng: random.Random, attempt: int) -> float:
             * (1.0 + rng.random()))
 
 
-def traced_backoff(rng: random.Random, attempt: int, causal,
-                   node_id: int, tid: str,
-                   flow: "str | None" = None) -> float:
-    """:func:`full_ring_backoff` plus a ``credit_stall`` causal edge for
-    the sleep when causal observability is on (``causal`` is the caller's
-    cached ``node.causal``, possibly ``None``). The RNG draw happens
-    exactly as in the untraced path — same stream, same order — so the
-    simulated timeline is unchanged by recording."""
-    delay = full_ring_backoff(rng, attempt)
-    if causal is not None:
-        causal.sleep_edge(delay, "credit_stall", node_id, tid, flow)
+def traced_backoff(writer, attempt: int, event: "str | None" = None) -> float:
+    """One ring-full backoff round of a ring writer or source channel:
+    :func:`full_ring_backoff`, counted and logged (a ``credit_stall``
+    causal edge for the sleep, plus the trace event ``event`` if given)
+    when its observability handle ``writer._obs`` is on. The RNG draw is
+    the untraced path's — same stream, same order — so recording leaves
+    the simulated timeline unchanged."""
+    delay = full_ring_backoff(writer._rng, attempt)
+    obs = writer._obs
+    if obs is not None:
+        obs.inc("core.backoff_rounds")
+        if event is not None:
+            log_event(writer, event, {"attempt": attempt})
+        if obs.causal:
+            now = writer.env.now
+            obs.log((EDGE, now + delay, now, "credit_stall",
+                     writer.node.node_id, writer._tid, writer._flow, None))
     return delay

@@ -55,17 +55,22 @@ from repro.core.segment import (
     pack_footer,
     unpack_footer,
 )
-from repro.core.shuffle import ShuffleTarget, _RingWriteWaiter
+from repro.core.shuffle import (
+    ShuffleTarget,
+    _RingWriteWaiter,
+    _source_counters,
+)
 from repro.core.writers import CreditRingWriter, FooterRingWriter
 from repro.obs import (
     FAULT_DETECT,
-    FLOW_CLOSE,
     REROUTE,
     RETRANSMIT,
-    SEG_CONSUME,
-    SEG_WRITE,
     endpoint_obs,
+    log_close,
+    log_event,
+    log_stall,
 )
+from repro.common.planelog import CLOSE, CONSUME, WRITE
 from repro.rdma.nic import get_nic
 from repro.rdma.qp import UD_MTU
 
@@ -256,12 +261,12 @@ class NaiveReplicateSource:
         self.segments_sent = 0
         self.tuples_sent = 0
         self.closed = False
-        self._metrics, self._tracer = endpoint_obs(
-            self.node, descriptor.name, descriptor.options)
         self._tid = f"src{source_index}"
-        self._causal = self.node.causal
-        if self._causal is not None:
-            self._causal.open(descriptor.name, self.node.node_id)
+        self._flow = descriptor.name
+        self._obs = endpoint_obs(self.node, self._flow,
+                                 descriptor.options, self)
+
+    _collect_obs = _source_counters
 
     @classmethod
     def open(cls, registry: FlowRegistry, name: str, source_index: int):
@@ -300,8 +305,6 @@ class NaiveReplicateSource:
             raise FlowClosedError("push on a closed replicate source")
         full = self._staging.append(values)
         self.tuples_sent += 1
-        if self._metrics is not None:
-            self._metrics.inc("core.tuples_pushed")
         self._cpu_debt += self._tuple_debt
         if full or self._latency:
             return self._flush(0)
@@ -327,8 +330,6 @@ class NaiveReplicateSource:
             tuples = list(tuples)
         per_tuple = self._tuple_debt
         total = len(tuples)
-        if total and self._metrics is not None:
-            self._metrics.inc("core.tuples_pushed", total)
         index = 0
         if self._train_ok and self._sequencer is None:
             payloads = []
@@ -360,11 +361,8 @@ class NaiveReplicateSource:
             return
         work_requests = yield from self._flush(FLAG_CLOSED)
         self.closed = True
-        if self._tracer is not None:
-            self._tracer.emit(self.node.env.now, FLOW_CLOSE,
-                              self.node.node_id, self._tid, None)
-        if self._causal is not None:
-            self._causal.close(self.descriptor.name, self.node.node_id)
+        if self._obs is not None:
+            log_close(self)
         failures = []
         for index, wr in work_requests:
             try:
@@ -387,12 +385,8 @@ class NaiveReplicateSource:
         self._staging.take()  # discard staged tuples
         work_requests = yield from self._flush(FLAG_CLOSED | FLAG_ABORTED)
         self.closed = True
-        if self._tracer is not None:
-            self._tracer.emit(self.node.env.now, FLOW_CLOSE,
-                              self.node.node_id, self._tid,
-                              {"aborted": True})
-        if self._causal is not None:
-            self._causal.close(self.descriptor.name, self.node.node_id)
+        if self._obs is not None:
+            log_close(self, {"aborted": True})
         for _index, wr in work_requests:
             try:
                 if not wr.done.triggered:
@@ -425,14 +419,9 @@ class NaiveReplicateSource:
                 continue
             work_requests.append((index, wr))
         self.segments_sent += 1
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.inc("core.segments_flushed")
-            tracer = self._tracer
-            if tracer is not None:
-                tracer.emit(self.node.env.now, SEG_WRITE,
-                            self.node.node_id, self._tid,
-                            {"seq": seq, "bytes": len(payload)})
+        if self._obs is not None:
+            self._obs.log((WRITE, self.node.env.now, self, None, seq, 1,
+                           len(payload)))
         for index, exc in failures:
             yield from self._handle_writer_failure(index, exc)
         return work_requests
@@ -459,8 +448,6 @@ class NaiveReplicateSource:
             except (QpFlushedError, FlowTimeoutError) as exc:
                 failures.append((index, exc))
         self.segments_sent += len(payloads)
-        if self._metrics is not None:
-            self._metrics.inc("core.segments_flushed", len(payloads))
         for index, exc in failures:
             yield from self._handle_writer_failure(index, exc)
 
@@ -478,28 +465,24 @@ class NaiveReplicateSource:
         peer_dead = (isinstance(exc, QpFlushedError)
                      or (faults is not None and faults.active
                          and faults.peer_failed(self.node, peer)))
-        metrics, tracer = self._metrics, self._tracer
-        if metrics is not None:
-            metrics.inc("core.target_failures")
+        obs = self._obs
+        if obs is not None:
+            obs.inc("core.target_failures")
         if not peer_dead:
             # A stall without evidence of peer death (backoff budget
             # exhausted against a live but wedged target) surfaces the
             # original error unchanged.
             raise exc
-        now = self.node.env.now
-        if metrics is not None:
-            metrics.inc("core.peer_failures_detected")
-        if tracer is not None:
-            tracer.emit(now, FAULT_DETECT, self.node.node_id, self._tid,
-                        {"target": index, "peer_node": peer.node_id,
-                         "cause": type(exc).__name__})
+        if obs is not None:
+            obs.inc("core.peer_failures_detected")
+            log_event(self, FAULT_DETECT,
+                      {"target": index, "peer_node": peer.node_id,
+                       "cause": type(exc).__name__})
         if (self.descriptor.options.on_target_failure == "reroute"
                 and len(self._failed) < len(self._writers)):
-            if metrics is not None:
-                metrics.inc("core.reroutes")
-            if tracer is not None:
-                tracer.emit(now, REROUTE, self.node.node_id, self._tid,
-                            {"target": index})
+            if obs is not None:
+                obs.inc("core.reroutes")
+                log_event(self, REROUTE, {"target": index})
             return  # keep replicating to the survivors
         yield from self._abort_survivors()
         raise FlowPeerFailedError(
@@ -633,24 +616,21 @@ class MulticastReplicateSource:
         self.tuples_sent = 0
         self.retransmissions = 0
         self.closed = False
-        self._metrics, self._tracer = endpoint_obs(
-            self.node, descriptor.name, descriptor.options)
         self._tid = f"src{source_index}"
-        self._causal = self.node.causal
-        if self._causal is not None:
-            self._causal.open(descriptor.name, self.node.node_id)
+        self._flow = descriptor.name
+        self._obs = endpoint_obs(self.node, self._flow,
+                                 descriptor.options, self)
+
+    _collect_obs = _source_counters
 
     def _note_retransmit(self, seq: "int | None") -> None:
         """Count one multicast retransmission (local tally + registry)."""
         self.retransmissions += 1
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.inc("core.retransmits")
-            tracer = self._tracer
-            if tracer is not None:
-                tracer.emit(self.env.now, RETRANSMIT, self.node.node_id,
-                            self._tid,
-                            None if seq is None else {"seq": seq})
+        obs = self._obs
+        if obs is not None:
+            obs.inc("core.retransmits")
+            log_event(self, RETRANSMIT,
+                      None if seq is None else {"seq": seq})
 
     @classmethod
     def open(cls, registry: FlowRegistry, name: str, source_index: int):
@@ -732,8 +712,9 @@ class MulticastReplicateSource:
         stalled_rounds = 0
         floor = self._min_credit()
         while self.segments_sent - self._min_credit() >= self._window:
-            if self._metrics is not None:
-                self._metrics.inc("core.credit_stalls")
+            obs = self._obs
+            if obs is not None:
+                obs.inc("core.credit_stalls")
             self._service_nacks()
             event = self._waiter.arm()
             if self.segments_sent - self._min_credit() < self._window:
@@ -745,10 +726,8 @@ class MulticastReplicateSource:
                 self.env.timeout(self.descriptor.options.retransmit_timeout),
             ])
             self._waiter.disarm()
-            if self._causal is not None:
-                self._causal.edge(self.env.now, wait_from, "credit_stall",
-                                  self.node.node_id, self._tid,
-                                  self.descriptor.name)
+            if obs is not None:
+                log_stall(self, wait_from)
             credit = self._min_credit()
             if credit > floor:
                 floor = credit
@@ -770,21 +749,17 @@ class MulticastReplicateSource:
         floor = min(self._target_credit(t) for t in live)
         stalled = [t for t in live if self._target_credit(t) == floor]
         self._failed_targets.update(stalled)
-        metrics, tracer = self._metrics, self._tracer
-        if metrics is not None:
-            metrics.inc("core.target_failures", len(stalled))
-            metrics.inc("core.peer_failures_detected", len(stalled))
-        if tracer is not None:
-            tracer.emit(self.env.now, FAULT_DETECT, self.node.node_id,
-                        self._tid, {"targets": stalled,
-                                    "cause": "credit_stall"})
+        obs = self._obs
+        if obs is not None:
+            obs.inc("core.target_failures", len(stalled))
+            obs.inc("core.peer_failures_detected", len(stalled))
+            log_event(self, FAULT_DETECT,
+                      {"targets": stalled, "cause": "credit_stall"})
         if (self.descriptor.options.on_target_failure == "reroute"
                 and len(stalled) < len(live)):
-            if metrics is not None:
-                metrics.inc("core.reroutes")
-            if tracer is not None:
-                tracer.emit(self.env.now, REROUTE, self.node.node_id,
-                            self._tid, {"targets": stalled})
+            if obs is not None:
+                obs.inc("core.reroutes")
+                log_event(self, REROUTE, {"targets": stalled})
             return
         yield from self._abort_for_failure()
         raise FlowPeerFailedError(
@@ -811,8 +786,6 @@ class MulticastReplicateSource:
             raise FlowClosedError("push on a closed replicate source")
         full = self._staging.append(values)
         self.tuples_sent += 1
-        if self._metrics is not None:
-            self._metrics.inc("core.tuples_pushed")
         self._cpu_debt += self._tuple_debt
         if full or self._latency:
             return self._flush(0)
@@ -834,8 +807,6 @@ class MulticastReplicateSource:
             tuples = list(tuples)
         per_tuple = self._tuple_debt
         total = len(tuples)
-        if total and self._metrics is not None:
-            self._metrics.inc("core.tuples_pushed", total)
         index = 0
         while index < total:
             take = min(self._staging.room, total - index)
@@ -867,11 +838,8 @@ class MulticastReplicateSource:
                                                 self._close_slot)
                 self._note_retransmit(None)
             self.closed = True
-            if self._tracer is not None:
-                self._tracer.emit(self.env.now, FLOW_CLOSE,
-                                  self.node.node_id, self._tid, None)
-            if self._causal is not None:
-                self._causal.close(self.descriptor.name, self.node.node_id)
+            if self._obs is not None:
+                log_close(self)
             return
         total = self.segments_sent
         limit = self.descriptor.options.max_retransmits
@@ -891,10 +859,8 @@ class MulticastReplicateSource:
                 self.env.timeout(self.descriptor.options.retransmit_timeout),
             ])
             self._waiter.disarm()
-            if self._causal is not None:
-                self._causal.edge(self.env.now, wait_from, "credit_stall",
-                                  self.node.node_id, self._tid,
-                                  self.descriptor.name)
+            if self._obs is not None:
+                log_stall(self, wait_from)
             credit = self._min_credit()
             if credit > floor:
                 floor = credit
@@ -917,11 +883,8 @@ class MulticastReplicateSource:
                 resend_deadline = (self.env.now + self.descriptor.options
                                    .retransmit_timeout)
         self.closed = True
-        if self._tracer is not None:
-            self._tracer.emit(self.env.now, FLOW_CLOSE,
-                              self.node.node_id, self._tid, None)
-        if self._causal is not None:
-            self._causal.close(self.descriptor.name, self.node.node_id)
+        if self._obs is not None:
+            log_close(self)
 
     def abort(self):
         """Generator: abort the flow — the marker is re-multicast a few
@@ -940,11 +903,8 @@ class MulticastReplicateSource:
             self._ud_qp.post_send_multicast(self._group, abort_slot)
             self._note_retransmit(None)
         self.closed = True
-        if self._tracer is not None:
-            self._tracer.emit(self.env.now, FLOW_CLOSE, self.node.node_id,
-                              self._tid, {"aborted": True})
-        if self._causal is not None:
-            self._causal.close(self.descriptor.name, self.node.node_id)
+        if self._obs is not None:
+            log_close(self, {"aborted": True})
 
     def _flush(self, extra_flags: int):
         debt = self._cpu_debt + self.profile.cpu_post_cost
@@ -967,13 +927,9 @@ class MulticastReplicateSource:
             self._close_slot = slot
         self._ud_qp.post_send_multicast(self._group, slot)
         self.segments_sent += 1
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.inc("core.segments_flushed")
-            tracer = self._tracer
-            if tracer is not None:
-                tracer.emit(self.env.now, SEG_WRITE, self.node.node_id,
-                            self._tid, {"seq": seq, "bytes": len(payload)})
+        if self._obs is not None:
+            self._obs.log((WRITE, self.env.now, self, None, seq, 1,
+                           len(payload)))
         self._service_nacks()
 
     @property
@@ -1019,14 +975,19 @@ class MulticastReplicateTarget:
         self._aborted = False
         self._peer_timeout = descriptor.options.peer_timeout
         self._waiter = _RingWriteWaiter(self.env, [ring_region])
+        #: Tuples / segments delivered to the application (stats).
         self.tuples_received = 0
-        self._metrics, self._tracer = endpoint_obs(
-            self.node, descriptor.name, descriptor.options)
+        self.segments_received = 0
         self._tid = f"tgt{target_index}"
-        self._causal = self.node.causal
-        self._close_recorded = False
-        if self._causal is not None:
-            self._causal.open(descriptor.name, self.node.node_id)
+        self._flow = descriptor.name
+        self._close_logged = False
+        self._obs = endpoint_obs(self.node, self._flow,
+                                 descriptor.options, self)
+
+    def _collect_obs(self):
+        """Read-time counter harvest (see MetricsRegistry.add_collector)."""
+        return (("core.tuples_consumed", self.tuples_received),
+                ("core.segments_consumed", self.segments_received))
 
     @classmethod
     def open(cls, registry: FlowRegistry, name: str, target_index: int):
@@ -1097,27 +1058,18 @@ class MulticastReplicateTarget:
             return
         tracker = self._trackers[source]
         if not tracker.add(footer.seq):
-            if self._metrics is not None:
-                self._metrics.inc("core.duplicates_dropped")
+            if self._obs is not None:
+                self._obs.inc("core.duplicates_dropped")
             return  # duplicate (late retransmission)
         self._bump_credit(source)
         if footer.closed:
             self._close_seq[source] = footer.seq
         self._ready.extend(tuples)
         self.tuples_received += len(tuples)
-        if self._metrics is not None:
-            self._note_delivery(footer.seq, len(tuples))
-
-    def _note_delivery(self, seq: int, tuples: int) -> None:
-        """Registry/trace bookkeeping for one delivered segment."""
-        metrics = self._metrics
-        metrics.inc("core.segments_consumed")
-        if tuples:
-            metrics.inc("core.tuples_consumed", tuples)
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.emit(self.env.now, SEG_CONSUME, self.node.node_id,
-                        self._tid, {"seq": seq, "tuples": tuples})
+        self.segments_received += 1
+        if self._obs is not None:
+            self._obs.log((CONSUME, self.env.now, self, None, footer.seq,
+                           (len(tuples),), False, False))
 
     def _drain_reorder(self) -> None:
         while True:
@@ -1129,8 +1081,10 @@ class MulticastReplicateTarget:
                 self._closed_delivered += 1
             self._ready.extend(tuples)
             self.tuples_received += len(tuples)
-            if self._metrics is not None:
-                self._note_delivery(seq, len(tuples))
+            self.segments_received += 1
+            if self._obs is not None:
+                self._obs.log((CONSUME, self.env.now, self, None, seq,
+                               (len(tuples),), False, False))
 
     def _bump_credit(self, source: int) -> None:
         self._consumed[source] += 1
@@ -1174,11 +1128,11 @@ class MulticastReplicateTarget:
         if self._gap_notify:
             source = None if scope == "global" else scope
             self._gap_pending = GapNotification(missing, source)
-            if self._metrics is not None:
-                self._metrics.inc("core.gap_notifications")
+            if self._obs is not None:
+                self._obs.inc("core.gap_notifications")
             return
-        if self._metrics is not None:
-            self._metrics.inc("core.nacks_sent")
+        if self._obs is not None:
+            self._obs.inc("core.nacks_sent")
         # NACK the missing sequence number into the source's control region
         # (for globally ordered flows the owner is unknown, so every source
         # is notified; non-owners ignore it).
@@ -1223,10 +1177,10 @@ class MulticastReplicateTarget:
                 return pending
             if self._finished():
                 self._waiter.disarm()
-                if self._causal is not None and not self._close_recorded:
-                    self._close_recorded = True
-                    self._causal.close(self.descriptor.name,
-                                       self.node.node_id)
+                if self._obs is not None and not self._close_logged:
+                    self._close_logged = True
+                    self._obs.log((CLOSE, self.env.now, self._flow,
+                                   self.node.node_id, None, None))
                 return FLOW_END
             if deadline is not None:
                 if self._progress_mark() != before:
@@ -1238,8 +1192,8 @@ class MulticastReplicateTarget:
                         # a fresh window instead of misreporting
                         # congestion as failure. Throttle state
                         # self-clears, so the grace cannot loop forever.
-                        if self._metrics is not None:
-                            self._metrics.inc("core.congestion_grace")
+                        if self._obs is not None:
+                            self._obs.inc("core.congestion_grace")
                         deadline = self.env.now + self._peer_timeout
                     else:
                         self._waiter.disarm()
@@ -1272,19 +1226,14 @@ class MulticastReplicateTarget:
                         self.node, self.registry.cluster.node(
                             self.descriptor.sources[s].node_id))]
             if dead:
-                metrics = self._metrics
-                if metrics is not None:
-                    metrics.inc("core.peer_failures_detected", len(dead))
-                    tracer = self._tracer
-                    if tracer is not None:
-                        tracer.emit(self.env.now, FAULT_DETECT,
-                                    self.node.node_id, self._tid,
-                                    {"sources": dead})
+                if self._obs is not None:
+                    self._obs.inc("core.peer_failures_detected", len(dead))
+                    log_event(self, FAULT_DETECT, {"sources": dead})
                 raise FlowPeerFailedError(
                     f"source(s) {dead} of flow {self.descriptor.name!r} "
                     f"failed before closing the multicast stream")
-        if self._metrics is not None:
-            self._metrics.inc("core.consume_timeouts")
+        if self._obs is not None:
+            self._obs.inc("core.consume_timeouts")
         raise FlowTimeoutError(
             f"no multicast progress on flow {self.descriptor.name!r} "
             f"within {self._peer_timeout} ns")

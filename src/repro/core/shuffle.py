@@ -59,14 +59,15 @@ from repro.obs import (
     BACKOFF,
     CREDIT,
     FAULT_DETECT,
-    FLOW_CLOSE,
     FOOTER_POLL,
     PREREAD,
     REROUTE,
-    SEG_CONSUME,
-    SEG_WRITE,
     endpoint_obs,
+    log_close,
+    log_event,
+    log_stall,
 )
+from repro.common.planelog import CONSUME, EVENT, WRITE
 from repro.core.writers import _congestion_grace
 from repro.rdma.completion import Opcode, WorkRequest
 from repro.rdma.nic import get_nic
@@ -153,6 +154,12 @@ class _RingWriteWaiter:
         self._hooks.clear()
 
 
+def _source_counters(source):
+    """Read-time counter harvest (see MetricsRegistry.add_collector)."""
+    return (("core.tuples_pushed", source.tuples_sent),
+            ("core.segments_flushed", source.segments_sent))
+
+
 class BandwidthSourceChannel:
     """Source half of one bandwidth-optimized channel."""
 
@@ -221,32 +228,21 @@ class BandwidthSourceChannel:
         self.segments_sent = 0
         #: Tuples pushed into this channel (stats).
         self.tuples_sent = 0
-        # Observability: cache the registry/tracer at construction so the
+        # Observability: cache the node's handle at construction so the
         # disabled hot path pays one ``is None`` check (see repro.obs).
-        # The push/flush counters mirror the always-on tallies above, so
-        # they are harvested at read time instead of bumped per event.
-        self._metrics, self._tracer = endpoint_obs(
-            node, channel_tag[0], descriptor.options)
-        if self._metrics is not None:
-            self._metrics.add_collector(self._collect_obs)
-        plane = node.cluster.obs
-        self._pending_segments = (plane.pending_segments
-                                  if plane is not None else None)
+        # The push/flush counters are harvested from the always-on tallies
+        # above; all else is one ``_obs.log`` record per train or flush.
         self._tid = f"s{channel_tag[1]}->t{channel_tag[2]}"
         self._flow = channel_tag[0]
-        self._causal = node.causal
-        if self._causal is not None:
-            self._causal.open(self._flow, node.node_id)
+        self._obs = endpoint_obs(node, self._flow, descriptor.options,
+                                 self)
         #: Remote ring region, resolved once on the first train.
         self._remote_region = None
         #: Reused entry list for doorbell trains (cleared per flush;
         #: ``post_train`` copies nothing out of it after it returns).
         self._train_entries = []
 
-    def _collect_obs(self):
-        """Read-time counter harvest (see MetricsRegistry.add_collector)."""
-        return (("core.tuples_pushed", self.tuples_sent),
-                ("core.segments_flushed", self.segments_sent))
+    _collect_obs = _source_counters
 
     @property
     def memory_bytes(self) -> int:
@@ -329,7 +325,7 @@ class BandwidthSourceChannel:
                     index += seg_tuples
                     self._train_stage(entries)
                 self.tuples_sent += cap * seg_tuples
-                self._train_finish(entries)
+                self._train_finish(entries, cap)
                 continue
             room = (capacity - self._used) // tuple_size
             take = min(room, total - index)
@@ -394,7 +390,7 @@ class BandwidthSourceChannel:
                     index += capacity
                     self._train_stage(entries)
                 self.tuples_sent += cap * seg_tuples
-                self._train_finish(entries)
+                self._train_finish(entries, cap)
                 continue
             room = ((capacity - self._used) // tuple_size) * tuple_size
             take = min(room, size - index)
@@ -424,11 +420,8 @@ class BandwidthSourceChannel:
             return None
         wr = yield from self._flush(FLAG_CLOSED)
         self.closed = True
-        if self._tracer is not None:
-            self._tracer.emit(self.env.now, FLOW_CLOSE,
-                              self.node.node_id, self._tid, None)
-        if self._causal is not None:
-            self._causal.close(self._flow, self.node.node_id)
+        if self._obs is not None:
+            log_close(self)
         return wr
 
     def abort(self):
@@ -439,11 +432,8 @@ class BandwidthSourceChannel:
         self._used = 0  # discard staged tuples: abort voids delivery
         wr = yield from self._flush(FLAG_CLOSED | FLAG_ABORTED)
         self.closed = True
-        if self._tracer is not None:
-            self._tracer.emit(self.env.now, FLOW_CLOSE, self.node.node_id,
-                              self._tid, {"aborted": True})
-        if self._causal is not None:
-            self._causal.close(self._flow, self.node.node_id)
+        if self._obs is not None:
+            log_close(self, {"aborted": True})
         if not wr.done.triggered:
             yield wr.done
 
@@ -513,15 +503,9 @@ class BandwidthSourceChannel:
         if signaled:
             self._wrap_wr = wr
         self.segments_sent += 1
-        metrics = self._metrics
-        if metrics is not None:
-            now = self.env.now
-            self._pending_segments[
-                (self.remote.node_id, self.remote.rkey, self._seq)] = now
-            tracer = self._tracer
-            if tracer is not None:
-                tracer.emit(now, SEG_WRITE, self.node.node_id, self._tid,
-                            {"seq": self._seq, "bytes": self._used})
+        if self._obs is not None:
+            self._obs.log((WRITE, self.env.now, self, self.remote, self._seq,
+                           1, self._used))
         self._seq += 1
         # Pipeline the footer pre-read of the *next* remote segment with
         # this write (paper Section 5.2).
@@ -576,14 +560,11 @@ class BandwidthSourceChannel:
             self._pending_footer_read = None
             if wr is not None:
                 window = 1
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.inc("core.preread_hits" if wr is not None
-                        else "core.preread_misses")
-            tracer = self._tracer
-            if tracer is not None:
-                tracer.emit(self.env.now, PREREAD, self.node.node_id,
-                            self._tid, {"hit": wr is not None})
+        obs = self._obs
+        if obs is not None:
+            obs.inc("core.preread_hits" if wr is not None
+                    else "core.preread_misses")
+            log_event(self, PREREAD, {"hit": wr is not None})
         if wr is None:
             wr = self._read_footer_ahead(window)
         attempt = 0
@@ -593,38 +574,24 @@ class BandwidthSourceChannel:
             else:
                 wait_from = self.env.now
                 data = yield wr.done
-                if self._causal is not None:
-                    self._causal.edge(self.env.now, wait_from, "credit_stall",
-                                      self.node.node_id, self._tid,
-                                      self._flow)
+                if obs is not None:
+                    log_stall(self, wait_from)
             if not footer_consumable(data):
                 self._window_left = window
                 return
             if (self._max_retries is not None
                     and attempt >= self._max_retries
                     and not _congestion_grace(self.node,
-                                              self.remote.node_id, metrics)):
+                                              self.remote.node_id, obs)):
                 raise FlowTimeoutError(
                     f"remote ring on node {self.remote.node_id} still "
                     f"full after {attempt} backoff rounds")
-            if metrics is not None:
-                metrics.inc("core.backoff_rounds")
-                tracer = self._tracer
-                if tracer is not None:
-                    tracer.emit(self.env.now, BACKOFF, self.node.node_id,
-                                self._tid, {"attempt": attempt})
-            yield self.env.timeout(traced_backoff(
-                self._rng, attempt, self._causal, self.node.node_id,
-                self._tid, self._flow))
+            yield self.env.timeout(traced_backoff(self, attempt, BACKOFF))
             attempt += 1
             window = self._train_window
             wr = self._read_footer_ahead(window)
-            if metrics is not None:
-                tracer = self._tracer
-                if tracer is not None:
-                    tracer.emit(self.env.now, FOOTER_POLL,
-                                self.node.node_id, self._tid,
-                                {"attempt": attempt})
+            if obs is not None:
+                log_event(self, FOOTER_POLL, {"attempt": attempt})
 
     def _train_stage(self, entries) -> None:
         """Stage one full staging slot (payload and footer as one
@@ -647,15 +614,6 @@ class BandwidthSourceChannel:
                         ((0, self._staging_view[base:base + self._slot_size]),),
                         region, self._remote_index * self._remote_slot))
         self.segments_sent += 1
-        metrics = self._metrics
-        if metrics is not None:
-            now = self.env.now
-            self._pending_segments[
-                (self.remote.node_id, self.remote.rkey, self._seq)] = now
-            tracer = self._tracer
-            if tracer is not None:
-                tracer.emit(now, SEG_WRITE, self.node.node_id, self._tid,
-                            {"seq": self._seq, "train": True})
         self._seq += 1
         self._remote_index = (self._remote_index + 1
                               ) % self.remote.segment_count
@@ -665,10 +623,15 @@ class BandwidthSourceChannel:
                               ) * self._slot_size
         self._window_left -= 1
 
-    def _train_finish(self, entries) -> None:
-        """Ring the doorbell for the staged train. When the train used up
-        the window, pipeline the next window's footer read behind it —
-        the train analogue of the paper's per-segment footer pre-read."""
+    def _train_finish(self, entries, count: int) -> None:
+        """Ring the doorbell for the staged train of ``count`` segments.
+        When the train used up the window, pipeline the next window's
+        footer read behind it — the train analogue of the paper's
+        per-segment footer pre-read."""
+        obs = self._obs
+        if obs is not None:
+            obs.log((WRITE, self.env._now, self, self.remote,
+                     self._seq - count, count, None))
         self.qp.post_train(entries)
         # Any per-segment pre-read refers to a slot the train wrote over.
         self._pending_footer_read = None
@@ -692,7 +655,7 @@ class BandwidthSourceChannel:
         entries.clear()
         self._train_stage(entries)
         self._used = 0
-        self._train_finish(entries)
+        self._train_finish(entries, 1)
 
     def _read_footer_ahead(self, window: int):
         """Unsignaled read of the footer ``window - 1`` slots ahead of the
@@ -706,14 +669,11 @@ class BandwidthSourceChannel:
     def _ensure_remote_writable(self):
         wr = self._pending_footer_read
         self._pending_footer_read = None
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.inc("core.preread_hits" if wr is not None
-                        else "core.preread_misses")
-            tracer = self._tracer
-            if tracer is not None:
-                tracer.emit(self.env.now, PREREAD, self.node.node_id,
-                            self._tid, {"hit": wr is not None})
+        obs = self._obs
+        if obs is not None:
+            obs.inc("core.preread_hits" if wr is not None
+                    else "core.preread_misses")
+            log_event(self, PREREAD, {"hit": wr is not None})
         if wr is None:
             wr = self._read_current_remote_footer()
         attempt = 0
@@ -723,10 +683,8 @@ class BandwidthSourceChannel:
             else:
                 wait_from = self.env.now
                 data = yield wr.done
-                if self._causal is not None:
-                    self._causal.edge(self.env.now, wait_from, "credit_stall",
-                                      self.node.node_id, self._tid,
-                                      self._flow)
+                if obs is not None:
+                    log_stall(self, wait_from)
             if not footer_consumable(data):
                 return
             # Remote ring full: back off (exponential + jitter), then
@@ -734,19 +692,11 @@ class BandwidthSourceChannel:
             if (self._max_retries is not None
                     and attempt >= self._max_retries
                     and not _congestion_grace(self.node,
-                                              self.remote.node_id, metrics)):
+                                              self.remote.node_id, obs)):
                 raise FlowTimeoutError(
                     f"remote ring on node {self.remote.node_id} still "
                     f"full after {attempt} backoff rounds")
-            if metrics is not None:
-                metrics.inc("core.backoff_rounds")
-                tracer = self._tracer
-                if tracer is not None:
-                    tracer.emit(self.env.now, BACKOFF, self.node.node_id,
-                                self._tid, {"attempt": attempt})
-            yield self.env.timeout(traced_backoff(
-                self._rng, attempt, self._causal, self.node.node_id,
-                self._tid, self._flow))
+            yield self.env.timeout(traced_backoff(self, attempt, BACKOFF))
             attempt += 1
             wr = self._read_current_remote_footer()
 
@@ -798,23 +748,12 @@ class LatencySourceChannel:
         self.closed = False
         self.segments_sent = 0
         self.tuples_sent = 0
-        self._metrics, self._tracer = endpoint_obs(
-            node, channel_tag[0], descriptor.options)
-        if self._metrics is not None:
-            self._metrics.add_collector(self._collect_obs)
-        plane = node.cluster.obs
-        self._pending_segments = (plane.pending_segments
-                                  if plane is not None else None)
         self._tid = f"s{channel_tag[1]}->t{channel_tag[2]}"
         self._flow = channel_tag[0]
-        self._causal = node.causal
-        if self._causal is not None:
-            self._causal.open(self._flow, node.node_id)
+        self._obs = endpoint_obs(node, self._flow, descriptor.options,
+                                 self)
 
-    def _collect_obs(self):
-        """Read-time counter harvest (see MetricsRegistry.add_collector)."""
-        return (("core.tuples_pushed", self.tuples_sent),
-                ("core.segments_flushed", self.segments_sent))
+    _collect_obs = _source_counters
 
     @property
     def memory_bytes(self) -> int:
@@ -887,11 +826,8 @@ class LatencySourceChannel:
         wr = self._write_slot(b"", FLAG_CONSUMABLE | FLAG_CLOSED,
                               signaled=True)
         self.closed = True
-        if self._tracer is not None:
-            self._tracer.emit(self.env.now, FLOW_CLOSE,
-                              self.node.node_id, self._tid, None)
-        if self._causal is not None:
-            self._causal.close(self._flow, self.node.node_id)
+        if self._obs is not None:
+            log_close(self)
         return wr
 
     def abort(self):
@@ -905,11 +841,8 @@ class LatencySourceChannel:
             b"", FLAG_CONSUMABLE | FLAG_CLOSED | FLAG_ABORTED,
             signaled=True)
         self.closed = True
-        if self._tracer is not None:
-            self._tracer.emit(self.env.now, FLOW_CLOSE, self.node.node_id,
-                              self._tid, {"aborted": True})
-        if self._causal is not None:
-            self._causal.close(self._flow, self.node.node_id)
+        if self._obs is not None:
+            log_close(self, {"aborted": True})
         if not wr.done.triggered:
             yield wr.done
 
@@ -948,15 +881,9 @@ class LatencySourceChannel:
             wr, self._slot_size,
             ((0, self._staging_view[base:base + self._slot_size]),), region,
             (self._sent % self.remote.segment_count) * self._remote_slot)
-        metrics = self._metrics
-        if metrics is not None:
-            now = self.env.now
-            self._pending_segments[
-                (self.remote.node_id, self.remote.rkey, self._sent)] = now
-            tracer = self._tracer
-            if tracer is not None:
-                tracer.emit(now, SEG_WRITE, self.node.node_id, self._tid,
-                            {"seq": self._sent, "bytes": used})
+        if self._obs is not None:
+            self._obs.log((WRITE, self.env._now, self, self.remote,
+                           self._sent, 1, used))
         self._sent += 1
         self.segments_sent += 1
         return wr
@@ -969,61 +896,48 @@ class LatencySourceChannel:
         return self._finish_slot(base, used, flags, signaled)
 
     def _refresh_credit_async(self) -> None:
-        if self._metrics is not None:
+        if self._obs is not None:
             self._credit_read_issued = self.env.now
         self._pending_credit_read = self.qp.post_read(
             self._scratch, 0, self.remote.credit_rkey,
             self.remote.credit_offset, 8, signaled=False)
 
     def _acquire_credit(self):
-        metrics = self._metrics
+        obs = self._obs
         # Harvest a finished asynchronous refresh first.
         pending = self._pending_credit_read
         if pending is not None and pending.done.triggered:
             self._apply_credit(pending.done.value)
             self._pending_credit_read = None
-            if metrics is not None:
-                metrics.observe("core.credit_rtt",
-                                self.env.now - self._credit_read_issued)
+            if obs is not None:
+                obs.observe("core.credit_rtt",
+                            self.env.now - self._credit_read_issued)
         attempt = 0
         while self._available_credits <= 0:
-            if metrics is not None:
-                metrics.inc("core.credit_stalls")
+            if obs is not None:
+                obs.inc("core.credit_stalls")
             if self._pending_credit_read is None:
                 self._refresh_credit_async()
             wait_from = self.env.now
             data = yield self._pending_credit_read.done
-            if self._causal is not None and self.env.now > wait_from:
-                self._causal.edge(self.env.now, wait_from, "credit_stall",
-                                  self.node.node_id, self._tid, self._flow)
             self._pending_credit_read = None
             self._apply_credit(data)
-            if metrics is not None:
-                metrics.observe("core.credit_rtt",
-                                self.env.now - self._credit_read_issued)
-                tracer = self._tracer
-                if tracer is not None:
-                    tracer.emit(self.env.now, CREDIT, self.node.node_id,
-                                self._tid,
-                                {"credits": self._available_credits})
+            if obs is not None:
+                log_stall(self, wait_from)
+                obs.observe("core.credit_rtt",
+                            self.env.now - self._credit_read_issued)
+                log_event(self, CREDIT,
+                          {"credits": self._available_credits})
             if self._available_credits <= 0:
                 if (self._max_retries is not None
                         and attempt >= self._max_retries
                         and not _congestion_grace(
-                            self.node, self.remote.node_id, metrics)):
+                            self.node, self.remote.node_id, obs)):
                     raise FlowTimeoutError(
                         f"no credit from node {self.remote.node_id} "
                         f"after {attempt} backoff rounds")
-                if metrics is not None:
-                    metrics.inc("core.backoff_rounds")
-                    tracer = self._tracer
-                    if tracer is not None:
-                        tracer.emit(self.env.now, BACKOFF,
-                                    self.node.node_id, self._tid,
-                                    {"attempt": attempt})
-                yield self.env.timeout(traced_backoff(
-                    self._rng, attempt, self._causal, self.node.node_id,
-                    self._tid, self._flow))
+                yield self.env.timeout(
+                    traced_backoff(self, attempt, BACKOFF))
                 attempt += 1
 
     def _apply_credit(self, data: bytes) -> None:
@@ -1057,22 +971,12 @@ class TargetChannel:
         self.done = False
         self.aborted = False
         self.tuples_received = 0
-        self._metrics, self._tracer = endpoint_obs(
-            node, descriptor.name, descriptor.options)
-        if self._metrics is not None:
-            self._metrics.add_collector(self._collect_obs)
-        plane = node.cluster.obs
-        self._pending_segments = (plane.pending_segments
-                                  if plane is not None else None)
-        # Histograms cached lazily on first sample (per-segment sites are
-        # hot enough for the observe() name lookup to show in the bench).
-        self._seg_latency_hist = None
-        self._drain_hist = None
+        # One ``_obs.log`` record per drain pass; the per-segment
+        # latency join, trace events and histograms are derived from it.
         self._tid = f"t<-s{credit_offset // 8}"
         self._flow = descriptor.name
-        self._causal = node.causal
-        if self._causal is not None:
-            self._causal.open(self._flow, node.node_id)
+        self._obs = endpoint_obs(node, self._flow, descriptor.options,
+                                 self)
 
     def _collect_obs(self):
         """Read-time counter harvest (see MetricsRegistry.add_collector)."""
@@ -1082,31 +986,6 @@ class TargetChannel:
     @property
     def memory_bytes(self) -> int:
         return self.ring.total_bytes
-
-    def _note_segment(self, seq: int, tuples: int, now: float) -> None:
-        """Per-segment metrics bookkeeping (called only with metrics on):
-        the write->consume latency pop and the SEG_CONSUME trace event
-        (the consume counters are harvested at read time from the
-        always-on ``tuples_received``/``_consumed`` tallies)."""
-        metrics = self._metrics
-        stamp = self._pending_segments.pop(
-            (self.node.node_id, self.ring.region.rkey, seq), None)
-        if stamp is not None:
-            hist = self._seg_latency_hist
-            if hist is None:
-                hist = self._seg_latency_hist = metrics.histogram(
-                    "core.seg_latency")
-            hist.record(now - stamp)
-            if self._causal is not None:
-                # Segment-span context edge: write stamp -> consume time.
-                # Non-walkable ("seg" is not in WALK_CATEGORIES) — it feeds
-                # the straggler ranking, not the blame decomposition.
-                self._causal.edge(now, stamp, "seg", self.node.node_id,
-                                  self._tid, self._flow)
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.emit(now, SEG_CONSUME, self.node.node_id, self._tid,
-                        {"seq": seq, "tuples": tuples})
 
     def poll(self):
         """Check the current segment; return ``(footer, tuples)`` (tuples
@@ -1129,8 +1008,6 @@ class TargetChannel:
             tuples = []
         if footer.closed:
             self.done = True
-            if self._causal is not None:
-                self._causal.close(self._flow, self.node.node_id)
         if footer.aborted:
             self.aborted = True
             tuples = []  # abort voids any delivery guarantee
@@ -1140,8 +1017,9 @@ class TargetChannel:
         self._index = self.ring.next_index(self._index)
         self._consumed += 1
         self.tuples_received += len(tuples)
-        if self._metrics is not None:
-            self._note_segment(footer.seq, len(tuples), self.node.env.now)
+        if self._obs is not None:
+            self._obs.log((CONSUME, self.node.env.now, self, self.ring,
+                           footer.seq, (len(tuples),), False, footer.closed))
         if self._track_credits:
             self._credit_region.write_u64(self._credit_offset,
                                           self._consumed)
@@ -1169,10 +1047,11 @@ class TargetChannel:
         consumed = self._consumed
         per_segment_credits = (self._track_credits
                                and not self.credit_coalescing)
-        metrics = self._metrics
-        # A drain pass runs inside one event continuation, so sim time is
-        # constant across it — read the clock once, not per segment.
-        now = self.node.env.now if metrics is not None else 0.0
+        # Observability: one log record per pass — it runs at one sim
+        # time and consumes sequence numbers ``consumed, consumed + 1,
+        # ...``, so per segment it only collects the tuple count.
+        obs = self._obs
+        counts = None if obs is None else []
         tuple_size = self.schema.tuple_size
         drained = 0
         received = 0
@@ -1188,19 +1067,12 @@ class TargetChannel:
                     used = 0  # abort voids its own segment's delivery
                 if flags & FLAG_CLOSED:
                     self.done = True
-                    if self._causal is not None:
-                        self._causal.close(self._flow, self.node.node_id)
             if used:
                 tuples = unpack_rows(payload_view(index, used))
                 extend(tuples)
                 received += len(tuples)
-            if metrics is not None:
-                # Read the sequence number before the release blanks it.
-                self._note_segment(
-                    int.from_bytes(
-                        mem[footer_offset + 8:footer_offset + 16],
-                        "little"),
-                    used // tuple_size, now)
+            if counts is not None:
+                counts.append(used // tuple_size)
             mem[footer_offset:footer_offset + FOOTER_SIZE] = BLANK_FOOTER
             index += 1
             if index == segment_count:
@@ -1215,12 +1087,9 @@ class TargetChannel:
             self._index = index
             self._consumed = consumed + drained
             self.tuples_received += received
-            if metrics is not None:
-                hist = self._drain_hist
-                if hist is None:
-                    hist = self._drain_hist = metrics.histogram(
-                        "core.drain_segments")
-                hist.record(drained)
+            if obs is not None:
+                obs.log((CONSUME, self.node.env._now, self, self.ring,
+                         consumed, counts, True, self.done))
             if self._track_credits and not per_segment_credits:
                 self._credit_region.write_u64(self._credit_offset,
                                               self._consumed)
@@ -1244,9 +1113,9 @@ class TargetChannel:
         consumed = self._consumed
         per_segment_credits = (self._track_credits
                                and not self.credit_coalescing)
-        metrics = self._metrics
-        # Constant sim time across the pass — see :meth:`drain`.
-        now = self.node.env.now if metrics is not None else 0.0
+        # One log record per pass — see :meth:`drain`.
+        obs = self._obs
+        counts = None if obs is None else []
         drained = 0
         received = 0
         while True:
@@ -1261,19 +1130,13 @@ class TargetChannel:
                     used = 0
                 if flags & FLAG_CLOSED:
                     self.done = True
-                    if self._causal is not None:
-                        self._causal.close(self._flow, self.node.node_id)
             if used:
                 # Whole-row contract checked at the segment layer: the
                 # chunks feed columnar fold/unpack kernels downstream.
                 append(payload_rows_view(index, used, tuple_size))
                 received += used // tuple_size
-            if metrics is not None:
-                self._note_segment(
-                    int.from_bytes(
-                        mem[footer_offset + 8:footer_offset + 16],
-                        "little"),
-                    used // tuple_size, now)
+            if counts is not None:
+                counts.append(used // tuple_size)
             mem[footer_offset:footer_offset + FOOTER_SIZE] = BLANK_FOOTER
             index += 1
             if index == segment_count:
@@ -1288,12 +1151,9 @@ class TargetChannel:
             self._index = index
             self._consumed = consumed + drained
             self.tuples_received += received
-            if metrics is not None:
-                hist = self._drain_hist
-                if hist is None:
-                    hist = self._drain_hist = metrics.histogram(
-                        "core.drain_segments")
-                hist.record(drained)
+            if obs is not None:
+                obs.log((CONSUME, self.node.env._now, self, self.ring,
+                         consumed, counts, True, self.done))
             if self._track_credits and not per_segment_credits:
                 self._credit_region.write_u64(self._credit_offset,
                                               self._consumed)
@@ -1666,31 +1526,27 @@ class ShuffleSource:
         peer_dead = (isinstance(exc, QpFlushedError)
                      or (faults is not None and faults.active
                          and faults.peer_failed(self.node, peer)))
-        metrics, tracer = endpoint_obs(self.node, self.descriptor.name,
-                                       self.descriptor.options)
-        if metrics is not None:
-            metrics.inc("core.target_failures")
+        obs = self.node.metrics
+        if obs is not None:
+            obs.inc("core.target_failures")
         if not peer_dead:
             # A stall, not a detected failure (e.g. a slow consumer ran
             # the retry budget out): surface the timeout unchanged.
             raise exc
         now = self.node.env.now
-        if metrics is not None:
-            metrics.inc("core.peer_failures_detected")
-        if tracer is not None:
-            tracer.emit(now, FAULT_DETECT, self.node.node_id,
-                        f"src{self.source_index}",
-                        {"target": index, "peer_node": peer.node_id,
-                         "cause": type(exc).__name__})
+        if obs is not None:
+            obs.inc("core.peer_failures_detected")
+            obs.log((EVENT, now, FAULT_DETECT, self.descriptor.name,
+                     self.node.node_id, f"src{self.source_index}",
+                     {"target": index, "peer_node": peer.node_id,
+                      "cause": type(exc).__name__}))
         if (self._policy == "reroute" and self._router is not None
                 and self._live):
-            if metrics is not None:
-                metrics.inc("core.reroutes")
-            if tracer is not None:
-                tracer.emit(now, REROUTE, self.node.node_id,
-                            f"src{self.source_index}",
-                            {"target": index,
-                             "survivors": len(self._live)})
+            if obs is not None:
+                obs.inc("core.reroutes")
+                obs.log((EVENT, now, REROUTE, self.descriptor.name,
+                         self.node.node_id, f"src{self.source_index}",
+                         {"target": index, "survivors": len(self._live)}))
             return  # the survivors absorb the failed target's share
         yield from self._abort_survivors()
         raise FlowPeerFailedError(
@@ -1840,11 +1696,9 @@ class ShuffleTarget:
                 # inbound path — congestion, not peer death. Re-arm the
                 # deadline instead of misfiring; throttle state
                 # self-clears, so the grace loop cannot spin forever.
-                metrics, _tracer = endpoint_obs(self.node,
-                                                self.descriptor.name,
-                                                self.descriptor.options)
-                if metrics is not None:
-                    metrics.inc("core.congestion_grace")
+                obs = self.node.metrics
+                if obs is not None:
+                    obs.inc("core.congestion_grace")
                 continue
             self._wake_event = None
             self._raise_peer_failure()
@@ -1854,8 +1708,7 @@ class ShuffleTarget:
         pending = [index for index, channel in enumerate(self._channels)
                    if not channel.done]
         faults = self.node.cluster.faults
-        metrics, tracer = endpoint_obs(self.node, self.descriptor.name,
-                                       self.descriptor.options)
+        obs = self.node.metrics
         if faults is not None and faults.active:
             dead = []
             for index in pending:
@@ -1864,18 +1717,16 @@ class ShuffleTarget:
                 if faults.peer_failed(self.node, peer):
                     dead.append(index)
             if dead:
-                if metrics is not None:
-                    metrics.inc("core.peer_failures_detected")
-                if tracer is not None:
-                    tracer.emit(self._env.now, FAULT_DETECT,
-                                self.node.node_id,
-                                f"tgt{self.target_index}",
-                                {"sources": dead})
+                if obs is not None:
+                    obs.inc("core.peer_failures_detected")
+                    obs.log((EVENT, self._env.now, FAULT_DETECT,
+                             self.descriptor.name, self.node.node_id,
+                             f"tgt{self.target_index}", {"sources": dead}))
                 raise FlowPeerFailedError(
                     f"flow {self.descriptor.name!r}: source(s) {dead} "
                     f"failed before closing their channels")
-        if metrics is not None:
-            metrics.inc("core.consume_timeouts")
+        if obs is not None:
+            obs.inc("core.consume_timeouts")
         raise FlowTimeoutError(
             f"flow {self.descriptor.name!r}: no segment arrived within "
             f"{self._peer_timeout:.0f} ns; channels {pending} still open")

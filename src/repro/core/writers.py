@@ -23,6 +23,7 @@ from repro.core.segment import (
     pack_footer,
     pack_footer_into,
 )
+from repro.obs import log_stall
 from repro.rdma.nic import get_nic
 from repro.simnet.congestion import stall_is_congestion
 
@@ -30,7 +31,7 @@ if TYPE_CHECKING:
     from repro.simnet.node import Node
 
 
-def _congestion_grace(node: "Node", remote_id: int, metrics) -> bool:
+def _congestion_grace(node: "Node", remote_id: int, obs) -> bool:
     """A writer whose backoff budget ran out is forgiven while the path to
     the remote ring is visibly congestion-throttled: the ring is full
     because the fabric is slow, not because the peer went silent, so
@@ -41,9 +42,14 @@ def _congestion_grace(node: "Node", remote_id: int, metrics) -> bool:
     remote = node.cluster.node(remote_id)
     if not stall_is_congestion(node, remote):
         return False
-    if metrics is not None:
-        metrics.inc("core.congestion_grace")
+    if obs is not None:
+        obs.inc("core.congestion_grace")
     return True
+
+
+def _writer_counters(writer):
+    """Read-time counter harvest (see MetricsRegistry.add_collector)."""
+    return (("core.segments_written", writer.segments_written),)
 
 
 class FooterRingWriter:
@@ -72,15 +78,18 @@ class FooterRingWriter:
         self._train_window = max(1, handle.segment_count // 2)
         self._window_left = 0
         self._pending_window_read = None
-        #: Observability registry of the owning node (``None`` when the
+        #: Observability handle of the owning node (``None`` when the
         #: plane is off — one attribute check per guarded site).
-        self._metrics = node.metrics
-        self._causal = node.causal
+        self._obs = node.metrics
+        if self._obs is not None:
+            self._obs.add_collector(self._collect_obs)
         self._flow = tag[0]
         # Replicate passes (flow, source_index, target_index); tests may
         # construct writers with a bare (flow,) tag.
         self._tid = (f"r{tag[1]}->t{tag[2]}" if len(tag) >= 3
                      else f"r{tag[0]}")
+
+    _collect_obs = _writer_counters
 
     def write_segment(self, payload: bytes, flags: int, seq: int,
                       source_index: int = 0):
@@ -126,8 +135,6 @@ class FooterRingWriter:
             self._signal_wr = wr
         self._since_signal += 1
         self.segments_written += 1
-        if self._metrics is not None:
-            self._metrics.inc("core.segments_written")
         next_index = (self._remote_index + 1) % self.handle.segment_count
         self._pending_read = self.qp.post_read(
             self._scratch, 0, self.handle.rkey,
@@ -192,8 +199,6 @@ class FooterRingWriter:
             self.segments_written += take
             self._window_left -= take
             index += take
-            if self._metrics is not None:
-                self._metrics.inc("core.segments_written", take)
             self.qp.ring_doorbell()
             # Any per-segment pre-read refers to a slot this train wrote.
             self._pending_read = None
@@ -214,10 +219,10 @@ class FooterRingWriter:
             self._pending_read = None
             if wr is not None:
                 window = 1
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.inc("core.preread_hits" if wr is not None
-                        else "core.preread_misses")
+        obs = self._obs
+        if obs is not None:
+            obs.inc("core.preread_hits" if wr is not None
+                    else "core.preread_misses")
         if wr is None:
             wr = self._read_footer_ahead(window)
         attempt = 0
@@ -227,25 +232,19 @@ class FooterRingWriter:
             else:
                 wait_from = self.env.now
                 data = yield wr.done
-                if self._causal is not None:
-                    self._causal.edge(self.env.now, wait_from, "credit_stall",
-                                      self.node.node_id, self._tid,
-                                      self._flow)
+                if obs is not None:
+                    log_stall(self, wait_from)
             if not footer_consumable(data):
                 self._window_left = window
                 return
             if (self._max_retries is not None
                     and attempt >= self._max_retries
                     and not _congestion_grace(self.node,
-                                              self.handle.node_id, metrics)):
+                                              self.handle.node_id, obs)):
                 raise FlowTimeoutError(
                     f"remote ring on node {self.handle.node_id} still "
                     f"full after {attempt} backoff rounds")
-            if metrics is not None:
-                metrics.inc("core.backoff_rounds")
-            yield self.env.timeout(traced_backoff(
-                self._rng, attempt, self._causal, self.node.node_id,
-                self._tid, self._flow))
+            yield self.env.timeout(traced_backoff(self, attempt))
             attempt += 1
             window = self._train_window
             wr = self._read_footer_ahead(window)
@@ -260,10 +259,10 @@ class FooterRingWriter:
     def _ensure_writable(self):
         wr = self._pending_read
         self._pending_read = None
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.inc("core.preread_hits" if wr is not None
-                        else "core.preread_misses")
+        obs = self._obs
+        if obs is not None:
+            obs.inc("core.preread_hits" if wr is not None
+                    else "core.preread_misses")
         if wr is None:
             wr = self._read_footer()
         attempt = 0
@@ -273,24 +272,18 @@ class FooterRingWriter:
             else:
                 wait_from = self.env.now
                 data = yield wr.done
-                if self._causal is not None:
-                    self._causal.edge(self.env.now, wait_from, "credit_stall",
-                                      self.node.node_id, self._tid,
-                                      self._flow)
+                if obs is not None:
+                    log_stall(self, wait_from)
             if not footer_consumable(data):
                 return
             if (self._max_retries is not None
                     and attempt >= self._max_retries
                     and not _congestion_grace(self.node,
-                                              self.handle.node_id, metrics)):
+                                              self.handle.node_id, obs)):
                 raise FlowTimeoutError(
                     f"remote ring on node {self.handle.node_id} still "
                     f"full after {attempt} backoff rounds")
-            if metrics is not None:
-                metrics.inc("core.backoff_rounds")
-            yield self.env.timeout(traced_backoff(
-                self._rng, attempt, self._causal, self.node.node_id,
-                self._tid, self._flow))
+            yield self.env.timeout(traced_backoff(self, attempt))
             attempt += 1
             wr = self._read_footer()
 
@@ -323,14 +316,17 @@ class CreditRingWriter:
         self._cached_consumed = 0
         self._pending_read = None
         self.segments_written = 0
-        self._metrics = node.metrics
-        self._causal = node.causal
+        self._obs = node.metrics
+        if self._obs is not None:
+            self._obs.add_collector(self._collect_obs)
         self._flow = tag[0]
         # Replicate passes (flow, source_index, target_index); tests may
         # construct writers with a bare (flow,) tag.
         self._tid = (f"r{tag[1]}->t{tag[2]}" if len(tag) >= 3
                      else f"r{tag[0]}")
         self._credit_read_issued = 0.0
+
+    _collect_obs = _writer_counters
 
     @property
     def _available(self) -> int:
@@ -356,57 +352,49 @@ class CreditRingWriter:
                 remote_offset + self.handle.segment_size, signaled=False)
         self._sent += 1
         self.segments_written += 1
-        if self._metrics is not None:
-            self._metrics.inc("core.segments_written")
         if self._available <= self._threshold and self._pending_read is None:
             self._refresh_async()
         return wr
 
     def _refresh_async(self) -> None:
-        if self._metrics is not None:
+        if self._obs is not None:
             self._credit_read_issued = self.env.now
         self._pending_read = self.qp.post_read(
             self._scratch, 0, self.handle.credit_rkey,
             self.handle.credit_offset, 8, signaled=False)
 
     def _acquire_credit(self):
-        metrics = self._metrics
+        obs = self._obs
         pending = self._pending_read
         if pending is not None and pending.done.triggered:
             self._apply(pending.done.value)
             self._pending_read = None
-            if metrics is not None:
-                metrics.observe("core.credit_rtt",
-                                self.env.now - self._credit_read_issued)
+            if obs is not None:
+                obs.observe("core.credit_rtt",
+                            self.env.now - self._credit_read_issued)
         attempt = 0
         while self._available <= 0:
-            if metrics is not None:
-                metrics.inc("core.credit_stalls")
+            if obs is not None:
+                obs.inc("core.credit_stalls")
             if self._pending_read is None:
                 self._refresh_async()
             wait_from = self.env.now
             data = yield self._pending_read.done
-            if self._causal is not None and self.env.now > wait_from:
-                self._causal.edge(self.env.now, wait_from, "credit_stall",
-                                  self.node.node_id, self._tid, self._flow)
             self._pending_read = None
             self._apply(data)
-            if metrics is not None:
-                metrics.observe("core.credit_rtt",
-                                self.env.now - self._credit_read_issued)
+            if obs is not None:
+                log_stall(self, wait_from)
+                obs.observe("core.credit_rtt",
+                            self.env.now - self._credit_read_issued)
             if self._available <= 0:
                 if (self._max_retries is not None
                         and attempt >= self._max_retries
                         and not _congestion_grace(
-                            self.node, self.handle.node_id, metrics)):
+                            self.node, self.handle.node_id, obs)):
                     raise FlowTimeoutError(
                         f"no credit from node {self.handle.node_id} "
                         f"after {attempt} backoff rounds")
-                if metrics is not None:
-                    metrics.inc("core.backoff_rounds")
-                yield self.env.timeout(traced_backoff(
-                    self._rng, attempt, self._causal, self.node.node_id,
-                    self._tid, self._flow))
+                yield self.env.timeout(traced_backoff(self, attempt))
                 attempt += 1
 
     def _apply(self, data: bytes) -> None:

@@ -4,7 +4,9 @@ When ``cluster.enable_observability(causal=True)`` is on, every layer
 that makes a flow wait records a **causal edge** — a
 ``(t_child, t_parent, category, node, src_node, tid, flow)`` tuple
 meaning "the event at ``t_child`` could not have happened before
-``t_parent`` because of ``category``". Edges land in per-node bounded
+``t_parent`` because of ``category``". The layers log train-, pass- and
+stall-level records (``repro.obs.log``) and the fold expands them into
+per-WQE edges when the recorder is read. Edges land in per-node bounded
 logs (oldest overwritten, ``dropped`` counted) and obey the plane's
 determinism contract verbatim: recording reads ``env.now``, schedules
 zero kernel events and draws zero RNG, so the simulated timeline is
@@ -43,6 +45,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 
+from repro.obs.trace import Ring
+
 # -- edge categories (see docs/observability.md, "Critical path & blame") ----
 WIRE = "wire"                            #: link HOL + serialization + flight + ack
 NIC_ARB = "nic_arb"                      #: NIC engine arbitration + processing
@@ -76,103 +80,57 @@ class CausalError(ValueError):
     """Malformed causal section or unanalyzable flow."""
 
 
-class _EdgeLog:
-    """Bounded per-node edge ring (mirrors ``FlowTracer``)."""
-
-    __slots__ = ("capacity", "ring", "next")
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self.ring: list = []
-        self.next = 0
-
-    def append(self, record: tuple) -> None:
-        ring = self.ring
-        if len(ring) < self.capacity:
-            ring.append(record)
-        else:
-            ring[self.next % self.capacity] = record
-        self.next += 1
-
-    @property
-    def dropped(self) -> int:
-        return max(0, self.next - len(self.ring))
-
-    def records(self) -> list:
-        """Records in recording (= simulated-time) order."""
-        ring = self.ring
-        if len(ring) < self.capacity:
-            return list(ring)
-        head = self.next % self.capacity
-        return ring[head:] + ring[:head]
-
-
 class CausalRecorder:
     """Per-cluster causal-edge store (``cluster.obs.causal``).
 
-    Hot paths cache this object like ``node.metrics`` (one ``is None``
-    check when the plane is off) and call :meth:`edge` with explicit
-    simulated timestamps, so recording order equals simulated order and
-    per-node logs are bit-identical across shard counts.
+    Filled by the plane-log fold (``repro.obs.log``) in append order with
+    the simulated timestamps the records carry, so log order equals
+    simulated order and per-node logs are bit-identical across shard
+    counts. Edges are ``(t_child, t_parent, category, node, src_node,
+    tid, flow)`` tuples in one bounded :class:`Ring` per node. ``logs`` /
+    ``closes`` / ``opens`` and every reading method run ``sync`` — the
+    owning plane's fold — first.
     """
 
-    __slots__ = ("env", "capacity", "logs", "closes", "opens")
+    __slots__ = ("capacity", "_logs", "_closes", "_opens", "_sync")
 
-    def __init__(self, env, capacity: int = DEFAULT_EDGE_CAPACITY) -> None:
-        self.env = env
+    def __init__(self, sync, capacity: int = DEFAULT_EDGE_CAPACITY) -> None:
         self.capacity = capacity
-        self.logs: dict[int, _EdgeLog] = {}
+        self._logs: dict[int, Ring] = {}
         #: ``flow -> [(t, node_id), ...]`` close markers, in event order.
-        self.closes: dict[str, list] = {}
+        self._closes: dict[str, list] = {}
         #: ``flow -> earliest endpoint-open time`` (the walk's floor).
-        self.opens: dict[str, float] = {}
+        self._opens: dict[str, float] = {}
+        self._sync = sync
 
-    # -- recording --------------------------------------------------------
-    def edge(self, t_child: float, t_parent: float, category: str,
-             node_id: int, tid: str, flow: "str | None" = None,
-             src_node_id: "int | None" = None) -> None:
-        """Record one edge. Zero/negative spans are skipped — they carry
-        no blame and would stall the backward walk."""
-        if t_child <= t_parent:
-            return
-        log = self.logs.get(node_id)
-        if log is None:
-            log = self.logs[node_id] = _EdgeLog(self.capacity)
-        log.append((t_child, t_parent, category, node_id,
-                    node_id if src_node_id is None else src_node_id,
-                    tid, flow))
+    def _synced(self, store):
+        self._sync()
+        return store
 
-    def sleep_edge(self, delay: float, category: str, node_id: int,
-                   tid: str, flow: "str | None" = None) -> None:
-        """Record an edge for a sleep of known duration starting now."""
-        now = self.env.now
-        self.edge(now + delay, now, category, node_id, tid, flow)
+    logs = property(lambda self: self._synced(self._logs))
+    closes = property(lambda self: self._synced(self._closes))
+    opens = property(lambda self: self._synced(self._opens))
 
-    def open(self, flow: str, node_id: int) -> None:
-        """Stamp a flow endpoint opening (keeps the earliest time)."""
-        now = self.env.now
-        previous = self.opens.get(flow)
-        if previous is None or now < previous:
-            self.opens[flow] = now
-
-    def close(self, flow: str, node_id: int) -> None:
-        """Stamp a flow close marker (source close posted / target
-        drained the close footer). The walk starts from the latest."""
-        self.closes.setdefault(flow, []).append((self.env.now, node_id))
+    def log(self, node_id: int) -> Ring:
+        """Get (or create) the edge ring of ``node_id`` (fold-side)."""
+        ring = self._logs.get(node_id)
+        if ring is None:
+            ring = self._logs[node_id] = Ring(self.capacity)
+        return ring
 
     # -- reading ----------------------------------------------------------
     def edges(self) -> list:
         """Every recorded edge, ordered by ``(node_id, record order)``."""
+        logs = self.logs
         out: list = []
-        for node_id in sorted(self.logs):
-            out.extend(self.logs[node_id].records())
+        for node_id in sorted(logs):
+            out.extend(logs[node_id].items)
         return out
 
     def dropped(self) -> dict[int, int]:
         """Per-node dropped-edge counts (only nodes that dropped)."""
-        return {node_id: log.dropped
-                for node_id, log in sorted(self.logs.items())
-                if log.dropped}
+        return {node_id: ring.lost
+                for node_id, ring in sorted(self.logs.items()) if ring.lost}
 
     def export(self) -> dict:
         """JSON-safe dict: what ``chrome_trace`` embeds as

@@ -10,22 +10,26 @@ Design constraints, in priority order:
    the simulated timeline itself does not move).
 2. **Near-zero overhead when disabled** — nothing in this module runs
    unless observability was enabled on the cluster. Hot paths cache the
-   registry at construction (``self._metrics = node.metrics``, default
+   registry at construction (``self._obs = node.metrics``, default
    ``None``) and guard every instrumentation point with one attribute
    check.
-3. **Cheap when enabled** — a counter bump is one dict store; a
-   histogram record is one ``bit_length`` call plus five stores. No
-   locks (the simulator is single-threaded), no string formatting until
-   :meth:`MetricsRegistry.report` is asked for. Counters that mirror an
-   always-on tally the hot path maintains anyway (``tuples_sent``,
-   ``segments_sent``, ``CompletionQueue.pushed``, …) are not bumped per
-   event at all: the owner registers a **collector** and the registry
-   harvests the absolute value at read time (:meth:`get`,
-   :meth:`snapshot`, :meth:`report`), so those names cost zero on the
-   hot path.
+3. **Cheap when enabled** — instrumented code does no metric arithmetic.
+   Counters that mirror an always-on tally the hot path maintains anyway
+   (``tuples_sent``, ``segments_sent``, ``CompletionQueue.pushed``, …)
+   are not bumped per event at all: the owner registers a **collector**
+   and the registry harvests the absolute value at read time. Histogram
+   samples go to the plane log (``repro.obs.log``) as raw values and are
+   folded into :class:`Histogram` state when somebody reads. Only rare
+   events (backoff rounds, failures, CQ errors) pay a live :meth:`inc`.
 """
 
 from __future__ import annotations
+
+from repro.common.planelog import OBSERVE
+
+#: Raw records the plane log may hold before :meth:`MetricsRegistry.bound`
+#: folds them: the log's memory bound, and the size of one fold chunk.
+FOLD_RECORDS = 256
 
 
 class Histogram:
@@ -49,18 +53,22 @@ class Histogram:
 
     def record(self, value: float) -> None:
         """Record one sample (negative samples clamp to zero)."""
-        v = int(value)
-        if v < 0:
-            v = 0
-        self.count += 1
-        self.total += v
-        if self.min is None or v < self.min:
-            self.min = v
-        if self.max is None or v > self.max:
-            self.max = v
-        bucket = v.bit_length()
+        self.record_many((value,))
+
+    def record_many(self, values) -> None:
+        """Record a non-empty batch of samples (what the fold calls, once
+        per histogram and chunk)."""
+        samples = [int(v) if v > 0 else 0 for v in values]
+        self.count += len(samples)
+        self.total += sum(samples)
+        low, high = min(samples), max(samples)
+        if self.min is None or low < self.min:
+            self.min = low
+        if self.max is None or high > self.max:
+            self.max = high
         buckets = self.buckets
-        buckets[bucket] = buckets.get(bucket, 0) + 1
+        for bucket in map(int.bit_length, samples):
+            buckets[bucket] = buckets.get(bucket, 0) + 1
 
     @property
     def mean(self) -> float:
@@ -133,30 +141,54 @@ class MetricsRegistry:
       same name (e.g. several channels on one node) are summed.
     """
 
-    __slots__ = ("node_id", "counters", "histograms", "collectors")
+    __slots__ = ("node_id", "counters", "_histograms", "collectors",
+                 "plane", "log", "causal")
 
-    def __init__(self, node_id: int) -> None:
+    def __init__(self, node_id: int, plane) -> None:
         self.node_id = node_id
         self.counters: dict[str, int] = {}
-        self.histograms: dict[str, Histogram] = {}
+        self._histograms: dict[str, Histogram] = {}
         self.collectors: list = []
+        #: The owning ``ObsPlane`` and its record log's bound ``append``:
+        #: the registry is the one handle instrumented code caches,
+        #: ``log`` is what it calls.
+        self.plane = plane
+        self.log = plane.records.append
+        #: Whether the plane derives causal edges: sites that log nothing
+        #: but a span (``WQE`` / ``EDGE`` records) skip it when false.
+        self.causal = plane.causal is not None
+
+    def bound(self) -> None:
+        """The plane log's memory bound: fold it once it holds a full
+        chunk. ``log`` is a bare ``list.append``; queue pairs call this
+        every 16th post — whatever logs at volume posts in proportion."""
+        if len(self.plane.records) >= FOLD_RECORDS:
+            self.plane.fold()
+
+    @property
+    def histograms(self) -> dict:
+        """Histograms by name, with every logged sample folded in."""
+        self.plane.fold()
+        return self._histograms
 
     # -- recording --------------------------------------------------------
     def inc(self, name: str, amount: int = 1) -> None:
         """Add ``amount`` to counter ``name`` (created at 0)."""
-        counters = self.counters
-        counters[name] = counters.get(name, 0) + amount
+        try:
+            self.counters[name] += amount
+        except KeyError:
+            self.counters[name] = amount
 
     def histogram(self, name: str) -> Histogram:
         """Get (or create) the histogram called ``name``."""
-        hist = self.histograms.get(name)
+        hist = self._histograms.get(name)
         if hist is None:
-            hist = self.histograms[name] = Histogram()
+            hist = self._histograms[name] = Histogram()
         return hist
 
     def observe(self, name: str, value: float) -> None:
-        """Record ``value`` into histogram ``name``."""
-        self.histogram(name).record(value)
+        """Record ``value`` into histogram ``name`` (via the plane log)."""
+        self.log((OBSERVE, self, name, value))
 
     def add_collector(self, collector) -> None:
         """Register a read-time counter source: a zero-argument callable
@@ -180,12 +212,7 @@ class MetricsRegistry:
     def get(self, name: str) -> int:
         """Current value of counter ``name`` (0 if never incremented),
         including harvested collector contributions."""
-        value = self.counters.get(name, 0)
-        for collector in self.collectors:
-            for harvested_name, harvested in collector():
-                if harvested_name == name:
-                    value += harvested
-        return value
+        return self._merged_counters().get(name, 0)
 
     def snapshot(self) -> dict:
         """JSON-friendly dict of every counter and histogram."""
@@ -211,7 +238,7 @@ class MetricsRegistry:
     def __repr__(self) -> str:
         return (f"<MetricsRegistry node={self.node_id} "
                 f"counters={len(self.counters)} "
-                f"histograms={len(self.histograms)}>")
+                f"histograms={len(self._histograms)}>")
 
 
 def render_report(snapshot: dict) -> str:

@@ -1,20 +1,18 @@
 """Per-flow event tracing with a Chrome ``trace_event`` exporter.
 
 A :class:`FlowTracer` is a bounded ring of typed events, one per traced
-flow. Channels emit events with explicit simulated timestamps
-(``env.now``), so recording order equals simulated order and exporting a
-trace is a pure serialization step — nothing about tracing touches the
-kernel, which is how ``fingerprint.py --with-obs`` can demand a
-bit-identical timeline with tracing on.
+flow. Channels log train- and pass-level records (``repro.obs.log``) and
+the fold derives the events, with the simulated timestamps the records
+carry, whenever the ring is read — so ring order equals simulated order
+and nothing about tracing touches the kernel, which is how
+``fingerprint.py --with-obs`` can demand a bit-identical timeline.
 
 The exporter writes the Chrome ``trace_event`` JSON array format
 (`ph: "i"` instant events with explicit ``ts`` microseconds, ``pid`` =
 node id, ``tid`` = channel label) — load the file at ``chrome://tracing``
 or https://ui.perfetto.dev. Fault *injections* are synthesized at export
-time straight from the installed ``FaultPlan`` (Chrome events carry
-their own timestamps, so events need not be emitted live); fault
-*detections* are emitted live by the flow layer when a peer failure is
-diagnosed.
+time straight from the installed ``FaultPlan``; fault *detections* are
+logged by the flow layer when it diagnoses a peer failure.
 """
 
 from __future__ import annotations
@@ -40,56 +38,73 @@ RATE_CHANGE = "RATE_CHANGE"      #: DCQCN/UD rate limiter moved a rate
 DEFAULT_TRACE_CAPACITY = 65536
 
 
-class FlowTracer:
+class Ring:
+    """The most recent ``capacity`` items of an append-only sequence.
+
+    The fold (``repro.obs.log``) appends to ``items`` directly and calls
+    :meth:`trim` once per chunk, so between trims the list overshoots by
+    at most one chunk's derivations."""
+
+    __slots__ = ("capacity", "items", "lost")
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.items: list = []
+        #: Items trimmed away because the ring was full.
+        self.lost = 0
+
+    def trim(self) -> None:
+        excess = len(self.items) - self.capacity
+        if excess > 0:
+            del self.items[:excess]
+            self.lost += excess
+
+
+class FlowTracer(Ring):
     """Bounded per-flow trace ring.
 
-    Holds the most recent ``capacity`` events; older events are
-    overwritten in place (``dropped`` counts them). Events are
-    ``(ts, kind, node_id, tid, detail)`` tuples with ``ts`` in simulated
-    nanoseconds and ``detail`` a small dict or ``None``.
+    Holds the most recent ``capacity`` events (``dropped`` counts the
+    older ones). Events are ``(ts, kind, node_id, tid, detail)`` tuples
+    with ``ts`` in simulated nanoseconds and ``detail`` a small dict or
+    ``None``. Every read runs ``sync`` — the owning plane's fold — first,
+    so the ring reflects the whole plane log.
     """
 
-    __slots__ = ("flow", "capacity", "_ring", "_next", "dropped")
+    __slots__ = ("flow", "_sync")
 
-    def __init__(self, flow: str,
-                 capacity: int = DEFAULT_TRACE_CAPACITY) -> None:
+    def __init__(self, flow: str, capacity: int, sync) -> None:
+        super().__init__(capacity)
         self.flow = flow
-        self.capacity = capacity
-        self._ring: list = []
-        self._next = 0
-        self.dropped = 0
-
-    def emit(self, ts: float, kind: str, node_id: int, tid: str,
-             detail: "dict | None" = None) -> None:
-        """Record one event (O(1); overwrites the oldest when full)."""
-        record = (ts, kind, node_id, tid, detail)
-        ring = self._ring
-        if len(ring) < self.capacity:
-            ring.append(record)
-        else:
-            ring[self._next % self.capacity] = record
-            self.dropped += 1
-        self._next += 1
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    @property
-    def emitted(self) -> int:
-        """Total events ever emitted (kept + dropped)."""
-        return self._next
+        self._sync = sync
 
     def events(self) -> list:
         """Events in emission (= simulated-time) order."""
-        ring = self._ring
-        if len(ring) < self.capacity:
-            return list(ring)
-        head = self._next % self.capacity
-        return ring[head:] + ring[:head]
+        self._sync()
+        return list(self.items)
+
+    def __len__(self) -> int:
+        self._sync()
+        return len(self.items)
+
+    @property
+    def dropped(self) -> int:
+        """Events dropped because the ring was full."""
+        self._sync()
+        return self.lost
+
+    @property
+    def emitted(self) -> int:
+        """Total events ever derived (kept + dropped)."""
+        return len(self) + self.lost
+
+    def stats(self) -> dict:
+        """The ring's ``kept`` / ``dropped`` / ``emitted`` / ``capacity``."""
+        return {"kept": len(self), "dropped": self.lost,
+                "emitted": self.emitted, "capacity": self.capacity}
 
     def __repr__(self) -> str:
-        return (f"<FlowTracer {self.flow!r} kept={len(self._ring)} "
-                f"dropped={self.dropped}>")
+        return (f"<FlowTracer {self.flow!r} kept={len(self.items)} "
+                f"dropped={self.lost}>")
 
 
 def _fault_plan_events(cluster) -> list[dict]:
@@ -193,10 +208,7 @@ def chrome_trace(cluster) -> dict:
                 event["args"] = detail
             trace_events.append(event)
             named_pids.add(node_id)
-        ring_stats[tracer.flow] = {
-            "kept": len(tracer), "dropped": tracer.dropped,
-            "emitted": tracer.emitted, "capacity": tracer.capacity,
-        }
+        ring_stats[tracer.flow] = tracer.stats()
     fault_events = _fault_plan_events(cluster)
     for event in fault_events:
         named_pids.add(event["pid"])

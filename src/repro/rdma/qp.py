@@ -21,6 +21,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import QpFlushedError, RdmaError
+from repro.common.planelog import EDGE, TRAIN, WQE
 from repro.rdma.completion import Completion, CompletionQueue, Opcode, WcStatus, WorkRequest
 from repro.rdma.memory import MemoryRegion
 from repro.rdma.nic import RNic, get_nic
@@ -111,8 +112,8 @@ class QueuePair:
 
     __slots__ = ("nic", "env", "qpn", "node", "remote_node", "send_cq",
                  "recv_cq", "_peer", "_recv_queue", "_pending_rx",
-                 "_staged", "_metrics", "_causal", "_obs_wqes_posted",
-                 "_obs_wqes_signaled", "_obs_trains", "_obs_train_hist",
+                 "_staged", "_obs", "_obs_wqes_posted",
+                 "_obs_wqes_signaled", "_obs_trains", "_obs_reads_posted",
                  "_ack_delta", "_inline_max", "_remote_nic")
 
     def __init__(self, nic: RNic, qpn: int, remote_node: Node,
@@ -141,22 +142,18 @@ class QueuePair:
         #: Remote NIC, resolved lazily (the peer NIC may not exist yet at
         #: QP construction time).
         self._remote_nic: "RNic | None" = None
-        #: Cached per-node metrics registry (``None`` while observability
-        #: is off — enable it before creating queue pairs). The WQE/train
-        #: tallies below are plain attribute adds on the hot path; the
-        #: registry harvests them at read time via the collector.
-        self._metrics = nic.node.metrics
-        #: Cached causal recorder (``None`` unless
-        #: ``enable_observability(causal=True)`` ran first) — same
-        #: hot-path contract as ``_metrics``. Edge recording reads
-        #: ``env.now``-derived floats only: zero kernel events, zero RNG.
-        self._causal = nic.node.causal
+        #: Cached per-node observability handle (``None`` while the plane
+        #: is off — enable it before creating queue pairs). The tallies
+        #: below are harvested at read time via the collector; each train
+        #: or lone WQE appends one ``_obs.log`` record that its histogram
+        #: sample and causal edges are derived from (``repro.obs.log``).
+        self._obs = nic.node.metrics
         self._obs_wqes_posted = 0
         self._obs_wqes_signaled = 0
         self._obs_trains = 0
-        self._obs_train_hist = None
-        if self._metrics is not None:
-            self._metrics.add_collector(self._collect_obs)
+        self._obs_reads_posted = 0
+        if self._obs is not None:
+            self._obs.add_collector(self._collect_obs)
 
     def _collect_obs(self):
         """Read-time counter harvest (see MetricsRegistry.add_collector)."""
@@ -165,7 +162,8 @@ class QueuePair:
         return (("rdma.wqes_posted", posted),
                 ("rdma.wqes_signaled", signaled),
                 ("rdma.wqes_unsignaled", posted - signaled),
-                ("rdma.doorbell_trains", self._obs_trains))
+                ("rdma.doorbell_trains", self._obs_trains),
+                ("rdma.reads_posted", self._obs_reads_posted))
 
     # -- connection handling (two-sided only) ------------------------------
     def connect(self, peer: "QueuePair") -> None:
@@ -205,14 +203,15 @@ class QueuePair:
         """Fail ``wr`` after ``delay`` ns with ``status``. The error
         completion is pushed regardless of ``signaled`` — real verbs
         report failed work requests even when unsignaled."""
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.inc("rdma.wqe_flushes")
+        obs = self._obs
+        if obs is not None:
+            obs.inc("rdma.wqe_flushes")
             if status is WcStatus.RETRY_EXC_ERR:
-                metrics.inc("rdma.retry_exc_err")
-        if self._causal is not None:
-            self._causal.sleep_edge(delay, "fault_backoff",
-                                    self.node.node_id, f"qp{self.qpn}")
+                obs.inc("rdma.retry_exc_err")
+            if obs.causal:
+                now = self.env.now
+                obs.log((EDGE, now + delay, now, "fault_backoff",
+                         self.node.node_id, f"qp{self.qpn}", None, None))
         timer = self.env.pooled_timeout(delay)
 
         def on_timeout(_event, wr=wr, status=status):
@@ -231,9 +230,6 @@ class QueuePair:
         wr = WorkRequest(self.env, wr_id, opcode, signaled)
         self._flush_after(wr, faults.detection_timeout, status)
         return wr
-
-    def _ack_latency(self) -> float:
-        return self._ack_delta
 
     def _get_remote_nic(self) -> "RNic":
         remote_nic = self._remote_nic
@@ -355,10 +351,13 @@ class QueuePair:
         congestion plane, checked on every call, takes the discrete
         per-WQE events of :meth:`_post_discrete` instead.
         """
-        if self._metrics is not None:
+        obs = self._obs
+        if obs is not None:
             self._obs_wqes_posted += 1
             if wr is not None and wr.signaled:
                 self._obs_wqes_signaled += 1
+            if not self._obs_wqes_posted & 15:
+                obs.bound()  # the plane log's memory bound
         # ``_faults()`` / ``_congestion()`` without their two frames.
         cluster = self.node.cluster
         faults = cluster.faults
@@ -383,10 +382,9 @@ class QueuePair:
         now = env.now
         arrival = now + arrival_delay
         ack_at = now + (arrival_delay + self._ack_delta)
-        causal = self._causal
-        if causal is not None:
+        if obs is not None and obs.causal:
             issued = now + delay
-            self._wqe_edges(causal, now, issued, issued, arrival)
+            obs.log((WQE, self, now, issued, issued, arrival))
         split = size - _ORDERED_TAIL
         if split > 0:
             prefix_pieces, tail_pieces = _split_ordered_tail(pieces, split)
@@ -404,22 +402,6 @@ class QueuePair:
             else:
                 wr._complete_at(ack_at)
         env.schedule_train(actions)
-
-    def _wqe_edges(self, causal, arb_from: float, arb_to: float,
-                   issued: float, arrival: float) -> None:
-        """Record one WQE's causal chain: NIC arbitration over
-        ``[arb_from, arb_to]``, wire out from the handoff at ``issued``
-        to ``arrival``, and the acknowledgment back. (The admission
-        planes record their own edges for the delay they add before or
-        after arbitration.)"""
-        tid = f"qp{self.qpn}"
-        node_id = self.node.node_id
-        remote_id = self.remote_node.node_id
-        causal.edge(arb_to, arb_from, "nic_arb", node_id, tid)
-        causal.edge(arrival, issued, "wire", remote_id, tid,
-                    src_node_id=node_id)
-        causal.edge(arrival + self._ack_delta, arrival, "wire", node_id,
-                    tid, src_node_id=remote_id)
 
     def _post_lone_discrete(self, wr, size, pieces, region, offset,
                             faults, congestion) -> None:
@@ -464,11 +446,12 @@ class QueuePair:
                                          delay=arb_to + held)
         if congestion is not None:
             congestion.rc_sent(self, size, arrival.delay)
-        causal = self._causal
-        if causal is not None:
+        obs = self._obs
+        if obs is not None and obs.causal:
+            # The admission planes log the delay they add themselves.
             now = env.now
-            self._wqe_edges(causal, now + arb_from, now + arb_to,
-                            now + arb_to + held, now + arrival.delay)
+            obs.log((WQE, self, now + arb_from, now + arb_to,
+                     now + arb_to + held, now + arrival.delay))
         if prefix_pieces:
             prefix_timer = env.pooled_timeout(max(
                 0.0, arrival.delay
@@ -555,30 +538,29 @@ class QueuePair:
             return
         nic = self.nic
         nic.doorbell_trains += 1
-        metrics = self._metrics
-        if metrics is not None:
-            count = len(entries)
-            self._obs_wqes_posted += count
-            signaled = 0
+        obs = self._obs
+        if obs is not None:
+            count = signaled = 0
             for entry in entries:
+                count += 1
                 wr = entry[0]
                 if wr is not None and wr.signaled:
                     signaled += 1
+            self._obs_wqes_posted += count
             self._obs_wqes_signaled += signaled
             self._obs_trains += 1
-            hist = self._obs_train_hist
-            if hist is None:
-                hist = self._obs_train_hist = metrics.histogram(
-                    "rdma.train_len")
-            hist.record(count)
+            if not self._obs_trains & 15:
+                obs.bound()  # the plane log's memory bound
         faults = self._faults()
         congestion = self._congestion()
         if faults is not None or congestion is not None:
+            if obs is not None:
+                # The per-WQE path logs its own arbitration and wire spans.
+                obs.log((TRAIN, self.env._now, self, count, (), ()))
             self._post_train_sequential(entries, faults, congestion)
             return
         inline_max = self._inline_max
         ack_latency = self._ack_delta
-        causal = self._causal
         if len(entries) == 1:
             # Trains of one are the common shape on hash-routed shuffles
             # (each channel's share of a batch is about one segment);
@@ -589,8 +571,8 @@ class QueuePair:
             nic.bytes_posted += size
             arrival = self._fabric().unicast_train_one(
                 self.node, self.remote_node, size, delay)
-            if causal is not None:
-                self._train_edges(causal, (delay,), (arrival,))
+            if obs is not None:
+                obs.log((TRAIN, self.env._now, self, 1, (delay,), (arrival,)))
             actions = [(arrival, _commit_write, (region, offset, pieces))]
             if wr is not None:
                 if wr.signaled:
@@ -612,8 +594,8 @@ class QueuePair:
         nic.bytes_posted += total
         arrivals = self._fabric().unicast_train(self.node, self.remote_node,
                                                 sizes, delays)
-        if causal is not None:
-            self._train_edges(causal, delays, arrivals)
+        if obs is not None:
+            obs.log((TRAIN, self.env._now, self, count, delays, arrivals))
         actions = []
         finish_signaled = self._finish_signaled
         last = len(entries) - 1
@@ -637,17 +619,6 @@ class QueuePair:
         if needs_sort:
             actions.sort(key=_action_when)
         self.env.schedule_train(actions)
-
-    def _train_edges(self, causal, delays, arrivals) -> None:
-        """Record the causal chain of a train: each WQE's NIC arbitration
-        slot follows the previous WQE's wire handoff, then wire out and
-        the acknowledgment back."""
-        now = self.env.now
-        arb_parent = now
-        for delay, arrival in zip(delays, arrivals):
-            issued = now + delay
-            self._wqe_edges(causal, arb_parent, issued, issued, arrival)
-            arb_parent = issued
 
     def _post_train_sequential(self, entries, faults, congestion) -> None:
         """Train posting under an active fault and/or congestion plane.
@@ -714,8 +685,8 @@ class QueuePair:
         """
         if length <= 0:
             raise RdmaError("read length must be positive")
-        if self._metrics is not None:
-            self._metrics.inc("rdma.reads_posted")
+        if self._obs is not None:
+            self._obs_reads_posted += 1
         faults = self._faults()
         fault_delay = 0.0
         if faults is not None:
@@ -765,8 +736,8 @@ class QueuePair:
                      wr_id: Any) -> WorkRequest:
         remote_region = self._get_remote_nic().region(remote_rkey)
         remote_region.check_range(remote_offset, 8)
-        if self._metrics is not None:
-            self._metrics.inc("rdma.atomics_posted")
+        if self._obs is not None:
+            self._obs.inc("rdma.atomics_posted")
         faults = self._faults()
         fault_delay = 0.0
         if faults is not None:
@@ -842,8 +813,8 @@ class QueuePair:
         if not data:
             raise RdmaError("cannot send an empty message")
         size = len(data)
-        if self._metrics is not None:
-            self._metrics.inc("rdma.sends_posted")
+        if self._obs is not None:
+            self._obs.inc("rdma.sends_posted")
         faults = self._faults()
         if faults is not None:
             admit = faults.rc_admission(self.node, self.remote_node)
@@ -872,7 +843,7 @@ class QueuePair:
 
         arrival.callbacks.append(on_arrival)
         wr = WorkRequest(self.env, wr_id, Opcode.SEND, signaled)
-        self._finish(wr, arrival.delay + self._ack_latency(), size)
+        self._finish(wr, arrival.delay + self._ack_delta, size)
         return wr
 
     def _deliver(self, data: bytes, imm: int | None) -> None:

@@ -129,7 +129,7 @@ class Cluster:
         it. Idempotent; call *before* opening flow endpoints or creating
         queue pairs (they cache ``node.metrics`` at construction).
         ``trace=True`` traces every flow regardless of its
-        ``FlowOptions.trace`` knob; ``causal=True`` additionally records
+        ``FlowOptions.trace`` knob; ``causal=True`` additionally derives
         causal edges for the critical-path engine (``repro.obs.causal``).
         Enabling never perturbs the simulated timeline: it schedules no
         kernel events and draws no randomness.
@@ -148,16 +148,12 @@ class Cluster:
         else:
             if trace:
                 self.obs.trace_all = True
-            if causal and self.obs.causal is None:
-                from repro.obs import CausalRecorder
-                self.obs.causal = CausalRecorder(self.env)
-        if causal:
-            for node in self.nodes:
-                node.causal = self.obs.causal
-            if self.env.shard_count > 1:
-                # Fabric crossing sites read this slot to record
-                # shard_crossing context spans (see simnet/shard.py).
-                self.env.crossing_recorder = self.obs.causal
+            if causal:
+                self.obs.enable_causal()
+        if causal and self.env.shard_count > 1:
+            # Fabric crossing sites append shard_crossing context spans
+            # through this slot (see simnet/shard.py).
+            self.env.crossing_log = self.obs.records.append
         return self.obs
 
     def _register_kernel_collectors(self) -> None:
@@ -235,17 +231,14 @@ class Cluster:
         if self.obs is not None:
             if self.obs.tracers:
                 snapshot["trace_rings"] = {
-                    tracer.flow: {"kept": len(tracer),
-                                  "dropped": tracer.dropped,
-                                  "emitted": tracer.emitted,
-                                  "capacity": tracer.capacity}
+                    tracer.flow: tracer.stats()
                     for tracer in self.obs.tracers.values()
                 }
             recorder = self.obs.causal
             if recorder is not None:
                 snapshot["causal"] = {
-                    "edges": sum(log.next
-                                 for log in recorder.logs.values()),
+                    "edges": sum(len(ring.items) + ring.lost
+                                 for ring in recorder.logs.values()),
                     "flows_closed": len(recorder.closes),
                     "dropped": recorder.dropped(),
                 }

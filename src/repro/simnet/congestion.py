@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.common.errors import ConfigurationError
+from repro.common.planelog import EDGE, EVENT
 
 if TYPE_CHECKING:
     from repro.simnet.cluster import Cluster
@@ -312,19 +313,19 @@ class _RcRate:
                 plane.pfc_stalls += 1
             self.last_occupancy = level
         if delay > 0.0:
-            recorder = plane._causal_recorder()
-            if recorder is not None:
+            obs = qp.node.metrics
+            if obs is not None and obs.causal:
                 tid = f"qp{qp.qpn}"
                 if pacing > 0.0:
-                    recorder.edge(now + pacing, now, "ecn_pacing",
-                                  qp.node.node_id, tid)
+                    obs.log((EDGE, now + pacing, now, "ecn_pacing",
+                             qp.node.node_id, tid, None, None))
                 if hold > 0.0:
                     # Charged against the *destination* — hold-off is the
                     # hot target's bounded egress queue pushing back, which
                     # is what hot-target ranking sums per node.
-                    recorder.edge(now + pacing + hold, now + pacing,
-                                  "congestion_holdoff", dst.node_id, tid,
-                                  src_node_id=qp.node.node_id)
+                    obs.log((EDGE, now + pacing + hold, now + pacing,
+                             "congestion_holdoff", dst.node_id, tid, None,
+                             qp.node.node_id))
         return delay
 
 
@@ -371,10 +372,7 @@ class CongestionPlane:
         self._by_dst: dict[int, list[_RcRate]] = {}
         self._ud: dict[int, _UdPace] = {}
         self._links: dict = {}
-        self._tracer = None
-        self._tracer_resolved = False
-        self._causal = None
-        self._causal_resolved = False
+        self._trace_log = None
         # Plane-wide tallies (per-link detail lives in _LinkStats).
         self.packets_seen = 0
         self.ecn_marks = 0
@@ -452,10 +450,10 @@ class CongestionPlane:
         if metrics is not None:
             metrics.inc("net.ecn_marks")
             metrics.observe("net.mark_occupancy", occupancy)
-        tracer = self._trace()
-        if tracer is not None:
-            tracer.emit(now, "ECN_MARK", dst.node_id, f"qp{qp.qpn}",
-                        {"occupancy": int(occupancy)})
+        log = self._trace()
+        if log is not None:
+            log((EVENT, now, "ECN_MARK", "congestion", dst.node_id,
+                 f"qp{qp.qpn}", {"occupancy": int(occupancy)}))
         # The receiver NIC turns the mark into a CNP one control latency
         # after the marked packet arrives.
         timer = self.env.pooled_timeout(
@@ -480,11 +478,9 @@ class CongestionPlane:
             start = now
         state.next_free = start + size / (self.line_rate * state.factor)
         delay = start - now
-        if delay > 0.0:
-            recorder = self._causal_recorder()
-            if recorder is not None:
-                recorder.edge(now + delay, now, "ecn_pacing",
-                              node.node_id, "ud")
+        if delay > 0.0 and node.metrics is not None and node.metrics.causal:
+            node.metrics.log((EDGE, now + delay, now, "ecn_pacing",
+                              node.node_id, "ud", None, None))
         return delay
 
     def ud_sent(self, node: "Node", members, size: int) -> None:
@@ -520,10 +516,10 @@ class CongestionPlane:
                 metrics = node.metrics
                 if metrics is not None:
                     metrics.inc("net.ud_pace_cuts")
-                tracer = self._trace()
-                if tracer is not None:
-                    tracer.emit(now, "RATE_CHANGE", node.node_id, "ud",
-                                {"factor": state.factor})
+                log = self._trace()
+                if log is not None:
+                    log((EVENT, now, "RATE_CHANGE", "congestion",
+                         node.node_id, "ud", {"factor": state.factor}))
                 self._arm_ud_recovery(node, state)
 
     def _arm_ud_recovery(self, node: "Node", state: _UdPace) -> None:
@@ -535,10 +531,10 @@ class CongestionPlane:
             state.timer_armed = False
             state.factor = min(1.0, state.factor
                                + self.config.ud_recovery_step)
-            tracer = self._trace()
-            if tracer is not None:
-                tracer.emit(self.env.now, "RATE_CHANGE", node.node_id,
-                            "ud", {"factor": state.factor})
+            log = self._trace()
+            if log is not None:
+                log((EVENT, self.env.now, "RATE_CHANGE", "congestion",
+                     node.node_id, "ud", {"factor": state.factor}))
             if state.factor < 1.0:
                 self._arm_ud_recovery(node, state)
 
@@ -583,38 +579,28 @@ class CongestionPlane:
 
     # -- observability -----------------------------------------------------
     def _trace(self):
-        """The plane's trace ring (``"congestion"`` in the obs plane),
-        resolved lazily once tracing is available. Recording is pure
-        Python-side bookkeeping — zero kernel events, zero RNG."""
-        if not self._tracer_resolved:
+        """The obs plane log's ``append`` (``None`` while observability
+        is off), resolved lazily: the first use creates the
+        ``"congestion"`` trace ring the plane's events are derived into.
+        Pure Python-side bookkeeping — zero kernel events, zero RNG."""
+        if self._trace_log is None:
             obs = self.cluster.obs
             if obs is not None:
-                self._tracer = obs.tracer("congestion", True)
-                self._tracer_resolved = True
-        return self._tracer
-
-    def _causal_recorder(self):
-        """The cluster's causal-edge recorder, resolved lazily like
-        :meth:`_trace` (pacing/hold-off delays are the plane's edges —
-        see ``repro.obs.causal``). Only consulted on nonzero delays."""
-        if not self._causal_resolved:
-            obs = self.cluster.obs
-            if obs is not None and obs.causal is not None:
-                self._causal = obs.causal
-                self._causal_resolved = True
-        return self._causal
+                obs.tracer("congestion", True)
+                self._trace_log = obs.records.append
+        return self._trace_log
 
     def _emit_rate(self, state: _RcRate) -> None:
         qp = state.qp
         metrics = qp.node.metrics
         if metrics is not None:
             metrics.inc("net.rate_changes")
-        tracer = self._trace()
-        if tracer is not None:
-            tracer.emit(self.env.now, "RATE_CHANGE", qp.node.node_id,
-                        f"qp{qp.qpn}",
-                        {"rate": state.rate, "target": state.target,
-                         "alpha": state.alpha})
+        log = self._trace()
+        if log is not None:
+            log((EVENT, self.env.now, "RATE_CHANGE", "congestion",
+                 qp.node.node_id, f"qp{qp.qpn}",
+                 {"rate": state.rate, "target": state.target,
+                  "alpha": state.alpha}))
 
     def stats(self) -> dict:
         """JSON-safe snapshot: plane tallies, per-link queue/mark detail

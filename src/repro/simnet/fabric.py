@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 
 from repro.common.errors import SimulationError
 from repro.common.rand import derive_rng
+from repro.common.planelog import EDGE
 from repro.simnet.kernel import Timeout
 from repro.simnet.node import Node
 
@@ -119,11 +120,11 @@ class Fabric:
         if self._shard_tag and destination._shard != source._shard:
             env = self.env
             env.mailbox_crossings += 1
-            recorder = env.crossing_recorder
-            if recorder is not None:
-                recorder.edge(up_end + self.profile.wire_latency, up_end,
-                              "shard_crossing", destination.node_id,
-                              "fabric", src_node_id=source.node_id)
+            log = env.crossing_log
+            if log is not None:
+                log((EDGE, up_end + self.profile.wire_latency, up_end,
+                     "shard_crossing", destination.node_id, "fabric", None,
+                     source.node_id))
         return arrival - now
 
     def unicast_train(self, source: Node, destination: Node, sizes,
@@ -169,19 +170,18 @@ class Fabric:
         wire_latency = self.profile.wire_latency
         up_slots = uplink.reserve_train(sizes,
                                         [now + delay for delay in delays])
-        recorder = (self.env.crossing_recorder
-                    if self._shard_tag and destination._shard != source._shard
-                    else None)
+        log = (self.env.crossing_log
+               if self._shard_tag and destination._shard != source._shard
+               else None)
         arrivals = []
         for size, (_up_start, up_end) in zip(sizes, up_slots):
             send_start = up_end - uplink.serialization_time(size)
             _down_start, down_end = downlink.reserve(
                 size, send_start + wire_latency)
             arrivals.append(max(down_end, up_end + wire_latency))
-            if recorder is not None:
-                recorder.edge(up_end + wire_latency, up_end,
-                              "shard_crossing", destination.node_id,
-                              "fabric", src_node_id=source.node_id)
+            if log is not None:
+                log((EDGE, up_end + wire_latency, up_end, "shard_crossing",
+                     destination.node_id, "fabric", None, source.node_id))
         return arrivals
 
     def unicast_train_one(self, source: Node, destination: Node,
@@ -215,11 +215,10 @@ class Fabric:
         up_arrival = up_end + wire_latency
         if (self._shard_tag and source is not destination
                 and destination._shard != source._shard):
-            recorder = self.env.crossing_recorder
-            if recorder is not None:
-                recorder.edge(up_arrival, up_end, "shard_crossing",
-                              destination.node_id, "fabric",
-                              src_node_id=source.node_id)
+            log = self.env.crossing_log
+            if log is not None:
+                log((EDGE, up_arrival, up_end, "shard_crossing",
+                     destination.node_id, "fabric", None, source.node_id))
         return down_end if down_end > up_arrival else up_arrival
 
     # -- multicast -----------------------------------------------------------
@@ -261,12 +260,11 @@ class Fabric:
                 shard = member._shard
                 if shard != source._shard:
                     env.mailbox_crossings += 1
-                    recorder = env.crossing_recorder
-                    if recorder is not None:
-                        recorder.edge(up_end + self.profile.wire_latency,
-                                      up_end, "shard_crossing",
-                                      member.node_id, "fabric",
-                                      src_node_id=source.node_id)
+                    log = env.crossing_log
+                    if log is not None:
+                        log((EDGE, up_end + self.profile.wire_latency,
+                             up_end, "shard_crossing", member.node_id,
+                             "fabric", None, source.node_id))
                 env._post_shard = shard
             if member is source:
                 arrival_at = (now + delay + self.profile.loopback_latency

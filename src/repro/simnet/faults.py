@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.common.rand import derive_rng
+from repro.common.planelog import EDGE
 
 if TYPE_CHECKING:
     from repro.simnet.cluster import Cluster
@@ -296,8 +297,6 @@ class FaultPlane:
         self.active = bool(plan.entries)
         self._crash_at: dict[int, float] = {}
         self._blocks: list[_Block] = []
-        self._causal = None
-        self._causal_resolved = False
         #: Nodes whose crash transition has been applied (processes killed).
         self.crashed: set[int] = set()
         for entry in plan.entries:
@@ -400,24 +399,13 @@ class FaultPlane:
         if opens <= base:
             return 0.0
         if opens - base <= self.detection_timeout:
-            recorder = self._causal_recorder()
-            if recorder is not None:
-                recorder.edge(opens, base, "fault_backoff", src.node_id,
-                              f"rc{src.node_id}->{dst.node_id}",
-                              src_node_id=dst.node_id)
+            if src.metrics is not None and src.metrics.causal:
+                src.metrics.log((EDGE, opens, base, "fault_backoff",
+                                 src.node_id,
+                                 f"rc{src.node_id}->{dst.node_id}", None,
+                                 dst.node_id))
             return opens - base
         return None
-
-    def _causal_recorder(self):
-        """The cluster's causal recorder, resolved lazily (mirrors
-        ``CongestionPlane._trace``). Only consulted on heal waits —
-        clean-path admissions never reach it."""
-        if not self._causal_resolved:
-            obs = self.cluster.obs
-            if obs is not None and obs.causal is not None:
-                self._causal = obs.causal
-                self._causal_resolved = True
-        return self._causal
 
     def ud_deliverable(self, src: "Node", dst: "Node") -> bool:
         """True if a UD datagram sent now from src reaches dst (datagrams

@@ -474,7 +474,7 @@ class Environment:
 
     @property
     def now(self) -> float:
-        """Current simulated time in nanoseconds."""
+        """Current simulated time in ns (hot obs log sites read ``_now``)."""
         return self._now
 
     @property

@@ -41,12 +41,9 @@ class Node:
         self.crashed = False
         #: Per-node :class:`repro.obs.MetricsRegistry`, or ``None`` while
         #: observability is disabled (the hot-path guard: endpoints cache
-        #: this at construction and skip all instrumentation on ``None``).
+        #: this at construction and skip all instrumentation on ``None``;
+        #: otherwise they append records to its ``log``).
         self.metrics = None
-        #: Cluster-wide :class:`repro.obs.CausalRecorder`, or ``None``
-        #: unless ``enable_observability(causal=True)`` — same hot-path
-        #: caching contract as ``metrics``.
-        self.causal = None
 
     @property
     def cpu_scale(self) -> float:

@@ -52,7 +52,7 @@ class ShardedEnvironment(Environment):
 
     __slots__ = ("shard_count", "_active_shard", "_post_shard", "_round_shard",
                  "_drained", "_rounds", "_mailbox_in", "mailbox_crossings",
-                 "crossing_recorder")
+                 "crossing_log")
 
     def __init__(self, shards: int, initial_time: float = 0.0) -> None:
         if shards < 1:
@@ -83,10 +83,10 @@ class ShardedEnvironment(Environment):
         #: Cross-shard deliveries posted through the fabric (unicast
         #: messages, train messages, multicast member deliveries).
         self.mailbox_crossings = 0
-        #: ``repro.obs.CausalRecorder`` when causal observability is on:
-        #: the fabric records ``shard_crossing`` context spans through it
+        #: The obs plane log's ``append`` when causal observability is
+        #: on: the fabric logs ``shard_crossing`` context spans through it
         #: (set by ``Cluster.enable_observability(causal=True)``).
-        self.crossing_recorder = None
+        self.crossing_log = None
 
     # -- scheduling -------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:

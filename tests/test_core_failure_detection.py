@@ -7,6 +7,9 @@ replicate all-targets contract, and the multicast retransmit bound under
 total datagram loss.
 """
 
+import pytest
+
+from repro import obs
 from repro.common import HardwareProfile
 from repro.common.errors import (
     FlowAbortedError,
@@ -106,7 +109,7 @@ def _crash_target_run(policy):
         options=_small_options(peer_timeout=100_000.0,
                                on_target_failure=policy))
     outcome = {"survivor": [], "source_error": None, "survivor_error": None,
-               "closed": False, "failed": ()}
+               "closed": False, "failed": (), "cluster": cluster}
 
     def source_thread():
         source = yield from dfi.open_source("pol", 0)
@@ -208,7 +211,7 @@ def test_naive_replicate_aborts_when_a_target_dies():
     assert isinstance(outcome["survivor_error"], FlowAbortedError)
 
 
-def test_naive_replicate_reroute_degrades_to_survivors():
+def _naive_reroute_run():
     cluster = Cluster(node_count=3)
     cluster.install_faults(FaultPlan([node_crash(2, at=100_000.0)]),
                            detection_timeout=10_000.0)
@@ -216,7 +219,7 @@ def test_naive_replicate_reroute_degrades_to_survivors():
     dfi.init_replicate_flow(
         "repr", ["node0|0"], ["node1|0", "node2|0"], SCHEMA,
         options=_small_options(on_target_failure="reroute"))
-    outcome = {"survivor": 0, "done": False}
+    outcome = {"survivor": 0, "done": False, "cluster": cluster}
 
     def source_thread():
         source = yield from dfi.open_source("repr", 0)
@@ -243,9 +246,42 @@ def test_naive_replicate_reroute_degrades_to_survivors():
     cluster.env.process(survivor_thread())
     cluster.node(2).spawn(victim_thread())
     cluster.run()
+    return outcome
+
+
+def test_naive_replicate_reroute_degrades_to_survivors():
+    outcome = _naive_reroute_run()
     assert outcome["failed"] == (1,)
     assert outcome["done"]
     assert outcome["survivor"] == 4000  # the survivor got every tuple
+
+
+@pytest.mark.parametrize("run", [
+    lambda: _crash_target_run("abort"),
+    lambda: _crash_target_run("reroute"),
+    _naive_reroute_run,
+], ids=["shuffle-abort", "shuffle-reroute", "naive-replicate-reroute"])
+def test_target_crash_leaves_no_per_segment_obs_state(run):
+    """A target that never drains must not pin observability state per
+    segment written to it (the plane used to keep one latency stamp per
+    such segment forever). What remains after a read is bounded: an
+    empty log and, per ring that never consumed its close marker, one
+    slot-sized list of write stamps."""
+    obs.set_default_observability(True, trace=True, causal=True)
+    try:
+        cluster = run()["cluster"]
+    finally:
+        obs.set_default_observability(False)
+    plane = cluster.obs
+    assert plane.records  # the run logged, nothing was derived yet
+    snapshot = cluster.metrics_snapshot()
+    assert snapshot["trace_rings"] and snapshot["causal"]["edges"]
+    assert not plane.records
+    assert not hasattr(plane, "pending_segments")
+    assert len(plane.stamps) <= 1  # only the crashed target's ring
+    for (node_id, _rkey), slots in plane.stamps.items():
+        assert node_id == 2
+        assert len(slots) == _small_options().target_segments
 
 
 # -- multicast retransmit bound ---------------------------------------------

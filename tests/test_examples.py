@@ -43,6 +43,20 @@ def test_replicated_kvstore_example():
         assert protocol in out
 
 
+def test_observe_shuffle_example(tmp_path):
+    trace = tmp_path / "shuffle.trace.json"
+    out = run_example("observe_shuffle.py", "--bytes", "262144",
+                      "--trace-out", str(trace))
+    assert "with the plane on and off alike" in out
+    assert "core.tuples_pushed" in out and "4096" in out
+    assert "critical path: flow 'shuffle'" in out
+    analyzed = subprocess.run(
+        [sys.executable, "-m", "repro.obs.analyze", str(trace), "--json"],
+        capture_output=True, text=True, timeout=60)
+    assert analyzed.returncode == 0, analyzed.stderr
+    assert '"flow":"shuffle"' in analyzed.stdout
+
+
 def test_in_network_aggregation_example():
     out = run_example("in_network_aggregation.py")
     assert "in-network (SHARP)" in out

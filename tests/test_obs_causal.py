@@ -18,11 +18,11 @@ import sys
 import pytest
 
 from repro import obs
+from repro.common.planelog import CLOSE, EDGE, OPEN
 from repro.bench.flows import measure_incast
 from repro.core import FLOW_END, DfiRuntime, Endpoint, FlowOptions, Schema
 from repro.obs import (
     CausalError,
-    CausalRecorder,
     Histogram,
     analyze_cluster,
     blame_json,
@@ -142,21 +142,24 @@ class TestHistogramPercentiles:
 
 
 class TestRecorderAndValidation:
-    def _env(self):
-        class _Env:
-            now = 0.0
-        return _Env()
+    @staticmethod
+    def _recording(capacity=None):
+        """A plane's log, and the recorder its fold fills."""
+        plane = Cluster(node_count=1).enable_observability(causal=True)
+        if capacity is not None:
+            plane.causal.capacity = capacity
+        return plane.records.append, plane.causal
 
     def test_zero_span_edges_skipped(self):
-        recorder = CausalRecorder(self._env())
-        recorder.edge(5.0, 5.0, "wire", 0, "t")
-        recorder.edge(4.0, 5.0, "wire", 0, "t")
+        log, recorder = self._recording()
+        log((EDGE, 5.0, 5.0, "wire", 0, "t", None, None))
+        log((EDGE, 4.0, 5.0, "wire", 0, "t", None, None))
         assert recorder.edges() == []
 
     def test_bounded_log_counts_drops(self):
-        recorder = CausalRecorder(self._env(), capacity=4)
+        log, recorder = self._recording(capacity=4)
         for i in range(10):
-            recorder.edge(float(i + 1), float(i), "wire", 0, "t")
+            log((EDGE, float(i + 1), float(i), "wire", 0, "t", None, None))
         records = recorder.edges()
         assert len(records) == 4
         assert recorder.dropped() == {0: 6}
@@ -164,10 +167,10 @@ class TestRecorderAndValidation:
         assert [r[0] for r in records] == [7.0, 8.0, 9.0, 10.0]
 
     def test_export_is_json_safe_and_valid(self):
-        recorder = CausalRecorder(self._env())
-        recorder.open("f", 0)
-        recorder.edge(3.0, 1.0, "wire", 0, "t", "f")
-        recorder.close("f", 0)
+        log, recorder = self._recording()
+        log((OPEN, 0.0, "f"))
+        log((EDGE, 3.0, 1.0, "wire", 0, "t", "f", None))
+        log((CLOSE, 0.0, "f", 0, None, None))
         export = recorder.export()
         assert json.loads(json.dumps(export)) == export
         validate_export(export)  # must not raise
@@ -325,8 +328,7 @@ class TestFaultAttribution:
             report["total_ns"], rel=1e-9, abs=1e-6)
         # Backoff edges during the outage are recorded, and the blocked
         # sender's stall dominates the inflated window.
-        recorded = {edge[2] for log in cluster.obs.causal.logs.values()
-                    for edge in log.records()}
+        recorded = {edge[2] for edge in cluster.obs.causal.edges()}
         assert "fault_backoff" in recorded
         stalled = (report["blame"]["credit_stall"]
                    + report["blame"]["fault_backoff"])

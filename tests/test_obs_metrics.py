@@ -21,7 +21,7 @@ from repro.core import (
     FlowOptions,
     Schema,
 )
-from repro.obs import Histogram, MetricsRegistry, render_report
+from repro.obs import Histogram, render_report
 from repro.simnet import Cluster
 
 SCHEMA = Schema(("key", "uint64"), ("value", "uint64"))
@@ -186,7 +186,8 @@ class TestPrimitives:
         assert snap["count"] == 9 and snap["buckets"][10] == 1
 
     def test_registry_counters_and_report(self):
-        registry = MetricsRegistry(7)
+        plane = Cluster(node_count=1).enable_observability()
+        registry = plane.registry(7)
         registry.inc("core.tuples_pushed")
         registry.inc("core.tuples_pushed", 41)
         registry.observe("core.seg_latency", 960.0)

@@ -5,12 +5,22 @@ Covers the ring-bound contract (most recent ``capacity`` events kept,
 exporter, and the chaos integration: a seeded ``FaultPlan.random`` run
 must export fault-injection instants at their *planned* simulated times
 plus live ``FAULT_DETECT`` events from the flow layer.
+
+The last two classes pin the plane-log design (``repro.obs.log``):
+everything an export contains is derived at read time from train- and
+pass-level records, and must be byte-identical to what per-event live
+recording produced — for unbounded rings (sha256 of the exports of four
+scenarios, captured before the data path stopped recording per WQE) and
+for rings that wrap, however the reads interleave with the run.
 """
 
+import hashlib
 import json
 
 import pytest
 
+from repro.common import HardwareProfile
+from repro.common.planelog import EVENT
 from repro.common.errors import (
     FlowAbortedError,
     FlowPeerFailedError,
@@ -30,21 +40,26 @@ from repro.obs import (
     FLOW_CLOSE,
     SEG_CONSUME,
     SEG_WRITE,
-    FlowTracer,
     chrome_trace,
     export_chrome_trace,
 )
-from repro.simnet import Cluster, FaultPlan
+from repro.simnet import Cluster, CongestionConfig, FaultPlan
 
 SCHEMA = Schema(("key", "uint64"), ("value", "uint64"))
 _FLOW_ERRORS = (FlowPeerFailedError, FlowTimeoutError, FlowAbortedError)
 
 
 class TestTraceRing:
+    @staticmethod
+    def _traced(capacity):
+        """A plane, and the ring its fold fills for flow ``f``."""
+        plane = Cluster(node_count=1).enable_observability()
+        return plane.records.append, plane.tracer("f", capacity)
+
     def test_ring_keeps_most_recent_events(self):
-        tracer = FlowTracer("f", capacity=4)
+        log, tracer = self._traced(4)
         for i in range(10):
-            tracer.emit(float(i), SEG_WRITE, 0, "s0", {"seq": i})
+            log((EVENT, float(i), SEG_WRITE, "f", 0, "s0", {"seq": i}))
         assert len(tracer) == 4
         assert tracer.dropped == 6
         assert tracer.emitted == 10
@@ -52,9 +67,9 @@ class TestTraceRing:
         assert kept == [6, 7, 8, 9]  # oldest overwritten, order preserved
 
     def test_ring_under_capacity(self):
-        tracer = FlowTracer("f", capacity=8)
-        tracer.emit(1.0, SEG_WRITE, 0, "s0")
-        tracer.emit(2.0, SEG_CONSUME, 1, "t0", {"seq": 0})
+        log, tracer = self._traced(8)
+        log((EVENT, 1.0, SEG_WRITE, "f", 0, "s0", None))
+        log((EVENT, 2.0, SEG_CONSUME, "f", 1, "t0", {"seq": 0}))
         assert len(tracer) == 2 and tracer.dropped == 0
         assert [event[1] for event in tracer.events()] == [SEG_WRITE,
                                                            SEG_CONSUME]
@@ -285,3 +300,237 @@ class TestFlowCloseEvents:
         assert closes, f"no FLOW_CLOSE from {kind} {finish}"
         aborted = any((event[4] or {}).get("aborted") for event in closes)
         assert aborted == (finish == "abort")
+
+
+# -- export identity & ring capacity (the plane-log contract) ----------------
+
+def _drain(dfi, flow, index, batch=False):
+    target = yield from dfi.open_target(flow, index)
+    while True:
+        got = yield from (target.consume_batch() if batch
+                          else target.consume())
+        if got is FLOW_END:
+            return
+
+
+def _observed_cluster(node_count, capacity=None, **kwargs):
+    """Cluster with tracing and causal recording on; ``capacity`` bounds
+    every trace ring and every per-node edge log."""
+    cluster = Cluster(node_count=node_count, **kwargs)
+    cluster.enable_observability(trace=True, causal=True,
+                                 trace_capacity=capacity)
+    if capacity is not None:
+        cluster.obs.causal.capacity = capacity
+    return cluster
+
+
+def _batched_shuffle(capacity=None, mid_run=None, tuples=2048):
+    """1:4 bandwidth shuffle, ``push_batch`` trains plus a per-tuple
+    tail. ``mid_run(cluster)`` is called from the source process half
+    way through the batches."""
+    cluster = _observed_cluster(5, capacity)
+    dfi = DfiRuntime(cluster)
+    dfi.init_shuffle_flow(
+        "flow", [Endpoint(0, 0)], [Endpoint(1 + n, 0) for n in range(4)],
+        SCHEMA, shuffle_key="key",
+        options=FlowOptions(segment_size=256, source_segments=4,
+                            target_segments=8))
+    rows = [(i * 2654435761 % 2 ** 32, i) for i in range(tuples)]
+
+    def source():
+        src = yield from dfi.open_source("flow", 0)
+        for start in range(0, len(rows), 256):
+            if mid_run is not None and start == tuples // 2:
+                mid_run(cluster)
+            yield from src.push_batch(rows[start:start + 256])
+        for row in rows[:37]:
+            yield from src.push(row)
+        yield from src.close()
+
+    cluster.env.process(source())
+    for index in range(4):
+        cluster.env.process(_drain(dfi, "flow", index, batch=True))
+    cluster.run()
+    return cluster
+
+
+def _latency_pingpong():
+    cluster = _observed_cluster(3)
+    dfi = DfiRuntime(cluster)
+    options = FlowOptions(target_segments=8, credit_threshold=2)
+    client, servers = [Endpoint(0, 0)], [Endpoint(1, 0), Endpoint(2, 0)]
+    for name, sources, targets in (("ping", client, servers),
+                                   ("pong", servers, client)):
+        dfi.init_shuffle_flow(name, sources, targets, SCHEMA,
+                              shuffle_key="key",
+                              optimization=Optimization.LATENCY,
+                              options=options)
+
+    def client_proc():
+        ping = yield from dfi.open_source("ping", 0)
+        pong = yield from dfi.open_target("pong", 0)
+        for i in range(60):
+            yield from ping.push((i * 7919, i))
+            yield from pong.consume()
+        yield from ping.close()
+        while (yield from pong.consume()) is not FLOW_END:
+            pass
+
+    def server_proc(index):
+        ping = yield from dfi.open_target("ping", index)
+        pong = yield from dfi.open_source("pong", index)
+        while True:
+            request = yield from ping.consume()
+            if request is FLOW_END:
+                yield from pong.close()
+                return
+            yield from pong.push(request)
+
+    cluster.env.process(client_proc())
+    for index in range(2):
+        cluster.env.process(server_proc(index))
+    cluster.run()
+    return cluster
+
+
+def _lossy_multicast():
+    cluster = _observed_cluster(
+        4, seed=7, profile=HardwareProfile(multicast_loss_probability=0.05))
+    dfi = DfiRuntime(cluster)
+    dfi.init_replicate_flow(
+        "rep", [Endpoint(0, 0)], [Endpoint(1 + n, 0) for n in range(3)],
+        SCHEMA, options=FlowOptions(segment_size=256, source_segments=4,
+                                    target_segments=16, credit_threshold=8,
+                                    multicast=True))
+    rows = [(i, i * i) for i in range(1200)]
+
+    def source():
+        src = yield from dfi.open_source("rep", 0)
+        for start in range(0, len(rows), 200):
+            yield from src.push_batch(rows[start:start + 200])
+        yield from src.close()
+
+    cluster.env.process(source())
+    for index in range(3):
+        cluster.env.process(_drain(dfi, "rep", index))
+    cluster.run()
+    return cluster
+
+
+def _congested_incast():
+    senders = 6
+    cluster = _observed_cluster(1 + senders)
+    dfi = DfiRuntime(cluster)
+    dfi.init_shuffle_flow(
+        "incast", [Endpoint(1 + n, 0) for n in range(senders)],
+        [Endpoint(0, 0)], SCHEMA, shuffle_key="key",
+        options=FlowOptions(congestion=CongestionConfig.datacenter()))
+    rows = [(i, i) for i in range(1024)]
+
+    def source(index):
+        src = yield from dfi.open_source("incast", index)
+        for _ in range(24):
+            yield from src.push_batch(rows, target=0)
+        yield from src.close()
+
+    for index in range(senders):
+        cluster.node(1 + index).spawn(source(index))
+    cluster.node(0).spawn(_drain(dfi, "incast", 0, batch=True))
+    cluster.run()
+    return cluster
+
+
+def _sha(document) -> str:
+    return hashlib.sha256(
+        json.dumps(document, sort_keys=True).encode()).hexdigest()
+
+
+class TestExportIdentity:
+    """sha256 of ``json.dumps(..., sort_keys=True)`` of the three export
+    surfaces — ``metrics_snapshot()["nodes"]``, ``chrome_trace(cluster)``,
+    ``cluster.obs.causal.export()`` — captured on the commit that still
+    recorded every trace event and causal edge live, call by call."""
+
+    @pytest.mark.parametrize("build, nodes, trace, causal", [
+        (_batched_shuffle,
+         "94441e9fe84b337a3030259c5bf0923c993b15775d151759b31a072d72392c89",
+         "e77415cb2eff25075f37a21c0d3d3284d3ee7369d6d640b7fcd4187609ccbe1c",
+         "cdfb37dd86bcbecf617048a9585a37b8b670cc308ea3b9d23f98377265e1520d"),
+        (_latency_pingpong,
+         "5155336b32d7b4b71edc889ca08cbb6af66d8c33889eafa05d6e0b36eec17089",
+         "da75c0c0b373969e4712a8ea2828df2bf20f33eccd68aa04dc2c34e8ea300b65",
+         "e38417b0daef2423e6ccb778c6cef3e7e31cb577696cac46129aba83a191a119"),
+        (_lossy_multicast,
+         "6a0a4598a4c2e8126b30ad34a5a3bd0b188cfb2d402b9705e340a58123ef7ea4",
+         "348b7c7b621ab5a1d24b3e3b124a0909e76860b6efcfd3c49650ca86c18902cd",
+         "d3f7a8d2f151604ede1daa1d9f6479cdbe69e98706225774d3cf0dca58560aca"),
+        (_congested_incast,
+         "b83bc9ccde77cd01dcb644032cb1a5a8ab32cc0abf3dd9c28571d0943eb6604f",
+         "6992780c74a3554a0ab934aaf9618f22902ad5683cd05a40d3efb6c97331d42a",
+         "f9fb5eb3ac6d4cda2ca71793917b26bbb0b9d91edca661e156b4e63d0da764de"),
+    ], ids=["batched-shuffle", "latency-pingpong", "lossy-multicast",
+            "congested-incast"])
+    def test_exports_match_live_recording(self, build, nodes, trace, causal):
+        cluster = build()
+        assert _sha(cluster.metrics_snapshot()["nodes"]) == nodes
+        assert _sha(chrome_trace(cluster)) == trace
+        assert _sha(cluster.obs.causal.export()) == causal
+
+
+class TestBoundedRings:
+    """A ring that wraps keeps the last-``capacity`` suffix of what an
+    unbounded ring holds, whenever the plane log gets folded."""
+
+    def _read(self, cluster):
+        tracer = cluster.obs.tracers["flow"]
+        recorder = cluster.obs.causal
+        return {"events": tracer.events(), "kept": len(tracer),
+                "dropped": tracer.dropped, "emitted": tracer.emitted,
+                "edges": {node: list(ring.items)
+                          for node, ring in recorder.logs.items()},
+                "edges_dropped": recorder.dropped(),
+                "nodes": cluster.metrics_snapshot()["nodes"]}
+
+    def test_wrapped_rings_are_the_suffix_of_an_unbounded_run(self):
+        full = self._read(_batched_shuffle())
+        capped = self._read(_batched_shuffle(capacity=64))
+        assert full["dropped"] == 0 and not full["edges_dropped"]
+        assert capped["events"] == full["events"][-64:]
+        assert capped["kept"] == 64
+        assert capped["emitted"] == full["emitted"] == len(full["events"])
+        assert capped["dropped"] == full["emitted"] - 64
+        assert set(capped["edges"]) == set(full["edges"])
+        for node, edges in full["edges"].items():
+            assert capped["edges"][node] == edges[-64:]
+            assert (capped["edges_dropped"].get(node, 0)
+                    == max(0, len(edges) - 64))
+        assert capped["nodes"] == full["nodes"]  # histograms see it all
+
+    def test_mid_run_read_changes_nothing(self):
+        """Folding half way (a ``metrics_snapshot()`` from inside the
+        run) and again at the end equals reading once at the end."""
+        seen = []
+        once = self._read(_batched_shuffle(capacity=64))
+        twice = self._read(_batched_shuffle(
+            capacity=64, mid_run=lambda cluster: seen.append(
+                cluster.metrics_snapshot()["trace_rings"]["flow"]["kept"])))
+        assert seen and 0 < seen[0] <= 64
+        assert twice == once
+
+    def test_hot_path_folds_full_chunks(self, monkeypatch):
+        """A run nobody reads does not grow the log without bound: queue
+        pairs let the plane fold it in chunks (``MetricsRegistry.bound``,
+        every 16th post), with the same result as one fold at the end."""
+        monkeypatch.setattr("repro.obs.metrics.FOLD_RECORDS", 10 ** 9)
+        unread = _batched_shuffle(tuples=16384)
+        total = len(unread.obs.records)
+        whole = self._read(unread)
+        monkeypatch.setattr("repro.obs.metrics.FOLD_RECORDS", 16)
+        backlog = []
+        chunked = _batched_shuffle(
+            tuples=16384,
+            mid_run=lambda cluster: backlog.append(len(cluster.obs.records)))
+        backlog.append(len(chunked.obs.records))
+        assert total > 1500 and max(backlog) < 200
+        assert chunked.obs.tracers["flow"].items  # derived during the run
+        assert self._read(chunked) == whole
