@@ -44,23 +44,6 @@ _INT_CODES = frozenset("bBhHiIqQ")
 #: making the vectorized router bucket pass applicable.
 _UNSIGNED_CODES = frozenset("BHIQ")
 
-#: Lazily-resolved numpy module, or ``False`` when unavailable. The
-#: vectorized router pass is an optional accelerator only — the
-#: stdlib router stays the reference and the fallback, and nothing
-#: else in the simulator touches numpy.
-_NUMPY = None
-
-
-def _numpy():
-    global _NUMPY
-    if _NUMPY is None:
-        try:
-            import numpy
-            _NUMPY = numpy
-        except ImportError:  # pragma: no cover - depends on environment
-            _NUMPY = False
-    return _NUMPY
-
 #: Fibonacci-hash constants of :func:`repro.core.routing.key_hash_router`
 #: (defined here because they are also inlined into generated router
 #: source, and ``routing`` imports this module).
@@ -73,10 +56,44 @@ _HASH_MASK = (1 << 64) - 1
 #: knob: both passes produce bit-identical partitions).
 _ROUTE_NP_MIN = 256
 
-#: Count-keyed batch-struct caches stop growing at this many entries;
-#: uncached counts fall back to power-of-two chunked packing instead of
+#: numpy's names as the vector route kernels call them: ``None`` until a
+#: kernel first asks, ``{}`` when numpy cannot be imported. The
+#: vectorized router pass is an optional accelerator only — the stdlib
+#: router stays the reference and the fallback, and nothing else in the
+#: simulator touches numpy.
+_NUMPY = None
+
+
+def _numpy(namespace: dict):
+    """Bind numpy into a route kernel's ``namespace``. The kernel itself
+    calls this, on its first batch of ``_ROUTE_NP_MIN`` rows, so a
+    process that never routes one never pays the import (~0.11 s and
+    ~12 MiB, the largest single cold-start cost of a flow). Returns the
+    bound ``fromiter``, or ``None`` when numpy is unavailable — that
+    batch and every later one then take the scalar kernel."""
+    global _NUMPY
+    if _NUMPY is None:
+        try:
+            import numpy
+        except ImportError:
+            _NUMPY = {}
+        else:
+            _NUMPY = {
+                "_np_fromiter": numpy.fromiter, "_np_uint64": numpy.uint64,
+                "_np_int64": numpy.int64, "_np_s32": numpy.uint64(32),
+                "_np_mult": numpy.uint64(_HASH_MULT),
+            }
+    namespace.update(_NUMPY)
+    return namespace["_np_fromiter"]
+
+
+#: Rows a schema's count-keyed batch structs may hold between them (the
+#: sum of the cached counts; a compiled struct costs memory per row).
+#: Every count a segment of up to 255 tuples can ask for fits at once —
+#: a 1:8 shuffle of 128-tuple segments asks for all 128 — while a count
+#: the budget cannot take packs in power-of-two chunks instead of
 #: compiling a fresh ``struct.Struct`` per call.
-_BATCH_CACHE_CAP = 64
+_BATCH_CACHE_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -139,10 +156,11 @@ class Schema:
         #: segment on the target hot path.
         self._iter_unpack = self._struct.iter_unpack
         #: Compiled batch structs, keyed by tuple count (push_batch packs a
-        #: whole segment with a single struct call). Bounded: once
-        #: ``_BATCH_CACHE_CAP`` distinct counts are cached, new counts pack
-        #: through power-of-two chunks instead of compiling per call.
+        #: whole segment with a single struct call). Bounded: a count that
+        #: no longer fits ``_batch_rows_left`` packs through power-of-two
+        #: chunks instead of compiling per call.
         self._batch_structs: dict[int, struct.Struct] = {}
+        self._batch_rows_left = _BATCH_CACHE_ROWS
         #: Power-of-two chunk structs used by counts that miss the full
         #: cache (bounded by the count's bit length, so ~60 entries max).
         self._pow2_structs: dict[int, struct.Struct] = {}
@@ -199,12 +217,13 @@ class Schema:
         return SchemaError(f"tuple {values!r} does not match schema: {exc}")
 
     def _batch_struct(self, count: int) -> "struct.Struct | None":
-        """Batch struct for ``count`` tuples, or ``None`` once the cache
-        is full and ``count`` is uncached — callers then take the
-        power-of-two chunked path instead of compiling a throwaway
-        ``struct.Struct`` on every call."""
+        """Batch struct for ``count`` tuples, or ``None`` when ``count``
+        is uncached and larger than what is left of the row budget —
+        callers then take the power-of-two chunked path instead of
+        compiling a throwaway ``struct.Struct`` on every call."""
         compiled = self._batch_structs.get(count)
-        if compiled is None and len(self._batch_structs) < _BATCH_CACHE_CAP:
+        if compiled is None and count <= self._batch_rows_left:
+            self._batch_rows_left -= count
             compiled = struct.Struct("<" + self._codes * count)
             self._batch_structs[count] = compiled
         return compiled
@@ -223,8 +242,8 @@ class Schema:
         """Pack a sequence of tuples contiguously into ``buffer`` with one
         ``struct`` call — the amortization behind the batched push path.
 
-        Counts beyond the batch-struct cache pack in power-of-two chunks
-        (identical bytes, no per-call compile).
+        Counts the batch-struct cache cannot take pack in power-of-two
+        chunks (identical bytes, no per-call compile).
         """
         count = len(tuples)
         if count == 1:
@@ -304,7 +323,9 @@ class Schema:
     def compiled_route_many(self, key_index: int, generic_route_many):
         """Generated hash-partition kernel for shuffling on field
         ``key_index``, or ``None`` when codegen is off or the key dtype
-        is not a statically-known integer.
+        is not a statically-known integer. Unsigned keys get a vector
+        pass for batches of ``_ROUTE_NP_MIN`` rows and more; numpy is
+        imported by the first such batch, never by building the router.
 
         The kernel produces exactly the partitions of
         ``generic_route_many`` (same Fibonacci hash, same power-of-two
@@ -421,7 +442,8 @@ def %(name)s(tuples, target_count):
     bit-identical for every in-range key, and the out-of-band cases
     land on the same code paths the scalar kernel uses.
     """
-    if len(tuples) < %(np_min)d:
+    if len(tuples) < %(np_min)d or not (
+            _np_fromiter or _numpy(globals())):
         return %(pyname)s(tuples, target_count)
     try:
         keys = _np_fromiter(map(_op_index, map(_ig%(key_index)d, tuples)),
@@ -514,7 +536,12 @@ class _SchemaKernels:
     def __init__(self, codes: str) -> None:
         self.codes = codes
         #: Globals the generated route/fold sources are exec'd into.
-        self._namespace: dict = {"_Struct": struct.Struct}
+        #: ``_np_fromiter`` stays ``None`` until a vector route kernel
+        #: runs :func:`_numpy` on this namespace.
+        self._namespace: dict = {
+            "_Struct": struct.Struct, "_op_index": operator.index,
+            "_numpy": _numpy, "_np_fromiter": None,
+        }
         self._route_cache: dict = {}
         self._fold_cache: dict = {}
 
@@ -525,33 +552,22 @@ class _SchemaKernels:
         rebound per call site — kernels are shared across schemas, but
         every generated router of a given key index shares one body.
         Unsigned key dtypes additionally get the vectorized bucket
-        pass when numpy is importable (identical partitions either
-        way, so availability never changes results)."""
+        pass, which binds numpy on its first large batch (identical
+        partitions either way, so availability never changes results)."""
         kernel = self._route_cache.get(key_index)
         if kernel is None:
             name = f"_route_many_k{key_index}"
             generic_name = f"_generic_route_k{key_index}"
-            np_mod = _numpy() if unsigned else False
-            pyname = name + "_py" if np_mod else name
             fields = {
-                "name": name, "pyname": pyname, "key_index": key_index,
-                "mult": _HASH_MULT, "mask": _HASH_MASK,
-                "generic": generic_name, "np_min": _ROUTE_NP_MIN,
+                "name": name, "pyname": name + "_py" if unsigned else name,
+                "key_index": key_index, "mult": _HASH_MULT,
+                "mask": _HASH_MASK, "generic": generic_name,
+                "np_min": _ROUTE_NP_MIN, "np_block": "",
             }
-            if np_mod:
-                namespace = self._namespace
-                if "_np_fromiter" not in namespace:
-                    namespace["_np_fromiter"] = np_mod.fromiter
-                    namespace["_np_uint64"] = np_mod.uint64
-                    namespace["_np_int64"] = np_mod.int64
-                    namespace["_np_mult"] = np_mod.uint64(_HASH_MULT)
-                    namespace["_np_s32"] = np_mod.uint64(32)
-                    namespace["_op_index"] = operator.index
-                namespace[f"_ig{key_index}"] = operator.itemgetter(
+            if unsigned:
+                self._namespace[f"_ig{key_index}"] = operator.itemgetter(
                     key_index)
                 fields["np_block"] = _ROUTE_NP_TEMPLATE % fields
-            else:
-                fields["np_block"] = ""
             source = _ROUTE_TEMPLATE % fields
             exec(compile(source,
                          f"<schema-router {self.codes!r}[{key_index}]>",

@@ -1281,9 +1281,9 @@ class ShuffleSource:
             yield from push(values, target)
 
     def push_batch(self, tuples, target: "int | None" = None):
-        """Generator: push a batch of tuples through the batched channel
-        path — whole segments are packed with one ``struct`` call instead
-        of one per tuple.
+        """Generator: push a batch of tuples (any iterable) through the
+        batched channel path — whole segments are packed with one
+        ``struct`` call instead of one per tuple.
 
         Without an explicit ``target`` the batch is partitioned by the
         flow's router first and each per-channel group is pushed as its
@@ -1292,6 +1292,11 @@ class ShuffleSource:
         """
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
+        # Route kernels measure and index the batch and the reroute
+        # policy re-reads it: a one-shot iterable is materialised once,
+        # here (a class test: no call on the path every batch takes).
+        if tuples.__class__ is not list and tuples.__class__ is not tuple:
+            tuples = list(tuples)
         channels = self._channels
         if target is not None:
             if not 0 <= target < len(channels):

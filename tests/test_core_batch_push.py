@@ -9,6 +9,7 @@ from array import array
 
 import pytest
 
+from repro.common import config
 from repro.common.errors import FlowError
 from repro.core import (
     FLOW_END,
@@ -103,6 +104,37 @@ def test_push_batch_accepts_iterators_and_empty_batches():
 
     received = run_flow(cluster, dfi, "f", source_fn)
     assert received[0] == TUPLES[:50]
+
+
+@pytest.mark.parametrize("codegen", (True, False))
+@pytest.mark.parametrize("count", (10, 300))
+@pytest.mark.parametrize("kind", (list, tuple, iter,
+                                  lambda rows: (row for row in rows)),
+                         ids=("list", "tuple", "iterator", "generator"))
+def test_routed_push_batch_accepts_any_iterable(monkeypatch, kind, count,
+                                                codegen):
+    """A one-shot iterable routed over several targets used to die in
+    the generated route kernel (``len()`` of a generator) while every
+    other path took it: below and above the vector-kernel threshold,
+    generated and generic router, each delivers every tuple where the
+    router puts it."""
+    monkeypatch.setattr(config, "CODEGEN_ENABLED", codegen)
+    schema = Schema(("key", "uint64"), ("value", "uint64"))
+    assert schema.codegen_active is codegen
+    cluster, dfi = build(4)
+    dfi.init_shuffle_flow(
+        "f", [Endpoint(0, 0)], [Endpoint(n, 0) for n in (1, 2, 3)],
+        schema, shuffle_key="key")
+    rows = TUPLES[:count]
+
+    def source_fn(source, _index):
+        yield from source.push_batch(kind(rows))
+
+    received = run_flow(cluster, dfi, "f", source_fn)
+    route = key_hash_router(schema, "key")
+    assert received == {target: [row for row in rows
+                                 if route(row, 3) == target]
+                        for target in range(3)}
 
 
 def test_push_batch_with_explicit_target_bypasses_router():

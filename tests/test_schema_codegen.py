@@ -11,11 +11,18 @@ codegen on and off (the in-process equivalent of running the fingerprint
 under ``REPRO_NO_CODEGEN=1``).
 """
 
+import importlib.util
+import random
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common import config
 from repro.common.errors import SchemaError
 from repro.core import Schema
+from repro.core import schema as schema_module
 from repro.core.routing import key_hash_router
 from repro.core.types import BUILTIN_TYPES, fixed_bytes
 
@@ -98,14 +105,55 @@ def test_unpack_rows_round_trips(dtype):
 
 
 def test_uncached_batch_counts_pack_byte_layout():
-    """Counts beyond the batch-struct cache cap take the power-of-two
-    chunked path — same bytes as packing row by row."""
+    """A count the row budget cannot take — larger than the whole
+    budget, or arriving after it is spent — is neither compiled nor
+    cached: it packs through power-of-two chunk structs, to the same
+    bytes as packing row by row."""
+    budget = schema_module._BATCH_CACHE_ROWS
     schema = Schema(("k", "uint64"), ("pad", 8))
-    for count in (65, 127, 1000, 1025):  # none cached up front
+
+    def packs_like_row_by_row(count):
         rows = _rows(schema, count)
         buf = bytearray(schema.tuple_size * count)
         schema.pack_many_into(buf, 0, rows)
         assert buf == _packed_one_by_one(schema, rows), count
+
+    packs_like_row_by_row(budget + 1)
+    assert not schema._batch_structs
+    assert sorted(schema._pow2_structs) == [1, budget]
+    # Spend the budget on one count; the chunk path takes what follows.
+    packs_like_row_by_row(budget)
+    assert list(schema._batch_structs) == [budget]
+    for count in (65, 127, 1000, 1025):
+        packs_like_row_by_row(count)
+    assert list(schema._batch_structs) == [budget]
+    assert sorted(schema._pow2_structs) == [
+        1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, budget]
+    packs_like_row_by_row(budget)       # the cached count still hits
+
+
+def test_every_count_of_a_segment_packs_with_one_struct_call():
+    """The steady state of a 1:8 shuffle of 128-tuple segments (ledger
+    ``shuffle_batched`` asks for all of them): every count 1..128
+    on one schema is cached, so each batch is one ``struct`` call and
+    the chunk path never runs."""
+    schema = Schema(("key", "uint64"), ("pad", 56))
+    buf = bytearray(schema.tuple_size * 128)
+    for count in range(1, 129):
+        schema.pack_many_into(buf, 0, _rows(schema, count))
+    assert sorted(schema._batch_structs) == list(range(2, 129))
+    assert not schema._pow2_structs
+
+    spies = {count: mock.Mock(wraps=compiled)
+             for count, compiled in schema._batch_structs.items()}
+    schema._batch_structs = spies
+    for count in range(2, 129):
+        rows = _rows(schema, count)
+        schema.pack_many_into(buf, 0, rows)
+        assert buf[:count * 64] == _packed_one_by_one(schema, rows)
+    assert all(len(spy.mock_calls) == 1 and spy.pack_into.call_count == 1
+               for spy in spies.values())
+    assert not schema._pow2_structs
 
 
 def test_pack_mismatch_raises_schema_error():
@@ -162,6 +210,54 @@ def test_route_many_mistyped_batch_replays_through_generic():
     liars = [("zebra", pad), ("ant", pad), (3.5, pad), ("zebra", pad)]
     for targets in (4, 5):
         assert route_c(liars, targets) == route_g(liars, targets)
+
+
+_NP_MIN = schema_module._ROUTE_NP_MIN
+
+#: Keys the declared ``uint64`` dtype does not admit: the vector pass
+#: hands negative and >= 2**64 keys to the scalar kernel and everything
+#: ``operator.index`` rejects to the generic router.
+_ODD_KEYS = (-1, -2 ** 63, 2 ** 64, 2 ** 64 + 5, 2 ** 70, 1.5, -0.0, 3e30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.sampled_from((0, 1, _NP_MIN - 1, _NP_MIN,
+                                       _NP_MIN + 1, 2 * _NP_MIN))
+                      | st.integers(0, 2 * _NP_MIN),
+                      min_size=1, max_size=6),
+       odd=st.lists(st.tuples(st.integers(0, 5),
+                              st.integers(0, 2 * _NP_MIN),
+                              st.sampled_from(_ODD_KEYS)), max_size=4),
+       targets=st.integers(1, 9), seed=st.integers(0, 2 ** 32))
+def test_vector_scalar_and_generic_routers_agree_across_the_binding(
+        sizes, odd, targets, seed):
+    """One router fed batches on both sides of ``_ROUTE_NP_MIN``: numpy
+    is bound into the kernel namespace by the first batch that reaches
+    the vector branch, mid-stream, and the partitions are those of the
+    scalar kernel and of the generic router before, at and after it."""
+    rng = random.Random(seed)
+    batches = [[(rng.getrandbits(64), b"pad!") for _ in range(size)]
+               for size in sizes]
+    for batch, position, key in odd:
+        if batch < len(batches) and position < len(batches[batch]):
+            batches[batch][position] = (key, b"pad!")
+    # A fresh kernel set, as the first schema of this layout in a
+    # process gets: its vector kernel has not bound numpy yet.
+    with mock.patch.dict(schema_module._KERNEL_CACHE, clear=True):
+        compiled, generic = _schemas(("key", "uint64"), ("pad", 4))
+        vector = key_hash_router(compiled, "key").route_many
+    namespace = compiled._kernels._namespace
+    assert vector is namespace["_route_many_k0"]
+    scalar = namespace["_route_many_k0_py"]
+    reference = key_hash_router(generic, "key").route_many
+    have_numpy = importlib.util.find_spec("numpy") is not None
+    reached = False
+    for rows in batches:
+        assert (namespace["_np_fromiter"] is not None) == (
+            reached and have_numpy)
+        groups = vector(rows, targets)
+        assert groups == scalar(rows, targets) == reference(rows, targets)
+        reached |= len(rows) >= _NP_MIN
 
 
 # -- combiner folds ----------------------------------------------------------
