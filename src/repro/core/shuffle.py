@@ -70,6 +70,7 @@ from repro.obs import (
 from repro.common.planelog import CONSUME, EVENT, WRITE
 from repro.core.writers import _congestion_grace
 from repro.rdma.completion import Opcode, WorkRequest
+from repro.rdma.memory import zeroed
 from repro.rdma.nic import get_nic
 from repro.simnet.congestion import stall_is_congestion
 
@@ -187,7 +188,7 @@ class BandwidthSourceChannel:
         self._pipelined_preread = descriptor.options.pipelined_footer_read
         self._slot_size = self.segment_payload + FOOTER_SIZE
         self._staging_slots = 2 * self._ring_segments
-        self._staging = bytearray(self._staging_slots * self._slot_size)
+        self._staging = zeroed(self._staging_slots * self._slot_size)
         self._staging_view = memoryview(self._staging)
         self._staging_base = 0
         self._flushes = 0
@@ -730,7 +731,7 @@ class LatencySourceChannel:
         # implies the write had committed. So the slot is stable for the
         # write's whole lifetime.
         self._slot_size = self.segment_payload + FOOTER_SIZE
-        self._staging = bytearray(handle.segment_count * self._slot_size)
+        self._staging = zeroed(handle.segment_count * self._slot_size)
         self._staging_view = memoryview(self._staging)
         self._rng = node.backoff_rng
         self._max_retries = descriptor.options.max_backoff_retries

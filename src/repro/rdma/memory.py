@@ -1,6 +1,6 @@
 """Registered memory regions.
 
-A :class:`MemoryRegion` is a real ``bytearray`` registered with a NIC. All
+A :class:`MemoryRegion` is a real buffer registered with a NIC. All
 one-sided RDMA traffic lands in (or is read from) these buffers, so the DFI
 ring-buffer protocol above executes against actual memory — targets poll
 footer bytes exactly as the paper describes, nothing is mocked.
@@ -12,6 +12,7 @@ use to address the region.
 
 from __future__ import annotations
 
+import mmap
 import struct
 from typing import TYPE_CHECKING
 
@@ -22,11 +23,33 @@ if TYPE_CHECKING:
 
 _U64 = struct.Struct("<Q")
 
+#: Smallest mapped buffer. Below it ``bytearray(size)`` on a warm heap is
+#: cheaper even for a buffer that ends up a quarter written; from here up
+#: it is dearer unless every page is written (measured by
+#: benchmarks/perf/alloc_threshold.py, table in docs/performance.md).
+MAP_MIN = 32 * 1024
+
+
+def zeroed(size: int) -> "mmap.mmap | bytearray":
+    """A zero-filled, fixed-size, writable buffer: from :data:`MAP_MIN` up
+    a *private* (forked workers must not see each other's writes)
+    anonymous mapping, whose pages the OS commits when they are first
+    written and takes back when the last view dies. Indexing, equal-length
+    slice assignment, ``struct`` and ``memoryview`` work alike on both
+    kinds, so no caller asks which it holds."""
+    if size >= MAP_MIN:
+        try:
+            return mmap.mmap(-1, size,
+                             flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        except OSError:
+            pass  # e.g. vm.max_map_count reached
+    return bytearray(size)
+
 
 class MemoryRegion:
     """A contiguous, NIC-registered memory buffer."""
 
-    __slots__ = ("nic", "rkey", "size", "mem", "_write_hooks")
+    __slots__ = ("nic", "rkey", "size", "mem", "_view", "_write_hooks")
 
     def __init__(self, nic: "RNic", rkey: int, size: int) -> None:
         if size <= 0:
@@ -34,7 +57,9 @@ class MemoryRegion:
         self.nic = nic
         self.rkey = rkey
         self.size = size
-        self.mem = bytearray(size)
+        self.mem = zeroed(size)
+        # A live export also stops a ``bytearray`` from ever resizing.
+        self._view = memoryview(self.mem)
         self._write_hooks: list = []
 
     # -- write notification ---------------------------------------------
@@ -81,7 +106,7 @@ class MemoryRegion:
         """Zero-copy view of a slice (the DFI target consume path uses this
         so applications process tuples without a memory copy)."""
         self.check_range(offset, length)
-        return memoryview(self.mem)[offset:offset + length]
+        return self._view[offset:offset + length]
 
     # -- 64-bit word helpers (atomics and counters) --------------------------
     def read_u64(self, offset: int) -> int:

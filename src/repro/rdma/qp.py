@@ -44,6 +44,16 @@ def _as_bytes(payload: bytes | bytearray | memoryview) -> bytes:
     return bytes(payload)
 
 
+def _byte_view(buffer) -> memoryview:
+    """Zero-copy view of ``buffer`` whose ``len`` is its byte length, the
+    unit of every size, range check and commit (``array('Q')`` has 8)."""
+    try:
+        return memoryview(buffer).cast("B")
+    except TypeError as exc:
+        raise RdmaError(
+            f"a zero-copy write needs a C-contiguous buffer: {exc}") from None
+
+
 def _action_when(action) -> float:
     """Sort key for (when, fn, arg) train actions (stable on equal
     times)."""
@@ -102,8 +112,8 @@ def _gather_chunks(payload, assume_stable: bool) -> list:
     chunks = (list(payload) if isinstance(payload, (list, tuple))
               else [payload])
     if assume_stable:
-        return [chunk if isinstance(chunk, (bytes, memoryview))
-                else memoryview(chunk) for chunk in chunks]
+        return [chunk if isinstance(chunk, bytes) else _byte_view(chunk)
+                for chunk in chunks]
     return [_as_bytes(chunk) for chunk in chunks]
 
 
@@ -317,8 +327,13 @@ class QueuePair:
             # Fast path for the dominant case: one buffer, no gather list.
             chunk = payload
             if not isinstance(chunk, bytes):
-                chunk = (memoryview(chunk) if assume_stable
-                         else bytes(chunk))
+                if not assume_stable:
+                    chunk = bytes(chunk)
+                # Already one (a segment flush posts a slice of its
+                # staging view): no call, no second view object.
+                elif not (type(chunk) is memoryview and chunk.itemsize
+                          == chunk.ndim == 1 and chunk.c_contiguous):
+                    chunk = _byte_view(chunk)
             size = len(chunk)
             pieces = [(0, chunk)]
         if not size:

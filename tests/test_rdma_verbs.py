@@ -1,5 +1,7 @@
 """Tests for RC/UD queue pairs: writes, reads, atomics, send/recv, multicast."""
 
+from array import array
+
 import pytest
 
 from repro.common import HardwareProfile
@@ -146,6 +148,44 @@ def test_write_payload_snapshot_at_post_time():
     cluster.env.process(sender(cluster.env))
     cluster.run()
     assert remote.read(0, 8) == b"original"
+
+
+@pytest.mark.parametrize("gather", [False, True], ids=["lone", "gather"])
+@pytest.mark.parametrize("doorbell", [True, False], ids=["eager", "train"])
+def test_zero_copy_write_counts_a_typed_buffer_in_bytes(gather, doorbell):
+    """``assume_stable`` wraps the caller's buffer instead of copying it;
+    a buffer of 8-byte items used to be sized by its item count, so the
+    range check covered 3 bytes and the commit grew the region by 21."""
+    cluster, nic0, nic1 = make_pair()
+    remote = nic1.register_memory(64)
+    qp = nic0.create_qp(cluster.node(1))
+    words = array("Q", [1, 2, 3])
+    payload = [memoryview(words)[:1], words[1:]] if gather else words
+
+    def post(offset):
+        return qp.post_write(payload, remote.rkey, offset,
+                             assume_stable=True, doorbell=doorbell)
+
+    with pytest.raises(MemoryRegionError):
+        post(64 - 8)  # 24 bytes do not fit 8 bytes from the end
+    post(8)
+    qp.ring_doorbell()
+    cluster.run()
+    assert nic0.bytes_posted == 24
+    assert len(remote.mem) == remote.size == 64
+    assert remote.read(0, 64) == bytes(8) + words.tobytes() + bytes(32)
+
+
+@pytest.mark.parametrize("typecode", ["B", "Q"])
+def test_zero_copy_write_rejects_a_strided_buffer(typecode):
+    """At post time, not when the commit event finds it cannot copy."""
+    cluster, nic0, nic1 = make_pair()
+    remote = nic1.register_memory(64)
+    qp = nic0.create_qp(cluster.node(1))
+    strided = memoryview(array(typecode, range(6)))[::2]
+    for payload in (strided, [b"head", strided]):
+        with pytest.raises(RdmaError, match="C-contiguous"):
+            qp.post_write(payload, remote.rkey, 0, assume_stable=True)
 
 
 def test_nic_engine_limits_message_rate():

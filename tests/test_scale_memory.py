@@ -6,8 +6,17 @@ kernel timer pool) must reach a steady state instead of growing per
 flow. ``FlowRegistry.release_flow`` is the lifecycle hook under test.
 """
 
+import gc
+import json
+import mmap
+import os
+import subprocess
+import sys
+import weakref
+
 import pytest
 
+import repro
 from repro.common.errors import MemoryRegionError, RegistryError
 from repro.core import (
     FLOW_END,
@@ -98,7 +107,8 @@ def test_flow_cycle_memory_reaches_steady_state():
     assert _footprint(cluster, registry) == steady
 
 
-def _run_batched_cycle(dfi, cluster, name, batches=8, batch=1024):
+def _run_batched_cycle(dfi, cluster, name, batches=8, batch=1024,
+                       keep_source=None):
     """One flow lifetime pushed in full-segment batches so steady-state
     flushes ride the fused macro-event fast path."""
     dfi.init_shuffle_flow(name, [Endpoint(0, 0)],
@@ -107,6 +117,8 @@ def _run_batched_cycle(dfi, cluster, name, batches=8, batch=1024):
 
     def source_thread():
         source = yield from dfi.open_source(name, 0)
+        if keep_source is not None:
+            keep_source(source)
         for b in range(batches):
             yield from source.push_batch(
                 [(i * 2654435761, _PAD)
@@ -122,6 +134,32 @@ def _run_batched_cycle(dfi, cluster, name, batches=8, batch=1024):
     cluster.node(1).spawn(target_thread(0))
     cluster.node(2).spawn(target_thread(1))
     cluster.run()
+
+
+def test_released_flows_leave_no_ring_or_staging_bytes_alive():
+    """Default-size rings (256 KiB each, 513 KiB of staging per channel)
+    are mapped buffers; a released flow must give every one of them back,
+    not only its entries in the region tables."""
+    cluster = Cluster(node_count=3)
+    dfi = DfiRuntime(cluster)
+    nics = [get_nic(node) for node in cluster.nodes]
+    for cycle in range(3):
+        sources = []
+        _run_batched_cycle(dfi, cluster, f"bytes{cycle}",
+                           keep_source=sources.append)
+        # Mapped buffers take weak references; a bytearray is at most
+        # MAP_MIN bytes and the region tables already account for it.
+        buffers = [region.mem for nic in nics
+                   for region in nic._regions.values()
+                   if isinstance(region.mem, mmap.mmap)]
+        buffers += [channel._staging for channel in sources[0]._channels]
+        assert [len(buffer) for buffer in buffers] == (
+            [32 * (8192 + 16)] * 2 + [64 * (8192 + 16)] * 2)
+        alive = [weakref.ref(buffer) for buffer in buffers]
+        del buffers, sources
+        dfi.registry.release_flow(f"bytes{cycle}")
+        gc.collect()  # endpoints and their generators form cycles
+        assert [ref() for ref in alive] == [None] * 4, f"cycle {cycle}"
 
 
 def test_macro_pool_steady_over_flow_cycles():
@@ -269,3 +307,77 @@ def test_timeout_pool_stays_capped(shards):
     result = run_shuffle_mesh(1, 4, tuples_per_source=128, shards=shards)
     env = result["cluster"].env
     assert len(env._timeout_pool) <= _TIMEOUT_POOL_CAP
+
+
+# -- scale: a channel pays for the slots it writes ---------------------------
+# N-node all-to-all shuffle at default FlowOptions: N*N channels, each
+# declaring a 256 KiB ring and 513 KiB of staging and touching a sliver of
+# it. Measured in a subprocess, as tests/test_cold_start.py does, because a
+# peak is per process — and as ``VmHWM``, not ``ru_maxrss``: a child
+# inherits its parent's ``ru_maxrss`` across fork/exec, so under a pytest
+# process that has grown past the bound it would report pytest's peak.
+
+_ALL_TO_ALL = '''
+import json, sys
+from repro.core import FLOW_END, DfiRuntime, Endpoint, Schema
+from repro.simnet import Cluster
+
+NODES, ROWS = int(sys.argv[1]), 256
+schema = Schema(("key", "uint64"), ("pad", 56))
+cluster = Cluster(node_count=NODES)
+dfi = DfiRuntime(cluster)
+endpoints = [Endpoint(node, 0) for node in range(NODES)]
+dfi.init_shuffle_flow("a2a", endpoints, endpoints, schema, shuffle_key="key")
+received = [0] * NODES
+declared = {}
+
+
+def source_proc(index):
+    source = yield from dfi.open_source("a2a", index)
+    declared["source"] = source.memory_bytes
+    yield from source.push_batch(
+        [(row * 7919 + index, bytes(56)) for row in range(ROWS)])
+    yield from source.close()
+
+
+def target_proc(index):
+    target = yield from dfi.open_target("a2a", index)
+    declared["target"] = target.memory_bytes
+    while (batch := (yield from target.consume_batch())) is not FLOW_END:
+        received[index] += len(batch)
+
+
+for index in range(NODES):
+    cluster.node(index).spawn(source_proc(index))
+    cluster.node(index).spawn(target_proc(index))
+cluster.run()
+with open("/proc/self/status") as status:
+    (peak_kib,) = [int(line.split()[1]) for line in status
+                   if line.startswith("VmHWM:")]
+print(json.dumps({"delivered": sum(received), "sim_ns": cluster.env.now,
+                  "peak_mib": peak_kib / 1024, "declared": declared}))
+'''
+
+
+@pytest.mark.parametrize("nodes, sim_ns, peak_mib", [
+    # sim_ns as the parent of the first-touch change ran it; its peaks
+    # were 816 and 3180 MiB, after it 53 and 126 MiB.
+    (32, 65106.51999999989, 200),
+    (64, 124260.43999999984, 300),
+])
+def test_all_to_all_peak_memory_follows_traffic(nodes, sim_ns, peak_mib):
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", _ALL_TO_ALL, str(nodes)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["delivered"] == nodes * 256
+    assert report["sim_ns"] == sim_ns
+    assert report["peak_mib"] < peak_mib
+    # The protocol's own accounting keeps reporting what a ring declares.
+    channel = 32 * (8192 + 16)
+    assert report["declared"] == {"source": nodes * channel,
+                                  "target": nodes * channel}
