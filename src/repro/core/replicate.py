@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from struct import error as _struct_error
+from struct import Struct, error as _struct_error
 
 from repro.common.errors import (
     FlowAbortedError,
@@ -57,7 +57,7 @@ from repro.core.segment import (
 )
 from repro.core.shuffle import (
     ShuffleTarget,
-    _RingWriteWaiter,
+    _Doorbell,
     _source_counters,
 )
 from repro.core.writers import CreditRingWriter, FooterRingWriter
@@ -603,7 +603,10 @@ class MulticastReplicateSource:
         self._window = descriptor.options.target_segments
         self._retransmit: dict[int, bytes] = {}
         self._retransmit_order: deque[int] = deque()
-        self._waiter = _RingWriteWaiter(self.env, [control_region])
+        self._doorbell = _Doorbell(self.node, control_region)
+        #: The whole control region as (credit, nack) word pairs.
+        self._control_words = Struct(
+            f"<{2 * descriptor.target_count}Q").unpack_from
         self._cpu_debt = 0.0
         self._tuple_debt = self.profile.cpu_push_cost(
             descriptor.schema.tuple_size)
@@ -660,26 +663,24 @@ class MulticastReplicateSource:
                    sequencer)
 
     # -- credit / NACK bookkeeping -----------------------------------------
-    def _live_targets(self) -> list:
-        return [t for t in range(self.descriptor.target_count)
-                if t not in self._failed_targets]
-
-    def _target_credit(self, target: int) -> int:
-        return self._control.read_u64(self._CONTROL_STRIDE * target)
-
     def _min_credit(self) -> int:
-        live = self._live_targets()
-        if not live:
-            # Every target failed: nothing constrains the window anymore.
-            return self.segments_sent
-        return min(self._target_credit(t) for t in live)
+        credits = self._control_words(self._control.mem)[0::2]
+        failed = self._failed_targets
+        if failed:
+            credits = [credit for target, credit in enumerate(credits)
+                       if target not in failed]
+            if not credits:
+                # Every target failed: nothing constrains the window
+                # anymore.
+                return self.segments_sent
+        return min(credits)
 
     def _service_nacks(self) -> None:
-        for target in range(self.descriptor.target_count):
-            offset = self._CONTROL_STRIDE * target + 8
-            value = self._control.read_u64(offset)
+        nacks = self._control_words(self._control.mem)[1::2]
+        for target, value in enumerate(nacks):
             if not value:
                 continue
+            offset = self._CONTROL_STRIDE * target + 8
             seq = value - 1
             slot = self._retransmit.get(seq)
             if slot is not None:
@@ -716,16 +717,12 @@ class MulticastReplicateSource:
             if obs is not None:
                 obs.inc("core.credit_stalls")
             self._service_nacks()
-            event = self._waiter.arm()
-            if self.segments_sent - self._min_credit() < self._window:
-                self._waiter.disarm()
-                return
             wait_from = self.env.now
             yield self.env.any_of([
-                event,
+                self._doorbell.arm(),
                 self.env.timeout(self.descriptor.options.retransmit_timeout),
             ])
-            self._waiter.disarm()
+            self._doorbell.disarm()
             if obs is not None:
                 log_stall(self, wait_from)
             credit = self._min_credit()
@@ -745,9 +742,11 @@ class MulticastReplicateSource:
         The reroute policy drops them from flow control and carries on
         with the survivors; the abort policy (default) voids the flow
         and surfaces :class:`FlowPeerFailedError`."""
-        live = self._live_targets()
-        floor = min(self._target_credit(t) for t in live)
-        stalled = [t for t in live if self._target_credit(t) == floor]
+        credits = self._control_words(self._control.mem)[0::2]
+        live = [t for t in range(len(credits))
+                if t not in self._failed_targets]
+        floor = min(credits[t] for t in live)
+        stalled = [t for t in live if credits[t] == floor]
         self._failed_targets.update(stalled)
         obs = self._obs
         if obs is not None:
@@ -849,16 +848,12 @@ class MulticastReplicateSource:
                            + self.descriptor.options.retransmit_timeout)
         while self._min_credit() < total:
             self._service_nacks()
-            event = self._waiter.arm()
-            if self._min_credit() >= total:
-                self._waiter.disarm()
-                break
             wait_from = self.env.now
             yield self.env.any_of([
-                event,
+                self._doorbell.arm(),
                 self.env.timeout(self.descriptor.options.retransmit_timeout),
             ])
-            self._waiter.disarm()
+            self._doorbell.disarm()
             if self._obs is not None:
                 log_stall(self, wait_from)
             credit = self._min_credit()
@@ -959,8 +954,14 @@ class MulticastReplicateTarget:
         self._ring = ring_region
         self._slot_size = slot_size
         self._payload_size = slot_size - FOOTER_SIZE
-        self._control_qps = control_qps
-        self._control_handles = control_handles
+        #: Per source: the control QP, the source's control region —
+        #: resolved and range-checked once, the registration lives as long
+        #: as the flow — and this target's handle into it.
+        self._control = []
+        for qp, handle in zip(control_qps, control_handles):
+            region = qp._get_remote_nic().region(handle.rkey)
+            region.check_range(handle.credit_offset, 8)
+            self._control.append((qp, region, handle))
         self._ordered = descriptor.ordering is Ordering.GLOBAL
         self._gap_notify = descriptor.options.gap_notify
         self._reorder = ReorderBuffer() if self._ordered else None
@@ -974,7 +975,7 @@ class MulticastReplicateTarget:
         self._gap_pending: "GapNotification | None" = None
         self._aborted = False
         self._peer_timeout = descriptor.options.peer_timeout
-        self._waiter = _RingWriteWaiter(self.env, [ring_region])
+        self._doorbell = _Doorbell(self.node, ring_region)
         #: Tuples / segments delivered to the application (stats).
         self.tuples_received = 0
         self.segments_received = 0
@@ -1087,11 +1088,10 @@ class MulticastReplicateTarget:
                                (len(tuples),), False, False))
 
     def _bump_credit(self, source: int) -> None:
-        self._consumed[source] += 1
-        handle = self._control_handles[source]
-        self._control_qps[source].post_write(
-            self._consumed[source].to_bytes(8, "little"),
-            handle.rkey, handle.credit_offset, signaled=False)
+        consumed = self._consumed[source] = self._consumed[source] + 1
+        qp, region, handle = self._control[source]
+        qp.post_lone(None, 8, [(0, consumed.to_bytes(8, "little"))],
+                     region, handle.credit_offset)
 
     # -- gap detection -------------------------------------------------------
     def _current_gaps(self) -> list[tuple]:
@@ -1106,8 +1106,10 @@ class MulticastReplicateTarget:
         return gaps
 
     def _check_gaps(self) -> None:
-        now = self.env.now
         gaps = self._current_gaps()
+        if not gaps and not self._gap_deadlines:
+            return
+        now = self.env.now
         live_keys = set()
         for key in gaps:
             live_keys.add(key)
@@ -1139,10 +1141,9 @@ class MulticastReplicateTarget:
         targets = (range(self.descriptor.source_count)
                    if scope == "global" else [scope])
         for source in targets:
-            handle = self._control_handles[source]
-            self._control_qps[source].post_write(
-                (missing + 1).to_bytes(8, "little"),
-                handle.rkey, handle.nack_offset, signaled=False)
+            qp, _region, handle = self._control[source]
+            qp.post_write((missing + 1).to_bytes(8, "little"),
+                          handle.rkey, handle.nack_offset, signaled=False)
 
     # -- consume ---------------------------------------------------------
     def consume(self):
@@ -1154,29 +1155,26 @@ class MulticastReplicateTarget:
         :class:`FlowPeerFailedError` (a source is known dead) or
         :class:`FlowTimeoutError`; any arriving datagram restarts the
         window."""
-        if self._ready:
-            return self._ready.popleft()
+        ready = self._ready
+        if ready:
+            return ready.popleft()
         deadline = (None if self._peer_timeout is None
                     else self.env.now + self._peer_timeout)
         while True:
-            event = self._waiter.arm()
-            before = self._progress_mark()
+            if deadline is not None:
+                before = self._progress_mark()
             self._pump()
             if self._aborted:
-                self._waiter.disarm()
                 raise FlowAbortedError(
                     f"flow {self.descriptor.name!r} was aborted by a "
                     f"source")
-            if self._ready:
-                self._waiter.disarm()
-                return self._ready.popleft()
+            if ready:
+                return ready.popleft()
             if self._gap_pending is not None:
-                self._waiter.disarm()
                 pending = self._gap_pending
                 self._gap_pending = None
                 return pending
             if self._finished():
-                self._waiter.disarm()
                 if self._obs is not None and not self._close_logged:
                     self._close_logged = True
                     self._obs.log((CLOSE, self.env.now, self._flow,
@@ -1196,21 +1194,38 @@ class MulticastReplicateTarget:
                             self._obs.inc("core.congestion_grace")
                         deadline = self.env.now + self._peer_timeout
                     else:
-                        self._waiter.disarm()
                         self._raise_peer_failure()
-            waits = [event]
+            elif not self._gap_deadlines:
+                # Only a datagram can end this wait: resume one poll cost
+                # after it commits.
+                yield self._doorbell.arm(poll=True)
+                continue
+            waits = [self._doorbell.arm()]
             if self._gap_deadlines:
                 waits.append(self.env.timeout(
                     self.descriptor.options.retransmit_timeout))
             if deadline is not None:
                 waits.append(self.env.timeout(deadline - self.env.now))
-            if len(waits) == 1:
-                yield event
-            else:
-                yield self.env.any_of(waits)
-            self._waiter.disarm()
+            yield self.env.any_of(waits)
+            self._doorbell.disarm()
             yield self.node.compute(
                 self.node.cluster.profile.cpu_poll_cost)
+
+    def consume_batch(self):
+        """Generator: every tuple ready right now as one list (never
+        ``[]``), or what :meth:`consume` returns or raises in its place —
+        :data:`FLOW_END`, a pending :class:`GapNotification`, an abort, a
+        ``peer_timeout`` error — buffered tuples first. The contract of
+        ``ShuffleTarget.consume_batch`` on :meth:`consume`'s wait loop: a
+        batch loop polls, waits and grants credits at the instants the
+        per-tuple loop does."""
+        first = yield from self.consume()
+        if first is FLOW_END or type(first) is GapNotification:
+            return first
+        ready = self._ready
+        batch = [first, *ready]
+        ready.clear()
+        return batch
 
     def _progress_mark(self) -> tuple:
         """Cheap receive-progress stamp: changes whenever any datagram

@@ -40,7 +40,7 @@ from repro.core.segment import (
     SegmentRing,
     pack_footer,
 )
-from repro.core.shuffle import _RingWriteWaiter, segment_payload_size
+from repro.core.shuffle import _Doorbell, segment_payload_size
 from repro.rdma.nic import get_nic
 
 #: The switch emits a partial-aggregate segment after folding this many
@@ -262,7 +262,7 @@ class SharpCombinerTarget:
         self._index = 0
         self._done = False
         self._aggregates: dict = {}
-        self._waiter = _RingWriteWaiter(self.node.env, [ring.region])
+        self._doorbell = _Doorbell(self.node, ring.region)
         self.partial_segments = 0
 
     @classmethod
@@ -290,18 +290,9 @@ class SharpCombinerTarget:
     def consume_all(self):
         """Generator: drain the flow and return the final aggregates."""
         while not self._done:
-            event = self._waiter.arm()
-            progressed = self._drain()
-            if self._done:
-                self._waiter.disarm()
-                break
-            if progressed:
-                self._waiter.disarm()
-                continue
-            yield event
-            self._waiter.disarm()
-            yield self.node.compute(
-                self.node.cluster.profile.cpu_poll_cost)
+            if not self._drain():
+                # Resumes one poll cost after the next write into the ring.
+                yield self._doorbell.arm(poll=True)
         return self._aggregates
 
     def _drain(self) -> bool:

@@ -121,38 +121,49 @@ def _resolve_remote_region(channel):
     return region
 
 
-class _RingWriteWaiter:
-    """Wakes a target thread when any of its receive rings is written.
+class _Doorbell:
+    """Wakes the one thread that waits on writes into one region.
 
     Real DFI busy-polls footer flags (a sub-100ns cache load). Simulating
-    every load would swamp the event kernel, so we register write hooks on
-    the ring regions and charge the profile's poll cost on each wakeup
-    instead — same observable timing, constant event count.
+    every load would swamp the event kernel, so the region keeps one write
+    hook for its whole life and the waiter arms an event per wait. A wait
+    only a write can end is armed with ``poll=True`` and resumes at
+    ``commit + cpu_poll_cost`` — the float ``node.compute`` would charge
+    behind a zero-delay wake (``_cpu_scale`` is construction-constant), in
+    one event instead of two. A wait raced against a deadline keeps the
+    zero-delay wake, whose outcome feeds the deadline decision, and must
+    :meth:`disarm` when the deadline won. ``ShuffleTarget`` does the same
+    across many rings (``_make_doorbell``).
     """
 
-    def __init__(self, env, regions) -> None:
-        self._env = env
-        self._regions = list(regions)
-        self._hooks: list = []
+    __slots__ = ("_env", "_event", "_delay", "_poll_delay")
 
-    def arm(self):
-        event = self._env.event()
-        fired = [False]
+    def __init__(self, node: "Node", region) -> None:
+        self._env = node.env
+        self._event = None
+        self._delay = 0.0
+        self._poll_delay = (node.cluster.profile.cpu_poll_cost
+                            / node._cpu_scale)
+        region.add_write_hook(self._ring)
 
-        def hook(_offset, _length):
-            if not fired[0]:
-                fired[0] = True
-                event.succeed()
+    def _ring(self, _offset, _length) -> None:
+        event = self._event
+        if event is not None:
+            self._event = None
+            # ``succeed()`` after ``_delay`` (mirrors Timeout construction).
+            event._value = None
+            self._env._schedule(event, self._delay)
 
-        for region in self._regions:
-            region.add_write_hook(hook)
-            self._hooks.append((region, hook))
+    def arm(self, poll: bool = False):
+        """A fresh event for the next write into the region. Call only
+        when about to wait: polls are synchronous, so no write lands
+        between a poll that found nothing and the arm that follows it."""
+        event = self._event = self._env.event()
+        self._delay = self._poll_delay if poll else 0.0
         return event
 
     def disarm(self) -> None:
-        for region, hook in self._hooks:
-            region.remove_write_hook(hook)
-        self._hooks.clear()
+        self._event = None
 
 
 def _source_counters(source):
@@ -1612,9 +1623,8 @@ class ShuffleTarget:
         # start dirty; hooks are registered here — synchronously with ring
         # allocation, before any simulated write can land — so no doorbell
         # ring is ever missed. The same hook doubles as the consume
-        # wake-up (succeeding ``_wake_event`` when one is armed),
-        # replacing the per-wakeup transient hooks of ``_RingWriteWaiter``
-        # — rings keep exactly one hook, so every RDMA write stays on the
+        # wake-up (succeeding ``_wake_event`` when one is armed) — rings
+        # keep exactly one hook, so every RDMA write stays on the
         # region's single-hook fast path. Bounded: keys are channel
         # indices, so the set never exceeds the flow's source count and
         # dies with the target (scale audit: no per-message growth).

@@ -896,6 +896,8 @@ class MulticastGroup:
         self.name = name
         self._members: dict[int, list["UdQueuePair"]] = {}
         self._nodes: dict[int, Node] = {}
+        #: ``member_nodes``, or ``None`` after a ``join``/``leave``.
+        self._sorted: "list[Node] | None" = None
 
     def join(self, qp: "UdQueuePair") -> None:
         """Attach a UD queue pair to the group."""
@@ -905,6 +907,7 @@ class MulticastGroup:
             raise RdmaError(f"{qp!r} already joined group {self.name!r}")
         self._members[node.node_id].append(qp)
         self._nodes[node.node_id] = node
+        self._sorted = None
 
     def leave(self, qp: "UdQueuePair") -> None:
         """Detach a UD queue pair from the group."""
@@ -916,13 +919,25 @@ class MulticastGroup:
         if not members:
             del self._members[qp.node.node_id]
             del self._nodes[qp.node.node_id]
+        self._sorted = None
 
     @property
     def member_nodes(self) -> list[Node]:
-        return [self._nodes[node_id] for node_id in sorted(self._nodes)]
+        """Member nodes in node-id order — the order a multicast reserves
+        downlinks, draws losses and commits equal-time arrivals in (one
+        list shared by every call until the membership changes)."""
+        nodes = self._sorted
+        if nodes is None:
+            nodes = self._sorted = [self._nodes[node_id]
+                                    for node_id in sorted(self._nodes)]
+        return nodes
 
-    def members_on(self, node: Node) -> list["UdQueuePair"]:
-        return list(self._members.get(node.node_id, []))
+    def _deliver(self, args) -> None:
+        """The one delivery routine (train action and timer callback body):
+        hand ``data`` to every QP now attached on node ``node_id``."""
+        node_id, data = args
+        for qp in self._members.get(node_id, ()):
+            qp._deliver_datagram(data)
 
     def __len__(self) -> int:
         return sum(len(qps) for qps in self._members.values())
@@ -974,31 +989,45 @@ class UdQueuePair:
         members = group.member_nodes
         if not members:
             raise RdmaError(f"multicast group {group.name!r} has no members")
-        congestion = self.node.cluster.congestion
+        size = len(data)
+        node = self.node
+        cluster = node.cluster
+        congestion = cluster.congestion
         if congestion is not None and not congestion.active:
             congestion = None
-        inline = len(data) <= self.nic.profile.max_inline_size
-        offset_delay = self.nic.engine_delay(inline)
+        offset_delay = self.nic.engine_delay(
+            size <= self.nic.profile.max_inline_size)
         if congestion is not None:
-            offset_delay += congestion.ud_admit(self.node, len(data))
-        self.nic.bytes_posted += len(data)
-        arrivals = self.node.cluster.fabric.multicast(
-            self.node, members, len(data), delay=offset_delay)
+            offset_delay += congestion.ud_admit(node, size)
+        self.nic.bytes_posted += size
+        env = self.env
+        now = env.now
+        fabric = cluster.fabric
+        deliver = group._deliver
+        if env.shard_count > 1:
+            # A macro-event carries one shard tag, every arrival its
+            # member's: the tagged kernel keeps one tagged timer each.
+            for member, arrival in fabric.multicast(
+                    node, members, size, delay=offset_delay).items():
+                if arrival is not None:  # else lost in the fabric
+                    arrival.callbacks.append(
+                        lambda _event, args=(member.node_id, data):
+                        deliver(args))
+        else:
+            # One macro-event walks the fan-out. Every instant is ``now +
+            # offset``, the float a Timeout armed with that offset fires
+            # at; the stable sort keeps equal-time members in member order.
+            actions = [(now + offset, deliver, (member.node_id, data))
+                       for member, offset in fabric.multicast_delays(
+                           node, members, size, delay=offset_delay)
+                       if offset is not None]
+            actions.sort(key=_action_when)
+            env.schedule_train(actions)
         if congestion is not None:
-            congestion.ud_sent(self.node, members, len(data))
-        for member, arrival in arrivals.items():
-            if arrival is None:
-                continue  # lost in the fabric
-
-            def on_arrival(_event, member=member, data=data):
-                for qp in group.members_on(member):
-                    qp._deliver_datagram(data)
-
-            arrival.callbacks.append(on_arrival)
-        wr = WorkRequest(self.env, wr_id, Opcode.SEND, False)
-        send_done = offset_delay + len(data) / self.nic.profile.link_bandwidth
-        timer = self.env.pooled_timeout(send_done)
-        timer.callbacks.append(lambda _event: wr._complete())
+            congestion.ud_sent(node, members, size)
+        wr = WorkRequest(env, wr_id, Opcode.SEND, False)
+        wr._complete_at(
+            now + (offset_delay + size / self.nic.profile.link_bandwidth))
         return wr
 
     def _deliver_datagram(self, data: bytes) -> None:

@@ -227,61 +227,77 @@ class Fabric:
         """Replicate ``size`` bytes to all ``members`` via the switch.
 
         Returns a mapping from member node to its arrival event, or ``None``
-        if loss injection dropped that member's copy. The source pays one
-        uplink serialization; each member pays its own downlink.
+        if that member's copy was dropped — :meth:`multicast_delays` plus
+        one arrival timer per member (filed on the member's lane when the
+        kernel is sharded).
         """
+        env = self.env
+        shard_tag = self._shard_tag
+        arrivals: dict[Node, Timeout | None] = {}
+        for member, offset in self.multicast_delays(source, members, size,
+                                                    delay):
+            if shard_tag:
+                env._post_shard = member._shard
+            arrivals[member] = None if offset is None else env.timeout(offset)
+        if shard_tag:
+            env._post_shard = -1
+        return arrivals
+
+    def multicast_delays(self, source: Node, members: list[Node], size: int,
+                         delay: float = 0.0
+                         ) -> list[tuple[Node, float | None]]:
+        """Reserve the paths of one multicast and return ``(member,
+        offset)`` per member, in member order: the offset (ns from now) at
+        which the member's copy has arrived, or ``None`` if the fault plane
+        or loss injection dropped it — the multicast without arrival
+        events, for callers that fold the fan-out into a macro-event of
+        their own. The source pays one uplink serialization; each member
+        pays its own downlink."""
         if not members:
             raise SimulationError("multicast group must not be empty")
         self._check_nodes(source, *members)
         self.multicast_count += 1
         env = self.env
-        shard_tag = self._shard_tag
         now = env.now
+        wire_latency = self.profile.wire_latency
         _up_start, up_end = source.uplink.reserve(size, now + delay)
         send_start = up_end - source.uplink.serialization_time(size)
-        arrivals: dict[Node, Timeout | None] = {}
+        up_arrival = up_end + wire_latency
         loss_p = self.profile.multicast_loss_probability
         faults = self._faults
         if faults is not None and not faults.active:
             faults = None
+        offsets: list[tuple[Node, float | None]] = []
         for member in members:
             if faults is not None and not faults.ud_deliverable(source,
                                                                 member):
                 # Crashed or partitioned-away member: the datagram never
                 # reaches its port (UD has no retransmission).
                 self.fault_drops += 1
-                arrivals[member] = None
+                offsets.append((member, None))
                 continue
             if loss_p > 0.0 and self._loss_rng.random() < loss_p:
                 self.multicast_drops += 1
-                arrivals[member] = None
+                offsets.append((member, None))
                 continue
-            if shard_tag:
-                shard = member._shard
-                if shard != source._shard:
-                    env.mailbox_crossings += 1
-                    log = env.crossing_log
-                    if log is not None:
-                        log((EDGE, up_end + self.profile.wire_latency,
-                             up_end, "shard_crossing", member.node_id,
-                             "fabric", None, source.node_id))
-                env._post_shard = shard
+            if self._shard_tag and member._shard != source._shard:
+                env.mailbox_crossings += 1
+                log = env.crossing_log
+                if log is not None:
+                    log((EDGE, up_arrival, up_end, "shard_crossing",
+                         member.node_id, "fabric", None, source.node_id))
             if member is source:
-                arrival_at = (now + delay + self.profile.loopback_latency
-                              + size / self.profile.loopback_bandwidth)
-                arrival_at = max(arrival_at,
-                                 self._loopback_last.get(source.node_id,
-                                                         0.0))
-                self._loopback_last[source.node_id] = arrival_at
-                arrivals[member] = env.timeout(arrival_at - now)
-                continue
-            _d_start, d_end = member.downlink.reserve(
-                size, send_start + self.profile.wire_latency)
-            arrival = max(d_end, up_end + self.profile.wire_latency)
-            arrivals[member] = env.timeout(arrival - now)
-        if shard_tag:
-            env._post_shard = -1
-        return arrivals
+                arrival = (now + delay + self.profile.loopback_latency
+                           + size / self.profile.loopback_bandwidth)
+                arrival = max(arrival,
+                              self._loopback_last.get(source.node_id, 0.0))
+                self._loopback_last[source.node_id] = arrival
+            else:
+                _d_start, d_end = member.downlink.reserve(
+                    size, send_start + wire_latency)
+                arrival = max(d_end, up_arrival)
+            offsets.append((member, arrival - now))
+        return offsets
 
     # -- switch-terminated transfers (in-network processing) -----------------
     def to_switch(self, source: Node, size: int,
