@@ -10,37 +10,16 @@ See DESIGN.md Section 5 for the calibration rationale.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import MICROSECONDS, gbps_to_bytes_per_ns
-
-#: Kill switch for schema-specialized code generation (``exec``-compiled
-#: pack/unpack/fold/route kernels, see :mod:`repro.core.schema`). Set
-#: ``REPRO_NO_CODEGEN=1`` to force every hot path onto the generic,
-#: pure-``struct`` fallback. Read once at import: the choice must be
-#: process-global and stable, because kernels are cached per schema and a
-#: mid-run flip would mix code paths within one simulation.
-CODEGEN_ENABLED: bool = os.environ.get("REPRO_NO_CODEGEN", "") in ("", "0")
-
 
 #: Shard count of a :class:`~repro.simnet.cluster.Cluster` built without
 #: ``shards=``: 1, the untagged single-queue kernel. A named constant
 #: rather than a literal so one test can rebuild every cluster in a
 #: scenario with shard tags and check that no simulated metric moves.
 DEFAULT_SHARDS: int = 1
-
-
-def codegen_enabled() -> bool:
-    """True when schema codegen kernels are active (the default).
-
-    Generated kernels are wall-clock accelerators only — they produce
-    bit-identical bytes, partitions and aggregates to the generic
-    ``struct`` path and are never consulted for simulated-time decisions,
-    so this toggle cannot move a single simulated timestamp.
-    """
-    return CODEGEN_ENABLED
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,43 @@ def _initial(op: str, value):
     return value  # min / max start at the first observed value
 
 
+def _row_fold(op: str, aggregates: dict) -> Callable:
+    """The batch fold of ``op`` into ``aggregates``: ``fold(rows)`` over
+    ``(group, value)`` rows (``(group,)`` rows for ``count``), with
+    everything the loop touches pre-bound — no attribute lookup, no
+    method call and no lambda dispatch per row. Aggregate values come
+    from ``struct`` unpacking and are never ``None``, which lets
+    ``get``'s default double as the first-observation test. Same table
+    as :meth:`CombinerTarget._fold_in` row by row."""
+    get = aggregates.get
+    put = aggregates.__setitem__
+    if op == "sum":
+        def fold(rows):
+            for group, value in rows:
+                current = get(group)
+                put(group, value if current is None else current + value)
+    elif op == "count":
+        def fold(rows):
+            for (group,) in rows:
+                current = get(group)
+                put(group, 1 if current is None else current + 1)
+    elif op == "min":
+        def fold(rows):
+            for group, value in rows:
+                current = get(group)
+                if current is None or value < current:
+                    put(group, value)
+    elif op == "max":
+        def fold(rows):
+            for group, value in rows:
+                current = get(group)
+                if current is None or value > current:
+                    put(group, value)
+    else:
+        raise FlowError(f"unknown aggregation op {op!r}")
+    return fold
+
+
 class CombinerSource(ShuffleSource):
     """Source endpoint of a combiner flow (an N:1 shuffle source)."""
 
@@ -70,16 +107,15 @@ class CombinerTarget:
         self._fold = _aggregator(spec.op)
         self._op = spec.op
         self._aggregates: dict = {}
-        self._fold_batch = self._build_batch_fold()
-        #: Columnar fold over packed segment bytes (the codegen hot
-        #: path), or ``None`` on the generic tuple-batch path. Decodes
-        #: only the group/value columns via a selective pad-byte struct
-        #: — the other fields are never materialized.
-        factory = schema.fold_kernel(self._group_index, self._value_index,
-                                     spec.op)
-        self._fold_chunks = (factory(self._aggregates.get,
-                                     self._aggregates.__setitem__)
-                             if factory is not None else None)
+        self._tuple_size = schema.tuple_size
+        #: The fold is columnar: segments drain as packed byte chunks
+        #: and only the group/value columns are decoded, through a
+        #: selective pad-byte struct — the other fields are never
+        #: materialized.
+        columns = ((self._group_index,) if spec.op == "count"
+                   else (self._group_index, self._value_index))
+        self._decode = schema.column_decoder(*columns)
+        self._fold_rows = _row_fold(spec.op, self._aggregates)
         self.tuples_aggregated = 0
         #: Observability registry of the target node (``None`` when off).
         self._metrics = self.node.metrics
@@ -95,8 +131,8 @@ class CombinerTarget:
         return self._aggregates
 
     def _fold_in(self, values: tuple) -> None:
-        """Fold one tuple (reference semantics; batches go through the
-        specialized :meth:`_fold_batch`)."""
+        """Fold one tuple (reference semantics; segments go through
+        :meth:`_fold_chunks`)."""
         group = values[self._group_index]
         value = values[self._value_index]
         if group in self._aggregates:
@@ -106,85 +142,32 @@ class CombinerTarget:
             self._aggregates[group] = _initial(self._op, value)
         self.tuples_aggregated += 1
 
-    def _build_batch_fold(self):
-        """Compile the operator-specialized batch fold loop.
-
-        One closure per aggregate op with everything the inner loop
-        touches pre-bound to locals — ``dict.get``/``dict.__setitem__``
-        of the aggregate table and the hoisted group/value column
-        indices — so folding a batch costs one Python-level loop with no
-        attribute lookups, no method call and no lambda dispatch per
-        tuple. Aggregate values come from ``struct`` unpacking and are
-        never ``None``, which lets ``get``'s default double as the
-        first-observation test.
-        """
-        aggregates = self._aggregates
-        get = aggregates.get
-        put = aggregates.__setitem__
-        group_index = self._group_index
-        value_index = self._value_index
-        op = self._op
-        if op == "sum":
-            def fold_batch(batch):
-                for values in batch:
-                    group = values[group_index]
-                    value = values[value_index]
-                    current = get(group)
-                    put(group, value if current is None else current + value)
-        elif op == "count":
-            def fold_batch(batch):
-                for values in batch:
-                    group = values[group_index]
-                    current = get(group)
-                    put(group, 1 if current is None else current + 1)
-        elif op == "min":
-            def fold_batch(batch):
-                for values in batch:
-                    group = values[group_index]
-                    value = values[value_index]
-                    current = get(group)
-                    if current is None or value < current:
-                        put(group, value)
-        else:  # "max" — _aggregator already rejected unknown ops
-            def fold_batch(batch):
-                for values in batch:
-                    group = values[group_index]
-                    value = values[value_index]
-                    current = get(group)
-                    if current is None or value > current:
-                        put(group, value)
-        return fold_batch
+    def _fold_chunks(self, chunks) -> int:
+        """Fold drained segment payloads (each a whole number of packed
+        tuples) in arrival order; returns the number of tuples folded."""
+        size = 0
+        for chunk in chunks:
+            size += len(chunk)
+            self._fold_rows(self._decode(chunk))
+        folded = size // self._tuple_size
+        self.tuples_aggregated += folded
+        if self._metrics is not None:
+            self._metrics.inc("core.tuples_aggregated", folded)
+        return folded
 
     def consume_all(self):
         """Generator: drain the flow to completion and return the final
         group -> aggregate dictionary.
 
-        With codegen active the fold runs columnar: segments arrive as
-        packed byte chunks (``consume_bytes``) and the generated kernel
-        decodes only the group/value columns. ``consume_bytes`` and
-        ``consume_batch`` yield the identical event sequence (same polls,
-        same CPU charges, same drain metrics), so the choice of path is
-        invisible to simulated time.
+        Segments arrive as packed byte chunks: ``consume_bytes`` yields
+        the event sequence of ``consume_batch`` (same polls, same CPU
+        charges, same drain metrics) without unpacking a tuple.
         """
-        fold_chunks = self._fold_chunks
-        if fold_chunks is not None:
-            while True:
-                chunks = yield from self._inner.consume_bytes()
-                if chunks is FLOW_END:
-                    return self._aggregates
-                folded = fold_chunks(chunks)
-                self.tuples_aggregated += folded
-                if self._metrics is not None:
-                    self._metrics.inc("core.tuples_aggregated", folded)
-        fold_batch = self._fold_batch
         while True:
-            batch = yield from self._inner.consume_batch()
-            if batch is FLOW_END:
+            chunks = yield from self._inner.consume_bytes()
+            if chunks is FLOW_END:
                 return self._aggregates
-            fold_batch(batch)
-            self.tuples_aggregated += len(batch)
-            if self._metrics is not None:
-                self._metrics.inc("core.tuples_aggregated", len(batch))
+            self._fold_chunks(chunks)
 
     def consume_step(self):
         """Generator: fold in the next available batch of tuples.
@@ -193,24 +176,10 @@ class CombinerTarget:
         the flow has drained — useful for interleaving aggregation with
         other work.
         """
-        fold_chunks = self._fold_chunks
-        if fold_chunks is not None:
-            chunks = yield from self._inner.consume_bytes()
-            if chunks is FLOW_END:
-                return FLOW_END
-            folded = fold_chunks(chunks)
-            self.tuples_aggregated += folded
-            if self._metrics is not None:
-                self._metrics.inc("core.tuples_aggregated", folded)
-            return folded
-        batch = yield from self._inner.consume_batch()
-        if batch is FLOW_END:
+        chunks = yield from self._inner.consume_bytes()
+        if chunks is FLOW_END:
             return FLOW_END
-        self._fold_batch(batch)
-        self.tuples_aggregated += len(batch)
-        if self._metrics is not None:
-            self._metrics.inc("core.tuples_aggregated", len(batch))
-        return len(batch)
+        return self._fold_chunks(chunks)
 
     @property
     def memory_bytes(self) -> int:

@@ -33,6 +33,9 @@ def key_hash_router(schema: Schema, key: "str | int") -> RoutingFunction:
     power-of-two modulo partitioning degenerate for structured keys.
     ``route`` runs once per tuple on the per-tuple push path, so the hash
     is inlined and the plain-``int`` common case makes no call at all.
+    ``route.route_many`` partitions a whole batch as ``route`` would
+    (:meth:`Schema.route_kernel`: ``route`` is the reference every batch
+    loop is held to).
     """
     index = schema.field_index(key)
     mask = _HASH_MASK
@@ -47,39 +50,7 @@ def key_hash_router(schema: Schema, key: "str | int") -> RoutingFunction:
                 return hash(key_value) % target_count
         return (((key_value & mask) * mult & mask) >> 32) % target_count
 
-    def route_many(tuples, target_count: int) -> list[list]:
-        """Partition a whole batch at once — the hash is inlined and the
-        per-group ``append`` is pre-bound, saving two function calls per
-        tuple on the batched push path.
-
-        Produces exactly the same partitions as ``route``: plain ``int``
-        keys take the inlined Fibonacci hash, anything else is handed to
-        ``route`` itself, and for power-of-two target counts the modulo
-        folds into a bit mask (``x % n == x & (n - 1)`` for the
-        non-negative hash)."""
-        groups: list[list] = [[] for _ in range(target_count)]
-        appends = [group.append for group in groups]
-        if target_count & (target_count - 1) == 0:
-            low = target_count - 1
-            for values in tuples:
-                key_value = values[index]
-                if key_value.__class__ is int:
-                    appends[((key_value & mask) * mult & mask) >> 32
-                            & low](values)
-                else:
-                    appends[route(values, target_count)](values)
-        else:
-            for values in tuples:
-                key_value = values[index]
-                if key_value.__class__ is int:
-                    appends[(((key_value & mask) * mult & mask) >> 32)
-                            % target_count](values)
-                else:
-                    appends[route(values, target_count)](values)
-        return groups
-
-    compiled = schema.compiled_route_many(index, route_many)
-    route.route_many = compiled if compiled is not None else route_many
+    route.route_many = schema.route_kernel(index, route)
     return route
 
 
@@ -129,12 +100,19 @@ def range_router(schema: Schema, key: "str | int",
 
 
 def round_robin_router() -> RoutingFunction:
-    """Stateful round-robin distribution (ignores tuple contents)."""
-    state = {"next": 0}
+    """Stateful round-robin distribution (ignores tuple contents).
+
+    The cursor belongs to one source thread. A flow's descriptor holds
+    its routing function once, so every source endpoint takes a router
+    of its own from ``route.for_source()`` — sources that shared one
+    cursor and pushed in lockstep would each hit a single target."""
+    cursor = 0
 
     def route(_values: tuple, target_count: int) -> int:
-        target = state["next"] % target_count
-        state["next"] = target + 1
+        nonlocal cursor
+        target = cursor % target_count
+        cursor = target + 1
         return target
 
+    route.for_source = round_robin_router
     return route

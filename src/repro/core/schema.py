@@ -5,24 +5,23 @@ A :class:`Schema` is declared once at flow initialization (mirroring
 compiled to a ``struct.Struct`` — packing, unpacking and key extraction all
 run on precomputed offsets with zero per-tuple type interpretation.
 
-Schema specialization (the columnar hot path)
----------------------------------------------
-On top of the generic ``struct`` machinery, each schema compiles a small
-set of *specialized kernels* from generated source (``exec``-cached per
-dtype-code string, so two schemas with the same wire layout share one
-kernel set):
+Batch kernels (the columnar hot path)
+-------------------------------------
+Because the layout is declared, the two per-tuple jobs of a batched flow
+are specialised when the router or the target is built, as plain closures
+over the schema's fields:
 
-* hash-partition kernels for the shuffle router (integer keys skip the
-  per-tuple ``int`` probe entirely — the dtype proves it);
-* columnar combiner folds that aggregate straight out of packed segment
-  bytes, decoding only the group/value columns (every other field becomes
-  ``struct`` pad bytes).
+* :meth:`Schema.route_kernel` — the batched hash partitioner of
+  :func:`repro.core.routing.key_hash_router`, picked from the key dtype
+  and the batch length: a loop over per-tuple ``route``, an integer loop
+  that skips the per-tuple ``int`` probe (the dtype proves it), and a
+  numpy bucket pass for large unsigned-keyed batches;
+* :meth:`Schema.column_decoder` — a selective ``struct`` that decodes
+  only the columns a combiner folds (every other field is pad bytes).
 
-The kernels are wall-clock accelerators only: they emit bit-identical
-bytes, partitions and aggregates to the generic path, and none of them is
-ever consulted for a simulated-time decision. ``REPRO_NO_CODEGEN=1``
-(see :mod:`repro.common.config`) disables generation and leaves every
-call on the generic pure-``struct`` fallback.
+Both are wall-clock accelerators only: they produce the partitions of
+per-tuple ``route`` and the values of a full unpack, and neither is ever
+consulted for a simulated-time decision.
 """
 
 from __future__ import annotations
@@ -32,59 +31,53 @@ import struct
 from dataclasses import dataclass
 from itertools import chain
 
-from repro.common.config import codegen_enabled
 from repro.common.errors import SchemaError
 from repro.core.types import DataType, resolve_type
 
-#: struct codes whose values are always Python ints (lets the router
-#: kernel drop the per-tuple integer probe).
+#: struct codes whose values are always Python ints (lets the integer
+#: route loop drop the per-tuple integer probe).
 _INT_CODES = frozenset("bBhHiIqQ")
 
 #: Unsigned subset: key dtypes whose in-range values fit a C uint64,
-#: making the vectorized router bucket pass applicable.
+#: making the numpy bucket pass applicable.
 _UNSIGNED_CODES = frozenset("BHIQ")
 
 #: Fibonacci-hash constants of :func:`repro.core.routing.key_hash_router`
-#: (defined here because they are also inlined into generated router
-#: source, and ``routing`` imports this module).
+#: (defined here because the batch loops below hash with them too, and
+#: ``routing`` imports this module).
 _HASH_MULT = 0x9E3779B97F4A7C15
 _HASH_MASK = (1 << 64) - 1
 
-#: Batches below this size stay on the scalar router loop — the
-#: vectorized pass has per-call conversion overhead that only pays
-#: off once the batch amortizes it (threshold is a pure wall-clock
-#: knob: both passes produce bit-identical partitions).
+#: Batches below this size stay on the integer loop — the numpy pass has
+#: per-call conversion overhead that only pays off once the batch
+#: amortizes it (a pure wall-clock knob: both produce the same
+#: partitions).
 _ROUTE_NP_MIN = 256
 
-#: numpy's names as the vector route kernels call them: ``None`` until a
-#: kernel first asks, ``{}`` when numpy cannot be imported. The
-#: vectorized router pass is an optional accelerator only — the stdlib
-#: router stays the reference and the fallback, and nothing else in the
-#: simulator touches numpy.
+#: What the numpy bucket pass needs of numpy — ``(fromiter, uint64,
+#: int64, 32 and the hash multiplier as uint64)`` — ``None`` until a
+#: batch first asks, ``()`` when numpy cannot be imported. The pass is an
+#: optional accelerator only: the stdlib loops stay the reference and the
+#: fallback, and nothing else in the simulator touches numpy.
 _NUMPY = None
 
 
-def _numpy(namespace: dict):
-    """Bind numpy into a route kernel's ``namespace``. The kernel itself
-    calls this, on its first batch of ``_ROUTE_NP_MIN`` rows, so a
-    process that never routes one never pays the import (~0.11 s and
-    ~12 MiB, the largest single cold-start cost of a flow). Returns the
-    bound ``fromiter``, or ``None`` when numpy is unavailable — that
-    batch and every later one then take the scalar kernel."""
+def _numpy() -> tuple:
+    """Bind numpy for the bucket pass. The pass itself calls this, on its
+    first batch of ``_ROUTE_NP_MIN`` rows, so a process that never routes
+    one never pays the import (~0.11 s and ~12 MiB, the largest single
+    cold-start cost of a flow). Returns ``()`` when numpy is unavailable —
+    that batch and every later one then take the integer loop."""
     global _NUMPY
     if _NUMPY is None:
         try:
             import numpy
         except ImportError:
-            _NUMPY = {}
+            _NUMPY = ()
         else:
-            _NUMPY = {
-                "_np_fromiter": numpy.fromiter, "_np_uint64": numpy.uint64,
-                "_np_int64": numpy.int64, "_np_s32": numpy.uint64(32),
-                "_np_mult": numpy.uint64(_HASH_MULT),
-            }
-    namespace.update(_NUMPY)
-    return namespace["_np_fromiter"]
+            _NUMPY = (numpy.fromiter, numpy.uint64, numpy.int64,
+                      numpy.uint64(32), numpy.uint64(_HASH_MULT))
+    return _NUMPY
 
 
 #: Rows a schema's count-keyed batch structs may hold between them (the
@@ -164,10 +157,6 @@ class Schema:
         #: Power-of-two chunk structs used by counts that miss the full
         #: cache (bounded by the count's bit length, so ~60 entries max).
         self._pow2_structs: dict[int, struct.Struct] = {}
-        #: Generated kernel set (``None`` under ``REPRO_NO_CODEGEN``).
-        self._kernels = None
-        if codegen_enabled():
-            self._kernels = _kernels_for(self._codes)
 
     # -- introspection -----------------------------------------------------
     @property
@@ -319,51 +308,47 @@ class Schema:
         return [view[offset:offset + size]
                 for offset in range(0, span, size)]
 
-    # -- specialized kernels ----------------------------------------------
-    def compiled_route_many(self, key_index: int, generic_route_many):
-        """Generated hash-partition kernel for shuffling on field
-        ``key_index``, or ``None`` when codegen is off or the key dtype
-        is not a statically-known integer. Unsigned keys get a vector
-        pass for batches of ``_ROUTE_NP_MIN`` rows and more; numpy is
-        imported by the first such batch, never by building the router.
+    # -- batch kernels ------------------------------------------------------
+    def route_kernel(self, key_index: int, route):
+        """``route_many(tuples, target_count) -> groups`` for
+        ``key_hash_router``'s per-tuple ``route`` on field ``key_index``:
+        the partitions of calling ``route`` on every tuple, in batch
+        order, computed by the cheapest loop the key dtype and the batch
+        length admit.
 
-        The kernel produces exactly the partitions of
-        ``generic_route_many`` (same Fibonacci hash, same power-of-two
-        mask folding); on any ``TypeError`` — a value that does not match
-        the declared dtype — it discards its partial groups and replays
-        the whole batch through ``generic_route_many``, so even the
-        mistyped-batch behaviour is bit-identical to the fallback.
+        * A non-integer dtype loops over ``route``.
+        * An integer dtype hashes inline without the per-tuple ``int``
+          probe. A batch that defies the declared dtype (``TypeError``,
+          or ``OverflowError`` from a ``str`` key) is replayed whole
+          through the ``route`` loop, partial groups discarded.
+        * An unsigned dtype adds the numpy bucket pass for batches of
+          ``_ROUTE_NP_MIN`` rows and more; numpy is imported by the first
+          such batch, never by building the router.
         """
-        if self._kernels is None:
-            return None
         code = self._fields[key_index].dtype.code
+        via_route = _route_loop(route)
         if code not in _INT_CODES:
-            return None
-        return self._kernels.route_many(key_index, generic_route_many,
-                                        code in _UNSIGNED_CODES)
+            return via_route
+        int_route = _int_route(key_index, via_route)
+        if code not in _UNSIGNED_CODES:
+            return int_route
+        return _uint_route(key_index, int_route, via_route)
 
-    def fold_kernel(self, group_index: int, value_index: int, op: str):
-        """Columnar combiner-fold factory for this schema, or ``None``
-        when codegen is off or ``op`` is unknown.
-
-        The factory is called as ``factory(get, put)`` with the aggregate
-        table's bound ``dict.get``/``dict.__setitem__`` and returns
-        ``fold_chunks(chunks) -> folded_tuple_count``: it aggregates
-        straight out of packed segment bytes, decoding only the group and
-        value columns (all other fields are ``struct`` pad bytes in the
-        generated format), and folds in exactly the order the generic
-        row-tuple loop would have.
-        """
-        if self._kernels is None or op not in ("sum", "count", "min",
-                                               "max"):
-            return None
-        return self._kernels.fold_factory(self._fields, group_index,
-                                          value_index, op)
-
-    @property
-    def codegen_active(self) -> bool:
-        """True when this schema carries generated kernels."""
-        return self._kernels is not None
+    def column_decoder(self, *indices: int):
+        """``decode(buffer)`` iterating the columns ``indices`` of every
+        packed row in ``buffer``, one tuple per row in the order asked —
+        the combiner's fold reads its group and value columns through
+        one. Only the asked columns are decoded (every other field is
+        ``struct`` pad bytes). Columns asked in field order come straight
+        out of ``iter_unpack``; any other order, or a column asked twice,
+        is rearranged per row by an ``itemgetter``."""
+        wanted = sorted(set(indices))
+        iter_unpack = struct.Struct(
+            _selective_format(self._fields, wanted)).iter_unpack
+        if list(indices) == wanted:
+            return iter_unpack
+        arrange = operator.itemgetter(*map(wanted.index, indices))
+        return lambda buffer: map(arrange, iter_unpack(buffer))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Schema):
@@ -378,142 +363,11 @@ class Schema:
         return f"<Schema [{cols}] size={self.tuple_size}>"
 
 
-# ---------------------------------------------------------------------------
-# Generated kernels (the columnar hot path)
-# ---------------------------------------------------------------------------
-#
-# One kernel set per dtype-code string, built by exec-ing specialized
-# source with the layout constants inlined. The cache below makes kernel
-# construction O(1) after the first schema of a given layout — flow setup
-# creates many short-lived Schema objects in tests.
-
-#: codes -> _SchemaKernels (process-global; kernels are stateless apart
-#: from their struct caches, so sharing across schemas is safe).
-_KERNEL_CACHE: dict = {}
-
-
-def _kernels_for(codes: str) -> "_SchemaKernels":
-    kernels = _KERNEL_CACHE.get(codes)
-    if kernels is None:
-        kernels = _KERNEL_CACHE[codes] = _SchemaKernels(codes)
-    return kernels
-
-
-_ROUTE_TEMPLATE = '''\
-def %(pyname)s(tuples, target_count):
-    """Generated hash partitioner (key field %(key_index)d, int dtype)."""
-    groups = [[] for _ in range(target_count)]
-    try:
-        if target_count & (target_count - 1) == 0:
-            low = target_count - 1
-            appends = tuple(group.append for group in groups)
-            # ``>> 32 & low`` reads bits 32..32+b-1 of the product, all
-            # below bit 64 — identical with or without the ``& %(mask)d``
-            # truncation (Python's infinite two's complement agrees with
-            # the masked value on every bit position < 64), so the mask
-            # is dropped from this branch for speed. The modulo branch
-            # folds *all* bits and must keep it.
-            for values in tuples:
-                appends[values[%(key_index)d] * %(mult)d
-                        >> 32 & low](values)
-        else:
-            appends = [group.append for group in groups]
-            for values in tuples:
-                appends[((values[%(key_index)d] * %(mult)d
-                          & %(mask)d) >> 32) %% target_count](values)
-    except (TypeError, OverflowError):
-        # A value defied its declared integer dtype (str keys raise
-        # OverflowError from sequence repetition, most others TypeError):
-        # replay the whole batch through the generic router (partial
-        # groups discarded), reproducing its isinstance semantics.
-        return %(generic)s(tuples, target_count)
-    return groups
-%(np_block)s'''
-
-_ROUTE_NP_TEMPLATE = '''\
-
-
-def %(name)s(tuples, target_count):
-    """Vectorized bucket pass over %(pyname)s (identical partitions).
-
-    The bucket arithmetic wraps the key*multiplier product mod 2**64
-    exactly as the scalar kernel's mask does, and both branches read
-    only bits 32..63 of that product — the partitions are therefore
-    bit-identical for every in-range key, and the out-of-band cases
-    land on the same code paths the scalar kernel uses.
-    """
-    if len(tuples) < %(np_min)d or not (
-            _np_fromiter or _numpy(globals())):
-        return %(pyname)s(tuples, target_count)
-    try:
-        keys = _np_fromiter(map(_op_index, map(_ig%(key_index)d, tuples)),
-                            _np_uint64, len(tuples))
-    except TypeError:
-        # A key defied the declared integer dtype (``operator.index``
-        # rejects floats, strings, None): same destination as the
-        # scalar kernel's mistyped-batch path.
-        return %(generic)s(tuples, target_count)
-    except OverflowError:
-        # Negative or >= 2**64 keys fall outside the C-uint64 pass,
-        # but the scalar kernel routes them by full-precision product
-        # bits without erroring — replay through it, not the generic.
-        return %(pyname)s(tuples, target_count)
-    buckets = ((keys * _np_mult) >> _np_s32).astype(_np_int64)
-    if target_count & (target_count - 1) == 0:
-        buckets &= target_count - 1
-    else:
-        buckets %%= target_count
-    groups = [[] for _ in range(target_count)]
-    appends = tuple(group.append for group in groups)
-    for bucket, values in zip(buckets.tolist(), tuples):
-        appends[bucket](values)
-    return groups
-'''
-
-_FOLD_TEMPLATE = '''\
-def %(name)s(get, put):
-    """Generated columnar fold factory (%(op)s) for layout %(codes)r."""
-    _iter_pairs = _Struct(%(fmt)r).iter_unpack
-
-    def fold_chunks(chunks):
-        folded = 0
-        for chunk in chunks:
-            folded += len(chunk)
-%(body)s
-        return folded // %(size)d
-
-    return fold_chunks
-'''
-
-#: Inner loop bodies per (op, column order). ``%(head)s`` is the loop
-#: header unpacking the selective struct's yield into group/value.
-_FOLD_BODIES = {
-    "sum": """\
-            for {head} in _iter_pairs(chunk):
-                current = get(group)
-                put(group, value if current is None else current + value)""",
-    "count": """\
-            for (group,) in _iter_pairs(chunk):
-                current = get(group)
-                put(group, 1 if current is None else current + 1)""",
-    "min": """\
-            for {head} in _iter_pairs(chunk):
-                current = get(group)
-                if current is None or value < current:
-                    put(group, value)""",
-    "max": """\
-            for {head} in _iter_pairs(chunk):
-                current = get(group)
-                if current is None or value > current:
-                    put(group, value)""",
-}
-
-
-def _selective_format(fields, indices) -> str:
-    """Little-endian struct format decoding only ``indices`` of a packed
-    row; every other byte is padding. One row in, one tuple out (field
-    order), so ``iter_unpack`` walks a segment of rows directly."""
-    wanted = sorted(set(indices))
+def _selective_format(fields, wanted) -> str:
+    """Little-endian struct format decoding only the fields ``wanted``
+    (ascending indices) of a packed row; every other byte is padding.
+    One row in, one tuple out (field order), so ``iter_unpack`` walks a
+    segment of rows directly."""
     parts = ["<"]
     position = 0
     for index in wanted:
@@ -528,93 +382,104 @@ def _selective_format(fields, indices) -> str:
     return "".join(parts)
 
 
-class _SchemaKernels:
-    """Kernel set generated for one dtype-code string."""
+def _route_loop(route):
+    """The reference batch partitioner of :meth:`Schema.route_kernel`:
+    per-tuple ``route`` on every tuple. Serves key dtypes that are not
+    integers and every batch the loops below hand back."""
+    def route_many(tuples, target_count: int) -> list[list]:
+        groups: list[list] = [[] for _ in range(target_count)]
+        appends = [group.append for group in groups]
+        for values in tuples:
+            appends[route(values, target_count)](values)
+        return groups
 
-    __slots__ = ("codes", "_namespace", "_route_cache", "_fold_cache")
+    return route_many
 
-    def __init__(self, codes: str) -> None:
-        self.codes = codes
-        #: Globals the generated route/fold sources are exec'd into.
-        #: ``_np_fromiter`` stays ``None`` until a vector route kernel
-        #: runs :func:`_numpy` on this namespace.
-        self._namespace: dict = {
-            "_Struct": struct.Struct, "_op_index": operator.index,
-            "_numpy": _numpy, "_np_fromiter": None,
-        }
-        self._route_cache: dict = {}
-        self._fold_cache: dict = {}
 
-    def route_many(self, key_index: int, generic_route_many,
-                   unsigned: bool = False):
-        """Hash-partition kernel for ``key_index`` (see
-        :meth:`Schema.compiled_route_many`). The generic fallback is
-        rebound per call site — kernels are shared across schemas, but
-        every generated router of a given key index shares one body.
-        Unsigned key dtypes additionally get the vectorized bucket
-        pass, which binds numpy on its first large batch (identical
-        partitions either way, so availability never changes results)."""
-        kernel = self._route_cache.get(key_index)
-        if kernel is None:
-            name = f"_route_many_k{key_index}"
-            generic_name = f"_generic_route_k{key_index}"
-            fields = {
-                "name": name, "pyname": name + "_py" if unsigned else name,
-                "key_index": key_index, "mult": _HASH_MULT,
-                "mask": _HASH_MASK, "generic": generic_name,
-                "np_min": _ROUTE_NP_MIN, "np_block": "",
-            }
-            if unsigned:
-                self._namespace[f"_ig{key_index}"] = operator.itemgetter(
-                    key_index)
-                fields["np_block"] = _ROUTE_NP_TEMPLATE % fields
-            source = _ROUTE_TEMPLATE % fields
-            exec(compile(source,
-                         f"<schema-router {self.codes!r}[{key_index}]>",
-                         "exec"), self._namespace)
-            kernel = self._route_cache[key_index] = (
-                self._namespace[name], generic_name)
-        route, generic_name = kernel
-        # The TypeError fallback dispatches through the namespace so the
-        # kernel body stays shared; the latest generic is always correct
-        # because every generic router of (codes, key) behaves alike.
-        self._namespace[generic_name] = generic_route_many
-        return route
+def _int_route(index: int, via_route):
+    """Partition loop for a declared-integer key: the Fibonacci hash of
+    ``route`` inlined, the per-group ``append`` pre-bound, no call and no
+    type probe per tuple."""
+    mult = _HASH_MULT
+    mask = _HASH_MASK
 
-    def fold_factory(self, fields, group_index: int, value_index: int,
-                     op: str):
-        """Columnar fold factory (see :meth:`Schema.fold_kernel`)."""
-        key = (group_index, value_index, op)
-        factory = self._fold_cache.get(key)
-        if factory is None:
-            if op == "count" or group_index == value_index:
-                fmt = _selective_format(fields, (group_index,))
+    def route_many(tuples, target_count: int) -> list[list]:
+        """Keys of another class than ``int`` — numpy scalars from a
+        caller's column wrap, and warn, in the product below — go
+        through ``via_route``, which hashes ``operator.index`` of them.
+        Only the first key's class is looked at: a mixed batch is still
+        partitioned correctly, either here (the product's bits 32..63
+        are those of the wrapped one) or by the replay."""
+        if tuples and tuples[0][index].__class__ is not int:
+            return via_route(tuples, target_count)
+        groups: list[list] = [[] for _ in range(target_count)]
+        try:
+            if target_count & (target_count - 1) == 0:
+                low = target_count - 1
+                appends = tuple(group.append for group in groups)
+                # ``>> 32 & low`` reads bits 32..32+b-1 of the product,
+                # all below bit 64 — identical with or without the
+                # ``& mask`` truncation (Python's infinite two's
+                # complement agrees with the masked value on every bit
+                # position < 64), so the mask is dropped from this branch
+                # for speed. The modulo branch folds *all* bits and must
+                # keep it.
+                for values in tuples:
+                    appends[values[index] * mult >> 32 & low](values)
             else:
-                fmt = _selective_format(fields,
-                                        (group_index, value_index))
-            if op == "count":
-                head = "(group,)"
-            elif group_index == value_index:
-                head = "(group,)"
-            elif group_index < value_index:
-                head = "(group, value)"
-            else:
-                head = "(value, group)"
-            body = _FOLD_BODIES[op].format(head=head)
-            if op != "count" and group_index == value_index:
-                # Single decoded column doubles as group and value.
-                body = body.replace("_iter_pairs(chunk):",
-                                    "_iter_pairs(chunk):\n"
-                                    "                value = group",
-                                    1)
-            name = f"_fold_{group_index}_{value_index}_{op}"
-            size = fields[-1].offset + fields[-1].dtype.size
-            source = _FOLD_TEMPLATE % {
-                "name": name, "op": op, "codes": self.codes,
-                "fmt": fmt, "body": body, "size": size,
-            }
-            exec(compile(source,
-                         f"<schema-fold {self.codes!r} {op}>", "exec"),
-                 self._namespace)
-            factory = self._fold_cache[key] = self._namespace[name]
-        return factory
+                appends = [group.append for group in groups]
+                for values in tuples:
+                    appends[((values[index] * mult & mask) >> 32)
+                            % target_count](values)
+        except (TypeError, OverflowError):
+            # A value defied its declared integer dtype (str keys raise
+            # OverflowError from sequence repetition, most others
+            # TypeError): replay the whole batch (partial groups
+            # discarded) with ``route``'s probe of every key.
+            return via_route(tuples, target_count)
+        return groups
+
+    return route_many
+
+
+def _uint_route(index: int, int_route, via_route):
+    """Numpy bucket pass over ``int_route`` for a declared-unsigned key.
+
+    The bucket arithmetic wraps the key*multiplier product mod 2**64
+    exactly as the integer loop's mask does, and both branches read only
+    bits 32..63 of that product — the partitions are therefore identical
+    for every in-range key, and the out-of-band cases land where the
+    integer loop puts them.
+    """
+    as_index = operator.index
+    key_of = operator.itemgetter(index)
+
+    def route_many(tuples, target_count: int) -> list[list]:
+        if len(tuples) < _ROUTE_NP_MIN or not (_NUMPY or _numpy()):
+            return int_route(tuples, target_count)
+        fromiter, uint64, int64, shift, mult = _NUMPY
+        try:
+            keys = fromiter(map(as_index, map(key_of, tuples)), uint64,
+                            len(tuples))
+        except TypeError:
+            # A key defied the declared integer dtype (``operator.index``
+            # rejects floats, strings, None): same destination as the
+            # integer loop's mistyped-batch path.
+            return via_route(tuples, target_count)
+        except OverflowError:
+            # Negative or >= 2**64 keys fall outside the C-uint64 pass,
+            # but the integer loop routes them by full-precision product
+            # bits without erroring — replay through it.
+            return int_route(tuples, target_count)
+        buckets = ((keys * mult) >> shift).astype(int64)
+        if target_count & (target_count - 1) == 0:
+            buckets &= target_count - 1
+        else:
+            buckets %= target_count
+        groups: list[list] = [[] for _ in range(target_count)]
+        appends = tuple(group.append for group in groups)
+        for bucket, values in zip(buckets.tolist(), tuples):
+            appends[bucket](values)
+        return groups
+
+    return route_many

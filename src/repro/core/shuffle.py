@@ -1185,7 +1185,11 @@ class ShuffleSource:
         self._channels = channels
         schema = descriptor.schema
         if descriptor.routing is not None:
-            self._router = descriptor.routing
+            # Routing-function state is per source: a stateful router
+            # hands each source endpoint of the flow a router of its own.
+            for_source = getattr(descriptor.routing, "for_source", None)
+            self._router = (descriptor.routing if for_source is None
+                            else for_source())
         elif descriptor.shuffle_key is not None:
             self._router = key_hash_router(schema, descriptor.shuffle_key)
         elif len(channels) == 1:

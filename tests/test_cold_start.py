@@ -1,7 +1,7 @@
 """Cold start pays only for what the flow uses.
 
-numpy is the one optional accelerator in the data path (the vectorised
-route kernel of ``core/schema.py``) and by far the most expensive thing a
+numpy is the one optional accelerator in the data path (the bucket pass
+of ``core/schema.py``'s batch partitioner) and by far the most expensive thing a
 flow can import: ~0.11 s and ~12 MiB. It must be bound by the first
 routed batch of ``_ROUTE_NP_MIN`` rows and by nothing before it — not by
 importing ``repro``, not by building a router, not by flows that never
@@ -146,7 +146,7 @@ def at_threshold():
 result = CASE()
 numpy = sys.modules.get("numpy", "absent")
 print(json.dumps({"numpy": numpy if numpy in ("absent", None) else "loaded",
-                  "codegen": SCHEMA.codegen_active, "result": result}))
+                  "result": result}))
 '''
 
 
@@ -172,15 +172,12 @@ def test_numpy_stays_unloaded(case):
 
 
 def test_first_vector_routed_batch_binds_numpy():
-    """The generic router (``REPRO_NO_CODEGEN=1``) has no vector pass and
-    never loads numpy at all."""
-    report = _child("at_threshold")
-    assert report["numpy"] == ("loaded" if report["codegen"] else "absent")
+    assert _child("at_threshold")["numpy"] == "loaded"
 
 
 def test_numpy_unavailable_routes_through_the_scalar_kernel():
     """With the import blocked the batch that would have bound numpy is
-    partitioned by the scalar kernel: same partitions, no error."""
+    partitioned by the integer loop: same partitions, no error."""
     blocked = _child("at_threshold", plant='sys.modules["numpy"] = None')
     assert blocked["numpy"] is None
     assert blocked["result"] == _child("at_threshold")["result"]

@@ -9,7 +9,6 @@ from array import array
 
 import pytest
 
-from repro.common import config
 from repro.common.errors import FlowError
 from repro.core import (
     FLOW_END,
@@ -106,26 +105,26 @@ def test_push_batch_accepts_iterators_and_empty_batches():
     assert received[0] == TUPLES[:50]
 
 
-@pytest.mark.parametrize("codegen", (True, False))
+@pytest.mark.parametrize("int_key", (True, False))
 @pytest.mark.parametrize("count", (10, 300))
 @pytest.mark.parametrize("kind", (list, tuple, iter,
                                   lambda rows: (row for row in rows)),
                          ids=("list", "tuple", "iterator", "generator"))
-def test_routed_push_batch_accepts_any_iterable(monkeypatch, kind, count,
-                                                codegen):
+def test_routed_push_batch_accepts_any_iterable(kind, count, int_key):
     """A one-shot iterable routed over several targets used to die in
-    the generated route kernel (``len()`` of a generator) while every
-    other path took it: below and above the vector-kernel threshold,
-    generated and generic router, each delivers every tuple where the
-    router puts it."""
-    monkeypatch.setattr(config, "CODEGEN_ENABLED", codegen)
-    schema = Schema(("key", "uint64"), ("value", "uint64"))
-    assert schema.codegen_active is codegen
+    the batch partitioner (``len()`` of a generator) while every other
+    path took it. Every loop the router picks — the integer loop below
+    the numpy threshold and the numpy pass above it on an unsigned key,
+    the loop over ``route`` on a ``double`` key — delivers every tuple
+    where per-tuple ``route`` puts it."""
+    schema = Schema(("key", "uint64" if int_key else "double"),
+                    ("value", "uint64"))
     cluster, dfi = build(4)
     dfi.init_shuffle_flow(
         "f", [Endpoint(0, 0)], [Endpoint(n, 0) for n in (1, 2, 3)],
         schema, shuffle_key="key")
-    rows = TUPLES[:count]
+    rows = [(key if int_key else key + 0.5, value)
+            for key, value in TUPLES[:count]]
 
     def source_fn(source, _index):
         yield from source.push_batch(kind(rows))

@@ -304,8 +304,8 @@ def test_consume_all_matches_consume_step(op):
 
 @pytest.mark.parametrize("op", ["sum", "count", "min", "max"])
 def test_batch_fold_matches_per_tuple_fold(op):
-    """The operator-specialized batch fold is a pure wall-clock rewrite
-    of ``_fold_in``: same batch, same aggregate table."""
+    """The columnar fold is a pure wall-clock rewrite of ``_fold_in``:
+    same rows, same aggregate table, same tuple count."""
     cluster = Cluster(node_count=2)
     dfi = DfiRuntime(cluster)
     dfi.init_combiner_flow(
@@ -320,17 +320,18 @@ def test_batch_fold_matches_per_tuple_fold(op):
     cluster.run()
     target = captured["target"]
     batch = [(g, v) for g, v in ROWS * 3] + [(9, -100), (9, 100)]
+    packed = b"".join(SCHEMA.pack(values) for values in batch)
+    cut = SCHEMA.tuple_size * 5
 
-    reference: dict = {}
-    target._aggregates = reference  # _fold_in reads self._aggregates
+    assert target._fold_chunks([packed[:cut], packed[cut:]]) == len(batch)
+    columnar = dict(target.aggregates)
+    assert target.tuples_aggregated == len(batch)
+
+    target.aggregates.clear()
     for values in batch:
         target._fold_in(values)
-
-    specialized = {}
-    target._aggregates = specialized
-    fold_batch = target._build_batch_fold()  # rebind to the new table
-    fold_batch(batch)
-    assert specialized == reference
+    assert target.aggregates == columnar
+    assert target.tuples_aggregated == 2 * len(batch)
 
 
 def test_combiner_empty_flow():

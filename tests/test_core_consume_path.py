@@ -145,6 +145,39 @@ def test_consume_bytes_roundtrips_packed_tuples():
         assert stream == [(s * PER_SOURCE + i, i) for i in range(PER_SOURCE)]
 
 
+@pytest.mark.parametrize("optimization",
+                         [Optimization.BANDWIDTH, Optimization.LATENCY])
+def test_consume_bytes_lands_on_the_consume_batch_timeline(optimization):
+    """``consume_bytes`` is ``consume_batch`` minus the unpack: every
+    drain hands over the same rows at the same simulated instant and the
+    flow ends at the same one (the combiner target drains bytes only, so
+    its timeline is the tuple consumer's)."""
+    def drains(consume, decode):
+        cluster, dfi = _build(4, optimization)
+        _sources(cluster, dfi, 4)
+        seen = []
+
+        def target_thread():
+            target = yield from dfi.open_target("f", 0)
+            while True:
+                drained = yield from consume(target)
+                if drained is FLOW_END:
+                    return
+                seen.append((cluster.env.now, decode(drained)))
+
+        cluster.env.process(target_thread())
+        cluster.run()
+        return seen, cluster.env.now
+
+    as_bytes = drains(
+        lambda target: target.consume_bytes(),
+        lambda chunks: [row for chunk in chunks
+                        for row in SCHEMA.unpack_rows(chunk)])
+    as_tuples = drains(lambda target: target.consume_batch(), list)
+    assert as_bytes == as_tuples
+    assert sum(len(rows) for _, rows in as_bytes[0]) == 4 * PER_SOURCE
+
+
 def test_consume_bytes_chunks_are_whole_tuples():
     cluster, dfi = _build(2, Optimization.BANDWIDTH)
     _sources(cluster, dfi, 2)

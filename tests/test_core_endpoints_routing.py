@@ -108,6 +108,47 @@ def test_round_robin_router_cycles():
     assert [route((0, 0), 3) for _ in range(7)] == [0, 1, 2, 0, 1, 2, 0]
 
 
+def test_round_robin_cursor_is_per_source():
+    """Two sources pushing in lockstep through one ``round_robin_router``
+    each spray both targets. With one cursor shared by the flow's
+    sources, source 0 drew every even turn and source 1 every odd one:
+    target 0 received only source 0's tuples."""
+    from repro.core import FLOW_END, DfiRuntime
+    from repro.simnet import Cluster
+
+    cluster = Cluster(node_count=4)
+    dfi = DfiRuntime(cluster)
+    shared = round_robin_router()
+    dfi.init_shuffle_flow("rr", ["node0|0", "node1|0"],
+                          ["node2|0", "node3|0"], SCHEMA, routing=shared)
+    received = [[], []]
+
+    def source_thread(index):
+        source = yield from dfi.open_source("rr", index)
+        for n in range(8):
+            yield from source.push((index, n))
+            yield cluster.env.timeout(1_000.0)  # lockstep: 0, 1, 0, 1, …
+        yield from source.close()
+
+    def target_thread(index):
+        target = yield from dfi.open_target("rr", index)
+        while True:
+            values = yield from target.consume()
+            if values is FLOW_END:
+                return
+            received[index].append(values)
+
+    for index in range(2):
+        cluster.env.process(source_thread(index))
+        cluster.env.process(target_thread(index))
+    cluster.run()
+    for target, parity in enumerate((0, 1)):
+        assert sorted(received[target]) == [
+            (source, n) for source in range(2) for n in range(parity, 8, 2)]
+    # The descriptor's router was a template only: its cursor never moved.
+    assert shared((0, 0), 2) == 0
+
+
 @given(st.integers(0, 2 ** 64 - 1), st.integers(1, 64))
 def test_key_hash_router_property(key, target_count):
     route = key_hash_router(SCHEMA, "key")

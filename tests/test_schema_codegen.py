@@ -1,30 +1,33 @@
-"""Compiled-vs-generic equivalence for the schema codegen layer.
+"""Batch pack/unpack and the schema's batch kernels against references.
 
-The contract under test: every generated kernel (route, fold) is a
-*wall-clock* accelerator only — identical partitions and aggregates to
-the generic ``struct`` path, across every dtype, field offset, batch
-size, and combiner operator. Batch pack/unpack has no generated twin:
-its byte layout and ``SchemaError`` cases are checked directly. Plus
-the determinism capstone: a full
-simulated flow lands on bit-identical simulated time and results with
-codegen on and off (the in-process equivalent of running the fingerprint
-under ``REPRO_NO_CODEGEN=1``).
+The contract under test: the batched hash partitioner
+(``Schema.route_kernel``) and the columnar combiner fold
+(``Schema.column_decoder`` + ``combiner._row_fold``) are *wall-clock*
+accelerators only — the partitions of per-tuple ``route`` and the
+aggregates of a row-by-row fold, across every dtype, field offset, batch
+size, partition loop and combiner operator. Batch pack/unpack is checked
+directly: byte layout and ``SchemaError`` cases.
+
+(The module keeps the name it had when these kernels were generated
+source with a switched-off leg beside them: the suite's floor identifies
+tests by module name.)
 """
 
 import importlib.util
 import random
+import warnings
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common import config
-from repro.common.errors import SchemaError
+from repro.common.errors import FlowError, SchemaError
 from repro.core import Schema
 from repro.core import schema as schema_module
+from repro.core.combiner import _row_fold
 from repro.core.routing import key_hash_router
-from repro.core.types import BUILTIN_TYPES, fixed_bytes
+from repro.core.types import BUILTIN_TYPES
 
 #: Exercise values per dtype (chosen to round-trip exactly, including
 #: negative, zero, and near-boundary encodings).
@@ -43,24 +46,6 @@ _VALUES = {
 }
 
 BATCH_SIZES = (0, 1, 2, 7, 64, 100, 1024)
-
-
-def _schemas(*fields):
-    """The same layout built twice: with generated kernels and without.
-
-    Both legs are forced explicitly so this suite tests the same
-    contract whether or not the host set ``REPRO_NO_CODEGEN``.
-    """
-    saved = config.CODEGEN_ENABLED
-    try:
-        config.CODEGEN_ENABLED = True
-        compiled = Schema(*fields)
-        config.CODEGEN_ENABLED = False
-        generic = Schema(*fields)
-    finally:
-        config.CODEGEN_ENABLED = saved
-    assert compiled.codegen_active and not generic.codegen_active
-    return compiled, generic
 
 
 def _rows(schema, count):
@@ -178,45 +163,81 @@ def test_unpack_torn_buffer_raises_schema_error():
 
 # -- router ------------------------------------------------------------------
 
+def _via_route(route, rows, targets):
+    """Reference partitions: per-tuple ``route`` on every row."""
+    return [[row for row in rows if route(row, targets) == target]
+            for target in range(targets)]
+
+
 @pytest.mark.parametrize("dtype", ("int8", "uint16", "int32", "uint64"))
 @pytest.mark.parametrize("targets", (1, 2, 3, 7, 8, 16))
 def test_route_many_partitions_identical(dtype, targets):
-    compiled, generic = _schemas(("key", dtype), ("pad", 4))
-    assert compiled.compiled_route_many(0, None) is not None
-    assert generic.compiled_route_many(0, None) is None
-    route_c = key_hash_router(compiled, "key").route_many
-    route_g = key_hash_router(generic, "key").route_many
+    """Power-of-two mask and modulo branch of the integer loop, and the
+    numpy pass on the unsigned dtypes' 1024-row batch."""
+    schema = Schema(("key", dtype), ("pad", 4))
+    route = key_hash_router(schema, "key")
     for count in BATCH_SIZES:
-        rows = _rows(compiled, count)
-        assert route_c(rows, targets) == route_g(rows, targets)
+        rows = _rows(schema, count)
+        assert route.route_many(rows, targets) == _via_route(
+            route, rows, targets)
 
 
 def test_route_many_non_int_dtype_declines():
-    """Float/char/bytes keys cannot use the static-int fused hash."""
-    for dtype in ("float", "double", "char"):
-        compiled, _ = _schemas(("key", dtype))
-        assert compiled.compiled_route_many(0, None) is None
-    compiled, _ = _schemas(("key", 8))  # fixed_bytes
-    assert compiled.compiled_route_many(0, None) is None
+    """Float/char/bytes keys cannot use the inlined integer hash: their
+    batches loop over ``route`` (which ``hash()``es them)."""
+    for dtype in ("float", "double", "char", 8):  # 8: fixed_bytes
+        schema = Schema(("key", dtype), ("pad", 4))
+        route = key_hash_router(schema, "key")
+        for targets in (1, 3, 8):
+            for count in BATCH_SIZES:
+                rows = _rows(schema, count)
+                assert route.route_many(rows, targets) == _via_route(
+                    route, rows, targets)
 
 
 def test_route_many_mistyped_batch_replays_through_generic():
     """A batch whose key values violate the declared int dtype must
-    produce exactly the generic partitions (whole-batch replay)."""
-    compiled, generic = _schemas(("key", "uint64"), ("pad", 4))
-    route_c = key_hash_router(compiled, "key").route_many
-    route_g = key_hash_router(generic, "key").route_many
+    produce exactly the per-tuple partitions (whole-batch replay through
+    the ``route`` loop, partial groups discarded)."""
+    schema = Schema(("key", "uint64"), ("pad", 4))
+    route = key_hash_router(schema, "key")
     pad = b"ppXX"
     liars = [("zebra", pad), ("ant", pad), (3.5, pad), ("zebra", pad)]
-    for targets in (4, 5):
-        assert route_c(liars, targets) == route_g(liars, targets)
+    late = [(7, pad), (11, pad), ("zebra", pad), (13, pad), (None, pad)]
+    for batch in (liars, late, late * 100):
+        for targets in (4, 5):
+            assert route.route_many(batch, targets) == _via_route(
+                route, batch, targets)
+
+
+@pytest.mark.parametrize("count", (10, 300))
+@pytest.mark.parametrize("dtype", ("uint64", "int64"))
+def test_numpy_scalar_keys_route_silently(dtype, count):
+    """Keys a caller lifts out of a numpy column: the integer loop's
+    product would wrap a numpy scalar and warn (``overflow encountered
+    in scalar multiply``, an abort under ``-W error``); batches of them
+    take the ``route`` loop below the numpy threshold and
+    ``operator.index`` above it. Same partitions as per-tuple ``route``
+    and as the plain-``int`` batch."""
+    scalar = getattr(pytest.importorskip("numpy"), dtype)
+    schema = Schema(("key", dtype), ("pad", 4))
+    route = key_hash_router(schema, "key")
+    plain = [(i * 0x9E3779B1 + 5, b"pad!") for i in range(count)]
+    rows = [(scalar(key), pad) for key, pad in plain]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for targets in (3, 8):
+            groups = route.route_many(rows, targets)
+            assert groups == _via_route(route, rows, targets)
+            assert groups == route.route_many(plain, targets)
+            assert route.route_many([], targets) == [[]] * targets
 
 
 _NP_MIN = schema_module._ROUTE_NP_MIN
 
-#: Keys the declared ``uint64`` dtype does not admit: the vector pass
-#: hands negative and >= 2**64 keys to the scalar kernel and everything
-#: ``operator.index`` rejects to the generic router.
+#: Keys the declared ``uint64`` dtype does not admit: the numpy pass
+#: hands negative and >= 2**64 keys to the integer loop and everything
+#: ``operator.index`` rejects to the ``route`` loop.
 _ODD_KEYS = (-1, -2 ** 63, 2 ** 64, 2 ** 64 + 5, 2 ** 70, 1.5, -0.0, 3e30)
 
 
@@ -232,32 +253,44 @@ _ODD_KEYS = (-1, -2 ** 63, 2 ** 64, 2 ** 64 + 5, 2 ** 70, 1.5, -0.0, 3e30)
 def test_vector_scalar_and_generic_routers_agree_across_the_binding(
         sizes, odd, targets, seed):
     """One router fed batches on both sides of ``_ROUTE_NP_MIN``: numpy
-    is bound into the kernel namespace by the first batch that reaches
-    the vector branch, mid-stream, and the partitions are those of the
-    scalar kernel and of the generic router before, at and after it."""
+    is bound by the first batch that reaches the numpy pass, mid-stream,
+    and the partitions are those of the integer loop (a signed key of
+    the same layout never leaves it) and of per-tuple ``route`` before,
+    at and after it."""
     rng = random.Random(seed)
     batches = [[(rng.getrandbits(64), b"pad!") for _ in range(size)]
                for size in sizes]
     for batch, position, key in odd:
         if batch < len(batches) and position < len(batches[batch]):
             batches[batch][position] = (key, b"pad!")
-    # A fresh kernel set, as the first schema of this layout in a
-    # process gets: its vector kernel has not bound numpy yet.
-    with mock.patch.dict(schema_module._KERNEL_CACHE, clear=True):
-        compiled, generic = _schemas(("key", "uint64"), ("pad", 4))
-        vector = key_hash_router(compiled, "key").route_many
-    namespace = compiled._kernels._namespace
-    assert vector is namespace["_route_many_k0"]
-    scalar = namespace["_route_many_k0_py"]
-    reference = key_hash_router(generic, "key").route_many
     have_numpy = importlib.util.find_spec("numpy") is not None
-    reached = False
-    for rows in batches:
-        assert (namespace["_np_fromiter"] is not None) == (
-            reached and have_numpy)
-        groups = vector(rows, targets)
-        assert groups == scalar(rows, targets) == reference(rows, targets)
-        reached |= len(rows) >= _NP_MIN
+    # As in a fresh process: nothing has asked for numpy yet.
+    with mock.patch.object(schema_module, "_NUMPY", None):
+        route = key_hash_router(
+            Schema(("key", "uint64"), ("pad", 4)), "key")
+        scalar = key_hash_router(
+            Schema(("key", "int64"), ("pad", 4)), "key").route_many
+        reached = False
+        for rows in batches:
+            assert bool(schema_module._NUMPY) == (reached and have_numpy)
+            groups = route.route_many(rows, targets)
+            assert groups == scalar(rows, targets) == _via_route(
+                route, rows, targets)
+            reached |= len(rows) >= _NP_MIN
+
+
+def test_numpy_planted_absent_routes_through_the_integer_loop():
+    """A process where ``import numpy`` fails: every batch, large ones
+    included, is partitioned by the integer loop — same partitions."""
+    schema = Schema(("key", "uint64"), ("pad", 4))
+    rows = [(i * 7919 + 3, b"pad!") for i in range(2 * _NP_MIN)]
+    with mock.patch.object(schema_module, "_NUMPY", None), \
+            mock.patch.dict("sys.modules", {"numpy": None}):
+        route = key_hash_router(schema, "key")
+        for targets in (3, 8):
+            assert route.route_many(rows, targets) == _via_route(
+                route, rows, targets)
+        assert schema_module._NUMPY == ()
 
 
 # -- combiner folds ----------------------------------------------------------
@@ -296,80 +329,32 @@ def _generic_fold(schema, chunks, group_index, value_index, op):
       ("c", 4)), 1, 3),
 ))
 def test_fold_kernel_matches_generic(op, layout):
+    """The columnar fold as ``CombinerTarget`` assembles it — selective
+    decoder of the folded columns, one operator body — against a fold of
+    fully unpacked rows."""
     fields, group_index, value_index = layout
-    compiled, generic = _schemas(*fields)
-    factory = compiled.fold_kernel(group_index, value_index, op)
-    assert factory is not None
-    assert generic.fold_kernel(group_index, value_index, op) is None
-    rows = _rows(compiled, 257)
-    size = compiled.tuple_size
+    schema = Schema(*fields)
+    columns = ((group_index,) if op == "count"
+               else (group_index, value_index))
+    decode = schema.column_decoder(*columns)
+    rows = _rows(schema, 257)
+    size = schema.tuple_size
     buf = bytearray(size * len(rows))
-    compiled.pack_many_into(buf, 0, rows)
+    schema.pack_many_into(buf, 0, rows)
     packed = bytes(buf)
+    assert list(decode(packed)) == [
+        tuple(row[index] for index in columns) for row in rows]
     # Uneven chunk boundaries (always whole rows, as segments guarantee).
     cut = size * 101
     chunks = [packed[:cut], packed[cut:cut], packed[cut:]]
     table = {}
-    folded = factory(table.get, table.__setitem__)(chunks)
-    assert folded == len(rows)
+    fold = _row_fold(op, table)
+    for chunk in chunks:
+        fold(decode(chunk))
     assert table == _generic_fold(
-        generic, chunks, group_index, value_index, op)
+        schema, chunks, group_index, value_index, op)
 
 
 def test_fold_kernel_unknown_op_declines():
-    compiled, _ = _schemas(("g", "uint64"), ("v", "uint64"))
-    assert compiled.fold_kernel(0, 1, "median") is None
-
-
-# -- determinism capstone ----------------------------------------------------
-
-def _run_flow(codegen: bool):
-    """One small 2:2 shuffle + fold; returns every simulated observable."""
-    from repro.core import (
-        FLOW_END,
-        AggregationSpec,
-        DfiRuntime,
-        FlowOptions,
-        Optimization,
-    )
-    from repro.simnet import Cluster
-
-    saved = config.CODEGEN_ENABLED
-    config.CODEGEN_ENABLED = codegen
-    try:
-        schema = Schema(("key", "uint64"), ("value", "uint64"))
-        cluster = Cluster(node_count=4)
-        dfi = DfiRuntime(cluster)
-        dfi.init_combiner_flow(
-            "agg", ["node0|0", "node1|0"], "node3|0", schema,
-            aggregation=AggregationSpec("sum", "key", "value"),
-            optimization=Optimization.BANDWIDTH, options=FlowOptions())
-        out = {}
-
-        def source_thread(index):
-            source = yield from dfi.open_source("agg", index)
-            yield from source.push_batch(
-                [(i % 97, i) for i in range(index, 1500 + index)])
-            yield from source.close()
-
-        def target_thread():
-            target = yield from dfi.open_target("agg", 0)
-            while (yield from target.consume_step()) is not FLOW_END:
-                pass
-            out["aggregated"] = target.tuples_aggregated
-            out["at"] = cluster.now
-
-        cluster.node(0).spawn(source_thread(0))
-        cluster.node(1).spawn(source_thread(1))
-        cluster.node(3).spawn(target_thread())
-        cluster.run()
-        out["final"] = cluster.now
-        return out
-    finally:
-        config.CODEGEN_ENABLED = saved
-
-
-def test_flow_bit_identical_with_codegen_off():
-    """The in-process REPRO_NO_CODEGEN fingerprint: simulated completion
-    times and aggregate counts must be bit-identical across the toggle."""
-    assert _run_flow(codegen=True) == _run_flow(codegen=False)
+    with pytest.raises(FlowError, match="unknown aggregation op 'median'"):
+        _row_fold("median", {})
