@@ -48,7 +48,6 @@ PERF_SCRIPTS = (
     ("bench_push_path.py", None),
     ("bench_consume_path.py", "BENCH_consume_path.json"),
     ("bench_doorbell.py", "BENCH_doorbell.json"),
-    ("bench_kernel.py", "BENCH_kernel.json"),
     ("bench_congestion.py", "BENCH_congestion.json"),
 )
 

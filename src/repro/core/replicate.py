@@ -571,10 +571,8 @@ class NaiveReplicateTarget(ShuffleTarget):
         return super().consume_bytes()
 
     def _finished(self) -> bool:
-        done = all(channel.done for channel in self._channels)
-        if not self._ordered:
-            return done
-        return done and self._reorder.pending == 0
+        return not self._open and (not self._ordered
+                                   or self._reorder.pending == 0)
 
 
 class MulticastReplicateSource:

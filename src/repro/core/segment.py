@@ -195,30 +195,6 @@ class SegmentRing:
                 f"{self.segment_size}")
         return self.region.view(self.payload_offset(index), length)
 
-    def payload_rows_view(self, index: int, used: int, row_size: int):
-        """Zero-copy view of a segment body as a contiguous block of
-        fixed-size rows — the columnar accessor behind the byte-mode
-        consume path (``drain_bytes`` → ``consume_bytes`` → columnar
-        folds).
-
-        Downstream kernels reinterpret the block with whole-row struct
-        formats, so the whole-row contract the sources maintain (every
-        flush is a multiple of the tuple size) is enforced here rather
-        than trusted: a torn row is a protocol bug and surfaces as a
-        ``FlowError`` at the segment layer instead of a confusing struct
-        error in a generated kernel. Footer layout is untouched — this is
-        purely a typed window over the payload bytes.
-        """
-        if used % row_size:
-            raise FlowError(
-                f"segment {index} holds {used} bytes, not a whole number "
-                f"of {row_size}-byte rows")
-        if used > self.segment_size:
-            raise FlowError(
-                f"payload length {used} exceeds segment size "
-                f"{self.segment_size}")
-        return self.region.view(self.payload_offset(index), used)
-
     def next_index(self, index: int) -> int:
         """Ring successor of ``index``."""
         return (index + 1) % self.segment_count

@@ -73,25 +73,34 @@ from repro.rdma.completion import Opcode, WorkRequest
 from repro.rdma.memory import zeroed
 from repro.rdma.nic import get_nic
 from repro.simnet.congestion import stall_is_congestion
+from repro.simnet.kernel import Event
 
 #: C-speed footer "used bytes" parse for the drain hot loop
 #: (little-endian u32 at the footer head; see repro.core.segment).
 _FOOTER_USED = _Struct("<I").unpack_from
 
-#: Prebound footer encoder for the train staging hot path, with the
-#: flag word of a plain CONSUMABLE footer (source_index 0) computed
-#: once through :func:`pack_footer_into` itself so any change to the
-#: footer's flag packing stays authoritative.
+#: The credit counter's encoder (``MemoryRegion.write_u64`` less its range
+#: check, which ``TargetChannel`` makes once at construction).
+_U64_PACK_INTO = _Struct("<Q").pack_into
+
+#: Prebound footer encoder for the staging hot paths; the flag word of a
+#: footer (source_index 0) is computed through :func:`pack_footer_into`
+#: itself so any change to the footer's flag packing stays authoritative.
 _FOOTER_PACK_INTO = FOOTER_STRUCT.pack_into
 
 
-def _consumable_word() -> int:
+def _flag_word(flags: int) -> int:
     scratch = bytearray(FOOTER_SIZE)
-    pack_footer_into(scratch, 0, 0, FLAG_CONSUMABLE, 0)
+    pack_footer_into(scratch, 0, 0, flags, 0)
     return FOOTER_STRUCT.unpack_from(scratch)[1]
 
 
-_CONSUMABLE_WORD = _consumable_word()
+_CONSUMABLE_WORD = _flag_word(FLAG_CONSUMABLE)
+
+
+def _copy_into(buffer, offset: int, data) -> None:
+    """``Schema.pack_into`` for bytes that are packed already."""
+    buffer[offset:offset + len(data)] = data
 
 if TYPE_CHECKING:
     from repro.simnet.node import Node
@@ -748,9 +757,13 @@ class LatencySourceChannel:
         self._max_retries = descriptor.options.max_backoff_retries
         self._threshold = descriptor.options.credit_threshold
         self._tuple_size = self.schema.tuple_size
+        self._pack_into = self.schema.pack_into
+        #: Payload of a close/abort marker.
+        self._zeros = bytes(self.segment_payload)
         #: CPU cost of one push: the tuple copy plus posting its write.
         self._push_cost = (self.profile.cpu_push_cost(self._tuple_size)
                            + self.profile.cpu_post_cost)
+        self._segments = handle.segment_count
         self._sent = 0
         self._cached_consumed = 0
         self._pending_credit_read = None
@@ -777,19 +790,12 @@ class LatencySourceChannel:
                                             - self._cached_consumed)
 
     def push(self, values: tuple):
-        """Generator: transfer one tuple immediately (one RDMA write)."""
+        """Transfer one tuple immediately (one RDMA write); returns the
+        generator the caller must ``yield from``."""
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
-        yield self.node.compute(self._push_cost)
-        yield from self._acquire_credit()
-        # Pack straight into the staging slot — no intermediate bytes.
-        base = self._slot_base()
-        self.schema.pack_into(self._staging, base, values)
-        self._finish_slot(base, self._tuple_size, FLAG_CONSUMABLE)
-        self.tuples_sent += 1
-        if (self._available_credits <= self._threshold
-                and self._pending_credit_read is None):
-            self._refresh_credit_async()
+        return self._send_slot(self._push_cost, self._pack_into, values,
+                               self._tuple_size)
 
     def push_batch(self, tuples):
         """Generator: push a batch of tuples. Latency mode is inherently
@@ -810,18 +816,10 @@ class LatencySourceChannel:
             raise FlowError(
                 f"push_bytes got {size} bytes, not a multiple of the "
                 f"{tuple_size}-byte tuple size")
-        cost = self._push_cost
         for start in range(0, size, tuple_size):
-            yield self.node.compute(cost)
-            yield from self._acquire_credit()
-            base = self._slot_base()
-            self._staging[base:base + tuple_size] = (
-                data[start:start + tuple_size])
-            self._finish_slot(base, tuple_size, FLAG_CONSUMABLE)
-            self.tuples_sent += 1
-            if (self._available_credits <= self._threshold
-                    and self._pending_credit_read is None):
-                self._refresh_credit_async()
+            yield from self._send_slot(
+                self._push_cost, _copy_into, data[start:start + tuple_size],
+                tuple_size)
 
     def close(self):
         """Generator: send the close marker and wait for its ack."""
@@ -833,10 +831,7 @@ class LatencySourceChannel:
         """Generator: post the close marker without waiting for its ack."""
         if self.closed:
             return None
-        yield self.node.compute(self.profile.cpu_post_cost)
-        yield from self._acquire_credit()
-        wr = self._write_slot(b"", FLAG_CONSUMABLE | FLAG_CLOSED,
-                              signaled=True)
+        wr = yield from self._send_marker(FLAG_CLOSED)
         self.closed = True
         if self._obs is not None:
             log_close(self)
@@ -847,11 +842,7 @@ class LatencySourceChannel:
         FlowAbortedError)."""
         if self.closed:
             return
-        yield self.node.compute(self.profile.cpu_post_cost)
-        yield from self._acquire_credit()
-        wr = self._write_slot(
-            b"", FLAG_CONSUMABLE | FLAG_CLOSED | FLAG_ABORTED,
-            signaled=True)
+        wr = yield from self._send_marker(FLAG_CLOSED | FLAG_ABORTED)
         self.closed = True
         if self._obs is not None:
             log_close(self, {"aborted": True})
@@ -867,45 +858,57 @@ class LatencySourceChannel:
             get_nic(self.node).deregister_memory(self._scratch.rkey)
             self._scratch = None
 
-    def _slot_base(self) -> int:
-        """Staging-buffer offset of the slot for the next send."""
-        return (self._sent % self.remote.segment_count) * self._slot_size
+    def _send_marker(self, flags: int):
+        """Generator: post a signaled segment with no payload (zeroed, the
+        padded form the protocol defines) whose footer adds ``flags``;
+        returns its work request."""
+        return self._send_slot(
+            self.profile.cpu_post_cost, _copy_into, self._zeros, 0,
+            _flag_word(FLAG_CONSUMABLE | flags), signaled=True)
 
-    def _finish_slot(self, base: int, used: int, flags: int,
-                     signaled: bool = False):
-        """Pad + footer the staged slot at ``base`` and post it zero-copy;
-        returns the work request of a signaled write, else ``None``."""
-        if used < self.segment_payload:
-            # Close/abort markers: zero the unused payload so the wire
-            # bytes match the padded form the protocol defines.
-            self._staging[base + used:base + self.segment_payload] = (
-                bytes(self.segment_payload - used))
-        pack_footer_into(self._staging, base + self.segment_payload,
-                         used, flags, self._sent)
+    def _send_slot(self, cost: float, fill, payload, used: int,
+                   word: int = _CONSUMABLE_WORD, signaled: bool = False):
+        """Generator: the one latency-mode send. Charge ``cost`` of CPU,
+        hold a credit, have ``fill(staging, base, payload)`` stage the
+        next slot, footer it as ``used`` bytes under flag word ``word``
+        and post it as one zero-copy write; then top the credits up.
+        Returns the work request of a ``signaled`` write, else ``None``:
+        data writes are fire-and-forget, only a close/abort marker is
+        ever observed."""
+        yield self.node.compute(cost)
+        segments = self._segments
+        sent = self._sent
+        if (self._pending_credit_read is not None
+                or sent - self._cached_consumed >= segments):
+            # A refresh to harvest, or the window is shut.
+            yield from self._acquire_credit()
+        index = sent % segments
+        base = index * self._slot_size
+        fill(self._staging, base, payload)
+        _FOOTER_PACK_INTO(self._staging, base + self.segment_payload,
+                          used, word, sent)
         region = self._remote_region
         if region is None:
             region = _resolve_remote_region(self)
-        # Only the signaled close/abort marker is ever observed: data
-        # writes are fire-and-forget, so no WorkRequest exists for them.
         wr = (WorkRequest(self.env, None, Opcode.WRITE, True) if signaled
               else None)
+        slot_size = self._slot_size
         self.qp.post_lone(
-            wr, self._slot_size,
-            ((0, self._staging_view[base:base + self._slot_size]),), region,
-            (self._sent % self.remote.segment_count) * self._remote_slot)
+            wr, slot_size, ((0, self._staging_view[base:base + slot_size]),),
+            region, index * self._remote_slot)
         if self._obs is not None:
             self._obs.log((WRITE, self.env._now, self, self.remote,
-                           self._sent, 1, used))
-        self._sent += 1
+                           sent, 1, used))
+        self._sent = sent = sent + 1
         self.segments_sent += 1
+        if wr is None:
+            # A tuple went out (the marker that ends the channel carries
+            # none and needs no credit after it).
+            self.tuples_sent += 1
+            if (segments - (sent - self._cached_consumed) <= self._threshold
+                    and self._pending_credit_read is None):
+                self._refresh_credit_async()
         return wr
-
-    def _write_slot(self, payload: bytes, flags: int, signaled: bool = False):
-        base = self._slot_base()
-        used = len(payload)
-        if used:
-            self._staging[base:base + used] = payload
-        return self._finish_slot(base, used, flags, signaled)
 
     def _refresh_credit_async(self) -> None:
         if self._obs is not None:
@@ -978,8 +981,17 @@ class TargetChannel:
         self.credit_coalescing = True
         self._footer_offsets = tuple(ring.footer_offset(index)
                                      for index in range(ring.segment_count))
+        # Proven once, here: a payload is sliced out of the whole-ring
+        # view at ``footer offset - segment size`` and the credit counter
+        # is packed in place, both without a range check per segment.
+        self._segment_size = ring.segment_size
+        self._view = ring.region.view(0, ring.total_bytes)
+        credit_region.check_range(credit_offset, 8)
         self._index = 0
         self._consumed = 0
+        #: The endpoint whose ``_open`` count this channel is part of
+        #: (set by ``ShuffleTarget``).
+        self._owner = None
         self.done = False
         self.aborted = False
         self.tuples_received = 0
@@ -1019,7 +1031,7 @@ class TargetChannel:
         else:
             tuples = []
         if footer.closed:
-            self.done = True
+            self._mark_done()
         if footer.aborted:
             self.aborted = True
             tuples = []  # abort voids any delivery guarantee
@@ -1033,9 +1045,16 @@ class TargetChannel:
             self._obs.log((CONSUME, self.node.env.now, self, self.ring,
                            footer.seq, (len(tuples),), False, footer.closed))
         if self._track_credits:
-            self._credit_region.write_u64(self._credit_offset,
-                                          self._consumed)
+            _U64_PACK_INTO(self._credit_region.mem, self._credit_offset,
+                           self._consumed)
         return footer, tuples
+
+    def _mark_done(self) -> None:
+        """The close marker was consumed: the one place a channel turns
+        ``done``, and with it the one place its endpoint's open-channel
+        count falls."""
+        self.done = True
+        self._owner._open -= 1
 
     def drain(self, out) -> int:
         """Consume every consecutive consumable segment in one pass.
@@ -1052,7 +1071,8 @@ class TargetChannel:
         mem = self.ring.region.mem
         offsets = self._footer_offsets
         segment_count = len(offsets)
-        payload_view = self.ring.payload_view
+        view = self._view
+        segment_size = self._segment_size
         unpack_rows = self.schema.unpack_rows
         extend = out.extend
         index = self._index
@@ -1078,9 +1098,14 @@ class TargetChannel:
                     self.aborted = True
                     used = 0  # abort voids its own segment's delivery
                 if flags & FLAG_CLOSED:
-                    self.done = True
+                    self._mark_done()
             if used:
-                tuples = unpack_rows(payload_view(index, used))
+                if used > segment_size:
+                    raise FlowError(
+                        f"payload length {used} exceeds segment size "
+                        f"{segment_size}")
+                start = footer_offset - segment_size
+                tuples = unpack_rows(view[start:start + used])
                 extend(tuples)
                 received += len(tuples)
             if counts is not None:
@@ -1091,8 +1116,8 @@ class TargetChannel:
                 index = 0
             drained += 1
             if per_segment_credits:
-                self._credit_region.write_u64(self._credit_offset,
-                                              consumed + drained)
+                _U64_PACK_INTO(self._credit_region.mem, self._credit_offset,
+                               consumed + drained)
             if self.done:
                 break
         if drained:
@@ -1103,8 +1128,8 @@ class TargetChannel:
                 obs.log((CONSUME, self.node.env._now, self, self.ring,
                          consumed, counts, True, self.done))
             if self._track_credits and not per_segment_credits:
-                self._credit_region.write_u64(self._credit_offset,
-                                              self._consumed)
+                _U64_PACK_INTO(self._credit_region.mem, self._credit_offset,
+                               self._consumed)
         return drained
 
     def drain_bytes(self, out) -> int:
@@ -1118,7 +1143,8 @@ class TargetChannel:
         mem = self.ring.region.mem
         offsets = self._footer_offsets
         segment_count = len(offsets)
-        payload_rows_view = self.ring.payload_rows_view
+        view = self._view
+        segment_size = self._segment_size
         append = out.append
         tuple_size = self.schema.tuple_size
         index = self._index
@@ -1141,11 +1167,18 @@ class TargetChannel:
                     self.aborted = True
                     used = 0
                 if flags & FLAG_CLOSED:
-                    self.done = True
+                    self._mark_done()
             if used:
-                # Whole-row contract checked at the segment layer: the
-                # chunks feed columnar fold/unpack kernels downstream.
-                append(payload_rows_view(index, used, tuple_size))
+                # Whole-row contract: the chunks feed columnar
+                # fold/unpack kernels downstream, so a torn row is a
+                # protocol bug to surface here.
+                if used % tuple_size or used > segment_size:
+                    raise FlowError(
+                        f"segment {index} holds {used} bytes: not a whole "
+                        f"number of {tuple_size}-byte rows within "
+                        f"{segment_size}")
+                start = footer_offset - segment_size
+                append(view[start:start + used])
                 received += used // tuple_size
             if counts is not None:
                 counts.append(used // tuple_size)
@@ -1155,8 +1188,8 @@ class TargetChannel:
                 index = 0
             drained += 1
             if per_segment_credits:
-                self._credit_region.write_u64(self._credit_offset,
-                                              consumed + drained)
+                _U64_PACK_INTO(self._credit_region.mem, self._credit_offset,
+                               consumed + drained)
             if self.done:
                 break
         if drained:
@@ -1167,8 +1200,8 @@ class TargetChannel:
                 obs.log((CONSUME, self.node.env._now, self, self.ring,
                          consumed, counts, True, self.done))
             if self._track_credits and not per_segment_credits:
-                self._credit_region.write_u64(self._credit_offset,
-                                              self._consumed)
+                _U64_PACK_INTO(self._credit_region.mem, self._credit_offset,
+                               self._consumed)
         return drained
 
 
@@ -1634,6 +1667,11 @@ class ShuffleTarget:
         # dies with the target (scale audit: no per-message growth).
         self._dirty: dict = dict.fromkeys(range(len(channels)))
         self._wake_event = None
+        #: Channels whose close marker has not been consumed yet
+        #: (``TargetChannel._mark_done`` counts it down).
+        self._open = len(channels)
+        for channel in channels:
+            channel._owner = self
         # A flow aborted before this target opened (abort racing
         # extend_targets): surface the abort instead of waiting for ring
         # traffic that will never come.
@@ -1692,25 +1730,23 @@ class ShuffleTarget:
         write will succeed (the hook disarms as it fires). Called only
         when about to wait — scans are synchronous, so no write can land
         between a scan that found nothing and the arm that follows it."""
-        event = self._env.event()
-        self._wake_event = event
+        event = self._wake_event = Event(self._env)
         return event
 
-    def _bounded_wait(self, wait_event):
-        """Generator: block on the armed doorbell. With ``peer_timeout``
-        unset this is a plain wait (the pre-fault-plane event pattern,
-        bit-for-bit). With it set, the wait is bounded: a doorbell that
-        stays silent past the bound raises FlowPeerFailedError (a pending
-        peer is known dead) or FlowTimeoutError (pure stall). Progress
-        resets the bound naturally — every wait starts a fresh window."""
-        if self._peer_timeout is None:
-            yield wait_event
-            return
+    def _bounded_wait(self):
+        """Generator: block on the doorbell for at most ``peer_timeout``,
+        then charge the poll that finds the data (without the bound a
+        consume yields :meth:`_arm` itself: the merged wake fires at
+        wake + poll cost). A doorbell that stays silent past the bound
+        raises FlowPeerFailedError (a pending peer is known dead) or
+        FlowTimeoutError (pure stall). Progress resets the bound
+        naturally — every wait starts a fresh window."""
+        wait_event = self._arm()
         while True:
             timer = self._env.timeout(self._peer_timeout)
             yield self._env.any_of([wait_event, timer])
             if wait_event.triggered:
-                return
+                break
             if stall_is_congestion(self.node):
                 # The silence is explained by active throttling on an
                 # inbound path — congestion, not peer death. Re-arm the
@@ -1722,6 +1758,7 @@ class ShuffleTarget:
                 continue
             self._wake_event = None
             self._raise_peer_failure()
+        yield self.node.compute(self.node.cluster.profile.cpu_poll_cost)
 
     def _raise_peer_failure(self):
         """No progress within the detection bound: classify and raise."""
@@ -1812,12 +1849,10 @@ class ShuffleTarget:
             if progressed:
                 # Close markers or empty segments arrived; rescan.
                 continue
-            yield from self._bounded_wait(self._arm())
-            if self._poll_delay is None:
-                # Bounded wait: charge the poll separately. (The merged
-                # wake above already fired at wake + poll cost.)
-                yield self.node.compute(
-                    self.node.cluster.profile.cpu_poll_cost)
+            if self._peer_timeout is None:
+                yield self._arm()
+            else:
+                yield from self._bounded_wait()
 
     def consume_batch(self):
         """Generator: return every tuple available right now as one list,
@@ -1863,12 +1898,10 @@ class ShuffleTarget:
                 return FLOW_END
             if progressed:
                 continue
-            yield from self._bounded_wait(self._arm())
-            if self._poll_delay is None:
-                # Bounded wait: charge the poll separately. (The merged
-                # wake above already fired at wake + poll cost.)
-                yield self.node.compute(
-                    self.node.cluster.profile.cpu_poll_cost)
+            if self._peer_timeout is None:
+                yield self._arm()
+            else:
+                yield from self._bounded_wait()
 
     def consume_bytes(self):
         """Generator: return a list of zero-copy payload ``memoryview``
@@ -1909,16 +1942,14 @@ class ShuffleTarget:
                 return FLOW_END
             if progressed:
                 continue
-            yield from self._bounded_wait(self._arm())
-            if self._poll_delay is None:
-                # Bounded wait: charge the poll separately. (The merged
-                # wake above already fired at wake + poll cost.)
-                yield self.node.compute(
-                    self.node.cluster.profile.cpu_poll_cost)
+            if self._peer_timeout is None:
+                yield self._arm()
+            else:
+                yield from self._bounded_wait()
 
     def _finished(self) -> bool:
         """True once the flow is fully drained (hook for subclasses)."""
-        return all(channel.done for channel in self._channels)
+        return not self._open
 
     def _scan(self, out) -> bool:
         """Drain every doorbell'd channel into ``out`` (any container

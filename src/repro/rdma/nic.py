@@ -126,8 +126,9 @@ class RNic:
         """
         latency = (self.profile.nic_processing_inline if inline
                    else self.profile.nic_processing)
-        now = self.env.now
-        start = max(now, self._engine_busy_until)
+        now = self.env._now
+        busy = self._engine_busy_until
+        start = busy if busy > now else now
         self._engine_busy_until = start + self.profile.nic_wqe_service
         self.wqes_processed += 1
         self._engine_wait += start - now

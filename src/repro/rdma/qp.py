@@ -394,7 +394,7 @@ class QueuePair:
         # Every instant is ``now + offset``: the float a Timeout armed
         # with that offset fires at (an absolute arrival round-tripped
         # through ``arrival - now`` may differ by one ulp).
-        now = env.now
+        now = env._now
         arrival = now + arrival_delay
         ack_at = now + (arrival_delay + self._ack_delta)
         if obs is not None and obs.causal:

@@ -27,7 +27,7 @@ class Cluster:
     :class:`Environment`; >1 builds a
     :class:`~repro.simnet.shard.ShardedEnvironment`, which tags every
     event with the shard of its node group. Simulated metrics are
-    bit-identical either way — both kernels order one calendar queue by
+    bit-identical either way — both kernels order one event queue by
     ``(time, sequence)``; the tag only attributes events (see
     ``simnet/shard.py``). ``shard_map`` overrides the default contiguous
     block partition with an explicit node→shard list.

@@ -98,7 +98,7 @@ class Fabric:
         if source.cluster is not cluster or destination.cluster is not cluster:
             self._check_nodes(source, destination)
         self.unicast_count += 1
-        now = self.env.now
+        now = self.env._now
         if source is destination:
             arrival = (now + delay + self.profile.loopback_latency
                        + size / self.profile.loopback_bandwidth)
@@ -116,7 +116,9 @@ class Fabric:
         # after the first byte left the sender.
         _down_start, down_end = reserve_down(
             size, send_start + self.profile.wire_latency)
-        arrival = max(down_end, up_end + self.profile.wire_latency)
+        arrival = up_end + self.profile.wire_latency
+        if down_end > arrival:
+            arrival = down_end
         if self._shard_tag and destination._shard != source._shard:
             env = self.env
             env.mailbox_crossings += 1

@@ -40,21 +40,6 @@ _TIMEOUT_POOL_CAP = 256
 #: while still absorbing bursts (many channels flushing in one instant).
 _MACRO_POOL_CAP = 64
 
-#: Calendar-queue geometry for timed events. Bucket width is
-#: ``1 << _CAL_SHIFT`` ns: 2048 ns keeps the sub-microsecond hot-path
-#: timers (NIC service intervals, CPU charges, wire latency) in the
-#: near-term front heap while pushing slow timers (retransmit guards,
-#: doorbell-train tails) out of it. The ring covers
-#: ``_CAL_RING << _CAL_SHIFT`` ns (~524 µs); anything beyond spills to
-#: an overflow heap.
-_CAL_SHIFT = 11
-_CAL_RING = 256
-_CAL_MASK = _CAL_RING - 1
-#: Beyond-any-bucket threshold (~146 years of simulated ns): entries at
-#: or past this (e.g. a hypothetical ``inf`` timer) are heap-ordered in
-#: the spill lane and never converted to a bucket number.
-_CAL_FAR = float(1 << 62)
-
 
 class Event:
     """A one-shot occurrence in simulated time.
@@ -297,7 +282,7 @@ class Process(Event):
         self.succeed(value)
 
     def _resume(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING or self._exception is not None:
             # Killed while an event (e.g. its Initialize) still held this
             # callback: the wakeup is void.
             return
@@ -414,30 +399,23 @@ class AnyOf(Condition):
 class Environment:
     """The simulation kernel: clock, event queue, and run loop.
 
-    Timed events live in a two-lane calendar scheduler; together with the
-    zero-delay deque three fast paths keep the hot loop cheap without
-    changing observable order:
+    Pending events live in two structures that order by the same
+    ``(time, sequence)`` key, so popping the smaller of their heads is
+    popping from one heap:
 
-    * zero-delay events (process resumes, ``succeed()`` wakeups — the vast
-      majority) bypass the heap into a FIFO deque. All structures order
-      by ``(time, sequence)``, and :meth:`step` always pops the global
-      minimum, so tie-breaking stays bit-for-bit identical to a pure heap;
-    * timed events within the current calendar bucket go straight into a
-      small front heap (``_queue``); later events wait in unsorted
-      per-bucket lists (``_buckets``) or, past the ring horizon, in an
-      overflow heap (``_spill``), and are bulk-``heapify``'d into the
-      front heap only when the clock reaches their bucket. The front heap
-      stays shallow no matter how many far-future timers are pending
-      (timeout storms, retransmit guards under fault plans);
-    * :meth:`pooled_timeout` recycles processed :class:`Timeout` objects
-      for fire-and-forget timers (NIC engine delays, CPU-cost charges)
-      whose references are dropped once they fire.
+    * timed events sit in one binary heap (``_queue``);
+    * zero-delay events (process resumes, ``succeed()`` wakeups — the
+      majority) skip the sift into a FIFO deque (``_immediate``), whose
+      keys are non-decreasing by construction.
+
+    :meth:`pooled_timeout` recycles processed :class:`Timeout` objects
+    for fire-and-forget timers (NIC engine delays, CPU-cost charges)
+    whose references are dropped once they fire.
     """
 
     __slots__ = ("_now", "_queue", "_immediate", "_sequence",
                  "_active_process", "_timeout_pool", "_macro_pool",
-                 "events_executed", "_base", "_horizon",
-                 "_buckets", "_bucket_count", "_spill", "_spill_floor")
+                 "events_executed")
 
     #: Number of shards events are attributed to. 1 for this untagged
     #: kernel; the :class:`~repro.simnet.shard.ShardedEnvironment`
@@ -448,8 +426,7 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        #: Front heap: timed events in the current calendar bucket (or
-        #: earlier — late pushes land here too).
+        #: Timed events, a heap on ``(time, sequence)``.
         self._queue: list[tuple[float, int, Event]] = []
         #: Zero-delay events in FIFO order (times are non-decreasing).
         self._immediate: deque[tuple[float, int, Event]] = deque()
@@ -457,20 +434,9 @@ class Environment:
         self._active_process: Process | None = None
         self._timeout_pool: list[Timeout] = []
         self._macro_pool: list[MacroEvent] = []
-        #: Events executed by :meth:`step`. Pure read-time observability —
-        #: never consulted by the simulation.
+        #: Events executed so far. Pure read-time observability — never
+        #: consulted by the simulation.
         self.events_executed = 0
-        #: Calendar state. ``_base`` is the current bucket number
-        #: (``int(time) >> _CAL_SHIFT``); ``_horizon``/``_spill_floor``
-        #: are its precomputed float time bounds so the scheduling fast
-        #: path is a single comparison, with no float->int conversion.
-        base = int(self._now) >> _CAL_SHIFT
-        self._base = base
-        self._horizon = float((base + 1) << _CAL_SHIFT)
-        self._buckets: list[list] = [[] for _ in range(_CAL_RING)]
-        self._bucket_count = 0
-        self._spill: list[tuple[float, int, Event]] = []
-        self._spill_floor = float((base + _CAL_RING) << _CAL_SHIFT)
 
     @property
     def now(self) -> float:
@@ -596,16 +562,10 @@ class Environment:
         event._scheduled = True
         self._sequence += 1
         if delay == 0.0:
-            # Zero-delay fast path: O(1) FIFO append instead of a heap
-            # sift. Entries keep their (time, sequence) key so step() can
-            # merge both structures in exact heap order.
             self._immediate.append((self._now, self._sequence, event))
         else:
-            when = self._now + delay
-            if when < self._horizon:
-                heapq.heappush(self._queue, (when, self._sequence, event))
-            else:
-                self._far_push((when, self._sequence, event))
+            heapq.heappush(self._queue,
+                           (self._now + delay, self._sequence, event))
 
     def _schedule_abs(self, event: Event, when: float) -> None:
         """Schedule ``event`` at the absolute time ``when`` (clamped to
@@ -618,102 +578,23 @@ class Environment:
         self._sequence += 1
         if when <= self._now:
             self._immediate.append((self._now, self._sequence, event))
-        elif when < self._horizon:
-            heapq.heappush(self._queue, (when, self._sequence, event))
         else:
-            self._far_push((when, self._sequence, event))
+            heapq.heappush(self._queue, (when, self._sequence, event))
 
     def _requeue(self, macro: MacroEvent, when: float) -> None:
         """Queue the next hop of a walking ``macro`` at ``when`` (past
         ``now``) under the sequence number of its first hop."""
-        if when < self._horizon:
-            heapq.heappush(self._queue, (when, macro.seq, macro))
-        else:
-            self._far_push((when, macro.seq, macro))
-
-    def _far_push(self, entry: tuple[float, int, Event]) -> None:
-        """File a timed entry past the current bucket: unsorted in its
-        ring bucket when within the calendar window, else on the spill
-        heap. Sorting is deferred to :meth:`_refill`."""
-        when = entry[0]
-        if when < self._spill_floor:
-            self._buckets[(int(when) >> _CAL_SHIFT) & _CAL_MASK
-                          ].append(entry)
-            self._bucket_count += 1
-        else:
-            heapq.heappush(self._spill, entry)
-
-    def _refill(self) -> None:
-        """Advance the calendar until the front heap holds the earliest
-        pending timed events (caller guarantees buckets or spill are
-        non-empty when the front heap is empty).
-
-        Walks one bucket at a time while any bucket holds entries (a
-        non-empty bucket is always within the ring window, so the walk is
-        bounded by the ring size); with the ring empty it jumps straight
-        to the spill head's bucket. Each slot the base passes is drained
-        into the front heap *before* any push could re-map the slot to a
-        bucket one window ahead, preserving the one-bucket-per-slot
-        invariant. Entries surface in a single bulk ``heapify``, so the
-        per-event cost stays O(1) amortized plus one shallow heap sift.
-        """
-        queue = self._queue
-        buckets = self._buckets
-        spill = self._spill
-        base = self._base
-        bucket_count = self._bucket_count
-        while not queue:
-            if bucket_count:
-                base += 1
-                ring = buckets[base & _CAL_MASK]
-                if ring:
-                    bucket_count -= len(ring)
-                    queue.extend(ring)
-                    del ring[:]
-            elif spill:
-                head = spill[0][0]
-                if head >= _CAL_FAR:
-                    # Beyond bucket arithmetic (inf-like timers): the
-                    # spill heap itself is the right order — drain it.
-                    queue.extend(spill)
-                    del spill[:]
-                    break
-                base = int(head) >> _CAL_SHIFT
-            else:
-                break
-            # Spill entries whose bucket the base has reached (or jumped
-            # past) belong in the front heap now.
-            floor = float((base + 1) << _CAL_SHIFT)
-            while spill and spill[0][0] < floor:
-                queue.append(heapq.heappop(spill))
-        heapq.heapify(queue)
-        self._base = base
-        self._bucket_count = bucket_count
-        self._horizon = float((base + 1) << _CAL_SHIFT)
-        self._spill_floor = float((base + _CAL_RING) << _CAL_SHIFT)
+        heapq.heappush(self._queue, (when, macro.seq, macro))
 
     def _pop_next(self) -> tuple[float, int, Event]:
-        """Pop the globally next (time, sequence) event from the timed
-        lanes or the zero-delay deque.
-
-        Zero-delay entries carry times at or before ``now`` while every
-        bucketed/spilled entry lies at or past the bucket horizon (which
-        is past ``now``), so the deque-vs-front-heap comparison alone
-        decides the global order; the calendar only needs consulting when
-        both near-term structures are empty.
-        """
+        """Pop the globally next entry. Sequence numbers are unique, so
+        comparing the two heads as tuples never reaches the event."""
         immediate = self._immediate
         queue = self._queue
         if immediate:
-            if queue:
-                head = queue[0]
-                first = immediate[0]
-                if head[0] < first[0] or (head[0] == first[0]
-                                          and head[1] < first[1]):
-                    return heapq.heappop(queue)
+            if queue and queue[0] < immediate[0]:
+                return heapq.heappop(queue)
             return immediate.popleft()
-        if not queue and (self._bucket_count or self._spill):
-            self._refill()
         if queue:
             return heapq.heappop(queue)
         raise SimulationError("event queue is empty")
@@ -726,7 +607,6 @@ class Environment:
         callbacks = event.callbacks
         event.callbacks = None
         event._processed = True
-        assert callbacks is not None
         for callback in callbacks:
             callback(event)
         if event._exception is not None and not event._defused:
@@ -735,6 +615,38 @@ class Environment:
                 and len(self._timeout_pool) < _TIMEOUT_POOL_CAP):
             self._timeout_pool.append(event)
 
+    def _run_all(self) -> None:
+        """Run until nothing is pending: :meth:`step` in a loop, with the
+        pop and the dispatch written out so that an event costs no frame
+        of the kernel's own."""
+        queue = self._queue
+        immediate = self._immediate
+        popleft = immediate.popleft
+        heappop = heapq.heappop
+        pool = self._timeout_pool
+        while True:
+            if immediate:
+                if queue and queue[0] < immediate[0]:
+                    when, _seq, event = heappop(queue)
+                else:
+                    when, _seq, event = popleft()
+            elif queue:
+                when, _seq, event = heappop(queue)
+            else:
+                return
+            self._now = when
+            self.events_executed += 1
+            callbacks = event.callbacks
+            event.callbacks = None
+            event._processed = True
+            for callback in callbacks:
+                callback(event)
+            if event._exception is not None and not event._defused:
+                raise event._exception
+            if (type(event) is Timeout and event._poolable
+                    and len(pool) < _TIMEOUT_POOL_CAP):
+                pool.append(event)
+
     def run(self, until: float | Event | None = None) -> Any:
         """Run the simulation.
 
@@ -742,11 +654,14 @@ class Environment:
         clock would pass it), or an :class:`Event` (stop when it is
         processed and return its value).
         """
+        if until is None:
+            self._run_all()
+            return None
         stop_event: Event | None = None
         stop_time: float | None = None
         if isinstance(until, Event):
             stop_event = until
-        elif until is not None:
+        else:
             stop_time = float(until)
             if stop_time < self._now:
                 raise SimulationError(
@@ -754,18 +669,7 @@ class Environment:
         queue = self._queue
         immediate = self._immediate
         step = self.step
-        if stop_event is None and stop_time is None:
-            # Hot path: drain everything, no per-step stop checks. The
-            # inner loop touches only the near-term lanes; the calendar
-            # is consulted just once per full near-term drain.
-            while True:
-                while queue or immediate:
-                    step()
-                if self._bucket_count or self._spill:
-                    self._refill()
-                else:
-                    return None
-        while (queue or immediate or self._bucket_count or self._spill):
+        while queue or immediate:
             if stop_event is not None and stop_event._processed:
                 return stop_event.value
             if stop_time is not None and self.peek() > stop_time:
@@ -778,15 +682,12 @@ class Environment:
             raise SimulationError(
                 "run() until an event, but the queue drained before the "
                 "event triggered (deadlock?)")
-        if stop_time is not None:
-            self._now = stop_time
+        self._now = stop_time
         return None
 
     def peek(self) -> float:
         """Time of the next queued event, or ``inf`` if the queue is empty."""
         queue = self._queue
-        if not queue and (self._bucket_count or self._spill):
-            self._refill()
         if self._immediate:
             when = self._immediate[0][0]
             if not queue or when <= queue[0][0]:

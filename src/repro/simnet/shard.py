@@ -1,13 +1,12 @@
-"""Shard attribution for the event kernel: a tag on the one calendar queue.
+"""Shard attribution for the event kernel: a tag on the one event queue.
 
-``ShardedEnvironment`` files every event in the single calendar queue it
-inherits from :class:`~repro.simnet.kernel.Environment`, as
-``(when, sequence, event, shard)``. Sequence numbers are unique, so heap
+``ShardedEnvironment`` files every event in the heap and the zero-delay
+deque it inherits from :class:`~repro.simnet.kernel.Environment`, as
+``(when, sequence, event, shard)``. Sequence numbers are unique, so
 comparisons never reach past the second field and the inherited
-``_far_push`` / ``_refill`` / ``_pop_next`` / ``peek`` / ``run`` serve
-the 4-tuples unchanged. Global ``(time, sequence)`` order holds because
-there is one heap — not because a merge across per-shard queues
-reproduces it.
+``_pop_next`` / ``peek`` / ``run`` serve the 4-tuples unchanged. Global
+``(time, sequence)`` order holds because there is one queue — not
+because a merge across per-shard queues reproduces it.
 
 The shard of an event is the delivery tag set by the shard-aware call
 sites (fabric arrivals, node spawn, fault transitions) or, untagged, the
@@ -19,8 +18,8 @@ and crossing counts, ``shard_crossing`` causal spans. Shard count and
 There are no per-shard queues (DESIGN.md §8): cross-node effects are
 synchronous Python calls (``Fabric.unicast`` books the destination's
 downlink at send time), so shards may never run out of global order, and
-merging per-shard calendars only re-derived, at a cost, the order one
-calendar already has. Truly independent clusters run in separate
+merging per-shard queues only re-derived, at a cost, the order one
+queue already has. Truly independent clusters run in separate
 processes through :mod:`repro.simnet.shardexec`.
 """
 
@@ -102,12 +101,8 @@ class ShardedEnvironment(Environment):
         if delay == 0.0:
             self._immediate.append((self._now, self._sequence, event, shard))
         else:
-            when = self._now + delay
-            if when < self._horizon:
-                heapq.heappush(self._queue,
-                               (when, self._sequence, event, shard))
-            else:
-                self._far_push((when, self._sequence, event, shard))
+            heapq.heappush(self._queue, (self._now + delay, self._sequence,
+                                         event, shard))
 
     def _schedule_abs(self, event: Event, when: float) -> None:
         if event._scheduled:
@@ -121,19 +116,14 @@ class ShardedEnvironment(Environment):
             self._mailbox_in[shard] += 1
         if when <= self._now:
             self._immediate.append((self._now, self._sequence, event, shard))
-        elif when < self._horizon:
-            heapq.heappush(self._queue, (when, self._sequence, event, shard))
         else:
-            self._far_push((when, self._sequence, event, shard))
+            heapq.heappush(self._queue, (when, self._sequence, event, shard))
 
     def _requeue(self, macro, when: float) -> None:
         # A macro re-arms from its own callback, so the active shard is
         # the one it was scheduled under: every hop stays there.
-        if when < self._horizon:
-            heapq.heappush(self._queue,
-                           (when, macro.seq, macro, self._active_shard))
-        else:
-            self._far_push((when, macro.seq, macro, self._active_shard))
+        heapq.heappush(self._queue,
+                       (when, macro.seq, macro, self._active_shard))
 
     # -- dispatch ---------------------------------------------------------
     def step(self) -> None:
@@ -155,6 +145,15 @@ class ShardedEnvironment(Environment):
         if (type(event) is Timeout and event._poolable
                 and len(self._timeout_pool) < _TIMEOUT_POOL_CAP):
             self._timeout_pool.append(event)
+
+    def _run_all(self) -> None:
+        # The inherited loop unpacks 3-tuples inline; tagged entries go
+        # through :meth:`step`, which tallies them.
+        queue = self._queue
+        immediate = self._immediate
+        step = self.step
+        while queue or immediate:
+            step()
 
     # -- observability ----------------------------------------------------
     def shard_stats(self) -> dict:

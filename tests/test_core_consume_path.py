@@ -12,6 +12,7 @@ import pytest
 from repro.common.errors import FlowAbortedError, FlowError
 from repro.core import (
     FLOW_END,
+    AggregationSpec,
     DfiRuntime,
     FlowOptions,
     Optimization,
@@ -353,3 +354,82 @@ def test_consume_batch_delivers_buffered_tuples_before_abort():
     cluster.run()
     assert outcome["aborted"]
     assert outcome["received"] == [(i, i) for i in range(50)]
+
+
+# -- FLOW_END: one owner for "channel finished" ----------------------------
+
+_END_CASES = [
+    (kind, mode)
+    for kind in ("shuffle", "replicate", "replicate-ordered")
+    for mode in ("consume", "consume_batch", "consume_bytes")
+    if (kind, mode) != ("replicate-ordered", "consume_bytes")
+] + [("combiner", "consume_step")]
+
+#: Tuples in what one call of each consume flavour returns.
+_TUPLES_IN = {
+    "consume": lambda row: 1,
+    "consume_batch": len,
+    "consume_step": int,
+    "consume_bytes": lambda chunks: (sum(map(len, chunks))
+                                     // SCHEMA.tuple_size),
+}
+
+
+@pytest.mark.parametrize("late", [False, True],
+                         ids=["consuming-as-it-arrives", "all-landed-first"])
+@pytest.mark.parametrize("sources", [1, 8])
+@pytest.mark.parametrize("kind, mode", _END_CASES)
+def test_flow_end_on_the_consume_after_the_last_close_marker(
+        kind, mode, sources, late):
+    """Every channel's close marker is counted once, wherever it is
+    consumed (``poll`` on the ordered path, ``drain``, ``drain_bytes``),
+    so the consume that follows the last one returns FLOW_END — also when
+    the marker sat in the same drain pass as the data before it."""
+    per_source = 5
+    cluster = Cluster(node_count=sources + 1, seed=11)
+    dfi = DfiRuntime(cluster)
+    senders = [f"node{1 + s}|0" for s in range(sources)]
+    if kind == "shuffle":
+        dfi.init_shuffle_flow("f", senders, ["node0|0"], SCHEMA,
+                              shuffle_key="key")
+    elif kind == "combiner":
+        dfi.init_combiner_flow("f", senders, "node0|0", SCHEMA,
+                               AggregationSpec("count", "key", "value"))
+    else:
+        dfi.init_replicate_flow(
+            "f", senders, ["node0|0"], SCHEMA,
+            ordering=(Ordering.GLOBAL if kind == "replicate-ordered"
+                      else Ordering.NONE))
+    env = cluster.env
+    seen = {"tuples": 0, "calls_after_end": 0}
+
+    def source_thread(index):
+        source = yield from dfi.open_source("f", index)
+        for i in range(per_source):
+            yield from source.push((index * per_source + i, i))
+        yield from source.close()
+
+    def target_thread():
+        target = yield from dfi.open_target("f", 0)
+        if late:
+            yield env.timeout(1e7)      # data and markers have all landed
+        started = env.now
+        consume = getattr(target, mode)
+        while True:
+            got = yield from consume()
+            if got is FLOW_END:
+                break
+            seen["tuples"] += _TUPLES_IN[mode](got)
+        if late:
+            # One pass drained data and markers alike; nothing was left
+            # to wait for.
+            assert env.now == started
+        assert (yield from consume()) is FLOW_END
+        seen["calls_after_end"] += 1
+
+    for index in range(sources):
+        env.process(source_thread(index))
+    target_proc = env.process(target_thread())
+    cluster.run()
+    assert target_proc.processed and target_proc.ok
+    assert seen == {"tuples": sources * per_source, "calls_after_end": 1}

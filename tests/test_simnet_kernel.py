@@ -1,9 +1,12 @@
 """Unit tests for the discrete-event kernel."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import SimulationError
-from repro.simnet import Environment, Interrupt
+from repro.simnet import Environment, Interrupt, ShardedEnvironment
 
 
 def test_timeout_advances_clock():
@@ -325,3 +328,111 @@ def test_peek_reports_next_event_time():
     assert env.peek() == 25
     env.run()
     assert env.peek() == float("inf")
+
+
+# -- order against an independent oracle -----------------------------------
+
+_DELAYS = (0, 1e-3, 1, 2047, 2048, 5e5, 1e9, 2 ** 62, float("inf"))
+_KINDS = ("timeout", "pooled_timeout", "schedule_at", "schedule_train",
+          "succeed")
+
+
+def _ops(children):
+    """(kind, delays, shard tag, ops the firing callback schedules)."""
+    return st.lists(st.tuples(
+        st.sampled_from(_KINDS),
+        st.lists(st.sampled_from(_DELAYS), min_size=1, max_size=4),
+        st.integers(0, 3), children), max_size=4)
+
+
+_PROGRAMMES = st.recursive(st.just([]), _ops, max_leaves=30)
+
+
+def _numbered(ops, counter):
+    return [(next(counter), kind, delays, tag, _numbered(children, counter))
+            for kind, delays, tag, children in ops]
+
+
+def _expected_order(programme):
+    """``(now, op, action)`` in the order the kernel's contract gives:
+    every scheduling call draws the next sequence number, a train draws
+    one for all its actions, an instant at or before ``now`` means
+    ``now``, and what fires next is the least ``(when, seq)`` — found
+    here by a linear scan of a plain list."""
+    now, seq, pending, fired = 0.0, 0, [], []
+
+    def schedule(op):
+        nonlocal seq
+        seq += 1
+        ident, kind, delays, _tag, _children = op
+        whens = (sorted(now + delay for delay in delays)
+                 if kind == "schedule_train"
+                 else [now if kind == "succeed" else now + delays[0]])
+        for action, when in enumerate(whens):
+            pending.append((max(when, now), seq, action, op))
+
+    for op in programme:
+        schedule(op)
+    while pending:
+        entry = min(pending, key=lambda e: e[:3])
+        pending.remove(entry)
+        now, _seq, action, op = entry
+        fired.append((now, op[0], action))
+        if action == 0:
+            for child in op[4]:
+                schedule(child)
+    return fired
+
+
+def _kernel_order(env, programme, stepwise):
+    fired = []
+
+    def schedule(op):
+        ident, kind, delays, tag, children = op
+
+        def fire(action=0):
+            fired.append((env.now, ident, action))
+            if action == 0:
+                for child in children:
+                    schedule(child)
+
+        if env.shard_count > 1:
+            env._post_shard = tag   # attribution only: must not reorder
+        try:
+            if kind == "schedule_at":
+                env.schedule_at(env.now + delays[0], fire)
+            elif kind == "schedule_train":
+                env.schedule_train([
+                    (when, fire, action) for action, when
+                    in enumerate(sorted(env.now + d for d in delays))])
+            elif kind == "succeed":
+                event = env.event()
+                event.callbacks.append(lambda _event: fire())
+                event.succeed()
+            else:
+                timer = getattr(env, kind)(delays[0])
+                timer.callbacks.append(lambda _event: fire())
+        finally:
+            if env.shard_count > 1:
+                env._post_shard = -1
+
+    for op in programme:
+        schedule(op)
+    if stepwise:
+        with pytest.raises(SimulationError, match="queue is empty"):
+            while True:
+                env.step()
+    else:
+        env.run()
+    return fired
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_PROGRAMMES, stepwise=st.booleans())
+def test_events_fire_in_when_seq_order_of_an_independent_reference(
+        ops, stepwise):
+    programme = _numbered(ops, itertools.count())
+    expected = _expected_order(programme)
+    assert _kernel_order(Environment(), programme, stepwise) == expected
+    assert _kernel_order(ShardedEnvironment(4), programme,
+                         stepwise) == expected

@@ -139,8 +139,9 @@ def _chaotic_workload(env, seed, log):
             when, lambda: log.append((env.now, "cb", j))))
     env.schedule_train([(100.0 + 7.0 * i, log.append, (0.0, "train", i))
                         for i in range(16)])
-    # Timers past the calendar ring (~524 us) and past _CAL_FAR: tagged
-    # entries wait in the spill heap and come back through _refill.
+    # Timers orders of magnitude past everything else, up to where a
+    # float no longer resolves nanoseconds: a tagged entry orders by
+    # (when, seq) like any other.
     far = [600_000.0 + rng.random() * 3_000_000.0 for _ in range(12)]
     far += [40_000_000.0, float(1 << 62), float(1 << 63)]
     for j, when in enumerate(far):
