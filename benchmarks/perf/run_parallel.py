@@ -47,7 +47,6 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 PERF_SCRIPTS = (
     ("bench_push_path.py", None),
     ("bench_consume_path.py", "BENCH_consume_path.json"),
-    ("bench_doorbell.py", "BENCH_doorbell.json"),
     ("bench_congestion.py", "BENCH_congestion.json"),
 )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from repro.obs import log_event
+from repro.obs import BACKOFF, log_event
 from repro.common.planelog import EDGE
 
 #: First-round backoff delay (ns) when a remote ring polls full.
@@ -29,19 +29,18 @@ def full_ring_backoff(rng: random.Random, attempt: int) -> float:
             * (1.0 + rng.random()))
 
 
-def traced_backoff(writer, attempt: int, event: "str | None" = None) -> float:
+def traced_backoff(writer, attempt: int) -> float:
     """One ring-full backoff round of a ring writer or source channel:
-    :func:`full_ring_backoff`, counted and logged (a ``credit_stall``
-    causal edge for the sleep, plus the trace event ``event`` if given)
-    when its observability handle ``writer._obs`` is on. The RNG draw is
-    the untraced path's — same stream, same order — so recording leaves
-    the simulated timeline unchanged."""
+    :func:`full_ring_backoff`, counted and logged (the ``BACKOFF`` trace
+    event, plus a ``credit_stall`` causal edge for the sleep) when its
+    observability handle ``writer._obs`` is on. The RNG draw is the
+    untraced path's — same stream, same order — so recording leaves the
+    simulated timeline unchanged."""
     delay = full_ring_backoff(writer._rng, attempt)
     obs = writer._obs
     if obs is not None:
         obs.inc("core.backoff_rounds")
-        if event is not None:
-            log_event(writer, event, {"attempt": attempt})
+        log_event(writer, BACKOFF, {"attempt": attempt})
         if obs.causal:
             now = writer.env.now
             obs.log((EDGE, now + delay, now, "credit_stall",

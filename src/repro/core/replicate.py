@@ -331,20 +331,8 @@ class NaiveReplicateSource:
         per_tuple = self._tuple_debt
         total = len(tuples)
         index = 0
-        if self._train_ok and self._sequencer is None:
-            payloads = []
-            while index < total:
-                take = min(self._staging.room, total - index)
-                if take:
-                    self._staging.append_many(tuples[index:index + take])
-                    self.tuples_sent += take
-                    self._cpu_debt += take * per_tuple
-                    index += take
-                if self._staging.full:
-                    payloads.append(self._staging.take())
-            if payloads:
-                yield from self._flush_train(payloads)
-            return
+        train = self._train_ok and self._sequencer is None
+        payloads = []
         while index < total:
             take = min(self._staging.room, total - index)
             if take:
@@ -353,7 +341,12 @@ class NaiveReplicateSource:
                 self._cpu_debt += take * per_tuple
                 index += take
             if self._staging.full:
-                yield from self._flush(0)
+                if train:
+                    payloads.append(self._staging.take())
+                else:
+                    yield from self._flush(0)
+        if payloads:
+            yield from self._flush_train(payloads)
 
     def close(self):
         """Generator: flush, send the close marker, and wait for acks."""
@@ -374,6 +367,7 @@ class NaiveReplicateSource:
                 failures.append((index, exc))
         for index, exc in failures:
             yield from self._handle_writer_failure(index, exc)
+        self._release_writers()
 
     def abort(self):
         """Generator: abort the flow on every target (staged tuples are
@@ -393,6 +387,14 @@ class NaiveReplicateSource:
                     yield wr.done
             except (QpFlushedError, FlowTimeoutError):
                 pass  # abort is best-effort on a failing fabric
+        self._release_writers()
+
+    def _release_writers(self) -> None:
+        """Every marker is acknowledged (or its target is gone): the
+        writers post nothing more, so their NIC regions go — a
+        flow-cycling cluster must not keep one per writer per flow."""
+        for writer in self._writers:
+            writer.release()
 
     def _flush(self, extra_flags: int):
         debt = (self._cpu_debt
@@ -505,6 +507,7 @@ class NaiveReplicateSource:
                 except (QpFlushedError, FlowTimeoutError):
                     pass
         self.closed = True
+        self._release_writers()
 
     @property
     def failed_targets(self) -> tuple:

@@ -33,7 +33,6 @@ from repro.common.errors import (
     FlowTimeoutError,
     QpFlushedError,
 )
-from repro.core.backoff import traced_backoff
 from repro.core.flowdef import (
     FLOW_END,
     NO_FLUSH,
@@ -51,24 +50,12 @@ from repro.core.segment import (
     FOOTER_SIZE,
     FOOTER_STRUCT,
     SegmentRing,
-    footer_consumable,
     pack_footer,
     pack_footer_into,
 )
-from repro.obs import (
-    BACKOFF,
-    CREDIT,
-    FAULT_DETECT,
-    FOOTER_POLL,
-    PREREAD,
-    REROUTE,
-    endpoint_obs,
-    log_close,
-    log_event,
-    log_stall,
-)
+from repro.obs import FAULT_DETECT, REROUTE, endpoint_obs, log_close
 from repro.common.planelog import CONSUME, EVENT, WRITE
-from repro.core.writers import _congestion_grace
+from repro.core.writers import CreditWindow, FooterWindow
 from repro.rdma.completion import Opcode, WorkRequest
 from repro.rdma.memory import zeroed
 from repro.rdma.nic import get_nic
@@ -191,8 +178,7 @@ class BandwidthSourceChannel:
         self.profile = node.cluster.profile
         self.schema = descriptor.schema
         self.segment_payload = segment_payload_size(descriptor)
-        nic = get_nic(node)
-        self.qp = nic.create_qp(node.cluster.node(handle.node_id))
+        self.qp = get_nic(node).create_qp(node.cluster.node(handle.node_id))
         # The C++ implementation keeps a full send ring so segment memory
         # stays untouched until the NIC finished its DMA. Writes are posted
         # zero-copy (``assume_stable=True``), so staging slots must stay
@@ -212,13 +198,10 @@ class BandwidthSourceChannel:
         self._staging_view = memoryview(self._staging)
         self._staging_base = 0
         self._flushes = 0
-        self._scratch = nic.register_memory(FOOTER_SIZE)
         self.remote = handle
         self._remote_slot = handle.segment_size + FOOTER_SIZE
         self._rng = node.backoff_rng
-        self._max_retries = descriptor.options.max_backoff_retries
         self._local_index = 0
-        self._remote_index = 0
         self._used = 0
         self._seq = 0
         self._cpu_debt = 0.0
@@ -228,7 +211,6 @@ class BandwidthSourceChannel:
         self._tuple_debt = self.profile.cpu_push_cost(self._tuple_size)
         #: A push that leaves ``_used`` above this has filled the segment.
         self._flush_above = self.segment_payload - self._tuple_size
-        self._pending_footer_read = None
         self._wrap_wr = None
         # Doorbell trains: whole-segment batches ride one doorbell ring
         # with a single *windowed* footer read standing in for the
@@ -237,13 +219,7 @@ class BandwidthSourceChannel:
         # spanning the full ring would serialize the pipeline). Trains
         # require tuple-aligned segments (the whole slot goes out as one
         # contiguous payload+footer write).
-        self._train_window = max(1, min(self._ring_segments,
-                                        handle.segment_count // 2))
         self._train_ok = (self.segment_payload % self.schema.tuple_size == 0)
-        #: Remote slots proven writable by the last windowed footer read.
-        self._window_left = 0
-        #: In-flight windowed footer read (pipelined with the last train).
-        self._pending_window_read = None
         self.closed = False
         #: Segments transferred over the wire (stats).
         self.segments_sent = 0
@@ -257,6 +233,11 @@ class BandwidthSourceChannel:
         self._flow = channel_tag[0]
         self._obs = endpoint_obs(node, self._flow, descriptor.options,
                                  self)
+        #: Which remote slot is next and how many are proven writable.
+        self._window = FooterWindow(
+            self, handle,
+            max(1, min(self._ring_segments, handle.segment_count // 2)),
+            descriptor.options.max_backoff_retries)
         #: Remote ring region, resolved once on the first train.
         self._remote_region = None
         #: Reused entry list for doorbell trains (cleared per flush;
@@ -293,7 +274,7 @@ class BandwidthSourceChannel:
             return self._flush(0)
         return NO_FLUSH
 
-    def push_batch(self, tuples):
+    def push_batch(self, rows, fill=None, stride: int = 1):
         """Generator: append a batch of tuples, flushing as segments fill.
 
         The same per-tuple CPU debt accrues as for one-by-one pushes, but
@@ -301,17 +282,21 @@ class BandwidthSourceChannel:
         the post cost of every flush the batch triggers) instead of one
         kernel event per flush, and each filled segment is packed with a
         single ``struct`` call — that is where the wall-clock win comes
-        from. ``tuples`` must be a sequence (it is sliced per segment).
+        from. ``rows`` must be a sequence (it is sliced per segment):
+        tuples, or — for :meth:`push_bytes` — packed bytes that
+        ``fill(staging, offset, rows[a:b])`` copies, ``stride`` of them
+        per tuple.
         """
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
-        if not isinstance(tuples, (list, tuple)):
-            tuples = list(tuples)
-        total = len(tuples)
+        if fill is None:
+            fill = self.schema.pack_many_into
+            if not isinstance(rows, (list, tuple)):
+                rows = list(rows)
+        total = len(rows) // stride
         if not total:
             return
         tuple_size = self._tuple_size
-        per_tuple = self._tuple_debt
         capacity = self.segment_payload
         # One coalesced CPU charge: leftover debt from earlier pushes, the
         # batch's per-tuple work, and the post cost of every flush this
@@ -319,53 +304,61 @@ class BandwidthSourceChannel:
         # count reaches a full segment).
         seg_tuples = capacity // tuple_size
         flushes = (self._used // tuple_size + total) // seg_tuples
-        debt = (self._cpu_debt + total * per_tuple
+        debt = (self._cpu_debt + total * self._tuple_debt
                 + flushes * self.profile.cpu_post_cost)
         self._cpu_debt = 0.0
         yield self.node.compute(debt)
+        window = self._window
         index = 0
         while index < total:
-            if (self._train_ok and self._used == 0
-                    and total - index >= seg_tuples):
-                # Whole segments remain: assemble a doorbell train. The
-                # common case — window in hand, no wrap WQE to reap —
-                # skips the _train_begin generator entirely.
-                if (self._window_left
-                        and (self._local_index or self._wrap_wr is None)):
-                    cap = min(self._window_left,
-                              self._ring_segments - self._local_index)
-                else:
-                    cap = yield from self._train_begin()
-                cap = min(cap, (total - index) // seg_tuples)
-                entries = self._train_entries
-                entries.clear()
-                for _ in range(cap):
-                    self.schema.pack_many_into(
-                        self._staging, self._staging_base,
-                        tuples[index:index + seg_tuples])
+            # Whole segments ahead and nothing staged: they go out as one
+            # doorbell train, packed straight into their slots.
+            whole = ((total - index) // seg_tuples
+                     if self._train_ok and not self._used else 0)
+            if not whole:
+                take = min((capacity - self._used) // tuple_size,
+                           total - index)
+                if take:
+                    fill(self._staging, self._staging_base + self._used,
+                         rows[index * stride:(index + take) * stride])
+                    self._used += take * tuple_size
+                    self.tuples_sent += take
+                    index += take
+                if self._used + tuple_size <= capacity:
+                    continue
+                if not self._train_ok:
+                    yield from self._flush(0, charge_cpu=False)
+                    continue
+            # The right to write a train of remote slots — of one, for a
+            # slot the batch topped up: even that wins over ``_flush``,
+            # whose per-segment pre-read the windowed proof replaces (one
+            # READ round-trip per window instead of per segment).
+            if self._local_index == 0 and self._wrap_wr is not None:
+                yield from self._reap_wrap()
+            if not window.left:
+                yield from window.acquire(window.train)
+            entries = self._train_entries
+            entries.clear()
+            if whole:
+                # The signaled wrap WQE must be the last of its train.
+                count = min(whole, window.left,
+                            self._ring_segments - self._local_index)
+                for _ in range(count):
+                    fill(self._staging, self._staging_base,
+                         rows[index * stride:(index + seg_tuples) * stride])
                     index += seg_tuples
                     self._train_stage(entries)
-                self.tuples_sent += cap * seg_tuples
-                self._train_finish(entries, cap)
-                continue
-            room = (capacity - self._used) // tuple_size
-            take = min(room, total - index)
-            if take:
-                self.schema.pack_many_into(
-                    self._staging, self._staging_base + self._used,
-                    tuples[index:index + take])
-                self._used += take * tuple_size
-                self.tuples_sent += take
-                index += take
-            if self._used + tuple_size > capacity:
-                if self._train_ok and self._used == capacity:
-                    yield from self._flush_train_single()
-                else:
-                    yield from self._flush(0, charge_cpu=False)
+                self.tuples_sent += count * seg_tuples
+            else:
+                count = 1
+                self._train_stage(entries)
+                self._used = 0
+            self._train_finish(entries, count)
 
     def push_bytes(self, data):
-        """Generator: append pre-packed tuple bytes — no per-tuple type
-        interpretation at all, just slab copies into the staging segment.
+        """Append pre-packed tuple bytes — no per-tuple type
+        interpretation at all, just slab copies into the staging segment;
+        returns the generator to drive.
 
         ``data`` is a byte view (``ShuffleSource.push_bytes`` normalises
         the caller's buffer) holding a whole number of tuples packed in
@@ -374,58 +367,11 @@ class BandwidthSourceChannel:
         """
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
-        tuple_size = self.schema.tuple_size
-        size = len(data)
-        if size % tuple_size:
+        if len(data) % self._tuple_size:
             raise FlowError(
-                f"push_bytes got {size} bytes, not a multiple of the "
-                f"{tuple_size}-byte tuple size")
-        if not size:
-            return
-        per_tuple = self._tuple_debt
-        total = size // tuple_size
-        capacity = self.segment_payload
-        seg_tuples = capacity // tuple_size
-        flushes = (self._used // tuple_size + total) // seg_tuples
-        debt = (self._cpu_debt + total * per_tuple
-                + flushes * self.profile.cpu_post_cost)
-        self._cpu_debt = 0.0
-        yield self.node.compute(debt)
-        index = 0
-        while index < size:
-            if (self._train_ok and self._used == 0
-                    and size - index >= capacity):
-                if (self._window_left
-                        and (self._local_index or self._wrap_wr is None)):
-                    cap = min(self._window_left,
-                              self._ring_segments - self._local_index)
-                else:
-                    cap = yield from self._train_begin()
-                cap = min(cap, (size - index) // capacity)
-                entries = self._train_entries
-                entries.clear()
-                for _ in range(cap):
-                    base = self._staging_base
-                    self._staging[base:base + capacity] = \
-                        data[index:index + capacity]
-                    index += capacity
-                    self._train_stage(entries)
-                self.tuples_sent += cap * seg_tuples
-                self._train_finish(entries, cap)
-                continue
-            room = ((capacity - self._used) // tuple_size) * tuple_size
-            take = min(room, size - index)
-            if take:
-                base = self._staging_base + self._used
-                self._staging[base:base + take] = data[index:index + take]
-                self._used += take
-                self.tuples_sent += take // tuple_size
-                index += take
-            if self._used + tuple_size > capacity:
-                if self._train_ok and self._used == capacity:
-                    yield from self._flush_train_single()
-                else:
-                    yield from self._flush(0, charge_cpu=False)
+                f"push_bytes got {len(data)} bytes, not a multiple of the "
+                f"{self._tuple_size}-byte tuple size")
+        return self.push_batch(data, _copy_into, self._tuple_size)
 
     def close(self):
         """Generator: flush remaining tuples, send the close marker, and
@@ -459,14 +405,19 @@ class BandwidthSourceChannel:
             yield wr.done
 
     def release(self) -> None:
-        """Deregister the footer-read scratch region. Called by the owning
-        source once the channel's close/abort marker is acknowledged — a
-        closed channel posts no more reads, and a flow-cycling cluster
-        must shed every per-channel NIC region (``tests/test_scale_memory``
-        pins the steady state). Idempotent."""
-        if self._scratch is not None:
-            get_nic(self.node).deregister_memory(self._scratch.rkey)
-            self._scratch = None
+        """Shed the window's NIC region; the owning source calls this once
+        the channel's close/abort marker is acknowledged."""
+        self._window.release()
+
+    def _reap_wrap(self):
+        """Generator: selective signaling — on wrap-around make sure the
+        previous cycle's signaled write finished before its slot is
+        reused. Callers test ``_local_index == 0 and _wrap_wr is not
+        None`` inline."""
+        if not self._wrap_wr.done.triggered:
+            yield self._wrap_wr.done
+        self._wrap_wr = None
+        self.qp.send_cq.poll(max_entries=64)
 
     def _flush(self, extra_flags: int, charge_cpu: bool = True):
         # Charge the CPU work accumulated by pushes plus the post cost
@@ -476,26 +427,23 @@ class BandwidthSourceChannel:
             debt = self._cpu_debt + self.profile.cpu_post_cost
             self._cpu_debt = 0.0
             yield self.node.compute(debt)
-        # Selective signaling: on wrap-around ensure the previous cycle's
-        # signaled write finished before its slot is reused.
+        # The wrap WQE is reaped before the slot is proven (the replicate
+        # writers prove first).
         if self._local_index == 0 and self._wrap_wr is not None:
-            if not self._wrap_wr.done.triggered:
-                yield self._wrap_wr.done
-            self._wrap_wr = None
-            self.qp.send_cq.poll(max_entries=64)
+            yield from self._reap_wrap()
         # A windowed proof from a preceding train covers this slot too —
         # and the window read pipelined behind the last train proves slots
         # from the *pre-flush* remote index, so it goes stale here.
-        self._pending_window_read = None
-        if self._window_left > 0:
-            self._window_left -= 1
-        else:
-            yield from self._ensure_remote_writable()
+        window = self._window
+        window.pending_window = None
+        if not window.left:
+            yield from window.acquire(1)
+        window.left -= 1
         flags = FLAG_CONSUMABLE | extra_flags
         signaled = self._local_index == self._ring_segments - 1
         if extra_flags & FLAG_CLOSED:
             signaled = True
-        remote_offset = self._remote_index * self._remote_slot
+        remote_offset = window.index * self._remote_slot
         base = self._staging_base
         if self._used == self.segment_payload:
             # Full segment: the footer is packed in place right after the
@@ -530,13 +478,9 @@ class BandwidthSourceChannel:
         self._seq += 1
         # Pipeline the footer pre-read of the *next* remote segment with
         # this write (paper Section 5.2).
-        next_remote = (self._remote_index + 1) % self.remote.segment_count
+        window.index = (window.index + 1) % self.remote.segment_count
         if self._pipelined_preread:
-            self._pending_footer_read = self.qp.post_read(
-                self._scratch, 0, self.remote.rkey,
-                next_remote * self._remote_slot + self.remote.segment_size,
-                FOOTER_SIZE, signaled=False)
-        self._remote_index = next_remote
+            window.pending_slot = window.read_ahead(1)
         self._local_index = (self._local_index + 1) % self._ring_segments
         self._used = 0
         self._flushes += 1
@@ -545,75 +489,6 @@ class BandwidthSourceChannel:
         return wr
 
     # -- doorbell trains --------------------------------------------------
-    def _train_begin(self):
-        """Generator: establish the right to write a train of remote
-        slots. Returns the train cap: remote slots proven writable,
-        bounded by the send ring's wrap-around point (the signaled
-        wrap WQE must be the last of its train)."""
-        if self._local_index == 0 and self._wrap_wr is not None:
-            if not self._wrap_wr.done.triggered:
-                yield self._wrap_wr.done
-            self._wrap_wr = None
-            self.qp.send_cq.poll(max_entries=64)
-        if not self._window_left:
-            yield from self._acquire_train_window()
-        return min(self._window_left,
-                   self._ring_segments - self._local_index)
-
-    def _acquire_train_window(self):
-        """Generator: make ``_window_left`` positive with one footer read.
-
-        Reading the footer ``W - 1`` slots ahead of the current remote
-        index proves the whole ``W``-slot window: the target consumes in
-        ring order and blanks each footer as it drains, so a
-        non-consumable footer at slot ``r + W - 1`` implies every slot in
-        ``r .. r + W - 1`` has been drained (or never written).
-        """
-        if self._window_left:
-            return
-        window = self._train_window
-        wr = self._pending_window_read
-        self._pending_window_read = None
-        if wr is None:
-            # A leftover per-segment pre-read proves exactly one slot —
-            # the current one (window of 1).
-            wr = self._pending_footer_read
-            self._pending_footer_read = None
-            if wr is not None:
-                window = 1
-        obs = self._obs
-        if obs is not None:
-            obs.inc("core.preread_hits" if wr is not None
-                    else "core.preread_misses")
-            log_event(self, PREREAD, {"hit": wr is not None})
-        if wr is None:
-            wr = self._read_footer_ahead(window)
-        attempt = 0
-        while True:
-            if wr.done.triggered:
-                data = wr.done.value
-            else:
-                wait_from = self.env.now
-                data = yield wr.done
-                if obs is not None:
-                    log_stall(self, wait_from)
-            if not footer_consumable(data):
-                self._window_left = window
-                return
-            if (self._max_retries is not None
-                    and attempt >= self._max_retries
-                    and not _congestion_grace(self.node,
-                                              self.remote.node_id, obs)):
-                raise FlowTimeoutError(
-                    f"remote ring on node {self.remote.node_id} still "
-                    f"full after {attempt} backoff rounds")
-            yield self.env.timeout(traced_backoff(self, attempt, BACKOFF))
-            attempt += 1
-            window = self._train_window
-            wr = self._read_footer_ahead(window)
-            if obs is not None:
-                log_event(self, FOOTER_POLL, {"attempt": attempt})
-
     def _train_stage(self, entries) -> None:
         """Stage one full staging slot (payload and footer as one
         contiguous zero-copy write) as a ``post_train`` entry and advance
@@ -631,18 +506,18 @@ class BandwidthSourceChannel:
         region = self._remote_region
         if region is None:
             region = _resolve_remote_region(self)
+        window = self._window
         entries.append((wr, self._slot_size,
                         ((0, self._staging_view[base:base + self._slot_size]),),
-                        region, self._remote_index * self._remote_slot))
+                        region, window.index * self._remote_slot))
         self.segments_sent += 1
         self._seq += 1
-        self._remote_index = (self._remote_index + 1
-                              ) % self.remote.segment_count
+        window.index = (window.index + 1) % self.remote.segment_count
+        window.left -= 1
         self._local_index = (self._local_index + 1) % self._ring_segments
         self._flushes += 1
         self._staging_base = (self._flushes % self._staging_slots
                               ) * self._slot_size
-        self._window_left -= 1
 
     def _train_finish(self, entries, count: int) -> None:
         """Ring the doorbell for the staged train of ``count`` segments.
@@ -655,77 +530,10 @@ class BandwidthSourceChannel:
                      self._seq - count, count, None))
         self.qp.post_train(entries)
         # Any per-segment pre-read refers to a slot the train wrote over.
-        self._pending_footer_read = None
-        if self._window_left == 0 and self._pipelined_preread:
-            self._pending_window_read = self._read_footer_ahead(
-                self._train_window)
-
-    def _flush_train_single(self):
-        """Generator: flush the (full) current staging slot as a train of
-        one. Even a one-WQE train wins over the eager ``_flush``: the
-        windowed proof replaces the per-segment footer pre-read (one READ
-        round-trip per window instead of per segment)."""
-        if self._local_index == 0 and self._wrap_wr is not None:
-            if not self._wrap_wr.done.triggered:
-                yield self._wrap_wr.done
-            self._wrap_wr = None
-            self.qp.send_cq.poll(max_entries=64)
-        if not self._window_left:
-            yield from self._acquire_train_window()
-        entries = self._train_entries
-        entries.clear()
-        self._train_stage(entries)
-        self._used = 0
-        self._train_finish(entries, 1)
-
-    def _read_footer_ahead(self, window: int):
-        """Unsignaled read of the footer ``window - 1`` slots ahead of the
-        current remote index (see :meth:`_acquire_train_window`)."""
-        slot = (self._remote_index + window - 1) % self.remote.segment_count
-        return self.qp.post_read(
-            self._scratch, 0, self.remote.rkey,
-            slot * self._remote_slot + self.remote.segment_size,
-            FOOTER_SIZE, signaled=False)
-
-    def _ensure_remote_writable(self):
-        wr = self._pending_footer_read
-        self._pending_footer_read = None
-        obs = self._obs
-        if obs is not None:
-            obs.inc("core.preread_hits" if wr is not None
-                    else "core.preread_misses")
-            log_event(self, PREREAD, {"hit": wr is not None})
-        if wr is None:
-            wr = self._read_current_remote_footer()
-        attempt = 0
-        while True:
-            if wr.done.triggered:
-                data = wr.done.value
-            else:
-                wait_from = self.env.now
-                data = yield wr.done
-                if obs is not None:
-                    log_stall(self, wait_from)
-            if not footer_consumable(data):
-                return
-            # Remote ring full: back off (exponential + jitter), then
-            # re-poll the footer.
-            if (self._max_retries is not None
-                    and attempt >= self._max_retries
-                    and not _congestion_grace(self.node,
-                                              self.remote.node_id, obs)):
-                raise FlowTimeoutError(
-                    f"remote ring on node {self.remote.node_id} still "
-                    f"full after {attempt} backoff rounds")
-            yield self.env.timeout(traced_backoff(self, attempt, BACKOFF))
-            attempt += 1
-            wr = self._read_current_remote_footer()
-
-    def _read_current_remote_footer(self):
-        footer_offset = (self._remote_index * self._remote_slot
-                         + self.remote.segment_size)
-        return self.qp.post_read(self._scratch, 0, self.remote.rkey,
-                                 footer_offset, FOOTER_SIZE, signaled=False)
+        window = self._window
+        window.pending_slot = None
+        if not window.left and self._pipelined_preread:
+            window.pending_window = window.read_ahead(window.train)
 
 
 class LatencySourceChannel:
@@ -740,9 +548,7 @@ class LatencySourceChannel:
         self.profile = node.cluster.profile
         self.schema = descriptor.schema
         self.segment_payload = segment_payload_size(descriptor)
-        nic = get_nic(node)
-        self.qp = nic.create_qp(node.cluster.node(handle.node_id))
-        self._scratch = nic.register_memory(8)
+        self.qp = get_nic(node).create_qp(node.cluster.node(handle.node_id))
         self.remote = handle
         self._remote_slot = handle.segment_size + FOOTER_SIZE
         # Zero-copy staging: one slot per remote segment. A slot posted at
@@ -754,8 +560,6 @@ class LatencySourceChannel:
         self._staging = zeroed(handle.segment_count * self._slot_size)
         self._staging_view = memoryview(self._staging)
         self._rng = node.backoff_rng
-        self._max_retries = descriptor.options.max_backoff_retries
-        self._threshold = descriptor.options.credit_threshold
         self._tuple_size = self.schema.tuple_size
         self._pack_into = self.schema.pack_into
         #: Payload of a close/abort marker.
@@ -764,10 +568,6 @@ class LatencySourceChannel:
         self._push_cost = (self.profile.cpu_push_cost(self._tuple_size)
                            + self.profile.cpu_post_cost)
         self._segments = handle.segment_count
-        self._sent = 0
-        self._cached_consumed = 0
-        self._pending_credit_read = None
-        self._credit_read_issued = 0.0
         #: Remote ring region, resolved once on the first write.
         self._remote_region = None
         self.closed = False
@@ -777,17 +577,16 @@ class LatencySourceChannel:
         self._flow = channel_tag[0]
         self._obs = endpoint_obs(node, self._flow, descriptor.options,
                                  self)
+        #: Segments sent against the target's consumed counter.
+        self._credit = CreditWindow(self, handle,
+                                    descriptor.options.credit_threshold,
+                                    descriptor.options.max_backoff_retries)
 
     _collect_obs = _source_counters
 
     @property
     def memory_bytes(self) -> int:
         return 8  # only the credit-read scratch; no local ring is needed
-
-    @property
-    def _available_credits(self) -> int:
-        return self.remote.segment_count - (self._sent
-                                            - self._cached_consumed)
 
     def push(self, values: tuple):
         """Transfer one tuple immediately (one RDMA write); returns the
@@ -850,13 +649,9 @@ class LatencySourceChannel:
             yield wr.done
 
     def release(self) -> None:
-        """Deregister the credit-read scratch region once the channel is
-        closed (see ``BandwidthSourceChannel.release``). An in-flight
-        asynchronous credit read holds the region object itself, not the
-        rkey, so dropping the NIC table entry is safe. Idempotent."""
-        if self._scratch is not None:
-            get_nic(self.node).deregister_memory(self._scratch.rkey)
-            self._scratch = None
+        """Shed the window's NIC region once the channel is closed (see
+        ``BandwidthSourceChannel.release``)."""
+        self._credit.release()
 
     def _send_marker(self, flags: int):
         """Generator: post a signaled segment with no payload (zeroed, the
@@ -877,11 +672,11 @@ class LatencySourceChannel:
         ever observed."""
         yield self.node.compute(cost)
         segments = self._segments
-        sent = self._sent
-        if (self._pending_credit_read is not None
-                or sent - self._cached_consumed >= segments):
+        credit = self._credit
+        sent = credit.sent
+        if credit.pending is not None or sent - credit.consumed >= segments:
             # A refresh to harvest, or the window is shut.
-            yield from self._acquire_credit()
+            yield from credit.acquire()
         index = sent % segments
         base = index * self._slot_size
         fill(self._staging, base, payload)
@@ -899,66 +694,26 @@ class LatencySourceChannel:
         if self._obs is not None:
             self._obs.log((WRITE, self.env._now, self, self.remote,
                            sent, 1, used))
-        self._sent = sent = sent + 1
+        credit.sent = sent = sent + 1
         self.segments_sent += 1
         if wr is None:
             # A tuple went out (the marker that ends the channel carries
             # none and needs no credit after it).
             self.tuples_sent += 1
-            if (segments - (sent - self._cached_consumed) <= self._threshold
-                    and self._pending_credit_read is None):
-                self._refresh_credit_async()
+            if (segments - (sent - credit.consumed) <= credit.threshold
+                    and credit.pending is None):
+                credit.refresh_async()
         return wr
 
-    def _refresh_credit_async(self) -> None:
-        if self._obs is not None:
-            self._credit_read_issued = self.env.now
-        self._pending_credit_read = self.qp.post_read(
-            self._scratch, 0, self.remote.credit_rkey,
-            self.remote.credit_offset, 8, signaled=False)
 
-    def _acquire_credit(self):
-        obs = self._obs
-        # Harvest a finished asynchronous refresh first.
-        pending = self._pending_credit_read
-        if pending is not None and pending.done.triggered:
-            self._apply_credit(pending.done.value)
-            self._pending_credit_read = None
-            if obs is not None:
-                obs.observe("core.credit_rtt",
-                            self.env.now - self._credit_read_issued)
-        attempt = 0
-        while self._available_credits <= 0:
-            if obs is not None:
-                obs.inc("core.credit_stalls")
-            if self._pending_credit_read is None:
-                self._refresh_credit_async()
-            wait_from = self.env.now
-            data = yield self._pending_credit_read.done
-            self._pending_credit_read = None
-            self._apply_credit(data)
-            if obs is not None:
-                log_stall(self, wait_from)
-                obs.observe("core.credit_rtt",
-                            self.env.now - self._credit_read_issued)
-                log_event(self, CREDIT,
-                          {"credits": self._available_credits})
-            if self._available_credits <= 0:
-                if (self._max_retries is not None
-                        and attempt >= self._max_retries
-                        and not _congestion_grace(
-                            self.node, self.remote.node_id, obs)):
-                    raise FlowTimeoutError(
-                        f"no credit from node {self.remote.node_id} "
-                        f"after {attempt} backoff rounds")
-                yield self.env.timeout(
-                    traced_backoff(self, attempt, BACKOFF))
-                attempt += 1
-
-    def _apply_credit(self, data: bytes) -> None:
-        consumed = int.from_bytes(data, "little")
-        if consumed > self._cached_consumed:
-            self._cached_consumed = consumed
+def _source_channel(node: "Node", descriptor: FlowDescriptor,
+                    handle: RingHandle, tag: tuple):
+    """The source half of channel ``tag``, of the class the flow's
+    optimization selects."""
+    channel_cls = (LatencySourceChannel
+                   if descriptor.optimization is Optimization.LATENCY
+                   else BandwidthSourceChannel)
+    return channel_cls(node, descriptor, handle, tag)
 
 
 class TargetChannel:
@@ -1251,15 +1006,12 @@ class ShuffleSource:
                 f"[0, {descriptor.source_count})")
         node = registry.cluster.node(
             descriptor.sources[source_index].node_id)
-        latency = descriptor.optimization is Optimization.LATENCY
-        channel_cls = (LatencySourceChannel if latency
-                       else BandwidthSourceChannel)
         channels = []
         for target_index in range(descriptor.target_count):
             handle = yield from registry.wait_ring(name, source_index,
                                                    target_index)
             tag = (name, source_index, target_index)
-            channels.append(channel_cls(node, descriptor, handle, tag))
+            channels.append(_source_channel(node, descriptor, handle, tag))
         return cls(registry, descriptor, source_index, channels)
 
     # -- the push primitive ----------------------------------------------
@@ -1277,14 +1029,9 @@ class ShuffleSource:
             raise FlowClosedError("push on a closed flow source")
         explicit = target is not None
         if explicit:
-            if not 0 <= target < len(self._channels):
-                raise FlowError(
-                    f"routed to target {target}, valid range "
-                    f"[0, {len(self._channels)})")
-            if target in self._failed:
-                raise FlowPeerFailedError(
-                    f"target {target} of flow {self.descriptor.name!r} "
-                    f"has failed")
+            if (not 0 <= target < len(self._channels)
+                    or target in self._failed):
+                raise self._bad_target(target)
         else:
             router = self._router
             if router is None:
@@ -1301,6 +1048,18 @@ class ShuffleSource:
         if flush is NO_FLUSH:
             return flush
         return self._guarded_flush(flush, values, target, explicit)
+
+    def _bad_target(self, target: int) -> FlowError:
+        """Why an explicitly named target cannot be pushed to: it does
+        not exist, or it has failed. (Callers test inline — the valid
+        path, taken per tuple, enters no frame for the check.)"""
+        if target in self._failed:
+            return FlowPeerFailedError(
+                f"target {target} of flow {self.descriptor.name!r} "
+                f"has failed")
+        return FlowError(
+            f"routed to target {target}, valid range "
+            f"[0, {len(self._channels)})")
 
     def _guarded_flush(self, flush, values: tuple, target: int,
                        explicit: bool):
@@ -1348,14 +1107,8 @@ class ShuffleSource:
             tuples = list(tuples)
         channels = self._channels
         if target is not None:
-            if not 0 <= target < len(channels):
-                raise FlowError(
-                    f"routed to target {target}, valid range "
-                    f"[0, {len(channels)})")
-            if target in self._failed:
-                raise FlowPeerFailedError(
-                    f"target {target} of flow {self.descriptor.name!r} "
-                    f"has failed")
+            if not 0 <= target < len(channels) or target in self._failed:
+                raise self._bad_target(target)
             try:
                 yield from channels[target].push_batch(tuples)
             except (QpFlushedError, FlowTimeoutError) as exc:
@@ -1432,14 +1185,8 @@ class ShuffleSource:
                     "push_bytes cannot route packed tuples; pass target= "
                     "explicitly")
             target = 0
-        if not 0 <= target < len(self._channels):
-            raise FlowError(
-                f"routed to target {target}, valid range "
-                f"[0, {len(self._channels)})")
-        if target in self._failed:
-            raise FlowPeerFailedError(
-                f"target {target} of flow {self.descriptor.name!r} has "
-                f"failed")
+        if not 0 <= target < len(self._channels) or target in self._failed:
+            raise self._bad_target(target)
         try:
             yield from self._channels[target].push_bytes(data)
         except (QpFlushedError, FlowTimeoutError) as exc:
@@ -1497,9 +1244,6 @@ class ShuffleSource:
         self.registry.mark_flow_aborted(name)
         descriptor = self.registry.descriptor(name)
         channels = list(self._channels)
-        latency = descriptor.optimization is Optimization.LATENCY
-        channel_cls = (LatencySourceChannel if latency
-                       else BandwidthSourceChannel)
         for target_index in range(len(self._channels),
                                   descriptor.target_count):
             handle = self.registry.published_ring(name, self.source_index,
@@ -1507,7 +1251,7 @@ class ShuffleSource:
             if handle is not None:
                 tag = (name, self.source_index, target_index)
                 channels.append(
-                    channel_cls(self.node, descriptor, handle, tag))
+                    _source_channel(self.node, descriptor, handle, tag))
         for channel in channels:
             try:
                 yield from channel.abort()
@@ -1525,16 +1269,13 @@ class ShuffleSource:
             raise FlowAbortedError(
                 f"flow {self.descriptor.name!r} was aborted")
         descriptor = self.registry.descriptor(self.descriptor.name)
-        latency = descriptor.optimization is Optimization.LATENCY
-        channel_cls = (LatencySourceChannel if latency
-                       else BandwidthSourceChannel)
         for target_index in range(len(self._channels),
                                   descriptor.target_count):
             handle = yield from self.registry.wait_ring(
                 descriptor.name, self.source_index, target_index)
             tag = (descriptor.name, self.source_index, target_index)
             self._channels.append(
-                channel_cls(self.node, descriptor, handle, tag))
+                _source_channel(self.node, descriptor, handle, tag))
             self._live.append(len(self._channels) - 1)
         self.descriptor = descriptor
 

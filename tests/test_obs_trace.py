@@ -35,9 +35,13 @@ from repro.core import (
     Schema,
 )
 from repro.obs import (
+    BACKOFF,
+    CREDIT,
     FAULT_DETECT,
     FAULT_INJECT,
     FLOW_CLOSE,
+    FOOTER_POLL,
+    PREREAD,
     SEG_CONSUME,
     SEG_WRITE,
     chrome_trace,
@@ -534,3 +538,62 @@ class TestBoundedRings:
         assert total > 1500 and max(backlog) < 200
         assert chunked.obs.tracers["flow"].items  # derived during the run
         assert self._read(chunked) == whole
+
+
+class TestStalledFlowsAreVisible:
+    """Every stall the counters count is an event in the flow's trace,
+    whoever holds the window: a shuffle channel or a replicate writer
+    (whose stalls once counted and logged nothing)."""
+
+    @pytest.mark.parametrize("mode", list(Optimization),
+                             ids=lambda mode: mode.name)
+    @pytest.mark.parametrize("kind", ["shuffle", "replicate"])
+    def test_trace_events_equal_counters(self, kind, mode):
+        cluster = Cluster(node_count=3)
+        cluster.enable_observability(trace=True)
+        dfi = DfiRuntime(cluster)
+        options = FlowOptions(segment_size=128, source_segments=4,
+                              target_segments=4, credit_threshold=1)
+        targets = [Endpoint(1, 0), Endpoint(2, 0)]
+        if kind == "shuffle":
+            dfi.init_shuffle_flow("flow", [Endpoint(0, 0)], targets, SCHEMA,
+                                  shuffle_key="key", optimization=mode,
+                                  options=options)
+        else:
+            dfi.init_replicate_flow("flow", [Endpoint(0, 0)], targets,
+                                    SCHEMA, optimization=mode,
+                                    options=options)
+
+        def src():
+            source = yield from dfi.open_source("flow", 0)
+            for i in range(200):
+                yield from source.push((i, i))
+            yield from source.close()
+
+        def tgt(index):
+            # A consumer slower than a footer or credit read round trip:
+            # re-reads find nothing new and the source backs off.
+            target = yield from dfi.open_target("flow", index)
+            while (yield from target.consume()) is not FLOW_END:
+                yield cluster.env.timeout(4000.0)
+
+        cluster.env.process(src())
+        for index in range(2):
+            cluster.env.process(tgt(index))
+        cluster.run()
+        tracer = cluster.obs.tracers["flow"]
+        assert not tracer.dropped
+        events = {}
+        for event in tracer.events():
+            events[event[1]] = events.get(event[1], 0) + 1
+        counters = cluster.metrics_snapshot()["nodes"][0]["counters"]
+        rounds = counters["core.backoff_rounds"]
+        assert rounds > 0
+        assert events[BACKOFF] == rounds
+        if mode is Optimization.LATENCY:
+            assert events[CREDIT] == counters["core.credit_stalls"] > 0
+        else:
+            # One re-poll per backoff round, whatever the window.
+            assert events[FOOTER_POLL] == rounds
+            assert events[PREREAD] == (counters["core.preread_hits"]
+                                       + counters["core.preread_misses"])

@@ -23,6 +23,7 @@ from repro.core import (
     DfiRuntime,
     Endpoint,
     FlowOptions,
+    Optimization,
     Ordering,
     Schema,
 )
@@ -34,14 +35,18 @@ _SCHEMA = Schema(("key", "uint64"), ("pad", 24))
 _PAD = b"p" * 24
 
 
-def _run_shuffle_cycle(dfi, cluster, name, tuples=64):
-    """One full flow lifetime: init, open, transfer, close."""
-    dfi.init_shuffle_flow(name, [Endpoint(0, 0)],
-                          [Endpoint(1, 0), Endpoint(2, 0)], _SCHEMA,
-                          shuffle_key="key",
-                          options=FlowOptions(source_segments=2,
-                                              target_segments=4,
-                                              credit_threshold=2))
+def _run_shuffle_cycle(dfi, cluster, name, tuples=64, replicate=None):
+    """One full flow lifetime: init, open, transfer, close — of a 1:2
+    shuffle flow, or of a naive replicate flow in mode ``replicate``."""
+    options = FlowOptions(source_segments=2, target_segments=4,
+                          credit_threshold=2)
+    targets = [Endpoint(1, 0), Endpoint(2, 0)]
+    if replicate is None:
+        dfi.init_shuffle_flow(name, [Endpoint(0, 0)], targets, _SCHEMA,
+                              shuffle_key="key", options=options)
+    else:
+        dfi.init_replicate_flow(name, [Endpoint(0, 0)], targets, _SCHEMA,
+                                optimization=replicate, options=options)
 
     def source_thread():
         source = yield from dfi.open_source(name, 0)
@@ -105,6 +110,14 @@ def test_flow_cycle_memory_reaches_steady_state():
     _run_shuffle_cycle(dfi, cluster, "cycle0")
     registry.release_flow("cycle0")
     assert _footprint(cluster, registry) == steady
+    # Naive replicate flows, both protocols: each ring writer sheds its
+    # window's scratch region at close (two leaked per lifetime once).
+    for mode in Optimization:
+        for cycle in range(5):
+            name = f"rep-{mode.name}-{cycle}"
+            _run_shuffle_cycle(dfi, cluster, name, replicate=mode)
+            registry.release_flow(name)
+            assert _footprint(cluster, registry) == steady, name
 
 
 def _run_batched_cycle(dfi, cluster, name, batches=8, batch=1024,
