@@ -5,9 +5,8 @@ plane off and on (``CongestionConfig.datacenter()``) and records the
 *simulated* outcomes: completion times, ECN mark counts, PFC stalls,
 peak virtual-queue depth, Jain's fairness index, and the on/off
 completion-time inflation per cell. Everything reported is simulated
-metrics — bit-reproducible per seed — so unlike the wall-clock benches
-``--check`` is a hard gate: any drift from the committed
-``BENCH_congestion.json`` exits non-zero.
+metrics — bit-reproducible per seed — so ``--check`` is a hard gate:
+any drift from the committed ``BENCH_congestion.json`` exits non-zero.
 
 The run itself asserts the headline acceptance invariants:
 

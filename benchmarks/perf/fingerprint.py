@@ -107,7 +107,7 @@ def _combiner_step_fingerprint() -> tuple:
 def _train_shuffle_fingerprint() -> tuple:
     """1:1 bandwidth shuffle pushed in 1024-tuple batches: full-segment
     flushes ride the doorbell-train path (windowed writability proof,
-    deferred doorbells, ``post_write_batch``). Exact finish time plus the
+    one ``QueuePair.post_train`` per train). Exact finish time plus the
     delivered tuple count pin the train timeline."""
     cluster = Cluster(node_count=2)
     dfi = DfiRuntime(cluster)

@@ -9,6 +9,12 @@ from typing import Any, Callable
 from repro.common.errors import ConfigurationError, FlowError
 from repro.core.nodes import Endpoint
 from repro.core.schema import Schema
+from repro.core.segment import FOOTER_SIZE
+from repro.rdma.qp import UD_MTU
+
+
+#: Largest segment payload one UD multicast datagram carries.
+MULTICAST_PAYLOAD_LIMIT = UD_MTU - FOOTER_SIZE
 
 
 class FlowType(enum.Enum):
@@ -116,6 +122,11 @@ class FlowOptions:
                 "credit_threshold must be in (0, target_segments]")
         if self.retransmit_timeout <= 0:
             raise ConfigurationError("retransmit_timeout must be positive")
+        if self.multicast and self.retransmit_buffer < self.target_segments:
+            # A NACK may name any segment of the open credit window: the
+            # source must still hold every segment it is not credited for.
+            raise ConfigurationError(
+                "multicast flows need retransmit_buffer >= target_segments")
         if self.peer_timeout is not None and self.peer_timeout <= 0:
             raise ConfigurationError("peer_timeout must be positive")
         if (self.max_backoff_retries is not None
@@ -195,6 +206,11 @@ class FlowDescriptor:
                 raise ConfigurationError(
                     "replicate flows deliver to all targets; routing/key "
                     "make no sense")
+            if (self.options.multicast
+                    and self.schema.tuple_size > MULTICAST_PAYLOAD_LIMIT):
+                raise ConfigurationError(
+                    f"tuple size {self.schema.tuple_size} exceeds the UD "
+                    f"multicast payload limit ({MULTICAST_PAYLOAD_LIMIT} B)")
 
     @property
     def source_count(self) -> int:

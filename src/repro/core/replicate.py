@@ -38,6 +38,7 @@ from repro.common.errors import (
 )
 from repro.core.flowdef import (
     FLOW_END,
+    MULTICAST_PAYLOAD_LIMIT,
     NO_FLUSH,
     FlowDescriptor,
     FlowType,
@@ -72,7 +73,6 @@ from repro.obs import (
 )
 from repro.common.planelog import CLOSE, CONSUME, WRITE
 from repro.rdma.nic import get_nic
-from repro.rdma.qp import UD_MTU
 
 
 @dataclass(frozen=True)
@@ -159,12 +159,11 @@ def _replicate_payload_size(descriptor: FlowDescriptor) -> int:
     else:
         payload = descriptor.options.segment_size
     if descriptor.options.multicast:
-        limit = UD_MTU - FOOTER_SIZE
-        if descriptor.schema.tuple_size > limit:
+        if descriptor.schema.tuple_size > MULTICAST_PAYLOAD_LIMIT:
             raise FlowError(
                 f"tuple size {descriptor.schema.tuple_size} exceeds the UD "
-                f"multicast payload limit ({limit} B)")
-        payload = min(payload, limit)
+                f"multicast payload limit ({MULTICAST_PAYLOAD_LIMIT} B)")
+        payload = min(payload, MULTICAST_PAYLOAD_LIMIT)
     if payload < descriptor.schema.tuple_size:
         raise FlowError(
             f"segment payload {payload} smaller than one tuple "
@@ -892,11 +891,10 @@ class MulticastReplicateSource:
         self._aborting = True
         self._staging.take()  # discard staged tuples
         yield from self._flush(FLAG_CLOSED | FLAG_ABORTED)
-        abort_slot = self._retransmit[self.segments_sent - 1]
         for _ in range(3):
             yield self.env.timeout(
                 self.descriptor.options.retransmit_timeout)
-            self._ud_qp.post_send_multicast(self._group, abort_slot)
+            self._ud_qp.post_send_multicast(self._group, self._close_slot)
             self._note_retransmit(None)
         self.closed = True
         if self._obs is not None:

@@ -27,7 +27,6 @@ from repro.core.segment import (
     FOOTER_SIZE,
     footer_consumable,
     pack_footer,
-    pack_footer_into,
 )
 from repro.obs import CREDIT, FOOTER_POLL, PREREAD, log_event, log_stall
 from repro.rdma.nic import get_nic
@@ -438,17 +437,3 @@ class CreditRingWriter(_RingWriter):
             credit.refresh_async()
         return wr
 
-
-def build_slot(payload: bytes, segment_size: int, flags: int, seq: int,
-               source_index: int = 0) -> bytes:
-    """Assemble one wire slot: payload, zero padding, 16-byte footer."""
-    used = len(payload)
-    if used > segment_size:
-        raise ValueError(
-            f"payload of {used} bytes exceeds segment size "
-            f"{segment_size}")
-    # One allocation: a pre-zeroed slot, payload and footer packed in place.
-    slot = bytearray(segment_size + FOOTER_SIZE)
-    slot[:used] = payload
-    pack_footer_into(slot, segment_size, used, flags, seq, source_index)
-    return bytes(slot)

@@ -7,8 +7,9 @@ exporter embeds the causal-edge export under the ``"reproCausal"`` key
 ``"reproObs"``. Prints the blame table plus top-5 straggler report, or
 the canonical blame JSON with ``--json``.
 
-Exit codes: 0 on success, 2 on a malformed or causal-less trace — CI's
-obs-smoke job runs this against the chaos trace artifact as a hard gate.
+Exit codes: 0 on success, 2 on a malformed or causal-less trace —
+``ci/gates.sh ledger`` runs this against the shuffle trace it exports,
+as a hard gate.
 """
 
 from __future__ import annotations

@@ -287,18 +287,6 @@ def hot_targets(edges) -> list:
     return ranking
 
 
-def shard_crossing_stats(edges) -> dict:
-    """Context stats for lane crossings (kept out of the blame JSON —
-    they exist only on sharded kernels)."""
-    count = 0
-    total = 0.0
-    for t_child, t_parent, category, _node, _src, _tid, _flow in edges:
-        if category == SHARD_CROSSING:
-            count += 1
-            total += t_child - t_parent
-    return {"count": count, "span_ns": total}
-
-
 # -- flow reports -------------------------------------------------------------
 def flows(export: dict) -> list:
     """Flows with at least one close marker, sorted by name."""

@@ -375,10 +375,6 @@ class FaultPlane:
         """True while the node has not reached its crash time."""
         return self._crash_at.get(node.node_id, _INF) > self.env.now
 
-    def node_crashed_id(self, node_id: int) -> bool:
-        """True once ``node_id`` reached its crash time."""
-        return self._crash_at.get(node_id, _INF) <= self.env.now
-
     def rc_admission(self, src: "Node", dst: "Node",
                      at: "float | None" = None) -> "float | None":
         """Admission verdict for an RC operation posted src -> dst.

@@ -23,11 +23,9 @@ mailbox exchange would slot in; for isolated partitions the mailboxes
 are empty by construction and the barrier only enforces lockstep pacing.
 
 Use it for what it is: scale-out scenarios made of independent node
-groups (per-rack serving cells, parameter sweeps, chaos matrices — see
-``repro.bench.parallel`` for the fan-out driver this generalizes). A
-single cluster with cross-rack flows must stay in one process. Workers
-are forked, so builders and collectors need not be picklable — results
-must be.
+groups (per-rack serving cells, parameter sweeps). A single cluster
+with cross-rack flows must stay in one process. Workers are forked, so
+builders and collectors need not be picklable — results must be.
 
 Opt-in: nothing in the repo calls this implicitly.
 """

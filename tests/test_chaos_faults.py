@@ -9,8 +9,9 @@ FlowAbortedError), or death by crash injection. Raw transport errors
 leaking to the application, or a process still blocked at the horizon,
 are failures.
 
-The same harness doubles as the chaos determinism check: one seed, run
-twice, must produce bit-identical outcomes and tuple counts.
+The same harness is the chaos determinism check: every cell of the
+matrix runs twice and must produce bit-identical outcomes, tuple counts
+and final clock.
 """
 
 import pytest
@@ -157,12 +158,19 @@ def _run_chaos(seed, flow_type, optimization, congestion=None):
     return outcomes, counts, cluster.now
 
 
+def _check_cell(seed, flow_type, mode, congestion=None):
+    """One matrix cell, run twice: legible outcomes, and the same
+    (outcomes, counts, final time) triple both times."""
+    first = _run_chaos(seed, flow_type, mode, congestion)
+    assert set(first[0].values()) <= ALLOWED, first[0]
+    assert _run_chaos(seed, flow_type, mode, congestion) == first
+
+
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
 @pytest.mark.parametrize("flow_type", FLOW_TYPES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_chaos_no_hang(seed, flow_type, mode):
-    outcomes, _counts, _now = _run_chaos(seed, flow_type, mode)
-    assert set(outcomes.values()) <= ALLOWED, outcomes
+    _check_cell(seed, flow_type, mode)
 
 
 def test_chaos_matrix_actually_injects_failures():
@@ -196,10 +204,13 @@ def test_chaos_runs_are_bit_reproducible(flow_type):
 @pytest.mark.parametrize("flow_type", FLOW_TYPES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_chaos_congested_no_hang(seed, flow_type):
-    outcomes, _counts, _now = _run_chaos(
-        seed, flow_type, Optimization.BANDWIDTH,
-        congestion=CHAOS_CONGESTION)
-    assert set(outcomes.values()) <= ALLOWED, outcomes
+    _check_cell(seed, flow_type, Optimization.BANDWIDTH, CHAOS_CONGESTION)
+
+
+@pytest.mark.parametrize("flow_type", FLOW_TYPES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_chaos_congested_latency_no_hang(seed, flow_type):
+    _check_cell(seed, flow_type, Optimization.LATENCY, CHAOS_CONGESTION)
 
 
 @pytest.mark.parametrize("flow_type", FLOW_TYPES)

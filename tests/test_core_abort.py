@@ -109,6 +109,41 @@ def test_ordered_multicast_replicate_abort():
     assert all(outcome["aborted"].values())
 
 
+def test_ordered_multicast_abort_with_a_shared_sequencer():
+    """Two sources draw from one sequencer, so the aborting source's
+    marker is not segment ``segments_sent - 1``: ``abort()`` used to look
+    it up under that key and escape ``cluster.run()`` as ``KeyError``."""
+    cluster = Cluster(node_count=3)
+    dfi = DfiRuntime(cluster)
+    dfi.init_replicate_flow(
+        "f", ["node0|0", "node0|1"], ["node1|0", "node2|0"], SCHEMA,
+        optimization=Optimization.LATENCY, ordering=Ordering.GLOBAL,
+        options=FlowOptions(multicast=True, retransmit_timeout=10_000))
+    aborted = set()
+
+    def source_thread(index):
+        source = yield from dfi.open_source("f", index)
+        for i in range(5):
+            yield from source.push((i, i))
+        if index:
+            yield from source.abort()
+            assert source.retransmissions == 3  # the marker, re-sent
+
+    def target_thread(index):
+        target = yield from dfi.open_target("f", index)
+        try:
+            while (yield from target.consume()) is not FLOW_END:
+                pass
+        except FlowAbortedError:
+            aborted.add(index)
+
+    for index in range(2):
+        cluster.env.process(source_thread(index))
+        cluster.env.process(target_thread(index))
+    cluster.run()
+    assert aborted == {0, 1}
+
+
 def test_abort_drops_staged_tuples():
     """Bandwidth mode: tuples still staged (never flushed) are dropped."""
     cluster = Cluster(node_count=2)

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.common import HardwareProfile
 from repro.common.errors import (
+    ConfigurationError,
     FlowAbortedError,
     FlowError,
     FlowPeerFailedError,
@@ -241,6 +242,48 @@ def test_replicate_descriptor_validations():
         FlowDescriptor(name="bad", flow_type=FlowType.REPLICATE,
                        sources=(Endpoint(0, 0),), targets=(Endpoint(1, 0),),
                        schema=SCHEMA, shuffle_key="key")
+
+
+def test_multicast_retransmit_buffer_must_cover_the_credit_window():
+    """A NACK may name any un-credited segment: a buffer shorter than
+    the window dropped it silently (and ``abort()`` escaped
+    ``cluster.run()`` as a bare ``KeyError``)."""
+    for buffer in (0, 7):
+        with pytest.raises(ConfigurationError, match="retransmit_buffer"):
+            FlowOptions(multicast=True, target_segments=8,
+                        retransmit_buffer=buffer)
+    FlowOptions(multicast=True, target_segments=8, retransmit_buffer=8)
+    # Naive replicate flows keep nothing for retransmission.
+    FlowOptions(retransmit_buffer=0)
+
+
+_OVERSIZED = Schema(("key", "uint64"), ("blob", 5000))  # 5 008 B
+
+
+def test_multicast_tuple_over_ud_mtu_rejected_at_flow_creation():
+    dfi = DfiRuntime(Cluster(node_count=2))
+    with pytest.raises(ConfigurationError, match="UD multicast payload"):
+        dfi.init_replicate_flow("big", ["node0|0"], ["node1|0"], _OVERSIZED,
+                                options=FlowOptions(multicast=True))
+    # The same tuple is fine over one-sided writes.
+    dfi.init_replicate_flow("big", ["node0|0"], ["node1|0"], _OVERSIZED)
+
+
+def test_multicast_tuple_over_ud_mtu_rejected_at_open():
+    """A descriptor assembled past ``__post_init__`` still cannot open."""
+    cluster = Cluster(node_count=2)
+    dfi = DfiRuntime(cluster)
+    descriptor = dfi.init_replicate_flow(
+        "big", ["node0|0"], ["node1|0"], SCHEMA,
+        options=FlowOptions(multicast=True))
+    object.__setattr__(descriptor, "schema", _OVERSIZED)
+
+    def opener():
+        yield from dfi.open_target("big", 0)
+
+    cluster.env.process(opener())
+    with pytest.raises(FlowError, match="UD multicast payload limit"):
+        cluster.run()
 
 
 def test_open_replicate_on_shuffle_flow_rejected():

@@ -255,9 +255,9 @@ def test_region_length_is_fixed(nic, size):
 
 
 def test_forked_child_writes_stay_private(nic):
-    """Chaos sweeps and ``run_partitioned`` fork workers that each run
-    their own simulation: a mapping must be copy-on-write, not the
-    ``MAP_SHARED`` Python defaults to."""
+    """``run_partitioned`` forks workers that each run their own
+    simulation: a mapping must be copy-on-write, not the ``MAP_SHARED``
+    Python defaults to."""
     region = nic.register_memory(MAP_MIN)
     assert isinstance(region.mem, mmap.mmap)
     region.write(0, b"parent")

@@ -15,7 +15,14 @@ from pathlib import Path
 import pytest
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.core import FLOW_END, DfiRuntime, Endpoint, FlowOptions, Schema
+from repro.core import (
+    FLOW_END,
+    DfiRuntime,
+    Endpoint,
+    FlowOptions,
+    Optimization,
+    Schema,
+)
 from repro.simnet import (
     Cluster,
     Environment,
@@ -450,12 +457,14 @@ def test_chaos_outcomes_invariant_under_sharding(monkeypatch, seed,
     """Fault plans + flows + sharded kernel: the chaos driver must
     produce bit-identical outcomes, counts and final clocks when every
     cluster it builds silently becomes a 4-shard one."""
-    from repro.bench.parallel import _chaos_once
+    from tests.test_chaos_faults import _run_chaos
 
-    baseline = _chaos_once(seed, flow_type, mode)
+    optimization = {"bw": Optimization.BANDWIDTH,
+                    "lat": Optimization.LATENCY}[mode]
+    baseline = _run_chaos(seed, flow_type, optimization)
     import repro.simnet.cluster as cluster_mod
     monkeypatch.setattr(cluster_mod, "DEFAULT_SHARDS", 4)
-    assert _chaos_once(seed, flow_type, mode) == baseline
+    assert _run_chaos(seed, flow_type, optimization) == baseline
 
 
 def _load_fingerprint():
