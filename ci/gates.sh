@@ -27,7 +27,14 @@ gate_tests() {
     # a table commits the regenerated file and says why next to its
     # EXPERIMENTS.md row.
     python -m pytest -q benchmarks --ignore=benchmarks/ledger
-    git diff --exit-code benchmarks/results/
+    if ! git diff --quiet benchmarks/results/; then
+        # Name the moved figures first (one line per table, with its count
+        # of changed lines), then the numbers.
+        echo "figure tables moved:" >&2
+        git diff --stat=120 benchmarks/results/ >&2
+        git diff benchmarks/results/
+        return 1
+    fi
 }
 
 gate_determinism() {

@@ -206,15 +206,16 @@ class Schema:
         return SchemaError(f"tuple {values!r} does not match schema: {exc}")
 
     def _batch_struct(self, count: int) -> "struct.Struct | None":
-        """Batch struct for ``count`` tuples, or ``None`` when ``count``
-        is uncached and larger than what is left of the row budget —
-        callers then take the power-of-two chunked path instead of
-        compiling a throwaway ``struct.Struct`` on every call."""
-        compiled = self._batch_structs.get(count)
-        if compiled is None and count <= self._batch_rows_left:
-            self._batch_rows_left -= count
-            compiled = struct.Struct("<" + self._codes * count)
-            self._batch_structs[count] = compiled
+        """Compile and cache the batch struct for an uncached ``count``
+        of tuples, or ``None`` when ``count`` is larger than what is left
+        of the row budget — callers then take the power-of-two chunked
+        path instead of compiling a throwaway ``struct.Struct`` on every
+        call."""
+        if count > self._batch_rows_left:
+            return None
+        self._batch_rows_left -= count
+        compiled = self._batch_structs[count] = struct.Struct(
+            "<" + self._codes * count)
         return compiled
 
     def _pow2_struct(self, count: int) -> struct.Struct:
@@ -238,7 +239,10 @@ class Schema:
         if count == 1:
             self.pack_into(buffer, offset, tuples[0])
             return
-        compiled = self._batch_struct(count)
+        # A cached count is one dict probe, not a frame.
+        compiled = self._batch_structs.get(count)
+        if compiled is None:
+            compiled = self._batch_struct(count)
         try:
             if compiled is not None:
                 compiled.pack_into(

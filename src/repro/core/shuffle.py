@@ -22,6 +22,7 @@ the common-case push issues exactly one write and nothing else.
 from __future__ import annotations
 
 from collections import deque
+from operator import index as _as_index
 from struct import Struct as _Struct, error as _struct_error
 from typing import TYPE_CHECKING
 
@@ -91,6 +92,23 @@ def _copy_into(buffer, offset: int, data) -> None:
 
 if TYPE_CHECKING:
     from repro.simnet.node import Node
+
+
+def _route_slot(slot, count: int) -> int:
+    """The target slot a routing function answered, when it is not a
+    plain ``int`` in ``[0, count)`` (callers test that inline): any other
+    integer type in range is taken as the index it stands for, everything
+    else — a negative, ``count`` or more, a float — is the routing
+    function's error, not an index into the live targets."""
+    try:
+        index = _as_index(slot)
+    except TypeError:
+        index = -1
+    if not 0 <= index < count:
+        raise FlowError(
+            f"routing function returned {slot!r}: target must be an "
+            f"integer in [0, {count})")
+    return index
 
 
 def segment_payload_size(descriptor: FlowDescriptor) -> int:
@@ -275,39 +293,78 @@ class BandwidthSourceChannel:
         return NO_FLUSH
 
     def push_batch(self, rows, fill=None, stride: int = 1):
-        """Generator: append a batch of tuples, flushing as segments fill.
-
-        The same per-tuple CPU debt accrues as for one-by-one pushes, but
-        it is charged as **one coalesced compute timeout per batch** (plus
-        the post cost of every flush the batch triggers) instead of one
-        kernel event per flush, and each filled segment is packed with a
-        single ``struct`` call — that is where the wall-clock win comes
-        from. ``rows`` must be a sequence (it is sliced per segment):
-        tuples, or — for :meth:`push_bytes` — packed bytes that
-        ``fill(staging, offset, rows[a:b])`` copies, ``stride`` of them
-        per tuple.
+        """Generator: append a batch of tuples, flushing as segments fill
+        — :meth:`charge_batch` then :meth:`stage_batch`, for callers that
+        want one thing to drive. ``rows`` must be a sequence (it is
+        sliced per segment): tuples, or — for :meth:`push_bytes` — packed
+        bytes that ``fill(staging, offset, rows[a:b])`` copies, ``stride``
+        of them per tuple.
         """
-        if self.closed:
-            raise FlowClosedError("push on a closed flow source")
         if fill is None:
             fill = self.schema.pack_many_into
             if not isinstance(rows, (list, tuple)):
                 rows = list(rows)
-        total = len(rows) // stride
+        charge = self.charge_batch(len(rows) // stride)
+        if charge is not None:
+            yield charge
+            yield from self.stage_batch(rows, fill, stride)
+
+    def charge_batch(self, total: int):
+        """First step of a batched append of ``total`` tuples: the timeout
+        the caller must yield before :meth:`stage_batch`, or ``None`` for
+        an empty batch (nothing to charge, nothing to stage).
+
+        The same per-tuple CPU debt accrues as for one-by-one pushes, but
+        it is charged as **one coalesced compute timeout per batch**:
+        leftover debt from earlier pushes, the batch's per-tuple work, and
+        the post cost of every flush the batch will trigger (a flush fires
+        each time the staged tuple count reaches a full segment).
+        """
+        if self.closed:
+            raise FlowClosedError("push on a closed flow source")
         if not total:
-            return
+            return None
         tuple_size = self._tuple_size
-        capacity = self.segment_payload
-        # One coalesced CPU charge: leftover debt from earlier pushes, the
-        # batch's per-tuple work, and the post cost of every flush this
-        # batch will trigger (a flush fires each time the staged tuple
-        # count reaches a full segment).
-        seg_tuples = capacity // tuple_size
-        flushes = (self._used // tuple_size + total) // seg_tuples
+        flushes = ((self._used // tuple_size + total)
+                   // (self.segment_payload // tuple_size))
         debt = (self._cpu_debt + total * self._tuple_debt
                 + flushes * self.profile.cpu_post_cost)
         self._cpu_debt = 0.0
-        yield self.node.compute(debt)
+        return self.node.compute(debt)
+
+    def stage_batch(self, rows, fill, stride: int = 1, take=None):
+        """Second step of a batched append, ``push``'s contract for a
+        batch: returns what the caller must ``yield from``.
+
+        A batch that fits under the flush threshold is packed into the
+        open staging slot with one ``fill`` call and returns
+        :data:`NO_FLUSH` — no generator exists for it. Any other batch
+        returns the flush loop to drive, which blocks only while the
+        remote ring has no writable slot. The CPU for either was paid by
+        :meth:`charge_batch`.
+
+        This is the one rows-into-staging step: the flush loop comes
+        back with ``take``, the count of ``rows`` it measured the open
+        slot's room for, and those are staged whatever the threshold
+        says (the loop flushes the slot they fill).
+        """
+        used = self._used
+        if take is None:
+            take = len(rows) // stride
+            if used + take * self._tuple_size > self._flush_above:
+                return self._flush_batch(rows, take, fill, stride)
+        fill(self._staging, self._staging_base + used, rows)
+        self._used = used + take * self._tuple_size
+        self.tuples_sent += take
+        return NO_FLUSH
+
+    def _flush_batch(self, rows, total: int, fill, stride: int):
+        """Generator: stage a batch that fills at least one segment,
+        flushing as it goes; each filled segment is packed with a single
+        ``fill`` call."""
+        tuple_size = self._tuple_size
+        capacity = self.segment_payload
+        seg_tuples = capacity // tuple_size
         window = self._window
         index = 0
         while index < total:
@@ -319,10 +376,9 @@ class BandwidthSourceChannel:
                 take = min((capacity - self._used) // tuple_size,
                            total - index)
                 if take:
-                    fill(self._staging, self._staging_base + self._used,
-                         rows[index * stride:(index + take) * stride])
-                    self._used += take * tuple_size
-                    self.tuples_sent += take
+                    self.stage_batch(
+                        rows[index * stride:(index + take) * stride], fill,
+                        stride, take)
                     index += take
                 if self._used + tuple_size <= capacity:
                     continue
@@ -984,6 +1040,21 @@ class ShuffleSource:
             self._router = lambda _values, _count: 0
         else:
             self._router = None  # direct routing only
+        #: Whether the router's answers are checked: the flow's own
+        #: routers cannot leave ``[0, live targets)``, a routing function
+        #: of the application can.
+        self._vet_routes = descriptor.routing is not None
+        #: The router's own batch partitioner, if it brings one.
+        try:
+            self._route_many = self._router.route_many
+        except AttributeError:
+            self._route_many = None
+        #: How ``push_batch`` drives a group, fixed for the flow's life:
+        #: the row packer behind the channels' charge/stage pair, or
+        #: ``None`` for latency channels (one segment per tuple — their
+        #: ``push_batch`` is the per-tuple loop).
+        self._fill = (None if descriptor.optimization is Optimization.LATENCY
+                      else schema.pack_many_into)
         self.closed = False
         #: Failure policy (``FlowOptions.on_target_failure``).
         self._policy = descriptor.options.on_target_failure
@@ -1043,7 +1114,15 @@ class ShuffleSource:
                 raise FlowPeerFailedError(
                     f"every target of flow {self.descriptor.name!r} has "
                     f"failed")
-            target = live[router(values, len(live))]
+            if self._vet_routes:
+                # An application's routing function can answer anything.
+                count = len(live)
+                slot = router(values, count)
+                if slot.__class__ is not int or not 0 <= slot < count:
+                    slot = _route_slot(slot, count)
+                target = live[slot]
+            else:
+                target = live[router(values, len(live))]
         flush = self._channels[target].push(values)
         if flush is NO_FLUSH:
             return flush
@@ -1097,6 +1176,13 @@ class ShuffleSource:
         flow's router first and each per-channel group is pushed as its
         own batch; tuple order is preserved *within* each channel (the
         only ordering a multi-channel shuffle ever guarantees).
+
+        A bandwidth channel's group is driven from here by the channel's
+        own contract — yield :meth:`~BandwidthSourceChannel.charge_batch`,
+        call :meth:`~BandwidthSourceChannel.stage_batch`, drive what it
+        returns — so a group that only lands in its channel's send buffer
+        (most of them, once the fan-out leaves a channel less than a
+        segment per batch) costs one kernel event and no generator.
         """
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
@@ -1109,47 +1195,60 @@ class ShuffleSource:
         if target is not None:
             if not 0 <= target < len(channels) or target in self._failed:
                 raise self._bad_target(target)
-            try:
-                yield from channels[target].push_batch(tuples)
-            except (QpFlushedError, FlowTimeoutError) as exc:
-                yield from self._handle_channel_failure(target, exc)
-                raise FlowPeerFailedError(
-                    f"target {target} of flow {self.descriptor.name!r} "
-                    f"failed ({exc})") from exc
-            return
-        live = self._live
-        if not live:
-            raise FlowPeerFailedError(
-                f"every target of flow {self.descriptor.name!r} has failed")
-        if len(live) == 1:
-            index = live[0]
-            try:
-                yield from channels[index].push_batch(tuples)
-            except (QpFlushedError, FlowTimeoutError) as exc:
-                yield from self._handle_channel_failure(index, exc)
-                yield from self.push_batch(tuples)
-            return
-        if self._router is None:
-            raise FlowError(
-                "flow has no shuffle key or routing function; pass "
-                "target= explicitly")
-        router = self._router
-        count = len(live)
-        route_many = getattr(router, "route_many", None)
-        if route_many is not None:
-            groups = route_many(tuples, count)
+            live = (target,)
+            groups = (tuples,)
         else:
-            groups = [[] for _ in range(count)]
-            appends = [group.append for group in groups]
-            for values in tuples:
-                appends[router(values, count)](values)
+            live = self._live
+            if not live:
+                raise FlowPeerFailedError(
+                    f"every target of flow {self.descriptor.name!r} has "
+                    f"failed")
+            if len(live) == 1:
+                groups = (tuples,)
+            elif self._router is None:
+                raise FlowError(
+                    "flow has no shuffle key or routing function; pass "
+                    "target= explicitly")
+            else:
+                count = len(live)
+                route_many = self._route_many
+                if route_many is not None:
+                    groups = route_many(tuples, count)
+                else:
+                    router = self._router
+                    groups = [[] for _ in range(count)]
+                    appends = [group.append for group in groups]
+                    for values in tuples:
+                        slot = router(values, count)
+                        if slot.__class__ is not int or not 0 <= slot < count:
+                            slot = _route_slot(slot, count)
+                        appends[slot](values)
+        fill = self._fill
         for slot, group in enumerate(groups):
             if group:
-                index = live[slot]
                 try:
-                    yield from channels[index].push_batch(group)
+                    index = live[slot]
+                except IndexError:
+                    # Only a router's own ``route_many`` gets here.
+                    raise FlowError(
+                        f"route_many filled group {slot}: targets are "
+                        f"[0, {len(live)})") from None
+                try:
+                    if fill is None:
+                        yield from channels[index].push_batch(group)
+                    else:
+                        channel = channels[index]
+                        yield channel.charge_batch(len(group))
+                        flush = channel.stage_batch(group, fill)
+                        if flush is not NO_FLUSH:
+                            yield from flush
                 except (QpFlushedError, FlowTimeoutError) as exc:
                     yield from self._handle_channel_failure(index, exc)
+                    if target is not None:
+                        raise FlowPeerFailedError(
+                            f"target {target} of flow "
+                            f"{self.descriptor.name!r} failed ({exc})"
+                        ) from exc
                     # The live set just shrank, so the remaining groups'
                     # slots no longer line up — re-partition the failed
                     # group plus everything not yet pushed over the

@@ -44,9 +44,10 @@ def block_shard_map(node_count: int, shards: int) -> list[int]:
 class ShardedEnvironment(Environment):
     """Event kernel whose queue entries carry a shard tag.
 
-    Drop-in for :class:`Environment`: storage, ordering and the run loop
-    are inherited; this class tags entries as they are scheduled and
-    tallies them per shard as :meth:`step` executes them.
+    Drop-in for :class:`Environment`: storage and ordering are
+    inherited; this class tags entries as they are scheduled and tallies
+    them per shard as it executes them (:meth:`step`, and the same
+    steps written out in :meth:`_run_all`).
     """
 
     __slots__ = ("shard_count", "_active_shard", "_post_shard", "_round_shard",
@@ -147,13 +148,44 @@ class ShardedEnvironment(Environment):
             self._timeout_pool.append(event)
 
     def _run_all(self) -> None:
-        # The inherited loop unpacks 3-tuples inline; tagged entries go
-        # through :meth:`step`, which tallies them.
+        """Run until nothing is pending: :meth:`step` in a loop, written
+        out as :meth:`Environment._run_all` is — the 4-tuple pop, the
+        tallies and the dispatch inline, so that a tagged event costs no
+        frame of the kernel's own either. :meth:`step` stays the
+        reference (``run(until=...)`` drives it)."""
         queue = self._queue
         immediate = self._immediate
-        step = self.step
-        while queue or immediate:
-            step()
+        popleft = immediate.popleft
+        heappop = heapq.heappop
+        pool = self._timeout_pool
+        drained = self._drained
+        rounds = self._rounds
+        while True:
+            if immediate:
+                if queue and queue[0] < immediate[0]:
+                    when, _seq, event, shard = heappop(queue)
+                else:
+                    when, _seq, event, shard = popleft()
+            elif queue:
+                when, _seq, event, shard = heappop(queue)
+            else:
+                return
+            self._now = when
+            self.events_executed += 1
+            if shard != self._round_shard:
+                self._round_shard = self._active_shard = shard
+                rounds[shard] += 1
+            drained[shard] += 1
+            callbacks = event.callbacks
+            event.callbacks = None
+            event._processed = True
+            for callback in callbacks:
+                callback(event)
+            if event._exception is not None and not event._defused:
+                raise event._exception
+            if (type(event) is Timeout and event._poolable
+                    and len(pool) < _TIMEOUT_POOL_CAP):
+                pool.append(event)
 
     # -- observability ----------------------------------------------------
     def shard_stats(self) -> dict:

@@ -10,6 +10,14 @@ full-ring stall); a closed source, a torn byte slab and a mistyped tuple
 fail at the offending push; a full ring nobody drains times the source
 out after exactly its backoff budget; a handle that overstates its ring
 is refused before the first train writes.
+
+A routed batch is driven by the channel's two-step contract instead of
+by that generator — ``charge_batch`` (the closed check and the one CPU
+charge), then ``stage_batch`` (``NO_FLUSH`` for rows that only land in
+the open slot, the flush loop otherwise). The second half pins that the
+two are one append too, on both sides of the slot boundary, and that the
+stage-only shape kept the checks: no event for an empty batch, the
+closed and the mistyped-row errors at the offending push.
 """
 
 import pytest
@@ -21,7 +29,7 @@ from repro.common.errors import (
     MemoryRegionError,
     SchemaError,
 )
-from repro.core import FLOW_END, DfiRuntime, FlowOptions, Schema
+from repro.core import FLOW_END, NO_FLUSH, DfiRuntime, FlowOptions, Schema
 from repro.core.registry import RingHandle
 from repro.core.segment import FOOTER_SIZE
 from repro.core.shuffle import BandwidthSourceChannel
@@ -81,6 +89,7 @@ def _run(body, segment_size, consumer_starts_at=0.0):
                  if name.startswith("rdma.")},
         "nic": (nic.wqes_processed, nic.bytes_posted, nic.doorbell_trains),
         "backoff_rounds": counters.get("core.backoff_rounds", 0),
+        "events": cluster.env.events_executed,
     }
 
 
@@ -229,3 +238,136 @@ def test_handle_that_overstates_its_ring_is_refused():
         cluster.env.process(source_thread(segment_count))
     cluster.run()
     assert [count for count, _exc in caught] == [5]
+
+
+# -- the pair ShuffleSource drives is the same append ------------------------
+
+def _through_channel(source, rows):
+    yield from source._channels[0].push_batch(rows)
+
+
+@pytest.mark.parametrize("segment_size", [ALIGNED, UNALIGNED],
+                         ids=["aligned", "unaligned"])
+@pytest.mark.parametrize("over", [-1, 0, 1], ids=["r-1", "r", "r+1"])
+def test_charge_then_stage_is_push_batch_across_the_slot_boundary(
+        over, segment_size):
+    """Three rows staged leave the open slot ``room`` rows short of its
+    flush: a batch one row smaller only stages, a batch of exactly
+    ``room`` fills the slot and flushes it, one row more leaves a tail."""
+    size = SCHEMA.tuple_size
+    room = segment_size // size - 3
+    rows = ROWS[3:3 + room + over]
+    seen = {}
+
+    def pushed_through(door):
+        def body(source):
+            channel = source._channels[0]
+            for row in ROWS[:3]:
+                yield from source.push(row)
+            yield from door(source, rows)
+            seen[door] = (channel.segments_sent, channel._used)
+        return body
+
+    runs = [_run(pushed_through(door), segment_size)
+            for door in (_batched, _through_channel)]
+    assert runs[0]["got"] == ROWS[:3 + len(rows)]
+    assert runs[0] == runs[1]
+    expected = (0, (room + 2) * size) if over < 0 else (1, over * size)
+    assert seen[_batched] == seen[_through_channel] == expected
+
+
+def test_stage_batch_returns_no_flush_until_the_slot_fills():
+    def body(source):
+        channel = source._channels[0]
+        fill = SCHEMA.pack_many_into
+        yield channel.charge_batch(7)
+        assert channel.stage_batch(ROWS[:7], fill) is NO_FLUSH
+        assert (channel._used, channel.tuples_sent) == (7 * 16, 7)
+        yield channel.charge_batch(1)
+        flush = channel.stage_batch(ROWS[7:8], fill)
+        assert flush is not NO_FLUSH
+        yield from flush
+        assert (channel._used, channel.segments_sent) == (0, 1)
+
+    assert _run(body, ALIGNED)["got"] == ROWS[:8]
+
+
+def _two_targets():
+    cluster = Cluster(node_count=3, seed=3)
+    dfi = DfiRuntime(cluster)
+    dfi.init_shuffle_flow(
+        "f", ["node0|0"], ["node1|0", "node2|0"], SCHEMA, shuffle_key="key",
+        options=FlowOptions(segment_size=ALIGNED, source_segments=2,
+                            target_segments=4, credit_threshold=2))
+    return cluster, dfi
+
+
+@pytest.mark.parametrize("site", ["explicit", "single", "routed"])
+def test_an_empty_batch_costs_no_kernel_event(site):
+    """The three shapes of ``ShuffleSource.push_batch`` — a named target,
+    the one live target, routed groups: a run that also pushes empty
+    batches executes the events of the run that does not."""
+    def run(empties):
+        cluster, dfi = _flow() if site == "single" else _two_targets()
+        target = 1 if site == "explicit" else None
+        got = []
+
+        def source_thread():
+            source = yield from dfi.open_source("f", 0)
+            for _ in range(empties):
+                yield from source.push_batch([], target=target)
+                yield from source.push_batch(iter(()), target=target)
+            yield from source.push_batch(ROWS[:5], target=target)
+            for _ in range(empties):
+                yield from source.push_batch((), target=target)
+            yield from source.close()
+
+        def target_thread(index):
+            endpoint = yield from dfi.open_target("f", index)
+            while True:
+                batch = yield from endpoint.consume_batch()
+                if batch is FLOW_END:
+                    return
+                got.extend(batch)
+
+        cluster.env.process(source_thread())
+        for index in range(len(dfi.registry.descriptor("f").targets)):
+            cluster.env.process(target_thread(index))
+        cluster.run()
+        assert sorted(got) == ROWS[:5]
+        return cluster.env.events_executed, cluster.now
+
+    assert run(empties=3) == run(empties=0)
+
+
+def test_closed_channel_refuses_the_charge():
+    def body(source):
+        channel = source._channels[0]
+        assert channel.charge_batch(0) is None
+        channel.closed = True
+        with pytest.raises(FlowClosedError):
+            channel.charge_batch(0)
+        with pytest.raises(FlowClosedError):
+            channel.charge_batch(1)
+        channel.closed = False
+        yield from source.push_batch(ROWS[:2])
+
+    assert _run(body, ALIGNED)["got"] == ROWS[:2]
+
+
+def test_mistyped_row_in_a_staged_batch_leaves_the_slot_as_it_was():
+    seen = []
+
+    def body(source):
+        channel = source._channels[0]
+        yield from source.push_batch(ROWS[:3])
+        for door in (_batched, _through_channel):
+            with pytest.raises(SchemaError, match="does not match schema"):
+                yield from door(source, [ROWS[3], ("not an int", 1)])
+            seen.append((channel._used, channel.tuples_sent,
+                         channel.segments_sent))
+        yield from source.push_batch(ROWS[3:6])
+
+    run = _run(body, ALIGNED)
+    assert seen == [(3 * SCHEMA.tuple_size, 3, 0)] * 2
+    assert run["got"] == ROWS[:6]

@@ -94,6 +94,52 @@ def test_latency_mode_roundtrip():
     assert received[0] == [(i, i) for i in range(300)]
 
 
+def test_latency_shuffle_closed_form():
+    """ROADMAP item 2(b), the latency shape (EXPERIMENTS.md, Fig. 7b row):
+    one 64 B tuple on an idle fabric, source push to target ``consume``
+    return. Push and post on the source CPU, one inline WQE, the wire,
+    one poll on the target — and of the 80 B segment only the 16 B ahead
+    of its ordered tail are serialized before the target wakes: a write
+    commits prefix-first and its last ``_ORDERED_TAIL`` bytes (the footer
+    among them) on arrival, the target's doorbell rings on the prefix
+    commit, and the poll charged from there finds the footer because the
+    tail lands one tail-serialization (5.12 ns) later, inside the poll
+    cost. 1037.44 ns at the default profile."""
+    from repro.rdma.qp import _ORDERED_TAIL
+
+    cluster, dfi = build(node_count=2)
+    profile = cluster.profile
+    schema = Schema(("key", "uint64"), ("pad", 56))
+    dfi.init_shuffle_flow("lat", [Endpoint(0, 0)], [Endpoint(1, 0)], schema,
+                          shuffle_key="key",
+                          optimization=Optimization.LATENCY)
+    instants = {}
+
+    def source_thread():
+        source = yield from dfi.open_source("lat", 0)
+        yield cluster.env.timeout(10_000)  # the target waits by now
+        instants["pushed"] = cluster.now
+        yield from source.push((7, bytes(56)))
+        yield from source.close()
+
+    def target_thread():
+        target = yield from dfi.open_target("lat", 0)
+        assert (yield from target.consume()) == (7, bytes(56))
+        instants["consumed"] = cluster.now
+        assert (yield from target.consume()) is FLOW_END
+
+    cluster.env.process(source_thread())
+    cluster.env.process(target_thread())
+    cluster.run()
+    expected = (profile.cpu_push_cost(64) + profile.cpu_post_cost
+                + profile.nic_processing_inline
+                + (64 + 16 - _ORDERED_TAIL) / profile.link_bandwidth
+                + profile.wire_latency + profile.cpu_poll_cost)
+    assert expected == pytest.approx(1037.44, abs=1e-6)
+    assert instants["consumed"] - instants["pushed"] == pytest.approx(
+        expected, abs=1e-6)
+
+
 def test_latency_mode_backpressure_small_ring():
     """A tiny ring with a slow consumer exercises the credit stall path."""
     cluster, dfi = build(node_count=2)
@@ -193,6 +239,82 @@ def test_custom_routing_function():
     received = run_shuffle(cluster, dfi, "f", 200)
     assert all(k % 2 == 0 for k, _v in received[0])
     assert all(k % 2 == 1 for k, _v in received[1])
+
+
+def _routed_1_to_2(routing, door):
+    """Four tuples into a 1:2 flow routed by ``routing``, through
+    ``push`` or ``push_batch``; returns the FlowError the push raised
+    (or None) and what each target received."""
+    cluster, dfi = build(node_count=3)
+    dfi.init_shuffle_flow("f", ["node0|0"], ["node1|0", "node2|0"], SCHEMA,
+                          routing=routing)
+    rows = [(i, i) for i in range(4)]
+    raised = []
+    received = {0: [], 1: []}
+
+    def source_thread():
+        source = yield from dfi.open_source("f", 0)
+        try:
+            if door == "push":
+                for row in rows:
+                    yield from source.push(row)
+            else:
+                yield from source.push_batch(rows)
+        except FlowError as exc:
+            raised.append(exc)
+        yield from source.close()
+
+    def target_thread(index):
+        target = yield from dfi.open_target("f", index)
+        while True:
+            item = yield from target.consume()
+            if item is FLOW_END:
+                return
+            received[index].append(item)
+
+    cluster.env.process(source_thread())
+    cluster.env.process(target_thread(0))
+    cluster.env.process(target_thread(1))
+    cluster.run()
+    return (raised[0] if raised else None), received
+
+
+@pytest.mark.parametrize("door", ["push", "push_batch"])
+@pytest.mark.parametrize("answer", [-1, 2, 1.0],
+                         ids=["negative", "count", "float"])
+def test_routing_answer_outside_the_targets_is_a_flow_error(answer, door):
+    """``-1`` used to index the live targets from the end (everything
+    silently on the last one), ``2`` and ``1.0`` escaped ``cluster.run()``
+    as IndexError / TypeError."""
+    error, received = _routed_1_to_2(lambda _values, _count: answer, door)
+    assert type(error) is FlowError
+    assert repr(answer) in str(error) and "[0, 2)" in str(error)
+    assert received == {0: [], 1: []}
+
+
+@pytest.mark.parametrize("door", ["push", "push_batch"])
+def test_routing_answer_of_another_integer_type_is_its_index(door):
+    import numpy
+    for answer in (True, numpy.int64(1)):
+        error, received = _routed_1_to_2(lambda _values, _count: answer,
+                                         door)
+        assert error is None
+        assert received == {0: [], 1: [(i, i) for i in range(4)]}
+
+
+def test_route_many_filling_a_group_past_the_targets_is_a_flow_error():
+    def route(_values, _count):
+        return 0
+
+    route.route_many = lambda tuples, count: [[], [], list(tuples)]
+    error, received = _routed_1_to_2(route, "push_batch")
+    assert type(error) is FlowError
+    assert "group 2" in str(error) and "[0, 2)" in str(error)
+    assert received == {0: [], 1: []}
+    # Surplus groups that stay empty route nothing anywhere: harmless.
+    route.route_many = lambda tuples, count: [list(tuples), [], []]
+    error, received = _routed_1_to_2(route, "push_batch")
+    assert error is None and len(received[0]) == 4
 
 
 def test_push_after_close_rejected():

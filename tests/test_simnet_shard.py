@@ -347,6 +347,83 @@ def test_macro_hops_stay_on_the_arming_shard():
     assert stats["lanes"][0]["drained"] == 1
 
 
+def _racked_shuffle():
+    """A 2:2 batched shuffle across the two racks of ``racked(2, 2)``,
+    not yet run; returns the cluster and its processes."""
+    cluster = Cluster.racked(2, 2, seed=5)
+    dfi = DfiRuntime(cluster)
+    schema = Schema(("key", "uint64"), ("pad", 24))
+    pad = b"p" * 24
+    endpoints = [Endpoint(n, 0) for n in range(4)]
+    dfi.init_shuffle_flow("lock", endpoints[:2], endpoints[2:], schema,
+                          shuffle_key="key",
+                          options=FlowOptions(source_segments=4,
+                                              target_segments=8,
+                                              credit_threshold=4))
+
+    def source_thread(index):
+        source = yield from dfi.open_source("lock", index)
+        for first in range(0, 600, 40):
+            yield from source.push_batch(
+                [(i * 2654435761 + index, pad)
+                 for i in range(first, first + 40)])
+        yield from source.close()
+
+    def target_thread(index):
+        target = yield from dfi.open_target("lock", index)
+        while (yield from target.consume_batch()) is not FLOW_END:
+            pass
+
+    processes = [cluster.node(n).spawn(source_thread(n)) for n in (0, 1)]
+    processes += [cluster.node(2 + n).spawn(target_thread(n))
+                  for n in (0, 1)]
+    return cluster, processes
+
+
+def test_written_out_loop_stays_in_lockstep_with_step():
+    """``run()`` takes ``_run_all``, ``run(until=...)`` takes ``step()``:
+    the same scenario ends on the same clock, event count and tallies
+    through either."""
+    drained, processes = _racked_shuffle()
+    finished = []
+    for index, process in enumerate(processes):
+        process.callbacks.append(lambda _event, index=index:
+                                 finished.append(index))
+    drained.run()
+    assert len(finished) == len(processes)
+
+    stepped, processes = _racked_shuffle()
+    stepped.env.run(until=processes[finished[-1]])
+    # The last process to exit leaves nothing queued behind it.
+    assert stepped.env.peek() == float("inf")
+
+    assert stepped.now == drained.now
+    assert stepped.env.events_executed == drained.env.events_executed > 0
+    stats = _assert_tallies_consistent(drained.env)
+    assert stepped.env.shard_stats() == stats
+    assert stats["mailbox_crossings"] > 0
+    assert all(lane["drained"] and lane["rounds"] and lane["mailbox_in"]
+               for lane in stats["lanes"])
+
+
+def test_sharded_loop_recycles_pooled_timeouts():
+    pooled = []
+    for env in (Environment(), ShardedEnvironment(2)):
+        def ticker(env=env):
+            for _ in range(6):
+                yield env.pooled_timeout(1.0)
+
+        env.process(ticker())
+        env.run()
+        pooled.append(len(env._timeout_pool))
+    # A timer returns to the pool once its callbacks ran, so two objects
+    # take turns serving the six waits — on either kernel.
+    assert pooled == [2, 2]
+    cluster, _processes = _racked_shuffle()
+    cluster.run()
+    assert cluster.env._timeout_pool
+
+
 # -- flow-level shard invariance ---------------------------------------------
 
 def _one_shuffle(**cluster_kwargs):
