@@ -288,8 +288,11 @@ class NaiveReplicateSource:
                     descriptor.options.credit_threshold,
                     max_retries=retries))
             else:
-                writers.append(FooterRingWriter(node, handle, tag,
-                                                max_retries=retries))
+                writers.append(FooterRingWriter(
+                    node, handle, tag, max_retries=retries,
+                    source_segments=descriptor.options.source_segments,
+                    pipelined_preread=(
+                        descriptor.options.pipelined_footer_read)))
         sequencer = None
         if descriptor.ordering is Ordering.GLOBAL:
             sequencer = TupleSequencer(registry, name, node)

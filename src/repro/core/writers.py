@@ -24,6 +24,7 @@ from repro.common.errors import FlowTimeoutError
 from repro.core.backoff import traced_backoff
 from repro.core.registry import RingHandle
 from repro.core.segment import (
+    FLAG_CLOSED,
     FOOTER_SIZE,
     footer_consumable,
     pack_footer,
@@ -34,11 +35,6 @@ from repro.simnet.congestion import stall_is_congestion
 
 if TYPE_CHECKING:
     from repro.simnet.node import Node
-
-#: Replicate writers signal one write in this many (selective signaling);
-#: a doorbell train never spans the signaled WQE.
-SIGNAL_INTERVAL = 16
-
 
 def _congestion_grace(node: "Node", remote_id: int, obs) -> bool:
     """A writer whose backoff budget ran out is forgiven while the path to
@@ -309,47 +305,56 @@ class _RingWriter:
 
 
 class FooterRingWriter(_RingWriter):
-    """Writes whole segment slots to a remote ring, footer-synchronized."""
+    """Writes whole segment slots to a remote ring, footer-synchronized,
+    under the shuffle channels' rules: the wrap WQE of a
+    ``source_segments`` ring is reaped before the slot is proven, it and
+    every close/abort marker are the only signaled writes, and the
+    per-segment pre-read is pipelined only under
+    ``pipelined_footer_read``."""
 
     def __init__(self, node: "Node", handle: RingHandle, tag: tuple,
-                 max_retries: "int | None" = None) -> None:
+                 max_retries: "int | None" = None,
+                 source_segments: int = 32,
+                 pipelined_preread: bool = True) -> None:
         super().__init__(node, handle, tag)
-        self._since_signal = 0
-        self._signal_wr = None
-        self.window = FooterWindow(self, handle,
-                                   max(1, handle.segment_count // 2),
-                                   max_retries)
+        self._ring_segments = source_segments
+        self._pipelined_preread = pipelined_preread
+        self._local_index = 0
+        self._wrap_wr = None
+        self.window = FooterWindow(
+            self, handle,
+            max(1, min(source_segments, handle.segment_count // 2)),
+            max_retries)
 
-    def _reap_signal(self):
-        """Generator: wait out the last signaled write, so at most
-        :data:`SIGNAL_INTERVAL` writes are ever unobserved."""
-        if not self._signal_wr.done.triggered:
-            yield self._signal_wr.done
-        self._signal_wr = None
-        self._since_signal = 0
+    def _reap_wrap(self):
+        """Generator: on wrap-around wait out the previous cycle's
+        signaled write."""
+        if not self._wrap_wr.done.triggered:
+            yield self._wrap_wr.done
+        self._wrap_wr = None
         self.qp.send_cq.poll(max_entries=64)
 
     def write_segment(self, payload: bytes, flags: int, seq: int,
                       source_index: int = 0):
         """Generator: transfer one segment into the next remote slot,
-        proving it writable first (and only then reaping the signaled
-        write — the channels reap before they prove)."""
+        reaping the wrap WQE first and then proving the slot writable."""
+        if self._local_index == 0 and self._wrap_wr is not None:
+            yield from self._reap_wrap()
         window = self.window
         window.pending_window = None
         if not window.left:
             yield from window.acquire(1)
         window.left -= 1
-        if (self._signal_wr is not None
-                and self._since_signal >= SIGNAL_INTERVAL):
-            yield from self._reap_signal()
-        signaled = self._since_signal + 1 >= SIGNAL_INTERVAL
+        signaled = (self._local_index == self._ring_segments - 1
+                    or bool(flags & FLAG_CLOSED))
         wr = self._post_segment(payload, flags, seq, source_index,
                                 window.index, signaled)
         if signaled:
-            self._signal_wr = wr
-        self._since_signal += 1
+            self._wrap_wr = wr
         window.index = (window.index + 1) % self.handle.segment_count
-        window.pending_slot = window.read_ahead(1)
+        if self._pipelined_preread:
+            window.pending_slot = window.read_ahead(1)
+        self._local_index = (self._local_index + 1) % self._ring_segments
         return wr
 
     def write_segments(self, segments, source_index: int = 0):
@@ -359,60 +364,60 @@ class FooterRingWriter(_RingWriter):
         ``segments`` is a sequence of ``(payload, flags, seq)`` tuples
         whose payloads each fill a whole segment (partial segments and
         close markers must go through :meth:`write_segment`). Each chunk
-        is bounded by the writability window and the selective-signaling
-        interval, so at most the last WQE of a chunk is signaled and one
-        footer read proves a half-ring of slots. Returns the last posted
-        work request.
+        is bounded by the writability window and by the local ring's wrap,
+        so at most the last WQE of a chunk is signaled and one footer read
+        proves a half-ring of slots. Returns the last posted work request.
         """
         handle = self.handle
         rkey = handle.rkey
         slot_size = self.slot_size
         segment_size = handle.segment_size
         segment_count = handle.segment_count
+        ring_segments = self._ring_segments
         post_write = self.qp.post_write
         window = self.window
         wr = None
         index = 0
         total = len(segments)
         while index < total:
-            if (self._signal_wr is not None
-                    and self._since_signal >= SIGNAL_INTERVAL):
-                yield from self._reap_signal()
+            if self._local_index == 0 and self._wrap_wr is not None:
+                yield from self._reap_wrap()
             if not window.left:
                 yield from window.acquire(window.train)
             take = min(window.left, total - index,
-                       SIGNAL_INTERVAL - self._since_signal)
-            # Per-chunk state lives in locals across the inner loop; the
-            # chunk bound guarantees only its last WQE can be signaled.
+                       ring_segments - self._local_index)
             remote_index = window.index
-            since_signal = self._since_signal
+            local_index = self._local_index
             for payload, flags, seq in segments[index:index + take]:
-                since_signal += 1
-                signaled = since_signal >= SIGNAL_INTERVAL
+                local_index += 1
+                signaled = local_index == ring_segments
                 wr = post_write(
                     [payload,
                      pack_footer(segment_size, flags, seq, source_index)],
                     rkey, remote_index * slot_size, signaled=signaled,
                     doorbell=False)
                 if signaled:
-                    self._signal_wr = wr
+                    self._wrap_wr = wr
                 remote_index += 1
                 if remote_index == segment_count:
                     remote_index = 0
             window.index = remote_index
-            self._since_signal = since_signal
+            self._local_index = local_index % ring_segments
             self.segments_written += take
             window.left -= take
             index += take
             self.qp.ring_doorbell()
             window.pending_slot = None
-            if not window.left:
+            if not window.left and self._pipelined_preread:
                 window.pending_window = window.read_ahead(window.train)
         return wr
 
 
 class CreditRingWriter(_RingWriter):
-    """Writes segment slots to a remote ring under credit flow control."""
+    """Writes segment slots to a remote ring under credit flow control,
+    under the latency channels' rules: data writes go unsignaled, a
+    close/abort marker is a zeroed full slot whose footer says ``used =
+    0``, signaled, and needs no credit refresh after it."""
 
     def __init__(self, node: "Node", handle: RingHandle, tag: tuple,
                  credit_threshold: int,
@@ -428,12 +433,21 @@ class CreditRingWriter(_RingWriter):
         """Generator: transfer one segment after acquiring a credit."""
         credit = self.window
         yield from credit.acquire()
-        segments = self.handle.segment_count
-        wr = self._post_segment(payload, flags, seq, source_index,
-                                credit.sent % segments, False)
+        handle = self.handle
+        segments = handle.segment_count
+        slot = credit.sent % segments
+        if flags & FLAG_CLOSED:
+            wr = self.qp.post_write(
+                [bytes(handle.segment_size),
+                 pack_footer(0, flags, seq, source_index)],
+                handle.rkey, slot * self.slot_size, signaled=True)
+            self.segments_written += 1
+            credit.sent += 1
+            return wr
+        wr = self._post_segment(payload, flags, seq, source_index, slot,
+                                False)
         credit.sent += 1
         if (segments - (credit.sent - credit.consumed) <= credit.threshold
                 and credit.pending is None):
             credit.refresh_async()
         return wr
-
