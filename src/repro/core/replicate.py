@@ -58,10 +58,11 @@ from repro.core.segment import (
 )
 from repro.core.shuffle import (
     ShuffleTarget,
+    _copy_into,
     _Doorbell,
+    _source_channel,
     _source_counters,
 )
-from repro.core.writers import CreditRingWriter, FooterRingWriter
 from repro.obs import (
     FAULT_DETECT,
     REROUTE,
@@ -230,10 +231,12 @@ class _StagingBuffer:
 
 
 class NaiveReplicateSource:
-    """Replicate source using one one-sided write per target."""
+    """Replicate source over one shuffle source channel per target: every
+    tuple is packed once, and each finished segment is copied into every
+    live channel, which writes it under its own ring protocol."""
 
     def __init__(self, registry: FlowRegistry, descriptor: FlowDescriptor,
-                 source_index: int, writers: list,
+                 source_index: int, channels: list,
                  sequencer: "TupleSequencer | None") -> None:
         self.registry = registry
         self.descriptor = descriptor
@@ -241,20 +244,21 @@ class NaiveReplicateSource:
         self.node = registry.cluster.node(
             descriptor.sources[source_index].node_id)
         self.profile = self.node.cluster.profile
-        self._writers = writers
+        self._channels = channels
         self._sequencer = sequencer
         self._payload_size = _replicate_payload_size(descriptor)
         self._staging = _StagingBuffer(descriptor, self._payload_size)
-        # Doorbell trains need tuple-aligned segments (whole slots go out
-        # as contiguous payload+footer writes).
-        self._train_ok = (self._payload_size
-                          % descriptor.schema.tuple_size == 0)
         self._latency = descriptor.optimization is Optimization.LATENCY
+        # Batched full segments leave as doorbell trains: whole slots go
+        # out as contiguous payload+footer writes (tuple-aligned segments
+        # only) numbered by the channel (no sequencer value per segment).
+        self._trains = (sequencer is None and self._payload_size
+                        % descriptor.schema.tuple_size == 0)
         self._cpu_debt = 0.0
         self._tuple_debt = self.profile.cpu_push_cost(
             descriptor.schema.tuple_size)
         self._local_seq = 0
-        #: Writer indices declared failed (their targets are gone).
+        #: Channel indices declared failed (their targets are gone).
         self._failed: set[int] = set()
         self._aborting = False
         self.segments_sent = 0
@@ -265,7 +269,13 @@ class NaiveReplicateSource:
         self._obs = endpoint_obs(self.node, self._flow,
                                  descriptor.options, self)
 
-    _collect_obs = _source_counters
+    def _collect_obs(self):
+        """Read-time counter harvest (see MetricsRegistry.add_collector):
+        a tuple counts once. The channels count the segments they write,
+        one per target ring, and a tuple per ring a train or a latency
+        send carries it to — taken back out here."""
+        carried = sum(channel.tuples_sent for channel in self._channels)
+        return (("core.tuples_pushed", self.tuples_sent - carried),)
 
     @classmethod
     def open(cls, registry: FlowRegistry, name: str, source_index: int):
@@ -275,28 +285,16 @@ class NaiveReplicateSource:
                          "source")
         node = registry.cluster.node(
             descriptor.sources[source_index].node_id)
-        latency = descriptor.optimization is Optimization.LATENCY
-        retries = descriptor.options.max_backoff_retries
-        writers = []
+        channels = []
         for target_index in range(descriptor.target_count):
             handle = yield from registry.wait_ring(name, source_index,
                                                    target_index)
             tag = (name, source_index, target_index)
-            if latency:
-                writers.append(CreditRingWriter(
-                    node, handle, tag,
-                    descriptor.options.credit_threshold,
-                    max_retries=retries))
-            else:
-                writers.append(FooterRingWriter(
-                    node, handle, tag, max_retries=retries,
-                    source_segments=descriptor.options.source_segments,
-                    pipelined_preread=(
-                        descriptor.options.pipelined_footer_read)))
+            channels.append(_source_channel(node, descriptor, handle, tag))
         sequencer = None
         if descriptor.ordering is Ordering.GLOBAL:
             sequencer = TupleSequencer(registry, name, node)
-        return cls(registry, descriptor, source_index, writers, sequencer)
+        return cls(registry, descriptor, source_index, channels, sequencer)
 
     def push(self, values: tuple):
         """Replicate one tuple to all targets; returns what the caller
@@ -317,10 +315,10 @@ class NaiveReplicateSource:
 
         Simulated cost matches per-tuple push (same CPU debt, same flush
         points); segments are packed with one ``struct`` call each.
-        Unordered bandwidth flows replicate every full segment the batch
-        produces as one doorbell train per writer (globally-ordered flows
-        must draw one sequencer value per segment over the wire, so they
-        keep the eager per-segment path).
+        Unordered bandwidth flows hand every full segment the batch
+        produces to each channel's train loop at once (globally-ordered
+        flows must draw one sequencer value per segment over the wire, so
+        they keep the eager per-segment path).
         """
         if self.closed:
             raise FlowClosedError("push on a closed replicate source")
@@ -330,25 +328,40 @@ class NaiveReplicateSource:
             return
         if not isinstance(tuples, (list, tuple)):
             tuples = list(tuples)
+        staging = self._staging
         per_tuple = self._tuple_debt
         total = len(tuples)
         index = 0
-        train = self._train_ok and self._sequencer is None
         payloads = []
         while index < total:
-            take = min(self._staging.room, total - index)
+            take = min(staging.room, total - index)
             if take:
-                self._staging.append_many(tuples[index:index + take])
+                staging.append_many(tuples[index:index + take])
                 self.tuples_sent += take
                 self._cpu_debt += take * per_tuple
                 index += take
-            if self._staging.full:
-                if train:
-                    payloads.append(self._staging.take())
+            if staging.full:
+                if self._trains:
+                    payloads.append(staging.take())
                 else:
                     yield from self._flush(0)
-        if payloads:
-            yield from self._flush_train(payloads)
+        if not payloads:
+            return
+        # One coalesced CPU charge: the debt a per-segment schedule would
+        # accrue.
+        yield self.node.compute(self._take_debt(len(payloads)))
+        seq = self._local_seq
+        self._local_seq += len(payloads)
+        self.segments_sent += len(payloads)
+        data = b"".join(payloads)
+        tuple_size = staging.tuple_size
+        rows = len(data) // tuple_size
+
+        def train(channel):
+            channel._seq = seq
+            return channel._flush_batch(data, rows, _copy_into, tuple_size)
+
+        yield from self._fan_out(train)
 
     def close(self):
         """Generator: flush, send the close marker, and wait for acks."""
@@ -368,8 +381,8 @@ class NaiveReplicateSource:
             except (QpFlushedError, FlowTimeoutError) as exc:
                 failures.append((index, exc))
         for index, exc in failures:
-            yield from self._handle_writer_failure(index, exc)
-        self._release_writers()
+            yield from self._handle_channel_failure(index, exc)
+        self._release_channels()
 
     def abort(self):
         """Generator: abort the flow on every target (staged tuples are
@@ -389,74 +402,61 @@ class NaiveReplicateSource:
                     yield wr.done
             except (QpFlushedError, FlowTimeoutError):
                 pass  # abort is best-effort on a failing fabric
-        self._release_writers()
+        self._release_channels()
 
-    def _release_writers(self) -> None:
+    def _release_channels(self) -> None:
         """Every marker is acknowledged (or its target is gone): the
-        writers post nothing more, so their NIC regions go — a
-        flow-cycling cluster must not keep one per writer per flow."""
-        for writer in self._writers:
-            writer.release()
+        channels post nothing more, so their NIC regions go — a
+        flow-cycling cluster must not keep one per channel per flow."""
+        for channel in self._channels:
+            channel.release()
+
+    def _take_debt(self, segments: int) -> float:
+        """The CPU owed once ``segments`` finished segments go out: the
+        pushes' debt plus one post per segment per target."""
+        debt = (self._cpu_debt + self.profile.cpu_post_cost
+                * segments * len(self._channels))
+        self._cpu_debt = 0.0
+        return debt
 
     def _flush(self, extra_flags: int):
-        debt = (self._cpu_debt
-                + self.profile.cpu_post_cost * len(self._writers))
-        self._cpu_debt = 0.0
-        yield self.node.compute(debt)
+        """Generator: send the staged segment (with close/abort
+        ``extra_flags``) to every live target; returns the ``(target,
+        work request)`` pairs of the writes it posted."""
+        yield self.node.compute(self._take_debt(1))
         if self._sequencer is not None:
             seq = yield from self._sequencer.next()
         else:
             seq = self._local_seq
             self._local_seq += 1
         payload = self._staging.take()
-        flags = FLAG_CONSUMABLE | extra_flags
+        self.segments_sent += 1
+        return (yield from self._fan_out(
+            lambda channel: channel._send_copy(payload, extra_flags, seq)))
+
+    def _fan_out(self, send):
+        """Generator: drive ``send(channel)`` on every live channel in
+        target order, then apply the failure policy to the ones that
+        failed; returns the ``(target, work request)`` pairs of the
+        writes posted."""
         work_requests = []
         failures = []
-        for index, writer in enumerate(self._writers):
+        for index, channel in enumerate(self._channels):
             if index in self._failed:
                 continue
             try:
-                wr = yield from writer.write_segment(payload, flags, seq,
-                                                     self.source_index)
+                wr = yield from send(channel)
             except (QpFlushedError, FlowTimeoutError) as exc:
                 failures.append((index, exc))
                 continue
-            work_requests.append((index, wr))
-        self.segments_sent += 1
-        if self._obs is not None:
-            self._obs.log((WRITE, self.node.env.now, self, None, seq, 1,
-                           len(payload)))
+            if wr is not None:
+                work_requests.append((index, wr))
         for index, exc in failures:
-            yield from self._handle_writer_failure(index, exc)
+            yield from self._handle_channel_failure(index, exc)
         return work_requests
 
-    def _flush_train(self, payloads):
-        """Generator: replicate a train of full segments to every target —
-        one coalesced CPU charge (same debt a per-segment schedule would
-        accrue), then one doorbell train per writer."""
-        debt = (self._cpu_debt + self.profile.cpu_post_cost
-                * len(payloads) * len(self._writers))
-        self._cpu_debt = 0.0
-        yield self.node.compute(debt)
-        base_seq = self._local_seq
-        self._local_seq += len(payloads)
-        segments = [(payload, FLAG_CONSUMABLE, base_seq + i)
-                    for i, payload in enumerate(payloads)]
-        failures = []
-        for index, writer in enumerate(self._writers):
-            if index in self._failed:
-                continue
-            try:
-                yield from writer.write_segments(segments,
-                                                 self.source_index)
-            except (QpFlushedError, FlowTimeoutError) as exc:
-                failures.append((index, exc))
-        self.segments_sent += len(payloads)
-        for index, exc in failures:
-            yield from self._handle_writer_failure(index, exc)
-
-    def _handle_writer_failure(self, index: int, exc: Exception):
-        """Generator: one target's writer failed. Replicate semantics
+    def _handle_channel_failure(self, index: int, exc: Exception):
+        """Generator: one target's channel failed. Replicate semantics
         promise delivery to *all* targets, so under the default abort
         policy any confirmed peer death voids the flow; the reroute
         policy degrades to replicating to the survivors only."""
@@ -483,7 +483,7 @@ class NaiveReplicateSource:
                       {"target": index, "peer_node": peer.node_id,
                        "cause": type(exc).__name__})
         if (self.descriptor.options.on_target_failure == "reroute"
-                and len(self._failed) < len(self._writers)):
+                and len(self._failed) < len(self._channels)):
             if obs is not None:
                 obs.inc("core.reroutes")
                 log_event(self, REROUTE, {"target": index})
@@ -509,7 +509,7 @@ class NaiveReplicateSource:
                 except (QpFlushedError, FlowTimeoutError):
                     pass
         self.closed = True
-        self._release_writers()
+        self._release_channels()
 
     @property
     def failed_targets(self) -> tuple:

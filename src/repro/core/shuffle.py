@@ -483,8 +483,7 @@ class BandwidthSourceChannel:
             debt = self._cpu_debt + self.profile.cpu_post_cost
             self._cpu_debt = 0.0
             yield self.node.compute(debt)
-        # The wrap WQE is reaped before the slot is proven (the replicate
-        # writers prove first).
+        # The wrap WQE is reaped before the slot is proven.
         if self._local_index == 0 and self._wrap_wr is not None:
             yield from self._reap_wrap()
         # A windowed proof from a preceding train covers this slot too —
@@ -543,6 +542,17 @@ class BandwidthSourceChannel:
         self._staging_base = (self._flushes % self._staging_slots
                               ) * self._slot_size
         return wr
+
+    def _send_copy(self, payload, flags: int, seq: int):
+        """Generator: write a replicate source's finished segment
+        ``payload`` (``flags``: the close/abort bits) with footer ``seq``
+        into the next slot. The source packed the tuples once and charged
+        the CPU of every copy, so this copies and flushes only."""
+        base = self._staging_base
+        used = self._used = len(payload)
+        self._staging[base:base + used] = payload
+        self._seq = seq
+        return self._flush(flags, charge_cpu=False)
 
     # -- doorbell trains --------------------------------------------------
     def _train_stage(self, entries) -> None:
@@ -717,27 +727,44 @@ class LatencySourceChannel:
             self.profile.cpu_post_cost, _copy_into, self._zeros, 0,
             _flag_word(FLAG_CONSUMABLE | flags), signaled=True)
 
-    def _send_slot(self, cost: float, fill, payload, used: int,
-                   word: int = _CONSUMABLE_WORD, signaled: bool = False):
-        """Generator: the one latency-mode send. Charge ``cost`` of CPU,
-        hold a credit, have ``fill(staging, base, payload)`` stage the
-        next slot, footer it as ``used`` bytes under flag word ``word``
-        and post it as one zero-copy write; then top the credits up.
-        Returns the work request of a ``signaled`` write, else ``None``:
-        data writes are fire-and-forget, only a close/abort marker is
-        ever observed."""
-        yield self.node.compute(cost)
+    def _send_copy(self, payload, flags: int, seq: int):
+        """Generator: write a replicate source's tuple ``payload`` — or,
+        under close/abort ``flags``, its marker: a zeroed slot, footer
+        ``used = 0``, signaled — with footer ``seq``. The source charged
+        the CPU of every copy."""
+        if flags:
+            return self._send_slot(None, _copy_into, self._zeros, 0,
+                                   _flag_word(FLAG_CONSUMABLE | flags),
+                                   True, seq)
+        return self._send_slot(None, _copy_into, payload, len(payload),
+                               seq=seq)
+
+    def _send_slot(self, cost: "float | None", fill, payload, used: int,
+                   word: int = _CONSUMABLE_WORD, signaled: bool = False,
+                   seq: "int | None" = None):
+        """Generator: the one latency-mode send. Charge ``cost`` of CPU
+        (``None``: the caller already did), hold a credit, have
+        ``fill(staging, base, payload)`` stage the next slot, footer it as
+        ``used`` bytes under flag word ``word`` and sequence number
+        ``seq`` (default: the ring position) and post it as one zero-copy
+        write; then top the credits up. Returns the work request of a
+        ``signaled`` write, else ``None``: data writes are
+        fire-and-forget, only a close/abort marker is ever observed."""
+        if cost is not None:
+            yield self.node.compute(cost)
         segments = self._segments
         credit = self._credit
         sent = credit.sent
         if credit.pending is not None or sent - credit.consumed >= segments:
             # A refresh to harvest, or the window is shut.
             yield from credit.acquire()
+        if seq is None:
+            seq = sent
         index = sent % segments
         base = index * self._slot_size
         fill(self._staging, base, payload)
         _FOOTER_PACK_INTO(self._staging, base + self.segment_payload,
-                          used, word, sent)
+                          used, word, seq)
         region = self._remote_region
         if region is None:
             region = _resolve_remote_region(self)
@@ -749,7 +776,7 @@ class LatencySourceChannel:
             region, index * self._remote_slot)
         if self._obs is not None:
             self._obs.log((WRITE, self.env._now, self, self.remote,
-                           sent, 1, used))
+                           seq, 1, used))
         credit.sent = sent = sent + 1
         self.segments_sent += 1
         if wr is None:

@@ -1,4 +1,4 @@
-"""The RC ring-write protocol, and the ring writers of replicate flows.
+"""The RC ring-write protocol.
 
 The paper defines two ways for a source to learn that a remote ring slot
 may be written (Sections 5.2 / 5.3), and each is written once, here:
@@ -9,11 +9,10 @@ may be written (Sections 5.2 / 5.3), and each is written once, here:
 * :class:`CreditWindow` — latency protocol: a target-side consumed
   counter read asynchronously when the local credit estimate runs low.
 
-A window answers only "may I write slots *r … r+W−1*"; whoever holds it —
-a shuffle source channel (``core/shuffle.py``) or one of the replicate
-writers below, :class:`FooterRingWriter` / :class:`CreditRingWriter` —
-posts its own writes, signals selectively in its own way and moves the
-window's cursor inline on its hot path.
+A window answers only "may I write slots *r … r+W−1*"; its owner — a
+shuffle source channel (``core/shuffle.py``), which is also what a naive
+replicate source writes each target ring through — posts the writes,
+signals selectively and moves the window's cursor inline on its hot path.
 """
 
 from __future__ import annotations
@@ -23,18 +22,13 @@ from typing import TYPE_CHECKING
 from repro.common.errors import FlowTimeoutError
 from repro.core.backoff import traced_backoff
 from repro.core.registry import RingHandle
-from repro.core.segment import (
-    FLAG_CLOSED,
-    FOOTER_SIZE,
-    footer_consumable,
-    pack_footer,
-)
+from repro.core.segment import FOOTER_SIZE, footer_consumable
 from repro.obs import CREDIT, FOOTER_POLL, PREREAD, log_event, log_stall
-from repro.rdma.nic import get_nic
 from repro.simnet.congestion import stall_is_congestion
 
 if TYPE_CHECKING:
     from repro.simnet.node import Node
+
 
 def _congestion_grace(node: "Node", remote_id: int, obs) -> bool:
     """A writer whose backoff budget ran out is forgiven while the path to
@@ -243,211 +237,3 @@ class CreditWindow(_RingWindow):
             if self.sent - self.consumed >= segments:
                 yield self._backoff(attempt, "no credit from node {}")
                 attempt += 1
-
-
-class _RingWriter:
-    """One replicate source's write side of one target ring: the QP, the
-    identity its window logs under, and the segment tally."""
-
-    def __init__(self, node: "Node", handle: RingHandle, tag: tuple) -> None:
-        self.node = node
-        self.env = node.env
-        self.qp = get_nic(node).create_qp(node.cluster.node(handle.node_id))
-        self.handle = handle
-        self.slot_size = handle.segment_size + FOOTER_SIZE
-        self._rng = node.backoff_rng
-        self.segments_written = 0
-        #: Observability handle of the owning node (``None`` when the
-        #: plane is off — one attribute check per guarded site).
-        self._obs = node.metrics
-        if self._obs is not None:
-            self._obs.add_collector(self._collect_obs)
-        self._flow = tag[0]
-        # Replicate passes (flow, source_index, target_index); tests may
-        # construct writers with a bare (flow,) tag.
-        self._tid = (f"r{tag[1]}->t{tag[2]}" if len(tag) >= 3
-                     else f"r{tag[0]}")
-
-    def _collect_obs(self):
-        """Read-time counter harvest (see MetricsRegistry.add_collector)."""
-        return (("core.segments_written", self.segments_written),)
-
-    def release(self) -> None:
-        """Shed the window's NIC region once the last marker is acked."""
-        self.window.release()
-
-    def _post_segment(self, payload: bytes, flags: int, seq: int,
-                      source_index: int, slot: int, signaled: bool):
-        """Post one segment into remote slot ``slot``; returns the work
-        request of the write that carries the footer.
-
-        Full segments go out as one gather write (payload + footer, no
-        concatenation copy). Partial segments (final flushes, close
-        markers) write only the used payload followed by a separate
-        footer write at the fixed end-of-segment position — RC per-QP
-        ordering keeps the footer landing strictly after the payload.
-        """
-        handle = self.handle
-        remote_offset = slot * self.slot_size
-        footer = pack_footer(len(payload), flags, seq, source_index)
-        if len(payload) == handle.segment_size:
-            wr = self.qp.post_write([payload, footer], handle.rkey,
-                                    remote_offset, signaled=signaled)
-        else:
-            if payload:
-                self.qp.post_write(payload, handle.rkey, remote_offset,
-                                   signaled=False)
-            wr = self.qp.post_write(
-                footer, handle.rkey, remote_offset + handle.segment_size,
-                signaled=signaled)
-        self.segments_written += 1
-        return wr
-
-
-class FooterRingWriter(_RingWriter):
-    """Writes whole segment slots to a remote ring, footer-synchronized,
-    under the shuffle channels' rules: the wrap WQE of a
-    ``source_segments`` ring is reaped before the slot is proven, it and
-    every close/abort marker are the only signaled writes, and the
-    per-segment pre-read is pipelined only under
-    ``pipelined_footer_read``."""
-
-    def __init__(self, node: "Node", handle: RingHandle, tag: tuple,
-                 max_retries: "int | None" = None,
-                 source_segments: int = 32,
-                 pipelined_preread: bool = True) -> None:
-        super().__init__(node, handle, tag)
-        self._ring_segments = source_segments
-        self._pipelined_preread = pipelined_preread
-        self._local_index = 0
-        self._wrap_wr = None
-        self.window = FooterWindow(
-            self, handle,
-            max(1, min(source_segments, handle.segment_count // 2)),
-            max_retries)
-
-    def _reap_wrap(self):
-        """Generator: on wrap-around wait out the previous cycle's
-        signaled write."""
-        if not self._wrap_wr.done.triggered:
-            yield self._wrap_wr.done
-        self._wrap_wr = None
-        self.qp.send_cq.poll(max_entries=64)
-
-    def write_segment(self, payload: bytes, flags: int, seq: int,
-                      source_index: int = 0):
-        """Generator: transfer one segment into the next remote slot,
-        reaping the wrap WQE first and then proving the slot writable."""
-        if self._local_index == 0 and self._wrap_wr is not None:
-            yield from self._reap_wrap()
-        window = self.window
-        window.pending_window = None
-        if not window.left:
-            yield from window.acquire(1)
-        window.left -= 1
-        signaled = (self._local_index == self._ring_segments - 1
-                    or bool(flags & FLAG_CLOSED))
-        wr = self._post_segment(payload, flags, seq, source_index,
-                                window.index, signaled)
-        if signaled:
-            self._wrap_wr = wr
-        window.index = (window.index + 1) % self.handle.segment_count
-        if self._pipelined_preread:
-            window.pending_slot = window.read_ahead(1)
-        self._local_index = (self._local_index + 1) % self._ring_segments
-        return wr
-
-    def write_segments(self, segments, source_index: int = 0):
-        """Generator: transfer a train of *full* segments, one doorbell
-        ring per windowed chunk.
-
-        ``segments`` is a sequence of ``(payload, flags, seq)`` tuples
-        whose payloads each fill a whole segment (partial segments and
-        close markers must go through :meth:`write_segment`). Each chunk
-        is bounded by the writability window and by the local ring's wrap,
-        so at most the last WQE of a chunk is signaled and one footer read
-        proves a half-ring of slots. Returns the last posted work request.
-        """
-        handle = self.handle
-        rkey = handle.rkey
-        slot_size = self.slot_size
-        segment_size = handle.segment_size
-        segment_count = handle.segment_count
-        ring_segments = self._ring_segments
-        post_write = self.qp.post_write
-        window = self.window
-        wr = None
-        index = 0
-        total = len(segments)
-        while index < total:
-            if self._local_index == 0 and self._wrap_wr is not None:
-                yield from self._reap_wrap()
-            if not window.left:
-                yield from window.acquire(window.train)
-            take = min(window.left, total - index,
-                       ring_segments - self._local_index)
-            remote_index = window.index
-            local_index = self._local_index
-            for payload, flags, seq in segments[index:index + take]:
-                local_index += 1
-                signaled = local_index == ring_segments
-                wr = post_write(
-                    [payload,
-                     pack_footer(segment_size, flags, seq, source_index)],
-                    rkey, remote_index * slot_size, signaled=signaled,
-                    doorbell=False)
-                if signaled:
-                    self._wrap_wr = wr
-                remote_index += 1
-                if remote_index == segment_count:
-                    remote_index = 0
-            window.index = remote_index
-            self._local_index = local_index % ring_segments
-            self.segments_written += take
-            window.left -= take
-            index += take
-            self.qp.ring_doorbell()
-            window.pending_slot = None
-            if not window.left and self._pipelined_preread:
-                window.pending_window = window.read_ahead(window.train)
-        return wr
-
-
-class CreditRingWriter(_RingWriter):
-    """Writes segment slots to a remote ring under credit flow control,
-    under the latency channels' rules: data writes go unsignaled, a
-    close/abort marker is a zeroed full slot whose footer says ``used =
-    0``, signaled, and needs no credit refresh after it."""
-
-    def __init__(self, node: "Node", handle: RingHandle, tag: tuple,
-                 credit_threshold: int,
-                 max_retries: "int | None" = None) -> None:
-        if handle.credit_rkey is None:
-            raise ValueError("credit writer needs a credit counter handle")
-        super().__init__(node, handle, tag)
-        self.window = CreditWindow(self, handle, credit_threshold,
-                                   max_retries)
-
-    def write_segment(self, payload: bytes, flags: int, seq: int,
-                      source_index: int = 0):
-        """Generator: transfer one segment after acquiring a credit."""
-        credit = self.window
-        yield from credit.acquire()
-        handle = self.handle
-        segments = handle.segment_count
-        slot = credit.sent % segments
-        if flags & FLAG_CLOSED:
-            wr = self.qp.post_write(
-                [bytes(handle.segment_size),
-                 pack_footer(0, flags, seq, source_index)],
-                handle.rkey, slot * self.slot_size, signaled=True)
-            self.segments_written += 1
-            credit.sent += 1
-            return wr
-        wr = self._post_segment(payload, flags, seq, source_index, slot,
-                                False)
-        credit.sent += 1
-        if (segments - (credit.sent - credit.consumed) <= credit.threshold
-                and credit.pending is None):
-            credit.refresh_async()
-        return wr

@@ -2,15 +2,16 @@
 
 A source that finds the remote ring full (``FooterWindow.acquire``) or
 its credits spent (``CreditWindow.acquire``) spins in a seeded
-random-backoff loop. The protocol tests drive the windows through the
-replicate writers against deliberately-full rings: the event trace is
-bit-identical across two same-seed runs — the property the figure
-benches (and the wall-clock fast paths) rely on — the retry budget
-raises after exactly ``max_retries`` rounds unless congestion grace
-forgives, and no footer proof ever covers a slot the consumer has not
-freed. Each owner (shuffle channel, replicate writer) then only needs a
-reachability test: given the same RNG state it stalls to the same
-instant.
+random-backoff loop. The protocol tests drive the windows through their
+owners — a bandwidth or a latency source channel, built by hand onto a
+deliberately-full ring: the event trace is bit-identical across two
+same-seed runs — the property the figure benches (and the wall-clock
+fast paths) rely on — the retry budget raises after exactly
+``max_retries`` rounds unless congestion grace forgives, and no footer
+proof ever covers a slot the consumer has not freed. A naive replicate
+source writes each target ring through the same channels; it only needs
+a reachability test: given the same RNG state its channel stalls to the
+same instant as a shuffle source's.
 """
 
 import pytest
@@ -30,18 +31,47 @@ from repro.core.segment import (
     pack_footer,
     unpack_footer,
 )
-from repro.core.shuffle import BandwidthSourceChannel, LatencySourceChannel
-from repro.core.writers import (
-    CreditRingWriter,
-    FooterRingWriter,
-    FooterWindow,
-)
+from repro.core.shuffle import _source_channel
+from repro.core.writers import FooterWindow
 from repro.rdma.nic import get_nic
 from repro.simnet import Cluster
 
 SEGMENTS = 4
 SEGMENT_SIZE = 256
 SLOT = SEGMENT_SIZE + FOOTER_SIZE
+
+_SCHEMA = Schema(("key", "uint64"), ("value", "uint64"))
+#: Tuples per bandwidth segment.
+_PER_SEGMENT = SEGMENT_SIZE // _SCHEMA.tuple_size
+
+
+def _descriptor(dfi, kind, optimization, **options):
+    """A 1:1 ``kind`` flow (shuffle or replicate) over 256-byte segments."""
+    options = FlowOptions(segment_size=SEGMENT_SIZE, target_segments=SEGMENTS,
+                          credit_threshold=1, **options)
+    if kind == "replicate":
+        return dfi.init_replicate_flow("f", ["node0|0"], ["node1|0"], _SCHEMA,
+                                       optimization=optimization,
+                                       options=options)
+    return dfi.init_shuffle_flow("f", ["node0|0"], ["node1|0"], _SCHEMA,
+                                 shuffle_key="key", optimization=optimization,
+                                 options=options)
+
+
+def _channel(cluster, handle, optimization=Optimization.BANDWIDTH,
+             kind="shuffle", **options):
+    """The source channel a ``kind`` flow's source would open, writing into
+    ``handle`` — the test's own ring, not one a target published."""
+    descriptor = _descriptor(DfiRuntime(cluster), kind, optimization,
+                             **options)
+    return _source_channel(cluster.node(0), descriptor, handle, ("f", 0, 0))
+
+
+def _write_segment(channel, first):
+    """Generator: fill one bandwidth segment by per-tuple pushes — the
+    last one flushes it (one per-segment write, ``acquire(1)``)."""
+    for key in range(first, first + _PER_SEGMENT):
+        yield from channel.push((key, key))
 
 
 def _run_footer_backoff(seed):
@@ -55,13 +85,12 @@ def _run_footer_backoff(seed):
                      pack_footer(SEGMENT_SIZE, FLAG_CONSUMABLE, seq=1))
     handle = RingHandle(node_id=1, rkey=region.rkey,
                         segment_count=SEGMENTS, segment_size=SEGMENT_SIZE)
-    writer = FooterRingWriter(cluster.node(0), handle, tag=("t",))
+    channel = _channel(cluster, handle)
     trace = []
 
     def writer_thread():
-        payload = b"\xab" * SEGMENT_SIZE
         for seq in range(SEGMENTS + 2):
-            yield from writer.write_segment(payload, FLAG_CONSUMABLE, seq)
+            yield from _write_segment(channel, seq * _PER_SEGMENT)
             trace.append((seq, env.now))
 
     def consumer_thread():
@@ -88,14 +117,12 @@ def _run_credit_backoff(seed):
     handle = RingHandle(node_id=1, rkey=ring_region.rkey,
                         segment_count=SEGMENTS, segment_size=SEGMENT_SIZE,
                         credit_rkey=credit_region.rkey, credit_offset=0)
-    writer = CreditRingWriter(cluster.node(0), handle, tag=("c",),
-                              credit_threshold=1)
+    channel = _channel(cluster, handle, Optimization.LATENCY)
     trace = []
 
     def writer_thread():
-        payload = b"\xcd" * SEGMENT_SIZE
         for seq in range(2 * SEGMENTS):
-            yield from writer.write_segment(payload, FLAG_CONSUMABLE, seq)
+            yield from channel.push((seq, seq))
             trace.append((seq, env.now))
 
     def consumer_thread():
@@ -180,14 +207,13 @@ def _full_footer_ring(cluster):
 
 def test_footer_writer_retry_budget_raises_flow_timeout():
     cluster = Cluster(node_count=2)
-    writer = FooterRingWriter(cluster.node(0), _full_footer_ring(cluster),
-                              tag=("t",), max_retries=5)
+    channel = _channel(cluster, _full_footer_ring(cluster),
+                       max_backoff_retries=5)
     errors = []
 
     def writer_thread():
         try:
-            yield from writer.write_segment(b"\xab" * SEGMENT_SIZE,
-                                            FLAG_CONSUMABLE, 0)
+            yield from _write_segment(channel, 0)
         except FlowTimeoutError as exc:
             errors.append((exc, cluster.now))
 
@@ -208,16 +234,14 @@ def test_credit_writer_retry_budget_raises_flow_timeout():
     handle = RingHandle(node_id=1, rkey=ring_region.rkey,
                         segment_count=SEGMENTS, segment_size=SEGMENT_SIZE,
                         credit_rkey=credit_region.rkey, credit_offset=0)
-    writer = CreditRingWriter(cluster.node(0), handle, tag=("c",),
-                              credit_threshold=1, max_retries=4)
+    channel = _channel(cluster, handle, Optimization.LATENCY,
+                       max_backoff_retries=4)
     errors = []
 
     def writer_thread():
-        payload = b"\xcd" * SEGMENT_SIZE
         try:
             for seq in range(2 * SEGMENTS):
-                yield from writer.write_segment(payload, FLAG_CONSUMABLE,
-                                                seq)
+                yield from channel.push((seq, seq))
         except FlowTimeoutError as exc:
             errors.append(exc)
 
@@ -226,25 +250,23 @@ def test_credit_writer_retry_budget_raises_flow_timeout():
     assert len(errors) == 1
     assert "4 backoff rounds" in str(errors[0])
     # The initial ring's worth of credits was spent before the stall.
-    assert writer.segments_written == SEGMENTS
+    assert channel.segments_sent == SEGMENTS
 
 
 def test_retry_budget_unset_retries_forever():
-    """Without a budget the writer keeps polling — backstop for the
+    """Without a budget the channel keeps polling — backstop for the
     default (pre-fault-plane) behaviour."""
     cluster = Cluster(node_count=2)
-    writer = FooterRingWriter(cluster.node(0), _full_footer_ring(cluster),
-                              tag=("t",))
+    channel = _channel(cluster, _full_footer_ring(cluster))
     done = []
 
     def writer_thread():
-        yield from writer.write_segment(b"\xab" * SEGMENT_SIZE,
-                                        FLAG_CONSUMABLE, 0)
+        yield from _write_segment(channel, 0)
         done.append(cluster.now)
 
     cluster.env.process(writer_thread())
     with pytest.raises(RuntimeError):
-        # Bounded run: the writer is still politely backing off when the
+        # Bounded run: the channel is still politely backing off when the
         # horizon hits — no FlowTimeoutError, no completion.
         cluster.run(until=10_000_000.0)
         raise RuntimeError("horizon reached")
@@ -282,22 +304,33 @@ def _credit_handle(cluster):
                       credit_offset=0)
 
 
-def _footer_stall(budget, seed=0):
-    cluster = Cluster(node_count=2, seed=seed)
-    cluster.enable_observability()
-    writer = FooterRingWriter(cluster.node(0), _full_footer_ring(cluster),
-                              tag=("t",), max_retries=budget)
-    return cluster, lambda: writer.window.acquire(1)
+def _budgeted(cluster, handle, optimization, kind, budget):
+    """The window of a channel whose flow gives up after ``budget``
+    backoff rounds."""
+    channel = _channel(cluster, handle, optimization, kind=kind,
+                       max_backoff_retries=budget or None)
+    window = (channel._credit if optimization is Optimization.LATENCY
+              else channel._window)
+    if not budget:
+        window._max_retries = 0  # FlowOptions refuses it, a window takes it
+    return window
 
 
-def _credit_stall(budget, seed=0):
+def _footer_stall(budget, seed=0, kind="replicate"):
     cluster = Cluster(node_count=2, seed=seed)
     cluster.enable_observability()
-    writer = CreditRingWriter(cluster.node(0), _credit_handle(cluster),
-                              tag=("c",), credit_threshold=1,
-                              max_retries=budget)
-    writer.window.sent = SEGMENTS  # the ring's worth of credits is spent
-    return cluster, writer.window.acquire
+    window = _budgeted(cluster, _full_footer_ring(cluster),
+                       Optimization.BANDWIDTH, kind, budget)
+    return cluster, lambda: window.acquire(1)
+
+
+def _credit_stall(budget, seed=0, kind="replicate"):
+    cluster = Cluster(node_count=2, seed=seed)
+    cluster.enable_observability()
+    window = _budgeted(cluster, _credit_handle(cluster),
+                       Optimization.LATENCY, kind, budget)
+    window.sent = SEGMENTS  # the ring's worth of credits is spent
+    return cluster, window.acquire
 
 
 @pytest.mark.parametrize("stall", [_footer_stall, _credit_stall])
@@ -320,63 +353,27 @@ def test_congestion_grace_forgives_an_exhausted_budget(stall, monkeypatch):
     assert message.endswith("after 5 backoff rounds")
 
 
-# -- each owner reaches the same protocol -------------------------------------
+# -- a naive replicate source's channel is a shuffle source's -----------------
 
-_SCHEMA = Schema(("key", "uint64"), ("value", "uint64"))
-
-
-def _channel_stall(channel_cls, handle_of, budget, seed):
-    """The stall of ``_footer_stall``/``_credit_stall``, from a shuffle
-    source channel holding the window instead of a replicate writer."""
-    cluster = Cluster(node_count=2, seed=seed)
-    cluster.enable_observability()
-    dfi = DfiRuntime(cluster)
-    latency = channel_cls is LatencySourceChannel
-    descriptor = dfi.init_shuffle_flow(
-        "f", ["node0|0"], ["node1|0"], _SCHEMA, shuffle_key="key",
-        optimization=(Optimization.LATENCY if latency
-                      else Optimization.BANDWIDTH),
-        options=FlowOptions(segment_size=SEGMENT_SIZE,
-                            target_segments=SEGMENTS, credit_threshold=1,
-                            max_backoff_retries=budget))
-    channel = channel_cls(cluster.node(0), descriptor, handle_of(cluster),
-                          ("f", 0, 0))
-    if latency:
-        channel._credit.sent = SEGMENTS
-        return cluster, channel._credit.acquire
-    return cluster, lambda: channel._window.acquire(1)
-
-
-@pytest.mark.parametrize("writer_stall, channel_cls, handle_of", [
-    (_footer_stall, BandwidthSourceChannel, _full_footer_ring),
-    (_credit_stall, LatencySourceChannel, _credit_handle),
-], ids=["footer", "credit"])
-def test_channel_and_writer_back_off_identically(writer_stall, channel_cls,
-                                                 handle_of):
-    """Same node, same seed, so the same backoff RNG state: a channel and
-    a writer give up at the same instant, to the bit — and at another
-    one under another seed."""
-    by_writer = _stall_to_timeout(*writer_stall(6, seed=5))
-    by_channel = _stall_to_timeout(
-        *_channel_stall(channel_cls, handle_of, 6, seed=5))
-    assert by_channel == by_writer
-    assert by_writer == _stall_to_timeout(*writer_stall(6, seed=5))
-    assert by_writer[1] != _stall_to_timeout(*writer_stall(6, seed=6))[1]
+@pytest.mark.parametrize("stall", [_footer_stall, _credit_stall],
+                         ids=["footer", "credit"])
+def test_channel_and_writer_back_off_identically(stall):
+    """Same node, same seed, so the same backoff RNG state: the channel a
+    naive replicate source writes a target ring through and a shuffle
+    source's channel give up at the same instant, to the bit — and at
+    another one under another seed."""
+    by_replicate = _stall_to_timeout(*stall(6, seed=5))
+    assert _stall_to_timeout(*stall(6, seed=5, kind="shuffle")) == by_replicate
+    assert by_replicate == _stall_to_timeout(*stall(6, seed=5))
+    assert by_replicate[1] != _stall_to_timeout(*stall(6, seed=6))[1]
 
 
 def test_owners_refuse_a_handle_without_a_credit_counter():
-    cluster = Cluster(node_count=2)
-    dfi = DfiRuntime(cluster)
-    descriptor = dfi.init_shuffle_flow(
-        "f", ["node0|0"], ["node1|0"], _SCHEMA, shuffle_key="key",
-        optimization=Optimization.LATENCY)
-    handle = _full_footer_ring(cluster)  # no credit_rkey
-    with pytest.raises(ValueError, match="credit counter"):
-        CreditRingWriter(cluster.node(0), handle, tag=("c",),
-                         credit_threshold=1)
-    with pytest.raises(FlowError, match="credit counter"):
-        LatencySourceChannel(cluster.node(0), descriptor, handle,
-                             ("f", 0, 0))
+    for kind in ("shuffle", "replicate"):
+        cluster = Cluster(node_count=2)
+        handle = _full_footer_ring(cluster)  # no credit_rkey
+        with pytest.raises(FlowError, match="credit counter"):
+            _channel(cluster, handle, Optimization.LATENCY, kind=kind)
 
 
 # -- a proof never covers a slot the consumer has not freed -------------------
@@ -414,8 +411,9 @@ class _CheckedWindow(FooterWindow):
        pauses=st.lists(st.floats(0.0, 6000.0), min_size=1, max_size=8),
        seed=st.integers(0, 3))
 def test_footer_proofs_cover_only_freed_slots(slots, steps, pauses, seed):
-    """Any mix of per-segment writes (step 0: ``acquire(1)``) and trains
-    of ``k`` segments (``acquire(train)``) against a consumer of any
+    """Any mix of per-segment writes (step 0: a segment filled by pushes,
+    ``acquire(1)``) and trains of ``k`` segments (a ``push_batch`` of
+    ``k`` whole segments, ``acquire(train)``) against a consumer of any
     pace: ``left`` never exceeds the run of non-consumable footers ahead
     of the cursor, no stale read is used, and the consumer finds every
     segment once, in order — nothing was overwritten unread."""
@@ -424,26 +422,24 @@ def test_footer_proofs_cover_only_freed_slots(slots, steps, pauses, seed):
     region = get_nic(cluster.node(1)).register_memory(slots * SLOT)
     handle = RingHandle(node_id=1, rkey=region.rkey, segment_count=slots,
                         segment_size=SEGMENT_SIZE)
-    writer = FooterRingWriter(cluster.node(0), handle, tag=("t",))
-    writer.window.release()
-    window = writer.window = _CheckedWindow(
-        writer, handle, writer.window.train, None)
+    channel = _channel(cluster, handle)
+    train = channel._window.train
+    channel._window.release()
+    window = channel._window = _CheckedWindow(channel, handle, train, None)
     window.ring, window.posted_at, window.proofs = region, {}, []
     total = sum(step or 1 for step in steps)
-    payload = b"\x5a" * SEGMENT_SIZE
     consumed = []
 
     def writer_thread():
-        seq = 0
+        first = 0
         for step in steps:
             if step:
-                yield from writer.write_segments(
-                    [(payload, FLAG_CONSUMABLE, seq + i)
-                     for i in range(step)])
+                yield from channel.push_batch(
+                    [(key, key) for key in
+                     range(first, first + step * _PER_SEGMENT)])
             else:
-                yield from writer.write_segment(payload, FLAG_CONSUMABLE,
-                                                seq)
-            seq += step or 1
+                yield from _write_segment(channel, first)
+            first += (step or 1) * _PER_SEGMENT
 
     def consumer_thread():
         for count in range(total):

@@ -25,7 +25,7 @@ from repro.core import (
 )
 from repro.rdma.memory import MemoryRegion
 from repro.rdma.nic import get_nic
-from repro.rdma.qp import UdQueuePair
+from repro.rdma.qp import QueuePair, UdQueuePair
 from repro.simnet import Cluster
 
 SCHEMA = Schema(("key", "uint64"), ("value", "uint64"))
@@ -104,6 +104,82 @@ def test_naive_uplink_carries_n_copies():
     source_node = cluster.node(0)
     payload_total = sum(len(rows) for rows in received.values()) * 16
     assert source_node.uplink.bytes_carried >= payload_total
+
+
+def _naive_ring_writes(batched, options, n=80):
+    """A 1:2 naive replicate flow of ``n`` tuples (16 B, so 8 per 128-byte
+    segment) pushed per tuple or in one batch, observability on. Returns
+    the cluster and, per source queue pair, the signaled bit of every
+    write it posted, in posting order."""
+    cluster = Cluster(node_count=3)
+    cluster.enable_observability()
+    dfi = DfiRuntime(cluster)
+    dfi.init_replicate_flow(
+        "rep", [Endpoint(0, 0)], [Endpoint(1, 0), Endpoint(2, 0)], SCHEMA,
+        options=FlowOptions(segment_size=128, **options))
+    rows = [(i, i) for i in range(n)]
+    signaled = {}
+    post_lone, post_train = QueuePair.post_lone, QueuePair.post_train
+
+    def record(qp, wrs):
+        if qp.node.node_id == 0:
+            signaled.setdefault(qp, []).extend(
+                wr is not None and wr.signaled for wr in wrs)
+
+    def lone(qp, wr, *args):
+        record(qp, [wr])
+        post_lone(qp, wr, *args)
+
+    def train(qp, entries):
+        record(qp, [entry[0] for entry in entries])
+        post_train(qp, entries)
+
+    def source():
+        endpoint = yield from dfi.open_source("rep", 0)
+        if batched:
+            yield from endpoint.push_batch(rows)
+        else:
+            for row in rows:
+                yield from endpoint.push(row)
+        yield from endpoint.close()
+
+    def target(index):
+        endpoint = yield from dfi.open_target("rep", index)
+        got = []
+        yield from _consume_all(endpoint, False, got)
+        assert got == rows
+
+    cluster.env.process(source())
+    for index in range(2):
+        cluster.env.process(target(index))
+    with mock.patch.object(QueuePair, "post_lone", lone), \
+            mock.patch.object(QueuePair, "post_train", train):
+        cluster.run()
+    return cluster, list(signaled.values())
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["push", "batch"])
+def test_naive_signals_at_source_ring_wraps(batched):
+    """Selective signaling on a naive replicate flow is the shuffle
+    channel's: ten segments into a 4-slot source ring signal the writes
+    that wrap it (the 4th and 8th) plus the close marker — per target, and
+    whether the segments went out one by one or as doorbell trains."""
+    _cluster, per_qp = _naive_ring_writes(
+        batched, {"source_segments": 4, "target_segments": 8})
+    wraps = [False] * 11
+    wraps[3] = wraps[7] = wraps[10] = True
+    assert per_qp == [wraps, wraps]
+
+
+@pytest.mark.parametrize("pipelined", [True, False])
+def test_naive_honours_pipelined_footer_read(pipelined):
+    """The footer pre-read pipelined with each write is the flow's
+    ``pipelined_footer_read`` option: off, no proof is ever found in
+    flight."""
+    cluster, _per_qp = _naive_ring_writes(
+        False, {"pipelined_footer_read": pipelined})
+    hits = cluster.node(0).metrics.get("core.preread_hits")
+    assert (hits > 0) is pipelined
 
 
 def test_multicast_single_uplink_copy():

@@ -19,6 +19,7 @@ from repro.core import (
     DfiRuntime,
     Endpoint,
     FlowOptions,
+    Optimization,
     Schema,
 )
 from repro.obs import Histogram, render_report
@@ -234,3 +235,43 @@ def test_replicate_counters(multicast):
     delivered = sum(cluster.node(1 + n).metrics.get("core.tuples_consumed")
                     for n in range(2))
     assert delivered == 32
+
+
+@pytest.mark.parametrize("mode", list(Optimization), ids=lambda m: m.name)
+@pytest.mark.parametrize("batched", [False, True], ids=["push", "batch"])
+def test_naive_replicate_counts_each_tuple_once(mode, batched):
+    """A naive replicate source writes each of its two target rings
+    through a channel of its own: whatever carries a tuple there — a
+    per-segment flush, a doorbell train, a latency send — the tuple counts
+    once, and a segment once per ring (two full ones plus the close marker
+    in bandwidth mode, one per tuple plus the marker in latency mode)."""
+    cluster = Cluster(node_count=3)
+    cluster.enable_observability()
+    dfi = DfiRuntime(cluster)
+    dfi.init_replicate_flow(
+        "rep", [Endpoint(0, 0)], [Endpoint(1, 0), Endpoint(2, 0)],
+        SCHEMA, optimization=mode, options=FlowOptions(segment_size=128))
+    rows = [(i, i) for i in range(16)]
+
+    def src():
+        source = yield from dfi.open_source("rep", 0)
+        if batched:
+            yield from source.push_batch(rows)
+        else:
+            for row in rows:
+                yield from source.push(row)
+        yield from source.close()
+
+    def tgt(index):
+        target = yield from dfi.open_target("rep", index)
+        while (yield from target.consume()) is not FLOW_END:
+            pass
+
+    cluster.env.process(src())
+    for index in range(2):
+        cluster.env.process(tgt(index))
+    cluster.run()
+    metrics = cluster.node(0).metrics
+    per_ring = 3 if mode is Optimization.BANDWIDTH else 17
+    assert metrics.get("core.tuples_pushed") == 16
+    assert metrics.get("core.segments_flushed") == 2 * per_ring
