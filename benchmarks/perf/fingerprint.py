@@ -143,9 +143,11 @@ def _train_shuffle_fingerprint() -> tuple:
 
 
 def _train_replicate_fingerprint() -> tuple:
-    """1:2 naive replicate pushed in batches: whole segment trains fan
-    out through ``FooterRingWriter.write_segments`` with one doorbell per
-    windowed chunk."""
+    """1:2 naive replicate pushed in batches: the source hands each
+    batch's whole segments to both target channels' train loops
+    (``BandwidthSourceChannel._flush_batch``), one doorbell per train —
+    bounded by the footer window and the wrap of the 32-slot source ring,
+    whose wrap WQE is the one signaled."""
     cluster = Cluster(node_count=3)
     dfi = DfiRuntime(cluster)
     schema = Schema(("key", "uint64"), ("pad", 248))

@@ -15,8 +15,9 @@ switch:
 * the target folds the partials exactly like an end-host combiner folds
   raw tuples: SUM/COUNT partials add, MIN/MAX partials re-minimize.
 
-The ``bench_ablation_sharp`` bench shows the headline effect: aggregated
-sender bandwidth beyond the single-link limit of the paper's Fig. 9.
+``benchmarks/test_ablation_sharp.py`` shows the headline effect:
+aggregated sender bandwidth beyond the single-link limit of the paper's
+Fig. 9.
 """
 
 from __future__ import annotations

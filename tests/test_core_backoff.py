@@ -67,7 +67,7 @@ def _channel(cluster, handle, optimization=Optimization.BANDWIDTH,
     return _source_channel(cluster.node(0), descriptor, handle, ("f", 0, 0))
 
 
-def _write_segment(channel, first):
+def _fill_segment(channel, first):
     """Generator: fill one bandwidth segment by per-tuple pushes — the
     last one flushes it (one per-segment write, ``acquire(1)``)."""
     for key in range(first, first + _PER_SEGMENT):
@@ -90,7 +90,7 @@ def _run_footer_backoff(seed):
 
     def writer_thread():
         for seq in range(SEGMENTS + 2):
-            yield from _write_segment(channel, seq * _PER_SEGMENT)
+            yield from _fill_segment(channel, seq * _PER_SEGMENT)
             trace.append((seq, env.now))
 
     def consumer_thread():
@@ -213,7 +213,7 @@ def test_footer_writer_retry_budget_raises_flow_timeout():
 
     def writer_thread():
         try:
-            yield from _write_segment(channel, 0)
+            yield from _fill_segment(channel, 0)
         except FlowTimeoutError as exc:
             errors.append((exc, cluster.now))
 
@@ -261,7 +261,7 @@ def test_retry_budget_unset_retries_forever():
     done = []
 
     def writer_thread():
-        yield from _write_segment(channel, 0)
+        yield from _fill_segment(channel, 0)
         done.append(cluster.now)
 
     cluster.env.process(writer_thread())
@@ -438,7 +438,7 @@ def test_footer_proofs_cover_only_freed_slots(slots, steps, pauses, seed):
                     [(key, key) for key in
                      range(first, first + step * _PER_SEGMENT)])
             else:
-                yield from _write_segment(channel, first)
+                yield from _fill_segment(channel, first)
             first += (step or 1) * _PER_SEGMENT
 
     def consumer_thread():

@@ -3,10 +3,13 @@
 ``ci/gates.sh`` is the one place that says what is checked and how;
 ``.github/workflows/ci.yml`` only calls it. These tests keep that true:
 every repo path the script, the workflow and the docs name must exist,
-the workflow is three jobs of one ``ci/gates.sh`` call each, and no test
-file runs in two gates.
+so must every code name the docs put in backticks, the workflow is three
+jobs of one ``ci/gates.sh`` call each, and no test file runs in two
+gates.
 """
 
+import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -36,6 +39,99 @@ def test_every_named_path_exists(document):
     missing = sorted(path for path in _named_paths(document.read_text())
                      if not any(ROOT.glob(path.rstrip("/"))))
     assert not missing, f"{document.name} names files that do not exist"
+
+
+#: A fenced block, an inline code span, a quoted string inside one (data,
+#: not a name: ``"<QQ48x"``), a ``file.py::Name`` test reference, and a
+#: CamelCase-looking name (private ones too: ``_Doorbell``).
+_FENCE = re.compile(r"^```.*?^```", re.M | re.S)
+_SPAN = re.compile(r"`([^`]+)`")
+_QUOTED = re.compile(r"\"[^\"]*\"|'[^']*'")
+_TEST_REF = re.compile(r"([\w/.-]+\.py)::(\w+)")
+_NAME = re.compile(r"\b(_*[A-Z][A-Za-z0-9]*)\b")
+
+#: Backticked CamelCase words that are not code names.
+_NOT_CODE = {"VmHWM"}  # a /proc/self/status field
+
+
+def _is_camel(name):
+    name = name.lstrip("_")
+    return (any(c.islower() for c in name)
+            and any(c.isupper() for c in name[1:]))
+
+
+def _defined_names(paths):
+    """Every ``class``/``def`` name, at any depth, and every module-level
+    assignment target of the Python files under ``paths``."""
+    names = set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+                names.add(node.name)
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            names.update(leaf.id for target in targets
+                          for leaf in ast.walk(target)
+                          if isinstance(leaf, ast.Name))
+    return names
+
+
+@pytest.fixture(scope="module")
+def code_names():
+    return (_defined_names([*(ROOT / "src" / "repro").rglob("*.py"),
+                            *(ROOT / "benchmarks").rglob("*.py")])
+            | set(dir(builtins)) | _NOT_CODE)
+
+
+@pytest.mark.parametrize("document",
+                         [path for path in DOCUMENTS if path.suffix == ".md"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_named_symbol_exists(document, code_names):
+    """A class, function or constant a doc names in backticks is defined
+    under ``src/repro`` or ``benchmarks`` (a ``tests/…py::Name``
+    reference: in that test file)."""
+    missing = set()
+    for span in _SPAN.findall(_FENCE.sub("", document.read_text())):
+        span = _QUOTED.sub("", span)
+        for path, name in _TEST_REF.findall(span):
+            if name not in _defined_names([ROOT / path]):
+                missing.add(f"{path}::{name}")
+        for name in _NAME.findall(_TEST_REF.sub("", span)):
+            if _is_camel(name) and name not in code_names:
+                missing.add(name)
+    assert not missing, (
+        f"{document.name} names code that does not exist: {sorted(missing)}")
+
+
+def test_api_sources_table_is_what_each_class_has():
+    """docs/API.md's Sources table, cell by cell: ``yes`` exactly where
+    the class has the method (both names, in a ``a`` / ``b`` column)."""
+    from repro.core import combiner, replicate, sharp, shuffle
+
+    modules = (shuffle, replicate, combiner, sharp)
+    text = (ROOT / "docs" / "API.md").read_text()
+    table = text.split("\nSources, by the class", 1)[1].split("\n\n", 2)[1]
+    header, _rule, *rows = table.splitlines()
+    columns = [re.findall(r"`(\w+)`", cell)
+               for cell in header.split("|")[2:-1]]
+    assert rows
+    for row in rows:
+        cells = [cell.strip() for cell in row.split("|")[1:-1]]
+        name = re.match(r"`(\w+)`", cells[0]).group(1)
+        cls = next(getattr(module, name) for module in modules
+                   if hasattr(module, name))
+        for names, cell in zip(columns, cells[1:]):
+            assert cell in ("yes", "—")
+            for method in names:
+                assert hasattr(cls, method) == (cell == "yes"), (
+                    f"{name}.{method}: the table says {cell}")
 
 
 def test_workflow_is_three_jobs_that_call_the_gates():
