@@ -696,7 +696,8 @@ class LatencySourceChannel:
         """Generator: post the close marker without waiting for its ack."""
         if self.closed:
             return None
-        wr = yield from self._send_marker(FLAG_CLOSED)
+        wr = yield from self._send_marker(FLAG_CLOSED,
+                                          self.profile.cpu_post_cost)
         self.closed = True
         if self._obs is not None:
             log_close(self)
@@ -707,7 +708,8 @@ class LatencySourceChannel:
         FlowAbortedError)."""
         if self.closed:
             return
-        wr = yield from self._send_marker(FLAG_CLOSED | FLAG_ABORTED)
+        wr = yield from self._send_marker(FLAG_CLOSED | FLAG_ABORTED,
+                                          self.profile.cpu_post_cost)
         self.closed = True
         if self._obs is not None:
             log_close(self, {"aborted": True})
@@ -719,23 +721,21 @@ class LatencySourceChannel:
         ``BandwidthSourceChannel.release``)."""
         self._credit.release()
 
-    def _send_marker(self, flags: int):
+    def _send_marker(self, flags: int, cost: "float | None",
+                     seq: "int | None" = None):
         """Generator: post a signaled segment with no payload (zeroed, the
         padded form the protocol defines) whose footer adds ``flags``;
         returns its work request."""
-        return self._send_slot(
-            self.profile.cpu_post_cost, _copy_into, self._zeros, 0,
-            _flag_word(FLAG_CONSUMABLE | flags), signaled=True)
+        return self._send_slot(cost, _copy_into, self._zeros, 0,
+                               _flag_word(FLAG_CONSUMABLE | flags), True,
+                               seq)
 
     def _send_copy(self, payload, flags: int, seq: int):
         """Generator: write a replicate source's tuple ``payload`` — or,
-        under close/abort ``flags``, its marker: a zeroed slot, footer
-        ``used = 0``, signaled — with footer ``seq``. The source charged
-        the CPU of every copy."""
+        under close/abort ``flags``, its marker — with footer ``seq``.
+        The source charged the CPU of every copy."""
         if flags:
-            return self._send_slot(None, _copy_into, self._zeros, 0,
-                                   _flag_word(FLAG_CONSUMABLE | flags),
-                                   True, seq)
+            return self._send_marker(flags, None, seq)
         return self._send_slot(None, _copy_into, payload, len(payload),
                                seq=seq)
 

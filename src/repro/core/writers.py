@@ -31,7 +31,7 @@ if TYPE_CHECKING:
 
 
 def _congestion_grace(node: "Node", remote_id: int, obs) -> bool:
-    """A writer whose backoff budget ran out is forgiven while the path to
+    """A source whose backoff budget ran out is forgiven while the path to
     the remote ring is visibly congestion-throttled: the ring is full
     because the fabric is slow, not because the peer went silent, so
     raising ``FlowTimeoutError`` would misreport congestion as failure.
