@@ -62,7 +62,9 @@ class FlowOptions:
     #: Replicate flows: replicate in the switch via RDMA multicast instead
     #: of one one-sided write per target.
     multicast: bool = False
-    #: Replicate flows: timeout (ns) before a missing segment is NACKed.
+    #: Replicate flows: timeout (ns) before a target NACKs a missing
+    #: segment, and before a multicast source whose minimum credit has
+    #: not risen resends its newest segment.
     retransmit_timeout: float = 50_000.0
     #: Replicate flows: surface gaps to the application instead of
     #: transparently retransmitting (used by NOPaxos' gap agreement).
@@ -87,9 +89,11 @@ class FlowOptions:
     #: :class:`~repro.common.errors.FlowTimeoutError`. ``None`` retries
     #: forever.
     max_backoff_retries: "int | None" = None
-    #: Multicast replicate: consecutive credit-stalled retransmission
-    #: rounds tolerated before the stalled target counts as failed.
-    #: ``None`` retries forever.
+    #: Multicast replicate: rounds in a row tolerated before the
+    #: lowest-credit targets count as failed. A round is one
+    #: ``retransmit_timeout`` without a rise in the minimum credit, and it
+    #: ends with a resend of the newest segment; the next expiry after the
+    #: last allowed round declares the failure. ``None`` retries forever.
     max_retransmits: "int | None" = None
     #: Shuffle sources, when a target fails mid-flow: ``"abort"`` tears
     #: the whole flow down (surviving targets see an abort marker, the

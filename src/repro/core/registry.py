@@ -64,6 +64,9 @@ class FlowRegistry:
         self._ready_targets: dict[str, set[int]] = {}
         self._ready_signals: dict[str, Signal] = {}
         self._aborted: set[str] = set()
+        #: Per flow, the ``(node_id, rkey)`` of regions its endpoints
+        #: registered outside the published handles.
+        self._held: dict[str, list[tuple[int, int]]] = {}
 
     # -- flow lifecycle -----------------------------------------------------
     def initialize_flow(self, descriptor: FlowDescriptor) -> FlowDescriptor:
@@ -147,8 +150,9 @@ class FlowRegistry:
     def release_flow(self, name: str) -> None:
         """Drop every piece of registry state for a closed flow: the
         descriptor, ring/backchannel handles and rendezvous signals,
-        readiness tracking, the abort flag, the multicast group, and the
-        sequencer counter's registered memory on the master NIC.
+        readiness tracking, the abort flag, the multicast group, the
+        sequencer counter's registered memory on the master NIC, and every
+        region behind a handle or :meth:`hold_region`.
 
         The registry is the one per-cluster store that outlives flows, so
         a long-running cluster cycling many flows (the 256-1024-node
@@ -171,7 +175,7 @@ class FlowRegistry:
         # published handles — the registry is the only place that still
         # knows them once the endpoints closed. Credit regions are shared
         # by every channel of one target, so dedupe by (node, rkey).
-        regions: set[tuple[int, int]] = set()
+        regions = set(self._held.pop(name, ()))
         for key in [key for key in self._rings if key[0] == name]:
             handle = self._rings.pop(key)
             regions.add((handle.node_id, handle.rkey))
@@ -183,9 +187,13 @@ class FlowRegistry:
                       self._backchannel_signals):
             for key in [key for key in table if key[0] == name]:
                 del table[key]
-        # Source-side backchannel regions (multicast replicate credit/NACK
-        # buffers) are owned by the source endpoints that registered them;
-        # only the rendezvous info lived here.
+
+    def hold_region(self, name: str, node_id: int, rkey: int) -> None:
+        """Have :meth:`release_flow` deregister a region an endpoint of
+        ``name`` registered (a multicast source's control region, a
+        multicast target's receive ring): peers write into it until the
+        last of them is done, which the owning endpoint cannot see."""
+        self._held.setdefault(name, []).append((node_id, rkey))
 
     # -- ring rendezvous ---------------------------------------------------
     def _ring_signal(self, key: tuple[str, int, int]) -> Signal:

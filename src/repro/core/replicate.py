@@ -11,7 +11,9 @@ A replicate flow sends every tuple to *all* targets. Two transports:
   targets pre-populate receive queues under a credit scheme, report
   consumed counts and NACK missing sequence numbers through a one-sided
   back-flow into the source's control region, and sources retransmit from a
-  bounded history buffer.
+  bounded history buffer — what is NACKed, and on timeout the newest
+  segment, which exposes any older loss as a gap to NACK
+  (:class:`~repro.core.writers.MulticastWindow`).
 
 Globally-ordered replicate flows additionally stamp every segment with a
 sequence number drawn from the *tuple sequencer* — an RDMA fetch-and-add on
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from struct import Struct, error as _struct_error
+from struct import error as _struct_error
 
 from repro.common.errors import (
     FlowAbortedError,
@@ -63,14 +65,13 @@ from repro.core.shuffle import (
     _source_channel,
     _source_counters,
 )
+from repro.core.writers import MulticastWindow
 from repro.obs import (
     FAULT_DETECT,
     REROUTE,
-    RETRANSMIT,
     endpoint_obs,
     log_close,
     log_event,
-    log_stall,
 )
 from repro.common.planelog import CLOSE, CONSUME, WRITE
 from repro.rdma.nic import get_nic
@@ -230,7 +231,59 @@ class _StagingBuffer:
         return payload
 
 
-class NaiveReplicateSource:
+class _ReplicateSource:
+    """What both transports' sources share: one staging buffer each tuple
+    is packed into once, the CPU debt the next flush pays, and ``push``.
+    A subclass sets up its transport, then ``_obs`` last."""
+
+    def __init__(self, registry: FlowRegistry, descriptor: FlowDescriptor,
+                 source_index: int,
+                 sequencer: "TupleSequencer | None") -> None:
+        self.registry = registry
+        self.descriptor = descriptor
+        self.source_index = source_index
+        self.node = registry.cluster.node(
+            descriptor.sources[source_index].node_id)
+        self.env = self.node.env
+        self.profile = self.node.cluster.profile
+        self._sequencer = sequencer
+        self._payload_size = _replicate_payload_size(descriptor)
+        self._staging = _StagingBuffer(descriptor, self._payload_size)
+        self._latency = descriptor.optimization is Optimization.LATENCY
+        self._cpu_debt = 0.0
+        self._tuple_debt = self.profile.cpu_push_cost(
+            descriptor.schema.tuple_size)
+        self._local_seq = 0
+        self._aborting = False
+        #: Target indices declared failed: nothing waits on them anymore.
+        self._failed: set[int] = set()
+        self.segments_sent = 0
+        self.tuples_sent = 0
+        self.closed = False
+        self._tid = f"src{source_index}"
+        self._flow = descriptor.name
+
+    @property
+    def failed_targets(self) -> tuple:
+        """Indices of targets declared failed (sorted)."""
+        return tuple(sorted(self._failed))
+
+    def push(self, values: tuple):
+        """Replicate one tuple to all targets; returns what the caller
+        must ``yield from`` — :data:`NO_FLUSH` while the staged segment
+        has room, the flush generator once it is full (always, in
+        latency mode)."""
+        if self.closed:
+            raise FlowClosedError("push on a closed replicate source")
+        full = self._staging.append(values)
+        self.tuples_sent += 1
+        self._cpu_debt += self._tuple_debt
+        if full or self._latency:
+            return self._flush(0)
+        return NO_FLUSH
+
+
+class NaiveReplicateSource(_ReplicateSource):
     """Replicate source over one shuffle source channel per target: every
     tuple is packed once, and each finished segment is copied into every
     live channel, which writes it under its own ring protocol."""
@@ -238,34 +291,13 @@ class NaiveReplicateSource:
     def __init__(self, registry: FlowRegistry, descriptor: FlowDescriptor,
                  source_index: int, channels: list,
                  sequencer: "TupleSequencer | None") -> None:
-        self.registry = registry
-        self.descriptor = descriptor
-        self.source_index = source_index
-        self.node = registry.cluster.node(
-            descriptor.sources[source_index].node_id)
-        self.profile = self.node.cluster.profile
+        super().__init__(registry, descriptor, source_index, sequencer)
         self._channels = channels
-        self._sequencer = sequencer
-        self._payload_size = _replicate_payload_size(descriptor)
-        self._staging = _StagingBuffer(descriptor, self._payload_size)
-        self._latency = descriptor.optimization is Optimization.LATENCY
         # Batched full segments leave as doorbell trains: whole slots go
         # out as contiguous payload+footer writes (tuple-aligned segments
         # only) numbered by the channel (no sequencer value per segment).
         self._trains = (sequencer is None and self._payload_size
                         % descriptor.schema.tuple_size == 0)
-        self._cpu_debt = 0.0
-        self._tuple_debt = self.profile.cpu_push_cost(
-            descriptor.schema.tuple_size)
-        self._local_seq = 0
-        #: Channel indices declared failed (their targets are gone).
-        self._failed: set[int] = set()
-        self._aborting = False
-        self.segments_sent = 0
-        self.tuples_sent = 0
-        self.closed = False
-        self._tid = f"src{source_index}"
-        self._flow = descriptor.name
         self._obs = endpoint_obs(self.node, self._flow,
                                  descriptor.options, self)
 
@@ -295,20 +327,6 @@ class NaiveReplicateSource:
         if descriptor.ordering is Ordering.GLOBAL:
             sequencer = TupleSequencer(registry, name, node)
         return cls(registry, descriptor, source_index, channels, sequencer)
-
-    def push(self, values: tuple):
-        """Replicate one tuple to all targets; returns what the caller
-        must ``yield from`` — :data:`NO_FLUSH` while the staged segment
-        has room, the flush generator once it is full (always, in
-        latency mode)."""
-        if self.closed:
-            raise FlowClosedError("push on a closed replicate source")
-        full = self._staging.append(values)
-        self.tuples_sent += 1
-        self._cpu_debt += self._tuple_debt
-        if full or self._latency:
-            return self._flush(0)
-        return NO_FLUSH
 
     def push_batch(self, tuples):
         """Generator: replicate a batch of tuples to all targets.
@@ -512,11 +530,6 @@ class NaiveReplicateSource:
         self._release_channels()
 
     @property
-    def failed_targets(self) -> tuple:
-        """Indices of targets declared failed (sorted)."""
-        return tuple(sorted(self._failed))
-
-    @property
     def memory_bytes(self) -> int:
         return self._payload_size + FOOTER_SIZE  # one staging slot
 
@@ -580,63 +593,27 @@ class NaiveReplicateTarget(ShuffleTarget):
                                    or self._reorder.pending == 0)
 
 
-class MulticastReplicateSource:
-    """Replicate source over switch multicast with credit/NACK back-flow."""
-
-    #: Control-region layout: 16 bytes per target (credit u64, nack u64).
-    _CONTROL_STRIDE = 16
+class MulticastReplicateSource(_ReplicateSource):
+    """Replicate source over switch multicast with credit/NACK back-flow
+    (:class:`~repro.core.writers.MulticastWindow`)."""
 
     def __init__(self, registry: FlowRegistry, descriptor: FlowDescriptor,
                  source_index: int, control_region, ud_qp,
                  sequencer: "TupleSequencer | None") -> None:
-        self.registry = registry
-        self.descriptor = descriptor
-        self.source_index = source_index
-        self.node = registry.cluster.node(
-            descriptor.sources[source_index].node_id)
-        self.env = self.node.env
-        self.profile = self.node.cluster.profile
-        self._control = control_region
+        super().__init__(registry, descriptor, source_index, sequencer)
         self._ud_qp = ud_qp
         self._group = registry.multicast_group(descriptor.name)
-        self._sequencer = sequencer
-        self._payload_size = _replicate_payload_size(descriptor)
-        self._staging = _StagingBuffer(descriptor, self._payload_size)
-        self._latency = descriptor.optimization is Optimization.LATENCY
-        self._window = descriptor.options.target_segments
-        self._retransmit: dict[int, bytes] = {}
-        self._retransmit_order: deque[int] = deque()
-        self._doorbell = _Doorbell(self.node, control_region)
-        #: The whole control region as (credit, nack) word pairs.
-        self._control_words = Struct(
-            f"<{2 * descriptor.target_count}Q").unpack_from
-        self._cpu_debt = 0.0
-        self._tuple_debt = self.profile.cpu_push_cost(
-            descriptor.schema.tuple_size)
-        self._local_seq = 0
-        self._close_slot: "bytes | None" = None
-        #: Target indices declared failed (excluded from flow control).
-        self._failed_targets: set[int] = set()
-        self._aborting = False
-        self.segments_sent = 0
-        self.tuples_sent = 0
+        options = descriptor.options
+        self._gap_notify = options.gap_notify
+        #: Un-credited segments a send may leave behind it.
+        self._send_limit = options.target_segments - 1
+        self._window = MulticastWindow(
+            self, control_region, _Doorbell(self.node, control_region),
+            descriptor.target_count, options.retransmit_buffer)
         self.retransmissions = 0
-        self.closed = False
-        self._tid = f"src{source_index}"
-        self._flow = descriptor.name
-        self._obs = endpoint_obs(self.node, self._flow,
-                                 descriptor.options, self)
+        self._obs = endpoint_obs(self.node, self._flow, options, self)
 
     _collect_obs = _source_counters
-
-    def _note_retransmit(self, seq: "int | None") -> None:
-        """Count one multicast retransmission (local tally + registry)."""
-        self.retransmissions += 1
-        obs = self._obs
-        if obs is not None:
-            obs.inc("core.retransmits")
-            log_event(self, RETRANSMIT,
-                      None if seq is None else {"seq": seq})
 
     @classmethod
     def open(cls, registry: FlowRegistry, name: str, source_index: int):
@@ -648,15 +625,16 @@ class MulticastReplicateSource:
         node = registry.cluster.node(
             descriptor.sources[source_index].node_id)
         nic = get_nic(node)
-        control = nic.register_memory(
-            cls._CONTROL_STRIDE * descriptor.target_count)
+        stride = MulticastWindow.STRIDE
+        control = nic.register_memory(stride * descriptor.target_count)
+        registry.hold_region(name, node.node_id, control.rkey)
         for target_index in range(descriptor.target_count):
             registry.publish_backchannel(
                 name, source_index, target_index,
                 ControlHandle(
                     node_id=node.node_id, rkey=control.rkey,
-                    credit_offset=cls._CONTROL_STRIDE * target_index,
-                    nack_offset=cls._CONTROL_STRIDE * target_index + 8))
+                    credit_offset=stride * target_index,
+                    nack_offset=stride * target_index + 8))
         ud_qp = nic.create_ud_qp()
         sequencer = None
         if descriptor.ordering is Ordering.GLOBAL:
@@ -665,92 +643,13 @@ class MulticastReplicateSource:
         return cls(registry, descriptor, source_index, control, ud_qp,
                    sequencer)
 
-    # -- credit / NACK bookkeeping -----------------------------------------
-    def _min_credit(self) -> int:
-        credits = self._control_words(self._control.mem)[0::2]
-        failed = self._failed_targets
-        if failed:
-            credits = [credit for target, credit in enumerate(credits)
-                       if target not in failed]
-            if not credits:
-                # Every target failed: nothing constrains the window
-                # anymore.
-                return self.segments_sent
-        return min(credits)
-
-    def _service_nacks(self) -> None:
-        nacks = self._control_words(self._control.mem)[1::2]
-        for target, value in enumerate(nacks):
-            if not value:
-                continue
-            offset = self._CONTROL_STRIDE * target + 8
-            seq = value - 1
-            slot = self._retransmit.get(seq)
-            if slot is not None:
-                self._ud_qp.post_send_multicast(self._group, slot)
-                self._note_retransmit(seq)
-            # Clear the NACK slot directly (our own memory; a hook-free
-            # write so we do not wake ourselves).
-            self._control.mem[offset:offset + 8] = b"\x00" * 8
-
-    def _remember(self, seq: int, slot: bytes) -> None:
-        self._retransmit[seq] = slot
-        self._retransmit_order.append(seq)
-        while len(self._retransmit_order) > self.descriptor.options.retransmit_buffer:
-            evicted = self._retransmit_order.popleft()
-            self._retransmit.pop(evicted, None)
-
-    def _wait_credit(self):
-        if self.descriptor.options.gap_notify:
-            # OUM semantics (NOPaxos): the library gives no delivery
-            # guarantee and applies no flow control — a receiver that
-            # cannot keep up drops datagrams, which surface as gaps for
-            # the application's gap agreement. A lost segment would
-            # otherwise hole the credit count forever.
-            return
-        if self._aborting:
-            # Abort markers go out even with the window shut: overwriting
-            # a receive ring slot is moot on a flow that is already void.
-            return
-        limit = self.descriptor.options.max_retransmits
-        stalled_rounds = 0
-        floor = self._min_credit()
-        while self.segments_sent - self._min_credit() >= self._window:
-            obs = self._obs
-            if obs is not None:
-                obs.inc("core.credit_stalls")
-            self._service_nacks()
-            wait_from = self.env.now
-            yield self.env.any_of([
-                self._doorbell.arm(),
-                self.env.timeout(self.descriptor.options.retransmit_timeout),
-            ])
-            self._doorbell.disarm()
-            if obs is not None:
-                log_stall(self, wait_from)
-            credit = self._min_credit()
-            if credit > floor:
-                floor = credit
-                stalled_rounds = 0
-            elif limit is not None:
-                stalled_rounds += 1
-                if stalled_rounds >= limit:
-                    yield from self._fail_stalled()
-                    stalled_rounds = 0
-                    floor = self._min_credit()
-
     def _fail_stalled(self):
-        """Generator: the credit window stayed shut through the whole
-        retransmit budget — declare the lowest-credit targets failed.
-        The reroute policy drops them from flow control and carries on
-        with the survivors; the abort policy (default) voids the flow
-        and surfaces :class:`FlowPeerFailedError`."""
-        credits = self._control_words(self._control.mem)[0::2]
-        live = [t for t in range(len(credits))
-                if t not in self._failed_targets]
-        floor = min(credits[t] for t in live)
-        stalled = [t for t in live if credits[t] == floor]
-        self._failed_targets.update(stalled)
+        """Generator: the window stayed shut through every resend
+        ``max_retransmits`` allows — declare the lowest-credit targets
+        failed. The reroute policy drops them from flow control and
+        carries on; the abort policy (default) voids the flow and raises
+        :class:`FlowPeerFailedError`."""
+        stalled = self._window.write_off_laggards()
         obs = self._obs
         if obs is not None:
             obs.inc("core.target_failures", len(stalled))
@@ -758,20 +657,21 @@ class MulticastReplicateSource:
             log_event(self, FAULT_DETECT,
                       {"targets": stalled, "cause": "credit_stall"})
         if (self.descriptor.options.on_target_failure == "reroute"
-                and len(stalled) < len(live)):
+                and len(self._failed) < self.descriptor.target_count):
             if obs is not None:
                 obs.inc("core.reroutes")
                 log_event(self, REROUTE, {"targets": stalled})
             return
-        yield from self._abort_for_failure()
+        yield from self._void()
         raise FlowPeerFailedError(
             f"target(s) {stalled} of replicate flow "
             f"{self.descriptor.name!r} made no progress through "
             f"{self.descriptor.options.max_retransmits} retransmit rounds")
 
-    def _abort_for_failure(self):
-        """Generator: best-effort abort multicast before surfacing a
-        failure, so surviving targets do not hang on a half-closed flow."""
+    def _void(self):
+        """Generator: mark the flow aborted, drop the staged tuples and
+        multicast the abort marker once, so the targets do not hang on a
+        flow that will never close."""
         self._aborting = True
         self.registry.mark_flow_aborted(self.descriptor.name)
         self._staging.take()
@@ -779,20 +679,6 @@ class MulticastReplicateSource:
         self.closed = True
 
     # -- push / close --------------------------------------------------------
-    def push(self, values: tuple):
-        """Replicate one tuple through the switch; returns what the caller
-        must ``yield from`` — :data:`NO_FLUSH` while the staged segment
-        has room, the flush generator once it is full (always, in
-        latency mode)."""
-        if self.closed:
-            raise FlowClosedError("push on a closed replicate source")
-        full = self._staging.append(values)
-        self.tuples_sent += 1
-        self._cpu_debt += self._tuple_debt
-        if full or self._latency:
-            return self._flush(0)
-        return NO_FLUSH
-
     def push_batch(self, tuples):
         """Generator: replicate a batch of tuples through the switch.
 
@@ -826,60 +712,13 @@ class MulticastReplicateSource:
         if self.closed:
             return
         yield from self._flush(FLAG_CLOSED)
-        if self.descriptor.options.gap_notify:
+        if self._gap_notify:
             # The application owns loss recovery in gap_notify mode, and
             # skipped segments never bump credits — waiting for full
-            # consumption could block forever. Re-send the close marker a
-            # few times against loss and return.
-            for _ in range(3):
-                yield self.env.timeout(
-                    self.descriptor.options.retransmit_timeout)
-                if self._min_credit() >= self.segments_sent:
-                    break
-                self._ud_qp.post_send_multicast(self._group,
-                                                self._close_slot)
-                self._note_retransmit(None)
-            self.closed = True
-            if self._obs is not None:
-                log_close(self)
-            return
-        total = self.segments_sent
-        limit = self.descriptor.options.max_retransmits
-        stalled_rounds = 0
-        floor = self._min_credit()
-        resend_deadline = (self.env.now
-                           + self.descriptor.options.retransmit_timeout)
-        while self._min_credit() < total:
-            self._service_nacks()
-            wait_from = self.env.now
-            yield self.env.any_of([
-                self._doorbell.arm(),
-                self.env.timeout(self.descriptor.options.retransmit_timeout),
-            ])
-            self._doorbell.disarm()
-            if self._obs is not None:
-                log_stall(self, wait_from)
-            credit = self._min_credit()
-            if credit > floor:
-                floor = credit
-                stalled_rounds = 0
-            elif limit is not None:
-                stalled_rounds += 1
-                if stalled_rounds >= limit:
-                    yield from self._fail_stalled()
-                    stalled_rounds = 0
-                    floor = self._min_credit()
-                    continue
-            if (self.env.now >= resend_deadline
-                    and self._close_slot is not None):
-                # The close marker itself may have been lost; it is the only
-                # segment no later traffic can expose, so resend it until
-                # every target has caught up.
-                self._ud_qp.post_send_multicast(self._group,
-                                                self._close_slot)
-                self._note_retransmit(None)
-                resend_deadline = (self.env.now + self.descriptor.options
-                                   .retransmit_timeout)
+            # consumption could block forever.
+            yield from self._repeat_marker(until_credited=True)
+        else:
+            yield from self._window.acquire(0)
         self.closed = True
         if self._obs is not None:
             log_close(self)
@@ -890,18 +729,21 @@ class MulticastReplicateSource:
         survives an abort)."""
         if self.closed:
             return
-        self.registry.mark_flow_aborted(self.descriptor.name)
-        self._aborting = True
-        self._staging.take()  # discard staged tuples
-        yield from self._flush(FLAG_CLOSED | FLAG_ABORTED)
-        for _ in range(3):
-            yield self.env.timeout(
-                self.descriptor.options.retransmit_timeout)
-            self._ud_qp.post_send_multicast(self._group, self._close_slot)
-            self._note_retransmit(None)
-        self.closed = True
+        yield from self._void()
+        yield from self._repeat_marker(until_credited=False)
         if self._obs is not None:
             log_close(self, {"aborted": True})
+
+    def _repeat_marker(self, until_credited: bool):
+        """Generator: re-multicast the close/abort marker three times, one
+        ``retransmit_timeout`` apart, for the ends that wait for no
+        credit; ``until_credited`` stops once every target took it."""
+        for _ in range(3):
+            yield self.env.timeout(self.descriptor.options.retransmit_timeout)
+            if (until_credited
+                    and self._window.min_credit() >= self.segments_sent):
+                break
+            self._window.resend_last()
 
     def _flush(self, extra_flags: int):
         debt = self._cpu_debt + self.profile.cpu_post_cost
@@ -918,26 +760,23 @@ class MulticastReplicateSource:
         slot = payload + pack_footer(len(payload),
                                      FLAG_CONSUMABLE | extra_flags, seq,
                                      self.source_index)
-        yield from self._wait_credit()
-        self._remember(seq, slot)
-        if extra_flags & FLAG_CLOSED:
-            self._close_slot = slot
-        self._ud_qp.post_send_multicast(self._group, slot)
+        # OUM semantics (NOPaxos) under gap_notify: no flow control, a
+        # receiver that cannot keep up drops datagrams, which surface as
+        # gaps. An abort marker goes out even with the window shut: the
+        # flow is void anyway.
+        if not (self._gap_notify or self._aborting):
+            yield from self._window.acquire(self._send_limit)
+        self._window.post(seq, slot)
         self.segments_sent += 1
         if self._obs is not None:
             self._obs.log((WRITE, self.env.now, self, None, seq, 1,
                            len(payload)))
-        self._service_nacks()
-
-    @property
-    def failed_targets(self) -> tuple:
-        """Indices of targets declared failed (sorted)."""
-        return tuple(sorted(self._failed_targets))
+        self._window.service_nacks()
 
     @property
     def memory_bytes(self) -> int:
         return (self._payload_size + FOOTER_SIZE
-                + self._control.size)
+                + self._window.region.size)
 
 
 class MulticastReplicateTarget:
@@ -1006,6 +845,7 @@ class MulticastReplicateTarget:
         slot_size = payload + FOOTER_SIZE
         segments = descriptor.options.target_segments
         ring_region = nic.register_memory(segments * slot_size)
+        registry.hold_region(name, node.node_id, ring_region.rkey)
         ud_qp = nic.create_ud_qp()
         for slot in range(segments):
             ud_qp.post_recv(ring_region, slot * slot_size, slot_size)
@@ -1134,6 +974,11 @@ class MulticastReplicateTarget:
             self._gap_pending = GapNotification(missing, source)
             if self._obs is not None:
                 self._obs.inc("core.gap_notifications")
+            return
+        if self.registry.flow_aborted(self.descriptor.name):
+            # The abort marker was lost here, and an aborting source
+            # serves no NACK: the flag every abort path sets stands in.
+            self._aborted = True
             return
         if self._obs is not None:
             self._obs.inc("core.nacks_sent")

@@ -1,4 +1,4 @@
-"""The RC ring-write protocol.
+"""The write-side windows: when a source may send the next segment.
 
 The paper defines two ways for a source to learn that a remote ring slot
 may be written (Sections 5.2 / 5.3), and each is written once, here:
@@ -13,17 +13,23 @@ A window answers only "may I write slots *r … r+W−1*"; its owner — a
 shuffle source channel (``core/shuffle.py``), which is also what a naive
 replicate source writes each target ring through — posts the writes,
 signals selectively and moves the window's cursor inline on its hot path.
+
+The third, :class:`MulticastWindow`, is the unreliable transport's: the
+targets write credits back one-sidedly, and the source resends on timeout.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from struct import Struct
 from typing import TYPE_CHECKING
 
 from repro.common.errors import FlowTimeoutError
 from repro.core.backoff import traced_backoff
 from repro.core.registry import RingHandle
 from repro.core.segment import FOOTER_SIZE, footer_consumable
-from repro.obs import CREDIT, FOOTER_POLL, PREREAD, log_event, log_stall
+from repro.obs import (CREDIT, FOOTER_POLL, PREREAD, RETRANSMIT, log_event,
+                       log_stall)
 from repro.simnet.congestion import stall_is_congestion
 
 if TYPE_CHECKING:
@@ -237,3 +243,147 @@ class CreditWindow(_RingWindow):
             if self.sent - self.consumed >= segments:
                 yield self._backoff(attempt, "no credit from node {}")
                 attempt += 1
+
+
+class MulticastWindow:
+    """Multicast-mode writability of one switch group, and the sender
+    half of retransmit-on-timeout (paper §1).
+
+    Every target writes into the owner's control region, ``STRIDE`` bytes
+    each, how many of the owner's segments it has taken (credit) and one
+    plus the lowest it found missing (NACK). The owner may send while its
+    ``segments_sent`` runs less than a ring ahead of the lowest credit of
+    the targets not in its ``_failed``. Every segment goes out through
+    :meth:`post`, which keeps the last ``keep`` — at least a ring, so
+    whatever a target NACKs can be sent again.
+    """
+
+    __slots__ = ("owner", "region", "_doorbell", "_words", "_history",
+                 "_order", "_keep")
+
+    #: Control-region bytes per target: credit u64, NACK u64.
+    STRIDE = 16
+
+    def __init__(self, owner, region, doorbell, targets: int,
+                 keep: int) -> None:
+        self.owner = owner
+        self.region = region
+        self._doorbell = doorbell
+        #: The whole control region as (credit, NACK) word pairs.
+        self._words = Struct(f"<{2 * targets}Q").unpack_from
+        #: Kept segments by sequence number, and the numbers in send order.
+        self._history: dict[int, bytes] = {}
+        self._order: deque[int] = deque()
+        self._keep = keep
+
+    def min_credit(self) -> int:
+        """The lowest live credit (all of ``segments_sent`` if none)."""
+        credits = self._words(self.region.mem)[0::2]
+        failed = self.owner._failed
+        if failed:
+            credits = [credit for target, credit in enumerate(credits)
+                       if target not in failed] or [self.owner.segments_sent]
+        return min(credits)
+
+    def write_off_laggards(self) -> list:
+        """Declare the live targets at the lowest credit failed."""
+        failed = self.owner._failed
+        credits = self._words(self.region.mem)[0::2]
+        live = [t for t in range(len(credits)) if t not in failed]
+        floor = min(credits[t] for t in live)
+        laggards = [t for t in live if credits[t] == floor]
+        failed.update(laggards)
+        return laggards
+
+    def post(self, seq: int, slot: bytes) -> None:
+        """Multicast segment ``seq`` and keep it for resends."""
+        self._history[seq] = slot
+        order = self._order
+        order.append(seq)
+        if len(order) > self._keep:
+            del self._history[order.popleft()]
+        owner = self.owner
+        owner._ud_qp.post_send_multicast(owner._group, slot)
+
+    def _resend(self, seq: int) -> None:
+        slot = self._history.get(seq)
+        if slot is None:
+            return  # NACKed by a target, sent by another source
+        owner = self.owner
+        owner._ud_qp.post_send_multicast(owner._group, slot)
+        owner.retransmissions += 1
+        obs = owner._obs
+        if obs is not None:
+            obs.inc("core.retransmits")
+            log_event(owner, RETRANSMIT, {"seq": seq})
+
+    def resend_last(self) -> None:
+        """Resend the newest segment posted."""
+        self._resend(self._order[-1])
+
+    def service_nacks(self) -> None:
+        """Resend every NACKed segment and clear the NACK words (our own
+        memory, written without hooks, so it wakes nobody)."""
+        mem = self.region.mem
+        for target, nack in enumerate(self._words(mem)[1::2]):
+            if nack:
+                self._resend(nack - 1)
+                offset = self.STRIDE * target + 8
+                mem[offset:offset + 8] = bytes(8)
+
+    def acquire(self, limit: int):
+        """Generator: hold until at most ``limit`` sent segments are
+        un-credited — one less than the window before a send, none at
+        close.
+
+        Each wait is on the control region's doorbell, raced by a guard
+        timer at the end of the current round and withdrawn from the
+        kernel queue when a write wins. A round is one
+        ``retransmit_timeout`` without a rise in the minimum credit; it
+        ends with a resend of the newest segment, the tail of the
+        un-credited suffix (the close marker, at close). A target that
+        lost the whole suffix has no gap to NACK until the tail arrives;
+        one that holds the tail already NACKs what it misses below it.
+        The expiry after ``max_retransmits`` rounds in a row writes the
+        laggards off.
+        """
+        owner = self.owner
+        credit = self.min_credit()
+        if owner.segments_sent - credit <= limit:
+            return
+        env = owner.env
+        obs = owner._obs
+        options = owner.descriptor.options
+        floor = credit
+        deadline = env.now + options.retransmit_timeout
+        rounds = 0
+        while owner.segments_sent - credit > limit:
+            if obs is not None:
+                obs.inc("core.credit_stalls")
+            self.service_nacks()
+            wait_from = env.now
+            # A wake at the last guard's own instant may sit an ulp past
+            # ``deadline``.
+            guard = env.timeout(max(deadline - wait_from, 0.0))
+            yield env.any_of([self._doorbell.arm(), guard])
+            self._doorbell.disarm()
+            if obs is not None:
+                log_stall(owner, wait_from)
+            expired = guard.processed
+            if not expired:
+                env.cancel(guard)
+            credit = self.min_credit()
+            if credit > floor:
+                floor = credit
+                rounds = 0
+            elif not expired:
+                continue
+            elif (options.max_retransmits is None
+                  or rounds < options.max_retransmits):
+                rounds += 1
+                self.resend_last()
+            else:
+                yield from owner._fail_stalled()
+                credit = floor = self.min_credit()
+                rounds = 0
+            deadline = env.now + options.retransmit_timeout

@@ -581,6 +581,22 @@ class Environment:
         else:
             heapq.heappush(self._queue, (when, self._sequence, event))
 
+    def cancel(self, timer: Timeout) -> None:
+        """Withdraw a pending ``timer`` from the timed queue: it never
+        fires, and the clock never reaches its instant on its account.
+        Linear in the queue, so it is for rare calls — a guard timer
+        beaten by the wake it guarded — not for hot paths. A timer that
+        is not waiting there (already fired, or zero-delay) raises."""
+        queue = self._queue
+        for index, entry in enumerate(queue):
+            if entry[2] is timer:
+                last = queue.pop()
+                if index < len(queue):
+                    queue[index] = last
+                    heapq.heapify(queue)
+                return
+        raise SimulationError(f"{timer!r} is not on the timed queue")
+
     def _requeue(self, macro: MacroEvent, when: float) -> None:
         """Queue the next hop of a walking ``macro`` at ``when`` (past
         ``now``) under the sequence number of its first hop."""

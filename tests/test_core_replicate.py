@@ -23,6 +23,7 @@ from repro.core import (
     Ordering,
     Schema,
 )
+from repro.core.segment import FOOTER_SIZE, unpack_footer
 from repro.rdma.memory import MemoryRegion
 from repro.rdma.nic import get_nic
 from repro.rdma.qp import QueuePair, UdQueuePair
@@ -428,24 +429,17 @@ def test_multicast_consume_batch_hands_over_buffered_tuples_first():
 
 # -- executable invariants (ROADMAP item 1c) --------------------------------
 
-#: Bounded waits for the lossy cases, as in the chaos matrix: without them
-#: a lossy multicast flow need not terminate. A shut window whose every
-#: datagram was lost on one target leaves no gap to NACK and
-#: ``_wait_credit`` has no tail retransmit, so the source waits forever;
-#: and a target that missed the abort marker of a source that gave up
-#: re-NACKs its gap forever. 64 rounds, because a round is any wake-up that
-#: did not raise the *minimum* credit — other targets' credit writes count.
-_LOSSY_GUARDS = {"max_retransmits": 64, "peer_timeout": 2_000_000.0}
 _HORIZON = 1e9
 _FLOW_ERRORS = (FlowPeerFailedError, FlowTimeoutError, FlowAbortedError)
 
 
 def _run_invariants(sources, targets, optimization, ordering, segments,
-                    threshold, loss, seed):
+                    threshold, loss, seed, **options):
     """One multicast replicate run with the credit window watched at every
     posted datagram. Returns what a rerun must reproduce (event count,
     outcome and end time per thread), what was pushed and received, the
-    widest window seen and the datagrams dropped for want of a receive."""
+    widest window seen, the datagrams dropped for want of a receive and
+    the segments each source left un-credited."""
     cluster = Cluster(node_count=targets + 1, seed=seed,
                       profile=HardwareProfile(multicast_loss_probability=loss))
     dfi = DfiRuntime(cluster)
@@ -456,8 +450,7 @@ def _run_invariants(sources, targets, optimization, ordering, segments,
         options=FlowOptions(multicast=True, segment_size=64,
                             target_segments=segments,
                             credit_threshold=threshold,
-                            retransmit_timeout=20_000,
-                            **(_LOSSY_GUARDS if loss else {})))
+                            retransmit_timeout=20_000, **options))
     count = 24 if optimization is Optimization.LATENCY else 64
     pushed = [[(s * 10 ** 6 + i, i) for i in range(count)]
               for s in range(sources)]
@@ -469,7 +462,8 @@ def _run_invariants(sources, targets, optimization, ordering, segments,
 
     def watched_post(qp, group, payload, wr_id=None):
         source = by_qp[qp]
-        outstanding.append(source.segments_sent - source._min_credit())
+        outstanding.append(source.segments_sent
+                           - source._window.min_credit())
         return post(qp, group, payload, wr_id)
 
     def thread(slot, body):
@@ -499,8 +493,10 @@ def _run_invariants(sources, targets, optimization, ordering, segments,
     assert cluster.env.peek() == float("inf"), "the run never drained"
     assert None not in outcomes, "a thread is still blocked"
     dropped = sum(get_nic(node).rx_dropped_no_recv for node in cluster.nodes)
+    uncredited = [source.segments_sent - source._window.min_credit()
+                  for source in by_qp.values()]
     return ((cluster.env.events_executed, outcomes), pushed, received,
-            max(outstanding), dropped)
+            max(outstanding), dropped, uncredited)
 
 
 @settings(max_examples=40, deadline=None,
@@ -514,30 +510,30 @@ def test_multicast_invariants(sources, targets, optimization, ordering,
                               window, loss, seed):
     """Exactly-once delivery in the promised order, the credit window, no
     receive-queue overrun, termination and determinism — over topology,
-    options, loss and seed."""
+    options, loss and seed, with no retransmit budget and no
+    ``peer_timeout``: the sources' resend on timeout alone ends every
+    lossy run."""
     case = (sources, targets, optimization, ordering, *window, loss, seed)
-    fate, pushed, received, outstanding, dropped = _run_invariants(*case)
-    outcomes = [outcome for outcome, _when in fate[1]]
-    if not loss:
-        # Only loss may end a thread with a flow error (see _LOSSY_GUARDS).
-        assert outcomes == ["completed"] * (sources + targets)
+    fate, pushed, received, outstanding, dropped, uncredited = (
+        _run_invariants(*case))
+    assert [outcome for outcome, _when in fate[1]] == (
+        ["completed"] * (sources + targets))
+    # The sender's ledger closes: sent = credited + outstanding, with
+    # nothing outstanding once close() returned.
+    assert uncredited == [0] * sources
     total = sum(map(len, pushed))
-    longest = max(received, key=len)
-    for rows, outcome in zip(received, outcomes[sources:]):
-        assert len(set(rows)) == len(rows)  # never twice
-        if outcome == "completed":
-            assert len(rows) == total  # FLOW_END means everything
+    for rows in received:
+        assert len(rows) == total and len(set(rows)) == total
         if ordering is Ordering.GLOBAL:
-            # One order on every target (a prefix of it where cut short).
-            assert rows == longest[:len(rows)]
+            assert rows == received[0]  # one order on every target
         for index, sent in enumerate(pushed):
             mine = [row for row in rows if row[0] // 10 ** 6 == index]
             if ordering is Ordering.GLOBAL or not loss:
-                assert mine == sent[:len(mine)]  # in the order pushed
+                assert mine == sent  # in the order pushed
             else:
                 # An unordered flow hands a retransmitted segment over
                 # when it arrives: exactly once, in no promised order.
-                assert set(mine) <= set(sent)
+                assert sorted(mine) == sent
     assert outstanding <= window[0]
     if sources == 1 and not loss:
         # The window is the receive queue: nothing may overrun it.
@@ -545,9 +541,85 @@ def test_multicast_invariants(sources, targets, optimization, ordering,
     assert _run_invariants(*case)[0] == fate
 
 
-def _timeline_one_to_eight(cluster):
+def test_lost_window_tail_is_resent_on_timeout():
+    """Every datagram of a shut two-slot window lost on the one target
+    leaves it no gap to NACK: the source's resend of its newest segment
+    after a ``retransmit_timeout`` without credit is the only way out."""
+    fate, pushed, received, _widest, _dropped, uncredited = _run_invariants(
+        1, 1, Optimization.BANDWIDTH, Ordering.NONE, 2, 1, 0.3, 0)
+    assert [outcome for outcome, _when in fate[1]] == ["completed"] * 2
+    assert sorted(received[0]) == pushed[0]  # all 64, exactly once
+    assert uncredited == [0]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_retransmit_budget_counts_timeouts_not_wakeups(seed):
+    """``max_retransmits`` counts rounds of one ``retransmit_timeout``
+    without a rise in the minimum credit: the credit writes of the other
+    four targets do not spend it, so nothing is written off before eight
+    rounds of 20 µs have passed."""
+    fate, *_rest = _run_invariants(1, 5, Optimization.BANDWIDTH,
+                                   Ordering.NONE, 4, 2, 0.3, seed,
+                                   max_retransmits=8)
+    for outcome, when in fate[1]:
+        assert outcome == "completed" or when >= 8 * 20_000
+
+
+def test_target_that_missed_the_abort_marker_raises_at_its_gap_timeout():
+    """A 1:2 flow aborted with the marker (and its resends) lost at one
+    target, which also misses segment 2: instead of NACKing a gap the
+    aborted source will never fill, it reads the registry's abort flag
+    at its first gap timeout and raises — no ``peer_timeout`` needed."""
+    cluster = Cluster(node_count=3)
+    dfi = DfiRuntime(cluster)
+    timeout = 20_000.0
+    dfi.init_replicate_flow(
+        "rep", [Endpoint(0, 0)], [Endpoint(1, 0), Endpoint(2, 0)], SCHEMA,
+        optimization=Optimization.LATENCY,
+        options=FlowOptions(multicast=True, retransmit_timeout=timeout))
+    deliver = UdQueuePair._deliver_datagram
+    at = {}
+
+    def lossy(qp, data):
+        footer = unpack_footer(data[-FOOTER_SIZE:])
+        if qp.node.node_id == 2:
+            if footer.aborted or footer.seq == 2:
+                return
+            if footer.seq == 3:
+                at["gap"] = cluster.now
+        deliver(qp, data)
+
+    def source_thread():
+        source = yield from dfi.open_source("rep", 0)
+        for i in range(4):
+            yield from source.push((i, i))
+        at["abort"] = cluster.now
+        yield from source.abort()
+
+    def target_thread(index):
+        target = yield from dfi.open_target("rep", index)
+        with pytest.raises(FlowAbortedError):
+            while (yield from target.consume()) is not FLOW_END:
+                pass
+        at[index] = cluster.now
+
+    cluster.env.process(source_thread())
+    for index in range(2):
+        cluster.env.process(target_thread(index))
+    with mock.patch.object(UdQueuePair, "_deliver_datagram", lossy):
+        cluster.run(until=10 * timeout)
+    assert at[0] < at["abort"] + timeout  # the marker reached target 0
+    # Target 1 saw the gap when segment 3 arrived and raised at the first
+    # gap timeout after it: one poll, the wait, one more poll.
+    assert (at[1] - at["gap"]
+            <= timeout + 2 * cluster.profile.cpu_poll_cost)
+    assert cluster.env.peek() == float("inf")  # and nobody NACKs on
+
+
+def _timeline_one_to_eight(cluster, batches=32):
     """Delivery instants per target of one bandwidth 1->8 multicast flow
-    with short rings, and its endpoints (the source first)."""
+    with short rings, its endpoints (the source first) and the instant
+    the source's ``close()`` returned."""
     dfi = DfiRuntime(cluster)
     schema = Schema(("key", "uint64"), ("pad", 56))
     dfi.init_replicate_flow(
@@ -557,13 +629,15 @@ def _timeline_one_to_eight(cluster):
     rows = [(i, bytes(56)) for i in range(256)]
     instants = [[] for _ in range(8)]
     endpoints = [None] * 9
+    closed_at = []
 
     def source_thread():
         source = yield from dfi.open_source("rep", 0)
         endpoints[0] = source
-        for _ in range(32):
+        for _ in range(batches):
             yield from source.push_batch(rows)
         yield from source.close()
+        closed_at.append(cluster.now)
 
     def target_thread(index):
         target = yield from dfi.open_target("rep", index)
@@ -575,7 +649,7 @@ def _timeline_one_to_eight(cluster):
     for index in range(8):
         cluster.env.process(target_thread(index))
     cluster.run()
-    return instants, endpoints
+    return instants, endpoints, closed_at[0]
 
 
 def test_multicast_fan_out_train_equals_per_member_timers():
@@ -588,6 +662,16 @@ def test_multicast_fan_out_train_equals_per_member_timers():
             == _timeline_one_to_eight(racked)[0])
     assert flat.now == racked.now
     assert flat.env.events_executed < racked.env.events_executed
+
+
+def test_multicast_clock_stops_when_close_returns():
+    """A credit write that beats the source's retransmit guard takes the
+    guard off the kernel queue, so the run of the ledger's
+    ``replicate_mcast`` shape (128 batches) ends when ``close()`` returns
+    instead of one ``retransmit_timeout`` later (612 932.16 ns)."""
+    cluster = Cluster(node_count=9)
+    _instants, _endpoints, closed_at = _timeline_one_to_eight(cluster, 128)
+    assert cluster.now == closed_at == pytest.approx(562_932.80)
 
 
 # -- a closed form and an exact budget (ROADMAP item 1b) --------------------
@@ -647,12 +731,13 @@ def test_multicast_event_budget_and_persistent_hooks(monkeypatch):
             original(region, hook)
         monkeypatch.setattr(MemoryRegion, name, counted)
     cluster = Cluster(node_count=9)
-    _instants, endpoints = _timeline_one_to_eight(cluster)
+    _instants, endpoints, _closed = _timeline_one_to_eight(cluster)
     source, *targets = endpoints
     delivered = sum(target.segments_received for target in targets)
     assert delivered == 8 * source.segments_sent >= 8 * 128
     assert cluster.env.events_executed / delivered <= 2.5
     # Eight receive rings and the source's control region, hooked once.
     assert hook_calls == ["add_write_hook"] * 9
-    waited_on = [source._control] + [target._ring for target in targets]
+    waited_on = [source._window.region] + [target._ring
+                                           for target in targets]
     assert [len(region._write_hooks) for region in waited_on] == [1] * 9

@@ -464,10 +464,15 @@ class TestExportIdentity:
          "5155336b32d7b4b71edc889ca08cbb6af66d8c33889eafa05d6e0b36eec17089",
          "da75c0c0b373969e4712a8ea2828df2bf20f33eccd68aa04dc2c34e8ea300b65",
          "e38417b0daef2423e6ccb778c6cef3e7e31cb577696cac46129aba83a191a119"),
+        # Re-based when the multicast source got its one credit wait: the
+        # waits in close() count as core.credit_stalls, guard timers a
+        # credit write beat leave the kernel queue (1135 -> 1094 events),
+        # and the close marker's first resend comes at its round's end,
+        # 1.28 ns earlier. Same 12 retransmissions, same deliveries.
         (_lossy_multicast,
-         "6a0a4598a4c2e8126b30ad34a5a3bd0b188cfb2d402b9705e340a58123ef7ea4",
-         "348b7c7b621ab5a1d24b3e3b124a0909e76860b6efcfd3c49650ca86c18902cd",
-         "d3f7a8d2f151604ede1daa1d9f6479cdbe69e98706225774d3cf0dca58560aca"),
+         "c2840092eeb608e21aab02894fb12deb488064be3ec288cbd61a666b7523165e",
+         "65a5e814bf77835b03ca72016c578861e3b62be4fc7c8e5acd41aa69530ef145",
+         "37aa0f048b66ffe7650e8093f4c3a3095d4d4c920b998efe4bde5fd08ddbab2f"),
         (_congested_incast,
          "b83bc9ccde77cd01dcb644032cb1a5a8ab32cc0abf3dd9c28571d0943eb6604f",
          "6992780c74a3554a0ab934aaf9618f22902ad5683cd05a40d3efb6c97331d42a",

@@ -334,7 +334,7 @@ def test_peek_reports_next_event_time():
 
 _DELAYS = (0, 1e-3, 1, 2047, 2048, 5e5, 1e9, 2 ** 62, float("inf"))
 _KINDS = ("timeout", "pooled_timeout", "schedule_at", "schedule_train",
-          "succeed")
+          "succeed", "cancel")
 
 
 def _ops(children):
@@ -358,13 +358,21 @@ def _expected_order(programme):
     every scheduling call draws the next sequence number, a train draws
     one for all its actions, an instant at or before ``now`` means
     ``now``, and what fires next is the least ``(when, seq)`` — found
-    here by a linear scan of a plain list."""
+    here by a linear scan of a plain list. A ``cancel`` op is a guard
+    timer (action 0, at the first delay) and, one sequence number later,
+    a wake (action 1, at the last delay) that withdraws the guard if it
+    is still pending."""
     now, seq, pending, fired = 0.0, 0, [], []
 
     def schedule(op):
         nonlocal seq
-        seq += 1
         ident, kind, delays, _tag, _children = op
+        if kind == "cancel":
+            for action, delay in enumerate((delays[0], delays[-1])):
+                seq += 1
+                pending.append((now + delay, seq, action, op))
+            return
+        seq += 1
         whens = (sorted(now + delay for delay in delays)
                  if kind == "schedule_train"
                  else [now if kind == "succeed" else now + delays[0]])
@@ -381,6 +389,8 @@ def _expected_order(programme):
         if action == 0:
             for child in op[4]:
                 schedule(child)
+        elif op[1] == "cancel":
+            pending[:] = [e for e in pending if e[3] is not op]
     return fired
 
 
@@ -409,6 +419,16 @@ def _kernel_order(env, programme, stepwise):
                 event = env.event()
                 event.callbacks.append(lambda _event: fire())
                 event.succeed()
+            elif kind == "cancel":
+                guard = env.timeout(delays[0])
+                guard.callbacks.append(lambda _event: fire())
+
+                def wake(_event):
+                    fire(1)
+                    if not guard.processed:
+                        env.cancel(guard)
+
+                env.timeout(delays[-1]).callbacks.append(wake)
             else:
                 timer = getattr(env, kind)(delays[0])
                 timer.callbacks.append(lambda _event: fire())
@@ -433,6 +453,7 @@ def test_events_fire_in_when_seq_order_of_an_independent_reference(
         ops, stepwise):
     programme = _numbered(ops, itertools.count())
     expected = _expected_order(programme)
-    assert _kernel_order(Environment(), programme, stepwise) == expected
-    assert _kernel_order(ShardedEnvironment(4), programme,
-                         stepwise) == expected
+    for env in (Environment(), ShardedEnvironment(4)):
+        assert _kernel_order(env, programme, stepwise) == expected
+        # A cancelled guard leaves the clock at the last event that fired.
+        assert env.now == (expected[-1][0] if expected else 0.0)
