@@ -55,12 +55,11 @@ from repro.core.segment import (
     FLAG_CLOSED,
     FLAG_CONSUMABLE,
     FOOTER_SIZE,
-    pack_footer,
+    pack_footer_into,
     unpack_footer,
 )
 from repro.core.shuffle import (
     ShuffleTarget,
-    _copy_into,
     _Doorbell,
     _source_channel,
     _source_counters,
@@ -74,6 +73,7 @@ from repro.obs import (
     log_event,
 )
 from repro.common.planelog import CLOSE, CONSUME, WRITE
+from repro.rdma.memory import zeroed
 from repro.rdma.nic import get_nic
 
 
@@ -184,10 +184,31 @@ def _check_replicate(descriptor: FlowDescriptor, index: int,
 
 
 class _StagingBuffer:
-    """Shared staging segment for replicate sources: tuples are packed once
-    and the finished slot is fanned out by the transport."""
+    """A replicate source's staging: a ring of ``slots`` slots, each a
+    segment's ``payload_size`` bytes and a footer behind them. Tuples are
+    packed once, into the open slot; a multicast source copies its one
+    slot into a datagram, a naive source hands a view of the sealed slot
+    to every live channel.
 
-    def __init__(self, descriptor: FlowDescriptor, payload_size: int) -> None:
+    A naive source's ring stays unchanged until every live channel's
+    write of a slot committed, without completions of its own: segment h
+    is packed after the fan-out of segment h - 1, so every live channel
+    has posted h - 1, and the slot h reuses last held segment h - slots.
+
+    * Bandwidth (N = ``source_segments``): a channel reaps its signaled
+      wrap WQE before it writes segment m, for every m a multiple of N;
+      the last such m <= h - 1 is at least h - N, so every write up to
+      h - N - 1 has committed. Hence ``slots`` = N + 1.
+    * Latency (T = ``target_segments``, the remote ring): the credit
+      segment h - 1 held means the target consumed, hence committed,
+      every segment up to h - T - 1. Hence ``slots`` = T + 1.
+
+    The spare slot is the price of packing before the wait; memory
+    accounting reports the N (or T) slots the protocol needs.
+    """
+
+    def __init__(self, descriptor: FlowDescriptor, payload_size: int,
+                 slots: int = 1) -> None:
         self.schema = descriptor.schema
         # Bound once: ``append`` runs per tuple, ``room``/``full`` and
         # ``pack_many_into`` per chunk on the batched push path.
@@ -197,14 +218,20 @@ class _StagingBuffer:
         self.payload_size = payload_size
         #: The buffer reads as full once ``used`` exceeds this.
         self._full_above = payload_size - self.tuple_size
-        self._buffer = bytearray(payload_size)
+        self.slot_size = payload_size + FOOTER_SIZE
+        self.slots = slots
+        self.buffer = zeroed(slots * self.slot_size)
+        self.view = memoryview(self.buffer)
+        #: Offset of the open slot, and the payload bytes packed into it.
+        self.base = 0
         self.used = 0
+        self._sealed = 0
 
     def append(self, values: tuple) -> bool:
         """Pack one tuple; returns :attr:`full`."""
         used = self.used
         try:
-            self._pack_tuple(self._buffer, used, *values)
+            self._pack_tuple(self.buffer, self.base + used, *values)
         except _struct_error as exc:
             raise self.schema.mismatch(values, exc) from None
         self.used = used = used + self.tuple_size
@@ -213,7 +240,7 @@ class _StagingBuffer:
     def append_many(self, tuples) -> None:
         """Pack a batch of tuples with one ``struct`` call; the caller
         checks :attr:`room` first."""
-        self._pack_many_into(self._buffer, self.used, tuples)
+        self._pack_many_into(self.buffer, self.base + self.used, tuples)
         self.used += self.tuple_size * len(tuples)
 
     @property
@@ -225,20 +252,33 @@ class _StagingBuffer:
     def full(self) -> bool:
         return self.used > self._full_above
 
-    def take(self) -> bytes:
-        payload = bytes(self._buffer[:self.used])
+    def seal(self, flags: int, seq: int) -> memoryview:
+        """Footer the open slot as ``used`` bytes — zero-padded to the
+        segment, the form a latency write posts — under close/abort
+        ``flags`` and ``seq``, open the next slot empty, and return the
+        sealed slot's view."""
+        base = self.base
+        used = self.used
+        end = base + self.payload_size
+        if used < self.payload_size:
+            self.buffer[base + used:end] = bytes(self.payload_size - used)
+        pack_footer_into(self.buffer, end, used, FLAG_CONSUMABLE | flags,
+                         seq)
+        self._sealed += 1
+        self.base = (self._sealed % self.slots) * self.slot_size
         self.used = 0
-        return payload
+        return self.view[base:base + self.slot_size]
 
 
 class _ReplicateSource:
     """What both transports' sources share: one staging buffer each tuple
-    is packed into once, the CPU debt the next flush pays, and ``push``.
-    A subclass sets up its transport, then ``_obs`` last."""
+    is packed into once, the CPU debt the next flush pays, ``push`` and
+    ``push_batch``. A subclass sets up its transport, then ``_obs``
+    last."""
 
     def __init__(self, registry: FlowRegistry, descriptor: FlowDescriptor,
-                 source_index: int,
-                 sequencer: "TupleSequencer | None") -> None:
+                 source_index: int, sequencer: "TupleSequencer | None",
+                 slots: int = 1) -> None:
         self.registry = registry
         self.descriptor = descriptor
         self.source_index = source_index
@@ -248,7 +288,7 @@ class _ReplicateSource:
         self.profile = self.node.cluster.profile
         self._sequencer = sequencer
         self._payload_size = _replicate_payload_size(descriptor)
-        self._staging = _StagingBuffer(descriptor, self._payload_size)
+        self._staging = _StagingBuffer(descriptor, self._payload_size, slots)
         self._latency = descriptor.optimization is Optimization.LATENCY
         self._cpu_debt = 0.0
         self._tuple_debt = self.profile.cpu_push_cost(
@@ -282,30 +322,65 @@ class _ReplicateSource:
             return self._flush(0)
         return NO_FLUSH
 
+    def push_batch(self, tuples):
+        """Generator: replicate a batch of tuples to all targets.
+
+        Same semantics and simulated cost as per-tuple push; each segment
+        is packed with one ``struct`` call and flushed as it fills.
+        """
+        if self.closed:
+            raise FlowClosedError("push on a closed replicate source")
+        if self._latency:
+            for values in tuples:
+                yield from self.push(values)
+            return
+        if not isinstance(tuples, (list, tuple)):
+            tuples = list(tuples)
+        staging = self._staging
+        per_tuple = self._tuple_debt
+        total = len(tuples)
+        index = 0
+        while index < total:
+            take = min(staging.room, total - index)
+            if take:
+                staging.append_many(tuples[index:index + take])
+                self.tuples_sent += take
+                self._cpu_debt += take * per_tuple
+                index += take
+            if staging.full:
+                yield from self._flush(0)
+
 
 class NaiveReplicateSource(_ReplicateSource):
     """Replicate source over one shuffle source channel per target: every
-    tuple is packed once, and each finished segment is copied into every
-    live channel, which writes it under its own ring protocol."""
+    tuple is packed once, into a slot of the source's ring, and each
+    finished slot is handed to every live channel, which writes it under
+    its own ring protocol. The channels stage nothing of their own."""
 
     def __init__(self, registry: FlowRegistry, descriptor: FlowDescriptor,
                  source_index: int, channels: list,
                  sequencer: "TupleSequencer | None") -> None:
-        super().__init__(registry, descriptor, source_index, sequencer)
+        options = descriptor.options
+        #: The ring the protocol needs, in slots (see _StagingBuffer).
+        latency = descriptor.optimization is Optimization.LATENCY
+        self._ring_segments = (options.target_segments if latency
+                               else options.source_segments)
+        super().__init__(registry, descriptor, source_index, sequencer,
+                         self._ring_segments + 1)
         self._channels = channels
         # Batched full segments leave as doorbell trains: whole slots go
         # out as contiguous payload+footer writes (tuple-aligned segments
-        # only) numbered by the channel (no sequencer value per segment).
-        self._trains = (sequencer is None and self._payload_size
+        # only) numbered by the source (no sequencer value per segment).
+        self._trains = (not self._latency and sequencer is None
+                        and self._payload_size
                         % descriptor.schema.tuple_size == 0)
-        self._obs = endpoint_obs(self.node, self._flow,
-                                 descriptor.options, self)
+        self._obs = endpoint_obs(self.node, self._flow, options, self)
 
     def _collect_obs(self):
         """Read-time counter harvest (see MetricsRegistry.add_collector):
         a tuple counts once. The channels count the segments they write,
-        one per target ring, and a tuple per ring a train or a latency
-        send carries it to — taken back out here."""
+        one per target ring, and a tuple per ring a latency write carries
+        it to — taken back out here."""
         carried = sum(channel.tuples_sent for channel in self._channels)
         return (("core.tuples_pushed", self.tuples_sent - carried),)
 
@@ -322,7 +397,8 @@ class NaiveReplicateSource(_ReplicateSource):
             handle = yield from registry.wait_ring(name, source_index,
                                                    target_index)
             tag = (name, source_index, target_index)
-            channels.append(_source_channel(node, descriptor, handle, tag))
+            channels.append(_source_channel(node, descriptor, handle, tag,
+                                            staging=False))
         sequencer = None
         if descriptor.ordering is Ordering.GLOBAL:
             sequencer = TupleSequencer(registry, name, node)
@@ -332,54 +408,55 @@ class NaiveReplicateSource(_ReplicateSource):
         """Generator: replicate a batch of tuples to all targets.
 
         Simulated cost matches per-tuple push (same CPU debt, same flush
-        points); segments are packed with one ``struct`` call each.
-        Unordered bandwidth flows hand every full segment the batch
-        produces to each channel's train loop at once (globally-ordered
-        flows must draw one sequencer value per segment over the wire, so
-        they keep the eager per-segment path).
+        points). Unordered bandwidth flows hand every full segment the
+        batch produces to each channel's train loop at once (globally-
+        ordered flows must draw one sequencer value per segment over the
+        wire, so they keep the eager per-segment path). All are packed
+        before the first channel writes one, so whole segments go into
+        slots the batch owns and no later segment reuses; a slot the
+        batch tops up, and the tail it leaves, are in the ring.
         """
+        if not self._trains:
+            yield from super().push_batch(tuples)
+            return
         if self.closed:
             raise FlowClosedError("push on a closed replicate source")
-        if self._latency:
-            for values in tuples:
-                yield from self.push(values)
-            return
         if not isinstance(tuples, (list, tuple)):
             tuples = list(tuples)
         staging = self._staging
         per_tuple = self._tuple_debt
         total = len(tuples)
+        seq = self._local_seq
+        slots = []
         index = 0
-        payloads = []
-        while index < total:
-            take = min(staging.room, total - index)
-            if take:
-                staging.append_many(tuples[index:index + take])
-                self.tuples_sent += take
-                self._cpu_debt += take * per_tuple
-                index += take
+        if staging.used:
+            index = min(staging.room, total)
+            staging.append_many(tuples[:index])
+            self._cpu_debt += index * per_tuple
             if staging.full:
-                if self._trains:
-                    payloads.append(staging.take())
-                else:
-                    yield from self._flush(0)
-        if not payloads:
+                slots.append(staging.seal(0, seq))
+        seg_tuples = self._payload_size // staging.tuple_size
+        whole = (total - index) // seg_tuples
+        if whole:
+            batch = _StagingBuffer(self.descriptor, self._payload_size, whole)
+            for _ in range(whole):
+                batch.append_many(tuples[index:index + seg_tuples])
+                self._cpu_debt += seg_tuples * per_tuple
+                index += seg_tuples
+                slots.append(batch.seal(0, seq + len(slots)))
+        if index < total:
+            staging.append_many(tuples[index:])
+            self._cpu_debt += (total - index) * per_tuple
+        self.tuples_sent += total
+        if not slots:
             return
         # One coalesced CPU charge: the debt a per-segment schedule would
         # accrue.
-        yield self.node.compute(self._take_debt(len(payloads)))
-        seq = self._local_seq
-        self._local_seq += len(payloads)
-        self.segments_sent += len(payloads)
-        data = b"".join(payloads)
-        tuple_size = staging.tuple_size
-        rows = len(data) // tuple_size
-
-        def train(channel):
-            channel._seq = seq
-            return channel._flush_batch(data, rows, _copy_into, tuple_size)
-
-        yield from self._fan_out(train)
+        yield self.node.compute(self._take_debt(len(slots)))
+        self._local_seq += len(slots)
+        self.segments_sent += len(slots)
+        yield from self._fan_out(
+            lambda channel: channel._post_train(slots, seq))
 
     def close(self):
         """Generator: flush, send the close marker, and wait for acks."""
@@ -405,22 +482,8 @@ class NaiveReplicateSource(_ReplicateSource):
     def abort(self):
         """Generator: abort the flow on every target (staged tuples are
         dropped; targets raise FlowAbortedError)."""
-        if self.closed:
-            return
-        self.registry.mark_flow_aborted(self.descriptor.name)
-        self._aborting = True
-        self._staging.take()  # discard staged tuples
-        work_requests = yield from self._flush(FLAG_CLOSED | FLAG_ABORTED)
-        self.closed = True
-        if self._obs is not None:
-            log_close(self, {"aborted": True})
-        for _index, wr in work_requests:
-            try:
-                if not wr.done.triggered:
-                    yield wr.done
-            except (QpFlushedError, FlowTimeoutError):
-                pass  # abort is best-effort on a failing fabric
-        self._release_channels()
+        if not self.closed:
+            yield from self._abort_survivors(log=True)
 
     def _release_channels(self) -> None:
         """Every marker is acknowledged (or its target is gone): the
@@ -447,10 +510,12 @@ class NaiveReplicateSource(_ReplicateSource):
         else:
             seq = self._local_seq
             self._local_seq += 1
-        payload = self._staging.take()
+        used = self._staging.used
+        slot = self._staging.seal(extra_flags, seq)
         self.segments_sent += 1
         return (yield from self._fan_out(
-            lambda channel: channel._send_copy(payload, extra_flags, seq)))
+            lambda channel: channel._write_slot(slot, used, extra_flags,
+                                                seq)))
 
     def _fan_out(self, send):
         """Generator: drive ``send(channel)`` on every live channel in
@@ -511,27 +576,33 @@ class NaiveReplicateSource(_ReplicateSource):
             f"target {index} of replicate flow {self.descriptor.name!r} "
             f"failed: {exc}") from exc
 
-    def _abort_survivors(self):
+    def _abort_survivors(self, log: bool = False):
         """Generator: best-effort abort markers to the still-live targets
-        so they do not hang on a flow that will never close."""
+        so they do not hang on a flow that will never close (``log``: the
+        marker is the source's own ``abort()``, which the trace shows)."""
         self._aborting = True
         self.registry.mark_flow_aborted(self.descriptor.name)
-        self._staging.take()
+        self._staging.used = 0  # discard staged tuples
         if not self.closed:
             work_requests = yield from self._flush(
                 FLAG_CLOSED | FLAG_ABORTED)
+            self.closed = True
+            if log and self._obs is not None:
+                log_close(self, {"aborted": True})
             for _index, wr in work_requests:
                 try:
                     if not wr.done.triggered:
                         yield wr.done
                 except (QpFlushedError, FlowTimeoutError):
-                    pass
+                    pass  # abort is best-effort on a failing fabric
         self.closed = True
         self._release_channels()
 
     @property
     def memory_bytes(self) -> int:
-        return self._payload_size + FOOTER_SIZE  # one staging slot
+        """The ring the protocol needs (see _StagingBuffer): the one
+        copy of every segment in flight to all targets."""
+        return self._ring_segments * self._staging.slot_size
 
 
 class NaiveReplicateTarget(ShuffleTarget):
@@ -674,38 +745,11 @@ class MulticastReplicateSource(_ReplicateSource):
         flow that will never close."""
         self._aborting = True
         self.registry.mark_flow_aborted(self.descriptor.name)
-        self._staging.take()
+        self._staging.used = 0
         yield from self._flush(FLAG_CLOSED | FLAG_ABORTED)
         self.closed = True
 
-    # -- push / close --------------------------------------------------------
-    def push_batch(self, tuples):
-        """Generator: replicate a batch of tuples through the switch.
-
-        Same semantics and simulated cost as per-tuple push; whole
-        segments are packed with one ``struct`` call.
-        """
-        if self.closed:
-            raise FlowClosedError("push on a closed replicate source")
-        if self._latency:
-            for values in tuples:
-                yield from self.push(values)
-            return
-        if not isinstance(tuples, (list, tuple)):
-            tuples = list(tuples)
-        per_tuple = self._tuple_debt
-        total = len(tuples)
-        index = 0
-        while index < total:
-            take = min(self._staging.room, total - index)
-            if take:
-                self._staging.append_many(tuples[index:index + take])
-                self.tuples_sent += take
-                self._cpu_debt += take * per_tuple
-                index += take
-            if self._staging.full:
-                yield from self._flush(0)
-
+    # -- close ---------------------------------------------------------------
     def close(self):
         """Generator: flush, send the close marker, then stay responsive
         (retransmissions) until every target confirmed full consumption."""
@@ -755,11 +799,15 @@ class MulticastReplicateSource(_ReplicateSource):
             seq = self._local_seq
             self._local_seq += 1
         # UD datagrams carry their length, so the footer rides directly
-        # after the used payload — no padding to the segment size.
-        payload = self._staging.take()
-        slot = payload + pack_footer(len(payload),
-                                     FLAG_CONSUMABLE | extra_flags, seq,
-                                     self.source_index)
+        # after the used payload — no padding to the segment size. The
+        # resend history owns the datagram: the one copy out of staging.
+        staging = self._staging
+        used = staging.used
+        pack_footer_into(staging.buffer, used, used,
+                         FLAG_CONSUMABLE | extra_flags, seq,
+                         self.source_index)
+        slot = bytes(staging.view[:used + FOOTER_SIZE])
+        staging.used = 0
         # OUM semantics (NOPaxos) under gap_notify: no flow control, a
         # receiver that cannot keep up drops datagrams, which surface as
         # gaps. An abort marker goes out even with the window shut: the
@@ -769,8 +817,7 @@ class MulticastReplicateSource(_ReplicateSource):
         self._window.post(seq, slot)
         self.segments_sent += 1
         if self._obs is not None:
-            self._obs.log((WRITE, self.env.now, self, None, seq, 1,
-                           len(payload)))
+            self._obs.log((WRITE, self.env.now, self, None, seq, 1, used))
         self._window.service_nacks()
 
     @property

@@ -51,7 +51,6 @@ from repro.core.segment import (
     FOOTER_SIZE,
     FOOTER_STRUCT,
     SegmentRing,
-    pack_footer,
     pack_footer_into,
 )
 from repro.obs import FAULT_DETECT, REROUTE, endpoint_obs, log_close
@@ -190,7 +189,8 @@ class BandwidthSourceChannel:
     """Source half of one bandwidth-optimized channel."""
 
     def __init__(self, node: "Node", descriptor: FlowDescriptor,
-                 handle: RingHandle, channel_tag: tuple) -> None:
+                 handle: RingHandle, channel_tag: tuple,
+                 staging: bool = True) -> None:
         self.node = node
         self.env = node.env
         self.profile = node.cluster.profile
@@ -199,20 +199,25 @@ class BandwidthSourceChannel:
         self.qp = get_nic(node).create_qp(node.cluster.node(handle.node_id))
         # The C++ implementation keeps a full send ring so segment memory
         # stays untouched until the NIC finished its DMA. Writes are posted
-        # zero-copy (``assume_stable=True``), so staging slots must stay
-        # untouched until the simulated write commits. A 2N-slot staging
-        # ring (N = source_segments) guarantees that: the wrap-around wait
-        # before flush f with f % N == 0 implies every write up to f-1 has
+        # zero-copy, so staging slots must stay untouched until the
+        # simulated write commits. A 2N-slot staging ring (N =
+        # source_segments) guarantees that: the wrap-around wait before
+        # flush f with f % N == 0 implies every write up to f-1 has
         # committed, and a slot is only repacked 2N flushes after it was
-        # posted — at which point the latest wrap wait already covered it.
+        # posted — at which point the latest wrap wait already covered it,
+        # even for a batch that packs up to the next wrap before it waits.
         # Memory accounting still reports the N-segment ring the *protocol*
         # requires (the §6.1.4 unit); the extra staging is an emulation
-        # artifact of not having real DMA-completion reuse.
+        # artifact of not having real DMA-completion reuse. A channel whose
+        # owner posts slots of its own (``staging=False``: a naive
+        # replicate source, see ``replicate._StagingBuffer``) stages
+        # nothing.
         self._ring_segments = descriptor.options.source_segments
         self._pipelined_preread = descriptor.options.pipelined_footer_read
         self._slot_size = self.segment_payload + FOOTER_SIZE
         self._staging_slots = 2 * self._ring_segments
-        self._staging = zeroed(self._staging_slots * self._slot_size)
+        self._staging = zeroed(
+            self._staging_slots * self._slot_size if staging else 0)
         self._staging_view = memoryview(self._staging)
         self._staging_base = 0
         self._flushes = 0
@@ -365,14 +370,24 @@ class BandwidthSourceChannel:
         tuple_size = self._tuple_size
         capacity = self.segment_payload
         seg_tuples = capacity // tuple_size
-        window = self._window
         index = 0
         while index < total:
-            # Whole segments ahead and nothing staged: they go out as one
-            # doorbell train, packed straight into their slots.
+            # Whole segments ahead and nothing staged: packed straight
+            # into their slots, up to the next ring wrap, and written as
+            # doorbell trains.
             whole = ((total - index) // seg_tuples
                      if self._train_ok and not self._used else 0)
-            if not whole:
+            seq = self._seq
+            if whole:
+                count = min(whole, self._ring_segments - self._local_index)
+                slots = [None] * count
+                for position in range(count):
+                    fill(self._staging, self._staging_base,
+                         rows[index * stride:(index + seg_tuples) * stride])
+                    index += seg_tuples
+                    slots[position] = self._seal(capacity, 0)
+                self.tuples_sent += count * seg_tuples
+            else:
                 take = min((capacity - self._used) // tuple_size,
                            total - index)
                 if take:
@@ -385,31 +400,12 @@ class BandwidthSourceChannel:
                 if not self._train_ok:
                     yield from self._flush(0, charge_cpu=False)
                     continue
-            # The right to write a train of remote slots — of one, for a
-            # slot the batch topped up: even that wins over ``_flush``,
-            # whose per-segment pre-read the windowed proof replaces (one
-            # READ round-trip per window instead of per segment).
-            if self._local_index == 0 and self._wrap_wr is not None:
-                yield from self._reap_wrap()
-            if not window.left:
-                yield from window.acquire(window.train)
-            entries = self._train_entries
-            entries.clear()
-            if whole:
-                # The signaled wrap WQE must be the last of its train.
-                count = min(whole, window.left,
-                            self._ring_segments - self._local_index)
-                for _ in range(count):
-                    fill(self._staging, self._staging_base,
-                         rows[index * stride:(index + seg_tuples) * stride])
-                    index += seg_tuples
-                    self._train_stage(entries)
-                self.tuples_sent += count * seg_tuples
-            else:
-                count = 1
-                self._train_stage(entries)
-                self._used = 0
-            self._train_finish(entries, count)
+                # A train of one, for the slot the batch topped up: even
+                # that wins over ``_flush``, whose per-segment pre-read
+                # the windowed proof replaces (one READ round-trip per
+                # window instead of per segment).
+                slots = (self._seal(self._used, 0),)
+            yield from self._post_train(slots, seq)
 
     def push_bytes(self, data):
         """Append pre-packed tuple bytes — no per-tuple type
@@ -476,6 +472,9 @@ class BandwidthSourceChannel:
         self.qp.send_cq.poll(max_entries=64)
 
     def _flush(self, extra_flags: int, charge_cpu: bool = True):
+        """Generator: footer the open staging slot under close/abort
+        ``extra_flags`` and write it (:meth:`_write_slot`); returns the
+        work request of a signaled write."""
         # Charge the CPU work accumulated by pushes plus the post cost
         # (``push_batch`` pre-charges both as one coalesced timeout and
         # passes ``charge_cpu=False``).
@@ -483,6 +482,37 @@ class BandwidthSourceChannel:
             debt = self._cpu_debt + self.profile.cpu_post_cost
             self._cpu_debt = 0.0
             yield self.node.compute(debt)
+        used = self._used
+        seq = self._seq
+        return (yield from self._write_slot(self._seal(used, extra_flags),
+                                            used, extra_flags, seq))
+
+    def _seal(self, used: int, flags: int):
+        """Footer the open staging slot as ``used`` bytes under
+        close/abort ``flags`` and the next sequence number, open the next
+        slot, and return the sealed slot's view."""
+        base = self._staging_base
+        word = (_flag_word(FLAG_CONSUMABLE | flags) if flags
+                else _CONSUMABLE_WORD)
+        _FOOTER_PACK_INTO(self._staging, base + self.segment_payload, used,
+                          word, self._seq)
+        self._seq += 1
+        self._used = 0
+        self._flushes += 1
+        self._staging_base = (self._flushes % self._staging_slots
+                              ) * self._slot_size
+        return self._staging_view[base:base + self._slot_size]
+
+    def _write_slot(self, slot, used: int, flags: int, seq: int):
+        """Generator: write ``slot`` — one segment as it lies in a source
+        ring, ``used`` payload bytes and footer ``seq`` under close/abort
+        ``flags`` behind ``segment_payload``, which its owner (this
+        channel's staging, a replicate source's ring) keeps unchanged
+        until the write commits — into the next remote slot; returns the
+        work request of a signaled write, else ``None``. A partial
+        segment writes its used payload, then the footer at its fixed
+        end-of-segment position (RC orders writes per QP, so the footer
+        still lands strictly after the payload)."""
         # The wrap WQE is reaped before the slot is proven.
         if self._local_index == 0 and self._wrap_wr is not None:
             yield from self._reap_wrap()
@@ -494,119 +524,92 @@ class BandwidthSourceChannel:
         if not window.left:
             yield from window.acquire(1)
         window.left -= 1
-        flags = FLAG_CONSUMABLE | extra_flags
-        signaled = self._local_index == self._ring_segments - 1
-        if extra_flags & FLAG_CLOSED:
-            signaled = True
+        signaled = (flags & FLAG_CLOSED
+                    or self._local_index == self._ring_segments - 1)
+        wr = (WorkRequest(self.env, None, Opcode.WRITE, True) if signaled
+              else None)
+        region = self._remote_region
+        if region is None:
+            region = _resolve_remote_region(self)
         remote_offset = window.index * self._remote_slot
-        base = self._staging_base
-        if self._used == self.segment_payload:
-            # Full segment: the footer is packed in place right after the
-            # payload, and the whole slot goes out as one zero-copy write
-            # (the staging ring keeps the slot stable until it commits).
-            pack_footer_into(self._staging, base + self._used,
-                             self._used, flags, self._seq)
-            wr = self.qp.post_write(
-                self._staging_view[base:base + self._used + FOOTER_SIZE],
-                self.remote.rkey, remote_offset, signaled=signaled,
-                assume_stable=True)
+        footer_at = self.segment_payload
+        if used == footer_at:
+            self.qp.post_lone(wr, self._slot_size, ((0, slot),), region,
+                              remote_offset)
         else:
-            # Partial segment (final flush): write only the used payload,
-            # then the footer at its fixed end-of-segment position. RC
-            # guarantees per-QP write ordering, so the footer still lands
-            # strictly after the payload.
-            if self._used:
-                self.qp.post_write(
-                    self._staging_view[base:base + self._used],
-                    self.remote.rkey, remote_offset, signaled=False,
-                    assume_stable=True)
-            wr = self.qp.post_write(
-                pack_footer(self._used, flags, self._seq), self.remote.rkey,
-                remote_offset + self.remote.segment_size,
-                signaled=signaled)
+            if used:
+                self.qp.post_lone(None, used, ((0, slot[:used]),), region,
+                                  remote_offset)
+            self.qp.post_lone(wr, FOOTER_SIZE, ((0, slot[footer_at:]),),
+                              region, remote_offset + self.remote.segment_size)
         if signaled:
             self._wrap_wr = wr
         self.segments_sent += 1
         if self._obs is not None:
-            self._obs.log((WRITE, self.env.now, self, self.remote, self._seq,
-                           1, self._used))
-        self._seq += 1
+            self._obs.log((WRITE, self.env.now, self, self.remote, seq, 1,
+                           used))
         # Pipeline the footer pre-read of the *next* remote segment with
         # this write (paper Section 5.2).
         window.index = (window.index + 1) % self.remote.segment_count
         if self._pipelined_preread:
             window.pending_slot = window.read_ahead(1)
         self._local_index = (self._local_index + 1) % self._ring_segments
-        self._used = 0
-        self._flushes += 1
-        self._staging_base = (self._flushes % self._staging_slots
-                              ) * self._slot_size
         return wr
 
-    def _send_copy(self, payload, flags: int, seq: int):
-        """Generator: write a replicate source's finished segment
-        ``payload`` (``flags``: the close/abort bits) with footer ``seq``
-        into the next slot. The source packed the tuples once and charged
-        the CPU of every copy, so this copies and flushes only."""
-        base = self._staging_base
-        used = self._used = len(payload)
-        self._staging[base:base + used] = payload
-        self._seq = seq
-        return self._flush(flags, charge_cpu=False)
-
-    # -- doorbell trains --------------------------------------------------
-    def _train_stage(self, entries) -> None:
-        """Stage one full staging slot (payload and footer as one
-        contiguous zero-copy write) as a ``post_train`` entry and advance
-        the ring state. Unsignaled WQEs — which the ring protocol drops
-        without ever observing — get no WorkRequest at all, and the
-        remote region is the cached loop-invariant one."""
-        base = self._staging_base
-        _FOOTER_PACK_INTO(self._staging, base + self.segment_payload,
-                          self.segment_payload, _CONSUMABLE_WORD, self._seq)
-        if self._local_index == self._ring_segments - 1:
-            wr = WorkRequest(self.env, None, Opcode.WRITE, True)
-            self._wrap_wr = wr
-        else:
-            wr = None
+    def _post_train(self, slots, seq: int):
+        """Generator: :meth:`_write_slot` for full segments, numbered from
+        ``seq`` on, as doorbell trains as long as the window's proof and
+        the send ring's wrap allow (the signaled wrap WQE ends its train;
+        an unsignaled WQE gets no WorkRequest). A train that used up the
+        window pipelines the next window's footer read behind it — the
+        train analogue of the paper's per-segment footer pre-read."""
+        window = self._window
+        entries = self._train_entries
         region = self._remote_region
         if region is None:
             region = _resolve_remote_region(self)
-        window = self._window
-        entries.append((wr, self._slot_size,
-                        ((0, self._staging_view[base:base + self._slot_size]),),
-                        region, window.index * self._remote_slot))
-        self.segments_sent += 1
-        self._seq += 1
-        window.index = (window.index + 1) % self.remote.segment_count
-        window.left -= 1
-        self._local_index = (self._local_index + 1) % self._ring_segments
-        self._flushes += 1
-        self._staging_base = (self._flushes % self._staging_slots
-                              ) * self._slot_size
-
-    def _train_finish(self, entries, count: int) -> None:
-        """Ring the doorbell for the staged train of ``count`` segments.
-        When the train used up the window, pipeline the next window's
-        footer read behind it — the train analogue of the paper's
-        per-segment footer pre-read."""
-        obs = self._obs
-        if obs is not None:
-            obs.log((WRITE, self.env._now, self, self.remote,
-                     self._seq - count, count, None))
-        self.qp.post_train(entries)
-        # Any per-segment pre-read refers to a slot the train wrote over.
-        window = self._window
-        window.pending_slot = None
-        if not window.left and self._pipelined_preread:
-            window.pending_window = window.read_ahead(window.train)
+        slot_size = self._slot_size
+        ring = self._ring_segments
+        while slots:
+            if self._local_index == 0 and self._wrap_wr is not None:
+                yield from self._reap_wrap()
+            if not window.left:
+                yield from window.acquire(window.train)
+            # Counted in the loop: a train costs no builtin call.
+            room = ring - self._local_index
+            count = 0
+            entries.clear()
+            for slot in slots[:window.left if window.left < room else room]:
+                if self._local_index == ring - 1:
+                    wr = self._wrap_wr = WorkRequest(self.env, None,
+                                                     Opcode.WRITE, True)
+                else:
+                    wr = None
+                entries.append((wr, slot_size, ((0, slot),), region,
+                                window.index * self._remote_slot))
+                window.index = (window.index + 1) % self.remote.segment_count
+                self._local_index += 1
+                count += 1
+            self._local_index %= ring
+            window.left -= count
+            self.segments_sent += count
+            if self._obs is not None:
+                self._obs.log((WRITE, self.env._now, self, self.remote,
+                               seq, count, None))
+            seq += count
+            slots = slots[count:]
+            self.qp.post_train(entries)
+            window.pending_slot = None  # a slot the train wrote over
+            if not window.left and self._pipelined_preread:
+                window.pending_window = window.read_ahead(window.train)
 
 
 class LatencySourceChannel:
     """Source half of one latency-optimized channel (credit-based)."""
 
     def __init__(self, node: "Node", descriptor: FlowDescriptor,
-                 handle: RingHandle, channel_tag: tuple) -> None:
+                 handle: RingHandle, channel_tag: tuple,
+                 staging: bool = True) -> None:
         if handle.credit_rkey is None:
             raise FlowError("latency channels need a credit counter handle")
         self.node = node
@@ -617,13 +620,15 @@ class LatencySourceChannel:
         self.qp = get_nic(node).create_qp(node.cluster.node(handle.node_id))
         self.remote = handle
         self._remote_slot = handle.segment_size + FOOTER_SIZE
-        # Zero-copy staging: one slot per remote segment. A slot posted at
-        # send s is only repacked at send s + segment_count, and holding a
-        # credit then implies the target consumed segment s — which in turn
-        # implies the write had committed. So the slot is stable for the
-        # write's whole lifetime.
+        # Zero-copy staging: one slot per remote segment, plus one because
+        # a send stages its slot before it waits for its credit. A slot
+        # staged for send s last held send s - segment_count - 1, which the
+        # credit send s - 1 held proves consumed, hence committed
+        # (``staging=False``: the owner's slots, replicate._StagingBuffer).
         self._slot_size = self.segment_payload + FOOTER_SIZE
-        self._staging = zeroed(handle.segment_count * self._slot_size)
+        self._staging_slots = handle.segment_count + 1
+        self._staging = zeroed(
+            self._staging_slots * self._slot_size if staging else 0)
         self._staging_view = memoryview(self._staging)
         self._rng = node.backoff_rng
         self._tuple_size = self.schema.tuple_size
@@ -659,8 +664,16 @@ class LatencySourceChannel:
         generator the caller must ``yield from``."""
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
-        return self._send_slot(self._push_cost, self._pack_into, values,
-                               self._tuple_size)
+        # :meth:`_send` written out: a latency push is one frame less.
+        seq = self._credit.sent
+        base = (seq % self._staging_slots) * self._slot_size
+        used = self._tuple_size
+        self._pack_into(self._staging, base, values)
+        _FOOTER_PACK_INTO(self._staging, base + self.segment_payload, used,
+                          _CONSUMABLE_WORD, seq)
+        return self._write_slot(
+            self._staging_view[base:base + self._slot_size], used, 0, seq,
+            self._push_cost)
 
     def push_batch(self, tuples):
         """Generator: push a batch of tuples. Latency mode is inherently
@@ -682,7 +695,7 @@ class LatencySourceChannel:
                 f"push_bytes got {size} bytes, not a multiple of the "
                 f"{tuple_size}-byte tuple size")
         for start in range(0, size, tuple_size):
-            yield from self._send_slot(
+            yield from self._send(
                 self._push_cost, _copy_into, data[start:start + tuple_size],
                 tuple_size)
 
@@ -696,8 +709,8 @@ class LatencySourceChannel:
         """Generator: post the close marker without waiting for its ack."""
         if self.closed:
             return None
-        wr = yield from self._send_marker(FLAG_CLOSED,
-                                          self.profile.cpu_post_cost)
+        wr = yield from self._send(self.profile.cpu_post_cost, _copy_into,
+                                   self._zeros, 0, FLAG_CLOSED)
         self.closed = True
         if self._obs is not None:
             log_close(self)
@@ -708,8 +721,8 @@ class LatencySourceChannel:
         FlowAbortedError)."""
         if self.closed:
             return
-        wr = yield from self._send_marker(FLAG_CLOSED | FLAG_ABORTED,
-                                          self.profile.cpu_post_cost)
+        wr = yield from self._send(self.profile.cpu_post_cost, _copy_into,
+                                   self._zeros, 0, FLAG_CLOSED | FLAG_ABORTED)
         self.closed = True
         if self._obs is not None:
             log_close(self, {"aborted": True})
@@ -721,34 +734,29 @@ class LatencySourceChannel:
         ``BandwidthSourceChannel.release``)."""
         self._credit.release()
 
-    def _send_marker(self, flags: int, cost: "float | None",
-                     seq: "int | None" = None):
-        """Generator: post a signaled segment with no payload (zeroed, the
-        padded form the protocol defines) whose footer adds ``flags``;
-        returns its work request."""
-        return self._send_slot(cost, _copy_into, self._zeros, 0,
-                               _flag_word(FLAG_CONSUMABLE | flags), True,
-                               seq)
+    def _send(self, cost: float, fill, payload, used: int, flags: int = 0):
+        """Stage ``fill(staging, base, payload)`` in the next staging slot,
+        footered as ``used`` bytes under close/abort ``flags`` (a marker's
+        payload is zeroed), and return :meth:`_write_slot` of it."""
+        seq = self._credit.sent
+        base = (seq % self._staging_slots) * self._slot_size
+        fill(self._staging, base, payload)
+        _FOOTER_PACK_INTO(self._staging, base + self.segment_payload, used,
+                          _flag_word(FLAG_CONSUMABLE | flags) if flags
+                          else _CONSUMABLE_WORD, seq)
+        return self._write_slot(
+            self._staging_view[base:base + self._slot_size], used, flags,
+            seq, cost)
 
-    def _send_copy(self, payload, flags: int, seq: int):
-        """Generator: write a replicate source's tuple ``payload`` — or,
-        under close/abort ``flags``, its marker — with footer ``seq``.
-        The source charged the CPU of every copy."""
-        if flags:
-            return self._send_marker(flags, None, seq)
-        return self._send_slot(None, _copy_into, payload, len(payload),
-                               seq=seq)
-
-    def _send_slot(self, cost: "float | None", fill, payload, used: int,
-                   word: int = _CONSUMABLE_WORD, signaled: bool = False,
-                   seq: "int | None" = None):
-        """Generator: the one latency-mode send. Charge ``cost`` of CPU
-        (``None``: the caller already did), hold a credit, have
-        ``fill(staging, base, payload)`` stage the next slot, footer it as
-        ``used`` bytes under flag word ``word`` and sequence number
-        ``seq`` (default: the ring position) and post it as one zero-copy
-        write; then top the credits up. Returns the work request of a
-        ``signaled`` write, else ``None``: data writes are
+    def _write_slot(self, slot, used: int, flags: int, seq: int,
+                    cost: "float | None" = None):
+        """Generator: the one latency-mode write. Charge ``cost`` of CPU
+        (``None``: the caller already did), hold a credit, post ``slot``
+        — one segment holding ``used`` payload bytes and footer ``seq``
+        under close/abort ``flags``, in a buffer its owner keeps
+        unchanged until the write commits — as one zero-copy write, then
+        top the credits up. Returns the work request of a marker (a
+        write with ``flags``), else ``None``: data writes are
         fire-and-forget, only a close/abort marker is ever observed."""
         if cost is not None:
             yield self.node.compute(cost)
@@ -758,22 +766,13 @@ class LatencySourceChannel:
         if credit.pending is not None or sent - credit.consumed >= segments:
             # A refresh to harvest, or the window is shut.
             yield from credit.acquire()
-        if seq is None:
-            seq = sent
-        index = sent % segments
-        base = index * self._slot_size
-        fill(self._staging, base, payload)
-        _FOOTER_PACK_INTO(self._staging, base + self.segment_payload,
-                          used, word, seq)
         region = self._remote_region
         if region is None:
             region = _resolve_remote_region(self)
-        wr = (WorkRequest(self.env, None, Opcode.WRITE, True) if signaled
+        wr = (WorkRequest(self.env, None, Opcode.WRITE, True) if flags
               else None)
-        slot_size = self._slot_size
-        self.qp.post_lone(
-            wr, slot_size, ((0, self._staging_view[base:base + slot_size]),),
-            region, index * self._remote_slot)
+        self.qp.post_lone(wr, self._slot_size, ((0, slot),), region,
+                          (sent % segments) * self._remote_slot)
         if self._obs is not None:
             self._obs.log((WRITE, self.env._now, self, self.remote,
                            seq, 1, used))
@@ -790,13 +789,14 @@ class LatencySourceChannel:
 
 
 def _source_channel(node: "Node", descriptor: FlowDescriptor,
-                    handle: RingHandle, tag: tuple):
+                    handle: RingHandle, tag: tuple, staging: bool = True):
     """The source half of channel ``tag``, of the class the flow's
-    optimization selects."""
+    optimization selects; ``staging=False`` for a channel that only
+    writes its owner's slots."""
     channel_cls = (LatencySourceChannel
                    if descriptor.optimization is Optimization.LATENCY
                    else BandwidthSourceChannel)
-    return channel_cls(node, descriptor, handle, tag)
+    return channel_cls(node, descriptor, handle, tag, staging)
 
 
 class TargetChannel:

@@ -122,7 +122,7 @@ class QueuePair:
 
     __slots__ = ("nic", "env", "qpn", "node", "remote_node", "send_cq",
                  "recv_cq", "_peer", "_recv_queue", "_pending_rx",
-                 "_staged", "_obs", "_obs_wqes_posted",
+                 "_obs", "_obs_wqes_posted",
                  "_obs_wqes_signaled", "_obs_trains", "_obs_reads_posted",
                  "_ack_delta", "_inline_max", "_remote_nic")
 
@@ -138,9 +138,6 @@ class QueuePair:
         self._peer: "QueuePair | None" = None
         self._recv_queue: deque[tuple[MemoryRegion, int, int, Any]] = deque()
         self._pending_rx: deque[tuple[bytes, int | None]] = deque()
-        #: WQEs staged by ``post_write(doorbell=False)`` awaiting the
-        #: explicit ``ring_doorbell()``.
-        self._staged: list = []
         #: Path constants precomputed once per QP: the profile is frozen
         #: and the endpoints never change, so the per-train code reads
         #: attributes instead of re-deriving them per WQE.
@@ -288,8 +285,7 @@ class QueuePair:
     def post_write(self, payload,
                    remote_rkey: int, remote_offset: int,
                    signaled: bool = False, wr_id: Any = None,
-                   assume_stable: bool = False,
-                   doorbell: bool = True) -> WorkRequest:
+                   assume_stable: bool = False) -> WorkRequest:
         """Post a one-sided RDMA WRITE of ``payload`` into the remote region.
 
         ``payload`` is one buffer or a gather list of buffers (written
@@ -301,12 +297,6 @@ class QueuePair:
         the caller must not touch the bytes until the write completed —
         exactly the send-ring contract real verbs impose (DFI reuses a
         ring slot only after the wrap-around completion drained).
-
-        With ``doorbell=False`` the WQE is only staged on the send queue:
-        no NIC arbitration, no wire reservation, no timers. A later
-        :meth:`ring_doorbell` submits every staged WQE as one doorbell
-        train. Mutable buffers are still snapshotted (or wrapped, under
-        ``assume_stable``) at *staging* time.
 
         Returns the work request; its ``done`` event triggers when the RC
         acknowledgment returns to this sender. The remote CPU is never
@@ -341,10 +331,7 @@ class QueuePair:
         region = self._get_remote_nic().region(remote_rkey)
         region.check_range(remote_offset, size)
         wr = WorkRequest(self.env, wr_id, Opcode.WRITE, signaled)
-        if doorbell:
-            self.post_lone(wr, size, pieces, region, remote_offset)
-        else:
-            self._staged.append((wr, size, pieces, region, remote_offset))
+        self.post_lone(wr, size, pieces, region, remote_offset)
         return wr
 
     def post_lone(self, wr: "WorkRequest | None", size: int, pieces,
@@ -488,54 +475,16 @@ class QueuePair:
         return commit
 
     # -- doorbell trains ----------------------------------------------------
-    def ring_doorbell(self) -> list[WorkRequest]:
-        """Submit every WQE staged with ``post_write(doorbell=False)`` as
-        one doorbell train and return their work requests (in posting
-        order). A no-op returning ``[]`` when nothing is staged."""
-        staged = self._staged
-        if not staged:
-            return []
-        self._staged = []
-        self.post_train(staged)
-        return [entry[0] for entry in staged]
-
-    def post_write_batch(self, writes,
-                         assume_stable: bool = False) -> list[WorkRequest]:
-        """Post a train of one-sided WRITEs as one scheduling unit.
-
-        ``writes`` is a sequence of ``(payload, remote_rkey,
-        remote_offset, signaled)`` tuples (``signaled`` may be omitted and
-        defaults to False; a fifth element is taken as ``wr_id``). The
-        train is equivalent to posting each write back-to-back at the
-        current instant — identical NIC arbitration, wire occupancy,
-        commit and acknowledgment times — but is driven by O(1) in-flight
-        kernel events instead of O(writes): one macro-event walks the
-        commit train and unsignaled acknowledgments expand lazily (see
-        ``WorkRequest._complete_at``).
-        """
-        # The batch is its own train: WQEs the caller staged earlier stay
-        # staged, and a write that fails validation posts nothing.
-        held, self._staged = self._staged, []
-        try:
-            for write in writes:
-                self.post_write(
-                    write[0], write[1], write[2],
-                    signaled=write[3] if len(write) > 3 else False,
-                    wr_id=write[4] if len(write) > 4 else None,
-                    assume_stable=assume_stable, doorbell=False)
-            return self.ring_doorbell()
-        finally:
-            self._staged = held
-
     def post_train(self, entries) -> None:
         """The one doorbell-train primitive: submit ``entries`` — a list
         of ``(wr, size, pieces, region, offset)`` — as one train.
 
         ``wr`` is ``None`` for an unsignaled fire-and-forget WQE nobody
         observes (the ring protocols drop those, so no WorkRequest needs
-        to exist); ``region`` is the resolved, range-checked remote
-        region (``post_write(doorbell=False)`` resolves it per WQE, ring
-        channels pass their cached whole-ring proof).
+        to exist); ``region`` is the resolved remote region, range-checked
+        by the caller (ring channels pass their cached whole-ring proof),
+        and ``pieces`` are ``(offset within the write, buffer)`` pairs the
+        caller keeps unchanged until the write commits.
 
         The NIC pipeline and the wire are reserved for the whole train at
         once and one macro-event commits each write's payload at its

@@ -138,7 +138,7 @@ class Fabric:
         arrival) is identical to calling :meth:`unicast` once per message
         in posting order, but no arrival events are created — the caller
         receives the absolute arrival *times* and expands completions
-        lazily (see ``QueuePair.post_write_batch``). ``delays`` holds the
+        lazily (see ``QueuePair.post_train``). ``delays`` holds the
         per-message transmission-start offsets from now (NIC engine
         arbitration).
         """

@@ -28,6 +28,7 @@ from repro.rdma.memory import MemoryRegion
 from repro.rdma.nic import get_nic
 from repro.rdma.qp import QueuePair, UdQueuePair
 from repro.simnet import Cluster
+from repro.simnet.congestion import CongestionConfig
 
 SCHEMA = Schema(("key", "uint64"), ("value", "uint64"))
 
@@ -181,6 +182,118 @@ def test_naive_honours_pipelined_footer_read(pipelined):
         False, {"pipelined_footer_read": pipelined})
     hits = cluster.node(0).metrics.get("core.preread_hits")
     assert (hits > 0) is pipelined
+
+
+def test_naive_memory_bytes_is_the_one_source_ring():
+    """A 1:8 bandwidth naive flow at default options holds one ring, in
+    the source: ``memory_bytes`` reports its ``source_segments`` slots
+    (the buffer has one spare, see ``_StagingBuffer``), and the eight
+    channels stage nothing (4 202 496 bytes when each kept its own)."""
+    options = FlowOptions()
+    cluster = Cluster(node_count=9)
+    dfi = DfiRuntime(cluster)
+    dfi.init_replicate_flow(
+        "rep", [Endpoint(0, 0)], [Endpoint(i, 0) for i in range(1, 9)],
+        SCHEMA)
+    seen = {}
+
+    def source():
+        endpoint = yield from dfi.open_source("rep", 0)
+        yield from endpoint.push_batch([(i, i) for i in range(1200)])
+        seen["memory"] = endpoint.memory_bytes
+        seen["ring"] = len(endpoint._staging.buffer)
+        seen["channels"] = sum(len(channel._staging)
+                               for channel in endpoint._channels)
+        yield from endpoint.close()
+
+    def target(index):
+        endpoint = yield from dfi.open_target("rep", index)
+        got = []
+        yield from _consume_all(endpoint, True, got)
+        assert len(got) == 1200
+
+    cluster.env.process(source())
+    for index in range(8):
+        cluster.env.process(target(index))
+    cluster.run()
+    slot = options.segment_size + FOOTER_SIZE
+    assert seen["memory"] == options.source_segments * slot == 262_656
+    assert seen["ring"] == seen["memory"] + slot
+    assert seen["channels"] == 0
+
+
+def _shared_slot_run(optimization, ordering, congestion=False):
+    """Naive replicate 1:4 on two-slot source and target rings, 64-byte
+    segments, with targets that compute 3 µs after every tuple so the
+    rings stay full: per-tuple pushes, batches that top up a slot, fill
+    whole ones and leave a tail, then close. Returns the pushed rows and
+    what each target received."""
+    cluster = Cluster(node_count=5)
+    if congestion:
+        cluster.install_congestion(CongestionConfig.datacenter())
+    dfi = DfiRuntime(cluster)
+    dfi.init_replicate_flow(
+        "rep", [Endpoint(0, 0)], [Endpoint(i, 0) for i in range(1, 5)],
+        SCHEMA, optimization=optimization, ordering=ordering,
+        options=FlowOptions(segment_size=64, source_segments=2,
+                            target_segments=2, credit_threshold=1))
+    rows = [(i, (i * 0x9E3779B97F4A7C15) % 2 ** 64) for i in range(160)]
+    received = [[] for _ in range(4)]
+
+    def source():
+        endpoint = yield from dfi.open_source("rep", 0)
+        start = 0
+        for size, batched in ((7, False), (30, True), (13, False),
+                              (1, True), (45, True), (9, False),
+                              (55, True)):
+            part = rows[start:start + size]
+            start += size
+            if batched:
+                yield from endpoint.push_batch(part)
+            else:
+                for row in part:
+                    yield from endpoint.push(row)
+        assert start == len(rows)
+        yield from endpoint.close()
+
+    def target(index):
+        endpoint = yield from dfi.open_target("rep", index)
+        node = cluster.node(index + 1)
+        while True:
+            item = yield from endpoint.consume()
+            if item is FLOW_END:
+                return
+            received[index].append(item)
+            yield node.compute(3_000.0)
+
+    cluster.env.process(source())
+    for index in range(4):
+        cluster.env.process(target(index))
+    cluster.run()
+    return rows, received
+
+
+@pytest.mark.parametrize("optimization", [Optimization.BANDWIDTH,
+                                          Optimization.LATENCY],
+                         ids=["bandwidth", "latency"])
+@pytest.mark.parametrize("ordering", [Ordering.NONE, Ordering.GLOBAL],
+                         ids=["local", "global"])
+def test_naive_slots_stay_stable_until_every_write_commits(optimization,
+                                                           ordering):
+    """Every channel writes its segments out of the source's one ring
+    (and a batch's whole segments out of slots the batch owns); a slot
+    repacked before some channel's write of it committed would hand that
+    target another segment's bytes."""
+    rows, received = _shared_slot_run(optimization, ordering)
+    assert received == [rows] * 4
+
+
+def test_naive_slots_stay_stable_under_congestion():
+    """With the congestion plane live, writes commit from the live buffer
+    through the discrete per-WQE path, later than an idle fabric would."""
+    rows, received = _shared_slot_run(Optimization.BANDWIDTH, Ordering.NONE,
+                                      congestion=True)
+    assert received == [rows] * 4
 
 
 def test_multicast_single_uplink_copy():

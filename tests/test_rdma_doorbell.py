@@ -1,5 +1,5 @@
-"""Tests for doorbell batching: kernel event trains, ``post_write_batch``,
-deferred doorbells, and deterministic fault semantics mid-train."""
+"""Tests for doorbell batching: kernel event trains, ``post_train`` (the
+one train primitive), and deterministic fault semantics mid-train."""
 
 import pytest
 
@@ -53,7 +53,7 @@ def test_schedule_train_interleaves_with_other_events():
     assert fired == ["t1", "solo", "t3"]
 
 
-# -- QP: post_write_batch ----------------------------------------------------
+# -- QP: post_train with work requests ---------------------------------------
 
 def _pair():
     cluster = Cluster(node_count=2)
@@ -68,14 +68,24 @@ def _payloads(n, size=256):
     return [bytes([0x10 + i]) * size for i in range(n)]
 
 
+def _post_writes(qp, remote, writes):
+    """Post ``writes`` — ``(payload, offset, signaled)`` triples — as one
+    ``post_train`` of entries that each carry a work request; returns
+    the work requests in posting order."""
+    entries = [(WorkRequest(qp.env, None, Opcode.WRITE, signaled),
+                len(payload), ((0, payload),), remote, offset)
+               for payload, offset, signaled in writes]
+    qp.post_train(entries)
+    return [entry[0] for entry in entries]
+
+
 def test_post_write_batch_delivers_all_payloads():
     cluster, _nic0, qp, remote = _pair()
     payloads = _payloads(8)
 
     def sender(env):
-        wrs = qp.post_write_batch(
-            [(p, remote.rkey, i * 256, i == 7)
-             for i, p in enumerate(payloads)])
+        wrs = _post_writes(qp, remote, [(p, i * 256, i == 7)
+                                        for i, p in enumerate(payloads)])
         yield wrs[-1].done
 
     cluster.env.process(sender(cluster.env))
@@ -95,9 +105,9 @@ def test_train_timing_matches_sequential_posts():
 
         def sender(env):
             if batched:
-                wrs = qp.post_write_batch(
-                    [(p, remote.rkey, i * 256, i == 7)
-                     for i, p in enumerate(payloads)])
+                wrs = _post_writes(qp, remote,
+                                   [(p, i * 256, i == 7)
+                                    for i, p in enumerate(payloads)])
             else:
                 wrs = [qp.post_write(p, remote.rkey, i * 256,
                                      signaled=(i == 7))
@@ -118,30 +128,41 @@ def test_train_timing_matches_sequential_posts():
 
 
 def test_deferred_doorbell_stages_without_posting():
+    """Entries are inert until ``post_train`` rings them: a zero-copy
+    piece is read when its write commits, not when the entry is built."""
     cluster, nic0, qp, remote = _pair()
     out = {}
 
     def sender(env):
-        wr0 = qp.post_write(b"a" * 64, remote.rkey, 0, doorbell=False)
-        wr1 = qp.post_write(b"b" * 64, remote.rkey, 64, signaled=True,
-                            doorbell=False)
+        buffer = bytearray(b"z" * 64)
+        wr0 = WorkRequest(env, None, Opcode.WRITE, False)
+        wr1 = WorkRequest(env, None, Opcode.WRITE, True)
+        entries = [(wr0, 64, ((0, memoryview(buffer)),), remote, 0),
+                   (wr1, 64, ((0, b"b" * 64),), remote, 64)]
         # Nothing is on the wire before the doorbell rings.
+        yield env.timeout(10.0)
         out["staged_bytes"] = nic0.bytes_posted
-        posted = qp.ring_doorbell()
-        out["posted"] = posted == [wr0, wr1]
+        buffer[:] = b"a" * 64
+        qp.post_train(entries)
+        out["posted_bytes"] = nic0.bytes_posted
         yield wr1.done
+        out["acked"] = wr0.done.triggered
 
     cluster.env.process(sender(cluster.env))
     cluster.run()
     assert out["staged_bytes"] == 0
-    assert out["posted"]
+    assert out["posted_bytes"] == 128
+    assert out["acked"]
     assert remote.read(0, 64) == b"a" * 64
     assert remote.read(64, 64) == b"b" * 64
 
 
 def test_ring_doorbell_empty_is_noop():
-    cluster, _nic0, qp, _remote = _pair()
-    assert qp.ring_doorbell() == []
+    cluster, nic0, qp, _remote = _pair()
+    qp.post_train([])
+    assert nic0.bytes_posted == 0
+    assert nic0.doorbell_trains == 0
+    assert cluster.env.peek() == float("inf")
 
 
 def test_train_single_cq_entry_for_one_signaled_wqe():
@@ -149,9 +170,8 @@ def test_train_single_cq_entry_for_one_signaled_wqe():
     out = {}
 
     def sender(env):
-        wrs = qp.post_write_batch(
-            [(b"x" * 128, remote.rkey, i * 128, i == 7)
-             for i in range(8)])
+        wrs = _post_writes(qp, remote, [(b"x" * 128, i * 128, i == 7)
+                                        for i in range(8)])
         yield wrs[-1].done
         out["cq"] = qp.send_cq.poll(max_entries=64)
 
@@ -169,9 +189,8 @@ def test_loopback_train_delivers_in_order():
     qp = nic0.create_qp(cluster.node(0))
 
     def sender(env):
-        wrs = qp.post_write_batch(
-            [(bytes([i + 1]) * 128, local.rkey, i * 128, i == 7)
-             for i in range(8)])
+        wrs = _post_writes(qp, local, [(bytes([i + 1]) * 128, i * 128,
+                                        i == 7) for i in range(8)])
         yield wrs[-1].done
 
     cluster.env.process(sender(cluster.env))
@@ -196,9 +215,8 @@ def _run_split_train(outage_at):
     out = {"statuses": []}
 
     def sender(env):
-        wrs = qp.post_write_batch(
-            [(bytes([i + 1]) * 1024, remote.rkey, i * 1024, True)
-             for i in range(8)])
+        wrs = _post_writes(qp, remote, [(bytes([i + 1]) * 1024, i * 1024,
+                                         True) for i in range(8)])
         for wr in wrs:
             try:
                 yield wr.done
@@ -316,11 +334,9 @@ def _obs_train_run(none_entries, plane=None):
                     remote, 4, 256,
                     wr_for=lambda i, tail=tail: tail if i == 3 else None))
             else:
-                for i in range(4):
-                    tail = qp.post_write(bytes([i + 1]) * 256, remote.rkey,
-                                         i * 256, signaled=(i == 3),
-                                         doorbell=False)
-                qp.ring_doorbell()
+                tail = _post_writes(qp, remote,
+                                    [(bytes([i + 1]) * 256, i * 256, i == 3)
+                                     for i in range(4)])[-1]
             yield tail.done
 
     cluster.env.process(sender(cluster.env))

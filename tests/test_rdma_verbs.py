@@ -163,13 +163,23 @@ def test_zero_copy_write_counts_a_typed_buffer_in_bytes(gather, doorbell):
     payload = [memoryview(words)[:1], words[1:]] if gather else words
 
     def post(offset):
-        return qp.post_write(payload, remote.rkey, offset,
-                             assume_stable=True, doorbell=doorbell)
+        if doorbell:
+            qp.post_write(payload, remote.rkey, offset, assume_stable=True)
+            return
+        # A ``post_train`` entry as a ring channel builds one: byte views,
+        # the size in bytes, the range proven by the caller.
+        pieces = []
+        size = 0
+        for chunk in (payload if gather else [payload]):
+            view = memoryview(chunk).cast("B")
+            pieces.append((size, view))
+            size += len(view)
+        remote.check_range(offset, size)
+        qp.post_train([(None, size, pieces, remote, offset)])
 
     with pytest.raises(MemoryRegionError):
         post(64 - 8)  # 24 bytes do not fit 8 bytes from the end
     post(8)
-    qp.ring_doorbell()
     cluster.run()
     assert nic0.bytes_posted == 24
     assert len(remote.mem) == remote.size == 64
