@@ -203,8 +203,10 @@ class _StagingBuffer:
       segment h - 1 held means the target consumed, hence committed,
       every segment up to h - T - 1. Hence ``slots`` = T + 1.
 
-    The spare slot is the price of packing before the wait; memory
-    accounting reports the N (or T) slots the protocol needs.
+    A batch's whole segments, in a buffer of their own, count as channel
+    writes between two ring slots and only widen that gap. The spare
+    slot is the price of packing before the wait; memory accounting
+    reports the N (or T) slots the protocol needs.
     """
 
     def __init__(self, descriptor: FlowDescriptor, payload_size: int,
@@ -414,7 +416,8 @@ class NaiveReplicateSource(_ReplicateSource):
         wire, so they keep the eager per-segment path). All are packed
         before the first channel writes one, so whole segments go into
         slots the batch owns and no later segment reuses; a slot the
-        batch tops up, and the tail it leaves, are in the ring.
+        batch tops up is in the ring, and so is the tail it leaves,
+        packed once the segments before it went out.
         """
         if not self._trains:
             yield from super().push_batch(tuples)
@@ -438,25 +441,33 @@ class NaiveReplicateSource(_ReplicateSource):
         seg_tuples = self._payload_size // staging.tuple_size
         whole = (total - index) // seg_tuples
         if whole:
-            batch = _StagingBuffer(self.descriptor, self._payload_size, whole)
-            for _ in range(whole):
-                batch.append_many(tuples[index:index + seg_tuples])
+            slot_size = staging.slot_size
+            batch = zeroed(whole * slot_size)
+            view = memoryview(batch)
+            for base in range(0, whole * slot_size, slot_size):
+                staging._pack_many_into(batch, base,
+                                        tuples[index:index + seg_tuples])
+                pack_footer_into(batch, base + self._payload_size,
+                                 self._payload_size, FLAG_CONSUMABLE,
+                                 seq + len(slots))
                 self._cpu_debt += seg_tuples * per_tuple
                 index += seg_tuples
-                slots.append(batch.seal(0, seq + len(slots)))
-        if index < total:
-            staging.append_many(tuples[index:])
-            self._cpu_debt += (total - index) * per_tuple
+                slots.append(view[base:base + slot_size])
+        tail = tuples[index:]
+        self._cpu_debt += len(tail) * per_tuple
         self.tuples_sent += total
-        if not slots:
-            return
-        # One coalesced CPU charge: the debt a per-segment schedule would
-        # accrue.
-        yield self.node.compute(self._take_debt(len(slots)))
-        self._local_seq += len(slots)
-        self.segments_sent += len(slots)
-        yield from self._fan_out(
-            lambda channel: channel._post_train(slots, seq))
+        if slots:
+            # One coalesced CPU charge: the debt a per-segment schedule
+            # would accrue.
+            yield self.node.compute(self._take_debt(len(slots)))
+            self._local_seq += len(slots)
+            self.segments_sent += len(slots)
+            yield from self._fan_out(
+                lambda channel: channel._post_train(slots, seq))
+        if tail:
+            # Only now: segment h is packed after the fan-out of h - 1
+            # (see _StagingBuffer).
+            staging.append_many(tail)
 
     def close(self):
         """Generator: flush, send the close marker, and wait for acks."""

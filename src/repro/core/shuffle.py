@@ -664,16 +664,8 @@ class LatencySourceChannel:
         generator the caller must ``yield from``."""
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
-        # :meth:`_send` written out: a latency push is one frame less.
-        seq = self._credit.sent
-        base = (seq % self._staging_slots) * self._slot_size
-        used = self._tuple_size
-        self._pack_into(self._staging, base, values)
-        _FOOTER_PACK_INTO(self._staging, base + self.segment_payload, used,
-                          _CONSUMABLE_WORD, seq)
-        return self._write_slot(
-            self._staging_view[base:base + self._slot_size], used, 0, seq,
-            self._push_cost)
+        return self._send(self._push_cost, self._pack_into, values,
+                          self._tuple_size)
 
     def push_batch(self, tuples):
         """Generator: push a batch of tuples. Latency mode is inherently

@@ -222,12 +222,18 @@ def test_naive_memory_bytes_is_the_one_source_ring():
     assert seen["channels"] == 0
 
 
-def _shared_slot_run(optimization, ordering, congestion=False):
-    """Naive replicate 1:4 on two-slot source and target rings, 64-byte
-    segments, with targets that compute 3 µs after every tuple so the
-    rings stay full: per-tuple pushes, batches that top up a slot, fill
-    whole ones and leave a tail, then close. Returns the pushed rows and
-    what each target received."""
+#: Per-tuple pushes, batches that top up a slot, fill whole ones and
+#: leave a tail, in ``(count, batched)`` runs.
+_MIXED_PUSHES = ((7, False), (30, True), (13, False), (1, True), (45, True),
+                 (9, False), (55, True))
+
+
+def _shared_slot_run(optimization, ordering, congestion=False,
+                     target_segments=2, parts=_MIXED_PUSHES):
+    """Naive replicate 1:4 on a two-slot source ring, 64-byte segments,
+    with targets that compute 3 µs after every tuple so the rings stay
+    full: ``parts`` of per-tuple pushes and batches, then close. Returns
+    the pushed rows and what each target received."""
     cluster = Cluster(node_count=5)
     if congestion:
         cluster.install_congestion(CongestionConfig.datacenter())
@@ -236,16 +242,16 @@ def _shared_slot_run(optimization, ordering, congestion=False):
         "rep", [Endpoint(0, 0)], [Endpoint(i, 0) for i in range(1, 5)],
         SCHEMA, optimization=optimization, ordering=ordering,
         options=FlowOptions(segment_size=64, source_segments=2,
-                            target_segments=2, credit_threshold=1))
-    rows = [(i, (i * 0x9E3779B97F4A7C15) % 2 ** 64) for i in range(160)]
+                            target_segments=target_segments,
+                            credit_threshold=1))
+    rows = [(i, (i * 0x9E3779B97F4A7C15) % 2 ** 64)
+            for i in range(sum(size for size, _ in parts))]
     received = [[] for _ in range(4)]
 
     def source():
         endpoint = yield from dfi.open_source("rep", 0)
         start = 0
-        for size, batched in ((7, False), (30, True), (13, False),
-                              (1, True), (45, True), (9, False),
-                              (55, True)):
+        for size, batched in parts:
             part = rows[start:start + size]
             start += size
             if batched:
@@ -253,7 +259,6 @@ def _shared_slot_run(optimization, ordering, congestion=False):
             else:
                 for row in part:
                     yield from endpoint.push(row)
-        assert start == len(rows)
         yield from endpoint.close()
 
     def target(index):
@@ -293,6 +298,21 @@ def test_naive_slots_stay_stable_under_congestion():
     through the discrete per-WQE path, later than an idle fabric would."""
     rows, received = _shared_slot_run(Optimization.BANDWIDTH, Ordering.NONE,
                                       congestion=True)
+    assert received == [rows] * 4
+
+
+@pytest.mark.parametrize("parts", [
+    ((10, True), (4, True), (3, True), (4, True)),
+    ((1, True), (1, False), (3, True), (5, False), (7, True), (1, True),
+     (3, False)),
+], ids=["batches", "mixed"])
+def test_naive_batch_tail_waits_for_its_top_up(parts):
+    """A batch that seals the open slot and leaves a tail packs the tail
+    into the next ring slot only once the sealed segment went out: that
+    slot's last segment may still be in flight until then. A four-slot
+    target ring lets two writes share one footer proof, so it can be."""
+    rows, received = _shared_slot_run(Optimization.BANDWIDTH, Ordering.NONE,
+                                      target_segments=4, parts=parts)
     assert received == [rows] * 4
 
 
