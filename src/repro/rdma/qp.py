@@ -349,9 +349,14 @@ class QueuePair:
         acknowledgment expands lazily (``WorkRequest._complete_at``).
         Unlike a train the lone write may not coalesce its prefix into
         the arrival commit: a latency-mode target's doorbell hook wakes
-        on the prefix commit (DESIGN.md §9). An active fault or
-        congestion plane, checked on every call, takes the discrete
-        per-WQE events of :meth:`_post_discrete` instead.
+        on the prefix commit (DESIGN.md §9). An active congestion plane
+        admits the WQE first (``rc_admit``: pacing and the egress-queue
+        hold-off, added before the NIC slot) and observes it after the
+        wire reservation (``rc_sent``: ECN mark, CNP); the write still
+        takes this macro walk. Only an active fault plane, checked on
+        every call, takes the discrete per-WQE events of
+        :meth:`_post_discrete` instead: its liveness checks must run
+        when each event fires.
         """
         obs = self._obs
         if obs is not None:
@@ -368,16 +373,24 @@ class QueuePair:
         congestion = cluster.congestion
         if congestion is not None and not congestion.active:
             congestion = None
-        if faults is not None or congestion is not None:
+        if faults is not None:
             self._post_lone_discrete(wr, size, pieces, region, offset,
                                      faults, congestion)
             return
         nic = self.nic
         env = self.env
-        delay = nic.engine_delay(size <= self._inline_max)
+        admit = 0.0
+        rate = None
+        if congestion is not None:
+            admit, rate = congestion.rc_admit(self, size)
+        # Admission precedes arbitration: the plane anchors its edges on
+        # [now, now + admit], the NIC edge starts where they end.
+        delay = nic.engine_delay(size <= self._inline_max) + admit
         nic.bytes_posted += size
         arrival_delay = cluster.fabric.unicast_delay(
             self.node, self.remote_node, size, delay)
+        if rate is not None:
+            congestion.rc_sent(rate, size, arrival_delay)
         # Every instant is ``now + offset``: the float a Timeout armed
         # with that offset fires at (an absolute arrival round-tripped
         # through ``arrival - now`` may differ by one ulp).
@@ -386,7 +399,7 @@ class QueuePair:
         ack_at = now + (arrival_delay + self._ack_delta)
         if obs is not None and obs.causal:
             issued = now + delay
-            obs.log((WQE, self, now, issued, issued, arrival))
+            obs.log((WQE, self, now + admit, issued, issued, arrival))
         split = size - _ORDERED_TAIL
         if split > 0:
             prefix_pieces, tail_pieces = _split_ordered_tail(pieces, split)
@@ -407,20 +420,20 @@ class QueuePair:
 
     def _post_lone_discrete(self, wr, size, pieces, region, offset,
                             faults, congestion) -> None:
-        """Eager posting under an active fault and/or congestion plane:
-        admit the WQE against the path state now, then arm its discrete
-        events."""
+        """Eager posting under an active fault plane (a congestion plane
+        may be stacked on it): admit the WQE against the path state now,
+        then arm its discrete events."""
         if wr is None:
             wr = WorkRequest(self.env, None, Opcode.WRITE, False)
-        admit = 0.0
-        if faults is not None:
-            admit = faults.rc_admission(self.node, self.remote_node)
-            if admit is None:
-                self._flush_after(wr, faults.detection_timeout,
-                                  WcStatus.RETRY_EXC_ERR)
-                return
+        admit = faults.rc_admission(self.node, self.remote_node)
+        if admit is None:
+            self._flush_after(wr, faults.detection_timeout,
+                              WcStatus.RETRY_EXC_ERR)
+            return
+        rate = None
         if congestion is not None:
-            admit += congestion.rc_admit(self, size)
+            paced, rate = congestion.rc_admit(self, size)
+            admit += paced
         # Admission precedes arbitration here: the planes anchor their
         # edges on [now, now + admit], the NIC edge starts where they end.
         issue_delay = self.nic.engine_delay(size <= self._inline_max) + admit
@@ -428,26 +441,29 @@ class QueuePair:
         prefix_pieces, tail_pieces = (
             _split_ordered_tail(pieces, split) if split > 0 else ((), pieces))
         self._post_discrete(wr, size, prefix_pieces, tail_pieces, region,
-                            offset, admit, issue_delay, 0.0, congestion)
+                            offset, admit, issue_delay, 0.0, rate)
 
     def _post_discrete(self, wr: WorkRequest, size: int, prefix_pieces,
                        tail_pieces, region: MemoryRegion, base: int,
                        arb_from: float, arb_to: float, held: float,
-                       congestion) -> None:
-        """The discrete per-WQE body every admitted plane-active write
-        takes (:meth:`_post_lone_discrete`, :meth:`_post_train_sequential`):
-        an arrival event, a prefix timer one tail-serialization earlier
-        when ``prefix_pieces`` is non-empty, and a completion timer, each
-        re-checking the peer's liveness when it fires. NIC arbitration
-        spans the offsets ``[arb_from, arb_to]`` from now; the WQE is
-        handed to the wire ``held`` ns after that (admission a train
-        applies per WQE at its wire-start time)."""
+                       rate) -> None:
+        """The discrete per-WQE body every admitted write takes while a
+        fault plane is active (:meth:`_post_lone_discrete`,
+        :meth:`_post_train_sequential`): an arrival event, a prefix timer
+        one tail-serialization earlier when ``prefix_pieces`` is
+        non-empty, and a completion timer, each re-checking the peer's
+        liveness when it fires. NIC arbitration spans the offsets
+        ``[arb_from, arb_to]`` from now; the WQE is handed to the wire
+        ``held`` ns after that (admission a train applies per WQE at its
+        wire-start time). ``rate`` is the congestion plane's state of
+        this QP when one is stacked on the fault plane (``rc_admit``
+        returned it), else ``None``."""
         env = self.env
         self.nic.bytes_posted += size
         arrival = self._fabric().unicast(self.node, self.remote_node, size,
                                          delay=arb_to + held)
-        if congestion is not None:
-            congestion.rc_sent(self, size, arrival.delay)
+        if rate is not None:
+            rate.plane.rc_sent(rate, size, arrival.delay)
         obs = self._obs
         if obs is not None and obs.causal:
             # The admission planes log the delay they add themselves.
@@ -493,10 +509,15 @@ class QueuePair:
         *prefix* bytes commit together with its tail at arrival instead
         of one tail-serialization earlier (the coalescing is
         protocol-invisible: DFI only ever acts on the footer, which
-        commits at arrival either way). An active fault or congestion
-        plane is checked on every call and hands the train to
-        :meth:`_post_train_sequential`, so a plane installed between two
-        trains governs the very next one.
+        commits at arrival either way). Both planes are checked on every
+        call, so a plane installed between two trains governs the very
+        next one. An active congestion plane paces the train WQE by WQE
+        in posting order — ``rc_admit`` before each wire reservation,
+        its delay added to that WQE's wire start, ``rc_sent`` after it —
+        and each WQE then takes the train-of-one walk with the
+        relative-offset arithmetic of :meth:`post_lone` (the instants the
+        discrete events would fire at). An active fault plane hands the
+        train to :meth:`_post_train_sequential` instead.
         """
         if not entries:
             return
@@ -517,7 +538,7 @@ class QueuePair:
                 obs.bound()  # the plane log's memory bound
         faults = self._faults()
         congestion = self._congestion()
-        if faults is not None or congestion is not None:
+        if faults is not None:
             if obs is not None:
                 # The per-WQE path logs its own arbitration and wire spans.
                 obs.log((TRAIN, self.env._now, self, count, (), ()))
@@ -525,26 +546,51 @@ class QueuePair:
             return
         inline_max = self._inline_max
         ack_latency = self._ack_delta
-        if len(entries) == 1:
+        if congestion is not None or len(entries) == 1:
             # Trains of one are the common shape on hash-routed shuffles
             # (each channel's share of a batch is about one segment);
             # skip the multi-entry list/zip machinery. Same arbitration
-            # and wire arithmetic, so timestamps stay bit-identical.
-            wr, size, pieces, region, offset = entries[0]
-            delay = nic.engine_delay_train_one(size <= inline_max)
-            nic.bytes_posted += size
-            arrival = self._fabric().unicast_train_one(
-                self.node, self.remote_node, size, delay)
-            if obs is not None:
-                obs.log((TRAIN, self.env._now, self, 1, (delay,), (arrival,)))
-            actions = [(arrival, _commit_write, (region, offset, pieces))]
-            if wr is not None:
-                if wr.signaled:
-                    actions.append((arrival + ack_latency,
-                                    self._finish_signaled, (wr, size)))
+            # and wire arithmetic, so timestamps stay bit-identical. A
+            # paced train walks here one WQE at a time: each is admitted
+            # at post time, in posting order, and marked after its own
+            # wire reservation.
+            env = self.env
+            fabric = self._fabric()
+            if congestion is not None and obs is not None:
+                # Each paced WQE logs its own arbitration and wire spans.
+                obs.log((TRAIN, env._now, self, count, (), ()))
+            for wr, size, pieces, region, offset in entries:
+                nic.bytes_posted += size
+                if congestion is None:
+                    delay = nic.engine_delay_train_one(size <= inline_max)
+                    arrival = fabric.unicast_train_one(
+                        self.node, self.remote_node, size, delay)
+                    ack_at = arrival + ack_latency
+                    if obs is not None:
+                        obs.log((TRAIN, env._now, self, 1, (delay,),
+                                 (arrival,)))
                 else:
-                    wr._complete_at(arrival + ack_latency)
-            self.env.schedule_train(actions)
+                    delay = nic.engine_delay(size <= inline_max)
+                    admit, rate = congestion.rc_admit(self, size)
+                    arrival_delay = fabric.unicast_delay(
+                        self.node, self.remote_node, size, delay + admit)
+                    if rate is not None:
+                        congestion.rc_sent(rate, size, arrival_delay)
+                    now = env._now
+                    arrival = now + arrival_delay
+                    ack_at = now + (arrival_delay + ack_latency)
+                    if obs is not None and obs.causal:
+                        issued = now + delay
+                        obs.log((WQE, self, now, issued, issued + admit,
+                                 arrival))
+                actions = [(arrival, _commit_write, (region, offset, pieces))]
+                if wr is not None:
+                    if wr.signaled:
+                        actions.append((ack_at, self._finish_signaled,
+                                        (wr, size)))
+                    else:
+                        wr._complete_at(ack_at)
+                env.schedule_train(actions)
             return
         sizes = []
         inlines = []
@@ -585,7 +631,8 @@ class QueuePair:
         self.env.schedule_train(actions)
 
     def _post_train_sequential(self, entries, faults, congestion) -> None:
-        """Train posting under an active fault and/or congestion plane.
+        """Train posting under an active fault plane (a congestion plane
+        may be stacked on it).
 
         The NIC drains a doorbell train sequentially, so each WQE is
         admitted against the path state at its own wire-serialization start
@@ -593,15 +640,14 @@ class QueuePair:
         an outage that begins mid-train delivers the prefix of the train
         and flushes the failing WQE *and every later one* with
         ``RETRY_EXC_ERR`` (the QP enters the error state; real RC flushes
-        the rest of the send queue). Under congestion each WQE is rate-
-        paced and marked individually — a train is not exempt from the
-        egress queue bound. Admitted WQEs take the discrete per-WQE body
-        (:meth:`_post_discrete`) — chaos/congestion runs trade the
-        O(1)-event macro path for exact per-WQE observability (arrival
-        and ack timestamps stay bit-identical to the macro path when both
-        planes add zero delay: the PR 4 train-equivalence contract). That
-        body completes a WorkRequest per WQE, so a ``None`` entry gets
-        one here.
+        the rest of the send queue). A stacked congestion plane paces and
+        marks each admitted WQE as :meth:`post_train` does without faults.
+        Admitted WQEs take the discrete per-WQE body
+        (:meth:`_post_discrete`), whose events re-check the peer's
+        liveness when they fire; arrival and ack timestamps stay
+        bit-identical to the macro walk when the planes add zero delay.
+        That body completes a WorkRequest per WQE, so a ``None`` entry
+        gets one here.
         """
         env = self.env
         nic = self.nic
@@ -618,23 +664,23 @@ class QueuePair:
                 continue
             inline = size <= inline_max
             offset_delay = nic.engine_delay(inline)
-            admit = 0.0
-            if faults is not None:
-                wire_at = env.now + offset_delay
-                if uplink is not None and uplink.busy_until > wire_at:
-                    wire_at = uplink.busy_until
-                admit = faults.rc_admission(self.node, self.remote_node,
-                                            at=wire_at)
-                if admit is None:
-                    flush_rest = True
-                    self._flush_after(wr, faults.detection_timeout,
-                                      WcStatus.RETRY_EXC_ERR)
-                    continue
+            wire_at = env.now + offset_delay
+            if uplink is not None and uplink.busy_until > wire_at:
+                wire_at = uplink.busy_until
+            admit = faults.rc_admission(self.node, self.remote_node,
+                                        at=wire_at)
+            if admit is None:
+                flush_rest = True
+                self._flush_after(wr, faults.detection_timeout,
+                                  WcStatus.RETRY_EXC_ERR)
+                continue
+            rate = None
             if congestion is not None:
-                admit += congestion.rc_admit(self, size)
+                paced, rate = congestion.rc_admit(self, size)
+                admit += paced
             # Trains coalesce the prefix into the arrival commit.
             self._post_discrete(wr, size, (), pieces, region, offset, 0.0,
-                                offset_delay, admit, congestion)
+                                offset_delay, admit, rate)
 
     # -- one-sided READ ----------------------------------------------------
     def post_read(self, local_region: MemoryRegion, local_offset: int,
@@ -788,15 +834,17 @@ class QueuePair:
         else:
             fault_delay = 0.0
         congestion = self._congestion()
+        rate = None
         if congestion is not None:
-            fault_delay += congestion.rc_admit(self, size)
+            paced, rate = congestion.rc_admit(self, size)
+            fault_delay += paced
         inline = size <= self._inline_max
         offset_delay = self.nic.engine_delay(inline) + fault_delay
         self.nic.bytes_posted += size
         arrival = self._fabric().unicast(self.node, self.remote_node, size,
                                          delay=offset_delay)
-        if congestion is not None:
-            congestion.rc_sent(self, size, arrival.delay)
+        if rate is not None:
+            congestion.rc_sent(rate, size, arrival.delay)
         peer = self._peer
 
         def on_arrival(_event, data=data, imm=imm):

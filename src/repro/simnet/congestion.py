@@ -406,21 +406,24 @@ class CongestionPlane:
         return queue.peek(now, link.bandwidth)
 
     # -- RC hot-path hooks (called from rdma.qp) ---------------------------
-    def rc_admit(self, qp, size: int) -> float:
-        """Admission delay for one RC data WQE (pacing + queue bound)."""
+    def rc_admit(self, qp, size: int) -> "tuple[float, _RcRate | None]":
+        """Admission delay for one RC data WQE (pacing + queue bound) and
+        the QP's rate state, which the caller hands back to
+        :meth:`rc_sent` after the wire reservation — ``None`` on
+        loopback, which bypasses the switch: no egress queue, no mark."""
         if qp.remote_node is qp.node:
-            return 0.0  # loopback bypasses the switch: no egress queue
-        return self.rc_state(qp).admit(size)
+            return 0.0, None
+        state = self.rc_state(qp)
+        return state.admit(size), state
 
-    def rc_sent(self, qp, size: int, arrival_delay: float) -> None:
+    def rc_sent(self, state: _RcRate, size: int,
+                arrival_delay: float) -> None:
         """Observe one admitted RC data WQE after its wire reservation:
         record egress occupancy, decide the ECN mark, and schedule the
-        CNP back to this QP when marked."""
+        CNP back to the QP when marked. ``state`` is what
+        :meth:`rc_admit` returned for the WQE (never ``None``)."""
+        qp = state.qp
         dst = qp.remote_node
-        if dst is qp.node:
-            return
-        now = self.env.now
-        state = self.rc_state(qp)
         # The queue level this WQE saw at admission time (set by
         # rc_admit just before the wire reservation) — the switch's RED
         # engine marks against instantaneous egress occupancy.
@@ -452,7 +455,7 @@ class CongestionPlane:
             metrics.observe("net.mark_occupancy", occupancy)
         log = self._trace()
         if log is not None:
-            log((EVENT, now, "ECN_MARK", "congestion", dst.node_id,
+            log((EVENT, self.env.now, "ECN_MARK", "congestion", dst.node_id,
                  f"qp{qp.qpn}", {"occupancy": int(occupancy)}))
         # The receiver NIC turns the mark into a CNP one control latency
         # after the marked packet arrives.

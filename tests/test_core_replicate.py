@@ -29,6 +29,7 @@ from repro.rdma.nic import get_nic
 from repro.rdma.qp import QueuePair, UdQueuePair
 from repro.simnet import Cluster
 from repro.simnet.congestion import CongestionConfig
+from repro.simnet.faults import FaultPlan, link_degrade
 
 SCHEMA = Schema(("key", "uint64"), ("value", "uint64"))
 
@@ -229,14 +230,20 @@ _MIXED_PUSHES = ((7, False), (30, True), (13, False), (1, True), (45, True),
 
 
 def _shared_slot_run(optimization, ordering, congestion=False,
-                     target_segments=2, parts=_MIXED_PUSHES):
+                     idle_fault=False, target_segments=2,
+                     parts=_MIXED_PUSHES):
     """Naive replicate 1:4 on a two-slot source ring, 64-byte segments,
     with targets that compute 3 µs after every tuple so the rings stay
     full: ``parts`` of per-tuple pushes and batches, then close. Returns
-    the pushed rows and what each target received."""
-    cluster = Cluster(node_count=5)
+    the pushed rows and what each target received. ``idle_fault``
+    degrades a sixth node no flow uses: the fault plane is active, so
+    every write takes the discrete per-WQE path."""
+    cluster = Cluster(node_count=6 if idle_fault else 5)
     if congestion:
         cluster.install_congestion(CongestionConfig.datacenter())
+    if idle_fault:
+        cluster.install_faults(FaultPlan([link_degrade(
+            5, at=1.0, duration=10.0, factor=2.0)]))
     dfi = DfiRuntime(cluster)
     dfi.init_replicate_flow(
         "rep", [Endpoint(0, 0)], [Endpoint(i, 0) for i in range(1, 5)],
@@ -295,10 +302,13 @@ def test_naive_slots_stay_stable_until_every_write_commits(optimization,
 
 def test_naive_slots_stay_stable_under_congestion():
     """With the congestion plane live, writes commit from the live buffer
-    through the discrete per-WQE path, later than an idle fabric would."""
-    rows, received = _shared_slot_run(Optimization.BANDWIDTH, Ordering.NONE,
-                                      congestion=True)
-    assert received == [rows] * 4
+    later than an idle fabric would: paced on the macro walk, and through
+    the discrete per-WQE path once an idle fault plane is stacked on it."""
+    for idle_fault in (False, True):
+        rows, received = _shared_slot_run(
+            Optimization.BANDWIDTH, Ordering.NONE, congestion=True,
+            idle_fault=idle_fault)
+        assert received == [rows] * 4
 
 
 @pytest.mark.parametrize("parts", [

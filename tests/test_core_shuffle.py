@@ -140,6 +140,110 @@ def test_latency_shuffle_closed_form():
         expected, abs=1e-6)
 
 
+@pytest.mark.parametrize("tuple_size,batch,bound", [
+    (64, None, "cpu"),
+    (4096, 8, "wire"),
+    (4096, None, "preread"),
+], ids=["cpu-bound", "wire-bound", "preread-bound"])
+def test_bandwidth_shuffle_closed_form(tuple_size, batch, bound):
+    """The 1:1 bandwidth shuffle's steady-state segment period from the
+    profile's fields (EXPERIMENTS.md, Fig. 7a row), checked against the
+    gaps between consecutive footer commits on the target's ring, to
+    1e-6 ns.
+
+    A source fills a segment on its CPU — ``payload // tuple_size``
+    pushes of ``cpu_push_cost(tuple_size)`` plus one ``cpu_post_cost``,
+    charged per tuple or per ``push_batch`` alike — while the uplink
+    serializes the previous one, 8 KiB payload + 16 B footer at
+    ``link_bandwidth``. The period is the larger of the two: 2128.48 ns
+    at 64 B tuples (CPU-bound), 656.64 ns for 4 KiB tuples pushed in
+    batches of 4 segments (wire-bound: 11.62 GiB/s of payload, the link's
+    11.64 GiB/s less the footer).
+
+    Two protocol stalls sit on top. Once per ``source_segments`` footers
+    the source reaps its signaled wrap WQE before reusing the slot: the
+    write's full round trip, ``nic_processing`` + the 8208 B wire +
+    2 ``wire_latency`` = 2506.64 ns (it costs the wire-bound shape ~8 %
+    of the plateau). And a *per-tuple* flush proves its next remote slot
+    with the footer read it pipelined behind the previous write (paper
+    Section 5.2), one read round trip per segment: the read queues one
+    ``nic_wqe_service`` behind the write, then ``nic_processing_inline``,
+    a 16 B request and a 16 B response each a ``wire_latency`` away —
+    1797.56 ns. That, not max(CPU, wire) = 656.64 ns, is the period of a
+    per-tuple flow once a segment fills faster than the read returns
+    (tuples above ~82 B); batches prove a whole train's window with one
+    read and run at the wire."""
+    from repro.core.segment import FOOTER_SIZE
+    from repro.rdma.qp import _REQUEST_PACKET_SIZE
+
+    cluster, dfi = build(node_count=2)
+    profile = cluster.profile
+    options = FlowOptions()
+    payload = options.segment_size
+    schema = Schema(("key", "uint64"), ("pad", tuple_size - 8))
+    dfi.init_shuffle_flow("bw", [Endpoint(0, 0)], [Endpoint(1, 0)], schema,
+                          shuffle_key="key", options=options)
+    segments = 8 * options.source_segments
+    per_segment = payload // tuple_size
+    pad = bytes(tuple_size - 8)
+    footers = []
+
+    def source_thread():
+        source = yield from dfi.open_source("bw", 0)
+        rows = [(i, pad) for i in range(segments * per_segment)]
+        if batch is None:
+            for row in rows:
+                yield from source.push(row)
+        else:
+            for start in range(0, len(rows), batch):
+                yield from source.push_batch(rows[start:start + batch])
+        yield from source.close()
+
+    def target_thread():
+        target = yield from dfi.open_target("bw", 0)
+        slot = payload + FOOTER_SIZE
+
+        def on_commit(offset, length):
+            if (offset + length) % slot == 0:
+                footers.append(cluster.now)
+
+        target._channels[0].ring.region.add_write_hook(on_commit)
+        while (yield from target.consume_batch()) is not FLOW_END:
+            pass
+
+    cluster.env.process(source_thread())
+    cluster.env.process(target_thread())
+    cluster.run()
+    fill = per_segment * profile.cpu_push_cost(tuple_size) + (
+        profile.cpu_post_cost)
+    wire = (payload + FOOTER_SIZE) / profile.link_bandwidth
+    period = max(fill, wire)
+    if bound == "cpu":
+        assert fill > wire
+        assert period == pytest.approx(2128.48, abs=1e-6)
+    elif bound == "wire":
+        assert fill < wire
+        assert period == pytest.approx(656.64, abs=1e-6)
+    else:
+        period = (profile.nic_wqe_service + profile.nic_processing_inline
+                  + (_REQUEST_PACKET_SIZE + FOOTER_SIZE)
+                  / profile.link_bandwidth + 2 * profile.wire_latency)
+        assert period > max(fill, wire)
+        assert period == pytest.approx(1797.56, abs=1e-6)
+    wrap = (profile.nic_processing + wire + 2 * profile.wire_latency)
+    assert wrap == pytest.approx(2506.64, abs=1e-6)
+    # Skip the first ring lap (the target ring fills from empty), then
+    # read four whole laps of the source ring.
+    assert len(footers) == segments + 1  # the close marker is a footer
+    lap = options.source_segments
+    steady = [later - earlier for earlier, later
+              in zip(footers[lap:5 * lap], footers[lap + 1:5 * lap + 1])]
+    assert sum(gap == pytest.approx(wrap, abs=1e-6)
+               for gap in steady) == 4
+    assert all(gap == pytest.approx(period, abs=1e-6)
+               or gap == pytest.approx(wrap, abs=1e-6) for gap in steady)
+
+
 def test_latency_mode_backpressure_small_ring():
     """A tiny ring with a slow consumer exercises the credit stall path."""
     cluster, dfi = build(node_count=2)

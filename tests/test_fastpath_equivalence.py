@@ -1,20 +1,29 @@
 """Bit-exact equivalence of the macro-event train and the per-WQE path.
 
 ``QueuePair.post_train`` walks a doorbell train with one macro-event
-unless a fault or congestion plane is active, in which case every WQE
-arms its own discrete events; ``ShuffleTarget`` merges wake and
-poll into one event unless ``peer_timeout`` bounds the wait. Both
-selections read observable state only, and neither may move simulated
-time: every externally observable timestamp — when each ``push_batch``
-returns (credit/CQ backpressure), when each consumed batch arrives, when
-the flow ends — must be bit-identical either way, across seeds, ring
+unless a fault plane is active, in which case every WQE arms its own
+discrete events (``_post_discrete``), whose liveness checks run when
+they fire. A congestion plane alone keeps the macro walk: it paces and
+marks each WQE at post time. ``ShuffleTarget`` merges wake and poll into
+one event unless ``peer_timeout`` bounds the wait. Both selections read
+observable state only, and neither may move simulated time: every
+externally observable timestamp — when each ``push_batch`` returns
+(credit/CQ backpressure), when each consumed batch arrives, when the
+flow ends — must be bit-identical either way, across seeds, ring
 geometries, and trains that don't divide evenly into segments.
 
-The reference run is therefore the same workload with an *inert but
-active* plane installed from the start (an unbounded congestion config,
-or a link degrade on an idle node) and a peer timeout far beyond the run.
-Full timelines are compared with ``==``, and the plain run must execute
-strictly fewer kernel events — the equivalence is never vacuous.
+The discrete reference is therefore the same workload with an *inert
+but active* fault plane installed from the start (a link degrade on an
+idle node) and a peer timeout far beyond the run. Full timelines are
+compared with ``==``. The reference's discreteness is counted, not
+inferred from event totals: every data WQE it posts goes through
+``_post_discrete``, and the plain run never calls it. An unbounded
+congestion config is the other inert plane; it must leave the timeline
+alone, never reach ``_post_discrete``, and cost no more events than the
+plain run. Under ``CongestionConfig.datacenter()`` an N:1 incast really
+marks, and the congestion-only macro walk must equal the discrete walk
+of the same plane with the idle fault plane stacked on it: timeline and
+plane tallies.
 
 A plane installed *mid-run* (between flushes) governs the very next
 train: its timeline must equal that of the plane installed from the
@@ -26,6 +35,7 @@ section at the bottom holds it to the discrete per-WQE reference commit
 by commit.
 """
 
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
@@ -41,7 +51,7 @@ from repro.core import (
 )
 from repro.core.segment import FOOTER_SIZE
 from repro.rdma import get_nic
-from repro.rdma.qp import _ORDERED_TAIL
+from repro.rdma.qp import _ORDERED_TAIL, QueuePair
 from repro.simnet import Cluster
 from repro.simnet.congestion import CongestionConfig
 from repro.simnet.faults import FaultPlan, link_degrade
@@ -58,15 +68,48 @@ def _install_congestion(cluster):
 
 
 def _install_idle_fault(cluster):
-    # Degrade the idle node, far from the flow: the plane is *active*
+    # Degrade the last node, which no flow uses: the plane is *active*
     # (every subsequent train goes per-WQE) while the flow's own links
     # and timing are untouched.
     cluster.install_faults(FaultPlan(
-        [link_degrade(1 + _TARGETS, at=cluster.now + 1.0,
+        [link_degrade(len(cluster.nodes) - 1, at=cluster.now + 1.0,
                       duration=10.0, factor=2.0)]))
 
 
 _PLANES = {"congestion": _install_congestion, "fault": _install_idle_fault}
+
+
+@contextmanager
+def _counted_posts():
+    """Count, while the block runs, the data WQEs posted (``post_lone``
+    calls plus ``post_train`` entries) and the ``_post_discrete`` calls
+    among them — the explicit evidence of which walk a run took."""
+    counts = {"wqes": 0, "discrete": 0}
+    post_lone = QueuePair.post_lone
+    post_train = QueuePair.post_train
+    post_discrete = QueuePair._post_discrete
+
+    def counted_lone(qp, *args):
+        counts["wqes"] += 1
+        post_lone(qp, *args)
+
+    def counted_train(qp, entries):
+        counts["wqes"] += len(entries)
+        post_train(qp, entries)
+
+    def counted_discrete(qp, *args):
+        counts["discrete"] += 1
+        post_discrete(qp, *args)
+
+    QueuePair.post_lone = counted_lone
+    QueuePair.post_train = counted_train
+    QueuePair._post_discrete = counted_discrete
+    try:
+        yield counts
+    finally:
+        QueuePair.post_lone = post_lone
+        QueuePair.post_train = post_train
+        QueuePair._post_discrete = post_discrete
 
 
 def _traced_shuffle(*, seed=0, options=FlowOptions(), count=4096,
@@ -128,14 +171,22 @@ def _traced_shuffle(*, seed=0, options=FlowOptions(), count=4096,
     return timeline, events
 
 
-def _assert_equivalent(plane="congestion", options=FlowOptions(), **kwargs):
-    plain, plain_events = _traced_shuffle(options=options, **kwargs)
-    reference, reference_events = _traced_shuffle(
-        options=replace(options, peer_timeout=1e12),
-        at_start=_PLANES[plane], **kwargs)
+def _assert_equivalent(plane="fault", options=FlowOptions(), **kwargs):
+    with _counted_posts() as plain_posts:
+        plain, plain_events = _traced_shuffle(options=options, **kwargs)
+    with _counted_posts() as reference_posts:
+        reference, reference_events = _traced_shuffle(
+            options=replace(options, peer_timeout=1e12),
+            at_start=_PLANES[plane], **kwargs)
     assert plain == reference
-    assert plain_events < reference_events, \
-        "macro path never engaged: equivalence would be vacuous"
+    assert plain_posts["discrete"] == 0
+    assert reference_posts["wqes"] == plain_posts["wqes"] > 0
+    # Only the fault plane is a discrete reference: it sends every data
+    # WQE through the per-WQE body. A congestion plane keeps the macro.
+    discrete = reference_posts["wqes"] if plane == "fault" else 0
+    assert reference_posts["discrete"] == discrete
+    # The bounded wait keeps wake and poll apart: never vacuous either.
+    assert plain_events < reference_events
 
 
 @pytest.mark.parametrize("plane", sorted(_PLANES))
@@ -164,15 +215,29 @@ def test_bit_identical_non_divisible_trains(count, batch):
 
 @pytest.mark.parametrize("plane", sorted(_PLANES))
 def test_mid_run_install_governs_the_next_train(plane):
-    """A plane installed between two flushes sends the very next train
-    per-WQE: same timeline as the plane installed from the start, and
-    more kernel events than the run that never installs it."""
+    """A plane installed between two flushes governs the very next train:
+    same timeline as the plane installed from the start. A fault plane
+    sends it per-WQE — ``_post_discrete`` runs for every WQE posted after
+    the install, and the run costs more kernel events than one that never
+    installs the plane. An unbounded congestion plane keeps the macro
+    walk: the plain timeline, no discrete post, no extra event."""
     install = _PLANES[plane]
-    _, plain_events = _traced_shuffle()
-    at_half, half_events = _traced_shuffle(mid_run=install)
-    from_start, start_events = _traced_shuffle(at_start=install)
+    with _counted_posts() as plain_posts:
+        plain, plain_events = _traced_shuffle()
+    with _counted_posts() as half_posts:
+        at_half, half_events = _traced_shuffle(mid_run=install)
+    with _counted_posts() as start_posts:
+        from_start, start_events = _traced_shuffle(at_start=install)
     assert at_half == from_start
-    assert plain_events < half_events < start_events
+    wqes = plain_posts["wqes"]
+    assert half_posts["wqes"] == start_posts["wqes"] == wqes > 0
+    if plane == "fault":
+        assert 0 < half_posts["discrete"] < start_posts["discrete"] == wqes
+        assert plain_events < half_events < start_events
+    else:
+        assert at_half == plain
+        assert half_posts["discrete"] == start_posts["discrete"] == 0
+        assert half_events <= plain_events and start_events <= plain_events
 
 
 def test_shard_crossing_channel_matches_unsharded_run():
@@ -184,6 +249,91 @@ def test_shard_crossing_channel_matches_unsharded_run():
         shards=2, shard_map=[0, 0, 1, 1])
     assert sharded == unsharded
     assert sharded_events == events
+
+
+# -- a marking incast: congestion alone == congestion on the discrete walk ---
+
+#: Per mode: (senders, tuples per sender, pad bytes of a 8 B-keyed tuple).
+#: Bandwidth pushes 256-row batches (doorbell trains, 64 B tuples);
+#: latency pushes 1 KiB tuples one lone write each. Both overrun the
+#: datacenter ECN band at the target's downlink.
+_INCAST = {Optimization.BANDWIDTH: (8, 2048, 56),
+           Optimization.LATENCY: (4, 200, 1016)}
+
+
+def _traced_incast(optimization, *, fault):
+    """Run one N:1 shuffle under ``CongestionConfig.datacenter()``, with
+    the idle fault plane stacked on it when ``fault``, and return
+    ``(timeline, plane tallies, events_executed, posts)``."""
+    senders, tuples, pad = _INCAST[optimization]
+    cluster = Cluster(node_count=senders + 2)
+    cluster.install_congestion(CongestionConfig.datacenter())
+    if fault:
+        _install_idle_fault(cluster)
+    dfi = DfiRuntime(cluster)
+    dfi.init_shuffle_flow(
+        "incast", [Endpoint(1 + s, 0) for s in range(senders)],
+        [Endpoint(0, 0)], Schema(("key", "uint64"), ("pad", pad)),
+        shuffle_key="key", optimization=optimization)
+    filler = bytes(pad)
+    timeline = {"push": [[] for _ in range(senders)], "deliver": []}
+
+    def source_thread(index):
+        source = yield from dfi.open_source("incast", index)
+        rows = [(index * tuples + i, filler) for i in range(tuples)]
+        if optimization is Optimization.BANDWIDTH:
+            for start in range(0, tuples, 256):
+                yield from source.push_batch(rows[start:start + 256])
+                timeline["push"][index].append(cluster.now)
+        else:
+            for row in rows:
+                yield from source.push(row)
+                timeline["push"][index].append(cluster.now)
+        yield from source.close()
+
+    def target_thread():
+        target = yield from dfi.open_target("incast", 0)
+        while True:
+            got = yield from target.consume_batch()
+            if got is FLOW_END:
+                break
+            timeline["deliver"].append((cluster.now, len(got)))
+
+    with _counted_posts() as posts:
+        for index in range(senders):
+            cluster.node(1 + index).spawn(source_thread(index))
+        cluster.node(0).spawn(target_thread())
+        cluster.run()
+    assert sum(length for _, length in timeline["deliver"]) == (
+        senders * tuples)
+    stats = cluster.congestion.stats()
+    tallies = {key: stats[key] for key in (
+        "ecn_marks", "cnps_delivered", "pfc_stalls", "packets_seen")}
+    return timeline, tallies, cluster.env.events_executed, posts
+
+
+@pytest.mark.parametrize("optimization", [Optimization.BANDWIDTH,
+                                          Optimization.LATENCY],
+                         ids=["bandwidth", "latency"])
+def test_marking_incast_matches_discrete_walk(optimization):
+    """Pacing, PFC hold-off and ECN marking under the congestion plane
+    alone take the macro walk and land on the discrete walk's timeline:
+    the same incast with an idle fault plane stacked on the congestion
+    plane posts every WQE through ``_post_discrete`` with the same hooks.
+    Equal timelines and equal ``ecn_marks``, ``cnps_delivered``,
+    ``pfc_stalls`` and ``packets_seen``; the macro walk never calls
+    ``_post_discrete`` and costs strictly fewer kernel events."""
+    macro, macro_tallies, macro_events, macro_posts = _traced_incast(
+        optimization, fault=False)
+    discrete, discrete_tallies, discrete_events, discrete_posts = (
+        _traced_incast(optimization, fault=True))
+    assert macro_tallies["ecn_marks"] > 0, "the incast never marked"
+    assert macro == discrete
+    assert macro_tallies == discrete_tallies
+    assert macro_posts["discrete"] == 0
+    assert discrete_posts["discrete"] == discrete_posts["wqes"] == (
+        macro_posts["wqes"])
+    assert macro_events < discrete_events
 
 
 # -- lone writes: eager post_write == the discrete per-WQE reference ---------
@@ -205,7 +355,8 @@ def _traced_lone_writes(writes, *, loopback, read_done_late, at_start=None):
     write hook saw it (time, offset, length — hook order included), the
     instant each ``done`` was seen (first read either at post time or
     long after every ack), the CQ entries, the final memory image —
-    and, separately, the kernel events it took."""
+    and, separately, the kernel events it took and how many writes went
+    through ``_post_discrete``."""
     cluster = Cluster(node_count=_NODES)
     if at_start is not None:
         at_start(cluster)
@@ -238,13 +389,15 @@ def _traced_lone_writes(writes, *, loopback, read_done_late, at_start=None):
             done.append((seen_triggered, env.now))
 
     before = env.events_executed
-    cluster.node(0).spawn(poster())
-    cluster.run()
+    with _counted_posts() as posts:
+        cluster.node(0).spawn(poster())
+        cluster.run()
+    assert posts["wqes"] == len(writes)
     completions = [(c.wr_id, c.opcode, c.status, c.byte_len)
                    for c in qp.send_cq.poll(64)]
     observed = {"commits": commits, "done": done, "cq": completions,
                 "memory": bytes(region.mem)}
-    return observed, env.events_executed - before
+    return observed, env.events_executed - before, posts["discrete"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -255,25 +408,37 @@ def _traced_lone_writes(writes, *, loopback, read_done_late, at_start=None):
 # segment's arrival instant: the footer must still commit after it.
 @example(writes=[(8192 + FOOTER_SIZE, None, False, True),
                  (FOOTER_SIZE, None, True, False)],
+         loopback=True, read_done_late=False, plane="fault")
+@example(writes=[(8192 + FOOTER_SIZE, None, False, True),
+                 (FOOTER_SIZE, None, True, False)],
          loopback=True, read_done_late=False, plane="congestion")
 def test_lone_write_matches_discrete_reference(writes, loopback,
                                                read_done_late, plane):
     """Prefix-commit time, tail-commit time, ``done`` time, CQ entries
     and commit *order* (loopback clamps later writes onto one arrival
     instant) all equal the plane-active run's; ``done`` settles at the
-    eager ack timestamp whether first read before or after it."""
-    plain, plain_events = _traced_lone_writes(
+    eager ack timestamp whether first read before or after it. The fault
+    plane is the discrete reference: every write goes through
+    ``_post_discrete``. An unbounded congestion plane keeps the macro
+    walk: no discrete post and no more events than the plain run."""
+    plain, plain_events, plain_discrete = _traced_lone_writes(
         writes, loopback=loopback, read_done_late=read_done_late)
-    reference, reference_events = _traced_lone_writes(
+    reference, reference_events, reference_discrete = _traced_lone_writes(
         writes, loopback=loopback, read_done_late=read_done_late,
         at_start=_PLANES[plane])
     assert plain == reference
-    # The macro walks one hop per action, so it saves scheduling work,
-    # not events — except the unsignaled ack, which stays unexpanded
-    # unless somebody reads ``done`` before it is due.
-    assert plain_events <= reference_events
-    if read_done_late and not all(write[2] for write in writes):
-        assert plain_events < reference_events
+    assert plain_discrete == 0
+    if plane == "congestion":
+        assert reference_discrete == 0
+        assert reference_events <= plain_events
+    else:
+        assert reference_discrete == len(writes)
+        # The macro walks one hop per action, so it saves scheduling
+        # work, not events — except the unsignaled ack, which stays
+        # unexpanded unless somebody reads ``done`` before it is due.
+        assert plain_events <= reference_events
+        if read_done_late and not all(write[2] for write in writes):
+            assert plain_events < reference_events
     # Non-vacuity: every byte committed; a write longer than the ordered
     # tail committed its head strictly before its tail, a shorter one in
     # one piece; every signaled write has its CQ entry.
@@ -294,10 +459,10 @@ def test_lone_write_matches_discrete_reference(writes, loopback,
 def test_lone_write_done_read_late_is_already_settled():
     """A ``done`` first read after the ack instant materialises already
     triggered; read at post time it fires at that same eager instant."""
-    early, _ = _traced_lone_writes([(200, None, False, False)],
-                                   loopback=False, read_done_late=False)
-    late, _ = _traced_lone_writes([(200, None, False, False)],
-                                  loopback=False, read_done_late=True)
+    early, _, _ = _traced_lone_writes([(200, None, False, False)],
+                                      loopback=False, read_done_late=False)
+    late, _, _ = _traced_lone_writes([(200, None, False, False)],
+                                     loopback=False, read_done_late=True)
     (early_triggered, ack_at), = early["done"]
     (late_triggered, seen_at), = late["done"]
     assert not early_triggered and late_triggered
