@@ -631,15 +631,17 @@ class NaiveReplicateTarget(ShuffleTarget):
         self._ordered = descriptor.ordering is Ordering.GLOBAL
         self._reorder = ReorderBuffer() if self._ordered else None
 
-    def _scan(self, out) -> bool:
+    def _scan(self, out, unpack) -> bool:
         if not self._ordered:
-            return super()._scan(out)
+            return super()._scan(out, unpack)
         # Ordered mode goes segment-by-segment through ``poll`` (the
         # reorder buffer needs each footer's sequence number) but still
         # rides the doorbell set: only channels whose ring saw a write
-        # are polled, and each is drained until empty.
+        # are polled, and each is drained until empty. ``poll`` decodes
+        # rows itself: ``consume_bytes`` is refused here, so ``unpack``
+        # could only name that decoder.
         progressed = False
-        dirty = self._dirty
+        dirty = self._doorbell.dirty
         channels = self._channels
         while dirty:
             index = next(iter(dirty))
@@ -690,7 +692,7 @@ class MulticastReplicateSource(_ReplicateSource):
         #: Un-credited segments a send may leave behind it.
         self._send_limit = options.target_segments - 1
         self._window = MulticastWindow(
-            self, control_region, _Doorbell(self.node, control_region),
+            self, control_region, _Doorbell(self.node, (control_region,)),
             descriptor.target_count, options.retransmit_buffer)
         self.retransmissions = 0
         self._obs = endpoint_obs(self.node, self._flow, options, self)
@@ -874,7 +876,7 @@ class MulticastReplicateTarget:
         self._gap_pending: "GapNotification | None" = None
         self._aborted = False
         self._peer_timeout = descriptor.options.peer_timeout
-        self._doorbell = _Doorbell(self.node, ring_region)
+        self._doorbell = _Doorbell(self.node, (ring_region,))
         #: Tuples / segments delivered to the application (stats).
         self.tuples_received = 0
         self.segments_received = 0

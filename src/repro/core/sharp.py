@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.common.errors import FlowClosedError, FlowError
-from repro.core.combiner import _aggregator, _initial
+from repro.core.combiner import _aggregator, _initial, _row_fold
 from repro.core.flowdef import (
     FLOW_END,
     NO_FLUSH,
@@ -253,17 +253,16 @@ class SharpCombinerTarget:
         self._ring = ring
         self._aggregator = aggregator
         self._partial_schema = aggregator.partial_schema
+        self._index = 0
+        self._done = False
+        self._aggregates: dict = {}
         # Folding *partials* differs from folding tuples: COUNT partials
         # are summed (each already carries a count), SUM partials are
         # summed, MIN/MAX partials are re-minimized/maximized.
         op = descriptor.aggregation.op
-        self._fold = ((lambda a, b: a + b) if op in ("sum", "count")
-                      else _aggregator(op))
-        self._op = op
-        self._index = 0
-        self._done = False
-        self._aggregates: dict = {}
-        self._doorbell = _Doorbell(self.node, ring.region)
+        self._fold_rows = _row_fold("sum" if op in ("sum", "count") else op,
+                                    self._aggregates)
+        self._doorbell = _Doorbell(self.node, (ring.region,))
         self.partial_segments = 0
 
     @classmethod
@@ -303,16 +302,9 @@ class SharpCombinerTarget:
             if not footer.consumable:
                 return progressed
             progressed = True
-            count = footer.used // self._partial_schema.tuple_size
-            if count:
-                payload = self._ring.payload_view(self._index, footer.used)
-                for group, value in self._partial_schema.unpack_many(
-                        payload, count):
-                    if group in self._aggregates:
-                        self._aggregates[group] = self._fold(
-                            self._aggregates[group], value)
-                    else:
-                        self._aggregates[group] = value
+            if footer.used:
+                self._fold_rows(self._partial_schema.unpack_rows(
+                    self._ring.payload_view(self._index, footer.used)))
             self.partial_segments += 1
             if footer.closed:
                 self._done = True

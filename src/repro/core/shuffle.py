@@ -135,43 +135,58 @@ def _resolve_remote_region(channel):
 
 
 class _Doorbell:
-    """Wakes the one thread that waits on writes into one region.
+    """Wakes the one thread that waits on writes into its regions.
 
     Real DFI busy-polls footer flags (a sub-100ns cache load). Simulating
-    every load would swamp the event kernel, so the region keeps one write
-    hook for its whole life and the waiter arms an event per wait. A wait
-    only a write can end is armed with ``poll=True`` and resumes at
-    ``commit + cpu_poll_cost`` — the float ``node.compute`` would charge
-    behind a zero-delay wake (``_cpu_scale`` is construction-constant), in
-    one event instead of two. A wait raced against a deadline keeps the
-    zero-delay wake, whose outcome feeds the deadline decision, and must
-    :meth:`disarm` when the deadline won. ``ShuffleTarget`` does the same
-    across many rings (``_make_doorbell``).
+    every load would swamp the event kernel, so each region keeps one
+    write hook for its whole life — every RDMA write stays on the
+    region's single-hook fast path — and the waiter arms an event per
+    wait. The hook of region ``i`` marks ``i`` in :attr:`dirty` and fires
+    the armed event. A wait only a write can end is armed with
+    ``poll=True`` and resumes at ``commit + cpu_poll_cost`` — the float
+    ``node.compute`` would charge behind a zero-delay wake (``_cpu_scale``
+    is construction-constant), in one event instead of two. A wait raced
+    against a deadline keeps the zero-delay wake, whose outcome feeds the
+    deadline decision, and must :meth:`disarm` when the deadline won.
     """
 
-    __slots__ = ("_env", "_event", "_delay", "_poll_delay")
+    __slots__ = ("_env", "_event", "_delay", "_poll_delay", "dirty")
 
-    def __init__(self, node: "Node", region) -> None:
+    def __init__(self, node: "Node", regions) -> None:
         self._env = node.env
         self._event = None
         self._delay = 0.0
         self._poll_delay = (node.cluster.profile.cpu_poll_cost
                             / node._cpu_scale)
-        region.add_write_hook(self._ring)
+        #: Indices of the regions written since their reader last took
+        #: them out, in write-arrival order (an insertion-ordered dict).
+        #: Every region starts dirty, and the hooks are registered before
+        #: any simulated write can land, so no write is ever missed.
+        #: Keys are region indices: the set never outgrows the regions.
+        self.dirty = dict.fromkeys(range(len(regions)))
+        for index, region in enumerate(regions):
+            region.add_write_hook(self._hook(index))
 
-    def _ring(self, _offset, _length) -> None:
-        event = self._event
-        if event is not None:
-            self._event = None
-            # ``succeed()`` after ``_delay`` (mirrors Timeout construction).
-            event._value = None
-            self._env._schedule(event, self._delay)
+    def _hook(self, index: int):
+        dirty = self.dirty
+        env = self._env
+
+        def ring(_offset, _length) -> None:
+            dirty[index] = None
+            event = self._event
+            if event is not None:
+                self._event = None
+                # ``succeed()`` after ``_delay`` (mirrors Timeout
+                # construction).
+                event._value = None
+                env._schedule(event, self._delay)
+        return ring
 
     def arm(self, poll: bool = False):
-        """A fresh event for the next write into the region. Call only
+        """A fresh event for the next write into a region. Call only
         when about to wait: polls are synchronous, so no write lands
         between a poll that found nothing and the arm that follows it."""
-        event = self._event = self._env.event()
+        event = self._event = Event(self._env)
         self._delay = self._poll_delay if poll else 0.0
         return event
 
@@ -803,18 +818,13 @@ class TargetChannel:
         self._credit_offset = credit_offset
         self._track_credits = (descriptor.optimization
                                is Optimization.LATENCY)
-        #: Publish the consumed counter once per :meth:`drain` (latency
-        #: mode) instead of once per segment. Both placements are
-        #: observationally identical — a drain runs inside one event
-        #: continuation, so no remote credit read can sample between the
-        #: per-segment writes — but the toggle lets tests prove that.
-        self.credit_coalescing = True
         self._footer_offsets = tuple(ring.footer_offset(index)
                                      for index in range(ring.segment_count))
         # Proven once, here: a payload is sliced out of the whole-ring
         # view at ``footer offset - segment size`` and the credit counter
         # is packed in place, both without a range check per segment.
         self._segment_size = ring.segment_size
+        self._tuple_size = descriptor.schema.tuple_size
         self._view = ring.region.view(0, ring.total_bytes)
         credit_region.check_range(credit_offset, 8)
         self._index = 0
@@ -849,26 +859,27 @@ class TargetChannel:
         :meth:`drain`."""
         if self.done:
             return None
+        index = self._index
         mem = self.ring.region.mem
-        footer_offset = self._footer_offsets[self._index]
+        footer_offset = self._footer_offsets[index]
         if not (mem[footer_offset + 4] & FLAG_CONSUMABLE):
             return None
-        footer = self.ring.read_footer(self._index)
-        count = footer.used // self.schema.tuple_size
-        if count:
-            payload = self.ring.payload_view(self._index, footer.used)
-            tuples = self.schema.unpack_many(payload, count)
-        else:
-            tuples = []
+        footer = self.ring.read_footer(index)
         if footer.closed:
             self._mark_done()
+        tuples = []
+        used = footer.used
         if footer.aborted:
-            self.aborted = True
-            tuples = []  # abort voids any delivery guarantee
+            self.aborted = True  # abort voids any delivery guarantee
+        elif used:
+            if used % self._tuple_size or used > self._segment_size:
+                raise self._torn(index, used)
+            start = footer_offset - self._segment_size
+            tuples = self.schema.unpack_rows(self._view[start:start + used])
         # Release the segment: reset the footer locally (writable again).
         # Direct memory write — no write hooks should fire for local resets.
         mem[footer_offset:footer_offset + FOOTER_SIZE] = BLANK_FOOTER
-        self._index = self.ring.next_index(self._index)
+        self._index = self.ring.next_index(index)
         self._consumed += 1
         self.tuples_received += len(tuples)
         if self._obs is not None:
@@ -886,15 +897,30 @@ class TargetChannel:
         self.done = True
         self._owner._open -= 1
 
-    def drain(self, out) -> int:
+    def _torn(self, index: int, used: int) -> FlowError:
+        """The error of segment ``index`` whose footer claims ``used``
+        payload bytes that are not a whole number of rows within the
+        segment (callers test inline). Every consumer — rows, packed
+        bytes, the ordered path — hands out whole rows, so a torn row is
+        a protocol bug to surface here."""
+        return FlowError(
+            f"segment {index} holds {used} bytes: not a whole number of "
+            f"{self._tuple_size}-byte rows within {self._segment_size}")
+
+    def drain(self, out, unpack) -> int:
         """Consume every consecutive consumable segment in one pass.
 
-        Unpacked tuples are appended to ``out`` (list or deque); footers
-        are released with direct hook-free memory writes as the pass
-        walks the ring, and in latency mode the consumed-credit counter
-        is published with **one** ``write_u64`` per drain instead of one
-        per segment (unless :attr:`credit_coalescing` is off). Returns
-        the number of segments drained.
+        With ``unpack`` (``Schema.unpack_rows``) each segment's rows are
+        ``extend``ed onto ``out`` (list or deque). With ``None`` its
+        payload is ``append``ed as one zero-copy ``memoryview``, a whole
+        number of packed rows; the view aliases ring memory this call
+        already released for overwrite, so it is valid only until the
+        consuming process yields back to the simulator. Footers are
+        released with direct hook-free memory writes as the pass walks
+        the ring. In latency mode the consumed counter is published once
+        per pass: the pass runs inside one event continuation, so no
+        remote credit read can sample between its segments. Returns the
+        number of segments drained.
         """
         if self.done:
             return 0
@@ -903,18 +929,15 @@ class TargetChannel:
         segment_count = len(offsets)
         view = self._view
         segment_size = self._segment_size
-        unpack_rows = self.schema.unpack_rows
-        extend = out.extend
+        tuple_size = self._tuple_size
+        add = out.append if unpack is None else out.extend
         index = self._index
         consumed = self._consumed
-        per_segment_credits = (self._track_credits
-                               and not self.credit_coalescing)
         # Observability: one log record per pass — it runs at one sim
         # time and consumes sequence numbers ``consumed, consumed + 1,
         # ...``, so per segment it only collects the tuple count.
         obs = self._obs
         counts = None if obs is None else []
-        tuple_size = self.schema.tuple_size
         drained = 0
         received = 0
         while True:
@@ -930,85 +953,11 @@ class TargetChannel:
                 if flags & FLAG_CLOSED:
                     self._mark_done()
             if used:
-                if used > segment_size:
-                    raise FlowError(
-                        f"payload length {used} exceeds segment size "
-                        f"{segment_size}")
-                start = footer_offset - segment_size
-                tuples = unpack_rows(view[start:start + used])
-                extend(tuples)
-                received += len(tuples)
-            if counts is not None:
-                counts.append(used // tuple_size)
-            mem[footer_offset:footer_offset + FOOTER_SIZE] = BLANK_FOOTER
-            index += 1
-            if index == segment_count:
-                index = 0
-            drained += 1
-            if per_segment_credits:
-                _U64_PACK_INTO(self._credit_region.mem, self._credit_offset,
-                               consumed + drained)
-            if self.done:
-                break
-        if drained:
-            self._index = index
-            self._consumed = consumed + drained
-            self.tuples_received += received
-            if obs is not None:
-                obs.log((CONSUME, self.node.env._now, self, self.ring,
-                         consumed, counts, True, self.done))
-            if self._track_credits and not per_segment_credits:
-                _U64_PACK_INTO(self._credit_region.mem, self._credit_offset,
-                               self._consumed)
-        return drained
-
-    def drain_bytes(self, out) -> int:
-        """Like :meth:`drain` but appends one zero-copy payload
-        ``memoryview`` per data segment (each a whole number of packed
-        tuples) instead of unpacking. The views alias ring memory that
-        this call already released for overwrite — they are valid only
-        until the consuming process yields back to the simulator."""
-        if self.done:
-            return 0
-        mem = self.ring.region.mem
-        offsets = self._footer_offsets
-        segment_count = len(offsets)
-        view = self._view
-        segment_size = self._segment_size
-        append = out.append
-        tuple_size = self.schema.tuple_size
-        index = self._index
-        consumed = self._consumed
-        per_segment_credits = (self._track_credits
-                               and not self.credit_coalescing)
-        # One log record per pass — see :meth:`drain`.
-        obs = self._obs
-        counts = None if obs is None else []
-        drained = 0
-        received = 0
-        while True:
-            footer_offset = offsets[index]
-            flags = mem[footer_offset + 4]
-            if not (flags & FLAG_CONSUMABLE):
-                break
-            used = _FOOTER_USED(mem, footer_offset)[0]
-            if flags & (FLAG_CLOSED | FLAG_ABORTED):
-                if flags & FLAG_ABORTED:
-                    self.aborted = True
-                    used = 0
-                if flags & FLAG_CLOSED:
-                    self._mark_done()
-            if used:
-                # Whole-row contract: the chunks feed columnar
-                # fold/unpack kernels downstream, so a torn row is a
-                # protocol bug to surface here.
                 if used % tuple_size or used > segment_size:
-                    raise FlowError(
-                        f"segment {index} holds {used} bytes: not a whole "
-                        f"number of {tuple_size}-byte rows within "
-                        f"{segment_size}")
+                    raise self._torn(index, used)
                 start = footer_offset - segment_size
-                append(view[start:start + used])
+                payload = view[start:start + used]
+                add(payload if unpack is None else unpack(payload))
                 received += used // tuple_size
             if counts is not None:
                 counts.append(used // tuple_size)
@@ -1017,9 +966,6 @@ class TargetChannel:
             if index == segment_count:
                 index = 0
             drained += 1
-            if per_segment_credits:
-                _U64_PACK_INTO(self._credit_region.mem, self._credit_offset,
-                               consumed + drained)
             if self.done:
                 break
         if drained:
@@ -1029,7 +975,7 @@ class TargetChannel:
             if obs is not None:
                 obs.log((CONSUME, self.node.env._now, self, self.ring,
                          consumed, counts, True, self.done))
-            if self._track_credits and not per_segment_credits:
+            if self._track_credits:
                 _U64_PACK_INTO(self._credit_region.mem, self._credit_offset,
                                self._consumed)
         return drained
@@ -1511,21 +1457,17 @@ class ShuffleTarget:
         self._channels = channels
         self._buffer: deque = deque()
         # Doorbell set: channel indices whose ring saw a write since the
-        # channel was last drained. A persistent write hook per ring feeds
-        # it, so a scan touches only channels that actually received data
-        # instead of round-robin-polling every idle ring (O(dirty), not
-        # O(channels), on N:1 flows). An insertion-ordered dict keeps the
-        # drain order deterministic (write-arrival order). All channels
-        # start dirty; hooks are registered here — synchronously with ring
-        # allocation, before any simulated write can land — so no doorbell
-        # ring is ever missed. The same hook doubles as the consume
-        # wake-up (succeeding ``_wake_event`` when one is armed) — rings
-        # keep exactly one hook, so every RDMA write stays on the
-        # region's single-hook fast path. Bounded: keys are channel
-        # indices, so the set never exceeds the flow's source count and
-        # dies with the target (scale audit: no per-message growth).
-        self._dirty: dict = dict.fromkeys(range(len(channels)))
-        self._wake_event = None
+        # channel was last drained (``_Doorbell.dirty``), so a scan
+        # touches only channels that actually received data instead of
+        # round-robin-polling every idle ring (O(dirty), not O(channels),
+        # on N:1 flows) and drains them in write-arrival order. The hooks
+        # are registered here, synchronously with ring allocation. With
+        # no ``peer_timeout`` a wait is ``arm(poll=True)``, the merged
+        # wake+poll; a bounded wait races a zero-delay wake against the
+        # deadline (:meth:`_bounded_wait`).
+        self._doorbell = _Doorbell(
+            self.node, [channel.ring.region for channel in channels])
+        self._unpack = descriptor.schema.unpack_rows
         #: Channels whose close marker has not been consumed yet
         #: (``TargetChannel._mark_done`` counts it down).
         self._open = len(channels)
@@ -1537,70 +1479,17 @@ class ShuffleTarget:
         self._abort_seen = registry.flow_aborted(descriptor.name)
         self._peer_timeout = descriptor.options.peer_timeout
         self._env = self.node.env
-        # Merged wake+poll: with no peer-timeout bound, the post-wake
-        # poll charge is an unconditional constant, so the doorbell hook
-        # can schedule the armed wake event at ``commit + cpu_poll_cost``
-        # instead of a zero-delay wake whose resume immediately arms a
-        # poll timeout for that same instant. The consuming process
-        # resumes at the identical simulated time (a zero-delay wake
-        # never advances the clock, and ``_poll_delay`` is the exact
-        # float ``node.compute(cpu_poll_cost)`` would charge —
-        # ``_cpu_scale`` is construction-constant); one kernel event and
-        # one generator round-trip per wakeup are elided. With a
-        # peer-timeout bound the wake outcome feeds a deadline decision,
-        # so those flows keep the event-by-event wait verbatim.
-        if self._peer_timeout is None:
-            self._poll_delay = (self.node.cluster.profile.cpu_poll_cost
-                                / self.node._cpu_scale)
-        else:
-            self._poll_delay = None
-        for index, channel in enumerate(channels):
-            channel.ring.region.add_write_hook(
-                self._make_doorbell(index))
-
-    def _make_doorbell(self, index: int):
-        dirty = self._dirty
-        poll_delay = self._poll_delay
-        if poll_delay is not None:
-            env = self._env
-
-            def ring_doorbell(_offset, _length):
-                dirty[index] = None
-                event = self._wake_event
-                if event is not None:
-                    self._wake_event = None
-                    # Merged wake: trigger the armed event at the exact
-                    # instant the bounded wait's post-wake poll timeout
-                    # would fire (mirrors Timeout construction).
-                    event._value = None
-                    env._schedule(event, poll_delay)
-            return ring_doorbell
-
-        def ring_doorbell(_offset, _length):
-            dirty[index] = None
-            event = self._wake_event
-            if event is not None:
-                self._wake_event = None
-                event.succeed()
-        return ring_doorbell
-
-    def _arm(self):
-        """Arm the doorbell wake-up: returns a fresh event the next ring
-        write will succeed (the hook disarms as it fires). Called only
-        when about to wait — scans are synchronous, so no write can land
-        between a scan that found nothing and the arm that follows it."""
-        event = self._wake_event = Event(self._env)
-        return event
 
     def _bounded_wait(self):
         """Generator: block on the doorbell for at most ``peer_timeout``,
         then charge the poll that finds the data (without the bound a
-        consume yields :meth:`_arm` itself: the merged wake fires at
+        consume yields ``arm(poll=True)`` itself: the merged wake fires at
         wake + poll cost). A doorbell that stays silent past the bound
         raises FlowPeerFailedError (a pending peer is known dead) or
         FlowTimeoutError (pure stall). Progress resets the bound
         naturally — every wait starts a fresh window."""
-        wait_event = self._arm()
+        doorbell = self._doorbell
+        wait_event = doorbell.arm()
         while True:
             timer = self._env.timeout(self._peer_timeout)
             yield self._env.any_of([wait_event, timer])
@@ -1615,7 +1504,7 @@ class ShuffleTarget:
                 if obs is not None:
                     obs.inc("core.congestion_grace")
                 continue
-            self._wake_event = None
+            doorbell.disarm()
             self._raise_peer_failure()
         yield self.node.compute(self.node.cluster.profile.cpu_poll_cost)
 
@@ -1634,7 +1523,7 @@ class ShuffleTarget:
                     dead.append(index)
             if dead:
                 if obs is not None:
-                    obs.inc("core.peer_failures_detected")
+                    obs.inc("core.peer_failures_detected", len(dead))
                     obs.log((EVENT, self._env.now, FAULT_DETECT,
                              self.descriptor.name, self.node.node_id,
                              f"tgt{self.target_index}", {"sources": dead}))
@@ -1696,7 +1585,7 @@ class ShuffleTarget:
         if buffer:
             return buffer.popleft()
         while True:
-            progressed = self._scan(buffer)
+            progressed = self._scan(buffer, self._unpack)
             if buffer:
                 return buffer.popleft()
             if self._abort_seen:
@@ -1709,7 +1598,7 @@ class ShuffleTarget:
                 # Close markers or empty segments arrived; rescan.
                 continue
             if self._peer_timeout is None:
-                yield self._arm()
+                yield self._doorbell.arm(poll=True)
             else:
                 yield from self._bounded_wait()
 
@@ -1728,39 +1617,7 @@ class ShuffleTarget:
         :meth:`consume`, buffered tuples are delivered before an abort is
         raised.
         """
-        buffer = self._buffer
-        if buffer:
-            # Leftovers from per-tuple consumes: drain into the deque so
-            # FIFO order holds across the mix, then hand over everything.
-            if self._dirty:
-                self._scan(buffer)
-            batch = list(buffer)
-            buffer.clear()
-            return batch
-        if self._dirty:
-            # Hot path: drain straight into the batch list — no deque
-            # round-trip per tuple.
-            batch: list = []
-            self._scan(batch)
-            if batch:
-                return batch
-        while True:
-            batch = []
-            progressed = self._scan(batch)
-            if batch:
-                return batch
-            if self._abort_seen:
-                raise FlowAbortedError(
-                    f"flow {self.descriptor.name!r} was aborted by a "
-                    f"source")
-            if self._finished():
-                return FLOW_END
-            if progressed:
-                continue
-            if self._peer_timeout is None:
-                yield self._arm()
-            else:
-                yield from self._bounded_wait()
+        return self._consume_list(self._unpack)
 
     def consume_bytes(self):
         """Generator: return a list of zero-copy payload ``memoryview``
@@ -1784,15 +1641,28 @@ class ShuffleTarget:
             raise FlowError(
                 "consume_bytes with unpacked tuples buffered; drain them "
                 "with consume/consume_batch first")
-        chunks: list = []
-        if self._dirty:
-            self._scan_bytes(chunks)
-        if chunks:
-            return chunks
+        return self._consume_list(None)
+
+    def _consume_list(self, unpack):
+        """Generator: the one wait loop of :meth:`consume_batch` (rows,
+        ``unpack`` is ``Schema.unpack_rows``) and :meth:`consume_bytes`
+        (payload views, ``unpack`` is ``None``). Every ready channel is
+        drained straight into the list it returns — no deque round-trip
+        per tuple."""
+        buffer = self._buffer
+        if buffer:
+            # Leftovers from per-tuple consumes (rows only, see
+            # consume_bytes): drain into the deque so FIFO order holds
+            # across the mix, then hand over everything.
+            self._scan(buffer, unpack)
+            batch = list(buffer)
+            buffer.clear()
+            return batch
         while True:
-            progressed = self._scan_bytes(chunks)
-            if chunks:
-                return chunks
+            batch = []
+            progressed = self._scan(batch, unpack)
+            if batch:
+                return batch
             if self._abort_seen:
                 raise FlowAbortedError(
                     f"flow {self.descriptor.name!r} was aborted by a "
@@ -1802,7 +1672,7 @@ class ShuffleTarget:
             if progressed:
                 continue
             if self._peer_timeout is None:
-                yield self._arm()
+                yield self._doorbell.arm(poll=True)
             else:
                 yield from self._bounded_wait()
 
@@ -1810,10 +1680,10 @@ class ShuffleTarget:
         """True once the flow is fully drained (hook for subclasses)."""
         return not self._open
 
-    def _scan(self, out) -> bool:
-        """Drain every doorbell'd channel into ``out`` (any container
-        with ``extend`` — the tuple buffer deque, or a batch list that
-        goes straight to the caller without a deque round-trip).
+    def _scan(self, out, unpack) -> bool:
+        """Drain every doorbell'd channel into ``out`` — the tuple buffer
+        deque, or a list that goes straight to the caller — through
+        :meth:`TargetChannel.drain` with ``unpack``.
 
         Each dirty channel is drained of all its consecutive consumable
         segments; a channel leaves the dirty set only here, immediately
@@ -1823,28 +1693,13 @@ class ShuffleTarget:
         set cannot grow while it is walked by our own doing.
         """
         progressed = False
-        dirty = self._dirty
+        dirty = self._doorbell.dirty
         channels = self._channels
         while dirty:
             index = next(iter(dirty))
             del dirty[index]
             channel = channels[index]
-            if channel.drain(out):
-                progressed = True
-                if channel.aborted:
-                    self._abort_seen = True
-        return progressed
-
-    def _scan_bytes(self, out: list) -> bool:
-        """Doorbell-set scan for the zero-copy path: chunks, not tuples."""
-        progressed = False
-        dirty = self._dirty
-        channels = self._channels
-        while dirty:
-            index = next(iter(dirty))
-            del dirty[index]
-            channel = channels[index]
-            if channel.drain_bytes(out):
+            if channel.drain(out, unpack):
                 progressed = True
                 if channel.aborted:
                     self._abort_seen = True

@@ -1,10 +1,13 @@
 """Tests for the segment-granular consume path.
 
-The drain-all rebuild (doorbell-driven scans, multi-segment drains,
-coalesced credit writes, zero-copy ``consume_bytes``) is a wall-clock
-optimization: it must deliver exactly the same tuples as the per-tuple
-path, keep per-channel FIFO order, and leave every simulated metric —
-event order, timestamps, credit counter values — bit-identical.
+A target drains its rings through one loop per channel (rows, or
+zero-copy payload views for ``consume_bytes``), walks only the channels
+its doorbell marked, and in latency mode publishes the consumed counter
+once per drain pass. Whatever the consumer's granularity — per-tuple
+``consume``, ``consume_batch``, ``consume_bytes`` — it must deliver the
+same tuples, keep per-channel FIFO order, hold every segment to one
+torn-row rule, and leave every simulated metric — event order,
+timestamps, credit counter values — bit-identical.
 """
 
 import pytest
@@ -19,6 +22,7 @@ from repro.core import (
     Ordering,
     Schema,
 )
+from repro.core.segment import FLAG_CONSUMABLE
 from repro.simnet import Cluster
 
 SCHEMA = Schema(("key", "uint64"), ("value", "uint64"))
@@ -46,7 +50,7 @@ def _sources(cluster, dfi, sources):
         cluster.env.process(source_thread(s))
 
 
-def _run_consume(sources, optimization, mode, prepare=None):
+def _run_consume(sources, optimization, mode):
     cluster, dfi = _build(sources, optimization)
     _sources(cluster, dfi, sources)
     out = {"tuples": [], "target": None}
@@ -54,8 +58,6 @@ def _run_consume(sources, optimization, mode, prepare=None):
     def target_thread():
         target = yield from dfi.open_target("f", 0)
         out["target"] = target
-        if prepare is not None:
-            prepare(target)
         if mode == "batched":
             while True:
                 batch = yield from target.consume_batch()
@@ -72,6 +74,7 @@ def _run_consume(sources, optimization, mode, prepare=None):
     cluster.env.process(target_thread())
     cluster.run()
     out["now"] = cluster.env.now
+    out["sequence"] = cluster.env._sequence
     return out
 
 
@@ -255,7 +258,7 @@ def test_consume_bytes_unavailable_on_ordered_replicate():
     assert "ordered" in caught["error"]
 
 
-# -- coalesced credit writes ---------------------------------------------
+# -- one credit publication per drain pass ---------------------------------
 
 def _credit_state(target):
     """(local consumed counters, raw credit counter memory) per channel."""
@@ -267,57 +270,112 @@ def _credit_state(target):
     return counters
 
 
-def _run_latency_credit(coalescing):
-    def prepare(target):
-        for channel in target._channels:
-            channel.credit_coalescing = coalescing
-
-    out = _run_consume(4, Optimization.LATENCY, "batched", prepare=prepare)
+def _run_latency_credit(mode):
+    out = _run_consume(4, Optimization.LATENCY, mode)
     out["credits"] = _credit_state(out["target"])
-    out["sequence"] = None
     return out
 
 
 def test_credit_coalescing_is_observationally_identical():
-    """One consumed-counter write per drain vs one per segment: same
-    tuples, same final credit values, same simulated end time and event
-    count — a drain runs inside one event continuation, so no remote
-    read can sample between the per-segment writes."""
-    coalesced = _run_latency_credit(True)
-    per_segment = _run_latency_credit(False)
-    assert coalesced["tuples"] == per_segment["tuples"]
-    assert coalesced["credits"] == per_segment["credits"]
-    assert coalesced["now"] == per_segment["now"]
+    """A latency drain publishes the consumed counter once per pass. A
+    per-tuple consumer pops one pass's tuples over many ``consume``
+    calls, a batch consumer takes them in one: same tuples, same final
+    credit values, same simulated end time and event count — a pass runs
+    inside one event continuation, so no remote read can sample between
+    its segments."""
+    batched = _run_latency_credit("batched")
+    per_tuple = _run_latency_credit("per-tuple")
+    assert batched["tuples"] == per_tuple["tuples"]
+    assert batched["credits"] == per_tuple["credits"]
+    assert batched["now"] == per_tuple["now"]
+    assert batched["sequence"] == per_tuple["sequence"]
     # Published counter matches segments actually consumed, per channel.
-    for consumed, published in coalesced["credits"]:
+    for consumed, published in batched["credits"]:
         assert published == consumed
         assert consumed >= 1  # data + close marker flowed through
 
 
 def test_credit_trace_identical_across_placements():
-    """Full event-trace fingerprint: seeded latency runs with per-drain
-    vs per-segment credit publication schedule the exact same events."""
+    """Full event-trace fingerprint: seeded latency runs that consume
+    per tuple, or alternate ``consume`` with ``consume_batch`` (the batch
+    then hands over what the tuple left buffered), schedule the exact
+    events of a batch consumer, and every channel's published counter
+    is its consumed count."""
     traces = []
-    for coalescing in (True, False):
+    for placement in ("batched", "per-tuple", "mixed"):
         cluster, dfi = _build(2, Optimization.LATENCY)
         _sources(cluster, dfi, 2)
         received = []
+        credits = []
 
         def target_thread():
             target = yield from dfi.open_target("f", 0)
-            for channel in target._channels:
-                channel.credit_coalescing = coalescing
             while True:
-                batch = yield from target.consume_batch()
-                if batch is FLOW_END:
+                if placement == "batched":
+                    got = yield from target.consume_batch()
+                else:
+                    got = yield from target.consume()
+                    if got is not FLOW_END:
+                        received.append(got)
+                        if placement == "mixed":
+                            got = yield from target.consume_batch()
+                        else:
+                            continue
+                if got is FLOW_END:
+                    credits.extend(_credit_state(target))
                     return
-                received.extend(batch)
+                received.extend(got)
 
         cluster.env.process(target_thread())
         cluster.run()
+        assert credits and all(published == consumed
+                               for consumed, published in credits)
         traces.append((cluster.env.now, cluster.env._sequence,
                        tuple(received)))
-    assert traces[0] == traces[1]
+    assert traces[0] == traces[1] == traces[2]
+    assert len(traces[0][2]) == 2 * PER_SOURCE
+
+
+# -- one torn-row rule ------------------------------------------------------
+
+_TORN_CASES = [("shuffle", "consume"), ("shuffle", "consume_batch"),
+               ("shuffle", "consume_bytes"), ("replicate-ordered", "consume")]
+
+
+@pytest.mark.parametrize("kind, mode", _TORN_CASES)
+def test_torn_row_raises_one_flow_error(kind, mode):
+    """A consumable footer whose ``used`` is not a whole number of rows
+    is a protocol bug every consume flavour reports the same way — none
+    unpacks a partial row or silently drops it."""
+    cluster = Cluster(node_count=2, seed=5)
+    dfi = DfiRuntime(cluster)
+    if kind == "shuffle":
+        dfi.init_shuffle_flow("f", ["node1|0"], ["node0|0"], SCHEMA,
+                              shuffle_key="key")
+    else:
+        dfi.init_replicate_flow("f", ["node1|0"], ["node0|0"], SCHEMA,
+                                ordering=Ordering.GLOBAL)
+    torn = 2 * SCHEMA.tuple_size + 3
+    caught = {}
+
+    def target_thread():
+        target = yield from dfi.open_target("f", 0)
+        ring = target._channels[0].ring
+        ring.region.write(ring.payload_offset(0), bytes(torn))
+        ring.write_footer(0, torn, FLAG_CONSUMABLE)
+        try:
+            yield from getattr(target, mode)()
+        except FlowError as exc:
+            caught["error"] = exc
+        caught["segment_size"] = ring.segment_size
+
+    cluster.env.process(target_thread())
+    cluster.run()
+    error = caught["error"]
+    assert type(error) is FlowError
+    assert str(error) == (
+        f"segment 0 holds {torn} bytes: not a whole number of "
+        f"{SCHEMA.tuple_size}-byte rows within {caught['segment_size']}")
 
 
 # -- abort interaction ----------------------------------------------------
@@ -382,7 +440,7 @@ _TUPLES_IN = {
 def test_flow_end_on_the_consume_after_the_last_close_marker(
         kind, mode, sources, late):
     """Every channel's close marker is counted once, wherever it is
-    consumed (``poll`` on the ordered path, ``drain``, ``drain_bytes``),
+    consumed (``poll`` on the ordered path, ``drain`` of rows or bytes),
     so the consume that follows the last one returns FLOW_END — also when
     the marker sat in the same drain pass as the data before it."""
     per_source = 5

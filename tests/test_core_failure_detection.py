@@ -96,6 +96,45 @@ def test_consume_detects_crashed_source():
     assert outcome["at"] <= 200_000.0 + 2 * 60_000.0  # bounded propagation
 
 
+def test_each_dead_source_counts_as_one_detected_failure():
+    """``core.peer_failures_detected`` counts dead peers, not diagnoses:
+    a shuffle target that outlives two of its three sources (the third
+    closed cleanly) reports both, as a multicast target does."""
+    cluster = Cluster(node_count=4)
+    cluster.enable_observability()
+    cluster.install_faults(FaultPlan([node_crash(0, at=150_000.0),
+                                      node_crash(1, at=150_000.0)]),
+                           detection_timeout=20_000.0)
+    dfi = DfiRuntime(cluster, master_node_id=3)
+    dfi.init_shuffle_flow("pair", ["node0|0", "node1|0", "node2|0"],
+                          ["node3|0"], SCHEMA, shuffle_key="key",
+                          options=_small_options(peer_timeout=60_000.0))
+    outcome = {}
+
+    def source_thread(index):
+        source = yield from dfi.open_source("pair", index)
+        for i in range(64 if index == 2 else 10**9):
+            yield from source.push((i, i))  # until the crash, or 64
+        yield from source.close()
+
+    def target_thread():
+        target = yield from dfi.open_target("pair", 0)
+        try:
+            while (yield from target.consume()) is not FLOW_END:
+                pass
+        except FlowPeerFailedError as exc:
+            outcome["error"] = exc
+
+    for index in range(3):
+        cluster.node(index).spawn(source_thread(index))
+    cluster.node(3).spawn(target_thread())
+    cluster.run()
+    assert "source(s) [0, 1] failed" in str(outcome["error"])
+    detected = sum(registry.get("core.peer_failures_detected")
+                   for registry in cluster.obs.registries.values())
+    assert detected == 2
+
+
 # -- source-side failure policy ---------------------------------------------
 
 def _crash_target_run(policy):
