@@ -796,7 +796,7 @@ class MulticastReplicateSource(_ReplicateSource):
         ``retransmit_timeout`` apart, for the ends that wait for no
         credit; ``until_credited`` stops once every target took it."""
         for _ in range(3):
-            yield self.env.timeout(self.descriptor.options.retransmit_timeout)
+            yield float(self.descriptor.options.retransmit_timeout)
             if (until_credited
                     and self._window.min_credit() >= self.segments_sent):
                 break

@@ -53,8 +53,8 @@ from repro.core.segment import (
     SegmentRing,
     pack_footer_into,
 )
-from repro.obs import FAULT_DETECT, REROUTE, endpoint_obs, log_close
-from repro.common.planelog import CONSUME, EVENT, WRITE
+from repro.obs import FAULT_DETECT, REROUTE, endpoint_obs, log_close, log_event
+from repro.common.planelog import CONSUME, WRITE
 from repro.core.writers import CreditWindow, FooterWindow
 from repro.rdma.completion import Opcode, WorkRequest
 from repro.rdma.memory import zeroed
@@ -143,11 +143,13 @@ class _Doorbell:
     region's single-hook fast path — and the waiter arms an event per
     wait. The hook of region ``i`` marks ``i`` in :attr:`dirty` and fires
     the armed event. A wait only a write can end is armed with
-    ``poll=True`` and resumes at ``commit + cpu_poll_cost`` — the float
-    ``node.compute`` would charge behind a zero-delay wake (``_cpu_scale``
-    is construction-constant), in one event instead of two. A wait raced
-    against a deadline keeps the zero-delay wake, whose outcome feeds the
-    deadline decision, and must :meth:`disarm` when the deadline won.
+    ``poll=True``: the event is the waiting process's own wake entry
+    (``Process._wake``; yield it at once), and it resumes at
+    ``commit + cpu_poll_cost`` — the float ``node.compute`` would charge
+    behind a zero-delay wake (``_cpu_scale`` is construction-constant),
+    in one event instead of two. A wait raced against a deadline keeps a
+    fresh zero-delay event, whose outcome feeds the deadline decision,
+    and must :meth:`disarm` when the deadline won.
     """
 
     __slots__ = ("_env", "_event", "_delay", "_poll_delay", "dirty")
@@ -183,15 +185,28 @@ class _Doorbell:
         return ring
 
     def arm(self, poll: bool = False):
-        """A fresh event for the next write into a region. Call only
+        """The event the next write into a region fires. Call only
         when about to wait: polls are synchronous, so no write lands
         between a poll that found nothing and the arm that follows it."""
-        event = self._event = Event(self._env)
-        self._delay = self._poll_delay if poll else 0.0
+        if poll:
+            # The waiting process's own entry, free while it runs; the
+            # kernel re-arms it when the process yields it.
+            event = self._event = self._env._active_process._wake
+            self._delay = self._poll_delay
+        else:
+            event = self._event = Event(self._env)
+            self._delay = 0.0
         return event
 
     def disarm(self) -> None:
         self._event = None
+
+
+def _node_obs(endpoint):
+    """A flow endpoint's ``_obs`` (what ``log_event`` logs through): its
+    node's registry, read when a rare record is logged — the plane may
+    come on after the endpoint opened."""
+    return endpoint.node.metrics
 
 
 def _source_counters(source):
@@ -330,12 +345,13 @@ class BandwidthSourceChannel:
             yield from self.stage_batch(rows, fill, stride)
 
     def charge_batch(self, total: int):
-        """First step of a batched append of ``total`` tuples: the timeout
-        the caller must yield before :meth:`stage_batch`, or ``None`` for
-        an empty batch (nothing to charge, nothing to stage).
+        """First step of a batched append of ``total`` tuples: the CPU
+        delay (``Node.compute``) the caller must yield before
+        :meth:`stage_batch`, or ``None`` for an empty batch (nothing to
+        charge, nothing to stage).
 
         The same per-tuple CPU debt accrues as for one-by-one pushes, but
-        it is charged as **one coalesced compute timeout per batch**:
+        it is charged as **one coalesced compute charge per batch**:
         leftover debt from earlier pushes, the batch's per-tuple work, and
         the post cost of every flush the batch will trigger (a flush fires
         each time the staged tuple count reaches a full segment).
@@ -491,7 +507,7 @@ class BandwidthSourceChannel:
         ``extra_flags`` and write it (:meth:`_write_slot`); returns the
         work request of a signaled write."""
         # Charge the CPU work accumulated by pushes plus the post cost
-        # (``push_batch`` pre-charges both as one coalesced timeout and
+        # (``push_batch`` pre-charges both as one coalesced charge and
         # passes ``charge_cpu=False``).
         if charge_cpu:
             debt = self._cpu_debt + self.profile.cpu_post_cost
@@ -1027,6 +1043,10 @@ class ShuffleSource:
         self._live = list(range(len(channels)))
         #: Channel indices declared failed.
         self._failed: set[int] = set()
+        self._flow = descriptor.name
+        self._tid = f"src{source_index}"
+
+    _obs = property(_node_obs)
 
     @classmethod
     def open(cls, registry: FlowRegistry, name: str, source_index: int):
@@ -1385,27 +1405,24 @@ class ShuffleSource:
         peer_dead = (isinstance(exc, QpFlushedError)
                      or (faults is not None and faults.active
                          and faults.peer_failed(self.node, peer)))
-        obs = self.node.metrics
+        obs = self._obs
         if obs is not None:
             obs.inc("core.target_failures")
         if not peer_dead:
             # A stall, not a detected failure (e.g. a slow consumer ran
             # the retry budget out): surface the timeout unchanged.
             raise exc
-        now = self.node.env.now
         if obs is not None:
             obs.inc("core.peer_failures_detected")
-            obs.log((EVENT, now, FAULT_DETECT, self.descriptor.name,
-                     self.node.node_id, f"src{self.source_index}",
-                     {"target": index, "peer_node": peer.node_id,
-                      "cause": type(exc).__name__}))
+            log_event(self, FAULT_DETECT,
+                      {"target": index, "peer_node": peer.node_id,
+                       "cause": type(exc).__name__})
         if (self._policy == "reroute" and self._router is not None
                 and self._live):
             if obs is not None:
                 obs.inc("core.reroutes")
-                obs.log((EVENT, now, REROUTE, self.descriptor.name,
-                         self.node.node_id, f"src{self.source_index}",
-                         {"target": index, "survivors": len(self._live)}))
+                log_event(self, REROUTE,
+                          {"target": index, "survivors": len(self._live)})
             return  # the survivors absorb the failed target's share
         yield from self._abort_survivors()
         raise FlowPeerFailedError(
@@ -1479,6 +1496,10 @@ class ShuffleTarget:
         self._abort_seen = registry.flow_aborted(descriptor.name)
         self._peer_timeout = descriptor.options.peer_timeout
         self._env = self.node.env
+        self._flow = descriptor.name
+        self._tid = f"tgt{target_index}"
+
+    _obs = property(_node_obs)
 
     def _bounded_wait(self):
         """Generator: block on the doorbell for at most ``peer_timeout``,
@@ -1500,7 +1521,7 @@ class ShuffleTarget:
                 # inbound path — congestion, not peer death. Re-arm the
                 # deadline instead of misfiring; throttle state
                 # self-clears, so the grace loop cannot spin forever.
-                obs = self.node.metrics
+                obs = self._obs
                 if obs is not None:
                     obs.inc("core.congestion_grace")
                 continue
@@ -1513,7 +1534,7 @@ class ShuffleTarget:
         pending = [index for index, channel in enumerate(self._channels)
                    if not channel.done]
         faults = self.node.cluster.faults
-        obs = self.node.metrics
+        obs = self._obs
         if faults is not None and faults.active:
             dead = []
             for index in pending:
@@ -1524,9 +1545,7 @@ class ShuffleTarget:
             if dead:
                 if obs is not None:
                     obs.inc("core.peer_failures_detected", len(dead))
-                    obs.log((EVENT, self._env.now, FAULT_DETECT,
-                             self.descriptor.name, self.node.node_id,
-                             f"tgt{self.target_index}", {"sources": dead}))
+                    log_event(self, FAULT_DETECT, {"sources": dead})
                 raise FlowPeerFailedError(
                     f"flow {self.descriptor.name!r}: source(s) {dead} "
                     f"failed before closing their channels")

@@ -79,11 +79,11 @@ class _RingWindow:
             self.qp.nic.deregister_memory(self._scratch.rkey)
             self._scratch = None
 
-    def _backoff(self, attempt: int, complaint: str):
+    def _backoff(self, attempt: int, complaint: str) -> float:
         """The sleep of stalled round ``attempt`` (exponential, jittered
-        from the owner's RNG), or ``FlowTimeoutError`` — ``complaint``
-        about the remote node — once the budget is spent on a path that
-        is not congestion-throttled."""
+        from the owner's RNG) as the delay to yield, or
+        ``FlowTimeoutError`` — ``complaint`` about the remote node — once
+        the budget is spent on a path that is not congestion-throttled."""
         owner = self.owner
         remote_id = self.handle.node_id
         if (self._max_retries is not None and attempt >= self._max_retries
@@ -91,7 +91,7 @@ class _RingWindow:
             raise FlowTimeoutError(
                 f"{complaint.format(remote_id)} after {attempt} backoff "
                 f"rounds")
-        return owner.env.timeout(traced_backoff(owner, attempt))
+        return traced_backoff(owner, attempt)
 
 
 class FooterWindow(_RingWindow):

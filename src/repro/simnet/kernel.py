@@ -3,8 +3,9 @@
 A minimal, dependency-free event loop in the spirit of SimPy: simulated
 *processes* are Python generators that ``yield`` events (timeouts, other
 processes, synchronization primitives) and are resumed when those events
-trigger. Time is a float nanosecond counter; ties are broken FIFO by a
-monotonic sequence number so runs are bit-for-bit reproducible.
+trigger, or ``yield`` a plain ``float`` delay to sleep. Time is a float
+nanosecond counter; ties are broken FIFO by a monotonic sequence number
+so runs are bit-for-bit reproducible.
 
 Example::
 
@@ -31,7 +32,9 @@ from repro.common.errors import SimulationError
 #: Sentinel for "event has not produced a value yet".
 _PENDING = object()
 
-#: Upper bound on recycled Timeout objects kept by an Environment.
+#: Upper bound on recycled Timeout objects kept by an Environment (the
+#: callback timers of ``pooled_timeout`` and ``schedule_at``; a process's
+#: own waits ride its :class:`WakeEntry`).
 _TIMEOUT_POOL_CAP = 256
 
 #: Upper bound on recycled MacroEvent records kept by an Environment.
@@ -193,16 +196,30 @@ class MacroEvent(Event):
             pool.append(self)
 
 
-class Initialize(Event):
-    """Internal event used to start a process on the next kernel step."""
+class WakeEntry(Event):
+    """A process's own reusable queue entry: the event behind every wait
+    that only one process can end.
 
-    __slots__ = ()
+    Its permanent one-element callback list holds the process's
+    ``_resume``, so re-arming it builds no event, no list and no bound
+    method. It starts the process; after that the process arms it by
+    yielding a ``float`` delay (the kernel queues it) or by yielding the
+    entry itself, read off ``Process._wake`` by a waker that resumes only
+    that process and queues the entry when it fires (the doorbell's polled
+    wait). An entry is *free* while ``callbacks`` is ``None`` — fresh, or
+    fired — and is armed again only then. A process interrupted or killed
+    while parked leaves its entry behind, waking nobody, and an
+    interrupted one gets a fresh one.
+    """
 
-    def __init__(self, env: "Environment", process: "Process") -> None:
-        super().__init__(env)
-        self.callbacks.append(process._resume)
+    __slots__ = ("_cb",)
+
+    def __init__(self, process: "Process") -> None:
+        super().__init__(process.env)
         self._value = None
-        env._schedule(self)
+        self.callbacks.append(process._resume)
+        self._cb: list = self.callbacks
+        self.callbacks = None
 
 
 class Interrupt(Exception):
@@ -218,9 +235,17 @@ class Process(Event):
 
     The process *is itself an event* that triggers when the generator
     returns (value = the generator's return value) or raises.
+
+    The generator may yield an :class:`Event` (resumed with its value
+    once it is processed) or a non-negative ``float`` delay in ns, a
+    sleep: the kernel queues the process's :class:`WakeEntry` at
+    ``now + delay``, drawing the sequence number at the yield, exactly
+    where a :class:`Timeout` built and yielded there would draw it.
+    Internal single-waiter wakers hand the process its entry
+    (``_wake``) to yield instead, and queue it themselves.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "name")
+    __slots__ = ("_generator", "_waiting_on", "_wake", "name")
 
     def __init__(self, env: "Environment",
                  generator: Generator[Event, Any, Any],
@@ -232,7 +257,10 @@ class Process(Event):
         self._generator = generator
         self._waiting_on: Event | None = None
         self.name = name or getattr(generator, "__name__", "process")
-        Initialize(env, self)
+        # The entry's first use starts the process on the next step.
+        self._wake = wake = WakeEntry(self)
+        wake.callbacks = wake._cb
+        env._schedule(wake)
 
     @property
     def is_alive(self) -> bool:
@@ -253,6 +281,9 @@ class Process(Event):
                 waiting.callbacks.remove(self._resume)
             except ValueError:
                 pass
+            if waiting is self._wake:
+                # Left behind, waking nobody: the next wait needs another.
+                self._wake = WakeEntry(self)
         self._waiting_on = None
         interrupt_event.callbacks = [self._resume]
         self.env._schedule(interrupt_event)
@@ -283,11 +314,12 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         if self._value is not _PENDING or self._exception is not None:
-            # Killed while an event (e.g. its Initialize) still held this
+            # Killed while an event (e.g. its start) still held this
             # callback: the wakeup is void.
             return
         self._waiting_on = None
-        self.env._active_process = self
+        env = self.env
+        env._active_process = self
         while True:
             try:
                 if event._exception is None:
@@ -296,28 +328,54 @@ class Process(Event):
                     event._defused = True
                     target = self._generator.throw(event._exception)
             except StopIteration as stop:
-                self.env._active_process = None
+                env._active_process = None
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
-                self.env._active_process = None
+                env._active_process = None
                 self.fail(exc)
                 return
-            if not isinstance(target, Event):
-                self.env._active_process = None
-                self.fail(SimulationError(
-                    f"process {self.name!r} yielded a non-event: {target!r}"))
+            if target.__class__ is not float and target is not self._wake:
+                if isinstance(target, Event):
+                    if target._processed:
+                        # Already concluded: continue immediately with its
+                        # outcome.
+                        event = target
+                        continue
+                    if target.callbacks is None:
+                        raise SimulationError(
+                            f"event {target!r} is being processed; "
+                            f"cannot wait on it")
+                    target.callbacks.append(self._resume)
+                    self._waiting_on = target
+                    env._active_process = None
+                    return
+                if not isinstance(target, float):
+                    env._active_process = None
+                    self.fail(SimulationError(
+                        f"process {self.name!r} yielded a non-event: "
+                        f"{target!r}"))
+                    return
+                target = float(target)   # a subclass, e.g. numpy.float64
+            # A wait only this process can end, on its own entry: a sleep,
+            # queued here, or the entry itself, which the waker holding it
+            # queues when it fires.
+            wake = self._wake
+            if target is not wake and target < 0.0:
+                problem = f"yielded a negative delay: {target!r}"
+            elif wake.callbacks is not None:
+                problem = "re-armed its wake entry before it fired"
+            else:
+                wake.callbacks = wake._cb
+                wake._processed = False
+                wake._scheduled = False
+                if target is not wake:
+                    env._schedule(wake, target)
+                self._waiting_on = wake
+                env._active_process = None
                 return
-            if target._processed:
-                # Already concluded: continue immediately with its outcome.
-                event = target
-                continue
-            if target.callbacks is None:
-                raise SimulationError(
-                    f"event {target!r} is being processed; cannot wait on it")
-            target.callbacks.append(self._resume)
-            self._waiting_on = target
-            self.env._active_process = None
+            env._active_process = None
+            self.fail(SimulationError(f"process {self.name!r} {problem}"))
             return
 
 
@@ -408,9 +466,13 @@ class Environment:
       majority) skip the sift into a FIFO deque (``_immediate``), whose
       keys are non-decreasing by construction.
 
-    :meth:`pooled_timeout` recycles processed :class:`Timeout` objects
-    for fire-and-forget timers (NIC engine delays, CPU-cost charges)
-    whose references are dropped once they fire.
+    A wait only one process can end — a yielded ``float`` delay (CPU
+    charges, back-off sleeps) or a single-waiter waker (the doorbell's
+    polled wait) — is queued as that process's own :class:`WakeEntry`,
+    re-armed in place. :meth:`pooled_timeout`
+    recycles processed :class:`Timeout` objects for fire-and-forget
+    callback timers (NIC completions, congestion-plane timers) whose
+    references are dropped once they fire.
     """
 
     __slots__ = ("_now", "_queue", "_immediate", "_sequence",
@@ -463,9 +525,10 @@ class Environment:
         The returned event is reclaimed by the kernel right after its
         callbacks run, so callers must not inspect it once a later event
         has been processed — use it only for fire-and-forget timers that
-        are yielded (or given callbacks) immediately and then dropped.
-        The internal hot paths (NIC engine delays, fabric arrivals, CPU
-        cost charges) satisfy this by construction.
+        are given callbacks immediately and then dropped (the NIC's
+        completion, prefix-commit and flush timers, the congestion
+        plane's CNP and recovery timers). A process that only sleeps
+        yields the ``float`` delay instead (:class:`Process`).
         """
         pool = self._timeout_pool
         if not pool:

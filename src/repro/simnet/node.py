@@ -5,8 +5,9 @@ from __future__ import annotations
 from collections.abc import Generator
 from typing import TYPE_CHECKING, Any
 
+from repro.common.errors import SimulationError
 from repro.common.rand import derive_rng
-from repro.simnet.kernel import Event, Process, Timeout
+from repro.simnet.kernel import Event, Process
 from repro.simnet.link import Link
 
 if TYPE_CHECKING:
@@ -61,13 +62,16 @@ class Node:
                 self.cluster.seed, "node-backoff", self.node_id)
         return rng
 
-    def compute(self, ns: float) -> Timeout:
-        """Return a timeout charging ``ns`` of nominal CPU work, stretched
-        by the node's frequency scale.
-
-        The timeout is pool-recycled once it fires: yield it right away
-        (as every call site does) rather than storing it."""
-        return self.env.pooled_timeout(ns / self._cpu_scale)
+    def compute(self, ns: float) -> float:
+        """Return the delay that charges ``ns`` of nominal CPU work,
+        stretched by the node's frequency scale: a ``float`` the calling
+        process yields at once (``yield node.compute(ns)``), which the
+        kernel turns into a sleep on the process's own wake entry.
+        Negative work raises :class:`SimulationError` here."""
+        delay = ns / self._cpu_scale
+        if delay < 0:
+            raise SimulationError(f"negative compute charge: {ns} ns")
+        return delay
 
     def spawn(self, generator: Generator[Event, Any, Any],
               name: str | None = None) -> Process:

@@ -3,11 +3,14 @@
 A latency-mode message is four kernel events — the sender's CPU charge,
 the write's prefix commit, its tail commit, the target's merged wake and
 poll — and whatever the interpreter spends around them. Wall-clock is
-noise on a shared box; the number of kernel events and of Python frames
-entered under ``src/repro`` is not. When every per-segment price was
-paid per tuple (a property and a range check per memory access, a scan
-of all channels per consume, a generator per credit check, a calendar
-queue under the heap) a round trip entered 152 frames; it enters 90.
+noise on a shared box; the number of kernel events, of Python frames
+entered under ``src/repro`` and of C functions those frames call is
+not. When every per-segment price was paid per tuple (a property and a
+range check per memory access, a scan of all channels per consume, a
+generator per credit check, a calendar queue under the heap) a round
+trip entered 152 frames; it enters 88. Both waits of a message — the
+CPU charge and the merged wake — resume the waiting process through
+its own wake entry, so neither builds an event.
 """
 
 import os
@@ -77,20 +80,22 @@ def _pingpong(trips: int, options: FlowOptions) -> Cluster:
     return cluster
 
 
-def _frames(run) -> int:
-    """Python frames entered under ``src/repro`` while ``run()`` runs."""
-    frames = [0]
+def _calls(run) -> tuple:
+    """``(frames, c_calls)`` while ``run()`` runs: Python frames entered
+    under ``src/repro``, and C functions called from such frames."""
+    counts = {"call": 0, "c_call": 0}
 
     def profiler(frame, event, _arg):
-        if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
-            frames[0] += 1
+        if (event in counts
+                and frame.f_code.co_filename.startswith(PACKAGE)):
+            counts[event] += 1
 
     sys.setprofile(profiler)
     try:
         run()
     finally:
         sys.setprofile(None)
-    return frames[0]
+    return counts["call"], counts["c_call"]
 
 
 def _wqes(cluster) -> int:
@@ -113,6 +118,19 @@ def test_round_trip_is_eight_events_plus_three_per_credit_read():
 
 def test_round_trip_enters_at_most_95_frames():
     idle, busy = _pingpong(0, DEEP), _pingpong(TRIPS, DEEP)
-    per_trip = (_frames(busy.run) - _frames(idle.run)) / TRIPS
+    per_trip = (_calls(busy.run)[0] - _calls(idle.run)[0]) / TRIPS
     assert _wqes(busy) - _wqes(idle) == 2 * TRIPS     # no credit read
     assert per_trip <= 95, per_trip
+
+
+def test_round_trip_is_eight_events_and_at_most_165_calls():
+    """154 calls per trip (88 frames, 66 C calls); 172 (92 + 80) while a
+    CPU charge was a pooled ``Timeout`` and a polled wait a fresh
+    ``Event``, each queued through a bound method appended to a list."""
+    idle, busy = _pingpong(0, DEEP), _pingpong(TRIPS, DEEP)
+    idle_calls, busy_calls = _calls(idle.run), _calls(busy.run)
+    assert _wqes(busy) - _wqes(idle) == 2 * TRIPS     # no credit read
+    assert (busy.env.events_executed - idle.env.events_executed
+            == 8 * TRIPS)
+    per_trip = (sum(busy_calls) - sum(idle_calls)) / TRIPS
+    assert per_trip <= 165, per_trip

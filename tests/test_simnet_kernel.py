@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import SimulationError
-from repro.simnet import Environment, Interrupt, ShardedEnvironment
+from repro.core import DfiRuntime, Endpoint, Optimization, Schema
+from repro.simnet import Cluster, Environment, Interrupt, ShardedEnvironment
 
 
 def test_timeout_advances_clock():
@@ -334,7 +335,7 @@ def test_peek_reports_next_event_time():
 
 _DELAYS = (0, 1e-3, 1, 2047, 2048, 5e5, 1e9, 2 ** 62, float("inf"))
 _KINDS = ("timeout", "pooled_timeout", "schedule_at", "schedule_train",
-          "succeed", "cancel")
+          "succeed", "cancel", "sleep", "park")
 
 
 def _ops(children):
@@ -361,16 +362,30 @@ def _expected_order(programme):
     here by a linear scan of a plain list. A ``cancel`` op is a guard
     timer (action 0, at the first delay) and, one sequence number later,
     a wake (action 1, at the last delay) that withdraws the guard if it
-    is still pending."""
+    is still pending. A ``sleep`` op starts a process now (action 1),
+    which then sleeps the first delay (action 0). A ``park`` op starts a
+    process now (action 1) that parks on its wake entry, and arms a
+    timer at the first delay (action 2) that queues the entry the last
+    delay later (action 0). A process's exit draws a number too, after
+    everything its last action scheduled, but moves nothing here."""
     now, seq, pending, fired = 0.0, 0, [], []
+
+    def push(op, action, delay):
+        nonlocal seq
+        seq += 1
+        pending.append((now + delay, seq, action, op))
 
     def schedule(op):
         nonlocal seq
         ident, kind, delays, _tag, _children = op
         if kind == "cancel":
             for action, delay in enumerate((delays[0], delays[-1])):
-                seq += 1
-                pending.append((now + delay, seq, action, op))
+                push(op, action, delay)
+            return
+        if kind in ("sleep", "park"):
+            push(op, 1, 0)
+            if kind == "park":
+                push(op, 2, delays[0])
             return
         seq += 1
         whens = (sorted(now + delay for delay in delays)
@@ -386,11 +401,16 @@ def _expected_order(programme):
         pending.remove(entry)
         now, _seq, action, op = entry
         fired.append((now, op[0], action))
+        kind, delays = op[1], op[2]
         if action == 0:
             for child in op[4]:
                 schedule(child)
-        elif op[1] == "cancel":
+        elif kind == "cancel":
             pending[:] = [e for e in pending if e[3] is not op]
+        elif kind == "sleep":
+            push(op, 0, delays[0])
+        elif kind == "park" and action == 2:
+            push(op, 0, delays[-1])
     return fired
 
 
@@ -429,6 +449,30 @@ def _kernel_order(env, programme, stepwise):
                         env.cancel(guard)
 
                 env.timeout(delays[-1]).callbacks.append(wake)
+            elif kind == "sleep":
+                def sleeper():
+                    fire(1)
+                    yield float(delays[0])
+                    fire()
+
+                env.process(sleeper())
+            elif kind == "park":
+                parked = []
+
+                def parker():
+                    fire(1)
+                    parked.append(env.active_process._wake)
+                    yield parked[0]
+                    fire()
+
+                def waker(_event):
+                    fire(2)
+                    entry = parked[0]
+                    entry._value = None   # what a doorbell hook does
+                    env._schedule(entry, float(delays[-1]))
+
+                env.process(parker())
+                env.timeout(delays[0]).callbacks.append(waker)
             else:
                 timer = getattr(env, kind)(delays[0])
                 timer.callbacks.append(lambda _event: fire())
@@ -457,3 +501,102 @@ def test_events_fire_in_when_seq_order_of_an_independent_reference(
         assert _kernel_order(env, programme, stepwise) == expected
         # A cancelled guard leaves the clock at the last event that fired.
         assert env.now == (expected[-1][0] if expected else 0.0)
+
+
+# -- a process's own wake entry ----------------------------------------------
+
+_KERNELS = pytest.mark.parametrize(
+    "make", [Environment, lambda: ShardedEnvironment(2)],
+    ids=["flat", "sharded"])
+
+
+@_KERNELS
+def test_interrupted_sleep_leaves_its_entry_behind_and_sleeps_again(make):
+    env = make()
+    log = []
+
+    def sleeper():
+        try:
+            yield 1000.0
+        except Interrupt:
+            log.append(("interrupted", env.now))
+        yield 5.0
+        log.append(("slept", env.now))
+        return "done"
+
+    def interrupter(victim):
+        yield 10.0
+        victim.interrupt()
+
+    victim = env.process(sleeper())
+    env.process(interrupter(victim))
+    env.run()
+    assert log == [("interrupted", 10.0), ("slept", 15.0)]
+    assert victim.value == "done"
+    # Two starts, the interrupter's sleep, the interrupt, the second
+    # sleep, two exits — and the first sleep's entry, which still fires
+    # at its instant and wakes nobody.
+    assert env.events_executed == 8
+    assert env.now == 1000.0
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_process_killed_while_parked_on_a_doorbell_stays_dead(shards):
+    cluster = Cluster(node_count=2, shards=shards)
+    dfi = DfiRuntime(cluster)
+    dfi.init_shuffle_flow("f", [Endpoint(0, 0)], [Endpoint(1, 0)],
+                          Schema(("key", "uint64")),
+                          optimization=Optimization.LATENCY)
+    targets, got = [], []
+
+    def target():
+        targets.append((yield from dfi.open_target("f", 0)))
+        got.append((yield from targets[0].consume()))
+
+    def source():
+        src = yield from dfi.open_source("f", 0)
+        yield 1000.0
+        cluster.node(1).fail_stop()
+        yield from src.push((7,))   # lands on the dead target's ring
+        yield from src.close()
+
+    parked = cluster.node(1).spawn(target())
+    sender = cluster.node(0).spawn(source())
+    cluster.run()
+    assert got == [] and not parked.is_alive and parked.value is None
+    assert sender.ok and not sender.is_alive
+    # The write rang the doorbell, which fired the armed (dead) entry.
+    doorbell = targets[0]._doorbell
+    assert doorbell._event is None and 0 in doorbell.dirty
+
+
+def test_negative_compute_raises_at_the_call():
+    node = Cluster(node_count=1).node(0)
+    with pytest.raises(SimulationError, match="negative"):
+        node.compute(-1.0)
+
+
+def test_yield_negative_delay_fails_process():
+    env = Environment()
+
+    def bad():
+        yield -1.0
+
+    env.process(bad())
+    with pytest.raises(SimulationError, match="negative delay"):
+        env.run()
+
+
+def test_float_subclass_delay_sleeps():
+    class Nanos(float):
+        pass
+
+    env = Environment()
+
+    def proc():
+        yield Nanos(2.5)
+        return env.now
+
+    p = env.process(proc())
+    env.run()
+    assert p.value == 2.5

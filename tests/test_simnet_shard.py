@@ -28,7 +28,9 @@ from repro.simnet import (
     Environment,
     FaultPlan,
     ShardedEnvironment,
+    Timeout,
     block_shard_map,
+    link_degrade,
     node_crash,
     run_partitioned,
 )
@@ -407,21 +409,67 @@ def test_written_out_loop_stays_in_lockstep_with_step():
 
 
 def test_sharded_loop_recycles_pooled_timeouts():
+    """The pool's users are callback timers: ``pooled_timeout`` and
+    ``schedule_at``, each arming the next from its own callback."""
     pooled = []
     for env in (Environment(), ShardedEnvironment(2)):
-        def ticker(env=env):
-            for _ in range(6):
-                yield env.pooled_timeout(1.0)
+        fired = []
 
-        env.process(ticker())
+        def tick(_event=None, env=env, fired=fired):
+            fired.append(env.now)
+            if len(fired) < 6:
+                env.pooled_timeout(1.0).callbacks.append(tick)
+
+        def at(env=env, fired=fired):
+            fired.append(env.now)
+            if len(fired) < 12:
+                env.schedule_at(env.now + 1.0, at)
+
+        tick()
         env.run()
+        env.schedule_at(env.now + 1.0, at)
+        env.run()
+        assert fired == [float(t) for t in range(12)]
         pooled.append(len(env._timeout_pool))
     # A timer returns to the pool once its callbacks ran, so two objects
-    # take turns serving the six waits — on either kernel.
+    # take turns serving all eleven timers — on either kernel.
     assert pooled == [2, 2]
+    # An active, idle fault plane puts every write of a racked flow on the
+    # per-WQE walk, whose prefix and completion timers are pooled.
     cluster, _processes = _racked_shuffle()
+    cluster.install_faults(FaultPlan(
+        [link_degrade(0, at=1e9, duration=1.0, factor=2.0)]))
     cluster.run()
     assert cluster.env._timeout_pool
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_cpu_charges_reuse_one_wake_entry_and_build_no_timeout(
+        shards, monkeypatch):
+    cluster = Cluster(node_count=2, shards=shards)
+    env, node = cluster.env, cluster.node(1)
+    built = []
+    init = Timeout.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Timeout, "__init__", counting_init)
+    entries = set()
+
+    def worker():
+        for _ in range(1000):
+            yield node.compute(10.0)
+            entries.add(env.active_process._wake)
+
+    process = node.spawn(worker())
+    cluster.run()
+    assert not process.is_alive and env.now == 10_000.0
+    assert built == [] and env._timeout_pool == []
+    # Its start and all 1 000 charges ran on the same entry.
+    assert entries == {process._wake}
+    assert env.events_executed == 1 + 1000 + 1   # start, charges, exit
 
 
 # -- flow-level shard invariance ---------------------------------------------
