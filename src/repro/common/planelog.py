@@ -7,12 +7,11 @@ package; ``repro.obs.log`` folds them.
 
 #: ``(TRAIN, now, qp, count, delays, arrivals)`` — one ``post_train`` call.
 #: ``delays`` are the NIC issue offsets from ``now``, ``arrivals`` absolute;
-#: both empty when the train went WQE by WQE (paced by a congestion
-#: plane, or discrete under a fault plane): each WQE logs its own record.
+#: both empty when the train went WQE by WQE (paced: a fault or a
+#: congestion plane is active): each WQE logs its own record.
 TRAIN = 0
-#: ``(WQE, qp, arb_from, arb_to, issued, arrival)`` — one lone, paced or
-#: discrete WQE, absolute times: NIC arbitration span, wire handoff,
-#: arrival.
+#: ``(WQE, qp, arb_from, arb_to, issued, arrival)`` — one lone or paced
+#: WQE, absolute times: NIC arbitration span, wire handoff, arrival.
 WQE = 1
 #: ``(WRITE, now, endpoint, ring, seq, count, nbytes)`` — a source flushed
 #: ``count`` segments numbered from ``seq``. ``ring``: the remote

@@ -18,7 +18,7 @@ receive request is posted) and MTU-limited, matching InfiniBand UD.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.common.errors import QpFlushedError, RdmaError
 from repro.common.planelog import EDGE, TRAIN, WQE
@@ -27,15 +27,14 @@ from repro.rdma.memory import MemoryRegion
 from repro.rdma.nic import RNic, get_nic
 from repro.simnet.node import Node
 
-if TYPE_CHECKING:
-    pass
-
 #: Wire size of a one-sided READ / atomic request packet.
 _REQUEST_PACKET_SIZE = 16
 #: Trailing bytes of a WRITE that commit last (covers DFI's 16-byte footer).
 _ORDERED_TAIL = 64
 #: InfiniBand UD MTU: the largest datagram an unreliable QP can carry.
 UD_MTU = 4096
+#: Crash instant of a node the fault plane never crashes.
+_NEVER = float("inf")
 
 
 def _as_bytes(payload: bytes | bytearray | memoryview) -> bytes:
@@ -254,32 +253,37 @@ class QueuePair:
             wr_id=wr.wr_id, opcode=wr.opcode,
             status=WcStatus.SUCCESS, byte_len=size))
 
-    def _finish(self, wr: WorkRequest, delay: float, byte_len: int,
-                result: Any = None) -> None:
-        """Complete ``wr`` after ``delay`` ns: trigger ``done`` and push a
-        CQ entry if the request was signaled."""
-        done_timer = self.env.pooled_timeout(delay)
+    def _fail_in_flight(self, args) -> None:
+        """The peer died while the operation was in flight: no ACK ever
+        comes back, the QP enters the error state. ``args`` is a ``(wr,
+        byte_len)`` record; a ``None`` ``wr`` (a write nobody observes)
+        gets only its ``WR_FLUSH_ERR`` CQ entry."""
+        wr, byte_len = args
+        if wr is None:
+            wr_id, opcode = None, Opcode.WRITE
+        else:
+            wr_id, opcode = wr.wr_id, wr.opcode
+            wr._fail(QpFlushedError(
+                f"{opcode.value} {self.node.name} -> "
+                f"{self.remote_node.name} flushed: peer failed in flight"))
+        self.send_cq.push(Completion(
+            wr_id=wr_id, opcode=opcode, status=WcStatus.WR_FLUSH_ERR,
+            byte_len=byte_len))
 
-        def on_done(_event, wr=wr, result=result, byte_len=byte_len):
+    def _finish(self, wr: WorkRequest, delay: float, byte_len: int) -> None:
+        """Complete ``wr`` after ``delay`` ns, re-checking the peer's
+        liveness then: trigger ``done`` and push a CQ entry if the request
+        was signaled."""
+        def on_done(_event, wr=wr, byte_len=byte_len):
             faults = self._faults()
             if faults is not None and not faults.node_alive(self.remote_node):
-                # The peer died while the operation was in flight: no ACK
-                # ever comes back, the QP enters the error state.
-                wr._fail(QpFlushedError(
-                    f"{wr.opcode.value} {self.node.name} -> "
-                    f"{self.remote_node.name} flushed: peer failed in "
-                    f"flight"))
-                self.send_cq.push(Completion(
-                    wr_id=wr.wr_id, opcode=wr.opcode,
-                    status=WcStatus.WR_FLUSH_ERR, byte_len=byte_len))
-                return
-            wr._complete(result)
-            if wr.signaled:
-                self.send_cq.push(Completion(
-                    wr_id=wr.wr_id, opcode=wr.opcode, status=WcStatus.SUCCESS,
-                    byte_len=byte_len, result=result))
+                self._fail_in_flight((wr, byte_len))
+            elif wr.signaled:
+                self._finish_signaled((wr, byte_len))
+            else:
+                wr._complete(None)
 
-        done_timer.callbacks.append(on_done)
+        self.env.pooled_timeout(delay).callbacks.append(on_done)
 
     # -- one-sided WRITE -----------------------------------------------------
     def post_write(self, payload,
@@ -349,14 +353,13 @@ class QueuePair:
         acknowledgment expands lazily (``WorkRequest._complete_at``).
         Unlike a train the lone write may not coalesce its prefix into
         the arrival commit: a latency-mode target's doorbell hook wakes
-        on the prefix commit (DESIGN.md §9). An active congestion plane
-        admits the WQE first (``rc_admit``: pacing and the egress-queue
-        hold-off, added before the NIC slot) and observes it after the
-        wire reservation (``rc_sent``: ECN mark, CNP); the write still
-        takes this macro walk. Only an active fault plane, checked on
-        every call, takes the discrete per-WQE events of
-        :meth:`_post_discrete` instead: its liveness checks must run
-        when each event fires.
+        on the prefix commit (DESIGN.md §9). Active planes, checked on
+        every call, only switch hooks on: the fault plane admits the WQE
+        against the path state now (``rc_admission``; refused, it flushes
+        with ``RETRY_EXC_ERR``), the congestion plane then paces it
+        before the NIC slot (``rc_admit``) and marks it after the wire
+        reservation (``rc_sent``), and the walk is cut at the peer's
+        crash instant (:meth:`_post_cut_at_crash`).
         """
         obs = self._obs
         if obs is not None:
@@ -373,18 +376,22 @@ class QueuePair:
         congestion = cluster.congestion
         if congestion is not None and not congestion.active:
             congestion = None
-        if faults is not None:
-            self._post_lone_discrete(wr, size, pieces, region, offset,
-                                     faults, congestion)
-            return
         nic = self.nic
         env = self.env
         admit = 0.0
+        if faults is not None:
+            admit = faults.rc_admission(self.node, self.remote_node)
+            if admit is None:
+                self._flush_after(
+                    wr or WorkRequest(env, None, Opcode.WRITE, False),
+                    faults.detection_timeout, WcStatus.RETRY_EXC_ERR)
+                return
         rate = None
         if congestion is not None:
-            admit, rate = congestion.rc_admit(self, size)
-        # Admission precedes arbitration: the plane anchors its edges on
-        # [now, now + admit], the NIC edge starts where they end.
+            paced, rate = congestion.rc_admit(self, size)
+            admit += paced
+        # Admission precedes arbitration: the planes anchor their edges
+        # on [now, now + admit], the NIC edge starts where they end.
         delay = nic.engine_delay(size <= self._inline_max) + admit
         nic.bytes_posted += size
         arrival_delay = cluster.fabric.unicast_delay(
@@ -411,6 +418,9 @@ class QueuePair:
                 (arrival, _commit_write, (region, offset, tail_pieces))]
         else:
             actions = [(arrival, _commit_write, (region, offset, pieces))]
+        if faults is not None and self._post_cut_at_crash(
+                faults, actions, wr, size, ack_at):
+            return
         if wr is not None:
             if wr.signaled:
                 actions.append((ack_at, self._finish_signaled, (wr, size)))
@@ -418,77 +428,22 @@ class QueuePair:
                 wr._complete_at(ack_at)
         env.schedule_train(actions)
 
-    def _post_lone_discrete(self, wr, size, pieces, region, offset,
-                            faults, congestion) -> None:
-        """Eager posting under an active fault plane (a congestion plane
-        may be stacked on it): admit the WQE against the path state now,
-        then arm its discrete events."""
-        if wr is None:
-            wr = WorkRequest(self.env, None, Opcode.WRITE, False)
-        admit = faults.rc_admission(self.node, self.remote_node)
-        if admit is None:
-            self._flush_after(wr, faults.detection_timeout,
-                              WcStatus.RETRY_EXC_ERR)
-            return
-        rate = None
-        if congestion is not None:
-            paced, rate = congestion.rc_admit(self, size)
-            admit += paced
-        # Admission precedes arbitration here: the planes anchor their
-        # edges on [now, now + admit], the NIC edge starts where they end.
-        issue_delay = self.nic.engine_delay(size <= self._inline_max) + admit
-        split = size - _ORDERED_TAIL
-        prefix_pieces, tail_pieces = (
-            _split_ordered_tail(pieces, split) if split > 0 else ((), pieces))
-        self._post_discrete(wr, size, prefix_pieces, tail_pieces, region,
-                            offset, admit, issue_delay, 0.0, rate)
-
-    def _post_discrete(self, wr: WorkRequest, size: int, prefix_pieces,
-                       tail_pieces, region: MemoryRegion, base: int,
-                       arb_from: float, arb_to: float, held: float,
-                       rate) -> None:
-        """The discrete per-WQE body every admitted write takes while a
-        fault plane is active (:meth:`_post_lone_discrete`,
-        :meth:`_post_train_sequential`): an arrival event, a prefix timer
-        one tail-serialization earlier when ``prefix_pieces`` is
-        non-empty, and a completion timer, each re-checking the peer's
-        liveness when it fires. NIC arbitration spans the offsets
-        ``[arb_from, arb_to]`` from now; the WQE is handed to the wire
-        ``held`` ns after that (admission a train applies per WQE at its
-        wire-start time). ``rate`` is the congestion plane's state of
-        this QP when one is stacked on the fault plane (``rc_admit``
-        returned it), else ``None``."""
-        env = self.env
-        self.nic.bytes_posted += size
-        arrival = self._fabric().unicast(self.node, self.remote_node, size,
-                                         delay=arb_to + held)
-        if rate is not None:
-            rate.plane.rc_sent(rate, size, arrival.delay)
-        obs = self._obs
-        if obs is not None and obs.causal:
-            # The admission planes log the delay they add themselves.
-            now = env.now
-            obs.log((WQE, self, now + arb_from, now + arb_to,
-                     now + arb_to + held, now + arrival.delay))
-        if prefix_pieces:
-            prefix_timer = env.pooled_timeout(max(
-                0.0, arrival.delay
-                - _ORDERED_TAIL / self.nic.profile.link_bandwidth))
-            prefix_timer.callbacks.append(
-                self._commit_if_alive(region, base, prefix_pieces))
-        arrival.callbacks.append(
-            self._commit_if_alive(region, base, tail_pieces))
-        self._finish(wr, arrival.delay + self._ack_delta, size)
-
-    def _commit_if_alive(self, region: MemoryRegion, base: int, parts):
-        """Event callback committing ``parts`` into ``region`` unless the
-        peer crashed while they were in flight."""
-        def commit(_event):
-            faults = self._faults()
-            if faults is not None and not faults.node_alive(self.remote_node):
-                return  # crashed memory accepts no more commits
-            _commit_write((region, base, parts))
-        return commit
+    def _post_cut_at_crash(self, faults, actions, wr, size: int,
+                           ack_at: float) -> bool:
+        """Walk a write's commit ``actions`` cut at the peer's crash
+        instant if its ack would return at or after it; else post
+        nothing and return False. A fault plane fixes its crash instants
+        when installed, so the verdict ``node_alive`` would give when
+        each event fires is known now: a commit at or after the crash is
+        voided (crashed memory accepts none), and the WQE fails in flight
+        at ``ack_at`` instead of completing."""
+        crash_at = faults._crash_at.get(self.remote_node.node_id, _NEVER)
+        if ack_at < crash_at:
+            return False
+        actions = [action for action in actions if action[0] < crash_at]
+        actions.append((ack_at, self._fail_in_flight, (wr, size)))
+        self.env.schedule_train(actions)
+        return True
 
     # -- doorbell trains ----------------------------------------------------
     def post_train(self, entries) -> None:
@@ -511,13 +466,13 @@ class QueuePair:
         protocol-invisible: DFI only ever acts on the footer, which
         commits at arrival either way). Both planes are checked on every
         call, so a plane installed between two trains governs the very
-        next one. An active congestion plane paces the train WQE by WQE
-        in posting order — ``rc_admit`` before each wire reservation,
-        its delay added to that WQE's wire start, ``rc_sent`` after it —
-        and each WQE then takes the train-of-one walk with the
-        relative-offset arithmetic of :meth:`post_lone` (the instants the
-        discrete events would fire at). An active fault plane hands the
-        train to :meth:`_post_train_sequential` instead.
+        next one. An active plane walks the train WQE by WQE, in posting
+        order, with the hooks of :meth:`post_lone`, except that the NIC
+        drains a train sequentially: the fault plane admits each WQE at
+        its own wire start (NIC issue or the uplink busy horizon,
+        whichever is later), so an outage that begins mid-train delivers
+        the prefix and flushes the failing WQE *and every later one*
+        with ``RETRY_EXC_ERR`` (the QP enters the error state).
         """
         if not entries:
             return
@@ -538,30 +493,27 @@ class QueuePair:
                 obs.bound()  # the plane log's memory bound
         faults = self._faults()
         congestion = self._congestion()
-        if faults is not None:
-            if obs is not None:
-                # The per-WQE path logs its own arbitration and wire spans.
-                obs.log((TRAIN, self.env._now, self, count, (), ()))
-            self._post_train_sequential(entries, faults, congestion)
-            return
         inline_max = self._inline_max
         ack_latency = self._ack_delta
-        if congestion is not None or len(entries) == 1:
+        paced = faults is not None or congestion is not None
+        if paced or len(entries) == 1:
             # Trains of one are the common shape on hash-routed shuffles
             # (each channel's share of a batch is about one segment);
             # skip the multi-entry list/zip machinery. Same arbitration
             # and wire arithmetic, so timestamps stay bit-identical. A
-            # paced train walks here one WQE at a time: each is admitted
-            # at post time, in posting order, and marked after its own
-            # wire reservation.
+            # paced train walks here one WQE at a time.
             env = self.env
             fabric = self._fabric()
-            if congestion is not None and obs is not None:
-                # Each paced WQE logs its own arbitration and wire spans.
-                obs.log((TRAIN, env._now, self, count, (), ()))
+            if paced:
+                if obs is not None:
+                    # Each paced WQE logs its own arbitration and wire spans.
+                    obs.log((TRAIN, env._now, self, count, (), ()))
+                uplink = (None if self.remote_node is self.node
+                          else self.node.uplink)
+                refused = False
             for wr, size, pieces, region, offset in entries:
-                nic.bytes_posted += size
-                if congestion is None:
+                if not paced:
+                    nic.bytes_posted += size
                     delay = nic.engine_delay_train_one(size <= inline_max)
                     arrival = fabric.unicast_train_one(
                         self.node, self.remote_node, size, delay)
@@ -570,13 +522,32 @@ class QueuePair:
                         obs.log((TRAIN, env._now, self, 1, (delay,),
                                  (arrival,)))
                 else:
-                    delay = nic.engine_delay(size <= inline_max)
-                    admit, rate = congestion.rc_admit(self, size)
+                    if not refused:
+                        delay = nic.engine_delay(size <= inline_max)
+                        now = env._now
+                        admit = 0.0
+                        if faults is not None:
+                            wire_at = now + delay
+                            if (uplink is not None
+                                    and uplink.busy_until > wire_at):
+                                wire_at = uplink.busy_until
+                            admit = faults.rc_admission(
+                                self.node, self.remote_node, at=wire_at)
+                            refused = admit is None
+                    if refused:
+                        self._flush_after(
+                            wr or WorkRequest(env, None, Opcode.WRITE, False),
+                            faults.detection_timeout, WcStatus.RETRY_EXC_ERR)
+                        continue
+                    rate = None
+                    if congestion is not None:
+                        held, rate = congestion.rc_admit(self, size)
+                        admit += held
+                    nic.bytes_posted += size
                     arrival_delay = fabric.unicast_delay(
                         self.node, self.remote_node, size, delay + admit)
                     if rate is not None:
                         congestion.rc_sent(rate, size, arrival_delay)
-                    now = env._now
                     arrival = now + arrival_delay
                     ack_at = now + (arrival_delay + ack_latency)
                     if obs is not None and obs.causal:
@@ -584,6 +555,9 @@ class QueuePair:
                         obs.log((WQE, self, now, issued, issued + admit,
                                  arrival))
                 actions = [(arrival, _commit_write, (region, offset, pieces))]
+                if faults is not None and self._post_cut_at_crash(
+                        faults, actions, wr, size, ack_at):
+                    continue
                 if wr is not None:
                     if wr.signaled:
                         actions.append((ack_at, self._finish_signaled,
@@ -629,58 +603,6 @@ class QueuePair:
         if needs_sort:
             actions.sort(key=_action_when)
         self.env.schedule_train(actions)
-
-    def _post_train_sequential(self, entries, faults, congestion) -> None:
-        """Train posting under an active fault plane (a congestion plane
-        may be stacked on it).
-
-        The NIC drains a doorbell train sequentially, so each WQE is
-        admitted against the path state at its own wire-serialization start
-        time (NIC issue or the uplink busy horizon, whichever is later):
-        an outage that begins mid-train delivers the prefix of the train
-        and flushes the failing WQE *and every later one* with
-        ``RETRY_EXC_ERR`` (the QP enters the error state; real RC flushes
-        the rest of the send queue). A stacked congestion plane paces and
-        marks each admitted WQE as :meth:`post_train` does without faults.
-        Admitted WQEs take the discrete per-WQE body
-        (:meth:`_post_discrete`), whose events re-check the peer's
-        liveness when they fire; arrival and ack timestamps stay
-        bit-identical to the macro walk when the planes add zero delay.
-        That body completes a WorkRequest per WQE, so a ``None`` entry
-        gets one here.
-        """
-        env = self.env
-        nic = self.nic
-        inline_max = self._inline_max
-        loopback = self.remote_node is self.node
-        uplink = None if loopback else self.node.uplink
-        flush_rest = False
-        for wr, size, pieces, region, offset in entries:
-            if wr is None:
-                wr = WorkRequest(env, None, Opcode.WRITE, False)
-            if flush_rest:
-                self._flush_after(wr, faults.detection_timeout,
-                                  WcStatus.RETRY_EXC_ERR)
-                continue
-            inline = size <= inline_max
-            offset_delay = nic.engine_delay(inline)
-            wire_at = env.now + offset_delay
-            if uplink is not None and uplink.busy_until > wire_at:
-                wire_at = uplink.busy_until
-            admit = faults.rc_admission(self.node, self.remote_node,
-                                        at=wire_at)
-            if admit is None:
-                flush_rest = True
-                self._flush_after(wr, faults.detection_timeout,
-                                  WcStatus.RETRY_EXC_ERR)
-                continue
-            rate = None
-            if congestion is not None:
-                paced, rate = congestion.rc_admit(self, size)
-                admit += paced
-            # Trains coalesce the prefix into the arrival commit.
-            self._post_discrete(wr, size, (), pieces, region, offset, 0.0,
-                                offset_delay, admit, rate)
 
     # -- one-sided READ ----------------------------------------------------
     def post_read(self, local_region: MemoryRegion, local_offset: int,

@@ -526,7 +526,7 @@ class Environment:
         callbacks run, so callers must not inspect it once a later event
         has been processed — use it only for fire-and-forget timers that
         are given callbacks immediately and then dropped (the NIC's
-        completion, prefix-commit and flush timers, the congestion
+        SEND completion and flush timers, the congestion
         plane's CNP and recovery timers). A process that only sleeps
         yields the ``float`` delay instead (:class:`Process`).
         """

@@ -1,0 +1,234 @@
+"""The discrete per-WQE RC write walk, kept as a test oracle.
+
+Under an active fault plane ``QueuePair.post_lone`` and ``post_train``
+take the macro walk: each WQE is admitted against the path state when it
+is posted (a train WQE at its wire start), and its actions are cut at the
+peer's crash instant, which the plane fixed when it was installed. This
+module keeps the walk that walk replaced, member for member: an arrival
+event, a prefix timer and a completion timer per admitted WQE, each
+re-checking the peer's liveness when it fires.
+
+``installed()`` patches ``QueuePair`` so that, while the block runs and a
+fault plane is active, every write takes these discrete events; with no
+active fault plane the product methods run unchanged. It yields a count
+of the WQEs posted through the discrete walk::
+
+    with discrete_reference.installed() as posts:
+        cluster.run()
+    assert posts["wqes"] > 0
+
+Equivalence tests run the same workload once under ``installed()`` and
+once without it and compare everything observable with ``==``.
+"""
+
+from contextlib import contextmanager
+
+from repro.common.planelog import TRAIN, WQE
+from repro.rdma.completion import Opcode, WcStatus, WorkRequest
+from repro.rdma.memory import MemoryRegion
+from repro.rdma.qp import (
+    _ORDERED_TAIL,
+    QueuePair,
+    _commit_write,
+    _split_ordered_tail,
+)
+
+
+# -- the four discrete members, as ``QueuePair`` carried them -----------------
+
+def _post_lone_discrete(self, wr, size, pieces, region, offset,
+                        faults, congestion) -> None:
+    """Eager posting under an active fault plane (a congestion plane
+    may be stacked on it): admit the WQE against the path state now,
+    then arm its discrete events."""
+    if wr is None:
+        wr = WorkRequest(self.env, None, Opcode.WRITE, False)
+    admit = faults.rc_admission(self.node, self.remote_node)
+    if admit is None:
+        self._flush_after(wr, faults.detection_timeout,
+                          WcStatus.RETRY_EXC_ERR)
+        return
+    rate = None
+    if congestion is not None:
+        paced, rate = congestion.rc_admit(self, size)
+        admit += paced
+    # Admission precedes arbitration here: the planes anchor their
+    # edges on [now, now + admit], the NIC edge starts where they end.
+    issue_delay = self.nic.engine_delay(size <= self._inline_max) + admit
+    split = size - _ORDERED_TAIL
+    prefix_pieces, tail_pieces = (
+        _split_ordered_tail(pieces, split) if split > 0 else ((), pieces))
+    self._post_discrete(wr, size, prefix_pieces, tail_pieces, region,
+                        offset, admit, issue_delay, 0.0, rate)
+
+
+def _post_discrete(self, wr: WorkRequest, size: int, prefix_pieces,
+                   tail_pieces, region: MemoryRegion, base: int,
+                   arb_from: float, arb_to: float, held: float,
+                   rate) -> None:
+    """The discrete per-WQE body every admitted write takes while a
+    fault plane is active (:meth:`_post_lone_discrete`,
+    :meth:`_post_train_sequential`): an arrival event, a prefix timer
+    one tail-serialization earlier when ``prefix_pieces`` is
+    non-empty, and a completion timer, each re-checking the peer's
+    liveness when it fires. NIC arbitration spans the offsets
+    ``[arb_from, arb_to]`` from now; the WQE is handed to the wire
+    ``held`` ns after that (admission a train applies per WQE at its
+    wire-start time). ``rate`` is the congestion plane's state of
+    this QP when one is stacked on the fault plane (``rc_admit``
+    returned it), else ``None``."""
+    env = self.env
+    self.nic.bytes_posted += size
+    arrival = self._fabric().unicast(self.node, self.remote_node, size,
+                                     delay=arb_to + held)
+    if rate is not None:
+        rate.plane.rc_sent(rate, size, arrival.delay)
+    obs = self._obs
+    if obs is not None and obs.causal:
+        # The admission planes log the delay they add themselves.
+        now = env.now
+        obs.log((WQE, self, now + arb_from, now + arb_to,
+                 now + arb_to + held, now + arrival.delay))
+    if prefix_pieces:
+        prefix_timer = env.pooled_timeout(max(
+            0.0, arrival.delay
+            - _ORDERED_TAIL / self.nic.profile.link_bandwidth))
+        prefix_timer.callbacks.append(
+            self._commit_if_alive(region, base, prefix_pieces))
+    arrival.callbacks.append(
+        self._commit_if_alive(region, base, tail_pieces))
+    self._finish(wr, arrival.delay + self._ack_delta, size)
+
+
+def _commit_if_alive(self, region: MemoryRegion, base: int, parts):
+    """Event callback committing ``parts`` into ``region`` unless the
+    peer crashed while they were in flight."""
+    def commit(_event):
+        faults = self._faults()
+        if faults is not None and not faults.node_alive(self.remote_node):
+            return  # crashed memory accepts no more commits
+        _commit_write((region, base, parts))
+    return commit
+
+
+def _post_train_sequential(self, entries, faults, congestion) -> None:
+    """Train posting under an active fault plane (a congestion plane
+    may be stacked on it).
+
+    The NIC drains a doorbell train sequentially, so each WQE is
+    admitted against the path state at its own wire-serialization start
+    time (NIC issue or the uplink busy horizon, whichever is later):
+    an outage that begins mid-train delivers the prefix of the train
+    and flushes the failing WQE *and every later one* with
+    ``RETRY_EXC_ERR`` (the QP enters the error state; real RC flushes
+    the rest of the send queue). A stacked congestion plane paces and
+    marks each admitted WQE as :meth:`post_train` does without faults.
+    Admitted WQEs take the discrete per-WQE body
+    (:meth:`_post_discrete`), whose events re-check the peer's
+    liveness when they fire; arrival and ack timestamps stay
+    bit-identical to the macro walk when the planes add zero delay.
+    That body completes a WorkRequest per WQE, so a ``None`` entry
+    gets one here.
+    """
+    env = self.env
+    nic = self.nic
+    inline_max = self._inline_max
+    loopback = self.remote_node is self.node
+    uplink = None if loopback else self.node.uplink
+    flush_rest = False
+    for wr, size, pieces, region, offset in entries:
+        if wr is None:
+            wr = WorkRequest(env, None, Opcode.WRITE, False)
+        if flush_rest:
+            self._flush_after(wr, faults.detection_timeout,
+                              WcStatus.RETRY_EXC_ERR)
+            continue
+        inline = size <= inline_max
+        offset_delay = nic.engine_delay(inline)
+        wire_at = env.now + offset_delay
+        if uplink is not None and uplink.busy_until > wire_at:
+            wire_at = uplink.busy_until
+        admit = faults.rc_admission(self.node, self.remote_node,
+                                    at=wire_at)
+        if admit is None:
+            flush_rest = True
+            self._flush_after(wr, faults.detection_timeout,
+                              WcStatus.RETRY_EXC_ERR)
+            continue
+        rate = None
+        if congestion is not None:
+            paced, rate = congestion.rc_admit(self, size)
+            admit += paced
+        # Trains coalesce the prefix into the arrival commit.
+        self._post_discrete(wr, size, (), pieces, region, offset, 0.0,
+                            offset_delay, admit, rate)
+
+
+_MEMBERS = {"_post_lone_discrete": _post_lone_discrete,
+            "_post_discrete": _post_discrete,
+            "_commit_if_alive": _commit_if_alive,
+            "_post_train_sequential": _post_train_sequential}
+
+
+# -- the entry points' fault branch, as it selected the members ---------------
+
+@contextmanager
+def installed():
+    """Send every write posted while the block runs under an active
+    fault plane through the discrete walk; yield ``{"wqes": n}``, the
+    number of WQEs (lone writes plus train entries) it posted."""
+    counts = {"wqes": 0}
+    post_lone = QueuePair.post_lone
+    post_train = QueuePair.post_train
+
+    def discrete_lone(self, wr, size, pieces, region, offset):
+        faults = self._faults()
+        if faults is None:
+            post_lone(self, wr, size, pieces, region, offset)
+            return
+        counts["wqes"] += 1
+        obs = self._obs
+        if obs is not None:
+            self._obs_wqes_posted += 1
+            if wr is not None and wr.signaled:
+                self._obs_wqes_signaled += 1
+            if not self._obs_wqes_posted & 15:
+                obs.bound()  # the plane log's memory bound
+        self._post_lone_discrete(wr, size, pieces, region, offset,
+                                 faults, self._congestion())
+
+    def discrete_train(self, entries):
+        faults = self._faults()
+        if faults is None or not entries:
+            post_train(self, entries)
+            return
+        counts["wqes"] += len(entries)
+        self.nic.doorbell_trains += 1
+        obs = self._obs
+        if obs is not None:
+            count = signaled = 0
+            for entry in entries:
+                count += 1
+                wr = entry[0]
+                if wr is not None and wr.signaled:
+                    signaled += 1
+            self._obs_wqes_posted += count
+            self._obs_wqes_signaled += signaled
+            self._obs_trains += 1
+            if not self._obs_trains & 15:
+                obs.bound()  # the plane log's memory bound
+            # The per-WQE path logs its own arbitration and wire spans.
+            obs.log((TRAIN, self.env._now, self, count, (), ()))
+        self._post_train_sequential(entries, faults, self._congestion())
+
+    for name, member in _MEMBERS.items():
+        setattr(QueuePair, name, member)
+    QueuePair.post_lone = discrete_lone
+    QueuePair.post_train = discrete_train
+    try:
+        yield counts
+    finally:
+        QueuePair.post_lone = post_lone
+        QueuePair.post_train = post_train
+        for name in _MEMBERS:
+            delattr(QueuePair, name)

@@ -9,9 +9,12 @@ FlowAbortedError), or death by crash injection. Raw transport errors
 leaking to the application, or a process still blocked at the horizon,
 are failures.
 
-The same harness is the chaos determinism check: every cell of the
-matrix runs twice and must produce bit-identical outcomes, tuple counts
-and final clock.
+The same harness is the chaos differential: every cell of the matrix
+runs once on the product, whose RC writes take the macro walk cut at
+each crash instant, and once on the discrete per-WQE oracle
+(``tests/discrete_reference.py``), whose timers re-check liveness when
+they fire. Both must produce identical outcomes, tuple counts and final
+clock. The ``bit_reproducible`` tests run the product twice.
 """
 
 import pytest
@@ -30,6 +33,7 @@ from repro.core import (
     Schema,
 )
 from repro.simnet import Cluster, CongestionConfig, FaultPlan
+from tests import discrete_reference
 
 SCHEMA = Schema(("key", "uint64"), ("value", "uint64"))
 SEEDS = range(5)
@@ -158,12 +162,34 @@ def _run_chaos(seed, flow_type, optimization, congestion=None):
     return outcomes, counts, cluster.now
 
 
+def _first_difference(product, reference):
+    """The first key at which two (outcomes, counts, final time) triples
+    differ, with both values, or ``None`` when they are equal."""
+    for part, mine, theirs in zip(("outcomes", "counts"), product,
+                                  reference):
+        for key in sorted(mine.keys() | theirs.keys()):
+            if mine.get(key) != theirs.get(key):
+                return (f"{part}[{key}]: product {mine.get(key)!r}, "
+                        f"reference {theirs.get(key)!r}")
+    if product[2] != reference[2]:
+        return (f"final time: product {product[2]!r}, "
+                f"reference {reference[2]!r}")
+    return None
+
+
 def _check_cell(seed, flow_type, mode, congestion=None):
-    """One matrix cell, run twice: legible outcomes, and the same
-    (outcomes, counts, final time) triple both times."""
-    first = _run_chaos(seed, flow_type, mode, congestion)
-    assert set(first[0].values()) <= ALLOWED, first[0]
-    assert _run_chaos(seed, flow_type, mode, congestion) == first
+    """One matrix cell, on the product and on the discrete oracle:
+    legible outcomes, and the same (outcomes, counts, final time)
+    triple both times."""
+    product = _run_chaos(seed, flow_type, mode, congestion)
+    assert set(product[0].values()) <= ALLOWED, product[0]
+    with discrete_reference.installed() as posts:
+        reference = _run_chaos(seed, flow_type, mode, congestion)
+    assert posts["wqes"] > 0
+    difference = _first_difference(product, reference)
+    assert difference is None, (
+        f"seed={seed}, flow={flow_type}, mode={mode.value}: the product "
+        f"and the discrete reference differ at {difference}")
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)

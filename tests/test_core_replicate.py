@@ -1,5 +1,10 @@
-"""Integration tests for replicate flows: naive, multicast, ordered, lossy."""
+"""Integration tests for replicate flows: naive, multicast, ordered, lossy.
 
+One naive-replicate test also runs under the discrete per-WQE oracle
+(``tests/discrete_reference.py``) with a fault plane active.
+"""
+
+from contextlib import nullcontext
 from unittest import mock
 
 import pytest
@@ -30,6 +35,7 @@ from repro.rdma.qp import QueuePair, UdQueuePair
 from repro.simnet import Cluster
 from repro.simnet.congestion import CongestionConfig
 from repro.simnet.faults import FaultPlan, link_degrade
+from tests import discrete_reference
 
 SCHEMA = Schema(("key", "uint64"), ("value", "uint64"))
 
@@ -236,8 +242,9 @@ def _shared_slot_run(optimization, ordering, congestion=False,
     with targets that compute 3 µs after every tuple so the rings stay
     full: ``parts`` of per-tuple pushes and batches, then close. Returns
     the pushed rows and what each target received. ``idle_fault``
-    degrades a sixth node no flow uses: the fault plane is active, so
-    every write takes the discrete per-WQE path."""
+    degrades a sixth node no flow uses: the fault plane is active, and
+    under ``discrete_reference.installed()`` every write takes the
+    discrete per-WQE path."""
     cluster = Cluster(node_count=6 if idle_fault else 5)
     if congestion:
         cluster.install_congestion(CongestionConfig.datacenter())
@@ -302,13 +309,17 @@ def test_naive_slots_stay_stable_until_every_write_commits(optimization,
 
 def test_naive_slots_stay_stable_under_congestion():
     """With the congestion plane live, writes commit from the live buffer
-    later than an idle fabric would: paced on the macro walk, and through
-    the discrete per-WQE path once an idle fault plane is stacked on it."""
-    for idle_fault in (False, True):
-        rows, received = _shared_slot_run(
-            Optimization.BANDWIDTH, Ordering.NONE, congestion=True,
-            idle_fault=idle_fault)
+    later than an idle fabric would: paced on the macro walk, alone or
+    with an idle fault plane stacked on it, and through the discrete
+    per-WQE oracle with that stack."""
+    for idle_fault, oracle in ((False, False), (True, False), (True, True)):
+        with (discrete_reference.installed() if oracle
+              else nullcontext({"wqes": 0})) as posts:
+            rows, received = _shared_slot_run(
+                Optimization.BANDWIDTH, Ordering.NONE, congestion=True,
+                idle_fault=idle_fault)
         assert received == [rows] * 4
+        assert (posts["wqes"] > 0) == oracle
 
 
 @pytest.mark.parametrize("parts", [

@@ -1,41 +1,42 @@
 """Bit-exact equivalence of the macro-event train and the per-WQE path.
 
-``QueuePair.post_train`` walks a doorbell train with one macro-event
-unless a fault plane is active, in which case every WQE arms its own
-discrete events (``_post_discrete``), whose liveness checks run when
-they fire. A congestion plane alone keeps the macro walk: it paces and
-marks each WQE at post time. ``ShuffleTarget`` merges wake and poll into
-one event unless ``peer_timeout`` bounds the wait. Both selections read
-observable state only, and neither may move simulated time: every
-externally observable timestamp — when each ``push_batch`` returns
-(credit/CQ backpressure), when each consumed batch arrives, when the
-flow ends — must be bit-identical either way, across seeds, ring
-geometries, and trains that don't divide evenly into segments.
+``QueuePair.post_train`` walks a doorbell train with one macro-event,
+with or without a fault or congestion plane: an active plane admits,
+paces and marks each WQE at post time and cuts its actions at the
+peer's crash instant. ``tests/discrete_reference.py`` keeps the per-WQE
+walk it replaced — discrete events whose liveness checks run when they
+fire — as an oracle. ``ShuffleTarget`` merges wake and poll into one
+event unless ``peer_timeout`` bounds the wait. Neither choice may move
+simulated time: every externally observable timestamp — when each
+``push_batch`` returns (credit/CQ backpressure), when each consumed
+batch arrives, when the flow ends — must be bit-identical either way,
+across seeds, ring geometries, and trains that don't divide evenly into
+segments.
 
-The discrete reference is therefore the same workload with an *inert
-but active* fault plane installed from the start (a link degrade on an
-idle node) and a peer timeout far beyond the run. Full timelines are
-compared with ``==``. The reference's discreteness is counted, not
-inferred from event totals: every data WQE it posts goes through
-``_post_discrete``, and the plain run never calls it. An unbounded
-congestion config is the other inert plane; it must leave the timeline
-alone, never reach ``_post_discrete``, and cost no more events than the
-plain run. Under ``CongestionConfig.datacenter()`` an N:1 incast really
-marks, and the congestion-only macro walk must equal the discrete walk
-of the same plane with the idle fault plane stacked on it: timeline and
-plane tallies.
+The discrete leg is therefore the same workload with an *inert but
+active* fault plane installed from the start (a link degrade on an idle
+node), a peer timeout far beyond the run, and the oracle installed
+(``discrete_reference.installed()``). The same plane without the oracle
+takes the macro walk. Full timelines are compared with ``==``. The
+discrete leg's discreteness is counted, not inferred from event totals:
+every data WQE it posts goes through the oracle, and no other run
+reaches it. An unbounded congestion config is the other inert plane; it
+must leave the timeline alone and cost no more events than the plain
+run. Under ``CongestionConfig.datacenter()`` an N:1 incast really marks,
+and the congestion-only macro walk must equal the discrete walk of the
+same plane with the idle fault plane stacked on it: timeline and plane
+tallies.
 
 A plane installed *mid-run* (between flushes) governs the very next
 train: its timeline must equal that of the plane installed from the
 start. Channels that cross shard lanes take the same path as any other.
 
-The eager ``post_write`` is the same selection for a train of one (it
-keeps the ordered-tail rule a train coalesces away): the lone-write
-section at the bottom holds it to the discrete per-WQE reference commit
-by commit.
+The eager ``post_write`` is the same walk for a train of one (it keeps
+the ordered-tail rule a train coalesces away): the lone-write section at
+the bottom holds it to the discrete per-WQE reference commit by commit.
 """
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
 import pytest
@@ -55,6 +56,7 @@ from repro.rdma.qp import _ORDERED_TAIL, QueuePair
 from repro.simnet import Cluster
 from repro.simnet.congestion import CongestionConfig
 from repro.simnet.faults import FaultPlan, link_degrade
+from tests import discrete_reference
 
 _SCHEMA = Schema(("key", "uint64"), ("pad", 24))
 _PAD = b"p" * 24
@@ -69,8 +71,8 @@ def _install_congestion(cluster):
 
 def _install_idle_fault(cluster):
     # Degrade the last node, which no flow uses: the plane is *active*
-    # (every subsequent train goes per-WQE) while the flow's own links
-    # and timing are untouched.
+    # (under the oracle every subsequent train goes per-WQE) while the
+    # flow's own links and timing are untouched.
     cluster.install_faults(FaultPlan(
         [link_degrade(len(cluster.nodes) - 1, at=cluster.now + 1.0,
                       duration=10.0, factor=2.0)]))
@@ -80,36 +82,34 @@ _PLANES = {"congestion": _install_congestion, "fault": _install_idle_fault}
 
 
 @contextmanager
-def _counted_posts():
+def _counted_posts(discrete=False):
     """Count, while the block runs, the data WQEs posted (``post_lone``
-    calls plus ``post_train`` entries) and the ``_post_discrete`` calls
-    among them — the explicit evidence of which walk a run took."""
+    calls plus ``post_train`` entries) and, with ``discrete``, run it
+    under the discrete oracle and count the WQEs that took its per-WQE
+    events — the explicit evidence of which walk a run took."""
     counts = {"wqes": 0, "discrete": 0}
-    post_lone = QueuePair.post_lone
-    post_train = QueuePair.post_train
-    post_discrete = QueuePair._post_discrete
+    oracle = (discrete_reference.installed() if discrete
+              else nullcontext({"wqes": 0}))
+    with oracle as oracle_posts:
+        post_lone = QueuePair.post_lone
+        post_train = QueuePair.post_train
 
-    def counted_lone(qp, *args):
-        counts["wqes"] += 1
-        post_lone(qp, *args)
+        def counted_lone(qp, *args):
+            counts["wqes"] += 1
+            post_lone(qp, *args)
 
-    def counted_train(qp, entries):
-        counts["wqes"] += len(entries)
-        post_train(qp, entries)
+        def counted_train(qp, entries):
+            counts["wqes"] += len(entries)
+            post_train(qp, entries)
 
-    def counted_discrete(qp, *args):
-        counts["discrete"] += 1
-        post_discrete(qp, *args)
-
-    QueuePair.post_lone = counted_lone
-    QueuePair.post_train = counted_train
-    QueuePair._post_discrete = counted_discrete
-    try:
-        yield counts
-    finally:
-        QueuePair.post_lone = post_lone
-        QueuePair.post_train = post_train
-        QueuePair._post_discrete = post_discrete
+        QueuePair.post_lone = counted_lone
+        QueuePair.post_train = counted_train
+        try:
+            yield counts
+        finally:
+            QueuePair.post_lone = post_lone
+            QueuePair.post_train = post_train
+            counts["discrete"] = oracle_posts["wqes"]
 
 
 def _traced_shuffle(*, seed=0, options=FlowOptions(), count=4096,
@@ -174,19 +174,18 @@ def _traced_shuffle(*, seed=0, options=FlowOptions(), count=4096,
 def _assert_equivalent(plane="fault", options=FlowOptions(), **kwargs):
     with _counted_posts() as plain_posts:
         plain, plain_events = _traced_shuffle(options=options, **kwargs)
-    with _counted_posts() as reference_posts:
-        reference, reference_events = _traced_shuffle(
-            options=replace(options, peer_timeout=1e12),
-            at_start=_PLANES[plane], **kwargs)
-    assert plain == reference
-    assert plain_posts["discrete"] == 0
-    assert reference_posts["wqes"] == plain_posts["wqes"] > 0
-    # Only the fault plane is a discrete reference: it sends every data
-    # WQE through the per-WQE body. A congestion plane keeps the macro.
-    discrete = reference_posts["wqes"] if plane == "fault" else 0
-    assert reference_posts["discrete"] == discrete
-    # The bounded wait keeps wake and poll apart: never vacuous either.
-    assert plain_events < reference_events
+    # The fault plane runs twice: on the macro walk, and under the oracle,
+    # which sends every data WQE through the per-WQE body.
+    for discrete in ((False, True) if plane == "fault" else (False,)):
+        with _counted_posts(discrete) as posts:
+            timeline, events = _traced_shuffle(
+                options=replace(options, peer_timeout=1e12),
+                at_start=_PLANES[plane], **kwargs)
+        assert timeline == plain
+        assert posts["wqes"] == plain_posts["wqes"] > 0
+        assert posts["discrete"] == (posts["wqes"] if discrete else 0)
+        # The bounded wait keeps wake and poll apart: never vacuous either.
+        assert plain_events < events
 
 
 @pytest.mark.parametrize("plane", sorted(_PLANES))
@@ -216,28 +215,34 @@ def test_bit_identical_non_divisible_trains(count, batch):
 @pytest.mark.parametrize("plane", sorted(_PLANES))
 def test_mid_run_install_governs_the_next_train(plane):
     """A plane installed between two flushes governs the very next train:
-    same timeline as the plane installed from the start. A fault plane
-    sends it per-WQE — ``_post_discrete`` runs for every WQE posted after
-    the install, and the run costs more kernel events than one that never
-    installs the plane. An unbounded congestion plane keeps the macro
-    walk: the plain timeline, no discrete post, no extra event."""
+    same timeline as the plane installed from the start. Under the
+    oracle a fault plane sends it per-WQE — the discrete body runs for
+    every WQE posted after the install, and the run costs more kernel
+    events than one that never installs the plane. Without the oracle
+    both planes keep the macro walk: the plain timeline, no discrete
+    post, and no extra event but the plane's own transitions."""
     install = _PLANES[plane]
     with _counted_posts() as plain_posts:
         plain, plain_events = _traced_shuffle()
-    with _counted_posts() as half_posts:
-        at_half, half_events = _traced_shuffle(mid_run=install)
-    with _counted_posts() as start_posts:
-        from_start, start_events = _traced_shuffle(at_start=install)
-    assert at_half == from_start
-    wqes = plain_posts["wqes"]
-    assert half_posts["wqes"] == start_posts["wqes"] == wqes > 0
-    if plane == "fault":
-        assert 0 < half_posts["discrete"] < start_posts["discrete"] == wqes
-        assert plain_events < half_events < start_events
-    else:
+    for discrete in ((False, True) if plane == "fault" else (False,)):
+        with _counted_posts(discrete) as half_posts:
+            at_half, half_events = _traced_shuffle(mid_run=install)
+        with _counted_posts(discrete) as start_posts:
+            from_start, start_events = _traced_shuffle(at_start=install)
+        assert at_half == from_start
+        wqes = plain_posts["wqes"]
+        assert half_posts["wqes"] == start_posts["wqes"] == wqes > 0
+        if discrete:
+            assert 0 < half_posts["discrete"] < (
+                start_posts["discrete"]) == wqes
+            assert plain_events < half_events < start_events
+            continue
         assert at_half == plain
         assert half_posts["discrete"] == start_posts["discrete"] == 0
-        assert half_events <= plain_events and start_events <= plain_events
+        # An idle degrade costs its two link-rescale timers.
+        transitions = 2 if plane == "fault" else 0
+        assert half_events <= plain_events + transitions
+        assert start_events <= plain_events + transitions
 
 
 def test_shard_crossing_channel_matches_unsharded_run():
@@ -261,10 +266,11 @@ _INCAST = {Optimization.BANDWIDTH: (8, 2048, 56),
            Optimization.LATENCY: (4, 200, 1016)}
 
 
-def _traced_incast(optimization, *, fault):
+def _traced_incast(optimization, *, fault, discrete=False):
     """Run one N:1 shuffle under ``CongestionConfig.datacenter()``, with
-    the idle fault plane stacked on it when ``fault``, and return
-    ``(timeline, plane tallies, events_executed, posts)``."""
+    the idle fault plane stacked on it when ``fault`` (and the discrete
+    oracle installed when ``discrete``), and return ``(timeline, plane
+    tallies, events_executed, posts)``."""
     senders, tuples, pad = _INCAST[optimization]
     cluster = Cluster(node_count=senders + 2)
     cluster.install_congestion(CongestionConfig.datacenter())
@@ -299,7 +305,7 @@ def _traced_incast(optimization, *, fault):
                 break
             timeline["deliver"].append((cluster.now, len(got)))
 
-    with _counted_posts() as posts:
+    with _counted_posts(discrete) as posts:
         for index in range(senders):
             cluster.node(1 + index).spawn(source_thread(index))
         cluster.node(0).spawn(target_thread())
@@ -317,23 +323,26 @@ def _traced_incast(optimization, *, fault):
                          ids=["bandwidth", "latency"])
 def test_marking_incast_matches_discrete_walk(optimization):
     """Pacing, PFC hold-off and ECN marking under the congestion plane
-    alone take the macro walk and land on the discrete walk's timeline:
-    the same incast with an idle fault plane stacked on the congestion
-    plane posts every WQE through ``_post_discrete`` with the same hooks.
-    Equal timelines and equal ``ecn_marks``, ``cnps_delivered``,
-    ``pfc_stalls`` and ``packets_seen``; the macro walk never calls
-    ``_post_discrete`` and costs strictly fewer kernel events."""
+    take the macro walk, alone or with an idle fault plane stacked on
+    it, and land on the discrete walk's timeline: the same stacked
+    incast under the oracle posts every WQE through the per-WQE body
+    with the same hooks. Equal timelines and equal ``ecn_marks``,
+    ``cnps_delivered``, ``pfc_stalls`` and ``packets_seen``; the macro
+    walks never reach the oracle and cost strictly fewer kernel
+    events."""
     macro, macro_tallies, macro_events, macro_posts = _traced_incast(
         optimization, fault=False)
-    discrete, discrete_tallies, discrete_events, discrete_posts = (
+    stacked, stacked_tallies, stacked_events, stacked_posts = (
         _traced_incast(optimization, fault=True))
+    discrete, discrete_tallies, discrete_events, discrete_posts = (
+        _traced_incast(optimization, fault=True, discrete=True))
     assert macro_tallies["ecn_marks"] > 0, "the incast never marked"
-    assert macro == discrete
-    assert macro_tallies == discrete_tallies
-    assert macro_posts["discrete"] == 0
+    assert macro == stacked == discrete
+    assert macro_tallies == stacked_tallies == discrete_tallies
+    assert macro_posts["discrete"] == stacked_posts["discrete"] == 0
     assert discrete_posts["discrete"] == discrete_posts["wqes"] == (
-        macro_posts["wqes"])
-    assert macro_events < discrete_events
+        macro_posts["wqes"]) == stacked_posts["wqes"]
+    assert max(macro_events, stacked_events) < discrete_events
 
 
 # -- lone writes: eager post_write == the discrete per-WQE reference ---------
@@ -349,14 +358,15 @@ _WRITE = st.tuples(
     st.booleans(), st.booleans())
 
 
-def _traced_lone_writes(writes, *, loopback, read_done_late, at_start=None):
+def _traced_lone_writes(writes, *, loopback, read_done_late, at_start=None,
+                        discrete=False):
     """Post ``writes`` back to back with eager ``post_write`` and return
     everything observable: every commit into the remote region as the
     write hook saw it (time, offset, length — hook order included), the
     instant each ``done`` was seen (first read either at post time or
     long after every ack), the CQ entries, the final memory image —
     and, separately, the kernel events it took and how many writes went
-    through ``_post_discrete``."""
+    through the discrete oracle (installed when ``discrete``)."""
     cluster = Cluster(node_count=_NODES)
     if at_start is not None:
         at_start(cluster)
@@ -389,7 +399,7 @@ def _traced_lone_writes(writes, *, loopback, read_done_late, at_start=None):
             done.append((seen_triggered, env.now))
 
     before = env.events_executed
-    with _counted_posts() as posts:
+    with _counted_posts(discrete) as posts:
         cluster.node(0).spawn(poster())
         cluster.run()
     assert posts["wqes"] == len(writes)
@@ -418,27 +428,33 @@ def test_lone_write_matches_discrete_reference(writes, loopback,
     and commit *order* (loopback clamps later writes onto one arrival
     instant) all equal the plane-active run's; ``done`` settles at the
     eager ack timestamp whether first read before or after it. The fault
-    plane is the discrete reference: every write goes through
-    ``_post_discrete``. An unbounded congestion plane keeps the macro
-    walk: no discrete post and no more events than the plain run."""
-    plain, plain_events, plain_discrete = _traced_lone_writes(
+    plane under the oracle is the discrete reference: every write goes
+    through the per-WQE body. Without the oracle either plane keeps the
+    macro walk: no discrete post and no more events than the plain run
+    but the plane's own transitions."""
+    plain, plain_events, _ = _traced_lone_writes(
         writes, loopback=loopback, read_done_late=read_done_late)
-    reference, reference_events, reference_discrete = _traced_lone_writes(
+    macro, macro_events, macro_discrete = _traced_lone_writes(
         writes, loopback=loopback, read_done_late=read_done_late,
         at_start=_PLANES[plane])
-    assert plain == reference
-    assert plain_discrete == 0
-    if plane == "congestion":
-        assert reference_discrete == 0
-        assert reference_events <= plain_events
-    else:
+    assert plain == macro
+    assert macro_discrete == 0
+    # An idle degrade costs its two link-rescale timers.
+    transitions = 2 if plane == "fault" else 0
+    assert macro_events <= plain_events + transitions
+    if plane == "fault":
+        reference, reference_events, reference_discrete = (
+            _traced_lone_writes(writes, loopback=loopback,
+                                read_done_late=read_done_late,
+                                at_start=_PLANES[plane], discrete=True))
+        assert plain == reference
         assert reference_discrete == len(writes)
         # The macro walks one hop per action, so it saves scheduling
         # work, not events — except the unsignaled ack, which stays
         # unexpanded unless somebody reads ``done`` before it is due.
-        assert plain_events <= reference_events
+        assert macro_events <= reference_events
         if read_done_late and not all(write[2] for write in writes):
-            assert plain_events < reference_events
+            assert macro_events < reference_events
     # Non-vacuity: every byte committed; a write longer than the ordered
     # tail committed its head strictly before its tail, a shorter one in
     # one piece; every signaled write has its CQ entry.

@@ -1,5 +1,7 @@
 """Tests for doorbell batching: kernel event trains, ``post_train`` (the
-one train primitive), and deterministic fault semantics mid-train."""
+one train primitive), and deterministic fault semantics mid-train — each
+outage run also under the discrete per-WQE oracle
+(``tests/discrete_reference.py``), which must agree bit for bit."""
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.simnet.faults import (
     link_degrade,
     link_down,
 )
+from tests import discrete_reference
 
 
 # -- kernel: schedule_at / schedule_train ------------------------------------
@@ -201,10 +204,25 @@ def test_loopback_train_delivers_in_order():
 
 # -- fault semantics: a link outage splitting a train ------------------------
 
+def _matches_reference(run):
+    """Call ``run()`` on the product, then under the discrete oracle;
+    assert both return the same and return it."""
+    product = run()
+    with discrete_reference.installed() as posts:
+        reference = run()
+    assert posts["wqes"] > 0
+    assert product == reference
+    return product
+
+
 def _run_split_train(outage_at):
     """Post one 8-segment train into a long outage starting at
     ``outage_at``; returns (delivered prefix length, per-WQE statuses,
-    error time, final clock)."""
+    error time, CQ statuses, final clock), equal under the oracle."""
+    return _matches_reference(lambda: _split_train_once(outage_at))
+
+
+def _split_train_once(outage_at):
     cluster = Cluster(node_count=2)
     cluster.install_faults(FaultPlan([
         link_down(0, 1, at=outage_at,
@@ -286,33 +304,45 @@ def _train_entries(remote, count, size, wr_for=None):
             for i in range(count)]
 
 
-def test_post_train_none_entries_split_by_outage():
-    """Entries without a work request still get exact fault semantics:
-    the prefix admitted before the outage lands, and the failing WQE and
-    every later one surface a ``RETRY_EXC_ERR`` completion."""
-    outage_at = 300.0
+def _none_entries_split_once(outage_at):
+    """Post one 8-entry train of ``None`` work requests into a long
+    outage starting at ``outage_at``; returns (per-entry delivered
+    flags, CQ entries as (instant, status))."""
     cluster = Cluster(node_count=2)
     cluster.install_faults(FaultPlan([
         link_down(0, 1, at=outage_at,
                   duration=20 * DEFAULT_DETECTION_TIMEOUT)]))
     remote = get_nic(cluster.node(1)).register_memory(8 * 1024)
     qp = get_nic(cluster.node(0)).create_qp(cluster.node(1))
+    completions = []
 
     def sender(env):
         qp.post_train(_train_entries(remote, 8, 1024))
-        yield env.timeout(0)
+        while True:  # parked on the CQ once the last entry arrived
+            wc = yield qp.send_cq.wait()
+            completions.append((env.now, wc.status))
 
     cluster.env.process(sender(cluster.env))
     cluster.run()
     delivered = [remote.read(i * 1024, 1024) == bytes([i + 1]) * 1024
                  for i in range(8)]
+    return delivered, completions
+
+
+def test_post_train_none_entries_split_by_outage():
+    """Entries without a work request still get exact fault semantics:
+    the prefix admitted before the outage lands, and the failing WQE and
+    every later one surface a ``RETRY_EXC_ERR`` completion."""
+    outage_at = 300.0
+    delivered, completions = _matches_reference(
+        lambda: _none_entries_split_once(outage_at))
     prefix = delivered.index(False)
     assert 0 < prefix < 8
     assert not any(delivered[prefix:])
     # Same split point as the train of real work requests.
     assert prefix == _run_split_train(outage_at)[0]
     # Unsignaled successes stay silent; every flushed WQE reports.
-    statuses = [wc.status for wc in qp.send_cq.poll(max_entries=64)]
+    statuses = [status for _at, status in completions]
     assert statuses == [WcStatus.RETRY_EXC_ERR] * (8 - prefix)
 
 

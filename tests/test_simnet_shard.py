@@ -34,6 +34,7 @@ from repro.simnet import (
     node_crash,
     run_partitioned,
 )
+from tests import discrete_reference
 
 
 # -- shard maps --------------------------------------------------------------
@@ -434,13 +435,15 @@ def test_sharded_loop_recycles_pooled_timeouts():
     # A timer returns to the pool once its callbacks ran, so two objects
     # take turns serving all eleven timers — on either kernel.
     assert pooled == [2, 2]
-    # An active, idle fault plane puts every write of a racked flow on the
-    # per-WQE walk, whose prefix and completion timers are pooled.
-    cluster, _processes = _racked_shuffle()
-    cluster.install_faults(FaultPlan(
-        [link_degrade(0, at=1e9, duration=1.0, factor=2.0)]))
-    cluster.run()
-    assert cluster.env._timeout_pool
+    # Under the discrete oracle an active, idle fault plane puts every
+    # write of a racked flow on the per-WQE walk, whose prefix and
+    # completion timers are pooled.
+    with discrete_reference.installed() as posts:
+        cluster, _processes = _racked_shuffle()
+        cluster.install_faults(FaultPlan(
+            [link_degrade(0, at=1e9, duration=1.0, factor=2.0)]))
+        cluster.run()
+    assert posts["wqes"] and cluster.env._timeout_pool
 
 
 @pytest.mark.parametrize("shards", [1, 2])
