@@ -28,13 +28,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from struct import error as _struct_error
 
 from repro.common.errors import (
     FlowAbortedError,
     FlowClosedError,
     FlowError,
-    FlowPeerFailedError,
     FlowTimeoutError,
     QpFlushedError,
 )
@@ -59,19 +57,17 @@ from repro.core.segment import (
     unpack_footer,
 )
 from repro.core.shuffle import (
+    SegmentStager,
     ShuffleTarget,
     _Doorbell,
+    _FlowSource,
+    _raise_peer_failure,
     _source_channel,
     _source_counters,
+    segment_payload_size,
 )
 from repro.core.writers import MulticastWindow
-from repro.obs import (
-    FAULT_DETECT,
-    REROUTE,
-    endpoint_obs,
-    log_close,
-    log_event,
-)
+from repro.obs import endpoint_obs, log_close
 from repro.common.planelog import CLOSE, CONSUME, WRITE
 from repro.rdma.memory import zeroed
 from repro.rdma.nic import get_nic
@@ -155,22 +151,15 @@ class TupleSequencer:
 
 
 def _replicate_payload_size(descriptor: FlowDescriptor) -> int:
-    """Segment payload for a replicate flow (MTU-capped when multicast)."""
-    if descriptor.optimization is Optimization.LATENCY:
-        payload = descriptor.schema.tuple_size
-    else:
-        payload = descriptor.options.segment_size
-    if descriptor.options.multicast:
-        if descriptor.schema.tuple_size > MULTICAST_PAYLOAD_LIMIT:
-            raise FlowError(
-                f"tuple size {descriptor.schema.tuple_size} exceeds the UD "
-                f"multicast payload limit ({MULTICAST_PAYLOAD_LIMIT} B)")
-        payload = min(payload, MULTICAST_PAYLOAD_LIMIT)
-    if payload < descriptor.schema.tuple_size:
+    """Segment payload for a replicate flow: a shuffle flow's, capped to
+    one UD datagram when multicast."""
+    if not descriptor.options.multicast:
+        return segment_payload_size(descriptor)
+    if descriptor.schema.tuple_size > MULTICAST_PAYLOAD_LIMIT:
         raise FlowError(
-            f"segment payload {payload} smaller than one tuple "
-            f"({descriptor.schema.tuple_size} B)")
-    return payload
+            f"tuple size {descriptor.schema.tuple_size} exceeds the UD "
+            f"multicast payload limit ({MULTICAST_PAYLOAD_LIMIT} B)")
+    return min(segment_payload_size(descriptor), MULTICAST_PAYLOAD_LIMIT)
 
 
 def _check_replicate(descriptor: FlowDescriptor, index: int,
@@ -183,141 +172,38 @@ def _check_replicate(descriptor: FlowDescriptor, index: int,
         raise FlowError(f"{kind} index {index} out of range [0, {count})")
 
 
-class _StagingBuffer:
-    """A replicate source's staging: a ring of ``slots`` slots, each a
-    segment's ``payload_size`` bytes and a footer behind them. Tuples are
-    packed once, into the open slot; a multicast source copies its one
-    slot into a datagram, a naive source hands a view of the sealed slot
-    to every live channel.
-
-    A naive source's ring stays unchanged until every live channel's
-    write of a slot committed, without completions of its own: segment h
-    is packed after the fan-out of segment h - 1, so every live channel
-    has posted h - 1, and the slot h reuses last held segment h - slots.
-
-    * Bandwidth (N = ``source_segments``): a channel reaps its signaled
-      wrap WQE before it writes segment m, for every m a multiple of N;
-      the last such m <= h - 1 is at least h - N, so every write up to
-      h - N - 1 has committed. Hence ``slots`` = N + 1.
-    * Latency (T = ``target_segments``, the remote ring): the credit
-      segment h - 1 held means the target consumed, hence committed,
-      every segment up to h - T - 1. Hence ``slots`` = T + 1.
-
-    A batch's whole segments, in a buffer of their own, count as channel
-    writes between two ring slots and only widen that gap. The spare
-    slot is the price of packing before the wait; memory accounting
-    reports the N (or T) slots the protocol needs.
-    """
-
-    def __init__(self, descriptor: FlowDescriptor, payload_size: int,
-                 slots: int = 1) -> None:
-        self.schema = descriptor.schema
-        # Bound once: ``append`` runs per tuple, ``room``/``full`` and
-        # ``pack_many_into`` per chunk on the batched push path.
-        self.tuple_size = descriptor.schema.tuple_size
-        self._pack_tuple = descriptor.schema.raw_pack_into
-        self._pack_many_into = descriptor.schema.pack_many_into
-        self.payload_size = payload_size
-        #: The buffer reads as full once ``used`` exceeds this.
-        self._full_above = payload_size - self.tuple_size
-        self.slot_size = payload_size + FOOTER_SIZE
-        self.slots = slots
-        self.buffer = zeroed(slots * self.slot_size)
-        self.view = memoryview(self.buffer)
-        #: Offset of the open slot, and the payload bytes packed into it.
-        self.base = 0
-        self.used = 0
-        self._sealed = 0
-
-    def append(self, values: tuple) -> bool:
-        """Pack one tuple; returns :attr:`full`."""
-        used = self.used
-        try:
-            self._pack_tuple(self.buffer, self.base + used, *values)
-        except _struct_error as exc:
-            raise self.schema.mismatch(values, exc) from None
-        self.used = used = used + self.tuple_size
-        return used > self._full_above
-
-    def append_many(self, tuples) -> None:
-        """Pack a batch of tuples with one ``struct`` call; the caller
-        checks :attr:`room` first."""
-        self._pack_many_into(self.buffer, self.base + self.used, tuples)
-        self.used += self.tuple_size * len(tuples)
-
-    @property
-    def room(self) -> int:
-        """How many more tuples fit before the buffer reads as full."""
-        return (self.payload_size - self.used) // self.tuple_size
-
-    @property
-    def full(self) -> bool:
-        return self.used > self._full_above
-
-    def seal(self, flags: int, seq: int) -> memoryview:
-        """Footer the open slot as ``used`` bytes — zero-padded to the
-        segment, the form a latency write posts — under close/abort
-        ``flags`` and ``seq``, open the next slot empty, and return the
-        sealed slot's view."""
-        base = self.base
-        used = self.used
-        end = base + self.payload_size
-        if used < self.payload_size:
-            self.buffer[base + used:end] = bytes(self.payload_size - used)
-        pack_footer_into(self.buffer, end, used, FLAG_CONSUMABLE | flags,
-                         seq)
-        self._sealed += 1
-        self.base = (self._sealed % self.slots) * self.slot_size
-        self.used = 0
-        return self.view[base:base + self.slot_size]
-
-
-class _ReplicateSource:
-    """What both transports' sources share: one staging buffer each tuple
+class _StagedSource(_FlowSource):
+    """What the sources that stage for a transport of their own share —
+    naive replicate (RC fan-out), multicast replicate (UD multicast) and
+    SHARP (the send to the switch): one :class:`SegmentStager` each tuple
     is packed into once, the CPU debt the next flush pays, ``push`` and
-    ``push_batch``. A subclass sets up its transport, then ``_obs``
-    last."""
+    ``push_batch``. A subclass brings ``_flush(extra_flags)``, sets up
+    its transport, then ``_obs`` last."""
 
     def __init__(self, registry: FlowRegistry, descriptor: FlowDescriptor,
                  source_index: int, sequencer: "TupleSequencer | None",
-                 slots: int = 1) -> None:
-        self.registry = registry
-        self.descriptor = descriptor
-        self.source_index = source_index
-        self.node = registry.cluster.node(
-            descriptor.sources[source_index].node_id)
+                 payload_size: int, slots: int = 1) -> None:
+        super().__init__(registry, descriptor, source_index)
         self.env = self.node.env
         self.profile = self.node.cluster.profile
         self._sequencer = sequencer
-        self._payload_size = _replicate_payload_size(descriptor)
-        self._staging = _StagingBuffer(descriptor, self._payload_size, slots)
+        self._payload_size = payload_size
+        self._stager = SegmentStager(descriptor.schema, payload_size, slots)
         self._latency = descriptor.optimization is Optimization.LATENCY
         self._cpu_debt = 0.0
         self._tuple_debt = self.profile.cpu_push_cost(
             descriptor.schema.tuple_size)
         self._local_seq = 0
-        self._aborting = False
-        #: Target indices declared failed: nothing waits on them anymore.
-        self._failed: set[int] = set()
         self.segments_sent = 0
         self.tuples_sent = 0
-        self.closed = False
-        self._tid = f"src{source_index}"
-        self._flow = descriptor.name
-
-    @property
-    def failed_targets(self) -> tuple:
-        """Indices of targets declared failed (sorted)."""
-        return tuple(sorted(self._failed))
 
     def push(self, values: tuple):
-        """Replicate one tuple to all targets; returns what the caller
-        must ``yield from`` — :data:`NO_FLUSH` while the staged segment
-        has room, the flush generator once it is full (always, in
-        latency mode)."""
+        """Push one tuple; returns what the caller must ``yield from`` —
+        :data:`NO_FLUSH` while the staged segment has room, the flush
+        generator once it is full (always, in latency mode)."""
         if self.closed:
-            raise FlowClosedError("push on a closed replicate source")
-        full = self._staging.append(values)
+            raise FlowClosedError("push on a closed flow source")
+        full = self._stager.append(values)
         self.tuples_sent += 1
         self._cpu_debt += self._tuple_debt
         if full or self._latency:
@@ -325,35 +211,36 @@ class _ReplicateSource:
         return NO_FLUSH
 
     def push_batch(self, tuples):
-        """Generator: replicate a batch of tuples to all targets.
+        """Generator: push a batch of tuples.
 
         Same semantics and simulated cost as per-tuple push; each segment
         is packed with one ``struct`` call and flushed as it fills.
         """
         if self.closed:
-            raise FlowClosedError("push on a closed replicate source")
+            raise FlowClosedError("push on a closed flow source")
         if self._latency:
             for values in tuples:
                 yield from self.push(values)
             return
         if not isinstance(tuples, (list, tuple)):
             tuples = list(tuples)
-        staging = self._staging
+        stager = self._stager
         per_tuple = self._tuple_debt
         total = len(tuples)
         index = 0
         while index < total:
-            take = min(staging.room, total - index)
+            room = stager.room
+            take = min(room, total - index)
             if take:
-                staging.append_many(tuples[index:index + take])
+                stager.append_many(tuples[index:index + take])
                 self.tuples_sent += take
                 self._cpu_debt += take * per_tuple
                 index += take
-            if staging.full:
+            if take == room:  # the stager reads as full
                 yield from self._flush(0)
 
 
-class NaiveReplicateSource(_ReplicateSource):
+class NaiveReplicateSource(_StagedSource):
     """Replicate source over one shuffle source channel per target: every
     tuple is packed once, into a slot of the source's ring, and each
     finished slot is handed to every live channel, which writes it under
@@ -363,11 +250,12 @@ class NaiveReplicateSource(_ReplicateSource):
                  source_index: int, channels: list,
                  sequencer: "TupleSequencer | None") -> None:
         options = descriptor.options
-        #: The ring the protocol needs, in slots (see _StagingBuffer).
+        #: The ring the protocol needs, in slots (see SegmentStager).
         latency = descriptor.optimization is Optimization.LATENCY
         self._ring_segments = (options.target_segments if latency
                                else options.source_segments)
         super().__init__(registry, descriptor, source_index, sequencer,
+                         _replicate_payload_size(descriptor),
                          self._ring_segments + 1)
         self._channels = channels
         # Batched full segments leave as doorbell trains: whole slots go
@@ -423,30 +311,30 @@ class NaiveReplicateSource(_ReplicateSource):
             yield from super().push_batch(tuples)
             return
         if self.closed:
-            raise FlowClosedError("push on a closed replicate source")
+            raise FlowClosedError("push on a closed flow source")
         if not isinstance(tuples, (list, tuple)):
             tuples = list(tuples)
-        staging = self._staging
+        stager = self._stager
         per_tuple = self._tuple_debt
         total = len(tuples)
         seq = self._local_seq
         slots = []
         index = 0
-        if staging.used:
-            index = min(staging.room, total)
-            staging.append_many(tuples[:index])
+        if stager.used:
+            index = min(stager.room, total)
+            stager.append_many(tuples[:index])
             self._cpu_debt += index * per_tuple
-            if staging.full:
-                slots.append(staging.seal(0, seq))
-        seg_tuples = self._payload_size // staging.tuple_size
+            if stager.full:
+                slots.append(stager.seal(0, seq))
+        seg_tuples = self._payload_size // stager.tuple_size
         whole = (total - index) // seg_tuples
         if whole:
-            slot_size = staging.slot_size
+            slot_size = stager.slot_size
             batch = zeroed(whole * slot_size)
             view = memoryview(batch)
             for base in range(0, whole * slot_size, slot_size):
-                staging._pack_many_into(batch, base,
-                                        tuples[index:index + seg_tuples])
+                stager._pack_many_into(batch, base,
+                                       tuples[index:index + seg_tuples])
                 pack_footer_into(batch, base + self._payload_size,
                                  self._payload_size, FLAG_CONSUMABLE,
                                  seq + len(slots))
@@ -466,8 +354,8 @@ class NaiveReplicateSource(_ReplicateSource):
                 lambda channel: channel._post_train(slots, seq))
         if tail:
             # Only now: segment h is packed after the fan-out of h - 1
-            # (see _StagingBuffer).
-            staging.append_many(tail)
+            # (see SegmentStager).
+            stager.append_many(tail)
 
     def close(self):
         """Generator: flush, send the close marker, and wait for acks."""
@@ -477,31 +365,15 @@ class NaiveReplicateSource(_ReplicateSource):
         self.closed = True
         if self._obs is not None:
             log_close(self)
-        failures = []
-        for index, wr in work_requests:
-            try:
-                if not wr.done.triggered:
-                    yield wr.done
-                elif wr.error is not None:
-                    raise wr.error
-            except (QpFlushedError, FlowTimeoutError) as exc:
-                failures.append((index, exc))
-        for index, exc in failures:
+        for index, exc in (yield from self._await_acks(work_requests)):
             yield from self._handle_channel_failure(index, exc)
-        self._release_channels()
+        self._release()
 
     def abort(self):
         """Generator: abort the flow on every target (staged tuples are
         dropped; targets raise FlowAbortedError)."""
         if not self.closed:
-            yield from self._abort_survivors(log=True)
-
-    def _release_channels(self) -> None:
-        """Every marker is acknowledged (or its target is gone): the
-        channels post nothing more, so their NIC regions go — a
-        flow-cycling cluster must not keep one per channel per flow."""
-        for channel in self._channels:
-            channel.release()
+            yield from self._abort_survivors()
 
     def _take_debt(self, segments: int) -> float:
         """The CPU owed once ``segments`` finished segments go out: the
@@ -510,6 +382,18 @@ class NaiveReplicateSource(_ReplicateSource):
                 * segments * len(self._channels))
         self._cpu_debt = 0.0
         return debt
+
+    def _void(self):
+        """Generator: one abort segment, fanned out to the live targets
+        (staged tuples are dropped), and its acks, best effort."""
+        self._stager.used = 0
+        if not self.closed:
+            work_requests = yield from self._flush(
+                FLAG_CLOSED | FLAG_ABORTED)
+            self.closed = True
+            if self._obs is not None:
+                log_close(self, {"aborted": True})
+            yield from self._await_acks(work_requests)
 
     def _flush(self, extra_flags: int):
         """Generator: send the staged segment (with close/abort
@@ -521,8 +405,8 @@ class NaiveReplicateSource(_ReplicateSource):
         else:
             seq = self._local_seq
             self._local_seq += 1
-        used = self._staging.used
-        slot = self._staging.seal(extra_flags, seq)
+        used = self._stager.used
+        slot = self._stager.seal(extra_flags, seq)
         self.segments_sent += 1
         return (yield from self._fan_out(
             lambda channel: channel._write_slot(slot, used, extra_flags,
@@ -535,11 +419,9 @@ class NaiveReplicateSource(_ReplicateSource):
         writes posted."""
         work_requests = []
         failures = []
-        for index, channel in enumerate(self._channels):
-            if index in self._failed:
-                continue
+        for index in self._live:
             try:
-                wr = yield from send(channel)
+                wr = yield from send(self._channels[index])
             except (QpFlushedError, FlowTimeoutError) as exc:
                 failures.append((index, exc))
                 continue
@@ -549,71 +431,11 @@ class NaiveReplicateSource(_ReplicateSource):
             yield from self._handle_channel_failure(index, exc)
         return work_requests
 
-    def _handle_channel_failure(self, index: int, exc: Exception):
-        """Generator: one target's channel failed. Replicate semantics
-        promise delivery to *all* targets, so under the default abort
-        policy any confirmed peer death voids the flow; the reroute
-        policy degrades to replicating to the survivors only."""
-        self._failed.add(index)
-        if self._aborting:
-            return
-        faults = self.node.cluster.faults
-        peer = self.registry.cluster.node(
-            self.descriptor.targets[index].node_id)
-        peer_dead = (isinstance(exc, QpFlushedError)
-                     or (faults is not None and faults.active
-                         and faults.peer_failed(self.node, peer)))
-        obs = self._obs
-        if obs is not None:
-            obs.inc("core.target_failures")
-        if not peer_dead:
-            # A stall without evidence of peer death (backoff budget
-            # exhausted against a live but wedged target) surfaces the
-            # original error unchanged.
-            raise exc
-        if obs is not None:
-            obs.inc("core.peer_failures_detected")
-            log_event(self, FAULT_DETECT,
-                      {"target": index, "peer_node": peer.node_id,
-                       "cause": type(exc).__name__})
-        if (self.descriptor.options.on_target_failure == "reroute"
-                and len(self._failed) < len(self._channels)):
-            if obs is not None:
-                obs.inc("core.reroutes")
-                log_event(self, REROUTE, {"target": index})
-            return  # keep replicating to the survivors
-        yield from self._abort_survivors()
-        raise FlowPeerFailedError(
-            f"target {index} of replicate flow {self.descriptor.name!r} "
-            f"failed: {exc}") from exc
-
-    def _abort_survivors(self, log: bool = False):
-        """Generator: best-effort abort markers to the still-live targets
-        so they do not hang on a flow that will never close (``log``: the
-        marker is the source's own ``abort()``, which the trace shows)."""
-        self._aborting = True
-        self.registry.mark_flow_aborted(self.descriptor.name)
-        self._staging.used = 0  # discard staged tuples
-        if not self.closed:
-            work_requests = yield from self._flush(
-                FLAG_CLOSED | FLAG_ABORTED)
-            self.closed = True
-            if log and self._obs is not None:
-                log_close(self, {"aborted": True})
-            for _index, wr in work_requests:
-                try:
-                    if not wr.done.triggered:
-                        yield wr.done
-                except (QpFlushedError, FlowTimeoutError):
-                    pass  # abort is best-effort on a failing fabric
-        self.closed = True
-        self._release_channels()
-
     @property
     def memory_bytes(self) -> int:
-        """The ring the protocol needs (see _StagingBuffer): the one
-        copy of every segment in flight to all targets."""
-        return self._ring_segments * self._staging.slot_size
+        """The ring the protocol needs (see SegmentStager): the one copy
+        of every segment in flight to all targets."""
+        return self._ring_segments * self._stager.slot_size
 
 
 class NaiveReplicateTarget(ShuffleTarget):
@@ -677,14 +499,15 @@ class NaiveReplicateTarget(ShuffleTarget):
                                    or self._reorder.pending == 0)
 
 
-class MulticastReplicateSource(_ReplicateSource):
+class MulticastReplicateSource(_StagedSource):
     """Replicate source over switch multicast with credit/NACK back-flow
     (:class:`~repro.core.writers.MulticastWindow`)."""
 
     def __init__(self, registry: FlowRegistry, descriptor: FlowDescriptor,
                  source_index: int, control_region, ud_qp,
                  sequencer: "TupleSequencer | None") -> None:
-        super().__init__(registry, descriptor, source_index, sequencer)
+        super().__init__(registry, descriptor, source_index, sequencer,
+                         _replicate_payload_size(descriptor))
         self._ud_qp = ud_qp
         self._group = registry.multicast_group(descriptor.name)
         options = descriptor.options
@@ -729,38 +552,26 @@ class MulticastReplicateSource(_ReplicateSource):
 
     def _fail_stalled(self):
         """Generator: the window stayed shut through every resend
-        ``max_retransmits`` allows — declare the lowest-credit targets
-        failed. The reroute policy drops them from flow control and
-        carries on; the abort policy (default) voids the flow and raises
-        :class:`FlowPeerFailedError`."""
-        stalled = self._window.write_off_laggards()
-        obs = self._obs
-        if obs is not None:
-            obs.inc("core.target_failures", len(stalled))
-            obs.inc("core.peer_failures_detected", len(stalled))
-            log_event(self, FAULT_DETECT,
-                      {"targets": stalled, "cause": "credit_stall"})
-        if (self.descriptor.options.on_target_failure == "reroute"
-                and len(self._failed) < self.descriptor.target_count):
-            if obs is not None:
-                obs.inc("core.reroutes")
-                log_event(self, REROUTE, {"targets": stalled})
-            return
-        yield from self._void()
-        raise FlowPeerFailedError(
-            f"target(s) {stalled} of replicate flow "
-            f"{self.descriptor.name!r} made no progress through "
-            f"{self.descriptor.options.max_retransmits} retransmit rounds")
+        ``max_retransmits`` allows — the lowest-credit targets are
+        failed, with the credit stall as the evidence
+        (:meth:`_fail_targets`: the reroute policy drops them from flow
+        control and carries on)."""
+        stalled = self._window.laggards()
+        self._mark_failed(stalled)
+        rounds = self.descriptor.options.max_retransmits
+        yield from self._fail_targets(
+            stalled, "credit_stall", None,
+            FlowTimeoutError(f"no credit through {rounds} retransmit "
+                             f"rounds"))
 
     def _void(self):
-        """Generator: mark the flow aborted, drop the staged tuples and
-        multicast the abort marker once, so the targets do not hang on a
-        flow that will never close."""
-        self._aborting = True
-        self.registry.mark_flow_aborted(self.descriptor.name)
-        self._staging.used = 0
+        """Generator: drop the staged tuples and multicast the abort
+        marker once, so the targets do not hang on a flow that will never
+        close."""
+        self._stager.used = 0
         yield from self._flush(FLAG_CLOSED | FLAG_ABORTED)
-        self.closed = True
+        if self._obs is not None:
+            log_close(self, {"aborted": True})
 
     # -- close ---------------------------------------------------------------
     def close(self):
@@ -786,10 +597,8 @@ class MulticastReplicateSource(_ReplicateSource):
         survives an abort)."""
         if self.closed:
             return
-        yield from self._void()
+        yield from self._abort_survivors()
         yield from self._repeat_marker(until_credited=False)
-        if self._obs is not None:
-            log_close(self, {"aborted": True})
 
     def _repeat_marker(self, until_credited: bool):
         """Generator: re-multicast the close/abort marker three times, one
@@ -814,13 +623,13 @@ class MulticastReplicateSource(_ReplicateSource):
         # UD datagrams carry their length, so the footer rides directly
         # after the used payload — no padding to the segment size. The
         # resend history owns the datagram: the one copy out of staging.
-        staging = self._staging
-        used = staging.used
-        pack_footer_into(staging.buffer, used, used,
+        stager = self._stager
+        used = stager.used
+        pack_footer_into(stager.buffer, used, used,
                          FLAG_CONSUMABLE | extra_flags, seq,
                          self.source_index)
-        slot = bytes(staging.view[:used + FOOTER_SIZE])
-        staging.used = 0
+        slot = bytes(stager.view[:used + FOOTER_SIZE])
+        stager.used = 0
         # OUM semantics (NOPaxos) under gap_notify: no flow control, a
         # receiver that cannot keep up drops datagrams, which surface as
         # gaps. An abort marker goes out even with the window shut: the
@@ -1101,7 +910,10 @@ class MulticastReplicateTarget:
                             self._obs.inc("core.congestion_grace")
                         deadline = self.env.now + self._peer_timeout
                     else:
-                        self._raise_peer_failure()
+                        _raise_peer_failure(
+                            self, list(range(self.descriptor.source_count)),
+                            f"no multicast progress within "
+                            f"{self._peer_timeout} ns")
             elif not self._gap_deadlines:
                 # Only a datagram can end this wait: resume one poll cost
                 # after it commits.
@@ -1139,26 +951,6 @@ class MulticastReplicateTarget:
         was accepted (tuples, close markers, or credit-only segments)."""
         return (self.tuples_received, self._closed_delivered,
                 sum(self._consumed))
-
-    def _raise_peer_failure(self):
-        faults = self.node.cluster.faults
-        if faults is not None and faults.active:
-            dead = [s for s in range(self.descriptor.source_count)
-                    if faults.peer_failed(
-                        self.node, self.registry.cluster.node(
-                            self.descriptor.sources[s].node_id))]
-            if dead:
-                if self._obs is not None:
-                    self._obs.inc("core.peer_failures_detected", len(dead))
-                    log_event(self, FAULT_DETECT, {"sources": dead})
-                raise FlowPeerFailedError(
-                    f"source(s) {dead} of flow {self.descriptor.name!r} "
-                    f"failed before closing the multicast stream")
-        if self._obs is not None:
-            self._obs.inc("core.consume_timeouts")
-        raise FlowTimeoutError(
-            f"no multicast progress on flow {self.descriptor.name!r} "
-            f"within {self._peer_timeout} ns")
 
     def _finished(self) -> bool:
         if self._ready:

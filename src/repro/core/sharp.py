@@ -22,17 +22,11 @@ Fig. 9.
 
 from __future__ import annotations
 
-from collections import deque
-
-from repro.common.errors import FlowClosedError, FlowError
-from repro.core.combiner import _aggregator, _initial, _row_fold
-from repro.core.flowdef import (
-    FLOW_END,
-    NO_FLUSH,
-    FlowDescriptor,
-    FlowType,
-)
+from repro.common.errors import FlowError
+from repro.core.combiner import _row_fold
+from repro.core.flowdef import FlowDescriptor, FlowType
 from repro.core.registry import FlowRegistry
+from repro.core.replicate import _StagedSource
 from repro.core.schema import Schema
 from repro.core.segment import (
     FLAG_CLOSED,
@@ -69,11 +63,14 @@ class SwitchAggregator:
         self._partial_schema = Schema(
             ("group", schema.fields[schema.field_index(spec.group_by)].dtype),
             ("value", schema.fields[schema.field_index(spec.value)].dtype))
-        self._group_index = schema.field_index(spec.group_by)
-        self._value_index = schema.field_index(spec.value)
-        self._fold = _aggregator(spec.op)
-        self._op = spec.op
+        group = schema.field_index(spec.group_by)
+        #: A segment's rows, decoded to the columns the fold reads — the
+        #: end-host combiner's fold (``CombinerTarget``) on the switch.
+        self.decode = schema.column_decoder(
+            *((group,) if spec.op == "count"
+              else (group, schema.field_index(spec.value))))
         self._table: dict = {}
+        self._fold_rows = _row_fold(spec.op, self._table)
         self._segments_folded = 0
         self._since_emit = 0
         self._closed_sources = 0
@@ -86,19 +83,14 @@ class SwitchAggregator:
         self.overflow_drops = 0
 
     # -- source-facing side -------------------------------------------------
-    def on_segment(self, tuples: list[tuple], closed: bool,
+    def on_segment(self, rows: list[tuple], closed: bool,
                    wire_bytes: int) -> None:
-        """Fold one arrived segment (called at its switch-arrival time)."""
+        """Fold one arrived segment's rows, as :attr:`decode` returns them
+        (called at its switch-arrival time)."""
         if self._finished:
             raise FlowError("segment arrived after the flow finished")
         self.bytes_in += wire_bytes
-        for values in tuples:
-            group = values[self._group_index]
-            value = values[self._value_index]
-            if group in self._table:
-                self._table[group] = self._fold(self._table[group], value)
-            else:
-                self._table[group] = _initial(self._op, value)
+        self._fold_rows(rows)
         self._segments_folded += 1
         self._since_emit += 1
         if closed:
@@ -156,34 +148,18 @@ class SwitchAggregator:
         return self._partial_schema
 
 
-class SharpCombinerSource:
+class SharpCombinerSource(_StagedSource):
     """Source endpoint of an in-network combiner flow: segments are sent
     into the switch instead of to the target's rings."""
 
+    _obs = None  # not observed
+
     def __init__(self, registry: FlowRegistry, descriptor: FlowDescriptor,
                  source_index: int, aggregator: SwitchAggregator) -> None:
-        self.registry = registry
-        self.descriptor = descriptor
-        self.source_index = source_index
-        self.node = registry.cluster.node(
-            descriptor.sources[source_index].node_id)
-        self.profile = self.node.cluster.profile
+        super().__init__(registry, descriptor, source_index, None,
+                         segment_payload_size(descriptor))
         self._nic = get_nic(self.node)
         self._aggregator = aggregator
-        self._schema = descriptor.schema
-        self._payload_size = segment_payload_size(descriptor)
-        self._staging: list[tuple] = []
-        self._staged_bytes = 0
-        self._cpu_debt = 0.0
-        # Per-tuple push constants, fixed for the source's lifetime.
-        self._tuple_size = self._schema.tuple_size
-        self._tuple_debt = self.profile.cpu_push_cost(self._tuple_size)
-        #: A push that leaves ``_staged_bytes`` above this has filled
-        #: the segment.
-        self._flush_above = self._payload_size - self._tuple_size
-        self.closed = False
-        self.tuples_sent = 0
-        self.segments_sent = 0
 
     @classmethod
     def open(cls, registry: FlowRegistry, name: str, source_index: int):
@@ -197,44 +173,34 @@ class SharpCombinerSource:
         aggregator = yield from registry.wait_backchannel(name, 0, 0)
         return cls(registry, descriptor, source_index, aggregator)
 
-    def push(self, values: tuple):
-        """Push one tuple toward the in-network reduction; returns what
-        the caller must ``yield from`` — :data:`NO_FLUSH` while the
-        staged segment has room, the flush generator once it is full."""
-        if self.closed:
-            raise FlowClosedError("push on a closed flow source")
-        self._schema.pack(values)  # validates against the schema
-        self._staging.append(values)
-        self._staged_bytes = staged = self._staged_bytes + self._tuple_size
-        self._cpu_debt += self._tuple_debt
-        self.tuples_sent += 1
-        if staged > self._flush_above:
-            return self._flush(False)
-        return NO_FLUSH
-
     def close(self):
         """Generator: flush remaining tuples with the close marker."""
         if self.closed:
             return
-        yield from self._flush(True)
+        yield from self._flush(FLAG_CLOSED)
         self.closed = True
 
-    def _flush(self, closed: bool):
+    def _flush(self, extra_flags: int):
+        """Generator: send the staged segment to the switch. Its rows are
+        decoded here, for the fold at switch arrival: the one staging
+        slot is packed again before then."""
         debt = self._cpu_debt + self.profile.cpu_post_cost
         self._cpu_debt = 0.0
         yield self.node.compute(debt)
-        tuples = self._staging
-        wire_bytes = self._staged_bytes + FOOTER_SIZE
-        self._staging = []
-        self._staged_bytes = 0
+        stager = self._stager
+        used = stager.used
+        aggregator = self._aggregator
+        rows = list(aggregator.decode(
+            stager.seal(extra_flags, self.segments_sent)[:used]))
+        closed = bool(extra_flags & FLAG_CLOSED)
+        wire_bytes = used + FOOTER_SIZE
         delay = self._nic.engine_delay(inline=False)
         arrival = self.registry.cluster.fabric.to_switch(
             self.node, wire_bytes, delay=delay)
-        aggregator = self._aggregator
 
-        def on_arrival(_event, tuples=tuples, closed=closed,
+        def on_arrival(_event, rows=rows, closed=closed,
                        wire_bytes=wire_bytes):
-            aggregator.on_segment(tuples, closed, wire_bytes)
+            aggregator.on_segment(rows, closed, wire_bytes)
 
         arrival.callbacks.append(on_arrival)
         self.segments_sent += 1

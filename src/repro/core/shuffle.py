@@ -22,6 +22,7 @@ the common-case push issues exactly one write and nothing else.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from operator import index as _as_index
 from struct import Struct as _Struct, error as _struct_error
 from typing import TYPE_CHECKING
@@ -82,7 +83,9 @@ def _flag_word(flags: int) -> int:
     return FOOTER_STRUCT.unpack_from(scratch)[1]
 
 
-_CONSUMABLE_WORD = _flag_word(FLAG_CONSUMABLE)
+#: The footer flag word of each close/abort flag set a source seals.
+_FLAG_WORDS = {flags: _flag_word(FLAG_CONSUMABLE | flags)
+               for flags in (0, FLAG_CLOSED, FLAG_CLOSED | FLAG_ABORTED)}
 
 
 def _copy_into(buffer, offset: int, data) -> None:
@@ -215,64 +218,126 @@ def _source_counters(source):
             ("core.segments_flushed", source.segments_sent))
 
 
-class BandwidthSourceChannel:
-    """Source half of one bandwidth-optimized channel."""
+class SegmentStager:
+    """A source's staging: a ring of ``slots`` slots, each a segment's
+    ``payload_size`` bytes and a footer behind them. Tuples are packed
+    once, into the open slot at ``base`` (``used`` bytes so far), and
+    :meth:`seal` footers it and opens the next. A shuffle channel's
+    per-tuple ``push`` packs in place through ``buffer``, ``base`` and
+    ``used``, without the call :meth:`append` costs.
+
+    Writes are posted zero-copy, so a sealed slot must stay unchanged
+    until every write of it committed. Each owner sizes the ring so that
+    holds without completions of its own:
+
+    * A bandwidth shuffle channel, N = ``source_segments``: 2N. The
+      wrap-around wait before write f with f % N == 0 implies every write
+      up to f - 1 has committed, and a slot is only repacked 2N seals
+      after it was posted — at which point the latest wrap wait already
+      covered it, even for a batch that packs up to the next wrap before
+      it waits.
+    * A naive replicate source: segment h is packed after the fan-out of
+      segment h - 1, so every live channel has posted h - 1, and the slot
+      h reuses last held segment h - slots. In bandwidth mode a channel
+      reaps its signaled wrap WQE before it writes segment m, for every
+      m a multiple of N; the last such m <= h - 1 is at least h - N, so
+      every write up to h - N - 1 has committed: N + 1. In latency mode
+      (T = ``target_segments``, the remote ring) the credit segment h - 1
+      held means the target consumed, hence committed, every segment up
+      to h - T - 1: T + 1. A batch's whole segments, in a buffer of their
+      own, count as channel writes between two ring slots and only widen
+      that gap.
+    * A multicast replicate or SHARP source: 1. Its flush copies the slot
+      out (a datagram, or rows for the switch) before it returns.
+
+    The spare slots are the price of packing before the wait and of not
+    having real DMA-completion reuse; memory accounting reports the N (or
+    T) slots the protocol needs.
+    """
+
+    __slots__ = ("schema", "tuple_size", "_pack_tuple", "_pack_many_into",
+                 "payload_size", "_full_above", "slot_size", "slots",
+                 "buffer", "view", "base", "used", "sealed")
+
+    def __init__(self, schema, payload_size: int, slots: int = 1) -> None:
+        self.schema = schema
+        # Bound once: ``append`` runs per tuple, ``room``/``full`` and
+        # ``pack_many_into`` per chunk on the batched push path.
+        self.tuple_size = schema.tuple_size
+        self._pack_tuple = schema.raw_pack_into
+        self._pack_many_into = schema.pack_many_into
+        self.payload_size = payload_size
+        #: The buffer reads as full once ``used`` exceeds this.
+        self._full_above = payload_size - self.tuple_size
+        self.slot_size = payload_size + FOOTER_SIZE
+        self.slots = slots
+        self.buffer = zeroed(slots * self.slot_size)
+        self.view = memoryview(self.buffer)
+        #: Offset of the open slot, and the payload bytes packed into it.
+        self.base = 0
+        self.used = 0
+        #: Slots sealed so far.
+        self.sealed = 0
+
+    def append(self, values: tuple) -> bool:
+        """Pack one tuple; returns :attr:`full`."""
+        used = self.used
+        try:
+            self._pack_tuple(self.buffer, self.base + used, *values)
+        except _struct_error as exc:
+            raise self.schema.mismatch(values, exc) from None
+        self.used = used = used + self.tuple_size
+        return used > self._full_above
+
+    def append_many(self, tuples) -> None:
+        """Pack a batch of tuples with one ``struct`` call; the caller
+        checks :attr:`room` first."""
+        self._pack_many_into(self.buffer, self.base + self.used, tuples)
+        self.used += self.tuple_size * len(tuples)
+
+    @property
+    def room(self) -> int:
+        """How many more tuples fit before the buffer reads as full."""
+        return (self.payload_size - self.used) // self.tuple_size
+
+    @property
+    def full(self) -> bool:
+        return self.used > self._full_above
+
+    def seal(self, flags: int, seq: int) -> memoryview:
+        """Footer the open slot as ``used`` bytes under close/abort
+        ``flags`` and ``seq``, open the next slot empty, and return the
+        sealed slot's view."""
+        base = self.base
+        _FOOTER_PACK_INTO(self.buffer, base + self.payload_size, self.used,
+                          _FLAG_WORDS[flags], seq)
+        self.sealed += 1
+        self.base = (self.sealed % self.slots) * self.slot_size
+        self.used = 0
+        return self.view[base:base + self.slot_size]
+
+
+class _SourceChannel:
+    """What both channel classes share: the QP to one target ring, the
+    stats the counters are harvested from, the observability identity,
+    and the close and abort sequence around the class's marker write,
+    ``_flush(flags)``."""
 
     def __init__(self, node: "Node", descriptor: FlowDescriptor,
-                 handle: RingHandle, channel_tag: tuple,
-                 staging: bool = True) -> None:
+                 handle: RingHandle, channel_tag: tuple) -> None:
         self.node = node
         self.env = node.env
         self.profile = node.cluster.profile
         self.schema = descriptor.schema
         self.segment_payload = segment_payload_size(descriptor)
         self.qp = get_nic(node).create_qp(node.cluster.node(handle.node_id))
-        # The C++ implementation keeps a full send ring so segment memory
-        # stays untouched until the NIC finished its DMA. Writes are posted
-        # zero-copy, so staging slots must stay untouched until the
-        # simulated write commits. A 2N-slot staging ring (N =
-        # source_segments) guarantees that: the wrap-around wait before
-        # flush f with f % N == 0 implies every write up to f-1 has
-        # committed, and a slot is only repacked 2N flushes after it was
-        # posted — at which point the latest wrap wait already covered it,
-        # even for a batch that packs up to the next wrap before it waits.
-        # Memory accounting still reports the N-segment ring the *protocol*
-        # requires (the §6.1.4 unit); the extra staging is an emulation
-        # artifact of not having real DMA-completion reuse. A channel whose
-        # owner posts slots of its own (``staging=False``: a naive
-        # replicate source, see ``replicate._StagingBuffer``) stages
-        # nothing.
-        self._ring_segments = descriptor.options.source_segments
-        self._pipelined_preread = descriptor.options.pipelined_footer_read
-        self._slot_size = self.segment_payload + FOOTER_SIZE
-        self._staging_slots = 2 * self._ring_segments
-        self._staging = zeroed(
-            self._staging_slots * self._slot_size if staging else 0)
-        self._staging_view = memoryview(self._staging)
-        self._staging_base = 0
-        self._flushes = 0
         self.remote = handle
         self._remote_slot = handle.segment_size + FOOTER_SIZE
+        self._slot_size = self.segment_payload + FOOTER_SIZE
         self._rng = node.backoff_rng
-        self._local_index = 0
-        self._used = 0
-        self._seq = 0
-        self._cpu_debt = 0.0
-        # Per-tuple push constants, fixed for the channel's lifetime.
         self._tuple_size = self.schema.tuple_size
-        self._pack_tuple = self.schema.raw_pack_into
-        self._tuple_debt = self.profile.cpu_push_cost(self._tuple_size)
-        #: A push that leaves ``_used`` above this has filled the segment.
-        self._flush_above = self.segment_payload - self._tuple_size
-        self._wrap_wr = None
-        # Doorbell trains: whole-segment batches ride one doorbell ring
-        # with a single *windowed* footer read standing in for the
-        # per-segment pre-reads. The window is capped at half the target
-        # ring so the source and target keep double-buffering (a window
-        # spanning the full ring would serialize the pipeline). Trains
-        # require tuple-aligned segments (the whole slot goes out as one
-        # contiguous payload+footer write).
-        self._train_ok = (self.segment_payload % self.schema.tuple_size == 0)
+        #: Remote ring region, resolved once on the first write.
+        self._remote_region = None
         self.closed = False
         #: Segments transferred over the wire (stats).
         self.segments_sent = 0
@@ -286,18 +351,92 @@ class BandwidthSourceChannel:
         self._flow = channel_tag[0]
         self._obs = endpoint_obs(node, self._flow, descriptor.options,
                                  self)
+
+    _collect_obs = _source_counters
+
+    def _check_bytes(self, data) -> None:
+        """Refuse ``push_bytes`` on a closed channel or of a byte count
+        that is not a whole number of tuples."""
+        if self.closed:
+            raise FlowClosedError("push on a closed flow source")
+        if len(data) % self._tuple_size:
+            raise FlowError(
+                f"push_bytes got {len(data)} bytes, not a multiple of the "
+                f"{self._tuple_size}-byte tuple size")
+
+    def close(self):
+        """Generator: flush remaining tuples, send the close marker, and
+        wait for it to be acknowledged."""
+        wr = yield from self.begin_close()
+        if wr is not None and not wr.done.triggered:
+            yield wr.done
+
+    def begin_close(self):
+        """Generator: post the close marker without waiting for its ack
+        (lets a source close many channels concurrently)."""
+        if self.closed:
+            return None
+        wr = yield from self._flush(FLAG_CLOSED)
+        self.closed = True
+        if self._obs is not None:
+            log_close(self)
+        return wr
+
+    def abort(self):
+        """Generator: abort the channel — staged tuples are dropped and
+        the target's consume path raises FlowAbortedError."""
+        if self.closed:
+            return
+        wr = yield from self._flush(FLAG_CLOSED | FLAG_ABORTED)
+        self.closed = True
+        if self._obs is not None:
+            log_close(self, {"aborted": True})
+        if not wr.done.triggered:
+            yield wr.done
+
+
+class BandwidthSourceChannel(_SourceChannel):
+    """Source half of one bandwidth-optimized channel."""
+
+    def __init__(self, node: "Node", descriptor: FlowDescriptor,
+                 handle: RingHandle, channel_tag: tuple,
+                 staging: bool = True) -> None:
+        super().__init__(node, descriptor, handle, channel_tag)
+        # The C++ implementation keeps a full send ring so segment memory
+        # stays untouched until the NIC finished its DMA; the staging ring
+        # is 2N slots for the same reason (see SegmentStager). A channel
+        # whose owner posts slots of its own (``staging=False``: a naive
+        # replicate source) stages nothing.
+        self._ring_segments = descriptor.options.source_segments
+        self._pipelined_preread = descriptor.options.pipelined_footer_read
+        self._stager = SegmentStager(
+            self.schema, self.segment_payload,
+            2 * self._ring_segments if staging else 0)
+        self._local_index = 0
+        self._cpu_debt = 0.0
+        # Per-tuple push constants, fixed for the channel's lifetime.
+        self._pack_tuple = self.schema.raw_pack_into
+        self._tuple_debt = self.profile.cpu_push_cost(self._tuple_size)
+        #: A push that leaves the stager's ``used`` above this has filled
+        #: the segment.
+        self._flush_above = self.segment_payload - self._tuple_size
+        self._wrap_wr = None
+        # Doorbell trains: whole-segment batches ride one doorbell ring
+        # with a single *windowed* footer read standing in for the
+        # per-segment pre-reads. The window is capped at half the target
+        # ring so the source and target keep double-buffering (a window
+        # spanning the full ring would serialize the pipeline). Trains
+        # require tuple-aligned segments (the whole slot goes out as one
+        # contiguous payload+footer write).
+        self._train_ok = (self.segment_payload % self.schema.tuple_size == 0)
         #: Which remote slot is next and how many are proven writable.
         self._window = FooterWindow(
             self, handle,
             max(1, min(self._ring_segments, handle.segment_count // 2)),
             descriptor.options.max_backoff_retries)
-        #: Remote ring region, resolved once on the first train.
-        self._remote_region = None
         #: Reused entry list for doorbell trains (cleared per flush;
         #: ``post_train`` copies nothing out of it after it returns).
         self._train_entries = []
-
-    _collect_obs = _source_counters
 
     @property
     def memory_bytes(self) -> int:
@@ -314,13 +453,13 @@ class BandwidthSourceChannel:
         """
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
-        used = self._used
+        stager = self._stager
+        used = stager.used
         try:
-            self._pack_tuple(self._staging, self._staging_base + used,
-                             *values)
+            self._pack_tuple(stager.buffer, stager.base + used, *values)
         except _struct_error as exc:
             raise self.schema.mismatch(values, exc) from None
-        self._used = used = used + self._tuple_size
+        stager.used = used = used + self._tuple_size
         self._cpu_debt += self._tuple_debt
         self.tuples_sent += 1
         if used > self._flush_above:
@@ -361,7 +500,7 @@ class BandwidthSourceChannel:
         if not total:
             return None
         tuple_size = self._tuple_size
-        flushes = ((self._used // tuple_size + total)
+        flushes = ((self._stager.used // tuple_size + total)
                    // (self.segment_payload // tuple_size))
         debt = (self._cpu_debt + total * self._tuple_debt
                 + flushes * self.profile.cpu_post_cost)
@@ -384,13 +523,14 @@ class BandwidthSourceChannel:
         slot's room for, and those are staged whatever the threshold
         says (the loop flushes the slot they fill).
         """
-        used = self._used
+        stager = self._stager
+        used = stager.used
         if take is None:
             take = len(rows) // stride
             if used + take * self._tuple_size > self._flush_above:
                 return self._flush_batch(rows, take, fill, stride)
-        fill(self._staging, self._staging_base + used, rows)
-        self._used = used + take * self._tuple_size
+        fill(stager.buffer, stager.base + used, rows)
+        stager.used = used + take * self._tuple_size
         self.tuples_sent += take
         return NO_FLUSH
 
@@ -401,32 +541,34 @@ class BandwidthSourceChannel:
         tuple_size = self._tuple_size
         capacity = self.segment_payload
         seg_tuples = capacity // tuple_size
+        stager = self._stager
         index = 0
         while index < total:
             # Whole segments ahead and nothing staged: packed straight
             # into their slots, up to the next ring wrap, and written as
             # doorbell trains.
             whole = ((total - index) // seg_tuples
-                     if self._train_ok and not self._used else 0)
-            seq = self._seq
+                     if self._train_ok and not stager.used else 0)
+            seq = stager.sealed
             if whole:
                 count = min(whole, self._ring_segments - self._local_index)
                 slots = [None] * count
                 for position in range(count):
-                    fill(self._staging, self._staging_base,
+                    fill(stager.buffer, stager.base,
                          rows[index * stride:(index + seg_tuples) * stride])
                     index += seg_tuples
-                    slots[position] = self._seal(capacity, 0)
+                    stager.used = capacity
+                    slots[position] = stager.seal(0, seq + position)
                 self.tuples_sent += count * seg_tuples
             else:
-                take = min((capacity - self._used) // tuple_size,
+                take = min((capacity - stager.used) // tuple_size,
                            total - index)
                 if take:
                     self.stage_batch(
                         rows[index * stride:(index + take) * stride], fill,
                         stride, take)
                     index += take
-                if self._used + tuple_size <= capacity:
+                if stager.used + tuple_size <= capacity:
                     continue
                 if not self._train_ok:
                     yield from self._flush(0, charge_cpu=False)
@@ -435,7 +577,7 @@ class BandwidthSourceChannel:
                 # that wins over ``_flush``, whose per-segment pre-read
                 # the windowed proof replaces (one READ round-trip per
                 # window instead of per segment).
-                slots = (self._seal(self._used, 0),)
+                slots = (stager.seal(0, seq),)
             yield from self._post_train(slots, seq)
 
     def push_bytes(self, data):
@@ -448,44 +590,8 @@ class BandwidthSourceChannel:
         this flow's schema. CPU debt is charged exactly as if the tuples
         had been pushed individually.
         """
-        if self.closed:
-            raise FlowClosedError("push on a closed flow source")
-        if len(data) % self._tuple_size:
-            raise FlowError(
-                f"push_bytes got {len(data)} bytes, not a multiple of the "
-                f"{self._tuple_size}-byte tuple size")
+        self._check_bytes(data)
         return self.push_batch(data, _copy_into, self._tuple_size)
-
-    def close(self):
-        """Generator: flush remaining tuples, send the close marker, and
-        wait for it to be acknowledged."""
-        wr = yield from self.begin_close()
-        if wr is not None and not wr.done.triggered:
-            yield wr.done
-
-    def begin_close(self):
-        """Generator: post the close marker without waiting for its ack
-        (lets a source close many channels concurrently)."""
-        if self.closed:
-            return None
-        wr = yield from self._flush(FLAG_CLOSED)
-        self.closed = True
-        if self._obs is not None:
-            log_close(self)
-        return wr
-
-    def abort(self):
-        """Generator: abort the channel — staged tuples are dropped and
-        the target's consume path raises FlowAbortedError."""
-        if self.closed:
-            return
-        self._used = 0  # discard staged tuples: abort voids delivery
-        wr = yield from self._flush(FLAG_CLOSED | FLAG_ABORTED)
-        self.closed = True
-        if self._obs is not None:
-            log_close(self, {"aborted": True})
-        if not wr.done.triggered:
-            yield wr.done
 
     def release(self) -> None:
         """Shed the window's NIC region; the owning source calls this once
@@ -504,8 +610,9 @@ class BandwidthSourceChannel:
 
     def _flush(self, extra_flags: int, charge_cpu: bool = True):
         """Generator: footer the open staging slot under close/abort
-        ``extra_flags`` and write it (:meth:`_write_slot`); returns the
-        work request of a signaled write."""
+        ``extra_flags`` (an abort empties it first) and write it
+        (:meth:`_write_slot`); returns the work request of a signaled
+        write."""
         # Charge the CPU work accumulated by pushes plus the post cost
         # (``push_batch`` pre-charges both as one coalesced charge and
         # passes ``charge_cpu=False``).
@@ -513,33 +620,21 @@ class BandwidthSourceChannel:
             debt = self._cpu_debt + self.profile.cpu_post_cost
             self._cpu_debt = 0.0
             yield self.node.compute(debt)
-        used = self._used
-        seq = self._seq
-        return (yield from self._write_slot(self._seal(used, extra_flags),
+        stager = self._stager
+        if extra_flags & FLAG_ABORTED:
+            stager.used = 0  # abort voids delivery: staged tuples go
+        used = stager.used
+        seq = stager.sealed
+        return (yield from self._write_slot(stager.seal(extra_flags, seq),
                                             used, extra_flags, seq))
-
-    def _seal(self, used: int, flags: int):
-        """Footer the open staging slot as ``used`` bytes under
-        close/abort ``flags`` and the next sequence number, open the next
-        slot, and return the sealed slot's view."""
-        base = self._staging_base
-        word = (_flag_word(FLAG_CONSUMABLE | flags) if flags
-                else _CONSUMABLE_WORD)
-        _FOOTER_PACK_INTO(self._staging, base + self.segment_payload, used,
-                          word, self._seq)
-        self._seq += 1
-        self._used = 0
-        self._flushes += 1
-        self._staging_base = (self._flushes % self._staging_slots
-                              ) * self._slot_size
-        return self._staging_view[base:base + self._slot_size]
 
     def _write_slot(self, slot, used: int, flags: int, seq: int):
         """Generator: write ``slot`` — one segment as it lies in a source
         ring, ``used`` payload bytes and footer ``seq`` under close/abort
-        ``flags`` behind ``segment_payload``, which its owner (this
-        channel's staging, a replicate source's ring) keeps unchanged
-        until the write commits — into the next remote slot; returns the
+        ``flags`` behind ``segment_payload``, which its owner (the
+        :class:`SegmentStager` of this channel or of a replicate source)
+        keeps unchanged until the write commits — into the next remote
+        slot; returns the
         work request of a signaled write, else ``None``. A partial
         segment writes its used payload, then the footer at its fixed
         end-of-segment position (RC orders writes per QP, so the footer
@@ -635,7 +730,7 @@ class BandwidthSourceChannel:
                 window.pending_window = window.read_ahead(window.train)
 
 
-class LatencySourceChannel:
+class LatencySourceChannel(_SourceChannel):
     """Source half of one latency-optimized channel (credit-based)."""
 
     def __init__(self, node: "Node", descriptor: FlowDescriptor,
@@ -643,48 +738,29 @@ class LatencySourceChannel:
                  staging: bool = True) -> None:
         if handle.credit_rkey is None:
             raise FlowError("latency channels need a credit counter handle")
-        self.node = node
-        self.env = node.env
-        self.profile = node.cluster.profile
-        self.schema = descriptor.schema
-        self.segment_payload = segment_payload_size(descriptor)
-        self.qp = get_nic(node).create_qp(node.cluster.node(handle.node_id))
-        self.remote = handle
-        self._remote_slot = handle.segment_size + FOOTER_SIZE
+        super().__init__(node, descriptor, handle, channel_tag)
         # Zero-copy staging: one slot per remote segment, plus one because
         # a send stages its slot before it waits for its credit. A slot
         # staged for send s last held send s - segment_count - 1, which the
         # credit send s - 1 held proves consumed, hence committed
-        # (``staging=False``: the owner's slots, replicate._StagingBuffer).
-        self._slot_size = self.segment_payload + FOOTER_SIZE
+        # (``staging=False``: the owner's slots, a SegmentStager).
         self._staging_slots = handle.segment_count + 1
         self._staging = zeroed(
             self._staging_slots * self._slot_size if staging else 0)
         self._staging_view = memoryview(self._staging)
-        self._rng = node.backoff_rng
-        self._tuple_size = self.schema.tuple_size
         self._pack_into = self.schema.pack_into
-        #: Payload of a close/abort marker.
-        self._zeros = bytes(self.segment_payload)
+        #: The close/abort marker write, ``_flush(flags)``: a zeroed
+        #: payload (a partial, so a marker costs no call of its own).
+        self._flush = partial(self._send, self.profile.cpu_post_cost,
+                              _copy_into, bytes(self.segment_payload), 0)
         #: CPU cost of one push: the tuple copy plus posting its write.
         self._push_cost = (self.profile.cpu_push_cost(self._tuple_size)
                            + self.profile.cpu_post_cost)
         self._segments = handle.segment_count
-        #: Remote ring region, resolved once on the first write.
-        self._remote_region = None
-        self.closed = False
-        self.segments_sent = 0
-        self.tuples_sent = 0
-        self._tid = f"s{channel_tag[1]}->t{channel_tag[2]}"
-        self._flow = channel_tag[0]
-        self._obs = endpoint_obs(node, self._flow, descriptor.options,
-                                 self)
         #: Segments sent against the target's consumed counter.
         self._credit = CreditWindow(self, handle,
                                     descriptor.options.credit_threshold,
                                     descriptor.options.max_backoff_retries)
-
-    _collect_obs = _source_counters
 
     @property
     def memory_bytes(self) -> int:
@@ -709,48 +785,12 @@ class LatencySourceChannel:
     def push_bytes(self, data):
         """Generator: push pre-packed tuple bytes (a byte view, see
         ``ShuffleSource.push_bytes``), one segment per tuple."""
-        if self.closed:
-            raise FlowClosedError("push on a closed flow source")
+        self._check_bytes(data)
         tuple_size = self._tuple_size
-        size = len(data)
-        if size % tuple_size:
-            raise FlowError(
-                f"push_bytes got {size} bytes, not a multiple of the "
-                f"{tuple_size}-byte tuple size")
-        for start in range(0, size, tuple_size):
+        for start in range(0, len(data), tuple_size):
             yield from self._send(
                 self._push_cost, _copy_into, data[start:start + tuple_size],
                 tuple_size)
-
-    def close(self):
-        """Generator: send the close marker and wait for its ack."""
-        wr = yield from self.begin_close()
-        if wr is not None and not wr.done.triggered:
-            yield wr.done
-
-    def begin_close(self):
-        """Generator: post the close marker without waiting for its ack."""
-        if self.closed:
-            return None
-        wr = yield from self._send(self.profile.cpu_post_cost, _copy_into,
-                                   self._zeros, 0, FLAG_CLOSED)
-        self.closed = True
-        if self._obs is not None:
-            log_close(self)
-        return wr
-
-    def abort(self):
-        """Generator: abort the channel (targets raise
-        FlowAbortedError)."""
-        if self.closed:
-            return
-        wr = yield from self._send(self.profile.cpu_post_cost, _copy_into,
-                                   self._zeros, 0, FLAG_CLOSED | FLAG_ABORTED)
-        self.closed = True
-        if self._obs is not None:
-            log_close(self, {"aborted": True})
-        if not wr.done.triggered:
-            yield wr.done
 
     def release(self) -> None:
         """Shed the window's NIC region once the channel is closed (see
@@ -765,8 +805,7 @@ class LatencySourceChannel:
         base = (seq % self._staging_slots) * self._slot_size
         fill(self._staging, base, payload)
         _FOOTER_PACK_INTO(self._staging, base + self.segment_payload, used,
-                          _flag_word(FLAG_CONSUMABLE | flags) if flags
-                          else _CONSUMABLE_WORD, seq)
+                          _FLAG_WORDS[flags], seq)
         return self._write_slot(
             self._staging_view[base:base + self._slot_size], used, flags,
             seq, cost)
@@ -997,16 +1036,151 @@ class TargetChannel:
         return drained
 
 
-class ShuffleSource:
-    """The per-thread source endpoint of a shuffle flow."""
+class _FlowSource:
+    """What every source endpoint shares: its identity, the live and
+    failed target sets, and the one failure path. A transport brings how
+    it voids the flow (:meth:`_void`) and, if it writes RC rings, its
+    ``_channels``.
+
+    A failed channel enters :meth:`_handle_channel_failure`, a write-off
+    with other evidence (a multicast credit stall) enters
+    :meth:`_fail_targets` at the count step; both end in the flow's
+    policy: reroute while the survivors can absorb the load, else
+    :meth:`_abort_survivors` and :class:`FlowPeerFailedError`."""
+
+    #: The RC channels, one per target; a transport without any (UD
+    #: multicast, the send to the switch) has none to fail or release.
+    _channels = ()
 
     def __init__(self, registry: FlowRegistry, descriptor: FlowDescriptor,
-                 source_index: int, channels: list) -> None:
+                 source_index: int, absorbs: bool = True) -> None:
         self.registry = registry
         self.descriptor = descriptor
         self.source_index = source_index
         self.node = registry.cluster.node(
             descriptor.sources[source_index].node_id)
+        self.closed = False
+        #: Target indices still written to, ascending (failed targets
+        #: drop out).
+        self._live = list(range(len(descriptor.targets)))
+        #: Target indices declared failed.
+        self._failed: set[int] = set()
+        #: Whether the reroute policy applies: it is the flow's
+        #: (``FlowOptions.on_target_failure``) and the survivors can
+        #: absorb a failed target's load (``absorbs``: a shuffle source
+        #: needs a router).
+        self._reroute = (absorbs and descriptor.options.on_target_failure
+                         == "reroute")
+        #: Set once the flow is being voided: failures the abort itself
+        #: runs into are only marked.
+        self._aborting = False
+        self._flow = descriptor.name
+        self._tid = f"src{source_index}"
+
+    @property
+    def failed_targets(self) -> tuple:
+        """Indices of targets this source has declared failed."""
+        return tuple(sorted(self._failed))
+
+    def _mark_failed(self, targets) -> None:
+        for index in targets:
+            self._failed.add(index)
+            if index in self._live:
+                self._live.remove(index)
+
+    def _handle_channel_failure(self, index: int, exc: Exception):
+        """Generator: channel ``index`` hit a transport flush or ran out
+        its retry budget. The one liveness test — a flushed QP, or the
+        fault plane's ``peer_failed`` — decides whether the peer is dead:
+        then :meth:`_fail_targets` applies the policy; otherwise ``exc``
+        (a stall, e.g. a slow consumer ran the retry budget out) is
+        raised unchanged."""
+        self._channels[index].closed = True  # no more traffic toward it
+        self._mark_failed((index,))
+        if self._aborting:
+            return
+        faults = self.node.cluster.faults
+        peer = self.registry.cluster.node(
+            self.descriptor.targets[index].node_id)
+        if (isinstance(exc, QpFlushedError)
+                or (faults is not None and faults.active
+                    and faults.peer_failed(self.node, peer))):
+            yield from self._fail_targets([index], type(exc).__name__,
+                                          peer.node_id, exc)
+            return
+        if self._obs is not None:
+            self._obs.inc("core.target_failures")
+        raise exc
+
+    def _fail_targets(self, targets: list, cause: str, peer_node, exc):
+        """Generator: ``targets``, already marked failed, are known dead
+        — ``exc`` is the evidence, ``cause`` its name in the
+        ``FAULT_DETECT`` record, ``peer_node`` the dead node where one is
+        known. Counts them and, under the reroute policy with survivors
+        left, returns (the survivors absorb the load); otherwise voids
+        the flow and raises :class:`FlowPeerFailedError`."""
+        obs = self._obs
+        if obs is not None:
+            detail = {"targets": targets, "cause": cause,
+                      "peer_node": peer_node, "survivors": len(self._live)}
+            obs.inc("core.target_failures", len(targets))
+            obs.inc("core.peer_failures_detected", len(targets))
+            log_event(self, FAULT_DETECT, detail)
+        if self._reroute and self._live:
+            if obs is not None:
+                obs.inc("core.reroutes", len(targets))
+                log_event(self, REROUTE, detail)
+            return
+        yield from self._abort_survivors()
+        raise self._peer_failed(targets, exc) from exc
+
+    def _peer_failed(self, targets, exc) -> FlowPeerFailedError:
+        """The one error a source raises for dead ``targets``."""
+        return FlowPeerFailedError(
+            f"target {', '.join(map(str, targets))} of flow "
+            f"{self.descriptor.name!r} failed ({exc})")
+
+    def _abort_survivors(self):
+        """Generator: void the flow — mark it aborted in the registry, so
+        a target opening later sees the flag instead of waiting for
+        traffic that will never come, send the transport's abort marker
+        (:meth:`_void`; best effort, some survivors may be dead too),
+        then release every channel."""
+        self._aborting = True
+        self.registry.mark_flow_aborted(self.descriptor.name)
+        yield from self._void()
+        self.closed = True
+        self._live.clear()
+        self._release()
+
+    def _await_acks(self, work_requests):
+        """Generator: wait for the ack of every ``(target, work request)``
+        pair; returns the ``(target, error)`` pairs of the ones that
+        failed."""
+        failures = []
+        for index, wr in work_requests:
+            try:
+                if not wr.done.triggered:
+                    yield wr.done
+                elif wr.error is not None:
+                    raise wr.error
+            except (QpFlushedError, FlowTimeoutError) as exc:
+                failures.append((index, exc))
+        return failures
+
+    def _release(self) -> None:
+        """Every marker is acknowledged (or its target is gone): the
+        channels post nothing more, so their NIC regions go — a
+        flow-cycling cluster must not keep one per channel per flow."""
+        for channel in self._channels:
+            channel.release()
+
+
+class ShuffleSource(_FlowSource):
+    """The per-thread source endpoint of a shuffle flow."""
+
+    def __init__(self, registry: FlowRegistry, descriptor: FlowDescriptor,
+                 source_index: int, channels: list) -> None:
         self._channels = channels
         schema = descriptor.schema
         if descriptor.routing is not None:
@@ -1036,15 +1210,10 @@ class ShuffleSource:
         #: ``push_batch`` is the per-tuple loop).
         self._fill = (None if descriptor.optimization is Optimization.LATENCY
                       else schema.pack_many_into)
-        self.closed = False
-        #: Failure policy (``FlowOptions.on_target_failure``).
-        self._policy = descriptor.options.on_target_failure
-        #: Channel indices still routable (failed targets drop out).
-        self._live = list(range(len(channels)))
-        #: Channel indices declared failed.
-        self._failed: set[int] = set()
-        self._flow = descriptor.name
-        self._tid = f"src{source_index}"
+        # Survivors absorb a failed target's key share only through a
+        # router.
+        super().__init__(registry, descriptor, source_index,
+                         absorbs=self._router is not None)
 
     _obs = property(_node_obs)
 
@@ -1090,15 +1259,9 @@ class ShuffleSource:
                 raise self._bad_target(target)
         else:
             router = self._router
-            if router is None:
-                raise FlowError(
-                    "flow has no shuffle key or routing function; pass "
-                    "target= explicitly")
             live = self._live
-            if not live:
-                raise FlowPeerFailedError(
-                    f"every target of flow {self.descriptor.name!r} has "
-                    f"failed")
+            if router is None or not live:
+                raise self._unroutable()
             if self._vet_routes:
                 # An application's routing function can answer anything.
                 count = len(live)
@@ -1125,6 +1288,16 @@ class ShuffleSource:
             f"routed to target {target}, valid range "
             f"[0, {len(self._channels)})")
 
+    def _unroutable(self) -> FlowError:
+        """Why a tuple without a named target cannot be routed: every
+        target failed, or the flow has no router. (Callers test inline,
+        as for :meth:`_bad_target`.)"""
+        if not self._live:
+            return FlowPeerFailedError(
+                f"every target of flow {self.descriptor.name!r} has failed")
+        return FlowError("flow has no shuffle key or routing function; "
+                         "pass target= explicitly")
+
     def _guarded_flush(self, flush, values: tuple, target: int,
                        explicit: bool):
         """Generator: drive the flush that pushing ``values`` into
@@ -1132,14 +1305,19 @@ class ShuffleSource:
         try:
             yield from flush
         except (QpFlushedError, FlowTimeoutError) as exc:
-            yield from self._handle_channel_failure(target, exc)
             if explicit:
-                raise FlowPeerFailedError(
-                    f"target {target} of flow {self.descriptor.name!r} "
-                    f"failed ({exc})") from exc
+                yield from self._fail_named(target, exc)
+            yield from self._handle_channel_failure(target, exc)
             # Reroute policy: the survivors absorb the key space — resend
             # this tuple through the shrunken live set.
             yield from self.push(values)
+
+    def _fail_named(self, target: int, exc: Exception):
+        """Generator: a target the caller named explicitly failed. The
+        policy runs, then the failure surfaces whatever it decided:
+        naming a target opts out of rerouting."""
+        yield from self._handle_channel_failure(target, exc)
+        raise self._peer_failed([target], exc) from exc
 
     def push_many(self, tuples, target: "int | None" = None):
         """Generator: push a batch of tuples (convenience wrapper).
@@ -1184,16 +1362,10 @@ class ShuffleSource:
             groups = (tuples,)
         else:
             live = self._live
-            if not live:
-                raise FlowPeerFailedError(
-                    f"every target of flow {self.descriptor.name!r} has "
-                    f"failed")
             if len(live) == 1:
                 groups = (tuples,)
-            elif self._router is None:
-                raise FlowError(
-                    "flow has no shuffle key or routing function; pass "
-                    "target= explicitly")
+            elif self._router is None or not live:
+                raise self._unroutable()
             else:
                 count = len(live)
                 route_many = self._route_many
@@ -1228,12 +1400,9 @@ class ShuffleSource:
                         if flush is not NO_FLUSH:
                             yield from flush
                 except (QpFlushedError, FlowTimeoutError) as exc:
-                    yield from self._handle_channel_failure(index, exc)
                     if target is not None:
-                        raise FlowPeerFailedError(
-                            f"target {target} of flow "
-                            f"{self.descriptor.name!r} failed ({exc})"
-                        ) from exc
+                        yield from self._fail_named(target, exc)
+                    yield from self._handle_channel_failure(index, exc)
                     # The live set just shrank, so the remaining groups'
                     # slots no longer line up — re-partition the failed
                     # group plus everything not yet pushed over the
@@ -1274,12 +1443,9 @@ class ShuffleSource:
         try:
             yield from self._channels[target].push_bytes(data)
         except (QpFlushedError, FlowTimeoutError) as exc:
-            yield from self._handle_channel_failure(target, exc)
             # Packed bytes carry no routable key, so there is no reroute:
             # the failure always surfaces.
-            raise FlowPeerFailedError(
-                f"target {target} of flow {self.descriptor.name!r} "
-                f"failed ({exc})") from exc
+            yield from self._fail_named(target, exc)
 
     def close(self):
         """Generator: close every live channel (targets see FLOW_END once
@@ -1298,51 +1464,40 @@ class ShuffleSource:
                 continue
             if wr is not None:
                 work_requests.append((index, wr))
-        for index, wr in work_requests:
-            try:
-                if not wr.done.triggered:
-                    yield wr.done
-                elif wr.error is not None:
-                    raise wr.error
-            except (QpFlushedError, FlowTimeoutError) as exc:
-                failures.append((index, exc))
+        failures += yield from self._await_acks(work_requests)
         self.closed = True
         for index, exc in failures:
             yield from self._handle_channel_failure(index, exc)
-        for channel in self._channels:
-            if channel.closed:
-                channel.release()
+        self._release()
 
     def abort(self):
         """Generator: abort the flow — staged data is dropped and every
         target's consume raises FlowAbortedError (the fault-tolerance
         extension; paper Section 7 lists flow fault tolerance as future
-        work).
+        work). The abort is recorded in the registry *before* any marker
+        goes out (see :meth:`_abort_survivors`)."""
+        yield from self._abort_survivors()
 
-        The abort is recorded in the registry *before* any marker goes
-        out: a target opening afterwards (e.g. one racing
-        ``extend_targets``) sees the flag instead of waiting for ring
-        traffic that will never come. Published-but-unadopted rings of
-        such targets get the abort marker here too."""
+    def _void(self):
+        """Generator: one abort marker per channel — a failed channel is
+        closed already and sends none. A target racing ``extend_targets``
+        may have published a ring this source never adopted: it is
+        adopted here, so the marker reaches it too."""
         name = self.descriptor.name
-        self.registry.mark_flow_aborted(name)
         descriptor = self.registry.descriptor(name)
-        channels = list(self._channels)
         for target_index in range(len(self._channels),
                                   descriptor.target_count):
             handle = self.registry.published_ring(name, self.source_index,
                                                   target_index)
             if handle is not None:
                 tag = (name, self.source_index, target_index)
-                channels.append(
+                self._channels.append(
                     _source_channel(self.node, descriptor, handle, tag))
-        for channel in channels:
+        for channel in self._channels:
             try:
                 yield from channel.abort()
             except (QpFlushedError, FlowTimeoutError):
                 pass  # aborting toward a dead peer: nothing left to void
-            channel.release()
-        self.closed = True
 
     def adopt_new_targets(self):
         """Generator: pick up targets added to the flow at runtime
@@ -1384,69 +1539,6 @@ class ShuffleSource:
         except (QpFlushedError, FlowTimeoutError):
             pass  # the retired target is already gone; nothing to close
 
-    # -- failure policy ----------------------------------------------------
-    def _handle_channel_failure(self, index: int, exc: Exception):
-        """Generator: apply the flow's failure policy after channel
-        ``index`` hit a transport flush or exhausted its retry budget.
-
-        Returns normally only when the reroute policy can absorb the
-        failure; otherwise raises (FlowTimeoutError for a stall whose
-        peer is not known dead, FlowPeerFailedError after aborting the
-        survivors under the abort policy)."""
-        channel = self._channels[index]
-        channel.closed = True  # no further traffic toward the dead ring
-        if index not in self._failed:
-            self._failed.add(index)
-            if index in self._live:
-                self._live.remove(index)
-        faults = self.node.cluster.faults
-        peer = self.registry.cluster.node(
-            self.descriptor.targets[index].node_id)
-        peer_dead = (isinstance(exc, QpFlushedError)
-                     or (faults is not None and faults.active
-                         and faults.peer_failed(self.node, peer)))
-        obs = self._obs
-        if obs is not None:
-            obs.inc("core.target_failures")
-        if not peer_dead:
-            # A stall, not a detected failure (e.g. a slow consumer ran
-            # the retry budget out): surface the timeout unchanged.
-            raise exc
-        if obs is not None:
-            obs.inc("core.peer_failures_detected")
-            log_event(self, FAULT_DETECT,
-                      {"target": index, "peer_node": peer.node_id,
-                       "cause": type(exc).__name__})
-        if (self._policy == "reroute" and self._router is not None
-                and self._live):
-            if obs is not None:
-                obs.inc("core.reroutes")
-                log_event(self, REROUTE,
-                          {"target": index, "survivors": len(self._live)})
-            return  # the survivors absorb the failed target's share
-        yield from self._abort_survivors()
-        raise FlowPeerFailedError(
-            f"target {index} of flow {self.descriptor.name!r} failed "
-            f"({exc})") from exc
-
-    def _abort_survivors(self):
-        """Generator: best-effort abort of every remaining live channel
-        (the abort-policy teardown — some survivors may be dead too)."""
-        self.registry.mark_flow_aborted(self.descriptor.name)
-        for index in list(self._live):
-            channel = self._channels[index]
-            try:
-                yield from channel.abort()
-            except (QpFlushedError, FlowTimeoutError):
-                pass  # that target is gone as well
-        self._live.clear()
-        self.closed = True
-
-    @property
-    def failed_targets(self) -> tuple:
-        """Indices of targets this source has declared failed."""
-        return tuple(sorted(self._failed))
-
     # -- introspection -----------------------------------------------------
     @property
     def tuples_sent(self) -> int:
@@ -1456,6 +1548,29 @@ class ShuffleSource:
     def memory_bytes(self) -> int:
         """Send-side buffer memory of this endpoint (§6.1.4 accounting)."""
         return sum(channel.memory_bytes for channel in self._channels)
+
+
+def _raise_peer_failure(target, pending: list, silence: str):
+    """A ``target`` endpoint saw no progress within its ``peer_timeout``:
+    raise :class:`FlowPeerFailedError` naming the ``pending`` sources the
+    fault plane knows dead, else :class:`FlowTimeoutError` (``silence``:
+    what did not happen) — the peer may merely be slow."""
+    faults = target.node.cluster.faults
+    obs = target._obs
+    if faults is not None and faults.active:
+        nodes = target.registry.cluster.node
+        dead = [index for index in pending if faults.peer_failed(
+            target.node, nodes(target.descriptor.sources[index].node_id))]
+        if dead:
+            if obs is not None:
+                obs.inc("core.peer_failures_detected", len(dead))
+                log_event(target, FAULT_DETECT, {"sources": dead})
+            raise FlowPeerFailedError(
+                f"flow {target.descriptor.name!r}: source(s) {dead} "
+                f"failed before closing")
+    if obs is not None:
+        obs.inc("core.consume_timeouts")
+    raise FlowTimeoutError(f"flow {target.descriptor.name!r}: {silence}")
 
 
 class ShuffleTarget:
@@ -1526,34 +1641,12 @@ class ShuffleTarget:
                     obs.inc("core.congestion_grace")
                 continue
             doorbell.disarm()
-            self._raise_peer_failure()
+            pending = [index for index, channel in enumerate(self._channels)
+                       if not channel.done]
+            _raise_peer_failure(
+                self, pending, f"no segment arrived within "
+                f"{self._peer_timeout:.0f} ns; channels {pending} still open")
         yield self.node.compute(self.node.cluster.profile.cpu_poll_cost)
-
-    def _raise_peer_failure(self):
-        """No progress within the detection bound: classify and raise."""
-        pending = [index for index, channel in enumerate(self._channels)
-                   if not channel.done]
-        faults = self.node.cluster.faults
-        obs = self._obs
-        if faults is not None and faults.active:
-            dead = []
-            for index in pending:
-                peer = self.registry.cluster.node(
-                    self.descriptor.sources[index].node_id)
-                if faults.peer_failed(self.node, peer):
-                    dead.append(index)
-            if dead:
-                if obs is not None:
-                    obs.inc("core.peer_failures_detected", len(dead))
-                    log_event(self, FAULT_DETECT, {"sources": dead})
-                raise FlowPeerFailedError(
-                    f"flow {self.descriptor.name!r}: source(s) {dead} "
-                    f"failed before closing their channels")
-        if obs is not None:
-            obs.inc("core.consume_timeouts")
-        raise FlowTimeoutError(
-            f"flow {self.descriptor.name!r}: no segment arrived within "
-            f"{self._peer_timeout:.0f} ns; channels {pending} still open")
 
     @classmethod
     def open(cls, registry: FlowRegistry, name: str,

@@ -253,9 +253,9 @@ class MulticastWindow:
     each, how many of the owner's segments it has taken (credit) and one
     plus the lowest it found missing (NACK). The owner may send while its
     ``segments_sent`` runs less than a ring ahead of the lowest credit of
-    the targets not in its ``_failed``. Every segment goes out through
-    :meth:`post`, which keeps the last ``keep`` — at least a ring, so
-    whatever a target NACKs can be sent again.
+    its ``_live`` targets. Every segment goes out through :meth:`post`,
+    which keeps the last ``keep`` — at least a ring, so whatever a target
+    NACKs can be sent again.
     """
 
     __slots__ = ("owner", "region", "_doorbell", "_words", "_history",
@@ -285,15 +285,12 @@ class MulticastWindow:
                        if target not in failed] or [self.owner.segments_sent]
         return min(credits)
 
-    def write_off_laggards(self) -> list:
-        """Declare the live targets at the lowest credit failed."""
-        failed = self.owner._failed
+    def laggards(self) -> list:
+        """The live targets at the lowest credit."""
         credits = self._words(self.region.mem)[0::2]
-        live = [t for t in range(len(credits)) if t not in failed]
+        live = self.owner._live
         floor = min(credits[t] for t in live)
-        laggards = [t for t in live if credits[t] == floor]
-        failed.update(laggards)
-        return laggards
+        return [t for t in live if credits[t] == floor]
 
     def post(self, seq: int, slot: bytes) -> None:
         """Multicast segment ``seq`` and keep it for resends."""
@@ -344,8 +341,8 @@ class MulticastWindow:
         un-credited suffix (the close marker, at close). A target that
         lost the whole suffix has no gap to NACK until the tail arrives;
         one that holds the tail already NACKs what it misses below it.
-        The expiry after ``max_retransmits`` rounds in a row writes the
-        laggards off.
+        The expiry after ``max_retransmits`` rounds in a row fails the
+        laggards (the owner's ``_fail_stalled``).
         """
         owner = self.owner
         credit = self.min_credit()

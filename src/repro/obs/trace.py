@@ -27,7 +27,7 @@ PREREAD = "PREREAD"              #: pipelined footer pre-read hit or miss
 CREDIT = "CREDIT"                #: credit refresh round-trip completed
 BACKOFF = "BACKOFF"              #: ring-full backoff round slept
 RETRANSMIT = "RETRANSMIT"        #: replicate source retransmitted a segment
-REROUTE = "REROUTE"              #: shuffle source rerouted a failed target
+REROUTE = "REROUTE"              #: source rerouted around failed targets
 FAULT_INJECT = "FAULT_INJECT"    #: fault plan entry fires (synthesized)
 FAULT_DETECT = "FAULT_DETECT"    #: flow layer diagnosed a peer failure
 FLOW_CLOSE = "FLOW_CLOSE"        #: endpoint closed or tore down

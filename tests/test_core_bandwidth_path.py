@@ -102,7 +102,7 @@ def _staged_then(door):
     def body(source):
         for row in ROWS[:3]:
             yield from source.push(row)
-        assert source._channels[0]._used == 3 * SCHEMA.tuple_size
+        assert source._channels[0]._stager.used == 3 * SCHEMA.tuple_size
         for rows in (ROWS[3:150], ROWS[150:]):
             yield from door(source, rows)
     return body
@@ -173,7 +173,7 @@ def test_torn_slab_and_mistyped_tuple_send_nothing():
         with pytest.raises(SchemaError, match="does not match schema"):
             yield from source.push_batch([(1, 1), ("not an int", 1)])
         seen["sent"] = (channel.tuples_sent, channel.segments_sent,
-                        channel._used)
+                        channel._stager.used)
         yield from source.push_batch(ROWS[:5])
 
     run = _run(body, ALIGNED)
@@ -265,7 +265,7 @@ def test_charge_then_stage_is_push_batch_across_the_slot_boundary(
             for row in ROWS[:3]:
                 yield from source.push(row)
             yield from door(source, rows)
-            seen[door] = (channel.segments_sent, channel._used)
+            seen[door] = (channel.segments_sent, channel._stager.used)
         return body
 
     runs = [_run(pushed_through(door), segment_size)
@@ -282,12 +282,12 @@ def test_stage_batch_returns_no_flush_until_the_slot_fills():
         fill = SCHEMA.pack_many_into
         yield channel.charge_batch(7)
         assert channel.stage_batch(ROWS[:7], fill) is NO_FLUSH
-        assert (channel._used, channel.tuples_sent) == (7 * 16, 7)
+        assert (channel._stager.used, channel.tuples_sent) == (7 * 16, 7)
         yield channel.charge_batch(1)
         flush = channel.stage_batch(ROWS[7:8], fill)
         assert flush is not NO_FLUSH
         yield from flush
-        assert (channel._used, channel.segments_sent) == (0, 1)
+        assert (channel._stager.used, channel.segments_sent) == (0, 1)
 
     assert _run(body, ALIGNED)["got"] == ROWS[:8]
 
@@ -364,7 +364,7 @@ def test_mistyped_row_in_a_staged_batch_leaves_the_slot_as_it_was():
         for door in (_batched, _through_channel):
             with pytest.raises(SchemaError, match="does not match schema"):
                 yield from door(source, [ROWS[3], ("not an int", 1)])
-            seen.append((channel._used, channel.tuples_sent,
+            seen.append((channel._stager.used, channel.tuples_sent,
                          channel.segments_sent))
         yield from source.push_batch(ROWS[3:6])
 

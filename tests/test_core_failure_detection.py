@@ -18,6 +18,7 @@ from repro.common.errors import (
 )
 from repro.core import FLOW_END, DfiRuntime, FlowOptions, Schema
 from repro.core.flowdef import Optimization
+from repro.obs import FAULT_DETECT, REROUTE
 from repro.simnet import Cluster, FaultPlan, node_crash
 
 SCHEMA = Schema(("key", "uint64"), ("value", "uint64"))
@@ -402,3 +403,103 @@ def test_multicast_target_detects_crashed_source():
     for _index, exc, at in errors:
         assert isinstance(exc, FlowPeerFailedError)
         assert 150_000.0 <= at <= 150_000.0 + 3 * 60_000.0
+
+
+# -- one failure path, every source kind --------------------------------------
+
+def _policy_run(kind, policy):
+    """A 1:3 flow of ``kind`` that loses target 2 under ``policy``: a
+    shuffle or naive replicate flow loses it to a node crash at 100 µs,
+    a multicast one to silence (it joins the group, then never consumes,
+    so it never credits a segment)."""
+    cluster = Cluster(node_count=4)
+    cluster.enable_observability(trace=True)
+    if kind != "multicast":
+        cluster.install_faults(FaultPlan([node_crash(3, at=100_000.0)]),
+                               detection_timeout=10_000.0)
+    dfi = DfiRuntime(cluster)
+    options = _small_options(peer_timeout=100_000.0,
+                             on_target_failure=policy,
+                             multicast=kind == "multicast",
+                             retransmit_timeout=5_000.0, max_retransmits=4)
+    targets = ["node1|0", "node2|0", "node3|0"]
+    if kind == "shuffle":
+        dfi.init_shuffle_flow("pol", ["node0|0"], targets, SCHEMA,
+                              shuffle_key="key", options=options)
+    else:
+        dfi.init_replicate_flow("pol", ["node0|0"], targets, SCHEMA,
+                                options=options)
+    outcome = {"survivors": {}, "cluster": cluster}
+
+    def source_thread():
+        source = yield from dfi.open_source("pol", 0)
+        try:
+            for i in range(4000):
+                yield from source.push((i, i))
+            yield from source.close()
+        except FlowPeerFailedError as exc:
+            outcome["source_error"] = exc
+        outcome["failed"] = source.failed_targets
+
+    def survivor_thread(index):
+        target = yield from dfi.open_target("pol", index)
+        try:
+            while (yield from target.consume()) is not FLOW_END:
+                pass
+            outcome["survivors"][index] = FLOW_END
+        except FlowAbortedError as exc:
+            outcome["survivors"][index] = exc
+
+    def lost_thread():
+        target = yield from dfi.open_target("pol", 2)
+        if kind != "multicast":
+            while (yield from target.consume()) is not FLOW_END:
+                pass
+
+    cluster.env.process(source_thread())
+    for index in (0, 1):
+        cluster.env.process(survivor_thread(index))
+    cluster.node(3).spawn(lost_thread())
+    cluster.run()
+    return outcome
+
+
+@pytest.mark.parametrize("policy", ["abort", "reroute"])
+@pytest.mark.parametrize("kind", ["shuffle", "naive", "multicast"])
+def test_every_source_kind_takes_the_one_failure_path(kind, policy):
+    """Shuffle, naive and multicast replicate sources count, record and
+    settle a lost target alike: one of each counter per failed target,
+    ``FAULT_DETECT`` (and under reroute ``REROUTE``) with one detail
+    shape, and survivors that are aborted or reach FLOW_END."""
+    outcome = _policy_run(kind, policy)
+    cluster = outcome["cluster"]
+    assert outcome["failed"] == (2,)
+    source = cluster.obs.registries[0]
+    rerouted = int(policy == "reroute")
+    assert (source.get("core.target_failures"),
+            source.get("core.peer_failures_detected"),
+            source.get("core.reroutes")) == (1, 1, rerouted)
+    records = {kind: detail
+               for _ts, kind, node_id, _tid, detail
+               in cluster.obs.tracers["pol"].events()
+               if node_id == 0 and kind in (FAULT_DETECT, REROUTE)}
+    assert set(records) == ({FAULT_DETECT, REROUTE} if rerouted
+                            else {FAULT_DETECT})
+    detail = records[FAULT_DETECT]
+    assert detail["targets"] == [2] and detail["survivors"] == 2
+    if kind == "multicast":
+        assert (detail["cause"], detail["peer_node"]) == ("credit_stall",
+                                                          None)
+    else:
+        assert detail["cause"] in ("QpFlushedError", "FlowTimeoutError")
+        assert detail["peer_node"] == 3
+    assert all(record == detail for record in records.values())
+    if rerouted:
+        assert "source_error" not in outcome
+        assert outcome["survivors"] == {0: FLOW_END, 1: FLOW_END}
+    else:
+        assert "target 2 of flow 'pol' failed (" in str(
+            outcome["source_error"])
+        assert all(isinstance(error, FlowAbortedError)
+                   for error in outcome["survivors"].values())
+        assert len(outcome["survivors"]) == 2

@@ -194,7 +194,7 @@ def test_naive_honours_pipelined_footer_read(pipelined):
 def test_naive_memory_bytes_is_the_one_source_ring():
     """A 1:8 bandwidth naive flow at default options holds one ring, in
     the source: ``memory_bytes`` reports its ``source_segments`` slots
-    (the buffer has one spare, see ``_StagingBuffer``), and the eight
+    (the buffer has one spare, see ``SegmentStager``), and the eight
     channels stage nothing (4 202 496 bytes when each kept its own)."""
     options = FlowOptions()
     cluster = Cluster(node_count=9)
@@ -208,8 +208,8 @@ def test_naive_memory_bytes_is_the_one_source_ring():
         endpoint = yield from dfi.open_source("rep", 0)
         yield from endpoint.push_batch([(i, i) for i in range(1200)])
         seen["memory"] = endpoint.memory_bytes
-        seen["ring"] = len(endpoint._staging.buffer)
-        seen["channels"] = sum(len(channel._staging)
+        seen["ring"] = len(endpoint._stager.buffer)
+        seen["channels"] = sum(len(channel._stager.buffer)
                                for channel in endpoint._channels)
         yield from endpoint.close()
 

@@ -296,7 +296,7 @@ def test_mapping_failure_degrades_to_bytearray(monkeypatch):
 
     def source_proc():
         source = yield from dfi.open_source("flow", 0)
-        assert type(source._channels[0]._staging) is bytearray
+        assert type(source._channels[0]._stager.buffer) is bytearray
         yield from source.push_batch(rows)
         yield from source.close()
 

@@ -17,7 +17,12 @@ import weakref
 import pytest
 
 import repro
-from repro.common.errors import MemoryRegionError, RegistryError
+from repro.common.errors import (
+    FlowAbortedError,
+    FlowPeerFailedError,
+    MemoryRegionError,
+    RegistryError,
+)
 from repro.core import (
     FLOW_END,
     DfiRuntime,
@@ -28,7 +33,7 @@ from repro.core import (
     Schema,
 )
 from repro.rdma.nic import get_nic
-from repro.simnet import Cluster
+from repro.simnet import Cluster, FaultPlan, node_crash
 from repro.simnet.kernel import _TIMEOUT_POOL_CAP
 
 _SCHEMA = Schema(("key", "uint64"), ("pad", 24))
@@ -170,7 +175,8 @@ def test_released_flows_leave_no_ring_or_staging_bytes_alive():
         buffers = [region.mem for nic in nics
                    for region in nic._regions.values()
                    if isinstance(region.mem, mmap.mmap)]
-        buffers += [channel._staging for channel in sources[0]._channels]
+        buffers += [channel._stager.buffer
+                    for channel in sources[0]._channels]
         assert [len(buffer) for buffer in buffers] == (
             [32 * (8192 + 16)] * 2 + [64 * (8192 + 16)] * 2)
         alive = [weakref.ref(buffer) for buffer in buffers]
@@ -178,6 +184,61 @@ def test_released_flows_leave_no_ring_or_staging_bytes_alive():
         dfi.registry.release_flow(f"bytes{cycle}")
         gc.collect()  # endpoints and their generators form cycles
         assert [ref() for ref in alive] == [None] * 4, f"cycle {cycle}"
+
+
+@pytest.mark.parametrize("policy", ["abort", "reroute"])
+@pytest.mark.parametrize("mode", list(Optimization),
+                         ids=lambda mode: mode.name.lower())
+@pytest.mark.parametrize("kind", ["shuffle", "naive"])
+def test_failed_flow_releases_every_source_window(kind, mode, policy):
+    """A 1:2 flow whose second target's node crashes at 100 µs sheds
+    every source channel's window scratch region however its policy
+    ends it: aborted, or rerouted and then closed."""
+    cluster = Cluster(node_count=3)
+    cluster.install_faults(FaultPlan([node_crash(2, at=100_000.0)]),
+                           detection_timeout=10_000.0)
+    dfi = DfiRuntime(cluster)
+    schema = Schema(("key", "uint64"), ("value", "uint64"))
+    options = FlowOptions(segment_size=128, source_segments=4,
+                          target_segments=4, credit_threshold=2,
+                          peer_timeout=100_000.0, on_target_failure=policy)
+    targets = [Endpoint(1, 0), Endpoint(2, 0)]
+    if kind == "shuffle":
+        dfi.init_shuffle_flow("f", [Endpoint(0, 0)], targets, schema,
+                              shuffle_key="key", optimization=mode,
+                              options=options)
+    else:
+        dfi.init_replicate_flow("f", [Endpoint(0, 0)], targets, schema,
+                                optimization=mode, options=options)
+    sources = []
+
+    def source_thread():
+        source = yield from dfi.open_source("f", 0)
+        sources.append(source)
+        try:
+            for i in range(4000):
+                yield from source.push((i, i))
+            yield from source.close()
+        except FlowPeerFailedError:
+            pass
+
+    def target_thread(index):
+        target = yield from dfi.open_target("f", index)
+        try:
+            while (yield from target.consume()) is not FLOW_END:
+                pass
+        except FlowAbortedError:
+            pass
+
+    cluster.env.process(source_thread())
+    cluster.env.process(target_thread(0))
+    cluster.node(2).spawn(target_thread(1))
+    cluster.run()
+    (source,) = sources
+    assert source.failed_targets == (1,)
+    windows = [getattr(channel, "_window", None) or channel._credit
+               for channel in source._channels]
+    assert [window._scratch for window in windows] == [None, None]
 
 
 def test_macro_pool_steady_over_flow_cycles():
