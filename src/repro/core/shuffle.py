@@ -490,10 +490,14 @@ class BandwidthSourceChannel(_SourceChannel):
         charge, nothing to stage).
 
         The same per-tuple CPU debt accrues as for one-by-one pushes, but
-        it is charged as **one coalesced compute charge per batch**:
-        leftover debt from earlier pushes, the batch's per-tuple work, and
-        the post cost of every flush the batch will trigger (a flush fires
-        each time the staged tuple count reaches a full segment).
+        it is returned as **one delay per channel-batch**: leftover debt
+        from earlier pushes, the batch's per-tuple work, and the post cost
+        of every flush the batch will trigger (a flush fires each time the
+        staged tuple count reaches a full segment). The caller must have
+        slept it before a flush :meth:`stage_batch` returns is driven; a
+        routed ``ShuffleSource.push_batch`` adds the delays of the groups
+        that only stage rows to one deadline and sleeps once per flush
+        boundary.
         """
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
@@ -614,8 +618,8 @@ class BandwidthSourceChannel(_SourceChannel):
         (:meth:`_write_slot`); returns the work request of a signaled
         write."""
         # Charge the CPU work accumulated by pushes plus the post cost
-        # (``push_batch`` pre-charges both as one coalesced charge and
-        # passes ``charge_cpu=False``).
+        # (a batch's ``charge_batch`` pre-charges both, and its flush
+        # loop passes ``charge_cpu=False``).
         if charge_cpu:
             debt = self._cpu_debt + self.profile.cpu_post_cost
             self._cpu_debt = 0.0
@@ -1341,11 +1345,18 @@ class ShuffleSource(_FlowSource):
         only ordering a multi-channel shuffle ever guarantees).
 
         A bandwidth channel's group is driven from here by the channel's
-        own contract — yield :meth:`~BandwidthSourceChannel.charge_batch`,
-        call :meth:`~BandwidthSourceChannel.stage_batch`, drive what it
-        returns — so a group that only lands in its channel's send buffer
-        (most of them, once the fan-out leaves a channel less than a
-        segment per batch) costs one kernel event and no generator.
+        own contract — :meth:`~BandwidthSourceChannel.charge_batch`, then
+        :meth:`~BandwidthSourceChannel.stage_batch`, then drive what it
+        returns — and the CPU is charged once per flush boundary: staged
+        rows are invisible until a flush, so the process sleeps only
+        before driving a flush and once at the end of the batch. The
+        groups' charges in between are added to an absolute deadline one
+        at a time, as the kernel adds separate sleeps, and slept through
+        ``Environment.sleep_until``: the wake lands on the float the
+        per-group sleeps reach. A boundary with one charge behind it — a
+        named target, a single live target, a group that flushes — yields
+        that charge's ``float``. A group that only stages rows costs no
+        kernel event and no generator.
         """
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
@@ -1362,10 +1373,10 @@ class ShuffleSource(_FlowSource):
             groups = (tuples,)
         else:
             live = self._live
+            if self._router is None or not live:
+                raise self._unroutable()
             if len(live) == 1:
                 groups = (tuples,)
-            elif self._router is None or not live:
-                raise self._unroutable()
             else:
                 count = len(live)
                 route_many = self._route_many
@@ -1381,38 +1392,60 @@ class ShuffleSource(_FlowSource):
                             slot = _route_slot(slot, count)
                         appends[slot](values)
         fill = self._fill
-        for slot, group in enumerate(groups):
-            if group:
-                try:
-                    index = live[slot]
-                except IndexError:
-                    # Only a router's own ``route_many`` gets here.
-                    raise FlowError(
-                        f"route_many filled group {slot}: targets are "
-                        f"[0, {len(live)})") from None
-                try:
-                    if fill is None:
-                        yield from channels[index].push_batch(group)
-                    else:
+        # The CPU charged but not slept yet: the one charge's delay, and
+        # from a second charge on the absolute deadline.
+        delay = when = None
+        try:
+            for slot, group in enumerate(groups):
+                if group:
+                    try:
+                        index = live[slot]
+                    except IndexError:
+                        # Only a router's own ``route_many`` gets here.
+                        raise FlowError(
+                            f"route_many filled group {slot}: targets are "
+                            f"[0, {len(live)})") from None
+                    try:
+                        if fill is None:
+                            yield from channels[index].push_batch(group)
+                            continue
                         channel = channels[index]
-                        yield channel.charge_batch(len(group))
+                        charge = channel.charge_batch(len(group))
+                        if delay is None:
+                            delay = charge
+                        elif when is None:
+                            env = self.node.env
+                            when = env._now + delay + charge
+                        else:
+                            when += charge
                         flush = channel.stage_batch(group, fill)
                         if flush is not NO_FLUSH:
+                            yield (delay if when is None
+                                   else env.sleep_until(when))
+                            delay = when = None
                             yield from flush
-                except (QpFlushedError, FlowTimeoutError) as exc:
-                    if target is not None:
-                        yield from self._fail_named(target, exc)
-                    yield from self._handle_channel_failure(index, exc)
-                    # The live set just shrank, so the remaining groups'
-                    # slots no longer line up — re-partition the failed
-                    # group plus everything not yet pushed over the
-                    # survivors. Tuples the dead target already consumed
-                    # may recur on a survivor: reroute is at-least-once
-                    # across a failure.
-                    remaining = [values for rest in groups[slot:]
-                                 for values in rest]
-                    yield from self.push_batch(remaining)
-                    return
+                    except (QpFlushedError, FlowTimeoutError) as exc:
+                        if target is not None:
+                            yield from self._fail_named(target, exc)
+                        yield from self._handle_channel_failure(index, exc)
+                        # The live set just shrank, so the remaining
+                        # groups' slots no longer line up — re-partition
+                        # the failed group plus everything not yet pushed
+                        # over the survivors. Tuples the dead target
+                        # already consumed may recur on a survivor:
+                        # reroute is at-least-once across a failure.
+                        remaining = [values for rest in groups[slot:]
+                                     for values in rest]
+                        yield from self.push_batch(remaining)
+                        return
+        except FlowError:
+            # A row the schema rejects, or a bad ``route_many`` group,
+            # surfaces behind the CPU the groups before it charged.
+            if delay is not None:
+                yield delay if when is None else env.sleep_until(when)
+            raise
+        if delay is not None:
+            yield delay if when is None else env.sleep_until(when)
 
     def push_bytes(self, data, target: "int | None" = None):
         """Generator: push pre-packed tuple bytes (zero per-tuple packing).

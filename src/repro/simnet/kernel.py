@@ -202,14 +202,16 @@ class WakeEntry(Event):
 
     Its permanent one-element callback list holds the process's
     ``_resume``, so re-arming it builds no event, no list and no bound
-    method. It starts the process; after that the process arms it by
-    yielding a ``float`` delay (the kernel queues it) or by yielding the
-    entry itself, read off ``Process._wake`` by a waker that resumes only
-    that process and queues the entry when it fires (the doorbell's polled
-    wait). An entry is *free* while ``callbacks`` is ``None`` — fresh, or
-    fired — and is armed again only then. A process interrupted or killed
-    while parked leaves its entry behind, waking nobody, and an
-    interrupted one gets a fresh one.
+    method. It starts the process; after that it is queued one of three
+    ways: the process yields a ``float`` delay (the kernel queues it at
+    ``now + delay``); the process calls :meth:`Environment.sleep_until`,
+    which queues it at an absolute instant, and yields it; or the process
+    yields the entry itself, read off ``Process._wake`` by a waker that
+    resumes only that process and queues the entry when it fires (the
+    doorbell's polled wait). An entry is *free* while ``callbacks`` is
+    ``None`` — fresh, or fired — and is armed again only then. A process
+    interrupted or killed while parked leaves its entry behind, waking
+    nobody, and an interrupted one gets a fresh one.
     """
 
     __slots__ = ("_cb",)
@@ -241,8 +243,10 @@ class Process(Event):
     sleep: the kernel queues the process's :class:`WakeEntry` at
     ``now + delay``, drawing the sequence number at the yield, exactly
     where a :class:`Timeout` built and yielded there would draw it.
-    Internal single-waiter wakers hand the process its entry
-    (``_wake``) to yield instead, and queue it themselves.
+    :meth:`Environment.sleep_until` queues the same entry at an absolute
+    instant for the process to yield. Internal single-waiter wakers hand
+    the process its entry (``_wake``) to yield instead, and queue it
+    themselves.
     """
 
     __slots__ = ("_generator", "_waiting_on", "_wake", "name")
@@ -358,19 +362,22 @@ class Process(Event):
                     return
                 target = float(target)   # a subclass, e.g. numpy.float64
             # A wait only this process can end, on its own entry: a sleep,
-            # queued here, or the entry itself, which the waker holding it
-            # queues when it fires.
+            # queued here; the entry itself, which the waker holding it
+            # queues when it fires; or the entry ``sleep_until`` armed and
+            # queued at an absolute instant, the one armed entry a yield
+            # may name.
             wake = self._wake
             if target is not wake and target < 0.0:
                 problem = f"yielded a negative delay: {target!r}"
-            elif wake.callbacks is not None:
+            elif wake.callbacks is not None and target is not wake:
                 problem = "re-armed its wake entry before it fired"
             else:
-                wake.callbacks = wake._cb
-                wake._processed = False
-                wake._scheduled = False
-                if target is not wake:
-                    env._schedule(wake, target)
+                if wake.callbacks is None:
+                    wake.callbacks = wake._cb
+                    wake._processed = False
+                    wake._scheduled = False
+                    if target is not wake:
+                        env._schedule(wake, target)
                 self._waiting_on = wake
                 env._active_process = None
                 return
@@ -467,9 +474,10 @@ class Environment:
       keys are non-decreasing by construction.
 
     A wait only one process can end — a yielded ``float`` delay (CPU
-    charges, back-off sleeps) or a single-waiter waker (the doorbell's
-    polled wait) — is queued as that process's own :class:`WakeEntry`,
-    re-armed in place. :meth:`pooled_timeout`
+    charges, back-off sleeps), a :meth:`sleep_until` deadline (a batch's
+    merged CPU charge) or a single-waiter waker (the doorbell's polled
+    wait) — is queued as that process's own :class:`WakeEntry`, re-armed
+    in place. :meth:`pooled_timeout`
     recycles processed :class:`Timeout` objects for fire-and-forget
     callback timers (NIC completions, congestion-plane timers) whose
     references are dropped once they fire.
@@ -572,6 +580,31 @@ class Environment:
         timer.delay = when - self._now
         timer._scheduled = False
         self._schedule_abs(timer, when)
+
+    def sleep_until(self, when: float) -> WakeEntry:
+        """Queue the running process's own :class:`WakeEntry` at the
+        absolute instant ``when`` and return it; the process yields it at
+        once (``yield env.sleep_until(when)``) and resumes at ``when``
+        exactly — a deadline built as ``now + d1 + d2 + ...`` lands on
+        the float that separate sleeps of ``d1``, ``d2``, ... reach, which
+        the relative ``when - now`` can miss by one ulp. An instant at or
+        before ``now`` resumes on the next step. Builds no event: the cost
+        of a ``float`` yield, queued through :meth:`_schedule_abs`. An
+        entry still queued cannot be armed again: that raises here, in
+        the process, and fails it.
+        """
+        process = self._active_process
+        if process is None:
+            raise SimulationError("sleep_until outside a running process")
+        wake = process._wake
+        if wake.callbacks is not None:
+            raise SimulationError(f"process {process.name!r} re-armed its "
+                                  f"wake entry before it fired")
+        wake.callbacks = wake._cb
+        wake._processed = False
+        wake._scheduled = False
+        self._schedule_abs(wake, when)
+        return wake
 
     def schedule_train(self, actions) -> None:
         """Batch-schedule API: run a train of ``(when, fn, arg)`` actions,

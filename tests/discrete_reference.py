@@ -1,4 +1,5 @@
-"""The discrete per-WQE RC write walk, kept as a test oracle.
+"""The discrete per-WQE RC write walk and the per-group CPU charge of a
+batched push, kept as test oracles.
 
 Under an active fault plane ``QueuePair.post_lone`` and ``post_train``
 take the macro walk: each WQE is admitted against the path state when it
@@ -8,10 +9,17 @@ module keeps the walk that walk replaced, member for member: an arrival
 event, a prefix timer and a completion timer per admitted WQE, each
 re-checking the peer's liveness when it fires.
 
+``ShuffleSource.push_batch`` charges the CPU once per flush boundary:
+the groups that only stage rows add their delays to one absolute
+deadline, slept before the next flush. This module keeps the walk that
+replaced, one sleep per channel group and then its staging
+(:func:`push_batch_per_group`).
+
 ``installed()`` patches ``QueuePair`` so that, while the block runs and a
 fault plane is active, every write takes these discrete events; with no
-active fault plane the product methods run unchanged. It yields a count
-of the WQEs posted through the discrete walk::
+active fault plane the product methods run unchanged. It also sends every
+``push_batch`` through the per-group walk, fault plane or not. It yields a
+count of the WQEs posted through the discrete walk::
 
     with discrete_reference.installed() as posts:
         cluster.run()
@@ -23,7 +31,15 @@ once without it and compare everything observable with ``==``.
 
 from contextlib import contextmanager
 
+from repro.common.errors import (
+    FlowClosedError,
+    FlowError,
+    FlowTimeoutError,
+    QpFlushedError,
+)
 from repro.common.planelog import TRAIN, WQE
+from repro.core.flowdef import NO_FLUSH
+from repro.core.shuffle import ShuffleSource, _route_slot
 from repro.rdma.completion import Opcode, WcStatus, WorkRequest
 from repro.rdma.memory import MemoryRegion
 from repro.rdma.qp import (
@@ -170,16 +186,80 @@ _MEMBERS = {"_post_lone_discrete": _post_lone_discrete,
             "_post_train_sequential": _post_train_sequential}
 
 
+# -- a batched push, one CPU charge per channel group ------------------------
+
+def push_batch_per_group(self, tuples, target=None):
+    """``ShuffleSource.push_batch`` as it charged the CPU per group: each
+    bandwidth group yields its channel's ``charge_batch`` delay, then
+    stages, then drives the flush staging returned."""
+    if self.closed:
+        raise FlowClosedError("push on a closed flow source")
+    if tuples.__class__ is not list and tuples.__class__ is not tuple:
+        tuples = list(tuples)
+    channels = self._channels
+    if target is not None:
+        if not 0 <= target < len(channels) or target in self._failed:
+            raise self._bad_target(target)
+        live = (target,)
+        groups = (tuples,)
+    else:
+        live = self._live
+        if self._router is None or not live:
+            raise self._unroutable()
+        if len(live) == 1:
+            groups = (tuples,)
+        else:
+            count = len(live)
+            route_many = self._route_many
+            if route_many is not None:
+                groups = route_many(tuples, count)
+            else:
+                groups = [[] for _ in range(count)]
+                for values in tuples:
+                    slot = self._router(values, count)
+                    if slot.__class__ is not int or not 0 <= slot < count:
+                        slot = _route_slot(slot, count)
+                    groups[slot].append(values)
+    fill = self._fill
+    for slot, group in enumerate(groups):
+        if group:
+            try:
+                index = live[slot]
+            except IndexError:
+                raise FlowError(
+                    f"route_many filled group {slot}: targets are "
+                    f"[0, {len(live)})") from None
+            try:
+                if fill is None:
+                    yield from channels[index].push_batch(group)
+                else:
+                    channel = channels[index]
+                    yield channel.charge_batch(len(group))
+                    flush = channel.stage_batch(group, fill)
+                    if flush is not NO_FLUSH:
+                        yield from flush
+            except (QpFlushedError, FlowTimeoutError) as exc:
+                if target is not None:
+                    yield from self._fail_named(target, exc)
+                yield from self._handle_channel_failure(index, exc)
+                remaining = [values for rest in groups[slot:]
+                             for values in rest]
+                yield from self.push_batch(remaining)
+                return
+
+
 # -- the entry points' fault branch, as it selected the members ---------------
 
 @contextmanager
 def installed():
     """Send every write posted while the block runs under an active
-    fault plane through the discrete walk; yield ``{"wqes": n}``, the
-    number of WQEs (lone writes plus train entries) it posted."""
+    fault plane through the discrete walk, and every ``push_batch``
+    through the per-group charge; yield ``{"wqes": n}``, the number of
+    WQEs (lone writes plus train entries) the discrete walk posted."""
     counts = {"wqes": 0}
     post_lone = QueuePair.post_lone
     post_train = QueuePair.post_train
+    push_batch = ShuffleSource.push_batch
 
     def discrete_lone(self, wr, size, pieces, region, offset):
         faults = self._faults()
@@ -225,9 +305,11 @@ def installed():
         setattr(QueuePair, name, member)
     QueuePair.post_lone = discrete_lone
     QueuePair.post_train = discrete_train
+    ShuffleSource.push_batch = push_batch_per_group
     try:
         yield counts
     finally:
+        ShuffleSource.push_batch = push_batch
         QueuePair.post_lone = post_lone
         QueuePair.post_train = post_train
         for name in _MEMBERS:

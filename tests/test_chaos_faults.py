@@ -14,7 +14,10 @@ runs once on the product, whose RC writes take the macro walk cut at
 each crash instant, and once on the discrete per-WQE oracle
 (``tests/discrete_reference.py``), whose timers re-check liveness when
 they fire. Both must produce identical outcomes, tuple counts and final
-clock. The ``bit_reproducible`` tests run the product twice.
+clock. The oracle also charges a batched push's CPU once per channel
+group, where the product sleeps once per flush boundary: the batched
+cells run that merged charge under crash, abort and reroute. The
+``bit_reproducible`` tests run the product twice.
 """
 
 import pytest
@@ -37,6 +40,12 @@ from tests import discrete_reference
 
 SCHEMA = Schema(("key", "uint64"), ("value", "uint64"))
 SEEDS = range(5)
+#: Rows per ``push_batch`` call of the batched cells.
+BATCH = 25
+#: Where the batched cells' faults land: a bandwidth shuffle source
+#: pushes its 600 tuples within ~20 µs, before the 50 µs the other
+#: cells' faults start at.
+BATCHED_WINDOW = (2_000.0, 20_000.0)
 FLOW_TYPES = ("shuffle", "replicate", "combiner")
 MODES = (Optimization.BANDWIDTH, Optimization.LATENCY)
 
@@ -76,11 +85,18 @@ def _options(flow_type, optimization, seed, congestion=None):
         congestion=congestion)
 
 
-def _run_chaos(seed, flow_type, optimization, congestion=None):
-    """One chaos run; returns (outcomes, tuple counts, final time)."""
+def _run_chaos(seed, flow_type, optimization, congestion=None, batch=None,
+               ends=None):
+    """One chaos run; returns (outcomes, tuple counts, final time). With
+    ``batch``, each source pushes its tuples ``batch`` at a time through
+    ``push_batch``, and the faults land in :data:`BATCHED_WINDOW`. With
+    ``ends``, the instant each endpoint finished (or was killed) is
+    recorded there."""
+    ends = {} if ends is None else ends
     cluster = Cluster(node_count=5, seed=seed)
-    plan = FaultPlan.random(seed, node_ids=range(5), start=50_000.0,
-                            horizon=800_000.0, entry_count=3,
+    start, end = (50_000.0, 800_000.0) if batch is None else BATCHED_WINDOW
+    plan = FaultPlan.random(seed, node_ids=range(5), start=start,
+                            horizon=end, entry_count=3,
                             protected=(0,))  # node 0: registry master
     cluster.install_faults(plan, detection_timeout=DETECTION)
     dfi = DfiRuntime(cluster)
@@ -114,12 +130,19 @@ def _run_chaos(seed, flow_type, optimization, congestion=None):
     def source_thread(key, index):
         try:
             source = yield from dfi.open_source("chaos", index)
-            for i in range(600):
-                yield from source.push((i, 1))
+            if batch is None:
+                for i in range(600):
+                    yield from source.push((i, 1))
+            else:
+                for first in range(0, 600, batch):
+                    yield from source.push_batch(
+                        [(i, 1) for i in range(first, first + batch)])
             yield from source.close()
             outcomes[key] = "completed"
         except _FLOW_ERRORS as exc:
             outcomes[key] = type(exc).__name__
+        finally:
+            ends[key] = cluster.now
 
     def target_thread(key, index):
         counts[key] = 0
@@ -138,6 +161,8 @@ def _run_chaos(seed, flow_type, optimization, congestion=None):
             outcomes[key] = "completed"
         except _FLOW_ERRORS as exc:
             outcomes[key] = type(exc).__name__
+        finally:
+            ends[key] = cluster.now
 
     procs = {}
     for node_id, index in sources:
@@ -177,19 +202,23 @@ def _first_difference(product, reference):
     return None
 
 
-def _check_cell(seed, flow_type, mode, congestion=None):
+def _check_cell(seed, flow_type, mode, congestion=None, batch=None):
     """One matrix cell, on the product and on the discrete oracle:
     legible outcomes, and the same (outcomes, counts, final time)
-    triple both times."""
-    product = _run_chaos(seed, flow_type, mode, congestion)
+    triple both times, every endpoint ending at the same instant."""
+    product_ends, reference_ends = {}, {}
+    product = _run_chaos(seed, flow_type, mode, congestion, batch,
+                         product_ends)
     assert set(product[0].values()) <= ALLOWED, product[0]
     with discrete_reference.installed() as posts:
-        reference = _run_chaos(seed, flow_type, mode, congestion)
+        reference = _run_chaos(seed, flow_type, mode, congestion, batch,
+                               reference_ends)
     assert posts["wqes"] > 0
     difference = _first_difference(product, reference)
     assert difference is None, (
         f"seed={seed}, flow={flow_type}, mode={mode.value}: the product "
         f"and the discrete reference differ at {difference}")
+    assert product_ends == reference_ends
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
@@ -290,3 +319,36 @@ def test_chaos_congested_cells_actually_throttle():
     marks_or_stalls = stats["ecn_marks"] + stats["pfc_stalls"]
     assert packets > 0
     assert marks_or_stalls > 0, stats
+
+
+# -- batched pushes -----------------------------------------------------------
+# The same cells with every source pushing through ``push_batch``: the
+# product sleeps its merged CPU charge once per flush boundary, the oracle
+# once per channel group, and a crash, an abort or a reroute that
+# surfaces mid-batch must find both at the same instant.
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_chaos_batched_no_hang(seed):
+    _check_cell(seed, "shuffle", Optimization.BANDWIDTH, batch=BATCH)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_chaos_batched_congested_no_hang(seed):
+    _check_cell(seed, "shuffle", Optimization.BANDWIDTH, CHAOS_CONGESTION,
+                batch=BATCH)
+
+
+def test_chaos_batched_cells_crash_abort_and_reroute():
+    """Vacuity guard for the batched cells: across the seeds the faults
+    land while the sources push — a crash kills an endpoint, the abort
+    policy fails a source, and under the reroute policy a survivor takes
+    over the failed target's share (more than 900 of the 1 200 tuples the
+    two sources push; a key share is about 600)."""
+    observed, rerouted = set(), False
+    for seed in SEEDS:
+        outcomes, counts, _now = _run_chaos(
+            seed, "shuffle", Optimization.BANDWIDTH, batch=BATCH)
+        observed |= set(outcomes.values())
+        rerouted |= seed % 2 == 1 and max(counts.values()) > 900
+    assert {"killed", "FlowPeerFailedError"} <= observed, observed
+    assert rerouted

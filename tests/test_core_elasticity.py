@@ -133,6 +133,45 @@ def test_retire_validations():
     assert "only target" in failures[1]
 
 
+def test_direct_routing_flow_scaled_in_to_one_target_still_needs_target():
+    """A flow without a shuffle key or routing function routes only by
+    ``target=``: scaled in to one live target, ``push`` and
+    ``push_batch`` refuse an unnamed tuple alike."""
+    cluster = Cluster(node_count=3)
+    dfi = DfiRuntime(cluster)
+    dfi.init_shuffle_flow("direct", ["node0|0"], ["node1|0", "node2|0"],
+                          SCHEMA, options=OPTIONS)
+    failures = []
+    received = {0: [], 1: []}
+
+    def source_thread():
+        source = yield from dfi.open_source("direct", 0)
+        yield from source.retire_target(1)
+        try:
+            yield from source.push((1, 0))
+        except FlowError as exc:
+            failures.append(str(exc))
+        try:
+            yield from source.push_batch([(2, 0), (3, 0)])
+        except FlowError as exc:
+            failures.append(str(exc))
+        yield from source.push_batch([(4, 0)], target=0)
+        yield from source.close()
+
+    def target_thread(index):
+        target = yield from dfi.open_target("direct", index)
+        while (item := (yield from target.consume())) is not FLOW_END:
+            received[index].append(item)
+
+    cluster.env.process(source_thread())
+    cluster.env.process(target_thread(0))
+    cluster.env.process(target_thread(1))
+    cluster.run()
+    assert len(failures) == 2
+    assert all("pass target= explicitly" in text for text in failures)
+    assert received == {0: [(4, 0)], 1: []}
+
+
 def test_extend_targets_validations():
     cluster = Cluster(node_count=3)
     dfi = DfiRuntime(cluster)

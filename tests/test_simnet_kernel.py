@@ -335,7 +335,7 @@ def test_peek_reports_next_event_time():
 
 _DELAYS = (0, 1e-3, 1, 2047, 2048, 5e5, 1e9, 2 ** 62, float("inf"))
 _KINDS = ("timeout", "pooled_timeout", "schedule_at", "schedule_train",
-          "succeed", "cancel", "sleep", "park")
+          "succeed", "cancel", "sleep", "sleep_until", "park")
 
 
 def _ops(children):
@@ -363,7 +363,8 @@ def _expected_order(programme):
     timer (action 0, at the first delay) and, one sequence number later,
     a wake (action 1, at the last delay) that withdraws the guard if it
     is still pending. A ``sleep`` op starts a process now (action 1),
-    which then sleeps the first delay (action 0). A ``park`` op starts a
+    which then sleeps the first delay (action 0); a ``sleep_until`` op
+    sleeps to the instant that delay after its start. A ``park`` op starts a
     process now (action 1) that parks on its wake entry, and arms a
     timer at the first delay (action 2) that queues the entry the last
     delay later (action 0). A process's exit draws a number too, after
@@ -382,7 +383,7 @@ def _expected_order(programme):
             for action, delay in enumerate((delays[0], delays[-1])):
                 push(op, action, delay)
             return
-        if kind in ("sleep", "park"):
+        if kind in ("sleep", "sleep_until", "park"):
             push(op, 1, 0)
             if kind == "park":
                 push(op, 2, delays[0])
@@ -407,7 +408,7 @@ def _expected_order(programme):
                 schedule(child)
         elif kind == "cancel":
             pending[:] = [e for e in pending if e[3] is not op]
-        elif kind == "sleep":
+        elif kind in ("sleep", "sleep_until"):
             push(op, 0, delays[0])
         elif kind == "park" and action == 2:
             push(op, 0, delays[-1])
@@ -453,6 +454,13 @@ def _kernel_order(env, programme, stepwise):
                 def sleeper():
                     fire(1)
                     yield float(delays[0])
+                    fire()
+
+                env.process(sleeper())
+            elif kind == "sleep_until":
+                def sleeper():
+                    fire(1)
+                    yield env.sleep_until(env.now + delays[0])
                     fire()
 
                 env.process(sleeper())
@@ -600,3 +608,110 @@ def test_float_subclass_delay_sleeps():
     p = env.process(proc())
     env.run()
     assert p.value == 2.5
+
+
+# -- a sleep to an absolute instant ------------------------------------------
+
+@_KERNELS
+def test_sleep_until_wakes_exactly_at_when(make):
+    # ``when - now`` rounds half-even to an even 2**20, and adding it back
+    # rounds the same way: a relative sleep would land one ulp early.
+    now, when = 2.0 ** -33, 2.0 ** 20 + 2.0 ** -32
+    assert now + (when - now) != when
+    env = make()
+
+    def sleeper():
+        yield now
+        yield env.sleep_until(when)
+        return env.now
+
+    proc = env.process(sleeper())
+    env.run()
+    assert proc.value == when
+    # The start, two sleeps and the exit: the entry is the only event
+    # a sleep costs.
+    assert env.events_executed == 4
+
+
+@_KERNELS
+def test_sleep_until_a_past_instant_resumes_on_the_next_step(make):
+    env = make()
+    log = []
+
+    def sleeper():
+        yield 10.0
+        env.event().succeed()   # queued first at this instant
+        yield env.sleep_until(3.0)
+        log.append(("woke", env.now, env.events_executed))
+
+    env.process(sleeper())
+    env.run()
+    # Start, the sleep, the event queued before the entry, then the entry.
+    assert log == [("woke", 10.0, 4)]
+
+
+@_KERNELS
+def test_sleep_until_interrupted_leaves_its_entry_behind(make):
+    env = make()
+    log = []
+
+    def sleeper():
+        try:
+            yield env.sleep_until(1000.0)
+        except Interrupt:
+            log.append(("interrupted", env.now))
+        yield env.sleep_until(15.0)
+        log.append(("slept", env.now))
+
+    def interrupter(victim):
+        yield 10.0
+        victim.interrupt()
+
+    victim = env.process(sleeper())
+    env.process(interrupter(victim))
+    env.run()
+    assert log == [("interrupted", 10.0), ("slept", 15.0)]
+    # The first entry still fires at its instant and wakes nobody.
+    assert env.now == 1000.0 and env.events_executed == 8
+
+
+@_KERNELS
+def test_sleep_until_killed_stays_dead(make):
+    env = make()
+    log = []
+
+    def sleeper():
+        yield env.sleep_until(1000.0)
+        log.append("resumed")
+
+    def killer(victim):
+        yield 10.0
+        victim.kill("crashed")
+
+    victim = env.process(sleeper())
+    env.process(killer(victim))
+    env.run()
+    assert log == [] and victim.value == "crashed"
+    assert env.now == 1000.0   # the entry left behind fired, waking nobody
+
+
+@_KERNELS
+@pytest.mark.parametrize("then", ["sleep_until", "float"])
+def test_re_arming_a_queued_entry_fails_the_process(make, then):
+    env = make()
+
+    def sleeper():
+        env.sleep_until(100.0)   # armed and queued, never yielded
+        yield env.sleep_until(200.0) if then == "sleep_until" else 5.0
+
+    proc = env.process(sleeper())
+    proc.callbacks.append(lambda event: event.defuse())
+    env.run()
+    assert not proc.ok
+    with pytest.raises(SimulationError, match="re-armed its wake entry"):
+        proc.value
+
+
+def test_sleep_until_outside_a_process_raises():
+    with pytest.raises(SimulationError, match="outside"):
+        Environment().sleep_until(1.0)

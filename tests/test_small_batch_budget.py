@@ -5,11 +5,15 @@ four rows at a time (the shape of the ledger's ``mesh_8x8``, one rack of
 it): a segment fills every 32 batches, so what a tuple costs is what
 ``ShuffleSource.push_batch`` spends per *channel-batch* — the router
 pass once per batch, then per channel the two plain calls of the
-channel's contract: ``charge_batch`` (one coalesced CPU charge, the one
-kernel event) and ``stage_batch`` (one pack call, ``NO_FLUSH`` back — no
-generator exists for a batch that only stages rows). One more Python
-frame there is +2.5 % of the whole workload's call count. Wall-clock is
-noise on a shared box; kernel events and Python frames entered under
+channel's contract: ``charge_batch`` (the channel-batch's CPU delay) and
+``stage_batch`` (one pack call, ``NO_FLUSH`` back — no generator exists
+for a batch that only stages rows). A channel-batch costs no kernel
+event: the process sleeps once per flush boundary, its staged groups'
+delays added to one absolute deadline, so a batch whose groups only
+stage rows costs one event, not one per group (4 366 events while every
+group slept on its own). One more Python frame per channel-batch is
++2.5 % of the whole workload's call count. Wall-clock is noise on a
+shared box; kernel events and Python frames entered under
 ``src/repro`` are not. The same budget is held on a racked twin (two
 shards of four nodes), where every event goes through
 ``ShardedEnvironment``'s run loop.
@@ -108,12 +112,12 @@ def _frames_per_tuple(make) -> float:
 
 
 def test_small_batches_cost_exactly_these_kernel_events():
-    assert _events(_flat) == 4366
+    assert _events(_flat) == 938
 
 
 def test_small_batches_cost_the_same_events_on_a_racked_twin():
     """A shard tag moves no event."""
-    assert _events(_racked) == 4366
+    assert _events(_racked) == 938
 
 
 def test_a_tuple_enters_at_most_3_05_frames():
