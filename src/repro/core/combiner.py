@@ -5,9 +5,10 @@ with a declared aggregate function (SUM, COUNT, MIN, MAX) and group-by
 column. The network transport is exactly the shuffle flow's; the
 aggregation happens in the target buffer as segments drain.
 
-The paper points to SHARP-style in-network aggregation as future work; we
-model the end-host variant it evaluates (Fig. 9), where the target's
-in-going link is the natural bottleneck.
+The paper points to SHARP-style in-network aggregation as future work;
+the end-host variant it evaluates (Fig. 9), where the target's in-going
+link is the natural bottleneck, is :meth:`CombinerTarget.open`, and
+``repro.core.sharp`` opens the same target over the switch's ring.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.common.errors import FlowError
-from repro.core.flowdef import FLOW_END, AggregationSpec, FlowType
+from repro.core.flowdef import FLOW_END, FlowDescriptor, FlowType
 from repro.core.registry import FlowRegistry
+from repro.core.schema import Schema
 from repro.core.shuffle import ShuffleSource, ShuffleTarget
 
 
@@ -77,45 +79,55 @@ def _row_fold(op: str, aggregates: dict) -> Callable:
     return fold
 
 
+def _combiner_descriptor(registry: FlowRegistry,
+                         name: str) -> FlowDescriptor:
+    """The descriptor of combiner flow ``name`` (raises on another type)."""
+    descriptor = registry.descriptor(name)
+    if descriptor.flow_type is not FlowType.COMBINER:
+        raise FlowError(f"flow {name!r} is not a combiner flow")
+    return descriptor
+
+
 class CombinerSource(ShuffleSource):
     """Source endpoint of a combiner flow (an N:1 shuffle source)."""
 
     @classmethod
     def open(cls, registry: FlowRegistry, name: str, source_index: int):
-        descriptor = registry.descriptor(name)
-        if descriptor.flow_type is not FlowType.COMBINER:
-            raise FlowError(f"flow {name!r} is not a combiner flow")
+        _combiner_descriptor(registry, name)
         endpoint = yield from super().open(registry, name, source_index)
         return endpoint
 
 
 class CombinerTarget:
-    """Target endpoint of a combiner flow: consumes segments and folds
-    them into a group-by aggregate table."""
+    """Target endpoint of a combiner flow: consumes segments through its
+    inner endpoint and folds their rows into a group-by aggregate table.
 
-    def __init__(self, registry: FlowRegistry, name: str) -> None:
-        descriptor = registry.descriptor(name)
-        if descriptor.flow_type is not FlowType.COMBINER:
-            raise FlowError(f"flow {name!r} is not a combiner flow")
-        spec: AggregationSpec = descriptor.aggregation
-        schema = descriptor.schema
+    The opener says what the rows are: the inner endpoint, the row
+    ``schema``, its group and value columns, and the fold ``op``. The
+    end-host combiner reads the source tuples of a one-target shuffle;
+    the SHARP target (:class:`~repro.core.sharp.SharpCombinerTarget`)
+    reads the switch's ``(group, value)`` partials."""
+
+    def __init__(self, descriptor: FlowDescriptor, inner: ShuffleTarget,
+                 schema: Schema, group_index: int, value_index: int,
+                 op: str) -> None:
         self.descriptor = descriptor
-        self._inner = ShuffleTarget.open(registry, name, 0)
-        self.node = self._inner.node
-        self._group_index = schema.field_index(spec.group_by)
-        self._value_index = schema.field_index(spec.value)
-        self._fold = _aggregator(spec.op)
-        self._op = spec.op
+        self._inner = inner
+        self.node = inner.node
+        self._group_index = group_index
+        self._value_index = value_index
+        self._fold = _aggregator(op)
+        self._op = op
         self._aggregates: dict = {}
         self._tuple_size = schema.tuple_size
         #: The fold is columnar: segments drain as packed byte chunks
         #: and only the group/value columns are decoded, through a
         #: selective pad-byte struct — the other fields are never
         #: materialized.
-        columns = ((self._group_index,) if spec.op == "count"
-                   else (self._group_index, self._value_index))
-        self._decode = schema.column_decoder(*columns)
-        self._fold_rows = _row_fold(spec.op, self._aggregates)
+        self._decode = schema.column_decoder(
+            *((group_index,) if op == "count"
+              else (group_index, value_index)))
+        self._fold_rows = _row_fold(op, self._aggregates)
         self.tuples_aggregated = 0
         #: Observability registry of the target node (``None`` when off).
         self._metrics = self.node.metrics
@@ -123,7 +135,12 @@ class CombinerTarget:
     @classmethod
     def open(cls, registry: FlowRegistry, name: str) -> "CombinerTarget":
         """Open the (single) target endpoint of combiner flow ``name``."""
-        return cls(registry, name)
+        descriptor = _combiner_descriptor(registry, name)
+        spec = descriptor.aggregation
+        schema = descriptor.schema
+        return cls(descriptor, ShuffleTarget.open(registry, name, 0), schema,
+                   schema.field_index(spec.group_by),
+                   schema.field_index(spec.value), spec.op)
 
     @property
     def aggregates(self) -> dict:

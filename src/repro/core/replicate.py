@@ -38,7 +38,6 @@ from repro.common.errors import (
 )
 from repro.core.flowdef import (
     FLOW_END,
-    MULTICAST_PAYLOAD_LIMIT,
     NO_FLUSH,
     FlowDescriptor,
     FlowType,
@@ -61,7 +60,7 @@ from repro.core.shuffle import (
     ShuffleTarget,
     _Doorbell,
     _FlowSource,
-    _raise_peer_failure,
+    _judge_silence,
     _source_channel,
     _source_counters,
     segment_payload_size,
@@ -148,18 +147,6 @@ class TupleSequencer:
                                      1, signaled=False)
         seq = yield wr.done
         return seq
-
-
-def _replicate_payload_size(descriptor: FlowDescriptor) -> int:
-    """Segment payload for a replicate flow: a shuffle flow's, capped to
-    one UD datagram when multicast."""
-    if not descriptor.options.multicast:
-        return segment_payload_size(descriptor)
-    if descriptor.schema.tuple_size > MULTICAST_PAYLOAD_LIMIT:
-        raise FlowError(
-            f"tuple size {descriptor.schema.tuple_size} exceeds the UD "
-            f"multicast payload limit ({MULTICAST_PAYLOAD_LIMIT} B)")
-    return min(segment_payload_size(descriptor), MULTICAST_PAYLOAD_LIMIT)
 
 
 def _check_replicate(descriptor: FlowDescriptor, index: int,
@@ -255,7 +242,7 @@ class NaiveReplicateSource(_StagedSource):
         self._ring_segments = (options.target_segments if latency
                                else options.source_segments)
         super().__init__(registry, descriptor, source_index, sequencer,
-                         _replicate_payload_size(descriptor),
+                         segment_payload_size(descriptor),
                          self._ring_segments + 1)
         self._channels = channels
         # Batched full segments leave as doorbell trains: whole slots go
@@ -507,7 +494,7 @@ class MulticastReplicateSource(_StagedSource):
                  source_index: int, control_region, ud_qp,
                  sequencer: "TupleSequencer | None") -> None:
         super().__init__(registry, descriptor, source_index, sequencer,
-                         _replicate_payload_size(descriptor))
+                         segment_payload_size(descriptor))
         self._ud_qp = ud_qp
         self._group = registry.multicast_group(descriptor.name)
         options = descriptor.options
@@ -710,7 +697,7 @@ class MulticastReplicateTarget:
         node = registry.cluster.node(
             descriptor.targets[target_index].node_id)
         nic = get_nic(node)
-        payload = _replicate_payload_size(descriptor)
+        payload = segment_payload_size(descriptor)
         slot_size = payload + FOOTER_SIZE
         segments = descriptor.options.target_segments
         ring_region = nic.register_memory(segments * slot_size)
@@ -900,20 +887,11 @@ class MulticastReplicateTarget:
                 if self._progress_mark() != before:
                     deadline = self.env.now + self._peer_timeout
                 elif self.env.now >= deadline:
-                    from repro.simnet.congestion import stall_is_congestion
-                    if stall_is_congestion(self.node):
-                        # Silence explained by inbound throttling: grant
-                        # a fresh window instead of misreporting
-                        # congestion as failure. Throttle state
-                        # self-clears, so the grace cannot loop forever.
-                        if self._obs is not None:
-                            self._obs.inc("core.congestion_grace")
-                        deadline = self.env.now + self._peer_timeout
-                    else:
-                        _raise_peer_failure(
-                            self, list(range(self.descriptor.source_count)),
-                            f"no multicast progress within "
-                            f"{self._peer_timeout} ns")
+                    _judge_silence(
+                        self, list(range(self.descriptor.source_count)),
+                        f"no multicast progress within "
+                        f"{self._peer_timeout} ns")
+                    deadline = self.env.now + self._peer_timeout
             elif not self._gap_deadlines:
                 # Only a datagram can end this wait: resume one poll cost
                 # after it commits.

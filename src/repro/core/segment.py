@@ -82,29 +82,9 @@ class Footer(NamedTuple):
         return self.flags >> _SOURCE_SHIFT
 
 
-#: Memoized footers for seq-0 encodings. The hot repeats are the segment
-#: release in ``TargetChannel.poll`` (``pack_footer(0, 0, 0)`` once per
-#: consumed segment) and close/abort markers; footers with a live sequence
-#: number are packed via :func:`pack_footer_into` straight into the staging
-#: buffer instead.
-_FOOTER_CACHE: dict[tuple[int, int, int], bytes] = {}
-_FOOTER_CACHE_CAP = 1024
-
-
 def pack_footer(used: int, flags: int, seq: int = 0,
                 source_index: int = 0) -> bytes:
     """Encode a footer to its 16-byte wire form."""
-    if seq == 0:
-        key = (used, flags, source_index)
-        footer = _FOOTER_CACHE.get(key)
-        if footer is None:
-            footer = FOOTER_STRUCT.pack(used,
-                                        (flags & _FLAG_MASK)
-                                        | (source_index << _SOURCE_SHIFT),
-                                        0)
-            if len(_FOOTER_CACHE) < _FOOTER_CACHE_CAP:
-                _FOOTER_CACHE[key] = footer
-        return footer
     return FOOTER_STRUCT.pack(used,
                               (flags & _FLAG_MASK)
                               | (source_index << _SOURCE_SHIFT),
@@ -185,15 +165,6 @@ class SegmentRing:
                      seq: int = 0) -> None:
         self.region.write(self.footer_offset(index),
                           pack_footer(used, flags, seq))
-
-    def payload_view(self, index: int, length: int):
-        """Zero-copy view of the first ``length`` payload bytes of a
-        segment."""
-        if length > self.segment_size:
-            raise FlowError(
-                f"payload length {length} exceeds segment size "
-                f"{self.segment_size}")
-        return self.region.view(self.payload_offset(index), length)
 
     def next_index(self, index: int) -> int:
         """Ring successor of ``index``."""

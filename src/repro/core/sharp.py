@@ -12,8 +12,9 @@ switch:
 * the switch folds every incoming segment into a running group-by table
   in hardware (no CPU is charged — SHARP is an ASIC feature) and
   periodically emits compact *partial-aggregate* segments to the target;
-* the target folds the partials exactly like an end-host combiner folds
-  raw tuples: SUM/COUNT partials add, MIN/MAX partials re-minimize.
+* the target is an end-host combiner target reading the switch's one
+  ring instead of a ring per source, folding partials instead of raw
+  tuples: SUM/COUNT partials add, MIN/MAX partials re-minimize.
 
 ``benchmarks/test_ablation_sharp.py`` shows the headline effect:
 aggregated sender bandwidth beyond the single-link limit of the paper's
@@ -23,8 +24,8 @@ Fig. 9.
 from __future__ import annotations
 
 from repro.common.errors import FlowError
-from repro.core.combiner import _row_fold
-from repro.core.flowdef import FlowDescriptor, FlowType
+from repro.core.combiner import CombinerTarget, _combiner_descriptor, _row_fold
+from repro.core.flowdef import FlowDescriptor
 from repro.core.registry import FlowRegistry
 from repro.core.replicate import _StagedSource
 from repro.core.schema import Schema
@@ -35,7 +36,11 @@ from repro.core.segment import (
     SegmentRing,
     pack_footer,
 )
-from repro.core.shuffle import _Doorbell, segment_payload_size
+from repro.core.shuffle import (
+    ShuffleTarget,
+    TargetChannel,
+    segment_payload_size,
+)
 from repro.rdma.nic import get_nic
 
 #: The switch emits a partial-aggregate segment after folding this many
@@ -46,8 +51,8 @@ EMIT_INTERVAL_SEGMENTS = 8
 class SwitchAggregator:
     """The switch-resident reduction engine of one combiner flow."""
 
-    def __init__(self, registry: FlowRegistry,
-                 descriptor: FlowDescriptor, ring: SegmentRing) -> None:
+    def __init__(self, registry: FlowRegistry, descriptor: FlowDescriptor,
+                 ring: SegmentRing, partial_schema: Schema) -> None:
         spec = descriptor.aggregation
         schema = descriptor.schema
         self.registry = registry
@@ -58,11 +63,7 @@ class SwitchAggregator:
             descriptor.targets[0].node_id)
         self._ring = ring
         self._write_index = 0
-        self._schema = schema
-        #: Partials travel as (group, value) pairs.
-        self._partial_schema = Schema(
-            ("group", schema.fields[schema.field_index(spec.group_by)].dtype),
-            ("value", schema.fields[schema.field_index(spec.value)].dtype))
+        self._partial_schema = partial_schema
         group = schema.field_index(spec.group_by)
         #: A segment's rows, decoded to the columns the fold reads — the
         #: end-host combiner's fold (``CombinerTarget``) on the switch.
@@ -73,7 +74,9 @@ class SwitchAggregator:
         self._fold_rows = _row_fold(spec.op, self._table)
         self._segments_folded = 0
         self._since_emit = 0
-        self._closed_sources = 0
+        #: Sources whose close marker has not been folded yet — the
+        #: sources a silent target ring still waits on.
+        self.open_sources = set(range(descriptor.source_count))
         self._finished = False
         #: Statistics: bytes entering the switch vs. leaving it.
         self.bytes_in = 0
@@ -83,7 +86,7 @@ class SwitchAggregator:
         self.overflow_drops = 0
 
     # -- source-facing side -------------------------------------------------
-    def on_segment(self, rows: list[tuple], closed: bool,
+    def on_segment(self, rows: list[tuple], source_index: int, closed: bool,
                    wire_bytes: int) -> None:
         """Fold one arrived segment's rows, as :attr:`decode` returns them
         (called at its switch-arrival time)."""
@@ -94,9 +97,8 @@ class SwitchAggregator:
         self._segments_folded += 1
         self._since_emit += 1
         if closed:
-            self._closed_sources += 1
-        all_closed = self._closed_sources == self.descriptor.source_count
-        if all_closed:
+            self.open_sources.discard(source_index)
+        if not self.open_sources:
             self._finished = True
             self._emit(FLAG_CLOSED)
         elif self._since_emit >= EMIT_INTERVAL_SEGMENTS:
@@ -142,10 +144,6 @@ class SwitchAggregator:
                 pack_footer(len(payload), flags, 0))
 
         arrival.callbacks.append(commit)
-
-    @property
-    def partial_schema(self) -> Schema:
-        return self._partial_schema
 
 
 class SharpCombinerSource(_StagedSource):
@@ -200,84 +198,54 @@ class SharpCombinerSource(_StagedSource):
 
         def on_arrival(_event, rows=rows, closed=closed,
                        wire_bytes=wire_bytes):
-            aggregator.on_segment(rows, closed, wire_bytes)
+            aggregator.on_segment(rows, self.source_index, closed,
+                                  wire_bytes)
 
         arrival.callbacks.append(on_arrival)
         self.segments_sent += 1
 
 
-class SharpCombinerTarget:
-    """Target endpoint: consumes partial aggregates emitted by the
-    switch and folds them into the final table."""
-
-    def __init__(self, registry: FlowRegistry, descriptor: FlowDescriptor,
-                 ring: SegmentRing, aggregator: SwitchAggregator) -> None:
-        self.registry = registry
-        self.descriptor = descriptor
-        self.node = registry.cluster.node(
-            descriptor.targets[0].node_id)
-        self._ring = ring
-        self._aggregator = aggregator
-        self._partial_schema = aggregator.partial_schema
-        self._index = 0
-        self._done = False
-        self._aggregates: dict = {}
-        # Folding *partials* differs from folding tuples: COUNT partials
-        # are summed (each already carries a count), SUM partials are
-        # summed, MIN/MAX partials are re-minimized/maximized.
-        op = descriptor.aggregation.op
-        self._fold_rows = _row_fold("sum" if op in ("sum", "count") else op,
-                                    self._aggregates)
-        self._doorbell = _Doorbell(self.node, (ring.region,))
-        self.partial_segments = 0
+class SharpCombinerTarget(CombinerTarget):
+    """Target endpoint: a combiner target whose inner endpoint is a
+    one-channel shuffle target over the ring the switch writes partial
+    aggregates into. Folding partials differs from folding tuples only in
+    the op: COUNT partials carry counts and add like SUM partials,
+    MIN/MAX partials re-minimize/maximize."""
 
     @classmethod
     def open(cls, registry: FlowRegistry, name: str):
         """Open the target: allocates the ring, installs the switch
         aggregator, and publishes it for the sources."""
-        descriptor = registry.descriptor(name)
-        if descriptor.flow_type is not FlowType.COMBINER:
-            raise FlowError(f"flow {name!r} is not a combiner flow")
+        descriptor = _combiner_descriptor(registry, name)
         if not descriptor.options.in_network_aggregation:
             raise FlowError(
                 f"flow {name!r} does not enable in-network aggregation")
+        spec = descriptor.aggregation
+        schema = descriptor.schema
+        # Partials travel as (group, value) pairs.
+        partial = Schema(
+            ("group", schema.fields[schema.field_index(spec.group_by)].dtype),
+            ("value", schema.fields[schema.field_index(spec.value)].dtype))
         node = registry.cluster.node(descriptor.targets[0].node_id)
-        ring = SegmentRing.allocate(get_nic(node),
-                                    descriptor.options.target_segments,
-                                    segment_payload_size(descriptor))
-        aggregator = SwitchAggregator(registry, descriptor, ring)
+        # A segment holds at least one pair, which a latency flow's
+        # one-tuple segment may not.
+        ring = SegmentRing.allocate(
+            get_nic(node), descriptor.options.target_segments,
+            max(segment_payload_size(descriptor), partial.tuple_size))
+        aggregator = SwitchAggregator(registry, descriptor, ring, partial)
+        channel = TargetChannel(node, descriptor, ring, None, 0, partial,
+                                aggregator.open_sources)
         registry.publish_backchannel(name, 0, 0, aggregator)
-        return cls(registry, descriptor, ring, aggregator)
+        target = cls(descriptor,
+                     ShuffleTarget(registry, descriptor, 0, [channel]),
+                     partial, 0, 1, "sum" if spec.op == "count" else spec.op)
+        target._aggregator = aggregator
+        return target
 
     @property
-    def aggregates(self) -> dict:
-        return self._aggregates
-
-    def consume_all(self):
-        """Generator: drain the flow and return the final aggregates."""
-        while not self._done:
-            if not self._drain():
-                # Resumes one poll cost after the next write into the ring.
-                yield self._doorbell.arm(poll=True)
-        return self._aggregates
-
-    def _drain(self) -> bool:
-        progressed = False
-        while True:
-            footer = self._ring.read_footer(self._index)
-            if not footer.consumable:
-                return progressed
-            progressed = True
-            if footer.used:
-                self._fold_rows(self._partial_schema.unpack_rows(
-                    self._ring.payload_view(self._index, footer.used)))
-            self.partial_segments += 1
-            if footer.closed:
-                self._done = True
-            offset = self._ring.footer_offset(self._index)
-            self._ring.region.mem[offset:offset + FOOTER_SIZE] = (
-                pack_footer(0, 0, 0))
-            self._index = self._ring.next_index(self._index)
+    def partial_segments(self) -> int:
+        """Partial-aggregate segments consumed from the switch's ring."""
+        return self._inner._channels[0]._consumed
 
     @property
     def switch_stats(self) -> dict:

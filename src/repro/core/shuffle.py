@@ -37,6 +37,7 @@ from repro.common.errors import (
 )
 from repro.core.flowdef import (
     FLOW_END,
+    MULTICAST_PAYLOAD_LIMIT,
     NO_FLUSH,
     FlowDescriptor,
     FlowType,
@@ -114,11 +115,15 @@ def _route_slot(slot, count: int) -> int:
 
 
 def segment_payload_size(descriptor: FlowDescriptor) -> int:
-    """Per-segment payload bytes for a flow: the configured segment size in
-    bandwidth mode, exactly one tuple in latency mode."""
+    """Per-segment payload bytes for a flow: exactly one tuple in latency
+    mode, else the configured segment size — capped to one UD datagram on
+    a multicast replicate flow."""
     if descriptor.optimization is Optimization.LATENCY:
         return descriptor.latency_segment_size()
     size = descriptor.options.segment_size
+    if (descriptor.options.multicast
+            and descriptor.flow_type is FlowType.REPLICATE):
+        size = min(size, MULTICAST_PAYLOAD_LIMIT)
     if size < descriptor.schema.tuple_size:
         raise FlowError(
             f"segment size {size} smaller than one tuple "
@@ -866,16 +871,26 @@ def _source_channel(node: "Node", descriptor: FlowDescriptor,
 
 
 class TargetChannel:
-    """Target half of one channel: a receive ring drained in ring order."""
+    """Target half of one channel: a receive ring drained in ring order.
+
+    ``schema`` is the row layout the ring carries (the flow's unless
+    given), ``sources`` the sources the ring waits on until its close
+    marker: source ``i`` on an end-host ring (whose credit counter sits
+    at ``8 * i``); on the SHARP switch ring, the live set of sources whose
+    close marker the switch has not folded. The switch reads no credits,
+    so its ring has no ``credit_region``."""
 
     def __init__(self, node: "Node", descriptor: FlowDescriptor,
-                 ring: SegmentRing, credit_region, credit_offset: int) -> None:
+                 ring: SegmentRing, credit_region, credit_offset: int,
+                 schema=None, sources=None) -> None:
         self.node = node
-        self.schema = descriptor.schema
+        self.schema = descriptor.schema if schema is None else schema
+        self.sources = (credit_offset // 8,) if sources is None else sources
         self.ring = ring
         self._credit_region = credit_region
         self._credit_offset = credit_offset
-        self._track_credits = (descriptor.optimization
+        self._track_credits = (credit_region is not None
+                               and descriptor.optimization
                                is Optimization.LATENCY)
         self._footer_offsets = tuple(ring.footer_offset(index)
                                      for index in range(ring.segment_count))
@@ -883,9 +898,10 @@ class TargetChannel:
         # view at ``footer offset - segment size`` and the credit counter
         # is packed in place, both without a range check per segment.
         self._segment_size = ring.segment_size
-        self._tuple_size = descriptor.schema.tuple_size
+        self._tuple_size = self.schema.tuple_size
         self._view = ring.region.view(0, ring.total_bytes)
-        credit_region.check_range(credit_offset, 8)
+        if credit_region is not None:
+            credit_region.check_range(credit_offset, 8)
         self._index = 0
         self._consumed = 0
         #: The endpoint whose ``_open`` count this channel is part of
@@ -896,7 +912,8 @@ class TargetChannel:
         self.tuples_received = 0
         # One ``_obs.log`` record per drain pass; the per-segment
         # latency join, trace events and histograms are derived from it.
-        self._tid = f"t<-s{credit_offset // 8}"
+        self._tid = (f"t<-s{credit_offset // 8}" if credit_region is not None
+                     else "t<-switch")
         self._flow = descriptor.name
         self._obs = endpoint_obs(node, self._flow, descriptor.options,
                                  self)
@@ -1583,13 +1600,21 @@ class ShuffleSource(_FlowSource):
         return sum(channel.memory_bytes for channel in self._channels)
 
 
-def _raise_peer_failure(target, pending: list, silence: str):
-    """A ``target`` endpoint saw no progress within its ``peer_timeout``:
-    raise :class:`FlowPeerFailedError` naming the ``pending`` sources the
-    fault plane knows dead, else :class:`FlowTimeoutError` (``silence``:
-    what did not happen) — the peer may merely be slow."""
-    faults = target.node.cluster.faults
+def _judge_silence(target, pending: list, silence: str) -> None:
+    """The one verdict on a ``target`` endpoint that saw no progress
+    within its ``peer_timeout``. Active throttling on an inbound path
+    explains the silence: count ``core.congestion_grace`` and return, the
+    caller re-arms its deadline (throttle state self-clears, so the grace
+    cannot loop forever). Otherwise raise :class:`FlowPeerFailedError`
+    naming the ``pending`` sources the fault plane knows dead, else
+    :class:`FlowTimeoutError` (``silence``: what did not happen) — the
+    peer may merely be slow."""
     obs = target._obs
+    if stall_is_congestion(target.node):
+        if obs is not None:
+            obs.inc("core.congestion_grace")
+        return
+    faults = target.node.cluster.faults
     if faults is not None and faults.active:
         nodes = target.registry.cluster.node
         dead = [index for index in pending if faults.peer_failed(
@@ -1664,21 +1689,14 @@ class ShuffleTarget:
             yield self._env.any_of([wait_event, timer])
             if wait_event.triggered:
                 break
-            if stall_is_congestion(self.node):
-                # The silence is explained by active throttling on an
-                # inbound path — congestion, not peer death. Re-arm the
-                # deadline instead of misfiring; throttle state
-                # self-clears, so the grace loop cannot spin forever.
-                obs = self._obs
-                if obs is not None:
-                    obs.inc("core.congestion_grace")
-                continue
             doorbell.disarm()
-            pending = [index for index, channel in enumerate(self._channels)
-                       if not channel.done]
-            _raise_peer_failure(
+            pending = sorted({source for channel in self._channels
+                              if not channel.done
+                              for source in channel.sources})
+            _judge_silence(
                 self, pending, f"no segment arrived within "
-                f"{self._peer_timeout:.0f} ns; channels {pending} still open")
+                f"{self._peer_timeout:.0f} ns; sources {pending} still open")
+            wait_event = doorbell.arm()
         yield self.node.compute(self.node.cluster.profile.cpu_poll_cost)
 
     @classmethod

@@ -339,7 +339,12 @@ def test_credit_trace_identical_across_placements():
 # -- one torn-row rule ------------------------------------------------------
 
 _TORN_CASES = [("shuffle", "consume"), ("shuffle", "consume_batch"),
-               ("shuffle", "consume_bytes"), ("replicate-ordered", "consume")]
+               ("shuffle", "consume_bytes"), ("replicate-ordered", "consume"),
+               ("sharp", "consume_all")]
+
+#: A SHARP source tuple (24 B) is wider than the switch's partial
+#: ``(group, value)`` pair (16 B): the switch ring checks pairs.
+_WIDE = Schema(("key", "uint64"), ("value", "uint64"), ("pad", "uint64"))
 
 
 @pytest.mark.parametrize("kind, mode", _TORN_CASES)
@@ -352,15 +357,22 @@ def test_torn_row_raises_one_flow_error(kind, mode):
     if kind == "shuffle":
         dfi.init_shuffle_flow("f", ["node1|0"], ["node0|0"], SCHEMA,
                               shuffle_key="key")
+    elif kind == "sharp":
+        dfi.init_combiner_flow(
+            "f", ["node1|0"], "node0|0", _WIDE,
+            aggregation=AggregationSpec("sum", "key", "value"),
+            options=FlowOptions(in_network_aggregation=True))
     else:
         dfi.init_replicate_flow("f", ["node1|0"], ["node0|0"], SCHEMA,
                                 ordering=Ordering.GLOBAL)
-    torn = 2 * SCHEMA.tuple_size + 3
+    row = SCHEMA.tuple_size  # 16 B: a shuffle row, or a SHARP pair
+    torn = 2 * row + 3
     caught = {}
 
     def target_thread():
         target = yield from dfi.open_target("f", 0)
-        ring = target._channels[0].ring
+        inner = target._inner if kind == "sharp" else target
+        ring = inner._channels[0].ring
         ring.region.write(ring.payload_offset(0), bytes(torn))
         ring.write_footer(0, torn, FLAG_CONSUMABLE)
         try:
@@ -375,7 +387,7 @@ def test_torn_row_raises_one_flow_error(kind, mode):
     assert type(error) is FlowError
     assert str(error) == (
         f"segment 0 holds {torn} bytes: not a whole number of "
-        f"{SCHEMA.tuple_size}-byte rows within {caught['segment_size']}")
+        f"{row}-byte rows within {caught['segment_size']}")
 
 
 # -- abort interaction ----------------------------------------------------

@@ -28,6 +28,7 @@ from repro.core import (
     Ordering,
     Schema,
 )
+from repro.core.flowdef import MULTICAST_PAYLOAD_LIMIT
 from repro.core.segment import FOOTER_SIZE, unpack_footer
 from repro.rdma.memory import MemoryRegion
 from repro.rdma.nic import get_nic
@@ -501,7 +502,8 @@ def test_multicast_tuple_over_ud_mtu_rejected_at_flow_creation():
 
 
 def test_multicast_tuple_over_ud_mtu_rejected_at_open():
-    """A descriptor assembled past ``__post_init__`` still cannot open."""
+    """A descriptor assembled past ``__post_init__`` still cannot open:
+    its segment, capped to one UD datagram, holds no tuple."""
     cluster = Cluster(node_count=2)
     dfi = DfiRuntime(cluster)
     descriptor = dfi.init_replicate_flow(
@@ -513,7 +515,9 @@ def test_multicast_tuple_over_ud_mtu_rejected_at_open():
         yield from dfi.open_target("big", 0)
 
     cluster.env.process(opener())
-    with pytest.raises(FlowError, match="UD multicast payload limit"):
+    with pytest.raises(FlowError, match=(
+            rf"segment size {MULTICAST_PAYLOAD_LIMIT} smaller than one "
+            rf"tuple \({_OVERSIZED.tuple_size} B\)")):
         cluster.run()
 
 

@@ -90,7 +90,7 @@ def test_ring_bounds(nic):
     with pytest.raises(FlowError):
         ring.payload_offset(3)
     with pytest.raises(FlowError):
-        ring.payload_view(0, 65)
+        ring.footer_offset(-1)
 
 
 def test_ring_too_few_segments(nic):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.common.config import DEFAULT_HARDWARE
-from repro.common.errors import FlowError
+from repro.common.errors import FlowError, FlowPeerFailedError
 from repro.common.units import gbps_to_bytes_per_ns
 from repro.core import (
     AggregationSpec,
@@ -14,7 +14,8 @@ from repro.core import (
     Optimization,
     Schema,
 )
-from repro.simnet import Cluster
+from repro.obs import export_chrome_trace
+from repro.simnet import Cluster, FaultPlan, node_crash
 
 SCHEMA = Schema(("group", "uint64"), ("value", "int64"))
 LINK = gbps_to_bytes_per_ns(100.0)
@@ -22,8 +23,10 @@ LINK = gbps_to_bytes_per_ns(100.0)
 
 def run_sharp(op, rows_per_source, sources=3, node_count=4,
               options_extra=None, optimization=Optimization.BANDWIDTH,
-              batched=False, profile=DEFAULT_HARDWARE):
+              batched=False, profile=DEFAULT_HARDWARE, observe=False):
     cluster = Cluster(node_count=node_count, profile=profile)
+    if observe:
+        cluster.enable_observability(trace=True, causal=True)
     dfi = DfiRuntime(cluster)
     dfi.init_combiner_flow(
         "sharp", sources=[f"node{i + 1}|0" for i in range(sources)],
@@ -172,3 +175,101 @@ def test_sharp_deterministic():
     second = run_sharp("sum", lambda i: [(g % 8, g) for g in range(500)])
     assert first[0] == second[0]
     assert first[2].now == second[2].now
+
+
+def test_sharp_latency_ring_holds_a_partial_wider_than_a_tuple():
+    """A latency segment holds one source tuple (8 B here), a partial
+    ``(group, count)`` pair is 16 B: the switch ring's segments are sized
+    for the pair, and the table equals the end-host combiner's."""
+    schema = Schema(("k", "uint64"))
+    tables = []
+    for in_network in (False, True):
+        cluster = Cluster(node_count=3)
+        dfi = DfiRuntime(cluster)
+        dfi.init_combiner_flow(
+            "narrow", sources=["node1|0", "node2|0"], target="node0|0",
+            schema=schema, aggregation=AggregationSpec("count", "k", "k"),
+            optimization=Optimization.LATENCY,
+            options=FlowOptions(in_network_aggregation=in_network))
+        table = {}
+
+        def source_thread(index):
+            source = yield from dfi.open_source("narrow", index)
+            for row in range(40):
+                yield from source.push(((row + index) % 3,))
+            yield from source.close()
+
+        def target_thread():
+            target = yield from dfi.open_target("narrow")
+            table.update((yield from target.consume_all()))
+
+        for index in range(2):
+            cluster.env.process(source_thread(index))
+        cluster.env.process(target_thread())
+        cluster.run()
+        tables.append(table)
+    assert tables[0] == tables[1] == {0: 27, 1: 27, 2: 26}
+
+
+def test_sharp_target_names_the_crashed_source():
+    """The switch ring stands for every source whose close marker the
+    switch has not folded: with ``peer_timeout`` set, a SHARP target
+    whose source 2 died raises ``FlowPeerFailedError`` naming source 2
+    (not ring 0) instead of waiting forever."""
+    cluster = Cluster(node_count=4)
+    cluster.install_faults(FaultPlan([node_crash(3, at=20_000.0)]))
+    dfi = DfiRuntime(cluster)
+    dfi.init_combiner_flow(
+        "crashy", sources=[f"node{i + 1}|0" for i in range(3)],
+        target="node0|0", schema=SCHEMA,
+        aggregation=AggregationSpec("sum", "group", "value"),
+        options=FlowOptions(in_network_aggregation=True,
+                            peer_timeout=50_000.0))
+    outcome = {"closed": []}
+
+    def source_thread(index):
+        source = yield from dfi.open_source("crashy", index)
+        for row in range(20_000):
+            yield from source.push((row % 8, 1))
+        yield from source.close()
+        outcome["closed"].append(cluster.now)
+
+    def target_thread():
+        target = yield from dfi.open_target("crashy")
+        try:
+            yield from target.consume_all()
+        except FlowPeerFailedError as exc:
+            outcome["error"] = exc
+            outcome["at"] = cluster.now
+
+    for index in range(3):
+        cluster.node(index + 1).spawn(source_thread(index))
+    cluster.env.process(target_thread())
+    cluster.run()
+    assert str(outcome["error"]) == (
+        "flow 'crashy': source(s) [2] failed before closing")
+    # The survivors closed; the ring then stays silent one peer_timeout.
+    assert len(outcome["closed"]) == 2
+    assert max(outcome["closed"]) < outcome["at"]
+    assert outcome["at"] <= max(outcome["closed"]) + 2 * 50_000.0
+
+
+def test_sharp_observability_is_neutral(tmp_path):
+    """The switch ring is read like every RC ring, so the plane sees it:
+    tracing and causal recording change no aggregate, no finish time and
+    no segment count, ``core.segments_consumed`` counts the partials and
+    the trace exports."""
+    def rows(index):
+        return [(row % 16, row + index) for row in range(2000)]
+
+    plain = run_sharp("sum", rows)
+    observed = run_sharp("sum", rows, observe=True)
+    assert observed[0] == plain[0]
+    assert observed[2].now == plain[2].now
+    target = observed[1]
+    assert target.partial_segments == plain[1].partial_segments > 1
+    counters = observed[2].metrics_snapshot()["nodes"][0]["counters"]
+    assert counters["core.segments_consumed"] == target.partial_segments
+    document = export_chrome_trace(observed[2], str(tmp_path / "t.json"))
+    assert any(event.get("name") == "SEG_CONSUME"
+               for event in document["traceEvents"])
