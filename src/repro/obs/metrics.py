@@ -285,14 +285,12 @@ def render_report(snapshot: dict) -> str:
             lines.append(
                 f"  {name}: bytes={stats['bytes_carried']} "
                 f"messages={stats['messages_carried']} "
-                f"trains={stats['trains_carried']} "
                 f"hol_wait={stats.get('hol_wait_ns', 0)}ns")
     fabric = snapshot.get("fabric")
     if fabric:
         lines.append("fabric")
         lines.append(
             f"  unicast={fabric['unicast_count']} "
-            f"trains={fabric['unicast_trains']} "
             f"multicast={fabric['multicast_count']} "
             f"multicast_drops={fabric['multicast_drops']} "
             f"fault_drops={fabric['fault_drops']}")

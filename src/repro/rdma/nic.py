@@ -134,45 +134,6 @@ class RNic:
         self._engine_wait += start - now
         return (start - now) + latency
 
-    def engine_delay_train(self, inlines) -> list[float]:
-        """Reserve consecutive WQE pipeline slots for a doorbell train.
-
-        One doorbell ring hands the NIC a list of WQEs; arbitration is
-        identical to calling :meth:`engine_delay` once per WQE in order
-        (same slot times, same counters), returned as the per-WQE
-        transmission-start offsets from now.
-        """
-        now = self.env.now
-        busy = self._engine_busy_until
-        service = self.profile.nic_wqe_service
-        profile = self.profile
-        offsets = []
-        wait = 0.0
-        for inline in inlines:
-            latency = (profile.nic_processing_inline if inline
-                       else profile.nic_processing)
-            start = busy if busy > now else now
-            busy = start + service
-            wait += start - now
-            offsets.append((start - now) + latency)
-        self._engine_busy_until = busy
-        self.wqes_processed += len(offsets)
-        self._engine_wait += wait
-        return offsets
-
-    def engine_delay_train_one(self, inline: bool) -> float:
-        """Single-WQE shape of :meth:`engine_delay_train` — identical
-        arithmetic and counters for trains of one, the common case on
-        hash-routed shuffles, without the list machinery."""
-        now = self.env.now
-        busy = self._engine_busy_until
-        start = busy if busy > now else now
-        self._engine_busy_until = start + self.profile.nic_wqe_service
-        self.wqes_processed += 1
-        self._engine_wait += start - now
-        return (start - now) + (self.profile.nic_processing_inline
-                                if inline else self.profile.nic_processing)
-
     def __repr__(self) -> str:
         return f"<RNic {self.node.name} regions={len(self._regions)}>"
 

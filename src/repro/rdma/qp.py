@@ -345,12 +345,13 @@ class QueuePair:
         :meth:`post_train` entry (``wr`` is ``None`` for an unsignaled
         write nobody observes, ``region`` is resolved and range-checked).
 
-        The NIC slot and the wire are reserved with the arithmetic of
-        ``engine_delay`` / ``Fabric.unicast`` and one macro-event walks
-        the write: the prefix bytes commit one tail-serialization before
-        arrival, the trailing ``_ORDERED_TAIL`` bytes at arrival, a
-        signaled completion one ack latency later; an unsignaled
-        acknowledgment expands lazily (``WorkRequest._complete_at``).
+        The NIC slot and the wire are reserved by ``RNic.engine_delay``
+        and ``Fabric.unicast_arrival``, the per-WQE calls every write
+        makes, and one macro-event walks the write: the prefix bytes
+        commit one tail-serialization before arrival, the trailing
+        ``_ORDERED_TAIL`` bytes at arrival, a signaled completion one ack
+        latency later; an unsignaled acknowledgment expands lazily
+        (``WorkRequest._complete_at``).
         Unlike a train the lone write may not coalesce its prefix into
         the arrival commit: a latency-mode target's doorbell hook wakes
         on the prefix commit (DESIGN.md §9). Active planes, checked on
@@ -392,16 +393,16 @@ class QueuePair:
             admit += paced
         # Admission precedes arbitration: the planes anchor their edges
         # on [now, now + admit], the NIC edge starts where they end.
+        now = env._now
         delay = nic.engine_delay(size <= self._inline_max) + admit
         nic.bytes_posted += size
-        arrival_delay = cluster.fabric.unicast_delay(
-            self.node, self.remote_node, size, delay)
+        arrival_delay = cluster.fabric.unicast_arrival(
+            self.node, self.remote_node, size, now + delay) - now
         if rate is not None:
             congestion.rc_sent(rate, size, arrival_delay)
         # Every instant is ``now + offset``: the float a Timeout armed
         # with that offset fires at (an absolute arrival round-tripped
         # through ``arrival - now`` may differ by one ulp).
-        now = env._now
         arrival = now + arrival_delay
         ack_at = now + (arrival_delay + self._ack_delta)
         if obs is not None and obs.causal:
@@ -457,12 +458,15 @@ class QueuePair:
         and ``pieces`` are ``(offset within the write, buffer)`` pairs the
         caller keeps unchanged until the write commits.
 
-        The NIC pipeline and the wire are reserved for the whole train at
-        once and one macro-event commits each write's payload at its
-        exact arrival time. Every timestamp matches the unbatched path
-        bit-for-bit — the only behavioural difference is that a write's
-        *prefix* bytes commit together with its tail at arrival instead
-        of one tail-serialization earlier (the coalescing is
+        Each WQE takes its NIC slot (``RNic.engine_delay``) and then its
+        path (``Fabric.unicast_arrival`` from its issue instant), in
+        posting order (the NIC and the links hold independent state, so
+        the interleaving is the whole train's arbitration followed by its
+        wire bookings), and one macro-event commits each write's payload
+        at its exact arrival time. Every timestamp matches the unbatched
+        path bit-for-bit — the only behavioural difference is that a
+        write's *prefix* bytes commit together with its tail at arrival
+        instead of one tail-serialization earlier (the coalescing is
         protocol-invisible: DFI only ever acts on the footer, which
         commits at arrival either way). Both planes are checked on every
         call, so a plane installed between two trains governs the very
@@ -493,116 +497,102 @@ class QueuePair:
                 obs.bound()  # the plane log's memory bound
         faults = self._faults()
         congestion = self._congestion()
+        env = self.env
+        fabric = self._fabric()
         inline_max = self._inline_max
         ack_latency = self._ack_delta
-        paced = faults is not None or congestion is not None
-        if paced or len(entries) == 1:
-            # Trains of one are the common shape on hash-routed shuffles
-            # (each channel's share of a batch is about one segment);
-            # skip the multi-entry list/zip machinery. Same arbitration
-            # and wire arithmetic, so timestamps stay bit-identical. A
-            # paced train walks here one WQE at a time.
-            env = self.env
-            fabric = self._fabric()
-            if paced:
+        if faults is None and congestion is None:
+            now = env._now
+            node = self.node
+            remote_node = self.remote_node
+            if obs is not None:
+                delays = [0.0] * count
+                arrivals = [0.0] * count
+            actions = []
+            finish_signaled = self._finish_signaled
+            last = len(entries) - 1
+            needs_sort = False
+            total = 0
+            for position, (wr, size, pieces, region,
+                           offset) in enumerate(entries):
+                delay = nic.engine_delay(size <= inline_max)
+                arrival = fabric.unicast_arrival(node, remote_node, size,
+                                                 now + delay)
+                total += size
                 if obs is not None:
-                    # Each paced WQE logs its own arbitration and wire spans.
-                    obs.log((TRAIN, env._now, self, count, (), ()))
-                uplink = (None if self.remote_node is self.node
-                          else self.node.uplink)
-                refused = False
-            for wr, size, pieces, region, offset in entries:
-                if not paced:
-                    nic.bytes_posted += size
-                    delay = nic.engine_delay_train_one(size <= inline_max)
-                    arrival = fabric.unicast_train_one(
-                        self.node, self.remote_node, size, delay)
-                    ack_at = arrival + ack_latency
-                    if obs is not None:
-                        obs.log((TRAIN, env._now, self, 1, (delay,),
-                                 (arrival,)))
-                else:
-                    if not refused:
-                        delay = nic.engine_delay(size <= inline_max)
-                        now = env._now
-                        admit = 0.0
-                        if faults is not None:
-                            wire_at = now + delay
-                            if (uplink is not None
-                                    and uplink.busy_until > wire_at):
-                                wire_at = uplink.busy_until
-                            admit = faults.rc_admission(
-                                self.node, self.remote_node, at=wire_at)
-                            refused = admit is None
-                    if refused:
-                        self._flush_after(
-                            wr or WorkRequest(env, None, Opcode.WRITE, False),
-                            faults.detection_timeout, WcStatus.RETRY_EXC_ERR)
-                        continue
-                    rate = None
-                    if congestion is not None:
-                        held, rate = congestion.rc_admit(self, size)
-                        admit += held
-                    nic.bytes_posted += size
-                    arrival_delay = fabric.unicast_delay(
-                        self.node, self.remote_node, size, delay + admit)
-                    if rate is not None:
-                        congestion.rc_sent(rate, size, arrival_delay)
-                    arrival = now + arrival_delay
-                    ack_at = now + (arrival_delay + ack_latency)
-                    if obs is not None and obs.causal:
-                        issued = now + delay
-                        obs.log((WQE, self, now, issued, issued + admit,
-                                 arrival))
-                actions = [(arrival, _commit_write, (region, offset, pieces))]
-                if faults is not None and self._post_cut_at_crash(
-                        faults, actions, wr, size, ack_at):
+                    delays[position] = delay
+                    arrivals[position] = arrival
+                actions.append((arrival, _commit_write,
+                                (region, offset, pieces)))
+                if wr is None:
                     continue
-                if wr is not None:
-                    if wr.signaled:
-                        actions.append((ack_at, self._finish_signaled,
-                                        (wr, size)))
-                    else:
-                        wr._complete_at(ack_at)
-                env.schedule_train(actions)
+                if wr.signaled:
+                    actions.append((arrival + ack_latency, finish_signaled,
+                                    (wr, size)))
+                    # A mid-train ack interleaves with later arrivals; a
+                    # trailing ack (the selective-signaling shape) lands
+                    # at or after the last arrival, so order is already
+                    # correct.
+                    if position != last:
+                        needs_sort = True
+                else:
+                    wr._complete_at(arrival + ack_latency)
+            nic.bytes_posted += total
+            if obs is not None:
+                obs.log((TRAIN, now, self, count, delays, arrivals))
+            if needs_sort:
+                actions.sort(key=_action_when)
+            env.schedule_train(actions)
             return
-        sizes = []
-        inlines = []
-        total = 0
-        for entry in entries:
-            size = entry[1]
-            sizes.append(size)
-            inlines.append(size <= inline_max)
-            total += size
-        delays = nic.engine_delay_train(inlines)
-        nic.bytes_posted += total
-        arrivals = self._fabric().unicast_train(self.node, self.remote_node,
-                                                sizes, delays)
+        # A paced train walks one WQE at a time; each WQE logs its own
+        # arbitration and wire spans.
         if obs is not None:
-            obs.log((TRAIN, self.env._now, self, count, delays, arrivals))
-        actions = []
-        finish_signaled = self._finish_signaled
-        last = len(entries) - 1
-        needs_sort = False
-        for position, ((wr, size, pieces, region, offset),
-                       arrival) in enumerate(zip(entries, arrivals)):
-            actions.append((arrival, _commit_write,
-                            (region, offset, pieces)))
-            if wr is None:
+            obs.log((TRAIN, env._now, self, count, (), ()))
+        uplink = None if self.remote_node is self.node else self.node.uplink
+        refused = False
+        for wr, size, pieces, region, offset in entries:
+            if not refused:
+                delay = nic.engine_delay(size <= inline_max)
+                now = env._now
+                admit = 0.0
+                if faults is not None:
+                    wire_at = now + delay
+                    if uplink is not None and uplink.busy_until > wire_at:
+                        wire_at = uplink.busy_until
+                    admit = faults.rc_admission(
+                        self.node, self.remote_node, at=wire_at)
+                    refused = admit is None
+            if refused:
+                self._flush_after(
+                    wr or WorkRequest(env, None, Opcode.WRITE, False),
+                    faults.detection_timeout, WcStatus.RETRY_EXC_ERR)
                 continue
-            if wr.signaled:
-                actions.append((arrival + ack_latency, finish_signaled,
-                                (wr, size)))
-                # A mid-train ack interleaves with later arrivals; a
-                # trailing ack (the selective-signaling shape) lands at or
-                # after the last arrival, so order is already correct.
-                if position != last:
-                    needs_sort = True
-            else:
-                wr._complete_at(arrival + ack_latency)
-        if needs_sort:
-            actions.sort(key=_action_when)
-        self.env.schedule_train(actions)
+            rate = None
+            if congestion is not None:
+                held, rate = congestion.rc_admit(self, size)
+                admit += held
+            nic.bytes_posted += size
+            arrival_delay = fabric.unicast_arrival(
+                self.node, self.remote_node, size,
+                now + (delay + admit)) - now
+            if rate is not None:
+                congestion.rc_sent(rate, size, arrival_delay)
+            arrival = now + arrival_delay
+            ack_at = now + (arrival_delay + ack_latency)
+            if obs is not None and obs.causal:
+                issued = now + delay
+                obs.log((WQE, self, now, issued, issued + admit, arrival))
+            actions = [(arrival, _commit_write, (region, offset, pieces))]
+            if faults is not None and self._post_cut_at_crash(
+                    faults, actions, wr, size, ack_at):
+                continue
+            if wr is not None:
+                if wr.signaled:
+                    actions.append((ack_at, self._finish_signaled,
+                                    (wr, size)))
+                else:
+                    wr._complete_at(ack_at)
+            env.schedule_train(actions)
 
     # -- one-sided READ ----------------------------------------------------
     def post_read(self, local_region: MemoryRegion, local_offset: int,

@@ -205,7 +205,6 @@ class Cluster:
                 links[link.name] = {
                     "bytes_carried": link.bytes_carried,
                     "messages_carried": link.messages_carried,
-                    "trains_carried": link.trains_carried,
                     "busy_until_ns": link.busy_until_ns,
                     "hol_wait_ns": link.hol_wait_ns,
                 }
@@ -220,7 +219,6 @@ class Cluster:
             "kernel": kernel,
             "fabric": {
                 "unicast_count": self.fabric.unicast_count,
-                "unicast_trains": self.fabric.unicast_trains,
                 "multicast_count": self.fabric.multicast_count,
                 "multicast_drops": self.fabric.multicast_drops,
                 "fault_drops": self.fabric.fault_drops,

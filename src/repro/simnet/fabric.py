@@ -49,8 +49,6 @@ class Fabric:
         self._loopback_last: dict[int, float] = {}
         #: Unicast messages delivered.
         self.unicast_count = 0
-        #: Doorbell trains shipped through :meth:`unicast_train`.
-        self.unicast_trains = 0
         #: Multicast packets sent (one per multicast, not per receiver).
         self.multicast_count = 0
         #: Multicast receiver deliveries dropped by loss injection.
@@ -67,141 +65,41 @@ class Fabric:
         """Transmit ``size`` bytes from ``source`` to ``destination``.
 
         Returns an event that triggers when the last byte has arrived at
-        the destination — :meth:`unicast_delay` plus the arrival timer
+        the destination — :meth:`unicast_arrival` plus the arrival timer
         (filed on the destination's lane when the kernel is sharded).
         """
-        offset = self.unicast_delay(source, destination, size, delay, control)
+        env = self.env
+        now = env._now
+        offset = self.unicast_arrival(source, destination, size,
+                                      now + delay, control) - now
         if self._shard_tag:
-            env = self.env
             env._post_shard = destination._shard
             event = env.timeout(offset)
             env._post_shard = -1
             return event
-        return self.env.timeout(offset)
+        return env.timeout(offset)
 
-    def unicast_delay(self, source: Node, destination: Node, size: int,
-                      delay: float = 0.0, control: bool = False) -> float:
+    def unicast_arrival(self, source: Node, destination: Node, size: int,
+                        earliest: float, control: bool = False) -> float:
         """Reserve the path for ``size`` bytes from ``source`` to
-        ``destination`` and return the offset (ns from now) at which the
-        last byte has arrived — the message without an arrival event, for
-        callers that fold the arrival into a macro-event of their own.
+        ``destination`` whose first byte may leave at ``earliest`` and
+        return the absolute instant the last byte has arrived — the one
+        message walk, without an arrival event, for callers that fold
+        the arrival into a macro-event of their own (a doorbell train
+        calls it once per WQE, in posting order).
 
-        ``delay`` postpones the transmission start (used by the RNIC
-        model for work-request processing time). ``control`` marks tiny
-        control messages (footer/credit reads, atomics) that interleave
-        with queued bulk traffic instead of waiting behind it (see
-        ``Link.reserve_priority``). Loopback transfers (same node) bypass
-        the switch and are charged the NIC's loopback latency and
-        memory-bus copy.
+        ``control`` marks tiny control messages (footer/credit reads,
+        atomics) that interleave with queued bulk traffic instead of
+        waiting behind it (see ``Link.reserve_priority``). Loopback
+        transfers (same node) bypass the switch and are charged the NIC's
+        loopback latency and memory-bus copy, in FIFO order.
         """
         cluster = self.cluster
         if source.cluster is not cluster or destination.cluster is not cluster:
             self._check_nodes(source, destination)
         self.unicast_count += 1
-        now = self.env._now
         if source is destination:
-            arrival = (now + delay + self.profile.loopback_latency
-                       + size / self.profile.loopback_bandwidth)
-            arrival = max(arrival,
-                          self._loopback_last.get(source.node_id, 0.0))
-            self._loopback_last[source.node_id] = arrival
-            return arrival - now
-        reserve_up = (source.uplink.reserve_priority if control
-                      else source.uplink.reserve)
-        reserve_down = (destination.downlink.reserve_priority if control
-                        else destination.downlink.reserve)
-        _up_start, up_end = reserve_up(size, now + delay)
-        send_start = up_end - source.uplink.serialization_time(size)
-        # Cut-through: the downlink starts clocking bytes one wire latency
-        # after the first byte left the sender.
-        _down_start, down_end = reserve_down(
-            size, send_start + self.profile.wire_latency)
-        arrival = up_end + self.profile.wire_latency
-        if down_end > arrival:
-            arrival = down_end
-        if self._shard_tag and destination._shard != source._shard:
-            env = self.env
-            env.mailbox_crossings += 1
-            log = env.crossing_log
-            if log is not None:
-                log((EDGE, up_end + self.profile.wire_latency, up_end,
-                     "shard_crossing", destination.node_id, "fabric", None,
-                     source.node_id))
-        return arrival - now
-
-    def unicast_train(self, source: Node, destination: Node, sizes,
-                      delays) -> list[float]:
-        """Transmit a doorbell train of messages from ``source`` to
-        ``destination`` as one scheduling unit.
-
-        Per-message arithmetic (uplink/downlink reservation, cut-through
-        arrival) is identical to calling :meth:`unicast` once per message
-        in posting order, but no arrival events are created — the caller
-        receives the absolute arrival *times* and expands completions
-        lazily (see ``QueuePair.post_train``). ``delays`` holds the
-        per-message transmission-start offsets from now (NIC engine
-        arbitration).
-        """
-        cluster = self.cluster
-        if source.cluster is not cluster or destination.cluster is not cluster:
-            self._check_nodes(source, destination)
-        count = len(sizes)
-        self.unicast_count += count
-        self.unicast_trains += 1
-        if (self._shard_tag and source is not destination
-                and destination._shard != source._shard):
-            # No arrival events to tag (the caller chains its own timers
-            # from the returned floats), but the train's messages still
-            # cross shards — keep the crossing tally honest.
-            self.env.mailbox_crossings += count
-        now = self.env.now
-        if source is destination:
-            loop_latency = self.profile.loopback_latency
-            loop_bandwidth = self.profile.loopback_bandwidth
-            last = self._loopback_last.get(source.node_id, 0.0)
-            arrivals = []
-            for size, delay in zip(sizes, delays):
-                arrival = now + delay + loop_latency + size / loop_bandwidth
-                arrival = max(arrival, last)
-                last = arrival
-                arrivals.append(arrival)
-            self._loopback_last[source.node_id] = last
-            return arrivals
-        uplink = source.uplink
-        downlink = destination.downlink
-        wire_latency = self.profile.wire_latency
-        up_slots = uplink.reserve_train(sizes,
-                                        [now + delay for delay in delays])
-        log = (self.env.crossing_log
-               if self._shard_tag and destination._shard != source._shard
-               else None)
-        arrivals = []
-        for size, (_up_start, up_end) in zip(sizes, up_slots):
-            send_start = up_end - uplink.serialization_time(size)
-            _down_start, down_end = downlink.reserve(
-                size, send_start + wire_latency)
-            arrivals.append(max(down_end, up_end + wire_latency))
-            if log is not None:
-                log((EDGE, up_end + wire_latency, up_end, "shard_crossing",
-                     destination.node_id, "fabric", None, source.node_id))
-        return arrivals
-
-    def unicast_train_one(self, source: Node, destination: Node,
-                          size: int, delay: float) -> float:
-        """Single-message shape of :meth:`unicast_train` — identical
-        float arithmetic and tallies for a train of one (the common
-        shape on hash-routed shuffles), without the list machinery."""
-        cluster = self.cluster
-        if source.cluster is not cluster or destination.cluster is not cluster:
-            self._check_nodes(source, destination)
-        self.unicast_count += 1
-        self.unicast_trains += 1
-        if (self._shard_tag and source is not destination
-                and destination._shard != source._shard):
-            self.env.mailbox_crossings += 1
-        now = self.env.now
-        if source is destination:
-            arrival = (now + delay + self.profile.loopback_latency
+            arrival = (earliest + self.profile.loopback_latency
                        + size / self.profile.loopback_bandwidth)
             last = self._loopback_last.get(source.node_id, 0.0)
             if arrival < last:
@@ -209,15 +107,25 @@ class Fabric:
             self._loopback_last[source.node_id] = arrival
             return arrival
         uplink = source.uplink
+        downlink = destination.downlink
         wire_latency = self.profile.wire_latency
-        _up_start, up_end = uplink.reserve_train_one(size, now + delay)
-        send_start = up_end - uplink.serialization_time(size)
-        _down_start, down_end = destination.downlink.reserve(
-            size, send_start + wire_latency)
+        if control:
+            _up_start, up_end = uplink.reserve_priority(size, earliest)
+        else:
+            _up_start, up_end = uplink.reserve(size, earliest)
+        # Cut-through: the downlink starts clocking bytes one wire latency
+        # after the first byte left the sender.
+        down_earliest = up_end - size / uplink.bandwidth + wire_latency
+        if control:
+            _down_start, down_end = downlink.reserve_priority(
+                size, down_earliest)
+        else:
+            _down_start, down_end = downlink.reserve(size, down_earliest)
         up_arrival = up_end + wire_latency
-        if (self._shard_tag and source is not destination
-                and destination._shard != source._shard):
-            log = self.env.crossing_log
+        if self._shard_tag and destination._shard != source._shard:
+            env = self.env
+            env.mailbox_crossings += 1
+            log = env.crossing_log
             if log is not None:
                 log((EDGE, up_arrival, up_end, "shard_crossing",
                      destination.node_id, "fabric", None, source.node_id))

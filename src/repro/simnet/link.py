@@ -17,8 +17,7 @@ class Link:
     """One direction of a network port (e.g. a node's uplink to the switch)."""
 
     __slots__ = ("name", "bandwidth", "_busy_until", "_busy_time",
-                 "bytes_carried", "messages_carried", "trains_carried",
-                 "_hol_wait")
+                 "bytes_carried", "messages_carried", "_hol_wait")
 
     def __init__(self, name: str, bandwidth: float) -> None:
         if bandwidth <= 0:
@@ -32,8 +31,6 @@ class Link:
         self.bytes_carried = 0
         #: Total messages scheduled onto this link.
         self.messages_carried = 0
-        #: Doorbell trains reserved as one unit (``reserve_train`` calls).
-        self.trains_carried = 0
         #: Accumulated head-of-line wait (reservations pushed past their
         #: requested start by queued traffic) — exact float internally,
         #: truncated at the read like ``busy_until_ns``.
@@ -99,52 +96,9 @@ class Link:
         """Schedule a ``size``-byte transmission no earlier than ``earliest``.
 
         Returns ``(start, end)`` of the reserved transmission slot and
-        advances the link's busy horizon to ``end``.
+        advances the link's busy horizon to ``end`` — the link's one FIFO
+        booking, a doorbell train's messages included.
         """
-        start = max(earliest, self._busy_until)
-        end = start + self.serialization_time(size)
-        self._busy_until = end
-        self._busy_time += end - start
-        self._hol_wait += start - earliest
-        self.bytes_carried += size
-        self.messages_carried += 1
-        return start, end
-
-    def reserve_train(self, sizes, earliests) -> list[tuple[float, float]]:
-        """Reserve back-to-back slots for a doorbell train of messages.
-
-        Equivalent to calling :meth:`reserve` once per message in order —
-        identical float arithmetic, counters, and final busy horizon — but
-        as one call, so a whole train costs one link transaction.
-        Returns the per-message ``(start, end)`` slots.
-        """
-        slots = []
-        busy = self._busy_until
-        busy_time = self._busy_time
-        hol_wait = self._hol_wait
-        bandwidth = self.bandwidth
-        for size, earliest in zip(sizes, earliests):
-            if size < 0:
-                raise SimulationError(f"negative message size: {size}")
-            start = busy if busy > earliest else earliest
-            end = start + size / bandwidth
-            busy = end
-            busy_time += end - start
-            hol_wait += start - earliest
-            self.bytes_carried += size
-            slots.append((start, end))
-        self._busy_until = busy
-        self._busy_time = busy_time
-        self._hol_wait = hol_wait
-        self.messages_carried += len(slots)
-        self.trains_carried += 1
-        return slots
-
-    def reserve_train_one(self, size: int, earliest: float
-                          ) -> tuple[float, float]:
-        """Single-message shape of :meth:`reserve_train` — identical
-        float arithmetic and counters (including the train tally) for a
-        train of one, without the list machinery."""
         if size < 0:
             raise SimulationError(f"negative message size: {size}")
         busy = self._busy_until
@@ -155,7 +109,6 @@ class Link:
         self._hol_wait += start - earliest
         self.bytes_carried += size
         self.messages_carried += 1
-        self.trains_carried += 1
         return start, end
 
     def reserve_priority(self, size: int, earliest: float) -> tuple[float, float]:

@@ -13,8 +13,8 @@ Honesty note — where the win is and is not
 Each partition is a **separate** :class:`~repro.simnet.cluster.Cluster`
 built inside its worker process. Cross-partition flows are impossible, and
 not merely unsupported: ``Fabric.unicast`` books the destination's
-downlink *synchronously at send time* and ``unicast_train`` returns
-arrival floats the sender consumes immediately, so a cross-partition
+downlink *synchronously at send time* and ``unicast_arrival`` returns
+the arrival float the sender consumes immediately, so a cross-partition
 message would need the peer partition's mutable link state mid-window —
 exactly the shared memory that separate processes do not have. The
 horizon-barrier structure (windows of ``window`` ns, barrier at each

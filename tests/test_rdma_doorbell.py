@@ -202,6 +202,96 @@ def test_loopback_train_delivers_in_order():
         assert local.read(i * 128, 128) == bytes([i + 1]) * 128
 
 
+# -- closed form: a train's instants from the profile's fields --------------
+# Independent of every other walk: on an idle 1:1 path the NIC admits one
+# WQE per ``nic_wqe_service`` and issues it ``nic_processing[_inline]``
+# later, the uplink serializes at ``link_bandwidth``, the idle downlink
+# follows one ``wire_latency`` behind (cut-through), and the ack returns
+# one more ``wire_latency`` later; a loopback write pays
+# ``loopback_latency`` plus its copy at ``loopback_bandwidth`` and is
+# acknowledged one ``loopback_latency`` after it lands.
+
+TRAIN_AT = 1_000.0
+TRAIN_LENGTH = 6
+
+
+def _closed_form_train(size, loopback=False):
+    """Post ``TRAIN_LENGTH`` signaled ``size``-byte writes as one train at
+    ``TRAIN_AT``; return the profile, each write's ``(offset, length,
+    commit instant)`` and each completion instant."""
+    cluster = Cluster(node_count=2)
+    env = cluster.env
+    destination = cluster.node(0 if loopback else 1)
+    remote = get_nic(destination).register_memory(TRAIN_LENGTH * size)
+    qp = get_nic(cluster.node(0)).create_qp(destination)
+    commits, acks = [], []
+    remote.add_write_hook(
+        lambda offset, length: commits.append((offset, length, env.now)))
+
+    def sender(env):
+        yield env.timeout(TRAIN_AT)
+        wrs = _post_writes(qp, remote, [(bytes([i + 1]) * size, i * size,
+                                         True)
+                                        for i in range(TRAIN_LENGTH)])
+        for wr in wrs:
+            yield wr.done
+            acks.append(env.now)
+
+    env.process(sender(env))
+    cluster.run()
+    return cluster.profile, commits, acks
+
+
+def _assert_instants(size, commits, acks, expected, ack_delta):
+    assert [(offset, length) for offset, length, _at in commits] == [
+        (i * size, size) for i in range(TRAIN_LENGTH)]
+    assert [at for _o, _l, at in commits] == pytest.approx(expected,
+                                                           abs=1e-6)
+    assert acks == pytest.approx([at + ack_delta for at in expected],
+                                 abs=1e-6)
+
+
+def test_train_nic_bound_closed_form():
+    """Small inline WQEs: each serializes faster than the NIC admits the
+    next, so the train arrives one ``nic_wqe_service`` apart."""
+    size = 64
+    profile, commits, acks = _closed_form_train(size)
+    wire = size / profile.link_bandwidth
+    assert size <= profile.max_inline_size
+    assert wire < profile.nic_wqe_service  # NIC-bound
+    expected = [TRAIN_AT + i * profile.nic_wqe_service
+                + profile.nic_processing_inline + wire + profile.wire_latency
+                for i in range(TRAIN_LENGTH)]
+    _assert_instants(size, commits, acks, expected, profile.wire_latency)
+
+
+def test_train_wire_bound_closed_form():
+    """Full 8 KiB segments: the uplink is the bottleneck, so after the
+    first issue the train arrives one serialization apart."""
+    size = 8 * 1024
+    profile, commits, acks = _closed_form_train(size)
+    wire = size / profile.link_bandwidth
+    assert size > profile.max_inline_size
+    assert wire > profile.nic_wqe_service  # wire-bound
+    expected = [TRAIN_AT + profile.nic_processing + (i + 1) * wire
+                + profile.wire_latency for i in range(TRAIN_LENGTH)]
+    _assert_instants(size, commits, acks, expected, profile.wire_latency)
+
+
+def test_train_loopback_closed_form():
+    """A loopback train skips the switch: each write lands its copy time
+    after the NIC issues it, one ``nic_wqe_service`` apart."""
+    size = 1024
+    profile, commits, acks = _closed_form_train(size, loopback=True)
+    assert size > profile.max_inline_size
+    expected = [TRAIN_AT + i * profile.nic_wqe_service
+                + profile.nic_processing + profile.loopback_latency
+                + size / profile.loopback_bandwidth
+                for i in range(TRAIN_LENGTH)]
+    _assert_instants(size, commits, acks, expected,
+                     profile.loopback_latency)
+
+
 # -- fault semantics: a link outage splitting a train ------------------------
 
 def _matches_reference(run):

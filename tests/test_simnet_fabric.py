@@ -45,6 +45,8 @@ def test_link_rejects_bad_inputs():
     link = Link("l", bandwidth=1.0)
     with pytest.raises(SimulationError):
         link.serialization_time(-1)
+    with pytest.raises(SimulationError):
+        link.reserve(-1, 0.0)
 
 
 def test_link_utilization():

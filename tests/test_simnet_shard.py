@@ -23,6 +23,7 @@ from repro.core import (
     Optimization,
     Schema,
 )
+from repro.rdma import get_nic
 from repro.simnet import (
     Cluster,
     Environment,
@@ -511,7 +512,8 @@ def _one_shuffle(**cluster_kwargs):
         "events": cluster.env._sequence,
         "bytes": cluster.total_bytes_received(),
         "unicasts": cluster.fabric.unicast_count,
-        "trains": cluster.fabric.unicast_trains,
+        "trains": sum(get_nic(node).doorbell_trains
+                      for node in cluster.nodes),
     }
 
 
