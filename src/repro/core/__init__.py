@@ -21,8 +21,6 @@ from repro.core.replicate import (
     MulticastReplicateTarget,
     NaiveReplicateSource,
     NaiveReplicateTarget,
-    ReplicateSource,
-    ReplicateTarget,
     SeqTracker,
 )
 from repro.core.routing import (
@@ -78,8 +76,6 @@ __all__ = [
     "endpoints_on",
     "ShuffleSource",
     "ShuffleTarget",
-    "ReplicateSource",
-    "ReplicateTarget",
     "NaiveReplicateSource",
     "NaiveReplicateTarget",
     "MulticastReplicateSource",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.common.errors import FlowError
-from repro.core.flowdef import FLOW_END, FlowDescriptor, FlowType
+from repro.core.flowdef import FLOW_END, FlowDescriptor
 from repro.core.registry import FlowRegistry
 from repro.core.schema import Schema
 from repro.core.shuffle import ShuffleSource, ShuffleTarget
@@ -79,23 +79,10 @@ def _row_fold(op: str, aggregates: dict) -> Callable:
     return fold
 
 
-def _combiner_descriptor(registry: FlowRegistry,
-                         name: str) -> FlowDescriptor:
-    """The descriptor of combiner flow ``name`` (raises on another type)."""
-    descriptor = registry.descriptor(name)
-    if descriptor.flow_type is not FlowType.COMBINER:
-        raise FlowError(f"flow {name!r} is not a combiner flow")
-    return descriptor
-
-
 class CombinerSource(ShuffleSource):
     """Source endpoint of a combiner flow (an N:1 shuffle source)."""
 
-    @classmethod
-    def open(cls, registry: FlowRegistry, name: str, source_index: int):
-        _combiner_descriptor(registry, name)
-        endpoint = yield from super().open(registry, name, source_index)
-        return endpoint
+    transports = ("combiner",)
 
 
 class CombinerTarget:
@@ -107,6 +94,8 @@ class CombinerTarget:
     end-host combiner reads the source tuples of a one-target shuffle;
     the SHARP target (:class:`~repro.core.sharp.SharpCombinerTarget`)
     reads the switch's ``(group, value)`` partials."""
+
+    transports = ("combiner",)
 
     def __init__(self, descriptor: FlowDescriptor, inner: ShuffleTarget,
                  schema: Schema, group_index: int, value_index: int,
@@ -133,9 +122,11 @@ class CombinerTarget:
         self._metrics = self.node.metrics
 
     @classmethod
-    def open(cls, registry: FlowRegistry, name: str) -> "CombinerTarget":
+    def open(cls, registry: FlowRegistry, name: str,
+             target_index: int = 0) -> "CombinerTarget":
         """Open the (single) target endpoint of combiner flow ``name``."""
-        descriptor = _combiner_descriptor(registry, name)
+        descriptor, _node = registry.open_endpoint(name, cls, target_index,
+                                                   "target")
         spec = descriptor.aggregation
         schema = descriptor.schema
         return cls(descriptor, ShuffleTarget.open(registry, name, 0), schema,

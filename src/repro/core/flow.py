@@ -21,9 +21,9 @@ Mirrors the paper's programming model (Figure 1)::
 
 from __future__ import annotations
 
+from types import GeneratorType
 from typing import Callable
 
-from repro.common.errors import FlowError
 from repro.core.combiner import CombinerSource, CombinerTarget
 from repro.core.flowdef import (
     AggregationSpec,
@@ -35,10 +35,25 @@ from repro.core.flowdef import (
 )
 from repro.core.nodes import parse_endpoints
 from repro.core.registry import FlowRegistry
-from repro.core.replicate import ReplicateSource, ReplicateTarget
+from repro.core.replicate import (
+    MulticastReplicateSource,
+    MulticastReplicateTarget,
+    NaiveReplicateSource,
+    NaiveReplicateTarget,
+)
 from repro.core.schema import Schema
+from repro.core.sharp import SharpCombinerSource, SharpCombinerTarget
 from repro.core.shuffle import ShuffleSource, ShuffleTarget
 from repro.simnet.cluster import Cluster
+
+#: The endpoint classes of each transport (``FlowDescriptor.transport``),
+#: keyed by the first transport each class serves.
+_SOURCES = {cls.transports[0]: cls for cls in (
+    ShuffleSource, NaiveReplicateSource, MulticastReplicateSource,
+    CombinerSource, SharpCombinerSource)}
+_TARGETS = {cls.transports[0]: cls for cls in (
+    ShuffleTarget, NaiveReplicateTarget, MulticastReplicateTarget,
+    CombinerTarget, SharpCombinerTarget)}
 
 
 class DfiRuntime:
@@ -108,40 +123,18 @@ class DfiRuntime:
         Blocks (in simulated time) until the matching targets have
         published their receive buffers.
         """
-        descriptor = self.registry.descriptor(name)
-        if descriptor.flow_type is FlowType.SHUFFLE:
-            opener = ShuffleSource.open
-        elif descriptor.flow_type is FlowType.REPLICATE:
-            opener = ReplicateSource.open
-        elif descriptor.flow_type is FlowType.COMBINER:
-            if descriptor.options.in_network_aggregation:
-                from repro.core.sharp import SharpCombinerSource
-                opener = SharpCombinerSource.open
-            else:
-                opener = CombinerSource.open
-        else:  # pragma: no cover - enum is exhaustive
-            raise FlowError(f"unknown flow type {descriptor.flow_type}")
-        endpoint = yield from opener(self.registry, name, source_index)
+        cls = _SOURCES[self.registry.descriptor(name).transport]
+        endpoint = yield from cls.open(self.registry, name, source_index)
         return endpoint
 
     def open_target(self, name: str, target_index: int = 0):
         """Generator: open target endpoint ``target_index`` of ``name``."""
-        descriptor = self.registry.descriptor(name)
-        if descriptor.flow_type is FlowType.SHUFFLE:
-            return ShuffleTarget.open(self.registry, name, target_index)
-        if descriptor.flow_type is FlowType.REPLICATE:
-            endpoint = yield from ReplicateTarget.open(self.registry, name,
-                                                       target_index)
-            return endpoint
-        if descriptor.flow_type is FlowType.COMBINER:
-            if target_index != 0:
-                raise FlowError("combiner flows have a single target (0)")
-            if descriptor.options.in_network_aggregation:
-                from repro.core.sharp import SharpCombinerTarget
-                return SharpCombinerTarget.open(self.registry, name)
-            return CombinerTarget.open(self.registry, name)
-        raise FlowError(  # pragma: no cover - enum is exhaustive
-            f"unknown flow type {descriptor.flow_type}")
+        cls = _TARGETS[self.registry.descriptor(name).transport]
+        endpoint = cls.open(self.registry, name, target_index)
+        if endpoint.__class__ is GeneratorType:
+            # A multicast target waits for its sources' back-channels.
+            endpoint = yield from endpoint
+        return endpoint
 
     # -- introspection -----------------------------------------------------
     def registered_memory_by_node(self) -> dict[int, int]:

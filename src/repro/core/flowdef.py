@@ -184,6 +184,12 @@ class FlowDescriptor:
     routing: "Callable[[tuple, int], int] | None" = None
     aggregation: "AggregationSpec | None" = None
     options: FlowOptions = field(default_factory=FlowOptions)
+    #: The transport the flow type and its options pick — one of
+    #: ``"shuffle"``, ``"replicate"``, ``"multicast replicate"``,
+    #: ``"combiner"`` or ``"in-network combiner"``. Each endpoint class
+    #: names the transports it serves (``transports``), and every open
+    #: checks this against them (``FlowRegistry.open_endpoint``).
+    transport: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -215,6 +221,19 @@ class FlowDescriptor:
                 raise ConfigurationError(
                     f"tuple size {self.schema.tuple_size} exceeds the UD "
                     f"multicast payload limit ({MULTICAST_PAYLOAD_LIMIT} B)")
+        elif self.options.multicast:
+            raise ConfigurationError(
+                "multicast is only valid on replicate flows")
+        if self.options.in_network_aggregation:
+            if self.flow_type is not FlowType.COMBINER:
+                raise ConfigurationError(
+                    "in_network_aggregation is only valid on combiner flows")
+            transport = "in-network combiner"
+        elif self.options.multicast:
+            transport = "multicast replicate"
+        else:
+            transport = self.flow_type.value
+        object.__setattr__(self, "transport", transport)
 
     @property
     def source_count(self) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.common.errors import RegistryError
+from repro.common.errors import FlowError, RegistryError
 from repro.core.flowdef import FlowDescriptor, FlowType, Ordering
 from repro.rdma.nic import get_nic
 from repro.rdma.qp import MulticastGroup
@@ -90,8 +90,7 @@ class FlowRegistry:
             self._sequencers[descriptor.name] = SequencerHandle(
                 node_id=self.master_node.node_id,
                 rkey=counter_region.rkey, offset=0)
-        if (descriptor.flow_type is FlowType.REPLICATE
-                and descriptor.options.multicast):
+        if descriptor.options.multicast:
             self._mcast_groups[descriptor.name] = MulticastGroup(
                 f"mcast:{descriptor.name}")
         return descriptor
@@ -102,6 +101,30 @@ class FlowRegistry:
             return self._flows[name]
         except KeyError:
             raise RegistryError(f"unknown flow {name!r}") from None
+
+    def open_endpoint(self, name: str, cls, index: int,
+                      side: str = "source"):
+        """The check every endpoint ``open`` makes first, before it
+        registers memory, publishes or waits: flow ``name`` exists, its
+        transport is one ``cls`` serves (``cls.transports``), and
+        ``index`` names one of its ``side`` endpoints. Returns
+        ``(descriptor, node)``, the node hosting that endpoint."""
+        try:
+            descriptor = self._flows[name]
+        except KeyError:
+            raise RegistryError(f"unknown flow {name!r}") from None
+        transport = descriptor.transport
+        if transport not in cls.transports:
+            article = "an" if transport[0] in "aeiou" else "a"
+            raise FlowError(
+                f"flow {name!r} is {article} {transport} flow, not "
+                f"{cls.transports[0]} ({cls.__name__})")
+        endpoints = (descriptor.sources if side == "source"
+                     else descriptor.targets)
+        if not 0 <= index < len(endpoints):
+            raise FlowError(f"{side} index {index} out of range "
+                            f"[0, {len(endpoints)})")
+        return descriptor, self.cluster.node(endpoints[index].node_id)
 
     def extend_targets(self, name: str, endpoint) -> int:
         """Elasticity (paper Section 7 future work): append a new target
@@ -114,7 +137,6 @@ class FlowRegistry:
         stable partitioning must quiesce the flow first.
         """
         from dataclasses import replace
-        from repro.core.flowdef import FlowType
         from repro.core.nodes import Endpoint
 
         descriptor = self.descriptor(name)

@@ -40,7 +40,6 @@ from repro.core.flowdef import (
     FLOW_END,
     NO_FLUSH,
     FlowDescriptor,
-    FlowType,
     GapNotification,
     Optimization,
     Ordering,
@@ -149,16 +148,6 @@ class TupleSequencer:
         return seq
 
 
-def _check_replicate(descriptor: FlowDescriptor, index: int,
-                     count: int, kind: str) -> None:
-    if descriptor.flow_type is not FlowType.REPLICATE:
-        raise FlowError(
-            f"flow {descriptor.name!r} is a {descriptor.flow_type.value} "
-            f"flow, not replicate")
-    if not 0 <= index < count:
-        raise FlowError(f"{kind} index {index} out of range [0, {count})")
-
-
 class _StagedSource(_FlowSource):
     """What the sources that stage for a transport of their own share —
     naive replicate (RC fan-out), multicast replicate (UD multicast) and
@@ -233,6 +222,8 @@ class NaiveReplicateSource(_StagedSource):
     finished slot is handed to every live channel, which writes it under
     its own ring protocol. The channels stage nothing of their own."""
 
+    transports = ("replicate",)
+
     def __init__(self, registry: FlowRegistry, descriptor: FlowDescriptor,
                  source_index: int, channels: list,
                  sequencer: "TupleSequencer | None") -> None:
@@ -264,11 +255,7 @@ class NaiveReplicateSource(_StagedSource):
     @classmethod
     def open(cls, registry: FlowRegistry, name: str, source_index: int):
         """Generator: open a naive replicate source endpoint."""
-        descriptor = registry.descriptor(name)
-        _check_replicate(descriptor, source_index, descriptor.source_count,
-                         "source")
-        node = registry.cluster.node(
-            descriptor.sources[source_index].node_id)
+        descriptor, node = registry.open_endpoint(name, cls, source_index)
         channels = []
         for target_index in range(descriptor.target_count):
             handle = yield from registry.wait_ring(name, source_index,
@@ -433,7 +420,7 @@ class NaiveReplicateTarget(ShuffleTarget):
     targets observe the same delivery order.
     """
 
-    _allowed_flow_types = (FlowType.REPLICATE,)
+    transports = ("replicate",)
 
     def __init__(self, registry, descriptor, target_index, channels) -> None:
         super().__init__(registry, descriptor, target_index, channels)
@@ -490,6 +477,8 @@ class MulticastReplicateSource(_StagedSource):
     """Replicate source over switch multicast with credit/NACK back-flow
     (:class:`~repro.core.writers.MulticastWindow`)."""
 
+    transports = ("multicast replicate",)
+
     def __init__(self, registry: FlowRegistry, descriptor: FlowDescriptor,
                  source_index: int, control_region, ud_qp,
                  sequencer: "TupleSequencer | None") -> None:
@@ -513,11 +502,7 @@ class MulticastReplicateSource(_StagedSource):
     def open(cls, registry: FlowRegistry, name: str, source_index: int):
         """Generator: open a multicast replicate source endpoint; blocks
         until every target joined the multicast group."""
-        descriptor = registry.descriptor(name)
-        _check_replicate(descriptor, source_index, descriptor.source_count,
-                         "source")
-        node = registry.cluster.node(
-            descriptor.sources[source_index].node_id)
+        descriptor, node = registry.open_endpoint(name, cls, source_index)
         nic = get_nic(node)
         stride = MulticastWindow.STRIDE
         control = nic.register_memory(stride * descriptor.target_count)
@@ -638,6 +623,8 @@ class MulticastReplicateSource(_StagedSource):
 class MulticastReplicateTarget:
     """Replicate target receiving switch-replicated UD datagrams."""
 
+    transports = ("multicast replicate",)
+
     def __init__(self, registry: FlowRegistry, descriptor: FlowDescriptor,
                  target_index: int, ud_qp, ring_region, slot_size: int,
                  control_qps: list, control_handles: list) -> None:
@@ -691,11 +678,8 @@ class MulticastReplicateTarget:
     def open(cls, registry: FlowRegistry, name: str, target_index: int):
         """Generator: open a multicast replicate target endpoint — joins
         the group, pre-populates the receive queue, wires the back-flow."""
-        descriptor = registry.descriptor(name)
-        _check_replicate(descriptor, target_index, descriptor.target_count,
-                         "target")
-        node = registry.cluster.node(
-            descriptor.targets[target_index].node_id)
+        descriptor, node = registry.open_endpoint(name, cls, target_index,
+                                                  "target")
         nic = get_nic(node)
         payload = segment_payload_size(descriptor)
         slot_size = payload + FOOTER_SIZE
@@ -964,35 +948,3 @@ class MulticastReplicateTarget:
     @property
     def memory_bytes(self) -> int:
         return self._ring.size
-
-
-class ReplicateSource:
-    """Factory facade: opens the transport matching the flow options."""
-
-    @staticmethod
-    def open(registry: FlowRegistry, name: str, source_index: int):
-        """Generator: open a replicate source endpoint."""
-        descriptor = registry.descriptor(name)
-        if descriptor.options.multicast:
-            endpoint = yield from MulticastReplicateSource.open(
-                registry, name, source_index)
-        else:
-            endpoint = yield from NaiveReplicateSource.open(
-                registry, name, source_index)
-        return endpoint
-
-
-class ReplicateTarget:
-    """Factory facade: opens the transport matching the flow options."""
-
-    @staticmethod
-    def open(registry: FlowRegistry, name: str, target_index: int):
-        """Generator: open a replicate target endpoint."""
-        descriptor = registry.descriptor(name)
-        if descriptor.options.multicast:
-            endpoint = yield from MulticastReplicateTarget.open(
-                registry, name, target_index)
-        else:
-            endpoint = NaiveReplicateTarget.open(registry, name,
-                                                 target_index)
-        return endpoint

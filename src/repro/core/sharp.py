@@ -24,7 +24,7 @@ Fig. 9.
 from __future__ import annotations
 
 from repro.common.errors import FlowError
-from repro.core.combiner import CombinerTarget, _combiner_descriptor, _row_fold
+from repro.core.combiner import CombinerTarget, _row_fold
 from repro.core.flowdef import FlowDescriptor
 from repro.core.registry import FlowRegistry
 from repro.core.replicate import _StagedSource
@@ -150,6 +150,7 @@ class SharpCombinerSource(_StagedSource):
     """Source endpoint of an in-network combiner flow: segments are sent
     into the switch instead of to the target's rings."""
 
+    transports = ("in-network combiner",)
     _obs = None  # not observed
 
     def __init__(self, registry: FlowRegistry, descriptor: FlowDescriptor,
@@ -163,11 +164,7 @@ class SharpCombinerSource(_StagedSource):
     def open(cls, registry: FlowRegistry, name: str, source_index: int):
         """Generator: open a SHARP combiner source (waits for the target
         to install the switch aggregator)."""
-        descriptor = registry.descriptor(name)
-        if not 0 <= source_index < descriptor.source_count:
-            raise FlowError(
-                f"source index {source_index} out of range "
-                f"[0, {descriptor.source_count})")
+        descriptor, _node = registry.open_endpoint(name, cls, source_index)
         aggregator = yield from registry.wait_backchannel(name, 0, 0)
         return cls(registry, descriptor, source_index, aggregator)
 
@@ -212,21 +209,20 @@ class SharpCombinerTarget(CombinerTarget):
     the op: COUNT partials carry counts and add like SUM partials,
     MIN/MAX partials re-minimize/maximize."""
 
+    transports = ("in-network combiner",)
+
     @classmethod
-    def open(cls, registry: FlowRegistry, name: str):
+    def open(cls, registry: FlowRegistry, name: str, target_index: int = 0):
         """Open the target: allocates the ring, installs the switch
         aggregator, and publishes it for the sources."""
-        descriptor = _combiner_descriptor(registry, name)
-        if not descriptor.options.in_network_aggregation:
-            raise FlowError(
-                f"flow {name!r} does not enable in-network aggregation")
+        descriptor, node = registry.open_endpoint(name, cls, target_index,
+                                                  "target")
         spec = descriptor.aggregation
         schema = descriptor.schema
         # Partials travel as (group, value) pairs.
         partial = Schema(
             ("group", schema.fields[schema.field_index(spec.group_by)].dtype),
             ("value", schema.fields[schema.field_index(spec.value)].dtype))
-        node = registry.cluster.node(descriptor.targets[0].node_id)
         # A segment holds at least one pair, which a latency flow's
         # one-tuple segment may not.
         ring = SegmentRing.allocate(

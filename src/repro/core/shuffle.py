@@ -40,7 +40,6 @@ from repro.core.flowdef import (
     MULTICAST_PAYLOAD_LIMIT,
     NO_FLUSH,
     FlowDescriptor,
-    FlowType,
     Optimization,
 )
 from repro.core.registry import FlowRegistry, RingHandle
@@ -121,8 +120,7 @@ def segment_payload_size(descriptor: FlowDescriptor) -> int:
     if descriptor.optimization is Optimization.LATENCY:
         return descriptor.latency_segment_size()
     size = descriptor.options.segment_size
-    if (descriptor.options.multicast
-            and descriptor.flow_type is FlowType.REPLICATE):
+    if descriptor.options.multicast:
         size = min(size, MULTICAST_PAYLOAD_LIMIT)
     if size < descriptor.schema.tuple_size:
         raise FlowError(
@@ -1200,6 +1198,9 @@ class _FlowSource:
 class ShuffleSource(_FlowSource):
     """The per-thread source endpoint of a shuffle flow."""
 
+    #: Transports this class opens on (see ``FlowRegistry.open_endpoint``).
+    transports = ("shuffle", "combiner")
+
     def __init__(self, registry: FlowRegistry, descriptor: FlowDescriptor,
                  source_index: int, channels: list) -> None:
         self._channels = channels
@@ -1242,16 +1243,7 @@ class ShuffleSource(_FlowSource):
     def open(cls, registry: FlowRegistry, name: str, source_index: int):
         """Generator: open source endpoint ``source_index`` of flow
         ``name``, waiting for the targets to publish their rings."""
-        descriptor = registry.descriptor(name)
-        if descriptor.flow_type not in (FlowType.SHUFFLE, FlowType.COMBINER):
-            raise FlowError(
-                f"flow {name!r} is a {descriptor.flow_type.value} flow")
-        if not 0 <= source_index < descriptor.source_count:
-            raise FlowError(
-                f"source index {source_index} out of range "
-                f"[0, {descriptor.source_count})")
-        node = registry.cluster.node(
-            descriptor.sources[source_index].node_id)
+        descriptor, node = registry.open_endpoint(name, cls, source_index)
         channels = []
         for target_index in range(descriptor.target_count):
             handle = yield from registry.wait_ring(name, source_index,
@@ -1634,8 +1626,8 @@ def _judge_silence(target, pending: list, silence: str) -> None:
 class ShuffleTarget:
     """The per-thread target endpoint of a shuffle flow."""
 
-    #: Flow types this endpoint class may open (subclasses override).
-    _allowed_flow_types = (FlowType.SHUFFLE, FlowType.COMBINER)
+    #: Transports this class opens on (see ``FlowRegistry.open_endpoint``).
+    transports = ("shuffle", "combiner")
 
     def __init__(self, registry: FlowRegistry, descriptor: FlowDescriptor,
                  target_index: int, channels: list[TargetChannel]) -> None:
@@ -1704,16 +1696,8 @@ class ShuffleTarget:
              target_index: int) -> "ShuffleTarget":
         """Open target endpoint ``target_index`` of flow ``name``:
         allocates the receive rings and publishes them for the sources."""
-        descriptor = registry.descriptor(name)
-        if descriptor.flow_type not in cls._allowed_flow_types:
-            raise FlowError(
-                f"flow {name!r} is a {descriptor.flow_type.value} flow")
-        if not 0 <= target_index < descriptor.target_count:
-            raise FlowError(
-                f"target index {target_index} out of range "
-                f"[0, {descriptor.target_count})")
-        node = registry.cluster.node(
-            descriptor.targets[target_index].node_id)
+        descriptor, node = registry.open_endpoint(name, cls, target_index,
+                                                  "target")
         nic = get_nic(node)
         payload = segment_payload_size(descriptor)
         credit_region = nic.register_memory(8 * descriptor.source_count)

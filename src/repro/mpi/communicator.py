@@ -1,5 +1,8 @@
 """Rank-bound communicator: the object MPI application code programs
-against (a thin veneer over the runtime and the collective functions)."""
+against (a thin veneer over the runtime and the collective functions).
+
+Each method returns the generator of the rank or collective call it
+forwards to, without a frame of its own; callers ``yield from`` it."""
 
 from __future__ import annotations
 
@@ -35,58 +38,47 @@ class Communicator:
     # -- point-to-point ----------------------------------------------------
     def send(self, dest: int, payload: Any, size: int, tag: int = 0):
         """Generator: MPI_Send (eager or rendezvous by size)."""
-        yield from self._rank.send(dest, payload, size, tag)
+        return self._rank.send(dest, payload, size, tag)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Generator: MPI_Recv -> (payload, size, source)."""
-        result = yield from self._rank.recv(source, tag)
-        return result
+        return self._rank.recv(source, tag)
 
     def isend(self, dest: int, payload: Any, size: int, tag: int = 0):
         """Generator: MPI_Isend -> request handle (wait() to complete)."""
-        handle = yield from self._rank.isend(dest, payload, size, tag)
-        return handle
+        return self._rank.isend(dest, payload, size, tag)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Generator: MPI_Irecv -> request handle (wait() to receive)."""
-        handle = yield from self._rank.irecv(source, tag)
-        return handle
+        return self._rank.irecv(source, tag)
 
     # -- collectives ---------------------------------------------------------
     def barrier(self):
         """Generator: MPI_Barrier."""
-        yield from collectives.barrier(self._rank)
+        return collectives.barrier(self._rank)
 
     def alltoall(self, chunks):
         """Generator: MPI_Alltoall -> payloads indexed by source."""
-        result = yield from collectives.alltoall(self._rank, chunks)
-        return result
+        return collectives.alltoall(self._rank, chunks)
 
     def bcast(self, payload: Any, size: int, root: int = 0):
         """Generator: MPI_Bcast -> payload on every rank."""
-        result = yield from collectives.bcast(self._rank, payload, size,
-                                              root)
-        return result
+        return collectives.bcast(self._rank, payload, size, root)
 
     def gather(self, payload: Any, size: int, root: int = 0):
         """Generator: MPI_Gather -> list at root, None elsewhere."""
-        result = yield from collectives.gather(self._rank, payload, size,
-                                               root)
-        return result
+        return collectives.gather(self._rank, payload, size, root)
 
     def scatter(self, chunks, root: int = 0):
         """Generator: MPI_Scatter -> this rank's payload."""
-        result = yield from collectives.scatter(self._rank, chunks, root)
-        return result
+        return collectives.scatter(self._rank, chunks, root)
 
     def allreduce(self, value: Any, size: int,
                   op: Callable[[Any, Any], Any]):
         """Generator: MPI_Allreduce -> folded value on every rank."""
-        result = yield from collectives.allreduce(self._rank, value, size,
-                                                  op)
-        return result
+        return collectives.allreduce(self._rank, value, size, op)
 
     # -- multi-process shared-memory surcharge ------------------------------
     def charge_shm_access(self, num_bytes: int):
         """Generator: cost of touching shared state across processes."""
-        yield from self._rank.charge_shm_access(num_bytes)
+        return self._rank.charge_shm_access(num_bytes)

@@ -106,6 +106,29 @@ def test_combiner_requires_aggregation_spec():
                        schema=SCHEMA)
 
 
+@pytest.mark.parametrize("flow_type, options, rule", [
+    (FlowType.SHUFFLE, FlowOptions(multicast=True), "multicast"),
+    (FlowType.COMBINER, FlowOptions(multicast=True), "multicast"),
+    (FlowType.REPLICATE, FlowOptions(in_network_aggregation=True),
+     "in_network_aggregation"),
+    (FlowType.SHUFFLE, FlowOptions(in_network_aggregation=True),
+     "in_network_aggregation"),
+], ids=["multicast-shuffle", "multicast-combiner",
+        "in-network-replicate", "in-network-shuffle"])
+def test_transport_option_outside_its_flow_type_rejected(flow_type, options,
+                                                         rule):
+    """``multicast`` picks a replicate transport and
+    ``in_network_aggregation`` a combiner one: on any other flow type
+    they are refused at init rather than silently ignored."""
+    aggregation = (AggregationSpec("sum", "group", "value")
+                   if flow_type is FlowType.COMBINER else None)
+    with pytest.raises(ConfigurationError, match=rule):
+        FlowDescriptor(name="bad", flow_type=flow_type,
+                       sources=(Endpoint(0, 0),), targets=(Endpoint(1, 0),),
+                       schema=SCHEMA, aggregation=aggregation,
+                       options=options)
+
+
 def test_combiner_single_target_enforced():
     with pytest.raises(ConfigurationError, match="N:1"):
         FlowDescriptor(

@@ -1,10 +1,29 @@
-"""Tests for endpoint parsing and tuple routing."""
+"""Tests for endpoint parsing, endpoint opening and tuple routing."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import ConfigurationError, FlowError
-from repro.core import Endpoint, Schema, endpoints_on, parse_endpoints
+from repro.core import (
+    AggregationSpec,
+    CombinerSource,
+    CombinerTarget,
+    DfiRuntime,
+    Endpoint,
+    FlowOptions,
+    MulticastReplicateSource,
+    MulticastReplicateTarget,
+    NaiveReplicateSource,
+    NaiveReplicateTarget,
+    Schema,
+    SharpCombinerSource,
+    SharpCombinerTarget,
+    ShuffleSource,
+    ShuffleTarget,
+    endpoints_on,
+    parse_endpoints,
+)
+from repro.simnet import Cluster
 from repro.core.routing import (
     key_hash_router,
     radix_router,
@@ -52,9 +71,73 @@ def test_endpoint_str_roundtrip():
     assert Endpoint.parse(str(endpoint)) == endpoint
 
 
-# -- routing -----------------------------------------------------------------
-
 SCHEMA = Schema(("key", "uint64"), ("value", "uint64"))
+
+
+# -- opening an endpoint on a transport its class does not serve -------------
+
+#: One flow per transport: ``name -> (transport, options)``.
+_FLOWS = {
+    "naive": ("replicate", FlowOptions()),
+    "mcast": ("multicast replicate", FlowOptions(multicast=True)),
+    "combiner": ("combiner", FlowOptions()),
+    "sharp": ("in-network combiner",
+              FlowOptions(in_network_aggregation=True)),
+}
+
+#: ``(class, flow, the transport the class serves)``: every class paired
+#: with a neighbour's flow.
+_MISMATCHES = [
+    (SharpCombinerSource, "combiner", "in-network combiner"),
+    (CombinerSource, "sharp", "combiner"),
+    (ShuffleSource, "sharp", "shuffle"),
+    (NaiveReplicateSource, "mcast", "replicate"),
+    (MulticastReplicateSource, "naive", "multicast replicate"),
+    (MulticastReplicateTarget, "naive", "multicast replicate"),
+    (SharpCombinerSource, "mcast", "in-network combiner"),
+    (NaiveReplicateTarget, "mcast", "replicate"),
+    (CombinerTarget, "sharp", "combiner"),
+    (ShuffleTarget, "sharp", "shuffle"),
+    (SharpCombinerTarget, "combiner", "in-network combiner"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, flow, served", _MISMATCHES,
+    ids=[f"{cls.__name__}-{flow}" for cls, flow, _ in _MISMATCHES])
+def test_open_on_a_transport_the_class_does_not_serve_raises(cls, flow,
+                                                             served):
+    """Every endpoint class refuses, at open, a flow whose transport it
+    does not serve — before it registers memory, publishes or waits. A
+    plain open raises at the call; a generator open fails its process
+    instead of waiting for peers that never come."""
+    cluster = Cluster(node_count=3)
+    dfi = DfiRuntime(cluster)
+    transport, options = _FLOWS[flow]
+    if transport.endswith("combiner"):
+        dfi.init_combiner_flow(flow, ["node1|0"], "node2|0", SCHEMA,
+                               AggregationSpec("sum", "key", "value"),
+                               options=options)
+    else:
+        dfi.init_replicate_flow(flow, ["node1|0"], ["node2|0"], SCHEMA,
+                                options=options)
+    before = dfi.registered_memory_by_node()
+    message = rf"is an? {transport} flow, not {served}\b"
+    if cls in (ShuffleTarget, NaiveReplicateTarget, CombinerTarget,
+               SharpCombinerTarget):
+        with pytest.raises(FlowError, match=message):
+            cls.open(dfi.registry, flow, 0)
+    else:
+        def opener():
+            yield from cls.open(dfi.registry, flow, 0)
+
+        cluster.env.process(opener())
+        with pytest.raises(FlowError, match=message):
+            cluster.run()
+    assert dfi.registered_memory_by_node() == before
+
+
+# -- routing -----------------------------------------------------------------
 
 
 def test_key_hash_router_in_range_and_deterministic():
