@@ -33,9 +33,9 @@ def key_hash_router(schema: Schema, key: "str | int") -> RoutingFunction:
     power-of-two modulo partitioning degenerate for structured keys.
     ``route`` runs once per tuple on the per-tuple push path, so the hash
     is inlined and the plain-``int`` common case makes no call at all.
-    ``route.route_many`` partitions a whole batch as ``route`` would
-    (:meth:`Schema.route_kernel`: ``route`` is the reference every batch
-    loop is held to).
+    ``route.route_many`` partitions a whole batch as ``route`` would, and
+    ``route.partition`` splits it packed (:meth:`Schema.route_kernel`:
+    ``route`` is the reference every batch loop is held to).
     """
     index = schema.field_index(key)
     mask = _HASH_MASK
@@ -50,7 +50,7 @@ def key_hash_router(schema: Schema, key: "str | int") -> RoutingFunction:
                 return hash(key_value) % target_count
         return (((key_value & mask) * mult & mask) >> 32) % target_count
 
-    route.route_many = schema.route_kernel(index, route)
+    route.route_many, route.partition = schema.route_kernel(index, route)
     return route
 
 

@@ -15,7 +15,8 @@ over the schema's fields:
   :func:`repro.core.routing.key_hash_router`, picked from the key dtype
   and the batch length: a loop over per-tuple ``route``, an integer loop
   that skips the per-tuple ``int`` probe (the dtype proves it), and a
-  numpy bucket pass for large unsigned-keyed batches;
+  numpy bucket pass for large unsigned-keyed batches — which a bandwidth
+  ``push_batch`` takes as ``partition``: pack once, split the packed rows;
 * :meth:`Schema.column_decoder` — a selective ``struct`` that decodes
   only the columns a combiner folds (every other field is pad bytes).
 
@@ -54,15 +55,14 @@ _HASH_MASK = (1 << 64) - 1
 #: partitions).
 _ROUTE_NP_MIN = 256
 
-#: What the numpy bucket pass needs of numpy — ``(fromiter, uint64,
-#: int64, 32 and the hash multiplier as uint64)`` — ``None`` until a
-#: batch first asks, ``()`` when numpy cannot be imported. The pass is an
-#: optional accelerator only: the stdlib loops stay the reference and the
+#: The numpy module, for the bucket pass — ``None`` until a batch first
+#: asks, ``()`` when numpy cannot be imported. The pass is an optional
+#: accelerator only: the stdlib loops stay the reference and the
 #: fallback, and nothing else in the simulator touches numpy.
 _NUMPY = None
 
 
-def _numpy() -> tuple:
+def _numpy():
     """Bind numpy for the bucket pass. The pass itself calls this, on its
     first batch of ``_ROUTE_NP_MIN`` rows, so a process that never routes
     one never pays the import (~0.11 s and ~12 MiB, the largest single
@@ -71,12 +71,9 @@ def _numpy() -> tuple:
     global _NUMPY
     if _NUMPY is None:
         try:
-            import numpy
+            import numpy as _NUMPY
         except ImportError:
             _NUMPY = ()
-        else:
-            _NUMPY = (numpy.fromiter, numpy.uint64, numpy.int64,
-                      numpy.uint64(32), numpy.uint64(_HASH_MULT))
     return _NUMPY
 
 
@@ -314,11 +311,11 @@ class Schema:
 
     # -- batch kernels ------------------------------------------------------
     def route_kernel(self, key_index: int, route):
-        """``route_many(tuples, target_count) -> groups`` for
-        ``key_hash_router``'s per-tuple ``route`` on field ``key_index``:
-        the partitions of calling ``route`` on every tuple, in batch
-        order, computed by the cheapest loop the key dtype and the batch
-        length admit.
+        """``(route_many, partition)`` for ``key_hash_router``'s per-tuple
+        ``route`` on field ``key_index``. ``route_many(tuples,
+        target_count) -> groups``: the partitions of calling ``route`` on
+        every tuple, in batch order, computed by the cheapest loop the key
+        dtype and the batch length admit.
 
         * A non-integer dtype loops over ``route``.
         * An integer dtype hashes inline without the per-tuple ``int``
@@ -328,15 +325,21 @@ class Schema:
         * An unsigned dtype adds the numpy bucket pass for batches of
           ``_ROUTE_NP_MIN`` rows and more; numpy is imported by the first
           such batch, never by building the router.
+
+        ``partition(tuples, target_count) -> (groups, order)``, ``None``
+        unless the dtype is unsigned, packs a batch the numpy pass takes:
+        ``groups`` are then byte runs, one per target, and ``order`` the
+        batch index of every row they hold; any other batch comes back as
+        ``route_many`` partitions it, with ``order`` ``None``.
         """
         code = self._fields[key_index].dtype.code
         via_route = _route_loop(route)
         if code not in _INT_CODES:
-            return via_route
+            return via_route, None
         int_route = _int_route(key_index, via_route)
         if code not in _UNSIGNED_CODES:
-            return int_route
-        return _uint_route(key_index, int_route, via_route)
+            return int_route, None
+        return _uint_route(self, key_index, int_route, via_route)
 
     def column_decoder(self, *indices: int):
         """``decode(buffer)`` iterating the columns ``indices`` of every
@@ -446,25 +449,32 @@ def _int_route(index: int, via_route):
     return route_many
 
 
-def _uint_route(index: int, int_route, via_route):
-    """Numpy bucket pass over ``int_route`` for a declared-unsigned key.
+def _uint_route(schema: Schema, index: int, int_route, via_route):
+    """Numpy bucket pass over ``int_route`` for a declared-unsigned key,
+    as ``route_many`` and as ``partition``.
 
     The bucket arithmetic wraps the key*multiplier product mod 2**64
     exactly as the integer loop's mask does, and both branches read only
     bits 32..63 of that product — the partitions are therefore identical
     for every in-range key, and the out-of-band cases land where the
-    integer loop puts them.
+    integer loop puts them. ``partition`` packs the batch once, buckets
+    the key column read out of the packed rows (a strided view, aligned
+    or not) and gathers the rows in stable bucket order; a batch that
+    does not pack goes to ``route_many``, so its bad row raises when its
+    group is packed, as it always has.
     """
     as_index = operator.index
     key_of = operator.itemgetter(index)
+    key = schema._fields[index]
+    key_dtype, offset = f"<u{key.dtype.size}", key.offset
+    size, pack_many_into = schema.tuple_size, schema.pack_many_into
 
     def route_many(tuples, target_count: int) -> list[list]:
         if len(tuples) < _ROUTE_NP_MIN or not (_NUMPY or _numpy()):
             return int_route(tuples, target_count)
-        fromiter, uint64, int64, shift, mult = _NUMPY
         try:
-            keys = fromiter(map(as_index, map(key_of, tuples)), uint64,
-                            len(tuples))
+            keys = _NUMPY.fromiter(map(as_index, map(key_of, tuples)),
+                                   _NUMPY.uint64, len(tuples))
         except TypeError:
             # A key defied the declared integer dtype (``operator.index``
             # rejects floats, strings, None): same destination as the
@@ -475,15 +485,46 @@ def _uint_route(index: int, int_route, via_route):
             # but the integer loop routes them by full-precision product
             # bits without erroring — replay through it.
             return int_route(tuples, target_count)
-        buckets = ((keys * mult) >> shift).astype(int64)
-        if target_count & (target_count - 1) == 0:
-            buckets &= target_count - 1
-        else:
-            buckets %= target_count
         groups: list[list] = [[] for _ in range(target_count)]
         appends = tuple(group.append for group in groups)
-        for bucket, values in zip(buckets.tolist(), tuples):
+        for bucket, values in zip(_buckets(keys, target_count).tolist(),
+                                  tuples):
             appends[bucket](values)
         return groups
 
-    return route_many
+    def partition(tuples, target_count: int):
+        count = len(tuples)
+        if count < _ROUTE_NP_MIN or not (_NUMPY or _numpy()):
+            return int_route(tuples, target_count), None
+        packed = bytearray(count * size)
+        try:
+            pack_many_into(packed, 0, tuples)
+        except SchemaError:
+            return route_many(tuples, target_count), None
+        numpy = _NUMPY
+        buckets = _buckets(numpy.ndarray(count, key_dtype, packed, offset,
+                                         (size,)).astype(numpy.uint64),
+                           target_count)
+        order = buckets.argsort(kind="stable")
+        ends = (numpy.bincount(buckets.view(numpy.int64),
+                               minlength=target_count).cumsum()
+                * size).tolist()
+        rows = memoryview(numpy.ndarray((count, size), numpy.uint8,
+                                        packed)[order]).cast("B")
+        return [rows[start:end]
+                for start, end in zip([0, *ends], ends)], order
+
+    return route_many, partition
+
+
+def _buckets(keys, target_count: int):
+    """The target slot of every key of ``keys`` (a uint64 array), as the
+    integer loop computes it: bits 32..63 of ``key * _HASH_MULT`` wrapped
+    mod 2**64, masked for a power-of-two ``target_count``, else modulo.
+    Operators only, no method call: the slots stay uint64."""
+    buckets = (keys * _HASH_MULT) >> 32
+    if target_count & (target_count - 1) == 0:
+        buckets &= target_count - 1
+    else:
+        buckets %= target_count
+    return buckets

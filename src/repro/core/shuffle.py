@@ -1221,17 +1221,21 @@ class ShuffleSource(_FlowSource):
         #: routers cannot leave ``[0, live targets)``, a routing function
         #: of the application can.
         self._vet_routes = descriptor.routing is not None
-        #: The router's own batch partitioner, if it brings one.
-        try:
-            self._route_many = self._router.route_many
-        except AttributeError:
-            self._route_many = None
         #: How ``push_batch`` drives a group, fixed for the flow's life:
         #: the row packer behind the channels' charge/stage pair, or
         #: ``None`` for latency channels (one segment per tuple — their
         #: ``push_batch`` is the per-tuple loop).
         self._fill = (None if descriptor.optimization is Optimization.LATENCY
                       else schema.pack_many_into)
+        #: The router's own batch partitioners, if it brings them; a
+        #: bandwidth batch takes ``partition`` in place of ``route_many``.
+        self._route_many = self._partition = None
+        try:
+            self._route_many = self._router.route_many
+            if self._fill is not None:
+                self._partition = self._router.partition
+        except AttributeError:
+            pass
         # Survivors absorb a failed target's key share only through a
         # router.
         super().__init__(registry, descriptor, source_index,
@@ -1375,6 +1379,9 @@ class ShuffleSource(_FlowSource):
         if tuples.__class__ is not list and tuples.__class__ is not tuple:
             tuples = list(tuples)
         channels = self._channels
+        # Groups of tuples, or ``partition``'s byte runs (``stride`` bytes
+        # a row, their batch indices in ``order``) staged as packed rows.
+        fill, stride, order = self._fill, 1, None
         if target is not None:
             if not 0 <= target < len(channels) or target in self._failed:
                 raise self._bad_target(target)
@@ -1388,9 +1395,13 @@ class ShuffleSource(_FlowSource):
                 groups = (tuples,)
             else:
                 count = len(live)
-                route_many = self._route_many
-                if route_many is not None:
-                    groups = route_many(tuples, count)
+                if self._partition is not None:
+                    groups, order = self._partition(tuples, count)
+                    if order is not None:
+                        fill = _copy_into
+                        stride = self.descriptor.schema.tuple_size
+                elif self._route_many is not None:
+                    groups = self._route_many(tuples, count)
                 else:
                     router = self._router
                     groups = [[] for _ in range(count)]
@@ -1400,7 +1411,6 @@ class ShuffleSource(_FlowSource):
                         if slot.__class__ is not int or not 0 <= slot < count:
                             slot = _route_slot(slot, count)
                         appends[slot](values)
-        fill = self._fill
         # The CPU charged but not slept yet: the one charge's delay, and
         # from a second charge on the absolute deadline.
         delay = when = None
@@ -1419,7 +1429,7 @@ class ShuffleSource(_FlowSource):
                             yield from channels[index].push_batch(group)
                             continue
                         channel = channels[index]
-                        charge = channel.charge_batch(len(group))
+                        charge = channel.charge_batch(len(group) // stride)
                         if delay is None:
                             delay = charge
                         elif when is None:
@@ -1427,7 +1437,7 @@ class ShuffleSource(_FlowSource):
                             when = env._now + delay + charge
                         else:
                             when += charge
-                        flush = channel.stage_batch(group, fill)
+                        flush = channel.stage_batch(group, fill, stride)
                         if flush is not NO_FLUSH:
                             yield (delay if when is None
                                    else env.sleep_until(when))
@@ -1443,8 +1453,13 @@ class ShuffleSource(_FlowSource):
                         # over the survivors. Tuples the dead target
                         # already consumed may recur on a survivor:
                         # reroute is at-least-once across a failure.
-                        remaining = [values for rest in groups[slot:]
-                                     for values in rest]
+                        if order is None:
+                            remaining = [values for rest in groups[slot:]
+                                         for values in rest]
+                        else:
+                            start = sum(map(len, groups[:slot])) // stride
+                            remaining = list(map(tuples.__getitem__,
+                                                 order[start:].tolist()))
                         yield from self.push_batch(remaining)
                         return
         except FlowError:

@@ -99,19 +99,23 @@ class Rank:
 
     # -- cost model ----------------------------------------------------------
     def _call_overhead(self, extra: float = 0.0):
-        """Generator: per-call software cost, including the THREAD_MULTIPLE
-        latch with its contention penalty."""
-        profile = self.runtime.profile
+        """Per-call software cost, to ``yield from``: the compute sleep in
+        a plain tuple (no generator per call), or the THREAD_MULTIPLE
+        latch generator with its contention penalty."""
         if self.runtime.threading is ThreadingLevel.MULTIPLE:
-            yield self._latch.acquire()
-            contenders = self._latch.queue_length
-            hold = (profile.thread_latch_hold
-                    + profile.thread_latch_contention * contenders
-                    + extra)
-            yield self.node.compute(hold)
-            self._latch.release()
-        elif extra > 0:
-            yield self.node.compute(extra)
+            return self._latched(extra)
+        return (self.node.compute(extra),) if extra > 0 else ()
+
+    def _latched(self, extra: float):
+        """Generator: the THREAD_MULTIPLE latch held for the call's cost."""
+        profile = self.runtime.profile
+        yield self._latch.acquire()
+        contenders = self._latch.queue_length
+        hold = (profile.thread_latch_hold
+                + profile.thread_latch_contention * contenders
+                + extra)
+        yield self.node.compute(hold)
+        self._latch.release()
 
     def charge_shm_access(self, num_bytes: int):
         """Generator: cost of touching ``num_bytes`` of a data structure

@@ -33,25 +33,26 @@ from tests import discrete_reference
 SCHEMA = Schema(("key", "uint64"), ("value", "uint64"))
 
 
-def _run(targets, batches, options, scale, seed):
+def _run(targets, batches, options, scale, seed, schema=SCHEMA,
+         row=lambda rng: (rng.getrandbits(64), 0)):
     """One source on a CPU ``scale`` times nominal pushes ``batches``
-    (row counts), key-hashed over ``targets`` targets; returns (WRITE
-    records, rows delivered per target, final clock)."""
+    (row counts) of ``schema`` rows, ``row(rng)`` each, key-hashed over
+    ``targets`` targets; returns (WRITE records, rows delivered per
+    target, final clock)."""
     cluster = Cluster(node_count=1 + targets,
                       profile=DEFAULT_HARDWARE.with_straggler(0, scale))
     plane = cluster.enable_observability()
     dfi = DfiRuntime(cluster)
     dfi.init_shuffle_flow(
         "f", ["node0|0"], [f"node{1 + n}|0" for n in range(targets)],
-        SCHEMA, shuffle_key="key", options=options)
+        schema, shuffle_key="key", options=options)
     rng = random.Random(seed)
     delivered = {index: [] for index in range(targets)}
 
     def source():
         src = yield from dfi.open_source("f", 0)
         for count in batches:
-            yield from src.push_batch(
-                [(rng.getrandbits(64), 0) for _ in range(count)])
+            yield from src.push_batch([row(rng) for _ in range(count)])
         yield from src.close()
 
     def target(index):
@@ -93,9 +94,9 @@ def test_one_charge_per_flush_boundary_matches_the_per_group_walk(
     assert product == reference
 
 
-def _rejected_row_instant():
-    """The instant a routed batch whose last row the schema rejects
-    raises, and what the error says."""
+def _rejected_row_instant(count=41):
+    """The instant a routed batch of ``count`` rows whose last row the
+    schema rejects raises, and what the error says."""
     cluster = Cluster(node_count=5, profile=DEFAULT_HARDWARE.with_straggler(
         0, 0.7))
     dfi = DfiRuntime(cluster)
@@ -106,7 +107,8 @@ def _rejected_row_instant():
 
     def source():
         src = yield from dfi.open_source("f", 0)
-        rows = [(key, key) for key in range(40)] + [(40, -1)]
+        rows = ([(key, key) for key in range(count - 1)]
+                + [(count - 1, -1)])
         try:
             yield from src.push_batch(rows)
         except FlowError as exc:
@@ -130,4 +132,60 @@ def test_a_rejected_row_surfaces_behind_the_charged_cpu():
     with discrete_reference.installed():
         reference = _rejected_row_instant()
     assert product and product[0][1] == "SchemaError"
+    assert product == reference
+
+
+def test_a_rejected_row_in_a_packed_size_batch_surfaces_behind_the_cpu():
+    """300 rows reach the pack-then-partition pass: the batch does not
+    pack, so it is routed and packed group by group as below the
+    threshold, and the error surfaces at the per-group walk's instant."""
+    product = _rejected_row_instant(300)
+    with discrete_reference.installed():
+        reference = _rejected_row_instant(300)
+    assert product and product[0][1] == "SchemaError"
+    assert product == reference
+
+
+#: Key layouts of the packed partition: the key column at offset 0, and
+#: behind three pad bytes (unaligned for every dtype wider than a byte).
+LAYOUTS = {
+    "offset0": lambda key: Schema(("key", key), ("value", "uint64")),
+    "unaligned": lambda key: Schema(("pad", 3), ("key", key),
+                                    ("value", "uint32")),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("key", ["uint8", "uint16", "uint32", "uint64"])
+@settings(max_examples=40, deadline=None)
+@given(targets=st.sampled_from([2, 3, 8, 9]),
+       batches=st.lists(st.sampled_from([255, 256, 257, 1024, 3000]),
+                        min_size=1, max_size=3),
+       segment_size=st.sampled_from([256, 528, 2048]),
+       scale=st.sampled_from([0.37, 1.3]),
+       seed=st.integers(0, 2 ** 16))
+def test_packed_partition_key_layouts_match_the_per_group_walk(
+        layout, key, targets, batches, segment_size, scale, seed):
+    """Batches of ``_ROUTE_NP_MIN`` rows and more are packed once and
+    split by target from the key column read out of the packed rows;
+    the oracle routes the tuples and packs each group. Same ``WRITE``
+    records, same rows per target, same final clock, for every unsigned
+    key width, aligned or not."""
+    schema = LAYOUTS[layout](key)
+    bits = 8 * schema.fields[schema.field_index("key")].dtype.size
+    if layout == "offset0":
+        def row(rng):
+            return rng.getrandbits(bits), rng.getrandbits(64)
+    else:
+        def row(rng):
+            return b"pad", rng.getrandbits(bits), rng.getrandbits(32)
+    options = FlowOptions(segment_size=segment_size, source_segments=4,
+                          target_segments=8, credit_threshold=2)
+    args = (targets, batches, options, scale, seed, schema, row)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.obs.metrics.FOLD_RECORDS", 10 ** 9)
+        product = _run(*args)
+        with discrete_reference.installed():
+            reference = _run(*args)
+    assert product[0], "no segment was written"
     assert product == reference

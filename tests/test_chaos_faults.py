@@ -352,3 +352,24 @@ def test_chaos_batched_cells_crash_abort_and_reroute():
         rerouted |= seed % 2 == 1 and max(counts.values()) > 900
     assert {"killed", "FlowPeerFailedError"} <= observed, observed
     assert rerouted
+
+
+#: Rows per ``push_batch`` call of the packed-partition cells: at least
+#: ``_ROUTE_NP_MIN``, so each batch is packed once and split by target.
+PACKED_BATCH = 300
+
+
+@pytest.mark.parametrize("seed", (3, 7, 9))
+def test_chaos_packed_batch_reroute(seed):
+    """A target dies while the sources push 300-row batches under the
+    reroute policy: the product re-pushes the failed group plus every
+    group not yet pushed, taken from the packed partition's row order,
+    and must agree with the oracle, which routes and packs per group.
+    In seeds 3 and 9 the failed group is the second (the re-pushed rows
+    start mid-order), in seed 7 the first; either way the survivor
+    takes over the dead target's share."""
+    _check_cell(seed, "shuffle", Optimization.BANDWIDTH, batch=PACKED_BATCH)
+    outcomes, counts, _now = _run_chaos(
+        seed, "shuffle", Optimization.BANDWIDTH, batch=PACKED_BATCH)
+    assert "killed" in outcomes.values()
+    assert max(counts.values()) > 850, counts
