@@ -452,6 +452,9 @@ class NaiveReplicateTarget(ShuffleTarget):
                 progressed = True
             if channel.aborted:
                 self._abort_seen = True
+        # A consume skips this scan while nothing is dirty, and with it
+        # this drain: safe, because an entry becomes ready only through
+        # an insert above, and every scan pops all that are ready.
         while True:
             ready = self._reorder.pop_ready()
             if ready is None:

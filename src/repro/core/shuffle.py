@@ -145,12 +145,11 @@ class _Doorbell:
 
     Real DFI busy-polls footer flags (a sub-100ns cache load). Simulating
     every load would swamp the event kernel, so each region keeps one
-    write hook for its whole life — every RDMA write stays on the
-    region's single-hook fast path — and the waiter arms an event per
-    wait. The hook of region ``i`` marks ``i`` in :attr:`dirty` and fires
-    the armed event. A wait only a write can end is armed with
-    ``poll=True``: the event is the waiting process's own wake entry
-    (``Process._wake``; yield it at once), and it resumes at
+    write hook for its whole life, registered once, and the waiter arms
+    an event per wait. The hook of region ``i`` marks ``i`` in
+    :attr:`dirty` and fires the armed event. A wait only a write can end
+    is armed with ``poll=True``: the event is the waiting process's own
+    wake entry (``Process._wake``; yield it at once), and it resumes at
     ``commit + cpu_poll_cost`` — the float ``node.compute`` would charge
     behind a zero-delay wake (``_cpu_scale`` is construction-constant),
     in one event instead of two. A wait raced against a deadline keeps a
@@ -755,14 +754,17 @@ class LatencySourceChannel(_SourceChannel):
         self._staging = zeroed(
             self._staging_slots * self._slot_size if staging else 0)
         self._staging_view = memoryview(self._staging)
-        self._pack_into = self.schema.pack_into
+        self._pack_tuple = self.schema.raw_pack_into
         #: The close/abort marker write, ``_flush(flags)``: a zeroed
         #: payload (a partial, so a marker costs no call of its own).
-        self._flush = partial(self._send, self.profile.cpu_post_cost,
-                              _copy_into, bytes(self.segment_payload), 0)
-        #: CPU cost of one push: the tuple copy plus posting its write.
-        self._push_cost = (self.profile.cpu_push_cost(self._tuple_size)
-                           + self.profile.cpu_post_cost)
+        self._flush = partial(self._send, node.compute(
+            self.profile.cpu_post_cost), _copy_into,
+            bytes(self.segment_payload), 0)
+        #: CPU delay of one push, the tuple copy plus posting its write
+        #: (``_cpu_scale`` is construction-constant, see ``_Doorbell``).
+        self._push_delay = node.compute(
+            self.profile.cpu_push_cost(self._tuple_size)
+            + self.profile.cpu_post_cost)
         self._segments = handle.segment_count
         #: Segments sent against the target's consumed counter.
         self._credit = CreditWindow(self, handle,
@@ -778,8 +780,19 @@ class LatencySourceChannel(_SourceChannel):
         generator the caller must ``yield from``."""
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
-        return self._send(self._push_cost, self._pack_into, values,
-                          self._tuple_size)
+        # Staged in place, as :meth:`_send` stages bytes and markers.
+        seq = self._credit.sent
+        base = (seq % self._staging_slots) * self._slot_size
+        try:
+            self._pack_tuple(self._staging, base, *values)
+        except _struct_error as exc:
+            raise self.schema.mismatch(values, exc) from None
+        used = self._tuple_size
+        _FOOTER_PACK_INTO(self._staging, base + self.segment_payload, used,
+                          _FLAG_WORDS[0], seq)
+        return self._write_slot(
+            self._staging_view[base:base + self._slot_size], used, 0, seq,
+            self._push_delay)
 
     def push_batch(self, tuples):
         """Generator: push a batch of tuples. Latency mode is inherently
@@ -796,7 +809,7 @@ class LatencySourceChannel(_SourceChannel):
         tuple_size = self._tuple_size
         for start in range(0, len(data), tuple_size):
             yield from self._send(
-                self._push_cost, _copy_into, data[start:start + tuple_size],
+                self._push_delay, _copy_into, data[start:start + tuple_size],
                 tuple_size)
 
     def release(self) -> None:
@@ -804,7 +817,7 @@ class LatencySourceChannel(_SourceChannel):
         ``BandwidthSourceChannel.release``)."""
         self._credit.release()
 
-    def _send(self, cost: float, fill, payload, used: int, flags: int = 0):
+    def _send(self, delay: float, fill, payload, used: int, flags: int = 0):
         """Stage ``fill(staging, base, payload)`` in the next staging slot,
         footered as ``used`` bytes under close/abort ``flags`` (a marker's
         payload is zeroed), and return :meth:`_write_slot` of it."""
@@ -815,20 +828,21 @@ class LatencySourceChannel(_SourceChannel):
                           _FLAG_WORDS[flags], seq)
         return self._write_slot(
             self._staging_view[base:base + self._slot_size], used, flags,
-            seq, cost)
+            seq, delay)
 
     def _write_slot(self, slot, used: int, flags: int, seq: int,
-                    cost: "float | None" = None):
-        """Generator: the one latency-mode write. Charge ``cost`` of CPU
-        (``None``: the caller already did), hold a credit, post ``slot``
+                    delay: "float | None" = None):
+        """Generator: the one latency-mode write. Sleep ``delay``, a CPU
+        charge already scaled by ``node.compute`` (``None``: the caller
+        charged its own), hold a credit, post ``slot``
         — one segment holding ``used`` payload bytes and footer ``seq``
         under close/abort ``flags``, in a buffer its owner keeps
         unchanged until the write commits — as one zero-copy write, then
         top the credits up. Returns the work request of a marker (a
         write with ``flags``), else ``None``: data writes are
         fire-and-forget, only a close/abort marker is ever observed."""
-        if cost is not None:
-            yield self.node.compute(cost)
+        if delay is not None:
+            yield delay
         segments = self._segments
         credit = self._credit
         sent = credit.sent
@@ -896,6 +910,7 @@ class TargetChannel:
         # view at ``footer offset - segment size`` and the credit counter
         # is packed in place, both without a range check per segment.
         self._segment_size = ring.segment_size
+        self._segment_count = ring.segment_count
         self._tuple_size = self.schema.tuple_size
         self._view = ring.region.view(0, ring.total_bytes)
         if credit_region is not None:
@@ -1000,7 +1015,7 @@ class TargetChannel:
             return 0
         mem = self.ring.region.mem
         offsets = self._footer_offsets
-        segment_count = len(offsets)
+        segment_count = self._segment_count
         view = self._view
         segment_size = self._segment_size
         tuple_size = self._tuple_size
@@ -1746,8 +1761,10 @@ class ShuffleTarget:
         buffer = self._buffer
         if buffer:
             return buffer.popleft()
+        dirty = self._doorbell.dirty
         while True:
-            progressed = self._scan(buffer, self._unpack)
+            # Only a write marks a channel dirty: a clean set scans nothing.
+            progressed = dirty and self._scan(buffer, self._unpack)
             if buffer:
                 return buffer.popleft()
             if self._abort_seen:
@@ -1812,17 +1829,19 @@ class ShuffleTarget:
         drained straight into the list it returns — no deque round-trip
         per tuple."""
         buffer = self._buffer
+        dirty = self._doorbell.dirty
         if buffer:
             # Leftovers from per-tuple consumes (rows only, see
             # consume_bytes): drain into the deque so FIFO order holds
             # across the mix, then hand over everything.
-            self._scan(buffer, unpack)
+            if dirty:
+                self._scan(buffer, unpack)
             batch = list(buffer)
             buffer.clear()
             return batch
         while True:
             batch = []
-            progressed = self._scan(batch, unpack)
+            progressed = dirty and self._scan(batch, unpack)
             if batch:
                 return batch
             if self._abort_seen:
@@ -1847,6 +1866,7 @@ class ShuffleTarget:
         deque, or a list that goes straight to the caller — through
         :meth:`TargetChannel.drain` with ``unpack``.
 
+        Callers skip the call while the doorbell's dirty set is empty.
         Each dirty channel is drained of all its consecutive consumable
         segments; a channel leaves the dirty set only here, immediately
         before the drain, so a write landing later re-marks it via the

@@ -60,20 +60,24 @@ class MemoryRegion:
         self.mem = zeroed(size)
         # A live export also stops a ``bytearray`` from ever resizing.
         self._view = memoryview(self.mem)
-        self._write_hooks: list = []
+        self._write_hooks: tuple = ()
 
     # -- write notification ---------------------------------------------
     # Polling a footer flag in real DFI is a sub-100ns memory load in a hot
     # loop. Simulating each load as an event would swamp the kernel, so
     # consumers instead register a hook that fires on every commit into the
-    # region and charge an explicit poll-detection cost on wakeup.
+    # region and charge an explicit poll-detection cost on wakeup. The
+    # hooks are a tuple that registration rebuilds, so a hook that adds or
+    # removes one while firing changes the next commit, not this one.
     def add_write_hook(self, hook) -> None:
         """Register ``hook(offset, length)`` to run on every commit."""
-        self._write_hooks.append(hook)
+        self._write_hooks += (hook,)
 
     def remove_write_hook(self, hook) -> None:
         """Unregister a previously added write hook."""
-        self._write_hooks.remove(hook)
+        hooks = list(self._write_hooks)
+        hooks.remove(hook)
+        self._write_hooks = tuple(hooks)
 
     # -- bounds-checked access --------------------------------------------
     def check_range(self, offset: int, length: int) -> None:
@@ -86,16 +90,13 @@ class MemoryRegion:
     def write(self, offset: int, data: bytes | bytearray | memoryview) -> None:
         """Commit ``data`` into the region at ``offset``."""
         length = len(data)
-        self.check_range(offset, length)
-        self.mem[offset:offset + length] = data
-        hooks = self._write_hooks
-        if hooks:
-            if len(hooks) == 1:
-                hooks[0](offset, length)
-            else:
-                # Copy: a hook may unregister itself while firing.
-                for hook in tuple(hooks):
-                    hook(offset, length)
+        end = offset + length
+        # Inline: the commit path pays no call for an in-range write.
+        if offset < 0 or end > self.size:
+            self.check_range(offset, length)
+        self.mem[offset:end] = data
+        for hook in self._write_hooks:
+            hook(offset, length)
 
     def read(self, offset: int, length: int) -> bytes:
         """Snapshot ``length`` bytes starting at ``offset``."""

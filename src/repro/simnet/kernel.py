@@ -152,7 +152,7 @@ class MacroEvent(Event):
     nothing per flush.
     """
 
-    __slots__ = ("actions", "index", "seq", "_cb")
+    __slots__ = ("actions", "index", "end", "seq", "_cb")
 
     def __init__(self, env: "Environment") -> None:
         super().__init__(env)
@@ -160,6 +160,8 @@ class MacroEvent(Event):
         #: the record is idle in the pool).
         self.actions: "list | None" = None
         self.index = 0
+        #: The train's length when it was scheduled.
+        self.end = 0
         #: Sequence number of the train's first hop (see class docstring).
         self.seq = 0
         # The permanent one-element callback list. step() reads and
@@ -173,7 +175,7 @@ class MacroEvent(Event):
         env = self.env
         actions = self.actions
         index = self.index
-        total = len(actions)
+        total = self.end
         now = env._now
         while index < total:
             action = actions[index]
@@ -612,13 +614,14 @@ class Environment:
         in-flight pooled :class:`MacroEvent` that walks the train instead
         of one queued event per action.
 
-        ``actions`` must be sorted by non-decreasing ``when``. This is the
-        kernel half of doorbell batching: a train of segment commits costs
-        one live queue entry at any moment, yet every action still fires
-        at the same ``(time, ...)`` key a per-action ``Timeout`` would
-        have used. The ``(when, fn, arg)`` record shape lets callers share
-        one function across the train and keep per-action state in a plain
-        tuple instead of a closure.
+        ``actions`` must be sorted by non-decreasing ``when`` and must
+        not grow once handed over (the walk stops at its length at this
+        call). This is the kernel half of doorbell batching: a train of
+        segment commits costs one live queue entry at any moment, yet
+        every action still fires at the same ``(time, ...)`` key a
+        per-action ``Timeout`` would have used. The ``(when, fn, arg)``
+        record shape lets callers share one function across the train and
+        keep per-action state in a plain tuple instead of a closure.
         """
         if not actions:
             return
@@ -635,6 +638,7 @@ class Environment:
             macro = MacroEvent(self)
         macro.actions = actions
         macro.index = 0
+        macro.end = len(actions)
         self._schedule_abs(macro, actions[0][0])
         macro.seq = self._sequence
 

@@ -8,7 +8,7 @@ entered under ``src/repro`` and of C functions those frames call is
 not. When every per-segment price was paid per tuple (a property and a
 range check per memory access, a scan of all channels per consume, a
 generator per credit check, a calendar queue under the heap) a round
-trip entered 152 frames; it enters 88. Both waits of a message — the
+trip entered 152 frames; it enters 70. Both waits of a message — the
 CPU charge and the merged wake — resume the waiting process through
 its own wake entry, so neither builds an event.
 """
@@ -134,3 +134,72 @@ def test_round_trip_is_eight_events_and_at_most_165_calls():
             == 8 * TRIPS)
     per_trip = (sum(busy_calls) - sum(idle_calls)) / TRIPS
     assert per_trip <= 165, per_trip
+
+
+def test_round_trip_enters_at_most_75_frames_and_130_calls():
+    """70.0 frames + 54.1 C calls = 124.1 per trip; 82.0 + 62.1 = 144.1
+    while a commit range-checked through ``check_range`` and counted its
+    hooks with ``len``, a train's walk took ``len`` per hop, a latency push
+    staged through ``_send`` and ``Schema.pack_into`` and scaled its CPU
+    cost per push, a drain took ``len`` of its footer offsets, and a
+    consume scanned a clean doorbell set."""
+    idle, busy = _pingpong(0, DEEP), _pingpong(TRIPS, DEEP)
+    idle_calls, busy_calls = _calls(idle.run), _calls(busy.run)
+    assert _wqes(busy) - _wqes(idle) == 2 * TRIPS     # no credit read
+    assert (busy.env.events_executed - idle.env.events_executed
+            == 8 * TRIPS)
+    frames = (busy_calls[0] - idle_calls[0]) / TRIPS
+    per_trip = (sum(busy_calls) - sum(idle_calls)) / TRIPS
+    assert frames <= 75, frames
+    assert per_trip <= 130, per_trip
+
+
+#: Fig. 10a's DFI latency-optimized configuration at 16-byte tuples.
+STREAM_SCHEMA = Schema(("key", "uint64"), ("pad", 8))
+STREAM = FlowOptions(segment_size=8192, source_segments=8,
+                     target_segments=16, credit_threshold=8)
+STREAM_TUPLES = 1000
+
+
+def _stream(tuples: int) -> Cluster:
+    """Fig. 10a's latency column: one source streams ``tuples`` 16-byte
+    rows to one target that drains them with ``consume_batch``."""
+    cluster = Cluster(node_count=2)
+    dfi = DfiRuntime(cluster)
+    dfi.init_shuffle_flow("p2p", [Endpoint(0, 0)], [Endpoint(1, 0)],
+                          STREAM_SCHEMA, shuffle_key="key",
+                          optimization=Optimization.LATENCY,
+                          options=STREAM)
+    pad = bytes(8)
+    received = []
+
+    def source_proc():
+        source = yield from dfi.open_source("p2p", 0)
+        for key in range(tuples):
+            yield from source.push((key, pad))
+        yield from source.close()
+
+    def target_proc():
+        target = yield from dfi.open_target("p2p", 0)
+        while True:
+            batch = yield from target.consume_batch()
+            if batch is FLOW_END:
+                assert received == [(key, pad) for key in range(tuples)]
+                return
+            received.extend(batch)
+
+    cluster.env.process(source_proc())
+    cluster.env.process(target_proc())
+    return cluster
+
+
+def test_streaming_latency_push_makes_at_most_66_calls_per_tuple():
+    """62.7 calls per tuple (39.1 frames); 69.9 (44.2) before the
+    latency message path's glue was cut. The ring is short enough that
+    the source waits on credits: one credit read per eight tuples."""
+    idle, busy = _stream(0), _stream(STREAM_TUPLES)
+    idle_calls, busy_calls = _calls(idle.run), _calls(busy.run)
+    credit_reads = _wqes(busy) - _wqes(idle) - STREAM_TUPLES
+    assert credit_reads >= STREAM_TUPLES // 10, credit_reads
+    per_tuple = (sum(busy_calls) - sum(idle_calls)) / STREAM_TUPLES
+    assert per_tuple <= 66, per_tuple

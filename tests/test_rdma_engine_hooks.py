@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import MemoryRegionError
 from repro.rdma import get_nic
 from repro.simnet import Cluster
 
@@ -106,3 +107,62 @@ def test_hook_fires_for_remote_write_commits():
     assert p_off == 0 and p_len == 1024 - 64
     assert t_off == 1024 - 64 and t_len == 64
     assert p_t < t_t  # increasing-address DMA order
+
+
+def test_hook_removing_itself_while_firing():
+    """A commit fires the hooks registered when it began: one that
+    unregisters itself mid-commit still lets the other fire for that
+    commit, and only the other fires on the next one."""
+    cluster = Cluster(node_count=1)
+    region = get_nic(cluster.node(0)).register_memory(64)
+    fired = []
+
+    def once(offset, _length):
+        fired.append(("once", offset))
+        region.remove_write_hook(once)
+
+    region.add_write_hook(once)
+    region.add_write_hook(lambda offset, _length: fired.append(
+        ("always", offset)))
+    region.write(0, b"a")
+    region.write(1, b"b")
+    assert fired == [("once", 0), ("always", 0), ("always", 1)]
+
+
+def test_hook_added_while_firing_starts_on_next_commit():
+    cluster = Cluster(node_count=1)
+    region = get_nic(cluster.node(0)).register_memory(64)
+    fired = []
+
+    def late(offset, _length):
+        fired.append(("late", offset))
+
+    def adder(offset, _length):
+        fired.append(("adder", offset))
+        if offset == 0:
+            region.add_write_hook(late)
+
+    region.add_write_hook(adder)
+    region.write(0, b"a")
+    assert fired == [("adder", 0)]
+    region.write(1, b"b")
+    assert fired == [("adder", 0), ("adder", 1), ("late", 1)]
+
+
+@pytest.mark.parametrize("offset, data", [(-1, b"ab"), (63, b"ab"),
+                                          (64, b"a"), (-8, b"")])
+def test_out_of_range_write_changes_nothing(offset, data):
+    """An out-of-range write raises the range check's error and message,
+    changes no byte and fires no hook."""
+    cluster = Cluster(node_count=1)
+    region = get_nic(cluster.node(0)).register_memory(64)
+    region.write(0, bytes(range(64)))
+    fired = []
+    region.add_write_hook(lambda offset, length: fired.append(offset))
+    message = (f"access [{offset}, {offset + len(data)}) outside region "
+               f"of size 64 (rkey={region.rkey})")
+    with pytest.raises(MemoryRegionError) as caught:
+        region.write(offset, data)
+    assert str(caught.value) == message
+    assert region.read(0, 64) == bytes(range(64))
+    assert fired == []
