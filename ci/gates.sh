@@ -4,7 +4,7 @@
 # command *is* the CI gate:
 #
 #   ci/gates.sh tests        behaviour: tier-1 pytest (chaos no-hang and
-#                            bit-reproducibility, obs budget, the 4-shard
+#                            bit-reproducibility, obs budget, the obs-on
 #                            fingerprint leg, ...) and the 20 figure tables,
 #                            regenerated and diffed against the committed ones
 #   ci/gates.sh determinism  simulated numbers, exact: the fingerprint in its

@@ -42,10 +42,6 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--nodes", type=int, default=2,
                         help="cluster size; the client runs on node 0 and "
                              "the server on the last node (default 2)")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="event-kernel shards (default 1; simulated "
-                             "results are bit-identical at any shard "
-                             "count)")
     parser.add_argument("--stats", action="store_true",
                         help="enable observability and print the metrics "
                              "report after the run")
@@ -56,8 +52,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
     if args.nodes < 2:
         parser.error("--nodes must be >= 2 (client and server)")
-    cluster = Cluster(node_count=args.nodes, seed=args.seed,
-                      shards=args.shards)
+    cluster = Cluster(node_count=args.nodes, seed=args.seed)
     if args.stats or args.trace_out:
         cluster.enable_observability(trace=args.trace_out is not None)
     server_node = args.nodes - 1

@@ -325,26 +325,24 @@ def measure_combiner_bandwidth(tuple_size: int, threads_per_sender: int,
 
 
 def run_shuffle_mesh(groups: int, group_size: int, tuple_size: int = 64,
-                     tuples_per_source: int = 256, shards: int | None = None,
-                     seed: int = 0,
+                     tuples_per_source: int = 256, seed: int = 0,
                      options: FlowOptions = FlowOptions(
                          source_segments=4, target_segments=16,
                          credit_threshold=8),
                      ) -> dict:
     """Grouped shuffle mesh: ``groups`` concurrent ``group_size``:
     ``group_size`` shuffle flows on one ``groups × group_size``-node
-    cluster (rack-aligned shards via :meth:`Cluster.racked`).
+    cluster built rack-major by :meth:`Cluster.racked`, one group per
+    rack.
 
     The scale scenario: 8×8 is the 64-node kernel bench's flow-shaped
-    event mix. Every flow stays inside its group, so with rack-aligned
-    shards cross-shard mailbox traffic is near zero.
-    Returns sim/wall measurements plus the cluster (callers read
-    ``cluster.metrics_snapshot()``; sim metrics are bit-identical for
-    any ``shards``).
+    event mix, and every flow stays inside its rack. Returns sim/wall
+    measurements plus the cluster (callers read
+    ``cluster.metrics_snapshot()``).
     """
     import time as _time
 
-    cluster = Cluster.racked(groups, group_size, seed=seed, shards=shards)
+    cluster = Cluster.racked(groups, group_size, seed=seed)
     dfi = DfiRuntime(cluster)
     schema = _payload_schema(tuple_size)
     pad = b"x" * (tuple_size - 8)
@@ -387,7 +385,6 @@ def run_shuffle_mesh(groups: int, group_size: int, tuple_size: int = 64,
     assert done["flows"] == groups * group_size
     return {
         "nodes": cluster.node_count,
-        "shards": cluster.shard_count,
         "flows": groups,
         "tuples": groups * group_size * tuples_per_source,
         "sim_ns": cluster.now,

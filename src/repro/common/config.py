@@ -15,13 +15,6 @@ from dataclasses import dataclass, field, replace
 from repro.common.errors import ConfigurationError
 from repro.common.units import MICROSECONDS, gbps_to_bytes_per_ns
 
-#: Shard count of a :class:`~repro.simnet.cluster.Cluster` built without
-#: ``shards=``: 1, the untagged single-queue kernel. A named constant
-#: rather than a literal so one test can rebuild every cluster in a
-#: scenario with shard tags and check that no simulated metric moves.
-DEFAULT_SHARDS: int = 1
-
-
 @dataclass(frozen=True)
 class HardwareProfile:
     """Physical model of one cluster: links, switch, NIC and CPU costs.

@@ -20,24 +20,18 @@ tie-break below), charges the gap ``t_child .. t`` to ``cpu``, charges
 the edge's span to its category, and jumps to ``t_parent``. Because
 every recorded edge has ``t_parent < t_child`` the cursor strictly
 decreases, so the walk terminates with an **exact decomposition** of
-``[t_open, t_close]`` into the eight blame categories.
+``[t_open, t_close]`` into the seven blame categories.
 
 Tie-break (same ``t_child``): smaller ``t_parent`` first (explains more
 time), then category priority (wire, nic_arb, fault_backoff,
 congestion_holdoff, ecn_pacing, credit_stall), then smaller node id,
 then recording order. Every key is a pure function of the simulated
 run, so the critical path — and the blame JSON — is byte-identical
-across reruns and across shard counts.
+across reruns.
 
-Two record kinds are *context*, never walked:
-
-- ``seg`` spans (segment write -> consume) feed the per-target slack
-  ranking; walking them would mask the finer per-WQE edges inside.
-- ``shard_crossing`` spans exist only on sharded kernels. Attributing
-  them would make blame depend on the shard map, breaking the
-  shard-count invariance the determinism tests pin; the analyzer
-  reports crossing counts separately instead, and the blame category
-  is structurally 0.0.
+One record kind is *context*, never walked: ``seg`` spans (segment
+write -> consume) feed the per-target slack ranking; walking them would
+mask the finer per-WQE edges inside.
 """
 
 from __future__ import annotations
@@ -55,12 +49,11 @@ CREDIT_STALL = "credit_stall"            #: credit waits, ring-full polls/backof
 CONGESTION_HOLDOFF = "congestion_holdoff"  #: PFC hold-off at a bounded egress queue
 ECN_PACING = "ecn_pacing"                #: DCQCN/UD rate-limiter pacing delay
 FAULT_BACKOFF = "fault_backoff"          #: outage heal waits, detection-bound flushes
-SHARD_CROSSING = "shard_crossing"        #: lane-crossing hop (context, never walked)
 SEG_SPAN = "seg"                         #: segment write->consume (context)
 
 #: Every key present in a blame breakdown, in render order.
 BLAME_CATEGORIES = (WIRE, NIC_ARB, CPU, CREDIT_STALL, CONGESTION_HOLDOFF,
-                    ECN_PACING, FAULT_BACKOFF, SHARD_CROSSING)
+                    ECN_PACING, FAULT_BACKOFF)
 
 #: Categories the backward walk may traverse.
 WALK_CATEGORIES = frozenset((WIRE, NIC_ARB, CREDIT_STALL,
@@ -85,8 +78,8 @@ class CausalRecorder:
 
     Filled by the plane-log fold (``repro.obs.log``) in append order with
     the simulated timestamps the records carry, so log order equals
-    simulated order and per-node logs are bit-identical across shard
-    counts. Edges are ``(t_child, t_parent, category, node, src_node,
+    simulated order and per-node logs are bit-identical across reruns.
+    Edges are ``(t_child, t_parent, category, node, src_node,
     tid, flow)`` tuples in one bounded :class:`Ring` per node. ``logs`` /
     ``closes`` / ``opens`` and every reading method run ``sync`` — the
     owning plane's fold — first.
@@ -235,8 +228,8 @@ def critical_path(edges, t_close: float, t_open: float = 0.0) -> list:
 
 
 def blame_breakdown(steps) -> dict:
-    """Sum the critical-path steps per category (all eight keys present;
-    ``shard_crossing`` is structurally 0.0 — see the module docstring)."""
+    """Sum the critical-path steps per category (all seven keys
+    present)."""
     blame = {category: 0.0 for category in BLAME_CATEGORIES}
     for step in steps:
         blame[step["category"]] += step["end"] - step["start"]
@@ -359,8 +352,7 @@ def flow_report(export: dict, flow: "str | None" = None,
 
 def blame_json(report: dict) -> str:
     """Canonical JSON for a flow report — byte-identical across reruns
-    and across shard counts for the same seed (the determinism tests
-    compare this string)."""
+    for the same seed (the determinism tests compare this string)."""
     return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 

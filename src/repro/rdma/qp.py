@@ -913,25 +913,16 @@ class UdQueuePair:
         now = env.now
         fabric = cluster.fabric
         deliver = group._deliver
-        if env.shard_count > 1:
-            # A macro-event carries one shard tag, every arrival its
-            # member's: the tagged kernel keeps one tagged timer each.
-            for member, arrival in fabric.multicast(
-                    node, members, size, delay=offset_delay).items():
-                if arrival is not None:  # else lost in the fabric
-                    arrival.callbacks.append(
-                        lambda _event, args=(member.node_id, data):
-                        deliver(args))
-        else:
-            # One macro-event walks the fan-out. Every instant is ``now +
-            # offset``, the float a Timeout armed with that offset fires
-            # at; the stable sort keeps equal-time members in member order.
-            actions = [(now + offset, deliver, (member.node_id, data))
-                       for member, offset in fabric.multicast_delays(
-                           node, members, size, delay=offset_delay)
-                       if offset is not None]
-            actions.sort(key=_action_when)
-            env.schedule_train(actions)
+        # One macro-event walks the fan-out; a member lost in the fabric
+        # has no action. Every instant is ``now + offset``, the float a
+        # Timeout armed with that offset fires at; the stable sort keeps
+        # equal-time members in member order.
+        actions = [(now + offset, deliver, (member.node_id, data))
+                   for member, offset in fabric.multicast_delays(
+                       node, members, size, delay=offset_delay)
+                   if offset is not None]
+        actions.sort(key=_action_when)
+        env.schedule_train(actions)
         if congestion is not None:
             congestion.ud_sent(node, members, size)
         wr = WorkRequest(env, wr_id, Opcode.SEND, False)

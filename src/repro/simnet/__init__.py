@@ -31,14 +31,11 @@ from repro.simnet.kernel import (
 )
 from repro.simnet.link import Link
 from repro.simnet.node import Node
-from repro.simnet.shard import ShardedEnvironment, block_shard_map
 from repro.simnet.shardexec import run_partitioned
 from repro.simnet.sync import Barrier, Resource, Signal, Store
 
 __all__ = [
     "Environment",
-    "ShardedEnvironment",
-    "block_shard_map",
     "run_partitioned",
     "Event",
     "Timeout",

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.common.config import (DEFAULT_HARDWARE, DEFAULT_SHARDS,
-                                 HardwareProfile)
+from repro.common.config import DEFAULT_HARDWARE, HardwareProfile
 from repro.common.errors import ConfigurationError
 from repro.simnet.fabric import Fabric
 from repro.simnet.kernel import Environment, Event
@@ -21,48 +20,17 @@ from repro.simnet.node import Node
 
 
 class Cluster:
-    """A simulated cluster of ``node_count`` servers behind one switch.
-
-    ``shards`` selects the event kernel: 1 (the default) keeps the plain
-    :class:`Environment`; >1 builds a
-    :class:`~repro.simnet.shard.ShardedEnvironment`, which tags every
-    event with the shard of its node group. Simulated metrics are
-    bit-identical either way — both kernels order one event queue by
-    ``(time, sequence)``; the tag only attributes events (see
-    ``simnet/shard.py``). ``shard_map`` overrides the default contiguous
-    block partition with an explicit node→shard list.
+    """A simulated cluster of ``node_count`` servers behind one switch,
+    whose events run on one :class:`Environment`: a single queue ordered
+    by ``(time, sequence)`` (DESIGN.md §8).
     """
 
     def __init__(self, node_count: int,
                  profile: HardwareProfile = DEFAULT_HARDWARE,
-                 seed: int = 0, shards: int | None = None,
-                 shard_map: "list[int] | None" = None) -> None:
+                 seed: int = 0) -> None:
         if node_count < 1:
             raise ConfigurationError("cluster needs at least one node")
-        if shards is None:
-            shards = DEFAULT_SHARDS
-        if shards < 1:
-            raise ConfigurationError(
-                f"shard count must be >= 1, got {shards}")
-        shards = min(shards, node_count)
-        if shard_map is not None:
-            if len(shard_map) != node_count:
-                raise ConfigurationError(
-                    f"shard_map covers {len(shard_map)} nodes, cluster has "
-                    f"{node_count}")
-            if min(shard_map) < 0 or max(shard_map) >= node_count:
-                raise ConfigurationError(
-                    "shard_map entries must lie in [0, node_count)")
-            shards = max(shards, max(shard_map) + 1)
-            self.shard_map = list(shard_map)
-        else:
-            from repro.simnet.shard import block_shard_map
-            self.shard_map = block_shard_map(node_count, shards)
-        if shards > 1:
-            from repro.simnet.shard import ShardedEnvironment
-            self.env = ShardedEnvironment(shards)
-        else:
-            self.env = Environment()
+        self.env = Environment()
         self.profile = profile
         self.seed = seed
         self.nodes = [Node(self, node_id) for node_id in range(node_count)]
@@ -144,44 +112,12 @@ class Cluster:
                                 causal=causal)
             for node in self.nodes:
                 node.metrics = self.obs.registry(node.node_id)
-            self._register_kernel_collectors()
         else:
             if trace:
                 self.obs.trace_all = True
             if causal:
                 self.obs.enable_causal()
-        if causal and self.env.shard_count > 1:
-            # Fabric crossing sites append shard_crossing context spans
-            # through this slot (see simnet/shard.py).
-            self.env.crossing_log = self.obs.records.append
         return self.obs
-
-    def _register_kernel_collectors(self) -> None:
-        """Surface the sharded kernel's always-on per-shard tallies as
-        read-time counters (``kernel.shard.*``) on each shard's home node
-        — the first node mapped to that shard. Collectors are harvested
-        at snapshot time, so sharding observability costs the hot path
-        nothing (the ``repro.obs`` contract)."""
-        env = self.env
-        if env.shard_count <= 1:
-            return
-        home: dict[int, int] = {}
-        for node_id, shard in enumerate(self.shard_map):
-            home.setdefault(shard, node_id)
-
-        def shard_collector(shard):
-            def collect():
-                return (
-                    ("kernel.shard.events_drained", env._drained[shard]),
-                    ("kernel.shard.drain_rounds", env._rounds[shard]),
-                    ("kernel.shard.mailbox_in", env._mailbox_in[shard]),
-                )
-            return collect
-
-        for shard, node_id in sorted(home.items()):
-            self.obs.registry(node_id).add_collector(shard_collector(shard))
-        self.obs.registry(home[min(home)]).add_collector(
-            lambda: (("kernel.mailbox_crossings", env.mailbox_crossings),))
 
     def metrics_snapshot(self) -> dict:
         """One dict of everything measurable about this cluster: per-node
@@ -208,15 +144,11 @@ class Cluster:
                     "busy_until_ns": link.busy_until_ns,
                     "hol_wait_ns": link.hol_wait_ns,
                 }
-        kernel = {"shards": self.env.shard_count}
-        shard_stats = getattr(self.env, "shard_stats", None)
-        if shard_stats is not None:
-            kernel = shard_stats()
         snapshot = {
             "nodes": self.obs.snapshot() if self.obs is not None else {},
             "nics": nics,
             "links": links,
-            "kernel": kernel,
+            "kernel": {"events_executed": self.env.events_executed},
             "fabric": {
                 "unicast_count": self.fabric.unicast_count,
                 "multicast_count": self.fabric.multicast_count,
@@ -245,43 +177,25 @@ class Cluster:
     @classmethod
     def racked(cls, racks: int, nodes_per_rack: int,
                profile: HardwareProfile = DEFAULT_HARDWARE,
-               seed: int = 0, shards: int | None = None) -> "Cluster":
-        """Build a ``racks × nodes_per_rack`` cluster with rack-aligned
-        shards — the topology helper for 256-1024-node scenarios.
+               seed: int = 0) -> "Cluster":
+        """Build a ``racks × nodes_per_rack`` cluster — the topology
+        helper for 256-1024-node scenarios.
 
-        Node ids are assigned rack-major (rack ``r`` owns nodes
-        ``r*nodes_per_rack .. (r+1)*nodes_per_rack - 1``). By default each
-        rack becomes one event shard; pass ``shards`` to coarsen (e.g.
-        ``shards=4`` on 32 racks groups 8 racks per shard — the map stays
-        rack-aligned because blocks of equal size nest)."""
+        Node ids are assigned rack-major: rack ``r`` owns nodes
+        ``r*nodes_per_rack .. (r+1)*nodes_per_rack - 1``, so a flow
+        placed on one rack's nodes uses a contiguous id range. Every
+        rack hangs off the same switch, and the cluster is the flat
+        ``Cluster(racks * nodes_per_rack)`` plus ``nodes_per_rack``."""
         if racks < 1 or nodes_per_rack < 1:
             raise ConfigurationError(
                 "racked() needs racks >= 1 and nodes_per_rack >= 1")
-        node_count = racks * nodes_per_rack
-        if shards is None:
-            shards = racks
-        shards = min(shards, node_count)
-        from repro.simnet.shard import block_shard_map
-        rack_shard = block_shard_map(racks, shards)
-        shard_map = [rack_shard[node // nodes_per_rack]
-                     for node in range(node_count)]
-        cluster = cls(node_count, profile=profile, seed=seed,
-                      shards=shards, shard_map=shard_map)
+        cluster = cls(racks * nodes_per_rack, profile=profile, seed=seed)
         cluster.nodes_per_rack = nodes_per_rack
         return cluster
 
     @property
     def node_count(self) -> int:
         return len(self.nodes)
-
-    @property
-    def shard_count(self) -> int:
-        """Number of event-kernel shards (1 = single-queue kernel)."""
-        return self.env.shard_count
-
-    def shard_of(self, node_id: int) -> int:
-        """Event-kernel shard ``node_id``'s deliveries are attributed to."""
-        return self.shard_map[node_id]
 
     def node(self, node_id: int) -> Node:
         """Return the node with the given id (raises on bad id)."""

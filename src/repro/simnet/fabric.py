@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING
 
 from repro.common.errors import SimulationError
 from repro.common.rand import derive_rng
-from repro.common.planelog import EDGE
 from repro.simnet.kernel import Timeout
 from repro.simnet.node import Node
 
@@ -35,11 +34,6 @@ class Fabric:
         self.cluster = cluster
         self.env = cluster.env
         self.profile = cluster.profile
-        #: True when the kernel is sharded: arrival events are then tagged
-        #: with the destination node's shard so they land on its lane (the
-        #: per-shard inbound mailbox). Cached because the kernel choice is
-        #: fixed at cluster construction.
-        self._shard_tag = cluster.env.shard_count > 1
         self._loss_rng = derive_rng(cluster.seed, "fabric", "multicast-loss")
         #: Last loopback delivery time per node: loopback transfers keep
         #: FIFO order (a later-posted inline WQE has lower NIC latency and
@@ -65,19 +59,12 @@ class Fabric:
         """Transmit ``size`` bytes from ``source`` to ``destination``.
 
         Returns an event that triggers when the last byte has arrived at
-        the destination — :meth:`unicast_arrival` plus the arrival timer
-        (filed on the destination's lane when the kernel is sharded).
+        the destination — :meth:`unicast_arrival` plus the arrival timer.
         """
         env = self.env
         now = env._now
-        offset = self.unicast_arrival(source, destination, size,
-                                      now + delay, control) - now
-        if self._shard_tag:
-            env._post_shard = destination._shard
-            event = env.timeout(offset)
-            env._post_shard = -1
-            return event
-        return env.timeout(offset)
+        return env.timeout(self.unicast_arrival(source, destination, size,
+                                                now + delay, control) - now)
 
     def unicast_arrival(self, source: Node, destination: Node, size: int,
                         earliest: float, control: bool = False) -> float:
@@ -122,13 +109,6 @@ class Fabric:
         else:
             _down_start, down_end = downlink.reserve(size, down_earliest)
         up_arrival = up_end + wire_latency
-        if self._shard_tag and destination._shard != source._shard:
-            env = self.env
-            env.mailbox_crossings += 1
-            log = env.crossing_log
-            if log is not None:
-                log((EDGE, up_arrival, up_end, "shard_crossing",
-                     destination.node_id, "fabric", None, source.node_id))
         return down_end if down_end > up_arrival else up_arrival
 
     # -- multicast -----------------------------------------------------------
@@ -138,20 +118,12 @@ class Fabric:
 
         Returns a mapping from member node to its arrival event, or ``None``
         if that member's copy was dropped — :meth:`multicast_delays` plus
-        one arrival timer per member (filed on the member's lane when the
-        kernel is sharded).
+        one arrival timer per member.
         """
-        env = self.env
-        shard_tag = self._shard_tag
-        arrivals: dict[Node, Timeout | None] = {}
-        for member, offset in self.multicast_delays(source, members, size,
-                                                    delay):
-            if shard_tag:
-                env._post_shard = member._shard
-            arrivals[member] = None if offset is None else env.timeout(offset)
-        if shard_tag:
-            env._post_shard = -1
-        return arrivals
+        timeout = self.env.timeout
+        return {member: None if offset is None else timeout(offset)
+                for member, offset in self.multicast_delays(
+                    source, members, size, delay)}
 
     def multicast_delays(self, source: Node, members: list[Node], size: int,
                          delay: float = 0.0
@@ -167,8 +139,7 @@ class Fabric:
             raise SimulationError("multicast group must not be empty")
         self._check_nodes(source, *members)
         self.multicast_count += 1
-        env = self.env
-        now = env.now
+        now = self.env.now
         wire_latency = self.profile.wire_latency
         _up_start, up_end = source.uplink.reserve(size, now + delay)
         send_start = up_end - source.uplink.serialization_time(size)
@@ -190,12 +161,6 @@ class Fabric:
                 self.multicast_drops += 1
                 offsets.append((member, None))
                 continue
-            if self._shard_tag and member._shard != source._shard:
-                env.mailbox_crossings += 1
-                log = env.crossing_log
-                if log is not None:
-                    log((EDGE, up_arrival, up_end, "shard_crossing",
-                         member.node_id, "fabric", None, source.node_id))
             if member is source:
                 arrival = (now + delay + self.profile.loopback_latency
                            + size / self.profile.loopback_bandwidth)
@@ -225,16 +190,10 @@ class Fabric:
         """Transmit ``size`` bytes from the switch to ``destination``:
         the downlink serialization plus half the wire latency."""
         self._check_nodes(destination)
-        env = self.env
-        now = env.now
+        now = self.env.now
         _start, down_end = destination.downlink.reserve(size, now)
         arrival = down_end + self.profile.wire_latency / 2
-        if self._shard_tag:
-            env._post_shard = destination._shard
-            event = env.timeout(arrival - now)
-            env._post_shard = -1
-            return event
-        return env.timeout(arrival - now)
+        return self.env.timeout(arrival - now)
 
     def _check_nodes(self, *nodes: Node) -> None:
         for node in nodes:

@@ -317,26 +317,17 @@ class FaultPlane:
     def _schedule_transitions(self) -> None:
         now = self.env.now
         for node_id, at in sorted(self._crash_at.items()):
-            self._at(max(0.0, at - now), node_id, self._apply_crash, node_id)
+            self._at(max(0.0, at - now), self._apply_crash, node_id)
         for entry in self.plan.entries:
             if not isinstance(entry, LinkDegrade):
                 continue
-            self._at(max(0.0, entry.at - now), entry.node,
+            self._at(max(0.0, entry.at - now),
                      self._scale_links, entry.node, 1.0 / entry.factor)
-            self._at(max(0.0, entry.at + entry.duration - now), entry.node,
+            self._at(max(0.0, entry.at + entry.duration - now),
                      self._scale_links, entry.node, entry.factor)
 
-    def _at(self, delay: float, victim: int, fn, *args) -> None:
-        env = self.env
-        if env.shard_count > 1:
-            # Land the transition on the victim node's shard lane: a crash
-            # kills that node's processes, a degrade rescales its links.
-            env._post_shard = self.cluster.shard_map[victim]
-            timer = env.timeout(delay)
-            env._post_shard = -1
-        else:
-            timer = env.timeout(delay)
-        timer.callbacks.append(lambda _event: fn(*args))
+    def _at(self, delay: float, fn, *args) -> None:
+        self.env.timeout(delay).callbacks.append(lambda _event: fn(*args))
 
     def _apply_crash(self, node_id: int) -> None:
         self.crashed.add(node_id)

@@ -489,13 +489,6 @@ class Environment:
                  "_active_process", "_timeout_pool", "_macro_pool",
                  "events_executed")
 
-    #: Number of shards events are attributed to. 1 for this untagged
-    #: kernel; the :class:`~repro.simnet.shard.ShardedEnvironment`
-    #: subclass overrides it, and shard-aware call sites (fabric delivery
-    #: tagging, node spawn) branch on ``shard_count > 1`` so the untagged
-    #: kernel pays nothing.
-    shard_count = 1
-
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         #: Timed events, a heap on ``(time, sequence)``.

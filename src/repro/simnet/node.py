@@ -33,8 +33,6 @@ class Node:
         bandwidth = cluster.profile.link_bandwidth
         self.uplink = Link(f"{self.name}.up", bandwidth)
         self.downlink = Link(f"{self.name}.down", bandwidth)
-        #: Event-kernel shard owning this node's lane (0 when unsharded).
-        self._shard = cluster.shard_map[node_id]
         self._cpu_scale = cluster.profile.cpu_scale(node_id)
         self._processes: list[Process] = []
         self._backoff_rng: "random.Random | None" = None
@@ -80,19 +78,8 @@ class Node:
         Spawned processes are tracked so a fail-stop crash of the node
         can kill them (processes started via ``env.process`` directly are
         not covered by crash injection)."""
-        label = name or f"{self.name}.worker"
-        env = self.env
-        if env.shard_count > 1:
-            # Home the worker's kick-off event on this node's shard lane
-            # (spawn may be called from another shard's context, e.g. a
-            # coordinator starting workers cluster-wide).
-            env._post_shard = self._shard
-            try:
-                process = env.process(generator, name=label)
-            finally:
-                env._post_shard = -1
-        else:
-            process = env.process(generator, name=label)
+        process = self.env.process(generator,
+                                   name=name or f"{self.name}.worker")
         if self.crashed:
             process.kill()
             return process

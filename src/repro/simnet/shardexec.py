@@ -3,10 +3,11 @@
 :func:`run_partitioned` steps *independent* cluster partitions on worker
 processes, advancing every partition in lockstep horizon windows with a
 barrier between windows. This is where partitioning buys real wall-clock
-parallelism: one cluster must execute its events in exact global order
-(see ``simnet/shard.py``) and is therefore single-threaded by
-construction, but partitions that share *no* traffic have no common order
-to preserve — each can run on its own core, GIL-free.
+parallelism: one cluster must execute its events in exact global
+``(time, sequence)`` order on its one event queue (DESIGN.md §8) and is
+therefore single-threaded by construction, but partitions that share
+*no* traffic have no common order to preserve — each can run on its own
+core, GIL-free.
 
 Honesty note — where the win is and is not
 ------------------------------------------

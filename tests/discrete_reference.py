@@ -15,6 +15,13 @@ deadline, slept before the next flush. This module keeps the walk that
 replaced, one sleep per channel group and then its staging
 (:func:`push_batch_per_group`).
 
+``UdQueuePair.post_send_multicast`` walks a datagram's fan-out as one
+macro-event. This module keeps the fan-out it replaced, one
+``Fabric.multicast`` arrival timer per member
+(:func:`post_send_multicast_per_member`); ``per_member_multicast()``
+sends every multicast post through it and yields
+``{"datagrams": n}``.
+
 ``installed()`` patches ``QueuePair`` so that, while the block runs and a
 fault plane is active, every write takes these discrete events; with no
 active fault plane the product methods run unchanged. It also sends every
@@ -45,6 +52,8 @@ from repro.rdma.memory import MemoryRegion
 from repro.rdma.qp import (
     _ORDERED_TAIL,
     QueuePair,
+    UdQueuePair,
+    _as_bytes,
     _commit_write,
     _split_ordered_tail,
 )
@@ -314,3 +323,55 @@ def installed():
         QueuePair.post_train = post_train
         for name in _MEMBERS:
             delattr(QueuePair, name)
+
+
+# -- a multicast fan-out, one arrival timer per member ------------------------
+
+def post_send_multicast_per_member(self, group, payload, wr_id=None):
+    """``UdQueuePair.post_send_multicast`` as it fanned a datagram out:
+    ``Fabric.multicast`` arms one arrival timer per member that was not
+    lost, and each timer delivers its member's copy when it fires."""
+    data = _as_bytes(payload)
+    members = group.member_nodes
+    size = len(data)
+    node = self.node
+    cluster = node.cluster
+    congestion = cluster.congestion
+    if congestion is not None and not congestion.active:
+        congestion = None
+    offset_delay = self.nic.engine_delay(
+        size <= self.nic.profile.max_inline_size)
+    if congestion is not None:
+        offset_delay += congestion.ud_admit(node, size)
+    self.nic.bytes_posted += size
+    deliver = group._deliver
+    for member, arrival in cluster.fabric.multicast(
+            node, members, size, delay=offset_delay).items():
+        if arrival is not None:  # else lost in the fabric
+            arrival.callbacks.append(
+                lambda _event, args=(member.node_id, data): deliver(args))
+    if congestion is not None:
+        congestion.ud_sent(node, members, size)
+    wr = WorkRequest(self.env, wr_id, Opcode.SEND, False)
+    wr._complete_at(
+        self.env.now + (offset_delay + size / self.nic.profile.link_bandwidth))
+    return wr
+
+
+@contextmanager
+def per_member_multicast():
+    """Send every multicast posted while the block runs through
+    :func:`post_send_multicast_per_member`; yield ``{"datagrams": n}``,
+    the number of datagrams it posted."""
+    counts = {"datagrams": 0}
+    product = UdQueuePair.post_send_multicast
+
+    def per_member(self, group, payload, wr_id=None):
+        counts["datagrams"] += 1
+        return post_send_multicast_per_member(self, group, payload, wr_id)
+
+    UdQueuePair.post_send_multicast = per_member
+    try:
+        yield counts
+    finally:
+        UdQueuePair.post_send_multicast = product

@@ -811,15 +811,24 @@ def _timeline_one_to_eight(cluster, batches=32):
 
 
 def test_multicast_fan_out_train_equals_per_member_timers():
-    """The untagged kernel walks a fan-out as one macro-event, the tagged
-    one arms a timer per member: same timeline, fewer events."""
-    flat = Cluster(node_count=9)
-    racked = Cluster.racked(3, 3)
-    assert flat.shard_count == 1 and racked.shard_count == 3
-    assert (_timeline_one_to_eight(flat)[0]
-            == _timeline_one_to_eight(racked)[0])
-    assert flat.now == racked.now
-    assert flat.env.events_executed < racked.env.events_executed
+    """The product walks a fan-out as one macro-event, the oracle arms a
+    timer per member: same timeline, fewer events — lossless, and with
+    lost copies that get neither an action nor a timer."""
+    for loss in (0.0, 0.05):
+        profile = HardwareProfile().with_multicast_loss(loss)
+        train = Cluster(node_count=9, profile=profile)
+        timeline = _timeline_one_to_eight(train)[0]
+        with discrete_reference.per_member_multicast() as posts:
+            timers = Cluster(node_count=9, profile=profile)
+            assert _timeline_one_to_eight(timers)[0] == timeline
+        assert posts["datagrams"] > 0
+        assert train.now == timers.now
+        assert (train.fabric.multicast_count
+                == timers.fabric.multicast_count == posts["datagrams"])
+        drops = train.fabric.multicast_drops
+        assert drops == timers.fabric.multicast_drops
+        assert (drops > 0) == (loss > 0)
+        assert train.env.events_executed < timers.env.events_executed
 
 
 def test_multicast_clock_stops_when_close_returns():

@@ -29,7 +29,8 @@ tallies.
 
 A plane installed *mid-run* (between flushes) governs the very next
 train: its timeline must equal that of the plane installed from the
-start. Channels that cross shard lanes take the same path as any other.
+start. Channels between the racks of ``Cluster.racked`` take the same
+path as any other.
 
 The eager ``post_write`` is the same walk for a train of one (it keeps
 the ordered-tail rule a train coalesces away): the lone-write section at
@@ -114,7 +115,7 @@ def _counted_posts(discrete=False):
 
 def _traced_shuffle(*, seed=0, options=FlowOptions(), count=4096,
                     batch=1024, at_start=None, mid_run=None,
-                    **cluster_kwargs):
+                    make=Cluster):
     """Run one 1:N shuffle and return ``(timeline, events_executed)``.
 
     The timeline captures every externally observable instant: the
@@ -122,9 +123,10 @@ def _traced_shuffle(*, seed=0, options=FlowOptions(), count=4096,
     each target's per-batch ``(arrival time, batch length)`` sequence.
     ``at_start(cluster)`` runs before the flow is initialized;
     ``mid_run(cluster)`` runs from the source thread after half the
-    batches, between flushes.
+    batches, between flushes. ``make(node_count, seed=...)`` builds the
+    cluster.
     """
-    cluster = Cluster(node_count=_NODES, seed=seed, **cluster_kwargs)
+    cluster = make(_NODES, seed=seed)
     if at_start is not None:
         at_start(cluster)
     dfi = DfiRuntime(cluster)
@@ -246,14 +248,15 @@ def test_mid_run_install_governs_the_next_train(plane):
 
 
 def test_shard_crossing_channel_matches_unsharded_run():
-    """Which lane an event sits on is attribution only: a channel whose
-    source and target live on different shards walks its trains with the
-    same macro-event and lands on the unsharded timeline."""
-    unsharded, events = _traced_shuffle()
-    sharded, sharded_events = _traced_shuffle(
-        shards=2, shard_map=[0, 0, 1, 1])
-    assert sharded == unsharded
-    assert sharded_events == events
+    """A channel from rack 0 (the source, node 0) to rack 1 (target 1,
+    node 2) of ``Cluster.racked(2, 2)`` walks its trains with the same
+    macro-event and lands on the flat cluster's timeline."""
+    flat, events = _traced_shuffle()
+    racked, racked_events = _traced_shuffle(
+        make=lambda nodes, seed: Cluster.racked(2, nodes // 2, seed=seed))
+    assert racked == flat
+    assert racked_events == events
+    assert all(flat["deliver"])
 
 
 # -- a marking incast: congestion alone == congestion on the discrete walk ---

@@ -6,8 +6,8 @@ edge log, ``Histogram`` percentile conventions, the end-to-end blame
 report on a real shuffle, truncation warnings, the 32:1 incast
 acceptance bar (>=50% of completion-time inflation attributed to
 congestion hold-off + ECN pacing), fault-plan attribution, byte-exact
-blame JSON across shard counts, and the ``repro.obs.analyze`` CLI
-(golden output + exit-code contract).
+blame JSON on the flat and the racked cluster, and the
+``repro.obs.analyze`` CLI (golden output + exit-code contract).
 """
 
 import json
@@ -99,10 +99,9 @@ class TestBackwardWalk:
         assert forward == backward
 
     def test_context_categories_never_walked(self):
-        edges = [_edge(10.0, 0.0, "seg"), _edge(8.0, 2.0, "shard_crossing")]
+        edges = [_edge(10.0, 0.0, "seg")]
         blame = blame_breakdown(critical_path(edges, t_close=10.0))
         assert blame["cpu"] == 10.0
-        assert blame["shard_crossing"] == 0.0
         assert set(blame) == set(BLAME_CATEGORIES)
 
 
@@ -232,7 +231,6 @@ class TestEndToEndBlame:
         assert report["total_ns"] > 0
         assert _blame_sum(report) == pytest.approx(
             report["total_ns"], rel=1e-9, abs=1e-6)
-        assert report["blame"]["shard_crossing"] == 0.0
         assert report["blame"]["wire"] > 0  # data crossed links
         assert report["stragglers"]  # both targets ranked
         assert not report["warnings"]
@@ -336,8 +334,7 @@ class TestFaultAttribution:
 
 
 class TestShardDeterminism:
-    def _blame(self, shards):
-        cluster = Cluster(node_count=5, seed=7, shards=shards)
+    def _blame(self, cluster):
         plan = FaultPlan.random(7, node_ids=range(5), start=50_000.0,
                                 horizon=800_000.0, entry_count=2,
                                 protected=(0, 1, 3))
@@ -373,8 +370,11 @@ class TestShardDeterminism:
 
     def test_blame_json_shard_invariant(self):
         """Same seed, faults + congestion stacked: the canonical blame
-        JSON must be byte-identical for shards=1 and shards=4."""
-        assert self._blame(None) == self._blame(4)
+        JSON must be byte-identical on the flat cluster and on the
+        rack-major one."""
+        flat = self._blame(Cluster(node_count=5, seed=7))
+        assert '"wire":' in flat
+        assert flat == self._blame(Cluster.racked(5, 1, seed=7))
 
 
 class TestAnalyzeCli:

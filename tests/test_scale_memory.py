@@ -378,11 +378,11 @@ def test_fabric_loopback_cache_bounded_by_node_count():
     assert 0 < len(cluster.fabric._loopback_last) <= cluster.node_count
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_timeout_pool_stays_capped(shards):
+@pytest.mark.parametrize("racks", [1, 4])
+def test_timeout_pool_stays_capped(racks):
     from repro.bench.flows import run_shuffle_mesh
 
-    result = run_shuffle_mesh(1, 4, tuples_per_source=128, shards=shards)
+    result = run_shuffle_mesh(racks, 4, tuples_per_source=128)
     env = result["cluster"].env
     assert len(env._timeout_pool) <= _TIMEOUT_POOL_CAP
 

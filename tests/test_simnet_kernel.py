@@ -7,7 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import SimulationError
 from repro.core import DfiRuntime, Endpoint, Optimization, Schema
-from repro.simnet import Cluster, Environment, Interrupt, ShardedEnvironment
+from repro.simnet import Cluster, Environment, Interrupt
+
+
+class Stepwise(Environment):
+    """The one kernel with ``run()`` driven through :meth:`step`, one
+    event at a time: the reference dispatch that the written-out
+    ``_run_all`` loop must agree with event for event."""
+
+    __slots__ = ()
+
+    def _run_all(self) -> None:
+        while self._queue or self._immediate:
+            self.step()
 
 
 def test_timeout_advances_clock():
@@ -339,19 +351,19 @@ _KINDS = ("timeout", "pooled_timeout", "schedule_at", "schedule_train",
 
 
 def _ops(children):
-    """(kind, delays, shard tag, ops the firing callback schedules)."""
+    """(kind, delays, ops the firing callback schedules)."""
     return st.lists(st.tuples(
         st.sampled_from(_KINDS),
         st.lists(st.sampled_from(_DELAYS), min_size=1, max_size=4),
-        st.integers(0, 3), children), max_size=4)
+        children), max_size=4)
 
 
 _PROGRAMMES = st.recursive(st.just([]), _ops, max_leaves=30)
 
 
 def _numbered(ops, counter):
-    return [(next(counter), kind, delays, tag, _numbered(children, counter))
-            for kind, delays, tag, children in ops]
+    return [(next(counter), kind, delays, _numbered(children, counter))
+            for kind, delays, children in ops]
 
 
 def _expected_order(programme):
@@ -378,7 +390,7 @@ def _expected_order(programme):
 
     def schedule(op):
         nonlocal seq
-        ident, kind, delays, _tag, _children = op
+        ident, kind, delays, _children = op
         if kind == "cancel":
             for action, delay in enumerate((delays[0], delays[-1])):
                 push(op, action, delay)
@@ -404,7 +416,7 @@ def _expected_order(programme):
         fired.append((now, op[0], action))
         kind, delays = op[1], op[2]
         if action == 0:
-            for child in op[4]:
+            for child in op[3]:
                 schedule(child)
         elif kind == "cancel":
             pending[:] = [e for e in pending if e[3] is not op]
@@ -419,7 +431,7 @@ def _kernel_order(env, programme, stepwise):
     fired = []
 
     def schedule(op):
-        ident, kind, delays, tag, children = op
+        ident, kind, delays, children = op
 
         def fire(action=0):
             fired.append((env.now, ident, action))
@@ -427,66 +439,60 @@ def _kernel_order(env, programme, stepwise):
                 for child in children:
                     schedule(child)
 
-        if env.shard_count > 1:
-            env._post_shard = tag   # attribution only: must not reorder
-        try:
-            if kind == "schedule_at":
-                env.schedule_at(env.now + delays[0], fire)
-            elif kind == "schedule_train":
-                env.schedule_train([
-                    (when, fire, action) for action, when
-                    in enumerate(sorted(env.now + d for d in delays))])
-            elif kind == "succeed":
-                event = env.event()
-                event.callbacks.append(lambda _event: fire())
-                event.succeed()
-            elif kind == "cancel":
-                guard = env.timeout(delays[0])
-                guard.callbacks.append(lambda _event: fire())
+        if kind == "schedule_at":
+            env.schedule_at(env.now + delays[0], fire)
+        elif kind == "schedule_train":
+            env.schedule_train([
+                (when, fire, action) for action, when
+                in enumerate(sorted(env.now + d for d in delays))])
+        elif kind == "succeed":
+            event = env.event()
+            event.callbacks.append(lambda _event: fire())
+            event.succeed()
+        elif kind == "cancel":
+            guard = env.timeout(delays[0])
+            guard.callbacks.append(lambda _event: fire())
 
-                def wake(_event):
-                    fire(1)
-                    if not guard.processed:
-                        env.cancel(guard)
+            def wake(_event):
+                fire(1)
+                if not guard.processed:
+                    env.cancel(guard)
 
-                env.timeout(delays[-1]).callbacks.append(wake)
-            elif kind == "sleep":
-                def sleeper():
-                    fire(1)
-                    yield float(delays[0])
-                    fire()
+            env.timeout(delays[-1]).callbacks.append(wake)
+        elif kind == "sleep":
+            def sleeper():
+                fire(1)
+                yield float(delays[0])
+                fire()
 
-                env.process(sleeper())
-            elif kind == "sleep_until":
-                def sleeper():
-                    fire(1)
-                    yield env.sleep_until(env.now + delays[0])
-                    fire()
+            env.process(sleeper())
+        elif kind == "sleep_until":
+            def sleeper():
+                fire(1)
+                yield env.sleep_until(env.now + delays[0])
+                fire()
 
-                env.process(sleeper())
-            elif kind == "park":
-                parked = []
+            env.process(sleeper())
+        elif kind == "park":
+            parked = []
 
-                def parker():
-                    fire(1)
-                    parked.append(env.active_process._wake)
-                    yield parked[0]
-                    fire()
+            def parker():
+                fire(1)
+                parked.append(env.active_process._wake)
+                yield parked[0]
+                fire()
 
-                def waker(_event):
-                    fire(2)
-                    entry = parked[0]
-                    entry._value = None   # what a doorbell hook does
-                    env._schedule(entry, float(delays[-1]))
+            def waker(_event):
+                fire(2)
+                entry = parked[0]
+                entry._value = None   # what a doorbell hook does
+                env._schedule(entry, float(delays[-1]))
 
-                env.process(parker())
-                env.timeout(delays[0]).callbacks.append(waker)
-            else:
-                timer = getattr(env, kind)(delays[0])
-                timer.callbacks.append(lambda _event: fire())
-        finally:
-            if env.shard_count > 1:
-                env._post_shard = -1
+            env.process(parker())
+            env.timeout(delays[0]).callbacks.append(waker)
+        else:
+            timer = getattr(env, kind)(delays[0])
+            timer.callbacks.append(lambda _event: fire())
 
     for op in programme:
         schedule(op)
@@ -505,7 +511,7 @@ def test_events_fire_in_when_seq_order_of_an_independent_reference(
         ops, stepwise):
     programme = _numbered(ops, itertools.count())
     expected = _expected_order(programme)
-    for env in (Environment(), ShardedEnvironment(4)):
+    for env in (Environment(), Stepwise()):
         assert _kernel_order(env, programme, stepwise) == expected
         # A cancelled guard leaves the clock at the last event that fired.
         assert env.now == (expected[-1][0] if expected else 0.0)
@@ -513,9 +519,10 @@ def test_events_fire_in_when_seq_order_of_an_independent_reference(
 
 # -- a process's own wake entry ----------------------------------------------
 
+#: Each wake-entry test runs through ``run()``'s written-out loop and
+#: through the :class:`Stepwise` reference (the ``sharded`` leg).
 _KERNELS = pytest.mark.parametrize(
-    "make", [Environment, lambda: ShardedEnvironment(2)],
-    ids=["flat", "sharded"])
+    "make", [Environment, Stepwise], ids=["flat", "sharded"])
 
 
 @_KERNELS
@@ -548,9 +555,9 @@ def test_interrupted_sleep_leaves_its_entry_behind_and_sleeps_again(make):
     assert env.now == 1000.0
 
 
-@pytest.mark.parametrize("shards", [1, 2])
-def test_process_killed_while_parked_on_a_doorbell_stays_dead(shards):
-    cluster = Cluster(node_count=2, shards=shards)
+@pytest.mark.parametrize("racks", [1, 2])
+def test_process_killed_while_parked_on_a_doorbell_stays_dead(racks):
+    cluster = Cluster.racked(racks, 2 // racks)
     dfi = DfiRuntime(cluster)
     dfi.init_shuffle_flow("f", [Endpoint(0, 0)], [Endpoint(1, 0)],
                           Schema(("key", "uint64")),

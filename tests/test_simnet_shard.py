@@ -1,10 +1,16 @@
-"""Sharded event kernel: order equivalence, shard invariance, executor.
+"""One event kernel, the rack-major topology helper, and the partition
+executor.
 
-The contract under test (``simnet/shard.py``): a shard is a tag on the
-one calendar queue — attribution, never order. Every simulated
-observable — clocks, byte counts, event sequence numbers, chaos outcomes
-— must be bit-identical between the plain ``Environment`` and a
-``ShardedEnvironment`` at any shard count with any node→shard map.
+Every cluster runs its events on one :class:`Environment`: a single
+queue ordered by ``(time, sequence)`` (DESIGN.md §8). The kernel half
+holds that order however the queue is driven — ``run()``'s written-out
+loop, ``run(until=...)`` and :meth:`step` — with the
+:class:`~tests.test_simnet_kernel.Stepwise` twin as the ``step()``
+reference. The cluster half holds :meth:`Cluster.racked` to a rack-major
+numbering of the flat cluster: clocks, byte counts, event counts, chaos
+outcomes and the committed fingerprint are bit-identical to the flat
+``Cluster`` of the same size. :func:`run_partitioned` runs isolated
+clusters on worker processes.
 """
 
 import importlib.util
@@ -14,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.common.config import DEFAULT_HARDWARE
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.core import (
     FLOW_END,
@@ -28,111 +35,118 @@ from repro.simnet import (
     Cluster,
     Environment,
     FaultPlan,
-    ShardedEnvironment,
     Timeout,
-    block_shard_map,
     link_degrade,
     node_crash,
     run_partitioned,
 )
 from tests import discrete_reference
+from tests.test_simnet_kernel import Stepwise
 
 
-# -- shard maps --------------------------------------------------------------
+def _flat_twin(racks, nodes_per_rack, profile=DEFAULT_HARDWARE, seed=0):
+    """What :meth:`Cluster.racked` must equal: the flat cluster."""
+    return Cluster(racks * nodes_per_rack, profile=profile, seed=seed)
+
+
+# -- the rack-major topology helper -----------------------------------------
 
 def test_block_shard_map_partitions_contiguously():
-    assert block_shard_map(8, 1) == [0] * 8
-    assert block_shard_map(8, 2) == [0, 0, 0, 0, 1, 1, 1, 1]
-    assert block_shard_map(8, 8) == list(range(8))
-    # Uneven split stays contiguous and covers every shard.
-    uneven = block_shard_map(10, 4)
-    assert uneven == sorted(uneven)
-    assert set(uneven) == {0, 1, 2, 3}
-    with pytest.raises(ConfigurationError):
-        block_shard_map(8, 0)
+    """Rack ``r`` owns the contiguous ids ``r*n .. (r+1)*n - 1``, which
+    are the flat cluster's nodes: a per-node straggler profile lands on
+    the same node ids either way."""
+    profile = DEFAULT_HARDWARE.with_straggler(5, 0.5).with_straggler(2, 0.25)
+    for racks, per_rack in ((8, 1), (2, 4), (1, 8), (3, 3)):
+        racked = Cluster.racked(racks, per_rack, profile)
+        flat = _flat_twin(racks, per_rack, profile)
+        assert racked.nodes_per_rack == per_rack
+        assert racked.node_count == flat.node_count == racks * per_rack
+        for node, twin in zip(racked.nodes, flat.nodes):
+            assert node.node_id == twin.node_id
+            assert node.name == twin.name
+            assert node.uplink.name == twin.uplink.name
+            assert node.cpu_scale == twin.cpu_scale
+        assert [node.cpu_scale for node in racked.nodes
+                if node.cpu_scale != 1.0] == (
+            [0.25, 0.5] if racks * per_rack > 5 else [])
 
 
 def test_cluster_shard_map_validation():
     with pytest.raises(ConfigurationError):
-        Cluster(node_count=4, shards=0)
-    with pytest.raises(ConfigurationError):
-        Cluster(node_count=4, shards=2, shard_map=[0, 1])  # wrong length
-    with pytest.raises(ConfigurationError):
-        Cluster(node_count=4, shards=2, shard_map=[0, 1, 2, 4])  # range
-    with pytest.raises(ConfigurationError):
-        Cluster(node_count=4, shards=2, shard_map=[0, -1, 0, 0])
-    # Shard count is clamped to the node count...
-    assert Cluster(node_count=2, shards=16).shard_count == 2
-    # ...and widened to cover an explicit map.
-    wide = Cluster(node_count=4, shards=1, shard_map=[0, 1, 2, 3])
-    assert wide.shard_count == 4
-    assert [wide.shard_of(n) for n in range(4)] == [0, 1, 2, 3]
+        Cluster(node_count=0)
+    for racks, per_rack in ((0, 4), (4, 0), (-1, 2)):
+        with pytest.raises(ConfigurationError):
+            Cluster.racked(racks, per_rack)
+    # The shard knobs are gone, not ignored.
+    with pytest.raises(TypeError):
+        Cluster(node_count=4, shards=2)
+    with pytest.raises(TypeError):
+        Cluster(node_count=4, shard_map=[0, 0, 1, 1])
+    with pytest.raises(TypeError):
+        Cluster.racked(4, 4, shards=2)
 
 
 def test_racked_builder_aligns_shards_to_racks():
     cluster = Cluster.racked(4, 4)
     assert cluster.node_count == 16
-    assert cluster.shard_count == 4
     assert cluster.nodes_per_rack == 4
-    assert cluster.shard_of(0) == 0 and cluster.shard_of(5) == 1
-    # Coarsening keeps the map rack-aligned: blocks of racks nest.
-    coarse = Cluster.racked(4, 4, shards=2)
-    assert coarse.shard_count == 2
-    assert coarse.shard_map == [0] * 8 + [1] * 8
-    with pytest.raises(ConfigurationError):
-        Cluster.racked(0, 4)
+    assert [node.node_id // 4 for node in cluster.nodes] == [
+        rack for rack in range(4) for _ in range(4)]
+    assert type(cluster.env) is Environment
+    assert all(node.env is cluster.env for node in cluster.nodes)
 
 
 def test_shards_one_keeps_single_queue_kernel():
-    cluster = Cluster(node_count=4, shards=1)
-    assert type(cluster.env) is Environment
-    assert cluster.shard_count == 1
-    sharded = Cluster(node_count=4, shards=2)
-    assert isinstance(sharded.env, ShardedEnvironment)
-    # shards=None means one.
-    assert type(Cluster(node_count=4).env) is Environment
+    from repro.bench.flows import run_shuffle_mesh
+
+    mesh = run_shuffle_mesh(2, 2, tuples_per_source=8)["cluster"]
+    for cluster in (Cluster(node_count=4), Cluster.racked(2, 2), mesh):
+        assert type(cluster.env) is Environment
+        assert not hasattr(cluster, "shard_count")
+        assert not hasattr(cluster.env, "shard_count")
 
 
-def test_default_shards_is_monkeypatchable(monkeypatch):
-    import repro.simnet.cluster as cluster_mod
-    monkeypatch.setattr(cluster_mod, "DEFAULT_SHARDS", 4)
-    cluster = Cluster(node_count=8)
-    assert isinstance(cluster.env, ShardedEnvironment)
-    assert cluster.shard_count == 4
+def test_default_shards_is_monkeypatchable():
+    """``racked`` keeps its positional signature (racks, nodes_per_rack,
+    profile, seed) and forwards the profile and the seed: a lossy
+    multicast draws its losses exactly as the flat twin does."""
+    profile = DEFAULT_HARDWARE.with_multicast_loss(0.3)
+
+    def drops(cluster):
+        fabric = cluster.fabric
+        source, members = cluster.node(0), cluster.nodes[1:]
+        arrivals = [fabric.multicast(source, members, 256)
+                    for _ in range(40)]
+        cluster.run()
+        return ([[event is None for event in fan.values()]
+                 for fan in arrivals], fabric.multicast_drops, cluster.now)
+
+    racked = Cluster.racked(2, 3, profile, 9)
+    assert racked.profile is profile and racked.seed == 9
+    lossy = drops(racked)
+    assert lossy == drops(_flat_twin(2, 3, profile, 9))
+    assert 0 < lossy[1] < 40 * 5
+    assert lossy != drops(Cluster.racked(2, 3, profile, 10))
 
 
-# -- raw-kernel order equivalence --------------------------------------------
+# -- one queue, however it is driven -----------------------------------------
 
 def _chaotic_workload(env, seed, log):
     """A mixed event storm: timeout chains with zero-delay bursts, manual
-    events, direct callbacks, trains and far timers — with every
-    scheduling call randomly tagged to a foreign shard when the kernel is
-    sharded (tags are attribution only; draws happen identically on both
-    kernels)."""
+    events, direct callbacks, trains and far timers."""
     rng = random.Random(seed)
-    shards = env.shard_count
-
-    def post(make):
-        tag = rng.randrange(16)
-        if shards > 1:
-            env._post_shard = tag % shards
-            try:
-                return make()
-            finally:
-                env._post_shard = -1
-        return make()
 
     def worker(name, steps):
         for i in range(steps):
             delay = rng.choice(
                 (0.0, 0.0, 1.0, 3.5, 2048.0, rng.random() * 9000.0))
-            yield post(lambda: env.timeout(delay))
+            yield env.timeout(delay)
             log.append((env.now, name, i))
 
     def firer(events):
         for i, event in enumerate(events):
             yield env.timeout(rng.random() * 500.0)
-            post(lambda: event.succeed(i))
+            event.succeed(i)
 
     def waiter(name, events):
         for event in events:
@@ -146,60 +160,64 @@ def _chaotic_workload(env, seed, log):
     env.process(waiter("waiter", manual))
     for j in range(40):
         when = rng.random() * 8000.0 + 0.5
-        post(lambda when=when, j=j: env.schedule_at(
-            when, lambda: log.append((env.now, "cb", j))))
+        env.schedule_at(when, lambda j=j: log.append((env.now, "cb", j)))
     env.schedule_train([(100.0 + 7.0 * i, log.append, (0.0, "train", i))
                         for i in range(16)])
     # Timers orders of magnitude past everything else, up to where a
-    # float no longer resolves nanoseconds: a tagged entry orders by
-    # (when, seq) like any other.
+    # float no longer resolves nanoseconds: they order by (when, seq)
+    # like any other.
     far = [600_000.0 + rng.random() * 3_000_000.0 for _ in range(12)]
     far += [40_000_000.0, float(1 << 62), float(1 << 63)]
     for j, when in enumerate(far):
-        post(lambda when=when, j=j: env.schedule_at(
-            when, lambda: log.append((env.now, "far", j))))
+        env.schedule_at(when, lambda j=j: log.append((env.now, "far", j)))
     env.run()
 
 
 def test_sharded_order_matches_single_queue_exactly():
+    """``run()``'s written-out loop and ``step()`` one event at a time
+    fire the same storm in the same order."""
     baseline: list = []
-    _chaotic_workload(Environment(), seed=42, log=baseline)
+    env = Environment()
+    _chaotic_workload(env, seed=42, log=baseline)
     assert len(baseline) > 200
-    for shards in (2, 3, 8):
+    assert env.now == float(1 << 63)
+    # Every executed event drew one sequence number, except that the
+    # 16-hop train re-queues all its hops under the one it drew.
+    assert env.events_executed == env._sequence + 15
+    for seed in (42, 7):
         log: list = []
-        env = ShardedEnvironment(shards)
-        _chaotic_workload(env, seed=42, log=log)
-        assert log == baseline, f"event order diverged at shards={shards}"
-        assert env.now == float(1 << 63)
-        stats = env.shard_stats()
-        assert stats["shards"] == shards
-        # Every drained event drew one sequence number, except that the
-        # 16-hop train re-queues all its hops under the one it drew.
-        assert stats["events_drained"] == env._sequence + 15
-        assert stats["drain_rounds"] >= 1
-        # Foreign tags were applied, so mailboxes saw traffic.
-        assert sum(lane["mailbox_in"] for lane in stats["lanes"]) > 0
+        stepped = Stepwise()
+        _chaotic_workload(stepped, seed=seed, log=log)
+        if seed == 42:
+            assert log == baseline
+            assert stepped.events_executed == env.events_executed
+        assert [entry[0] for entry in log if entry[1] != "train"] == sorted(
+            entry[0] for entry in log if entry[1] != "train")
 
 
 def test_sharded_step_and_peek_compatibility():
-    single, sharded = Environment(), ShardedEnvironment(4)
-    logs = ([], [])
-    for env, log in zip((single, sharded), logs):
-        env.schedule_at(5.0, lambda log=log: log.append("b"))
-        env.schedule_at(1.0, lambda log=log: log.append("a"))
-        assert env.peek() == 1.0
+    env = Environment()
+    log = []
+    env.schedule_at(5.0, lambda: log.append("b"))
+    env.schedule_at(1.0, lambda: log.append("a"))
+    assert env.peek() == 1.0
+    env.step()
+    assert env.now == 1.0
+    # A zero-delay event queued now sits at the head, ahead of 5.0.
+    env.event().succeed()
+    assert env.peek() == 1.0
+    env.step()
+    assert env.peek() == 5.0
+    env.step()
+    with pytest.raises(SimulationError):
         env.step()
-        assert env.now == 1.0
-        assert env.peek() == 5.0
-        env.step()
-        with pytest.raises(SimulationError):
-            env.step()
-    assert logs[0] == logs[1] == ["a", "b"]
-    assert sharded.peek() == float("inf")
+    assert log == ["a", "b"]
+    assert env.peek() == float("inf")
+    assert env.events_executed == 3
 
 
 def test_sharded_run_until_semantics():
-    env = ShardedEnvironment(2)
+    env = Environment()
     hits = []
     for when in (10.0, 20.0, 30.0):
         env.schedule_at(when, lambda when=when: hits.append(when))
@@ -210,7 +228,7 @@ def test_sharded_run_until_semantics():
     env.run()
     assert hits == [10.0, 20.0, 30.0]
 
-    env = ShardedEnvironment(2)
+    env = Environment()
 
     def proc(env):
         yield env.timeout(7.0)
@@ -219,7 +237,7 @@ def test_sharded_run_until_semantics():
     p = env.process(proc(env))
     assert env.run(until=p) == "done"
 
-    env = ShardedEnvironment(2)
+    env = Environment()
     never = env.event()
     env.schedule_at(1.0, lambda: None)
     with pytest.raises(SimulationError):
@@ -227,57 +245,57 @@ def test_sharded_run_until_semantics():
 
 
 def test_sharded_exception_propagation():
-    env = ShardedEnvironment(4)
-
     def boom(env):
         yield env.timeout(3.0)
         raise ValueError("kaboom")
 
+    for env in (Environment(), Stepwise()):
+        env.process(boom(env))
+        with pytest.raises(ValueError, match="kaboom"):
+            env.run()
+        assert env.now == 3.0
+
+    env = Environment()
     env.process(boom(env))
     with pytest.raises(ValueError, match="kaboom"):
-        env.run()
+        env.run(until=10.0)
 
 
-def _assert_tallies_consistent(env):
-    stats = env.shard_stats()
-    assert stats["events_drained"] == env.events_executed
-    assert sum(lane["drained"] for lane in stats["lanes"]) == (
-        env.events_executed)
-    assert stats["drain_rounds"] == sum(
-        lane["rounds"] for lane in stats["lanes"])
-    return stats
+def _pending(env) -> int:
+    return len(env._queue) + len(env._immediate)
 
 
 def test_tallies_count_every_event_however_the_kernel_is_driven():
-    env = ShardedEnvironment(2)
+    """Executed plus pending is scheduled, whichever entry point ran the
+    events — ``step``, ``run(until=time)``, ``run(until=event)``,
+    ``run()`` and a run that raised."""
+    env = Environment()
     for delay in (1.0, 2.0, 3.0):
         env.timeout(delay)
     env.step()
     env.step()
     assert env.events_executed == 2
-    stats = _assert_tallies_consistent(env)
-    assert stats["events_drained"] == 2 and stats["drain_rounds"] == 1
+    assert env.events_executed + _pending(env) == env._sequence
 
-    env = ShardedEnvironment(3)
+    env = Environment()
 
     def ticker(env, period, count):
         for _ in range(count):
             yield env.timeout(period)
 
-    for shard, period in enumerate((3.0, 5.0, 7.0)):
-        env._post_shard = shard
+    for period in (3.0, 5.0, 7.0):
         env.process(ticker(env, period, 40))
-        env._post_shard = -1
     env.run(until=50.0)
-    assert 0 < _assert_tallies_consistent(env)["events_drained"]
+    assert 0 < env.events_executed
+    assert env.events_executed + _pending(env) == env._sequence
     stop = env.process(ticker(env, 11.0, 4))
     env.run(until=stop)
-    _assert_tallies_consistent(env)
+    assert env.events_executed + _pending(env) == env._sequence
     env.step()
-    _assert_tallies_consistent(env)
+    assert env.events_executed + _pending(env) == env._sequence
     env.run()
-    stats = _assert_tallies_consistent(env)
-    assert all(lane["drained"] > 0 for lane in stats["lanes"])
+    # Four processes, each a start, its ticks and an exit.
+    assert env.events_executed == env._sequence == 4 * 2 + 3 * 40 + 4
 
     def boom(env):
         yield env.timeout(1.0)
@@ -288,67 +306,62 @@ def test_tallies_count_every_event_however_the_kernel_is_driven():
     with pytest.raises(ValueError, match="kaboom"):
         env.run()
     assert env.events_executed > before
-    _assert_tallies_consistent(env)
+    assert env.events_executed + _pending(env) == env._sequence
 
 
 def test_drain_rounds_are_maximal_same_shard_runs():
-    env = ShardedEnvironment(3)
-    order: list = []
-    # Execution order is by time; the tag sequence is chosen freely.
-    tags = [0, 0, 1, 1, 1, 0, 2, 2, 0, 0, 0, 1]
-    for index, shard in enumerate(tags):
-        env._post_shard = shard
-        env.schedule_at(10.0 * (index + 1),
-                        lambda shard=shard: order.append(shard))
-        env._post_shard = -1
-    env.run()
-    assert order == tags
-    runs = [shard for index, shard in enumerate(tags)
-            if index == 0 or tags[index - 1] != shard]
-    stats = env.shard_stats()
-    assert stats["drain_rounds"] == len(runs) == 6
-    assert [lane["rounds"] for lane in stats["lanes"]] == [
-        runs.count(shard) for shard in range(3)]
-    assert [lane["drained"] for lane in stats["lanes"]] == [
-        tags.count(shard) for shard in range(3)]
-    assert stats["lanes"][1]["mean_window"] == 4 / 2
+    """Same-instant events run in the order they were scheduled, timed
+    and zero-delay alike: the least ``(time, sequence)`` runs next."""
+    instants = [10.0, 10.0, 20.0, 20.0, 20.0, 10.0, 30.0, 30.0, 10.0, 20.0]
 
-    # Two shards strictly alternating: one round per event.
-    env = ShardedEnvironment(2)
-    for index in range(10):
-        env._post_shard = index % 2
-        env.timeout(float(index + 1))
-        env._post_shard = -1
-    env.run()
-    stats = env.shard_stats()
-    assert stats["drain_rounds"] == stats["events_drained"] == 10
-    assert [lane["rounds"] for lane in stats["lanes"]] == [5, 5]
+    def fired(env):
+        order: list = []
+
+        def at_ten():
+            # The first entry at 10: what it queues for "now"
+            # (zero-delay, and an instant already past) draws later
+            # sequence numbers than the timed entries still waiting at
+            # 10, so it runs after them and before the 20.0 ones.
+            order.append("first")
+            env.event().succeed()
+            env.schedule_at(10.0, lambda: order.append("late"))
+            env.schedule_at(5.0, lambda: order.append("past"))
+
+        env.schedule_at(10.0, at_ten)
+        for index, when in enumerate(instants):
+            env.schedule_at(when, lambda index=index: order.append(index))
+        env.run()
+        return order
+
+    by_time = sorted(range(len(instants)), key=lambda i: (instants[i], i))
+    tens = [i for i in by_time if instants[i] == 10.0]
+    expected = ["first"] + tens + ["late", "past"] + by_time[len(tens):]
+    assert fired(Environment()) == fired(Stepwise()) == expected
 
 
 def test_macro_hops_stay_on_the_arming_shard():
-    env = ShardedEnvironment(2)
+    """A train's hops and the timers each hop arms interleave by
+    ``(time, sequence)``: every timer lands between two hops."""
+    env = Environment()
     seen: list = []
 
     def hop(index):
-        seen.append((index, env._active_shard))
-        # A foreign-shard event between every two hops: the train must
-        # come back to its own shard, not follow the interloper.
-        env.timeout(1.0)
+        seen.append(("hop", index, env.now))
+        env.schedule_at(env.now + 1.0,
+                        lambda: seen.append(("timer", index, env.now)))
 
-    env.timeout(0.5)  # shard 0 runs first, so shard 1 is foreign below
-    env._post_shard = 1
+    env.timeout(0.5)
     # Hops span the current bucket, the ring and the spill heap.
-    env.schedule_train([(when, hop, index) for index, when in enumerate(
-        (10.0, 20.0, 5_000.0, 700_000.0, 2_000_000.0))])
-    env._post_shard = -1
+    instants = (10.0, 20.0, 5_000.0, 700_000.0, 2_000_000.0)
+    env.schedule_train([(when, hop, index)
+                        for index, when in enumerate(instants)])
     env.run()
-    assert seen == [(index, 1) for index in range(5)]
-    stats = env.shard_stats()
-    # Shard 1 ran the five hops and the timers they armed; the train was
-    # one mailbox post, its re-queued hops none.
-    assert stats["lanes"][1]["drained"] == 10
-    assert stats["lanes"][1]["mailbox_in"] == 1
-    assert stats["lanes"][0]["drained"] == 1
+    assert seen == [entry for index, when in enumerate(instants)
+                    for entry in (("hop", index, when),
+                                  ("timer", index, when + 1.0))]
+    # The timeout, five hops on one macro-event, five timers.
+    assert env.events_executed == 11
+    assert env._sequence == 1 + 1 + 5
 
 
 def _racked_shuffle():
@@ -386,8 +399,8 @@ def _racked_shuffle():
 
 def test_written_out_loop_stays_in_lockstep_with_step():
     """``run()`` takes ``_run_all``, ``run(until=...)`` takes ``step()``:
-    the same scenario ends on the same clock, event count and tallies
-    through either."""
+    the same scenario ends on the same clock and event count through
+    either."""
     drained, processes = _racked_shuffle()
     finished = []
     for index, process in enumerate(processes):
@@ -403,18 +416,16 @@ def test_written_out_loop_stays_in_lockstep_with_step():
 
     assert stepped.now == drained.now
     assert stepped.env.events_executed == drained.env.events_executed > 0
-    stats = _assert_tallies_consistent(drained.env)
-    assert stepped.env.shard_stats() == stats
-    assert stats["mailbox_crossings"] > 0
-    assert all(lane["drained"] and lane["rounds"] and lane["mailbox_in"]
-               for lane in stats["lanes"])
+    assert stepped.env._sequence == drained.env._sequence
+    assert (stepped.fabric.unicast_count == drained.fabric.unicast_count
+            > 0)
 
 
 def test_sharded_loop_recycles_pooled_timeouts():
     """The pool's users are callback timers: ``pooled_timeout`` and
     ``schedule_at``, each arming the next from its own callback."""
     pooled = []
-    for env in (Environment(), ShardedEnvironment(2)):
+    for env in (Environment(), Stepwise()):
         fired = []
 
         def tick(_event=None, env=env, fired=fired):
@@ -434,7 +445,7 @@ def test_sharded_loop_recycles_pooled_timeouts():
         assert fired == [float(t) for t in range(12)]
         pooled.append(len(env._timeout_pool))
     # A timer returns to the pool once its callbacks ran, so two objects
-    # take turns serving all eleven timers — on either kernel.
+    # take turns serving all eleven timers — through either loop.
     assert pooled == [2, 2]
     # Under the discrete oracle an active, idle fault plane puts every
     # write of a racked flow on the per-WQE walk, whose prefix and
@@ -447,10 +458,10 @@ def test_sharded_loop_recycles_pooled_timeouts():
     assert posts["wqes"] and cluster.env._timeout_pool
 
 
-@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("racks", [1, 2])
 def test_cpu_charges_reuse_one_wake_entry_and_build_no_timeout(
-        shards, monkeypatch):
-    cluster = Cluster(node_count=2, shards=shards)
+        racks, monkeypatch):
+    cluster = Cluster.racked(racks, 2 // racks)
     env, node = cluster.env, cluster.node(1)
     built = []
     init = Timeout.__init__
@@ -476,11 +487,12 @@ def test_cpu_charges_reuse_one_wake_entry_and_build_no_timeout(
     assert env.events_executed == 1 + 1000 + 1   # start, charges, exit
 
 
-# -- flow-level shard invariance ---------------------------------------------
+# -- the racked cluster is the flat cluster ----------------------------------
 
-def _one_shuffle(**cluster_kwargs):
-    """A 2:3 contended shuffle; returns the full simulated signature."""
-    cluster = Cluster(node_count=5, seed=3, **cluster_kwargs)
+def _one_shuffle(make):
+    """A 2:3 contended shuffle on ``make(seed)``, a five-node cluster;
+    returns the full simulated signature."""
+    cluster = make(3)
     dfi = DfiRuntime(cluster)
     schema = Schema(("key", "uint64"), ("pad", 24))
     pad = b"p" * 24
@@ -510,6 +522,7 @@ def _one_shuffle(**cluster_kwargs):
     return {
         "now": cluster.now,
         "events": cluster.env._sequence,
+        "executed": cluster.env.events_executed,
         "bytes": cluster.total_bytes_received(),
         "unicasts": cluster.fabric.unicast_count,
         "trains": sum(get_nic(node).doorbell_trains
@@ -518,63 +531,73 @@ def _one_shuffle(**cluster_kwargs):
 
 
 def test_shuffle_invariant_across_shard_counts_and_maps():
-    baseline = _one_shuffle(shards=1)
+    baseline = _one_shuffle(lambda seed: Cluster(node_count=5, seed=seed))
     assert baseline["bytes"] > 0
-    for shards in (2, 4, 5):
-        assert _one_shuffle(shards=shards) == baseline, f"shards={shards}"
-    # Arbitrary (non-contiguous) node→shard maps are equally safe:
-    # shard assignment is attribution, never order.
-    rng = random.Random(0)
-    for trial in range(4):
-        shard_map = [rng.randrange(3) for _ in range(5)]
-        assert _one_shuffle(shards=3, shard_map=shard_map) == baseline, (
-            f"trial={trial} map={shard_map}")
+    for racks, per_rack in ((1, 5), (5, 1)):
+        got = _one_shuffle(lambda seed: Cluster.racked(racks, per_rack,
+                                                       seed=seed))
+        assert got == baseline, f"racked({racks}, {per_rack})"
 
 
-def test_mesh_invariant_across_shard_counts():
-    from repro.bench.flows import run_shuffle_mesh
+def test_mesh_invariant_across_shard_counts(monkeypatch):
+    """``run_shuffle_mesh`` on its racked cluster against the same mesh
+    on the flat twin."""
+    from repro.bench import flows
 
-    signatures = []
-    for shards in (1, 2, 4, 8):
-        result = run_shuffle_mesh(2, 4, tuples_per_source=64, shards=shards)
+    def signature():
+        result = flows.run_shuffle_mesh(2, 4, tuples_per_source=64)
         cluster = result["cluster"]
-        signatures.append({
+        return {
             "sim_ns": result["sim_ns"],
+            "nodes": result["nodes"],
             "events": cluster.env._sequence,
+            "executed": cluster.env.events_executed,
             "bytes": cluster.total_bytes_received(),
             "unicasts": cluster.fabric.unicast_count,
-        })
-    assert all(sig == signatures[0] for sig in signatures[1:])
+        }, cluster
+
+    racked, cluster = signature()
+    assert cluster.nodes_per_rack == 4 and racked["bytes"] > 0
+
+    class Flat:
+        racked = staticmethod(_flat_twin)
+
+    monkeypatch.setattr(flows, "Cluster", Flat)
+    flat, cluster = signature()
+    assert not hasattr(cluster, "nodes_per_rack")
+    assert flat == racked
 
 
 def test_fabric_counts_mailbox_crossings():
-    cluster = Cluster(node_count=2, shards=2)
-    env = cluster.env
+    """Unicasts across two racks and a loopback: the same arrival
+    instants, fabric counts and link tallies as on the flat twin."""
+    def traffic(cluster):
+        arrivals = []
+        source, peer = cluster.node(0), cluster.node(1)
 
-    def sender(node, peer, count):
-        for _ in range(count):
-            yield node.env.timeout(100.0)
-            cluster.fabric.unicast(node, peer, 512)
+        def sender():
+            for size in (512, 512, 4096, 64, 512):
+                yield 100.0
+                cluster.fabric.unicast(source, peer, size).callbacks.append(
+                    lambda _event: arrivals.append(cluster.now))
+            yield 100.0
+            cluster.fabric.unicast(source, source, 512).callbacks.append(
+                lambda _event: arrivals.append(("loop", cluster.now)))
 
-    cluster.node(0).spawn(sender(cluster.node(0), cluster.node(1), 5))
-    cluster.run()
-    # Every switch delivery targeted the foreign lane.
-    assert env.mailbox_crossings == 5
-    stats = env.shard_stats()
-    assert stats["mailbox_crossings"] == 5
-    assert stats["lanes"][1]["mailbox_in"] >= 5
-    assert stats["lanes"][1]["drained"] >= 5
+        source.spawn(sender())
+        cluster.run()
+        links = {link.name: (link.bytes_carried, link.messages_carried)
+                 for node in cluster.nodes
+                 for link in (node.uplink, node.downlink)}
+        return arrivals, cluster.fabric.unicast_count, links, cluster.now
 
-    # Loopback transfers never cross: same-node delivery, same lane.
-    loop = Cluster(node_count=2, shards=2)
-
-    def self_sender(node):
-        yield node.env.timeout(100.0)
-        loop.fabric.unicast(node, node, 512)
-
-    loop.node(0).spawn(self_sender(loop.node(0)))
-    loop.run()
-    assert loop.env.mailbox_crossings == 0
+    racked = traffic(Cluster.racked(2, 1))
+    assert racked == traffic(_flat_twin(2, 1))
+    arrivals, unicasts, links, _now = racked
+    assert unicasts == 6 and len(arrivals) == 6
+    assert [entry for entry in arrivals if isinstance(entry, tuple)]
+    # The loopback never touched a link.
+    assert links["node1.down"][1] == 5 and links["node0.down"][1] == 0
 
 
 @pytest.mark.parametrize("seed,flow_type,mode", [
@@ -584,17 +607,23 @@ def test_fabric_counts_mailbox_crossings():
 ])
 def test_chaos_outcomes_invariant_under_sharding(monkeypatch, seed,
                                                  flow_type, mode):
-    """Fault plans + flows + sharded kernel: the chaos driver must
-    produce bit-identical outcomes, counts and final clocks when every
-    cluster it builds silently becomes a 4-shard one."""
-    from tests.test_chaos_faults import _run_chaos
+    """Fault plans + flows: ``_run_chaos`` must produce bit-identical
+    outcomes, counts and final clocks when every cluster it builds is a
+    racked one."""
+    import tests.test_chaos_faults as chaos
 
     optimization = {"bw": Optimization.BANDWIDTH,
                     "lat": Optimization.LATENCY}[mode]
-    baseline = _run_chaos(seed, flow_type, optimization)
-    import repro.simnet.cluster as cluster_mod
-    monkeypatch.setattr(cluster_mod, "DEFAULT_SHARDS", 4)
-    assert _run_chaos(seed, flow_type, optimization) == baseline
+    baseline = chaos._run_chaos(seed, flow_type, optimization)
+    built = []
+
+    def racked(node_count, seed=0):
+        built.append(Cluster.racked(node_count, 1, seed=seed))
+        return built[-1]
+
+    monkeypatch.setattr(chaos, "Cluster", racked)
+    assert chaos._run_chaos(seed, flow_type, optimization) == baseline
+    assert len(built) == 1 and built[0].nodes_per_rack == 1
 
 
 def _load_fingerprint():
@@ -606,17 +635,14 @@ def _load_fingerprint():
     return module, json.loads((perf / "FINGERPRINT.json").read_text())
 
 
-def test_fingerprint_bit_identical_at_four_shards(monkeypatch):
-    """The whole committed fingerprint with every cluster rebuilt as a
-    4-shard one, alone and on the observability plane: shard tags must
-    not move a single simulated metric."""
+def test_fingerprint_bit_identical_at_four_shards():
+    """The whole committed fingerprint, alone and on the observability
+    plane with tracing and causal edges: the plane must not move a
+    single simulated metric."""
     from repro import obs
-    import repro.simnet.cluster as cluster_mod
 
     fingerprint, committed = _load_fingerprint()
     assert len(committed) == 15
-    monkeypatch.setattr(cluster_mod, "DEFAULT_SHARDS", 4)
-    assert Cluster(node_count=4).shard_count == 4
     assert json.loads(json.dumps(fingerprint.collect())) == committed
     obs.set_default_observability(True, trace=True, causal=True)
     try:
@@ -627,64 +653,86 @@ def test_fingerprint_bit_identical_at_four_shards(monkeypatch):
 
 
 def test_fault_transitions_land_on_victim_shard():
-    cluster = Cluster(node_count=4, shards=2)
+    """A crash and a degrade are kernel timers queued at install: the
+    crash kills the victim's processes at its instant and no other
+    node's, the degrade rescales the victim's links and restores them."""
+    cluster = Cluster.racked(2, 2)
     env = cluster.env
-    assert cluster.shard_of(3) == 1
-    assert env.shard_stats()["lanes"][1]["mailbox_in"] == 0
-    cluster.install_faults(FaultPlan([node_crash(3, at=1000.0)]))
-    # The crash timer is posted from the build context (shard 0) under
-    # the victim's tag — a mailbox delivery — and executes on its shard.
-    assert env.shard_stats()["lanes"][1]["mailbox_in"] == 1
+    before = env._sequence
+    cluster.install_faults(FaultPlan([
+        node_crash(3, at=1000.0),
+        link_degrade(2, at=100.0, duration=50.0, factor=2.0)]))
+    assert env._sequence == before + 3 and env.peek() == 100.0
+    bandwidth = cluster.node(2).uplink.bandwidth
+    seen = []
+
+    def sleeper(node):
+        yield 5000.0
+        seen.append(node.node_id)
+
+    def probe():
+        yield 120.0
+        seen.append(cluster.node(2).uplink.bandwidth)
+
+    victim = cluster.node(3).spawn(sleeper(cluster.node(3)))
+    survivor = cluster.node(2).spawn(sleeper(cluster.node(2)))
+    cluster.node(0).spawn(probe())
     cluster.run()
     assert 3 in cluster.faults.crashed
-    lanes = env.shard_stats()["lanes"]
-    assert lanes[1]["drained"] == 1 and lanes[0]["drained"] == 0
+    assert not victim.is_alive and not survivor.is_alive
+    assert seen == [bandwidth / 2.0, 2]
+    assert cluster.node(2).uplink.bandwidth == bandwidth
+    assert cluster.now == 5000.0
 
 
 # -- observability -----------------------------------------------------------
 
-def test_kernel_shard_counters_surface_through_obs():
-    cluster = Cluster(node_count=4, shards=2)
-    cluster.enable_observability()
-
+def _snapshot_after_traffic(cluster):
     def worker(node):
         for _ in range(5):
             yield node.env.timeout(10.0)
-        if node.node_id == 0:  # one cross-shard delivery for the counter
+        if node.node_id == 0:
             cluster.fabric.unicast(node, cluster.node(3), 256)
 
     for node in cluster.nodes:
         node.spawn(worker(node))
+    # Three hops on one macro-event: one sequence number, three events.
+    cluster.env.schedule_train([(when, list, ()) for when in (1.0, 2.0, 3.0)])
     cluster.run()
-    snapshot = cluster.metrics_snapshot()
-    # Kernel section carries the full shard_stats payload.
-    kernel = snapshot["kernel"]
-    assert kernel == cluster.env.shard_stats()
-    assert kernel["shards"] == 2
-    assert kernel["events_drained"] == cluster.env._sequence
-    # Each shard's home node (first node of the block) exposes that
-    # shard's tallies as read-time counters; node 0 also carries the
-    # global one.
-    for shard, home in enumerate((0, 2)):
-        counters = snapshot["nodes"][home]["counters"]
-        lane = kernel["lanes"][shard]
-        assert lane["drained"] > 0
-        # (a snapshot omits counters that read zero)
-        assert counters["kernel.shard.events_drained"] == lane["drained"]
-        assert counters["kernel.shard.drain_rounds"] == lane["rounds"]
-        assert counters.get("kernel.shard.mailbox_in", 0) == (
-            lane["mailbox_in"])
-    assert snapshot["nodes"][0]["counters"]["kernel.mailbox_crossings"] == (
-        kernel["mailbox_crossings"]) == 1
+    return cluster.metrics_snapshot()
+
+
+def test_kernel_shard_counters_surface_through_obs():
+    """With the plane on, the ``kernel`` section is still one dict with
+    the event count, and no ``kernel.*`` counter exists on any node."""
+    cluster = Cluster.racked(2, 2)
+    cluster.enable_observability()
+    snapshot = _snapshot_after_traffic(cluster)
+    assert snapshot["kernel"] == {
+        "events_executed": cluster.env.events_executed}
+    assert cluster.env.events_executed == cluster.env._sequence + 2
+    for node in snapshot["nodes"].values():
+        assert not [name for name in node.get("counters", {})
+                    if name.startswith("kernel.")]
     # Reading is passive: harvesting scheduled nothing.
     events_before = cluster.env._sequence
-    cluster.metrics_snapshot()
+    assert cluster.metrics_snapshot()["kernel"] == snapshot["kernel"]
     assert cluster.env._sequence == events_before
 
 
 def test_unsharded_snapshot_reports_single_shard():
-    cluster = Cluster(node_count=2, shards=1)
-    assert cluster.metrics_snapshot()["kernel"] == {"shards": 1}
+    """With the plane off, the same ``kernel`` dict — what the perf
+    ledger's harness indexes."""
+    cluster = Cluster(node_count=4)
+    assert cluster.metrics_snapshot()["kernel"] == {"events_executed": 0}
+    snapshot = _snapshot_after_traffic(cluster)
+    assert snapshot["nodes"] == {}
+    assert snapshot["kernel"] == {
+        "events_executed": cluster.env.events_executed}
+    assert snapshot["kernel"].get("mailbox_crossings", 0) == 0
+    assert snapshot["kernel"]["events_executed"] == (
+        _snapshot_after_traffic(Cluster.racked(2, 2))["kernel"][
+            "events_executed"]) > 0
 
 
 # -- multiprocess window executor --------------------------------------------

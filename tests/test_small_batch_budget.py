@@ -15,8 +15,8 @@ group slept on its own). One more Python frame per channel-batch is
 +2.5 % of the whole workload's call count. Wall-clock is noise on a
 shared box; kernel events and Python frames entered under
 ``src/repro`` are not. The same budget is held on a racked twin (two
-shards of four nodes), where every event goes through
-``ShardedEnvironment``'s run loop.
+racks of four nodes, built by ``Cluster.racked``), which must cost what
+the flat cluster costs.
 """
 
 import os
@@ -116,7 +116,7 @@ def test_small_batches_cost_exactly_these_kernel_events():
 
 
 def test_small_batches_cost_the_same_events_on_a_racked_twin():
-    """A shard tag moves no event."""
+    """Rack-major numbering moves no event."""
     assert _events(_racked) == 938
 
 
@@ -129,8 +129,8 @@ def test_a_tuple_enters_at_most_3_05_frames():
 
 
 def test_a_tuple_enters_at_most_2_85_frames_on_a_racked_twin():
-    """2.75 as well: the sharded run loop is written out (calling
+    """2.75 as well: the kernel's run loop is written out (calling
     ``step()`` per event reads 3.28). One more frame per channel-batch
-    reads 3.00 on either kernel."""
+    reads 3.00 on either cluster."""
     per_tuple = _frames_per_tuple(_racked)
     assert per_tuple <= 2.85, per_tuple
