@@ -86,10 +86,11 @@ class SwitchAggregator:
         self.overflow_drops = 0
 
     # -- source-facing side -------------------------------------------------
-    def on_segment(self, rows: list[tuple], source_index: int, closed: bool,
-                   wire_bytes: int) -> None:
-        """Fold one arrived segment's rows, as :attr:`decode` returns them
-        (called at its switch-arrival time)."""
+    def on_segment(self, segment) -> None:
+        """Train action at a segment's switch arrival: fold the ``(rows,
+        source_index, closed, wire_bytes)`` record's rows, as
+        :attr:`decode` returns them."""
+        rows, source_index, closed, wire_bytes = segment
         if self._finished:
             raise FlowError("segment arrived after the flow finished")
         self.bytes_in += wire_bytes
@@ -127,23 +128,25 @@ class SwitchAggregator:
         self._write_index = self._ring.next_index(index)
         wire_bytes = len(payload) + FOOTER_SIZE
         self.bytes_out += wire_bytes
-        arrival = self.fabric.from_switch(self.target_node, wire_bytes)
+        self.fabric.from_switch(self.target_node, wire_bytes, self._commit,
+                                (index, payload, flags))
 
-        def commit(_event, index=index, payload=payload, flags=flags):
-            if self._ring.read_footer(index).consumable:
-                # Hardware queue overflow: the slot was never consumed.
-                self.overflow_drops += 1
-                raise FlowError(
-                    "SHARP target ring overflow — enlarge target_segments "
-                    "or consume faster")
-            if payload:
-                self._ring.region.write(self._ring.payload_offset(index),
-                                        payload)
-            self._ring.region.write(
-                self._ring.footer_offset(index),
-                pack_footer(len(payload), flags, 0))
-
-        arrival.callbacks.append(commit)
+    def _commit(self, segment) -> None:
+        """Train action: an ``(index, payload, flags)`` partial segment
+        reached the target's ring slot ``index``."""
+        index, payload, flags = segment
+        if self._ring.read_footer(index).consumable:
+            # Hardware queue overflow: the slot was never consumed.
+            self.overflow_drops += 1
+            raise FlowError(
+                "SHARP target ring overflow — enlarge target_segments "
+                "or consume faster")
+        if payload:
+            self._ring.region.write(self._ring.payload_offset(index),
+                                    payload)
+        self._ring.region.write(
+            self._ring.footer_offset(index),
+            pack_footer(len(payload), flags, 0))
 
 
 class SharpCombinerSource(_StagedSource):
@@ -190,15 +193,9 @@ class SharpCombinerSource(_StagedSource):
         closed = bool(extra_flags & FLAG_CLOSED)
         wire_bytes = used + FOOTER_SIZE
         delay = self._nic.engine_delay(inline=False)
-        arrival = self.registry.cluster.fabric.to_switch(
-            self.node, wire_bytes, delay=delay)
-
-        def on_arrival(_event, rows=rows, closed=closed,
-                       wire_bytes=wire_bytes):
-            aggregator.on_segment(rows, self.source_index, closed,
-                                  wire_bytes)
-
-        arrival.callbacks.append(on_arrival)
+        self.registry.cluster.fabric.to_switch(
+            self.node, wire_bytes, aggregator.on_segment,
+            (rows, self.source_index, closed, wire_bytes), delay=delay)
         self.segments_sent += 1
 
 

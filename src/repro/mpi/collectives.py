@@ -77,6 +77,12 @@ def alltoall(rank: Rank, chunks: "list[tuple[Any, int]]"):
     return [state.contributions[src][rank.rank][0] for src in range(world)]
 
 
+def _fire_once(signal) -> None:
+    """Arrival action of a broadcast hop: wake the child's tree level."""
+    if not signal.fired:
+        signal.fire()
+
+
 def bcast(rank: Rank, payload: Any, size: int, root: int = 0):
     """Generator: MPI_Bcast along a binomial tree rooted at ``root``.
     Returns the broadcast payload on every rank."""
@@ -100,17 +106,10 @@ def bcast(rank: Rank, payload: Any, size: int, root: int = 0):
             child = relative + mask
             if child < world:
                 dest = (child + root) % world
-                arrival = runtime.cluster.fabric.unicast(
-                    rank.node, runtime.rank_object(dest).node,
-                    size + _ENVELOPE_BYTES)
+                rank._post(runtime.rank_object(dest), size + _ENVELOPE_BYTES,
+                           _fire_once, have_signal[child])
                 rank.messages_sent += 1
                 rank.bytes_sent += size
-
-                def on_arrival(_event, child=child):
-                    if not have_signal[child].fired:
-                        have_signal[child].fire()
-
-                arrival.callbacks.append(on_arrival)
         mask <<= 1
     yield from _exit(rank, state)
     return payload

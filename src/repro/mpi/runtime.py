@@ -136,24 +136,14 @@ class Rank:
             cost = (profile.per_message_overhead
                     + size * profile.eager_copy_per_byte)
             yield from self._call_overhead(cost)
-            arrival = self.runtime.cluster.fabric.unicast(
-                self.node, dest_rank.node, size + _ENVELOPE_BYTES)
-
-            def on_arrival(_event, payload=payload, size=size, tag=tag):
-                dest_rank._deliver("eager", self.rank, tag, payload, size)
-
-            arrival.callbacks.append(on_arrival)
+            self._post(dest_rank, size + _ENVELOPE_BYTES, dest_rank._deliver,
+                       ("eager", self.rank, tag, payload, size))
             return
         # Rendezvous: announce, wait for clear-to-send, then move the data.
         yield from self._call_overhead(profile.per_message_overhead)
         rendezvous = _Rendezvous(self.env, payload, size)
-        rts = self.runtime.cluster.fabric.unicast(
-            self.node, dest_rank.node, _CONTROL_BYTES)
-
-        def on_rts(_event, tag=tag):
-            dest_rank._deliver("rts", self.rank, tag, rendezvous, size)
-
-        rts.callbacks.append(on_rts)
+        self._post(dest_rank, _CONTROL_BYTES, dest_rank._deliver,
+                   ("rts", self.rank, tag, rendezvous, size))
         yield rendezvous.cts
         data = self.runtime.cluster.fabric.unicast(
             self.node, dest_rank.node, size + _ENVELOPE_BYTES)
@@ -206,19 +196,24 @@ class Rank:
         # Rendezvous: grant the sender clear-to-send and await the data.
         rendezvous: _Rendezvous = payload
         rendezvous.done_event = Event(self.env)
-        cts = self.runtime.cluster.fabric.unicast(
-            self.node, self.runtime.rank_object(src).node, _CONTROL_BYTES)
-
-        def on_cts(_event):
-            rendezvous.cts.succeed()
-
-        cts.callbacks.append(on_cts)
+        self._post(self.runtime.rank_object(src), _CONTROL_BYTES,
+                   Event.succeed, rendezvous.cts)
         data_payload, data_size = yield rendezvous.done_event
         return data_payload, data_size, src
 
-    def _deliver(self, kind: str, source: int, tag: int, payload: Any,
-                 size: int) -> None:
-        message = (kind, source, tag, payload, size)
+    def _post(self, dest_rank: "Rank", size: int, fn, arg) -> None:
+        """Send ``size`` bytes to ``dest_rank`` and run ``fn(arg)`` when
+        they have arrived."""
+        env = self.env
+        now = env._now
+        arrival = self.runtime.cluster.fabric.unicast_arrival(
+            self.node, dest_rank.node, size, now)
+        env.schedule_train([(now + (arrival - now), fn, arg)])
+
+    def _deliver(self, message: tuple) -> None:
+        """Match an arrived ``(kind, source, tag, payload, size)``
+        message against the blocked receivers, else queue it."""
+        kind, source, tag, payload, size = message
         for i, (want_src, want_tag, event) in enumerate(self._recv_waiters):
             if self._matches(want_src, want_tag, source, tag):
                 del self._recv_waiters[i]

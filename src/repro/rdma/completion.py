@@ -96,8 +96,8 @@ class WorkRequest:
                     event.succeed(self._result)
             elif when is not None:
                 # First observer arrived before the completion time:
-                # materialize the deferred timer at the exact instant.
-                self._env.schedule_at(when, self._settle)
+                # settle at the exact instant.
+                self._env.schedule_train([(when, self._settle, None)])
         return event
 
     @property
@@ -115,15 +115,15 @@ class WorkRequest:
     def _complete_at(self, when: float, result: Any = None) -> None:
         """Record that this request completes at the absolute simulated
         time ``when`` without scheduling anything: the train fast path
-        expands acknowledgment timers lazily. If ``done`` is accessed at
-        or after ``when`` the event materializes already triggered; an
-        earlier access arms a real timer for the exact instant. Must be
+        expands acknowledgments lazily. If ``done`` is accessed at or
+        after ``when`` the event materializes already triggered; an
+        earlier access schedules its settling at the exact instant. Must be
         called before the first ``done`` access."""
         self._completes_at = when
         self._result = result
 
-    def _settle(self) -> None:
-        """Deferred-completion timer body (see :meth:`_complete_at`)."""
+    def _settle(self, _arg) -> None:
+        """Deferred-completion action (see :meth:`_complete_at`)."""
         if not self._completed:
             self._complete(self._result)
 

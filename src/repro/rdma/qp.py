@@ -182,9 +182,6 @@ class QueuePair:
         peer._peer = self
 
     # -- helpers -----------------------------------------------------------
-    def _fabric(self):
-        return self.node.cluster.fabric
-
     def _faults(self):
         """The installed fault plane, or ``None`` when absent/empty (the
         empty-plane case short-circuits here so fault-free runs keep the
@@ -193,16 +190,6 @@ class QueuePair:
         if faults is None or not faults.active:
             return None
         return faults
-
-    def _congestion(self):
-        """The installed congestion plane, or ``None`` when absent — the
-        ``congestion=None`` default short-circuits here, keeping the
-        exact event pattern (and bit-identical timeline) of a build
-        without the congestion subsystem."""
-        plane = self.node.cluster.congestion
-        if plane is None or not plane.active:
-            return None
-        return plane
 
     def _flush_after(self, wr: WorkRequest, delay: float,
                      status: WcStatus) -> None:
@@ -218,16 +205,18 @@ class QueuePair:
                 now = self.env.now
                 obs.log((EDGE, now + delay, now, "fault_backoff",
                          self.node.node_id, f"qp{self.qpn}", None, None))
-        timer = self.env.pooled_timeout(delay)
+        env = self.env
+        env.schedule_train([(env._now + delay, self._flushed, (wr, status))])
 
-        def on_timeout(_event, wr=wr, status=status):
-            wr._fail(QpFlushedError(
-                f"{wr.opcode.value} {self.node.name} -> "
-                f"{self.remote_node.name} flushed: {status.value}"))
-            self.send_cq.push(Completion(
-                wr_id=wr.wr_id, opcode=wr.opcode, status=status))
-
-        timer.callbacks.append(on_timeout)
+    def _flushed(self, args) -> None:
+        """Train action of :meth:`_flush_after`: fail the ``(wr,
+        status)`` record's request and push its error completion."""
+        wr, status = args
+        wr._fail(QpFlushedError(
+            f"{wr.opcode.value} {self.node.name} -> "
+            f"{self.remote_node.name} flushed: {status.value}"))
+        self.send_cq.push(Completion(
+            wr_id=wr.wr_id, opcode=wr.opcode, status=status))
 
     def _flush_wr(self, opcode: Opcode, wr_id: Any, signaled: bool,
                   faults, status: WcStatus = WcStatus.RETRY_EXC_ERR) -> WorkRequest:
@@ -270,20 +259,18 @@ class QueuePair:
             wr_id=wr_id, opcode=opcode, status=WcStatus.WR_FLUSH_ERR,
             byte_len=byte_len))
 
-    def _finish(self, wr: WorkRequest, delay: float, byte_len: int) -> None:
-        """Complete ``wr`` after ``delay`` ns, re-checking the peer's
-        liveness then: trigger ``done`` and push a CQ entry if the request
-        was signaled."""
-        def on_done(_event, wr=wr, byte_len=byte_len):
-            faults = self._faults()
-            if faults is not None and not faults.node_alive(self.remote_node):
-                self._fail_in_flight((wr, byte_len))
-            elif wr.signaled:
-                self._finish_signaled((wr, byte_len))
-            else:
-                wr._complete(None)
-
-        self.env.pooled_timeout(delay).callbacks.append(on_done)
+    def _finish(self, args) -> None:
+        """Train action at a SEND's acknowledgment: complete the ``(wr,
+        byte_len)`` record's request, re-checking the peer's liveness
+        now — trigger ``done`` and push a CQ entry if it was signaled."""
+        wr = args[0]
+        faults = self._faults()
+        if faults is not None and not faults.node_alive(self.remote_node):
+            self._fail_in_flight(args)
+        elif wr.signaled:
+            self._finish_signaled(args)
+        else:
+            wr._complete(None)
 
     # -- one-sided WRITE -----------------------------------------------------
     def post_write(self, payload,
@@ -369,14 +356,12 @@ class QueuePair:
                 self._obs_wqes_signaled += 1
             if not self._obs_wqes_posted & 15:
                 obs.bound()  # the plane log's memory bound
-        # ``_faults()`` / ``_congestion()`` without their two frames.
+        # ``_faults()`` without its frame.
         cluster = self.node.cluster
         faults = cluster.faults
         if faults is not None and not faults.active:
             faults = None
         congestion = cluster.congestion
-        if congestion is not None and not congestion.active:
-            congestion = None
         nic = self.nic
         env = self.env
         admit = 0.0
@@ -496,9 +481,10 @@ class QueuePair:
             if not self._obs_trains & 15:
                 obs.bound()  # the plane log's memory bound
         faults = self._faults()
-        congestion = self._congestion()
+        cluster = self.node.cluster
+        congestion = cluster.congestion
         env = self.env
-        fabric = self._fabric()
+        fabric = cluster.fabric
         inline_max = self._inline_max
         ack_latency = self._ack_delta
         if faults is None and congestion is None:
@@ -594,7 +580,7 @@ class QueuePair:
                     wr._complete_at(ack_at)
             env.schedule_train(actions)
 
-    # -- one-sided READ ----------------------------------------------------
+    # -- one-sided READ and atomics -------------------------------------------
     def post_read(self, local_region: MemoryRegion, local_offset: int,
                   remote_rkey: int, remote_offset: int, length: int,
                   signaled: bool = True, wr_id: Any = None) -> WorkRequest:
@@ -607,59 +593,53 @@ class QueuePair:
         """
         if length <= 0:
             raise RdmaError("read length must be positive")
-        if self._obs is not None:
-            self._obs_reads_posted += 1
-        faults = self._faults()
-        fault_delay = 0.0
-        if faults is not None:
-            admit = faults.rc_admission(self.node, self.remote_node)
-            if admit is None:
-                return self._flush_wr(Opcode.READ, wr_id, signaled, faults)
-            fault_delay = admit
+        return self._post_request(Opcode.READ, remote_rkey, remote_offset,
+                                  length, (local_region, local_offset),
+                                  signaled, wr_id, MemoryRegion.read,
+                                  (length,))
+
+    def post_fetch_add(self, remote_rkey: int, remote_offset: int,
+                       addend: int, signaled: bool = True,
+                       wr_id: Any = None) -> WorkRequest:
+        """Atomic fetch-and-add on a remote u64; ``done`` yields the old
+        value. This is the primitive behind DFI's tuple sequencer."""
+        return self._post_request(Opcode.FETCH_ADD, remote_rkey,
+                                  remote_offset, 8, None, signaled, wr_id,
+                                  MemoryRegion.fetch_add_u64, (addend,))
+
+    def post_compare_swap(self, remote_rkey: int, remote_offset: int,
+                          expected: int, swap: int, signaled: bool = True,
+                          wr_id: Any = None) -> WorkRequest:
+        """Atomic compare-and-swap on a remote u64; ``done`` yields the old
+        value (swap succeeded iff it equals ``expected``)."""
+        return self._post_request(Opcode.COMPARE_SWAP, remote_rkey,
+                                  remote_offset, 8, None, signaled, wr_id,
+                                  MemoryRegion.compare_swap_u64,
+                                  (expected, swap))
+
+    def _post_request(self, opcode: Opcode, remote_rkey: int,
+                      remote_offset: int, length: int, landing,
+                      signaled: bool, wr_id: Any, apply,
+                      operands: tuple) -> WorkRequest:
+        """The one request/response walk of READ and the atomics. Check
+        the remote range of ``length`` bytes and, for a READ, the local
+        one its ``landing`` ``(region, offset)`` names; admit against the
+        fault plane (refused, the request flushes with ``RETRY_EXC_ERR``);
+        send the request packet. At its arrival the peer applies
+        ``apply(region, remote_offset, *operands)``
+        (:meth:`_request_arrived`) and sends the ``length``-byte result
+        back; ``done`` triggers with it when it lands
+        (:meth:`_response_arrived`)."""
         remote_region = self._get_remote_nic().region(remote_rkey)
         remote_region.check_range(remote_offset, length)
-        local_region.check_range(local_offset, length)
-        offset_delay = self.nic.engine_delay(inline=True) + fault_delay
-        wr = WorkRequest(self.env, wr_id, Opcode.READ, signaled)
-        request = self._fabric().unicast(self.node, self.remote_node,
-                                         _REQUEST_PACKET_SIZE,
-                                         delay=offset_delay, control=True)
-
-        def on_request_arrival(_event):
-            faults = self._faults()
-            if faults is not None and not faults.node_alive(self.remote_node):
-                # Peer crashed while the request packet was in flight: no
-                # response ever comes; the transport gives up after the
-                # detection bound.
-                self._flush_after(wr, faults.detection_timeout,
-                                  WcStatus.WR_FLUSH_ERR)
-                return
-            data = remote_region.read(remote_offset, length)
-            response = self._fabric().unicast(self.remote_node, self.node,
-                                              length, control=True)
-
-            def on_response(_event2, data=data):
-                local_region.write(local_offset, data)
-                wr._complete(data)
-                if wr.signaled:
-                    self.send_cq.push(Completion(
-                        wr_id=wr.wr_id, opcode=Opcode.READ,
-                        status=WcStatus.SUCCESS, byte_len=length,
-                        result=data))
-
-            response.callbacks.append(on_response)
-
-        request.callbacks.append(on_request_arrival)
-        return wr
-
-    # -- atomics ------------------------------------------------------------
-    def _post_atomic(self, opcode: Opcode, remote_rkey: int,
-                     remote_offset: int, apply, signaled: bool,
-                     wr_id: Any) -> WorkRequest:
-        remote_region = self._get_remote_nic().region(remote_rkey)
-        remote_region.check_range(remote_offset, 8)
-        if self._obs is not None:
-            self._obs.inc("rdma.atomics_posted")
+        obs = self._obs
+        if landing is None:
+            if obs is not None:
+                obs.inc("rdma.atomics_posted")
+        else:
+            landing[0].check_range(landing[1], length)
+            if obs is not None:
+                self._obs_reads_posted += 1
         faults = self._faults()
         fault_delay = 0.0
         if faults is not None:
@@ -668,54 +648,46 @@ class QueuePair:
                 return self._flush_wr(opcode, wr_id, signaled, faults)
             fault_delay = admit
         offset_delay = self.nic.engine_delay(inline=True) + fault_delay
-        wr = WorkRequest(self.env, wr_id, opcode, signaled)
-        request = self._fabric().unicast(self.node, self.remote_node,
-                                         _REQUEST_PACKET_SIZE,
-                                         delay=offset_delay, control=True)
-
-        def on_request_arrival(_event):
-            faults = self._faults()
-            if faults is not None and not faults.node_alive(self.remote_node):
-                self._flush_after(wr, faults.detection_timeout,
-                                  WcStatus.WR_FLUSH_ERR)
-                return
-            old_value = apply(remote_region, remote_offset)
-            response = self._fabric().unicast(self.remote_node, self.node, 8,
-                                              control=True)
-
-            def on_response(_event2, old_value=old_value):
-                wr._complete(old_value)
-                if wr.signaled:
-                    self.send_cq.push(Completion(
-                        wr_id=wr.wr_id, opcode=opcode,
-                        status=WcStatus.SUCCESS, byte_len=8,
-                        result=old_value))
-
-            response.callbacks.append(on_response)
-
-        request.callbacks.append(on_request_arrival)
+        env = self.env
+        wr = WorkRequest(env, wr_id, opcode, signaled)
+        now = env._now
+        arrival = self.node.cluster.fabric.unicast_arrival(
+            self.node, self.remote_node, _REQUEST_PACKET_SIZE,
+            now + offset_delay, True)
+        env.schedule_train([(now + (arrival - now), self._request_arrived,
+                             (wr, remote_region, remote_offset, length,
+                              landing, apply, operands))])
         return wr
 
-    def post_fetch_add(self, remote_rkey: int, remote_offset: int,
-                       addend: int, signaled: bool = True,
-                       wr_id: Any = None) -> WorkRequest:
-        """Atomic fetch-and-add on a remote u64; ``done`` yields the old
-        value. This is the primitive behind DFI's tuple sequencer."""
-        return self._post_atomic(
-            Opcode.FETCH_ADD, remote_rkey, remote_offset,
-            lambda region, offset: region.fetch_add_u64(offset, addend),
-            signaled, wr_id)
+    def _request_arrived(self, request) -> None:
+        """Train action: a READ or atomic request reached the peer."""
+        wr, region, offset, length, landing, apply, operands = request
+        faults = self._faults()
+        if faults is not None and not faults.node_alive(self.remote_node):
+            # Peer crashed while the request packet was in flight: no
+            # response ever comes; the transport gives up after the
+            # detection bound.
+            self._flush_after(wr, faults.detection_timeout,
+                              WcStatus.WR_FLUSH_ERR)
+            return
+        result = apply(region, offset, *operands)
+        env = self.env
+        now = env._now
+        arrival = self.node.cluster.fabric.unicast_arrival(
+            self.remote_node, self.node, length, now, True)
+        env.schedule_train([(now + (arrival - now), self._response_arrived,
+                             (wr, length, landing, result))])
 
-    def post_compare_swap(self, remote_rkey: int, remote_offset: int,
-                          expected: int, swap: int, signaled: bool = True,
-                          wr_id: Any = None) -> WorkRequest:
-        """Atomic compare-and-swap on a remote u64; ``done`` yields the old
-        value (swap succeeded iff it equals ``expected``)."""
-        return self._post_atomic(
-            Opcode.COMPARE_SWAP, remote_rkey, remote_offset,
-            lambda region, offset: region.compare_swap_u64(offset, expected,
-                                                           swap),
-            signaled, wr_id)
+    def _response_arrived(self, response) -> None:
+        """Train action: the response landed back at this node."""
+        wr, length, landing, result = response
+        if landing is not None:
+            landing[0].write(landing[1], result)
+        wr._complete(result)
+        if wr.signaled:
+            self.send_cq.push(Completion(
+                wr_id=wr.wr_id, opcode=wr.opcode, status=WcStatus.SUCCESS,
+                byte_len=length, result=result))
 
     # -- two-sided SEND/RECV -------------------------------------------------
     def post_recv(self, region: MemoryRegion, offset: int, length: int,
@@ -745,7 +717,8 @@ class QueuePair:
             fault_delay = admit
         else:
             fault_delay = 0.0
-        congestion = self._congestion()
+        cluster = self.node.cluster
+        congestion = cluster.congestion
         rate = None
         if congestion is not None:
             paced, rate = congestion.rc_admit(self, size)
@@ -753,22 +726,26 @@ class QueuePair:
         inline = size <= self._inline_max
         offset_delay = self.nic.engine_delay(inline) + fault_delay
         self.nic.bytes_posted += size
-        arrival = self._fabric().unicast(self.node, self.remote_node, size,
-                                         delay=offset_delay)
+        env = self.env
+        now = env._now
+        arrival_delay = cluster.fabric.unicast_arrival(
+            self.node, self.remote_node, size, now + offset_delay) - now
+        env.schedule_train([(now + arrival_delay, self._send_arrived,
+                             (self._peer, data, imm))])
         if rate is not None:
-            congestion.rc_sent(rate, size, arrival.delay)
-        peer = self._peer
-
-        def on_arrival(_event, data=data, imm=imm):
-            faults = self._faults()
-            if faults is not None and not faults.node_alive(self.remote_node):
-                return  # the receiving QP died with its node
-            peer._deliver(data, imm)
-
-        arrival.callbacks.append(on_arrival)
-        wr = WorkRequest(self.env, wr_id, Opcode.SEND, signaled)
-        self._finish(wr, arrival.delay + self._ack_delta, size)
+            congestion.rc_sent(rate, size, arrival_delay)
+        wr = WorkRequest(env, wr_id, Opcode.SEND, signaled)
+        env.schedule_train([(now + (arrival_delay + self._ack_delta),
+                             self._finish, (wr, size))])
         return wr
+
+    def _send_arrived(self, args) -> None:
+        """Train action: a SEND's ``(peer, data, imm)`` reached the peer."""
+        faults = self._faults()
+        if faults is not None and not faults.node_alive(self.remote_node):
+            return  # the receiving QP died with its node
+        peer, data, imm = args
+        peer._deliver(data, imm)
 
     def _deliver(self, data: bytes, imm: int | None) -> None:
         self._pending_rx.append((data, imm))
@@ -902,8 +879,6 @@ class UdQueuePair:
         node = self.node
         cluster = node.cluster
         congestion = cluster.congestion
-        if congestion is not None and not congestion.active:
-            congestion = None
         offset_delay = self.nic.engine_delay(
             size <= self.nic.profile.max_inline_size)
         if congestion is not None:

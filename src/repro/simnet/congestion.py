@@ -29,7 +29,7 @@ installed plane executes the exact pre-congestion code paths
   hyper-increase timer rounds driven by the event kernel. UD multicast
   uses a simpler mark-aware pacing factor per sending node.
 
-Timers and CNPs schedule kernel events **only while the plane is active**
+Timers and CNPs schedule kernel events **only while a plane is installed**
 — which is allowed: with congestion enabled the contract is per-seed
 bit-reproducibility, not event-pattern neutrality. Any configured jitter
 draws from the node's ``backoff_rng`` stream (deterministic per seed).
@@ -261,10 +261,10 @@ class _RcRate:
         if cfg.recovery_jitter:
             period *= 1.0 + cfg.recovery_jitter * (
                 self.qp.node.backoff_rng.random() - 0.5)
-        timer = plane.env.pooled_timeout(period)
-        timer.callbacks.append(self._on_recovery)
+        env = plane.env
+        env.schedule_train([(env._now + period, self._on_recovery, None)])
 
-    def _on_recovery(self, _event) -> None:
+    def _on_recovery(self, _arg) -> None:
         self.timer_armed = False
         plane = self.plane
         cfg = plane.config
@@ -361,10 +361,6 @@ class CongestionPlane:
         self.cluster = cluster
         self.env = cluster.env
         self.config = config
-        #: Mirrors ``FaultPlane.active``: hot-path guards short-circuit on
-        #: False. An installed plane is always active (an unbounded config
-        #: is the supported no-op probe).
-        self.active = True
         self.line_rate = cluster.profile.link_bandwidth
         self.min_rate = config.min_rate_fraction * self.line_rate
         self._rc: dict = {}
@@ -459,9 +455,10 @@ class CongestionPlane:
                  f"qp{qp.qpn}", {"occupancy": int(occupancy)}))
         # The receiver NIC turns the mark into a CNP one control latency
         # after the marked packet arrives.
-        timer = self.env.pooled_timeout(
-            arrival_delay + self.cluster.profile.wire_latency)
-        timer.callbacks.append(lambda _event: state.on_cnp())
+        env = self.env
+        env.schedule_train([
+            (env._now + (arrival_delay + self.cluster.profile.wire_latency),
+             _RcRate.on_cnp, state)])
 
     # -- UD multicast hooks ------------------------------------------------
     def ud_state(self, node: "Node") -> _UdPace:
@@ -529,20 +526,21 @@ class CongestionPlane:
         if state.timer_armed:
             return
         state.timer_armed = True
+        env = self.env
+        env.schedule_train([(env._now + self.config.recovery_period,
+                             self._ud_recover, (node, state))])
 
-        def recover(_event):
-            state.timer_armed = False
-            state.factor = min(1.0, state.factor
-                               + self.config.ud_recovery_step)
-            log = self._trace()
-            if log is not None:
-                log((EVENT, self.env.now, "RATE_CHANGE", "congestion",
-                     node.node_id, "ud", {"factor": state.factor}))
-            if state.factor < 1.0:
-                self._arm_ud_recovery(node, state)
-
-        timer = self.env.pooled_timeout(self.config.recovery_period)
-        timer.callbacks.append(recover)
+    def _ud_recover(self, args) -> None:
+        """Recovery-timer action of one node's UD pacing factor."""
+        node, state = args
+        state.timer_armed = False
+        state.factor = min(1.0, state.factor + self.config.ud_recovery_step)
+        log = self._trace()
+        if log is not None:
+            log((EVENT, self.env.now, "RATE_CHANGE", "congestion",
+                 node.node_id, "ud", {"factor": state.factor}))
+        if state.factor < 1.0:
+            self._arm_ud_recovery(node, state)
 
     # -- failure-detection queries (flow layer) ----------------------------
     def throttled_path(self, src: "Node", dst: "Node") -> bool:
@@ -649,7 +647,7 @@ def stall_is_congestion(node: "Node",
     False whenever no plane is installed — the deadline semantics of a
     congestion-free build are untouched."""
     plane = node.cluster.congestion
-    if plane is None or not plane.active:
+    if plane is None:
         return False
     if remote is None:
         return plane.throttled_inbound(node)

@@ -59,7 +59,10 @@ class Fabric:
         """Transmit ``size`` bytes from ``source`` to ``destination``.
 
         Returns an event that triggers when the last byte has arrived at
-        the destination — :meth:`unicast_arrival` plus the arrival timer.
+        the destination — :meth:`unicast_arrival` plus the arrival timer,
+        for a process to yield. Code that only runs a callback at the
+        arrival schedules it as a ``schedule_train`` action at
+        ``now + (arrival - now)``, the instant this timer fires at.
         """
         env = self.env
         now = env._now
@@ -175,25 +178,29 @@ class Fabric:
         return offsets
 
     # -- switch-terminated transfers (in-network processing) -----------------
-    def to_switch(self, source: Node, size: int,
-                  delay: float = 0.0) -> Timeout:
+    def to_switch(self, source: Node, size: int, fn, arg,
+                  delay: float = 0.0) -> None:
         """Transmit ``size`` bytes from ``source`` into the switch itself
-        (for in-network processing such as SHARP aggregation). Costs the
-        uplink serialization plus half the wire latency."""
+        (for in-network processing such as SHARP aggregation) and run
+        ``fn(arg)`` when they have arrived. Costs the uplink
+        serialization plus half the wire latency."""
         self._check_nodes(source)
-        now = self.env.now
+        env = self.env
+        now = env._now
         _start, up_end = source.uplink.reserve(size, now + delay)
         arrival = up_end + self.profile.wire_latency / 2
-        return self.env.timeout(arrival - now)
+        env.schedule_train([(now + (arrival - now), fn, arg)])
 
-    def from_switch(self, destination: Node, size: int) -> Timeout:
-        """Transmit ``size`` bytes from the switch to ``destination``:
-        the downlink serialization plus half the wire latency."""
+    def from_switch(self, destination: Node, size: int, fn, arg) -> None:
+        """Transmit ``size`` bytes from the switch to ``destination`` and
+        run ``fn(arg)`` when they have arrived: the downlink
+        serialization plus half the wire latency."""
         self._check_nodes(destination)
-        now = self.env.now
+        env = self.env
+        now = env._now
         _start, down_end = destination.downlink.reserve(size, now)
         arrival = down_end + self.profile.wire_latency / 2
-        return self.env.timeout(arrival - now)
+        env.schedule_train([(now + (arrival - now), fn, arg)])
 
     def _check_nodes(self, *nodes: Node) -> None:
         for node in nodes:

@@ -322,18 +322,20 @@ class FaultPlane:
             if not isinstance(entry, LinkDegrade):
                 continue
             self._at(max(0.0, entry.at - now),
-                     self._scale_links, entry.node, 1.0 / entry.factor)
+                     self._scale_links, (entry.node, 1.0 / entry.factor))
             self._at(max(0.0, entry.at + entry.duration - now),
-                     self._scale_links, entry.node, entry.factor)
+                     self._scale_links, (entry.node, entry.factor))
 
-    def _at(self, delay: float, fn, *args) -> None:
-        self.env.timeout(delay).callbacks.append(lambda _event: fn(*args))
+    def _at(self, delay: float, fn, arg) -> None:
+        env = self.env
+        env.schedule_train([(env._now + delay, fn, arg)])
 
     def _apply_crash(self, node_id: int) -> None:
         self.crashed.add(node_id)
         self.cluster.node(node_id).fail_stop()
 
-    def _scale_links(self, node_id: int, factor: float) -> None:
+    def _scale_links(self, args) -> None:
+        node_id, factor = args
         # rescale (not a bare ``bandwidth *=``) re-prices the queued
         # backlog at the new rate, so a degrade landing mid-queue behaves
         # identically whether it fires just before or just after a

@@ -32,16 +32,13 @@ from repro.common.errors import SimulationError
 #: Sentinel for "event has not produced a value yet".
 _PENDING = object()
 
-#: Upper bound on recycled Timeout objects kept by an Environment (the
-#: callback timers of ``pooled_timeout`` and ``schedule_at``; a process's
-#: own waits ride its :class:`WakeEntry`).
-_TIMEOUT_POOL_CAP = 256
-
 #: Upper bound on recycled MacroEvent records kept by an Environment.
-#: One record is live per in-flight segment train; steady-state
-#: flows recycle through a handful, so a small cap bounds idle memory
-#: while still absorbing bursts (many channels flushing in one instant).
-_MACRO_POOL_CAP = 64
+#: One record is live per in-flight train — a segment train, or the
+#: one-action train of a timed callback (a READ's request and response,
+#: a congestion-plane timer); steady-state flows recycle through a
+#: handful, so the cap bounds idle memory while still absorbing bursts
+#: (many channels flushing in one instant).
+_MACRO_POOL_CAP = 256
 
 
 class Event:
@@ -121,9 +118,12 @@ class Event:
 
 
 class Timeout(Event):
-    """Event that triggers automatically after a fixed delay."""
+    """Event that triggers automatically after a fixed delay — the event a
+    process yields to wait. Code that only needs a callback run at an
+    instant schedules a ``(when, fn, arg)`` action with
+    :meth:`Environment.schedule_train` instead."""
 
-    __slots__ = ("delay", "_poolable")
+    __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float,
                  value: Any = None) -> None:
@@ -131,7 +131,6 @@ class Timeout(Event):
             raise SimulationError(f"negative timeout delay: {delay}")
         super().__init__(env)
         self.delay = delay
-        self._poolable = False
         self._value = value
         env._schedule(self, delay)
 
@@ -479,15 +478,14 @@ class Environment:
     charges, back-off sleeps), a :meth:`sleep_until` deadline (a batch's
     merged CPU charge) or a single-waiter waker (the doorbell's polled
     wait) — is queued as that process's own :class:`WakeEntry`, re-armed
-    in place. :meth:`pooled_timeout`
-    recycles processed :class:`Timeout` objects for fire-and-forget
-    callback timers (NIC completions, congestion-plane timers) whose
-    references are dropped once they fire.
+    in place. A callback that nobody waits on (a write's commits, a
+    READ's response, a completion, a congestion-plane timer) is a
+    ``(when, fn, arg)`` action of :meth:`schedule_train`, walked by a
+    pooled :class:`MacroEvent`.
     """
 
     __slots__ = ("_now", "_queue", "_immediate", "_sequence",
-                 "_active_process", "_timeout_pool", "_macro_pool",
-                 "events_executed")
+                 "_active_process", "_macro_pool", "events_executed")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
@@ -497,7 +495,6 @@ class Environment:
         self._immediate: deque[tuple[float, int, Event]] = deque()
         self._sequence = 0
         self._active_process: Process | None = None
-        self._timeout_pool: list[Timeout] = []
         self._macro_pool: list[MacroEvent] = []
         #: Events executed so far. Pure read-time observability — never
         #: consulted by the simulation.
@@ -521,60 +518,6 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that triggers after ``delay`` ns."""
         return Timeout(self, delay, value)
-
-    def pooled_timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Like :meth:`timeout`, but drawn from a recycling pool.
-
-        The returned event is reclaimed by the kernel right after its
-        callbacks run, so callers must not inspect it once a later event
-        has been processed — use it only for fire-and-forget timers that
-        are given callbacks immediately and then dropped (the NIC's
-        SEND completion and flush timers, the congestion
-        plane's CNP and recovery timers). A process that only sleeps
-        yields the ``float`` delay instead (:class:`Process`).
-        """
-        pool = self._timeout_pool
-        if not pool:
-            timer = Timeout(self, delay, value)
-            timer._poolable = True
-            return timer
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
-        timer = pool.pop()
-        timer.callbacks = []
-        timer._value = value
-        timer._exception = None
-        timer._defused = False
-        timer._scheduled = False
-        timer._processed = False
-        timer.delay = delay
-        self._schedule(timer, delay)
-        return timer
-
-    def schedule_at(self, when: float, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` at the absolute simulated time ``when``.
-
-        Unlike ``pooled_timeout(when - now)``, the fire time is exact: the
-        event is queued at ``when`` itself, not at ``now + (when - now)``
-        (which can differ by one ulp in float arithmetic). Times in the
-        past run on the next kernel step.
-        """
-        pool = self._timeout_pool
-        if pool:
-            timer = pool.pop()
-            timer.callbacks = [lambda _event: fn()]
-            timer._value = None
-            timer._exception = None
-            timer._defused = False
-            timer._processed = False
-        else:
-            timer = Timeout.__new__(Timeout)
-            Event.__init__(timer, self)
-            timer._poolable = True
-            timer.callbacks.append(lambda _event: fn())
-        timer.delay = when - self._now
-        timer._scheduled = False
-        self._schedule_abs(timer, when)
 
     def sleep_until(self, when: float) -> WakeEntry:
         """Queue the running process's own :class:`WakeEntry` at the
@@ -602,19 +545,22 @@ class Environment:
         return wake
 
     def schedule_train(self, actions) -> None:
-        """Batch-schedule API: run a train of ``(when, fn, arg)`` actions,
-        each ``fn(arg)`` at its exact absolute timestamp, using a *single*
-        in-flight pooled :class:`MacroEvent` that walks the train instead
-        of one queued event per action.
+        """The kernel's one fire-and-forget primitive: run a train of
+        ``(when, fn, arg)`` actions, each ``fn(arg)`` at its exact
+        absolute timestamp, using a *single* in-flight pooled
+        :class:`MacroEvent` that walks the train instead of one queued
+        event per action.
 
         ``actions`` must be sorted by non-decreasing ``when`` and must
         not grow once handed over (the walk stops at its length at this
-        call). This is the kernel half of doorbell batching: a train of
-        segment commits costs one live queue entry at any moment, yet
-        every action still fires at the same ``(time, ...)`` key a
-        per-action ``Timeout`` would have used. The ``(when, fn, arg)``
-        record shape lets callers share one function across the train and
-        keep per-action state in a plain tuple instead of a closure.
+        call). An instant at or before ``now`` runs on the next step. A
+        train of segment commits costs one live queue entry at any
+        moment, yet every action still fires at the same ``(time, ...)``
+        key a per-action ``Timeout`` would have used; a timed callback
+        is a train of one, scheduled where its timer would have been
+        armed, at ``now + delay``. The ``(when, fn, arg)`` record shape
+        lets callers share one function across the train and keep
+        per-action state in a plain tuple instead of a closure.
         """
         if not actions:
             return
@@ -720,9 +666,6 @@ class Environment:
             callback(event)
         if event._exception is not None and not event._defused:
             raise event._exception
-        if (type(event) is Timeout and event._poolable
-                and len(self._timeout_pool) < _TIMEOUT_POOL_CAP):
-            self._timeout_pool.append(event)
 
     def _run_all(self) -> None:
         """Run until nothing is pending: :meth:`step` in a loop, with the
@@ -732,7 +675,6 @@ class Environment:
         immediate = self._immediate
         popleft = immediate.popleft
         heappop = heapq.heappop
-        pool = self._timeout_pool
         while True:
             if immediate:
                 if queue and queue[0] < immediate[0]:
@@ -752,9 +694,6 @@ class Environment:
                 callback(event)
             if event._exception is not None and not event._defused:
                 raise event._exception
-            if (type(event) is Timeout and event._poolable
-                    and len(pool) < _TIMEOUT_POOL_CAP):
-                pool.append(event)
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run the simulation.

@@ -6,7 +6,7 @@ take the macro walk: each WQE is admitted against the path state when it
 is posted (a train WQE at its wire start), and its actions are cut at the
 peer's crash instant, which the plane fixed when it was installed. This
 module keeps the walk that walk replaced, member for member: an arrival
-event, a prefix timer and a completion timer per admitted WQE, each
+event, a prefix timer and a completion action per admitted WQE, each
 re-checking the peer's liveness when it fires.
 
 ``ShuffleSource.push_batch`` charges the CPU once per flush boundary:
@@ -95,7 +95,8 @@ def _post_discrete(self, wr: WorkRequest, size: int, prefix_pieces,
     fault plane is active (:meth:`_post_lone_discrete`,
     :meth:`_post_train_sequential`): an arrival event, a prefix timer
     one tail-serialization earlier when ``prefix_pieces`` is
-    non-empty, and a completion timer, each re-checking the peer's
+    non-empty, and a completion action (``QueuePair._finish``) at the
+    instant its timer fired, each re-checking the peer's
     liveness when it fires. NIC arbitration spans the offsets
     ``[arb_from, arb_to]`` from now; the WQE is handed to the wire
     ``held`` ns after that (admission a train applies per WQE at its
@@ -104,8 +105,8 @@ def _post_discrete(self, wr: WorkRequest, size: int, prefix_pieces,
     returned it), else ``None``."""
     env = self.env
     self.nic.bytes_posted += size
-    arrival = self._fabric().unicast(self.node, self.remote_node, size,
-                                     delay=arb_to + held)
+    arrival = self.node.cluster.fabric.unicast(
+        self.node, self.remote_node, size, delay=arb_to + held)
     if rate is not None:
         rate.plane.rc_sent(rate, size, arrival.delay)
     obs = self._obs
@@ -115,14 +116,15 @@ def _post_discrete(self, wr: WorkRequest, size: int, prefix_pieces,
         obs.log((WQE, self, now + arb_from, now + arb_to,
                  now + arb_to + held, now + arrival.delay))
     if prefix_pieces:
-        prefix_timer = env.pooled_timeout(max(
+        prefix_timer = env.timeout(max(
             0.0, arrival.delay
             - _ORDERED_TAIL / self.nic.profile.link_bandwidth))
         prefix_timer.callbacks.append(
             self._commit_if_alive(region, base, prefix_pieces))
     arrival.callbacks.append(
         self._commit_if_alive(region, base, tail_pieces))
-    self._finish(wr, arrival.delay + self._ack_delta, size)
+    env.schedule_train([(env.now + (arrival.delay + self._ack_delta),
+                         self._finish, (wr, size))])
 
 
 def _commit_if_alive(self, region: MemoryRegion, base: int, parts):
@@ -284,7 +286,7 @@ def installed():
             if not self._obs_wqes_posted & 15:
                 obs.bound()  # the plane log's memory bound
         self._post_lone_discrete(wr, size, pieces, region, offset,
-                                 faults, self._congestion())
+                                 faults, self.node.cluster.congestion)
 
     def discrete_train(self, entries):
         faults = self._faults()
@@ -308,7 +310,7 @@ def installed():
                 obs.bound()  # the plane log's memory bound
             # The per-WQE path logs its own arbitration and wire spans.
             obs.log((TRAIN, self.env._now, self, count, (), ()))
-        self._post_train_sequential(entries, faults, self._congestion())
+        self._post_train_sequential(entries, faults, self.node.cluster.congestion)
 
     for name, member in _MEMBERS.items():
         setattr(QueuePair, name, member)
@@ -337,8 +339,6 @@ def post_send_multicast_per_member(self, group, payload, wr_id=None):
     node = self.node
     cluster = node.cluster
     congestion = cluster.congestion
-    if congestion is not None and not congestion.active:
-        congestion = None
     offset_delay = self.nic.engine_delay(
         size <= self.nic.profile.max_inline_size)
     if congestion is not None:

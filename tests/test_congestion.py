@@ -81,7 +81,7 @@ def test_install_congestion_idempotent_and_conflict_checked():
     cluster = Cluster(node_count=2)
     assert cluster.congestion is None
     plane = cluster.install_congestion(DC)
-    assert cluster.congestion is plane and plane.active
+    assert cluster.congestion is plane
     assert cluster.install_congestion(CongestionConfig.datacenter()) is plane
     with pytest.raises(ConfigurationError):
         cluster.install_congestion(CongestionConfig.unbounded())

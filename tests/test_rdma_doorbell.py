@@ -18,15 +18,20 @@ from repro.simnet.faults import (
 from tests import discrete_reference
 
 
-# -- kernel: schedule_at / schedule_train ------------------------------------
+# -- kernel: schedule_train ----------------------------------------------------
 
 def test_schedule_at_fires_callback_at_time():
+    """A timed callback is a train of one action, fired at its absolute
+    instant; one in the past runs on the next step."""
     env = Environment()
     fired = []
-    env.schedule_at(5.0, lambda: fired.append(env.now))
-    env.schedule_at(2.0, lambda: fired.append(env.now))
+    env.schedule_train([(5.0, fired.append, "five")])
+    env.schedule_train([(2.0, fired.append, "two")])
     env.run()
-    assert fired == [2.0, 5.0]
+    assert fired == ["two", "five"] and env.now == 5.0
+    env.schedule_train([(1.0, fired.append, "past")])
+    env.run()
+    assert fired[-1] == "past" and env.now == 5.0
 
 
 def test_schedule_train_fires_actions_in_order():
@@ -49,7 +54,7 @@ def test_schedule_train_interleaves_with_other_events():
     actions sort into the global timeline like individual timers."""
     env = Environment()
     fired = []
-    env.schedule_at(2.0, lambda: fired.append("solo"))
+    env.schedule_train([(2.0, fired.append, "solo")])
     env.schedule_train([(1.0, fired.append, "t1"),
                         (3.0, fired.append, "t3")])
     env.run()

@@ -8,7 +8,7 @@ from repro.common import HardwareProfile
 from repro.common.errors import MemoryRegionError, RdmaError
 from repro.rdma import UD_MTU, MulticastGroup, Opcode, get_nic
 from repro.rdma.qp import _ORDERED_TAIL
-from repro.simnet import Cluster
+from repro.simnet import Cluster, FaultPlan, node_crash
 
 
 def make_pair(node_count=2):
@@ -290,6 +290,41 @@ def test_read_length_validation():
         qp.post_read(local, 0, remote.rkey, 0, 0)
     with pytest.raises(MemoryRegionError):
         qp.post_read(local, 0, remote.rkey, 8, 16)
+
+
+@pytest.mark.parametrize("peer", ["live", "crashed"])
+@pytest.mark.parametrize("bad", ["local_range", "remote_range", "rkey"])
+def test_read_validates_before_fault_admission(bad, peer):
+    """A READ checks its local range, its remote rkey and its remote range
+    at post, before the fault plane admits it: a bad one raises whether
+    or not the peer is reachable — as a write and a fetch-and-add do —
+    instead of returning a request that flushes later."""
+    cluster, nic0, nic1 = make_pair()
+    remote = nic1.register_memory(64)
+    local = nic0.register_memory(64)
+    qp = nic0.create_qp(cluster.node(1))
+    if peer == "crashed":
+        cluster.install_faults(FaultPlan([node_crash(1, at=0.0)]))
+        cluster.run()
+        assert cluster.faults.crashed == {1}
+        # A good READ toward the crashed peer is refused by admission:
+        # it returns a request that flushes later.
+        refused = qp.post_read(local, 0, remote.rkey, 0, 16)
+        cluster.run()
+        assert refused.error is not None
+    args = {"local_range": (local, 60, remote.rkey, 0, 16),
+            "remote_range": (local, 0, remote.rkey, 60, 16),
+            "rkey": (local, 0, remote.rkey + 99, 0, 16)}[bad]
+    with pytest.raises(MemoryRegionError):
+        qp.post_read(*args)
+    if bad != "local_range":
+        _local, _offset, rkey, offset, _length = args
+        with pytest.raises(MemoryRegionError):
+            qp.post_write(b"w" * 16, rkey, offset)
+        with pytest.raises(MemoryRegionError):
+            qp.post_fetch_add(rkey, offset, 1)
+    cluster.run()
+    assert local.read(0, 64) == bytes(64)
 
 
 # -- atomics -----------------------------------------------------------------

@@ -34,7 +34,7 @@ from repro.core import (
 )
 from repro.rdma.nic import get_nic
 from repro.simnet import Cluster, FaultPlan, node_crash
-from repro.simnet.kernel import _TIMEOUT_POOL_CAP
+from repro.simnet.kernel import _MACRO_POOL_CAP, Environment
 
 _SCHEMA = Schema(("key", "uint64"), ("pad", 24))
 _PAD = b"p" * 24
@@ -245,8 +245,6 @@ def test_macro_pool_steady_over_flow_cycles():
     """Five batched flow cycles on one cluster: the registry/NIC
     footprint is identical after every release and the kernel's recycled
     MacroEvent pool reaches a steady bounded size instead of growing."""
-    from repro.simnet.kernel import _MACRO_POOL_CAP
-
     cluster = Cluster(node_count=3)
     dfi = DfiRuntime(cluster)
     registry = dfi.registry
@@ -272,10 +270,10 @@ def test_macro_pool_steady_over_flow_cycles():
 def test_latency_flow_has_no_per_write_growth():
     """A latency ping-pong long enough to lap its 4-slot rings hundreds
     of times: every eager write is still one WQE, one fabric message and
-    zero doorbell trains, and walks a pooled macro-event — neither
-    kernel pool grows with the write count."""
+    zero doorbell trains, and walks a pooled macro-event, as do the
+    credit reads' request and response — the kernel's one pool does not
+    grow with the write count."""
     from repro.core import Optimization
-    from repro.simnet.kernel import _MACRO_POOL_CAP
 
     trips = 800
     cluster = Cluster(node_count=2)
@@ -299,8 +297,7 @@ def test_latency_flow_has_no_per_write_growth():
             yield from ping.push((i, pad))
             yield from pong.consume()
             if i % 100 == 99:
-                pool_sizes.append((len(env._macro_pool),
-                                   len(env._timeout_pool)))
+                pool_sizes.append(len(env._macro_pool))
         yield from ping.close()
         assert (yield from pong.consume()) is FLOW_END
 
@@ -317,8 +314,7 @@ def test_latency_flow_has_no_per_write_growth():
 
     # Pools settle within the first hundred round trips and stay put.
     assert len(set(pool_sizes)) == 1, pool_sizes
-    assert 0 < pool_sizes[0][0] <= _MACRO_POOL_CAP
-    assert pool_sizes[0][1] <= _TIMEOUT_POOL_CAP
+    assert 0 < pool_sizes[0] <= _MACRO_POOL_CAP
     # One write per hop plus the two close markers; every other WQE is
     # a credit read (request + response on the fabric).
     nics = [get_nic(node) for node in cluster.nodes]
@@ -384,7 +380,15 @@ def test_timeout_pool_stays_capped(racks):
 
     result = run_shuffle_mesh(racks, 4, tuples_per_source=128)
     env = result["cluster"].env
-    assert len(env._timeout_pool) <= _TIMEOUT_POOL_CAP
+    # The one recycling pool: every timed callback and every train
+    # returns its record there, and it keeps at most the cap.
+    assert 0 < len(env._macro_pool) <= _MACRO_POOL_CAP
+    # A burst wider than the cap returns more records than it keeps.
+    burst = Environment()
+    for _ in range(_MACRO_POOL_CAP + 44):
+        burst.schedule_train([(1.0, list, ())])
+    burst.run()
+    assert len(burst._macro_pool) == _MACRO_POOL_CAP
 
 
 # -- scale: a channel pays for the slots it writes ---------------------------

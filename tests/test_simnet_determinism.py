@@ -56,23 +56,39 @@ def test_zero_delay_events_keep_fifo_order_with_timed_events():
 
 
 def test_pooled_timeouts_do_not_leak_state():
-    """Recycled Timeout objects must come back clean: fresh value, fresh
-    callbacks, correct delay."""
+    """Recycled MacroEvent records — the one pool behind every timed
+    callback — must come back clean: each action fires once, at its own
+    instant, with its own argument, however often its record served."""
     env = Environment()
     seen = []
 
-    def worker(index):
-        for step in range(50):
-            event = env.pooled_timeout(float(index), value=(index, step))
-            got = yield event
-            seen.append((env.now, got))
+    def tick(arg):
+        index, step = arg
+        seen.append((env.now, index, step))
+        if step < 49:
+            env.schedule_train([(env.now + float(index + 1), tick,
+                                 (index, step + 1))])
 
     for index in range(4):
-        env.process(worker(index))
+        env.schedule_train([(float(index + 1), tick, (index, 0))])
     env.run()
     assert len(seen) == 200
-    for _now, (index, step) in seen:
-        assert 0 <= index < 4 and 0 <= step < 50
+    for now, index, step in seen:
+        assert now == float((step + 1) * (index + 1))
+    # Two hundred callbacks ran on at most two records per chain, each
+    # back in the pool and idle.
+    pool = env._macro_pool
+    assert 0 < len(pool) <= 8
+    assert all(record.actions is None for record in pool)
+    # A reused record is armed afresh: one action, unprocessed, queued.
+    actions = [(env.now + 1.0, tick, (9, 49))]
+    env.schedule_train(actions)
+    record = env._queue[0][2]
+    assert record not in pool and record.actions is actions
+    assert (record.index, record.end, record._processed) == (0, 1, False)
+    assert record.callbacks == [record._fire]
+    env.run()
+    assert seen[-1] == (env.now, 9, 49) and record in pool
 
 
 def test_condition_index_map_matches_event_positions():

@@ -1,10 +1,13 @@
 """Unit tests for the discrete-event kernel."""
 
 import itertools
+import tokenize
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.common.errors import SimulationError
 from repro.core import DfiRuntime, Endpoint, Optimization, Schema
 from repro.simnet import Cluster, Environment, Interrupt
@@ -346,8 +349,8 @@ def test_peek_reports_next_event_time():
 # -- order against an independent oracle -----------------------------------
 
 _DELAYS = (0, 1e-3, 1, 2047, 2048, 5e5, 1e9, 2 ** 62, float("inf"))
-_KINDS = ("timeout", "pooled_timeout", "schedule_at", "schedule_train",
-          "succeed", "cancel", "sleep", "sleep_until", "park")
+_KINDS = ("timeout", "schedule_train", "succeed", "cancel", "sleep",
+          "sleep_until", "park")
 
 
 def _ops(children):
@@ -439,9 +442,7 @@ def _kernel_order(env, programme, stepwise):
                 for child in children:
                     schedule(child)
 
-        if kind == "schedule_at":
-            env.schedule_at(env.now + delays[0], fire)
-        elif kind == "schedule_train":
+        if kind == "schedule_train":
             env.schedule_train([
                 (when, fire, action) for action, when
                 in enumerate(sorted(env.now + d for d in delays))])
@@ -491,8 +492,7 @@ def _kernel_order(env, programme, stepwise):
             env.process(parker())
             env.timeout(delays[0]).callbacks.append(waker)
         else:
-            timer = getattr(env, kind)(delays[0])
-            timer.callbacks.append(lambda _event: fire())
+            env.timeout(delays[0]).callbacks.append(lambda _event: fire())
 
     for op in programme:
         schedule(op)
@@ -722,3 +722,29 @@ def test_re_arming_a_queued_entry_fails_the_process(make, then):
 def test_sleep_until_outside_a_process_raises():
     with pytest.raises(SimulationError, match="outside"):
         Environment().sleep_until(1.0)
+
+
+# -- one fire-and-forget primitive --------------------------------------------
+
+def _callbacks_uses(path):
+    """Lines of ``path`` that read or assign an ``<expr>.callbacks``
+    attribute (code only: comments and strings do not count)."""
+    with tokenize.open(path) as source:
+        tokens = list(tokenize.generate_tokens(source.readline))
+    return [token.start[0] for previous, token in zip(tokens, tokens[1:])
+            if token.type == tokenize.NAME and token.string == "callbacks"
+            and previous.type == tokenize.OP and previous.string == "."]
+
+
+def test_only_the_kernel_touches_event_callbacks():
+    """No module under ``src/repro`` but ``simnet/kernel.py`` reads or
+    appends to an event's ``.callbacks``: code that runs a callback at
+    an instant schedules a ``(when, fn, arg)`` action with
+    ``Environment.schedule_train``, and a wait is a ``yield``."""
+    root = Path(repro.__file__).parent
+    kernel = root / "simnet" / "kernel.py"
+    assert _callbacks_uses(kernel)   # the scan sees what it looks for
+    offenders = [f"{path.relative_to(root)}:{line}"
+                 for path in sorted(root.rglob("*.py")) if path != kernel
+                 for line in _callbacks_uses(path)]
+    assert offenders == []

@@ -158,9 +158,12 @@ def _chaotic_workload(env, seed, log):
     manual = [env.event() for _ in range(20)]
     env.process(firer(manual))
     env.process(waiter("waiter", manual))
+    def at(tag):
+        log.append((env.now,) + tag)
+
     for j in range(40):
         when = rng.random() * 8000.0 + 0.5
-        env.schedule_at(when, lambda j=j: log.append((env.now, "cb", j)))
+        env.schedule_train([(when, at, ("cb", j))])
     env.schedule_train([(100.0 + 7.0 * i, log.append, (0.0, "train", i))
                         for i in range(16)])
     # Timers orders of magnitude past everything else, up to where a
@@ -169,7 +172,7 @@ def _chaotic_workload(env, seed, log):
     far = [600_000.0 + rng.random() * 3_000_000.0 for _ in range(12)]
     far += [40_000_000.0, float(1 << 62), float(1 << 63)]
     for j, when in enumerate(far):
-        env.schedule_at(when, lambda j=j: log.append((env.now, "far", j)))
+        env.schedule_train([(when, at, ("far", j))])
     env.run()
 
 
@@ -198,8 +201,8 @@ def test_sharded_order_matches_single_queue_exactly():
 def test_sharded_step_and_peek_compatibility():
     env = Environment()
     log = []
-    env.schedule_at(5.0, lambda: log.append("b"))
-    env.schedule_at(1.0, lambda: log.append("a"))
+    env.schedule_train([(5.0, log.append, "b")])
+    env.schedule_train([(1.0, log.append, "a")])
     assert env.peek() == 1.0
     env.step()
     assert env.now == 1.0
@@ -220,7 +223,7 @@ def test_sharded_run_until_semantics():
     env = Environment()
     hits = []
     for when in (10.0, 20.0, 30.0):
-        env.schedule_at(when, lambda when=when: hits.append(when))
+        env.schedule_train([(when, hits.append, when)])
     env.run(until=15.0)
     assert env.now == 15.0 and hits == [10.0]
     with pytest.raises(SimulationError):
@@ -239,7 +242,7 @@ def test_sharded_run_until_semantics():
 
     env = Environment()
     never = env.event()
-    env.schedule_at(1.0, lambda: None)
+    env.schedule_train([(1.0, list, ())])
     with pytest.raises(SimulationError):
         env.run(until=never)  # queue drains before the event fires
 
@@ -317,19 +320,19 @@ def test_drain_rounds_are_maximal_same_shard_runs():
     def fired(env):
         order: list = []
 
-        def at_ten():
+        def at_ten(_arg):
             # The first entry at 10: what it queues for "now"
             # (zero-delay, and an instant already past) draws later
             # sequence numbers than the timed entries still waiting at
             # 10, so it runs after them and before the 20.0 ones.
             order.append("first")
             env.event().succeed()
-            env.schedule_at(10.0, lambda: order.append("late"))
-            env.schedule_at(5.0, lambda: order.append("past"))
+            env.schedule_train([(10.0, order.append, "late")])
+            env.schedule_train([(5.0, order.append, "past")])
 
-        env.schedule_at(10.0, at_ten)
+        env.schedule_train([(10.0, at_ten, None)])
         for index, when in enumerate(instants):
-            env.schedule_at(when, lambda index=index: order.append(index))
+            env.schedule_train([(when, order.append, index)])
         env.run()
         return order
 
@@ -345,10 +348,12 @@ def test_macro_hops_stay_on_the_arming_shard():
     env = Environment()
     seen: list = []
 
+    def timer(index):
+        seen.append(("timer", index, env.now))
+
     def hop(index):
         seen.append(("hop", index, env.now))
-        env.schedule_at(env.now + 1.0,
-                        lambda: seen.append(("timer", index, env.now)))
+        env.schedule_train([(env.now + 1.0, timer, index)])
 
     env.timeout(0.5)
     # Hops span the current bucket, the ring and the spill heap.
@@ -422,40 +427,33 @@ def test_written_out_loop_stays_in_lockstep_with_step():
 
 
 def test_sharded_loop_recycles_pooled_timeouts():
-    """The pool's users are callback timers: ``pooled_timeout`` and
-    ``schedule_at``, each arming the next from its own callback."""
+    """The pool's users are timed callbacks — one-action trains — each
+    arming the next from its own action."""
     pooled = []
     for env in (Environment(), Stepwise()):
         fired = []
 
-        def tick(_event=None, env=env, fired=fired):
-            fired.append(env.now)
-            if len(fired) < 6:
-                env.pooled_timeout(1.0).callbacks.append(tick)
-
-        def at(env=env, fired=fired):
+        def tick(_arg, env=env, fired=fired):
             fired.append(env.now)
             if len(fired) < 12:
-                env.schedule_at(env.now + 1.0, at)
+                env.schedule_train([(env.now + 1.0, tick, None)])
 
-        tick()
-        env.run()
-        env.schedule_at(env.now + 1.0, at)
+        tick(None)
         env.run()
         assert fired == [float(t) for t in range(12)]
-        pooled.append(len(env._timeout_pool))
-    # A timer returns to the pool once its callbacks ran, so two objects
-    # take turns serving all eleven timers — through either loop.
+        pooled.append(len(env._macro_pool))
+    # A record returns to the pool once its action ran, so two records
+    # take turns serving all eleven callbacks — through either loop.
     assert pooled == [2, 2]
     # Under the discrete oracle an active, idle fault plane puts every
-    # write of a racked flow on the per-WQE walk, whose prefix and
-    # completion timers are pooled.
+    # write of a racked flow on the per-WQE walk, whose completions are
+    # pooled actions.
     with discrete_reference.installed() as posts:
         cluster, _processes = _racked_shuffle()
         cluster.install_faults(FaultPlan(
             [link_degrade(0, at=1e9, duration=1.0, factor=2.0)]))
         cluster.run()
-    assert posts["wqes"] and cluster.env._timeout_pool
+    assert posts["wqes"] and cluster.env._macro_pool
 
 
 @pytest.mark.parametrize("racks", [1, 2])
@@ -481,7 +479,7 @@ def test_cpu_charges_reuse_one_wake_entry_and_build_no_timeout(
     process = node.spawn(worker())
     cluster.run()
     assert not process.is_alive and env.now == 10_000.0
-    assert built == [] and env._timeout_pool == []
+    assert built == [] and env._macro_pool == []
     # Its start and all 1 000 charges ran on the same entry.
     assert entries == {process._wake}
     assert env.events_executed == 1 + 1000 + 1   # start, charges, exit
