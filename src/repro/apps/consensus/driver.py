@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from repro.apps.consensus import messages
 from repro.common.errors import ConfigurationError
 from repro.workloads.ycsb import YcsbConfig, YcsbWorkload
 
@@ -99,6 +100,32 @@ class LoadGenerator:
 
     def next_operation(self):
         return self._workload.next_request()
+
+
+def client_submit(dfi, setup: ConsensusSetup, tracker: LatencyTracker,
+                  flow: str, index: int):
+    """Generator: client ``index`` pushes its open-loop request stream
+    into flow ``flow`` — each request at its scheduled arrival, tracked
+    from that instant — and closes its source past the horizon."""
+    env = dfi.cluster.env
+    generator = LoadGenerator(setup, index)
+    source = yield from dfi.open_source(flow, index)
+    sequence = 0
+    while True:
+        arrival = generator.next_arrival()
+        if arrival is None:
+            yield from source.close()
+            return
+        if arrival > env.now:
+            yield env.timeout(arrival - env.now)
+        operation = generator.next_operation()
+        reqid = messages.make_reqid(index, sequence)
+        sequence += 1
+        tracker.issue(reqid, arrival)
+        value = operation.value.ljust(messages.VALUE_BYTES, b"\x00")
+        yield from source.push(
+            (reqid, index, operation.op.value == "update",
+             operation.key, value))
 
 
 class LatencyTracker:

@@ -20,7 +20,7 @@ from repro.apps.consensus.driver import (
     ConsensusResult,
     ConsensusSetup,
     LatencyTracker,
-    LoadGenerator,
+    client_submit,
 )
 from repro.apps.consensus.kvstore import APPLY_COST_NS, KvStore
 from repro.core.flow import DfiRuntime
@@ -125,26 +125,6 @@ def run_multipaxos(cluster: Cluster,
             follower_log.append(proposal)
             yield from vote_source.push((proposal[0], index))
 
-    def client_submit(index: int):
-        generator = LoadGenerator(setup, index)
-        source = yield from dfi.open_source("mp-req", index)
-        sequence = 0
-        while True:
-            arrival = generator.next_arrival()
-            if arrival is None:
-                yield from source.close()
-                return
-            if arrival > env.now:
-                yield env.timeout(arrival - env.now)
-            operation = generator.next_operation()
-            reqid = messages.make_reqid(index, sequence)
-            sequence += 1
-            tracker.issue(reqid, arrival)
-            value = operation.value.ljust(messages.VALUE_BYTES, b"\x00")
-            yield from source.push(
-                (reqid, index, operation.op.value == "update",
-                 operation.key, value))
-
     def client_receive(index: int):
         target = yield from dfi.open_target("mp-resp", index)
         while True:
@@ -158,7 +138,8 @@ def run_multipaxos(cluster: Cluster,
     for i in range(len(followers)):
         env.process(follower(i), name=f"mp-follower-{i}")
     for i in range(setup.clients):
-        env.process(client_submit(i), name=f"mp-client-submit-{i}")
+        env.process(client_submit(dfi, setup, tracker, "mp-req", i),
+                    name=f"mp-client-submit-{i}")
         env.process(client_receive(i), name=f"mp-client-recv-{i}")
     cluster.run()
     return tracker.result("multipaxos")

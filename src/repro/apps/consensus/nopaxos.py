@@ -23,7 +23,7 @@ from repro.apps.consensus.driver import (
     ConsensusResult,
     ConsensusSetup,
     LatencyTracker,
-    LoadGenerator,
+    client_submit,
 )
 from repro.apps.consensus.kvstore import APPLY_COST_NS, KvStore
 from repro.core.flow import DfiRuntime
@@ -179,26 +179,6 @@ def run_nopaxos(cluster: Cluster,
                 stores[index].apply(op, key, value)
             oum_target.skip_gap(seq)
 
-    def client_submit(index: int):
-        generator = LoadGenerator(setup, index)
-        source = yield from dfi.open_source("nop-oum", index)
-        sequence = 0
-        while True:
-            arrival = generator.next_arrival()
-            if arrival is None:
-                yield from source.close()
-                return
-            if arrival > env.now:
-                yield env.timeout(arrival - env.now)
-            operation = generator.next_operation()
-            reqid = messages.make_reqid(index, sequence)
-            sequence += 1
-            tracker.issue(reqid, arrival)
-            value = operation.value.ljust(messages.VALUE_BYTES, b"\x00")
-            yield from source.push(
-                (reqid, index, operation.op.value == "update",
-                 operation.key, value))
-
     def client_receive(index: int):
         target = yield from dfi.open_target("nop-resp", index)
         acks: dict[int, int] = {}
@@ -220,7 +200,8 @@ def run_nopaxos(cluster: Cluster,
     for i in range(1, replica_count):
         env.process(follower_gap_listener(i), name=f"nop-gap-follower-{i}")
     for i in range(setup.clients):
-        env.process(client_submit(i), name=f"nop-client-submit-{i}")
+        env.process(client_submit(dfi, setup, tracker, "nop-oum", i),
+                    name=f"nop-client-submit-{i}")
         env.process(client_receive(i), name=f"nop-client-recv-{i}")
     cluster.run()
     result = tracker.result("nopaxos")

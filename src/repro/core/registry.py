@@ -1,12 +1,15 @@
 """The central flow registry (paper Section 3.2).
 
 Flow metadata is published here at initialization — the role the paper
-assigns to a master node. Besides descriptor lookup the registry provides
-the two rendezvous services flow setup needs:
+assigns to a master node. The registry keeps one record per flow, which
+:meth:`FlowRegistry.release_flow` drops as a whole:
 
-* *ring publication*: each target allocates its receive rings and publishes
-  their remote handles; sources block until the handle for their channel
-  appears;
+* the *board*: endpoints publish their setup values under a key — a
+  target its receive ring per channel, a multicast source its control
+  region, a SHARP target its switch aggregator, a multicast target that
+  it joined the group — and peers wait until the key appears;
+* the regions peers write into, held by the endpoint that registered
+  them and deregistered at release;
 * the *tuple sequencer*: for globally-ordered replicate flows the registry
   hosts a u64 counter in registered memory on the master node, which
   sources bump with RDMA fetch-and-add to stamp segments.
@@ -14,7 +17,7 @@ the two rendezvous services flow setup needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.common.errors import FlowError, RegistryError
@@ -22,7 +25,7 @@ from repro.core.flowdef import FlowDescriptor, FlowType, Ordering
 from repro.rdma.nic import get_nic
 from repro.rdma.qp import MulticastGroup
 from repro.simnet.cluster import Cluster
-from repro.simnet.sync import Signal
+from repro.simnet.kernel import Event
 
 
 @dataclass(frozen=True)
@@ -48,25 +51,36 @@ class SequencerHandle:
     offset: int
 
 
+@dataclass(eq=False)
+class _Flow:
+    """Everything the registry keeps for one flow."""
+
+    descriptor: FlowDescriptor
+    #: Published setup values by key (:meth:`FlowRegistry.publish`).
+    board: dict = field(default_factory=dict)
+    #: Per key not published yet, the event its waiters block on.
+    waiting: dict = field(default_factory=dict)
+    #: ``(node_id, rkey)`` of every region :meth:`FlowRegistry.release_flow`
+    #: deregisters (:meth:`FlowRegistry.hold_region`).
+    regions: list = field(default_factory=list)
+    sequencer: SequencerHandle | None = None
+    group: MulticastGroup | None = None
+    aborted: bool = False
+
+
 class FlowRegistry:
     """Central metadata store for all flows of one cluster."""
 
     def __init__(self, cluster: Cluster, master_node_id: int = 0) -> None:
         self.cluster = cluster
         self.master_node = cluster.node(master_node_id)
-        self._flows: dict[str, FlowDescriptor] = {}
-        self._rings: dict[tuple[str, int, int], RingHandle] = {}
-        self._ring_signals: dict[tuple[str, int, int], Signal] = {}
-        self._sequencers: dict[str, SequencerHandle] = {}
-        self._mcast_groups: dict[str, MulticastGroup] = {}
-        self._backchannel: dict[tuple[str, int, int], Any] = {}
-        self._backchannel_signals: dict[tuple[str, int, int], Signal] = {}
-        self._ready_targets: dict[str, set[int]] = {}
-        self._ready_signals: dict[str, Signal] = {}
-        self._aborted: set[str] = set()
-        #: Per flow, the ``(node_id, rkey)`` of regions its endpoints
-        #: registered outside the published handles.
-        self._held: dict[str, list[tuple[int, int]]] = {}
+        self._flows: dict[str, _Flow] = {}
+
+    def _flow(self, name: str) -> _Flow:
+        try:
+            return self._flows[name]
+        except KeyError:
+            raise RegistryError(f"unknown flow {name!r}") from None
 
     # -- flow lifecycle -----------------------------------------------------
     def initialize_flow(self, descriptor: FlowDescriptor) -> FlowDescriptor:
@@ -79,7 +93,7 @@ class FlowRegistry:
                     f"endpoint {endpoint} references node "
                     f"{endpoint.node_id}, but the cluster has only "
                     f"{self.cluster.node_count} nodes")
-        self._flows[descriptor.name] = descriptor
+        flow = self._flows[descriptor.name] = _Flow(descriptor)
         if descriptor.options.congestion is not None:
             # Congestion policy is a fabric property: the first flow that
             # carries one installs it cluster-wide (idempotent for equal
@@ -87,20 +101,18 @@ class FlowRegistry:
             self.cluster.install_congestion(descriptor.options.congestion)
         if descriptor.ordering is Ordering.GLOBAL:
             counter_region = get_nic(self.master_node).register_memory(8)
-            self._sequencers[descriptor.name] = SequencerHandle(
+            flow.sequencer = SequencerHandle(
                 node_id=self.master_node.node_id,
                 rkey=counter_region.rkey, offset=0)
+            flow.regions.append((self.master_node.node_id,
+                                 counter_region.rkey))
         if descriptor.options.multicast:
-            self._mcast_groups[descriptor.name] = MulticastGroup(
-                f"mcast:{descriptor.name}")
+            flow.group = MulticastGroup(f"mcast:{descriptor.name}")
         return descriptor
 
     def descriptor(self, name: str) -> FlowDescriptor:
         """Look up a flow by name."""
-        try:
-            return self._flows[name]
-        except KeyError:
-            raise RegistryError(f"unknown flow {name!r}") from None
+        return self._flow(name).descriptor
 
     def open_endpoint(self, name: str, cls, index: int,
                       side: str = "source"):
@@ -109,10 +121,7 @@ class FlowRegistry:
         transport is one ``cls`` serves (``cls.transports``), and
         ``index`` names one of its ``side`` endpoints. Returns
         ``(descriptor, node)``, the node hosting that endpoint."""
-        try:
-            descriptor = self._flows[name]
-        except KeyError:
-            raise RegistryError(f"unknown flow {name!r}") from None
+        descriptor = self._flow(name).descriptor
         transport = descriptor.transport
         if transport not in cls.transports:
             article = "an" if transport[0] in "aeiou" else "a"
@@ -139,7 +148,8 @@ class FlowRegistry:
         from dataclasses import replace
         from repro.core.nodes import Endpoint
 
-        descriptor = self.descriptor(name)
+        flow = self._flow(name)
+        descriptor = flow.descriptor
         if descriptor.flow_type is not FlowType.SHUFFLE:
             raise RegistryError(
                 "runtime target extension is supported for shuffle flows")
@@ -150,7 +160,7 @@ class FlowRegistry:
         if new_endpoint.node_id >= self.cluster.node_count:
             raise RegistryError(
                 f"endpoint {new_endpoint} outside the cluster")
-        self._flows[name] = replace(
+        flow.descriptor = replace(
             descriptor, targets=(*descriptor.targets, new_endpoint))
         return len(descriptor.targets)
 
@@ -159,170 +169,88 @@ class FlowRegistry:
         abort (e.g. one adopted by ``extend_targets`` racing an abort)
         check this flag so they do not wait for ring traffic that will
         never come."""
-        self.descriptor(name)  # validates the flow exists
-        self._aborted.add(name)
+        self._flow(name).aborted = True
 
     def flow_aborted(self, name: str) -> bool:
         """True once any endpoint aborted flow ``name``."""
-        return name in self._aborted
+        flow = self._flows.get(name)
+        return flow is not None and flow.aborted
 
     def flow_names(self) -> list[str]:
         return sorted(self._flows)
 
     def release_flow(self, name: str) -> None:
-        """Drop every piece of registry state for a closed flow: the
-        descriptor, ring/backchannel handles and rendezvous signals,
-        readiness tracking, the abort flag, the multicast group, the
-        sequencer counter's registered memory on the master NIC, and every
-        region behind a handle or :meth:`hold_region`.
+        """Drop the flow's record — descriptor, board, abort flag,
+        multicast group, sequencer — and deregister every region held for
+        it (:meth:`hold_region`).
 
         The registry is the one per-cluster store that outlives flows, so
         a long-running cluster cycling many flows (the 256-1024-node
-        serving scenarios) must release them or these dicts grow without
-        bound — ``tests/test_scale_memory.py`` pins this. Call after all
-        endpoints have closed; releasing is idempotent-by-name only in
-        the sense that an unknown flow raises (a double release is a
-        lifecycle bug worth surfacing). The name becomes reusable."""
-        self.descriptor(name)  # validates the flow exists
+        serving scenarios) must release them or the records and their
+        regions grow without bound — ``tests/test_scale_memory.py`` pins
+        this. Call after all endpoints have closed; an unknown flow
+        raises (a double release is a lifecycle bug worth surfacing). The
+        name becomes reusable."""
+        flow = self._flow(name)
         del self._flows[name]
-        self._aborted.discard(name)
-        self._ready_targets.pop(name, None)
-        self._ready_signals.pop(name, None)
-        self._mcast_groups.pop(name, None)
-        sequencer = self._sequencers.pop(name, None)
-        if sequencer is not None:
-            get_nic(self.cluster.node(sequencer.node_id)).deregister_memory(
-                sequencer.rkey)
-        # Deregister the target-side ring (and credit) regions behind the
-        # published handles — the registry is the only place that still
-        # knows them once the endpoints closed. Credit regions are shared
-        # by every channel of one target, so dedupe by (node, rkey).
-        regions = set(self._held.pop(name, ()))
-        for key in [key for key in self._rings if key[0] == name]:
-            handle = self._rings.pop(key)
-            regions.add((handle.node_id, handle.rkey))
-            if handle.credit_rkey is not None:
-                regions.add((handle.node_id, handle.credit_rkey))
-        for node_id, rkey in sorted(regions):
+        for node_id, rkey in flow.regions:
             get_nic(self.cluster.node(node_id)).deregister_memory(rkey)
-        for table in (self._ring_signals, self._backchannel,
-                      self._backchannel_signals):
-            for key in [key for key in table if key[0] == name]:
-                del table[key]
 
     def hold_region(self, name: str, node_id: int, rkey: int) -> None:
         """Have :meth:`release_flow` deregister a region an endpoint of
-        ``name`` registered (a multicast source's control region, a
-        multicast target's receive ring): peers write into it until the
-        last of them is done, which the owning endpoint cannot see."""
-        self._held.setdefault(name, []).append((node_id, rkey))
+        ``name`` registered for peers to write into — a target's rings
+        and credit region, the SHARP switch's ring, a multicast flow's
+        source control regions and target receive rings: peers write until
+        the last of them is done, which the owning endpoint cannot see."""
+        self._flow(name).regions.append((node_id, rkey))
 
-    # -- ring rendezvous ---------------------------------------------------
-    def _ring_signal(self, key: tuple[str, int, int]) -> Signal:
-        signal = self._ring_signals.get(key)
-        if signal is None:
-            signal = Signal(self.cluster.env)
-            self._ring_signals[key] = signal
-        return signal
+    # -- the board: publish once, wait until published ---------------------
+    def publish(self, name: str, key, value: Any) -> None:
+        """Publish ``value`` under ``key`` of flow ``name`` and wake its
+        waiters. The keys are ``("ring", source, target)``,
+        ``("control", source, target)``, ``"aggregator"`` and
+        ``("joined", target)``; each is published once."""
+        flow = self._flow(name)
+        if key in flow.board:
+            raise RegistryError(
+                f"{key!r} of flow {name!r} already published")
+        flow.board[key] = value
+        event = flow.waiting.pop(key, None)
+        if event is not None:
+            event.succeed(value)
 
-    def publish_ring(self, name: str, source_index: int, target_index: int,
-                     handle: RingHandle) -> None:
-        """Called by a target to announce the ring for one channel."""
-        self.descriptor(name)  # validates the flow exists
-        key = (name, source_index, target_index)
-        if key in self._rings:
-            raise RegistryError(f"ring for channel {key} already published")
-        self._rings[key] = handle
-        self._ring_signal(key).fire(handle)
+    def wait(self, name: str, key):
+        """Generator: the value published under ``key`` of flow ``name``
+        — at once, yielding nothing, if it is already there."""
+        flow = self._flow(name)
+        if key in flow.board:
+            return flow.board[key]
+        event = flow.waiting.get(key)
+        if event is None:
+            event = flow.waiting[key] = Event(self.cluster.env)
+        return (yield event)
 
-    def wait_ring(self, name: str, source_index: int, target_index: int):
-        """Generator: wait until the channel's ring handle is available."""
-        key = (name, source_index, target_index)
-        handle = self._rings.get(key)
-        if handle is None:
-            handle = yield self._ring_signal(key).wait()
-        return handle
-
-    def published_ring(self, name: str, source_index: int,
-                       target_index: int) -> "RingHandle | None":
-        """The channel's ring handle if already published, else ``None``
+    def published(self, name: str, key) -> Any:
+        """The value under ``key`` if already published, else ``None``
         (never blocks — used by abort paths that must not wait on targets
         that may never open)."""
-        return self._rings.get((name, source_index, target_index))
-
-    # -- generic back-channel rendezvous (replicate credit/NACK paths) ------
-    def publish_backchannel(self, name: str, source_index: int,
-                            target_index: int, info: Any) -> None:
-        """Publish auxiliary per-channel setup info (e.g. the source-side
-        credit/NACK region used by multicast replicate flows)."""
-        key = (name, source_index, target_index)
-        if key in self._backchannel:
-            raise RegistryError(f"backchannel for {key} already published")
-        self._backchannel[key] = info
-        signal = self._backchannel_signals.get(key)
-        if signal is None:
-            signal = Signal(self.cluster.env)
-            self._backchannel_signals[key] = signal
-        signal.fire(info)
-
-    def wait_backchannel(self, name: str, source_index: int,
-                         target_index: int):
-        """Generator: wait for the channel's auxiliary setup info."""
-        key = (name, source_index, target_index)
-        info = self._backchannel.get(key)
-        if info is None:
-            signal = self._backchannel_signals.get(key)
-            if signal is None:
-                signal = Signal(self.cluster.env)
-                self._backchannel_signals[key] = signal
-            info = yield signal.wait()
-        return info
-
-    # -- target readiness (multicast replicate rendezvous) ------------------
-    def mark_target_ready(self, name: str, target_index: int) -> None:
-        """Called by a target once it joined the multicast group and posted
-        its receive requests; sources wait for all targets before sending."""
-        descriptor = self.descriptor(name)
-        ready = self._ready_targets.setdefault(name, set())
-        if target_index in ready:
-            raise RegistryError(
-                f"target {target_index} of flow {name!r} already ready")
-        ready.add(target_index)
-        if len(ready) == descriptor.target_count:
-            signal = self._ready_signals.get(name)
-            if signal is None:
-                signal = Signal(self.cluster.env)
-                self._ready_signals[name] = signal
-            signal.fire()
-
-    def wait_all_targets(self, name: str):
-        """Generator: wait until every target of ``name`` reported ready."""
-        descriptor = self.descriptor(name)
-        ready = self._ready_targets.get(name, set())
-        if len(ready) < descriptor.target_count:
-            signal = self._ready_signals.get(name)
-            if signal is None:
-                signal = Signal(self.cluster.env)
-                self._ready_signals[name] = signal
-            yield signal.wait()
-        return None
+        return self._flow(name).board.get(key)
 
     # -- sequencer ---------------------------------------------------------
     def sequencer(self, name: str) -> SequencerHandle:
         """Handle of the flow's global sequence counter."""
-        try:
-            return self._sequencers[name]
-        except KeyError:
+        handle = self._flow(name).sequencer
+        if handle is None:
             raise RegistryError(
-                f"flow {name!r} has no sequencer (not globally "
-                f"ordered)") from None
+                f"flow {name!r} has no sequencer (not globally ordered)")
+        return handle
 
     # -- multicast groups ----------------------------------------------------
     def multicast_group(self, name: str) -> MulticastGroup:
         """The flow's hardware multicast group."""
-        try:
-            return self._mcast_groups[name]
-        except KeyError:
+        group = self._flow(name).group
+        if group is None:
             raise RegistryError(
                 f"flow {name!r} has no multicast group (replicate flows "
-                f"with multicast=True only)") from None
+                f"with multicast=True only)")
+        return group

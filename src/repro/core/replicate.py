@@ -60,7 +60,7 @@ from repro.core.shuffle import (
     _Doorbell,
     _FlowSource,
     _judge_silence,
-    _source_channel,
+    _open_channels,
     _source_counters,
     segment_payload_size,
 )
@@ -256,13 +256,8 @@ class NaiveReplicateSource(_StagedSource):
     def open(cls, registry: FlowRegistry, name: str, source_index: int):
         """Generator: open a naive replicate source endpoint."""
         descriptor, node = registry.open_endpoint(name, cls, source_index)
-        channels = []
-        for target_index in range(descriptor.target_count):
-            handle = yield from registry.wait_ring(name, source_index,
-                                                   target_index)
-            tag = (name, source_index, target_index)
-            channels.append(_source_channel(node, descriptor, handle, tag,
-                                            staging=False))
+        channels = yield from _open_channels(registry, node, descriptor,
+                                             source_index, [], staging=False)
         sequencer = None
         if descriptor.ordering is Ordering.GLOBAL:
             sequencer = TupleSequencer(registry, name, node)
@@ -511,8 +506,8 @@ class MulticastReplicateSource(_StagedSource):
         control = nic.register_memory(stride * descriptor.target_count)
         registry.hold_region(name, node.node_id, control.rkey)
         for target_index in range(descriptor.target_count):
-            registry.publish_backchannel(
-                name, source_index, target_index,
+            registry.publish(
+                name, ("control", source_index, target_index),
                 ControlHandle(
                     node_id=node.node_id, rkey=control.rkey,
                     credit_offset=stride * target_index,
@@ -521,7 +516,8 @@ class MulticastReplicateSource(_StagedSource):
         sequencer = None
         if descriptor.ordering is Ordering.GLOBAL:
             sequencer = TupleSequencer(registry, name, node)
-        yield from registry.wait_all_targets(name)
+        for target_index in range(descriptor.target_count):
+            yield from registry.wait(name, ("joined", target_index))
         return cls(registry, descriptor, source_index, control, ud_qp,
                    sequencer)
 
@@ -695,14 +691,14 @@ class MulticastReplicateTarget:
         control_qps = []
         control_handles = []
         for source_index in range(descriptor.source_count):
-            handle = yield from registry.wait_backchannel(
-                name, source_index, target_index)
+            handle = yield from registry.wait(
+                name, ("control", source_index, target_index))
             control_qps.append(nic.create_qp(
                 registry.cluster.node(handle.node_id)))
             control_handles.append(handle)
         group = registry.multicast_group(name)
         group.join(ud_qp)
-        registry.mark_target_ready(name, target_index)
+        registry.publish(name, ("joined", target_index), True)
         return cls(registry, descriptor, target_index, ud_qp, ring_region,
                    slot_size, control_qps, control_handles)
 

@@ -168,7 +168,7 @@ class SharpCombinerSource(_StagedSource):
         """Generator: open a SHARP combiner source (waits for the target
         to install the switch aggregator)."""
         descriptor, _node = registry.open_endpoint(name, cls, source_index)
-        aggregator = yield from registry.wait_backchannel(name, 0, 0)
+        aggregator = yield from registry.wait(name, "aggregator")
         return cls(registry, descriptor, source_index, aggregator)
 
     def close(self):
@@ -225,10 +225,11 @@ class SharpCombinerTarget(CombinerTarget):
         ring = SegmentRing.allocate(
             get_nic(node), descriptor.options.target_segments,
             max(segment_payload_size(descriptor), partial.tuple_size))
+        registry.hold_region(name, node.node_id, ring.region.rkey)
         aggregator = SwitchAggregator(registry, descriptor, ring, partial)
         channel = TargetChannel(node, descriptor, ring, None, 0, partial,
                                 aggregator.open_sources)
-        registry.publish_backchannel(name, 0, 0, aggregator)
+        registry.publish(name, "aggregator", aggregator)
         target = cls(descriptor,
                      ShuffleTarget(registry, descriptor, 0, [channel]),
                      partial, 0, 1, "sum" if spec.op == "count" else spec.op)

@@ -882,6 +882,22 @@ def _source_channel(node: "Node", descriptor: FlowDescriptor,
     return channel_cls(node, descriptor, handle, tag, staging)
 
 
+def _open_channels(registry: FlowRegistry, node: "Node",
+                   descriptor: FlowDescriptor, source_index: int,
+                   channels: list, staging: bool = True):
+    """Generator: append to ``channels`` the channel from source
+    ``source_index`` to every target from ``len(channels)`` on, each
+    opened once its target published the ring; returns ``channels``."""
+    name = descriptor.name
+    for target_index in range(len(channels), descriptor.target_count):
+        handle = yield from registry.wait(
+            name, ("ring", source_index, target_index))
+        tag = (name, source_index, target_index)
+        channels.append(_source_channel(node, descriptor, handle, tag,
+                                        staging))
+    return channels
+
+
 class TargetChannel:
     """Target half of one channel: a receive ring drained in ring order.
 
@@ -1263,12 +1279,8 @@ class ShuffleSource(_FlowSource):
         """Generator: open source endpoint ``source_index`` of flow
         ``name``, waiting for the targets to publish their rings."""
         descriptor, node = registry.open_endpoint(name, cls, source_index)
-        channels = []
-        for target_index in range(descriptor.target_count):
-            handle = yield from registry.wait_ring(name, source_index,
-                                                   target_index)
-            tag = (name, source_index, target_index)
-            channels.append(_source_channel(node, descriptor, handle, tag))
+        channels = yield from _open_channels(registry, node, descriptor,
+                                             source_index, [])
         return cls(registry, descriptor, source_index, channels)
 
     # -- the push primitive ----------------------------------------------
@@ -1559,8 +1571,8 @@ class ShuffleSource(_FlowSource):
         descriptor = self.registry.descriptor(name)
         for target_index in range(len(self._channels),
                                   descriptor.target_count):
-            handle = self.registry.published_ring(name, self.source_index,
-                                                  target_index)
+            handle = self.registry.published(
+                name, ("ring", self.source_index, target_index))
             if handle is not None:
                 tag = (name, self.source_index, target_index)
                 self._channels.append(
@@ -1580,14 +1592,10 @@ class ShuffleSource(_FlowSource):
             raise FlowAbortedError(
                 f"flow {self.descriptor.name!r} was aborted")
         descriptor = self.registry.descriptor(self.descriptor.name)
-        for target_index in range(len(self._channels),
-                                  descriptor.target_count):
-            handle = yield from self.registry.wait_ring(
-                descriptor.name, self.source_index, target_index)
-            tag = (descriptor.name, self.source_index, target_index)
-            self._channels.append(
-                _source_channel(self.node, descriptor, handle, tag))
-            self._live.append(len(self._channels) - 1)
+        known = len(self._channels)
+        yield from _open_channels(self.registry, self.node, descriptor,
+                                  self.source_index, self._channels)
+        self._live.extend(range(known, len(self._channels)))
         self.descriptor = descriptor
 
     def retire_target(self, target_index: int):
@@ -1731,21 +1739,22 @@ class ShuffleTarget:
         nic = get_nic(node)
         payload = segment_payload_size(descriptor)
         credit_region = nic.register_memory(8 * descriptor.source_count)
+        registry.hold_region(name, node.node_id, credit_region.rkey)
         channels = []
         for source_index in range(descriptor.source_count):
             ring = SegmentRing.allocate(
                 nic, descriptor.options.target_segments, payload)
+            registry.hold_region(name, node.node_id, ring.region.rkey)
             credit_offset = 8 * source_index
             channels.append(TargetChannel(node, descriptor, ring,
                                           credit_region, credit_offset))
-            registry.publish_ring(name, source_index, target_index,
-                                  RingHandle(
-                                      node_id=node.node_id,
-                                      rkey=ring.region.rkey,
-                                      segment_count=ring.segment_count,
-                                      segment_size=ring.segment_size,
-                                      credit_rkey=credit_region.rkey,
-                                      credit_offset=credit_offset))
+            registry.publish(name, ("ring", source_index, target_index),
+                             RingHandle(node_id=node.node_id,
+                                        rkey=ring.region.rkey,
+                                        segment_count=ring.segment_count,
+                                        segment_size=ring.segment_size,
+                                        credit_rkey=credit_region.rkey,
+                                        credit_offset=credit_offset))
         return cls(registry, descriptor, target_index, channels)
 
     # -- the consume primitive ----------------------------------------------

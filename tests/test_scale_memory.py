@@ -25,6 +25,7 @@ from repro.common.errors import (
 )
 from repro.core import (
     FLOW_END,
+    AggregationSpec,
     DfiRuntime,
     Endpoint,
     FlowOptions,
@@ -38,18 +39,21 @@ from repro.simnet.kernel import _MACRO_POOL_CAP, Environment
 
 _SCHEMA = Schema(("key", "uint64"), ("pad", 24))
 _PAD = b"p" * 24
+_VALUES = Schema(("key", "uint64"), ("value", "uint64"))
 
 
 def _run_shuffle_cycle(dfi, cluster, name, tuples=64, replicate=None,
-                       multicast=False):
+                       multicast=False, optimization=Optimization.BANDWIDTH):
     """One full flow lifetime: init, open, transfer, close — of a 1:2
-    shuffle flow, or of a replicate flow in mode ``replicate``."""
+    shuffle flow in mode ``optimization``, or of a replicate flow in mode
+    ``replicate``."""
     options = FlowOptions(source_segments=2, target_segments=4,
                           credit_threshold=2, multicast=multicast)
     targets = [Endpoint(1, 0), Endpoint(2, 0)]
     if replicate is None:
         dfi.init_shuffle_flow(name, [Endpoint(0, 0)], targets, _SCHEMA,
-                              shuffle_key="key", options=options)
+                              shuffle_key="key", optimization=optimization,
+                              options=options)
     else:
         dfi.init_replicate_flow(name, [Endpoint(0, 0)], targets, _SCHEMA,
                                 optimization=replicate, options=options)
@@ -71,15 +75,40 @@ def _run_shuffle_cycle(dfi, cluster, name, tuples=64, replicate=None,
     cluster.run()
 
 
+def _run_combiner_cycle(dfi, cluster, name, in_network):
+    """One lifetime of a 2:1 SUM combiner flow, folded at the target or,
+    with ``in_network``, in the switch."""
+    dfi.init_combiner_flow(
+        name, [Endpoint(0, 0), Endpoint(1, 0)], Endpoint(2, 0), _VALUES,
+        aggregation=AggregationSpec("sum", "key", "value"),
+        options=FlowOptions(source_segments=2, target_segments=4,
+                            credit_threshold=2,
+                            in_network_aggregation=in_network))
+    result = {}
+
+    def source_thread(index):
+        source = yield from dfi.open_source(name, index)
+        for i in range(64):
+            yield from source.push((i % 8, 1))
+        yield from source.close()
+
+    def target_thread():
+        target = yield from dfi.open_target(name)
+        result.update((yield from target.consume_all()))
+
+    cluster.node(0).spawn(source_thread(0))
+    cluster.node(1).spawn(source_thread(1))
+    cluster.node(2).spawn(target_thread())
+    cluster.run()
+    assert result == {key: 16 for key in range(8)}, name
+
+
 def _footprint(cluster, registry):
+    flows = registry._flows.values()
     return {
-        "flows": len(registry._flows),
-        "rings": len(registry._rings),
-        "ring_signals": len(registry._ring_signals),
-        "sequencers": len(registry._sequencers),
-        "backchannel": len(registry._backchannel),
-        "backchannel_signals": len(registry._backchannel_signals),
-        "ready": len(registry._ready_targets) + len(registry._ready_signals),
+        "flows": len(flows),
+        "board": sum(len(flow.board) for flow in flows),
+        "waiting": sum(len(flow.waiting) for flow in flows),
         "regions": [len(get_nic(node)._regions) for node in cluster.nodes],
         "region_bytes": [get_nic(node).registered_bytes()
                          for node in cluster.nodes],
@@ -93,16 +122,16 @@ def test_flow_cycle_memory_reaches_steady_state():
 
     _run_shuffle_cycle(dfi, cluster, "cycle0")
     held = _footprint(cluster, registry)
-    assert held["flows"] == 1 and held["rings"] == 2
+    # One record: its board holds the two published rings, and no
+    # endpoint is left waiting.
+    assert (held["flows"], held["board"], held["waiting"]) == (1, 2, 0)
     assert sum(held["regions"]) > 0
 
     registry.release_flow("cycle0")
     steady = _footprint(cluster, registry)
-    # Everything name-keyed is gone and the ring/credit regions behind
-    # the published handles were deregistered from the target NICs.
-    assert steady["flows"] == steady["rings"] == 0
-    assert steady["ring_signals"] == steady["backchannel"] == 0
-    assert steady["backchannel_signals"] == steady["ready"] == 0
+    # The record is gone and the ring/credit regions the targets held
+    # were deregistered from their NICs.
+    assert steady["flows"] == steady["board"] == steady["waiting"] == 0
     assert sum(steady["regions"]) < sum(held["regions"])
     assert sum(steady["region_bytes"]) < sum(held["region_bytes"])
 
@@ -116,6 +145,13 @@ def test_flow_cycle_memory_reaches_steady_state():
     _run_shuffle_cycle(dfi, cluster, "cycle0")
     registry.release_flow("cycle0")
     assert _footprint(cluster, registry) == steady
+    transports = {"shuffle"}
+
+    def release(name):
+        transports.add(registry.descriptor(name).transport)
+        registry.release_flow(name)
+        assert _footprint(cluster, registry) == steady, name
+
     # Replicate flows, both protocols: each naive ring writer sheds its
     # window's scratch region at close (two leaked per lifetime once), and
     # releasing a multicast flow drops the source's control region and
@@ -126,8 +162,20 @@ def test_flow_cycle_memory_reaches_steady_state():
                 name = f"rep-{multicast}-{mode.name}-{cycle}"
                 _run_shuffle_cycle(dfi, cluster, name, replicate=mode,
                                    multicast=multicast)
-                registry.release_flow(name)
-                assert _footprint(cluster, registry) == steady, name
+                release(name)
+    # Every other transport: a latency shuffle, and a combiner folding at
+    # the target or in the switch (whose target holds the switch's ring).
+    for cycle in range(5):
+        name = f"lat-{cycle}"
+        _run_shuffle_cycle(dfi, cluster, name,
+                           optimization=Optimization.LATENCY)
+        release(name)
+        for in_network in (False, True):
+            name = f"comb-{in_network}-{cycle}"
+            _run_combiner_cycle(dfi, cluster, name, in_network)
+            release(name)
+    assert transports == {"shuffle", "replicate", "multicast replicate",
+                          "combiner", "in-network combiner"}
 
 
 def _run_batched_cycle(dfi, cluster, name, batches=8, batch=1024,
@@ -349,9 +397,48 @@ def test_release_flow_lifecycle_errors():
     with pytest.raises(RegistryError):
         registry.release_flow("never-existed")
     _run_shuffle_cycle(dfi, cluster, "once")
+    with pytest.raises(RegistryError, match=r"\('ring', 0, 1\)"):
+        registry.publish("once", ("ring", 0, 1), None)
     registry.release_flow("once")
     with pytest.raises(RegistryError):  # double release is a bug, not a no-op
         registry.release_flow("once")
+    # A released or unknown flow has no board and holds no regions:
+    # nothing is stored that no later release could free.
+    for name in ("once", "never-existed"):
+        with pytest.raises(RegistryError, match="unknown flow"):
+            registry.publish(name, ("control", 0, 0), object())
+        with pytest.raises(RegistryError, match="unknown flow"):
+            next(registry.wait(name, ("joined", 0)))
+        with pytest.raises(RegistryError, match="unknown flow"):
+            registry.published(name, ("ring", 0, 0))
+        with pytest.raises(RegistryError, match="unknown flow"):
+            registry.hold_region(name, 0, 5)
+    assert registry._flows == {}
+
+    # A wait that starts first resumes with the value at the instant it
+    # is published; a later wait returns it without yielding.
+    dfi.init_shuffle_flow("board", [Endpoint(0, 0)], [Endpoint(1, 0)],
+                          _SCHEMA, shuffle_key="key")
+    resumed = []
+    publish_at = cluster.env.now + 250.0
+
+    def waiter():
+        value = yield from registry.wait("board", "aggregator")
+        resumed.append((cluster.env.now, value))
+
+    def publisher():
+        yield cluster.env.timeout(250.0)
+        registry.publish("board", "aggregator", "switch")
+
+    cluster.env.process(waiter())
+    cluster.env.process(publisher())
+    cluster.run()
+    assert resumed == [(publish_at, "switch")]
+    assert registry.published("board", "aggregator") == "switch"
+    with pytest.raises(StopIteration) as done:
+        next(registry.wait("board", "aggregator"))
+    assert done.value.value == "switch"
+    registry.release_flow("board")
 
 
 def test_nic_deregister_unknown_rkey_raises():
