@@ -269,10 +269,13 @@ class _FlowEnd:
 
 FLOW_END = _FlowEnd()
 
-#: What a per-tuple ``push`` returns when the tuple was staged and there
-#: is nothing to wait for: one shared empty iterable, so ``yield from
-#: source.push(values)`` enters no generator frame. A push that has to
-#: flush returns the flush generator instead.
+#: What a source's per-tuple ``push`` returns when the tuple was staged
+#: and there is nothing to wait for, and what a bandwidth channel's
+#: ``stage_batch`` returns for rows that only stage: one shared empty
+#: iterable, tested by identity, so ``yield from source.push(values)``
+#: enters no generator frame. A push that fills its segment returns the
+#: flush generator instead; a latency push, one write per tuple, always
+#: returns its write's generator.
 NO_FLUSH: tuple = ()
 
 

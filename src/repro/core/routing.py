@@ -31,8 +31,9 @@ def key_hash_router(schema: Schema, key: "str | int") -> RoutingFunction:
     which the product's *high* half is used: the low bits of
     ``key * odd`` depend only on the key's low bits, which would make
     power-of-two modulo partitioning degenerate for structured keys.
-    ``route`` runs once per tuple on the per-tuple push path, so the hash
-    is inlined and the plain-``int`` common case makes no call at all.
+    The plain-``int`` common case makes no call at all, and
+    ``ShuffleSource.push`` hashes it in its own frame from
+    ``route.key_index``, the key field's position.
     ``route.route_many`` partitions a whole batch as ``route`` would, and
     ``route.partition`` splits it packed (:meth:`Schema.route_kernel`:
     ``route`` is the reference every batch loop is held to).
@@ -51,6 +52,7 @@ def key_hash_router(schema: Schema, key: "str | int") -> RoutingFunction:
         return (((key_value & mask) * mult & mask) >> 32) % target_count
 
     route.route_many, route.partition = schema.route_kernel(index, route)
+    route.key_index = index
     return route
 
 

@@ -44,6 +44,7 @@ from repro.core.flowdef import (
 )
 from repro.core.registry import FlowRegistry, RingHandle
 from repro.core.routing import key_hash_router
+from repro.core.schema import _HASH_MASK, _HASH_MULT
 from repro.core.segment import (
     BLANK_FOOTER,
     FLAG_ABORTED,
@@ -224,9 +225,10 @@ class SegmentStager:
     """A source's staging: a ring of ``slots`` slots, each a segment's
     ``payload_size`` bytes and a footer behind them. Tuples are packed
     once, into the open slot at ``base`` (``used`` bytes so far), and
-    :meth:`seal` footers it and opens the next. A shuffle channel's
-    per-tuple ``push`` packs in place through ``buffer``, ``base`` and
-    ``used``, without the call :meth:`append` costs.
+    :meth:`seal` footers it and opens the next. ``ShuffleSource.push``
+    packs a tuple into a bandwidth channel's stager in place, through
+    ``buffer``, ``base`` and ``used``, without the call :meth:`append`
+    costs.
 
     Writes are posted zero-copy, so a sealed slot must stay unchanged
     until every write of it committed. Each owner sizes the ring so that
@@ -416,7 +418,8 @@ class BandwidthSourceChannel(_SourceChannel):
             2 * self._ring_segments if staging else 0)
         self._local_index = 0
         self._cpu_debt = 0.0
-        # Per-tuple push constants, fixed for the channel's lifetime.
+        # Per-tuple push constants, fixed for the channel's lifetime
+        # (``ShuffleSource.push`` stages into this channel in place).
         self._pack_tuple = self.schema.raw_pack_into
         self._tuple_debt = self.profile.cpu_push_cost(self._tuple_size)
         #: A push that leaves the stager's ``used`` above this has filled
@@ -443,30 +446,6 @@ class BandwidthSourceChannel(_SourceChannel):
     @property
     def memory_bytes(self) -> int:
         return self._ring_segments * (self.segment_payload + FOOTER_SIZE)
-
-    def push(self, values: tuple):
-        """Append one tuple; returns what the caller must ``yield from``.
-
-        Matches the paper's asynchronous push — it returns right after the
-        copy into the send buffer (:data:`NO_FLUSH`, nothing to drive)
-        unless the segment is full, in which case the flush generator is
-        returned (it blocks only while the remote ring has no writable
-        slot).
-        """
-        if self.closed:
-            raise FlowClosedError("push on a closed flow source")
-        stager = self._stager
-        used = stager.used
-        try:
-            self._pack_tuple(stager.buffer, stager.base + used, *values)
-        except _struct_error as exc:
-            raise self.schema.mismatch(values, exc) from None
-        stager.used = used = used + self._tuple_size
-        self._cpu_debt += self._tuple_debt
-        self.tuples_sent += 1
-        if used > self._flush_above:
-            return self._flush(0)
-        return NO_FLUSH
 
     def push_batch(self, rows, fill=None, stride: int = 1):
         """Generator: append a batch of tuples, flushing as segments fill
@@ -1111,8 +1090,10 @@ class _FlowSource:
             descriptor.sources[source_index].node_id)
         self.closed = False
         #: Target indices still written to, ascending (failed targets
-        #: drop out).
-        self._live = list(range(len(descriptor.targets)))
+        #: drop out), and their count: both only ever set by
+        #: :meth:`_set_live`.
+        self._live = []
+        self._set_live(range(len(descriptor.targets)))
         #: Target indices declared failed.
         self._failed: set[int] = set()
         #: Whether the reroute policy applies: it is the flow's
@@ -1132,11 +1113,17 @@ class _FlowSource:
         """Indices of targets this source has declared failed."""
         return tuple(sorted(self._failed))
 
+    def _set_live(self, live) -> None:
+        """Make ``live`` the live targets — in place, as a fan-out may be
+        walking them — and keep ``_fanout``, the count a push routes
+        over, in step."""
+        self._live[:] = live
+        self._fanout = len(self._live)
+
     def _mark_failed(self, targets) -> None:
-        for index in targets:
-            self._failed.add(index)
-            if index in self._live:
-                self._live.remove(index)
+        self._failed.update(targets)
+        self._set_live([index for index in self._live
+                        if index not in self._failed])
 
     def _handle_channel_failure(self, index: int, exc: Exception):
         """Generator: channel ``index`` hit a transport flush or ran out
@@ -1200,7 +1187,7 @@ class _FlowSource:
         self.registry.mark_flow_aborted(self.descriptor.name)
         yield from self._void()
         self.closed = True
-        self._live.clear()
+        self._set_live(())
         self._release()
 
     def _await_acks(self, work_requests):
@@ -1236,6 +1223,9 @@ class ShuffleSource(_FlowSource):
                  source_index: int, channels: list) -> None:
         self._channels = channels
         schema = descriptor.schema
+        #: The key field ``push`` hashes in its own frame: the flow's
+        #: own key-hash router's, never an application's.
+        self._key_index = None
         if descriptor.routing is not None:
             # Routing-function state is per source: a stateful router
             # hands each source endpoint of the flow a router of its own.
@@ -1244,6 +1234,7 @@ class ShuffleSource(_FlowSource):
                             else for_source())
         elif descriptor.shuffle_key is not None:
             self._router = key_hash_router(schema, descriptor.shuffle_key)
+            self._key_index = self._router.key_index
         elif len(channels) == 1:
             self._router = lambda _values, _count: 0
         else:
@@ -1255,7 +1246,8 @@ class ShuffleSource(_FlowSource):
         #: How ``push_batch`` drives a group, fixed for the flow's life:
         #: the row packer behind the channels' charge/stage pair, or
         #: ``None`` for latency channels (one segment per tuple — their
-        #: ``push_batch`` is the per-tuple loop).
+        #: ``push_batch`` is the per-tuple loop, and ``push`` calls
+        #: their own, where it stages a bandwidth channel's in place).
         self._fill = (None if descriptor.optimization is Optimization.LATENCY
                       else schema.pack_many_into)
         #: The router's own batch partitioners, if it brings them; a
@@ -1267,6 +1259,8 @@ class ShuffleSource(_FlowSource):
                 self._partition = self._router.partition
         except AttributeError:
             pass
+        #: Tuples pushed into channels ``retire_target`` has dropped.
+        self._retired_sent = 0
         # Survivors absorb a failed target's key share only through a
         # router.
         super().__init__(registry, descriptor, source_index,
@@ -1293,6 +1287,12 @@ class ShuffleSource(_FlowSource):
         routing option). A tuple that merely lands in its channel's send
         buffer returns :data:`NO_FLUSH`; only a push that flushes returns
         a generator, which also applies the flow's failure policy.
+
+        On a bandwidth flow a push that only stages enters no frame but
+        this one: a plain ``int`` key is hashed here (``route`` of
+        :func:`key_hash_router`, inlined) and the tuple is packed straight
+        into the channel's open staging slot. A latency channel's
+        ``push`` writes the tuple at once.
         """
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
@@ -1302,22 +1302,39 @@ class ShuffleSource(_FlowSource):
                     or target in self._failed):
                 raise self._bad_target(target)
         else:
-            router = self._router
-            live = self._live
-            if router is None or not live:
+            count = self._fanout
+            if not count or self._router is None:
                 raise self._unroutable()
-            if self._vet_routes:
-                # An application's routing function can answer anything.
-                count = len(live)
-                slot = router(values, count)
-                if slot.__class__ is not int or not 0 <= slot < count:
-                    slot = _route_slot(slot, count)
-                target = live[slot]
+            index = self._key_index
+            if index is not None and (key := values[index]).__class__ is int:
+                slot = (((key & _HASH_MASK) * _HASH_MULT & _HASH_MASK)
+                        >> 32) % count
             else:
-                target = live[router(values, len(live))]
-        flush = self._channels[target].push(values)
-        if flush is NO_FLUSH:
-            return flush
+                slot = self._router(values, count)
+                # An application's routing function can answer anything.
+                if self._vet_routes and (slot.__class__ is not int
+                                         or not 0 <= slot < count):
+                    slot = _route_slot(slot, count)
+            target = self._live[slot]
+        channel = self._channels[target]
+        if self._fill is None:
+            flush = channel.push(values)
+        else:
+            if channel.closed:
+                raise FlowClosedError("push on a closed flow source")
+            stager = channel._stager
+            used = stager.used
+            try:
+                channel._pack_tuple(stager.buffer, stager.base + used,
+                                    *values)
+            except _struct_error as exc:
+                raise channel.schema.mismatch(values, exc) from None
+            stager.used = used = used + channel._tuple_size
+            channel._cpu_debt += channel._tuple_debt
+            channel.tuples_sent += 1
+            if used <= channel._flush_above:
+                return NO_FLUSH
+            flush = channel._flush(0)
         return self._guarded_flush(flush, values, target, explicit)
 
     def _bad_target(self, target: int) -> FlowError:
@@ -1595,7 +1612,7 @@ class ShuffleSource(_FlowSource):
         known = len(self._channels)
         yield from _open_channels(self.registry, self.node, descriptor,
                                   self.source_index, self._channels)
-        self._live.extend(range(known, len(self._channels)))
+        self._set_live(self._live + list(range(known, len(self._channels))))
         self.descriptor = descriptor
 
     def retire_target(self, target_index: int):
@@ -1610,9 +1627,9 @@ class ShuffleSource(_FlowSource):
             raise FlowError("cannot retire the only target; close the "
                             "flow instead")
         channel = self._channels.pop()
+        self._retired_sent += channel.tuples_sent
         index = len(self._channels)
-        if index in self._live:
-            self._live.remove(index)
+        self._set_live([live for live in self._live if live != index])
         self._failed.discard(index)
         try:
             yield from channel.close()
@@ -1622,7 +1639,8 @@ class ShuffleSource(_FlowSource):
     # -- introspection -----------------------------------------------------
     @property
     def tuples_sent(self) -> int:
-        return sum(channel.tuples_sent for channel in self._channels)
+        return self._retired_sent + sum(channel.tuples_sent
+                                        for channel in self._channels)
 
     @property
     def memory_bytes(self) -> int:

@@ -68,10 +68,13 @@ def _channel(cluster, handle, optimization=Optimization.BANDWIDTH,
 
 
 def _fill_segment(channel, first):
-    """Generator: fill one bandwidth segment by per-tuple pushes — the
-    last one flushes it (one per-segment write, ``acquire(1)``)."""
+    """Generator: fill one bandwidth segment tuple by tuple, staged and
+    charged as ``ShuffleSource.push`` stages them, then flush it (one
+    per-segment write, ``acquire(1)``)."""
     for key in range(first, first + _PER_SEGMENT):
-        yield from channel.push((key, key))
+        channel._stager.append((key, key))
+        channel._cpu_debt += channel._tuple_debt
+    yield from channel._flush(0)
 
 
 def _run_footer_backoff(seed):

@@ -99,6 +99,45 @@ def test_scale_in_retires_last_target():
     assert end_times[2] < end_times[1]
 
 
+def test_tuples_sent_keeps_a_retired_targets_tally():
+    """A source's ``tuples_sent`` counts what it pushed into a target it
+    has since retired (it read 203 after 300 pushes when it summed only
+    the channels still open)."""
+    cluster = Cluster(node_count=4)
+    dfi = DfiRuntime(cluster)
+    dfi.init_shuffle_flow("tally", ["node0|0"],
+                          ["node1|0", "node2|0", "node3|0"], SCHEMA,
+                          shuffle_key="key", options=OPTIONS)
+    received = {0: 0, 1: 0, 2: 0}
+    seen = {}
+
+    def source_thread():
+        source = yield from dfi.open_source("tally", 0)
+        for i in range(300):
+            yield from source.push((i, 1))
+        seen["retired"] = source._channels[2].tuples_sent
+        seen["before"] = source.tuples_sent
+        yield from source.retire_target(2)
+        seen["after"] = source.tuples_sent
+        yield from source.push((300, 2))
+        seen["more"] = source.tuples_sent
+        yield from source.close()
+
+    def target_thread(index):
+        target = yield from dfi.open_target("tally", index)
+        while (yield from target.consume()) is not FLOW_END:
+            received[index] += 1
+
+    cluster.env.process(source_thread())
+    for index in range(3):
+        cluster.env.process(target_thread(index))
+    cluster.run()
+    assert seen["before"] == seen["after"] == 300
+    assert seen["more"] == 301
+    assert received[2] == seen["retired"] > 0
+    assert sum(received.values()) == 301
+
+
 def test_retire_validations():
     cluster = Cluster(node_count=3)
     dfi = DfiRuntime(cluster)

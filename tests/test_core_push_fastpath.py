@@ -5,18 +5,22 @@ room it returns the shared empty iterable :data:`NO_FLUSH` — no generator
 frame, no kernel event; only a push that fills the segment returns a
 generator. Errors surface at the ``yield from`` site either way, a tuple
 that fails to pack leaves the source untouched, and the shuffle failure
-policy still wraps the flush. The last test pins ``route`` and
+policy still wraps the flush. A shuffle push that only stages is one
+frame: it hashes a plain ``int`` key and packs into the channel's open
+slot itself, and every tuple lands where the key-hash router says, over
+whatever targets are live. The last tests pin ``route`` and
 ``route_many`` of the key-hash router to one partition function.
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import (
     FlowAbortedError,
     FlowClosedError,
     FlowPeerFailedError,
     FlowTimeoutError,
+    QpFlushedError,
     SchemaError,
 )
 from repro.core import (
@@ -28,8 +32,10 @@ from repro.core import (
     Schema,
     ShuffleSource,
     key_hash_router,
+    radix_router,
 )
 from repro.simnet import Cluster, FaultPlan, node_crash
+from tests.callcount import count_calls
 
 try:
     import numpy as np
@@ -50,16 +56,18 @@ def _options(**extra):
                        credit_threshold=2, **extra)
 
 
-def _run(kind, body):
+def _run(kind, body, routing=None):
     """Run ``body(source)`` as the single source process of a 1:2 flow
     of ``kind`` (1:1 for the in-network combiner) against draining
-    targets; returns the cluster."""
+    targets; returns the cluster. A shuffle is key-hashed unless
+    ``routing`` names a routing function."""
     cluster = Cluster(node_count=3)
     dfi = DfiRuntime(cluster)
     targets = ["node1|0", "node2|0"]
     if kind == "shuffle":
         dfi.init_shuffle_flow("f", ["node0|0"], targets, SCHEMA,
-                              shuffle_key="key", options=_options())
+                              shuffle_key=None if routing else "key",
+                              routing=routing, options=_options())
     elif kind == "sharp":
         targets = targets[:1]
         dfi.init_combiner_flow(
@@ -161,6 +169,30 @@ def test_mistyped_tuple_leaves_the_source_untouched(kind):
     assert seen["message"].startswith(expected + ": ")
     assert seen["after"] == seen["before"]
     assert seen["sent"] == 1
+
+
+@pytest.mark.parametrize("routing, frames", [
+    (None, 1), (radix_router(SCHEMA, "key", bits=4), 2),
+], ids=["key_hash", "routing_function"])
+def test_a_staging_shuffle_push_makes_exactly_these_calls(routing, frames):
+    """A key-hashed push that only stages is its own frame and one
+    ``pack_into``; an application's routing function adds its own frame.
+    Both read 3 frames and 2 C calls while the push called the router,
+    ``len`` of the live targets and the channel's ``push``."""
+    seen = {}
+
+    def body(source):
+        yield from source.push((1, 1))      # the channel's first tuple
+        pushed = []
+        seen["calls"] = count_calls(
+            lambda: pushed.append(source.push((2, 2))))
+        seen["pushed"] = pushed
+        yield from pushed[0]
+
+    _run("shuffle", body, routing)
+    assert seen["pushed"] == [NO_FLUSH]
+    calls = seen["calls"]
+    assert (calls.frames, calls.c_calls) == (frames, 1), calls
 
 
 # -- failure policy around the flush ------------------------------------------
@@ -306,3 +338,93 @@ def test_integer_like_keys_route_by_value():
         for key in (np_.int64(12345), np_.uint64(12345), np_.int32(12345)):
             assert route((key, 0), count) == want
             assert route.route_many([(key, 0)], count)[want] == [(key, 0)]
+
+
+# -- push lands where route says ----------------------------------------------
+
+#: Segments no landing example fills (at most 32 pushes, all to one
+#: target), under the reroute policy.
+_ROOMY = FlowOptions(segment_size=1024, source_segments=2,
+                     target_segments=2, credit_threshold=1,
+                     on_target_failure="reroute")
+
+
+def _land(source, route, keys, tag):
+    """Push ``(key, tag)`` for each of ``keys``: every tuple must be
+    staged in ``channels[live[route(values, len(live))]]`` and nowhere
+    else, and one the schema cannot pack nowhere at all."""
+    channels, live = source._channels, source._live
+    assert source._fanout == len(live)
+    schema = source.descriptor.schema
+    size = schema.tuple_size
+    for key in keys:
+        values = (key, tag)
+        before = [channel._stager.used for channel in channels]
+        try:
+            assert source.push(values) is NO_FLUSH
+        except SchemaError:
+            assert [channel._stager.used for channel in channels] == before
+            continue
+        home = live[route(values, len(live))]
+        expected = list(before)
+        expected[home] += size
+        assert [channel._stager.used for channel in channels] == expected
+        stager = channels[home]._stager
+        at = stager.base + before[home]
+        assert bytes(stager.buffer[at:at + size]) == schema.pack(values)
+
+
+@settings(deadline=None)
+@given(key_type=st.sampled_from(["uint64", "int64", "double", 8]),
+       keys=st.lists(_KEYS, min_size=1, max_size=8),
+       target_count=st.integers(1, 9),
+       drop=st.one_of(st.none(), st.integers(0, 8)),
+       adopt=st.booleans(), retire=st.booleans())
+def test_push_lands_where_route_says(key_type, keys, target_count, drop,
+                                     adopt, retire):
+    """The inlined hash and the live count ``push`` routes over agree
+    with ``route`` for every key class — plain, negative (``int64``) and
+    wider than 64 bits (``double``), ``bool``, numpy, ``str``, ``bytes``,
+    ``float`` — on any target count, and after a reroute dropped a
+    target, a target was adopted and the last one retired. A key the
+    schema cannot pack stages nothing."""
+    schema = Schema(("key", key_type), ("tag", "uint64"))
+    route = key_hash_router(schema, "key")
+    cluster = Cluster(node_count=target_count + 2)
+    dfi = DfiRuntime(cluster)
+    dfi.init_shuffle_flow(
+        "f", ["node0|0"], [f"node{n}|0" for n in range(1, target_count + 1)],
+        schema, shuffle_key="key", options=_ROOMY)
+    phases = []
+
+    def target_thread(index):
+        yield from dfi.open_target("f", index)
+
+    def source_thread():
+        source = yield from dfi.open_source("f", 0)
+        _land(source, route, keys, 0)
+        if drop is not None and drop < target_count and target_count > 1:
+            # What a failed flush does to the live set under reroute.
+            yield from source._handle_channel_failure(
+                drop, QpFlushedError("flushed"))
+            assert drop not in source._live
+            _land(source, route, keys, 1)
+        if adopt:
+            index = dfi.registry.extend_targets(
+                "f", f"node{target_count + 1}|0")
+            cluster.env.process(target_thread(index))
+            yield from source.adopt_new_targets()
+            assert source._live[-1] == index
+            _land(source, route, keys, 2)
+        if retire and len(source._channels) > 1:
+            last = len(source._channels) - 1
+            yield from source.retire_target(last)
+            assert last not in source._live
+            _land(source, route, keys, 3)
+        phases.append("done")
+
+    cluster.env.process(source_thread())
+    for index in range(target_count):
+        cluster.env.process(target_thread(index))
+    cluster.run()
+    assert phases == ["done"]

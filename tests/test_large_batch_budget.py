@@ -19,7 +19,7 @@ import random
 
 from repro.core import FLOW_END, DfiRuntime, Endpoint, Schema
 from repro.simnet import Cluster
-from tests.test_obs_budget import _count_calls
+from tests.callcount import count_calls
 
 SCHEMA = Schema(("key", "uint64"), ("pad", 56))
 TARGETS, BATCH, BATCHES = 8, 1024, 16
@@ -61,7 +61,7 @@ def test_a_large_routed_batch_costs_at_most_0_75_calls_per_tuple():
     _shuffle(1, [0]).run()
     idle_rows, busy_rows = [0], [0]
     idle, busy = _shuffle(0, idle_rows), _shuffle(BATCHES, busy_rows)
-    extra = _count_calls(busy.run) - _count_calls(idle.run)
+    extra = count_calls(busy.run).total - count_calls(idle.run).total
     assert busy_rows[0] == BATCHES * BATCH
     per_tuple = extra / (BATCHES * BATCH)
     assert per_tuple <= 0.75, per_tuple

@@ -8,16 +8,13 @@ entered under ``src/repro`` and of C functions those frames call is
 not. When every per-segment price was paid per tuple (a property and a
 range check per memory access, a scan of all channels per consume, a
 generator per credit check, a calendar queue under the heap) a round
-trip entered 152 frames; it enters 70. Both waits of a message — the
+trip entered 152 frames; it enters 68. Both waits of a message — the
 CPU charge and the merged wake — resume the waiting process through
 its own wake entry, so neither builds an event.
 """
 
-import os
 import random
-import sys
 
-import repro
 from repro.core import (
     FLOW_END,
     DfiRuntime,
@@ -27,9 +24,9 @@ from repro.core import (
     Schema,
 )
 from repro.simnet import Cluster
+from tests.callcount import count_calls
 
 SCHEMA = Schema(("key", "uint64"), ("pad", 56))
-PACKAGE = os.path.dirname(repro.__file__) + os.sep
 TRIPS = 200
 
 
@@ -80,24 +77,6 @@ def _pingpong(trips: int, options: FlowOptions) -> Cluster:
     return cluster
 
 
-def _calls(run) -> tuple:
-    """``(frames, c_calls)`` while ``run()`` runs: Python frames entered
-    under ``src/repro``, and C functions called from such frames."""
-    counts = {"call": 0, "c_call": 0}
-
-    def profiler(frame, event, _arg):
-        if (event in counts
-                and frame.f_code.co_filename.startswith(PACKAGE)):
-            counts[event] += 1
-
-    sys.setprofile(profiler)
-    try:
-        run()
-    finally:
-        sys.setprofile(None)
-    return counts["call"], counts["c_call"]
-
-
 def _wqes(cluster) -> int:
     nics = cluster.metrics_snapshot()["nics"].values()
     return sum(nic["wqes_processed"] for nic in nics)
@@ -118,7 +97,8 @@ def test_round_trip_is_eight_events_plus_three_per_credit_read():
 
 def test_round_trip_enters_at_most_95_frames():
     idle, busy = _pingpong(0, DEEP), _pingpong(TRIPS, DEEP)
-    per_trip = (_calls(busy.run)[0] - _calls(idle.run)[0]) / TRIPS
+    per_trip = (count_calls(busy.run).frames
+                - count_calls(idle.run).frames) / TRIPS
     assert _wqes(busy) - _wqes(idle) == 2 * TRIPS     # no credit read
     assert per_trip <= 95, per_trip
 
@@ -128,28 +108,30 @@ def test_round_trip_is_eight_events_and_at_most_165_calls():
     CPU charge was a pooled ``Timeout`` and a polled wait a fresh
     ``Event``, each queued through a bound method appended to a list."""
     idle, busy = _pingpong(0, DEEP), _pingpong(TRIPS, DEEP)
-    idle_calls, busy_calls = _calls(idle.run), _calls(busy.run)
+    idle_calls, busy_calls = count_calls(idle.run), count_calls(busy.run)
     assert _wqes(busy) - _wqes(idle) == 2 * TRIPS     # no credit read
     assert (busy.env.events_executed - idle.env.events_executed
             == 8 * TRIPS)
-    per_trip = (sum(busy_calls) - sum(idle_calls)) / TRIPS
+    per_trip = (busy_calls.library - idle_calls.library) / TRIPS
     assert per_trip <= 165, per_trip
 
 
 def test_round_trip_enters_at_most_75_frames_and_130_calls():
-    """70.0 frames + 54.1 C calls = 124.1 per trip; 82.0 + 62.1 = 144.1
-    while a commit range-checked through ``check_range`` and counted its
-    hooks with ``len``, a train's walk took ``len`` per hop, a latency push
-    staged through ``_send`` and ``Schema.pack_into`` and scaled its CPU
-    cost per push, a drain took ``len`` of its footer offsets, and a
-    consume scanned a clean doorbell set."""
+    """68.0 frames + 52.1 C calls = 120.1 per trip; 70.0 + 54.1 = 124.1
+    while a push called the key-hash router and ``len`` of the live
+    targets; 82.0 + 62.1 = 144.1 while a commit range-checked through
+    ``check_range`` and counted its hooks with ``len``, a train's walk
+    took ``len`` per hop, a latency push staged through ``_send`` and
+    ``Schema.pack_into`` and scaled its CPU cost per push, a drain took
+    ``len`` of its footer offsets, and a consume scanned a clean doorbell
+    set."""
     idle, busy = _pingpong(0, DEEP), _pingpong(TRIPS, DEEP)
-    idle_calls, busy_calls = _calls(idle.run), _calls(busy.run)
+    idle_calls, busy_calls = count_calls(idle.run), count_calls(busy.run)
     assert _wqes(busy) - _wqes(idle) == 2 * TRIPS     # no credit read
     assert (busy.env.events_executed - idle.env.events_executed
             == 8 * TRIPS)
-    frames = (busy_calls[0] - idle_calls[0]) / TRIPS
-    per_trip = (sum(busy_calls) - sum(idle_calls)) / TRIPS
+    frames = (busy_calls.frames - idle_calls.frames) / TRIPS
+    per_trip = (busy_calls.library - idle_calls.library) / TRIPS
     assert frames <= 75, frames
     assert per_trip <= 130, per_trip
 
@@ -194,12 +176,14 @@ def _stream(tuples: int) -> Cluster:
 
 
 def test_streaming_latency_push_makes_at_most_66_calls_per_tuple():
-    """62.7 calls per tuple (39.1 frames); 69.9 (44.2) before the
+    """60.9 calls per tuple (37.5 frames); 62.9 (38.5) while a push
+    called the key-hash router and ``len``, 69.9 (44.2) before the
     latency message path's glue was cut. The ring is short enough that
     the source waits on credits: one credit read per eight tuples."""
     idle, busy = _stream(0), _stream(STREAM_TUPLES)
-    idle_calls, busy_calls = _calls(idle.run), _calls(busy.run)
+    idle_calls, busy_calls = count_calls(idle.run), count_calls(busy.run)
     credit_reads = _wqes(busy) - _wqes(idle) - STREAM_TUPLES
     assert credit_reads >= STREAM_TUPLES // 10, credit_reads
-    per_tuple = (sum(busy_calls) - sum(idle_calls)) / STREAM_TUPLES
+    per_tuple = ((busy_calls.library - idle_calls.library)
+                 / STREAM_TUPLES)
     assert per_tuple <= 66, per_tuple

@@ -11,8 +11,6 @@ the whole was 46.6 (bandwidth shuffle), 38.9 (latency) and 27.0
 (multicast replicate, per delivered segment).
 """
 
-import sys
-
 import pytest
 
 from repro.common.planelog import EDGE, WQE
@@ -25,26 +23,11 @@ from repro.core import (
     Schema,
 )
 from repro.simnet import Cluster
+from tests.callcount import count_calls
 
 SCHEMA = Schema(("key", "uint64"), ("pad", 56))
 ROWS = [((i * 0x9E3779B97F4A7C15) & (2 ** 64 - 1), bytes(56))
         for i in range(32768)]
-
-
-def _count_calls(run) -> int:
-    """Python and C calls made by ``run()`` (what cProfile would count)."""
-    calls = [0]
-
-    def profiler(_frame, event, _arg):
-        if event == "call" or event == "c_call":
-            calls[0] += 1
-
-    sys.setprofile(profiler)
-    try:
-        run()
-    finally:
-        sys.setprofile(None)
-    return calls[0]
 
 
 def _cluster(obs) -> Cluster:
@@ -117,7 +100,7 @@ def _extra_calls_per_segment(build, counter: str) -> float:
     build(False).run()          # lazy code generation, import-time caches
     build(True).run()
     bare, observed = build(False), build(True)
-    extra = _count_calls(observed.run) - _count_calls(bare.run)
+    extra = count_calls(observed.run).total - count_calls(bare.run).total
     assert observed.now == bare.now  # the plane never moves the timeline
     nodes = observed.metrics_snapshot()["nodes"].values()
     segments = sum(node["counters"].get(counter, 0) for node in nodes)

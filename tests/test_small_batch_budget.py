@@ -19,16 +19,13 @@ racks of four nodes, built by ``Cluster.racked``), which must cost what
 the flat cluster costs.
 """
 
-import os
 import random
-import sys
 
-import repro
 from repro.core import FLOW_END, DfiRuntime, Endpoint, FlowOptions, Schema
 from repro.simnet import Cluster
+from tests.callcount import count_calls
 
 SCHEMA = Schema(("key", "uint64"), ("pad", 56))
-PACKAGE = os.path.dirname(repro.__file__) + os.sep
 NODES, BATCH, BATCHES = 8, 32, 64
 SHORT_RINGS = FlowOptions(source_segments=4, target_segments=16,
                           credit_threshold=8)
@@ -77,22 +74,6 @@ def _mesh(batches: int, delivered=None, make=_flat) -> Cluster:
     return cluster
 
 
-def _frames(run) -> int:
-    """Python frames entered under ``src/repro`` while ``run()`` runs."""
-    frames = [0]
-
-    def profiler(frame, event, _arg):
-        if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
-            frames[0] += 1
-
-    sys.setprofile(profiler)
-    try:
-        run()
-    finally:
-        sys.setprofile(None)
-    return frames[0]
-
-
 def _events(make) -> int:
     """Kernel events the pushes cost: opening, the close markers and
     their acks are the same with nothing pushed; the rest is what 16 384
@@ -107,7 +88,7 @@ def _events(make) -> int:
 
 def _frames_per_tuple(make) -> float:
     idle, busy = _mesh(0, make=make), _mesh(BATCHES, make=make)
-    return ((_frames(busy.run) - _frames(idle.run))
+    return ((count_calls(busy.run).frames - count_calls(idle.run).frames)
             / (NODES * BATCHES * BATCH))
 
 
