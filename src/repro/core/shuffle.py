@@ -44,7 +44,7 @@ from repro.core.flowdef import (
 )
 from repro.core.registry import FlowRegistry, RingHandle
 from repro.core.routing import key_hash_router
-from repro.core.schema import _HASH_MASK, _HASH_MULT
+from repro.core.schema import _HASH_MASK, _HASH_MULT, _ROUTE_NP_MIN
 from repro.core.segment import (
     BLANK_FOOTER,
     FLAG_ABORTED,
@@ -112,6 +112,14 @@ def _route_slot(slot, count: int) -> int:
             f"routing function returned {slot!r}: target must be an "
             f"integer in [0, {count})")
     return index
+
+
+def _regroup(tuples, slots, count: int) -> list:
+    """``tuples`` grouped by their ``slots``, as ``route_many`` does."""
+    groups = [[] for _ in range(count)]
+    for values, slot in zip(tuples, slots):
+        groups[slot].append(values)
+    return groups
 
 
 def segment_payload_size(descriptor: FlowDescriptor) -> int:
@@ -239,7 +247,10 @@ class SegmentStager:
       up to f - 1 has committed, and a slot is only repacked 2N seals
       after it was posted — at which point the latest wrap wait already
       covered it, even for a batch that packs up to the next wrap before
-      it waits.
+      it waits. A small routed batch may seal segment s and pack the
+      next slot before it posts s: that slot held segment s + 1 - 2N,
+      which the wrap wait before a write f in [s - N, s - 1] covered
+      (every write up to f - 1 >= s - N - 1), as N >= 2.
     * A naive replicate source: segment h is packed after the fan-out of
       segment h - 1, so every live channel has posted h - 1, and the slot
       h reuses last held segment h - slots. In bandwidth mode a channel
@@ -1259,6 +1270,13 @@ class ShuffleSource(_FlowSource):
                 self._partition = self._router.partition
         except AttributeError:
             pass
+        #: The most rows of a routed batch ``push_batch`` stages row by
+        #: row (see there).
+        payload = segment_payload_size(descriptor)
+        self._row_loop_max = (
+            min(_ROUTE_NP_MIN - 1, payload // schema.tuple_size)
+            if self._fill is not None and not payload % schema.tuple_size
+            and (self._route_many is None or not self._vet_routes) else 0)
         #: Tuples pushed into channels ``retire_target`` has dropped.
         self._retired_sent = 0
         # Survivors absorb a failed target's key share only through a
@@ -1399,7 +1417,12 @@ class ShuffleSource(_FlowSource):
         Without an explicit ``target`` the batch is partitioned by the
         flow's router first and each per-channel group is pushed as its
         own batch; tuple order is preserved *within* each channel (the
-        only ordering a multi-channel shuffle ever guarantees).
+        only ordering a multi-channel shuffle ever guarantees). A batch
+        over two live targets or more, of fewer than ``_ROUTE_NP_MIN``
+        rows and at most a segment's worth, on tuple-aligned bandwidth
+        segments and not through an application's own ``route_many``, is
+        routed and staged row by row as :meth:`push` does, then charged
+        and its sealed slots posted group by group, in slot order.
 
         A bandwidth channel's group is driven from here by the channel's
         own contract — :meth:`~BandwidthSourceChannel.charge_batch`, then
@@ -1413,7 +1436,7 @@ class ShuffleSource(_FlowSource):
         per-group sleeps reach. A boundary with one charge behind it — a
         named target, a single live target, a group that flushes — yields
         that charge's ``float``. A group that only stages rows costs no
-        kernel event and no generator.
+        kernel event and no generator, and in the row loop no call.
         """
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
@@ -1426,6 +1449,9 @@ class ShuffleSource(_FlowSource):
         # Groups of tuples, or ``partition``'s byte runs (``stride`` bytes
         # a row, their batch indices in ``order``) staged as packed rows.
         fill, stride, order = self._fill, 1, None
+        # The row loop's sealed slot per group (each group the count of
+        # rows it staged, ``route_of`` their slots), else ``None``.
+        seals = None
         if target is not None:
             if not 0 <= target < len(channels) or target in self._failed:
                 raise self._bad_target(target)
@@ -1435,26 +1461,59 @@ class ShuffleSource(_FlowSource):
             live = self._live
             if self._router is None or not live:
                 raise self._unroutable()
-            if len(live) == 1:
+            count, rows = len(live), len(tuples)
+            small = 0 < rows <= self._row_loop_max
+            if count == 1:
                 groups = (tuples,)
+            elif self._partition is not None and not small:
+                groups, order = self._partition(tuples, count)
+                if order is not None:
+                    fill = _copy_into
+                    stride = self.descriptor.schema.tuple_size
+            elif self._route_many is not None and not small:
+                groups = self._route_many(tuples, count)
             else:
-                count = len(live)
-                if self._partition is not None:
-                    groups, order = self._partition(tuples, count)
-                    if order is not None:
-                        fill = _copy_into
-                        stride = self.descriptor.schema.tuple_size
-                elif self._route_many is not None:
-                    groups = self._route_many(tuples, count)
-                else:
-                    router = self._router
-                    groups = [[] for _ in range(count)]
-                    appends = [group.append for group in groups]
-                    for values in tuples:
+                # Every row routed as ``push`` routes it, then a small
+                # batch staged as ``push`` stages it (written out again so
+                # that ``push`` stays one frame), sealing at most one slot
+                # per channel (see ``SegmentStager``).
+                route_of = [0] * rows
+                key_index, router = self._key_index, self._router
+                vet = self._vet_routes
+                for row, values in enumerate(tuples):
+                    if (key_index is not None
+                            and (key := values[key_index]).__class__ is int):
+                        slot = (((key & _HASH_MASK) * _HASH_MULT
+                                 & _HASH_MASK) >> 32) % count
+                    else:
                         slot = router(values, count)
-                        if slot.__class__ is not int or not 0 <= slot < count:
+                        if vet and (slot.__class__ is not int
+                                    or not 0 <= slot < count):
                             slot = _route_slot(slot, count)
-                        appends[slot](values)
+                    route_of[row] = slot
+                if not small:
+                    groups = _regroup(tuples, route_of, count)
+                else:
+                    groups, seals = [0] * count, [None] * count
+                    first = channels[live[0]]
+                    pack, size, full = (first._pack_tuple, first._tuple_size,
+                                        first._flush_above)
+                    for values, slot in zip(tuples, route_of):
+                        stager = channels[live[slot]]._stager
+                        used = stager.used
+                        try:
+                            pack(stager.buffer, stager.base + used, *values)
+                        except _struct_error:
+                            # The group walk raises it behind the CPU the
+                            # groups before its own charged.
+                            self._unstage(groups, seals, 0)
+                            groups = _regroup(tuples, route_of, count)
+                            seals = None
+                            break
+                        stager.used = used = used + size
+                        groups[slot] += 1
+                        if used > full:
+                            seals[slot] = stager.seal(0, stager.sealed)
         # The CPU charged but not slept yet: the one charge's delay, and
         # from a second charge on the absolute deadline.
         delay = when = None
@@ -1473,7 +1532,20 @@ class ShuffleSource(_FlowSource):
                             yield from channels[index].push_batch(group)
                             continue
                         channel = channels[index]
-                        charge = channel.charge_batch(len(group) // stride)
+                        if seals is None:
+                            charge = channel.charge_batch(len(group) // stride)
+                        else:
+                            # ``charge_batch``, its float operations kept.
+                            if channel.closed:
+                                self._unstage(groups, seals, slot)
+                                raise FlowClosedError(
+                                    "push on a closed flow source")
+                            debt = (channel._cpu_debt
+                                    + group * channel._tuple_debt)
+                            if seals[slot] is not None:
+                                debt += channel.profile.cpu_post_cost
+                            channel._cpu_debt = 0.0
+                            charge = debt / self.node._cpu_scale
                         if delay is None:
                             delay = charge
                         elif when is None:
@@ -1481,13 +1553,27 @@ class ShuffleSource(_FlowSource):
                             when = env._now + delay + charge
                         else:
                             when += charge
-                        flush = channel.stage_batch(group, fill, stride)
+                        if seals is None:
+                            flush = channel.stage_batch(group, fill, stride)
+                        else:
+                            channel.tuples_sent += group
+                            if seals[slot] is None:
+                                continue
+                            flush = channel._post_train(
+                                (seals[slot],), channel._stager.sealed - 1)
                         if flush is not NO_FLUSH:
                             yield (delay if when is None
                                    else env.sleep_until(when))
                             delay = when = None
                             yield from flush
                     except (QpFlushedError, FlowTimeoutError) as exc:
+                        if seals is not None:
+                            # The group walk stages the rows past a seal,
+                            # and later groups, after the post: unstage.
+                            channel.tuples_sent -= (channel._stager.used
+                                                    // size)
+                            self._unstage(groups, seals, slot + 1)
+                            groups = _regroup(tuples, route_of, count)
                         if target is not None:
                             yield from self._fail_named(target, exc)
                         yield from self._handle_channel_failure(index, exc)
@@ -1514,6 +1600,19 @@ class ShuffleSource(_FlowSource):
             raise
         if delay is not None:
             yield delay if when is None else env.sleep_until(when)
+
+    def _unstage(self, counts, seals, start: int) -> None:
+        """Take ``counts[slot]`` rows, and the slot ``seals[slot]`` if any,
+        back out of the stager of each live slot from ``start`` on."""
+        for slot in range(start, len(counts)):
+            if counts[slot]:
+                stager = self._channels[self._live[slot]]._stager
+                stager.used -= counts[slot] * stager.tuple_size
+                if seals[slot] is not None:
+                    stager.used += stager.payload_size
+                    stager.sealed -= 1
+                    stager.base = (stager.sealed % stager.slots
+                                   * stager.slot_size)
 
     def push_bytes(self, data, target: "int | None" = None):
         """Generator: push pre-packed tuple bytes (zero per-tuple packing).

@@ -26,7 +26,13 @@ from hypothesis import given, settings, strategies as st
 from repro.common.config import DEFAULT_HARDWARE
 from repro.common.errors import FlowError
 from repro.common.planelog import WRITE
-from repro.core import FLOW_END, DfiRuntime, FlowOptions, Schema
+from repro.core import (
+    FLOW_END,
+    DfiRuntime,
+    FlowOptions,
+    Schema,
+    key_hash_router,
+)
 from repro.simnet import Cluster
 from tests import discrete_reference
 
@@ -143,6 +149,72 @@ def test_a_rejected_row_in_a_packed_size_batch_surfaces_behind_the_cpu():
     with discrete_reference.installed():
         reference = _rejected_row_instant(300)
     assert product and product[0][1] == "SchemaError"
+    assert product == reference
+
+
+def _rejected_after_a_seal(bad_target, full_target=1):
+    """A routed two-row batch over four targets whose first row fills
+    ``full_target``'s open slot, pushed one row short of full by
+    per-tuple pushes, and whose second row, routed to ``bad_target``,
+    the schema rejects; the source then closes. Returns the instant and
+    the error of the batch, the rows each target received and the final
+    clock."""
+    route = key_hash_router(SCHEMA, "key")
+    keys = iter(range(10 ** 6))
+
+    def row_to(target, value=0):
+        return next((key, value) for key in keys
+                    if route((key, value), 4) == target)
+
+    short = [row_to(full_target) for _ in range(15)]
+    batch = [row_to(full_target), row_to(bad_target, -1)]
+    cluster = Cluster(node_count=5, profile=DEFAULT_HARDWARE.with_straggler(
+        0, 0.7))
+    dfi = DfiRuntime(cluster)
+    dfi.init_shuffle_flow(
+        "f", ["node0|0"], [f"node{n}|0" for n in range(1, 5)], SCHEMA,
+        shuffle_key="key",
+        options=FlowOptions(segment_size=16 * SCHEMA.tuple_size,
+                            source_segments=2, target_segments=4,
+                            credit_threshold=2))
+    seen = []
+    delivered = {index: [] for index in range(4)}
+
+    def source():
+        src = yield from dfi.open_source("f", 0)
+        for values in short:
+            yield from src.push(values)
+        try:
+            yield from src.push_batch(batch)
+        except FlowError as exc:
+            seen.append((cluster.now, type(exc).__name__, str(exc)))
+        yield from src.close()
+
+    def target(index):
+        tgt = yield from dfi.open_target("f", index)
+        while (rows := (yield from tgt.consume_batch())) is not FLOW_END:
+            delivered[index].extend(rows)
+
+    cluster.node(0).spawn(source())
+    for index in range(4):
+        cluster.node(1 + index).spawn(target(index))
+    cluster.run()
+    return seen, delivered, cluster.now
+
+
+@pytest.mark.parametrize("bad_target", range(4))
+def test_a_rejected_row_behind_a_seal_surfaces_behind_the_charged_cpu(
+        bad_target):
+    """A batch small enough for the row loop seals a slot before it meets
+    a row the schema rejects: the seal is taken back and the batch goes
+    the per-group walk, which raises at the oracle's instant — after the
+    sealed slot's post when the rejected row's group comes later in slot
+    order (or is the sealing group itself), before it otherwise — and
+    the close that follows sends what the oracle's close sends."""
+    product = _rejected_after_a_seal(bad_target)
+    with discrete_reference.installed():
+        reference = _rejected_after_a_seal(bad_target)
+    assert product[0] and product[0][0][1] == "SchemaError"
     assert product == reference
 
 

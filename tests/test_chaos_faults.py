@@ -86,12 +86,13 @@ def _options(flow_type, optimization, seed, congestion=None):
 
 
 def _run_chaos(seed, flow_type, optimization, congestion=None, batch=None,
-               ends=None):
+               ends=None, sent=None):
     """One chaos run; returns (outcomes, tuple counts, final time). With
     ``batch``, each source pushes its tuples ``batch`` at a time through
     ``push_batch``, and the faults land in :data:`BATCHED_WINDOW`. With
     ``ends``, the instant each endpoint finished (or was killed) is
-    recorded there."""
+    recorded there; with ``sent``, each opened source's ``tuples_sent``
+    then."""
     ends = {} if ends is None else ends
     cluster = Cluster(node_count=5, seed=seed)
     start, end = (50_000.0, 800_000.0) if batch is None else BATCHED_WINDOW
@@ -128,6 +129,7 @@ def _run_chaos(seed, flow_type, optimization, congestion=None, batch=None,
     counts = {}
 
     def source_thread(key, index):
+        source = None
         try:
             source = yield from dfi.open_source("chaos", index)
             if batch is None:
@@ -143,6 +145,8 @@ def _run_chaos(seed, flow_type, optimization, congestion=None, batch=None,
             outcomes[key] = type(exc).__name__
         finally:
             ends[key] = cluster.now
+            if sent is not None and source is not None:
+                sent[key] = source.tuples_sent
 
     def target_thread(key, index):
         counts[key] = 0
@@ -352,6 +356,62 @@ def test_chaos_batched_cells_crash_abort_and_reroute():
         rerouted |= seed % 2 == 1 and max(counts.values()) > 900
     assert {"killed", "FlowPeerFailedError"} <= observed, observed
     assert rerouted
+
+
+#: Rows per ``push_batch`` call of the row-loop cells: half a 256-byte
+#: chaos segment, so each batch is routed and packed row by row and
+#: seals at most one slot per channel (the 25-row cells above exceed a
+#: segment and take the group walk).
+ROW_BATCH = 8
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_chaos_row_loop_no_hang(seed):
+    _check_cell(seed, "shuffle", Optimization.BANDWIDTH, batch=ROW_BATCH)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_chaos_row_loop_congested_no_hang(seed):
+    _check_cell(seed, "shuffle", Optimization.BANDWIDTH, CHAOS_CONGESTION,
+                batch=ROW_BATCH)
+
+
+def test_chaos_row_loop_cells_crash_abort_and_reroute():
+    """Vacuity guard for the row-loop cells, as for the batched cells: a
+    crash kills an endpoint, the abort policy fails a source, and a
+    survivor takes over a failed target's share under the reroute
+    policy — a post failing mid-batch takes back the rows staged for the
+    channels after it."""
+    observed, rerouted = set(), False
+    for seed in SEEDS:
+        outcomes, counts, _now = _run_chaos(
+            seed, "shuffle", Optimization.BANDWIDTH, batch=ROW_BATCH)
+        observed |= set(outcomes.values())
+        rerouted |= seed % 2 == 1 and max(counts.values()) > 900
+    assert {"killed", "FlowPeerFailedError"} <= observed, observed
+    assert rerouted
+
+
+@pytest.mark.parametrize("seed", (3, 7, 13))
+def test_chaos_row_loop_reroute(seed):
+    """A target dies while the sources push 8-row batches under the
+    reroute policy, and a post fails in the row loop's second pass: the
+    rows staged for the channels after it are taken back (in seed 7 a
+    sealed slot among them) and re-pushed with the failed group over the
+    survivor, as the oracle's per-group walk re-pushes the groups it did
+    not reach. In seed 3 the failed group is the last, and its rows
+    staged past its seal leave ``tuples_sent`` again. The survivor takes
+    over the dead target's share either way."""
+    _check_cell(seed, "shuffle", Optimization.BANDWIDTH, batch=ROW_BATCH)
+    sent, reference_sent = {}, {}
+    outcomes, counts, _now = _run_chaos(
+        seed, "shuffle", Optimization.BANDWIDTH, batch=ROW_BATCH, sent=sent)
+    with discrete_reference.installed():
+        _run_chaos(seed, "shuffle", Optimization.BANDWIDTH, batch=ROW_BATCH,
+                   sent=reference_sent)
+    assert sent == reference_sent
+    assert "killed" in outcomes.values()
+    assert max(counts.values()) > 750, counts
 
 
 #: Rows per ``push_batch`` call of the packed-partition cells: at least

@@ -105,6 +105,26 @@ def test_push_batch_accepts_iterators_and_empty_batches():
     assert received[0] == TUPLES[:50]
 
 
+@pytest.mark.parametrize("mode", list(Optimization), ids=lambda m: m.value)
+def test_an_empty_routed_batch_stages_nothing(mode):
+    """An empty batch routed over two targets is a no-op in either mode,
+    whichever shape a batch of its size takes."""
+    cluster, dfi = build(3)
+    dfi.init_shuffle_flow("f", [Endpoint(0, 0)],
+                          [Endpoint(1, 0), Endpoint(2, 0)], SCHEMA,
+                          shuffle_key="key", optimization=mode)
+
+    def source_fn(source, _index):
+        yield from source.push_batch([])
+        yield from source.push_batch(TUPLES[:4])
+
+    received = run_flow(cluster, dfi, "f", source_fn)
+    route = key_hash_router(SCHEMA, "key")
+    assert received == {index: [values for values in TUPLES[:4]
+                                if route(values, 2) == index]
+                        for index in (0, 1)}
+
+
 @pytest.mark.parametrize("int_key", (True, False))
 @pytest.mark.parametrize("count", (10, 300))
 @pytest.mark.parametrize("kind", (list, tuple, iter,

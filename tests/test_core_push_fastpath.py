@@ -342,11 +342,19 @@ def test_integer_like_keys_route_by_value():
 
 # -- push lands where route says ----------------------------------------------
 
-#: Segments no landing example fills (at most 32 pushes, all to one
-#: target), under the reroute policy.
-_ROOMY = FlowOptions(segment_size=1024, source_segments=2,
+#: Segments no landing example fills (at most 64 rows, all to one
+#: target: 32 pushes and 32 batched), under the reroute policy.
+_ROOMY = FlowOptions(segment_size=2048, source_segments=2,
                      target_segments=2, credit_threshold=1,
                      on_target_failure="reroute")
+
+
+def _app_route(values, count):
+    """An application's routing function: any key, by ``hash``. It
+    answers slots 0 and 1 as ``bool``s, which the source vets into the
+    indices they stand for."""
+    slot = hash(values[0]) % count
+    return bool(slot) if slot < 2 else slot
 
 
 def _land(source, route, keys, tag):
@@ -374,53 +382,104 @@ def _land(source, route, keys, tag):
         assert bytes(stager.buffer[at:at + size]) == schema.pack(values)
 
 
+def _packs(schema, values) -> bool:
+    try:
+        schema.pack(values)
+    except SchemaError:
+        return False
+    return True
+
+
+def _land_batch(source, route, keys, tag):
+    """Generator: ``push_batch`` the ``(key, tag)`` rows of ``keys``.
+    Every row must be staged in ``channels[live[route(values,
+    len(live))]]``, in batch order, and nowhere else. A row the schema
+    cannot pack fails the batch at the first live slot, in slot order,
+    whose rows hold one: the slots before it stage their rows, that slot
+    and the rest nothing."""
+    channels, live = source._channels, source._live
+    schema = source.descriptor.schema
+    rows = [(key, tag) for key in keys]
+    groups = {}
+    for values in rows:
+        groups.setdefault(int(route(values, len(live))), []).append(values)
+    bad = [slot for slot, group in groups.items()
+           if not all(_packs(schema, values) for values in group)]
+    cut = min(bad, default=len(live))
+    expected = {live[slot]: b"".join(map(schema.pack, group))
+                for slot, group in groups.items() if slot < cut}
+    before = [(channel._stager.base, channel._stager.used)
+              for channel in channels]
+    try:
+        yield from source.push_batch(rows)
+    except SchemaError:
+        assert bad
+    else:
+        assert not bad
+    for index, channel in enumerate(channels):
+        base, used = before[index]
+        data = expected.get(index, b"")
+        stager = channel._stager
+        assert (stager.base, stager.used) == (base, used + len(data))
+        assert bytes(stager.buffer[base + used:stager.used]) == data
+
+
+@_numpy_wraps
 @settings(deadline=None)
 @given(key_type=st.sampled_from(["uint64", "int64", "double", 8]),
        keys=st.lists(_KEYS, min_size=1, max_size=8),
        target_count=st.integers(1, 9),
        drop=st.one_of(st.none(), st.integers(0, 8)),
-       adopt=st.booleans(), retire=st.booleans())
+       adopt=st.booleans(), retire=st.booleans(), app=st.booleans())
 def test_push_lands_where_route_says(key_type, keys, target_count, drop,
-                                     adopt, retire):
+                                     adopt, retire, app):
     """The inlined hash and the live count ``push`` routes over agree
     with ``route`` for every key class — plain, negative (``int64``) and
     wider than 64 bits (``double``), ``bool``, numpy, ``str``, ``bytes``,
     ``float`` — on any target count, and after a reroute dropped a
     target, a target was adopted and the last one retired. A key the
-    schema cannot pack stages nothing."""
+    schema cannot pack stages nothing. ``push_batch`` of the same keys —
+    its row loop from two live targets on — lands every row where
+    ``route`` says too, and so does either door under an application's
+    routing function (``app``)."""
     schema = Schema(("key", key_type), ("tag", "uint64"))
-    route = key_hash_router(schema, "key")
+    route = _app_route if app else key_hash_router(schema, "key")
     cluster = Cluster(node_count=target_count + 2)
     dfi = DfiRuntime(cluster)
     dfi.init_shuffle_flow(
         "f", ["node0|0"], [f"node{n}|0" for n in range(1, target_count + 1)],
-        schema, shuffle_key="key", options=_ROOMY)
+        schema, shuffle_key=None if app else "key",
+        routing=_app_route if app else None, options=_ROOMY)
     phases = []
 
     def target_thread(index):
         yield from dfi.open_target("f", index)
 
+    def land(source, tag):
+        _land(source, route, keys, tag)
+        yield from _land_batch(source, route, keys, tag)
+
     def source_thread():
         source = yield from dfi.open_source("f", 0)
-        _land(source, route, keys, 0)
+        yield from land(source, 0)
         if drop is not None and drop < target_count and target_count > 1:
             # What a failed flush does to the live set under reroute.
             yield from source._handle_channel_failure(
                 drop, QpFlushedError("flushed"))
             assert drop not in source._live
-            _land(source, route, keys, 1)
+            yield from land(source, 1)
         if adopt:
             index = dfi.registry.extend_targets(
                 "f", f"node{target_count + 1}|0")
             cluster.env.process(target_thread(index))
             yield from source.adopt_new_targets()
             assert source._live[-1] == index
-            _land(source, route, keys, 2)
+            yield from land(source, 2)
         if retire and len(source._channels) > 1:
             last = len(source._channels) - 1
             yield from source.retire_target(last)
             assert last not in source._live
-            _land(source, route, keys, 3)
+            yield from land(source, 3)
         phases.append("done")
 
     cluster.env.process(source_thread())

@@ -2,21 +2,33 @@
 
 An 8:8 shuffle pushed in 32-row batches hands each source channel about
 four rows at a time (the shape of the ledger's ``mesh_8x8``, one rack of
-it): a segment fills every 32 batches, so what a tuple costs is what
-``ShuffleSource.push_batch`` spends per *channel-batch* — the router
-pass once per batch, then per channel the two plain calls of the
-channel's contract: ``charge_batch`` (the channel-batch's CPU delay) and
-``stage_batch`` (one pack call, ``NO_FLUSH`` back — no generator exists
-for a batch that only stages rows). A channel-batch costs no kernel
-event: the process sleeps once per flush boundary, its staged groups'
-delays added to one absolute deadline, so a batch whose groups only
-stage rows costs one event, not one per group (4 366 events while every
-group slept on its own). One more Python frame per channel-batch is
-+2.5 % of the whole workload's call count. Wall-clock is noise on a
-shared box; kernel events and Python frames entered under
-``src/repro`` are not. The same budget is held on a racked twin (two
-racks of four nodes, built by ``Cluster.racked``), which must cost what
-the flat cluster costs.
+it). A 32-row batch takes ``ShuffleSource.push_batch``'s row loop: each
+row is hashed and packed into its channel's open slot inside
+``push_batch``'s own frame, one ``pack_into`` and no frame per row, and
+a channel-batch that only stages rows costs no call at all. So what a
+tuple costs in frames is its share of ``push_batch`` itself (entered
+once per batch, resumed after its one sleep), of that sleep
+(``sleep_until`` when several channels were charged), and of the
+per-segment path a channel takes every 32 batches: ``seal``, the
+doorbell train, the write landing and the target's consume. That reads
+0.42 frames per tuple on either cluster (1.82 while every channel-batch
+called ``charge_batch``, ``Node.compute`` and ``stage_batch``; 2.96
+while the channel's ``push_batch`` generator ran every channel-batch).
+One more frame per channel-batch is +0.25. A channel-batch costs no
+kernel event: the process sleeps once per flush boundary, its staged
+groups' delays added to one absolute deadline, so a batch whose groups
+only stage rows costs one event, not one per group (4 366 events while
+every group slept on its own). Wall-clock is noise on a shared box;
+kernel events and Python frames entered under ``src/repro`` are not.
+The same budget is held on a racked twin (two racks of four nodes,
+built by ``Cluster.racked``), which must cost what the flat cluster
+costs.
+
+The row loop is what makes a batch no dearer than its rows pushed one
+at a time: a 64-row batch routed over 64 targets hands each channel
+about one row, the shape in which the group walk paid a route pass
+plus a charge and a stage per channel and made more library calls than
+64 per-tuple pushes.
 """
 
 import random
@@ -101,17 +113,73 @@ def test_small_batches_cost_the_same_events_on_a_racked_twin():
     assert _events(_racked) == 938
 
 
-def test_a_tuple_enters_at_most_3_05_frames():
-    """2.75 now (2.96 while the channel's ``push_batch`` generator ran
-    every channel-batch); the racked twin below holds the bound that one
-    more frame per channel-batch breaks."""
+def test_a_tuple_enters_at_most_0_60_frames():
+    """0.42 now; the racked twin below holds the tighter bound."""
     per_tuple = _frames_per_tuple(_flat)
-    assert per_tuple <= 3.05, per_tuple
+    assert per_tuple <= 0.60, per_tuple
 
 
-def test_a_tuple_enters_at_most_2_85_frames_on_a_racked_twin():
-    """2.75 as well: the kernel's run loop is written out (calling
-    ``step()`` per event reads 3.28). One more frame per channel-batch
-    reads 3.00 on either cluster."""
+def test_a_tuple_enters_at_most_0_50_frames_on_a_racked_twin():
+    """0.42 as well: the kernel's run loop is written out, so racks add
+    no frame. One more frame per channel-batch would read about 0.66 on
+    either cluster."""
     per_tuple = _frames_per_tuple(_racked)
-    assert per_tuple <= 2.85, per_tuple
+    assert per_tuple <= 0.50, per_tuple
+
+
+#: The fan-out of the batch-against-pushes budget: as many targets as the
+#: batch has rows.
+WIDE = 64
+
+
+def _wide_run(push) -> int:
+    """Library calls of one source shuffling 64 rows over 64 draining
+    targets through ``push(source, rows)`` (nothing pushed when it is
+    ``None``), and its close."""
+    rng = random.Random(3)
+    rows = [(rng.getrandbits(64), bytes(56)) for _ in range(WIDE)]
+    cluster = Cluster(node_count=1 + WIDE)
+    dfi = DfiRuntime(cluster)
+    dfi.init_shuffle_flow(
+        "wide", [Endpoint(0, 0)], [Endpoint(1 + n, 0) for n in range(WIDE)],
+        SCHEMA, shuffle_key="key")
+    delivered = []
+
+    def source():
+        src = yield from dfi.open_source("wide", 0)
+        if push is not None:
+            yield from push(src, rows)
+        yield from src.close()
+
+    def target(index):
+        tgt = yield from dfi.open_target("wide", index)
+        while (batch := (yield from tgt.consume_batch())) is not FLOW_END:
+            delivered.extend(batch)
+
+    cluster.node(0).spawn(source())
+    for index in range(WIDE):
+        cluster.node(1 + index).spawn(target(index))
+    calls = count_calls(cluster.run).library
+    assert len(delivered) == (0 if push is None else WIDE)
+    return calls
+
+
+def _wide_calls(push) -> int:
+    """``_wide_run(push)`` net of the same flow with nothing pushed."""
+    return _wide_run(push) - _wide_run(None)
+
+
+def _one_batch(source, rows):
+    yield from source.push_batch(rows)
+
+
+def _row_by_row(source, rows):
+    for values in rows:
+        yield from source.push(values)
+
+
+def test_a_batch_costs_no_more_calls_than_its_rows_pushed_one_by_one():
+    """1 237 calls against 1 291 (1 720 while every channel-batch took
+    the group walk's charge and stage)."""
+    batch, pushes = _wide_calls(_one_batch), _wide_calls(_row_by_row)
+    assert batch <= pushes, (batch, pushes)
