@@ -43,8 +43,12 @@ from repro.core.flowdef import (
     Optimization,
 )
 from repro.core.registry import FlowRegistry, RingHandle
-from repro.core.routing import key_hash_router
-from repro.core.schema import _HASH_MASK, _HASH_MULT, _ROUTE_NP_MIN
+from repro.core.routing import (
+    _HASH_MASK,
+    _HASH_MULT,
+    _ROUTE_NP_MIN,
+    key_hash_router,
+)
 from repro.core.segment import (
     BLANK_FOOTER,
     FLAG_ABORTED,
@@ -115,7 +119,7 @@ def _route_slot(slot, count: int) -> int:
 
 
 def _regroup(tuples, slots, count: int) -> list:
-    """``tuples`` grouped by their ``slots``, as ``route_many`` does."""
+    """``tuples`` grouped by their ``slots``, in batch order."""
     groups = [[] for _ in range(count)]
     for values, slot in zip(tuples, slots):
         groups[slot].append(values)
@@ -1261,22 +1265,22 @@ class ShuffleSource(_FlowSource):
         #: their own, where it stages a bandwidth channel's in place).
         self._fill = (None if descriptor.optimization is Optimization.LATENCY
                       else schema.pack_many_into)
-        #: The router's own batch partitioners, if it brings them; a
-        #: bandwidth batch takes ``partition`` in place of ``route_many``.
+        #: How ``push_batch`` splits a batch it does not route row by
+        #: row: an application router's own ``route_many``, if it brings
+        #: one, else on a bandwidth flow the key-hash router's packed
+        #: ``partition`` (which may decline a batch).
         self._route_many = self._partition = None
-        try:
-            self._route_many = self._router.route_many
-            if self._fill is not None:
-                self._partition = self._router.partition
-        except AttributeError:
-            pass
+        if self._vet_routes:
+            self._route_many = getattr(self._router, "route_many", None)
+        elif self._key_index is not None and self._fill is not None:
+            self._partition = self._router.partition
         #: The most rows of a routed batch ``push_batch`` stages row by
         #: row (see there).
         payload = segment_payload_size(descriptor)
         self._row_loop_max = (
             min(_ROUTE_NP_MIN - 1, payload // schema.tuple_size)
             if self._fill is not None and not payload % schema.tuple_size
-            and (self._route_many is None or not self._vet_routes) else 0)
+            and self._route_many is None else 0)
         #: Tuples pushed into channels ``retire_target`` has dropped.
         self._retired_sent = 0
         # Survivors absorb a failed target's key share only through a
@@ -1417,12 +1421,15 @@ class ShuffleSource(_FlowSource):
         Without an explicit ``target`` the batch is partitioned by the
         flow's router first and each per-channel group is pushed as its
         own batch; tuple order is preserved *within* each channel (the
-        only ordering a multi-channel shuffle ever guarantees). A batch
-        over two live targets or more, of fewer than ``_ROUTE_NP_MIN``
-        rows and at most a segment's worth, on tuple-aligned bandwidth
-        segments and not through an application's own ``route_many``, is
-        routed and staged row by row as :meth:`push` does, then charged
-        and its sealed slots posted group by group, in slot order.
+        only ordering a multi-channel shuffle ever guarantees). An
+        application router's own ``route_many`` partitions it, and the
+        key-hash router's ``partition`` splits a long bandwidth batch
+        packed; every other batch takes the routing pass, which routes
+        each row as :meth:`push` does. A batch over two live targets or
+        more, of fewer than ``_ROUTE_NP_MIN`` rows and at most a segment's
+        worth, on tuple-aligned bandwidth segments, is then staged row by
+        row as :meth:`push` stages, charged and its sealed slots posted
+        group by group, in slot order; a longer one is grouped.
 
         A bandwidth channel's group is driven from here by the channel's
         own contract — :meth:`~BandwidthSourceChannel.charge_batch`, then
@@ -1440,7 +1447,7 @@ class ShuffleSource(_FlowSource):
         """
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
-        # Route kernels measure and index the batch and the reroute
+        # The split measures and indexes the batch and the reroute
         # policy re-reads it: a one-shot iterable is materialised once,
         # here (a class test: no call on the path every batch takes).
         if tuples.__class__ is not list and tuples.__class__ is not tuple:
@@ -1465,13 +1472,13 @@ class ShuffleSource(_FlowSource):
             small = 0 < rows <= self._row_loop_max
             if count == 1:
                 groups = (tuples,)
-            elif self._partition is not None and not small:
-                groups, order = self._partition(tuples, count)
-                if order is not None:
-                    fill = _copy_into
-                    stride = self.descriptor.schema.tuple_size
-            elif self._route_many is not None and not small:
+            elif self._route_many is not None:
                 groups = self._route_many(tuples, count)
+            elif (not small and self._partition is not None
+                  and (split := self._partition(tuples, count)) is not None):
+                groups, order = split
+                fill = _copy_into
+                stride = self.descriptor.schema.tuple_size
             else:
                 # Every row routed as ``push`` routes it, then a small
                 # batch staged as ``push`` stages it (written out again so
@@ -1717,19 +1724,21 @@ class ShuffleSource(_FlowSource):
     def retire_target(self, target_index: int):
         """Generator: stop sending to the *last* target (scale-in). The
         target observes this source's close marker; once every source
-        retired it, the target drains to FLOW_END."""
+        retired it, the target drains to FLOW_END. The only live target
+        (the only target, or the last one left when the others failed)
+        cannot be retired: a routed push would have nowhere to go."""
         if target_index != len(self._channels) - 1:
             raise FlowError(
                 "only the last target can be retired (index "
                 f"{len(self._channels) - 1}, got {target_index})")
-        if len(self._channels) == 1:
+        live = [index for index in self._live if index != target_index]
+        if not live:
             raise FlowError("cannot retire the only target; close the "
                             "flow instead")
         channel = self._channels.pop()
         self._retired_sent += channel.tuples_sent
-        index = len(self._channels)
-        self._set_live([live for live in self._live if live != index])
-        self._failed.discard(index)
+        self._set_live(live)
+        self._failed.discard(target_index)
         try:
             yield from channel.close()
         except (QpFlushedError, FlowTimeoutError):
@@ -1929,8 +1938,7 @@ class ShuffleTarget:
         chunks — one per drained segment, each a whole number of tuples
         packed in the flow's schema — or :data:`FLOW_END`. The mirror of
         ``push_bytes``: tuples cross the consume boundary without ever
-        being unpacked (``Schema.unpack_rows``/``row_views`` decode on
-        demand).
+        being unpacked (``Schema.unpack_rows`` decodes one on demand).
 
         Lifetime rule: the views alias receive-ring memory whose segments
         this call already released for reuse. They stay valid only until

@@ -1,7 +1,7 @@
 """Cold start pays only for what the flow uses.
 
 numpy is the one optional accelerator in the data path (the bucket pass
-of ``core/schema.py``'s batch partitioner) and by far the most expensive thing a
+of ``core/routing.py``'s packed partition) and by far the most expensive thing a
 flow can import: ~0.11 s and ~12 MiB. It must be bound by the first
 routed batch of ``_ROUTE_NP_MIN`` rows and by nothing before it — not by
 importing ``repro``, not by building a router, not by flows that never
@@ -25,7 +25,7 @@ PLANT
 import repro, repro.core, repro.simnet, repro.obs
 from repro.core import FLOW_END, DfiRuntime, Endpoint, Optimization, Schema
 from repro.core.routing import key_hash_router
-from repro.core.schema import _ROUTE_NP_MIN
+from repro.core.routing import _ROUTE_NP_MIN
 from repro.simnet import Cluster
 
 SCHEMA = Schema(("key", "uint64"), ("value", "uint64"))
@@ -177,7 +177,7 @@ def test_first_vector_routed_batch_binds_numpy():
 
 def test_numpy_unavailable_routes_through_the_scalar_kernel():
     """With the import blocked the batch that would have bound numpy is
-    partitioned by the integer loop: same partitions, no error."""
+    routed by ``push_batch``'s routing pass: same partitions, no error."""
     blocked = _child("at_threshold", plant='sys.modules["numpy"] = None')
     assert blocked["numpy"] is None
     assert blocked["result"] == _child("at_threshold")["result"]

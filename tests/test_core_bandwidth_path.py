@@ -31,6 +31,7 @@ from repro.common.errors import (
 )
 from repro.core import FLOW_END, NO_FLUSH, DfiRuntime, FlowOptions, Schema
 from repro.core.registry import RingHandle
+from repro.core.routing import key_hash_router
 from repro.core.segment import FOOTER_SIZE
 from repro.core.shuffle import BandwidthSourceChannel
 from repro.rdma.nic import get_nic
@@ -163,6 +164,63 @@ def test_closed_source_refuses_every_front_door(door):
     cluster.env.process(target_thread())
     cluster.run()
     assert len(raised) == 2
+    if door == "push_batch":
+        _closed_channel_mid_row_loop()
+
+
+def _closed_channel_mid_row_loop():
+    """A routed 8-row batch over three targets, the middle channel closed
+    and the last one row short of a full segment: the row loop packs
+    every row (sealing the last channel's slot), the walk charges and
+    keeps slot 0, then meets the closed channel — it takes that slot's
+    rows and every later slot's back out (``used``, ``sealed`` and
+    ``base`` as they were) and raises FlowClosedError."""
+    cluster = Cluster(node_count=4, seed=3)
+    dfi = DfiRuntime(cluster)
+    dfi.init_shuffle_flow(
+        "f", ["node0|0"], ["node1|0", "node2|0", "node3|0"], SCHEMA,
+        shuffle_key="key",
+        options=FlowOptions(segment_size=ALIGNED, source_segments=2,
+                            target_segments=4, credit_threshold=2))
+    route = key_hash_router(SCHEMA, "key")
+    keys = [[key for key in range(100) if route((key, 0), 3) == slot]
+            for slot in range(3)]
+    top_up = [(key, 0) for key in keys[2][:7]]
+    batch = [(key, 1) for key in keys[0][:3] + keys[1][:2] + keys[2][:3]]
+    seen = {}
+    got = {0: [], 1: [], 2: []}
+
+    def stagers(source):
+        return [(channel._stager.base, channel._stager.used,
+                 channel._stager.sealed, channel.tuples_sent)
+                for channel in source._channels]
+
+    def source_thread():
+        source = yield from dfi.open_source("f", 0)
+        for row in top_up:
+            yield from source.push(row)
+        yield from source._channels[1].close()
+        seen["before"] = stagers(source)
+        with pytest.raises(FlowClosedError):
+            yield from source.push_batch(batch)
+        seen["after"] = stagers(source)
+        yield from source.close()
+
+    def target_thread(index):
+        target = yield from dfi.open_target("f", index)
+        while (item := (yield from target.consume())) is not FLOW_END:
+            got[index].append(item)
+
+    cluster.env.process(source_thread())
+    for index in range(3):
+        cluster.env.process(target_thread(index))
+    cluster.run()
+    size = SCHEMA.tuple_size
+    (base, used, sealed, sent), *rest = seen["before"]
+    assert seen["after"] == [(base, used + 3 * size, sealed, sent + 3),
+                             *rest]
+    assert rest[1][1] == 7 * size       # one row short of a full segment
+    assert got == {0: batch[:3], 1: [], 2: top_up}
 
 
 def test_torn_slab_and_mistyped_tuple_send_nothing():

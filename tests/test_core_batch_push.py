@@ -133,10 +133,10 @@ def test_an_empty_routed_batch_stages_nothing(mode):
 def test_routed_push_batch_accepts_any_iterable(kind, count, int_key):
     """A one-shot iterable routed over several targets used to die in
     the batch partitioner (``len()`` of a generator) while every other
-    path took it. Every loop the router picks — the integer loop below
-    the numpy threshold and the numpy pass above it on an unsigned key,
-    the loop over ``route`` on a ``double`` key — delivers every tuple
-    where per-tuple ``route`` puts it."""
+    path took it. Every way a batch is routed — the routing pass below
+    the numpy threshold, the packed split above it on an unsigned key,
+    the routing pass through ``route`` on a ``double`` key — delivers
+    every tuple where per-tuple ``route`` puts it."""
     schema = Schema(("key", "uint64" if int_key else "double"),
                     ("value", "uint64"))
     cluster, dfi = build(4)
@@ -271,18 +271,27 @@ def test_batched_runs_are_deterministic():
     assert outcomes[0] == outcomes[1]
 
 
-# -- route_many consistency ----------------------------------------------
+# -- batch splits consistent with route -----------------------------------
 
 @pytest.mark.parametrize("target_count", [3, 8])
 def test_route_many_matches_route(target_count):
+    """The key-hash router's one batch split, ``route.partition`` (the
+    name predates it): each target's byte run is its rows packed in
+    batch order, ``order`` their batch indices. A batch whose ``str``
+    keys do not pack is declined — ``push_batch`` routes it row by row."""
+    pytest.importorskip("numpy")
     router = key_hash_router(SCHEMA, "key")
-    tuples = ([(i * 2654435761 % 2 ** 61, i) for i in range(500)]
-              + [(f"str-{i}", i) for i in range(50)])  # TypeError fallback
-    groups = router.route_many(tuples, target_count)
+    tuples = [(i * 2654435761 % 2 ** 61, i) for i in range(500)]
+    groups, order = router.partition(tuples, target_count)
     expected = [[] for _ in range(target_count)]
-    for values in tuples:
-        expected[router(values, target_count)].append(values)
-    assert groups == expected
+    for index, values in enumerate(tuples):
+        expected[router(values, target_count)].append(index)
+    assert [bytes(group) for group in groups] == [
+        b"".join(SCHEMA.pack(tuples[index]) for index in rows)
+        for rows in expected]
+    assert order.tolist() == [index for rows in expected for index in rows]
+    mistyped = tuples + [(f"str-{i}", i) for i in range(50)]
+    assert router.partition(mistyped, target_count) is None
 
 
 @pytest.mark.parametrize("target_count", [3, 4])

@@ -3,7 +3,7 @@ running shuffle flow (paper Section 7 future work)."""
 
 import pytest
 
-from repro.common.errors import FlowError, RegistryError
+from repro.common.errors import FlowError, QpFlushedError, RegistryError
 from repro.core import (
     FLOW_END,
     DfiRuntime,
@@ -170,6 +170,51 @@ def test_retire_validations():
     assert len(failures) == 2
     assert "last target" in failures[0]
     assert "only target" in failures[1]
+
+
+def test_the_only_live_target_cannot_be_retired():
+    """Target 0 of a 1:2 flow failed, so target 1 is the only live one:
+    retiring it would leave a routed push nowhere to go (every one then
+    raised "every target of flow 'r' has failed", though target 1 never
+    failed). It is refused, and routed pushes keep landing on target 1."""
+    cluster = Cluster(node_count=3)
+    dfi = DfiRuntime(cluster)
+    dfi.init_shuffle_flow(
+        "r", ["node0|0"], ["node1|0", "node2|0"], SCHEMA, shuffle_key="key",
+        options=FlowOptions(segment_size=128, source_segments=4,
+                            target_segments=4, credit_threshold=2,
+                            on_target_failure="reroute"))
+    failures = []
+    received = []
+
+    def source_thread():
+        source = yield from dfi.open_source("r", 0)
+        yield from source._handle_channel_failure(
+            0, QpFlushedError("flushed"))
+        try:
+            yield from source.retire_target(1)
+        except FlowError as exc:
+            failures.append(str(exc))
+        for i in range(20):
+            yield from source.push((i, 0))
+        yield from source.push_batch([(i, 1) for i in range(20)])
+        yield from source.close()
+        failures.append(source.failed_targets)
+
+    def target_thread(index):
+        target = yield from dfi.open_target("r", index)
+        if index:   # target 0 only opens: the source counts it failed
+            while (item := (yield from target.consume())) is not FLOW_END:
+                received.append(item)
+
+    cluster.env.process(source_thread())
+    cluster.env.process(target_thread(0))
+    cluster.env.process(target_thread(1))
+    cluster.run()
+    assert failures == [
+        "cannot retire the only target; close the flow instead", (0,)]
+    assert sorted(received) == sorted(
+        [(i, 0) for i in range(20)] + [(i, 1) for i in range(20)])
 
 
 def test_direct_routing_flow_scaled_in_to_one_target_still_needs_target():

@@ -8,9 +8,13 @@ that fails to pack leaves the source untouched, and the shuffle failure
 policy still wraps the flush. A shuffle push that only stages is one
 frame: it hashes a plain ``int`` key and packs into the channel's open
 slot itself, and every tuple lands where the key-hash router says, over
-whatever targets are live. The last tests pin ``route`` and
-``route_many`` of the key-hash router to one partition function.
+whatever targets are live. The last tests pin ``route`` and the packed
+split ``route.partition`` to one partition function, and land short and
+long batches, on both flow modes, where ``route`` says.
 """
+
+import contextlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import (
     FlowAbortedError,
     FlowClosedError,
+    FlowError,
     FlowPeerFailedError,
     FlowTimeoutError,
     QpFlushedError,
@@ -29,11 +34,14 @@ from repro.core import (
     AggregationSpec,
     DfiRuntime,
     FlowOptions,
+    Optimization,
     Schema,
     ShuffleSource,
     key_hash_router,
     radix_router,
 )
+from repro.core import routing
+from repro.core.routing import _ROUTE_NP_MIN
 from repro.simnet import Cluster, FaultPlan, node_crash
 from tests.callcount import count_calls
 
@@ -197,8 +205,9 @@ def test_a_staging_shuffle_push_makes_exactly_these_calls(routing, frames):
 
 # -- failure policy around the flush ------------------------------------------
 
-def _crash_run(policy, explicit_target=None):
-    """A 1:2 shuffle whose second target's node crashes mid-run."""
+def _crash_run(policy, explicit_target=None, batch=0):
+    """A 1:2 shuffle whose second target's node crashes mid-run; the
+    source pushes one tuple at a time, or ``push_batch``es ``batch``."""
     cluster = Cluster(node_count=3)
     cluster.install_faults(FaultPlan([node_crash(2, at=100_000.0)]),
                            detection_timeout=10_000.0)
@@ -212,9 +221,14 @@ def _crash_run(policy, explicit_target=None):
     def source_thread():
         source = yield from dfi.open_source("f", 0)
         try:
-            for i in range(PUSHES):
+            for i in range(0, PUSHES, batch or 1):
                 failed_before = source.failed_targets
-                yield from source.push((i, i), explicit_target)
+                if batch:
+                    yield from source.push_batch(
+                        [(j, j) for j in range(i, i + batch)],
+                        explicit_target)
+                else:
+                    yield from source.push((i, i), explicit_target)
                 if source.failed_targets != failed_before:
                     outcome["tripped"].append(i)
             yield from source.close()
@@ -267,14 +281,18 @@ def test_failed_flush_raises_under_the_abort_policy():
 
 
 def test_failed_flush_raises_for_an_explicit_target():
-    """Naming the target opts out of rerouting, whatever the policy."""
-    outcome = _crash_run("reroute", explicit_target=1)
-    assert isinstance(outcome["error"], FlowPeerFailedError)
-    assert "target 1" in str(outcome["error"])
-    assert outcome["tripped"] == []
+    """Naming the target opts out of rerouting, whatever the policy —
+    through ``push`` and through ``push_batch``, whose failed post also
+    ends in the named target's error under ``"reroute"``."""
+    for batch in (0, 8):
+        outcome = _crash_run("reroute", explicit_target=1, batch=batch)
+        assert isinstance(outcome["error"], FlowPeerFailedError)
+        assert "target 1" in str(outcome["error"])
+        assert outcome["tripped"] == []
+        assert outcome["failed"] == (1,)
 
 
-# -- route == route_many -------------------------------------------------------
+# -- route == partition -------------------------------------------------------
 
 def _numpy_integers():
     if np is None:
@@ -298,55 +316,75 @@ _KEYS = st.one_of(
 )
 
 
-#: numpy's *unsigned* scalars survive the generated kernel's multiply
-#: (signed ones overflow into its generic replay): they wrap it exactly
-#: like the kernel's 64-bit mask does, and warn about it.
-_numpy_wraps = pytest.mark.filterwarnings(
-    "ignore:overflow encountered in scalar multiply:RuntimeWarning")
+def _packs(schema, values) -> bool:
+    try:
+        schema.pack(values)
+    except SchemaError:
+        return False
+    return True
 
 
-@_numpy_wraps
 @pytest.mark.parametrize("key_type", ["uint64", "int64", "double"])
 @given(keys=st.lists(_KEYS, min_size=1, max_size=12),
        target_count=st.integers(1, 9))
 def test_route_and_route_many_agree(key_type, keys, target_count):
-    """``route(v, n)`` names the group ``route_many`` puts ``v`` in, for
-    the generated kernels (integer key columns) and the generic loop
-    (``double``), on lone tuples and on mixed batches."""
-    route = key_hash_router(Schema(("key", key_type), ("v", "uint64")),
-                            "key")
-    rows = [(key, position) for position, key in enumerate(keys)]
-    expected = [[] for _ in range(target_count)]
-    for row in rows:
-        expected[route(row, target_count)].append(row)
-    assert route.route_many(rows, target_count) == expected
-    for row in rows:
-        groups = route.route_many([row], target_count)
-        assert groups[route(row, target_count)] == [row]
-        assert sum(map(len, groups)) == 1
+    """``route(v, n)`` names the group the packed split puts ``v`` in
+    (the name predates ``route.partition``; ``route_many`` is gone): a
+    ``uint64`` column's batch of ``_ROUTE_NP_MIN`` rows, the keys over
+    and over, is split into the rows ``route`` sends each target, packed
+    in batch order — or declined, if a key does not pack or numpy is
+    missing, and always one row shorter. Other key columns have no
+    packed split, and ``route`` answers an index in range for every key
+    class."""
+    schema = Schema(("key", key_type), ("v", "uint64"))
+    route = key_hash_router(schema, "key")
+    rows = [(keys[i % len(keys)], i) for i in range(_ROUTE_NP_MIN)]
+    slots = [route(row, target_count) for row in rows]
+    assert all(0 <= slot < target_count for slot in slots)
+    if key_type != "uint64":
+        assert route.partition is None
+        return
+    assert route.partition(rows[1:], target_count) is None
+    split = route.partition(rows, target_count)
+    if np is None or not all(_packs(schema, row) for row in rows):
+        assert split is None
+        return
+    groups, order = split
+    expected = [[index for index, slot in enumerate(slots) if slot == target]
+                for target in range(target_count)]
+    assert order.tolist() == [index for group in expected for index in group]
+    assert [bytes(group) for group in groups] == [
+        b"".join(schema.pack(rows[index]) for index in group)
+        for group in expected]
 
 
-@_numpy_wraps
 def test_integer_like_keys_route_by_value():
     """The regression: a numpy integer key used to go through ``hash()``
     on the per-tuple path and through the Fibonacci hash on the batched
-    one."""
+    one. Both doors route it by value, the packed split included."""
     np_ = pytest.importorskip("numpy")
     route = key_hash_router(SCHEMA, "key")
     for count in (3, 8):
         want = route((12345, 0), count)
         for key in (np_.int64(12345), np_.uint64(12345), np_.int32(12345)):
             assert route((key, 0), count) == want
-            assert route.route_many([(key, 0)], count)[want] == [(key, 0)]
+            rows = [(key, i) for i in range(_ROUTE_NP_MIN)]
+            groups, _order = route.partition(rows, count)
+            assert bytes(groups[want]) == b"".join(map(SCHEMA.pack, rows))
 
 
 # -- push lands where route says ----------------------------------------------
 
-#: Segments no landing example fills (at most 64 rows, all to one
-#: target: 32 pushes and 32 batched), under the reroute policy.
-_ROOMY = FlowOptions(segment_size=2048, source_segments=2,
-                     target_segments=2, credit_threshold=1,
-                     on_target_failure="reroute")
+#: Segments of 128 rows, under the reroute policy: the short batch of a
+#: landing phase takes the row loop from two live targets on, its long
+#: batches of 200 and 300 rows are longer than ``_row_loop_max`` on both
+#: sides of ``_ROUTE_NP_MIN`` and fill segments (every target drains).
+_LANDING = FlowOptions(segment_size=2048, source_segments=2,
+                       target_segments=2, credit_threshold=1,
+                       on_target_failure="reroute")
+
+#: Rows of the long batches of a landing phase.
+_LONG = (200, 300)
 
 
 def _app_route(values, count):
@@ -357,91 +395,122 @@ def _app_route(values, count):
     return bool(slot) if slot < 2 else slot
 
 
-def _land(source, route, keys, tag):
-    """Push ``(key, tag)`` for each of ``keys``: every tuple must be
-    staged in ``channels[live[route(values, len(live))]]`` and nowhere
-    else, and one the schema cannot pack nowhere at all."""
-    channels, live = source._channels, source._live
+def _sent(source):
+    return [channel.tuples_sent for channel in source._channels]
+
+
+def _wire(schema, values):
+    """``values`` as a target reads them back."""
+    return schema.unpack(schema.pack(values))
+
+
+def _land(source, route, rows, expected):
+    """Generator: ``push`` each of ``rows``. A row the schema packs must
+    be staged in ``channels[live[route(values, len(live))]]`` and nowhere
+    else, one it cannot nowhere at all; ``expected[t]`` collects, in
+    order, what target ``t`` must receive."""
+    live = source._live
     assert source._fanout == len(live)
     schema = source.descriptor.schema
-    size = schema.tuple_size
-    for key in keys:
-        values = (key, tag)
-        before = [channel._stager.used for channel in channels]
+    for values in rows:
+        before = _sent(source)
         try:
-            assert source.push(values) is NO_FLUSH
+            yield from source.push(values)
         except SchemaError:
-            assert [channel._stager.used for channel in channels] == before
+            assert not _packs(schema, values)
+            assert _sent(source) == before
             continue
         home = live[route(values, len(live))]
-        expected = list(before)
-        expected[home] += size
-        assert [channel._stager.used for channel in channels] == expected
-        stager = channels[home]._stager
-        at = stager.base + before[home]
-        assert bytes(stager.buffer[at:at + size]) == schema.pack(values)
+        before[home] += 1
+        assert _sent(source) == before
+        expected[home].append(_wire(schema, values))
 
 
-def _packs(schema, values) -> bool:
-    try:
-        schema.pack(values)
-    except SchemaError:
-        return False
-    return True
-
-
-def _land_batch(source, route, keys, tag):
-    """Generator: ``push_batch`` the ``(key, tag)`` rows of ``keys``.
-    Every row must be staged in ``channels[live[route(values,
-    len(live))]]``, in batch order, and nowhere else. A row the schema
-    cannot pack fails the batch at the first live slot, in slot order,
-    whose rows hold one: the slots before it stage their rows, that slot
-    and the rest nothing."""
-    channels, live = source._channels, source._live
+def _land_batch(source, route, rows, expected):
+    """Generator: ``push_batch`` the ``rows``. Every row must be staged
+    in ``channels[live[route(values, len(live))]]``, in batch order, and
+    nowhere else. A row the schema cannot pack fails the batch at the
+    first live slot, in slot order, whose rows hold one: the slots before
+    it stage their rows, that slot at most the rows ahead of its first
+    bad one, the rest nothing."""
+    live = list(source._live)
     schema = source.descriptor.schema
-    rows = [(key, tag) for key in keys]
-    groups = {}
+    groups = [[] for _ in live]
     for values in rows:
-        groups.setdefault(int(route(values, len(live))), []).append(values)
-    bad = [slot for slot, group in groups.items()
+        groups[route(values, len(live))].append(values)
+    bad = [slot for slot, group in enumerate(groups)
            if not all(_packs(schema, values) for values in group)]
     cut = min(bad, default=len(live))
-    expected = {live[slot]: b"".join(map(schema.pack, group))
-                for slot, group in groups.items() if slot < cut}
-    before = [(channel._stager.base, channel._stager.used)
-              for channel in channels]
+    before = _sent(source)
     try:
         yield from source.push_batch(rows)
     except SchemaError:
         assert bad
     else:
         assert not bad
-    for index, channel in enumerate(channels):
-        base, used = before[index]
-        data = expected.get(index, b"")
-        stager = channel._stager
-        assert (stager.base, stager.used) == (base, used + len(data))
-        assert bytes(stager.buffer[base + used:stager.used]) == data
+    staged = [now - then for now, then in zip(_sent(source), before)]
+    for slot, group in enumerate(groups):
+        index = live[slot]
+        if slot < cut:
+            assert staged[index] == len(group)
+        elif slot == cut:
+            assert staged[index] <= next(
+                row for row, values in enumerate(group)
+                if not _packs(schema, values))
+        else:
+            assert staged[index] == 0
+        expected[index] += [_wire(schema, values)
+                            for values in group[:staged[index]]]
+        staged[index] = 0
+    assert not any(staged)
 
 
-@_numpy_wraps
+def _long_rows(schema, keys, count, tag, scalars):
+    """``count`` rows tagged ``tag``: the keys of ``keys`` the schema
+    packs, behind keys spread over the key column's range — numpy
+    scalars of the column's type if ``scalars`` (not for bytes keys)."""
+    kind = schema.fields[0].dtype.name
+    mix = [(i * 0x9E3779B97F4A7C15 + tag) % 2 ** 64 for i in range(count)]
+    if kind == "uint64":
+        spread, scalar = mix, "uint64"
+    elif kind == "int64":
+        spread, scalar = [key - 2 ** 63 for key in mix], "int64"
+    elif kind == "double":
+        spread, scalar = [(key % 2 ** 32) / 7 for key in mix], "float64"
+    else:
+        spread, scalar = [key.to_bytes(8, "little") for key in mix], None
+    if scalars and scalar and np is not None:
+        spread = list(map(getattr(np, scalar), spread))
+    good = [key for key in keys if _packs(schema, (key, tag))]
+    return [(key, tag) for key in spread[len(good):] + good]
+
+
 @settings(deadline=None)
 @given(key_type=st.sampled_from(["uint64", "int64", "double", 8]),
        keys=st.lists(_KEYS, min_size=1, max_size=8),
        target_count=st.integers(1, 9),
        drop=st.one_of(st.none(), st.integers(0, 8)),
-       adopt=st.booleans(), retire=st.booleans(), app=st.booleans())
+       adopt=st.booleans(), retire=st.booleans(), app=st.booleans(),
+       latency=st.booleans(), scalars=st.booleans(),
+       numpy_absent=st.booleans())
 def test_push_lands_where_route_says(key_type, keys, target_count, drop,
-                                     adopt, retire, app):
+                                     adopt, retire, app, latency, scalars,
+                                     numpy_absent):
     """The inlined hash and the live count ``push`` routes over agree
     with ``route`` for every key class — plain, negative (``int64``) and
     wider than 64 bits (``double``), ``bool``, numpy, ``str``, ``bytes``,
     ``float`` — on any target count, and after a reroute dropped a
-    target, a target was adopted and the last one retired. A key the
-    schema cannot pack stages nothing. ``push_batch`` of the same keys —
-    its row loop from two live targets on — lands every row where
-    ``route`` says too, and so does either door under an application's
-    routing function (``app``)."""
+    target, a target was adopted and the last one retired; retiring the
+    only live target is refused. A key the schema cannot pack stages
+    nothing. ``push_batch`` of the same keys — its row loop from two live
+    targets on — lands every row where ``route`` says too, and so do
+    batches longer than ``_row_loop_max`` — the routing pass, and
+    ``route.partition`` on a ``uint64`` key from ``_ROUTE_NP_MIN`` rows
+    unless numpy is planted absent — of keys spread over the column's
+    range, as numpy scalars or not, on bandwidth and latency flows, and
+    either door under an application's routing function (``app``).
+    Every target receives exactly the rows routed to it, in order (a
+    dropped one a prefix of them: its channel stops where it failed)."""
     schema = Schema(("key", key_type), ("tag", "uint64"))
     route = _app_route if app else key_hash_router(schema, "key")
     cluster = Cluster(node_count=target_count + 2)
@@ -449,15 +518,27 @@ def test_push_lands_where_route_says(key_type, keys, target_count, drop,
     dfi.init_shuffle_flow(
         "f", ["node0|0"], [f"node{n}|0" for n in range(1, target_count + 1)],
         schema, shuffle_key=None if app else "key",
-        routing=_app_route if app else None, options=_ROOMY)
+        routing=_app_route if app else None, options=_LANDING,
+        optimization=(Optimization.LATENCY if latency
+                      else Optimization.BANDWIDTH))
+    expected = [[] for _ in range(target_count + 1)]
+    received = [[] for _ in range(target_count + 1)]
+    dropped = []
     phases = []
 
     def target_thread(index):
-        yield from dfi.open_target("f", index)
+        target = yield from dfi.open_target("f", index)
+        while (batch := (yield from target.consume_batch())) is not FLOW_END:
+            received[index] += batch
 
     def land(source, tag):
-        _land(source, route, keys, tag)
-        yield from _land_batch(source, route, keys, tag)
+        rows = [(key, tag) for key in keys]
+        yield from _land(source, route, rows, expected)
+        yield from _land_batch(source, route, rows, expected)
+        for count in _LONG:
+            yield from _land_batch(
+                source, route,
+                _long_rows(schema, keys, count, tag, scalars), expected)
 
     def source_thread():
         source = yield from dfi.open_source("f", 0)
@@ -467,6 +548,7 @@ def test_push_lands_where_route_says(key_type, keys, target_count, drop,
             yield from source._handle_channel_failure(
                 drop, QpFlushedError("flushed"))
             assert drop not in source._live
+            dropped.append(drop)
             yield from land(source, 1)
         if adopt:
             index = dfi.registry.extend_targets(
@@ -475,15 +557,30 @@ def test_push_lands_where_route_says(key_type, keys, target_count, drop,
             yield from source.adopt_new_targets()
             assert source._live[-1] == index
             yield from land(source, 2)
-        if retire and len(source._channels) > 1:
+        if retire:
             last = len(source._channels) - 1
-            yield from source.retire_target(last)
-            assert last not in source._live
+            if source._live == [last]:
+                with pytest.raises(FlowError, match="close the flow"):
+                    yield from source.retire_target(last)
+            else:
+                yield from source.retire_target(last)
+                assert last not in source._live
             yield from land(source, 3)
+        yield from source.close()
         phases.append("done")
 
     cluster.env.process(source_thread())
     for index in range(target_count):
         cluster.env.process(target_thread(index))
-    cluster.run()
+    with contextlib.ExitStack() as planted:
+        if numpy_absent:
+            planted.enter_context(mock.patch.object(routing, "_NUMPY", None))
+            planted.enter_context(
+                mock.patch.dict("sys.modules", {"numpy": None}))
+        cluster.run()
     assert phases == ["done"]
+    for index, rows in enumerate(received):
+        want = expected[index]
+        if index in dropped:
+            want = want[:len(rows)]
+        assert rows == want, index

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.common.errors import FlowClosedError, FlowError
+from repro.common.errors import (
+    FlowClosedError,
+    FlowError,
+    FlowPeerFailedError,
+    FlowTimeoutError,
+)
 from repro.core import (
     FLOW_END,
     DfiRuntime,
@@ -419,6 +424,97 @@ def test_route_many_filling_a_group_past_the_targets_is_a_flow_error():
     route.route_many = lambda tuples, count: [list(tuples), [], []]
     error, received = _routed_1_to_2(route, "push_batch")
     assert error is None and len(received[0]) == 4
+
+
+def _through(source, door, values, target=None):
+    """Generator: the error ``values`` raised through one front door of
+    ``source`` (``push``, ``push_batch`` or ``push_bytes``), or None."""
+    try:
+        if door == "push":
+            yield from source.push(values, target)
+        elif door == "push_batch":
+            yield from source.push_batch([values], target)
+        else:
+            yield from source.push_bytes(SCHEMA.pack(values), target)
+    except FlowError as exc:
+        return exc
+    return None
+
+
+def _stall(source, index):
+    """Generator: write channel ``index`` off as a stall does — its target
+    counts as failed and the timeout surfaces, but the source stays
+    open."""
+    with pytest.raises(FlowTimeoutError):
+        yield from source._handle_channel_failure(
+            index, FlowTimeoutError("stalled"))
+
+
+def _refusals(targets, body):
+    """Run ``body(source)``, a generator returning what it saw, as the
+    source of a keyed 1:``targets`` flow whose targets open and never
+    consume; returns what it saw and what each channel took in."""
+    cluster, dfi = build(node_count=targets + 1)
+    dfi.init_shuffle_flow(
+        "f", ["node0|0"], [f"node{n}|0" for n in range(1, targets + 1)],
+        SCHEMA, shuffle_key="key")
+    seen = []
+
+    def source_thread():
+        source = yield from dfi.open_source("f", 0)
+        seen.extend((yield from body(source)))
+        seen.append([channel.tuples_sent for channel in source._channels])
+
+    def target_thread(index):
+        yield from dfi.open_target("f", index)
+
+    cluster.env.process(source_thread())
+    for index in range(targets):
+        cluster.env.process(target_thread(index))
+    cluster.run()
+    return seen
+
+
+@pytest.mark.parametrize("door", ["push", "push_batch", "push_bytes"])
+def test_a_named_target_out_of_range_or_failed_is_refused(door):
+    """``target=`` outside the flow's targets is a FlowError naming the
+    valid range; a target that failed is a FlowPeerFailedError naming
+    it. Every door refuses before anything is staged."""
+    def body(source):
+        seen = []
+        for target in (2, -1):
+            seen.append((yield from _through(source, door, (1, 1), target)))
+        yield from _stall(source, 1)
+        seen.append((yield from _through(source, door, (1, 1), 1)))
+        return seen
+
+    out_of_range, negative, failed, sent = _refusals(2, body)
+    for error in (out_of_range, negative):
+        assert type(error) is FlowError
+        assert "valid range [0, 2)" in str(error)
+    assert type(failed) is FlowPeerFailedError
+    assert "target 1 of flow 'f' has failed" in str(failed)
+    assert sent == [0, 0]
+
+
+@pytest.mark.parametrize("door", ["push", "push_batch", "push_bytes"])
+def test_a_routed_push_after_every_target_failed_is_refused(door):
+    """Every target of the flow failed (stalls, which leave the source
+    open): a push without ``target=`` is a FlowPeerFailedError.
+    ``push_bytes`` cannot route, so it runs on a one-target flow, whose
+    only target it takes."""
+    targets = 1 if door == "push_bytes" else 2
+
+    def body(source):
+        for index in range(targets):
+            yield from _stall(source, index)
+        return [(yield from _through(source, door, (1, 1)))]
+
+    error, sent = _refusals(targets, body)
+    assert type(error) is FlowPeerFailedError
+    assert ("every target of flow 'f' has failed" if targets == 2
+            else "target 0 of flow 'f' has failed") in str(error)
+    assert sent == [0] * targets
 
 
 def test_push_after_close_rejected():

@@ -42,13 +42,16 @@ def test_every_named_path_exists(document):
 
 
 #: A fenced block, an inline code span, a quoted string inside one (data,
-#: not a name: ``"<QQ48x"``), a ``file.py::Name`` test reference, and a
-#: CamelCase-looking name (private ones too: ``_Doorbell``).
+#: not a name: ``"<QQ48x"``), a ``file.py::Name`` test reference, a
+#: CamelCase-looking name (private ones too: ``_Doorbell``), and a private
+#: name (``_uint_route``, ``_HASH_MULT``) — not one next to ``*`` or
+#: ``[``, which make it a pattern (``_flush*``, ``x[_one]``).
 _FENCE = re.compile(r"^```.*?^```", re.M | re.S)
 _SPAN = re.compile(r"`([^`]+)`")
 _QUOTED = re.compile(r"\"[^\"]*\"|'[^']*'")
 _TEST_REF = re.compile(r"([\w/.-]+\.py)::(\w+)")
 _NAME = re.compile(r"\b(_*[A-Z][A-Za-z0-9]*)\b")
+_PRIVATE = re.compile(r"(?<![\w*\[])(_[A-Za-z][A-Za-z0-9_]*)(?![\w*\[])")
 
 #: Backticked CamelCase words that are not code names.
 _NOT_CODE = {"VmHWM"}  # a /proc/self/status field
@@ -83,6 +86,29 @@ def _defined_names(paths):
     return names
 
 
+def _bound_names(paths):
+    """Every name the Python files under ``paths`` bind, at any depth:
+    ``class``/``def`` names, arguments, import aliases, and the names and
+    attributes assigned to (``_NUMPY = …``, ``self._fanout = …``)."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, ast.alias):
+                names.add(node.asname or node.name)
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                               ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and not isinstance(
+                    node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
 @pytest.fixture(scope="module")
 def code_names():
     return (_defined_names([*(ROOT / "src" / "repro").rglob("*.py"),
@@ -90,22 +116,33 @@ def code_names():
             | set(dir(builtins)) | _NOT_CODE)
 
 
+@pytest.fixture(scope="module")
+def private_names():
+    return _bound_names([*(ROOT / "src" / "repro").rglob("*.py"),
+                         *(ROOT / "benchmarks").rglob("*.py"),
+                         *(ROOT / "tests").rglob("*.py")])
+
+
 @pytest.mark.parametrize("document",
                          [path for path in DOCUMENTS if path.suffix == ".md"],
                          ids=lambda p: str(p.relative_to(ROOT)))
-def test_every_named_symbol_exists(document, code_names):
+def test_every_named_symbol_exists(document, code_names, private_names):
     """A class, function or constant a doc names in backticks is defined
     under ``src/repro`` or ``benchmarks`` (a ``tests/…py::Name``
-    reference: in that test file)."""
+    reference: in that test file), and a private name is bound somewhere
+    under ``src/repro``, ``benchmarks`` or ``tests``."""
     missing = set()
     for span in _SPAN.findall(_FENCE.sub("", document.read_text())):
         span = _QUOTED.sub("", span)
         for path, name in _TEST_REF.findall(span):
             if name not in _defined_names([ROOT / path]):
                 missing.add(f"{path}::{name}")
-        for name in _NAME.findall(_TEST_REF.sub("", span)):
+        span = _TEST_REF.sub("", span)
+        for name in _NAME.findall(span):
             if _is_camel(name) and name not in code_names:
                 missing.add(name)
+        missing.update(name for name in _PRIVATE.findall(span)
+                       if name not in private_names)
     assert not missing, (
         f"{document.name} names code that does not exist: {sorted(missing)}")
 

@@ -4,7 +4,7 @@ A 1:8 bandwidth shuffle of 64 B tuples keyed on a ``uint64``, pushed in
 1024-row batches (the shape of the ledger's ``shuffle_batched``): a
 routed ``push_batch`` of ``_ROUTE_NP_MIN`` rows and more packs the whole
 batch with one ``struct`` call and splits the packed rows by target with
-numpy (``Schema.partition_kernel``), so no Python call is made per row
+numpy (``route.partition``), so no Python call is made per row
 on the push side. The targets drain with ``consume_batch``, one
 ``iter_unpack`` per segment.
 

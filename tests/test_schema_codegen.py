@@ -1,12 +1,13 @@
-"""Batch pack/unpack and the schema's batch kernels against references.
+"""Batch pack/unpack, batch routing and the combiner fold against references.
 
-The contract under test: the batched hash partitioner
-(``Schema.route_kernel``) and the columnar combiner fold
+The contract under test: a routed ``push_batch`` (its routing pass, and
+the packed split ``route.partition``) and the columnar combiner fold
 (``Schema.column_decoder`` + ``combiner._row_fold``) are *wall-clock*
-accelerators only — the partitions of per-tuple ``route`` and the
-aggregates of a row-by-row fold, across every dtype, field offset, batch
-size, partition loop and combiner operator. Batch pack/unpack is checked
-directly: byte layout and ``SchemaError`` cases.
+accelerators only — every row lands where per-tuple ``route`` puts it,
+and the fold gives the aggregates of a row-by-row fold, across every
+dtype, field offset, batch size, routing path and combiner operator.
+Batch pack/unpack is checked directly: byte layout and ``SchemaError``
+cases.
 
 (The module keeps the name it had when these kernels were generated
 source with a switched-off leg beside them: the suite's floor identifies
@@ -23,10 +24,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import FlowError, SchemaError
-from repro.core import Schema
+from repro.core import (
+    FLOW_END,
+    DfiRuntime,
+    Endpoint,
+    FlowOptions,
+    Schema,
+)
+from repro.core import routing
 from repro.core import schema as schema_module
 from repro.core.combiner import _row_fold
 from repro.core.routing import key_hash_router
+from repro.simnet import Cluster
 from repro.core.types import BUILTIN_TYPES
 
 #: Exercise values per dtype (chosen to round-trip exactly, including
@@ -162,6 +171,43 @@ def test_unpack_torn_buffer_raises_schema_error():
 
 
 # -- router ------------------------------------------------------------------
+#
+# The key hash routes a batch in one of two ways: ``push_batch``'s routing
+# pass (every row as ``route`` puts it; small batches then stage row by
+# row, longer ones are grouped) or, on an unsigned key from
+# ``_ROUTE_NP_MIN`` rows, ``route.partition``'s packed numpy split. The
+# tests below keep the names they had when the router carried batch loops
+# of its own (``route_many``): the suite's floor identifies tests by name.
+
+_NP_MIN = routing._ROUTE_NP_MIN
+
+#: Segments of 64 rows: a routed batch of up to 64 rows takes the row
+#: loop, 100 rows the routing pass grouped, 1024 rows the packed
+#: partition on an unsigned key (the routing pass on any other).
+_SEGMENT_ROWS = 64
+
+
+def _keyed_rows(schema, count):
+    """``_rows`` with the key column spread over the key dtype's range
+    (``_VALUES`` alone holds four keys a dtype): every fifth row keeps its
+    boundary value."""
+    rows = _rows(schema, count)
+    dtype = schema.fields[0].dtype
+    span = 2 ** (8 * dtype.size)
+    for i in range(count):
+        if i % 5:
+            spread = (i * 0x9E3779B1 + 7) % span
+            if dtype.name.startswith("uint"):
+                key = spread
+            elif dtype.name.startswith("int"):
+                key = spread - span // 2
+            elif dtype.name in ("float", "double"):
+                key = i * 0.5
+            else:
+                key = spread.to_bytes(dtype.size, "little")
+            rows[i] = (key, *rows[i][1:])
+    return rows
+
 
 def _via_route(route, rows, targets):
     """Reference partitions: per-tuple ``route`` on every row."""
@@ -169,36 +215,94 @@ def _via_route(route, rows, targets):
             for target in range(targets)]
 
 
+def _packs(schema, row) -> bool:
+    try:
+        schema.pack(row)
+    except SchemaError:
+        return False
+    return True
+
+
+def _landed(schema, batches, targets):
+    """Push ``batches`` one ``push_batch`` each into a 1:``targets``
+    bandwidth shuffle keyed on ``key``; returns what each target received
+    and the error the source's last batch raised (or ``None``)."""
+    cluster = Cluster(node_count=targets + 1)
+    dfi = DfiRuntime(cluster)
+    dfi.init_shuffle_flow(
+        "f", [Endpoint(0, 0)], [Endpoint(1 + n, 0) for n in range(targets)],
+        schema, shuffle_key="key",
+        options=FlowOptions(segment_size=_SEGMENT_ROWS * schema.tuple_size))
+    received = [[] for _ in range(targets)]
+    raised = []
+
+    def source():
+        src = yield from dfi.open_source("f", 0)
+        try:
+            for rows in batches:
+                yield from src.push_batch(rows)
+        except SchemaError as exc:
+            raised.append(exc)
+        yield from src.close()
+
+    def target(index):
+        tgt = yield from dfi.open_target("f", index)
+        while (batch := (yield from tgt.consume_batch())) is not FLOW_END:
+            received[index].extend(batch)
+
+    cluster.env.process(source())
+    for index in range(targets):
+        cluster.env.process(target(index))
+    cluster.run()
+    return received, (raised[0] if raised else None)
+
+
+def _expected(schema, batches, targets):
+    """What each target must receive: every row where ``route`` puts it,
+    in push order, as the wire carries it."""
+    route = key_hash_router(schema, "key")
+    expected = [[] for _ in range(targets)]
+    for rows in batches:
+        for row in rows:
+            expected[route(row, targets)].append(
+                schema.unpack(schema.pack(row)))
+    return expected
+
+
 @pytest.mark.parametrize("dtype", ("int8", "uint16", "int32", "uint64"))
 @pytest.mark.parametrize("targets", (1, 2, 3, 7, 8, 16))
 def test_route_many_partitions_identical(dtype, targets):
-    """Power-of-two mask and modulo branch of the integer loop, and the
-    numpy pass on the unsigned dtypes' 1024-row batch."""
+    """Every batch size lands every row where per-tuple ``route`` puts
+    it: the row loop, the routing pass grouped, and the 1024-row batch —
+    packed and split by ``route.partition`` on the unsigned dtypes, which
+    alone carry one — on the power-of-two mask and the modulo branch."""
     schema = Schema(("key", dtype), ("pad", 4))
-    route = key_hash_router(schema, "key")
-    for count in BATCH_SIZES:
-        rows = _rows(schema, count)
-        assert route.route_many(rows, targets) == _via_route(
-            route, rows, targets)
+    assert ((key_hash_router(schema, "key").partition is None)
+            == dtype.startswith("int"))
+    batches = [_keyed_rows(schema, count) for count in BATCH_SIZES]
+    assert _landed(schema, batches, targets) == (
+        _expected(schema, batches, targets), None)
 
 
 def test_route_many_non_int_dtype_declines():
-    """Float/char/bytes keys cannot use the inlined integer hash: their
-    batches loop over ``route`` (which ``hash()``es them)."""
+    """Float/char/bytes keys have no packed split (``route.partition`` is
+    ``None``): their batches take the routing pass, which ``hash()``es
+    them through ``route``."""
     for dtype in ("float", "double", "char", 8):  # 8: fixed_bytes
         schema = Schema(("key", dtype), ("pad", 4))
-        route = key_hash_router(schema, "key")
-        for targets in (1, 3, 8):
-            for count in BATCH_SIZES:
-                rows = _rows(schema, count)
-                assert route.route_many(rows, targets) == _via_route(
-                    route, rows, targets)
+        assert key_hash_router(schema, "key").partition is None
+        batches = [_keyed_rows(schema, count) for count in BATCH_SIZES]
+        for targets in (3, 8):
+            assert _landed(schema, batches, targets) == (
+                _expected(schema, batches, targets), None)
 
 
 def test_route_many_mistyped_batch_replays_through_generic():
-    """A batch whose key values violate the declared int dtype must
-    produce exactly the per-tuple partitions (whole-batch replay through
-    the ``route`` loop, partial groups discarded)."""
+    """A batch whose keys defy the declared int dtype: ``partition``
+    declines it, however long, and the routing pass routes each key as
+    ``route`` does (a ``str`` by ``hash()``). The batch then fails where
+    the group walk packs the first live slot holding a bad row: the
+    slots before it deliver their rows, that slot and the rest none."""
     schema = Schema(("key", "uint64"), ("pad", 4))
     route = key_hash_router(schema, "key")
     pad = b"ppXX"
@@ -206,38 +310,40 @@ def test_route_many_mistyped_batch_replays_through_generic():
     late = [(7, pad), (11, pad), ("zebra", pad), (13, pad), (None, pad)]
     for batch in (liars, late, late * 100):
         for targets in (4, 5):
-            assert route.route_many(batch, targets) == _via_route(
-                route, batch, targets)
+            assert route.partition(batch, targets) is None
+            groups = _via_route(route, batch, targets)
+            cut = min(slot for slot, group in enumerate(groups)
+                      if not all(_packs(schema, row) for row in group))
+            received, error = _landed(schema, [batch], targets)
+            assert "does not match schema" in str(error)
+            assert received == [
+                [schema.unpack(schema.pack(row)) for row in group]
+                if slot < cut else [] for slot, group in enumerate(groups)]
 
 
 @pytest.mark.parametrize("count", (10, 300))
 @pytest.mark.parametrize("dtype", ("uint64", "int64"))
 def test_numpy_scalar_keys_route_silently(dtype, count):
-    """Keys a caller lifts out of a numpy column: the integer loop's
-    product would wrap a numpy scalar and warn (``overflow encountered
-    in scalar multiply``, an abort under ``-W error``); batches of them
-    take the ``route`` loop below the numpy threshold and
-    ``operator.index`` above it. Same partitions as per-tuple ``route``
-    and as the plain-``int`` batch."""
+    """Keys a caller lifts out of a numpy column: the routing pass hands
+    them to ``route``, which hashes ``operator.index`` of them, and the
+    packed split reads them out of the packed rows, so no numpy
+    arithmetic runs on them (``overflow encountered in scalar multiply``
+    would abort under ``-W error``). They land where the plain-``int``
+    batch does and where per-tuple ``route`` says."""
     scalar = getattr(pytest.importorskip("numpy"), dtype)
     schema = Schema(("key", dtype), ("pad", 4))
-    route = key_hash_router(schema, "key")
     plain = [(i * 0x9E3779B1 + 5, b"pad!") for i in range(count)]
     rows = [(scalar(key), pad) for key, pad in plain]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for targets in (3, 8):
-            groups = route.route_many(rows, targets)
-            assert groups == _via_route(route, rows, targets)
-            assert groups == route.route_many(plain, targets)
-            assert route.route_many([], targets) == [[]] * targets
+            landed = _landed(schema, [rows, []], targets)
+            assert landed == (_expected(schema, [rows], targets), None)
+            assert landed == _landed(schema, [plain], targets)
 
 
-_NP_MIN = schema_module._ROUTE_NP_MIN
-
-#: Keys the declared ``uint64`` dtype does not admit: the numpy pass
-#: hands negative and >= 2**64 keys to the integer loop and everything
-#: ``operator.index`` rejects to the ``route`` loop.
+#: Keys the declared ``uint64`` dtype does not admit: none of them packs,
+#: so ``partition`` declines a batch holding one.
 _ODD_KEYS = (-1, -2 ** 63, 2 ** 64, 2 ** 64 + 5, 2 ** 70, 1.5, -0.0, 3e30)
 
 
@@ -253,10 +359,12 @@ _ODD_KEYS = (-1, -2 ** 63, 2 ** 64, 2 ** 64 + 5, 2 ** 70, 1.5, -0.0, 3e30)
 def test_vector_scalar_and_generic_routers_agree_across_the_binding(
         sizes, odd, targets, seed):
     """One router fed batches on both sides of ``_ROUTE_NP_MIN``: numpy
-    is bound by the first batch that reaches the numpy pass, mid-stream,
-    and the partitions are those of the integer loop (a signed key of
-    the same layout never leaves it) and of per-tuple ``route`` before,
-    at and after it."""
+    is bound by the first batch that reaches the packed split,
+    mid-stream. ``partition`` declines every shorter batch and every
+    batch holding a key a ``uint64`` column cannot (negative, ``>=
+    2**64``, a float); every other batch it splits into the packed
+    groups of per-tuple ``route``. A signed key of the same layout has
+    no packed split."""
     rng = random.Random(seed)
     batches = [[(rng.getrandbits(64), b"pad!") for _ in range(size)]
                for size in sizes]
@@ -264,33 +372,44 @@ def test_vector_scalar_and_generic_routers_agree_across_the_binding(
         if batch < len(batches) and position < len(batches[batch]):
             batches[batch][position] = (key, b"pad!")
     have_numpy = importlib.util.find_spec("numpy") is not None
+    schema = Schema(("key", "uint64"), ("pad", 4))
     # As in a fresh process: nothing has asked for numpy yet.
-    with mock.patch.object(schema_module, "_NUMPY", None):
-        route = key_hash_router(
-            Schema(("key", "uint64"), ("pad", 4)), "key")
-        scalar = key_hash_router(
-            Schema(("key", "int64"), ("pad", 4)), "key").route_many
+    with mock.patch.object(routing, "_NUMPY", None):
+        route = key_hash_router(schema, "key")
+        assert key_hash_router(
+            Schema(("key", "int64"), ("pad", 4)), "key").partition is None
         reached = False
         for rows in batches:
-            assert bool(schema_module._NUMPY) == (reached and have_numpy)
-            groups = route.route_many(rows, targets)
-            assert groups == scalar(rows, targets) == _via_route(
-                route, rows, targets)
+            assert bool(routing._NUMPY) == (reached and have_numpy)
+            split = route.partition(rows, targets)
             reached |= len(rows) >= _NP_MIN
+            if (not reached or len(rows) < _NP_MIN or not have_numpy
+                    or not all(_packs(schema, row) for row in rows)):
+                assert split is None
+                continue
+            groups, order = split
+            assert [bytes(group) for group in groups] == [
+                b"".join(map(schema.pack, group))
+                for group in _via_route(route, rows, targets)]
+            assert [rows[index] for index in order.tolist()] == [
+                row for group in _via_route(route, rows, targets)
+                for row in group]
 
 
 def test_numpy_planted_absent_routes_through_the_integer_loop():
-    """A process where ``import numpy`` fails: every batch, large ones
-    included, is partitioned by the integer loop — same partitions."""
+    """A process where ``import numpy`` fails: ``partition`` declines
+    every batch, large ones included, and ``push_batch`` routes them
+    through its routing pass — where ``route`` says."""
     schema = Schema(("key", "uint64"), ("pad", 4))
     rows = [(i * 7919 + 3, b"pad!") for i in range(2 * _NP_MIN)]
-    with mock.patch.object(schema_module, "_NUMPY", None), \
+    with mock.patch.object(routing, "_NUMPY", None), \
             mock.patch.dict("sys.modules", {"numpy": None}):
         route = key_hash_router(schema, "key")
         for targets in (3, 8):
-            assert route.route_many(rows, targets) == _via_route(
-                route, rows, targets)
-        assert schema_module._NUMPY == ()
+            assert route.partition(rows, targets) is None
+            assert _landed(schema, [rows], targets) == (
+                _expected(schema, [rows], targets), None)
+        assert routing._NUMPY == ()
 
 
 # -- combiner folds ----------------------------------------------------------
