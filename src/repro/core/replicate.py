@@ -51,8 +51,9 @@ from repro.core.segment import (
     FLAG_CLOSED,
     FLAG_CONSUMABLE,
     FOOTER_SIZE,
+    FOOTER_STRUCT,
+    SOURCE_SHIFT,
     pack_footer_into,
-    unpack_footer,
 )
 from repro.core.shuffle import (
     SegmentStager,
@@ -63,12 +64,15 @@ from repro.core.shuffle import (
     _open_channels,
     _source_counters,
     segment_payload_size,
+    torn_segment,
 )
 from repro.core.writers import MulticastWindow
 from repro.obs import endpoint_obs, log_close
 from repro.common.planelog import CLOSE, CONSUME, WRITE
 from repro.rdma.memory import zeroed
 from repro.rdma.nic import get_nic
+
+_FOOTER_UNPACK_FROM = FOOTER_STRUCT.unpack_from
 
 
 @dataclass(frozen=True)
@@ -637,6 +641,15 @@ class MulticastReplicateTarget:
         self._ring = ring_region
         self._slot_size = slot_size
         self._payload_size = slot_size - FOOTER_SIZE
+        # Proven once, here: every receive slot lies inside the ring (each
+        # was range-checked when first posted), so a datagram's footer is
+        # read and its payload sliced without a check per datagram.
+        self._mem = ring_region.mem
+        self._view = ring_region.view(0, ring_region.size)
+        self._completions = ud_qp.recv_cq.entries
+        self._recv_queue = ud_qp.recv_queue
+        self._iter_unpack = descriptor.schema.iter_unpack
+        self._tuple_size = descriptor.schema.tuple_size
         #: Per source: the control QP, the source's control region —
         #: resolved and range-checked once, the registration lives as long
         #: as the flow — and this target's handle into it.
@@ -704,54 +717,98 @@ class MulticastReplicateTarget:
 
     # -- receive processing --------------------------------------------------
     def _pump(self) -> None:
-        schema = self.descriptor.schema
-        while True:
-            completions = self._ud_qp.recv_cq.poll(max_entries=64)
-            if not completions:
-                break
-            for wc in completions:
-                region, offset, length = wc.result
-                footer = unpack_footer(
-                    region.view(offset + length - FOOTER_SIZE, FOOTER_SIZE))
-                tuples = (schema.unpack_rows(region.view(offset, footer.used))
-                          if footer.used else [])
-                # Free the slot for the next datagram right away: the
-                # payload has been decoded out of the ring.
-                self._ud_qp.post_recv(region, offset, self._slot_size)
-                self._accept(footer, tuples)
+        """One pass over the UD receive completions, oldest first, popped
+        straight off the receive CQ's entries.
+
+        Per datagram: one ``unpack_from`` reads the footer at the end of
+        what it carried, which must be a whole number of rows
+        (:func:`torn_segment`); its receive slot goes straight back onto
+        the QP's receive queue. The rows are decoded out of the
+        whole-ring view within this pass, before any datagram can land
+        in the slot again (one lands only in a later kernel event). An
+        abort voids the flow with no credit. Otherwise the hand-off
+        differs by ordering — the reorder buffer's insert, or the
+        source's :class:`SeqTracker` (an in-order ``seq`` with nothing
+        held ahead steps it inline) — and an accepted datagram is
+        credited to its source at once: credits are granted at parse
+        time, the moment the receive slot is reposted, so the credit
+        window tracks receive-queue capacity (its purpose) rather than
+        application consumption, which may stall behind a gap in ordered
+        mode. Duplicates (late retransmissions) take no credit. The gap
+        check runs only when it could act: a segment held out of order or
+        a gap deadline armed."""
+        completions = self._completions
+        if completions:
+            mem = self._mem
+            view = self._view
+            repost = self._recv_queue.append
+            ring = self._ring
+            slot_size = self._slot_size
+            tuple_size = self._tuple_size
+            iter_unpack = self._iter_unpack
+            reorder = self._reorder
+            trackers = self._trackers
+            consumed = self._consumed
+            control = self._control
+            ready = self._ready
+            obs = self._obs
+            while completions:
+                _region, offset, length = completions.popleft().result
+                carried = length - FOOTER_SIZE
+                used, flags, seq = _FOOTER_UNPACK_FROM(mem, offset + carried)
+                if flags & FLAG_ABORTED:
+                    # Aborts bypass ordering: the flow is void at once.
+                    repost((ring, offset, slot_size, None))
+                    self._aborted = True
+                    continue
+                if used % tuple_size or used > carried:
+                    raise torn_segment(offset // slot_size, used, tuple_size,
+                                       carried)
+                source = flags >> SOURCE_SHIFT
+                if reorder is not None:
+                    tuples = list(iter_unpack(view[offset:offset + used]))
+                    repost((ring, offset, slot_size, None))
+                    if not reorder.insert(seq, (source, flags & FLAG_CLOSED,
+                                                tuples)):
+                        continue
+                else:
+                    repost((ring, offset, slot_size, None))
+                    tracker = trackers[source]
+                    if seq == tracker._next and not tracker._ahead:
+                        tracker._next = seq + 1
+                    elif not tracker.add(seq):
+                        if obs is not None:
+                            obs.inc("core.duplicates_dropped")
+                        continue
+                count = consumed[source] = consumed[source] + 1
+                qp, region, handle = control[source]
+                qp.post_lone(None, 8, [(0, count.to_bytes(8, "little"))],
+                             region, handle.credit_offset)
+                if reorder is not None:
+                    continue
+                if flags & FLAG_CLOSED:
+                    self._close_seq[source] = seq
+                if used:
+                    ready.extend(iter_unpack(view[offset:offset + used]))
+                rows = used // tuple_size
+                self.tuples_received += rows
+                self.segments_received += 1
+                if obs is not None:
+                    obs.log((CONSUME, self.env.now, self, None, seq,
+                             (rows,), False, False))
+        # Held out of order: what the reorder drain leaves, or a
+        # tracker's segments ahead of its lowest missing one.
         if self._ordered:
             self._drain_reorder()
-        self._check_gaps()
-
-    def _accept(self, footer, tuples) -> None:
-        if footer.aborted:
-            # Aborts bypass ordering: the flow is void immediately.
-            self._aborted = True
-            return
-        # Credits are granted at parse time — the moment the receive slot
-        # is reposted — so the credit window tracks receive-queue capacity
-        # (its purpose) rather than application consumption, which may
-        # stall behind a gap in ordered mode.
-        source = footer.source_index
-        if self._ordered:
-            if self._reorder.insert(footer.seq,
-                                    (source, footer.closed, tuples)):
-                self._bump_credit(source)
-            return
-        tracker = self._trackers[source]
-        if not tracker.add(footer.seq):
-            if self._obs is not None:
-                self._obs.inc("core.duplicates_dropped")
-            return  # duplicate (late retransmission)
-        self._bump_credit(source)
-        if footer.closed:
-            self._close_seq[source] = footer.seq
-        self._ready.extend(tuples)
-        self.tuples_received += len(tuples)
-        self.segments_received += 1
-        if self._obs is not None:
-            self._obs.log((CONSUME, self.env.now, self, None, footer.seq,
-                           (len(tuples),), False, False))
+            held = self._reorder.pending
+        else:
+            held = False
+            for tracker in self._trackers:  # a loop: no call per pump
+                if tracker._ahead:
+                    held = True
+                    break
+        if held or self._gap_deadlines:
+            self._check_gaps()
 
     def _drain_reorder(self) -> None:
         while True:
@@ -767,12 +824,6 @@ class MulticastReplicateTarget:
             if self._obs is not None:
                 self._obs.log((CONSUME, self.env.now, self, None, seq,
                                (len(tuples),), False, False))
-
-    def _bump_credit(self, source: int) -> None:
-        consumed = self._consumed[source] = self._consumed[source] + 1
-        qp, region, handle = self._control[source]
-        qp.post_lone(None, 8, [(0, consumed.to_bytes(8, "little"))],
-                     region, handle.credit_offset)
 
     # -- gap detection -------------------------------------------------------
     def _current_gaps(self) -> list[tuple]:

@@ -89,9 +89,11 @@ class Schema:
         #: :meth:`pack_into` frame; callers turn its ``struct.error``
         #: into :meth:`mismatch`.
         self.raw_pack_into = self._struct.pack_into
-        #: Bound method cache: ``unpack_rows`` runs once per drained
-        #: segment on the target hot path.
-        self._iter_unpack = self._struct.iter_unpack
+        #: The row struct's bound ``iter_unpack(buffer)``: every row of a
+        #: buffer holding a whole number of them, one C call per segment
+        #: (``unpack_rows`` wraps it; a receive pass that has proven the
+        #: whole-row rule itself calls it directly).
+        self.iter_unpack = self._struct.iter_unpack
         #: Compiled batch structs, keyed by tuple count (push_batch packs a
         #: whole segment with a single struct call). Bounded: a count that
         #: no longer fits ``_batch_rows_left`` packs through power-of-two
@@ -226,7 +228,7 @@ class Schema:
         if offset or len(buffer) != span:
             buffer = memoryview(buffer)[offset:offset + span]
         # iter_unpack walks the whole payload in C, one call per segment.
-        return list(self._iter_unpack(buffer))
+        return list(self.iter_unpack(buffer))
 
     def unpack_rows(self, buffer) -> list[tuple]:
         """Unpack every tuple in ``buffer`` — the target-side drain hot
@@ -234,7 +236,7 @@ class Schema:
         segment's used payload always does); unlike :meth:`unpack_many`
         there is no count bookkeeping or slicing, just one C call."""
         try:
-            return list(self._iter_unpack(buffer))
+            return list(self.iter_unpack(buffer))
         except struct.error as exc:
             raise SchemaError(
                 f"cannot unpack {len(buffer)} bytes as "

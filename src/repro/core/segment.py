@@ -33,8 +33,8 @@ FLAG_ABORTED = 0x4
 
 #: Replicate flows stamp the sending source's index into the upper half of
 #: the flags word (targets need it for per-source credit/NACK back-flow).
-_SOURCE_SHIFT = 16
-_FLAG_MASK = (1 << _SOURCE_SHIFT) - 1
+SOURCE_SHIFT = 16
+_FLAG_MASK = (1 << SOURCE_SHIFT) - 1
 
 #: The released-segment footer (used=0, flags=0, seq=0): what a target
 #: writes back over a consumed segment's footer to mark it writable.
@@ -79,7 +79,7 @@ class Footer(NamedTuple):
     @property
     def source_index(self) -> int:
         """Index of the sending source (replicate flows only)."""
-        return self.flags >> _SOURCE_SHIFT
+        return self.flags >> SOURCE_SHIFT
 
 
 def pack_footer(used: int, flags: int, seq: int = 0,
@@ -87,7 +87,7 @@ def pack_footer(used: int, flags: int, seq: int = 0,
     """Encode a footer to its 16-byte wire form."""
     return FOOTER_STRUCT.pack(used,
                               (flags & _FLAG_MASK)
-                              | (source_index << _SOURCE_SHIFT),
+                              | (source_index << SOURCE_SHIFT),
                               seq)
 
 
@@ -97,7 +97,7 @@ def pack_footer_into(buffer: bytearray, offset: int, used: int, flags: int,
     intermediate object (the full-segment flush hot path)."""
     FOOTER_STRUCT.pack_into(buffer, offset, used,
                             (flags & _FLAG_MASK)
-                            | (source_index << _SOURCE_SHIFT),
+                            | (source_index << SOURCE_SHIFT),
                             seq)
 
 

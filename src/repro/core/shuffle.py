@@ -34,6 +34,7 @@ from repro.common.errors import (
     FlowPeerFailedError,
     FlowTimeoutError,
     QpFlushedError,
+    SchemaError,
 )
 from repro.core.flowdef import (
     FLOW_END,
@@ -554,8 +555,19 @@ class BandwidthSourceChannel(_SourceChannel):
                 count = min(whole, self._ring_segments - self._local_index)
                 slots = [None] * count
                 for position in range(count):
-                    fill(stager.buffer, stager.base,
-                         rows[index * stride:(index + seg_tuples) * stride])
+                    try:
+                        fill(stager.buffer, stager.base,
+                             rows[index * stride:
+                                  (index + seg_tuples) * stride])
+                    except SchemaError:
+                        # The segments sealed ahead of the bad row go out
+                        # before it surfaces, as the rows ahead of it do
+                        # in a group that starts mid-segment.
+                        if position:
+                            self.tuples_sent += position * seg_tuples
+                            yield from self._post_train(slots[:position],
+                                                        seq)
+                        raise
                     index += seg_tuples
                     stager.used = capacity
                     slots[position] = stager.seal(0, seq + position)
@@ -892,6 +904,19 @@ def _open_channels(registry: FlowRegistry, node: "Node",
     return channels
 
 
+def torn_segment(index: int, used: int, tuple_size: int,
+                 room: int) -> FlowError:
+    """The one torn-row error: segment ``index`` claims ``used`` payload
+    bytes that are not a whole number of ``tuple_size``-byte rows within
+    the ``room`` bytes it may hold (callers test inline). Every consumer
+    — rows, packed bytes, the ordered path, a multicast datagram — hands
+    out whole rows, so a torn row is a protocol bug to surface where it
+    is read."""
+    return FlowError(
+        f"segment {index} holds {used} bytes: not a whole number of "
+        f"{tuple_size}-byte rows within {room}")
+
+
 class TargetChannel:
     """Target half of one channel: a receive ring drained in ring order.
 
@@ -914,8 +939,9 @@ class TargetChannel:
         self._track_credits = (credit_region is not None
                                and descriptor.optimization
                                is Optimization.LATENCY)
-        self._footer_offsets = tuple(ring.footer_offset(index)
-                                     for index in range(ring.segment_count))
+        self._footer_offsets = tuple(range(
+            ring.segment_size, ring.segment_count * ring.slot_size,
+            ring.slot_size))
         # Proven once, here: a payload is sliced out of the whole-ring
         # view at ``footer offset - segment size`` and the credit counter
         # is packed in place, both without a range check per segment.
@@ -972,7 +998,8 @@ class TargetChannel:
             self.aborted = True  # abort voids any delivery guarantee
         elif used:
             if used % self._tuple_size or used > self._segment_size:
-                raise self._torn(index, used)
+                raise torn_segment(index, used, self._tuple_size,
+                                   self._segment_size)
             start = footer_offset - self._segment_size
             tuples = self.schema.unpack_rows(self._view[start:start + used])
         # Release the segment: reset the footer locally (writable again).
@@ -995,16 +1022,6 @@ class TargetChannel:
         count falls."""
         self.done = True
         self._owner._open -= 1
-
-    def _torn(self, index: int, used: int) -> FlowError:
-        """The error of segment ``index`` whose footer claims ``used``
-        payload bytes that are not a whole number of rows within the
-        segment (callers test inline). Every consumer — rows, packed
-        bytes, the ordered path — hands out whole rows, so a torn row is
-        a protocol bug to surface here."""
-        return FlowError(
-            f"segment {index} holds {used} bytes: not a whole number of "
-            f"{self._tuple_size}-byte rows within {self._segment_size}")
 
     def drain(self, out, unpack) -> int:
         """Consume every consecutive consumable segment in one pass.
@@ -1053,7 +1070,8 @@ class TargetChannel:
                     self._mark_done()
             if used:
                 if used % tuple_size or used > segment_size:
-                    raise self._torn(index, used)
+                    raise torn_segment(index, used, tuple_size,
+                                       segment_size)
                 start = footer_offset - segment_size
                 payload = view[start:start + used]
                 add(payload if unpack is None else unpack(payload))

@@ -154,7 +154,10 @@ class CompletionQueue:
                  metrics=None) -> None:
         self.env = env
         self.name = name
-        self._entries: deque[Completion] = deque()
+        #: Entries not yet polled, oldest first. A consumer that handles
+        #: each one as it pops it may drain this deque in place instead of
+        #: taking :meth:`poll`'s list (the multicast replicate target does).
+        self.entries: deque[Completion] = deque()
         self._waiters: deque[Event] = deque()
         #: Total completions ever pushed (for stats/tests).
         self.pushed = 0
@@ -171,7 +174,7 @@ class CompletionQueue:
         return (("rdma.cq_pushed", self.pushed),)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def push(self, completion: Completion) -> None:
         """Add a completion entry, waking one blocked waiter if any."""
@@ -183,20 +186,20 @@ class CompletionQueue:
         if self._waiters:
             self._waiters.popleft().succeed(completion)
         else:
-            self._entries.append(completion)
+            self.entries.append(completion)
 
     def poll(self, max_entries: int = 16) -> list[Completion]:
         """Pop up to ``max_entries`` completions without blocking."""
         popped = []
-        while self._entries and len(popped) < max_entries:
-            popped.append(self._entries.popleft())
+        while self.entries and len(popped) < max_entries:
+            popped.append(self.entries.popleft())
         return popped
 
     def wait(self) -> Event:
         """Return an event triggering with the next completion entry."""
         event = Event(self.env)
-        if self._entries:
-            event.succeed(self._entries.popleft())
+        if self.entries:
+            event.succeed(self.entries.popleft())
         else:
             self._waiters.append(event)
         return event

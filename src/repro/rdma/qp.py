@@ -837,7 +837,7 @@ class UdQueuePair:
     credit-based receive-queue pre-population exists to avoid.
     """
 
-    __slots__ = ("nic", "env", "qpn", "node", "recv_cq", "_recv_queue")
+    __slots__ = ("nic", "env", "qpn", "node", "recv_cq", "recv_queue")
 
     def __init__(self, nic: RNic, qpn: int, recv_cq: CompletionQueue) -> None:
         self.nic = nic
@@ -845,17 +845,21 @@ class UdQueuePair:
         self.qpn = qpn
         self.node = nic.node
         self.recv_cq = recv_cq
-        self._recv_queue: deque[tuple[MemoryRegion, int, int, Any]] = deque()
+        #: Posted receive requests ``(region, offset, length, wr_id)``, in
+        #: the order datagrams fill them. :meth:`post_recv` range-checks a
+        #: buffer; a consumer re-posting one it posted before may append
+        #: it here directly.
+        self.recv_queue: deque[tuple[MemoryRegion, int, int, Any]] = deque()
 
     def post_recv(self, region: MemoryRegion, offset: int, length: int,
                   wr_id: Any = None) -> None:
         """Post a receive buffer for incoming datagrams."""
         region.check_range(offset, length)
-        self._recv_queue.append((region, offset, length, wr_id))
+        self.recv_queue.append((region, offset, length, wr_id))
 
     @property
     def posted_recv_count(self) -> int:
-        return len(self._recv_queue)
+        return len(self.recv_queue)
 
     def post_send_multicast(self, group: MulticastGroup,
                             payload: bytes | bytearray | memoryview,
@@ -906,17 +910,19 @@ class UdQueuePair:
         return wr
 
     def _deliver_datagram(self, data: bytes) -> None:
-        if not self._recv_queue:
+        recv_queue = self.recv_queue
+        if not recv_queue:
             self.nic.rx_dropped_no_recv += 1
             return
-        region, offset, length, wr_id = self._recv_queue.popleft()
-        if len(data) > length:
+        region, offset, length, wr_id = recv_queue.popleft()
+        size = len(data)
+        if size > length:
             self.nic.rx_dropped_no_recv += 1
             return
         region.write(offset, data)
         self.recv_cq.push(Completion(
             wr_id=wr_id, opcode=Opcode.RECV, status=WcStatus.SUCCESS,
-            byte_len=len(data), result=(region, offset, len(data))))
+            byte_len=size, result=(region, offset, size)))
 
     def __repr__(self) -> str:
         return f"<UdQueuePair {self.node.name}:{self.qpn}>"

@@ -9,11 +9,12 @@ from array import array
 
 import pytest
 
-from repro.common.errors import FlowError
+from repro.common.errors import FlowError, SchemaError
 from repro.core import (
     FLOW_END,
     DfiRuntime,
     Endpoint,
+    FlowOptions,
     Optimization,
     Schema,
 )
@@ -90,6 +91,33 @@ def test_push_batch_single_channel_preserves_order():
                           shuffle_key="key")
     received = run_flow(cluster, dfi, "f", _batched)
     assert received[0] == TUPLES
+
+
+def test_whole_segments_ahead_of_a_bad_row_are_delivered():
+    """A batch that starts on an empty slot packs whole segments straight
+    into their slots. A row past the first of them that does not pack
+    raises only once the segments sealed ahead of it went out, so the
+    source's tallies agree with what the target receives."""
+    cluster, dfi = build(2)
+    dfi.init_shuffle_flow("f", ["node0|0"], ["node1|0"], SCHEMA,
+                          shuffle_key="key",
+                          options=FlowOptions(segment_size=8 * 16))
+    rows = [(i, i) for i in range(24)]
+    rows[20] = ("bad", 20)
+    after = [(100 + i, i) for i in range(8)]
+    tallies = {}
+
+    def source_fn(source, _index):
+        with pytest.raises(SchemaError):
+            yield from source.push_batch(rows)
+        channel = source._channels[0]
+        tallies["error"] = (channel._stager.sealed, channel.tuples_sent,
+                            channel.segments_sent)
+        yield from source.push_batch(after)
+
+    received = run_flow(cluster, dfi, "f", source_fn)
+    assert tallies["error"] == (2, 16, 2)
+    assert received[0] == rows[:16] + after
 
 
 def test_push_batch_accepts_iterators_and_empty_batches():

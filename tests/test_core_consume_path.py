@@ -22,7 +22,7 @@ from repro.core import (
     Ordering,
     Schema,
 )
-from repro.core.segment import FLAG_CONSUMABLE
+from repro.core.segment import FLAG_CONSUMABLE, pack_footer
 from repro.simnet import Cluster
 
 SCHEMA = Schema(("key", "uint64"), ("value", "uint64"))
@@ -340,7 +340,9 @@ def test_credit_trace_identical_across_placements():
 
 _TORN_CASES = [("shuffle", "consume"), ("shuffle", "consume_batch"),
                ("shuffle", "consume_bytes"), ("replicate-ordered", "consume"),
-               ("sharp", "consume_all")]
+               ("sharp", "consume_all"), ("replicate-multicast", "consume"),
+               ("replicate-multicast", "consume_batch"),
+               ("multicast-oversize", "consume")]
 
 #: A SHARP source tuple (24 B) is wider than the switch's partial
 #: ``(group, value)`` pair (16 B): the switch ring checks pairs.
@@ -351,10 +353,19 @@ _WIDE = Schema(("key", "uint64"), ("value", "uint64"), ("pad", "uint64"))
 def test_torn_row_raises_one_flow_error(kind, mode):
     """A consumable footer whose ``used`` is not a whole number of rows
     is a protocol bug every consume flavour reports the same way — none
-    unpacks a partial row or silently drops it."""
+    unpacks a partial row or silently drops it. A multicast datagram is
+    held to what it carried: ``multicast-oversize`` claims a row more
+    than a full segment, which would run on into the next receive slot
+    of the ring."""
     cluster = Cluster(node_count=2, seed=5)
     dfi = DfiRuntime(cluster)
-    if kind == "shuffle":
+    multicast = kind in ("replicate-multicast", "multicast-oversize")
+    if multicast:
+        dfi.init_replicate_flow("f", ["node1|0"], ["node0|0"], SCHEMA,
+                                options=FlowOptions(multicast=True))
+        # A multicast target opens only once its source has.
+        cluster.env.process(dfi.open_source("f", 0))
+    elif kind == "shuffle":
         dfi.init_shuffle_flow("f", ["node1|0"], ["node0|0"], SCHEMA,
                               shuffle_key="key")
     elif kind == "sharp":
@@ -370,16 +381,26 @@ def test_torn_row_raises_one_flow_error(kind, mode):
     caught = {}
 
     def target_thread():
+        nonlocal torn
         target = yield from dfi.open_target("f", 0)
-        inner = target._inner if kind == "sharp" else target
-        ring = inner._channels[0].ring
-        ring.region.write(ring.payload_offset(0), bytes(torn))
-        ring.write_footer(0, torn, FLAG_CONSUMABLE)
+        if multicast:
+            # A full segment's payload, its footer claiming ``torn`` bytes.
+            room = target._payload_size
+            if kind == "multicast-oversize":
+                torn = room + row
+            target._ud_qp._deliver_datagram(
+                bytes(room) + pack_footer(torn, FLAG_CONSUMABLE))
+            caught["segment_size"] = room
+        else:
+            inner = target._inner if kind == "sharp" else target
+            ring = inner._channels[0].ring
+            ring.region.write(ring.payload_offset(0), bytes(torn))
+            ring.write_footer(0, torn, FLAG_CONSUMABLE)
+            caught["segment_size"] = ring.segment_size
         try:
             yield from getattr(target, mode)()
         except FlowError as exc:
             caught["error"] = exc
-        caught["segment_size"] = ring.segment_size
 
     cluster.env.process(target_thread())
     cluster.run()

@@ -43,7 +43,7 @@ from repro.core import (
 from repro.core import routing
 from repro.core.routing import _ROUTE_NP_MIN
 from repro.simnet import Cluster, FaultPlan, node_crash
-from tests.callcount import count_calls
+from tests.callcount import count_calls, grown
 
 try:
     import numpy as np
@@ -193,14 +193,14 @@ def test_a_staging_shuffle_push_makes_exactly_these_calls(routing, frames):
         yield from source.push((1, 1))      # the channel's first tuple
         pushed = []
         seen["calls"] = count_calls(
-            lambda: pushed.append(source.push((2, 2))))
+            lambda: pushed.append(source.push((2, 2))), tally=True)
         seen["pushed"] = pushed
         yield from pushed[0]
 
     _run("shuffle", body, routing)
     assert seen["pushed"] == [NO_FLUSH]
     calls = seen["calls"]
-    assert (calls.frames, calls.c_calls) == (frames, 1), calls
+    assert (calls.frames, calls.c_calls) == (frames, 1), grown(calls)
 
 
 # -- failure policy around the flush ------------------------------------------

@@ -19,7 +19,7 @@ import random
 
 from repro.core import FLOW_END, DfiRuntime, Endpoint, Schema
 from repro.simnet import Cluster
-from tests.callcount import count_calls
+from tests.callcount import count_calls, grown
 
 SCHEMA = Schema(("key", "uint64"), ("pad", 56))
 TARGETS, BATCH, BATCHES = 8, 1024, 16
@@ -61,7 +61,8 @@ def test_a_large_routed_batch_costs_at_most_0_75_calls_per_tuple():
     _shuffle(1, [0]).run()
     idle_rows, busy_rows = [0], [0]
     idle, busy = _shuffle(0, idle_rows), _shuffle(BATCHES, busy_rows)
-    extra = count_calls(busy.run).total - count_calls(idle.run).total
+    idle_calls = count_calls(idle.run, tally=True)
+    busy_calls = count_calls(busy.run, tally=True)
     assert busy_rows[0] == BATCHES * BATCH
-    per_tuple = extra / (BATCHES * BATCH)
-    assert per_tuple <= 0.75, per_tuple
+    per_tuple = (busy_calls.total - idle_calls.total) / (BATCHES * BATCH)
+    assert per_tuple <= 0.75, f"{per_tuple}\n{grown(busy_calls, idle_calls)}"

@@ -24,7 +24,7 @@ from repro.core import (
     Schema,
 )
 from repro.simnet import Cluster
-from tests.callcount import count_calls
+from tests.callcount import count_calls, grown
 
 SCHEMA = Schema(("key", "uint64"), ("pad", 56))
 TRIPS = 200
@@ -97,10 +97,11 @@ def test_round_trip_is_eight_events_plus_three_per_credit_read():
 
 def test_round_trip_enters_at_most_95_frames():
     idle, busy = _pingpong(0, DEEP), _pingpong(TRIPS, DEEP)
-    per_trip = (count_calls(busy.run).frames
-                - count_calls(idle.run).frames) / TRIPS
+    idle_calls = count_calls(idle.run, tally=True)
+    busy_calls = count_calls(busy.run, tally=True)
+    per_trip = (busy_calls.frames - idle_calls.frames) / TRIPS
     assert _wqes(busy) - _wqes(idle) == 2 * TRIPS     # no credit read
-    assert per_trip <= 95, per_trip
+    assert per_trip <= 95, f"{per_trip}\n{grown(busy_calls, idle_calls)}"
 
 
 def test_round_trip_is_eight_events_and_at_most_165_calls():
@@ -108,12 +109,13 @@ def test_round_trip_is_eight_events_and_at_most_165_calls():
     CPU charge was a pooled ``Timeout`` and a polled wait a fresh
     ``Event``, each queued through a bound method appended to a list."""
     idle, busy = _pingpong(0, DEEP), _pingpong(TRIPS, DEEP)
-    idle_calls, busy_calls = count_calls(idle.run), count_calls(busy.run)
+    idle_calls = count_calls(idle.run, tally=True)
+    busy_calls = count_calls(busy.run, tally=True)
     assert _wqes(busy) - _wqes(idle) == 2 * TRIPS     # no credit read
     assert (busy.env.events_executed - idle.env.events_executed
             == 8 * TRIPS)
     per_trip = (busy_calls.library - idle_calls.library) / TRIPS
-    assert per_trip <= 165, per_trip
+    assert per_trip <= 165, f"{per_trip}\n{grown(busy_calls, idle_calls)}"
 
 
 def test_round_trip_enters_at_most_75_frames_and_130_calls():
@@ -126,14 +128,15 @@ def test_round_trip_enters_at_most_75_frames_and_130_calls():
     ``len`` of its footer offsets, and a consume scanned a clean doorbell
     set."""
     idle, busy = _pingpong(0, DEEP), _pingpong(TRIPS, DEEP)
-    idle_calls, busy_calls = count_calls(idle.run), count_calls(busy.run)
+    idle_calls = count_calls(idle.run, tally=True)
+    busy_calls = count_calls(busy.run, tally=True)
     assert _wqes(busy) - _wqes(idle) == 2 * TRIPS     # no credit read
     assert (busy.env.events_executed - idle.env.events_executed
             == 8 * TRIPS)
     frames = (busy_calls.frames - idle_calls.frames) / TRIPS
     per_trip = (busy_calls.library - idle_calls.library) / TRIPS
-    assert frames <= 75, frames
-    assert per_trip <= 130, per_trip
+    assert frames <= 75, f"{frames}\n{grown(busy_calls, idle_calls)}"
+    assert per_trip <= 130, f"{per_trip}\n{grown(busy_calls, idle_calls)}"
 
 
 #: Fig. 10a's DFI latency-optimized configuration at 16-byte tuples.
@@ -181,9 +184,10 @@ def test_streaming_latency_push_makes_at_most_66_calls_per_tuple():
     latency message path's glue was cut. The ring is short enough that
     the source waits on credits: one credit read per eight tuples."""
     idle, busy = _stream(0), _stream(STREAM_TUPLES)
-    idle_calls, busy_calls = count_calls(idle.run), count_calls(busy.run)
+    idle_calls = count_calls(idle.run, tally=True)
+    busy_calls = count_calls(busy.run, tally=True)
     credit_reads = _wqes(busy) - _wqes(idle) - STREAM_TUPLES
     assert credit_reads >= STREAM_TUPLES // 10, credit_reads
     per_tuple = ((busy_calls.library - idle_calls.library)
                  / STREAM_TUPLES)
-    assert per_tuple <= 66, per_tuple
+    assert per_tuple <= 66, f"{per_tuple}\n{grown(busy_calls, idle_calls)}"

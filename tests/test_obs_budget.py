@@ -23,7 +23,7 @@ from repro.core import (
     Schema,
 )
 from repro.simnet import Cluster
-from tests.callcount import count_calls
+from tests.callcount import count_calls, grown
 
 SCHEMA = Schema(("key", "uint64"), ("pad", 56))
 ROWS = [((i * 0x9E3779B97F4A7C15) & (2 ** 64 - 1), bytes(56))
@@ -94,18 +94,21 @@ def _multicast_replicate(obs: bool) -> Cluster:
     return cluster
 
 
-def _extra_calls_per_segment(build, counter: str) -> float:
+def _extra_calls_per_segment(build, counter: str) -> "tuple[float, str]":
     """Extra calls of the plane-on run over the plane-off run, per
-    segment counted by ``counter`` (summed over the nodes)."""
+    segment counted by ``counter`` (summed over the nodes), and the
+    functions whose calls the plane added most (:func:`grown`)."""
     build(False).run()          # lazy code generation, import-time caches
     build(True).run()
     bare, observed = build(False), build(True)
-    extra = count_calls(observed.run).total - count_calls(bare.run).total
+    bare_calls = count_calls(bare.run, tally=True)
+    observed_calls = count_calls(observed.run, tally=True)
+    extra = observed_calls.total - bare_calls.total
     assert observed.now == bare.now  # the plane never moves the timeline
     nodes = observed.metrics_snapshot()["nodes"].values()
     segments = sum(node["counters"].get(counter, 0) for node in nodes)
     assert segments >= 250, segments
-    return extra / segments
+    return extra / segments, grown(observed_calls, bare_calls)
 
 
 @pytest.fixture
@@ -117,21 +120,24 @@ def unfolded(monkeypatch):
 def test_bandwidth_shuffle_logs_at_most_six_calls_per_segment(unfolded):
     # One WRITE and one TRAIN record per doorbell train, one CONSUME
     # record plus one tuple count per drained segment.
-    assert _extra_calls_per_segment(_bandwidth_shuffle,
-                                    "core.segments_flushed") <= 6
+    extra, why = _extra_calls_per_segment(_bandwidth_shuffle,
+                                          "core.segments_flushed")
+    assert extra <= 6, f"{extra}\n{why}"
 
 
 def test_latency_shuffle_logs_at_most_eight_calls_per_segment(unfolded):
-    assert _extra_calls_per_segment(_latency_shuffle,
-                                    "core.segments_flushed") <= 8
+    extra, why = _extra_calls_per_segment(_latency_shuffle,
+                                          "core.segments_flushed")
+    assert extra <= 8, f"{extra}\n{why}"
 
 
 def test_multicast_replicate_logs_at_most_eight_calls_per_delivery(unfolded):
     # A multicast segment is one write and eight deliveries; every
     # delivery logs its own consume and its credit write, so the unit
     # is the delivered segment.
-    assert _extra_calls_per_segment(_multicast_replicate,
-                                    "core.segments_consumed") <= 8
+    extra, why = _extra_calls_per_segment(_multicast_replicate,
+                                          "core.segments_consumed")
+    assert extra <= 8, f"{extra}\n{why}"
 
 
 @pytest.mark.parametrize("build, counter, budget", [
@@ -142,7 +148,8 @@ def test_multicast_replicate_logs_at_most_eight_calls_per_delivery(unfolded):
 def test_whole_plane_budget_with_in_run_folds(build, counter, budget):
     # Logging plus deriving two trace events, four causal edges and
     # three histogram samples per segment, chunk by chunk.
-    assert 8 < _extra_calls_per_segment(build, counter) <= budget
+    extra, why = _extra_calls_per_segment(build, counter)
+    assert 8 < extra <= budget, f"{extra}\n{why}"
 
 
 def test_reading_nothing_derives_nothing(unfolded):

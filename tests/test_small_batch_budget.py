@@ -35,7 +35,7 @@ import random
 
 from repro.core import FLOW_END, DfiRuntime, Endpoint, FlowOptions, Schema
 from repro.simnet import Cluster
-from tests.callcount import count_calls
+from tests.callcount import Calls, count_calls, grown
 
 SCHEMA = Schema(("key", "uint64"), ("pad", 56))
 NODES, BATCH, BATCHES = 8, 32, 64
@@ -98,10 +98,14 @@ def _events(make) -> int:
     return busy.env.events_executed - idle.env.events_executed
 
 
-def _frames_per_tuple(make) -> float:
+def _frames_per_tuple(make) -> "tuple[float, str]":
+    """Frames per tuple, and the functions whose calls the tuples
+    added most (:func:`grown`)."""
     idle, busy = _mesh(0, make=make), _mesh(BATCHES, make=make)
-    return ((count_calls(busy.run).frames - count_calls(idle.run).frames)
-            / (NODES * BATCHES * BATCH))
+    idle_calls = count_calls(idle.run, tally=True)
+    busy_calls = count_calls(busy.run, tally=True)
+    return ((busy_calls.frames - idle_calls.frames)
+            / (NODES * BATCHES * BATCH), grown(busy_calls, idle_calls))
 
 
 def test_small_batches_cost_exactly_these_kernel_events():
@@ -115,16 +119,16 @@ def test_small_batches_cost_the_same_events_on_a_racked_twin():
 
 def test_a_tuple_enters_at_most_0_60_frames():
     """0.42 now; the racked twin below holds the tighter bound."""
-    per_tuple = _frames_per_tuple(_flat)
-    assert per_tuple <= 0.60, per_tuple
+    per_tuple, why = _frames_per_tuple(_flat)
+    assert per_tuple <= 0.60, f"{per_tuple}\n{why}"
 
 
 def test_a_tuple_enters_at_most_0_50_frames_on_a_racked_twin():
     """0.42 as well: the kernel's run loop is written out, so racks add
     no frame. One more frame per channel-batch would read about 0.66 on
     either cluster."""
-    per_tuple = _frames_per_tuple(_racked)
-    assert per_tuple <= 0.50, per_tuple
+    per_tuple, why = _frames_per_tuple(_racked)
+    assert per_tuple <= 0.50, f"{per_tuple}\n{why}"
 
 
 #: The fan-out of the batch-against-pushes budget: as many targets as the
@@ -132,8 +136,8 @@ def test_a_tuple_enters_at_most_0_50_frames_on_a_racked_twin():
 WIDE = 64
 
 
-def _wide_run(push) -> int:
-    """Library calls of one source shuffling 64 rows over 64 draining
+def _wide_run(push) -> Calls:
+    """The calls (tallied) of one source shuffling 64 rows over 64 draining
     targets through ``push(source, rows)`` (nothing pushed when it is
     ``None``), and its close."""
     rng = random.Random(3)
@@ -159,14 +163,16 @@ def _wide_run(push) -> int:
     cluster.node(0).spawn(source())
     for index in range(WIDE):
         cluster.node(1 + index).spawn(target(index))
-    calls = count_calls(cluster.run).library
+    calls = count_calls(cluster.run, tally=True)
     assert len(delivered) == (0 if push is None else WIDE)
     return calls
 
 
-def _wide_calls(push) -> int:
-    """``_wide_run(push)`` net of the same flow with nothing pushed."""
-    return _wide_run(push) - _wide_run(None)
+def _wide_calls(push) -> "tuple[int, Calls]":
+    """The library calls of ``_wide_run(push)`` net of the same flow
+    with nothing pushed, and that run's calls."""
+    busy = _wide_run(push)
+    return busy.library - _wide_run(None).library, busy
 
 
 def _one_batch(source, rows):
@@ -181,5 +187,7 @@ def _row_by_row(source, rows):
 def test_a_batch_costs_no_more_calls_than_its_rows_pushed_one_by_one():
     """1 237 calls against 1 291 (1 720 while every channel-batch took
     the group walk's charge and stage)."""
-    batch, pushes = _wide_calls(_one_batch), _wide_calls(_row_by_row)
-    assert batch <= pushes, (batch, pushes)
+    (batch, batch_calls), (pushes, push_calls) = (
+        _wide_calls(_one_batch), _wide_calls(_row_by_row))
+    assert batch <= pushes, (
+        f"{batch} > {pushes}\n{grown(batch_calls, push_calls)}")
