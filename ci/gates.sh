@@ -25,8 +25,9 @@ gate_tests() {
     python -m pytest -x -q
     # Simulated numbers only, so the diff is exact. A PR that means to move
     # a table commits the regenerated file and says why next to its
-    # EXPERIMENTS.md row.
-    python -m pytest -q benchmarks --ignore=benchmarks/ledger
+    # EXPERIMENTS.md row. --durations=0 puts every figure's wall in the
+    # log, so the suite's per-figure cost is read without a rerun.
+    python -m pytest -q benchmarks --ignore=benchmarks/ledger --durations=0
     if ! git diff --quiet benchmarks/results/; then
         # Name the moved figures first (one line per table, with its count
         # of changed lines), then the numbers.

@@ -26,7 +26,6 @@ the hook NOPaxos' gap agreement builds on.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from repro.common.errors import (
@@ -426,7 +425,7 @@ class NaiveReplicateTarget(ShuffleTarget):
         self._ordered = descriptor.ordering is Ordering.GLOBAL
         self._reorder = ReorderBuffer() if self._ordered else None
 
-    def _scan(self, out, unpack) -> bool:
+    def _scan(self, out, unpack) -> int:
         if not self._ordered:
             return super()._scan(out, unpack)
         # Ordered mode goes segment-by-segment through ``poll`` (the
@@ -435,11 +434,11 @@ class NaiveReplicateTarget(ShuffleTarget):
         # are polled, and each is drained until empty. ``poll`` decodes
         # rows itself: ``consume_bytes`` is refused here, so ``unpack``
         # could only name that decoder.
-        progressed = False
         dirty = self._doorbell.dirty
         channels = self._channels
         while dirty:
-            index = next(iter(dirty))
+            for index in dirty:
+                break
             del dirty[index]
             channel = channels[index]
             while True:
@@ -448,19 +447,19 @@ class NaiveReplicateTarget(ShuffleTarget):
                     break
                 footer, tuples = polled
                 self._reorder.insert(footer.seq, tuples)
-                progressed = True
             if channel.aborted:
                 self._abort_seen = True
         # A consume skips this scan while nothing is dirty, and with it
         # this drain: safe, because an entry becomes ready only through
         # an insert above, and every scan pops all that are ready.
+        held = 0
         while True:
             ready = self._reorder.pop_ready()
             if ready is None:
-                break
+                return held
             _seq, tuples = ready
             out.extend(tuples)
-        return progressed
+            held += len(tuples)
 
     def consume_bytes(self):
         if self._ordered:
@@ -666,7 +665,11 @@ class MulticastReplicateTarget:
         self._consumed = [0] * descriptor.source_count
         self._close_seq: list[int | None] = [None] * descriptor.source_count
         self._closed_delivered = 0
-        self._ready: deque = deque()
+        #: Rows the last pump took in: the first ``_held`` are ``_rows``,
+        #: of which ``_taken`` were handed out.
+        self._rows: list = []
+        self._taken = 0
+        self._held = 0
         self._gap_deadlines: dict = {}
         self._gap_pending: "GapNotification | None" = None
         self._aborted = False
@@ -734,9 +737,13 @@ class MulticastReplicateTarget:
         time, the moment the receive slot is reposted, so the credit
         window tracks receive-queue capacity (its purpose) rather than
         application consumption, which may stall behind a gap in ordered
-        mode. Duplicates (late retransmissions) take no credit. The gap
-        check runs only when it could act: a segment held out of order or
-        a gap deadline armed."""
+        mode. Duplicates (late retransmissions) take no credit and are
+        counted in ``core.duplicates_dropped``. The gap check runs only
+        when it could act: a segment held out of order or a gap deadline
+        armed. A pump runs only once every buffered row was handed out,
+        so the rows it takes in go into a fresh row list."""
+        rows = self._rows = []
+        held = 0
         completions = self._completions
         if completions:
             mem = self._mem
@@ -750,7 +757,6 @@ class MulticastReplicateTarget:
             trackers = self._trackers
             consumed = self._consumed
             control = self._control
-            ready = self._ready
             obs = self._obs
             while completions:
                 _region, offset, length = completions.popleft().result
@@ -770,6 +776,8 @@ class MulticastReplicateTarget:
                     repost((ring, offset, slot_size, None))
                     if not reorder.insert(seq, (source, flags & FLAG_CLOSED,
                                                 tuples)):
+                        if obs is not None:
+                            obs.inc("core.duplicates_dropped")
                         continue
                 else:
                     repost((ring, offset, slot_size, None))
@@ -789,41 +797,49 @@ class MulticastReplicateTarget:
                 if flags & FLAG_CLOSED:
                     self._close_seq[source] = seq
                 if used:
-                    ready.extend(iter_unpack(view[offset:offset + used]))
-                rows = used // tuple_size
-                self.tuples_received += rows
+                    rows.extend(iter_unpack(view[offset:offset + used]))
+                count = used // tuple_size
+                held += count
+                self.tuples_received += count
                 self.segments_received += 1
                 if obs is not None:
                     obs.log((CONSUME, self.env.now, self, None, seq,
-                             (rows,), False, False))
+                             (count,), False, False))
         # Held out of order: what the reorder drain leaves, or a
         # tracker's segments ahead of its lowest missing one.
         if self._ordered:
-            self._drain_reorder()
-            held = self._reorder.pending
+            held += self._drain_reorder(rows)
+            ahead = self._reorder.pending
         else:
-            held = False
+            ahead = False
             for tracker in self._trackers:  # a loop: no call per pump
                 if tracker._ahead:
-                    held = True
+                    ahead = True
                     break
-        if held or self._gap_deadlines:
+        self._held = held
+        self._taken = 0
+        if ahead or self._gap_deadlines:
             self._check_gaps()
 
-    def _drain_reorder(self) -> None:
+    def _drain_reorder(self, rows: list) -> int:
+        """Append every segment the reorder buffer releases in order to
+        ``rows``; returns the number of rows appended."""
+        held = 0
         while True:
             ready = self._reorder.pop_ready()
             if ready is None:
-                return
+                return held
             seq, (_source, closed, tuples) = ready
             if closed:
                 self._closed_delivered += 1
-            self._ready.extend(tuples)
-            self.tuples_received += len(tuples)
+            count = len(tuples)
+            rows.extend(tuples)
+            held += count
+            self.tuples_received += count
             self.segments_received += 1
             if self._obs is not None:
                 self._obs.log((CONSUME, self.env.now, self, None, seq,
-                               (len(tuples),), False, False))
+                               (count,), False, False))
 
     # -- gap detection -------------------------------------------------------
     def _current_gaps(self) -> list[tuple]:
@@ -891,10 +907,12 @@ class MulticastReplicateTarget:
         progress at all for that long consults the fault plane and raises
         :class:`FlowPeerFailedError` (a source is known dead) or
         :class:`FlowTimeoutError`; any arriving datagram restarts the
-        window."""
-        ready = self._ready
-        if ready:
-            return ready.popleft()
+        window. A buffered row is handed out by index, without a
+        call."""
+        taken = self._taken
+        if taken < self._held:
+            self._taken = taken + 1
+            return self._rows[taken]
         deadline = (None if self._peer_timeout is None
                     else self.env.now + self._peer_timeout)
         while True:
@@ -905,8 +923,9 @@ class MulticastReplicateTarget:
                 raise FlowAbortedError(
                     f"flow {self.descriptor.name!r} was aborted by a "
                     f"source")
-            if ready:
-                return ready.popleft()
+            if self._held:
+                self._taken = 1
+                return self._rows[0]
             if self._gap_pending is not None:
                 pending = self._gap_pending
                 self._gap_pending = None
@@ -953,9 +972,8 @@ class MulticastReplicateTarget:
         first = yield from self.consume()
         if first is FLOW_END or type(first) is GapNotification:
             return first
-        ready = self._ready
-        batch = [first, *ready]
-        ready.clear()
+        batch = self._rows[self._taken - 1:]
+        self._taken = self._held
         return batch
 
     def _progress_mark(self) -> tuple:
@@ -965,7 +983,7 @@ class MulticastReplicateTarget:
                 sum(self._consumed))
 
     def _finished(self) -> bool:
-        if self._ready:
+        if self._taken < self._held:
             return False
         if self._ordered:
             return (self._closed_delivered == self.descriptor.source_count

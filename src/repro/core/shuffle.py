@@ -21,7 +21,6 @@ the common-case push issues exactly one write and nothing else.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import partial
 from operator import index as _as_index
 from struct import Struct as _Struct, error as _struct_error
@@ -783,22 +782,12 @@ class LatencySourceChannel(_SourceChannel):
 
     def push(self, values: tuple):
         """Transfer one tuple immediately (one RDMA write); returns the
-        generator the caller must ``yield from``."""
+        generator the caller must ``yield from``. (``ShuffleSource.push``
+        stages its tuple in place instead.)"""
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
-        # Staged in place, as :meth:`_send` stages bytes and markers.
-        seq = self._credit.sent
-        base = (seq % self._staging_slots) * self._slot_size
-        try:
-            self._pack_tuple(self._staging, base, *values)
-        except _struct_error as exc:
-            raise self.schema.mismatch(values, exc) from None
-        used = self._tuple_size
-        _FOOTER_PACK_INTO(self._staging, base + self.segment_payload, used,
-                          _FLAG_WORDS[0], seq)
-        return self._write_slot(
-            self._staging_view[base:base + self._slot_size], used, 0, seq,
-            self._push_delay)
+        return self._send(self._push_delay, self._pack_row, values,
+                          self._tuple_size)
 
     def push_batch(self, tuples):
         """Generator: push a batch of tuples. Latency mode is inherently
@@ -807,6 +796,13 @@ class LatencySourceChannel(_SourceChannel):
         push = self.push
         for values in tuples:
             yield from push(values)
+
+    def _pack_row(self, buffer, offset: int, values: tuple) -> None:
+        """:meth:`_send`'s fill for one tuple."""
+        try:
+            self._pack_tuple(buffer, offset, *values)
+        except _struct_error as exc:
+            raise self.schema.mismatch(values, exc) from None
 
     def push_bytes(self, data):
         """Generator: push pre-packed tuple bytes (a byte view, see
@@ -1026,8 +1022,9 @@ class TargetChannel:
     def drain(self, out, unpack) -> int:
         """Consume every consecutive consumable segment in one pass.
 
-        With ``unpack`` (``Schema.unpack_rows``) each segment's rows are
-        ``extend``ed onto ``out`` (list or deque). With ``None`` its
+        With ``unpack`` (the schema's ``iter_unpack``; the torn-row check
+        proves each payload whole rows) each segment's rows are
+        ``extend``ed onto the list ``out``. With ``None`` its
         payload is ``append``ed as one zero-copy ``memoryview``, a whole
         number of packed rows; the view aliases ring memory this call
         already released for overwrite, so it is valid only until the
@@ -1036,7 +1033,7 @@ class TargetChannel:
         the ring. In latency mode the consumed counter is published once
         per pass: the pass runs inside one event continuation, so no
         remote credit read can sample between its segments. Returns the
-        number of segments drained.
+        number of rows drained.
         """
         if self.done:
             return 0
@@ -1095,7 +1092,7 @@ class TargetChannel:
             if self._track_credits:
                 _U64_PACK_INTO(self._credit_region.mem, self._credit_offset,
                                self._consumed)
-        return drained
+        return received
 
 
 class _FlowSource:
@@ -1331,8 +1328,12 @@ class ShuffleSource(_FlowSource):
         On a bandwidth flow a push that only stages enters no frame but
         this one: a plain ``int`` key is hashed here (``route`` of
         :func:`key_hash_router`, inlined) and the tuple is packed straight
-        into the channel's open staging slot. A latency channel's
-        ``push`` writes the tuple at once.
+        into the channel's open staging slot. On a latency flow every
+        push writes its tuple at once: it is staged here too, and while
+        the channel's credit window is open, with no refresh pending,
+        the channel's ``_write_slot`` is returned as it is — it can fail
+        only in a credit wait, so the failure policy has nothing to
+        guard.
         """
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
@@ -1357,11 +1358,34 @@ class ShuffleSource(_FlowSource):
                     slot = _route_slot(slot, count)
             target = self._live[slot]
         channel = self._channels[target]
+        if channel.closed:
+            raise FlowClosedError("push on a closed flow source")
         if self._fill is None:
-            flush = channel.push(values)
+            # One write now, its tuple staged in place as
+            # ``LatencySourceChannel._send`` stages bytes and markers.
+            credit = channel._credit
+            seq = credit.sent
+            base = (seq % channel._staging_slots) * channel._slot_size
+            staging = channel._staging
+            try:
+                channel._pack_tuple(staging, base, *values)
+            except _struct_error as exc:
+                raise channel.schema.mismatch(values, exc) from None
+            used = channel._tuple_size
+            _FOOTER_PACK_INTO(staging, base + channel.segment_payload, used,
+                              _FLAG_WORDS[0], seq)
+            flush = channel._write_slot(
+                channel._staging_view[base:base + channel._slot_size], used,
+                0, seq, channel._push_delay)
+            if (credit.pending is None
+                    and seq - credit.consumed < channel._segments):
+                # An open window with no refresh to harvest stays so
+                # until the write posts (only this thread moves ``sent``,
+                # ``consumed`` and ``pending``): ``_write_slot`` does not
+                # ``acquire``, so it cannot raise what the failure policy
+                # handles.
+                return flush
         else:
-            if channel.closed:
-                raise FlowClosedError("push on a closed flow source")
             stager = channel._stager
             used = stager.used
             try:
@@ -1819,7 +1843,11 @@ class ShuffleTarget:
         self.node = registry.cluster.node(
             descriptor.targets[target_index].node_id)
         self._channels = channels
-        self._buffer: deque = deque()
+        #: Rows a scan buffered for per-tuple consumes: the first
+        #: ``_held`` are ``_rows``, of which ``_taken`` were handed out.
+        self._rows: list = []
+        self._taken = 0
+        self._held = 0
         # Doorbell set: channel indices whose ring saw a write since the
         # channel was last drained (``_Doorbell.dirty``), so a scan
         # touches only channels that actually received data instead of
@@ -1831,7 +1859,7 @@ class ShuffleTarget:
         # deadline (:meth:`_bounded_wait`).
         self._doorbell = _Doorbell(
             self.node, [channel.ring.region for channel in channels])
-        self._unpack = descriptor.schema.unpack_rows
+        self._unpack = descriptor.schema.iter_unpack
         #: Channels whose close marker has not been consumed yet
         #: (``TargetChannel._mark_done`` counts it down).
         self._open = len(channels)
@@ -1910,25 +1938,31 @@ class ShuffleTarget:
         single drain pass can pick up data segments *and* an abort marker,
         and per-channel FIFO delivery holds up to the abort point —
         :class:`FlowAbortedError` is raised once the buffer is empty.
+        A buffered row is handed out by index, without a call.
         """
-        buffer = self._buffer
-        if buffer:
-            return buffer.popleft()
+        taken = self._taken
+        if taken < self._held:
+            self._taken = taken + 1
+            return self._rows[taken]
         dirty = self._doorbell.dirty
         while True:
-            # Only a write marks a channel dirty: a clean set scans nothing.
-            progressed = dirty and self._scan(buffer, self._unpack)
-            if buffer:
-                return buffer.popleft()
+            # Only a write marks a channel dirty: a clean set scans
+            # nothing, and a scan leaves the set clean (so a scan that
+            # found only close markers or empty segments needs no other).
+            if dirty:
+                rows = []
+                held = self._scan(rows, self._unpack)
+                if held:
+                    self._rows = rows
+                    self._held = held
+                    self._taken = 1
+                    return rows[0]
             if self._abort_seen:
                 raise FlowAbortedError(
                     f"flow {self.descriptor.name!r} was aborted by a "
                     f"source")
             if self._finished():
                 return FLOW_END
-            if progressed:
-                # Close markers or empty segments arrived; rescan.
-                continue
             if self._peer_timeout is None:
                 yield self._doorbell.arm(poll=True)
             else:
@@ -1968,7 +2002,7 @@ class ShuffleTarget:
         Cannot be mixed with tuple-returning consumes while unpacked
         tuples are buffered (raises :class:`FlowError`).
         """
-        if self._buffer:
+        if self._taken < self._held:
             raise FlowError(
                 "consume_bytes with unpacked tuples buffered; drain them "
                 "with consume/consume_batch first")
@@ -1976,25 +2010,24 @@ class ShuffleTarget:
 
     def _consume_list(self, unpack):
         """Generator: the one wait loop of :meth:`consume_batch` (rows,
-        ``unpack`` is ``Schema.unpack_rows``) and :meth:`consume_bytes`
-        (payload views, ``unpack`` is ``None``). Every ready channel is
-        drained straight into the list it returns — no deque round-trip
-        per tuple."""
-        buffer = self._buffer
+        ``unpack`` is the schema's ``iter_unpack``) and
+        :meth:`consume_bytes` (payload views, ``unpack`` is ``None``).
+        Every ready channel is drained straight into the list it
+        returns."""
         dirty = self._doorbell.dirty
-        if buffer:
+        taken = self._taken
+        if taken < self._held:
             # Leftovers from per-tuple consumes (rows only, see
-            # consume_bytes): drain into the deque so FIFO order holds
-            # across the mix, then hand over everything.
+            # consume_bytes) go first, so FIFO order holds across the
+            # mix, then everything ready.
+            batch = self._rows[taken:]
+            self._taken = self._held
             if dirty:
-                self._scan(buffer, unpack)
-            batch = list(buffer)
-            buffer.clear()
+                self._scan(batch, unpack)
             return batch
         while True:
             batch = []
-            progressed = dirty and self._scan(batch, unpack)
-            if batch:
+            if dirty and self._scan(batch, unpack):
                 return batch
             if self._abort_seen:
                 raise FlowAbortedError(
@@ -2002,8 +2035,6 @@ class ShuffleTarget:
                     f"source")
             if self._finished():
                 return FLOW_END
-            if progressed:
-                continue
             if self._peer_timeout is None:
                 yield self._doorbell.arm(poll=True)
             else:
@@ -2013,31 +2044,32 @@ class ShuffleTarget:
         """True once the flow is fully drained (hook for subclasses)."""
         return not self._open
 
-    def _scan(self, out, unpack) -> bool:
-        """Drain every doorbell'd channel into ``out`` — the tuple buffer
-        deque, or a list that goes straight to the caller — through
-        :meth:`TargetChannel.drain` with ``unpack``.
+    def _scan(self, out, unpack) -> int:
+        """Drain every doorbell'd channel into the list ``out`` through
+        :meth:`TargetChannel.drain` with ``unpack``; returns the number
+        of rows drained.
 
-        Callers skip the call while the doorbell's dirty set is empty.
-        Each dirty channel is drained of all its consecutive consumable
+        Callers skip the call while the doorbell's dirty set is empty,
+        and it returns with the set empty: each dirty channel, first
+        marked first, is drained of all its consecutive consumable
         segments; a channel leaves the dirty set only here, immediately
         before the drain, so a write landing later re-marks it via the
         hook and nothing is ever missed. Drains fire no write hooks
         themselves (footer releases are direct memory stores), so the
         set cannot grow while it is walked by our own doing.
         """
-        progressed = False
+        held = 0
         dirty = self._doorbell.dirty
         channels = self._channels
         while dirty:
-            index = next(iter(dirty))
+            for index in dirty:
+                break
             del dirty[index]
             channel = channels[index]
-            if channel.drain(out, unpack):
-                progressed = True
-                if channel.aborted:
-                    self._abort_seen = True
-        return progressed
+            held += channel.drain(out, unpack)
+            if channel.aborted:
+                self._abort_seen = True
+        return held
 
     # -- introspection -----------------------------------------------------
     @property

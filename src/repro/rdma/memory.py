@@ -87,9 +87,12 @@ class MemoryRegion:
                 f"access [{offset}, {offset + length}) outside region of "
                 f"size {self.size} (rkey={self.rkey})")
 
-    def write(self, offset: int, data: bytes | bytearray | memoryview) -> None:
-        """Commit ``data`` into the region at ``offset``."""
-        length = len(data)
+    def write(self, offset: int, data: bytes | bytearray | memoryview,
+              length: "int | None" = None) -> None:
+        """Commit ``data`` into the region at ``offset``. ``length`` is
+        ``len(data)``, passed by a commit whose post measured it."""
+        if length is None:
+            length = len(data)
         end = offset + length
         # Inline: the commit path pays no call for an in-range write.
         if offset < 0 or end > self.size:

@@ -70,15 +70,20 @@ def _commit_write(args) -> None:
         write(base + piece_offset, chunk)
 
 
+def _commit_span(args) -> None:
+    """Train action of a one-piece write (:meth:`QueuePair.post_lone`):
+    commit ``chunk``, ``length`` bytes the post measured, at ``offset``
+    of ``region``. ``args`` is a ``(region, offset, chunk, length)``
+    record."""
+    region, offset, chunk, length = args
+    region.write(offset, chunk, length)
+
+
 def _split_ordered_tail(pieces, split: int):
     """Split a write's ``(offset, chunk)`` pieces at byte ``split`` (its
     size less the ``_ORDERED_TAIL`` bytes that commit last, positive):
     ``(prefix_pieces, tail_pieces)``. A piece straddling the boundary is
     cut zero-copy."""
-    if len(pieces) == 1:
-        # The dominant shape: one buffer holding the whole write.
-        view = memoryview(pieces[0][1])
-        return ((0, view[:split]),), ((split, view[split:]),)
     prefix_pieces = []
     tail_pieces = []
     for offset, chunk in pieces:
@@ -394,7 +399,26 @@ class QueuePair:
             issued = now + delay
             obs.log((WQE, self, now + admit, issued, issued, arrival))
         split = size - _ORDERED_TAIL
-        if split > 0:
+        piece = pieces[0]
+        if piece is pieces[-1]:
+            # The dominant shape, one buffer holding the whole write (its
+            # last piece is its first): split inline, each commit
+            # carrying its length.
+            chunk = piece[1]
+            if split > 0:
+                if chunk.__class__ is not memoryview:
+                    chunk = memoryview(chunk)
+                prefix_delay = (arrival_delay
+                                - _ORDERED_TAIL / nic.profile.link_bandwidth)
+                actions = [
+                    (now + prefix_delay if prefix_delay > 0.0 else now,
+                     _commit_span, (region, offset, chunk[:split], split)),
+                    (arrival, _commit_span, (region, offset + split,
+                                             chunk[split:], _ORDERED_TAIL))]
+            else:
+                actions = [(arrival, _commit_span,
+                            (region, offset, chunk, size))]
+        elif split > 0:
             prefix_pieces, tail_pieces = _split_ordered_tail(pieces, split)
             prefix_delay = (arrival_delay
                             - _ORDERED_TAIL / nic.profile.link_bandwidth)

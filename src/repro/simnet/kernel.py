@@ -623,16 +623,21 @@ class Environment:
     def cancel(self, timer: Timeout) -> None:
         """Withdraw a pending ``timer`` from the timed queue: it never
         fires, and the clock never reaches its instant on its account.
-        Linear in the queue, so it is for rare calls — a guard timer
-        beaten by the wake it guarded — not for hot paths. A timer that
-        is not waiting there (already fired, or zero-delay) raises."""
+        Finding it is linear in the queue, so it is for rare calls — a
+        guard timer beaten by the wake it guarded — not for hot paths;
+        the queue's last entry takes its place and one sift from there
+        restores the heap. A timer that is not waiting there (already
+        fired, or zero-delay) raises."""
         queue = self._queue
         for index, entry in enumerate(queue):
             if entry[2] is timer:
                 last = queue.pop()
                 if index < len(queue):
                     queue[index] = last
-                    heapq.heapify(queue)
+                    if index and last < queue[(index - 1) >> 1]:
+                        heapq._siftdown(queue, 0, index)  # toward the root
+                    else:
+                        heapq._siftup(queue, index)  # toward the leaves
                 return
         raise SimulationError(f"{timer!r} is not on the timed queue")
 

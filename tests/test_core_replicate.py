@@ -908,3 +908,44 @@ def test_multicast_event_budget_and_persistent_hooks(monkeypatch):
     waited_on = [source._window.region] + [target._ring
                                            for target in targets]
     assert [len(region._write_hooks) for region in waited_on] == [1] * 9
+
+
+def test_ordered_multicast_counts_the_duplicates_its_reorder_buffer_drops():
+    """A late retransmission a globally ordered target already holds is
+    dropped by the reorder buffer's insert, and ``core.duplicates_dropped``
+    counts it as the unordered tracker's drops are counted: a 1:3 flow at
+    20 % multicast loss resends segments some targets already have."""
+    cluster = Cluster(node_count=4, seed=3,
+                      profile=HardwareProfile(multicast_loss_probability=0.2))
+    cluster.enable_observability()
+    dfi = DfiRuntime(cluster)
+    dfi.init_replicate_flow(
+        "rep", [Endpoint(0, 0)], [Endpoint(1 + n, 0) for n in range(3)],
+        SCHEMA, ordering=Ordering.GLOBAL,
+        options=FlowOptions(multicast=True, segment_size=256,
+                            retransmit_timeout=20_000))
+    rows = [(i, i) for i in range(400)]
+    targets = []
+
+    def source_thread():
+        source = yield from dfi.open_source("rep", 0)
+        for row in rows:
+            yield from source.push(row)
+        yield from source.close()
+
+    def target_thread(index):
+        target = yield from dfi.open_target("rep", index)
+        targets.append(target)
+        got = []
+        yield from _consume_all(target, False, got)
+        assert got == rows
+
+    cluster.env.process(source_thread())
+    for index in range(3):
+        cluster.env.process(target_thread(index))
+    cluster.run()
+    dropped = sum(target._reorder.duplicates_dropped for target in targets)
+    counted = sum(node["counters"].get("core.duplicates_dropped", 0)
+                  for node in cluster.metrics_snapshot()["nodes"].values())
+    assert dropped > 0
+    assert counted == dropped

@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event kernel."""
 
+import heapq
 import itertools
 import tokenize
 from pathlib import Path
@@ -515,6 +516,49 @@ def test_events_fire_in_when_seq_order_of_an_independent_reference(
         assert _kernel_order(env, programme, stepwise) == expected
         # A cancelled guard leaves the clock at the last event that fired.
         assert env.now == (expected[-1][0] if expected else 0.0)
+
+
+def _left_half(index: int) -> bool:
+    """Whether heap slot ``index`` lies under the root's left child."""
+    while index > 2:
+        index = (index - 1) >> 1
+    return index == 1
+
+
+#: 63 timer delays: with ties, in no order; and in the slot order of a
+#: heap whose left half runs later than its right, so that the queue's
+#: last entry (right half) sifts toward the root when it fills a
+#: left-half slot.
+_CANCEL_LAYOUTS = {
+    "mixed": [float((index * 37) % 23 + 1) for index in range(63)],
+    "left_late": [float(index + 1 + 100 * _left_half(index))
+                  for index in range(63)],
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_CANCEL_LAYOUTS))
+def test_cancel_restores_the_heap_with_one_sift(monkeypatch, layout):
+    """Cancelling a guard anywhere among the queued timers leaves every
+    other timer firing in ``(time, seq)`` order, with the queue repaired
+    from the guard's slot alone, never rebuilt by ``heapify``."""
+    def rebuilt(_queue):
+        raise AssertionError("cancel rebuilt the whole heap")
+
+    monkeypatch.setattr(heapq, "heapify", rebuilt)
+    delays = _CANCEL_LAYOUTS[layout]
+    for guard in range(len(delays)):
+        env = Environment()
+        fired = []
+        timers = []
+        for index, delay in enumerate(delays):
+            timer = env.timeout(delay, index)
+            timer.callbacks.append(lambda event: fired.append(event.value))
+            timers.append(timer)
+        env.cancel(timers[guard])
+        env.run()
+        assert fired == sorted((index for index in range(len(delays))
+                                if index != guard),
+                               key=lambda index: (delays[index], index))
 
 
 # -- a process's own wake entry ----------------------------------------------
