@@ -14,14 +14,13 @@ from repro.core.flowdef import (
     Ordering,
 )
 from repro.core.nodes import Endpoint, endpoints_on, parse_endpoints
-from repro.core.ordering import ReorderBuffer
 from repro.core.registry import FlowRegistry, RingHandle, SequencerHandle
 from repro.core.replicate import (
     MulticastReplicateSource,
     MulticastReplicateTarget,
     NaiveReplicateSource,
     NaiveReplicateTarget,
-    SeqTracker,
+    SeqWindow,
 )
 from repro.core.routing import (
     key_hash_router,
@@ -85,8 +84,7 @@ __all__ = [
     "SharpCombinerSource",
     "SharpCombinerTarget",
     "SwitchAggregator",
-    "SeqTracker",
-    "ReorderBuffer",
+    "SeqWindow",
     "RingHandle",
     "SequencerHandle",
     "SegmentRing",

@@ -18,7 +18,11 @@ A replicate flow sends every tuple to *all* targets. Two transports:
 Globally-ordered replicate flows additionally stamp every segment with a
 sequence number drawn from the *tuple sequencer* — an RDMA fetch-and-add on
 a counter hosted by the registry master — and targets deliver strictly in
-that order via the receive-list/next-list reorder buffer (Fig. 6). In
+that order. Every target orders and drops duplicates with one
+:class:`SeqWindow` (the paper's receive and next lists of Fig. 6 as a
+next-expected pointer and a dictionary of what arrived ahead of it): an
+ordered flow's one window holds segments until their turn, an unordered
+multicast flow keeps one per source that holds only markers. In
 ``gap_notify`` mode a timed-out gap is surfaced to the application as a
 :class:`~repro.core.flowdef.GapNotification` instead of being NACKed —
 the hook NOPaxos' gap agreement builds on.
@@ -43,7 +47,6 @@ from repro.core.flowdef import (
     Optimization,
     Ordering,
 )
-from repro.core.ordering import ReorderBuffer
 from repro.core.registry import FlowRegistry
 from repro.core.segment import (
     FLAG_ABORTED,
@@ -85,53 +88,55 @@ class ControlHandle:
     nack_offset: int
 
 
-class SeqTracker:
-    """Per-source sequence bookkeeping for *unordered* multicast delivery:
-    duplicate filtering, contiguity, and lowest-missing detection."""
+class SeqWindow:
+    """Sequence numbers that arrive in any order, duplicates among them,
+    released in order (paper Fig. 6): ``next`` is the lowest number not
+    yet released, and ``held`` maps each number above it that arrived
+    to what it carried. After a :meth:`release`, ``next`` is a gap — the
+    lowest missing number — exactly while ``held`` is not empty. The
+    duplicate test, the insert, the release at ``next`` and the gap test
+    are dictionary operations, with no scan.
+
+    A globally ordered target holds segments here until they can be
+    delivered in order. An unordered one delivers every segment as it
+    arrives and holds ``None`` only for those ahead of a gap, to know
+    which numbers it has seen."""
+
+    __slots__ = ("next", "held")
 
     def __init__(self) -> None:
-        self._next = 0
-        self._ahead: set[int] = set()
-        self.duplicates_dropped = 0
+        self.next = 0
+        self.held: dict = {}
 
-    @property
-    def contiguous(self) -> int:
-        """All sequence numbers below this value have been processed."""
-        return self._next
-
-    @property
-    def delivered(self) -> int:
-        """Total unique segments processed (contiguous or not)."""
-        return self._next + len(self._ahead)
-
-    def add(self, seq: int) -> bool:
-        """Record ``seq``; returns False for duplicates."""
-        if seq < self._next or seq in self._ahead:
-            self.duplicates_dropped += 1
+    def add(self, seq: int, item=None) -> bool:
+        """Hold ``seq`` with ``item``; returns False for a duplicate."""
+        if seq < self.next or seq in self.held:
             return False
-        if seq == self._next:
-            self._next += 1
-            while self._next in self._ahead:
-                self._ahead.discard(self._next)
-                self._next += 1
-        else:
-            self._ahead.add(seq)
+        self.held[seq] = item
         return True
 
-    def missing(self) -> "int | None":
-        """Lowest missing sequence number, if later ones already arrived."""
-        return self._next if self._ahead else None
+    def release(self) -> list:
+        """Step ``next`` past every held number from it up; returns the
+        items they carried, in sequence order."""
+        held = self.held
+        seq = self.next
+        items = []
+        while seq in held:
+            items.append(held[seq])
+            del held[seq]
+            seq += 1
+        self.next = seq
+        return items
 
     def skip(self, seq: int) -> None:
-        """Give up on ``seq`` (application-level gap handling)."""
-        if seq != self._next:
+        """Give up on ``seq``, the lowest missing number
+        (application-level gap handling): :meth:`release` then goes on
+        past it."""
+        if seq != self.next:
             raise FlowError(
                 f"can only skip the lowest missing sequence number "
-                f"({self._next}), not {seq}")
-        self._next += 1
-        while self._next in self._ahead:
-            self._ahead.discard(self._next)
-            self._next += 1
+                f"({self.next}), not {seq}")
+        self.next = seq + 1
 
 
 class TupleSequencer:
@@ -414,8 +419,9 @@ class NaiveReplicateTarget(ShuffleTarget):
     """Replicate target over per-source one-sided rings.
 
     Unordered mode behaves like a shuffle target (arrival order). Globally
-    ordered mode feeds polled segments through the reorder buffer so all
-    targets observe the same delivery order.
+    ordered mode holds polled segments in a :class:`SeqWindow` and
+    releases them in sequence order, so all targets observe the same
+    delivery order.
     """
 
     transports = ("replicate",)
@@ -423,19 +429,20 @@ class NaiveReplicateTarget(ShuffleTarget):
     def __init__(self, registry, descriptor, target_index, channels) -> None:
         super().__init__(registry, descriptor, target_index, channels)
         self._ordered = descriptor.ordering is Ordering.GLOBAL
-        self._reorder = ReorderBuffer() if self._ordered else None
+        self._window = SeqWindow() if self._ordered else None
 
     def _scan(self, out, unpack) -> int:
         if not self._ordered:
             return super()._scan(out, unpack)
         # Ordered mode goes segment-by-segment through ``poll`` (the
-        # reorder buffer needs each footer's sequence number) but still
+        # window needs each footer's sequence number) but still
         # rides the doorbell set: only channels whose ring saw a write
         # are polled, and each is drained until empty. ``poll`` decodes
         # rows itself: ``consume_bytes`` is refused here, so ``unpack``
         # could only name that decoder.
         dirty = self._doorbell.dirty
         channels = self._channels
+        window = self._window
         while dirty:
             for index in dirty:
                 break
@@ -446,32 +453,29 @@ class NaiveReplicateTarget(ShuffleTarget):
                 if polled is None:
                     break
                 footer, tuples = polled
-                self._reorder.insert(footer.seq, tuples)
+                window.add(footer.seq, tuples)
             if channel.aborted:
                 self._abort_seen = True
         # A consume skips this scan while nothing is dirty, and with it
-        # this drain: safe, because an entry becomes ready only through
-        # an insert above, and every scan pops all that are ready.
+        # this release: safe, because a segment becomes ready only
+        # through an add above, and every scan releases all that are.
         held = 0
-        while True:
-            ready = self._reorder.pop_ready()
-            if ready is None:
-                return held
-            _seq, tuples = ready
+        for tuples in window.release():
             out.extend(tuples)
             held += len(tuples)
+        return held
 
     def consume_bytes(self):
         if self._ordered:
             raise FlowError(
                 "consume_bytes is not available on globally ordered "
                 "replicate flows: raw segment views cannot pass the "
-                "reorder buffer")
+                "sequence window")
         return super().consume_bytes()
 
     def _finished(self) -> bool:
         return not self._open and (not self._ordered
-                                   or self._reorder.pending == 0)
+                                   or not self._window.held)
 
 
 class MulticastReplicateSource(_StagedSource):
@@ -659,9 +663,11 @@ class MulticastReplicateTarget:
             self._control.append((qp, region, handle))
         self._ordered = descriptor.ordering is Ordering.GLOBAL
         self._gap_notify = descriptor.options.gap_notify
-        self._reorder = ReorderBuffer() if self._ordered else None
-        self._trackers = [SeqTracker()
-                          for _ in range(descriptor.source_count)]
+        #: Ordered: the flow's one window, of sequencer numbers, holding
+        #: each segment until it is delivered; unordered: one per source,
+        #: holding ``None`` for each segment ahead of a gap.
+        self._windows = [SeqWindow() for _ in range(
+            1 if self._ordered else descriptor.source_count)]
         self._consumed = [0] * descriptor.source_count
         self._close_seq: list[int | None] = [None] * descriptor.source_count
         self._closed_delivered = 0
@@ -730,18 +736,20 @@ class MulticastReplicateTarget:
         whole-ring view within this pass, before any datagram can land
         in the slot again (one lands only in a later kernel event). An
         abort voids the flow with no credit. Otherwise the hand-off
-        differs by ordering — the reorder buffer's insert, or the
-        source's :class:`SeqTracker` (an in-order ``seq`` with nothing
-        held ahead steps it inline) — and an accepted datagram is
-        credited to its source at once: credits are granted at parse
-        time, the moment the receive slot is reposted, so the credit
-        window tracks receive-queue capacity (its purpose) rather than
-        application consumption, which may stall behind a gap in ordered
-        mode. Duplicates (late retransmissions) take no credit and are
-        counted in ``core.duplicates_dropped``. The gap check runs only
-        when it could act: a segment held out of order or a gap deadline
-        armed. A pump runs only once every buffered row was handed out,
-        so the rows it takes in go into a fresh row list."""
+        differs by ordering only in what the :class:`SeqWindow` holds —
+        the flow's window holds the rows until the pass ends, the
+        source's a ``None`` marker, and only for a datagram out of order
+        (an in-order ``seq`` with nothing held ahead steps it inline) —
+        and an accepted datagram is credited to its source at once:
+        credits are granted at parse time, the moment the receive slot
+        is reposted, so the credit window tracks receive-queue capacity
+        (its purpose) rather than application consumption, which may
+        stall behind a gap in ordered mode. Duplicates (late
+        retransmissions) take no credit and are counted in
+        ``core.duplicates_dropped``. The gap check runs only when it
+        could act: a segment held out of order or a gap deadline armed.
+        A pump runs only once every buffered row was handed out, so the
+        rows it takes in go into a fresh row list."""
         rows = self._rows = []
         held = 0
         completions = self._completions
@@ -753,8 +761,8 @@ class MulticastReplicateTarget:
             slot_size = self._slot_size
             tuple_size = self._tuple_size
             iter_unpack = self._iter_unpack
-            reorder = self._reorder
-            trackers = self._trackers
+            windows = self._windows
+            ordered = windows[0] if self._ordered else None
             consumed = self._consumed
             control = self._control
             obs = self._obs
@@ -771,20 +779,21 @@ class MulticastReplicateTarget:
                     raise torn_segment(offset // slot_size, used, tuple_size,
                                        carried)
                 source = flags >> SOURCE_SHIFT
-                if reorder is not None:
+                if ordered is not None:
                     tuples = list(iter_unpack(view[offset:offset + used]))
                     repost((ring, offset, slot_size, None))
-                    if not reorder.insert(seq, (source, flags & FLAG_CLOSED,
-                                                tuples)):
+                    if not ordered.add(seq, (flags & FLAG_CLOSED, tuples)):
                         if obs is not None:
                             obs.inc("core.duplicates_dropped")
                         continue
                 else:
                     repost((ring, offset, slot_size, None))
-                    tracker = trackers[source]
-                    if seq == tracker._next and not tracker._ahead:
-                        tracker._next = seq + 1
-                    elif not tracker.add(seq):
+                    window = windows[source]
+                    if seq == window.next and not window.held:
+                        window.next = seq + 1
+                    elif window.add(seq):
+                        window.release()
+                    else:
                         if obs is not None:
                             obs.inc("core.duplicates_dropped")
                         continue
@@ -792,7 +801,7 @@ class MulticastReplicateTarget:
                 qp, region, handle = control[source]
                 qp.post_lone(None, 8, [(0, count.to_bytes(8, "little"))],
                              region, handle.credit_offset)
-                if reorder is not None:
+                if ordered is not None:
                     continue
                 if flags & FLAG_CLOSED:
                     self._close_seq[source] = seq
@@ -805,31 +814,27 @@ class MulticastReplicateTarget:
                 if obs is not None:
                     obs.log((CONSUME, self.env.now, self, None, seq,
                              (count,), False, False))
-        # Held out of order: what the reorder drain leaves, or a
-        # tracker's segments ahead of its lowest missing one.
         if self._ordered:
-            held += self._drain_reorder(rows)
-            ahead = self._reorder.pending
-        else:
-            ahead = False
-            for tracker in self._trackers:  # a loop: no call per pump
-                if tracker._ahead:
-                    ahead = True
-                    break
+            held += self._release_ordered(rows)
         self._held = held
         self._taken = 0
+        # Held out of order: a segment ahead of a window's lowest
+        # missing one.
+        ahead = False
+        for window in self._windows:  # a loop: no call per pump
+            if window.held:
+                ahead = True
+                break
         if ahead or self._gap_deadlines:
             self._check_gaps()
 
-    def _drain_reorder(self, rows: list) -> int:
-        """Append every segment the reorder buffer releases in order to
+    def _release_ordered(self, rows: list) -> int:
+        """Append every segment the flow's window releases in order to
         ``rows``; returns the number of rows appended."""
+        window = self._windows[0]
+        seq = window.next
         held = 0
-        while True:
-            ready = self._reorder.pop_ready()
-            if ready is None:
-                return held
-            seq, (_source, closed, tuples) = ready
+        for closed, tuples in window.release():
             if closed:
                 self._closed_delivered += 1
             count = len(tuples)
@@ -840,23 +845,18 @@ class MulticastReplicateTarget:
             if self._obs is not None:
                 self._obs.log((CONSUME, self.env.now, self, None, seq,
                                (count,), False, False))
+            seq += 1
+        return held
 
     # -- gap detection -------------------------------------------------------
-    def _current_gaps(self) -> list[tuple]:
-        if self._ordered:
-            missing = self._reorder.missing_seq()
-            return [("global", missing)] if missing is not None else []
-        gaps = []
-        for source, tracker in enumerate(self._trackers):
-            missing = tracker.missing()
-            if missing is not None:
-                gaps.append((source, missing))
-        return gaps
-
     def _check_gaps(self) -> None:
-        gaps = self._current_gaps()
-        if not gaps and not self._gap_deadlines:
-            return
+        """Arm a deadline for each window's lowest missing number (the
+        key is the source, or ``"global"`` for the flow's window), act on
+        the ones that expired, and drop the ones that closed."""
+        scopes = ("global",) if self._ordered else range(len(self._windows))
+        gaps = [(scope, window.next)
+                for scope, window in zip(scopes, self._windows)
+                if window.held]
         now = self.env.now
         live_keys = set()
         for key in gaps:
@@ -987,30 +987,32 @@ class MulticastReplicateTarget:
             return False
         if self._ordered:
             return (self._closed_delivered == self.descriptor.source_count
-                    and self._reorder.pending == 0)
-        for source, tracker in enumerate(self._trackers):
-            close_seq = self._close_seq[source]
-            if close_seq is None or tracker.contiguous <= close_seq:
+                    and not self._windows[0].held)
+        for window, close_seq in zip(self._windows, self._close_seq):
+            if close_seq is None or window.next <= close_seq:
                 return False
         return True
 
     @property
     def next_expected_seq(self) -> "int | None":
         """Next global sequence number awaited (ordered flows only)."""
-        return self._reorder.next_expected if self._ordered else None
+        return self._windows[0].next if self._ordered else None
 
     def skip_gap(self, seq: int, source_index: "int | None" = None) -> None:
         """Give up on sequence number ``seq`` after application-level gap
         agreement (``gap_notify`` mode). Unordered flows identify the
         source via ``source_index`` (as carried by the notification)."""
         if self._ordered:
-            self._reorder.skip(seq)
+            # The next pump releases what the gap held back.
+            self._windows[0].skip(seq)
             self._gap_deadlines.pop(("global", seq), None)
             return
         if source_index is None:
             raise FlowError(
                 "unordered flows need the source_index of the gap")
-        self._trackers[source_index].skip(seq)
+        window = self._windows[source_index]
+        window.skip(seq)
+        window.release()
         self._gap_deadlines.pop((source_index, seq), None)
 
     @property

@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from collections.abc import Generator, Iterable
+from operator import itemgetter
 from typing import Any, Callable
 
 from repro.common.errors import SimulationError
@@ -39,6 +40,9 @@ _PENDING = object()
 #: handful, so the cap bounds idle memory while still absorbing bursts
 #: (many channels flushing in one instant).
 _MACRO_POOL_CAP = 256
+
+#: The event of a timed-queue entry ``(when, seq, event)``.
+_EVENT_OF = itemgetter(2)
 
 
 class Event:
@@ -623,23 +627,25 @@ class Environment:
     def cancel(self, timer: Timeout) -> None:
         """Withdraw a pending ``timer`` from the timed queue: it never
         fires, and the clock never reaches its instant on its account.
-        Finding it is linear in the queue, so it is for rare calls — a
+        Finding it is a search of the queue, linear but in C (an event
+        compares equal only to itself), so it is for rare calls — a
         guard timer beaten by the wake it guarded — not for hot paths;
         the queue's last entry takes its place and one sift from there
         restores the heap. A timer that is not waiting there (already
         fired, or zero-delay) raises."""
         queue = self._queue
-        for index, entry in enumerate(queue):
-            if entry[2] is timer:
-                last = queue.pop()
-                if index < len(queue):
-                    queue[index] = last
-                    if index and last < queue[(index - 1) >> 1]:
-                        heapq._siftdown(queue, 0, index)  # toward the root
-                    else:
-                        heapq._siftup(queue, index)  # toward the leaves
-                return
-        raise SimulationError(f"{timer!r} is not on the timed queue")
+        try:
+            index = list(map(_EVENT_OF, queue)).index(timer)
+        except ValueError:
+            raise SimulationError(
+                f"{timer!r} is not on the timed queue") from None
+        last = queue.pop()
+        if last[2] is not timer:
+            queue[index] = last
+            if index and last < queue[(index - 1) >> 1]:
+                heapq._siftdown(queue, 0, index)  # toward the root
+            else:
+                heapq._siftup(queue, index)  # toward the leaves
 
     def _requeue(self, macro: MacroEvent, when: float) -> None:
         """Queue the next hop of a walking ``macro`` at ``when`` (past

@@ -912,9 +912,12 @@ def test_multicast_event_budget_and_persistent_hooks(monkeypatch):
 
 def test_ordered_multicast_counts_the_duplicates_its_reorder_buffer_drops():
     """A late retransmission a globally ordered target already holds is
-    dropped by the reorder buffer's insert, and ``core.duplicates_dropped``
-    counts it as the unordered tracker's drops are counted: a 1:3 flow at
-    20 % multicast loss resends segments some targets already have."""
+    dropped by the flow's sequence window, and ``core.duplicates_dropped``
+    counts it as an unordered source window's drops are counted: a 1:3
+    flow at 20 % multicast loss resends segments some targets already
+    have. What was dropped is counted apart from the metric: every
+    datagram a target took off its receive queue and did not accept
+    (each accepted one is credited to its source)."""
     cluster = Cluster(node_count=4, seed=3,
                       profile=HardwareProfile(multicast_loss_probability=0.2))
     cluster.enable_observability()
@@ -944,7 +947,8 @@ def test_ordered_multicast_counts_the_duplicates_its_reorder_buffer_drops():
     for index in range(3):
         cluster.env.process(target_thread(index))
     cluster.run()
-    dropped = sum(target._reorder.duplicates_dropped for target in targets)
+    dropped = sum(target._ud_qp.recv_cq.pushed - len(target._completions)
+                  - sum(target._consumed) for target in targets)
     counted = sum(node["counters"].get("core.duplicates_dropped", 0)
                   for node in cluster.metrics_snapshot()["nodes"].values())
     assert dropped > 0

@@ -1,11 +1,10 @@
-"""Tests for segment rings, footers, the reorder buffer and SeqTracker."""
+"""Tests for segment rings, footers and the sequence window."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import FlowError
-from repro.core.ordering import ReorderBuffer
-from repro.core.replicate import SeqTracker
+from repro.core.replicate import SeqWindow
 from repro.core.segment import (
     FLAG_CLOSED,
     FLAG_CONSUMABLE,
@@ -104,123 +103,152 @@ def test_ring_region_too_small(nic):
         SegmentRing(region, 4, 64)
 
 
-# -- ReorderBuffer (paper Fig. 6) -----------------------------------------------
+# -- SeqWindow: the ordered flow's use (paper Fig. 6) --------------------------
 
 def test_reorder_delivers_in_sequence():
-    buf = ReorderBuffer()
-    buf.insert(3, "c")
-    buf.insert(1, "b")
-    assert buf.pop_ready() is None  # 0 is missing
-    buf.insert(0, "a")
-    assert buf.pop_ready() == (0, "a")
-    assert buf.pop_ready() == (1, "b")
-    assert buf.pop_ready() is None  # 2 missing
-    buf.insert(2, "x")
-    assert buf.pop_ready() == (2, "x")
-    assert buf.pop_ready() == (3, "c")
+    window = SeqWindow()
+    window.add(3, "c")
+    window.add(1, "b")
+    assert window.release() == []  # 0 is missing
+    window.add(0, "a")
+    assert window.release() == ["a", "b"]  # 2 is missing
+    window.add(2, "x")
+    assert window.release() == ["x", "c"]
 
 
 def test_reorder_figure6_example():
     """The exact scenario of the paper's Figure 6: arrivals 3, 1 then 2."""
-    buf = ReorderBuffer()
-    buf.insert(3, "s3")
-    buf.insert(1, "s1")
-    assert buf.pop_ready() is None
-    buf.insert(0, "s0")
-    assert buf.pop_ready() == (0, "s0")
-    assert buf.pop_ready() == (1, "s1")
-    buf.insert(2, "s2")
-    assert buf.pop_ready() == (2, "s2")
-    assert buf.pop_ready() == (3, "s3")
-    assert buf.pending == 0
+    window = SeqWindow()
+    window.add(3, "s3")
+    window.add(1, "s1")
+    assert window.release() == []
+    window.add(0, "s0")
+    assert window.release() == ["s0", "s1"]
+    window.add(2, "s2")
+    assert window.release() == ["s2", "s3"]
+    assert not window.held
 
 
 def test_reorder_duplicate_filtering():
-    buf = ReorderBuffer()
-    assert buf.insert(0, "a")
-    assert not buf.insert(0, "a-again")
-    assert buf.pop_ready() == (0, "a")
-    assert not buf.insert(0, "late-retransmit")
-    assert buf.duplicates_dropped == 2
+    window = SeqWindow()
+    assert window.add(0, "a")
+    assert not window.add(0, "a-again")
+    assert window.release() == ["a"]
+    assert not window.add(0, "late-retransmit")
 
 
 def test_reorder_missing_seq_detection():
-    buf = ReorderBuffer()
-    assert buf.missing_seq() is None
-    buf.insert(5, "later")
-    assert buf.missing_seq() == 0
-    buf.insert(0, "now")
-    buf.pop_ready()
-    assert buf.missing_seq() == 1
+    """After a release, ``next`` is the lowest missing number exactly
+    while something is held."""
+    window = SeqWindow()
+    assert not window.held
+    window.add(5, "later")
+    assert window.release() == [] and window.held and window.next == 0
+    window.add(0, "now")
+    window.release()
+    assert window.held and window.next == 1
 
 
 def test_reorder_skip_gap():
-    buf = ReorderBuffer()
-    buf.insert(1, "b")
-    assert buf.pop_ready() is None
-    buf.skip(0)
-    assert buf.pop_ready() == (1, "b")
+    window = SeqWindow()
+    window.add(1, "b")
+    assert window.release() == []
+    window.skip(0)
+    assert window.release() == ["b"]
     with pytest.raises(FlowError):
-        buf.skip(5)
+        window.skip(5)
 
 
-@given(st.permutations(list(range(30))))
-def test_reorder_any_permutation_delivers_in_order(order):
-    buf = ReorderBuffer()
+@st.composite
+def _arrivals(draw):
+    """A flow of ``count`` sequence numbers of which ``lost`` never
+    arrive, and the arrival order of the rest with duplicates mixed in."""
+    count = draw(st.integers(1, 30))
+    lost = draw(st.sets(st.integers(0, count - 1), max_size=count // 3))
+    present = [seq for seq in range(count) if seq not in lost]
+    duplicates = draw(st.lists(st.sampled_from(present), max_size=10))
+    return count, lost, draw(st.permutations(present + duplicates))
+
+
+@given(_arrivals())
+def test_reorder_any_permutation_delivers_in_order(arrivals):
+    """Any arrival order, with duplicates and lost numbers: every number
+    that arrives is released once, in order; every second copy is
+    refused; skipping a lost number releases what was held behind it."""
+    count, lost, order = arrivals
+    window = SeqWindow()
     delivered = []
+    seen = set()
+
+    def skip_lost():
+        gap = window.next
+        behind = []
+        while gap + 1 + len(behind) in window.held:
+            behind.append(gap + 1 + len(behind))
+        window.skip(gap)
+        assert window.release() == behind
+        delivered.extend(behind)
+
     for seq in order:
-        buf.insert(seq, seq)
-        while True:
-            ready = buf.pop_ready()
-            if ready is None:
-                break
-            delivered.append(ready[0])
-    assert delivered == list(range(30))
-    assert buf.pending == 0
+        assert window.add(seq, seq) == (seq not in seen)
+        seen.add(seq)
+        delivered.extend(window.release())
+        while window.held and window.next in lost:
+            skip_lost()
+    while window.next < count:  # lost at the tail: no later one arrived
+        assert window.next in lost and not window.held
+        skip_lost()
+    assert delivered == sorted(seen)
+    assert not window.held
 
 
-# -- SeqTracker ---------------------------------------------------------------
+# -- SeqWindow: the unordered flow's use, one per source ----------------------
 
 def test_seq_tracker_contiguous_advance():
-    tracker = SeqTracker()
-    assert tracker.add(0) and tracker.add(1)
-    assert tracker.contiguous == 2
-    assert tracker.missing() is None
+    window = SeqWindow()
+    assert window.add(0) and window.add(1)
+    window.release()
+    assert window.next == 2
+    assert not window.held
 
 
 def test_seq_tracker_gap_and_fill():
-    tracker = SeqTracker()
-    tracker.add(0)
-    tracker.add(2)
-    assert tracker.missing() == 1
-    assert tracker.delivered == 2
-    tracker.add(1)
-    assert tracker.contiguous == 3
-    assert tracker.missing() is None
+    window = SeqWindow()
+    window.add(0)
+    window.add(2)
+    window.release()
+    assert window.held and window.next == 1
+    assert window.next + len(window.held) == 2
+    window.add(1)
+    window.release()
+    assert window.next == 3
+    assert not window.held
 
 
 def test_seq_tracker_duplicates():
-    tracker = SeqTracker()
-    tracker.add(0)
-    assert not tracker.add(0)
-    tracker.add(2)
-    assert not tracker.add(2)
-    assert tracker.duplicates_dropped == 2
+    window = SeqWindow()
+    window.add(0)
+    window.release()
+    assert not window.add(0)
+    window.add(2)
+    assert not window.add(2)
 
 
 def test_seq_tracker_skip():
-    tracker = SeqTracker()
-    tracker.add(1)
-    tracker.skip(0)
-    assert tracker.contiguous == 2
+    window = SeqWindow()
+    window.add(1)
+    window.skip(0)
+    window.release()
+    assert window.next == 2
     with pytest.raises(FlowError):
-        tracker.skip(7)
+        window.skip(7)
 
 
 @given(st.permutations(list(range(40))))
 def test_seq_tracker_permutation_property(order):
-    tracker = SeqTracker()
+    window = SeqWindow()
     for seq in order:
-        assert tracker.add(seq)
-    assert tracker.contiguous == 40
-    assert tracker.missing() is None
+        assert window.add(seq)
+        window.release()
+    assert window.next == 40
+    assert not window.held

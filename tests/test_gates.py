@@ -147,6 +147,19 @@ def test_every_named_symbol_exists(document, code_names, private_names):
         f"{document.name} names code that does not exist: {sorted(missing)}")
 
 
+def test_design_inventory_lists_every_core_module():
+    """DESIGN.md §3's ``core/`` entry names each module under
+    ``src/repro/core`` once, and no module that is not there."""
+    text = (ROOT / "DESIGN.md").read_text()
+    inventory = text.split("\n## 3. ", 1)[1].split("\n## 4. ", 1)[0]
+    core = re.search(r"^  core/.*?(?=^  \S)", inventory, re.M | re.S)
+    listed = re.findall(r"^ +(\w+\.py) ", core.group(0), re.M)
+    modules = [path.name
+               for path in (ROOT / "src" / "repro" / "core").glob("*.py")
+               if path.name != "__init__.py"]
+    assert sorted(listed) == sorted(modules)
+
+
 def test_api_sources_table_is_what_each_class_has():
     """docs/API.md's Sources table, cell by cell: ``yes`` exactly where
     the class has the method (both names, in a ``a`` / ``b`` column)."""
