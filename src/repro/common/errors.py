@@ -27,10 +27,6 @@ class MemoryRegionError(RdmaError):
     """Out-of-bounds access or invalid remote key on a memory region."""
 
 
-class QpStateError(RdmaError):
-    """Operation not valid in the queue pair's current state."""
-
-
 class QpFlushedError(RdmaError):
     """A posted work request completed in error: the transport gave up on
     the peer (RC retry budget exceeded — the peer crashed, or the path

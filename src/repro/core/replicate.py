@@ -328,7 +328,7 @@ class NaiveReplicateSource(_StagedSource):
             self._local_seq += len(slots)
             self.segments_sent += len(slots)
             yield from self._fan_out(
-                lambda channel: channel._post_train(slots, seq))
+                lambda channel: channel._post_train(slots))
         if tail:
             # Only now: segment h is packed after the fan-out of h - 1
             # (see SegmentStager).
@@ -386,8 +386,7 @@ class NaiveReplicateSource(_StagedSource):
         slot = self._stager.seal(extra_flags, seq)
         self.segments_sent += 1
         return (yield from self._fan_out(
-            lambda channel: channel._write_slot(slot, used, extra_flags,
-                                                seq)))
+            lambda channel: channel._write_slot(slot, used, extra_flags)))
 
     def _fan_out(self, send):
         """Generator: drive ``send(channel)`` on every live channel in

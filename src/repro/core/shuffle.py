@@ -373,16 +373,6 @@ class _SourceChannel:
 
     _collect_obs = _source_counters
 
-    def _check_bytes(self, data) -> None:
-        """Refuse ``push_bytes`` on a closed channel or of a byte count
-        that is not a whole number of tuples."""
-        if self.closed:
-            raise FlowClosedError("push on a closed flow source")
-        if len(data) % self._tuple_size:
-            raise FlowError(
-                f"push_bytes got {len(data)} bytes, not a multiple of the "
-                f"{self._tuple_size}-byte tuple size")
-
     def close(self):
         """Generator: flush remaining tuples, send the close marker, and
         wait for it to be acknowledged."""
@@ -462,28 +452,10 @@ class BandwidthSourceChannel(_SourceChannel):
     def memory_bytes(self) -> int:
         return self._ring_segments * (self.segment_payload + FOOTER_SIZE)
 
-    def push_batch(self, rows, fill=None, stride: int = 1):
-        """Generator: append a batch of tuples, flushing as segments fill
-        — :meth:`charge_batch` then :meth:`stage_batch`, for callers that
-        want one thing to drive. ``rows`` must be a sequence (it is
-        sliced per segment): tuples, or — for :meth:`push_bytes` — packed
-        bytes that ``fill(staging, offset, rows[a:b])`` copies, ``stride``
-        of them per tuple.
-        """
-        if fill is None:
-            fill = self.schema.pack_many_into
-            if not isinstance(rows, (list, tuple)):
-                rows = list(rows)
-        charge = self.charge_batch(len(rows) // stride)
-        if charge is not None:
-            yield charge
-            yield from self.stage_batch(rows, fill, stride)
-
     def charge_batch(self, total: int):
-        """First step of a batched append of ``total`` tuples: the CPU
-        delay (``Node.compute``) the caller must yield before
-        :meth:`stage_batch`, or ``None`` for an empty batch (nothing to
-        charge, nothing to stage).
+        """First step of a batched append of ``total`` tuples (at least
+        one): the CPU delay (``Node.compute``) the caller must yield
+        before :meth:`stage_batch`.
 
         The same per-tuple CPU debt accrues as for one-by-one pushes, but
         it is returned as **one delay per channel-batch**: leftover debt
@@ -497,8 +469,6 @@ class BandwidthSourceChannel(_SourceChannel):
         """
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
-        if not total:
-            return None
         tuple_size = self._tuple_size
         flushes = ((self._stager.used // tuple_size + total)
                    // (self.segment_payload // tuple_size))
@@ -564,8 +534,7 @@ class BandwidthSourceChannel(_SourceChannel):
                         # in a group that starts mid-segment.
                         if position:
                             self.tuples_sent += position * seg_tuples
-                            yield from self._post_train(slots[:position],
-                                                        seq)
+                            yield from self._post_train(slots[:position])
                         raise
                     index += seg_tuples
                     stager.used = capacity
@@ -589,20 +558,7 @@ class BandwidthSourceChannel(_SourceChannel):
                 # the windowed proof replaces (one READ round-trip per
                 # window instead of per segment).
                 slots = (stager.seal(0, seq),)
-            yield from self._post_train(slots, seq)
-
-    def push_bytes(self, data):
-        """Append pre-packed tuple bytes — no per-tuple type
-        interpretation at all, just slab copies into the staging segment;
-        returns the generator to drive.
-
-        ``data`` is a byte view (``ShuffleSource.push_bytes`` normalises
-        the caller's buffer) holding a whole number of tuples packed in
-        this flow's schema. CPU debt is charged exactly as if the tuples
-        had been pushed individually.
-        """
-        self._check_bytes(data)
-        return self.push_batch(data, _copy_into, self._tuple_size)
+            yield from self._post_train(slots)
 
     def release(self) -> None:
         """Shed the window's NIC region; the owning source calls this once
@@ -635,13 +591,12 @@ class BandwidthSourceChannel(_SourceChannel):
         if extra_flags & FLAG_ABORTED:
             stager.used = 0  # abort voids delivery: staged tuples go
         used = stager.used
-        seq = stager.sealed
-        return (yield from self._write_slot(stager.seal(extra_flags, seq),
-                                            used, extra_flags, seq))
+        return (yield from self._write_slot(
+            stager.seal(extra_flags, stager.sealed), used, extra_flags))
 
-    def _write_slot(self, slot, used: int, flags: int, seq: int):
+    def _write_slot(self, slot, used: int, flags: int):
         """Generator: write ``slot`` — one segment as it lies in a source
-        ring, ``used`` payload bytes and footer ``seq`` under close/abort
+        ring, ``used`` payload bytes and its footer under close/abort
         ``flags`` behind ``segment_payload``, which its owner (the
         :class:`SegmentStager` of this channel or of a replicate source)
         keeps unchanged until the write commits — into the next remote
@@ -681,10 +636,12 @@ class BandwidthSourceChannel(_SourceChannel):
                               region, remote_offset + self.remote.segment_size)
         if signaled:
             self._wrap_wr = wr
-        self.segments_sent += 1
         if self._obs is not None:
-            self._obs.log((WRITE, self.env.now, self, self.remote, seq, 1,
-                           used))
+            # Keyed on the ring position the write fills, not on the
+            # footer's ``seq`` (an ordered replicate's global number).
+            self._obs.log((WRITE, self.env.now, self, self.remote,
+                           self.segments_sent, 1, used))
+        self.segments_sent += 1
         # Pipeline the footer pre-read of the *next* remote segment with
         # this write (paper Section 5.2).
         window.index = (window.index + 1) % self.remote.segment_count
@@ -693,13 +650,13 @@ class BandwidthSourceChannel(_SourceChannel):
         self._local_index = (self._local_index + 1) % self._ring_segments
         return wr
 
-    def _post_train(self, slots, seq: int):
-        """Generator: :meth:`_write_slot` for full segments, numbered from
-        ``seq`` on, as doorbell trains as long as the window's proof and
-        the send ring's wrap allow (the signaled wrap WQE ends its train;
-        an unsignaled WQE gets no WorkRequest). A train that used up the
-        window pipelines the next window's footer read behind it — the
-        train analogue of the paper's per-segment footer pre-read."""
+    def _post_train(self, slots):
+        """Generator: :meth:`_write_slot` for full segments, as doorbell
+        trains as long as the window's proof and the send ring's wrap
+        allow (the signaled wrap WQE ends its train; an unsignaled WQE
+        gets no WorkRequest). A train that used up the window pipelines
+        the next window's footer read behind it — the train analogue of
+        the paper's per-segment footer pre-read."""
         window = self._window
         entries = self._train_entries
         region = self._remote_region
@@ -729,11 +686,10 @@ class BandwidthSourceChannel(_SourceChannel):
                 count += 1
             self._local_index %= ring
             window.left -= count
-            self.segments_sent += count
             if self._obs is not None:
                 self._obs.log((WRITE, self.env._now, self, self.remote,
-                               seq, count, None))
-            seq += count
+                               self.segments_sent, count, None))
+            self.segments_sent += count
             slots = slots[count:]
             self.qp.post_train(entries)
             window.pending_slot = None  # a slot the train wrote over
@@ -780,40 +736,6 @@ class LatencySourceChannel(_SourceChannel):
     def memory_bytes(self) -> int:
         return 8  # only the credit-read scratch; no local ring is needed
 
-    def push(self, values: tuple):
-        """Transfer one tuple immediately (one RDMA write); returns the
-        generator the caller must ``yield from``. (``ShuffleSource.push``
-        stages its tuple in place instead.)"""
-        if self.closed:
-            raise FlowClosedError("push on a closed flow source")
-        return self._send(self._push_delay, self._pack_row, values,
-                          self._tuple_size)
-
-    def push_batch(self, tuples):
-        """Generator: push a batch of tuples. Latency mode is inherently
-        per-tuple (one segment each, credits acquired per write), so this
-        is a loop over :meth:`push` with identical simulated timing."""
-        push = self.push
-        for values in tuples:
-            yield from push(values)
-
-    def _pack_row(self, buffer, offset: int, values: tuple) -> None:
-        """:meth:`_send`'s fill for one tuple."""
-        try:
-            self._pack_tuple(buffer, offset, *values)
-        except _struct_error as exc:
-            raise self.schema.mismatch(values, exc) from None
-
-    def push_bytes(self, data):
-        """Generator: push pre-packed tuple bytes (a byte view, see
-        ``ShuffleSource.push_bytes``), one segment per tuple."""
-        self._check_bytes(data)
-        tuple_size = self._tuple_size
-        for start in range(0, len(data), tuple_size):
-            yield from self._send(
-                self._push_delay, _copy_into, data[start:start + tuple_size],
-                tuple_size)
-
     def release(self) -> None:
         """Shed the window's NIC region once the channel is closed (see
         ``BandwidthSourceChannel.release``)."""
@@ -830,14 +752,14 @@ class LatencySourceChannel(_SourceChannel):
                           _FLAG_WORDS[flags], seq)
         return self._write_slot(
             self._staging_view[base:base + self._slot_size], used, flags,
-            seq, delay)
+            delay)
 
-    def _write_slot(self, slot, used: int, flags: int, seq: int,
+    def _write_slot(self, slot, used: int, flags: int,
                     delay: "float | None" = None):
         """Generator: the one latency-mode write. Sleep ``delay``, a CPU
         charge already scaled by ``node.compute`` (``None``: the caller
         charged its own), hold a credit, post ``slot``
-        — one segment holding ``used`` payload bytes and footer ``seq``
+        — one segment holding ``used`` payload bytes and its footer
         under close/abort ``flags``, in a buffer its owner keeps
         unchanged until the write commits — as one zero-copy write, then
         top the credits up. Returns the work request of a marker (a
@@ -860,7 +782,7 @@ class LatencySourceChannel(_SourceChannel):
                           (sent % segments) * self._remote_slot)
         if self._obs is not None:
             self._obs.log((WRITE, self.env._now, self, self.remote,
-                           seq, 1, used))
+                           sent, 1, used))
         credit.sent = sent = sent + 1
         self.segments_sent += 1
         if wr is None:
@@ -1002,11 +924,14 @@ class TargetChannel:
         # Direct memory write — no write hooks should fire for local resets.
         mem[footer_offset:footer_offset + FOOTER_SIZE] = BLANK_FOOTER
         self._index = self.ring.next_index(index)
-        self._consumed += 1
         self.tuples_received += len(tuples)
         if self._obs is not None:
+            # Keyed on the ring position, as ``drain``'s record is (the
+            # footer's ``seq`` may be an ordered replicate's global number).
             self._obs.log((CONSUME, self.node.env.now, self, self.ring,
-                           footer.seq, (len(tuples),), False, footer.closed))
+                           self._consumed, (len(tuples),), False,
+                           footer.closed))
+        self._consumed += 1
         if self._track_credits:
             _U64_PACK_INTO(self._credit_region.mem, self._credit_offset,
                            self._consumed)
@@ -1273,13 +1198,13 @@ class ShuffleSource(_FlowSource):
         #: routers cannot leave ``[0, live targets)``, a routing function
         #: of the application can.
         self._vet_routes = descriptor.routing is not None
-        #: How ``push_batch`` drives a group, fixed for the flow's life:
-        #: the row packer behind the channels' charge/stage pair, or
-        #: ``None`` for latency channels (one segment per tuple — their
-        #: ``push_batch`` is the per-tuple loop, and ``push`` calls
-        #: their own, where it stages a bandwidth channel's in place).
-        self._fill = (None if descriptor.optimization is Optimization.LATENCY
-                      else schema.pack_many_into)
+        #: Whether a push writes its tuple at once, one segment per tuple
+        #: (latency channels), instead of staging it into segments.
+        self._latency = descriptor.optimization is Optimization.LATENCY
+        #: ``push_batch``'s row packer: a bandwidth group's rows into the
+        #: channel's staging slot, a latency row into the slot it is sent
+        #: from.
+        self._fill = schema.pack_many_into
         #: How ``push_batch`` splits a batch it does not route row by
         #: row: an application router's own ``route_many``, if it brings
         #: one, else on a bandwidth flow the key-hash router's packed
@@ -1287,14 +1212,14 @@ class ShuffleSource(_FlowSource):
         self._route_many = self._partition = None
         if self._vet_routes:
             self._route_many = getattr(self._router, "route_many", None)
-        elif self._key_index is not None and self._fill is not None:
+        elif self._key_index is not None and not self._latency:
             self._partition = self._router.partition
         #: The most rows of a routed batch ``push_batch`` stages row by
         #: row (see there).
         payload = segment_payload_size(descriptor)
         self._row_loop_max = (
             min(_ROUTE_NP_MIN - 1, payload // schema.tuple_size)
-            if self._fill is not None and not payload % schema.tuple_size
+            if not self._latency and not payload % schema.tuple_size
             and self._route_many is None else 0)
         #: Tuples pushed into channels ``retire_target`` has dropped.
         self._retired_sent = 0
@@ -1360,9 +1285,9 @@ class ShuffleSource(_FlowSource):
         channel = self._channels[target]
         if channel.closed:
             raise FlowClosedError("push on a closed flow source")
-        if self._fill is None:
+        if self._latency:
             # One write now, its tuple staged in place as
-            # ``LatencySourceChannel._send`` stages bytes and markers.
+            # ``LatencySourceChannel._send`` stages batch rows and markers.
             credit = channel._credit
             seq = credit.sent
             base = (seq % channel._staging_slots) * channel._slot_size
@@ -1376,7 +1301,7 @@ class ShuffleSource(_FlowSource):
                               _FLAG_WORDS[0], seq)
             flush = channel._write_slot(
                 channel._staging_view[base:base + channel._slot_size], used,
-                0, seq, channel._push_delay)
+                0, channel._push_delay)
             if (credit.pending is None
                     and seq - credit.consumed < channel._segments):
                 # An open window with no refresh to harvest stays so
@@ -1444,21 +1369,12 @@ class ShuffleSource(_FlowSource):
         yield from self._handle_channel_failure(target, exc)
         raise self._peer_failed([target], exc) from exc
 
-    def push_many(self, tuples, target: "int | None" = None):
-        """Generator: push a batch of tuples (convenience wrapper).
-
-        Per-tuple semantics and event patterns — kept for callers that
-        depend on the exact interleaving of per-tuple pushes. New code
-        wanting wall-clock throughput should use :meth:`push_batch`.
-        """
-        push = self.push
-        for values in tuples:
-            yield from push(values, target)
-
     def push_batch(self, tuples, target: "int | None" = None):
         """Generator: push a batch of tuples (any iterable) through the
         batched channel path — whole segments are packed with one
-        ``struct`` call instead of one per tuple.
+        ``struct`` call instead of one per tuple. A ``memoryview`` is
+        :meth:`push_bytes`'s packed rows, one tuple per ``tuple_size``
+        bytes, which it validated and names a target for.
 
         Without an explicit ``target`` the batch is partitioned by the
         flow's router first and each per-channel group is pushed as its
@@ -1486,18 +1402,26 @@ class ShuffleSource(_FlowSource):
         named target, a single live target, a group that flushes — yields
         that charge's ``float``. A group that only stages rows costs no
         kernel event and no generator, and in the row loop no call.
+
+        On a latency flow every row of a group is one write, sent by the
+        channel's ``_send`` as :meth:`push` sends it.
         """
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
+        # Groups of tuples, or packed rows (``stride`` bytes each: the
+        # byte view of ``push_bytes``, or ``partition``'s byte runs with
+        # their batch indices in ``order``).
+        fill, stride, order = self._fill, 1, None
         # The split measures and indexes the batch and the reroute
         # policy re-reads it: a one-shot iterable is materialised once,
         # here (a class test: no call on the path every batch takes).
         if tuples.__class__ is not list and tuples.__class__ is not tuple:
-            tuples = list(tuples)
+            if tuples.__class__ is memoryview:
+                fill = _copy_into
+                stride = self.descriptor.schema.tuple_size
+            else:
+                tuples = list(tuples)
         channels = self._channels
-        # Groups of tuples, or ``partition``'s byte runs (``stride`` bytes
-        # a row, their batch indices in ``order``) staged as packed rows.
-        fill, stride, order = self._fill, 1, None
         # The row loop's sealed slot per group (each group the count of
         # rows it staged, ``route_of`` their slots), else ``None``.
         seals = None
@@ -1577,10 +1501,20 @@ class ShuffleSource(_FlowSource):
                             f"route_many filled group {slot}: targets are "
                             f"[0, {len(live)})") from None
                     try:
-                        if fill is None:
-                            yield from channels[index].push_batch(group)
-                            continue
                         channel = channels[index]
+                        if self._latency:
+                            # One write per row, as ``push`` writes it;
+                            # ``fill`` packs a one-tuple slice or copies
+                            # a packed row.
+                            if channel.closed:
+                                raise FlowClosedError(
+                                    "push on a closed flow source")
+                            for row in range(0, len(group), stride):
+                                yield from channel._send(
+                                    channel._push_delay, fill,
+                                    group[row:row + stride],
+                                    channel._tuple_size)
+                            continue
                         if seals is None:
                             charge = channel.charge_batch(len(group) // stride)
                         else:
@@ -1608,8 +1542,7 @@ class ShuffleSource(_FlowSource):
                             channel.tuples_sent += group
                             if seals[slot] is None:
                                 continue
-                            flush = channel._post_train(
-                                (seals[slot],), channel._stager.sealed - 1)
+                            flush = channel._post_train((seals[slot],))
                         if flush is not NO_FLUSH:
                             yield (delay if when is None
                                    else env.sleep_until(when))
@@ -1664,19 +1597,21 @@ class ShuffleSource(_FlowSource):
                                    * stager.slot_size)
 
     def push_bytes(self, data, target: "int | None" = None):
-        """Generator: push pre-packed tuple bytes (zero per-tuple packing).
+        """Generator: push pre-packed tuple bytes (zero per-tuple packing)
+        — a :meth:`push_batch` of packed rows to one named target.
 
         ``data`` is any C-contiguous buffer (``bytes``, ``bytearray``,
         ``array.array``, a ``memoryview`` of any item type, a numpy
         array, ...) whose byte length is a whole number of tuples. Raw
         bytes carry no routable key, so a multi-target flow needs an
-        explicit ``target``.
+        explicit ``target``, and a failed target always surfaces: there
+        is no reroute.
         """
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
         try:
-            # The channels count and slice in bytes, whatever the item
-            # type of the caller's buffer.
+            # ``push_batch`` counts and slices it in bytes, whatever the
+            # item type of the caller's buffer.
             data = memoryview(data).cast("B")
         except TypeError as exc:
             raise FlowError(
@@ -1687,14 +1622,12 @@ class ShuffleSource(_FlowSource):
                     "push_bytes cannot route packed tuples; pass target= "
                     "explicitly")
             target = 0
-        if not 0 <= target < len(self._channels) or target in self._failed:
-            raise self._bad_target(target)
-        try:
-            yield from self._channels[target].push_bytes(data)
-        except (QpFlushedError, FlowTimeoutError) as exc:
-            # Packed bytes carry no routable key, so there is no reroute:
-            # the failure always surfaces.
-            yield from self._fail_named(target, exc)
+        tuple_size = self.descriptor.schema.tuple_size
+        if len(data) % tuple_size:
+            raise FlowError(
+                f"push_bytes got {len(data)} bytes, not a multiple of the "
+                f"{tuple_size}-byte tuple size")
+        yield from self.push_batch(data, target)
 
     def close(self):
         """Generator: close every live channel (targets see FLOW_END once

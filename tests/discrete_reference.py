@@ -202,7 +202,8 @@ _MEMBERS = {"_post_lone_discrete": _post_lone_discrete,
 def push_batch_per_group(self, tuples, target=None):
     """``ShuffleSource.push_batch`` as it charged the CPU per group: each
     bandwidth group yields its channel's ``charge_batch`` delay, then
-    stages, then drives the flush staging returned."""
+    stages, then drives the flush staging returned; a latency group
+    sends each row with the channel's ``_send``."""
     if self.closed:
         raise FlowClosedError("push on a closed flow source")
     if tuples.__class__ is not list and tuples.__class__ is not tuple:
@@ -241,10 +242,13 @@ def push_batch_per_group(self, tuples, target=None):
                     f"route_many filled group {slot}: targets are "
                     f"[0, {len(live)})") from None
             try:
-                if fill is None:
-                    yield from channels[index].push_batch(group)
+                channel = channels[index]
+                if self._latency:
+                    for values in group:
+                        yield from channel._send(
+                            channel._push_delay, channel.schema.pack_into,
+                            values, channel._tuple_size)
                 else:
-                    channel = channels[index]
                     yield channel.charge_batch(len(group))
                     flush = channel.stage_batch(group, fill)
                     if flush is not NO_FLUSH:

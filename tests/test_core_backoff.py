@@ -125,7 +125,8 @@ def _run_credit_backoff(seed):
 
     def writer_thread():
         for seq in range(2 * SEGMENTS):
-            yield from channel.push((seq, seq))
+            yield from channel._send(channel._push_delay, _SCHEMA.pack_into,
+                                     (seq, seq), _SCHEMA.tuple_size)
             trace.append((seq, env.now))
 
     def consumer_thread():
@@ -244,7 +245,9 @@ def test_credit_writer_retry_budget_raises_flow_timeout():
     def writer_thread():
         try:
             for seq in range(2 * SEGMENTS):
-                yield from channel.push((seq, seq))
+                yield from channel._send(channel._push_delay,
+                                         _SCHEMA.pack_into, (seq, seq),
+                                         _SCHEMA.tuple_size)
         except FlowTimeoutError as exc:
             errors.append(exc)
 
@@ -415,11 +418,12 @@ class _CheckedWindow(FooterWindow):
        seed=st.integers(0, 3))
 def test_footer_proofs_cover_only_freed_slots(slots, steps, pauses, seed):
     """Any mix of per-segment writes (step 0: a segment filled by pushes,
-    ``acquire(1)``) and trains of ``k`` segments (a ``push_batch`` of
-    ``k`` whole segments, ``acquire(train)``) against a consumer of any
-    pace: ``left`` never exceeds the run of non-consumable footers ahead
-    of the cursor, no stale read is used, and the consumer finds every
-    segment once, in order — nothing was overwritten unread."""
+    ``acquire(1)``) and trains of ``k`` segments (``k`` whole segments
+    charged and staged as one batch, ``acquire(train)``) against a
+    consumer of any pace: ``left`` never exceeds the run of
+    non-consumable footers ahead of the cursor, no stale read is used,
+    and the consumer finds every segment once, in order — nothing was
+    overwritten unread."""
     cluster = Cluster(node_count=2, seed=seed)
     env = cluster.env
     region = get_nic(cluster.node(1)).register_memory(slots * SLOT)
@@ -437,9 +441,10 @@ def test_footer_proofs_cover_only_freed_slots(slots, steps, pauses, seed):
         first = 0
         for step in steps:
             if step:
-                yield from channel.push_batch(
-                    [(key, key) for key in
-                     range(first, first + step * _PER_SEGMENT)])
+                rows = [(key, key) for key in
+                        range(first, first + step * _PER_SEGMENT)]
+                yield channel.charge_batch(len(rows))
+                yield from channel.stage_batch(rows, _SCHEMA.pack_many_into)
             else:
                 yield from _fill_segment(channel, first)
             first += (step or 1) * _PER_SEGMENT

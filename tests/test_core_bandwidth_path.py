@@ -1,23 +1,23 @@
 """The bandwidth-mode batched append keeps every check it had.
 
-``BandwidthSourceChannel.push_batch`` is the one batched append: tuples
-by default, packed bytes when ``push_bytes`` hands it a slice copy and a
-stride. Each test here pins something that must have survived writing it
-once: the two front doors are the same append (equal remote ring bytes,
-finish time, segment count and RDMA tallies — tuple-aligned and
-unaligned segments, with a partial segment already staged, across a
-full-ring stall); a closed source, a torn byte slab and a mistyped tuple
-fail at the offending push; a full ring nobody drains times the source
-out after exactly its backoff budget; a handle that overstates its ring
-is refused before the first train writes.
+``ShuffleSource.push_batch`` is the one batched append: tuples by
+default, packed rows when ``push_bytes`` hands it its byte view. Each
+test here pins something that must have survived writing it once: the
+two front doors are the same append (equal remote ring bytes, finish
+time, segment count and RDMA tallies — tuple-aligned and unaligned
+segments, with a partial segment already staged, across a full-ring
+stall); a closed channel, a closed source, a torn byte slab and a
+mistyped tuple fail at the offending push; a full ring nobody drains
+times the source out after exactly its backoff budget; a handle that
+overstates its ring is refused before the first train writes.
 
-A routed batch is driven by the channel's two-step contract instead of
-by that generator — ``charge_batch`` (the closed check and the one CPU
-charge), then ``stage_batch`` (``NO_FLUSH`` for rows that only land in
-the open slot, the flush loop otherwise). The second half pins that the
-two are one append too, on both sides of the slot boundary, and that the
-stage-only shape kept the checks: no event for an empty batch, the
-closed and the mistyped-row errors at the offending push.
+Every group of a batch is driven by the channel's two-step contract —
+``charge_batch`` (the closed check and the one CPU charge), then
+``stage_batch`` (``NO_FLUSH`` for rows that only land in the open slot,
+the flush loop otherwise). The second half pins that the pair, driven
+by hand, is the source's append, on both sides of the slot boundary,
+and that the stage-only shape kept the checks: no event for an empty
+batch, the closed and the mistyped-row errors at the offending push.
 """
 
 import pytest
@@ -148,11 +148,10 @@ def test_closed_source_refuses_every_front_door(door):
 
     def source_thread():
         source = yield from dfi.open_source("f", 0)
-        channel = source._channels[0]
-        yield from channel.close()
-        # The closed channel refuses, then the closed source. A bandwidth
-        # channel has no ``push``: the open source's makes its check.
-        yield from attempt(source if door == "push" else channel)
+        yield from source._channels[0].close()
+        # The open source refuses its closed channel, then the closed
+        # source refuses.
+        yield from attempt(source)
         yield from source.close()
         yield from attempt(source)
 
@@ -229,9 +228,8 @@ def test_torn_slab_and_mistyped_tuple_send_nothing():
     def body(source):
         channel = source._channels[0]
         slab = b"".join(map(SCHEMA.pack, ROWS[:5]))
-        for endpoint in (source, channel):
-            with pytest.raises(FlowError, match="79 bytes, not a multiple"):
-                yield from endpoint.push_bytes(memoryview(slab)[:-1])
+        with pytest.raises(FlowError, match="79 bytes, not a multiple"):
+            yield from source.push_bytes(memoryview(slab)[:-1])
         with pytest.raises(SchemaError, match="does not match schema"):
             yield from source.push(("not an int", 1))
         with pytest.raises(SchemaError, match="does not match schema"):
@@ -294,7 +292,8 @@ def test_handle_that_overstates_its_ring_is_refused():
         channel = BandwidthSourceChannel(cluster.node(0), descriptor,
                                          handle, ("f", 0, 0))
         try:
-            yield from channel.push_batch(ROWS[:8])
+            yield channel.charge_batch(8)
+            yield from channel.stage_batch(ROWS[:8], SCHEMA.pack_many_into)
         except MemoryRegionError as exc:
             caught.append((segment_count, exc))
 
@@ -306,8 +305,14 @@ def test_handle_that_overstates_its_ring_is_refused():
 
 # -- the pair ShuffleSource drives is the same append ------------------------
 
-def _through_channel(source, rows):
-    yield from source._channels[0].push_batch(rows)
+def _named(source, rows):
+    yield from source.push_batch(rows, target=0)
+
+
+def _charge_then_stage(source, rows):
+    channel = source._channels[0]
+    yield channel.charge_batch(len(rows))
+    yield from channel.stage_batch(rows, SCHEMA.pack_many_into)
 
 
 @pytest.mark.parametrize("segment_size", [ALIGNED, UNALIGNED],
@@ -333,11 +338,11 @@ def test_charge_then_stage_is_push_batch_across_the_slot_boundary(
         return body
 
     runs = [_run(pushed_through(door), segment_size)
-            for door in (_batched, _through_channel)]
+            for door in (_named, _charge_then_stage)]
     assert runs[0]["got"] == ROWS[:3 + len(rows)]
     assert runs[0] == runs[1]
     expected = (0, (room + 2) * size) if over < 0 else (1, over * size)
-    assert seen[_batched] == seen[_through_channel] == expected
+    assert seen[_named] == seen[_charge_then_stage] == expected
 
 
 def test_stage_batch_returns_no_flush_until_the_slot_fills():
@@ -407,7 +412,6 @@ def test_an_empty_batch_costs_no_kernel_event(site):
 def test_closed_channel_refuses_the_charge():
     def body(source):
         channel = source._channels[0]
-        assert channel.charge_batch(0) is None
         channel.closed = True
         with pytest.raises(FlowClosedError):
             channel.charge_batch(0)
@@ -425,7 +429,7 @@ def test_mistyped_row_in_a_staged_batch_leaves_the_slot_as_it_was():
     def body(source):
         channel = source._channels[0]
         yield from source.push_batch(ROWS[:3])
-        for door in (_batched, _through_channel):
+        for door in (_batched, _charge_then_stage):
             with pytest.raises(SchemaError, match="does not match schema"):
                 yield from door(source, [ROWS[3], ("not an int", 1)])
             seen.append((channel._stager.used, channel.tuples_sent,

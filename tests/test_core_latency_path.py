@@ -1,14 +1,16 @@
 """The latency-mode send and drain keep every check they had.
 
-``LatencySourceChannel`` sends through one routine whatever the front
-door (``push``, ``push_batch``, ``push_bytes``, the close/abort marker),
-and ``TargetChannel`` slices payloads and publishes credits without a
-range check per segment because the ranges were proven when it was
-built. Each test here pins one check that must have survived that: the
-three front doors are the same send, a mistyped tuple and a closed
-source fail at the offending push, a footer that overstates its segment
-and a credit slot outside its region are refused, and a shut credit
-window stalls, backs off and gives up after ``max_backoff_retries``.
+``LatencySourceChannel`` writes through one routine, ``_write_slot``,
+whatever the front door (``push``, which stages its tuple in place;
+``push_batch`` and ``push_bytes``, whose walk stages each row through
+``_send``; the close/abort marker), and ``TargetChannel`` slices
+payloads and publishes credits without a range check per segment
+because the ranges were proven when it was built. Each test here pins
+one check that must have survived that: the three front doors are the
+same send, a mistyped tuple, a closed channel and a closed source fail
+at the offending push, a footer that overstates its segment and a
+credit slot outside its region are refused, and a shut credit window
+stalls, backs off and gives up after ``max_backoff_retries``.
 """
 
 import pytest
@@ -125,17 +127,23 @@ def test_closed_source_refuses_every_front_door(door):
     cluster, dfi = _flow()
     raised = []
 
+    argument = {"push": (1, 1), "push_batch": [(1, 1)],
+                "push_bytes": memoryview(SCHEMA.pack((1, 1)))}[door]
+
+    def attempt(source):
+        try:
+            yield from getattr(source, door)(argument)
+        except FlowClosedError as exc:
+            raised.append(exc)
+
     def source_thread():
         source = yield from dfi.open_source("f", 0)
+        yield from source._channels[0].close()
+        # The open source refuses its closed channel, then the closed
+        # source refuses.
+        yield from attempt(source)
         yield from source.close()
-        channel = source._channels[0]
-        for endpoint in (source, channel):
-            argument = {"push": (1, 1), "push_batch": [(1, 1)],
-                        "push_bytes": memoryview(SCHEMA.pack((1, 1)))}[door]
-            try:
-                yield from getattr(endpoint, door)(argument)
-            except FlowClosedError as exc:
-                raised.append(exc)
+        yield from attempt(source)
 
     def target_thread():
         target = yield from dfi.open_target("f", 0)

@@ -590,7 +590,8 @@ def test_multiple_tuples_per_call_push_many():
 
     def source_thread(env):
         source = yield from dfi.open_source("f", 0)
-        yield from source.push_many([(i, i) for i in range(50)])
+        for i in range(50):
+            yield from source.push((i, i))
         yield from source.close()
 
     def target_thread(env):

@@ -3,9 +3,10 @@
 ``ci/gates.sh`` is the one place that says what is checked and how;
 ``.github/workflows/ci.yml`` only calls it. These tests keep that true:
 every repo path the script, the workflow and the docs name must exist,
-so must every code name the docs put in backticks, the workflow is three
-jobs of one ``ci/gates.sh`` call each, and no test file runs in two
-gates.
+so must every code name the docs put in backticks, docs/API.md's Sources
+and Targets tables say what each endpoint class has, the workflow is
+three jobs of one ``ci/gates.sh`` call each, and no test file runs in
+two gates.
 """
 
 import ast
@@ -160,28 +161,55 @@ def test_design_inventory_lists_every_core_module():
     assert sorted(listed) == sorted(modules)
 
 
-def test_api_sources_table_is_what_each_class_has():
-    """docs/API.md's Sources table, cell by cell: ``yes`` exactly where
-    the class has the method (both names, in a ``a`` / ``b`` column)."""
+def _api_table(title):
+    """The cells of the docs/API.md table under the line that starts with
+    ``title``: one ``(class name, class, [(method names, cell)])`` per
+    row, the method names the backticked ones of the cell's column
+    header (``a`` / ``b``, with or without ``()``)."""
     from repro.core import combiner, replicate, sharp, shuffle
 
     modules = (shuffle, replicate, combiner, sharp)
     text = (ROOT / "docs" / "API.md").read_text()
-    table = text.split("\nSources, by the class", 1)[1].split("\n\n", 2)[1]
+    table = text.split(f"\n{title}", 1)[1].split("\n\n", 2)[1]
     header, _rule, *rows = table.splitlines()
-    columns = [re.findall(r"`(\w+)`", cell)
+    columns = [re.findall(r"`(\w+)(?:\(\))?`", cell)
                for cell in header.split("|")[2:-1]]
-    assert rows
+    assert rows and all(columns)
     for row in rows:
         cells = [cell.strip() for cell in row.split("|")[1:-1]]
         name = re.match(r"`(\w+)`", cells[0]).group(1)
         cls = next(getattr(module, name) for module in modules
                    if hasattr(module, name))
-        for names, cell in zip(columns, cells[1:]):
+        yield name, cls, list(zip(columns, cells[1:]))
+
+
+def test_api_sources_table_is_what_each_class_has():
+    """docs/API.md's Sources table, cell by cell: ``yes`` exactly where
+    the class has the method (both names, in a ``a`` / ``b`` column)."""
+    for name, cls, cells in _api_table("Sources, by the class"):
+        for names, cell in cells:
             assert cell in ("yes", "—")
             for method in names:
                 assert hasattr(cls, method) == (cell == "yes"), (
                     f"{name}.{method}: the table says {cell}")
+
+
+def test_api_targets_table_is_what_each_class_has():
+    """docs/API.md's Targets table, cell by cell: a cell that starts with
+    ``—`` where the class lacks the column's method (both names, in a
+    ``a()`` / ``b()`` column), any other cell where it has it — and every
+    name a present cell puts in backticks is an attribute of the
+    class."""
+    for name, cls, cells in _api_table("Targets, by the class"):
+        for names, cell in cells:
+            present = not cell.startswith("—")
+            for method in names:
+                assert hasattr(cls, method) == present, (
+                    f"{name}.{method}: the table says {cell}")
+            if present:
+                for attribute in re.findall(r"`(\w+)`", cell):
+                    assert hasattr(cls, attribute), (
+                        f"{name}.{attribute}: the table names it")
 
 
 def test_workflow_is_three_jobs_that_call_the_gates():

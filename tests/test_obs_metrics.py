@@ -20,6 +20,7 @@ from repro.core import (
     Endpoint,
     FlowOptions,
     Optimization,
+    Ordering,
     Schema,
 )
 from repro.obs import Histogram, render_report
@@ -275,3 +276,46 @@ def test_naive_replicate_counts_each_tuple_once(mode, batched):
     per_ring = 3 if mode is Optimization.BANDWIDTH else 17
     assert metrics.get("core.tuples_pushed") == 16
     assert metrics.get("core.segments_flushed") == 2 * per_ring
+
+
+@pytest.mark.parametrize("ordering", [Ordering.GLOBAL, Ordering.NONE],
+                         ids=["ordered", "unordered"])
+def test_every_consumed_segment_has_one_latency_sample(ordering):
+    """Four sources into one target over 4-slot rings, the target
+    starting 20 us late: several segments are in flight on a ring at
+    once. The latency join pairs each consumed segment with the write
+    that filled its ring slot, so there is one sample per segment — also
+    on an ordered flow, whose footers carry the sequencer's global
+    numbers instead of ring positions."""
+    sources = 4
+    cluster = Cluster(node_count=sources + 1)
+    cluster.enable_observability()
+    dfi = DfiRuntime(cluster)
+    dfi.init_replicate_flow(
+        "rep", [Endpoint(1 + n, 0) for n in range(sources)],
+        [Endpoint(0, 0)], SCHEMA, ordering=ordering,
+        options=FlowOptions(segment_size=64, target_segments=4,
+                            credit_threshold=2))
+    received = []
+
+    def src(index):
+        source = yield from dfi.open_source("rep", index)
+        for i in range(400):
+            yield from source.push((index, i))
+        yield from source.close()
+
+    def tgt():
+        target = yield from dfi.open_target("rep", 0)
+        yield cluster.env.timeout(20_000.0)
+        while (item := (yield from target.consume())) is not FLOW_END:
+            received.append(item)
+
+    for index in range(sources):
+        cluster.env.process(src(index))
+    cluster.env.process(tgt())
+    cluster.run()
+    assert len(received) == sources * 400
+    metrics = cluster.node(0).metrics
+    consumed = metrics.get("core.segments_consumed")
+    assert consumed == sources * (400 * SCHEMA.tuple_size // 64 + 1)
+    assert metrics.histograms["core.seg_latency"].count == consumed
