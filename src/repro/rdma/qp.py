@@ -339,7 +339,7 @@ class QueuePair:
 
         The NIC slot and the wire are reserved by ``RNic.engine_delay``
         and ``Fabric.unicast_arrival``, the per-WQE calls every write
-        makes, and one macro-event walks the write: the prefix bytes
+        makes, and one train books the write: the prefix bytes
         commit one tail-serialization before arrival, the trailing
         ``_ORDERED_TAIL`` bytes at arrival, a signaled completion one ack
         latency later; an unsignaled acknowledgment expands lazily
@@ -471,7 +471,7 @@ class QueuePair:
         path (``Fabric.unicast_arrival`` from its issue instant), in
         posting order (the NIC and the links hold independent state, so
         the interleaving is the whole train's arbitration followed by its
-        wire bookings), and one macro-event commits each write's payload
+        wire bookings), and one train commits each write's payload
         at its exact arrival time. Every timestamp matches the unbatched
         path bit-for-bit — the only behavioural difference is that a
         write's *prefix* bytes commit together with its tail at arrival
@@ -916,7 +916,7 @@ class UdQueuePair:
         now = env.now
         fabric = cluster.fabric
         deliver = group._deliver
-        # One macro-event walks the fan-out; a member lost in the fabric
+        # One train carries the fan-out; a member lost in the fabric
         # has no action. Every instant is ``now + offset``, the float a
         # Timeout armed with that offset fires at; the stable sort keeps
         # equal-time members in member order.

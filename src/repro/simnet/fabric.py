@@ -75,8 +75,8 @@ class Fabric:
         ``destination`` whose first byte may leave at ``earliest`` and
         return the absolute instant the last byte has arrived — the one
         message walk, without an arrival event, for callers that fold
-        the arrival into a macro-event of their own (a doorbell train
-        calls it once per WQE, in posting order).
+        the arrival into a ``schedule_train`` action of their own (a
+        doorbell train calls it once per WQE, in posting order).
 
         ``control`` marks tiny control messages (footer/credit reads,
         atomics) that interleave with queued bulk traffic instead of
@@ -135,8 +135,8 @@ class Fabric:
         offset)`` per member, in member order: the offset (ns from now) at
         which the member's copy has arrived, or ``None`` if the fault plane
         or loss injection dropped it — the multicast without arrival
-        events, for callers that fold the fan-out into a macro-event of
-        their own. The source pays one uplink serialization; each member
+        events, for callers that fold the fan-out into a train of their
+        own. The source pays one uplink serialization; each member
         pays its own downlink."""
         if not members:
             raise SimulationError("multicast group must not be empty")

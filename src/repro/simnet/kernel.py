@@ -3,7 +3,9 @@
 A minimal, dependency-free event loop in the spirit of SimPy: simulated
 *processes* are Python generators that ``yield`` events (timeouts, other
 processes, synchronization primitives) and are resumed when those events
-trigger, or ``yield`` a plain ``float`` delay to sleep. Time is a float
+trigger, or ``yield`` a plain ``float`` delay to sleep. A callback that
+nobody waits on is a ``(when, fn, arg)`` action, queued as itself by
+``Environment.schedule_train`` and called in place. Time is a float
 nanosecond counter; ties are broken FIFO by a monotonic sequence number
 so runs are bit-for-bit reproducible.
 
@@ -33,16 +35,8 @@ from repro.common.errors import SimulationError
 #: Sentinel for "event has not produced a value yet".
 _PENDING = object()
 
-#: Upper bound on recycled MacroEvent records kept by an Environment.
-#: One record is live per in-flight train — a segment train, or the
-#: one-action train of a timed callback (a READ's request and response,
-#: a congestion-plane timer); steady-state flows recycle through a
-#: handful, so the cap bounds idle memory while still absorbing bursts
-#: (many channels flushing in one instant).
-_MACRO_POOL_CAP = 256
-
-#: The event of a timed-queue entry ``(when, seq, event)``.
-_EVENT_OF = itemgetter(2)
+#: The item of a timed-queue entry ``(when, seq, item)``.
+_ITEM_OF = itemgetter(2)
 
 
 class Event:
@@ -125,7 +119,8 @@ class Timeout(Event):
     """Event that triggers automatically after a fixed delay — the event a
     process yields to wait. Code that only needs a callback run at an
     instant schedules a ``(when, fn, arg)`` action with
-    :meth:`Environment.schedule_train` instead."""
+    :meth:`Environment.schedule_train` instead, which queues the action
+    itself and builds no event."""
 
     __slots__ = ("delay",)
 
@@ -137,68 +132,6 @@ class Timeout(Event):
         self.delay = delay
         self._value = value
         env._schedule(self, delay)
-
-
-class MacroEvent(Event):
-    """One reusable queue entry that walks a sorted train of
-    ``(when, fn, arg)`` actions — the record behind
-    :meth:`Environment.schedule_train`.
-
-    Every action fires at its exact absolute timestamp with one live
-    queue entry per train, re-queued once per hop under the sequence
-    number the train drew when it was scheduled: against every other
-    event a hop orders exactly as a ``Timeout`` armed per action at
-    post time would (two writes clamped to one loopback arrival instant
-    still commit in posting order). The walker state lives in slots on
-    a pooled record, and exhausted records recycle through
-    ``Environment._macro_pool`` so a steady-state flow allocates
-    nothing per flush.
-    """
-
-    __slots__ = ("actions", "index", "end", "seq", "_cb")
-
-    def __init__(self, env: "Environment") -> None:
-        super().__init__(env)
-        #: Sorted ``(when, fn, arg)`` train being walked (``None`` when
-        #: the record is idle in the pool).
-        self.actions: "list | None" = None
-        self.index = 0
-        #: The train's length when it was scheduled.
-        self.end = 0
-        #: Sequence number of the train's first hop (see class docstring).
-        self.seq = 0
-        # The permanent one-element callback list. step() reads and
-        # clears ``callbacks`` before invoking us; _fire restores this
-        # same list on every re-arm, so a whole train costs zero list
-        # allocations after the record exists.
-        self._cb: list = [self._fire]
-        self.callbacks = self._cb
-
-    def _fire(self, _event: Event) -> None:
-        env = self.env
-        actions = self.actions
-        index = self.index
-        total = self.end
-        now = env._now
-        while index < total:
-            action = actions[index]
-            if action[0] > now:
-                break
-            index += 1
-            action[1](action[2])
-        if index < total:
-            # Re-arm for the next hop (strictly later than now): reset
-            # the processed state step() just consumed and restore the
-            # permanent callback list.
-            self.index = index
-            self._processed = False
-            self.callbacks = self._cb
-            env._requeue(self, actions[index][0])
-            return
-        self.actions = None
-        pool = env._macro_pool
-        if len(pool) < _MACRO_POOL_CAP:
-            pool.append(self)
 
 
 class WakeEntry(Event):
@@ -469,14 +402,19 @@ class AnyOf(Condition):
 class Environment:
     """The simulation kernel: clock, event queue, and run loop.
 
-    Pending events live in two structures that order by the same
-    ``(time, sequence)`` key, so popping the smaller of their heads is
-    popping from one heap:
+    Pending entries ``(time, sequence, item)`` live in two structures
+    that order by the same ``(time, sequence)`` key, so popping the
+    smaller of their heads is popping from one heap:
 
-    * timed events sit in one binary heap (``_queue``);
-    * zero-delay events (process resumes, ``succeed()`` wakeups — the
+    * timed entries sit in one binary heap (``_queue``);
+    * zero-delay entries (process resumes, ``succeed()`` wakeups — the
       majority) skip the sift into a FIFO deque (``_immediate``), whose
       keys are non-decreasing by construction.
+
+    An entry's ``item`` is an :class:`Event`, whose callbacks run when it
+    is popped, or a run of :meth:`schedule_train` actions — one
+    ``(when, fn, arg)`` tuple, or a list of them — each called as
+    ``fn(arg)`` in place.
 
     A wait only one process can end — a yielded ``float`` delay (CPU
     charges, back-off sleeps), a :meth:`sleep_until` deadline (a batch's
@@ -484,23 +422,22 @@ class Environment:
     wait) — is queued as that process's own :class:`WakeEntry`, re-armed
     in place. A callback that nobody waits on (a write's commits, a
     READ's response, a completion, a congestion-plane timer) is a
-    ``(when, fn, arg)`` action of :meth:`schedule_train`, walked by a
-    pooled :class:`MacroEvent`.
+    ``(when, fn, arg)`` action of :meth:`schedule_train`, queued as
+    itself.
     """
 
     __slots__ = ("_now", "_queue", "_immediate", "_sequence",
-                 "_active_process", "_macro_pool", "events_executed")
+                 "_active_process", "events_executed")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        #: Timed events, a heap on ``(time, sequence)``.
-        self._queue: list[tuple[float, int, Event]] = []
-        #: Zero-delay events in FIFO order (times are non-decreasing).
-        self._immediate: deque[tuple[float, int, Event]] = deque()
+        #: Timed entries, a heap on ``(time, sequence)``.
+        self._queue: list[tuple[float, int, Any]] = []
+        #: Zero-delay entries in FIFO order (times are non-decreasing).
+        self._immediate: deque[tuple[float, int, Any]] = deque()
         self._sequence = 0
         self._active_process: Process | None = None
-        self._macro_pool: list[MacroEvent] = []
-        #: Events executed so far. Pure read-time observability — never
+        #: Entries popped so far. Pure read-time observability — never
         #: consulted by the simulation.
         self.events_executed = 0
 
@@ -550,40 +487,52 @@ class Environment:
 
     def schedule_train(self, actions) -> None:
         """The kernel's one fire-and-forget primitive: run a train of
-        ``(when, fn, arg)`` actions, each ``fn(arg)`` at its exact
-        absolute timestamp, using a *single* in-flight pooled
-        :class:`MacroEvent` that walks the train instead of one queued
-        event per action.
+        ``(when, fn, arg)`` tuples, each ``fn(arg)`` at its exact
+        absolute timestamp, with no event built for any of them.
 
-        ``actions`` must be sorted by non-decreasing ``when`` and must
-        not grow once handed over (the walk stops at its length at this
-        call). An instant at or before ``now`` runs on the next step. A
-        train of segment commits costs one live queue entry at any
-        moment, yet every action still fires at the same ``(time, ...)``
-        key a per-action ``Timeout`` would have used; a timed callback
-        is a train of one, scheduled where its timer would have been
-        armed, at ``now + delay``. The ``(when, fn, arg)`` record shape
-        lets callers share one function across the train and keep
-        per-action state in a plain tuple instead of a closure.
+        ``actions`` must be sorted by non-decreasing ``when``. Each run
+        of equal-instant actions is queued as one entry of its own — the
+        action itself, or a list copied from the train — so the train
+        may be reused once this returns. Actions at or before ``now``
+        form one run that goes on the next step. The entries draw
+        consecutive sequence numbers, so against every other entry each
+        run orders exactly as a ``Timeout`` armed per action here would
+        (two writes clamped to one loopback arrival instant still commit
+        in posting order), and a train costs one queue pop per distinct
+        instant. A timed callback is a train of one, scheduled where its
+        timer would have been armed, at ``now + delay``. The
+        ``(when, fn, arg)`` record shape lets callers share one function
+        across the train and keep per-action state in a plain tuple
+        instead of a closure.
         """
-        if not actions:
-            return
-        pool = self._macro_pool
-        if pool:
-            macro = pool.pop()
-            macro._value = _PENDING
-            macro._exception = None
-            macro._defused = False
-            macro._scheduled = False
-            macro._processed = False
-            macro.callbacks = macro._cb
-        else:
-            macro = MacroEvent(self)
-        macro.actions = actions
-        macro.index = 0
-        macro.end = len(actions)
-        self._schedule_abs(macro, actions[0][0])
-        macro.seq = self._sequence
+        now = self._now
+        seq = self._sequence
+        at = now
+        run = None
+        for action in actions:
+            when = action[0]
+            if when > at:
+                if run is not None:
+                    seq += 1
+                    if at == now:
+                        self._immediate.append((now, seq, run))
+                    else:
+                        heapq.heappush(self._queue, (at, seq, run))
+                at = when
+                run = action
+            elif run is None:
+                run = action
+            elif run.__class__ is tuple:
+                run = [run, action]
+            else:
+                run.append(action)
+        if run is not None:
+            seq += 1
+            if at == now:
+                self._immediate.append((now, seq, run))
+            else:
+                heapq.heappush(self._queue, (at, seq, run))
+            self._sequence = seq
 
     def process(self, generator: Generator[Event, Any, Any],
                 name: str | None = None) -> Process:
@@ -612,9 +561,9 @@ class Environment:
 
     def _schedule_abs(self, event: Event, when: float) -> None:
         """Schedule ``event`` at the absolute time ``when`` (clamped to
-        ``now``). Used by the batch-schedule API, whose action timestamps
-        are pre-computed absolutes that must not be round-tripped through
-        a relative delay."""
+        ``now``). Used by :meth:`sleep_until`, whose deadlines are
+        pre-computed absolutes that must not be round-tripped through a
+        relative delay."""
         if event._scheduled:
             raise SimulationError(f"{event!r} already scheduled")
         event._scheduled = True
@@ -635,7 +584,7 @@ class Environment:
         fired, or zero-delay) raises."""
         queue = self._queue
         try:
-            index = list(map(_EVENT_OF, queue)).index(timer)
+            index = list(map(_ITEM_OF, queue)).index(timer)
         except ValueError:
             raise SimulationError(
                 f"{timer!r} is not on the timed queue") from None
@@ -647,14 +596,9 @@ class Environment:
             else:
                 heapq._siftup(queue, index)  # toward the leaves
 
-    def _requeue(self, macro: MacroEvent, when: float) -> None:
-        """Queue the next hop of a walking ``macro`` at ``when`` (past
-        ``now``) under the sequence number of its first hop."""
-        heapq.heappush(self._queue, (when, macro.seq, macro))
-
-    def _pop_next(self) -> tuple[float, int, Event]:
+    def _pop_next(self) -> tuple[float, int, Any]:
         """Pop the globally next entry. Sequence numbers are unique, so
-        comparing the two heads as tuples never reaches the event."""
+        comparing the two heads as tuples never reaches the item."""
         immediate = self._immediate
         queue = self._queue
         if immediate:
@@ -666,21 +610,29 @@ class Environment:
         raise SimulationError("event queue is empty")
 
     def step(self) -> None:
-        """Process the single next event on the queue."""
-        when, _seq, event = self._pop_next()
+        """Process the single next entry on the queue: run its actions,
+        or its event's callbacks."""
+        when, _seq, item = self._pop_next()
         self._now = when
         self.events_executed += 1
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._processed = True
+        if item.__class__ is tuple:
+            item[1](item[2])
+            return
+        if item.__class__ is list:
+            for action in item:
+                action[1](action[2])
+            return
+        callbacks = item.callbacks
+        item.callbacks = None
+        item._processed = True
         for callback in callbacks:
-            callback(event)
-        if event._exception is not None and not event._defused:
-            raise event._exception
+            callback(item)
+        if item._exception is not None and not item._defused:
+            raise item._exception
 
     def _run_all(self) -> None:
         """Run until nothing is pending: :meth:`step` in a loop, with the
-        pop and the dispatch written out so that an event costs no frame
+        pop and the dispatch written out so that an entry costs no frame
         of the kernel's own."""
         queue = self._queue
         immediate = self._immediate
@@ -689,22 +641,29 @@ class Environment:
         while True:
             if immediate:
                 if queue and queue[0] < immediate[0]:
-                    when, _seq, event = heappop(queue)
+                    when, _seq, item = heappop(queue)
                 else:
-                    when, _seq, event = popleft()
+                    when, _seq, item = popleft()
             elif queue:
-                when, _seq, event = heappop(queue)
+                when, _seq, item = heappop(queue)
             else:
                 return
             self._now = when
             self.events_executed += 1
-            callbacks = event.callbacks
-            event.callbacks = None
-            event._processed = True
+            if item.__class__ is tuple:
+                item[1](item[2])
+                continue
+            if item.__class__ is list:
+                for action in item:
+                    action[1](action[2])
+                continue
+            callbacks = item.callbacks
+            item.callbacks = None
+            item._processed = True
             for callback in callbacks:
-                callback(event)
-            if event._exception is not None and not event._defused:
-                raise event._exception
+                callback(item)
+            if item._exception is not None and not item._defused:
+                raise item._exception
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run the simulation.
@@ -745,7 +704,7 @@ class Environment:
         return None
 
     def peek(self) -> float:
-        """Time of the next queued event, or ``inf`` if the queue is empty."""
+        """Time of the next queued entry, or ``inf`` if the queue is empty."""
         queue = self._queue
         if self._immediate:
             when = self._immediate[0][0]

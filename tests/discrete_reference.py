@@ -34,8 +34,16 @@ count of the WQEs posted through the discrete walk::
 
 Equivalence tests run the same workload once under ``installed()`` and
 once without it and compare everything observable with ``==``.
+
+``Environment.schedule_train`` queues each run of equal-instant actions
+as a queue entry of its own. This module keeps the walk that replaced:
+one pooled :class:`MacroEvent` per train, queued under the one sequence
+number the train drew and re-queued under it once per distinct instant.
+``macro_walker()`` sends every train through it and yields
+``{"trains": n}``.
 """
 
+import heapq
 from contextlib import contextmanager
 
 from repro.common.errors import (
@@ -57,6 +65,7 @@ from repro.rdma.qp import (
     _commit_write,
     _split_ordered_tail,
 )
+from repro.simnet.kernel import _PENDING, Environment, Event
 
 
 # -- the four discrete members, as ``QueuePair`` carried them -----------------
@@ -379,3 +388,102 @@ def per_member_multicast():
         yield counts
     finally:
         UdQueuePair.post_send_multicast = product
+
+
+# -- a train walked by one pooled macro-event ---------------------------------
+
+#: Upper bound on the idle records an environment's pool keeps.
+_MACRO_POOL_CAP = 256
+
+
+class MacroEvent(Event):
+    """One reusable queue entry that walks a sorted train of
+    ``(when, fn, arg)`` actions.
+
+    Every action fires at its exact absolute timestamp with one live
+    queue entry per train, re-queued once per hop under the sequence
+    number the train drew when it was scheduled. The walker state lives
+    in slots on a pooled record, and exhausted records go back to
+    ``pool``, the list of idle records of their environment.
+    """
+
+    __slots__ = ("actions", "index", "end", "seq", "pool", "_cb")
+
+    def __init__(self, env: Environment, pool: list) -> None:
+        super().__init__(env)
+        #: Sorted ``(when, fn, arg)`` train being walked (``None`` when
+        #: the record is idle in the pool).
+        self.actions = None
+        self.index = 0
+        #: The train's length when it was scheduled.
+        self.end = 0
+        #: Sequence number of the train's first hop.
+        self.seq = 0
+        self.pool = pool
+        # The permanent one-element callback list: ``step()`` clears
+        # ``callbacks`` before invoking us, and every re-arm restores it.
+        self._cb = [self._fire]
+        self.callbacks = self._cb
+
+    def _fire(self, _event) -> None:
+        env = self.env
+        actions = self.actions
+        index = self.index
+        total = self.end
+        now = env._now
+        while index < total:
+            action = actions[index]
+            if action[0] > now:
+                break
+            index += 1
+            action[1](action[2])
+        if index < total:
+            # Re-arm for the next hop (strictly later than now) under the
+            # train's one sequence number.
+            self.index = index
+            self._processed = False
+            self.callbacks = self._cb
+            heapq.heappush(env._queue, (actions[index][0], self.seq, self))
+            return
+        self.actions = None
+        if len(self.pool) < _MACRO_POOL_CAP:
+            self.pool.append(self)
+
+
+@contextmanager
+def macro_walker():
+    """Walk every train scheduled while the block runs with a pooled
+    :class:`MacroEvent` — the first hop queued through ``_schedule_abs``
+    (an instant at or before ``now`` on the next step) and the train
+    read up to its length at the call; yield ``{"trains": n}``, the
+    number of non-empty trains it walked."""
+    counts = {"trains": 0}
+    pools = {}
+    product = Environment.schedule_train
+
+    def schedule_train(env, actions):
+        if not actions:
+            return
+        counts["trains"] += 1
+        pool = pools.setdefault(env, [])
+        if pool:
+            macro = pool.pop()
+            macro._value = _PENDING
+            macro._exception = None
+            macro._defused = False
+            macro._scheduled = False
+            macro._processed = False
+            macro.callbacks = macro._cb
+        else:
+            macro = MacroEvent(env, pool)
+        macro.actions = actions
+        macro.index = 0
+        macro.end = len(actions)
+        env._schedule_abs(macro, actions[0][0])
+        macro.seq = env._sequence
+
+    Environment.schedule_train = schedule_train
+    try:
+        yield counts
+    finally:
+        Environment.schedule_train = product

@@ -11,7 +11,9 @@ on the push side. The targets drain with ``consume_batch``, one
 Calls per tuple, sources and targets together, over what the same flow
 costs with nothing pushed: 1.66 while the bucket pass appended every row
 to its group and each group was packed on its own (one ``list.append``
-per row); 0.61 with the packed partition. Wall-clock is noise on a
+per row); 0.61 with the packed partition when it came, 0.53 later, and
+0.48 since a doorbell train's hops are kernel queue entries instead of
+a pooled macro-event's walk. Wall-clock is noise on a
 shared box; the number of Python and C calls a run makes is not.
 """
 
@@ -56,7 +58,8 @@ def _shuffle(batches: int, delivered: list) -> Cluster:
 
 
 def test_a_large_routed_batch_costs_at_most_0_75_calls_per_tuple():
-    """0.61 now; 1.66 with one ``list.append`` per routed row."""
+    """0.48 now (bound 0.49); 1.66 with one ``list.append`` per routed
+    row."""
     # numpy is bound by the first large batch: bind it before counting.
     _shuffle(1, [0]).run()
     idle_rows, busy_rows = [0], [0]
@@ -65,4 +68,4 @@ def test_a_large_routed_batch_costs_at_most_0_75_calls_per_tuple():
     busy_calls = count_calls(busy.run, tally=True)
     assert busy_rows[0] == BATCHES * BATCH
     per_tuple = (busy_calls.total - idle_calls.total) / (BATCHES * BATCH)
-    assert per_tuple <= 0.75, f"{per_tuple}\n{grown(busy_calls, idle_calls)}"
+    assert per_tuple <= 0.49, f"{per_tuple}\n{grown(busy_calls, idle_calls)}"

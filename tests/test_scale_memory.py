@@ -2,7 +2,7 @@
 
 A 256-1024-node serving cluster opens and closes flows continuously; the
 per-cluster stores (flow registry, NIC region tables, fabric caches,
-kernel timer pool) must reach a steady state instead of growing per
+kernel queues) must reach a steady state instead of growing per
 flow. ``FlowRegistry.release_flow`` is the lifecycle hook under test.
 """
 
@@ -35,7 +35,7 @@ from repro.core import (
 )
 from repro.rdma.nic import get_nic
 from repro.simnet import Cluster, FaultPlan, node_crash
-from repro.simnet.kernel import _MACRO_POOL_CAP, Environment
+from repro.simnet.kernel import Environment
 
 _SCHEMA = Schema(("key", "uint64"), ("pad", 24))
 _PAD = b"p" * 24
@@ -289,38 +289,48 @@ def test_failed_flow_releases_every_source_window(kind, mode, policy):
     assert [window._scratch for window in windows] == [None, None]
 
 
+def _drained(env) -> bool:
+    """Nothing is left queued, and every entry the kernel ever queued
+    was popped once: each entry draws one sequence number."""
+    return (not env._queue and not env._immediate
+            and env.events_executed == env._sequence)
+
+
 def test_macro_pool_steady_over_flow_cycles():
     """Five batched flow cycles on one cluster: the registry/NIC
-    footprint is identical after every release and the kernel's recycled
-    MacroEvent pool reaches a steady bounded size instead of growing."""
+    footprint is identical after every release, every drained cycle
+    leaves the kernel's queues empty, and identical cycles cost an
+    identical number of kernel entries instead of growing."""
     cluster = Cluster(node_count=3)
     dfi = DfiRuntime(cluster)
     registry = dfi.registry
+    env = cluster.env
 
     _run_batched_cycle(dfi, cluster, "fp0")
-    # Doorbell trains actually ran: macro records were scheduled,
-    # executed, and recycled into the pool.
-    assert cluster.env._macro_pool, "no train ever scheduled a macro"
+    # Doorbell trains actually ran.
+    assert sum(get_nic(node).doorbell_trains for node in cluster.nodes)
+    assert _drained(env)
     registry.release_flow("fp0")
     steady = _footprint(cluster, registry)
-    pool_sizes = [len(cluster.env._macro_pool)]
+    costs = []
     for cycle in range(1, 5):
+        before = env.events_executed
         _run_batched_cycle(dfi, cluster, f"fp{cycle}")
         registry.release_flow(f"fp{cycle}")
         assert _footprint(cluster, registry) == steady, f"cycle {cycle}"
-        pool_sizes.append(len(cluster.env._macro_pool))
-    assert max(pool_sizes) <= _MACRO_POOL_CAP
-    # Identical workloads recycle into an identical pool: the record
-    # count settles after the first cycle rather than creeping up.
-    assert len(set(pool_sizes[1:])) == 1, pool_sizes
+        assert _drained(env), f"cycle {cycle}"
+        costs.append(env.events_executed - before)
+    assert len(set(costs)) == 1, costs
 
 
 def test_latency_flow_has_no_per_write_growth():
     """A latency ping-pong long enough to lap its 4-slot rings hundreds
     of times: every eager write is still one WQE, one fabric message and
-    zero doorbell trains, and walks a pooled macro-event, as do the
-    credit reads' request and response — the kernel's one pool does not
-    grow with the write count."""
+    zero doorbell trains, and its commits, like the credit reads'
+    request and response, are kernel queue entries of their own — what
+    is queued at the same point of every hundredth round trip does not
+    grow with the write count, and the drained run leaves nothing
+    queued."""
     from repro.core import Optimization
 
     trips = 800
@@ -335,7 +345,7 @@ def test_latency_flow_has_no_per_write_growth():
                               optimization=Optimization.LATENCY,
                               options=options)
     pad = b"p" * 112
-    pool_sizes = []
+    pending = []
     env = cluster.env
 
     def client():
@@ -345,7 +355,7 @@ def test_latency_flow_has_no_per_write_growth():
             yield from ping.push((i, pad))
             yield from pong.consume()
             if i % 100 == 99:
-                pool_sizes.append(len(env._macro_pool))
+                pending.append(len(env._queue) + len(env._immediate))
         yield from ping.close()
         assert (yield from pong.consume()) is FLOW_END
 
@@ -360,9 +370,10 @@ def test_latency_flow_has_no_per_write_growth():
     cluster.node(1).spawn(server())
     cluster.run()
 
-    # Pools settle within the first hundred round trips and stay put.
-    assert len(set(pool_sizes)) == 1, pool_sizes
-    assert 0 < pool_sizes[0] <= _MACRO_POOL_CAP
+    # A closed loop: when the client holds its answer nothing else is in
+    # flight, however many writes went before.
+    assert pending == [0] * (trips // 100)
+    assert _drained(env)
     # One write per hop plus the two close markers; every other WQE is
     # a credit read (request + response on the fabric).
     nics = [get_nic(node) for node in cluster.nodes]
@@ -467,15 +478,22 @@ def test_timeout_pool_stays_capped(racks):
 
     result = run_shuffle_mesh(racks, 4, tuples_per_source=128)
     env = result["cluster"].env
-    # The one recycling pool: every timed callback and every train
-    # returns its record there, and it keeps at most the cap.
-    assert 0 < len(env._macro_pool) <= _MACRO_POOL_CAP
-    # A burst wider than the cap returns more records than it keeps.
+    # Every timed callback and every train hop was a queue entry of its
+    # own, popped once; the drained mesh leaves nothing behind.
+    assert env.events_executed > 0 and _drained(env)
+    # A burst of 300 one-action trains at one instant is 300 entries; a
+    # train of 300 actions at one instant is one, holding a copy of the
+    # train, which its caller may reuse at once.
     burst = Environment()
-    for _ in range(_MACRO_POOL_CAP + 44):
+    for _ in range(300):
         burst.schedule_train([(1.0, list, ())])
+    train = [(1.0, list, ())] * 300
+    burst.schedule_train(train)
+    train.clear()
+    assert len(burst._queue) == burst._sequence == 301
+    assert len(burst._queue[-1][2]) == 300
     burst.run()
-    assert len(burst._macro_pool) == _MACRO_POOL_CAP
+    assert burst.events_executed == 301 and _drained(burst)
 
 
 # -- scale: a channel pays for the slots it writes ---------------------------

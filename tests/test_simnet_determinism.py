@@ -56,9 +56,10 @@ def test_zero_delay_events_keep_fifo_order_with_timed_events():
 
 
 def test_pooled_timeouts_do_not_leak_state():
-    """Recycled MacroEvent records — the one pool behind every timed
-    callback — must come back clean: each action fires once, at its own
-    instant, with its own argument, however often its record served."""
+    """Timed callbacks — one-action trains, each arming the next from its
+    own action — leak nothing between entries: each action fires once,
+    at its own instant, with its own argument, and a train list its
+    caller changes after handing it over changes nothing queued."""
     env = Environment()
     seen = []
 
@@ -75,20 +76,17 @@ def test_pooled_timeouts_do_not_leak_state():
     assert len(seen) == 200
     for now, index, step in seen:
         assert now == float((step + 1) * (index + 1))
-    # Two hundred callbacks ran on at most two records per chain, each
-    # back in the pool and idle.
-    pool = env._macro_pool
-    assert 0 < len(pool) <= 8
-    assert all(record.actions is None for record in pool)
-    # A reused record is armed afresh: one action, unprocessed, queued.
+    # Two hundred callbacks, each a queue entry of its own, popped once.
+    assert env.events_executed == env._sequence == 200
+    assert not env._queue and not env._immediate
+    # A lone action is queued as the caller's tuple itself.
     actions = [(env.now + 1.0, tick, (9, 49))]
     env.schedule_train(actions)
-    record = env._queue[0][2]
-    assert record not in pool and record.actions is actions
-    assert (record.index, record.end, record._processed) == (0, 1, False)
-    assert record.callbacks == [record._fire]
+    assert env._queue == [(env.now + 1.0, 201, actions[0])]
+    actions[0] = (env.now + 2.0, tick, (8, 49))
+    actions.append((env.now + 3.0, tick, (7, 49)))
     env.run()
-    assert seen[-1] == (env.now, 9, 49) and record in pool
+    assert seen[-1] == (env.now, 9, 49) and len(seen) == 201
 
 
 def test_condition_index_map_matches_event_positions():

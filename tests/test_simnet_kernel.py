@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event kernel."""
 
+import contextlib
 import heapq
 import itertools
 import tokenize
@@ -12,6 +13,7 @@ import repro
 from repro.common.errors import SimulationError
 from repro.core import DfiRuntime, Endpoint, Optimization, Schema
 from repro.simnet import Cluster, Environment, Interrupt
+from tests import discrete_reference
 
 
 class Stepwise(Environment):
@@ -559,6 +561,127 @@ def test_cancel_restores_the_heap_with_one_sift(monkeypatch, layout):
         assert fired == sorted((index for index in range(len(delays))
                                 if index != guard),
                                key=lambda index: (delays[index], index))
+
+
+# -- trains against the macro walker they replaced -------------------------
+
+#: Offsets from ``now``: negative ones make a train's instants clamped,
+#: repeated ones make them tie.
+_OFFSETS = (-3.0, -0.5, 0.0, 1.0, 2.5, 7.0, 1e6)
+_TRAIN_KINDS = ("train", "succeed", "timeout", "sleep", "sleep_until",
+                "wake", "cancel")
+
+
+def _train_ops(children):
+    """(kind, offsets, ops the firing action schedules); a train may be
+    empty."""
+    return st.lists(st.tuples(
+        st.sampled_from(_TRAIN_KINDS),
+        st.lists(st.sampled_from(_OFFSETS), max_size=5),
+        children), max_size=4)
+
+
+_TRAIN_PROGRAMMES = st.recursive(st.just([]), _train_ops, max_leaves=30)
+
+
+def _train_order(env, programme):
+    """Run ``programme`` on ``env``; return the ``(now, op, action)``
+    firing sequence. A ``train`` op is one action per offset, at
+    ``now + offset``; the other kinds use the offsets' magnitudes as
+    delays (the first offset, or 1.0 when there is none). Action 0 of an
+    op schedules its children. A ``sleep``/``sleep_until`` op starts a
+    process (action 1) that sleeps, ``sleep_until`` to a possibly past
+    instant. A ``wake`` op starts a process (action 1) that parks on its
+    wake entry, and a train action (action 2) that queues the entry, as
+    a doorbell's write hook does. A ``cancel`` op is a guard timer
+    (action 0) and a train action (action 1) that withdraws it if it is
+    still pending."""
+    fired = []
+
+    def schedule(op):
+        ident, kind, offsets, children = op
+        first = offsets[0] if offsets else 1.0
+        last = offsets[-1] if offsets else 1.0
+
+        def fire(action=0):
+            fired.append((env.now, ident, action))
+            if action == 0:
+                for child in children:
+                    schedule(child)
+
+        if kind == "train":
+            env.schedule_train([
+                (when, fire, action) for action, when
+                in enumerate(sorted(env.now + offset for offset in offsets))])
+        elif kind == "succeed":
+            event = env.event()
+            event.callbacks.append(lambda _event: fire())
+            event.succeed()
+        elif kind == "timeout":
+            env.timeout(abs(first)).callbacks.append(lambda _event: fire())
+        elif kind == "sleep":
+            def sleeper():
+                fire(1)
+                yield abs(first)
+                fire()
+
+            env.process(sleeper())
+        elif kind == "sleep_until":
+            def sleeper():
+                fire(1)
+                yield env.sleep_until(env.now + first)
+                fire()
+
+            env.process(sleeper())
+        elif kind == "wake":
+            parked = []
+
+            def parker():
+                fire(1)
+                parked.append(env.active_process._wake)
+                yield parked[0]
+                fire()
+
+            def ring(_arg):
+                fire(2)
+                entry = parked[0]
+                entry._value = None
+                env._schedule(entry, abs(last))
+
+            env.process(parker())
+            env.schedule_train([(env.now + first, ring, None)])
+        else:
+            guard = env.timeout(abs(first))
+            guard.callbacks.append(lambda _event: fire())
+
+            def withdraw(_arg):
+                fire(1)
+                if not guard.processed:
+                    env.cancel(guard)
+
+            env.schedule_train([(env.now + abs(last), withdraw, None)])
+
+    for op in programme:
+        schedule(op)
+    env.run()
+    return fired
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_TRAIN_PROGRAMMES, stepwise=st.booleans())
+def test_trains_fire_as_the_macro_walker_fired_them(ops, stepwise):
+    """A run of equal-instant actions queued as an entry of its own fires
+    every action at the instant, in the order, and with the queue pops
+    of the pooled walker that ``tests/discrete_reference.py`` keeps —
+    through ``run()`` and through ``step()``."""
+    programme = _numbered(ops, itertools.count())
+    runs = []
+    for walker in (contextlib.nullcontext, discrete_reference.macro_walker):
+        env = Stepwise() if stepwise else Environment()
+        with walker():
+            fired = _train_order(env, programme)
+        runs.append((fired, env.now, env.events_executed))
+    assert runs[0] == runs[1]
 
 
 # -- a process's own wake entry ----------------------------------------------

@@ -184,9 +184,9 @@ def test_sharded_order_matches_single_queue_exactly():
     _chaotic_workload(env, seed=42, log=baseline)
     assert len(baseline) > 200
     assert env.now == float(1 << 63)
-    # Every executed event drew one sequence number, except that the
-    # 16-hop train re-queues all its hops under the one it drew.
-    assert env.events_executed == env._sequence + 15
+    # Every entry drew one sequence number and was popped once — the
+    # 16-hop train's hops too, one entry each.
+    assert env.events_executed == env._sequence
     for seed in (42, 7):
         log: list = []
         stepped = Stepwise()
@@ -364,9 +364,10 @@ def test_macro_hops_stay_on_the_arming_shard():
     assert seen == [entry for index, when in enumerate(instants)
                     for entry in (("hop", index, when),
                                   ("timer", index, when + 1.0))]
-    # The timeout, five hops on one macro-event, five timers.
+    # The timeout, five hops of one train, five timers: an entry and a
+    # sequence number each.
     assert env.events_executed == 11
-    assert env._sequence == 1 + 1 + 5
+    assert env._sequence == 1 + 5 + 5
 
 
 def _racked_shuffle():
@@ -427,9 +428,9 @@ def test_written_out_loop_stays_in_lockstep_with_step():
 
 
 def test_sharded_loop_recycles_pooled_timeouts():
-    """The pool's users are timed callbacks — one-action trains — each
-    arming the next from its own action."""
-    pooled = []
+    """Timed callbacks — one-action trains — each arming the next from
+    its own action are one queue entry apiece, popped once, through
+    either loop."""
     for env in (Environment(), Stepwise()):
         fired = []
 
@@ -441,19 +442,18 @@ def test_sharded_loop_recycles_pooled_timeouts():
         tick(None)
         env.run()
         assert fired == [float(t) for t in range(12)]
-        pooled.append(len(env._macro_pool))
-    # A record returns to the pool once its action ran, so two records
-    # take turns serving all eleven callbacks — through either loop.
-    assert pooled == [2, 2]
+        assert env.events_executed == env._sequence == 11
+        assert _pending(env) == 0
     # Under the discrete oracle an active, idle fault plane puts every
     # write of a racked flow on the per-WQE walk, whose completions are
-    # pooled actions.
+    # train actions: the drained run leaves none behind.
     with discrete_reference.installed() as posts:
         cluster, _processes = _racked_shuffle()
         cluster.install_faults(FaultPlan(
             [link_degrade(0, at=1e9, duration=1.0, factor=2.0)]))
         cluster.run()
-    assert posts["wqes"] and cluster.env._macro_pool
+    assert posts["wqes"] and _pending(cluster.env) == 0
+    assert cluster.env.events_executed == cluster.env._sequence
 
 
 @pytest.mark.parametrize("racks", [1, 2])
@@ -479,10 +479,11 @@ def test_cpu_charges_reuse_one_wake_entry_and_build_no_timeout(
     process = node.spawn(worker())
     cluster.run()
     assert not process.is_alive and env.now == 10_000.0
-    assert built == [] and env._macro_pool == []
-    # Its start and all 1 000 charges ran on the same entry.
+    assert built == []
+    # Its start and all 1 000 charges ran on the same entry, and nothing
+    # else was ever queued: start, charges, exit.
     assert entries == {process._wake}
-    assert env.events_executed == 1 + 1000 + 1   # start, charges, exit
+    assert env.events_executed == env._sequence == 1 + 1000 + 1
 
 
 # -- the racked cluster is the flat cluster ----------------------------------
@@ -694,7 +695,7 @@ def _snapshot_after_traffic(cluster):
 
     for node in cluster.nodes:
         node.spawn(worker(node))
-    # Three hops on one macro-event: one sequence number, three events.
+    # Three hops of one train: three entries, three sequence numbers.
     cluster.env.schedule_train([(when, list, ()) for when in (1.0, 2.0, 3.0)])
     cluster.run()
     return cluster.metrics_snapshot()
@@ -708,7 +709,7 @@ def test_kernel_shard_counters_surface_through_obs():
     snapshot = _snapshot_after_traffic(cluster)
     assert snapshot["kernel"] == {
         "events_executed": cluster.env.events_executed}
-    assert cluster.env.events_executed == cluster.env._sequence + 2
+    assert cluster.env.events_executed == cluster.env._sequence
     for node in snapshot["nodes"].values():
         assert not [name for name in node.get("counters", {})
                     if name.startswith("kernel.")]
