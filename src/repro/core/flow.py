@@ -45,6 +45,7 @@ from repro.core.schema import Schema
 from repro.core.sharp import SharpCombinerSource, SharpCombinerTarget
 from repro.core.shuffle import ShuffleSource, ShuffleTarget
 from repro.simnet.cluster import Cluster
+from repro.simnet.kernel import PARK
 
 #: The endpoint classes of each transport (``FlowDescriptor.transport``),
 #: keyed by the first transport each class serves.
@@ -123,12 +124,16 @@ class DfiRuntime:
         Blocks (in simulated time) until the matching targets have
         published their receive buffers.
         """
+        if self.cluster.env._ahead is not None:
+            yield PARK
         cls = _SOURCES[self.registry.descriptor(name).transport]
         endpoint = yield from cls.open(self.registry, name, source_index)
         return endpoint
 
     def open_target(self, name: str, target_index: int = 0):
         """Generator: open target endpoint ``target_index`` of ``name``."""
+        if self.cluster.env._ahead is not None:
+            yield PARK
         cls = _TARGETS[self.registry.descriptor(name).transport]
         endpoint = cls.open(self.registry, name, target_index)
         if endpoint.__class__ is GeneratorType:

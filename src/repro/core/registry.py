@@ -25,7 +25,7 @@ from repro.core.flowdef import FlowDescriptor, FlowType, Ordering
 from repro.rdma.nic import get_nic
 from repro.rdma.qp import MulticastGroup
 from repro.simnet.cluster import Cluster
-from repro.simnet.kernel import Event
+from repro.simnet.kernel import PARK, Event
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,10 @@ class FlowRegistry:
 
     def wait(self, name: str, key):
         """Generator: the value published under ``key`` of flow ``name``
-        — at once, yielding nothing, if it is already there."""
+        — at once, yielding nothing, if it is already there (a process
+        running ahead of the clock parks first)."""
+        if self.cluster.env._ahead is not None:
+            yield PARK
         flow = self._flow(name)
         if key in flow.board:
             return flow.board[key]

@@ -73,6 +73,7 @@ from repro.obs import endpoint_obs, log_close
 from repro.common.planelog import CLOSE, CONSUME, WRITE
 from repro.rdma.memory import zeroed
 from repro.rdma.nic import get_nic
+from repro.simnet.kernel import PARK
 
 _FOOTER_UNPACK_FROM = FOOTER_STRUCT.unpack_from
 
@@ -150,6 +151,8 @@ class TupleSequencer:
 
     def next(self):
         """Generator: draw the next global sequence number."""
+        if self._qp.env._ahead is not None:
+            yield PARK
         wr = self._qp.post_fetch_add(self._handle.rkey, self._handle.offset,
                                      1, signaled=False)
         seq = yield wr.done
@@ -912,6 +915,8 @@ class MulticastReplicateTarget:
         if taken < self._held:
             self._taken = taken + 1
             return self._rows[taken]
+        if self.env._ahead is not None:
+            yield PARK   # the receive pass reads what the NIC delivered
         deadline = (None if self._peer_timeout is None
                     else self.env.now + self._peer_timeout)
         while True:

@@ -61,12 +61,12 @@ from repro.core.segment import (
 )
 from repro.obs import FAULT_DETECT, REROUTE, endpoint_obs, log_close, log_event
 from repro.common.planelog import CONSUME, WRITE
-from repro.core.writers import CreditWindow, FooterWindow
+from repro.core.writers import REFRESH_DUE, CreditWindow, FooterWindow
 from repro.rdma.completion import Opcode, WorkRequest
 from repro.rdma.memory import zeroed
 from repro.rdma.nic import get_nic
 from repro.simnet.congestion import stall_is_congestion
-from repro.simnet.kernel import Event
+from repro.simnet.kernel import PARK, Event
 
 #: C-speed footer "used bytes" parse for the drain hot loop
 #: (little-endian u32 at the footer head; see repro.core.segment).
@@ -170,12 +170,16 @@ class _Doorbell:
     and must :meth:`disarm` when the deadline won.
     """
 
-    __slots__ = ("_env", "_event", "_delay", "_poll_delay", "dirty")
+    __slots__ = ("_env", "_event", "_delay", "_poll_delay", "dirty",
+                 "_held")
 
     def __init__(self, node: "Node", regions) -> None:
         self._env = node.env
         self._event = None
         self._delay = 0.0
+        #: The process that armed a polled wait while it ran ahead of the
+        #: clock (``Environment.run_ahead``), else ``None``.
+        self._held = None
         self._poll_delay = (node.cluster.profile.cpu_poll_cost
                             / node._cpu_scale)
         #: Indices of the regions written since their reader last took
@@ -196,10 +200,17 @@ class _Doorbell:
             event = self._event
             if event is not None:
                 self._event = None
-                # ``succeed()`` after ``_delay`` (mirrors Timeout
-                # construction).
-                event._value = None
-                env._schedule(event, self._delay)
+                held = self._held
+                if held is not None and held._ahead is not None:
+                    # The waiter's links are pending: it would have found
+                    # this write before waiting, so it resumes at its
+                    # local instant, and no wake is queued.
+                    held._ring_ahead()
+                else:
+                    # ``succeed()`` after ``_delay`` (mirrors Timeout
+                    # construction).
+                    event._value = None
+                    env._schedule(event, self._delay)
         return ring
 
     def arm(self, poll: bool = False):
@@ -209,10 +220,13 @@ class _Doorbell:
         if poll:
             # The waiting process's own entry, free while it runs; the
             # kernel re-arms it when the process yields it.
-            event = self._event = self._env._active_process._wake
+            env = self._env
+            event = self._event = env._active_process._wake
+            self._held = env._ahead
             self._delay = self._poll_delay
         else:
             event = self._event = Event(self._env)
+            self._held = None
             self._delay = 0.0
         return event
 
@@ -605,6 +619,8 @@ class BandwidthSourceChannel(_SourceChannel):
         segment writes its used payload, then the footer at its fixed
         end-of-segment position (RC orders writes per QP, so the footer
         still lands strictly after the payload)."""
+        if self.env._ahead is not None:
+            yield PARK   # a post books the wire other threads book
         # The wrap WQE is reaped before the slot is proven.
         if self._local_index == 0 and self._wrap_wr is not None:
             yield from self._reap_wrap()
@@ -657,6 +673,8 @@ class BandwidthSourceChannel(_SourceChannel):
         gets no WorkRequest). A train that used up the window pipelines
         the next window's footer read behind it — the train analogue of
         the paper's per-segment footer pre-read."""
+        if self.env._ahead is not None:
+            yield PARK   # as in :meth:`_write_slot`
         window = self._window
         entries = self._train_entries
         region = self._remote_region
@@ -727,6 +745,9 @@ class LatencySourceChannel(_SourceChannel):
             self.profile.cpu_push_cost(self._tuple_size)
             + self.profile.cpu_post_cost)
         self._segments = handle.segment_count
+        #: :meth:`_post` bound once: a push that runs ahead hands it to
+        #: ``Environment.run_ahead`` without building a method object.
+        self._post_write = self._post
         #: Segments sent against the target's consumed counter.
         self._credit = CreditWindow(self, handle,
                                     descriptor.options.credit_threshold,
@@ -767,32 +788,54 @@ class LatencySourceChannel(_SourceChannel):
         fire-and-forget, only a close/abort marker is ever observed."""
         if delay is not None:
             yield delay
-        segments = self._segments
+        elif self.env._ahead is not None:
+            yield PARK
         credit = self._credit
         sent = credit.sent
-        if credit.pending is not None or sent - credit.consumed >= segments:
-            # A refresh to harvest, or the window is shut.
+        pending = credit.pending
+        if (sent - credit.consumed >= self._segments
+                or pending is not None and pending.done.triggered):
+            # The window is shut, or a refresh to harvest (one still in
+            # flight leaves it as it is).
             yield from credit.acquire()
+        wr = (WorkRequest(self.env, None, Opcode.WRITE, True) if flags
+              else None)
+        credit.sent = sent + 1
+        self._post(sent, wr, slot, used)
+        return wr
+
+    def _post(self, sent: int, wr=None, slot=None, used: int = 0) -> None:
+        """Post write ``sent`` — ``slot`` holding ``used`` payload bytes,
+        or by default the staging slot a push filled for it — and top
+        the credits up after a data write (``wr`` is ``None``). The tail
+        of :meth:`_write_slot`, and alone the action of a push that ran
+        ahead of the clock (``Environment.run_ahead``): that push counted
+        it in ``credit.sent`` and, when this post starts the refresh,
+        marked it :data:`REFRESH_DUE` — ``consumed`` has not moved since,
+        so the credits the post leaves tell which post that is."""
+        segments = self._segments
+        if slot is None:
+            base = (sent % self._staging_slots) * self._slot_size
+            slot = self._staging_view[base:base + self._slot_size]
+            used = self._tuple_size
         region = self._remote_region
         if region is None:
             region = _resolve_remote_region(self)
-        wr = (WorkRequest(self.env, None, Opcode.WRITE, True) if flags
-              else None)
         self.qp.post_lone(wr, self._slot_size, ((0, slot),), region,
                           (sent % segments) * self._remote_slot)
         if self._obs is not None:
             self._obs.log((WRITE, self.env._now, self, self.remote,
                            sent, 1, used))
-        credit.sent = sent = sent + 1
         self.segments_sent += 1
         if wr is None:
             # A tuple went out (the marker that ends the channel carries
             # none and needs no credit after it).
             self.tuples_sent += 1
-            if (segments - (sent - credit.consumed) <= credit.threshold
-                    and credit.pending is None):
+            credit = self._credit
+            if (segments - (sent + 1 - credit.consumed) <= credit.threshold
+                    and (credit.pending is None
+                         or credit.pending is REFRESH_DUE)):
                 credit.refresh_async()
-        return wr
 
 
 def _source_channel(node: "Node", descriptor: FlowDescriptor,
@@ -1138,6 +1181,8 @@ class _FlowSource:
         traffic that will never come, send the transport's abort marker
         (:meth:`_void`; best effort, some survivors may be dead too),
         then release every channel."""
+        if self.node.env._ahead is not None:
+            yield PARK
         self._aborting = True
         self.registry.mark_flow_aborted(self.descriptor.name)
         yield from self._void()
@@ -1256,9 +1301,14 @@ class ShuffleSource(_FlowSource):
         into the channel's open staging slot. On a latency flow every
         push writes its tuple at once: it is staged here too, and while
         the channel's credit window is open, with no refresh pending,
-        the channel's ``_write_slot`` is returned as it is — it can fail
-        only in a credit wait, so the failure policy has nothing to
-        guard.
+        the thread runs ahead of the clock by the push's CPU charge
+        (``Environment.run_ahead``, which queues the channel's ``_post``
+        at the instant the charge reaches) and the push returns
+        :data:`NO_FLUSH`: that write cannot wait for a credit, so the
+        failure policy has nothing to guard. A shut window, a pending
+        refresh or a charge that would cross a ``run(until=...)``
+        horizon takes the guarded ``_write_slot``, which sleeps the
+        charge.
         """
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
@@ -1299,17 +1349,27 @@ class ShuffleSource(_FlowSource):
             used = channel._tuple_size
             _FOOTER_PACK_INTO(staging, base + channel.segment_payload, used,
                               _FLAG_WORDS[0], seq)
+            segments = channel._segments
+            if (credit.pending is None
+                    and seq - credit.consumed < segments
+                    and channel.env.run_ahead(channel._push_delay,
+                                              channel._post_write, seq)):
+                # An open window with no refresh to harvest stays so
+                # until the write posts (only this thread moves ``sent``,
+                # ``consumed`` and ``pending``), so the write cannot fail:
+                # the thread runs ahead of the clock by the push's CPU
+                # charge, and the post is the queued link's action. The
+                # write holds its credit now; a post that will start a
+                # refresh marks it due, so the next push takes
+                # ``_write_slot`` exactly where a sleeping push would
+                # have.
+                credit.sent = seq + 1
+                if segments - (seq + 1 - credit.consumed) <= credit.threshold:
+                    credit.pending = REFRESH_DUE
+                return NO_FLUSH
             flush = channel._write_slot(
                 channel._staging_view[base:base + channel._slot_size], used,
                 0, channel._push_delay)
-            if (credit.pending is None
-                    and seq - credit.consumed < channel._segments):
-                # An open window with no refresh to harvest stays so
-                # until the write posts (only this thread moves ``sent``,
-                # ``consumed`` and ``pending``): ``_write_slot`` does not
-                # ``acquire``, so it cannot raise what the failure policy
-                # handles.
-                return flush
         else:
             stager = channel._stager
             used = stager.used
@@ -1636,6 +1696,8 @@ class ShuffleSource(_FlowSource):
         close follows the flow's failure policy: under ``"reroute"`` the
         close still succeeds on the survivors, under ``"abort"`` the
         survivors are aborted and FlowPeerFailedError is raised."""
+        if self.node.env._ahead is not None:
+            yield PARK
         work_requests = []
         failures = []
         for index, channel in enumerate(self._channels):
@@ -1686,6 +1748,8 @@ class ShuffleSource(_FlowSource):
         (elasticity — paper Section 7 future work). New channels are
         opened for every target index beyond the currently known set;
         the router immediately includes them in its fan-out."""
+        if self.node.env._ahead is not None:
+            yield PARK
         if self.registry.flow_aborted(self.descriptor.name):
             raise FlowAbortedError(
                 f"flow {self.descriptor.name!r} was aborted")
@@ -1882,7 +1946,13 @@ class ShuffleTarget:
             # Only a write marks a channel dirty: a clean set scans
             # nothing, and a scan leaves the set clean (so a scan that
             # found only close markers or empty segments needs no other).
+            # A scan releases slots other threads read: a thread ahead of
+            # the clock parks first. A clean set only grows until then,
+            # and a write that lands first resumes it from its wait.
             if dirty:
+                if self._env._ahead is not None:
+                    yield PARK
+                    continue
                 rows = []
                 held = self._scan(rows, self._unpack)
                 if held:
@@ -1898,6 +1968,8 @@ class ShuffleTarget:
                 return FLOW_END
             if self._peer_timeout is None:
                 yield self._doorbell.arm(poll=True)
+            elif self._env._ahead is not None:
+                yield PARK
             else:
                 yield from self._bounded_wait()
 
@@ -1953,12 +2025,16 @@ class ShuffleTarget:
             # Leftovers from per-tuple consumes (rows only, see
             # consume_bytes) go first, so FIFO order holds across the
             # mix, then everything ready.
+            if dirty and self._env._ahead is not None:
+                yield PARK
             batch = self._rows[taken:]
             self._taken = self._held
             if dirty:
                 self._scan(batch, unpack)
             return batch
         while True:
+            if dirty and self._env._ahead is not None:
+                yield PARK   # as in :meth:`consume`
             batch = []
             if dirty and self._scan(batch, unpack):
                 return batch
@@ -1970,6 +2046,8 @@ class ShuffleTarget:
                 return FLOW_END
             if self._peer_timeout is None:
                 yield self._doorbell.arm(poll=True)
+            elif self._env._ahead is not None:
+                yield PARK
             else:
                 yield from self._bounded_wait()
 

@@ -36,6 +36,11 @@ if TYPE_CHECKING:
     from repro.simnet.node import Node
 
 
+#: :attr:`CreditWindow.pending` from a push that ran ahead of the clock
+#: until its post starts the refresh read that push predicted.
+REFRESH_DUE = object()
+
+
 def _congestion_grace(node: "Node", remote_id: int, obs) -> bool:
     """A source whose backoff budget ran out is forgiven while the path to
     the remote ring is visibly congestion-throttled: the ring is full
@@ -186,7 +191,15 @@ class CreditWindow(_RingWindow):
     against the target's ``consumed`` counter as last read. The owner
     bumps ``sent`` per write and calls :meth:`refresh_async` once the
     credits left fall to ``threshold``, so the common-case write finds
-    the window open and issues nothing else."""
+    the window open and issues nothing else.
+
+    A push that runs ahead of the clock bumps ``sent`` before its post
+    and, when that post will start the refresh, sets ``pending`` to
+    :data:`REFRESH_DUE` until it does: ``consumed`` moves only in the
+    owner's own :meth:`acquire`, which runs at the clock (the owner's
+    ``_write_slot`` sleeps its charge or parks first), so the refresh is
+    known at push time and the next push waits for it exactly when a
+    push that slept through its charge would."""
 
     __slots__ = ("sent", "consumed", "pending", "threshold", "_issued")
 

@@ -25,6 +25,7 @@ from repro.simnet.kernel import (
     AnyOf,
     Environment,
     Event,
+    PARK,
     Interrupt,
     Process,
     Timeout,
@@ -41,6 +42,7 @@ __all__ = [
     "Timeout",
     "Process",
     "Interrupt",
+    "PARK",
     "AllOf",
     "AnyOf",
     "Link",

@@ -7,7 +7,10 @@ trigger, or ``yield`` a plain ``float`` delay to sleep. A callback that
 nobody waits on is a ``(when, fn, arg)`` action, queued as itself by
 ``Environment.schedule_train`` and called in place. Time is a float
 nanosecond counter; ties are broken FIFO by a monotonic sequence number
-so runs are bit-for-bit reproducible.
+so runs are bit-for-bit reproducible. A process may also run ahead of
+the clock (:meth:`Environment.run_ahead`): it charges itself CPU time and
+carries on at its own local instant while the kernel replays what it
+queues there, in order, when the clock gets there.
 
 Example::
 
@@ -37,6 +40,26 @@ _PENDING = object()
 
 #: The item of a timed-queue entry ``(when, seq, item)``.
 _ITEM_OF = itemgetter(2)
+
+_heappush = heapq.heappush
+
+
+class _Park:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "PARK"
+
+
+#: Yielded by library code before it reads state that other processes
+#: write: a process running ahead of the clock resumes, with no queue
+#: entry of its own, once the clock reaches its local instant (its last
+#: link has run); any other process continues at once.
+PARK = _Park()
+
+#: ``Process._parked`` of a process whose held wake entry a waker fired
+#: while its links were pending.
+_RUNG = _Park()
 
 
 class Event:
@@ -90,8 +113,12 @@ class Event:
         """Trigger the event successfully with ``value``."""
         if self.triggered:
             raise SimulationError(f"{self!r} has already been triggered")
+        env = self.env
+        if env._ahead is not None:
+            env._defer(self.succeed, (value,))
+            return self
         self._value = value
-        self.env._schedule(self)
+        env._schedule(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -100,9 +127,13 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         if not isinstance(exception, BaseException):
             raise TypeError(f"fail() requires an exception, got {exception!r}")
+        env = self.env
+        if env._ahead is not None:
+            env._defer(self.fail, (exception,))
+            return self
         self._exception = exception
         self._value = None
-        self.env._schedule(self)
+        env._schedule(self)
         return self
 
     def defuse(self) -> None:
@@ -185,9 +216,17 @@ class Process(Event):
     instant for the process to yield. Internal single-waiter wakers hand
     the process its entry (``_wake``) to yield instead, and queue it
     themselves.
+
+    A process that ran ahead of the clock (:meth:`Environment.run_ahead`)
+    keeps its last pending link in ``_ahead`` until that link has run; a
+    waker that finds ``_ahead`` set on the process whose wake entry it
+    holds calls :meth:`_ring_ahead` instead of queueing the entry. What
+    the process yielded that only the clock's arrival may resolve waits
+    in ``_parked``.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "_wake", "name")
+    __slots__ = ("_generator", "_waiting_on", "_wake", "name", "_ahead",
+                 "_parked", "_link")
 
     def __init__(self, env: "Environment",
                  generator: Generator[Event, Any, Any],
@@ -199,6 +238,12 @@ class Process(Event):
         self._generator = generator
         self._waiting_on: Event | None = None
         self.name = name or getattr(generator, "__name__", "process")
+        self._ahead: _Link | None = None
+        self._parked: Any = None
+        #: The first link of each chain: one is queued at a time, and a
+        #: chain starts only once the last one ended.
+        self._link = link = _Link()
+        link.process = self
         # The entry's first use starts the process on the next step.
         self._wake = wake = WakeEntry(self)
         wake.callbacks = wake._cb
@@ -210,9 +255,18 @@ class Process(Event):
         return not self.triggered
 
     def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield."""
+        """Throw :class:`Interrupt` into the process at its current yield.
+
+        A process whose links are still pending (it ran ahead of the
+        clock, see :meth:`Environment.run_ahead`) is refused with
+        :class:`SimulationError`: its current yield lies at its local
+        instant, which the clock has not reached."""
         if self.triggered:
             raise SimulationError("cannot interrupt a finished process")
+        if self._ahead is not None:
+            raise SimulationError(
+                f"cannot interrupt process {self.name!r}: it runs ahead "
+                f"of the clock")
         waiting = self._waiting_on
         interrupt_event = Event(self.env)
         interrupt_event._defused = True
@@ -238,7 +292,11 @@ class Process(Event):
         detached, and the process event succeeds with ``value`` so that
         waiters observe a terminated — not hung — process. A no-op on an
         already-finished process. Used by the fault plane's node-crash
-        injection; cannot kill the currently-running process.
+        injection; cannot kill the currently-running process. A process
+        killed while it ran ahead of the clock never reached its pending
+        links: they post nothing, and what it queued or parked behind
+        them is dropped (``_ahead`` stays set, so a waker it armed stays
+        silent too).
         """
         if self.triggered:
             return
@@ -251,8 +309,17 @@ class Process(Event):
             except ValueError:
                 pass
         self._waiting_on = None
+        self._parked = None
         self._generator.close()
         self.succeed(value)
+
+    def _ring_ahead(self) -> None:
+        """A waker fired the wake entry this process holds while its links
+        are pending: the write it waits for lands before its local
+        instant, where it would have looked before waiting, so it
+        resumes when its last link has run, with no queue entry."""
+        if self._value is _PENDING:
+            self._parked = _RUNG
 
     def _resume(self, event: Event) -> None:
         if self._value is not _PENDING or self._exception is not None:
@@ -272,11 +339,11 @@ class Process(Event):
             except StopIteration as stop:
                 env._active_process = None
                 self.succeed(stop.value)
-                return
+                break
             except BaseException as exc:
                 env._active_process = None
                 self.fail(exc)
-                return
+                break
             if target.__class__ is not float and target is not self._wake:
                 if isinstance(target, Event):
                     if target._processed:
@@ -288,22 +355,34 @@ class Process(Event):
                         raise SimulationError(
                             f"event {target!r} is being processed; "
                             f"cannot wait on it")
-                    target.callbacks.append(self._resume)
-                    self._waiting_on = target
                     env._active_process = None
-                    return
+                    if env._ahead is None:
+                        target.callbacks.append(self._resume)
+                        self._waiting_on = target
+                        return
+                    # Ahead of the clock: waited on (or, concluded by
+                    # then, continued with) once the last link has run.
+                    self._parked = target
+                    break
+                if target is PARK:
+                    if env._ahead is None:
+                        event = self._wake  # carries no outcome
+                        continue
+                    env._active_process = None
+                    self._parked = target
+                    break
                 if not isinstance(target, float):
                     env._active_process = None
                     self.fail(SimulationError(
                         f"process {self.name!r} yielded a non-event: "
                         f"{target!r}"))
-                    return
+                    break
                 target = float(target)   # a subclass, e.g. numpy.float64
             # A wait only this process can end, on its own entry: a sleep,
-            # queued here; the entry itself, which the waker holding it
-            # queues when it fires; or the entry ``sleep_until`` armed and
-            # queued at an absolute instant, the one armed entry a yield
-            # may name.
+            # queued here (ahead of the clock: by the last link's action);
+            # the entry itself, which the waker holding it queues when it
+            # fires; or the entry ``sleep_until`` armed and queued at an
+            # absolute instant, the one armed entry a yield may name.
             wake = self._wake
             if target is not wake and target < 0.0:
                 problem = f"yielded a negative delay: {target!r}"
@@ -318,10 +397,17 @@ class Process(Event):
                         env._schedule(wake, target)
                 self._waiting_on = wake
                 env._active_process = None
-                return
+                if env._ahead is None:
+                    return
+                break
             env._active_process = None
             self.fail(SimulationError(f"process {self.name!r} {problem}"))
-            return
+            break
+        if env._ahead is not None:
+            # It ran ahead of the clock and has stopped: the clock reads
+            # the kernel's own instant again.
+            env._ahead = None
+            env._now = env._clock
 
 
 class Condition(Event):
@@ -342,7 +428,17 @@ class Condition(Event):
         self._remaining = len(self.events)
         if not self.events:
             self.succeed(self._collect())
-            return
+        elif env._ahead is not None:
+            # Built ahead of the clock: it watches its events from there.
+            env._defer(self._watch, ())
+        else:
+            for event in self.events:
+                if event._processed:
+                    self._check(event)
+                else:
+                    event.callbacks.append(self._check)
+
+    def _watch(self) -> None:
         for event in self.events:
             if event._processed:
                 self._check(event)
@@ -399,6 +495,21 @@ class AnyOf(Condition):
         self.succeed((self._indices[id(event)], event._value))
 
 
+class _Link:
+    """One link of a process's run-ahead chain: the action ``fn(arg)``
+    at the process's local instant, queued as a queue entry of its own
+    (``when`` holds the instant of a link that a link before it
+    queues). ``after`` lists, in program order, what the process queued
+    at that instant before it ran further ahead — ``(fn, args)`` calls,
+    and last the next link — or is ``None``."""
+
+    __slots__ = ("when", "fn", "arg", "process", "after")
+
+    #: What the run loops test an entry's item by: an event on the queue
+    #: always holds its callback list.
+    callbacks = None
+
+
 class Environment:
     """The simulation kernel: clock, event queue, and run loop.
 
@@ -424,10 +535,18 @@ class Environment:
     READ's response, a completion, a congestion-plane timer) is a
     ``(when, fn, arg)`` action of :meth:`schedule_train`, queued as
     itself.
+
+    A process may run ahead of the clock (:meth:`run_ahead`). While it
+    does, ``_ahead`` names it, ``_now`` reads its local instant and
+    ``_clock`` keeps the kernel's own, and every entry it queues is
+    deferred to its last link's action, which queues it in program
+    order at the instant the process queued it. Under :meth:`run`
+    ``until`` a time no process runs ahead past it (``_horizon``).
     """
 
     __slots__ = ("_now", "_queue", "_immediate", "_sequence",
-                 "_active_process", "events_executed")
+                 "_active_process", "events_executed", "_ahead", "_clock",
+                 "_horizon")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
@@ -440,10 +559,18 @@ class Environment:
         #: Entries popped so far. Pure read-time observability — never
         #: consulted by the simulation.
         self.events_executed = 0
+        #: The process running ahead of the clock right now, if any.
+        self._ahead: Process | None = None
+        #: The kernel's instant while ``_ahead`` runs.
+        self._clock = self._now
+        #: The ``until`` of the :meth:`run` under way, if it is a time: no
+        #: process runs ahead past it.
+        self._horizon = float("inf")
 
     @property
     def now(self) -> float:
-        """Current simulated time in ns (hot obs log sites read ``_now``)."""
+        """Current simulated time in ns (hot obs log sites read ``_now``);
+        inside a process running ahead of the clock, its local instant."""
         return self._now
 
     @property
@@ -505,6 +632,9 @@ class Environment:
         across the train and keep per-action state in a plain tuple
         instead of a closure.
         """
+        if self._ahead is not None:
+            self._defer(self.schedule_train, (tuple(actions),))
+            return
         now = self._now
         seq = self._sequence
         at = now
@@ -534,6 +664,105 @@ class Environment:
                 heapq.heappush(self._queue, (at, seq, run))
             self._sequence = seq
 
+    def run_ahead(self, delay: float, fn: Callable[[Any], None],
+                  arg: Any) -> bool:
+        """Charge the running process ``delay`` of CPU time and queue
+        ``fn(arg)`` at the instant it reaches, without suspending it: the
+        process carries on at that local instant, ahead of the clock.
+        Returns ``False``, doing nothing, when that instant lies past the
+        horizon of a :meth:`run` ``until`` a time: the caller sleeps
+        instead, so no code of the process runs at an instant the run
+        does not reach.
+
+        It is what ``yield delay`` followed by ``fn(arg)`` would do, at
+        the cost of one queue entry and no resume. The first link of a
+        process's chain is queued here, drawing its sequence number
+        where the sleep's wake entry would; each later link, and every
+        entry the process queues while it runs ahead (a ``Timeout``, a
+        ``succeed()``, a sleep, a train, a started process), is queued
+        by the action of the link before it, in program order — each
+        draws its number where a sleeping process would. ``now`` reads
+        the local instant. The process's next yield resolves when its
+        last link has run: a sleep or a wake entry it holds is armed at
+        once (a waker that fires the held entry early makes it resume
+        there), an event is waited on from there, and :data:`PARK`
+        resumes it there. A link of a process killed before the link's
+        instant does nothing.
+        """
+        when = self._now + delay
+        if when > self._horizon:
+            return False
+        process = self._ahead
+        if process is None:
+            process = self._active_process
+            if process is None:
+                raise SimulationError("run_ahead outside a running process")
+            link = process._link
+            link.fn = fn
+            link.arg = arg
+            link.after = None
+            self._clock = self._now
+            self._ahead = process
+            # Links go on the heap even at ``now``: it orders them with
+            # ``_immediate`` by the same ``(time, sequence)`` key.
+            self._sequence = seq = self._sequence + 1
+            _heappush(self._queue, (when, seq, link))
+        else:
+            link = _Link()
+            link.fn = fn
+            link.arg = arg
+            link.after = None
+            link.process = process
+            link.when = when
+            tail = process._ahead
+            if tail.after is None:
+                tail.after = [link]
+            else:
+                tail.after.append(link)
+        self._now = when
+        process._ahead = link
+        return True
+
+    def _defer(self, fn: Callable, args: tuple) -> None:
+        """Leave ``fn(*args)`` to the running-ahead process's last link."""
+        tail = self._ahead._ahead
+        if tail.after is None:
+            tail.after = [(fn, args)]
+        else:
+            tail.after.append((fn, args))
+
+    def _advance(self, link: _Link) -> None:
+        """After ``link``'s action: what its process queued at that
+        instant, then its next link — or, past its last one, the
+        resolution of its parked yield."""
+        process = link.process
+        after = link.after
+        if after is not None:
+            for op in after:
+                if op.__class__ is _Link:
+                    self._sequence = seq = self._sequence + 1
+                    _heappush(self._queue, (op.when, seq, op))
+                    return
+                op[0](*op[1])
+        process._ahead = None
+        target = process._parked
+        if target is None:
+            return
+        process._parked = None
+        if target is _RUNG:
+            # The held wake entry fired early: it fires here instead.
+            wake = process._wake
+            wake.callbacks = None
+            wake._processed = True
+            process._resume(wake)
+        elif target is PARK:
+            process._resume(process._wake)
+        elif target._processed:
+            process._resume(target)
+        else:
+            target.callbacks.append(process._resume)
+            process._waiting_on = target
+
     def process(self, generator: Generator[Event, Any, Any],
                 name: str | None = None) -> Process:
         """Start a new process driving ``generator``."""
@@ -549,8 +778,14 @@ class Environment:
 
     # -- scheduling -------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
+        # Ahead of the clock the call itself is replayed by the last link,
+        # which marks the event scheduled (a second schedule of it before
+        # then raises there).
         if event._scheduled:
             raise SimulationError(f"{event!r} already scheduled")
+        if self._ahead is not None:
+            self._defer(self._schedule, (event, delay))
+            return
         event._scheduled = True
         self._sequence += 1
         if delay == 0.0:
@@ -563,9 +798,13 @@ class Environment:
         """Schedule ``event`` at the absolute time ``when`` (clamped to
         ``now``). Used by :meth:`sleep_until`, whose deadlines are
         pre-computed absolutes that must not be round-tripped through a
-        relative delay."""
+        relative delay. Ahead of the clock, replayed as
+        :meth:`_schedule` is."""
         if event._scheduled:
             raise SimulationError(f"{event!r} already scheduled")
+        if self._ahead is not None:
+            self._defer(self._schedule_abs, (event, when))
+            return
         event._scheduled = True
         self._sequence += 1
         if when <= self._now:
@@ -582,6 +821,9 @@ class Environment:
         the queue's last entry takes its place and one sift from there
         restores the heap. A timer that is not waiting there (already
         fired, or zero-delay) raises."""
+        if self._ahead is not None:
+            self._defer(self.cancel, (timer,))
+            return
         queue = self._queue
         try:
             index = list(map(_ITEM_OF, queue)).index(timer)
@@ -623,6 +865,13 @@ class Environment:
                 action[1](action[2])
             return
         callbacks = item.callbacks
+        if callbacks is None:
+            # A link (a queued event always holds its callback list).
+            process = item.process
+            if process._value is _PENDING:
+                item.fn(item.arg)
+                self._advance(item)
+            return
         item.callbacks = None
         item._processed = True
         for callback in callbacks:
@@ -658,6 +907,16 @@ class Environment:
                     action[1](action[2])
                 continue
             callbacks = item.callbacks
+            if callbacks is None:
+                # A link (a queued event always holds its callback list).
+                process = item.process
+                if process._value is _PENDING:
+                    item.fn(item.arg)
+                    if item.after is None and process._parked is None:
+                        process._ahead = None   # the chain's end
+                    else:
+                        self._advance(item)
+                continue
             item.callbacks = None
             item._processed = True
             for callback in callbacks:
@@ -687,13 +946,18 @@ class Environment:
         queue = self._queue
         immediate = self._immediate
         step = self.step
-        while queue or immediate:
-            if stop_event is not None and stop_event._processed:
-                return stop_event.value
-            if stop_time is not None and self.peek() > stop_time:
-                self._now = stop_time
-                return None
-            step()
+        if stop_time is not None:
+            self._horizon = stop_time
+        try:
+            while queue or immediate:
+                if stop_event is not None and stop_event._processed:
+                    return stop_event.value
+                if stop_time is not None and self.peek() > stop_time:
+                    self._now = stop_time
+                    return None
+                step()
+        finally:
+            self._horizon = float("inf")
         if stop_event is not None:
             if stop_event._processed:
                 return stop_event.value

@@ -6,6 +6,11 @@ These mirror the classic SimPy resources but stay intentionally small:
 * :class:`Resource` — counted resource with FIFO acquire/release;
 * :class:`Barrier` — reusable rendezvous for N parties;
 * :class:`Signal` — broadcast event that many processes can wait on.
+
+Each acts on its state when called, so a process running ahead of the
+clock (``Environment.run_ahead``) is refused with
+:class:`SimulationError`: it yields ``PARK`` first, which brings it to
+the clock.
 """
 
 from __future__ import annotations
@@ -15,6 +20,11 @@ from typing import Any
 
 from repro.common.errors import SimulationError
 from repro.simnet.kernel import Environment, Event
+
+
+def _ahead_of_clock(what: str) -> SimulationError:
+    return SimulationError(
+        f"{what} called ahead of the clock; yield PARK first")
 
 
 class Store:
@@ -40,6 +50,8 @@ class Store:
 
     def put(self, item: Any) -> Event:
         """Return an event that triggers once ``item`` is enqueued."""
+        if self.env._ahead is not None:
+            raise _ahead_of_clock("Store.put")
         event = Event(self.env)
         if len(self._items) < self.capacity:
             self._items.append(item)
@@ -51,6 +63,8 @@ class Store:
 
     def get(self) -> Event:
         """Return an event that triggers with the next item."""
+        if self.env._ahead is not None:
+            raise _ahead_of_clock("Store.get")
         event = Event(self.env)
         if self._items:
             event.succeed(self._items.popleft())
@@ -103,6 +117,8 @@ class Resource:
 
     def acquire(self) -> Event:
         """Return an event that triggers when a slot is granted."""
+        if self.env._ahead is not None:
+            raise _ahead_of_clock("Resource.acquire")
         event = Event(self.env)
         if self._in_use < self.capacity:
             self._in_use += 1
@@ -113,6 +129,8 @@ class Resource:
 
     def release(self) -> None:
         """Release one held slot, waking the next waiter if any."""
+        if self.env._ahead is not None:
+            raise _ahead_of_clock("Resource.release")
         if self._in_use <= 0:
             raise SimulationError("release() without matching acquire()")
         if self._waiters:
@@ -135,6 +153,8 @@ class Barrier:
 
     def wait(self) -> Event:
         """Return an event that triggers when all parties have arrived."""
+        if self.env._ahead is not None:
+            raise _ahead_of_clock("Barrier.wait")
         self._arrived += 1
         gate = self._gate
         if self._arrived == self.parties:
@@ -159,6 +179,8 @@ class Signal:
 
     def fire(self, value: Any = None) -> None:
         """Fire the signal; subsequent ``wait()`` calls complete instantly."""
+        if self.env._ahead is not None:
+            raise _ahead_of_clock("Signal.fire")
         if self._fired:
             raise SimulationError("signal already fired")
         self._fired = True
@@ -167,6 +189,8 @@ class Signal:
 
     def wait(self) -> Event:
         """Return an event that triggers once the signal has fired."""
+        if self.env._ahead is not None:
+            raise _ahead_of_clock("Signal.wait")
         if self._fired:
             done = Event(self.env)
             done.succeed(self._value)

@@ -41,6 +41,15 @@ one pooled :class:`MacroEvent` per train, queued under the one sequence
 number the train drew and re-queued under it once per distinct instant.
 ``macro_walker()`` sends every train through it and yields
 ``{"trains": n}``.
+
+A latency ``ShuffleSource.push`` whose credit window is open runs ahead
+of the clock: it charges its CPU time to the thread's local instant and
+queues its write as a link of the thread's chain
+(``Environment.run_ahead``). This module keeps the push that replaced:
+it returns the channel's ``_write_slot``, which sleeps through the
+charge and posts when the thread resumes (:func:`sleeping_push`);
+``sleeping_latency_push()`` sends every push through it and yields
+``{"pushes": n}``, the number of latency pushes it made.
 """
 
 import heapq
@@ -54,7 +63,14 @@ from repro.common.errors import (
 )
 from repro.common.planelog import TRAIN, WQE
 from repro.core.flowdef import NO_FLUSH
-from repro.core.shuffle import ShuffleSource, _route_slot
+from repro.core.routing import _HASH_MASK, _HASH_MULT
+from repro.core.shuffle import (
+    _FLAG_WORDS,
+    _FOOTER_PACK_INTO,
+    ShuffleSource,
+    _route_slot,
+    _struct_error,
+)
 from repro.rdma.completion import Opcode, WcStatus, WorkRequest
 from repro.rdma.memory import MemoryRegion
 from repro.rdma.qp import (
@@ -487,3 +503,77 @@ def macro_walker():
         yield counts
     finally:
         Environment.schedule_train = product
+
+
+# -- the sleeping latency push, as ShuffleSource.push carried it --------------
+
+def sleeping_push(self, values, target=None, _product=ShuffleSource.push):
+    """``ShuffleSource.push`` with the latency branch it had before a push
+    ran ahead of the clock: the tuple is staged in place, and the
+    channel's ``_write_slot`` — a sleep of the push's CPU charge, then
+    the post — is returned for the caller to drive (unguarded while the
+    credit window is open and no refresh is pending). A bandwidth push
+    is the product's."""
+    if not self._latency:
+        return _product(self, values, target)
+    if self.closed:
+        raise FlowClosedError("push on a closed flow source")
+    explicit = target is not None
+    if explicit:
+        if (not 0 <= target < len(self._channels)
+                or target in self._failed):
+            raise self._bad_target(target)
+    else:
+        count = self._fanout
+        if not count or self._router is None:
+            raise self._unroutable()
+        index = self._key_index
+        if index is not None and (key := values[index]).__class__ is int:
+            slot = (((key & _HASH_MASK) * _HASH_MULT & _HASH_MASK)
+                    >> 32) % count
+        else:
+            slot = self._router(values, count)
+            if self._vet_routes and (slot.__class__ is not int
+                                     or not 0 <= slot < count):
+                slot = _route_slot(slot, count)
+        target = self._live[slot]
+    channel = self._channels[target]
+    if channel.closed:
+        raise FlowClosedError("push on a closed flow source")
+    credit = channel._credit
+    seq = credit.sent
+    base = (seq % channel._staging_slots) * channel._slot_size
+    staging = channel._staging
+    try:
+        channel._pack_tuple(staging, base, *values)
+    except _struct_error as exc:
+        raise channel.schema.mismatch(values, exc) from None
+    used = channel._tuple_size
+    _FOOTER_PACK_INTO(staging, base + channel.segment_payload, used,
+                      _FLAG_WORDS[0], seq)
+    flush = channel._write_slot(
+        channel._staging_view[base:base + channel._slot_size], used, 0,
+        channel._push_delay)
+    if credit.pending is None and seq - credit.consumed < channel._segments:
+        return flush
+    return self._guarded_flush(flush, values, target, explicit)
+
+
+@contextmanager
+def sleeping_latency_push():
+    """Send every ``ShuffleSource.push`` made while the block runs through
+    :func:`sleeping_push`; yield ``{"pushes": n}``, the number of latency
+    pushes it made."""
+    counts = {"pushes": 0}
+    product = ShuffleSource.push
+
+    def push(self, values, target=None):
+        if self._latency:
+            counts["pushes"] += 1
+        return sleeping_push(self, values, target, product)
+
+    ShuffleSource.push = push
+    try:
+        yield counts
+    finally:
+        ShuffleSource.push = product

@@ -7,7 +7,8 @@ that moves both the same way passes there. Here the product alone runs
 15 congested bandwidth, 15 congested latency, 5 batched, 5 batched
 congested), the 10 row-loop cells, and 10 latency ``batch=BATCH``
 shuffle and combiner cells — and each cell's outcomes, tuple counts,
-endpoint end instants and final time must equal the dump in
+endpoint end instants and final time (the instant of the last kernel
+entry within the horizon) must equal the dump in
 ``tests/chaos_dump.json``. A change that means to move a cell
 regenerates the dump and says why::
 
@@ -22,6 +23,7 @@ from tests.test_chaos_faults import (
     BATCH,
     CHAOS_CONGESTION,
     FLOW_TYPES,
+    HORIZON,
     MODES,
     ROW_BATCH,
     SEEDS,
@@ -73,9 +75,15 @@ def dump() -> dict:
 def test_chaos_cells_match_the_pinned_dump():
     pinned = json.loads(DUMP.read_text())
     assert len(CELLS) == len(pinned) == 90
+    finals = set()
     for cell in CELLS:
         key = _cell_id(*cell)
-        assert _cell(*cell) == pinned[key], key
+        record = _cell(*cell)
+        assert record == pinned[key], key
+        finals.add(record["now"])
+    # A final time is the last entry's instant, not the horizon the run
+    # stopped at, or comparing it could never fail.
+    assert finals != {HORIZON} and len(finals) > 1, finals
 
 
 if __name__ == "__main__":

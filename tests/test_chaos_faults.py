@@ -87,7 +87,8 @@ def _options(flow_type, optimization, seed, congestion=None):
 
 def _run_chaos(seed, flow_type, optimization, congestion=None, batch=None,
                ends=None, sent=None):
-    """One chaos run; returns (outcomes, tuple counts, final time). With
+    """One chaos run; returns (outcomes, tuple counts, final time — the
+    instant of the last kernel entry at or before :data:`HORIZON`). With
     ``batch``, each source pushes its tuples ``batch`` at a time through
     ``push_batch``, and the faults land in :data:`BATCHED_WINDOW`. With
     ``ends``, the instant each endpoint finished (or was killed) is
@@ -176,7 +177,12 @@ def _run_chaos(seed, flow_type, optimization, congestion=None, batch=None,
         key = ("tgt", index)
         procs[key] = cluster.node(node_id).spawn(target_thread(key, index))
 
-    cluster.run(until=HORIZON)
+    # Step while the next entry lies within the horizon, so the final
+    # time is the instant of the last entry that ran (``run(until=...)``
+    # would leave the clock at the horizon itself).
+    env = cluster.env
+    while env.peek() <= HORIZON:
+        env.step()
 
     for key, proc in procs.items():
         if key not in outcomes:

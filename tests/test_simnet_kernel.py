@@ -915,3 +915,216 @@ def test_only_the_kernel_touches_event_callbacks():
                  for path in sorted(root.rglob("*.py")) if path != kernel
                  for line in _callbacks_uses(path)]
     assert offenders == []
+
+
+# -- a process running ahead of the clock -------------------------------------
+
+def _ahead_pair(make, charge=10.0):
+    """An environment and a run-ahead process that does what a sleeping
+    one does: a 5 ns step, then ``charge`` of CPU with an action behind
+    it, a ``now`` read, a timeout and a sleep. Returns (env, logs): each
+    side's log holds what it saw by kind, the clock and — where the
+    kernel runs it at the clock — the count of events."""
+    env = make()
+    logs = {"ahead": [], "slept": []}
+
+    def action(side):
+        logs[side].append(("post", env.now, env.events_executed))
+
+    def body(side):
+        log = logs[side]
+        yield 5.0
+        if side == "ahead":
+            env.run_ahead(charge, action, side)
+        else:
+            yield charge
+            action(side)
+        log.append(("now", env.now))
+        timer = env.timeout(3.0)
+        log.append(("built", env.now))
+        yield timer
+        log.append(("timer", env.now, env.events_executed))
+        yield 2.0
+        log.append(("slept", env.now, env.events_executed))
+
+    env.process(body("ahead"))
+    env.process(body("slept"))
+    return env, logs
+
+
+@_KERNELS
+def test_run_ahead_queues_where_a_sleep_would(make):
+    """A process's own clock reads its local instant, and the entries it
+    queues there pop at the instants and in the order a process that
+    slept through the charge queues them: the two sides interleave
+    entry for entry."""
+    env, logs = _ahead_pair(make)
+    env.run()
+    ahead, slept = ({entry[0]: entry[1:] for entry in logs[side]}
+                    for side in ("ahead", "slept"))
+    instants = {"post": 15.0, "now": 15.0, "built": 15.0, "timer": 18.0,
+                "slept": 20.0}
+    assert {kind: seen[0] for kind, seen in ahead.items()} == instants
+    assert {kind: seen[0] for kind, seen in slept.items()} == instants
+    # The ahead side ran its ``now`` read and built its timer before the
+    # clock got there, but each of its entries pops one step before its
+    # sleeping twin: the two queue in lockstep, the ahead one first.
+    assert logs["ahead"][0][0] == "now"
+    for kind in ("post", "timer", "slept"):
+        assert ahead[kind][1] + 1 == slept[kind][1]
+    assert env.now == 20.0 and env.events_executed == 12
+
+
+@_KERNELS
+def test_run_ahead_outside_a_process_raises(make):
+    env = make()
+    with pytest.raises(SimulationError, match="outside a running process"):
+        env.run_ahead(1.0, print, None)
+
+
+@_KERNELS
+def test_interrupting_a_process_ahead_of_the_clock_is_refused(make):
+    """Interrupt keeps its semantics for a process at the clock and is
+    refused with ``SimulationError`` while the process's links are
+    pending: its current yield lies at an instant not reached yet."""
+    env = make()
+    seen = []
+
+    def runner():
+        yield 1.0
+        env.run_ahead(10.0, seen.append, "posted")
+        try:
+            yield 100.0
+        except Interrupt as exc:
+            seen.append(("interrupted", exc.cause, env.now))
+
+    def interrupter(target):
+        yield 5.0           # the link, due at 11, is pending
+        with pytest.raises(SimulationError, match="runs ahead"):
+            target.interrupt("early")
+        seen.append(("refused", env.now))
+        yield 10.0          # past the link: at the clock again
+        target.interrupt("late")
+
+    target = env.process(runner())
+    env.process(interrupter(target))
+    env.run()
+    assert seen == [("refused", 5.0), "posted", ("interrupted", "late", 15.0)]
+
+
+@_KERNELS
+def test_a_process_killed_ahead_of_the_clock_never_reaches_its_links(make):
+    """Killed before its local instant, a process posts nothing there,
+    and nothing it queued ahead of the clock is ever queued — as if it
+    had been killed asleep in the charge."""
+    env = make()
+    seen = []
+
+    def runner():
+        yield 1.0
+        env.run_ahead(10.0, seen.append, "first")
+        env.run_ahead(10.0, seen.append, "second")
+        env.timeout(1.0)
+        env.process(iter_forever())
+        yield 50.0
+
+    def iter_forever():
+        seen.append("started")
+        yield 1.0
+
+    def killer(target):
+        yield 15.0          # between the links, due at 11 and 21
+        target.kill()
+
+    target = env.process(runner())
+    env.process(killer(target))
+    env.run()
+    assert seen == ["first"]
+    # Two starts, the runner's step, the first link (which queued the
+    # second, as the first wake of a sleeping runner queues its next
+    # sleep), the killer's sleep, the kill's conclusion, the killer's
+    # exit and the second link, which pops at 21 and does nothing: the
+    # timer and the process built behind it were never queued.
+    assert env.events_executed == 8
+    assert env.now == 21.0
+
+
+@_KERNELS
+def test_park_resumes_at_the_local_instant_without_an_entry(make):
+    env = make()
+    seen = []
+
+    def runner():
+        from repro.simnet.kernel import PARK
+        yield PARK          # at the clock: continues at once
+        seen.append(("at clock", env.now, env.events_executed))
+        env.run_ahead(7.0, seen.append, "posted")
+        yield PARK
+        seen.append(("parked", env.now, env.events_executed))
+
+    env.process(runner())
+    env.run()
+    assert seen == [("at clock", 0.0, 1), "posted", ("parked", 7.0, 2)]
+    assert env.events_executed == 3   # start, link, exit
+
+
+@_KERNELS
+def test_sync_primitives_refuse_a_process_ahead_of_the_clock(make):
+    """A store, a resource, a barrier and a signal act on their state when
+    called, which a process ahead of the clock must not do: each call is
+    refused, and after ``PARK`` the same call goes through."""
+    from repro.simnet import PARK, Barrier, Resource, Signal, Store
+    env = make()
+    store, resource = Store(env), Resource(env)
+    barrier, signal = Barrier(env, 1), Signal(env)
+    calls = [lambda: store.put(1), store.get, resource.acquire,
+             barrier.wait, signal.wait, signal.fire]
+    refused, done = [], []
+
+    def runner():
+        env.run_ahead(4.0, done.append, "posted")
+        for call in calls:
+            try:
+                call()
+            except SimulationError as exc:
+                refused.append("ahead of the clock" in str(exc))
+        yield PARK
+        for call in calls:
+            call()
+        resource.release()
+        done.append(env.now)
+
+    env.process(runner())
+    env.run()
+    assert refused == [True] * len(calls)
+    assert done == ["posted", 4.0]
+
+
+@_KERNELS
+def test_run_ahead_stops_at_a_run_until_horizon(make):
+    """Under ``run(until=T)`` a process runs ahead only to instants the
+    run reaches: a charge that would cross ``T`` is refused
+    (``run_ahead`` answers ``False`` and queues nothing), and the caller
+    sleeps instead, so none of its code runs past ``T`` before the clock
+    gets there. A run without ``until`` has no horizon."""
+    from repro.simnet.kernel import PARK
+    env = make()
+    seen = []
+
+    def runner():
+        yield 1.0
+        seen.append(env.run_ahead(4.0, seen.append, "first"))     # to 5
+        seen.append(env.run_ahead(10.0, seen.append, "second"))   # to 15
+        yield 10.0          # the refused charge, slept behind the link
+        seen.append(("woke", env.now))
+        seen.append(env.run_ahead(10.0, seen.append, "third"))
+        yield PARK
+        seen.append(("parked", env.now))
+
+    env.process(runner())
+    env.run(until=10.0)
+    assert seen == [True, False, "first"]
+    assert env.now == 10.0
+    env.run()
+    assert seen == [True, False, "first", ("woke", 15.0), True, "third",
+                    ("parked", 25.0)]
