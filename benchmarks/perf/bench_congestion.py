@@ -46,8 +46,9 @@ OUTPUT = os.path.join(HERE, "BENCH_congestion.json")
 
 INCAST_FANINS = (8, 16, 32)
 SEED = 3
-#: On/off completion-time inflation ceiling per cell (the rate floor and
-#: the tuned datacenter() recovery constants keep the real ratios near 1).
+#: On/off completion-time inflation ceiling per cell (the hold-off delays
+#: only bytes the shared downlink would have queued anyway, so the real
+#: ratios sit at 1).
 MAX_INFLATION = 3.0
 
 
@@ -62,7 +63,6 @@ def _congestion_summary(cluster, link_name: str) -> dict:
     link = stats["links"].get(link_name, {})
     return {
         "ecn_marks": stats["ecn_marks"],
-        "cnps_delivered": stats["cnps_delivered"],
         "pfc_stalls": stats["pfc_stalls"],
         "peak_queue_bytes": link.get("peak_queue_bytes", 0),
         "mark_rate": link.get("mark_rate", 0.0),

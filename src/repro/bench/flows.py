@@ -405,7 +405,7 @@ def measure_incast(senders: int, tuple_size: int = 64,
     Unlike :func:`measure_shuffle_bandwidth` (whose source threads share
     node 0, stressing the *uplink*), every sender here has its own
     uplink, so contention concentrates exactly where ECN marking and
-    DCQCN throttling act. Returns the completion window, per-sender
+    the PFC hold-off act. Returns the completion window, per-sender
     finish times, and the cluster (read ``metrics_snapshot()`` /
     ``cluster.congestion.stats()`` for queue and mark detail).
     """
@@ -527,10 +527,10 @@ def measure_victim(elephant_senders: int = 8,
     ``victim_start_ns``. A single bulk sender cannot build a queue — the
     source CPU is the bottleneck below line rate — so the elephant must
     be a fan-in. On an ideal pipe the victim's packets wait behind the
-    elephant's unbounded backlog; with bounded queues + DCQCN the
-    elephant is throttled toward the ECN band and the victim's
-    completion time stays within a small factor of the uncongested
-    baseline (bounded inflation — the scenario-suite assertion). Returns
+    elephant's unbounded backlog; with bounded queues the elephant is
+    held back at its senders and the victim's completion time stays
+    within a small factor of the uncongested baseline (bounded
+    inflation — the scenario-suite assertion). Returns
     both completion times and the cluster."""
     victim_node = 1 + elephant_senders
     cluster = Cluster(node_count=victim_node + 1, seed=seed)

@@ -7,11 +7,12 @@ package; ``repro.obs.log`` folds them.
 
 #: ``(TRAIN, now, qp, count, delays, arrivals)`` — one ``post_train`` call.
 #: ``delays`` are the NIC issue offsets from ``now``, ``arrivals`` absolute;
-#: both empty when the train went WQE by WQE (paced: a fault or a
-#: congestion plane is active): each WQE logs its own record.
+#: both empty when the train went WQE by WQE (a fault or a congestion
+#: plane is active): each WQE logs its own record.
 TRAIN = 0
-#: ``(WQE, qp, arb_from, arb_to, issued, arrival)`` — one lone or paced
-#: WQE, absolute times: NIC arbitration span, wire handoff, arrival.
+#: ``(WQE, qp, arb_from, arb_to, issued, arrival)`` — one lone WQE or one
+#: of a train walked WQE by WQE, absolute times: NIC arbitration span,
+#: wire handoff, arrival.
 WQE = 1
 #: ``(WRITE, now, endpoint, ring, seq, count, nbytes)`` — a source flushed
 #: ``count`` segments numbered from ``seq``. ``ring``: the remote

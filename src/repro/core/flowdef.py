@@ -109,7 +109,8 @@ class FlowOptions:
     trace: "bool | int | None" = None
     #: Fabric congestion policy (see
     #: :class:`~repro.simnet.congestion.CongestionConfig`): bounded egress
-    #: queues, ECN marking, and DCQCN-flavoured rate control. Initializing
+    #: queues with a lossless PFC-style hold-off, and ECN marking that is
+    #: counted and traced (no end-host rate control). Initializing
     #: a flow with this set installs the policy cluster-wide (one fabric,
     #: one queueing discipline — a different config on a second flow
     #: raises). ``None`` (the default) keeps the ideal-pipe fabric with a

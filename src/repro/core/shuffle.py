@@ -1797,10 +1797,10 @@ class ShuffleSource(_FlowSource):
 
 def _judge_silence(target, pending: list, silence: str) -> None:
     """The one verdict on a ``target`` endpoint that saw no progress
-    within its ``peer_timeout``. Active throttling on an inbound path
-    explains the silence: count ``core.congestion_grace`` and return, the
-    caller re-arms its deadline (throttle state self-clears, so the grace
-    cannot loop forever). Otherwise raise :class:`FlowPeerFailedError`
+    within its ``peer_timeout``. A congested egress queue into the
+    target's node explains the silence: count ``core.congestion_grace``
+    and return, the caller re-arms its deadline (the queue drains by
+    itself, so the grace cannot loop forever). Otherwise raise :class:`FlowPeerFailedError`
     naming the ``pending`` sources the fault plane knows dead, else
     :class:`FlowTimeoutError` (``silence``: what did not happen) — the
     peer may merely be slow."""

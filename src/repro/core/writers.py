@@ -43,12 +43,11 @@ REFRESH_DUE = object()
 
 def _congestion_grace(node: "Node", remote_id: int, obs) -> bool:
     """A source whose backoff budget ran out is forgiven while the path to
-    the remote ring is visibly congestion-throttled: the ring is full
+    the remote ring's egress queue is congested: the ring is full
     because the fabric is slow, not because the peer went silent, so
     raising ``FlowTimeoutError`` would misreport congestion as failure.
-    Throttle state self-clears (queues drain, rates recover), so grace is
-    bounded — once the path looks healthy again the very next exhausted
-    round raises."""
+    A queue drains by itself, so grace is bounded — once the queue is
+    below ``kmin`` again the very next exhausted round raises."""
     remote = node.cluster.node(remote_id)
     if not stall_is_congestion(node, remote):
         return False
@@ -88,7 +87,7 @@ class _RingWindow:
         """The sleep of stalled round ``attempt`` (exponential, jittered
         from the owner's RNG) as the delay to yield, or
         ``FlowTimeoutError`` — ``complaint`` about the remote node — once
-        the budget is spent on a path that is not congestion-throttled."""
+        the budget is spent on a path that is not congested."""
         owner = self.owner
         remote_id = self.handle.node_id
         if (self._max_retries is not None and attempt >= self._max_retries

@@ -50,7 +50,6 @@ from repro.obs.trace import (
     FLOW_CLOSE,
     FOOTER_POLL,
     PREREAD,
-    RATE_CHANGE,
     REROUTE,
     RETRANSMIT,
     SEG_CONSUME,
@@ -233,5 +232,5 @@ __all__ = [
     "DEFAULT_TRACE_CAPACITY",
     "SEG_WRITE", "SEG_CONSUME", "FOOTER_POLL", "PREREAD", "CREDIT",
     "BACKOFF", "RETRANSMIT", "REROUTE", "FAULT_INJECT", "FAULT_DETECT",
-    "FLOW_CLOSE", "ECN_MARK", "RATE_CHANGE",
+    "FLOW_CLOSE", "ECN_MARK",
 ]

@@ -20,11 +20,11 @@ tie-break below), charges the gap ``t_child .. t`` to ``cpu``, charges
 the edge's span to its category, and jumps to ``t_parent``. Because
 every recorded edge has ``t_parent < t_child`` the cursor strictly
 decreases, so the walk terminates with an **exact decomposition** of
-``[t_open, t_close]`` into the seven blame categories.
+``[t_open, t_close]`` into the six blame categories.
 
 Tie-break (same ``t_child``): smaller ``t_parent`` first (explains more
 time), then category priority (wire, nic_arb, fault_backoff,
-congestion_holdoff, ecn_pacing, credit_stall), then smaller node id,
+congestion_holdoff, credit_stall), then smaller node id,
 then recording order. Every key is a pure function of the simulated
 run, so the critical path — and the blame JSON — is byte-identical
 across reruns.
@@ -47,21 +47,20 @@ NIC_ARB = "nic_arb"                      #: NIC engine arbitration + processing
 CPU = "cpu"                              #: walk residual: compute/poll gaps
 CREDIT_STALL = "credit_stall"            #: credit waits, ring-full polls/backoffs
 CONGESTION_HOLDOFF = "congestion_holdoff"  #: PFC hold-off at a bounded egress queue
-ECN_PACING = "ecn_pacing"                #: DCQCN/UD rate-limiter pacing delay
 FAULT_BACKOFF = "fault_backoff"          #: outage heal waits, detection-bound flushes
 SEG_SPAN = "seg"                         #: segment write->consume (context)
 
 #: Every key present in a blame breakdown, in render order.
 BLAME_CATEGORIES = (WIRE, NIC_ARB, CPU, CREDIT_STALL, CONGESTION_HOLDOFF,
-                    ECN_PACING, FAULT_BACKOFF)
+                    FAULT_BACKOFF)
 
 #: Categories the backward walk may traverse.
 WALK_CATEGORIES = frozenset((WIRE, NIC_ARB, CREDIT_STALL,
-                             CONGESTION_HOLDOFF, ECN_PACING, FAULT_BACKOFF))
+                             CONGESTION_HOLDOFF, FAULT_BACKOFF))
 
 #: Tie-break order for edges sharing ``(t_child, t_parent)``.
 _PRIORITY = {WIRE: 0, NIC_ARB: 1, FAULT_BACKOFF: 2, CONGESTION_HOLDOFF: 3,
-             ECN_PACING: 4, CREDIT_STALL: 5}
+             CREDIT_STALL: 4}
 
 #: Default per-node edge-log capacity (records kept; oldest overwritten).
 DEFAULT_EDGE_CAPACITY = 65536
@@ -228,7 +227,7 @@ def critical_path(edges, t_close: float, t_open: float = 0.0) -> list:
 
 
 def blame_breakdown(steps) -> dict:
-    """Sum the critical-path steps per category (all seven keys
+    """Sum the critical-path steps per category (all six keys
     present)."""
     blame = {category: 0.0 for category in BLAME_CATEGORIES}
     for step in steps:

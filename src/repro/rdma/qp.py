@@ -349,10 +349,9 @@ class QueuePair:
         on the prefix commit (DESIGN.md §9). Active planes, checked on
         every call, only switch hooks on: the fault plane admits the WQE
         against the path state now (``rc_admission``; refused, it flushes
-        with ``RETRY_EXC_ERR``), the congestion plane then paces it
-        before the NIC slot (``rc_admit``) and marks it after the wire
-        reservation (``rc_sent``), and the walk is cut at the peer's
-        crash instant (:meth:`_post_cut_at_crash`).
+        with ``RETRY_EXC_ERR``), the congestion plane then holds it back
+        for egress-queue room and marks it (``rc_admit``), and the walk
+        is cut at the peer's crash instant (:meth:`_post_cut_at_crash`).
         """
         obs = self._obs
         if obs is not None:
@@ -377,10 +376,8 @@ class QueuePair:
                     wr or WorkRequest(env, None, Opcode.WRITE, False),
                     faults.detection_timeout, WcStatus.RETRY_EXC_ERR)
                 return
-        rate = None
         if congestion is not None:
-            paced, rate = congestion.rc_admit(self, size)
-            admit += paced
+            admit += congestion.rc_admit(self, size)
         # Admission precedes arbitration: the planes anchor their edges
         # on [now, now + admit], the NIC edge starts where they end.
         now = env._now
@@ -388,8 +385,6 @@ class QueuePair:
         nic.bytes_posted += size
         arrival_delay = cluster.fabric.unicast_arrival(
             self.node, self.remote_node, size, now + delay) - now
-        if rate is not None:
-            congestion.rc_sent(rate, size, arrival_delay)
         # Every instant is ``now + offset``: the float a Timeout armed
         # with that offset fires at (an absolute arrival round-tripped
         # through ``arrival - now`` may differ by one ulp).
@@ -554,7 +549,7 @@ class QueuePair:
                 actions.sort(key=_action_when)
             env.schedule_train(actions)
             return
-        # A paced train walks one WQE at a time; each WQE logs its own
+        # Under a plane a train walks one WQE at a time; each WQE logs its own
         # arbitration and wire spans.
         if obs is not None:
             obs.log((TRAIN, env._now, self, count, (), ()))
@@ -577,16 +572,12 @@ class QueuePair:
                     wr or WorkRequest(env, None, Opcode.WRITE, False),
                     faults.detection_timeout, WcStatus.RETRY_EXC_ERR)
                 continue
-            rate = None
             if congestion is not None:
-                held, rate = congestion.rc_admit(self, size)
-                admit += held
+                admit += congestion.rc_admit(self, size)
             nic.bytes_posted += size
             arrival_delay = fabric.unicast_arrival(
                 self.node, self.remote_node, size,
                 now + (delay + admit)) - now
-            if rate is not None:
-                congestion.rc_sent(rate, size, arrival_delay)
             arrival = now + arrival_delay
             ack_at = now + (arrival_delay + ack_latency)
             if obs is not None and obs.causal:
@@ -743,10 +734,8 @@ class QueuePair:
             fault_delay = 0.0
         cluster = self.node.cluster
         congestion = cluster.congestion
-        rate = None
         if congestion is not None:
-            paced, rate = congestion.rc_admit(self, size)
-            fault_delay += paced
+            fault_delay += congestion.rc_admit(self, size)
         inline = size <= self._inline_max
         offset_delay = self.nic.engine_delay(inline) + fault_delay
         self.nic.bytes_posted += size
@@ -756,8 +745,6 @@ class QueuePair:
             self.node, self.remote_node, size, now + offset_delay) - now
         env.schedule_train([(now + arrival_delay, self._send_arrived,
                              (self._peer, data, imm))])
-        if rate is not None:
-            congestion.rc_sent(rate, size, arrival_delay)
         wr = WorkRequest(env, wr_id, Opcode.SEND, signaled)
         env.schedule_train([(now + (arrival_delay + self._ack_delta),
                              self._finish, (wr, size))])
@@ -909,8 +896,6 @@ class UdQueuePair:
         congestion = cluster.congestion
         offset_delay = self.nic.engine_delay(
             size <= self.nic.profile.max_inline_size)
-        if congestion is not None:
-            offset_delay += congestion.ud_admit(node, size)
         self.nic.bytes_posted += size
         env = self.env
         now = env.now

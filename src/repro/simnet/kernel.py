@@ -532,7 +532,7 @@ class Environment:
     merged CPU charge) or a single-waiter waker (the doorbell's polled
     wait) — is queued as that process's own :class:`WakeEntry`, re-armed
     in place. A callback that nobody waits on (a write's commits, a
-    READ's response, a completion, a congestion-plane timer) is a
+    READ's response, a completion, a fault transition) is a
     ``(when, fn, arg)`` action of :meth:`schedule_train`, queued as
     itself.
 

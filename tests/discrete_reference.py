@@ -98,10 +98,8 @@ def _post_lone_discrete(self, wr, size, pieces, region, offset,
         self._flush_after(wr, faults.detection_timeout,
                           WcStatus.RETRY_EXC_ERR)
         return
-    rate = None
     if congestion is not None:
-        paced, rate = congestion.rc_admit(self, size)
-        admit += paced
+        admit += congestion.rc_admit(self, size)
     # Admission precedes arbitration here: the planes anchor their
     # edges on [now, now + admit], the NIC edge starts where they end.
     issue_delay = self.nic.engine_delay(size <= self._inline_max) + admit
@@ -109,13 +107,12 @@ def _post_lone_discrete(self, wr, size, pieces, region, offset,
     prefix_pieces, tail_pieces = (
         _split_ordered_tail(pieces, split) if split > 0 else ((), pieces))
     self._post_discrete(wr, size, prefix_pieces, tail_pieces, region,
-                        offset, admit, issue_delay, 0.0, rate)
+                        offset, admit, issue_delay, 0.0)
 
 
 def _post_discrete(self, wr: WorkRequest, size: int, prefix_pieces,
                    tail_pieces, region: MemoryRegion, base: int,
-                   arb_from: float, arb_to: float, held: float,
-                   rate) -> None:
+                   arb_from: float, arb_to: float, held: float) -> None:
     """The discrete per-WQE body every admitted write takes while a
     fault plane is active (:meth:`_post_lone_discrete`,
     :meth:`_post_train_sequential`): an arrival event, a prefix timer
@@ -125,15 +122,11 @@ def _post_discrete(self, wr: WorkRequest, size: int, prefix_pieces,
     liveness when it fires. NIC arbitration spans the offsets
     ``[arb_from, arb_to]`` from now; the WQE is handed to the wire
     ``held`` ns after that (admission a train applies per WQE at its
-    wire-start time). ``rate`` is the congestion plane's state of
-    this QP when one is stacked on the fault plane (``rc_admit``
-    returned it), else ``None``."""
+    wire-start time)."""
     env = self.env
     self.nic.bytes_posted += size
     arrival = self.node.cluster.fabric.unicast(
         self.node, self.remote_node, size, delay=arb_to + held)
-    if rate is not None:
-        rate.plane.rc_sent(rate, size, arrival.delay)
     obs = self._obs
     if obs is not None and obs.causal:
         # The admission planes log the delay they add themselves.
@@ -173,8 +166,8 @@ def _post_train_sequential(self, entries, faults, congestion) -> None:
     an outage that begins mid-train delivers the prefix of the train
     and flushes the failing WQE *and every later one* with
     ``RETRY_EXC_ERR`` (the QP enters the error state; real RC flushes
-    the rest of the send queue). A stacked congestion plane paces and
-    marks each admitted WQE as :meth:`post_train` does without faults.
+    the rest of the send queue). A stacked congestion plane holds back
+    and marks each admitted WQE as :meth:`post_train` does without faults.
     Admitted WQEs take the discrete per-WQE body
     (:meth:`_post_discrete`), whose events re-check the peer's
     liveness when they fire; arrival and ack timestamps stay
@@ -207,13 +200,11 @@ def _post_train_sequential(self, entries, faults, congestion) -> None:
             self._flush_after(wr, faults.detection_timeout,
                               WcStatus.RETRY_EXC_ERR)
             continue
-        rate = None
         if congestion is not None:
-            paced, rate = congestion.rc_admit(self, size)
-            admit += paced
+            admit += congestion.rc_admit(self, size)
         # Trains coalesce the prefix into the arrival commit.
         self._post_discrete(wr, size, (), pieces, region, offset, 0.0,
-                            offset_delay, admit, rate)
+                            offset_delay, admit)
 
 
 _MEMBERS = {"_post_lone_discrete": _post_lone_discrete,
@@ -370,8 +361,6 @@ def post_send_multicast_per_member(self, group, payload, wr_id=None):
     congestion = cluster.congestion
     offset_delay = self.nic.engine_delay(
         size <= self.nic.profile.max_inline_size)
-    if congestion is not None:
-        offset_delay += congestion.ud_admit(node, size)
     self.nic.bytes_posted += size
     deliver = group._deliver
     for member, arrival in cluster.fabric.multicast(

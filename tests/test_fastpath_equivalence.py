@@ -2,7 +2,7 @@
 
 ``QueuePair.post_train`` walks a doorbell train with one macro-event,
 with or without a fault or congestion plane: an active plane admits,
-paces and marks each WQE at post time and cuts its actions at the
+holds back and marks each WQE at post time and cuts its actions at the
 peer's crash instant. ``tests/discrete_reference.py`` keeps the per-WQE
 walk it replaced — discrete events whose liveness checks run when they
 fire — as an oracle. ``ShuffleTarget`` merges wake and poll into one
@@ -317,7 +317,7 @@ def _traced_incast(optimization, *, fault, discrete=False):
         senders * tuples)
     stats = cluster.congestion.stats()
     tallies = {key: stats[key] for key in (
-        "ecn_marks", "cnps_delivered", "pfc_stalls", "packets_seen")}
+        "ecn_marks", "pfc_stalls", "packets_seen")}
     return timeline, tallies, cluster.env.events_executed, posts
 
 
@@ -325,12 +325,12 @@ def _traced_incast(optimization, *, fault, discrete=False):
                                           Optimization.LATENCY],
                          ids=["bandwidth", "latency"])
 def test_marking_incast_matches_discrete_walk(optimization):
-    """Pacing, PFC hold-off and ECN marking under the congestion plane
+    """PFC hold-off and ECN marking under the congestion plane
     take the macro walk, alone or with an idle fault plane stacked on
     it, and land on the discrete walk's timeline: the same stacked
     incast under the oracle posts every WQE through the per-WQE body
     with the same hooks. Equal timelines and equal ``ecn_marks``,
-    ``cnps_delivered``, ``pfc_stalls`` and ``packets_seen``; the macro
+    ``pfc_stalls`` and ``packets_seen``; the macro
     walks never reach the oracle and cost strictly fewer kernel
     events."""
     macro, macro_tallies, macro_events, macro_posts = _traced_incast(

@@ -5,8 +5,8 @@
 every repo path the script, the workflow and the docs name must exist,
 so must every code name the docs put in backticks, docs/API.md's Sources
 and Targets tables say what each endpoint class has, the workflow is
-three jobs of one ``ci/gates.sh`` call each, and no test file runs in
-two gates.
+three jobs of one ``ci/gates.sh`` call each, no test file runs in
+two gates, and no budget test puts a number in its name.
 """
 
 import ast
@@ -240,3 +240,15 @@ def test_no_test_file_runs_in_two_gates():
             assert any(test_file.startswith(f"{directory}/")
                        for directory in ignored), (
                 f"{test_file} runs in {gate} and in tests")
+
+
+def test_no_budget_test_names_a_number():
+    """A budget's bound lives in one module constant that its failure
+    message prints; a number in the test's name goes stale the first
+    time the bound moves, and then names the wrong cause."""
+    stale = [f"{path.name}::{node.name}"
+             for path in sorted((ROOT / "tests").glob("test_*budget*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name.startswith("test") and re.search(r"\d", node.name)]
+    assert not stale, f"budget tests whose names state a number: {stale}"

@@ -13,8 +13,8 @@ queue entry of its write: the pushing thread runs ahead of the clock by
 the charge and goes on to its next wait, and the write posts when the
 clock gets there, so the charge resumes nobody. The merged wake resumes
 the waiting process through its own wake entry, so no wait builds an
-event. The tests' names keep the bound each was written with; each
-asserts today's, at most 3 % above the count it measures.
+event. Each bound is one module constant, at most 3 % above the count
+it measures, and a failure prints the bound beside the measured value.
 """
 
 import random
@@ -29,6 +29,19 @@ from repro.core import (
 )
 from repro.simnet import Cluster
 from tests.callcount import count_calls, grown
+
+#: Python frames entered under ``src/repro`` per DEEP-ring round trip.
+TRIP_FRAMES = 47
+#: Library calls (frames + C calls) per DEEP-ring round trip.
+TRIP_CALLS = 78
+#: Library calls per tuple of the Fig. 10a-shaped latency stream.
+STREAM_CALLS = 49
+
+
+def _over(measured: float, bound: float, what: str, busy, idle) -> str:
+    """The failure message of a budget: the measured value, the bound,
+    and the functions that grew."""
+    return f"{measured} {what}, bound {bound}\n{grown(busy, idle)}"
 
 SCHEMA = Schema(("key", "uint64"), ("pad", 56))
 TRIPS = 200
@@ -99,26 +112,29 @@ def test_round_trip_is_eight_events_plus_three_per_credit_read():
             == 8 * TRIPS + 3 * credit_reads)
 
 
-def test_round_trip_enters_at_most_95_frames():
-    """46.0 frames per trip (bound 47, first 95); 50.0 while a push slept
-    through its CPU charge in the channel's ``_write_slot``; 58.0 while
-    a train's commits were walked by a pooled macro-event."""
+def test_round_trip_enters_at_most_the_frame_budget():
+    """46.0 frames per trip (``TRIP_FRAMES``; first bound 95); 50.0
+    while a push slept through its CPU charge in the channel's
+    ``_write_slot``; 58.0 while a train's commits were walked by a
+    pooled macro-event."""
     idle, busy = _pingpong(0, DEEP), _pingpong(TRIPS, DEEP)
     idle_calls = count_calls(idle.run, tally=True)
     busy_calls = count_calls(busy.run, tally=True)
     per_trip = (busy_calls.frames - idle_calls.frames) / TRIPS
     assert _wqes(busy) - _wqes(idle) == 2 * TRIPS     # no credit read
-    assert per_trip <= 47, f"{per_trip}\n{grown(busy_calls, idle_calls)}"
+    assert per_trip <= TRIP_FRAMES, _over(
+        per_trip, TRIP_FRAMES, "frames per trip", busy_calls, idle_calls)
 
 
-def test_round_trip_is_eight_events_and_at_most_165_calls():
-    """76.1 calls per trip (bound 78, first 165, when a trip made 154:
-    88 frames, 66 C calls); 82.0 while each push slept through its CPU
-    charge (two resumes of ``_write_slot``, the wake's ``_schedule``,
-    ``_resume`` and generator ``send``, where a push that runs ahead
-    calls ``run_ahead`` and its link's ``_post``); 172 (92 + 80) while
-    a CPU charge was a pooled ``Timeout`` and a polled wait a fresh
-    ``Event``, each queued through a bound method appended to a list."""
+def test_round_trip_is_eight_events_and_within_the_call_budget():
+    """76.1 calls per trip (``TRIP_CALLS``; first bound 165, when a trip
+    made 154: 88 frames, 66 C calls); 82.0 while each push slept through
+    its CPU charge (two resumes of ``_write_slot``, the wake's
+    ``_schedule``, ``_resume`` and generator ``send``, where a push that
+    runs ahead calls ``run_ahead`` and its link's ``_post``); 172
+    (92 + 80) while a CPU charge was a pooled ``Timeout`` and a polled
+    wait a fresh ``Event``, each queued through a bound method appended
+    to a list."""
     idle, busy = _pingpong(0, DEEP), _pingpong(TRIPS, DEEP)
     idle_calls = count_calls(idle.run, tally=True)
     busy_calls = count_calls(busy.run, tally=True)
@@ -126,11 +142,13 @@ def test_round_trip_is_eight_events_and_at_most_165_calls():
     assert (busy.env.events_executed - idle.env.events_executed
             == 8 * TRIPS)
     per_trip = (busy_calls.library - idle_calls.library) / TRIPS
-    assert per_trip <= 78, f"{per_trip}\n{grown(busy_calls, idle_calls)}"
+    assert per_trip <= TRIP_CALLS, _over(
+        per_trip, TRIP_CALLS, "calls per trip", busy_calls, idle_calls)
 
 
-def test_round_trip_enters_at_most_75_frames_and_130_calls():
-    """46.0 frames + 30.0 C calls = 76.1 per trip (bounds 47 and 78);
+def test_round_trip_stays_within_the_frame_and_call_budgets():
+    """46.0 frames + 30.0 C calls = 76.1 per trip (``TRIP_FRAMES`` and
+    ``TRIP_CALLS``; first bounds 75 and 130);
     50.0 + 32.0 = 82.0 while a push slept through its CPU charge;
     58.0 + 40.0 = 98.0 while a train's commits were walked by a pooled
     macro-event (a record taken from its pool and given back, a hop
@@ -155,8 +173,10 @@ def test_round_trip_enters_at_most_75_frames_and_130_calls():
             == 8 * TRIPS)
     frames = (busy_calls.frames - idle_calls.frames) / TRIPS
     per_trip = (busy_calls.library - idle_calls.library) / TRIPS
-    assert frames <= 47, f"{frames}\n{grown(busy_calls, idle_calls)}"
-    assert per_trip <= 78, f"{per_trip}\n{grown(busy_calls, idle_calls)}"
+    assert frames <= TRIP_FRAMES, _over(
+        frames, TRIP_FRAMES, "frames per trip", busy_calls, idle_calls)
+    assert per_trip <= TRIP_CALLS, _over(
+        per_trip, TRIP_CALLS, "calls per trip", busy_calls, idle_calls)
 
 
 #: Fig. 10a's DFI latency-optimized configuration at 16-byte tuples.
@@ -198,8 +218,9 @@ def _stream(tuples: int) -> Cluster:
     return cluster
 
 
-def test_streaming_latency_push_makes_at_most_66_calls_per_tuple():
-    """48.4 calls per tuple (33.1 frames; bound 49) — a push waits for
+def test_streaming_latency_push_stays_within_its_call_budget():
+    """48.4 calls per tuple (33.1 frames; ``STREAM_CALLS``, first bound
+    66) — a push waits for
     the refresh its window runs low on, so it sleeps through its charge
     as it did before a push could run ahead of the clock (8 of the 1000
     run ahead), and its ``_write_slot`` enters ``CreditWindow.acquire``
@@ -221,4 +242,5 @@ def test_streaming_latency_push_makes_at_most_66_calls_per_tuple():
     assert credit_reads >= STREAM_TUPLES // 10, credit_reads
     per_tuple = ((busy_calls.library - idle_calls.library)
                  / STREAM_TUPLES)
-    assert per_tuple <= 49, f"{per_tuple}\n{grown(busy_calls, idle_calls)}"
+    assert per_tuple <= STREAM_CALLS, _over(
+        per_tuple, STREAM_CALLS, "calls per tuple", busy_calls, idle_calls)

@@ -5,7 +5,7 @@ deterministic tie-breaks, context categories never walked), the bounded
 edge log, ``Histogram`` percentile conventions, the end-to-end blame
 report on a real shuffle, truncation warnings, the 32:1 incast
 acceptance bar (>=50% of completion-time inflation attributed to
-congestion hold-off + ECN pacing), fault-plan attribution, byte-exact
+congestion hold-off), fault-plan attribution, byte-exact
 blame JSON on the flat and the racked cluster, and the
 ``repro.obs.analyze`` CLI (golden output + exit-code contract).
 """
@@ -93,7 +93,7 @@ class TestBackwardWalk:
 
     def test_input_order_does_not_matter(self):
         edges = [_edge(4.0, 0.0, "wire"), _edge(9.0, 4.0, "credit_stall"),
-                 _edge(9.0, 4.0, "nic_arb"), _edge(12.0, 9.0, "ecn_pacing")]
+                 _edge(9.0, 4.0, "nic_arb"), _edge(12.0, 9.0, "congestion_holdoff")]
         forward = critical_path(list(edges), t_close=12.0)
         backward = critical_path(list(reversed(edges)), t_close=12.0)
         assert forward == backward
@@ -268,7 +268,7 @@ class TestIncastBlame:
         """ISSUE acceptance: on a 32:1 incast under the datacenter
         congestion profile, >=50% of the completion-time inflation over
         an uncontended 1:1 run of the same per-sender payload must be
-        blamed on congestion_holdoff + ecn_pacing."""
+        blamed on congestion_holdoff."""
         obs.set_default_observability(True, trace=True, causal=True)
         congestion.set_default_config(CongestionConfig.datacenter())
         try:
@@ -282,8 +282,7 @@ class TestIncastBlame:
         report = analyze_cluster(fan["cluster"])
         assert _blame_sum(report) == pytest.approx(
             report["total_ns"], rel=1e-9, abs=1e-6)
-        explained = (report["blame"]["congestion_holdoff"]
-                     + report["blame"]["ecn_pacing"])
+        explained = report["blame"]["congestion_holdoff"]
         assert explained >= 0.5 * inflation, (explained, inflation)
         # The fan-in target tops the hold-off ranking.
         assert report["hot_targets"][0]["node"] == 0

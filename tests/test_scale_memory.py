@@ -296,7 +296,7 @@ def _drained(env) -> bool:
             and env.events_executed == env._sequence)
 
 
-def test_macro_pool_steady_over_flow_cycles():
+def test_batched_flow_cycles_keep_a_steady_footprint_and_event_cost():
     """Five batched flow cycles on one cluster: the registry/NIC
     footprint is identical after every release, every drained cycle
     leaves the kernel's queues empty, and identical cycles cost an
@@ -473,7 +473,7 @@ def test_fabric_loopback_cache_bounded_by_node_count():
 
 
 @pytest.mark.parametrize("racks", [1, 4])
-def test_timeout_pool_stays_capped(racks):
+def test_drained_mesh_and_train_bursts_leave_no_queue_entries(racks):
     from repro.bench.flows import run_shuffle_mesh
 
     result = run_shuffle_mesh(racks, 4, tuples_per_source=128)

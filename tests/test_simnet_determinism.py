@@ -55,7 +55,7 @@ def test_zero_delay_events_keep_fifo_order_with_timed_events():
     assert [label for _t, label, _i in first_instant[:3]] == ["a", "b", "c"]
 
 
-def test_pooled_timeouts_do_not_leak_state():
+def test_timed_callbacks_do_not_leak_state():
     """Timed callbacks — one-action trains, each arming the next from its
     own action — leak nothing between entries: each action fires once,
     at its own instant, with its own argument, and a train list its

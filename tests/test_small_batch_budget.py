@@ -42,6 +42,10 @@ SCHEMA = Schema(("key", "uint64"), ("pad", 56))
 NODES, BATCH, BATCHES = 8, 32, 64
 SHORT_RINGS = FlowOptions(source_segments=4, target_segments=16,
                           credit_threshold=8)
+#: Kernel events of the whole mesh run, flat or racked (exact).
+EVENTS = 938
+#: Python frames entered under ``src/repro`` per pushed tuple.
+FRAMES_PER_TUPLE = 0.365
 
 
 def _flat() -> Cluster:
@@ -110,27 +114,31 @@ def _frames_per_tuple(make) -> "tuple[float, str]":
 
 
 def test_small_batches_cost_exactly_these_kernel_events():
-    assert _events(_flat) == 938
+    events = _events(_flat)
+    assert events == EVENTS, f"{events} events, expected {EVENTS}"
 
 
 def test_small_batches_cost_the_same_events_on_a_racked_twin():
     """Rack-major numbering moves no event."""
-    assert _events(_racked) == 938
+    events = _events(_racked)
+    assert events == EVENTS, f"{events} events, expected {EVENTS}"
 
 
-def test_a_tuple_enters_at_most_0_60_frames():
-    """0.36 now (bound 0.365); 0.40 while a train's hops were walked by
-    a pooled macro-event."""
+def test_a_tuple_enters_at_most_the_frame_budget():
+    """0.36 now (``FRAMES_PER_TUPLE``; first bound 0.60); 0.40 while a
+    train's hops were walked by a pooled macro-event."""
     per_tuple, why = _frames_per_tuple(_flat)
-    assert per_tuple <= 0.365, f"{per_tuple}\n{why}"
+    assert per_tuple <= FRAMES_PER_TUPLE, (
+        f"{per_tuple} frames per tuple, bound {FRAMES_PER_TUPLE}\n{why}")
 
 
-def test_a_tuple_enters_at_most_0_50_frames_on_a_racked_twin():
-    """0.36 as well: the kernel's run loop is written out, so racks add
-    no frame. One more frame per channel-batch would read about 0.61 on
-    either cluster."""
+def test_a_tuple_enters_at_most_the_frame_budget_on_a_racked_twin():
+    """0.36 as well (first bound 0.50): the kernel's run loop is written
+    out, so racks add no frame. One more frame per channel-batch would
+    read about 0.61 on either cluster."""
     per_tuple, why = _frames_per_tuple(_racked)
-    assert per_tuple <= 0.365, f"{per_tuple}\n{why}"
+    assert per_tuple <= FRAMES_PER_TUPLE, (
+        f"{per_tuple} frames per tuple, bound {FRAMES_PER_TUPLE}\n{why}")
 
 
 #: The fan-out of the batch-against-pushes budget: as many targets as the
