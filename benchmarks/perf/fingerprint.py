@@ -183,6 +183,69 @@ def _train_replicate_fingerprint() -> tuple:
     return cluster.now, received[0]
 
 
+_SMALL_ROWS = Schema(("key", "uint64"), ("pad", 56))
+_SHORT_RINGS = FlowOptions(source_segments=4, target_segments=16,
+                           credit_threshold=8)
+
+
+def _small_batch_flow(cluster, sources, targets, rows, batches,
+                      target=None) -> tuple:
+    """One bandwidth shuffle from node ids ``sources`` to node ids
+    ``targets``, each source pushing ``batches`` batches of ``rows``
+    key-hashed rows (to ``target`` when it is named). Exact finish time,
+    rows delivered and the sum of each consumed batch's arrival instant
+    times its length pin the write timeline."""
+    dfi = DfiRuntime(cluster)
+    dfi.init_shuffle_flow(
+        "fp-small", [Endpoint(node, 0) for node in sources],
+        [Endpoint(node, 0) for node in targets], _SMALL_ROWS,
+        shuffle_key="key", options=_SHORT_RINGS)
+    pad = bytes(56)
+    delivered = [0, 0.0]
+
+    def source_thread(index):
+        source = yield from dfi.open_source("fp-small", index)
+        for batch in range(batches):
+            first = (index * batches + batch) * rows
+            yield from source.push_batch(
+                [(key * 2654435761 % (1 << 64), pad)
+                 for key in range(first, first + rows)], target=target)
+        yield from source.close()
+
+    def target_thread(index):
+        target_endpoint = yield from dfi.open_target("fp-small", index)
+        while True:
+            batch = yield from target_endpoint.consume_batch()
+            if batch is FLOW_END:
+                break
+            delivered[0] += len(batch)
+            delivered[1] += cluster.now * len(batch)
+
+    for index, node in enumerate(sources):
+        cluster.node(node).spawn(source_thread(index))
+    for index, node in enumerate(targets):
+        cluster.node(node).spawn(target_thread(index))
+    cluster.run()
+    return cluster.now, delivered[0], delivered[1]
+
+
+def _racked_row_loop_fingerprint() -> tuple:
+    """8:8 shuffle on ``Cluster.racked(8, 8)`` (a source and a target on
+    each rack) pushed in 32-row routed batches: each batch takes
+    ``push_batch``'s row loop, and most of its channel groups only
+    stage rows."""
+    cluster = Cluster.racked(8, 8)
+    return _small_batch_flow(cluster, [8 * rack for rack in range(8)],
+                             [8 * rack + 1 for rack in range(8)], 32, 32)
+
+
+def _incast_group_walk_fingerprint() -> tuple:
+    """16:1 shuffle pushed in 64-row batches to ``target=0``: each batch
+    is one group of the group walk, and every other one only stages."""
+    return _small_batch_flow(Cluster(node_count=17), range(1, 17), [0],
+                             64, 32, target=0)
+
+
 def collect() -> dict:
     fp = {}
     for tuple_size, threads in ((64, 1), (256, 2)):
@@ -219,6 +282,10 @@ def collect() -> dict:
     # segments through deferred-doorbell trains and windowed proofs.
     fp["train_shuffle_64B_1src"] = _train_shuffle_fingerprint()
     fp["train_replicate_256B_1to2"] = _train_replicate_fingerprint()
+    # Small-batch scenarios: batches whose groups mostly stage rows,
+    # through the row loop and through the group walk.
+    fp["row_loop_racked_8x8_32row"] = _racked_row_loop_fingerprint()
+    fp["group_walk_incast_16to1_64row"] = _incast_group_walk_fingerprint()
     return fp
 
 

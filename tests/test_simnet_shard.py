@@ -641,7 +641,7 @@ def test_fingerprint_bit_identical_at_four_shards():
     from repro import obs
 
     fingerprint, committed = _load_fingerprint()
-    assert len(committed) == 15
+    assert len(committed) == 17
     assert json.loads(json.dumps(fingerprint.collect())) == committed
     obs.set_default_observability(True, trace=True, causal=True)
     try:
