@@ -1268,6 +1268,9 @@ class ShuffleSource(_FlowSource):
             and self._route_many is None else 0)
         #: Tuples pushed into channels ``retire_target`` has dropped.
         self._retired_sent = 0
+        #: ``(instant, deadline)`` of the CPU a batch charged and left
+        #: unslept: the source's next post sleeps it (``_carried``).
+        self._carry = None
         # Survivors absorb a failed target's key share only through a
         # router.
         super().__init__(registry, descriptor, source_index,
@@ -1408,10 +1411,20 @@ class ShuffleSource(_FlowSource):
         return FlowError("flow has no shuffle key or routing function; "
                          "pass target= explicitly")
 
+    def _carried(self) -> float:
+        """Take the carried CPU charge (see :meth:`push_batch`) off the
+        source: its deadline, or, once the clock has moved past the
+        instant it was carried at, the same charge from ``now``."""
+        (at, when), self._carry = self._carry, None
+        now = self.node.env._now
+        return when if now == at else now + (when - at)
+
     def _guarded_flush(self, flush, values: tuple, target: int,
                        explicit: bool):
         """Generator: drive the flush that pushing ``values`` into
         channel ``target`` triggered, under the flow's failure policy."""
+        if self._carry is not None:
+            yield self.node.env.sleep_until(self._carried())
         try:
             yield from flush
         except (QpFlushedError, FlowTimeoutError) as exc:
@@ -1454,14 +1467,21 @@ class ShuffleSource(_FlowSource):
         :meth:`~BandwidthSourceChannel.stage_batch`, then drive what it
         returns — and the CPU is charged once per flush boundary: staged
         rows are invisible until a flush, so the process sleeps only
-        before driving a flush and once at the end of the batch. The
-        groups' charges in between are added to an absolute deadline one
-        at a time, as the kernel adds separate sleeps, and slept through
-        ``Environment.sleep_until``: the wake lands on the float the
-        per-group sleeps reach. A boundary with one charge behind it — a
-        named target, a single live target, a group that flushes — yields
-        that charge's ``float``. A group that only stages rows costs no
-        kernel event and no generator, and in the row loop no call.
+        before driving a flush. The groups' charges in between are added
+        to an absolute deadline one at a time, as the kernel adds
+        separate sleeps, and slept through ``Environment.sleep_until``:
+        the wake lands on the float the per-group sleeps reach. A
+        boundary with one charge behind it — a named target, a single
+        live target, a group that flushes — yields that charge's
+        ``float``. A group that only stages rows costs no kernel event
+        and no generator, and in the row loop no call. The charges behind
+        the batch's last flush stay on the source as that deadline, and
+        the source's next post sleeps it first: the next batch's first
+        flush (its deadline chain starts there), a flushing :meth:`push`,
+        :meth:`close`, :meth:`abort` or :meth:`retire_target`. So a batch
+        that posts nothing returns at once, as a staging :meth:`push`
+        does; once the clock has moved past it, the carried charge is
+        slept from ``now``.
 
         On a latency flow every row of a group is one write, sent by the
         channel's ``_send`` as :meth:`push` sends it.
@@ -1548,8 +1568,16 @@ class ShuffleSource(_FlowSource):
                         if used > full:
                             seals[slot] = stager.seal(0, stager.sealed)
         # The CPU charged but not slept yet: the one charge's delay, and
-        # from a second charge on the absolute deadline.
+        # from a second charge on the absolute deadline — from the first
+        # when the source carries one (``_carried`` inlined: this runs
+        # once per batch).
         delay = when = None
+        if self._carry is not None:
+            env = self.node.env
+            (at, when), self._carry = self._carry, None
+            if env._now != at:
+                when = env._now + (when - at)
+            delay = 0.0
         try:
             for slot, group in enumerate(groups):
                 if group:
@@ -1641,7 +1669,9 @@ class ShuffleSource(_FlowSource):
                 yield delay if when is None else env.sleep_until(when)
             raise
         if delay is not None:
-            yield delay if when is None else env.sleep_until(when)
+            # Nothing posted behind this charge: the next post sleeps it.
+            now = self.node.env._now
+            self._carry = (now, now + delay if when is None else when)
 
     def _unstage(self, counts, seals, start: int) -> None:
         """Take ``counts[slot]`` rows, and the slot ``seals[slot]`` if any,
@@ -1696,6 +1726,8 @@ class ShuffleSource(_FlowSource):
         close follows the flow's failure policy: under ``"reroute"`` the
         close still succeeds on the survivors, under ``"abort"`` the
         survivors are aborted and FlowPeerFailedError is raised."""
+        if self._carry is not None:
+            yield self.node.env.sleep_until(self._carried())
         if self.node.env._ahead is not None:
             yield PARK
         work_requests = []
@@ -1720,6 +1752,8 @@ class ShuffleSource(_FlowSource):
         extension; paper Section 7 lists flow fault tolerance as future
         work). The abort is recorded in the registry *before* any marker
         goes out (see :meth:`_abort_survivors`)."""
+        if self._carry is not None:
+            yield self.node.env.sleep_until(self._carried())
         yield from self._abort_survivors()
 
     def _void(self):
@@ -1774,6 +1808,8 @@ class ShuffleSource(_FlowSource):
         if not live:
             raise FlowError("cannot retire the only target; close the "
                             "flow instead")
+        if self._carry is not None:
+            yield self.node.env.sleep_until(self._carried())
         channel = self._channels.pop()
         self._retired_sent += channel.tuples_sent
         self._set_live(live)

@@ -12,8 +12,11 @@ re-checking the peer's liveness when it fires.
 ``ShuffleSource.push_batch`` charges the CPU once per flush boundary:
 the groups that only stage rows add their delays to one absolute
 deadline, slept before the next flush. This module keeps the walk that
-replaced, one sleep per channel group and then its staging
-(:func:`push_batch_per_group`).
+replaced, one sleep per channel group before it flushes
+(:func:`push_batch_per_group`); both leave the charges behind a batch's
+last flush to the source's next post. ``sleeping_batch_push()`` keeps
+the per-group walk that carry replaced, which sleeps them at the end of
+the batch.
 
 ``UdQueuePair.post_send_multicast`` walks a datagram's fan-out as one
 macro-event. This module keeps the fan-out it replaced, one
@@ -215,11 +218,15 @@ _MEMBERS = {"_post_lone_discrete": _post_lone_discrete,
 
 # -- a batched push, one CPU charge per channel group ------------------------
 
-def push_batch_per_group(self, tuples, target=None):
+def push_batch_per_group(self, tuples, target=None, carry=True):
     """``ShuffleSource.push_batch`` as it charged the CPU per group: each
-    bandwidth group yields its channel's ``charge_batch`` delay, then
-    stages, then drives the flush staging returned; a latency group
-    sends each row with the channel's ``_send``."""
+    bandwidth group takes its channel's ``charge_batch`` delay and
+    stages; before the flush staging returned is driven, the source's
+    carried deadline and each charge owed since the last flush are slept
+    one by one, and the charges behind the last flush are carried as the
+    product carries them. Without ``carry`` each group sleeps its charge
+    before it stages, as the walk did before a batch carried its charge.
+    A latency group sends each row with the channel's ``_send``."""
     if self.closed:
         raise FlowClosedError("push on a closed flow source")
     if tuples.__class__ is not list and tuples.__class__ is not tuple:
@@ -249,8 +256,12 @@ def push_batch_per_group(self, tuples, target=None):
                         slot = _route_slot(slot, count)
                     groups[slot].append(values)
     fill = self._fill
-    for slot, group in enumerate(groups):
-        if group:
+    # The charges of the groups since the last flush, not slept yet.
+    owed = []
+    try:
+        for slot, group in enumerate(groups):
+            if not group:
+                continue
             try:
                 index = live[slot]
             except IndexError:
@@ -265,9 +276,12 @@ def push_batch_per_group(self, tuples, target=None):
                             channel._push_delay, channel.schema.pack_into,
                             values, channel._tuple_size)
                 else:
-                    yield channel.charge_batch(len(group))
+                    owed.append(channel.charge_batch(len(group)))
+                    if not carry:
+                        yield from _sleep_owed(self, owed)
                     flush = channel.stage_batch(group, fill)
                     if flush is not NO_FLUSH:
+                        yield from _sleep_owed(self, owed)
                         yield from flush
             except (QpFlushedError, FlowTimeoutError) as exc:
                 if target is not None:
@@ -277,6 +291,27 @@ def push_batch_per_group(self, tuples, target=None):
                              for values in rest]
                 yield from self.push_batch(remaining)
                 return
+    except FlowError:
+        # A rejected row surfaces behind the CPU charged before it.
+        yield from _sleep_owed(self, owed)
+        raise
+    if owed:
+        # Nothing posted behind these charges: the next post sleeps them.
+        now = self.node.env._now
+        when = now if self._carry is None else self._carried()
+        for charge in owed:
+            when += charge
+        self._carry = (now, when)
+
+
+def _sleep_owed(self, owed):
+    """Generator: sleep the source's carried charge, then each charge in
+    ``owed`` on its own, and forget them."""
+    if self._carry is not None:
+        yield self.node.env.sleep_until(self._carried())
+    for charge in owed:
+        yield charge
+    owed.clear()
 
 
 # -- the entry points' fault branch, as it selected the members ---------------
@@ -492,6 +527,30 @@ def macro_walker():
         yield counts
     finally:
         Environment.schedule_train = product
+
+
+# -- the end-of-batch sleep, as ShuffleSource.push_batch carried it ----------
+
+@contextmanager
+def sleeping_batch_push():
+    """Send every ``ShuffleSource.push_batch`` made while the block runs
+    through :func:`push_batch_per_group` as it was before a batch
+    carried its charge: each group sleeps its own charge before it
+    stages, so the charges behind the last flush are slept at the end of
+    the batch and no carry is ever left on the source. Yield
+    ``{"batches": n}``, the number of batches it pushed."""
+    counts = {"batches": 0}
+    product = ShuffleSource.push_batch
+
+    def push_batch(self, tuples, target=None):
+        counts["batches"] += 1
+        return push_batch_per_group(self, tuples, target, carry=False)
+
+    ShuffleSource.push_batch = push_batch
+    try:
+        yield counts
+    finally:
+        ShuffleSource.push_batch = product
 
 
 # -- the sleeping latency push, as ShuffleSource.push carried it --------------

@@ -3,6 +3,7 @@
 import contextlib
 import heapq
 import itertools
+import random
 import tokenize
 from pathlib import Path
 
@@ -11,8 +12,21 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.common.errors import SimulationError
-from repro.core import DfiRuntime, Endpoint, Optimization, Schema
-from repro.simnet import Cluster, Environment, Interrupt
+from repro.core import (
+    FLOW_END,
+    DfiRuntime,
+    Endpoint,
+    FlowOptions,
+    Optimization,
+    Schema,
+)
+from repro.simnet import (
+    Cluster,
+    Environment,
+    FaultPlan,
+    Interrupt,
+    link_degrade,
+)
 from tests import discrete_reference
 
 
@@ -1128,3 +1142,219 @@ def test_run_ahead_stops_at_a_run_until_horizon(make):
     env.run()
     assert seen == [True, False, "first", ("woke", 15.0), True, "third",
                     ("parked", 25.0)]
+
+
+# -- one queue's order, however it is driven ----------------------------------
+# ``run()``'s written-out loop and ``step()`` (the ``Stepwise`` twin) pop
+# the same entries in the same ``(time, sequence)`` order.
+
+def _chaotic_workload(env, seed, log):
+    """A mixed event storm: timeout chains with zero-delay bursts, manual
+    events, direct callbacks, trains and far timers."""
+    rng = random.Random(seed)
+
+    def worker(name, steps):
+        for i in range(steps):
+            delay = rng.choice(
+                (0.0, 0.0, 1.0, 3.5, 2048.0, rng.random() * 9000.0))
+            yield env.timeout(delay)
+            log.append((env.now, name, i))
+
+    def firer(events):
+        for i, event in enumerate(events):
+            yield env.timeout(rng.random() * 500.0)
+            event.succeed(i)
+
+    def waiter(name, events):
+        for event in events:
+            got = yield event
+            log.append((env.now, name, got))
+
+    for p in range(5):
+        env.process(worker(f"w{p}", 30))
+    manual = [env.event() for _ in range(20)]
+    env.process(firer(manual))
+    env.process(waiter("waiter", manual))
+    def at(tag):
+        log.append((env.now,) + tag)
+
+    for j in range(40):
+        when = rng.random() * 8000.0 + 0.5
+        env.schedule_train([(when, at, ("cb", j))])
+    env.schedule_train([(100.0 + 7.0 * i, log.append, (0.0, "train", i))
+                        for i in range(16)])
+    # Timers orders of magnitude past everything else, up to where a
+    # float no longer resolves nanoseconds: they order by (when, seq)
+    # like any other.
+    far = [600_000.0 + rng.random() * 3_000_000.0 for _ in range(12)]
+    far += [40_000_000.0, float(1 << 62), float(1 << 63)]
+    for j, when in enumerate(far):
+        env.schedule_train([(when, at, ("far", j))])
+    env.run()
+
+
+def test_run_and_step_fire_a_mixed_storm_in_one_order():
+    """``run()``'s written-out loop and ``step()`` one event at a time
+    fire the same storm in the same order."""
+    baseline: list = []
+    env = Environment()
+    _chaotic_workload(env, seed=42, log=baseline)
+    assert len(baseline) > 200
+    assert env.now == float(1 << 63)
+    # Every entry drew one sequence number and was popped once — the
+    # 16-hop train's hops too, one entry each.
+    assert env.events_executed == env._sequence
+    for seed in (42, 7):
+        log: list = []
+        stepped = Stepwise()
+        _chaotic_workload(stepped, seed=seed, log=log)
+        if seed == 42:
+            assert log == baseline
+            assert stepped.events_executed == env.events_executed
+        assert [entry[0] for entry in log if entry[1] != "train"] == sorted(
+            entry[0] for entry in log if entry[1] != "train")
+
+
+def test_step_and_peek_follow_the_queue_head():
+    env = Environment()
+    log = []
+    env.schedule_train([(5.0, log.append, "b")])
+    env.schedule_train([(1.0, log.append, "a")])
+    assert env.peek() == 1.0
+    env.step()
+    assert env.now == 1.0
+    # A zero-delay event queued now sits at the head, ahead of 5.0.
+    env.event().succeed()
+    assert env.peek() == 1.0
+    env.step()
+    assert env.peek() == 5.0
+    env.step()
+    with pytest.raises(SimulationError):
+        env.step()
+    assert log == ["a", "b"]
+    assert env.peek() == float("inf")
+    assert env.events_executed == 3
+
+
+def _pending(env) -> int:
+    return len(env._queue) + len(env._immediate)
+
+
+def test_same_instant_entries_run_in_scheduling_order():
+    """Same-instant events run in the order they were scheduled, timed
+    and zero-delay alike: the least ``(time, sequence)`` runs next."""
+    instants = [10.0, 10.0, 20.0, 20.0, 20.0, 10.0, 30.0, 30.0, 10.0, 20.0]
+
+    def fired(env):
+        order: list = []
+
+        def at_ten(_arg):
+            # The first entry at 10: what it queues for "now"
+            # (zero-delay, and an instant already past) draws later
+            # sequence numbers than the timed entries still waiting at
+            # 10, so it runs after them and before the 20.0 ones.
+            order.append("first")
+            env.event().succeed()
+            env.schedule_train([(10.0, order.append, "late")])
+            env.schedule_train([(5.0, order.append, "past")])
+
+        env.schedule_train([(10.0, at_ten, None)])
+        for index, when in enumerate(instants):
+            env.schedule_train([(when, order.append, index)])
+        env.run()
+        return order
+
+    by_time = sorted(range(len(instants)), key=lambda i: (instants[i], i))
+    tens = [i for i in by_time if instants[i] == 10.0]
+    expected = ["first"] + tens + ["late", "past"] + by_time[len(tens):]
+    assert fired(Environment()) == fired(Stepwise()) == expected
+
+
+def test_train_hops_and_the_timers_they_arm_interleave_in_time_order():
+    """A train's hops and the timers each hop arms interleave by
+    ``(time, sequence)``: every timer lands between two hops."""
+    env = Environment()
+    seen: list = []
+
+    def timer(index):
+        seen.append(("timer", index, env.now))
+
+    def hop(index):
+        seen.append(("hop", index, env.now))
+        env.schedule_train([(env.now + 1.0, timer, index)])
+
+    env.timeout(0.5)
+    # Hops span the current bucket, the ring and the spill heap.
+    instants = (10.0, 20.0, 5_000.0, 700_000.0, 2_000_000.0)
+    env.schedule_train([(when, hop, index)
+                        for index, when in enumerate(instants)])
+    env.run()
+    assert seen == [entry for index, when in enumerate(instants)
+                    for entry in (("hop", index, when),
+                                  ("timer", index, when + 1.0))]
+    # The timeout, five hops of one train, five timers: an entry and a
+    # sequence number each.
+    assert env.events_executed == 11
+    assert env._sequence == 1 + 5 + 5
+
+
+def _racked_shuffle():
+    """A 2:2 batched shuffle across the two racks of ``racked(2, 2)``,
+    not yet run; returns the cluster and its processes."""
+    cluster = Cluster.racked(2, 2, seed=5)
+    dfi = DfiRuntime(cluster)
+    schema = Schema(("key", "uint64"), ("pad", 24))
+    pad = b"p" * 24
+    endpoints = [Endpoint(n, 0) for n in range(4)]
+    dfi.init_shuffle_flow("lock", endpoints[:2], endpoints[2:], schema,
+                          shuffle_key="key",
+                          options=FlowOptions(source_segments=4,
+                                              target_segments=8,
+                                              credit_threshold=4))
+
+    def source_thread(index):
+        source = yield from dfi.open_source("lock", index)
+        for first in range(0, 600, 40):
+            yield from source.push_batch(
+                [(i * 2654435761 + index, pad)
+                 for i in range(first, first + 40)])
+        yield from source.close()
+
+    def target_thread(index):
+        target = yield from dfi.open_target("lock", index)
+        while (yield from target.consume_batch()) is not FLOW_END:
+            pass
+
+    processes = [cluster.node(n).spawn(source_thread(n)) for n in (0, 1)]
+    processes += [cluster.node(2 + n).spawn(target_thread(n))
+                  for n in (0, 1)]
+    return cluster, processes
+
+
+def test_timed_callbacks_are_one_entry_each_and_popped_once():
+    """Timed callbacks — one-action trains — each arming the next from
+    its own action are one queue entry apiece, popped once, through
+    either loop."""
+    for env in (Environment(), Stepwise()):
+        fired = []
+
+        def tick(_arg, env=env, fired=fired):
+            fired.append(env.now)
+            if len(fired) < 12:
+                env.schedule_train([(env.now + 1.0, tick, None)])
+
+        tick(None)
+        env.run()
+        assert fired == [float(t) for t in range(12)]
+        assert env.events_executed == env._sequence == 11
+        assert _pending(env) == 0
+    # Under the discrete oracle an active, idle fault plane puts every
+    # write of a racked flow on the per-WQE walk, whose completions are
+    # train actions: the drained run leaves none behind.
+    with discrete_reference.installed() as posts:
+        cluster, _processes = _racked_shuffle()
+        cluster.install_faults(FaultPlan(
+            [link_degrade(0, at=1e9, duration=1.0, factor=2.0)]))
+        cluster.run()
+    assert posts["wqes"] and _pending(cluster.env) == 0
+    assert cluster.env.events_executed == cluster.env._sequence

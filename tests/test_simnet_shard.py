@@ -6,7 +6,9 @@ queue ordered by ``(time, sequence)`` (DESIGN.md §8). The kernel half
 holds that order however the queue is driven — ``run()``'s written-out
 loop, ``run(until=...)`` and :meth:`step` — with the
 :class:`~tests.test_simnet_kernel.Stepwise` twin as the ``step()``
-reference. The cluster half holds :meth:`Cluster.racked` to a rack-major
+reference; ``tests/test_simnet_kernel.py`` holds the rest of it (the
+storm order, step and peek, same-instant order, train hops, timed
+callbacks). The cluster half holds :meth:`Cluster.racked` to a rack-major
 numbering of the flat cluster: clocks, byte counts, event counts, chaos
 outcomes and the committed fingerprint are bit-identical to the flat
 ``Cluster`` of the same size. :func:`run_partitioned` runs isolated
@@ -15,7 +17,6 @@ clusters on worker processes.
 
 import importlib.util
 import json
-import random
 from pathlib import Path
 
 import pytest
@@ -40,8 +41,7 @@ from repro.simnet import (
     node_crash,
     run_partitioned,
 )
-from tests import discrete_reference
-from tests.test_simnet_kernel import Stepwise
+from tests.test_simnet_kernel import Stepwise, _pending, _racked_shuffle
 
 
 def _flat_twin(racks, nodes_per_rack, profile=DEFAULT_HARDWARE, seed=0):
@@ -131,94 +131,6 @@ def test_default_shards_is_monkeypatchable():
 
 # -- one queue, however it is driven -----------------------------------------
 
-def _chaotic_workload(env, seed, log):
-    """A mixed event storm: timeout chains with zero-delay bursts, manual
-    events, direct callbacks, trains and far timers."""
-    rng = random.Random(seed)
-
-    def worker(name, steps):
-        for i in range(steps):
-            delay = rng.choice(
-                (0.0, 0.0, 1.0, 3.5, 2048.0, rng.random() * 9000.0))
-            yield env.timeout(delay)
-            log.append((env.now, name, i))
-
-    def firer(events):
-        for i, event in enumerate(events):
-            yield env.timeout(rng.random() * 500.0)
-            event.succeed(i)
-
-    def waiter(name, events):
-        for event in events:
-            got = yield event
-            log.append((env.now, name, got))
-
-    for p in range(5):
-        env.process(worker(f"w{p}", 30))
-    manual = [env.event() for _ in range(20)]
-    env.process(firer(manual))
-    env.process(waiter("waiter", manual))
-    def at(tag):
-        log.append((env.now,) + tag)
-
-    for j in range(40):
-        when = rng.random() * 8000.0 + 0.5
-        env.schedule_train([(when, at, ("cb", j))])
-    env.schedule_train([(100.0 + 7.0 * i, log.append, (0.0, "train", i))
-                        for i in range(16)])
-    # Timers orders of magnitude past everything else, up to where a
-    # float no longer resolves nanoseconds: they order by (when, seq)
-    # like any other.
-    far = [600_000.0 + rng.random() * 3_000_000.0 for _ in range(12)]
-    far += [40_000_000.0, float(1 << 62), float(1 << 63)]
-    for j, when in enumerate(far):
-        env.schedule_train([(when, at, ("far", j))])
-    env.run()
-
-
-def test_sharded_order_matches_single_queue_exactly():
-    """``run()``'s written-out loop and ``step()`` one event at a time
-    fire the same storm in the same order."""
-    baseline: list = []
-    env = Environment()
-    _chaotic_workload(env, seed=42, log=baseline)
-    assert len(baseline) > 200
-    assert env.now == float(1 << 63)
-    # Every entry drew one sequence number and was popped once — the
-    # 16-hop train's hops too, one entry each.
-    assert env.events_executed == env._sequence
-    for seed in (42, 7):
-        log: list = []
-        stepped = Stepwise()
-        _chaotic_workload(stepped, seed=seed, log=log)
-        if seed == 42:
-            assert log == baseline
-            assert stepped.events_executed == env.events_executed
-        assert [entry[0] for entry in log if entry[1] != "train"] == sorted(
-            entry[0] for entry in log if entry[1] != "train")
-
-
-def test_sharded_step_and_peek_compatibility():
-    env = Environment()
-    log = []
-    env.schedule_train([(5.0, log.append, "b")])
-    env.schedule_train([(1.0, log.append, "a")])
-    assert env.peek() == 1.0
-    env.step()
-    assert env.now == 1.0
-    # A zero-delay event queued now sits at the head, ahead of 5.0.
-    env.event().succeed()
-    assert env.peek() == 1.0
-    env.step()
-    assert env.peek() == 5.0
-    env.step()
-    with pytest.raises(SimulationError):
-        env.step()
-    assert log == ["a", "b"]
-    assert env.peek() == float("inf")
-    assert env.events_executed == 3
-
-
 def test_sharded_run_until_semantics():
     env = Environment()
     hits = []
@@ -262,10 +174,6 @@ def test_sharded_exception_propagation():
     env.process(boom(env))
     with pytest.raises(ValueError, match="kaboom"):
         env.run(until=10.0)
-
-
-def _pending(env) -> int:
-    return len(env._queue) + len(env._immediate)
 
 
 def test_tallies_count_every_event_however_the_kernel_is_driven():
@@ -312,97 +220,6 @@ def test_tallies_count_every_event_however_the_kernel_is_driven():
     assert env.events_executed + _pending(env) == env._sequence
 
 
-def test_drain_rounds_are_maximal_same_shard_runs():
-    """Same-instant events run in the order they were scheduled, timed
-    and zero-delay alike: the least ``(time, sequence)`` runs next."""
-    instants = [10.0, 10.0, 20.0, 20.0, 20.0, 10.0, 30.0, 30.0, 10.0, 20.0]
-
-    def fired(env):
-        order: list = []
-
-        def at_ten(_arg):
-            # The first entry at 10: what it queues for "now"
-            # (zero-delay, and an instant already past) draws later
-            # sequence numbers than the timed entries still waiting at
-            # 10, so it runs after them and before the 20.0 ones.
-            order.append("first")
-            env.event().succeed()
-            env.schedule_train([(10.0, order.append, "late")])
-            env.schedule_train([(5.0, order.append, "past")])
-
-        env.schedule_train([(10.0, at_ten, None)])
-        for index, when in enumerate(instants):
-            env.schedule_train([(when, order.append, index)])
-        env.run()
-        return order
-
-    by_time = sorted(range(len(instants)), key=lambda i: (instants[i], i))
-    tens = [i for i in by_time if instants[i] == 10.0]
-    expected = ["first"] + tens + ["late", "past"] + by_time[len(tens):]
-    assert fired(Environment()) == fired(Stepwise()) == expected
-
-
-def test_macro_hops_stay_on_the_arming_shard():
-    """A train's hops and the timers each hop arms interleave by
-    ``(time, sequence)``: every timer lands between two hops."""
-    env = Environment()
-    seen: list = []
-
-    def timer(index):
-        seen.append(("timer", index, env.now))
-
-    def hop(index):
-        seen.append(("hop", index, env.now))
-        env.schedule_train([(env.now + 1.0, timer, index)])
-
-    env.timeout(0.5)
-    # Hops span the current bucket, the ring and the spill heap.
-    instants = (10.0, 20.0, 5_000.0, 700_000.0, 2_000_000.0)
-    env.schedule_train([(when, hop, index)
-                        for index, when in enumerate(instants)])
-    env.run()
-    assert seen == [entry for index, when in enumerate(instants)
-                    for entry in (("hop", index, when),
-                                  ("timer", index, when + 1.0))]
-    # The timeout, five hops of one train, five timers: an entry and a
-    # sequence number each.
-    assert env.events_executed == 11
-    assert env._sequence == 1 + 5 + 5
-
-
-def _racked_shuffle():
-    """A 2:2 batched shuffle across the two racks of ``racked(2, 2)``,
-    not yet run; returns the cluster and its processes."""
-    cluster = Cluster.racked(2, 2, seed=5)
-    dfi = DfiRuntime(cluster)
-    schema = Schema(("key", "uint64"), ("pad", 24))
-    pad = b"p" * 24
-    endpoints = [Endpoint(n, 0) for n in range(4)]
-    dfi.init_shuffle_flow("lock", endpoints[:2], endpoints[2:], schema,
-                          shuffle_key="key",
-                          options=FlowOptions(source_segments=4,
-                                              target_segments=8,
-                                              credit_threshold=4))
-
-    def source_thread(index):
-        source = yield from dfi.open_source("lock", index)
-        for first in range(0, 600, 40):
-            yield from source.push_batch(
-                [(i * 2654435761 + index, pad)
-                 for i in range(first, first + 40)])
-        yield from source.close()
-
-    def target_thread(index):
-        target = yield from dfi.open_target("lock", index)
-        while (yield from target.consume_batch()) is not FLOW_END:
-            pass
-
-    processes = [cluster.node(n).spawn(source_thread(n)) for n in (0, 1)]
-    processes += [cluster.node(2 + n).spawn(target_thread(n))
-                  for n in (0, 1)]
-    return cluster, processes
-
-
 def test_written_out_loop_stays_in_lockstep_with_step():
     """``run()`` takes ``_run_all``, ``run(until=...)`` takes ``step()``:
     the same scenario ends on the same clock and event count through
@@ -425,35 +242,6 @@ def test_written_out_loop_stays_in_lockstep_with_step():
     assert stepped.env._sequence == drained.env._sequence
     assert (stepped.fabric.unicast_count == drained.fabric.unicast_count
             > 0)
-
-
-def test_sharded_loop_recycles_pooled_timeouts():
-    """Timed callbacks — one-action trains — each arming the next from
-    its own action are one queue entry apiece, popped once, through
-    either loop."""
-    for env in (Environment(), Stepwise()):
-        fired = []
-
-        def tick(_arg, env=env, fired=fired):
-            fired.append(env.now)
-            if len(fired) < 12:
-                env.schedule_train([(env.now + 1.0, tick, None)])
-
-        tick(None)
-        env.run()
-        assert fired == [float(t) for t in range(12)]
-        assert env.events_executed == env._sequence == 11
-        assert _pending(env) == 0
-    # Under the discrete oracle an active, idle fault plane puts every
-    # write of a racked flow on the per-WQE walk, whose completions are
-    # train actions: the drained run leaves none behind.
-    with discrete_reference.installed() as posts:
-        cluster, _processes = _racked_shuffle()
-        cluster.install_faults(FaultPlan(
-            [link_degrade(0, at=1e9, duration=1.0, factor=2.0)]))
-        cluster.run()
-    assert posts["wqes"] and _pending(cluster.env) == 0
-    assert cluster.env.events_executed == cluster.env._sequence
 
 
 @pytest.mark.parametrize("racks", [1, 2])

@@ -7,20 +7,36 @@ row is hashed and packed into its channel's open slot inside
 ``push_batch``'s own frame, one ``pack_into`` and no frame per row, and
 a channel-batch that only stages rows costs no call at all. So what a
 tuple costs in frames is its share of ``push_batch`` itself (entered
-once per batch, resumed after its one sleep), of that sleep
-(``sleep_until`` when several channels were charged), and of the
+once per batch, resumed only after a flush boundary's sleep), of that
+sleep (``sleep_until`` when several channels were charged), and of the
 per-segment path a channel takes every 32 batches: ``seal``, the
 doorbell train, the write landing and the target's consume. That reads
-0.36 frames per tuple on either cluster (0.40 while a train's hops were
-walked by a pooled macro-event; 1.82 while every channel-batch
-called ``charge_batch``, ``Node.compute`` and ``stage_batch``; 2.96
-while the channel's ``push_batch`` generator ran every channel-batch).
-One more frame per channel-batch is +0.25. A channel-batch costs no
-kernel event: the process sleeps once per flush boundary, its staged
-groups' delays added to one absolute deadline, so a batch whose groups
-only stage rows costs one event, not one per group (4 366 events while
-every group slept on its own). Wall-clock is noise on a shared box;
-kernel events and Python frames entered under ``src/repro`` are not.
+0.24 frames per tuple on either cluster (0.36 while every batch slept
+at its end; 0.40 while a train's hops were walked by a pooled
+macro-event; 1.82 while every channel-batch called ``charge_batch``,
+``Node.compute`` and ``stage_batch``; 2.96 while the channel's
+``push_batch`` generator ran every channel-batch). One more frame per
+channel-batch is +0.25. A channel-batch costs no kernel event: the
+process sleeps once per flush boundary, its staged groups' delays added
+to one absolute deadline, and a batch that posts nothing leaves that
+deadline on the source for its next post, so it costs no event at all.
+
+``EVENTS`` (444) is the run's events net of the same mesh with nothing
+pushed, counted on the flat and the racked cluster alike:
+- 341 are the posted slots' own path: the 97 doorbell trains of one
+  segment each, their landings, the footer reads and the targets'
+  consumes;
+- 97 are the flush boundaries' wakes, one before each train;
+- 6 are the closes of the six sources whose last batch posted nothing,
+  each sleeping its carried charge before its close marker goes out.
+
+At the parent of the carry it was 938: the same 341 + 97, plus an
+end-of-batch wake for each of the 500 of the 512 batches that charged a
+group after their last flush (4 366 events while every group slept on
+its own).
+
+Wall-clock is noise on a shared box; kernel events and Python frames
+entered under ``src/repro`` are not.
 The same budget is held on a racked twin (two racks of four nodes,
 built by ``Cluster.racked``), which must cost what the flat cluster
 costs.
@@ -42,8 +58,9 @@ SCHEMA = Schema(("key", "uint64"), ("pad", 56))
 NODES, BATCH, BATCHES = 8, 32, 64
 SHORT_RINGS = FlowOptions(source_segments=4, target_segments=16,
                           credit_threshold=8)
-#: Kernel events of the whole mesh run, flat or racked (exact).
-EVENTS = 938
+#: Kernel events of the whole mesh run, flat or racked (exact; derived
+#: in the module docstring).
+EVENTS = 444
 #: Python frames entered under ``src/repro`` per pushed tuple.
 FRAMES_PER_TUPLE = 0.365
 
@@ -125,17 +142,18 @@ def test_small_batches_cost_the_same_events_on_a_racked_twin():
 
 
 def test_a_tuple_enters_at_most_the_frame_budget():
-    """0.36 now (``FRAMES_PER_TUPLE``; first bound 0.60); 0.40 while a
-    train's hops were walked by a pooled macro-event."""
+    """0.24 now (``FRAMES_PER_TUPLE``; first bound 0.60); 0.36 while
+    every batch slept at its end, 0.40 while a train's hops were walked
+    by a pooled macro-event."""
     per_tuple, why = _frames_per_tuple(_flat)
     assert per_tuple <= FRAMES_PER_TUPLE, (
         f"{per_tuple} frames per tuple, bound {FRAMES_PER_TUPLE}\n{why}")
 
 
 def test_a_tuple_enters_at_most_the_frame_budget_on_a_racked_twin():
-    """0.36 as well (first bound 0.50): the kernel's run loop is written
+    """0.24 as well (first bound 0.50): the kernel's run loop is written
     out, so racks add no frame. One more frame per channel-batch would
-    read about 0.61 on either cluster."""
+    read about 0.49 on either cluster."""
     per_tuple, why = _frames_per_tuple(_racked)
     assert per_tuple <= FRAMES_PER_TUPLE, (
         f"{per_tuple} frames per tuple, bound {FRAMES_PER_TUPLE}\n{why}")
@@ -195,7 +213,8 @@ def _row_by_row(source, rows):
 
 
 def test_a_batch_costs_no_more_calls_than_its_rows_pushed_one_by_one():
-    """809 calls against 863 (1 104 against 1 158 while a train's hops
+    """810 calls against 863 (809 while the batch slept at its end, not
+    its close; 1 104 against 1 158 while a train's hops
     were walked by a pooled macro-event; 1 720 while every channel-batch
     took the group walk's charge and stage)."""
     (batch, batch_calls), (pushes, push_calls) = (
