@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.common.errors import ConfigurationError
 from repro.common.rand import derive_rng
+from repro.rdma.memory import Doorbell
 from repro.rdma.nic import get_nic
 from repro.simnet.cluster import Cluster
 
@@ -30,24 +31,12 @@ def _fill_payload(cluster: Cluster, tool: str, role: str, size: int,
     return bytearray(rng.getrandbits(8) for _ in range(size))
 
 
-def _wait_flag(env, region, offset, expected: int):
+def _wait_flag(doorbell, region, offset, expected: int):
     """Generator: wait until ``region[offset] == expected`` (memory poll,
-    modeled with a write hook exactly like DFI's target polling)."""
+    modeled with the region's doorbell exactly like DFI's target
+    polling)."""
     while region.mem[offset] != expected:
-        event = env.event()
-        fired = [False]
-
-        def hook(_offset, _length):
-            if not fired[0]:
-                fired[0] = True
-                event.succeed()
-
-        region.add_write_hook(hook)
-        if region.mem[offset] == expected:  # committed while arming
-            region.remove_write_hook(hook)
-            continue
-        yield event
-        region.remove_write_hook(hook)
+        yield doorbell.arm()
 
 
 def ib_write_lat(cluster: Cluster, size: int, iterations: int = 100,
@@ -65,6 +54,8 @@ def ib_write_lat(cluster: Cluster, size: int, iterations: int = 100,
     client_nic, server_nic = get_nic(client), get_nic(server)
     client_buf = client_nic.register_memory(size)
     server_buf = server_nic.register_memory(size)
+    client_bell = Doorbell(client, (client_buf,))
+    server_bell = Doorbell(server, (server_buf,))
     client_qp = client_nic.create_qp(server)
     server_qp = server_nic.create_qp(client)
     rtts: list[float] = []
@@ -76,14 +67,14 @@ def ib_write_lat(cluster: Cluster, size: int, iterations: int = 100,
             start = env.now
             payload[-1] = i % 256
             client_qp.post_write(payload, server_buf.rkey, 0)
-            yield from _wait_flag(env, client_buf, size - 1, i % 256)
+            yield from _wait_flag(client_bell, client_buf, size - 1, i % 256)
             rtts.append(env.now - start)
 
     def server_proc(env):
         payload = _fill_payload(cluster, "lat", "server", size,
                                 client_node, server_node)
         for i in range(1, iterations + 1):
-            yield from _wait_flag(env, server_buf, size - 1, i % 256)
+            yield from _wait_flag(server_bell, server_buf, size - 1, i % 256)
             payload[-1] = i % 256
             server_qp.post_write(payload, client_buf.rkey, 0)
 

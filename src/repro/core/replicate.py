@@ -60,7 +60,6 @@ from repro.core.segment import (
 from repro.core.shuffle import (
     SegmentStager,
     ShuffleTarget,
-    _Doorbell,
     _FlowSource,
     _judge_silence,
     _open_channels,
@@ -71,7 +70,7 @@ from repro.core.shuffle import (
 from repro.core.writers import MulticastWindow
 from repro.obs import endpoint_obs, log_close
 from repro.common.planelog import CLOSE, CONSUME, WRITE
-from repro.rdma.memory import zeroed
+from repro.rdma.memory import Doorbell, zeroed
 from repro.rdma.nic import get_nic
 from repro.simnet.kernel import PARK
 
@@ -498,7 +497,7 @@ class MulticastReplicateSource(_StagedSource):
         #: Un-credited segments a send may leave behind it.
         self._send_limit = options.target_segments - 1
         self._window = MulticastWindow(
-            self, control_region, _Doorbell(self.node, (control_region,)),
+            self, control_region, Doorbell(self.node, (control_region,)),
             descriptor.target_count, options.retransmit_buffer)
         self.retransmissions = 0
         self._obs = endpoint_obs(self.node, self._flow, options, self)
@@ -682,7 +681,7 @@ class MulticastReplicateTarget:
         self._gap_pending: "GapNotification | None" = None
         self._aborted = False
         self._peer_timeout = descriptor.options.peer_timeout
-        self._doorbell = _Doorbell(self.node, (ring_region,))
+        self._doorbell = Doorbell(self.node, (ring_region,))
         #: Tuples / segments delivered to the application (stats).
         self.tuples_received = 0
         self.segments_received = 0

@@ -110,15 +110,14 @@ def key_hash_router(schema: Schema, key: "str | int") -> RoutingFunction:
         return route
     key_dtype = f"<u{dtype.size}"
     offset = schema.offset_of(key)
-    size, pack_many_into = schema.tuple_size, schema.pack_many_into
+    size, pack_rows = schema.tuple_size, schema.pack_rows
 
     def partition(tuples, target_count: int):
         count = len(tuples)
         if count < _ROUTE_NP_MIN or not (_NUMPY or _numpy()):
             return None
-        packed = bytearray(count * size)
         try:
-            pack_many_into(packed, 0, tuples)
+            packed = pack_rows(tuples)
         except SchemaError:
             return None
         numpy = _NUMPY

@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 import struct
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, starmap
 
 from repro.common.errors import SchemaError
 from repro.core.types import DataType, resolve_type
@@ -179,12 +179,18 @@ class Schema:
         ``struct`` call — the amortization behind the batched push path.
 
         Counts the batch-struct cache cannot take pack in power-of-two
-        chunks (identical bytes, no per-call compile).
+        chunks (identical bytes, no per-call compile). A row whose length
+        is not the schema's arity raises, before any byte is written, the
+        :class:`SchemaError` :meth:`pack_into` raises for it.
         """
         count = len(tuples)
         if count == 1:
             self.pack_into(buffer, offset, tuples[0])
             return
+        # Flattened, ragged rows whose field total fits would pack as
+        # shifted fields: one C pass over the row lengths first.
+        if operator.countOf(map(len, tuples), self.arity) != count:
+            self._reject(tuples)
         # A cached count is one dict probe, not a frame.
         compiled = self._batch_structs.get(count)
         if compiled is None:
@@ -206,6 +212,24 @@ class Schema:
             raise SchemaError(
                 f"batch of {count} tuples does not match schema: "
                 f"{exc}") from None
+
+    def pack_rows(self, tuples) -> bytes:
+        """Every tuple of ``tuples`` packed contiguously into one
+        ``bytes``: the row struct packs each row, driven from C, so a row
+        of the wrong arity raises the :class:`SchemaError`
+        :meth:`pack_into` raises for it, at no extra pass."""
+        try:
+            return b"".join(starmap(self._struct.pack, tuples))
+        except struct.error:
+            self._reject(tuples)
+            raise
+
+    def _reject(self, tuples) -> None:
+        """Raise what :meth:`pack_into` raises for the first row of
+        ``tuples`` that does not pack."""
+        scratch = bytearray(self.tuple_size)
+        for values in tuples:
+            self.pack_into(scratch, 0, values)
 
     def unpack(self, data: "bytes | bytearray | memoryview") -> tuple:
         """Unpack one tuple from exactly ``tuple_size`` bytes."""

@@ -141,12 +141,12 @@ class SwitchAggregator:
             raise FlowError(
                 "SHARP target ring overflow — enlarge target_segments "
                 "or consume faster")
-        if payload:
-            self._ring.region.write(self._ring.payload_offset(index),
-                                    payload)
-        self._ring.region.write(
-            self._ring.footer_offset(index),
-            pack_footer(len(payload), flags, 0))
+        ring = self._ring
+        used = len(payload)
+        if used:
+            ring.region.commit((ring.payload_offset(index), payload, used))
+        ring.region.commit((ring.footer_offset(index),
+                            pack_footer(used, flags, 0), FOOTER_SIZE))
 
 
 class SharpCombinerSource(_StagedSource):

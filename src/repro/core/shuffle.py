@@ -63,10 +63,10 @@ from repro.obs import FAULT_DETECT, REROUTE, endpoint_obs, log_close, log_event
 from repro.common.planelog import CONSUME, WRITE
 from repro.core.writers import REFRESH_DUE, CreditWindow, FooterWindow
 from repro.rdma.completion import Opcode, WorkRequest
-from repro.rdma.memory import zeroed
+from repro.rdma.memory import Doorbell, zeroed
 from repro.rdma.nic import get_nic
 from repro.simnet.congestion import stall_is_congestion
-from repro.simnet.kernel import PARK, Event
+from repro.simnet.kernel import PARK
 
 #: C-speed footer "used bytes" parse for the drain hot loop
 #: (little-endian u32 at the footer head; see repro.core.segment).
@@ -151,87 +151,6 @@ def _resolve_remote_region(channel):
     region.check_range(0, channel.remote.segment_count * channel._remote_slot)
     channel._remote_region = region
     return region
-
-
-class _Doorbell:
-    """Wakes the one thread that waits on writes into its regions.
-
-    Real DFI busy-polls footer flags (a sub-100ns cache load). Simulating
-    every load would swamp the event kernel, so each region keeps one
-    write hook for its whole life, registered once, and the waiter arms
-    an event per wait. The hook of region ``i`` marks ``i`` in
-    :attr:`dirty` and fires the armed event. A wait only a write can end
-    is armed with ``poll=True``: the event is the waiting process's own
-    wake entry (``Process._wake``; yield it at once), and it resumes at
-    ``commit + cpu_poll_cost`` — the float ``node.compute`` would charge
-    behind a zero-delay wake (``_cpu_scale`` is construction-constant),
-    in one event instead of two. A wait raced against a deadline keeps a
-    fresh zero-delay event, whose outcome feeds the deadline decision,
-    and must :meth:`disarm` when the deadline won.
-    """
-
-    __slots__ = ("_env", "_event", "_delay", "_poll_delay", "dirty",
-                 "_held")
-
-    def __init__(self, node: "Node", regions) -> None:
-        self._env = node.env
-        self._event = None
-        self._delay = 0.0
-        #: The process that armed a polled wait while it ran ahead of the
-        #: clock (``Environment.run_ahead``), else ``None``.
-        self._held = None
-        self._poll_delay = (node.cluster.profile.cpu_poll_cost
-                            / node._cpu_scale)
-        #: Indices of the regions written since their reader last took
-        #: them out, in write-arrival order (an insertion-ordered dict).
-        #: Every region starts dirty, and the hooks are registered before
-        #: any simulated write can land, so no write is ever missed.
-        #: Keys are region indices: the set never outgrows the regions.
-        self.dirty = dict.fromkeys(range(len(regions)))
-        for index, region in enumerate(regions):
-            region.add_write_hook(self._hook(index))
-
-    def _hook(self, index: int):
-        dirty = self.dirty
-        env = self._env
-
-        def ring(_offset, _length) -> None:
-            dirty[index] = None
-            event = self._event
-            if event is not None:
-                self._event = None
-                held = self._held
-                if held is not None and held._ahead is not None:
-                    # The waiter's links are pending: it would have found
-                    # this write before waiting, so it resumes at its
-                    # local instant, and no wake is queued.
-                    held._ring_ahead()
-                else:
-                    # ``succeed()`` after ``_delay`` (mirrors Timeout
-                    # construction).
-                    event._value = None
-                    env._schedule(event, self._delay)
-        return ring
-
-    def arm(self, poll: bool = False):
-        """The event the next write into a region fires. Call only
-        when about to wait: polls are synchronous, so no write lands
-        between a poll that found nothing and the arm that follows it."""
-        if poll:
-            # The waiting process's own entry, free while it runs; the
-            # kernel re-arms it when the process yields it.
-            env = self._env
-            event = self._event = env._active_process._wake
-            self._held = env._ahead
-            self._delay = self._poll_delay
-        else:
-            event = self._event = Event(self._env)
-            self._held = None
-            self._delay = 0.0
-        return event
-
-    def disarm(self) -> None:
-        self._event = None
 
 
 def _node_obs(endpoint):
@@ -740,7 +659,7 @@ class LatencySourceChannel(_SourceChannel):
             self.profile.cpu_post_cost), _copy_into,
             bytes(self.segment_payload), 0)
         #: CPU delay of one push, the tuple copy plus posting its write
-        #: (``_cpu_scale`` is construction-constant, see ``_Doorbell``).
+        #: (``_cpu_scale`` is construction-constant, see ``Doorbell``).
         self._push_delay = node.compute(
             self.profile.cpu_push_cost(self._tuple_size)
             + self.profile.cpu_post_cost)
@@ -1882,15 +1801,15 @@ class ShuffleTarget:
         self._taken = 0
         self._held = 0
         # Doorbell set: channel indices whose ring saw a write since the
-        # channel was last drained (``_Doorbell.dirty``), so a scan
+        # channel was last drained (``Doorbell.dirty``), so a scan
         # touches only channels that actually received data instead of
         # round-robin-polling every idle ring (O(dirty), not O(channels),
-        # on N:1 flows) and drains them in write-arrival order. The hooks
-        # are registered here, synchronously with ring allocation. With
+        # on N:1 flows) and drains them in write-arrival order. The
+        # doorbell attaches here, synchronously with ring allocation. With
         # no ``peer_timeout`` a wait is ``arm(poll=True)``, the merged
         # wake+poll; a bounded wait races a zero-delay wake against the
         # deadline (:meth:`_bounded_wait`).
-        self._doorbell = _Doorbell(
+        self._doorbell = Doorbell(
             self.node, [channel.ring.region for channel in channels])
         self._unpack = descriptor.schema.iter_unpack
         #: Channels whose close marker has not been consumed yet

@@ -8,6 +8,8 @@ footer bytes exactly as the paper describes, nothing is mocked.
 The region hands out *keys*: the local key is implicit (holding the object),
 the remote key (``rkey``) is an integer capability that remote queue pairs
 use to address the region.
+
+A region may hold one :class:`Doorbell`, which its commits ring.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ import struct
 from typing import TYPE_CHECKING
 
 from repro.common.errors import MemoryRegionError
+from repro.simnet.kernel import Event
 
 if TYPE_CHECKING:
     from repro.rdma.nic import RNic
+    from repro.simnet.node import Node
 
 _U64 = struct.Struct("<Q")
 
@@ -49,7 +53,8 @@ def zeroed(size: int) -> "mmap.mmap | bytearray":
 class MemoryRegion:
     """A contiguous, NIC-registered memory buffer."""
 
-    __slots__ = ("nic", "rkey", "size", "mem", "_view", "_write_hooks")
+    __slots__ = ("nic", "rkey", "size", "mem", "_view", "_doorbell",
+                 "_doorbell_index")
 
     def __init__(self, nic: "RNic", rkey: int, size: int) -> None:
         if size <= 0:
@@ -60,24 +65,10 @@ class MemoryRegion:
         self.mem = zeroed(size)
         # A live export also stops a ``bytearray`` from ever resizing.
         self._view = memoryview(self.mem)
-        self._write_hooks: tuple = ()
-
-    # -- write notification ---------------------------------------------
-    # Polling a footer flag in real DFI is a sub-100ns memory load in a hot
-    # loop. Simulating each load as an event would swamp the kernel, so
-    # consumers instead register a hook that fires on every commit into the
-    # region and charge an explicit poll-detection cost on wakeup. The
-    # hooks are a tuple that registration rebuilds, so a hook that adds or
-    # removes one while firing changes the next commit, not this one.
-    def add_write_hook(self, hook) -> None:
-        """Register ``hook(offset, length)`` to run on every commit."""
-        self._write_hooks += (hook,)
-
-    def remove_write_hook(self, hook) -> None:
-        """Unregister a previously added write hook."""
-        hooks = list(self._write_hooks)
-        hooks.remove(hook)
-        self._write_hooks = tuple(hooks)
+        #: The :class:`Doorbell` every commit rings, and this region's
+        #: index in it (``None`` until one attaches).
+        self._doorbell: "Doorbell | None" = None
+        self._doorbell_index = 0
 
     # -- bounds-checked access --------------------------------------------
     def check_range(self, offset: int, length: int) -> None:
@@ -87,19 +78,41 @@ class MemoryRegion:
                 f"access [{offset}, {offset + length}) outside region of "
                 f"size {self.size} (rkey={self.rkey})")
 
-    def write(self, offset: int, data: bytes | bytearray | memoryview,
-              length: "int | None" = None) -> None:
-        """Commit ``data`` into the region at ``offset``. ``length`` is
-        ``len(data)``, passed by a commit whose post measured it."""
-        if length is None:
-            length = len(data)
+    def commit(self, record) -> None:
+        """Commit ``chunk`` into the region and ring its doorbell.
+        ``record`` is ``(offset, chunk, length)``, ``length`` being
+        ``len(chunk)``: the NIC queues ``(when, region.commit, record)``
+        as the train action of each piece of a write, so a commit is one
+        frame. The doorbell's bookkeeping is inlined (see
+        :class:`Doorbell`)."""
+        offset, chunk, length = record
         end = offset + length
         # Inline: the commit path pays no call for an in-range write.
         if offset < 0 or end > self.size:
             self.check_range(offset, length)
-        self.mem[offset:end] = data
-        for hook in self._write_hooks:
-            hook(offset, length)
+        self.mem[offset:end] = chunk
+        bell = self._doorbell
+        if bell is not None:
+            bell.dirty[self._doorbell_index] = None
+            event = bell._event
+            if event is not None:
+                bell._event = None
+                held = bell._held
+                if held is not None and held._ahead is not None:
+                    # The waiter's links are pending: it would have found
+                    # this write before waiting, so it resumes at its
+                    # local instant, and no wake is queued.
+                    held._ring_ahead()
+                else:
+                    # ``succeed()`` after ``_delay`` (mirrors Timeout
+                    # construction).
+                    event._value = None
+                    bell._env._schedule(event, bell._delay)
+
+    def write(self, offset: int, data: bytes | bytearray | memoryview) -> None:
+        """Commit ``data`` into the region at ``offset`` (:meth:`commit`
+        for a caller that holds no record)."""
+        self.commit((offset, data, len(data)))
 
     def read(self, offset: int, length: int) -> bytes:
         """Snapshot ``length`` bytes starting at ``offset``."""
@@ -139,3 +152,66 @@ class MemoryRegion:
 
     def __repr__(self) -> str:
         return f"<MemoryRegion rkey={self.rkey} size={self.size}>"
+
+
+class Doorbell:
+    """Wakes the one thread that waits on commits into its regions.
+
+    Real DFI busy-polls footer flags (a sub-100ns cache load). Simulating
+    every load would swamp the event kernel, so a region holds at most
+    one doorbell for its whole life, attached once, and the waiter arms
+    an event per wait. A commit into region ``i`` marks ``i`` in
+    :attr:`dirty` and fires the armed event (:meth:`MemoryRegion.commit`
+    does both inline). A wait only a commit can end is armed with
+    ``poll=True``: the event is the waiting process's own wake entry
+    (``Process._wake``; yield it at once), and it resumes at
+    ``commit + cpu_poll_cost`` — the float ``node.compute`` would charge
+    behind a zero-delay wake (``_cpu_scale`` is construction-constant),
+    in one event instead of two. A wait raced against a deadline keeps a
+    fresh zero-delay event, whose outcome feeds the deadline decision,
+    and must :meth:`disarm` when the deadline won.
+    """
+
+    __slots__ = ("_env", "_event", "_delay", "_poll_delay", "dirty",
+                 "_held")
+
+    def __init__(self, node: "Node", regions) -> None:
+        if any(region._doorbell is not None for region in regions):
+            raise MemoryRegionError("a region holds at most one doorbell")
+        self._env = node.env
+        self._event = None
+        self._delay = 0.0
+        #: The process that armed a polled wait while it ran ahead of the
+        #: clock (``Environment.run_ahead``), else ``None``.
+        self._held = None
+        self._poll_delay = (node.cluster.profile.cpu_poll_cost
+                            / node._cpu_scale)
+        #: Indices of the regions committed into since their reader last
+        #: took them out, in commit order (an insertion-ordered dict).
+        #: Every region starts dirty, and the doorbell attaches before
+        #: any simulated write can land, so no commit is ever missed.
+        #: Keys are region indices: the set never outgrows the regions.
+        self.dirty = dict.fromkeys(range(len(regions)))
+        for index, region in enumerate(regions):
+            region._doorbell = self
+            region._doorbell_index = index
+
+    def arm(self, poll: bool = False):
+        """The event the next commit into a region fires. Call only
+        when about to wait: polls are synchronous, so no commit lands
+        between a poll that found nothing and the arm that follows it."""
+        if poll:
+            # The waiting process's own entry, free while it runs; the
+            # kernel re-arms it when the process yields it.
+            env = self._env
+            event = self._event = env._active_process._wake
+            self._held = env._ahead
+            self._delay = self._poll_delay
+        else:
+            event = self._event = Event(self._env)
+            self._held = None
+            self._delay = 0.0
+        return event
+
+    def disarm(self) -> None:
+        self._event = None

@@ -59,24 +59,16 @@ def _action_when(action) -> float:
     return action[0]
 
 
-def _commit_write(args) -> None:
-    """Shared train action: commit one write's payload pieces to remote
-    memory. ``args`` is a ``(region, base, parts)`` record — one shared
-    function plus a tuple per WQE replaces a closure per WQE on the
-    fault-free train path."""
-    region, base, parts = args
-    write = region.write
-    for piece_offset, chunk in parts:
-        write(base + piece_offset, chunk)
-
-
-def _commit_span(args) -> None:
-    """Train action of a one-piece write (:meth:`QueuePair.post_lone`):
-    commit ``chunk``, ``length`` bytes the post measured, at ``offset``
-    of ``region``. ``args`` is a ``(region, offset, chunk, length)``
-    record."""
-    region, offset, chunk, length = args
-    region.write(offset, chunk, length)
+def _commit_actions(when: float, region: MemoryRegion, base: int,
+                    pieces) -> list:
+    """Train actions committing a write's ``(offset, chunk)`` pieces at
+    ``base`` of ``region``: one ``region.commit`` per piece, all at
+    ``when``, in address order (a train queues equal-instant actions as
+    one entry, so a gather list draws the sequence number one action
+    would)."""
+    commit = region.commit
+    return [(when, commit, (base + offset, chunk, len(chunk)))
+            for offset, chunk in pieces]
 
 
 def _split_ordered_tail(pieces, split: int):
@@ -239,8 +231,8 @@ class QueuePair:
 
     def _finish_signaled(self, args) -> None:
         """Shared train action: complete a signaled WQE and push its CQ
-        entry. ``args`` is a ``(wr, size)`` record (see
-        :func:`_commit_write` for the record rationale)."""
+        entry. ``args`` is a ``(wr, size)`` record: one shared bound
+        method plus a tuple per WQE, not a closure per WQE."""
         wr, size = args
         wr._complete(None)
         self.send_cq.push(Completion(
@@ -345,7 +337,7 @@ class QueuePair:
         latency later; an unsignaled acknowledgment expands lazily
         (``WorkRequest._complete_at``).
         Unlike a train the lone write may not coalesce its prefix into
-        the arrival commit: a latency-mode target's doorbell hook wakes
+        the arrival commit: a latency-mode target's doorbell wakes
         on the prefix commit (DESIGN.md §9). Active planes, checked on
         every call, only switch hooks on: the fault plane admits the WQE
         against the path state now (``rc_admission``; refused, it flushes
@@ -405,24 +397,24 @@ class QueuePair:
                     chunk = memoryview(chunk)
                 prefix_delay = (arrival_delay
                                 - _ORDERED_TAIL / nic.profile.link_bandwidth)
+                commit = region.commit
                 actions = [
                     (now + prefix_delay if prefix_delay > 0.0 else now,
-                     _commit_span, (region, offset, chunk[:split], split)),
-                    (arrival, _commit_span, (region, offset + split,
-                                             chunk[split:], _ORDERED_TAIL))]
+                     commit, (offset, chunk[:split], split)),
+                    (arrival, commit, (offset + split, chunk[split:],
+                                       _ORDERED_TAIL))]
             else:
-                actions = [(arrival, _commit_span,
-                            (region, offset, chunk, size))]
+                actions = [(arrival, region.commit, (offset, chunk, size))]
         elif split > 0:
             prefix_pieces, tail_pieces = _split_ordered_tail(pieces, split)
             prefix_delay = (arrival_delay
                             - _ORDERED_TAIL / nic.profile.link_bandwidth)
-            actions = [
-                (now + prefix_delay if prefix_delay > 0.0 else now,
-                 _commit_write, (region, offset, prefix_pieces)),
-                (arrival, _commit_write, (region, offset, tail_pieces))]
+            actions = _commit_actions(
+                now + prefix_delay if prefix_delay > 0.0 else now,
+                region, offset, prefix_pieces)
+            actions += _commit_actions(arrival, region, offset, tail_pieces)
         else:
-            actions = [(arrival, _commit_write, (region, offset, pieces))]
+            actions = _commit_actions(arrival, region, offset, pieces)
         if faults is not None and self._post_cut_at_crash(
                 faults, actions, wr, size, ack_at):
             return
@@ -527,8 +519,13 @@ class QueuePair:
                 if obs is not None:
                     delays[position] = delay
                     arrivals[position] = arrival
-                actions.append((arrival, _commit_write,
-                                (region, offset, pieces)))
+                piece = pieces[0]
+                if piece is pieces[-1]:
+                    actions.append((arrival, region.commit,
+                                    (offset, piece[1], size)))
+                else:
+                    actions += _commit_actions(arrival, region, offset,
+                                               pieces)
                 if wr is None:
                     continue
                 if wr.signaled:
@@ -583,7 +580,11 @@ class QueuePair:
             if obs is not None and obs.causal:
                 issued = now + delay
                 obs.log((WQE, self, now, issued, issued + admit, arrival))
-            actions = [(arrival, _commit_write, (region, offset, pieces))]
+            piece = pieces[0]
+            if piece is pieces[-1]:
+                actions = [(arrival, region.commit, (offset, piece[1], size))]
+            else:
+                actions = _commit_actions(arrival, region, offset, pieces)
             if faults is not None and self._post_cut_at_crash(
                     faults, actions, wr, size, ack_at):
                 continue
@@ -697,7 +698,7 @@ class QueuePair:
         """Train action: the response landed back at this node."""
         wr, length, landing, result = response
         if landing is not None:
-            landing[0].write(landing[1], result)
+            landing[0].commit((landing[1], result, length))
         wr._complete(result)
         if wr.signaled:
             self.send_cq.push(Completion(
@@ -766,15 +767,15 @@ class QueuePair:
         while self._pending_rx and self._recv_queue:
             data, imm = self._pending_rx.popleft()
             region, offset, length, wr_id = self._recv_queue.popleft()
-            if len(data) > length:
+            size = len(data)
+            if size > length:
                 raise RdmaError(
-                    f"received {len(data)} bytes into a {length}-byte "
+                    f"received {size} bytes into a {length}-byte "
                     f"receive buffer on {self.node.name}")
-            region.write(offset, data)
+            region.commit((offset, data, size))
             self.recv_cq.push(Completion(
                 wr_id=wr_id, opcode=Opcode.RECV, status=WcStatus.SUCCESS,
-                byte_len=len(data), imm=imm,
-                result=(region, offset, len(data))))
+                byte_len=size, imm=imm, result=(region, offset, size)))
 
     @property
     def posted_recv_count(self) -> int:
@@ -928,7 +929,7 @@ class UdQueuePair:
         if size > length:
             self.nic.rx_dropped_no_recv += 1
             return
-        region.write(offset, data)
+        region.commit((offset, data, size))
         self.recv_cq.push(Completion(
             wr_id=wr_id, opcode=Opcode.RECV, status=WcStatus.SUCCESS,
             byte_len=size, result=(region, offset, size)))

@@ -81,7 +81,6 @@ from repro.rdma.qp import (
     QueuePair,
     UdQueuePair,
     _as_bytes,
-    _commit_write,
     _split_ordered_tail,
 )
 from repro.simnet.kernel import _PENDING, Environment, Event
@@ -155,7 +154,8 @@ def _commit_if_alive(self, region: MemoryRegion, base: int, parts):
         faults = self._faults()
         if faults is not None and not faults.node_alive(self.remote_node):
             return  # crashed memory accepts no more commits
-        _commit_write((region, base, parts))
+        for offset, chunk in parts:
+            region.commit((base + offset, chunk, len(chunk)))
     return commit
 
 

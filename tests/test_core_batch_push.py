@@ -120,6 +120,47 @@ def test_whole_segments_ahead_of_a_bad_row_are_delivered():
     assert received[0] == rows[:16] + after
 
 
+#: A long and a short row whose field total fits the schema: flattened
+#: into one pack, the batch would deliver ``(1, 2), (3, 4), (5, 6), …``.
+RAGGED = [(1, 2, 3), (4,)]
+
+
+def _push_error(values) -> str:
+    """What a per-tuple ``push`` of ``values`` raises."""
+    with pytest.raises(SchemaError) as caught:
+        SCHEMA.pack_into(bytearray(SCHEMA.tuple_size), 0, values)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("targets, rows, target, optimization", [
+    pytest.param(1, 300, None, Optimization.BANDWIDTH, id="group-walk"),
+    pytest.param(2, 10, None, Optimization.BANDWIDTH, id="row-loop"),
+    pytest.param(2, 300, None, Optimization.BANDWIDTH, id="numpy-partition"),
+    pytest.param(2, 300, 1, Optimization.BANDWIDTH, id="named-target"),
+    pytest.param(2, 10, None, Optimization.LATENCY, id="latency-flow"),
+])
+def test_push_batch_rejects_a_row_of_the_wrong_arity(targets, rows, target,
+                                                     optimization):
+    """A row whose length is not the schema's arity raises, on every
+    batch door, the ``SchemaError`` a per-tuple ``push`` raises for it,
+    and no row is delivered with shifted fields."""
+    cluster, dfi = build(1 + targets)
+    dfi.init_shuffle_flow(
+        "f", [Endpoint(0, 0)], [Endpoint(1 + n, 0) for n in range(targets)],
+        SCHEMA, shuffle_key="key", optimization=optimization)
+    errors = []
+
+    def source_fn(source, _index):
+        with pytest.raises(SchemaError) as caught:
+            yield from source.push_batch(RAGGED + [(5, 6)] * rows, target)
+        errors.append(str(caught.value))
+
+    received = run_flow(cluster, dfi, "f", source_fn)
+    assert errors[0] in [_push_error(values) for values in RAGGED]
+    assert {values for got in received.values() for values in got} <= {
+        (5, 6)}
+
+
 def test_push_batch_accepts_iterators_and_empty_batches():
     cluster, dfi = build(2)
     dfi.init_shuffle_flow("f", [Endpoint(0, 0)], [Endpoint(1, 0)], SCHEMA,

@@ -30,7 +30,7 @@ from repro.core import (
 )
 from repro.core.flowdef import MULTICAST_PAYLOAD_LIMIT
 from repro.core.segment import FOOTER_SIZE, unpack_footer
-from repro.rdma.memory import MemoryRegion
+from repro.rdma.memory import Doorbell
 from repro.rdma.nic import get_nic
 from repro.rdma.qp import QueuePair, UdQueuePair
 from repro.simnet import Cluster
@@ -886,28 +886,32 @@ def test_multicast_latency_closed_form(members):
         assert instant - pushed_at[0] == pytest.approx(expected, abs=1e-6)
 
 
-def test_multicast_event_budget_and_persistent_hooks(monkeypatch):
+def test_multicast_event_budget_and_one_doorbell_per_region(monkeypatch):
     """A delivered datagram costs its share of one fan-out macro-event,
-    one merged wake+poll and one credit write; and the waiters keep one
-    write hook per region for the whole run."""
-    hook_calls = []
-    for name in ("add_write_hook", "remove_write_hook"):
-        def counted(region, hook, name=name,
-                    original=getattr(MemoryRegion, name)):
-            hook_calls.append(name)
-            original(region, hook)
-        monkeypatch.setattr(MemoryRegion, name, counted)
+    one merged wake+poll and one credit write; and each region a waiter
+    waits on holds exactly one doorbell, attached once, for the whole
+    run."""
+    attached = []
+    original = Doorbell.__init__
+
+    def counted(doorbell, node, regions):
+        original(doorbell, node, regions)
+        attached.extend((region, doorbell) for region in regions)
+    monkeypatch.setattr(Doorbell, "__init__", counted)
     cluster = Cluster(node_count=9)
     _instants, endpoints, _closed = _timeline_one_to_eight(cluster)
     source, *targets = endpoints
     delivered = sum(target.segments_received for target in targets)
     assert delivered == 8 * source.segments_sent >= 8 * 128
     assert cluster.env.events_executed / delivered <= 2.5
-    # Eight receive rings and the source's control region, hooked once.
-    assert hook_calls == ["add_write_hook"] * 9
+    # Eight receive rings and the source's control region, each behind
+    # the one doorbell it got when its endpoint opened.
     waited_on = [source._window.region] + [target._ring
                                            for target in targets]
-    assert [len(region._write_hooks) for region in waited_on] == [1] * 9
+    assert len(attached) == 9
+    for region in waited_on:
+        assert [doorbell for held, doorbell in attached
+                if held is region] == [region._doorbell]
 
 
 def test_ordered_multicast_counts_the_duplicates_its_reorder_buffer_drops():

@@ -20,6 +20,7 @@ from repro.core import (
 )
 from repro.core.shuffle import ShuffleSource, ShuffleTarget
 from repro.simnet import Cluster
+from tests.commits import watch_commits
 
 SCHEMA = Schema(("key", "uint64"), ("value", "uint64"))
 
@@ -150,7 +151,8 @@ def test_latency_shuffle_closed_form():
     (4096, 8, "wire"),
     (4096, None, "preread"),
 ], ids=["cpu-bound", "wire-bound", "preread-bound"])
-def test_bandwidth_shuffle_closed_form(tuple_size, batch, bound):
+def test_bandwidth_shuffle_closed_form(tuple_size, batch, bound,
+                                       monkeypatch):
     """The 1:1 bandwidth shuffle's steady-state segment period from the
     profile's fields (EXPERIMENTS.md, Fig. 7a row), checked against the
     gaps between consecutive footer commits on the target's ring, to
@@ -212,7 +214,8 @@ def test_bandwidth_shuffle_closed_form(tuple_size, batch, bound):
             if (offset + length) % slot == 0:
                 footers.append(cluster.now)
 
-        target._channels[0].ring.region.add_write_hook(on_commit)
+        watch_commits(monkeypatch, target._channels[0].ring.region,
+                      on_commit)
         while (yield from target.consume_batch()) is not FLOW_END:
             pass
 

@@ -58,6 +58,7 @@ from repro.simnet import Cluster
 from repro.simnet.congestion import CongestionConfig
 from repro.simnet.faults import FaultPlan, link_degrade
 from tests import discrete_reference
+from tests.commits import watch_commits
 
 _SCHEMA = Schema(("key", "uint64"), ("pad", 24))
 _PAD = b"p" * 24
@@ -364,10 +365,11 @@ _WRITE = st.tuples(
 def _traced_lone_writes(writes, *, loopback, read_done_late, at_start=None,
                         discrete=False):
     """Post ``writes`` back to back with eager ``post_write`` and return
-    everything observable: every commit into the remote region as the
-    write hook saw it (time, offset, length — hook order included), the
-    instant each ``done`` was seen (first read either at post time or
-    long after every ack), the CQ entries, the final memory image —
+    everything observable: every commit into the remote region as a
+    wrapper of its commit saw it (time, offset, length — commit order
+    included), the instant each ``done`` was seen (first read either at
+    post time or long after every ack), the CQ entries, the final
+    memory image —
     and, separately, the kernel events it took and how many writes went
     through the discrete oracle (installed when ``discrete``)."""
     cluster = Cluster(node_count=_NODES)
@@ -377,8 +379,6 @@ def _traced_lone_writes(writes, *, loopback, read_done_late, at_start=None,
     target = cluster.node(0 if loopback else 1)
     region = get_nic(target).register_memory(3 * (8192 + FOOTER_SIZE))
     commits = []
-    region.add_write_hook(
-        lambda offset, length: commits.append((env.now, offset, length)))
     qp = get_nic(cluster.node(0)).create_qp(target)
     done = []
 
@@ -402,7 +402,10 @@ def _traced_lone_writes(writes, *, loopback, read_done_late, at_start=None,
             done.append((seen_triggered, env.now))
 
     before = env.events_executed
-    with _counted_posts(discrete) as posts:
+    with _counted_posts(discrete) as posts, \
+            pytest.MonkeyPatch.context() as monkeypatch:
+        watch_commits(monkeypatch, region, lambda offset, length:
+                      commits.append((env.now, offset, length)))
         cluster.node(0).spawn(poster())
         cluster.run()
     assert posts["wqes"] == len(writes)

@@ -8,13 +8,27 @@ entered under ``src/repro`` and of C functions those frames call is
 not. When every per-segment price was paid per tuple (a property and a
 range check per memory access, a scan of all channels per consume, a
 generator per credit check, a calendar queue under the heap) a round
-trip entered 152 frames; it enters 46. The sender's CPU charge is the
+trip entered 152 frames; it enters 38. The sender's CPU charge is the
 queue entry of its write: the pushing thread runs ahead of the clock by
 the charge and goes on to its next wait, and the write posts when the
 clock gets there, so the charge resumes nobody. The merged wake resumes
 the waiting process through its own wake entry, so no wait builds an
-event. Each bound is one module constant, at most 3 % above the count
-it measures, and a failure prints the bound beside the measured value.
+event. A commit is one frame: the NIC queues the region's own
+``commit`` as the train action, and the commit rings the region's
+doorbell inline. Each bound is one module constant, at most 3 % above
+the count it measures, and a failure prints the bound beside the
+measured value:
+
+- ``TRIP_FRAMES`` 39 over 38.045 frames. A trip is two 80-byte writes,
+  each a 16-byte prefix commit and a 64-byte tail commit: four commits,
+  which cost three frames each (the train action, ``MemoryRegion.write``
+  and the doorbell's per-region closure) at 46.045, and cost one now.
+- ``TRIP_CALLS`` 69 over 68.055 calls: the same eight frames off
+  76.055; the 30.01 C calls per trip do not move.
+- ``STREAM_CALLS`` 47 over 46.311 calls per tuple, from 48.436. A
+  32-byte tuple write is one commit, two frames fewer; the credit read
+  answering every eighth tuple lands with its length known, one ``len``
+  fewer (0.125 a tuple).
 """
 
 import random
@@ -31,11 +45,11 @@ from repro.simnet import Cluster
 from tests.callcount import count_calls, grown
 
 #: Python frames entered under ``src/repro`` per DEEP-ring round trip.
-TRIP_FRAMES = 47
+TRIP_FRAMES = 39
 #: Library calls (frames + C calls) per DEEP-ring round trip.
-TRIP_CALLS = 78
+TRIP_CALLS = 69
 #: Library calls per tuple of the Fig. 10a-shaped latency stream.
-STREAM_CALLS = 49
+STREAM_CALLS = 47
 
 
 def _over(measured: float, bound: float, what: str, busy, idle) -> str:
@@ -113,7 +127,8 @@ def test_round_trip_is_eight_events_plus_three_per_credit_read():
 
 
 def test_round_trip_enters_at_most_the_frame_budget():
-    """46.0 frames per trip (``TRIP_FRAMES``; first bound 95); 50.0
+    """38.0 frames per trip (``TRIP_FRAMES``; first bound 95); 46.0
+    while a commit was three frames; 50.0
     while a push slept through its CPU charge in the channel's
     ``_write_slot``; 58.0 while a train's commits were walked by a
     pooled macro-event."""
@@ -127,8 +142,9 @@ def test_round_trip_enters_at_most_the_frame_budget():
 
 
 def test_round_trip_is_eight_events_and_within_the_call_budget():
-    """76.1 calls per trip (``TRIP_CALLS``; first bound 165, when a trip
-    made 154: 88 frames, 66 C calls); 82.0 while each push slept through
+    """68.1 calls per trip (``TRIP_CALLS``; first bound 165, when a trip
+    made 154: 88 frames, 66 C calls); 76.1 while a commit was three
+    frames; 82.0 while each push slept through
     its CPU charge (two resumes of ``_write_slot``, the wake's
     ``_schedule``, ``_resume`` and generator ``send``, where a push that
     runs ahead calls ``run_ahead`` and its link's ``_post``); 172
@@ -147,8 +163,10 @@ def test_round_trip_is_eight_events_and_within_the_call_budget():
 
 
 def test_round_trip_stays_within_the_frame_and_call_budgets():
-    """46.0 frames + 30.0 C calls = 76.1 per trip (``TRIP_FRAMES`` and
+    """38.0 frames + 30.0 C calls = 68.1 per trip (``TRIP_FRAMES`` and
     ``TRIP_CALLS``; first bounds 75 and 130);
+    46.0 + 30.0 = 76.1 while a commit was three frames (the train
+    action, ``MemoryRegion.write`` and the doorbell's ring closure);
     50.0 + 32.0 = 82.0 while a push slept through its CPU charge;
     58.0 + 40.0 = 98.0 while a train's commits were walked by a pooled
     macro-event (a record taken from its pool and given back, a hop
@@ -219,13 +237,15 @@ def _stream(tuples: int) -> Cluster:
 
 
 def test_streaming_latency_push_stays_within_its_call_budget():
-    """48.4 calls per tuple (33.1 frames; ``STREAM_CALLS``, first bound
+    """46.3 calls per tuple (31.1 frames; ``STREAM_CALLS``, first bound
     66) — a push waits for
     the refresh its window runs low on, so it sleeps through its charge
     as it did before a push could run ahead of the clock (8 of the 1000
     run ahead), and its ``_write_slot`` enters ``CreditWindow.acquire``
     only to harvest a refresh that landed or to wait on a shut window,
-    and ends in the channel's ``_post``; 48.3 (33.0) while it entered
+    and ends in the channel's ``_post``; 48.4 (33.1) while a commit
+    was three frames and a credit read's landing measured its bytes;
+    48.3 (33.0) while it entered
     ``acquire`` for a refresh still in flight and posted inline; 55.8
     (35.5) while a
     train's hops were walked by a pooled macro-event; 60.9 (37.5) before

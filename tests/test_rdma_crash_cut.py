@@ -20,6 +20,7 @@ from repro.rdma.completion import Opcode, WorkRequest
 from repro.simnet import Cluster, FaultPlan
 from repro.simnet.faults import node_crash
 from tests import discrete_reference
+from tests.commits import watch_commits
 
 
 def _lone(qp, region):
@@ -52,7 +53,6 @@ def _run(shape, crash_at=None, oracle=False):
     env = cluster.env
     region = get_nic(cluster.node(1)).register_memory(2048)
     commits = []
-    region.add_write_hook(lambda offset, length: commits.append(env.now))
     qp = get_nic(cluster.node(0)).create_qp(cluster.node(1))
     completions = []
     posted = []
@@ -64,7 +64,10 @@ def _run(shape, crash_at=None, oracle=False):
             completions.append((env.now, wc.wr_id, wc.status, wc.byte_len))
 
     with (discrete_reference.installed() if oracle
-          else nullcontext({"wqes": 0})) as posts:
+          else nullcontext({"wqes": 0})) as posts, \
+            pytest.MonkeyPatch.context() as monkeypatch:
+        watch_commits(monkeypatch, region,
+                      lambda offset, length: commits.append(env.now))
         cluster.node(0).spawn(poster())
         cluster.run()
     assert bool(posts["wqes"]) == oracle

@@ -16,6 +16,7 @@ from repro.simnet.faults import (
     link_down,
 )
 from tests import discrete_reference
+from tests.commits import watch_commits
 
 
 # -- kernel: schedule_train ----------------------------------------------------
@@ -230,8 +231,6 @@ def _closed_form_train(size, loopback=False):
     remote = get_nic(destination).register_memory(TRAIN_LENGTH * size)
     qp = get_nic(cluster.node(0)).create_qp(destination)
     commits, acks = [], []
-    remote.add_write_hook(
-        lambda offset, length: commits.append((offset, length, env.now)))
 
     def sender(env):
         yield env.timeout(TRAIN_AT)
@@ -243,7 +242,10 @@ def _closed_form_train(size, loopback=False):
             acks.append(env.now)
 
     env.process(sender(env))
-    cluster.run()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        watch_commits(monkeypatch, remote, lambda offset, length:
+                      commits.append((offset, length, env.now)))
+        cluster.run()
     return cluster.profile, commits, acks
 
 

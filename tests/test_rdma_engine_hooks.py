@@ -1,9 +1,10 @@
-"""Tests for the RNIC pipeline model and memory-region write hooks."""
+"""Tests for the RNIC pipeline model and the memory-region doorbell."""
 
 import pytest
 
 from repro.common.errors import MemoryRegionError
 from repro.rdma import get_nic
+from repro.rdma.memory import Doorbell
 from repro.simnet import Cluster
 
 
@@ -48,121 +49,100 @@ def test_engine_idle_gap_resets_queue():
     cluster.run()
 
 
-# -- write hooks ---------------------------------------------------------
+# -- the doorbell --------------------------------------------------------
+
+def _rung_doorbell(regions=1):
+    """``regions`` fresh 64-byte regions behind one doorbell, its dirty
+    set emptied and a wake armed: ``(cluster, regions, doorbell,
+    event)``."""
+    cluster = Cluster(node_count=1)
+    node = cluster.node(0)
+    nic = get_nic(node)
+    memory = [nic.register_memory(64) for _ in range(regions)]
+    doorbell = Doorbell(node, memory)
+    doorbell.dirty.clear()
+    return cluster, memory, doorbell, doorbell.arm()
+
 
 def test_write_hook_fires_on_commit():
-    cluster = Cluster(node_count=1)
-    region = get_nic(cluster.node(0)).register_memory(64)
-    events = []
-    region.add_write_hook(lambda offset, length: events.append(
-        (offset, length)))
-    region.write(8, b"abcd")
-    assert events == [(8, 4)]
-
-
-def test_write_hook_removal():
-    cluster = Cluster(node_count=1)
-    region = get_nic(cluster.node(0)).register_memory(64)
-    events = []
-    hook = lambda offset, length: events.append(offset)  # noqa: E731
-    region.add_write_hook(hook)
-    region.write(0, b"x")
-    region.remove_write_hook(hook)
-    region.write(1, b"y")
-    assert events == [0]
+    """A commit lands its bytes, marks its region dirty in commit order
+    and fires the armed wake once."""
+    _cluster, (first, second), doorbell, event = _rung_doorbell(regions=2)
+    second.write(8, b"abcd")
+    assert second.read(8, 4) == b"abcd"
+    assert list(doorbell.dirty) == [1]
+    assert event.triggered
+    first.commit((0, b"x", 1))
+    assert list(doorbell.dirty) == [1, 0]
+    assert doorbell._event is None  # fired by the first commit only
 
 
 def test_write_hook_not_fired_by_u64_helpers():
     """Credit counters are updated with write_u64 — deliberately without
     waking ring waiters (the source reads them remotely)."""
-    cluster = Cluster(node_count=1)
-    region = get_nic(cluster.node(0)).register_memory(64)
-    events = []
-    region.add_write_hook(lambda offset, length: events.append(offset))
+    _cluster, (region,), doorbell, event = _rung_doorbell()
     region.write_u64(0, 123)
     region.fetch_add_u64(0, 1)
-    assert events == []
+    assert doorbell.dirty == {}
+    assert not event.triggered
 
 
 def test_hook_fires_for_remote_write_commits():
-    """One-sided writes land through region.write, so a waiter armed on
-    the region observes both the payload and footer commits."""
+    """One-sided writes land through region.commit, so a waiter on the
+    region's doorbell wakes on the payload prefix and again on the
+    64-byte tail, later, in increasing-address order."""
     cluster = Cluster(node_count=2)
     nic0, nic1 = get_nic(cluster.node(0)), get_nic(cluster.node(1))
     remote = nic1.register_memory(4096)
+    doorbell = Doorbell(cluster.node(1), (remote,))
     qp = nic0.create_qp(cluster.node(1))
-    commits = []
-    remote.add_write_hook(
-        lambda offset, length: commits.append((offset, length,
-                                               cluster.now)))
+    wakes = []
 
     def sender(env):
         yield qp.post_write(b"z" * 1024, remote.rkey, 0).done
 
+    def waiter(env):
+        while len(wakes) < 2:
+            yield doorbell.arm()
+            wakes.append((env.now, remote.read(0, 1024).count(b"z")))
+
+    cluster.env.process(waiter(cluster.env))
     cluster.env.process(sender(cluster.env))
     cluster.run()
     # Large write: ordered prefix commit then the 64-byte tail.
-    assert len(commits) == 2
-    (p_off, p_len, p_t), (t_off, t_len, t_t) = commits
-    assert p_off == 0 and p_len == 1024 - 64
-    assert t_off == 1024 - 64 and t_len == 64
-    assert p_t < t_t  # increasing-address DMA order
+    (prefix_at, prefix_landed), (tail_at, tail_landed) = wakes
+    assert prefix_landed == 1024 - 64
+    assert tail_landed == 1024
+    assert prefix_at < tail_at  # increasing-address DMA order
 
 
-def test_hook_removing_itself_while_firing():
-    """A commit fires the hooks registered when it began: one that
-    unregisters itself mid-commit still lets the other fire for that
-    commit, and only the other fires on the next one."""
-    cluster = Cluster(node_count=1)
-    region = get_nic(cluster.node(0)).register_memory(64)
-    fired = []
-
-    def once(offset, _length):
-        fired.append(("once", offset))
-        region.remove_write_hook(once)
-
-    region.add_write_hook(once)
-    region.add_write_hook(lambda offset, _length: fired.append(
-        ("always", offset)))
+def test_second_doorbell_on_a_region_is_refused():
+    """A region holds at most one doorbell: attaching a second refuses
+    the whole set and leaves every region as it was."""
+    cluster, (region,), doorbell, _event = _rung_doorbell()
+    other = get_nic(cluster.node(0)).register_memory(64)
+    with pytest.raises(MemoryRegionError, match="at most one doorbell"):
+        Doorbell(cluster.node(0), (other, region))
+    assert region._doorbell is doorbell
+    assert other._doorbell is None
     region.write(0, b"a")
-    region.write(1, b"b")
-    assert fired == [("once", 0), ("always", 0), ("always", 1)]
-
-
-def test_hook_added_while_firing_starts_on_next_commit():
-    cluster = Cluster(node_count=1)
-    region = get_nic(cluster.node(0)).register_memory(64)
-    fired = []
-
-    def late(offset, _length):
-        fired.append(("late", offset))
-
-    def adder(offset, _length):
-        fired.append(("adder", offset))
-        if offset == 0:
-            region.add_write_hook(late)
-
-    region.add_write_hook(adder)
-    region.write(0, b"a")
-    assert fired == [("adder", 0)]
-    region.write(1, b"b")
-    assert fired == [("adder", 0), ("adder", 1), ("late", 1)]
+    assert list(doorbell.dirty) == [0]
 
 
 @pytest.mark.parametrize("offset, data", [(-1, b"ab"), (63, b"ab"),
                                           (64, b"a"), (-8, b"")])
 def test_out_of_range_write_changes_nothing(offset, data):
     """An out-of-range write raises the range check's error and message,
-    changes no byte and fires no hook."""
-    cluster = Cluster(node_count=1)
-    region = get_nic(cluster.node(0)).register_memory(64)
+    changes no byte and rings no doorbell."""
+    _cluster, (region,), doorbell, _event = _rung_doorbell()
     region.write(0, bytes(range(64)))
-    fired = []
-    region.add_write_hook(lambda offset, length: fired.append(offset))
+    doorbell.dirty.clear()
+    event = doorbell.arm()
     message = (f"access [{offset}, {offset + len(data)}) outside region "
                f"of size 64 (rkey={region.rkey})")
     with pytest.raises(MemoryRegionError) as caught:
         region.write(offset, data)
     assert str(caught.value) == message
     assert region.read(0, 64) == bytes(range(64))
-    assert fired == []
+    assert doorbell.dirty == {}
+    assert not event.triggered

@@ -25,6 +25,7 @@ from repro.simnet import (
     Environment,
     FaultPlan,
     Interrupt,
+    Timeout,
     link_degrade,
 )
 from tests import discrete_reference
@@ -798,6 +799,36 @@ def test_float_subclass_delay_sleeps():
     assert p.value == 2.5
 
 
+@pytest.mark.parametrize("racks", [1, 2])
+def test_cpu_charges_reuse_one_wake_entry_and_build_no_timeout(
+        racks, monkeypatch):
+    cluster = Cluster.racked(racks, 2 // racks)
+    env, node = cluster.env, cluster.node(1)
+    built = []
+    init = Timeout.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Timeout, "__init__", counting_init)
+    entries = set()
+
+    def worker():
+        for _ in range(1000):
+            yield node.compute(10.0)
+            entries.add(env.active_process._wake)
+
+    process = node.spawn(worker())
+    cluster.run()
+    assert not process.is_alive and env.now == 10_000.0
+    assert built == []
+    # Its start and all 1 000 charges ran on the same entry, and nothing
+    # else was ever queued: start, charges, exit.
+    assert entries == {process._wake}
+    assert env.events_executed == env._sequence == 1 + 1000 + 1
+
+
 # -- a sleep to an absolute instant ------------------------------------------
 
 @_KERNELS
@@ -1358,3 +1389,122 @@ def test_timed_callbacks_are_one_entry_each_and_popped_once():
         cluster.run()
     assert posts["wqes"] and _pending(cluster.env) == 0
     assert cluster.env.events_executed == cluster.env._sequence
+
+
+def test_run_until_a_time_stops_there_and_until_an_event_returns_its_value():
+    """``run(until=time)`` stops on that time and refuses one in the past;
+    ``run(until=event)`` returns the event's value and raises when the
+    queue drains before the event fires."""
+    env = Environment()
+    hits = []
+    for when in (10.0, 20.0, 30.0):
+        env.schedule_train([(when, hits.append, when)])
+    env.run(until=15.0)
+    assert env.now == 15.0 and hits == [10.0]
+    with pytest.raises(SimulationError):
+        env.run(until=5.0)  # lies in the past
+    env.run()
+    assert hits == [10.0, 20.0, 30.0]
+
+    env = Environment()
+
+    def proc(env):
+        yield env.timeout(7.0)
+        return "done"
+
+    p = env.process(proc(env))
+    assert env.run(until=p) == "done"
+
+    env = Environment()
+    never = env.event()
+    env.schedule_train([(1.0, list, ())])
+    with pytest.raises(SimulationError):
+        env.run(until=never)  # queue drains before the event fires
+
+
+def test_a_process_exception_propagates_out_of_run_and_step():
+    """A process that raises stops ``run()``, the ``step()``-driven
+    :class:`Stepwise` twin and ``run(until=time)`` with its exception, at
+    the instant it raised."""
+    def boom(env):
+        yield env.timeout(3.0)
+        raise ValueError("kaboom")
+
+    for env in (Environment(), Stepwise()):
+        env.process(boom(env))
+        with pytest.raises(ValueError, match="kaboom"):
+            env.run()
+        assert env.now == 3.0
+
+    env = Environment()
+    env.process(boom(env))
+    with pytest.raises(ValueError, match="kaboom"):
+        env.run(until=10.0)
+
+
+def test_tallies_count_every_event_however_the_kernel_is_driven():
+    """Executed plus pending is scheduled, whichever entry point ran the
+    events — ``step``, ``run(until=time)``, ``run(until=event)``,
+    ``run()`` and a run that raised."""
+    env = Environment()
+    for delay in (1.0, 2.0, 3.0):
+        env.timeout(delay)
+    env.step()
+    env.step()
+    assert env.events_executed == 2
+    assert env.events_executed + _pending(env) == env._sequence
+
+    env = Environment()
+
+    def ticker(env, period, count):
+        for _ in range(count):
+            yield env.timeout(period)
+
+    for period in (3.0, 5.0, 7.0):
+        env.process(ticker(env, period, 40))
+    env.run(until=50.0)
+    assert 0 < env.events_executed
+    assert env.events_executed + _pending(env) == env._sequence
+    stop = env.process(ticker(env, 11.0, 4))
+    env.run(until=stop)
+    assert env.events_executed + _pending(env) == env._sequence
+    env.step()
+    assert env.events_executed + _pending(env) == env._sequence
+    env.run()
+    # Four processes, each a start, its ticks and an exit.
+    assert env.events_executed == env._sequence == 4 * 2 + 3 * 40 + 4
+
+    def boom(env):
+        yield env.timeout(1.0)
+        raise ValueError("kaboom")
+
+    before = env.events_executed
+    env.process(boom(env))
+    with pytest.raises(ValueError, match="kaboom"):
+        env.run()
+    assert env.events_executed > before
+    assert env.events_executed + _pending(env) == env._sequence
+
+
+def test_written_out_loop_stays_in_lockstep_with_step():
+    """``run()`` takes ``_run_all``, ``run(until=...)`` takes ``step()``:
+    the same scenario ends on the same clock and event count through
+    either."""
+    drained, processes = _racked_shuffle()
+    finished = []
+    for index, process in enumerate(processes):
+        process.callbacks.append(lambda _event, index=index:
+                                 finished.append(index))
+    drained.run()
+    assert len(finished) == len(processes)
+
+    stepped, processes = _racked_shuffle()
+    stepped.env.run(until=processes[finished[-1]])
+    # The last process to exit leaves nothing queued behind it.
+    assert stepped.env.peek() == float("inf")
+
+    assert stepped.now == drained.now
+    assert stepped.env.events_executed == drained.env.events_executed > 0
+    assert stepped.env._sequence == drained.env._sequence
+    assert (stepped.fabric.unicast_count == drained.fabric.unicast_count
+            > 0)

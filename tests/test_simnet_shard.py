@@ -1,18 +1,13 @@
-"""One event kernel, the rack-major topology helper, and the partition
-executor.
+"""The rack-major topology helper and the partition executor.
 
 Every cluster runs its events on one :class:`Environment`: a single
-queue ordered by ``(time, sequence)`` (DESIGN.md §8). The kernel half
-holds that order however the queue is driven — ``run()``'s written-out
-loop, ``run(until=...)`` and :meth:`step` — with the
-:class:`~tests.test_simnet_kernel.Stepwise` twin as the ``step()``
-reference; ``tests/test_simnet_kernel.py`` holds the rest of it (the
-storm order, step and peek, same-instant order, train hops, timed
-callbacks). The cluster half holds :meth:`Cluster.racked` to a rack-major
-numbering of the flat cluster: clocks, byte counts, event counts, chaos
-outcomes and the committed fingerprint are bit-identical to the flat
-``Cluster`` of the same size. :func:`run_partitioned` runs isolated
-clusters on worker processes.
+queue ordered by ``(time, sequence)`` (DESIGN.md §8), whose order
+``tests/test_simnet_kernel.py`` holds however the queue is driven. This
+file holds :meth:`Cluster.racked` to a rack-major numbering of the flat
+cluster: clocks, byte counts, event counts, chaos outcomes and the
+committed fingerprint are bit-identical to the flat ``Cluster`` of the
+same size. :func:`run_partitioned` runs isolated clusters on worker
+processes.
 """
 
 import importlib.util
@@ -36,12 +31,10 @@ from repro.simnet import (
     Cluster,
     Environment,
     FaultPlan,
-    Timeout,
     link_degrade,
     node_crash,
     run_partitioned,
 )
-from tests.test_simnet_kernel import Stepwise, _pending, _racked_shuffle
 
 
 def _flat_twin(racks, nodes_per_rack, profile=DEFAULT_HARDWARE, seed=0):
@@ -127,151 +120,6 @@ def test_default_shards_is_monkeypatchable():
     assert lossy == drops(_flat_twin(2, 3, profile, 9))
     assert 0 < lossy[1] < 40 * 5
     assert lossy != drops(Cluster.racked(2, 3, profile, 10))
-
-
-# -- one queue, however it is driven -----------------------------------------
-
-def test_sharded_run_until_semantics():
-    env = Environment()
-    hits = []
-    for when in (10.0, 20.0, 30.0):
-        env.schedule_train([(when, hits.append, when)])
-    env.run(until=15.0)
-    assert env.now == 15.0 and hits == [10.0]
-    with pytest.raises(SimulationError):
-        env.run(until=5.0)  # lies in the past
-    env.run()
-    assert hits == [10.0, 20.0, 30.0]
-
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(7.0)
-        return "done"
-
-    p = env.process(proc(env))
-    assert env.run(until=p) == "done"
-
-    env = Environment()
-    never = env.event()
-    env.schedule_train([(1.0, list, ())])
-    with pytest.raises(SimulationError):
-        env.run(until=never)  # queue drains before the event fires
-
-
-def test_sharded_exception_propagation():
-    def boom(env):
-        yield env.timeout(3.0)
-        raise ValueError("kaboom")
-
-    for env in (Environment(), Stepwise()):
-        env.process(boom(env))
-        with pytest.raises(ValueError, match="kaboom"):
-            env.run()
-        assert env.now == 3.0
-
-    env = Environment()
-    env.process(boom(env))
-    with pytest.raises(ValueError, match="kaboom"):
-        env.run(until=10.0)
-
-
-def test_tallies_count_every_event_however_the_kernel_is_driven():
-    """Executed plus pending is scheduled, whichever entry point ran the
-    events — ``step``, ``run(until=time)``, ``run(until=event)``,
-    ``run()`` and a run that raised."""
-    env = Environment()
-    for delay in (1.0, 2.0, 3.0):
-        env.timeout(delay)
-    env.step()
-    env.step()
-    assert env.events_executed == 2
-    assert env.events_executed + _pending(env) == env._sequence
-
-    env = Environment()
-
-    def ticker(env, period, count):
-        for _ in range(count):
-            yield env.timeout(period)
-
-    for period in (3.0, 5.0, 7.0):
-        env.process(ticker(env, period, 40))
-    env.run(until=50.0)
-    assert 0 < env.events_executed
-    assert env.events_executed + _pending(env) == env._sequence
-    stop = env.process(ticker(env, 11.0, 4))
-    env.run(until=stop)
-    assert env.events_executed + _pending(env) == env._sequence
-    env.step()
-    assert env.events_executed + _pending(env) == env._sequence
-    env.run()
-    # Four processes, each a start, its ticks and an exit.
-    assert env.events_executed == env._sequence == 4 * 2 + 3 * 40 + 4
-
-    def boom(env):
-        yield env.timeout(1.0)
-        raise ValueError("kaboom")
-
-    before = env.events_executed
-    env.process(boom(env))
-    with pytest.raises(ValueError, match="kaboom"):
-        env.run()
-    assert env.events_executed > before
-    assert env.events_executed + _pending(env) == env._sequence
-
-
-def test_written_out_loop_stays_in_lockstep_with_step():
-    """``run()`` takes ``_run_all``, ``run(until=...)`` takes ``step()``:
-    the same scenario ends on the same clock and event count through
-    either."""
-    drained, processes = _racked_shuffle()
-    finished = []
-    for index, process in enumerate(processes):
-        process.callbacks.append(lambda _event, index=index:
-                                 finished.append(index))
-    drained.run()
-    assert len(finished) == len(processes)
-
-    stepped, processes = _racked_shuffle()
-    stepped.env.run(until=processes[finished[-1]])
-    # The last process to exit leaves nothing queued behind it.
-    assert stepped.env.peek() == float("inf")
-
-    assert stepped.now == drained.now
-    assert stepped.env.events_executed == drained.env.events_executed > 0
-    assert stepped.env._sequence == drained.env._sequence
-    assert (stepped.fabric.unicast_count == drained.fabric.unicast_count
-            > 0)
-
-
-@pytest.mark.parametrize("racks", [1, 2])
-def test_cpu_charges_reuse_one_wake_entry_and_build_no_timeout(
-        racks, monkeypatch):
-    cluster = Cluster.racked(racks, 2 // racks)
-    env, node = cluster.env, cluster.node(1)
-    built = []
-    init = Timeout.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Timeout, "__init__", counting_init)
-    entries = set()
-
-    def worker():
-        for _ in range(1000):
-            yield node.compute(10.0)
-            entries.add(env.active_process._wake)
-
-    process = node.spawn(worker())
-    cluster.run()
-    assert not process.is_alive and env.now == 10_000.0
-    assert built == []
-    # Its start and all 1 000 charges ran on the same entry, and nothing
-    # else was ever queued: start, charges, exit.
-    assert entries == {process._wake}
-    assert env.events_executed == env._sequence == 1 + 1000 + 1
 
 
 # -- the racked cluster is the flat cluster ----------------------------------
