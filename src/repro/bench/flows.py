@@ -404,10 +404,10 @@ def measure_incast(senders: int, tuple_size: int = 64,
 
     Unlike :func:`measure_shuffle_bandwidth` (whose source threads share
     node 0, stressing the *uplink*), every sender here has its own
-    uplink, so contention concentrates exactly where ECN marking and
-    the PFC hold-off act. Returns the completion window, per-sender
-    finish times, and the cluster (read ``metrics_snapshot()`` /
-    ``cluster.congestion.stats()`` for queue and mark detail).
+    uplink, so contention concentrates exactly where the bounded egress
+    queue and its PFC hold-off act. Returns the completion window,
+    per-sender finish times, and the cluster (read ``metrics_snapshot()``
+    / ``cluster.congestion.stats()`` for queue and stall detail).
     """
     cluster = Cluster(node_count=1 + senders, seed=seed)
     dfi = DfiRuntime(cluster)

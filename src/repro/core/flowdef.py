@@ -15,6 +15,8 @@ from repro.rdma.qp import UD_MTU
 
 #: Largest segment payload one UD multicast datagram carries.
 MULTICAST_PAYLOAD_LIMIT = UD_MTU - FOOTER_SIZE
+#: Segments a multicast replicate source retains for retransmission.
+RETRANSMIT_HISTORY = 4096
 
 
 class FlowType(enum.Enum):
@@ -46,7 +48,10 @@ class FlowOptions:
 
     Defaults reproduce the paper's configuration: 8 KiB segments, 32
     segments per ring on both sides (which yields exactly the memory
-    footprint reported in Section 6.1.4).
+    footprint reported in Section 6.1.4). A multicast flow's source
+    retains the last :data:`RETRANSMIT_HISTORY` segments for
+    retransmission, so it needs ``target_segments`` no greater than that:
+    a NACK may name any segment of the open credit window.
     """
 
     #: Payload bytes per segment (bandwidth-optimized flows batch tuples
@@ -69,8 +74,6 @@ class FlowOptions:
     #: Replicate flows: surface gaps to the application instead of
     #: transparently retransmitting (used by NOPaxos' gap agreement).
     gap_notify: bool = False
-    #: Segments a replicate source retains for retransmission.
-    retransmit_buffer: int = 4096
     #: Bandwidth flows: pre-read the *next* remote footer together with
     #: each write (paper Section 5.2). Disabling moves the writability
     #: check onto the critical path — kept as an ablation knob.
@@ -109,12 +112,11 @@ class FlowOptions:
     trace: "bool | int | None" = None
     #: Fabric congestion policy (see
     #: :class:`~repro.simnet.congestion.CongestionConfig`): bounded egress
-    #: queues with a lossless PFC-style hold-off, and ECN marking that is
-    #: counted and traced (no end-host rate control). Initializing
-    #: a flow with this set installs the policy cluster-wide (one fabric,
-    #: one queueing discipline — a different config on a second flow
-    #: raises). ``None`` (the default) keeps the ideal-pipe fabric with a
-    #: bit-identical timeline.
+    #: queues with a lossless PFC-style hold-off (no end-host rate
+    #: control). Initializing a flow with this set installs the policy
+    #: cluster-wide (one fabric, one queueing discipline — a different
+    #: config on a second flow raises). ``None`` (the default) keeps the
+    #: ideal-pipe fabric with a bit-identical timeline.
     congestion: "object | None" = None
 
     def __post_init__(self) -> None:
@@ -127,11 +129,10 @@ class FlowOptions:
                 "credit_threshold must be in (0, target_segments]")
         if self.retransmit_timeout <= 0:
             raise ConfigurationError("retransmit_timeout must be positive")
-        if self.multicast and self.retransmit_buffer < self.target_segments:
-            # A NACK may name any segment of the open credit window: the
-            # source must still hold every segment it is not credited for.
+        if self.multicast and self.target_segments > RETRANSMIT_HISTORY:
             raise ConfigurationError(
-                "multicast flows need retransmit_buffer >= target_segments")
+                f"multicast flows need target_segments <= "
+                f"{RETRANSMIT_HISTORY} (the retransmit history)")
         if self.peer_timeout is not None and self.peer_timeout <= 0:
             raise ConfigurationError("peer_timeout must be positive")
         if (self.max_backoff_retries is not None

@@ -42,6 +42,7 @@ from repro.common.errors import (
 from repro.core.flowdef import (
     FLOW_END,
     NO_FLUSH,
+    RETRANSMIT_HISTORY,
     FlowDescriptor,
     GapNotification,
     Optimization,
@@ -498,7 +499,7 @@ class MulticastReplicateSource(_StagedSource):
         self._send_limit = options.target_segments - 1
         self._window = MulticastWindow(
             self, control_region, Doorbell(self.node, (control_region,)),
-            descriptor.target_count, options.retransmit_buffer)
+            descriptor.target_count, RETRANSMIT_HISTORY)
         self.retransmissions = 0
         self._obs = endpoint_obs(self.node, self._flow, options, self)
 

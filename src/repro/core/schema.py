@@ -145,11 +145,19 @@ class Schema:
             self.raw_pack_into(buffer, offset, *values)
         except struct.error as exc:
             raise self.mismatch(values, exc) from None
+        except TypeError:
+            raise self.not_a_row(values) from None
 
     @staticmethod
-    def mismatch(values: tuple, exc: struct.error) -> SchemaError:
+    def mismatch(values: tuple, exc: "struct.error | str") -> SchemaError:
         """The error a tuple that fails to pack is reported with."""
         return SchemaError(f"tuple {values!r} does not match schema: {exc}")
+
+    def not_a_row(self, values) -> SchemaError:
+        """The error a row that is not a sequence (say ``5``) is reported
+        with, by every push door: the ``TypeError`` of indexing or
+        unpacking it would name the door, not the row."""
+        return self.mismatch(values, f"not a sequence of {self.arity} fields")
 
     def _batch_struct(self, count: int) -> "struct.Struct | None":
         """Compile and cache the batch struct for an uncached ``count``
@@ -189,7 +197,11 @@ class Schema:
             return
         # Flattened, ragged rows whose field total fits would pack as
         # shifted fields: one C pass over the row lengths first.
-        if operator.countOf(map(len, tuples), self.arity) != count:
+        try:
+            ragged = operator.countOf(map(len, tuples), self.arity) != count
+        except TypeError:
+            ragged = True  # a row without a length
+        if ragged:
             self._reject(tuples)
         # A cached count is one dict probe, not a frame.
         compiled = self._batch_structs.get(count)
@@ -220,7 +232,7 @@ class Schema:
         :meth:`pack_into` raises for it, at no extra pass."""
         try:
             return b"".join(starmap(self._struct.pack, tuples))
-        except struct.error:
+        except (struct.error, TypeError):
             self._reject(tuples)
             raise
 

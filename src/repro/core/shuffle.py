@@ -238,6 +238,8 @@ class SegmentStager:
             self._pack_tuple(self.buffer, self.base + used, *values)
         except _struct_error as exc:
             raise self.schema.mismatch(values, exc) from None
+        except TypeError:
+            raise self.schema.not_a_row(values) from None
         self.used = used = used + self.tuple_size
         return used > self._full_above
 
@@ -1244,7 +1246,11 @@ class ShuffleSource(_FlowSource):
             if not count or self._router is None:
                 raise self._unroutable()
             index = self._key_index
-            if index is not None and (key := values[index]).__class__ is int:
+            try:
+                key = values[index] if index is not None else None
+            except TypeError:
+                raise self.descriptor.schema.not_a_row(values) from None
+            if key.__class__ is int:
                 slot = (((key & _HASH_MASK) * _HASH_MULT & _HASH_MASK)
                         >> 32) % count
             else:
@@ -1268,6 +1274,8 @@ class ShuffleSource(_FlowSource):
                 channel._pack_tuple(staging, base, *values)
             except _struct_error as exc:
                 raise channel.schema.mismatch(values, exc) from None
+            except TypeError:
+                raise channel.schema.not_a_row(values) from None
             used = channel._tuple_size
             _FOOTER_PACK_INTO(staging, base + channel.segment_payload, used,
                               _FLAG_WORDS[0], seq)
@@ -1300,6 +1308,8 @@ class ShuffleSource(_FlowSource):
                                     *values)
             except _struct_error as exc:
                 raise channel.schema.mismatch(values, exc) from None
+            except TypeError:
+                raise channel.schema.not_a_row(values) from None
             stager.used = used = used + channel._tuple_size
             channel._cpu_debt += channel._tuple_debt
             channel.tuples_sent += 1
@@ -1453,8 +1463,13 @@ class ShuffleSource(_FlowSource):
                 key_index, router = self._key_index, self._router
                 vet = self._vet_routes
                 for row, values in enumerate(tuples):
-                    if (key_index is not None
-                            and (key := values[key_index]).__class__ is int):
+                    try:
+                        key = (values[key_index] if key_index is not None
+                               else None)
+                    except TypeError:
+                        raise self.descriptor.schema.not_a_row(
+                            values) from None
+                    if key.__class__ is int:
                         slot = (((key & _HASH_MASK) * _HASH_MULT
                                  & _HASH_MASK) >> 32) % count
                     else:
@@ -1475,7 +1490,7 @@ class ShuffleSource(_FlowSource):
                         used = stager.used
                         try:
                             pack(stager.buffer, stager.base + used, *values)
-                        except _struct_error:
+                        except (_struct_error, TypeError):
                             # The group walk raises it behind the CPU the
                             # groups before its own charged.
                             self._unstage(groups, seals, 0)

@@ -44,7 +44,6 @@ from repro.obs.trace import (
     BACKOFF,
     CREDIT,
     DEFAULT_TRACE_CAPACITY,
-    ECN_MARK,
     FAULT_DETECT,
     FAULT_INJECT,
     FLOW_CLOSE,
@@ -232,5 +231,5 @@ __all__ = [
     "DEFAULT_TRACE_CAPACITY",
     "SEG_WRITE", "SEG_CONSUME", "FOOTER_POLL", "PREREAD", "CREDIT",
     "BACKOFF", "RETRANSMIT", "REROUTE", "FAULT_INJECT", "FAULT_DETECT",
-    "FLOW_CLOSE", "ECN_MARK",
+    "FLOW_CLOSE",
 ]

@@ -31,7 +31,6 @@ REROUTE = "REROUTE"              #: source rerouted around failed targets
 FAULT_INJECT = "FAULT_INJECT"    #: fault plan entry fires (synthesized)
 FAULT_DETECT = "FAULT_DETECT"    #: flow layer diagnosed a peer failure
 FLOW_CLOSE = "FLOW_CLOSE"        #: endpoint closed or tore down
-ECN_MARK = "ECN_MARK"            #: congestion plane marked a packet
 
 #: Default per-flow ring capacity (events kept; oldest overwritten).
 DEFAULT_TRACE_CAPACITY = 65536

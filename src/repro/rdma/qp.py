@@ -342,7 +342,7 @@ class QueuePair:
         every call, only switch hooks on: the fault plane admits the WQE
         against the path state now (``rc_admission``; refused, it flushes
         with ``RETRY_EXC_ERR``), the congestion plane then holds it back
-        for egress-queue room and marks it (``rc_admit``), and the walk
+        for egress-queue room (``rc_admit``), and the walk
         is cut at the peer's crash instant (:meth:`_post_cut_at_crash`).
         """
         obs = self._obs

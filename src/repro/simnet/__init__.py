@@ -26,7 +26,6 @@ from repro.simnet.kernel import (
     Environment,
     Event,
     PARK,
-    Interrupt,
     Process,
     Timeout,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "PARK",
     "AllOf",
     "AnyOf",

@@ -1,31 +1,27 @@
 """Congestion of the simulated fabric: bounded egress queues that hold
-senders back losslessly and mark packets with ECN.
+senders back losslessly.
 
 The ``busy_until`` link model already yields exact FIFO queueing, but the
 queues are unbounded and invisible to senders: every flow sees an ideal
 pipe, so the classic datacenter pathologies (N:1 incast collapse,
 elephants starving mice) never appear. This module closes that gap with
-two deterministic mechanisms, both guarded so that a cluster without an
+one deterministic mechanism, guarded so that a cluster without an
 installed plane executes the exact pre-congestion code paths
 (``congestion=None`` keeps every fingerprint metric bit-identical):
-
-* **Bounded egress queues** — each destination downlink (the switch
-  egress port) carries a *virtual queue*: occupancy that fills per
-  admitted packet and drains at line rate, computed in closed form (no
-  extra kernel events). A sender whose message would overflow the
-  configured capacity holds the WQE back just long enough for the queue
-  to drain room (PFC-style lossless hold-off), so the level stays
-  bounded by construction. The ``busy_until`` horizon cannot play this
-  role — it absorbs every posted byte at post time, hold-offs included.
-* **ECN marking** — when the virtual-queue occupancy observed at
-  admission time crosses the ``kmin``/``kmax`` band, packets are marked
-  with a RED-style ramp. Marking is *deterministic*: an error-diffusion
-  accumulator per link replaces the RNG coin flip, so a mark pattern is
-  a pure function of the traffic timeline.
+each destination downlink (the switch egress port) carries a *virtual
+queue* — occupancy that fills per admitted packet and drains at line
+rate, computed in closed form (no extra kernel events). A sender whose
+message would overflow the configured capacity holds the WQE back just
+long enough for the queue to drain room (PFC-style lossless hold-off),
+so the level stays bounded by construction. The ``busy_until`` horizon
+cannot play this role — it absorbs every posted byte at post time,
+hold-offs included.
 
 InfiniBand's link-level flow control is lossless and the fabric runs no
-end-host rate controller, so a mark is counted and traced but slows no
-sender. The plane schedules no kernel events and draws no randomness.
+end-host rate controller, so the plane marks nothing: a full queue shows
+as hold-off (``pfc_stalls``), as the ``net.queue_depth`` histogram, and
+to failure detection as ``congested()`` — a queue at or above ``kmin``.
+The plane schedules no kernel events and draws no randomness.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.common.errors import ConfigurationError
-from repro.common.planelog import EDGE, EVENT
+from repro.common.planelog import EDGE
 
 if TYPE_CHECKING:
     from repro.simnet.cluster import Cluster
@@ -46,9 +42,9 @@ _INF = math.inf
 
 @dataclass(frozen=True)
 class CongestionConfig:
-    """Queue and ECN policy of one cluster (``FlowOptions(congestion=...)``).
+    """Queue policy of one cluster (``FlowOptions(congestion=...)``).
 
-    The defaults scale a datacenter switch's marking band down to the
+    The defaults scale a datacenter switch's egress buffer down to the
     simulator's microsecond-scale flows: a handful of 8 KiB segments.
     """
 
@@ -56,36 +52,31 @@ class CongestionConfig:
     #: until the destination queue has room (lossless PFC-style
     #: hold-off). ``inf`` disables the bound.
     queue_capacity: float = 256 * 1024
-    #: ECN band: below ``kmin`` bytes of occupancy nothing is marked.
+    #: Occupancy, in bytes, at or above which the queue into a node counts
+    #: as congested: failure detection grants a stalled peer grace while
+    #: it does (:func:`stall_is_congestion`).
     kmin: float = 32 * 1024
-    #: Above ``kmax`` every packet is marked; in between the marking
-    #: probability ramps linearly from 0 to ``pmax``.
-    kmax: float = 128 * 1024
-    #: Marking probability at the top of the linear ramp.
-    pmax: float = 0.25
 
     def __post_init__(self) -> None:
         if self.queue_capacity <= 0:
             raise ConfigurationError("queue_capacity must be positive")
-        if not 0 < self.kmin <= self.kmax:
-            raise ConfigurationError("need 0 < kmin <= kmax")
-        if not 0.0 < self.pmax <= 1.0:
-            raise ConfigurationError("pmax must be in (0, 1]")
+        if not self.kmin > 0:
+            raise ConfigurationError("kmin must be positive")
 
     @classmethod
     def unbounded(cls) -> "CongestionConfig":
         """A config whose thresholds never trip: the plane's machinery
-        runs end to end but adds zero delay and marks nothing — the
-        neutrality probe used by
+        runs end to end but adds zero delay and never reports a node
+        congested — the neutrality probe used by
         ``fingerprint.py --check-congestion-neutral``."""
-        return cls(queue_capacity=_INF, kmin=_INF, kmax=_INF)
+        return cls(queue_capacity=_INF, kmin=_INF)
 
     @classmethod
     def datacenter(cls) -> "CongestionConfig":
-        """The scenario-suite config: a band tight enough that 8:1 incast
-        marks and a queue small enough that 32:1 incast stalls."""
-        return cls(queue_capacity=192 * 1024, kmin=24 * 1024,
-                   kmax=96 * 1024)
+        """The scenario-suite config: a grace threshold that an 8:1 incast
+        crosses and a queue small enough that 8:1 and wider incasts
+        stall."""
+        return cls(queue_capacity=192 * 1024, kmin=24 * 1024)
 
 
 class _LinkQueue:
@@ -98,18 +89,15 @@ class _LinkQueue:
     admission time has passed but whose serialization hasn't finished.
     ``admit`` keeps this level ≤ ``queue_capacity`` by construction.
 
-    Also carries the marking accumulator and per-link tallies."""
+    Also carries the per-link tallies."""
 
-    __slots__ = ("level", "last", "accum", "packets", "marks", "peak",
-                 "pfc_stalls")
+    __slots__ = ("level", "last", "packets", "peak", "pfc_stalls")
 
     def __init__(self) -> None:
         #: Queue level in bytes at time ``last``.
         self.level = 0.0
         self.last = 0.0
-        self.accum = 0.0
         self.packets = 0
-        self.marks = 0
         self.peak = 0.0
         self.pfc_stalls = 0
 
@@ -118,7 +106,7 @@ class _LinkQueue:
         """Admit ``size`` bytes arriving at the port at ``t``. Returns
         ``(holdoff_delay, level_after)``: the PFC hold-off needed to keep
         the queue within ``capacity`` (0.0 when it fits) and the
-        occupancy including this packet (what RED marks against)."""
+        occupancy including this packet."""
         level = self.level - (t - self.last) * bandwidth
         if level < 0.0:
             level = 0.0
@@ -165,10 +153,8 @@ class CongestionPlane:
         self.env = cluster.env
         self.config = config
         self._links: dict = {}
-        self._trace_log = None
         # Plane-wide tallies (per-link detail lives in _LinkQueue).
         self.packets_seen = 0
-        self.ecn_marks = 0
         self.pfc_stalls = 0
 
     def _link(self, link) -> _LinkQueue:
@@ -179,11 +165,9 @@ class CongestionPlane:
 
     # -- RC hot-path hook (called from rdma.qp) ----------------------------
     def rc_admit(self, qp, size: int) -> float:
-        """Admit one RC data WQE to its destination's egress queue: return
-        the PFC hold-off (ns from now) that keeps the queue bounded, and
-        decide the WQE's ECN mark from the level it saw at admission —
-        the switch's RED engine marks against instantaneous egress
-        occupancy. Loopback bypasses the switch: no queue, no mark."""
+        """Admit one RC data WQE to its destination's egress queue and
+        return the PFC hold-off (ns from now) that keeps the queue
+        bounded. Loopback bypasses the switch: no queue, no hold-off."""
         node = qp.node
         dst = qp.remote_node
         if dst is node:
@@ -191,8 +175,7 @@ class CongestionPlane:
         now = self.env.now
         down = dst.downlink
         queue = self._link(down)
-        cfg = self.config
-        hold, occupancy = queue.admit(now, size, cfg.queue_capacity,
+        hold, occupancy = queue.admit(now, size, self.config.queue_capacity,
                                       down.bandwidth)
         if hold > 0.0:
             queue.pfc_stalls += 1
@@ -209,28 +192,6 @@ class CongestionPlane:
         metrics = dst.metrics
         if metrics is not None:
             metrics.observe("net.queue_depth", occupancy)
-        if occupancy <= cfg.kmin:
-            return hold
-        if occupancy >= cfg.kmax:
-            probability = 1.0
-        else:
-            probability = (cfg.pmax * (occupancy - cfg.kmin)
-                           / (cfg.kmax - cfg.kmin))
-        # Deterministic RED: error-diffusion accumulator instead of a
-        # coin flip — the mark pattern is a pure function of the traffic.
-        queue.accum += probability
-        if queue.accum < 1.0:
-            return hold
-        queue.accum -= 1.0
-        queue.marks += 1
-        self.ecn_marks += 1
-        if metrics is not None:
-            metrics.inc("net.ecn_marks")
-            metrics.observe("net.mark_occupancy", occupancy)
-        log = self._trace()
-        if log is not None:
-            log((EVENT, now, "ECN_MARK", "congestion", dst.node_id,
-                 f"qp{qp.qpn}", {"occupancy": int(occupancy)}))
         return hold
 
     # -- UD multicast hook -------------------------------------------------
@@ -264,29 +225,13 @@ class CongestionPlane:
                 >= self.config.kmin)
 
     # -- observability -----------------------------------------------------
-    def _trace(self):
-        """The obs plane log's ``append`` (``None`` while observability
-        is off), resolved lazily: the first use creates the
-        ``"congestion"`` trace ring the plane's events are derived into.
-        Pure Python-side bookkeeping — zero kernel events, zero RNG."""
-        if self._trace_log is None:
-            obs = self.cluster.obs
-            if obs is not None:
-                obs.tracer("congestion", True)
-                self._trace_log = obs.records.append
-        return self._trace_log
-
     def stats(self) -> dict:
-        """JSON-safe snapshot: plane tallies and per-link queue/mark
-        detail (integer bytes — see ``Link.busy_until_ns``)."""
+        """JSON-safe snapshot: plane tallies and per-link queue detail (integer bytes — see ``Link.busy_until_ns``)."""
         now = self.env.now
         links = {}
         for link, queue in self._links.items():
             links[link.name] = {
                 "packets": queue.packets,
-                "marks": queue.marks,
-                "mark_rate": (queue.marks / queue.packets
-                              if queue.packets else 0.0),
                 "peak_queue_bytes": int(queue.peak),
                 "queue_bytes": int(queue.peek(now, link.bandwidth)),
                 "horizon_backlog_bytes": link.backlog_bytes(now),
@@ -294,7 +239,6 @@ class CongestionPlane:
             }
         return {
             "packets_seen": self.packets_seen,
-            "ecn_marks": self.ecn_marks,
             "pfc_stalls": self.pfc_stalls,
             "links": links,
         }

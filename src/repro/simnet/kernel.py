@@ -179,8 +179,7 @@ class WakeEntry(Event):
     resumes only that process and queues the entry when it fires (the
     doorbell's polled wait). An entry is *free* while ``callbacks`` is
     ``None`` — fresh, or fired — and is armed again only then. A process
-    interrupted or killed while parked leaves its entry behind, waking
-    nobody, and an interrupted one gets a fresh one.
+    killed while parked leaves its entry behind, waking nobody.
     """
 
     __slots__ = ("_cb",)
@@ -191,14 +190,6 @@ class WakeEntry(Event):
         self.callbacks.append(process._resume)
         self._cb: list = self.callbacks
         self.callbacks = None
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted."""
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
 
 
 class Process(Event):
@@ -253,36 +244,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
         return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield.
-
-        A process whose links are still pending (it ran ahead of the
-        clock, see :meth:`Environment.run_ahead`) is refused with
-        :class:`SimulationError`: its current yield lies at its local
-        instant, which the clock has not reached."""
-        if self.triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        if self._ahead is not None:
-            raise SimulationError(
-                f"cannot interrupt process {self.name!r}: it runs ahead "
-                f"of the clock")
-        waiting = self._waiting_on
-        interrupt_event = Event(self.env)
-        interrupt_event._defused = True
-        interrupt_event._exception = Interrupt(cause)
-        interrupt_event._value = None
-        if waiting is not None and waiting.callbacks is not None:
-            try:
-                waiting.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-            if waiting is self._wake:
-                # Left behind, waking nobody: the next wait needs another.
-                self._wake = WakeEntry(self)
-        self._waiting_on = None
-        interrupt_event.callbacks = [self._resume]
-        self.env._schedule(interrupt_event)
 
     def kill(self, value: Any = None) -> None:
         """Forcibly terminate the process (fail-stop semantics).

@@ -61,8 +61,8 @@ class Link:
         return remaining if remaining > 0.0 else 0.0
 
     def backlog_bytes(self, now: float) -> int:
-        """Bytes queued but not yet clocked onto the wire at ``now`` — the
-        egress-queue occupancy the congestion plane marks against.
+        """Bytes queued but not yet clocked onto the wire at ``now`` (the
+        congestion plane reports it as ``horizon_backlog_bytes``).
         Integer (floor) so occupancy histograms are drift-free."""
         remaining = self._busy_until - now
         if remaining <= 0.0:

@@ -170,7 +170,7 @@ def _post_train_sequential(self, entries, faults, congestion) -> None:
     and flushes the failing WQE *and every later one* with
     ``RETRY_EXC_ERR`` (the QP enters the error state; real RC flushes
     the rest of the send queue). A stacked congestion plane holds back
-    and marks each admitted WQE as :meth:`post_train` does without faults.
+    each admitted WQE as :meth:`post_train` does without faults.
     Admitted WQEs take the discrete per-WQE body
     (:meth:`_post_discrete`), whose events re-check the peer's
     liveness when they fire; arrival and ack timestamps stay

@@ -60,11 +60,12 @@ ALLOWED = {"completed", "killed", "FlowPeerFailedError",
 _FLOW_ERRORS = (FlowPeerFailedError, FlowTimeoutError, FlowAbortedError)
 
 
-#: Tight band so the 256-byte chaos segments actually trip marking and
-#: PFC when a congested cell runs — the stock datacenter() band (24 KiB)
-#: would never see the small chaos transfers, whose egress queues peak at
-#: two in-flight segments (544 bytes).
-CHAOS_CONGESTION = CongestionConfig(queue_capacity=512, kmin=64, kmax=256)
+#: Tight bounds so the 256-byte chaos segments actually trip PFC and the
+#: congestion grace when a congested cell runs — the stock datacenter()
+#: queue (192 KiB, kmin 24 KiB) would never see the small chaos
+#: transfers, whose egress queues peak at two in-flight segments
+#: (544 bytes).
+CHAOS_CONGESTION = CongestionConfig(queue_capacity=512, kmin=64)
 
 
 def _options(flow_type, optimization, seed, congestion=None):
@@ -286,9 +287,8 @@ def test_chaos_congested_bit_reproducible(flow_type):
 def test_chaos_congested_cells_actually_throttle():
     """Vacuity guard for the congested matrix: across the seeds, at
     least one shuffle cell's congestion plane must have done real work
-    (packets observed, and marks or PFC stalls recorded) — otherwise the
+    (packets observed, and PFC stalls recorded) — otherwise the
     congested no-hang assertions test nothing beyond the plain matrix."""
-    packets = marks_or_stalls = 0
     for seed in SEEDS:
         _outcomes, _counts, now = _run_chaos(
             seed, "shuffle", Optimization.BANDWIDTH,
@@ -322,9 +322,9 @@ def test_chaos_congested_cells_actually_throttle():
     cluster.run(until=HORIZON)
     stats = cluster.congestion.stats()
     packets = stats["packets_seen"]
-    marks_or_stalls = stats["ecn_marks"] + stats["pfc_stalls"]
+    stalls = stats["pfc_stalls"]
     assert packets > 0
-    assert marks_or_stalls > 0, stats
+    assert stalls > 0, stats
 
 
 # -- batched pushes -----------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Congestion-plane tests: virtual egress queues, deterministic ECN, and
-the incast/fairness/victim pathology scenarios.
+"""Congestion-plane tests: virtual egress queues with lossless hold-off,
+and the incast/fairness/victim pathology scenarios.
 
 Covers config and FlowOptions validation, the integer link accessors and
 degrade re-pricing, the bounded virtual queue in isolation and under
-32:1 incast (peak never exceeds capacity), the marking band, a plane
-that queues no kernel action of its own, congestion-off neutrality (an
+32:1 incast (peak never exceeds capacity), the ``kmin`` congestion
+threshold, a plane that queues no kernel action of its own, congestion-off neutrality (an
 unbounded plane is timeline-invisible), seeded bit-reproducibility of
 every congested scenario, and the failure-detection interplay: a full
 queue must not surface spurious ``FlowTimeoutError``, while a genuinely
@@ -53,9 +53,12 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         CongestionConfig(kmin=0)
     with pytest.raises(ConfigurationError):
-        CongestionConfig(kmin=1024, kmax=512)
-    with pytest.raises(ConfigurationError):
-        CongestionConfig(pmax=0.0)
+        CongestionConfig(kmin=-1024)
+    # The plane marks nothing, so it takes no marking band.
+    with pytest.raises(TypeError):
+        CongestionConfig(kmax=128 * 1024)
+    with pytest.raises(TypeError):
+        CongestionConfig(pmax=0.25)
     # The two canned configs must validate.
     CongestionConfig.unbounded()
     CongestionConfig.datacenter()
@@ -168,7 +171,7 @@ def test_virtual_queue_peek_is_conservative_before_last():
     assert q.peek(50.0, 12.5) == 500.0  # stamped in this packet's future
 
 
-# -- marking band (deterministic RED) ----------------------------------------
+# -- the kmin threshold -------------------------------------------------------
 
 def _qp_pair(cluster, size=1 << 20):
     remote = get_nic(cluster.node(1)).register_memory(size)
@@ -176,67 +179,57 @@ def _qp_pair(cluster, size=1 << 20):
     return qp, remote
 
 
-def test_no_marks_below_kmin():
+def test_spaced_writes_never_congest_or_stall():
+    """Writes spaced far enough apart for the queue to drain never hold a
+    sender back, and the queue never reaches ``kmin``: no instant of the
+    run reads as congestion."""
     cluster = Cluster(node_count=2)
     plane = cluster.install_congestion(DC)
     qp, remote = _qp_pair(cluster)
+    target = cluster.node(1)
+    verdicts = []
 
     def sender():
         for _ in range(4):
             wr = qp.post_write(b"x" * 1024, remote.rkey, 0)
+            verdicts.append(plane.congested(target))
             yield wr.done
             yield cluster.env.timeout(10_000.0)  # let the queue drain
 
     cluster.node(0).spawn(sender())
     cluster.run()
     assert plane.packets_seen == 4
-    assert plane.ecn_marks == 0
     assert plane.pfc_stalls == 0
+    assert verdicts == [False] * 4
+    assert plane.stats()["links"]["node1.down"]["peak_queue_bytes"] == 1024
 
 
-def test_everything_marks_above_kmax():
-    """Back-to-back posts that pin the virtual queue past kmax must mark
-    every packet admitted above the band (p = 1 ramp top)."""
-    config = CongestionConfig(queue_capacity=64 * 1024, kmin=1024,
-                              kmax=2048, pmax=1.0)
+def test_back_to_back_writes_congest_from_kmin_until_drained():
+    """``congested`` reads the queue level against ``kmin``: true from the
+    post that lifts the level to ``kmin``, false again once the queue has
+    drained below it at line rate."""
+    config = CongestionConfig(queue_capacity=64 * 1024, kmin=8192)
     cluster = Cluster(node_count=2)
     plane = cluster.install_congestion(config)
     qp, remote = _qp_pair(cluster)
+    target = cluster.node(1)
+    verdicts = []
 
     def sender():
-        wrs = [qp.post_write(b"x" * 4096, remote.rkey, 0)
-               for _ in range(8)]
+        wrs = []
+        for _ in range(4):
+            wrs.append(qp.post_write(b"x" * 4096, remote.rkey, 0))
+            verdicts.append(plane.congested(target))
         for wr in wrs:
             yield wr.done
+        yield cluster.env.timeout(10_000.0)
+        verdicts.append(plane.congested(target))
 
     cluster.node(0).spawn(sender())
     cluster.run()
-    assert plane.packets_seen == 8
-    # Packet 1 sees only itself (4096 > kmax already) — with pmax=1 and
-    # the error-diffusion accumulator every single packet marks.
-    assert plane.ecn_marks == 8
-
-
-def test_marking_ramp_is_deterministic_error_diffusion():
-    """In the linear band the accumulated mark count equals the floor of
-    the summed probabilities — no RNG involved."""
-    config = CongestionConfig(queue_capacity=1 << 20, kmin=1000,
-                              kmax=9000, pmax=0.5)
-    cluster = Cluster(node_count=2)
-    plane = cluster.install_congestion(config)
-    qp, remote = _qp_pair(cluster)
-
-    def sender():
-        wrs = [qp.post_write(b"x" * 1000, remote.rkey, 0)
-               for _ in range(9)]
-        for wr in wrs:
-            yield wr.done
-
-    cluster.node(0).spawn(sender())
-    cluster.run()
-    # Occupancies seen: 1000..9000 in 1000-byte steps; probabilities
-    # 0, .0625, .125, ..., .4375, .5 sum to 2.25 -> exactly 2 marks.
-    assert plane.ecn_marks == 2
+    assert verdicts == [False, True, True, True, False]
+    assert stall_is_congestion(cluster.node(0), target) is False
+    assert plane.pfc_stalls == 0
 
 
 # -- congestion-off neutrality -----------------------------------------------
@@ -253,8 +246,13 @@ def test_unbounded_plane_is_timeline_invisible():
     assert probed["elapsed_ns"] == bare["elapsed_ns"]
     assert probed["finish_ns"] == bare["finish_ns"]
     plane = probed["cluster"].congestion
-    assert plane.ecn_marks == 0 and plane.pfc_stalls == 0
+    assert plane.pfc_stalls == 0
     assert plane.packets_seen > 0  # the plane did observe the traffic
+    # The queue really built up, yet an infinite kmin never reads it as
+    # congestion.
+    target = probed["cluster"].node(0)
+    assert plane.stats()["links"]["node0.down"]["peak_queue_bytes"] > DC.kmin
+    assert not plane.congested(target)
 
 
 # -- pathology scenarios -----------------------------------------------------
@@ -276,20 +274,20 @@ def test_incast_bounded_queue_and_reproducible(senders):
     assert first["elapsed_ns"] <= 3.0 * bare["elapsed_ns"]
 
 
-def test_incast_32_to_1_marks_and_stalls():
+def test_incast_32_to_1_fills_the_queue_and_stalls():
     run = measure_incast(32, bytes_per_sender=64 << 10,
                          options=FlowOptions(congestion=DC), seed=3)
     stats = run["cluster"].congestion.stats()
     link = stats["links"]["node0.down"]
-    assert stats["ecn_marks"] > 50
-    assert stats["pfc_stalls"] > 0
-    assert link["mark_rate"] > 0.1
+    assert stats["pfc_stalls"] > 50
+    assert link["pfc_stalls"] > 0.1 * link["packets"]
+    assert link["peak_queue_bytes"] == DC.queue_capacity
 
 
 def test_the_plane_queues_no_kernel_action(monkeypatch):
-    """A 16:1 incast that marks and stalls queues no action of the
-    plane's own: the hold-off and the marks are closed form at post
-    time, and no timer or notification follows a mark."""
+    """A 16:1 incast that fills the queue and stalls queues no action of
+    the plane's own: the hold-off is closed form at post time, and no
+    timer or notification follows a stall."""
     origins = []
     schedule_train = Environment.schedule_train
 
@@ -304,7 +302,8 @@ def test_the_plane_queues_no_kernel_action(monkeypatch):
     stats = run["cluster"].congestion.stats()
     assert origins, "the wrapper saw no queued action"
     assert "repro.simnet.congestion" not in origins
-    assert stats["ecn_marks"] > 0
+    assert stats["links"]["node0.down"]["peak_queue_bytes"] \
+        == DC.queue_capacity
     assert stats["pfc_stalls"] > 0
 
 
@@ -326,7 +325,7 @@ def test_victim_behind_elephant_bounded_inflation():
     assert throttled["victim_elapsed_ns"] == again["victim_elapsed_ns"]
     assert throttled["elephant_elapsed_ns"] == again["elephant_elapsed_ns"]
     # The elephant fan-in really congested the shared egress port.
-    assert throttled["cluster"].congestion.ecn_marks > 0
+    assert throttled["cluster"].congestion.pfc_stalls > 0
     # Bounded inflation for both roles — the victim must not be starved
     # by the very hold-off that bounds the queue it shares.
     assert (throttled["victim_elapsed_ns"]
@@ -340,18 +339,26 @@ def test_victim_behind_elephant_bounded_inflation():
 def test_throttling_does_not_trip_peer_timeout():
     """An incast held back at a full egress queue, with a peer_timeout
     far below its transfer time, must still complete: the deadline
-    checks ask ``stall_is_congestion`` and grant self-clearing grace."""
-    options = FlowOptions(congestion=DC, peer_timeout=20_000.0)
+    checks ask ``stall_is_congestion`` and grant self-clearing grace.
+    The same incast without the plane times out at that deadline."""
+    timeout = 5_000.0
+    options = FlowOptions(congestion=DC, peer_timeout=timeout, trace=True)
     run = measure_incast(16, bytes_per_sender=64 << 10, options=options,
                          seed=3)
-    assert run["elapsed_ns"] > 20_000.0  # deadline tighter than the run
+    assert run["elapsed_ns"] > timeout  # deadline tighter than the run
     stats = run["cluster"].congestion.stats()
-    assert stats["ecn_marks"] > 0
+    assert stats["pfc_stalls"] > 0
+    nodes = run["cluster"].metrics_snapshot()["nodes"].values()
+    assert sum(node["counters"].get("core.congestion_grace", 0)
+               for node in nodes) > 0
+    with pytest.raises(FlowTimeoutError):
+        measure_incast(16, bytes_per_sender=64 << 10, seed=3,
+                       options=FlowOptions(peer_timeout=timeout))
 
 
 def test_dead_peer_still_raises_under_congestion():
     """Congestion grace must not mask real failures: with the plane
-    active and marking, a crashed target is still surfaced as a flow
+    active and stalling, a crashed target is still surfaced as a flow
     error — deterministically, not as a hang."""
     def run_once():
         cluster = Cluster(node_count=3, seed=9)
@@ -399,7 +406,7 @@ def test_dead_peer_still_raises_under_congestion():
 def test_incast_under_link_degrade_completes():
     """The satellite invariant: ``link_degrade`` composing with bounded
     queues (re-priced backlog + recalibrated virtual-queue drain) must
-    not hang an incast — it completes, still marking."""
+    not hang an incast — it completes, still stalling."""
     plan = FaultPlan([link_degrade(0, at=20_000.0, duration=200_000.0,
                                    factor=4.0)])
     options = FlowOptions(congestion=DC, peer_timeout=300_000.0)
@@ -435,29 +442,20 @@ def test_incast_under_link_degrade_completes():
     cluster.node(0).spawn(target_thread())
     cluster.run(until=8_000_000.0)
     assert done["ended"] and done["consumed"] == 8 * 1024
-    assert cluster.congestion.ecn_marks > 0
+    assert cluster.congestion.pfc_stalls > 0
 
 
 # -- observability -----------------------------------------------------------
 
-def test_queue_depth_and_mark_histograms_recorded():
-    cluster_holder = {}
-
-    def run():
-        run_ = measure_incast(8, bytes_per_sender=64 << 10,
-                              options=FlowOptions(congestion=DC, trace=True),
-                              seed=3)
-        cluster_holder["cluster"] = run_["cluster"]
-        return run_
-
-    run()
-    cluster = cluster_holder["cluster"]
+def test_queue_depth_histogram_recorded_up_to_capacity():
+    run = measure_incast(8, bytes_per_sender=64 << 10,
+                         options=FlowOptions(congestion=DC, trace=True),
+                         seed=3)
+    cluster = run["cluster"]
     snapshot = cluster.metrics_snapshot()
-    target_metrics = snapshot["nodes"][0]
-    assert target_metrics["histograms"]["net.queue_depth"]["count"] > 0
-    assert target_metrics["histograms"]["net.mark_occupancy"]["count"] > 0
-    assert target_metrics["counters"]["net.ecn_marks"] > 0
-    # Marks land in the congestion trace ring.
-    tracer = cluster.obs.tracers["congestion"]
-    kinds = {event[1] for event in tracer.events()}
-    assert "ECN_MARK" in kinds
+    depth = snapshot["nodes"][0]["histograms"]["net.queue_depth"]
+    # One sample per admitted packet, the fullest at the capacity.
+    assert depth["count"] == cluster.congestion.stats()["packets_seen"]
+    assert depth["max"] == DC.queue_capacity
+    # The plane keeps no trace ring of its own.
+    assert set(cluster.obs.tracers) == {"incast"}

@@ -161,6 +161,60 @@ def test_push_batch_rejects_a_row_of_the_wrong_arity(targets, rows, target,
         (5, 6)}
 
 
+def _push_rows(source, rows, target):
+    for values in rows:
+        yield from source.push(values, target)
+
+
+@pytest.mark.parametrize("targets, rows, target, optimization, door", [
+    pytest.param(2, 1, None, Optimization.BANDWIDTH, _push_rows,
+                 id="push-routed"),
+    pytest.param(2, 1, 1, Optimization.BANDWIDTH, _push_rows,
+                 id="push-named-target"),
+    pytest.param(2, 1, None, Optimization.LATENCY, _push_rows,
+                 id="push-latency-routed"),
+    pytest.param(2, 1, 1, Optimization.LATENCY, _push_rows,
+                 id="push-latency-named-target"),
+    pytest.param(1, 300, None, Optimization.BANDWIDTH, None,
+                 id="group-walk"),
+    pytest.param(2, 10, None, Optimization.BANDWIDTH, None, id="row-loop"),
+    pytest.param(2, 300, None, Optimization.BANDWIDTH, None,
+                 id="numpy-partition"),
+    pytest.param(2, 300, 1, Optimization.BANDWIDTH, None,
+                 id="named-target"),
+    pytest.param(2, 10, None, Optimization.LATENCY, None,
+                 id="latency-flow"),
+    pytest.param(1, 10, None, Optimization.LATENCY, None,
+                 id="latency-one-target"),
+])
+def test_a_row_that_is_not_a_sequence_raises_the_schema_error(
+        targets, rows, target, optimization, door):
+    """A row that is not a sequence (``5``) raises, at every push door,
+    the one ``SchemaError`` a per-tuple pack raises for it, not a
+    ``TypeError`` that names the door; no such row is delivered."""
+    cluster, dfi = build(1 + targets)
+    dfi.init_shuffle_flow(
+        "f", [Endpoint(0, 0)], [Endpoint(1 + n, 0) for n in range(targets)],
+        SCHEMA, shuffle_key="key", optimization=optimization)
+    errors = []
+
+    def source_fn(source, _index):
+        batch = [5] + [(5, 6)] * rows
+        with pytest.raises(SchemaError) as caught:
+            if door is None:
+                yield from source.push_batch(batch, target)
+            else:
+                yield from door(source, batch, target)
+        errors.append(str(caught.value))
+
+    received = run_flow(cluster, dfi, "f", source_fn)
+    assert errors == [_push_error(5)]
+    assert errors[0] == ("tuple 5 does not match schema: not a sequence "
+                         "of 2 fields")
+    assert {values for got in received.values() for values in got} <= {
+        (5, 6)}
+
+
 def test_push_batch_accepts_iterators_and_empty_batches():
     cluster, dfi = build(2)
     dfi.init_shuffle_flow("f", [Endpoint(0, 0)], [Endpoint(1, 0)], SCHEMA,

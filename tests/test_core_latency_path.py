@@ -39,7 +39,7 @@ from repro.core.segment import FLAG_CONSUMABLE, SegmentRing, pack_footer
 from repro.common.planelog import WRITE
 from repro.core.shuffle import TargetChannel
 from repro.rdma.nic import get_nic
-from repro.simnet import PARK, Cluster
+from repro.simnet import PARK, Cluster, Environment
 from repro.simnet.faults import FaultPlan, node_crash
 from tests import discrete_reference
 
@@ -249,7 +249,52 @@ _PROGRAM_OP = st.one_of(
     st.tuples(st.just("compute"), st.sampled_from([0.0, 15.0, 400.0])),
     st.tuples(st.just("consume")),
     st.tuples(st.sampled_from(["close", "abort"])),
+    st.tuples(st.just("kernel"),
+              st.sampled_from(["succeed", "fail", "train", "sleep_until",
+                               "cancel", "condition"]),
+              st.sampled_from([0.0, 5.0, 300.0])),
 )
+
+#: Each kernel call whose guard defers it while the caller runs ahead of
+#: the clock, by the name of the op that makes it.
+_DEFERRED = {"succeed": "succeed", "fail": "fail", "train": "schedule_train",
+             "sleep_until": "_schedule_abs", "cancel": "cancel",
+             "condition": "_watch"}
+
+
+def _kernel_call(env, log, fired, call, delay):
+    """Generator: one kernel call, then a wait on what it queued; log what
+    the thread saw. Made right after a push that ran ahead, the call
+    takes its guard's deferral. A train's action logs its own firing in
+    ``fired``, at the kernel's instant."""
+    seen = delay
+    if call == "succeed":
+        event = env.event()
+        event.succeed(delay)
+        seen = yield event
+    elif call == "fail":
+        event = env.event()
+        event.fail(ValueError(delay))
+        try:
+            yield event
+        except ValueError as exc:
+            seen = ("raised", exc.args[0])
+    elif call == "train":
+        env.schedule_train([(env.now + delay,
+                             lambda tag: fired.append((tag, env.now)),
+                             ("train", delay))])
+        yield delay
+    elif call == "sleep_until":
+        yield env.sleep_until(env.now + delay)
+    elif call == "cancel":
+        timer = env.timeout(delay + 1.0)
+        env.cancel(timer)
+        yield delay + 2.0
+        seen = timer.processed     # withdrawn: never fired
+    else:
+        got = yield env.all_of([env.timeout(delay), env.timeout(2 * delay)])
+        seen = len(got)
+    log.append((call, seen, env.now))
 
 
 def _programme(program, window, threshold, scale, slow, feed, gap,
@@ -266,7 +311,8 @@ def _programme(program, window, threshold, scale, slow, feed, gap,
     sequence)`` after the cut, the plane log's ``WRITE`` records, each
     thread's log of instants, values and errors, the final clock, the
     count of events, the final metrics snapshot and the reading at the
-    cut."""
+    cut. A ``kernel`` op makes one of the calls :func:`_kernel_call`
+    makes."""
     cluster = Cluster(node_count=4,
                       profile=DEFAULT_HARDWARE.with_straggler(1, scale))
     if crash_at is not None:
@@ -284,7 +330,7 @@ def _programme(program, window, threshold, scale, slow, feed, gap,
     dfi.init_shuffle_flow("g", ["node3|0"], ["node1|0"], SCHEMA,
                           shuffle_key="key",
                           optimization=Optimization.LATENCY, options=options)
-    logs = {"source": [], "target": [], "feeder": []}
+    logs = {"source": [], "target": [], "feeder": [], "fired": []}
 
     def source_thread():
         log = logs["source"]
@@ -314,6 +360,8 @@ def _programme(program, window, threshold, scale, slow, feed, gap,
                     yield from source.close()
                 elif kind == "abort":
                     yield from source.abort()
+                elif kind == "kernel":
+                    yield from _kernel_call(env, log, logs["fired"], *op[1:])
             log.append(("done", env.now))
         except FlowError as exc:
             log.append(("error", type(exc).__name__, env.now))
@@ -432,3 +480,34 @@ def test_a_push_that_runs_ahead_is_the_push_that_slept(
     assert product[1:] == reference[1:]
     if any(op[0] == "push" for op in program) and crash_at is None:
         assert pushes["pushes"] > 0
+
+
+@pytest.mark.parametrize("call", sorted(_DEFERRED))
+def test_a_kernel_call_made_ahead_of_the_clock_is_the_call_made_after_a_sleep(
+        call, monkeypatch):
+    """Right after a push that ran ahead, each kernel call whose guard
+    defers it — ``succeed``, ``fail``, a train, ``sleep_until``,
+    ``cancel`` and a condition's watch — takes that deferral, and the
+    run equals the one whose pushes slept: the same queue entries at
+    the same instants under the same sequence numbers, and the same
+    thread logs, clock, events and metrics."""
+    args = ([("push", 3), ("kernel", call, 5.0), ("push", 2), ("now",),
+             ("kernel", call, 0.0), ("now",)],
+            64, 16, 0.5, 0.0, 0, 0.0, None, None, None)
+    deferred = []
+    defer = Environment._defer
+
+    def recording(env, fn, fn_args):
+        deferred.append(fn.__name__)
+        return defer(env, fn, fn_args)
+
+    monkeypatch.setattr(Environment, "_defer", recording)
+    product = _programme(*args)
+    assert _DEFERRED[call] in deferred
+    deferred.clear()
+    with discrete_reference.sleeping_latency_push() as pushes:
+        reference = _programme(*args)
+    assert _DEFERRED[call] not in deferred and pushes["pushes"] == 5
+    assert product == reference
+    assert [entry[0] for entry in product[2]["source"]] == [
+        call, "now", call, "now", "done"]

@@ -28,7 +28,7 @@ from repro.core import (
     Ordering,
     Schema,
 )
-from repro.core.flowdef import MULTICAST_PAYLOAD_LIMIT
+from repro.core.flowdef import MULTICAST_PAYLOAD_LIMIT, RETRANSMIT_HISTORY
 from repro.core.segment import FOOTER_SIZE, unpack_footer
 from repro.rdma.memory import Doorbell
 from repro.rdma.nic import get_nic
@@ -476,17 +476,16 @@ def test_replicate_descriptor_validations():
                        schema=SCHEMA, shuffle_key="key")
 
 
-def test_multicast_retransmit_buffer_must_cover_the_credit_window():
-    """A NACK may name any un-credited segment: a buffer shorter than
-    the window dropped it silently (and ``abort()`` escaped
-    ``cluster.run()`` as a bare ``KeyError``)."""
-    for buffer in (0, 7):
-        with pytest.raises(ConfigurationError, match="retransmit_buffer"):
-            FlowOptions(multicast=True, target_segments=8,
-                        retransmit_buffer=buffer)
-    FlowOptions(multicast=True, target_segments=8, retransmit_buffer=8)
+def test_multicast_credit_window_must_fit_the_retransmit_history():
+    """A NACK may name any un-credited segment: a credit window longer
+    than the source's retransmit history would drop it silently (and
+    ``abort()`` escaped ``cluster.run()`` as a bare ``KeyError``)."""
+    for segments in (RETRANSMIT_HISTORY + 1, 2 * RETRANSMIT_HISTORY):
+        with pytest.raises(ConfigurationError, match="retransmit history"):
+            FlowOptions(multicast=True, target_segments=segments)
+    FlowOptions(multicast=True, target_segments=RETRANSMIT_HISTORY)
     # Naive replicate flows keep nothing for retransmission.
-    FlowOptions(retransmit_buffer=0)
+    FlowOptions(target_segments=RETRANSMIT_HISTORY + 1)
 
 
 _OVERSIZED = Schema(("key", "uint64"), ("blob", 5000))  # 5 008 B

@@ -6,15 +6,20 @@ every repo path the script, the workflow and the docs name must exist,
 so must every code name the docs put in backticks, docs/API.md's Sources
 and Targets tables say what each endpoint class has, the workflow is
 three jobs of one ``ci/gates.sh`` call each, no test file runs in
-two gates, and no budget test puts a number in its name.
+two gates, no budget test puts a number in its name, and every flow and
+congestion option has a caller.
 """
 
 import ast
 import builtins
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
+
+from repro.core import FlowOptions
+from repro.simnet import CongestionConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 GATES = ROOT / "ci" / "gates.sh"
@@ -252,3 +257,43 @@ def test_no_budget_test_names_a_number():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and node.name.startswith("test") and re.search(r"\d", node.name)]
     assert not stale, f"budget tests whose names state a number: {stale}"
+
+
+#: Options that no code under ``src``, ``benchmarks`` or ``examples``
+#: sets, each kept for the reason given.
+_CALLERLESS_OPTIONS = {
+    "peer_timeout": "failure policy: the chaos matrix sets it",
+    "max_backoff_retries": "failure policy: the chaos matrix sets it",
+    "max_retransmits": "failure policy: the chaos matrix sets it",
+    "on_target_failure": "failure policy: the chaos matrix sets it",
+    "trace": "per-flow tracing request: benches and examples enable the "
+             "plane cluster-wide, the obs tests drive this door",
+}
+
+#: The calls an option is set through: the two constructors, a
+#: classmethod's ``cls(...)`` and ``dataclasses.replace``.
+_OPTION_CALLS = {"FlowOptions", "CongestionConfig", "cls", "replace"}
+
+
+def test_every_flow_and_congestion_option_has_a_caller():
+    """An option is a promise to keep a second path working: each field of
+    ``FlowOptions`` and ``CongestionConfig`` is set by keyword somewhere
+    under ``src``, ``benchmarks`` or ``examples`` (tests do not count),
+    or is allow-listed with its reason."""
+    set_by_keyword = set()
+    for directory in ("src", "benchmarks", "examples"):
+        for path in (ROOT / directory).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr",
+                                                            None)
+                if name in _OPTION_CALLS:
+                    set_by_keyword.update(keyword.arg
+                                          for keyword in node.keywords)
+    fields = {field.name for config in (FlowOptions, CongestionConfig)
+              for field in dataclasses.fields(config)}
+    assert set(_CALLERLESS_OPTIONS) <= fields, "allow-list names a non-field"
+    callerless = sorted(fields - set_by_keyword - set(_CALLERLESS_OPTIONS))
+    assert not callerless, f"options nothing sets: {callerless}"

@@ -319,3 +319,53 @@ def test_every_consumed_segment_has_one_latency_sample(ordering):
     consumed = metrics.get("core.segments_consumed")
     assert consumed == sources * (400 * SCHEMA.tuple_size // 64 + 1)
     assert metrics.histograms["core.seg_latency"].count == consumed
+
+
+# -- the kernel section of the snapshot ----------------------------------------
+
+def _snapshot_after_traffic(cluster):
+    def worker(node):
+        for _ in range(5):
+            yield node.env.timeout(10.0)
+        if node.node_id == 0:
+            cluster.fabric.unicast(node, cluster.node(3), 256)
+
+    for node in cluster.nodes:
+        node.spawn(worker(node))
+    # Three hops of one train: three entries, three sequence numbers.
+    cluster.env.schedule_train([(when, list, ()) for when in (1.0, 2.0, 3.0)])
+    cluster.run()
+    return cluster.metrics_snapshot()
+
+
+def test_the_kernel_section_is_the_event_count_with_the_plane_on():
+    """With the plane on, the ``kernel`` section is still one dict with
+    the event count, and no ``kernel.*`` counter exists on any node."""
+    cluster = Cluster.racked(2, 2)
+    cluster.enable_observability()
+    snapshot = _snapshot_after_traffic(cluster)
+    assert snapshot["kernel"] == {
+        "events_executed": cluster.env.events_executed}
+    assert cluster.env.events_executed == cluster.env._sequence
+    for node in snapshot["nodes"].values():
+        assert not [name for name in node.get("counters", {})
+                    if name.startswith("kernel.")]
+    # Reading is passive: harvesting scheduled nothing.
+    events_before = cluster.env._sequence
+    assert cluster.metrics_snapshot()["kernel"] == snapshot["kernel"]
+    assert cluster.env._sequence == events_before
+
+
+def test_the_kernel_section_is_the_event_count_with_the_plane_off():
+    """With the plane off, the same ``kernel`` dict — what the perf
+    ledger's harness indexes."""
+    cluster = Cluster(node_count=4)
+    assert cluster.metrics_snapshot()["kernel"] == {"events_executed": 0}
+    snapshot = _snapshot_after_traffic(cluster)
+    assert snapshot["nodes"] == {}
+    assert snapshot["kernel"] == {
+        "events_executed": cluster.env.events_executed}
+    assert snapshot["kernel"].get("mailbox_crossings", 0) == 0
+    assert snapshot["kernel"]["events_executed"] == (
+        _snapshot_after_traffic(Cluster.racked(2, 2))["kernel"][
+            "events_executed"]) > 0

@@ -476,9 +476,14 @@ class TestExportIdentity:
         # Re-based when the plane lost its rate control: a mark no longer
         # slows its sender, so the 6:1 incast ends at 334.9 us instead of
         # 1049.6 us, with 49 marks instead of 28 and no RATE_CHANGE.
+        # Re-based again when the plane stopped marking: the node metrics
+        # lose the net.ecn_marks counter and net.mark_occupancy histogram,
+        # the trace loses the "congestion" ring of 49 ECN_MARK events;
+        # with those taken out of the old exports the hashes match, and
+        # the causal export did not move.
         (_congested_incast,
-         "41656e359ff4c2e8201b918398ce8b6936c72c50cadde716bf54e552621325f7",
-         "88a45ae16e50698dd3ade253b79f61d6e66c918dc122b0c86877b7c078481528",
+         "719abc622c36dab17475e098725aaf45dd7321955faa5cf9d524dbd288e0b634",
+         "05e3010267eefcafc9429506d9fd1eafbb735d2bcee0c0f1fea41197be65f3e8",
          "cbfa38467a7366e7b19e828333f200e38c79fa5c3f7f77b764a38a23902e91be"),
     ], ids=["batched-shuffle", "latency-pingpong", "lossy-multicast",
             "congested-incast"])

@@ -64,7 +64,7 @@ def _rung_doorbell(regions=1):
     return cluster, memory, doorbell, doorbell.arm()
 
 
-def test_write_hook_fires_on_commit():
+def test_a_commit_lands_marks_its_region_dirty_and_rings_once():
     """A commit lands its bytes, marks its region dirty in commit order
     and fires the armed wake once."""
     _cluster, (first, second), doorbell, event = _rung_doorbell(regions=2)
@@ -77,7 +77,7 @@ def test_write_hook_fires_on_commit():
     assert doorbell._event is None  # fired by the first commit only
 
 
-def test_write_hook_not_fired_by_u64_helpers():
+def test_u64_helpers_ring_no_doorbell():
     """Credit counters are updated with write_u64 — deliberately without
     waking ring waiters (the source reads them remotely)."""
     _cluster, (region,), doorbell, event = _rung_doorbell()
@@ -87,7 +87,7 @@ def test_write_hook_not_fired_by_u64_helpers():
     assert not event.triggered
 
 
-def test_hook_fires_for_remote_write_commits():
+def test_a_remote_write_rings_on_its_prefix_then_its_tail():
     """One-sided writes land through region.commit, so a waiter on the
     region's doorbell wakes on the payload prefix and again on the
     64-byte tail, later, in increasing-address order."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.simnet import Cluster, Environment, Store
+from repro.simnet import Cluster, Environment
 from repro.simnet.link import Link
 
 
@@ -81,26 +81,6 @@ def test_fail_requires_exception():
     env = Environment()
     with pytest.raises(TypeError):
         env.event().fail("not an exception")  # type: ignore[arg-type]
-
-
-def test_interrupt_while_waiting_on_store():
-    env = Environment()
-    store = Store(env)
-
-    def consumer(env):
-        try:
-            yield store.get()
-        except Exception as exc:
-            return type(exc).__name__
-
-    def interrupter(env, victim):
-        yield env.timeout(5)
-        victim.interrupt()
-
-    victim = env.process(consumer(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert victim.value == "Interrupt"
 
 
 def test_chained_immediate_events_no_recursion():

@@ -286,3 +286,38 @@ def test_random_plan_is_deterministic_and_bounded():
                              horizon=1_000_000.0, entry_count=6,
                              protected=(0,))
     assert first.entries != other.entries
+
+
+# -- fault transitions are kernel timers --------------------------------------
+
+def test_a_crash_and_a_degrade_are_install_timers_that_touch_only_their_victim():
+    """A crash and a degrade are kernel timers queued at install: the
+    crash kills the victim's processes at its instant and no other
+    node's, the degrade rescales the victim's links and restores them."""
+    cluster = Cluster.racked(2, 2)
+    env = cluster.env
+    before = env._sequence
+    cluster.install_faults(FaultPlan([
+        node_crash(3, at=1000.0),
+        link_degrade(2, at=100.0, duration=50.0, factor=2.0)]))
+    assert env._sequence == before + 3 and env.peek() == 100.0
+    bandwidth = cluster.node(2).uplink.bandwidth
+    seen = []
+
+    def sleeper(node):
+        yield 5000.0
+        seen.append(node.node_id)
+
+    def probe():
+        yield 120.0
+        seen.append(cluster.node(2).uplink.bandwidth)
+
+    victim = cluster.node(3).spawn(sleeper(cluster.node(3)))
+    survivor = cluster.node(2).spawn(sleeper(cluster.node(2)))
+    cluster.node(0).spawn(probe())
+    cluster.run()
+    assert 3 in cluster.faults.crashed
+    assert not victim.is_alive and not survivor.is_alive
+    assert seen == [bandwidth / 2.0, 2]
+    assert cluster.node(2).uplink.bandwidth == bandwidth
+    assert cluster.now == 5000.0

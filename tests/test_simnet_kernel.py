@@ -24,7 +24,6 @@ from repro.simnet import (
     Cluster,
     Environment,
     FaultPlan,
-    Interrupt,
     Timeout,
     link_degrade,
 )
@@ -309,37 +308,6 @@ def test_run_until_event_deadlock_detected():
     env.process(waiter(env))
     with pytest.raises(SimulationError, match="drained"):
         env.run(until=gate)
-
-
-def test_interrupt_raises_inside_process():
-    env = Environment()
-
-    def sleeper(env):
-        try:
-            yield env.timeout(1000)
-        except Interrupt as interrupt:
-            return ("interrupted", interrupt.cause, env.now)
-
-    def interrupter(env, victim):
-        yield env.timeout(5)
-        victim.interrupt("wake up")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert victim.value == ("interrupted", "wake up", 5)
-
-
-def test_interrupt_finished_process_rejected():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1)
-
-    p = env.process(quick(env))
-    env.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
 
 
 def test_active_process_tracking():
@@ -708,33 +676,29 @@ _KERNELS = pytest.mark.parametrize(
 
 
 @_KERNELS
-def test_interrupted_sleep_leaves_its_entry_behind_and_sleeps_again(make):
+def test_killed_sleep_leaves_its_entry_behind(make):
     env = make()
     log = []
 
     def sleeper():
-        try:
-            yield 1000.0
-        except Interrupt:
-            log.append(("interrupted", env.now))
-        yield 5.0
-        log.append(("slept", env.now))
-        return "done"
+        yield 1000.0
+        log.append("resumed")
 
-    def interrupter(victim):
+    def killer(victim):
         yield 10.0
-        victim.interrupt()
+        victim.kill("crashed")
 
     victim = env.process(sleeper())
-    env.process(interrupter(victim))
+    env.process(killer(victim))
     env.run()
-    assert log == [("interrupted", 10.0), ("slept", 15.0)]
-    assert victim.value == "done"
-    # Two starts, the interrupter's sleep, the interrupt, the second
-    # sleep, two exits — and the first sleep's entry, which still fires
-    # at its instant and wakes nobody.
-    assert env.events_executed == 8
+    assert log == [] and victim.value == "crashed"
+    # Two starts, the killer's sleep, the kill's conclusion, the killer's
+    # exit — and the sleep's entry, which still fires at its instant and
+    # wakes nobody.
+    assert env.events_executed == 6
     assert env.now == 1000.0
+    victim.kill("again")     # a finished process: a no-op
+    assert victim.value == "crashed"
 
 
 @pytest.mark.parametrize("racks", [1, 2])
@@ -870,31 +834,6 @@ def test_sleep_until_a_past_instant_resumes_on_the_next_step(make):
 
 
 @_KERNELS
-def test_sleep_until_interrupted_leaves_its_entry_behind(make):
-    env = make()
-    log = []
-
-    def sleeper():
-        try:
-            yield env.sleep_until(1000.0)
-        except Interrupt:
-            log.append(("interrupted", env.now))
-        yield env.sleep_until(15.0)
-        log.append(("slept", env.now))
-
-    def interrupter(victim):
-        yield 10.0
-        victim.interrupt()
-
-    victim = env.process(sleeper())
-    env.process(interrupter(victim))
-    env.run()
-    assert log == [("interrupted", 10.0), ("slept", 15.0)]
-    # The first entry still fires at its instant and wakes nobody.
-    assert env.now == 1000.0 and env.events_executed == 8
-
-
-@_KERNELS
 def test_sleep_until_killed_stays_dead(make):
     env = make()
     log = []
@@ -911,7 +850,8 @@ def test_sleep_until_killed_stays_dead(make):
     env.process(killer(victim))
     env.run()
     assert log == [] and victim.value == "crashed"
-    assert env.now == 1000.0   # the entry left behind fired, waking nobody
+    # The entry left behind still fires at its instant and wakes nobody.
+    assert env.now == 1000.0 and env.events_executed == 6
 
 
 @_KERNELS
@@ -1025,36 +965,6 @@ def test_run_ahead_outside_a_process_raises(make):
     env = make()
     with pytest.raises(SimulationError, match="outside a running process"):
         env.run_ahead(1.0, print, None)
-
-
-@_KERNELS
-def test_interrupting_a_process_ahead_of_the_clock_is_refused(make):
-    """Interrupt keeps its semantics for a process at the clock and is
-    refused with ``SimulationError`` while the process's links are
-    pending: its current yield lies at an instant not reached yet."""
-    env = make()
-    seen = []
-
-    def runner():
-        yield 1.0
-        env.run_ahead(10.0, seen.append, "posted")
-        try:
-            yield 100.0
-        except Interrupt as exc:
-            seen.append(("interrupted", exc.cause, env.now))
-
-    def interrupter(target):
-        yield 5.0           # the link, due at 11, is pending
-        with pytest.raises(SimulationError, match="runs ahead"):
-            target.interrupt("early")
-        seen.append(("refused", env.now))
-        yield 10.0          # past the link: at the clock again
-        target.interrupt("late")
-
-    target = env.process(runner())
-    env.process(interrupter(target))
-    env.run()
-    assert seen == [("refused", 5.0), "posted", ("interrupted", "late", 15.0)]
 
 
 @_KERNELS

@@ -27,14 +27,7 @@ from repro.core import (
     Schema,
 )
 from repro.rdma import get_nic
-from repro.simnet import (
-    Cluster,
-    Environment,
-    FaultPlan,
-    link_degrade,
-    node_crash,
-    run_partitioned,
-)
+from repro.simnet import Cluster, Environment, run_partitioned
 
 
 def _flat_twin(racks, nodes_per_rack, profile=DEFAULT_HARDWARE, seed=0):
@@ -285,89 +278,6 @@ def test_fingerprint_bit_identical_at_four_shards():
     finally:
         obs.set_default_observability(False)
     assert json.loads(json.dumps(with_obs)) == committed
-
-
-def test_fault_transitions_land_on_victim_shard():
-    """A crash and a degrade are kernel timers queued at install: the
-    crash kills the victim's processes at its instant and no other
-    node's, the degrade rescales the victim's links and restores them."""
-    cluster = Cluster.racked(2, 2)
-    env = cluster.env
-    before = env._sequence
-    cluster.install_faults(FaultPlan([
-        node_crash(3, at=1000.0),
-        link_degrade(2, at=100.0, duration=50.0, factor=2.0)]))
-    assert env._sequence == before + 3 and env.peek() == 100.0
-    bandwidth = cluster.node(2).uplink.bandwidth
-    seen = []
-
-    def sleeper(node):
-        yield 5000.0
-        seen.append(node.node_id)
-
-    def probe():
-        yield 120.0
-        seen.append(cluster.node(2).uplink.bandwidth)
-
-    victim = cluster.node(3).spawn(sleeper(cluster.node(3)))
-    survivor = cluster.node(2).spawn(sleeper(cluster.node(2)))
-    cluster.node(0).spawn(probe())
-    cluster.run()
-    assert 3 in cluster.faults.crashed
-    assert not victim.is_alive and not survivor.is_alive
-    assert seen == [bandwidth / 2.0, 2]
-    assert cluster.node(2).uplink.bandwidth == bandwidth
-    assert cluster.now == 5000.0
-
-
-# -- observability -----------------------------------------------------------
-
-def _snapshot_after_traffic(cluster):
-    def worker(node):
-        for _ in range(5):
-            yield node.env.timeout(10.0)
-        if node.node_id == 0:
-            cluster.fabric.unicast(node, cluster.node(3), 256)
-
-    for node in cluster.nodes:
-        node.spawn(worker(node))
-    # Three hops of one train: three entries, three sequence numbers.
-    cluster.env.schedule_train([(when, list, ()) for when in (1.0, 2.0, 3.0)])
-    cluster.run()
-    return cluster.metrics_snapshot()
-
-
-def test_kernel_shard_counters_surface_through_obs():
-    """With the plane on, the ``kernel`` section is still one dict with
-    the event count, and no ``kernel.*`` counter exists on any node."""
-    cluster = Cluster.racked(2, 2)
-    cluster.enable_observability()
-    snapshot = _snapshot_after_traffic(cluster)
-    assert snapshot["kernel"] == {
-        "events_executed": cluster.env.events_executed}
-    assert cluster.env.events_executed == cluster.env._sequence
-    for node in snapshot["nodes"].values():
-        assert not [name for name in node.get("counters", {})
-                    if name.startswith("kernel.")]
-    # Reading is passive: harvesting scheduled nothing.
-    events_before = cluster.env._sequence
-    assert cluster.metrics_snapshot()["kernel"] == snapshot["kernel"]
-    assert cluster.env._sequence == events_before
-
-
-def test_unsharded_snapshot_reports_single_shard():
-    """With the plane off, the same ``kernel`` dict — what the perf
-    ledger's harness indexes."""
-    cluster = Cluster(node_count=4)
-    assert cluster.metrics_snapshot()["kernel"] == {"events_executed": 0}
-    snapshot = _snapshot_after_traffic(cluster)
-    assert snapshot["nodes"] == {}
-    assert snapshot["kernel"] == {
-        "events_executed": cluster.env.events_executed}
-    assert snapshot["kernel"].get("mailbox_crossings", 0) == 0
-    assert snapshot["kernel"]["events_executed"] == (
-        _snapshot_after_traffic(Cluster.racked(2, 2))["kernel"][
-            "events_executed"]) > 0
 
 
 # -- multiprocess window executor --------------------------------------------
