@@ -310,6 +310,22 @@ def test_run_until_event_deadlock_detected():
         env.run(until=gate)
 
 
+def test_killing_a_finished_process_is_a_no_op():
+    env = Environment()
+
+    def quick(env):
+        yield env.timeout(1)
+        return "done"
+
+    p = env.process(quick(env))
+    env.run()
+    executed = env.events_executed
+    p.kill("late")
+    assert p.value == "done"
+    env.run()
+    assert env.events_executed == executed and env.now == 1
+
+
 def test_active_process_tracking():
     env = Environment()
     seen = []
@@ -697,8 +713,6 @@ def test_killed_sleep_leaves_its_entry_behind(make):
     # wakes nobody.
     assert env.events_executed == 6
     assert env.now == 1000.0
-    victim.kill("again")     # a finished process: a no-op
-    assert victim.value == "crashed"
 
 
 @pytest.mark.parametrize("racks", [1, 2])
@@ -850,8 +864,36 @@ def test_sleep_until_killed_stays_dead(make):
     env.process(killer(victim))
     env.run()
     assert log == [] and victim.value == "crashed"
-    # The entry left behind still fires at its instant and wakes nobody.
-    assert env.now == 1000.0 and env.events_executed == 6
+    assert env.now == 1000.0   # the entry left behind fired, waking nobody
+
+
+@_KERNELS
+def test_sleep_until_killed_leaves_its_entry_behind(make):
+    env = make()
+    log = []
+
+    def sleeper():
+        yield env.sleep_until(1000.0)
+        log.append("resumed")
+
+    def bystander():
+        yield env.sleep_until(15.0)
+        log.append(("bystander", env.now))
+
+    def killer(victim):
+        yield 10.0
+        victim.kill("crashed")
+
+    victim = env.process(sleeper())
+    env.process(bystander())
+    env.process(killer(victim))
+    env.run()
+    # The bystander's entry lands at its instant; the victim's entry
+    # still fires at its own and wakes nobody.
+    assert log == [("bystander", 15.0)] and victim.value == "crashed"
+    # Three starts, the killer's sleep, the kill's conclusion, the
+    # killer's exit, the bystander's entry and exit, the victim's entry.
+    assert env.now == 1000.0 and env.events_executed == 9
 
 
 @_KERNELS
